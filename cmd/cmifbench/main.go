@@ -1,24 +1,23 @@
 // Command cmifbench regenerates every experiment artifact of the paper
 // reproduction — the section 3.1 table, Figures 1-10, the two ablations —
 // plus the S1 storage/fetch concurrency scenarios (BENCH_store.json),
-// the S2 scheduler scenarios (BENCH_sched.json), the S3 wire-protocol
-// scenarios (BENCH_wire.json), the S4 durability scenarios
-// (BENCH_durable.json), the S6 live-document subscription scenarios
-// (BENCH_subs.json), the S7 edge-tier scenarios (BENCH_edge.json) and
-// the S8 cluster scenarios (BENCH_cluster.json) and the S9
-// wire-saturation scenarios (BENCH_wire2.json).
+// the S2 scheduler scenarios (BENCH_sched.json), the S4 durability
+// scenarios (BENCH_durable.json), the S6 live-document subscription
+// scenarios (BENCH_subs.json), the S7 edge-tier scenarios
+// (BENCH_edge.json) and the S9 wire-saturation scenarios
+// (BENCH_wire2.json).
 //
 // Usage:
 //
-//	cmifbench [flags] [T1 F1 ... A2 S1 S2 S3 S4 S6 S7 S8 S9]
+//	cmifbench [flags] [T1 F1 ... A2 S1 S2 S4 S6 S7 S9]
 //
 // Run with no experiment ids for everything; naming ids restricts the run.
-// -smoke shrinks the S1/S2/S3/S4/S6/S7/S8/S9 configurations to CI-sized
-// quick runs. The -check-store/-check-sched/-check-wire/-check-durable/
-// -check-subs/-check-edge/-check-cluster/-check-wire2 flags additionally
-// validate a committed BENCH file and the fresh results against the
-// bench-regression invariants, exiting nonzero on violation (the
-// scripts/check_bench.sh gate).
+// -smoke shrinks the S1/S2/S4/S6/S7/S9 configurations to CI-sized
+// quick runs. The -check-store/-check-sched/-check-durable/-check-subs/
+// -check-edge/-check-wire2 flags additionally validate a committed
+// BENCH file and the fresh results against the bench-regression
+// invariants, exiting nonzero on violation (the scripts/check_bench.sh
+// gate).
 package main
 
 import (
@@ -28,7 +27,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/cmif"
 )
@@ -44,11 +42,6 @@ func main() {
 	schedArms := flag.Int("sched-arms", 0, "parallel arms (components) for S2 (default 16)")
 	schedEdits := flag.Int("sched-edits", 0, "edit-churn loop length for S2 (default 24)")
 
-	wireOut := flag.String("wire-out", "BENCH_wire.json", "path for the S3 wire-bench JSON results")
-	wireWorkers := flag.String("wire-workers", "1,16,64", "comma-separated concurrent worker counts for S3")
-	wireFetches := flag.Int("wire-fetches", 0, "single-block fetches per worker in S3 (default 128)")
-	wireHuge := flag.Int64("wire-huge", 0, "huge streamed block size in bytes for S3 (default 65 MiB; negative disables)")
-
 	durableOut := flag.String("durable-out", "BENCH_durable.json", "path for the S4 durability-bench JSON results")
 	durableRecover := flag.String("durable-recover", "", "comma-separated recovery corpus sizes for S4 (default 1000,10000)")
 	durableWrites := flag.Int("durable-writes", 0, "blocks in the S4 sync-policy write scenario (default 2048)")
@@ -63,23 +56,17 @@ func main() {
 	edgeList := flag.String("edge-list", "", "comma-separated edge counts for S7 (default 1,4)")
 	edgeFetches := flag.Int("edge-fetches", 0, "measured fetches per client in S7 (default 32)")
 
-	clusterOut := flag.String("cluster-out", "BENCH_cluster.json", "path for the S8 cluster-bench JSON results")
-	clusterList := flag.String("cluster-list", "", "comma-separated node counts for S8 (default 1,3,5)")
-	clusterSeconds := flag.Float64("cluster-seconds", 0, "per-scenario load window for S8 in seconds (default 3)")
-
 	wire2Out := flag.String("wire2-out", "BENCH_wire2.json", "path for the S9 wire-saturation JSON results")
 	wire2Blocks := flag.Int("wire2-blocks", 0, "blocks per corpus in S9 (default 48)")
 	wire2Bytes := flag.Int("wire2-bytes", 0, "payload size in bytes for S9 (default 256 KiB)")
 	wire2Workers := flag.Int("wire2-workers", 0, "concurrent workers sharing one connection in S9 (default 8)")
 
-	smoke := flag.Bool("smoke", false, "shrink S1/S2/S3/S4/S6/S7/S8/S9 to quick CI-sized configurations")
+	smoke := flag.Bool("smoke", false, "shrink S1/S2/S4/S6/S7/S9 to quick CI-sized configurations")
 	checkStore := flag.String("check-store", "", "committed BENCH_store.json to validate against the regression gate")
 	checkSched := flag.String("check-sched", "", "committed BENCH_sched.json to validate against the regression gate")
-	checkWire := flag.String("check-wire", "", "committed BENCH_wire.json to validate against the regression gate")
 	checkDurable := flag.String("check-durable", "", "committed BENCH_durable.json to validate against the regression gate")
 	checkSubs := flag.String("check-subs", "", "committed BENCH_subs.json to validate against the regression gate")
 	checkEdge := flag.String("check-edge", "", "committed BENCH_edge.json to validate against the regression gate")
-	checkCluster := flag.String("check-cluster", "", "committed BENCH_cluster.json to validate against the regression gate")
 	checkWire2 := flag.String("check-wire2", "", "committed BENCH_wire2.json to validate against the regression gate")
 	flag.Parse()
 
@@ -113,12 +100,6 @@ func main() {
 			failed++
 		}
 	}
-	if runAll || want["S3"] {
-		if err := runWireBench(*wireOut, *wireWorkers, *wireFetches, *wireHuge, *smoke, *checkWire); err != nil {
-			fmt.Fprintf(os.Stderr, "cmifbench: S3: %v\n", err)
-			failed++
-		}
-	}
 	if runAll || want["S4"] {
 		if err := runDurableBench(*durableOut, *durableRecover, *durableWrites, *smoke, *checkDurable); err != nil {
 			fmt.Fprintf(os.Stderr, "cmifbench: S4: %v\n", err)
@@ -134,12 +115,6 @@ func main() {
 	if runAll || want["S7"] {
 		if err := runEdgeBench(*edgeOut, *edgeList, *edgeClients, *edgeFetches, *smoke, *checkEdge); err != nil {
 			fmt.Fprintf(os.Stderr, "cmifbench: S7: %v\n", err)
-			failed++
-		}
-	}
-	if runAll || want["S8"] {
-		if err := runClusterBench(*clusterOut, *clusterList, *clusterSeconds, *smoke, *checkCluster); err != nil {
-			fmt.Fprintf(os.Stderr, "cmifbench: S8: %v\n", err)
 			failed++
 		}
 	}
@@ -254,54 +229,8 @@ func runSchedBench(out, leavesList string, arms, edits int, smoke bool, checkAga
 	return reportViolations("sched", violations)
 }
 
-// runWireBench runs the S3 wire-protocol scenarios with the same output
-// and gating shape as S1/S2.
-func runWireBench(out, workerList string, fetches int, huge int64, smoke bool, checkAgainst string) error {
-	cfg := cmif.WireBenchConfig{FetchesPerWorker: fetches, HugeBlockBytes: huge}
-	for _, f := range strings.Split(workerList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -wire-workers entry %q", f)
-		}
-		cfg.Workers = append(cfg.Workers, n)
-	}
-	if smoke {
-		if fetches == 0 {
-			cfg.FetchesPerWorker = 64
-		}
-	}
-	report, err := cmif.RunWireBench(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report.Table())
-	data, err := report.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "cmifbench: wrote %s\n", out)
-	if checkAgainst == "" {
-		return nil
-	}
-	committed, err := cmif.LoadWireBenchReport(checkAgainst)
-	if err != nil {
-		return err
-	}
-	var violations []string
-	for _, v := range cmif.CheckWireBenchReport(committed, true) {
-		violations = append(violations, "committed: "+v)
-	}
-	for _, v := range cmif.CheckWireBenchReport(report, false) {
-		violations = append(violations, "fresh: "+v)
-	}
-	return reportViolations("wire", violations)
-}
-
 // runDurableBench runs the S4 durability scenarios with the same output
-// and gating shape as S1/S2/S3.
+// and gating shape as S1/S2.
 func runDurableBench(out, recoverList string, writeBlocks int, smoke bool, checkAgainst string) error {
 	cfg := cmif.DurableBenchConfig{WriteBlocks: writeBlocks}
 	if recoverList != "" {
@@ -458,62 +387,8 @@ func runEdgeBench(out, edgeList string, clients, fetches int, smoke bool, checkA
 	return reportViolations("edge", violations)
 }
 
-// runClusterBench runs the S8 cluster scenarios with the same output and
-// gating shape as S1-S7.
-func runClusterBench(out, nodeList string, seconds float64, smoke bool, checkAgainst string) error {
-	var cfg cmif.ClusterBenchConfig
-	if nodeList != "" {
-		for _, f := range strings.Split(nodeList, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -cluster-list entry %q", f)
-			}
-			cfg.Nodes = append(cfg.Nodes, n)
-		}
-	}
-	if seconds > 0 {
-		cfg.Duration = time.Duration(seconds * float64(time.Second))
-	}
-	if smoke {
-		if len(cfg.Nodes) == 0 {
-			cfg.Nodes = []int{1, 3}
-		}
-		if cfg.Duration == 0 {
-			cfg.Duration = 1500 * time.Millisecond
-		}
-	}
-	report, err := cmif.RunClusterBench(context.Background(), cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report.Table())
-	data, err := report.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "cmifbench: wrote %s\n", out)
-	if checkAgainst == "" {
-		return nil
-	}
-	committed, err := cmif.LoadClusterBenchReport(checkAgainst)
-	if err != nil {
-		return err
-	}
-	var violations []string
-	for _, v := range cmif.CheckClusterBenchReport(committed, true) {
-		violations = append(violations, "committed: "+v)
-	}
-	for _, v := range cmif.CheckClusterBenchReport(report, false) {
-		violations = append(violations, "fresh: "+v)
-	}
-	return reportViolations("cluster", violations)
-}
-
 // runWireSatBench runs the S9 wire-saturation scenarios with the same
-// output and gating shape as S1-S8.
+// output and gating shape as S1-S7.
 func runWireSatBench(out string, blocks, blockBytes, workers int, smoke bool, checkAgainst string) error {
 	cfg := cmif.WireSatBenchConfig{Blocks: blocks, BlockBytes: blockBytes, Workers: workers}
 	if smoke {

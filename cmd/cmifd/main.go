@@ -19,11 +19,11 @@
 // snapshot/compaction threshold. The server speaks the multiplexed wire
 // protocol, up to v4 with live-document subscriptions, negotiated frame
 // compression (-compress=false declines) and chunk-deduped block
-// fetches, to clients that negotiate it (cap with -max-proto; 1 forces
-// the legacy protocol) and bounds per-connection pipelining with
-// -max-inflight. -max-subscribers
-// bounds live subscriptions server-wide and -sub-queue sets how many
-// pending changes a slow watcher may buffer before it is shed.
+// fetches, to clients that negotiate it (cap with -max-proto, 2 through
+// 4; anything else is refused at startup) and bounds per-connection
+// pipelining with -max-inflight. -max-subscribers bounds live
+// subscriptions server-wide and -sub-queue sets how many pending changes
+// a slow watcher may buffer before it is shed.
 //
 // With -metrics, an HTTP endpoint serves the server's instruments at
 // /metrics: Prometheus text exposition by default, JSON with
@@ -50,7 +50,7 @@ func main() {
 	var common daemon.Flags
 	common.Register(flag.CommandLine, "127.0.0.1:7911", "server-wide")
 	news := flag.Int("news", 2, "preload the evening news with N stories (0 disables)")
-	maxProto := flag.Int("max-proto", 4, "newest wire protocol version to negotiate (1 forces legacy)")
+	maxProto := flag.Int("max-proto", 4, "newest wire protocol version to negotiate (2-4)")
 	compress := flag.Bool("compress", true, "offer negotiated per-frame compression to protocol-v4 clients")
 	dataDir := flag.String("data", "", "durable data directory: recover the corpus from it and write-ahead-log every mutation (empty = in-memory only)")
 	syncMode := flag.String("sync", "interval", "WAL fsync policy with -data: always, interval or never")

@@ -9,13 +9,12 @@ import (
 )
 
 // Client talks to an interchange server over one or more pooled
-// connections. Safe for concurrent use: on protocol v2 (negotiated by
-// default) concurrent operations are pipelined and multiplexed over each
-// connection, and WithPoolSize spreads them across several connections;
-// on protocol v1 operations serialize per connection. Every operation
-// takes a context.Context whose deadline and cancellation are enforced
-// on the wire; on v2 a cancelled call abandons only that request — the
-// connection survives.
+// connections. Safe for concurrent use: concurrent operations are
+// pipelined and multiplexed over each connection, and WithPoolSize
+// spreads them across several connections. Every operation takes a
+// context.Context whose deadline and cancellation are enforced on the
+// wire; a cancelled call abandons only that request — the connection
+// survives.
 type Client struct {
 	conns []*transport.Client
 	next  atomic.Uint32
@@ -44,21 +43,21 @@ func WithRequestTimeout(d time.Duration) DialOption {
 }
 
 // WithPoolSize dials n connections instead of one and spreads operations
-// across them round-robin. With protocol v2 each connection already
-// pipelines many concurrent requests, so a small pool goes a long way;
-// under v1 (old servers) the pool is the only source of concurrency.
-// Values below 1 mean 1.
+// across them round-robin. Each connection already pipelines many
+// concurrent requests, so a small pool goes a long way. Values below 1
+// mean 1.
 func WithPoolSize(n int) DialOption {
 	return func(c *clientConfig) { c.poolSize = n }
 }
 
 // WithProtocolVersion caps the wire protocol version the client offers
-// at connect: 1 forces the legacy strict request/response protocol, 2
-// the multiplexed protocol without live documents, 3 adds subscriptions
-// and edit submission, and 4 (the default) adds negotiated frame
-// compression and chunk-deduped block fetches. Negotiation falls back
-// to the newest version the server speaks; only the newer operations
-// fail (with ErrUnsupported) on a downgraded connection.
+// at connect: 2 is the multiplexed protocol without live documents, 3
+// adds subscriptions and edit submission, and 4 (the default) adds
+// negotiated frame compression and chunk-deduped block fetches; a value
+// outside 2–4 makes Dial fail. Negotiation settles on the newest version
+// both sides speak; only the newer operations fail (with
+// ErrUnsupported) on a downgraded connection, and Dial itself fails
+// with ErrUnsupported when the server shares no version at all.
 func WithProtocolVersion(v int) DialOption {
 	return func(c *clientConfig) { c.maxVersion = v }
 }
@@ -183,7 +182,7 @@ func (c *Client) Close() error {
 func (c *Client) PoolSize() int { return len(c.conns) }
 
 // ProtocolVersion reports the wire protocol version the connections
-// negotiated (1 through 4).
+// negotiated (2 through 4).
 func (c *Client) ProtocolVersion() int {
 	if len(c.conns) == 0 {
 		return 0
@@ -303,9 +302,9 @@ func (c *Client) Put(ctx context.Context, name string, d *Document, opts ...Wire
 }
 
 // Block fetches a data block by name or content address. A missing block
-// matches both ErrRemote and ErrNotFound under errors.Is. On protocol v2
-// a block too large for a single response frame arrives transparently as
-// a chunked stream; under v1 such blocks fail with ErrRemote.
+// matches both ErrRemote and ErrNotFound under errors.Is. A block too
+// large for a single response frame arrives transparently as a chunked
+// stream.
 func (c *Client) Block(ctx context.Context, name string) (*Block, error) {
 	b, err := c.pick().GetBlock(ctx, name)
 	if err != nil {

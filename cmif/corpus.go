@@ -113,24 +113,6 @@ func RunSchedBench(cfg SchedBenchConfig) (*SchedBenchReport, error) {
 	return experiments.SchedBench(cfg)
 }
 
-// WireBenchConfig sizes the S3 wire-protocol scenarios: serialized-v1 vs
-// multiplexed-v2 connection disciplines at each worker count, plus the
-// huge-block streamed-transfer probe. The zero value is usable (64 blocks
-// of 1 KiB, 1/16/64 workers, 128 fetches per worker, 65 MiB huge block).
-type WireBenchConfig = experiments.WireBenchConfig
-
-// WireBenchReport is the machine-readable result set of RunWireBench;
-// cmifbench writes it to BENCH_wire.json.
-type WireBenchReport = experiments.WireBenchReport
-
-// RunWireBench measures the wire layer under concurrent load against an
-// in-process server: head-of-line-blocked protocol v1 vs pipelined
-// protocol v2 on one shared connection, and a huge-block retrieval that
-// only the v2 chunked stream can carry.
-func RunWireBench(ctx context.Context, cfg WireBenchConfig) (*WireBenchReport, error) {
-	return experiments.WireBench(ctx, cfg)
-}
-
 // WireSatBenchConfig sizes the S9 wire-saturation scenarios: the
 // dup-heavy and compressible corpora fetched cold and warm over the
 // plain v3 discipline and the v4 dedupe/compression paths. The zero
@@ -296,11 +278,6 @@ func LoadSchedBenchReport(path string) (*SchedBenchReport, error) {
 	return experiments.LoadSchedReport(path)
 }
 
-// LoadWireBenchReport reads a BENCH_wire.json report from disk.
-func LoadWireBenchReport(path string) (*WireBenchReport, error) {
-	return experiments.LoadWireReport(path)
-}
-
 // LoadDurableBenchReport reads a BENCH_durable.json report from disk.
 func LoadDurableBenchReport(path string) (*DurableBenchReport, error) {
 	return experiments.LoadDurableReport(path)
@@ -312,14 +289,6 @@ func LoadDurableBenchReport(path string) (*DurableBenchReport, error) {
 // (≥ 10x for the committed reference file).
 func CheckDurableBenchReport(r *DurableBenchReport, committed bool) []string {
 	return experiments.CheckDurableReport(r, committed)
-}
-
-// CheckWireBenchReport validates a wire-bench report: exact wire-call
-// arithmetic, the multiplexing speedup floor at 16 workers (3x for the
-// committed reference file), and the huge-block stream probe (≥ 64 MiB
-// committed, unfetchable over protocol v1).
-func CheckWireBenchReport(r *WireBenchReport, committed bool) []string {
-	return experiments.CheckWireReport(r, committed)
 }
 
 // CheckStoreBenchReport validates a store-bench report against the
@@ -337,37 +306,4 @@ func CheckStoreBenchReport(r *StoreBenchReport, committed bool) []string {
 // had GOMAXPROCS ≥ 4).
 func CheckSchedBenchReport(r *SchedBenchReport, committed bool) []string {
 	return experiments.CheckSchedReport(r, committed)
-}
-
-// ClusterBenchConfig sizes the S8 cluster-tier scenario: a node-count
-// ladder under concurrent readers and writers, with one node killed
-// mid-load in every scenario. The zero value is usable (1/3/5 nodes, 12
-// readers, 2 writers, replication 3, a 3s window per scenario).
-type ClusterBenchConfig = experiments.ClusterBenchConfig
-
-// ClusterBenchReport is the machine-readable result set of
-// RunClusterBench; cmifbench writes it to BENCH_cluster.json.
-type ClusterBenchReport = experiments.ClusterBenchReport
-
-// RunClusterBench measures the cluster tier: acked-write survival and
-// read availability through a mid-load node kill (failover for
-// multi-node scenarios, restart-and-recover for the single node), and
-// how read throughput scales with the node count under a fixed per-node
-// capacity model.
-func RunClusterBench(ctx context.Context, cfg ClusterBenchConfig) (*ClusterBenchReport, error) {
-	return experiments.ClusterBench(ctx, cfg)
-}
-
-// LoadClusterBenchReport reads a BENCH_cluster.json report from disk.
-func LoadClusterBenchReport(path string) (*ClusterBenchReport, error) {
-	return experiments.LoadClusterReport(path)
-}
-
-// CheckClusterBenchReport validates a cluster-bench report: zero lost
-// acknowledged writes and continued reads through every kill, the
-// no-read-gap SLO, and — for the committed reference — the full
-// 1/3/5-node ladder with 3-node read throughput ≥ 2x the single node's,
-// recorded at GOMAXPROCS ≥ 4.
-func CheckClusterBenchReport(r *ClusterBenchReport, committed bool) []string {
-	return experiments.CheckClusterReport(r, committed)
 }

@@ -44,7 +44,8 @@ var (
 	// cannot carry the requested operation: Subscribe and SubmitEdit need
 	// protocol v3, and against an older server they fail locally with
 	// this error — the connection stays healthy for everything the server
-	// does speak.
+	// does speak. Dial fails with it when the server refuses the hello:
+	// the two sides share no protocol version.
 	ErrUnsupported = errors.New("cmif: not supported by negotiated protocol version")
 
 	// ErrConflict reports a rejected edit submission: a concurrent

@@ -57,7 +57,7 @@ func CaptureText(name, text, lang string) *Block {
 // payloads immediately, resolved from store. With strict set, unresolvable
 // leaves are errors; otherwise they stay external.
 func Inline(d *Document, store *Store, strict bool) (*Document, error) {
-	out, err := transport.Inline(d.doc, store, strict)
+	out, err := transport.Inline(d.doc, store.GetByName, strict)
 	if err != nil {
 		return nil, err
 	}

@@ -84,8 +84,8 @@ func WithShutdownGrace(d time.Duration) ServeOption {
 	return func(c *serverConfig) { c.grace = d }
 }
 
-// WithMaxInFlight bounds how many requests one protocol-v2 connection may
-// have in flight at once; requests past the bound are rejected with a
+// WithMaxInFlight bounds how many requests one connection may have in
+// flight at once; requests past the bound are rejected with a
 // busy error (ErrBusy). The bound is advertised to clients at connect so
 // well-behaved clients queue locally instead of being rejected. Zero (the
 // default) means 32.
@@ -120,11 +120,11 @@ func WithSnapshotThreshold(n int64) ServeOption {
 }
 
 // WithMaxProtocolVersion caps the wire protocol version the server
-// negotiates: 1 forces every connection onto the legacy strict
-// request/response protocol, 2 offers the multiplexed protocol without
-// live documents, 3 adds subscriptions and edit submission, and 4 (the
-// default) adds negotiated frame compression and chunk-deduped block
-// fetches. Older clients are always served at their own version.
+// negotiates: 2 offers the multiplexed protocol without live documents,
+// 3 adds subscriptions and edit submission, and 4 (the default) adds
+// negotiated frame compression and chunk-deduped block fetches. Clients
+// capped lower are served at their own version, down to 2; a value
+// outside 2–4 makes Listen fail.
 func WithMaxProtocolVersion(v int) ServeOption {
 	return func(c *serverConfig) { c.maxVersion = v }
 }
@@ -155,7 +155,7 @@ func WithSubscriberQueue(n int) ServeOption {
 // is deferred: it surfaces from Listen (and Serve), keeping NewServer's
 // signature.
 func NewServer(opts ...ServeOption) *Server {
-	cfg := serverConfig{grace: 5 * time.Second, compression: true}
+	cfg := serverConfig{grace: 5 * time.Second, maxVersion: 4, compression: true}
 	for _, o := range opts {
 		o(&cfg)
 	}

@@ -243,7 +243,7 @@ func TestClusterWriteForwarding(t *testing.T) {
 		if owner == nil {
 			t.Fatalf("no node matches primary %s", primary)
 		}
-		if _, ok := owner.reg.GetDoc(name); !ok {
+		if _, ok := owner.Registry.GetDoc(name); !ok {
 			t.Fatalf("doc %q not at its primary %s", name, primary)
 		}
 	}
@@ -269,7 +269,7 @@ func TestClusterEditsForwardToPrimary(t *testing.T) {
 	}
 
 	for _, n := range nodes {
-		d, ok := n.reg.GetDoc("news")
+		d, ok := n.Registry.GetDoc("news")
 		if !ok {
 			t.Fatalf("node %s lost the doc", n.Addr())
 		}
@@ -396,7 +396,7 @@ func TestClusterRejoinResyncs(t *testing.T) {
 	// And the rejoined node survives a restart on its own WAL alone.
 	rejoined.Kill()
 	again := startNode(t, dirs[2], nil, 3)
-	if _, ok := again.reg.GetDoc("new-3"); !ok {
+	if _, ok := again.Registry.GetDoc("new-3"); !ok {
 		t.Fatal("resynced state did not survive recovery")
 	}
 }

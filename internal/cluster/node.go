@@ -69,9 +69,6 @@ type Config struct {
 	// Compression offers negotiated per-frame compression to
 	// protocol-v4 clients of this node.
 	Compression bool
-	// ServiceDelay adds a fixed per-request service time — the capacity
-	// model the cluster bench scales against.
-	ServiceDelay time.Duration
 	// Metrics, when non-nil, receives the node's instruments (server,
 	// durable and cluster counters).
 	Metrics *metrics.Registry
@@ -98,7 +95,10 @@ func (c *Config) fillDefaults() {
 // Node is one member of a replicated cluster: a full cmifd-class server
 // (durable corpus, live documents, admission control) plus the cluster
 // machinery — gossip membership, consistent-hash write routing, WAL-record
-// replication and rejoin resync. It implements transport.ClusterHandler.
+// replication and rejoin resync. It is its own server's transport.Backend
+// (and transport.PeerOps): the embedded registry answers what this node
+// holds, and the methods below override the write paths (route through
+// the ring) and the read misses (proxy one hop).
 //
 // Any node answers any request: reads it cannot serve locally are proxied
 // to a replica of the key, writes it does not own are forwarded to the
@@ -109,8 +109,8 @@ type Node struct {
 	cfg  Config
 	addr string
 
+	*transport.Registry
 	log  *durable.Log
-	reg  *transport.Registry
 	srv  *transport.Server
 	view *View
 
@@ -134,7 +134,7 @@ type Node struct {
 	applyMu sync.Mutex
 	touched map[string]bool
 
-	// ready closes once Start finishes wiring the node; handler methods
+	// ready closes once Start finishes wiring the node; backend methods
 	// wait on it, because the listener accepts before the view exists.
 	ready     chan struct{}
 	synced    chan struct{}
@@ -181,24 +181,22 @@ func Start(cfg Config) (*Node, error) {
 	reg.DurabilityErr = log.Err
 
 	n := &Node{
-		cfg:    cfg,
-		log:    log,
-		reg:    reg,
-		peers:  make(map[string]*transport.Client),
-		ready:  make(chan struct{}),
-		synced: make(chan struct{}),
-		stop:   make(chan struct{}),
+		Registry: reg,
+		cfg:      cfg,
+		log:      log,
+		peers:    make(map[string]*transport.Client),
+		ready:    make(chan struct{}),
+		synced:   make(chan struct{}),
+		stop:     make(chan struct{}),
 	}
 
-	srv := transport.NewServer(reg)
+	srv := transport.NewServer(n)
 	srv.IdleTimeout = cfg.IdleTimeout
 	srv.WriteTimeout = cfg.WriteTimeout
 	srv.MaxInFlight = cfg.MaxInFlight
 	srv.Admission = cfg.Admission
 	srv.SubQueueCap = cfg.SubQueueCap
 	srv.Compression = cfg.Compression
-	srv.ServiceDelay = cfg.ServiceDelay
-	srv.Cluster = n
 	if cfg.Metrics != nil {
 		srv.Metrics = transport.NewServerMetrics(cfg.Metrics)
 		log.Instrument(cfg.Metrics)
@@ -588,12 +586,12 @@ func (n *Node) applyFramesLocked(frames []byte, refreshReg bool) error {
 				continue
 			}
 			if d, derr := codec.DecodeBinary(r.Fields[1]); derr == nil {
-				n.reg.PutDoc(string(r.Fields[0]), d)
+				n.Registry.PutDoc(string(r.Fields[0]), d)
 			}
 		}
 	}
 	for _, name := range delDocs {
-		n.reg.DropDoc(name, "cluster: deleted")
+		n.DropDoc(name, "cluster: deleted")
 	}
 	return nil
 }
@@ -615,12 +613,13 @@ func (n *Node) noteTouchedLocked(frames []byte) {
 	}
 }
 
-// ---- transport.ClusterHandler ---------------------------------------
+// ---- transport.Backend and transport.PeerOps -------------------------
 
-// PutDoc routes a document registration: inlined payloads are extracted
-// and placed as blocks first (each to its own replica set), then the
-// document itself is journaled at its primary and replicated.
-func (n *Node) PutDoc(name string, d *core.Document) error {
+// StoreDoc routes a document registration: inlined payloads are extracted
+// and placed as blocks first (each to its own replica set, not this
+// node's store), then the document itself is journaled at its primary and
+// replicated.
+func (n *Node) StoreDoc(name string, d *core.Document) error {
 	<-n.ready
 	scratch := media.NewStore()
 	extracted, err := transport.Extract(d, scratch)
@@ -629,7 +628,7 @@ func (n *Node) PutDoc(name string, d *core.Document) error {
 	}
 	var blkErr error
 	scratch.Each(func(b *media.Block) bool {
-		if _, err := n.PutBlock(b); err != nil {
+		if _, err := n.StoreBlock(b); err != nil {
 			blkErr = err
 			return false
 		}
@@ -651,10 +650,10 @@ func (n *Node) PutDoc(name string, d *core.Document) error {
 		})
 }
 
-// PutBlock routes a block put. The journal frames carry the block and,
+// StoreBlock routes a block put. The journal frames carry the block and,
 // when it is named, the name registration — exactly the records a
 // single-node server's journal writes.
-func (n *Node) PutBlock(b *media.Block) (string, error) {
+func (n *Node) StoreBlock(b *media.Block) (string, error) {
 	<-n.ready
 	frame, err := durable.FramePutBlock(b)
 	if err != nil {
@@ -691,12 +690,12 @@ func (n *Node) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error)
 		func() error {
 			n.replMu.Lock()
 			defer n.replMu.Unlock()
-			g, err := n.reg.EditDoc(name, recs)
+			g, err := n.EditDoc(name, recs)
 			if err != nil {
 				return err
 			}
 			gen = g
-			doc, ok := n.reg.GetDoc(name)
+			doc, ok := n.Registry.GetDoc(name)
 			if !ok {
 				return fmt.Errorf("cluster: edited document %q vanished", name)
 			}
@@ -752,10 +751,14 @@ func (n *Node) Resync(cursor string) ([]byte, string, error) {
 	return n.log.ResyncChunk(cursor, 0)
 }
 
-// MissingDoc proxies a local read miss to the key's replicas. A node that
-// is itself a replica of the key answers authoritatively (its miss IS the
-// answer), which also bounds the proxy chain at one hop.
-func (n *Node) MissingDoc(name string) (*core.Document, bool) {
+// GetDoc answers from the local registry and proxies a miss to the key's
+// replicas. A node that is itself a replica of the key answers
+// authoritatively (its miss IS the answer), which also bounds the proxy
+// chain at one hop.
+func (n *Node) GetDoc(name string) (*core.Document, bool) {
+	if d, ok := n.Registry.GetDoc(name); ok {
+		return d, true
+	}
 	<-n.ready
 	doc := proxyRead(n, docKey(name), func(ctx context.Context, c *transport.Client) (*core.Document, error) {
 		return c.GetDoc(ctx, name, transport.GetDocOptions{Encoding: transport.EncodingBinary})
@@ -763,8 +766,12 @@ func (n *Node) MissingDoc(name string) (*core.Document, bool) {
 	return doc, doc != nil
 }
 
-// MissingBlock proxies a local block miss to the key's replicas.
-func (n *Node) MissingBlock(name string) (*media.Block, bool) {
+// GetBlock answers from the local store and proxies a miss to the key's
+// replicas.
+func (n *Node) GetBlock(name string) (*media.Block, bool) {
+	if b, ok := n.Registry.GetBlock(name); ok {
+		return b, true
+	}
 	<-n.ready
 	b := proxyRead(n, blkKey(name), func(ctx context.Context, c *transport.Client) (*media.Block, error) {
 		return c.GetBlock(ctx, name)
@@ -807,14 +814,17 @@ func proxyRead[T any](n *Node, key string, fetch func(ctx context.Context, c *tr
 	return nil
 }
 
-// DocNames merges the cluster-wide document listing: local names plus
+// ListDocs merges the cluster-wide document listing: local names plus
 // each alive peer's local-only listing (local-only, so the fan-out cannot
 // recurse). Unreachable peers are skipped — the listing degrades to what
 // the reachable cluster holds rather than failing.
-func (n *Node) DocNames() ([]string, error) {
+func (n *Node) ListDocs(localOnly bool) []string {
+	if localOnly {
+		return n.DocNames()
+	}
 	<-n.ready
 	seen := make(map[string]bool)
-	for _, name := range n.reg.DocNames() {
+	for _, name := range n.DocNames() {
 		seen[name] = true
 	}
 	self := n.view.SelfID()
@@ -845,7 +855,7 @@ func (n *Node) DocNames() ([]string, error) {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }
 
 // ---- rejoin resync ---------------------------------------------------

@@ -1,7 +1,7 @@
 // Package edge implements cmifedge, the read-through caching proxy
-// tier: a daemon that speaks the full wire protocol (v1–v3) downstream
+// tier: a daemon that speaks the full wire protocol (v2–v4) downstream
 // to ordinary clients while sourcing everything it serves from a single
-// upstream origin over protocol v3.
+// upstream origin.
 //
 // Blocks are immutable under their content address, so they cache
 // forever: a miss fetches upstream once, lands in a crash-safe
@@ -18,6 +18,7 @@ package edge
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -103,10 +104,14 @@ func newEdgeMetrics(reg *metrics.Registry) *edgeMetrics {
 	}
 }
 
-// Edge is a running (or startable) edge daemon.
+// Edge is a running (or startable) edge daemon. It is its own server's
+// transport.Backend: the embedded registry holds the leased document
+// replicas and their fan-out hub, and the methods below override every
+// path that misses (lease, then read; cache tiers, then origin) or
+// writes (forward upstream, never apply locally).
 type Edge struct {
+	*transport.Registry
 	cfg  Config
-	reg  *transport.Registry
 	srv  *transport.Server
 	up   []*transport.Client
 	next atomic.Uint64 // round-robin cursor over up
@@ -165,29 +170,27 @@ func New(cfg Config) (*Edge, error) {
 	mem.Instrument(mreg)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	// The registry has no media store: edge blocks live in the
-	// memory/disk caches where LRU pressure governs them, and the
-	// server's Loader seam routes block lookups there.
-	reg := transport.NewRegistry(nil)
+	// The registry's media store stays empty: edge blocks live in the
+	// memory/disk caches where LRU pressure governs them, and GetBlock
+	// reads there.
 	e := &Edge{
-		cfg:     cfg,
-		reg:     reg,
-		up:      up,
-		mem:     mem,
-		disk:    disk,
-		lt:      newLeaseTable(),
-		met:     newEdgeMetrics(mreg),
-		baseCtx: ctx,
-		stop:    cancel,
+		Registry: transport.NewRegistry(nil),
+		cfg:      cfg,
+		up:       up,
+		mem:      mem,
+		disk:     disk,
+		lt:       newLeaseTable(),
+		met:      newEdgeMetrics(mreg),
+		baseCtx:  ctx,
+		stop:     cancel,
 	}
-	srv := transport.NewServer(reg)
+	srv := transport.NewServer(e)
 	srv.IdleTimeout = cfg.IdleTimeout
 	srv.WriteTimeout = cfg.WriteTimeout
 	srv.MaxInFlight = cfg.MaxInFlight
 	srv.Admission = cfg.Admission
 	srv.SubQueueCap = cfg.SubQueueCap
 	srv.Compression = cfg.Compression
-	srv.Loader = e
 	if cfg.Metrics != nil {
 		srv.Metrics = transport.NewServerMetrics(cfg.Metrics)
 	}
@@ -293,19 +296,41 @@ func (e *Edge) fetchBlock(ctx context.Context, name string) (*media.Block, error
 	})
 }
 
-// --- transport.Loader ---
+// --- transport.Backend ---
 
-// LoadDoc materializes name into the registry by leasing it upstream.
-func (e *Edge) LoadDoc(name string) bool {
-	return e.leaseDoc(name)
+// upstreamCtx bounds one upstream round trip.
+func (e *Edge) upstreamCtx() (context.Context, context.CancelFunc) {
+	return context.WithTimeout(e.baseCtx, e.upstreamTimeout())
 }
 
-// LoadBlock answers a block miss from the cache tiers or the origin.
-// Errors (including upstream down) degrade to not-found: the client sees
-// the same answer it would for a block that never existed, and retries
-// re-drive the fetch.
-func (e *Edge) LoadBlock(name string) (*media.Block, bool) {
-	ctx, cancel := context.WithTimeout(e.baseCtx, e.upstreamTimeout())
+// GetDoc serves the leased replica, leasing the document upstream first
+// when the registry misses.
+func (e *Edge) GetDoc(name string) (*core.Document, bool) {
+	if d, ok := e.Registry.GetDoc(name); ok {
+		return d, true
+	}
+	if !e.leaseDoc(name) {
+		return nil, false
+	}
+	return e.Registry.GetDoc(name)
+}
+
+// Subscribe registers a downstream watcher on the local fan-out hub,
+// leasing the document into the edge on demand.
+func (e *Edge) Subscribe(name, subtree string, queueCap, maxSubs int) (*transport.Subscriber, error) {
+	sub, err := e.Registry.Subscribe(name, subtree, queueCap, maxSubs)
+	if errors.Is(err, transport.ErrNotFound) && e.leaseDoc(name) {
+		sub, err = e.Registry.Subscribe(name, subtree, queueCap, maxSubs)
+	}
+	return sub, err
+}
+
+// GetBlock answers from the cache tiers or the origin. Errors (including
+// upstream down) degrade to not-found: the client sees the same answer
+// it would for a block that never existed, and retries re-drive the
+// fetch.
+func (e *Edge) GetBlock(name string) (*media.Block, bool) {
+	ctx, cancel := e.upstreamCtx()
 	defer cancel()
 	b, err := e.fetchBlock(ctx, name)
 	if err != nil {
@@ -315,46 +340,55 @@ func (e *Edge) LoadBlock(name string) (*media.Block, bool) {
 	return b, true
 }
 
-// ForwardPutDoc relays a document registration to the origin. The edge
-// does not register it locally: if anyone here watches the name, the
-// lease pump receives the replacement snapshot; otherwise the next read
-// leases the fresh version.
-func (e *Edge) ForwardPutDoc(name string, d *core.Document) error {
-	ctx, cancel := context.WithTimeout(e.baseCtx, e.upstreamTimeout())
+// StoreDoc relays a document registration to the origin. The edge does
+// not register it locally: if anyone here watches the name, the lease
+// pump receives the replacement snapshot; otherwise the next read leases
+// the fresh version.
+func (e *Edge) StoreDoc(name string, d *core.Document) error {
+	ctx, cancel := e.upstreamCtx()
 	defer cancel()
 	e.met.forwards.Inc()
-	return e.pick().PutDoc(ctx, name, d, transport.EncodingBinary)
+	if err := e.pick().PutDoc(ctx, name, d, transport.EncodingBinary); err != nil {
+		return fmt.Errorf("upstream: %w", err)
+	}
+	return nil
 }
 
-// ForwardPutBlock relays a block put to the origin and caches the block
+// StoreBlock relays a block put to the origin and caches the block
 // locally on success — the uploader (or its neighbours) will fetch it
 // back soon.
-func (e *Edge) ForwardPutBlock(b *media.Block) (string, error) {
-	ctx, cancel := context.WithTimeout(e.baseCtx, e.upstreamTimeout())
+func (e *Edge) StoreBlock(b *media.Block) (string, error) {
+	ctx, cancel := e.upstreamCtx()
 	defer cancel()
 	e.met.forwards.Inc()
 	id, err := e.pick().PutBlock(ctx, b)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("upstream: %w", err)
 	}
 	e.disk.Put(b.Name, b)
 	return id, nil
 }
 
-// ForwardEdit relays an edit batch to the origin. The new generation
+// SubmitEdit relays an edit batch to the origin. The new generation
 // comes back on the wire twice — here as the return value, and through
 // the lease subscription as the delta that actually updates the replica.
-func (e *Edge) ForwardEdit(name string, recs []core.ChangeRecord) (uint64, error) {
-	ctx, cancel := context.WithTimeout(e.baseCtx, e.upstreamTimeout())
+func (e *Edge) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error) {
+	ctx, cancel := e.upstreamCtx()
 	defer cancel()
 	e.met.forwards.Inc()
 	return e.pick().SubmitEdit(ctx, name, recs)
 }
 
-// ListDocs asks the origin for the authoritative catalogue; the server
-// falls back to the local registry if upstream is unreachable.
-func (e *Edge) ListDocs() ([]string, error) {
-	ctx, cancel := context.WithTimeout(e.baseCtx, e.upstreamTimeout())
-	defer cancel()
-	return e.pick().ListDocs(ctx)
+// ListDocs asks the origin for the authoritative catalogue, falling back
+// to the locally leased names when upstream is unreachable (or only
+// those were asked for).
+func (e *Edge) ListDocs(localOnly bool) []string {
+	if !localOnly {
+		ctx, cancel := e.upstreamCtx()
+		defer cancel()
+		if names, err := e.pick().ListDocs(ctx); err == nil {
+			return names
+		}
+	}
+	return e.DocNames()
 }

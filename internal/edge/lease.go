@@ -19,9 +19,9 @@ const DefaultLeaseTTL = 2 * time.Minute
 // three states:
 //
 //	cold    — not in the registry; no upstream subscription. The first
-//	          downstream access (GetDoc, Subscribe, SubmitEdit relay)
-//	          drives LoadDoc, which subscribes upstream and registers
-//	          the snapshot: cold → leased.
+//	          downstream access (GetDoc, Subscribe) drives leaseDoc,
+//	          which subscribes upstream and registers the snapshot:
+//	          cold → leased.
 //	leased  — registered locally with a live upstream subscription (the
 //	          lease). Upstream edits arrive as deltas and re-apply into
 //	          the registry, fanning out to downstream subscribers; the
@@ -41,7 +41,7 @@ const DefaultLeaseTTL = 2 * time.Minute
 // immortal, and only LRU pressure evicts it.
 
 // endReasonLeaseExpired sheds downstream watchers when an idle lease
-// expires (they resubscribe, re-driving LoadDoc). Unwatched documents
+// expires (they resubscribe, re-driving leaseDoc). Unwatched documents
 // expire silently.
 const endReasonLeaseExpired = "lease_expired"
 
@@ -94,7 +94,7 @@ func (e *Edge) leaseDoc(name string) bool {
 	for {
 		lt.mu.Lock()
 		if l, ok := lt.leases[name]; ok {
-			if _, exists := e.reg.GetDoc(name); exists {
+			if _, exists := e.Registry.GetDoc(name); exists {
 				l.touch()
 				lt.mu.Unlock()
 				return true
@@ -145,7 +145,7 @@ func (e *Edge) establishLease(name string) bool {
 	// Registering at the upstream generation keeps downstream watchers on
 	// the origin's generation numbers, so a writer can correlate the
 	// generation its forwarded edit returned with the deltas it observes.
-	e.reg.PutDocAt(name, sub.Doc, sub.Gen)
+	e.Registry.PutDocAt(name, sub.Doc, sub.Gen)
 	e.lt.mu.Lock()
 	e.lt.leases[name] = l
 	e.lt.mu.Unlock()
@@ -189,7 +189,7 @@ func (e *Edge) pumpLease(ctx context.Context, l *lease, sub *transport.DocSubscr
 		}
 		sub = next
 		l.gen = sub.Gen
-		e.reg.PutDocAt(l.name, sub.Doc, sub.Gen)
+		e.Registry.PutDocAt(l.name, sub.Doc, sub.Gen)
 		e.met.leaseResyncs.Inc()
 		return true
 	}
@@ -209,7 +209,7 @@ func (e *Edge) pumpLease(ctx context.Context, l *lease, sub *transport.DocSubscr
 		switch ev.Kind {
 		case transport.SubSnapshot:
 			l.gen = ev.Gen
-			e.reg.PutDocAt(l.name, ev.Doc, ev.Gen)
+			e.Registry.PutDocAt(l.name, ev.Doc, ev.Gen)
 		case transport.SubDelta:
 			if ev.FromGen != l.gen {
 				if !resync() {
@@ -218,7 +218,7 @@ func (e *Edge) pumpLease(ctx context.Context, l *lease, sub *transport.DocSubscr
 				continue
 			}
 			if len(ev.Records) > 0 {
-				gen, err := e.reg.EditDoc(l.name, ev.Records)
+				gen, err := e.Registry.EditDoc(l.name, ev.Records)
 				if err != nil || gen != ev.Gen {
 					// The replica failed to re-execute what the origin
 					// accepted, or advanced to a different generation:
@@ -240,7 +240,7 @@ func (e *Edge) pumpLease(ctx context.Context, l *lease, sub *transport.DocSubscr
 
 // endLease moves a lease to stale-then-cold: the table entry goes, the
 // document leaves the registry, and downstream watchers are shed with
-// reason so they resynchronize (re-driving LoadDoc — which will retry
+// reason so they resynchronize (re-driving leaseDoc — which will retry
 // upstream afresh).
 func (e *Edge) endLease(l *lease, reason string) {
 	e.lt.mu.Lock()
@@ -254,7 +254,7 @@ func (e *Edge) endLease(l *lease, reason string) {
 		// document now would evict the replacement's fresh copy.
 		return
 	}
-	e.reg.DropDoc(l.name, reason)
+	e.Registry.DropDoc(l.name, reason)
 	e.met.leasesLost.Inc()
 }
 
@@ -281,7 +281,7 @@ func (e *Edge) sweepLeases(ctx context.Context) {
 		var expired []*lease
 		e.lt.mu.Lock()
 		for name, l := range e.lt.leases {
-			if l.lastUse.Load() < cutoff && e.reg.SubscribersOf(name) == 0 {
+			if l.lastUse.Load() < cutoff && e.Registry.SubscribersOf(name) == 0 {
 				delete(e.lt.leases, name)
 				expired = append(expired, l)
 			}
@@ -293,7 +293,7 @@ func (e *Edge) sweepLeases(ctx context.Context) {
 			// replica that nothing invalidates.
 			l.cancel()
 			<-l.done
-			e.reg.DropDoc(l.name, endReasonLeaseExpired)
+			e.Registry.DropDoc(l.name, endReasonLeaseExpired)
 			e.met.leaseExpiries.Inc()
 		}
 	}

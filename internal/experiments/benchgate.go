@@ -104,100 +104,6 @@ func CheckStoreReport(r *StoreBenchReport, committed bool) []string {
 	return v
 }
 
-// LoadWireReport reads a BENCH_wire.json.
-func LoadWireReport(path string) (*WireBenchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r WireBenchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// CheckWireReport validates a wire-bench report. committed enforces the
-// repository's headline claims: the multiplexed path at least 3x the
-// serialized path at 16 workers on one connection, and a ≥ 64 MiB block
-// retrieved through the chunked stream — a transfer protocol v1 cannot
-// perform at all.
-func CheckWireReport(r *WireBenchReport, committed bool) []string {
-	var v []string
-	fail := func(format string, args ...any) { v = append(v, fmt.Sprintf(format, args...)) }
-
-	if len(r.Rows) == 0 {
-		return []string{"wire report has no rows"}
-	}
-	if r.Env.GoMaxProcs < 1 || r.Env.GoVersion == "" {
-		fail("wire report env not captured: %+v", r.Env)
-	}
-	if committed && r.Env.GoMaxProcs < 4 {
-		fail("committed wire report ran at GOMAXPROCS=%d; the 16-worker multiplexing headline cannot be gated on a single-core record — re-record with GOMAXPROCS ≥ 4",
-			r.Env.GoMaxProcs)
-	}
-
-	rows := map[string]map[int]WireBenchRow{}
-	for _, row := range r.Rows {
-		if rows[row.Scenario] == nil {
-			rows[row.Scenario] = map[int]WireBenchRow{}
-		}
-		rows[row.Scenario][row.Workers] = row
-
-		// Wire-call arithmetic is machine-independent and exact: every
-		// fetch is one request on the wire under both disciplines (the
-		// corpus blocks all fit single frames).
-		if row.WireCalls != int64(row.Fetches) {
-			fail("%s at %d workers: wire_calls %d != fetches %d",
-				row.Scenario, row.Workers, row.WireCalls, row.Fetches)
-		}
-	}
-	for _, workers := range r.Config.Workers {
-		if _, ok := rows["serial-v1"][workers]; !ok {
-			fail("missing serial-v1 row at %d workers", workers)
-		}
-		if _, ok := rows["mux-v2"][workers]; !ok {
-			fail("missing mux-v2 row at %d workers", workers)
-		}
-	}
-
-	// The pipelining headline: the committed reference must document the
-	// 3x win at 16 workers; fresh smoke runs on noisy runners only have
-	// to show the mux is not slower.
-	if _, ok := rows["serial-v1"][16]; ok {
-		minSpeedup := 1.1
-		if committed {
-			minSpeedup = 3.0
-		}
-		if r.SpeedupMux16 < minSpeedup {
-			fail("mux speedup %.2fx below the %.1fx floor at 16 workers", r.SpeedupMux16, minSpeedup)
-		}
-	} else if committed {
-		fail("committed wire report lacks the 16-worker rows the 3x headline is measured at")
-	}
-
-	// The streamed-transfer probe.
-	if r.Huge == nil {
-		if committed {
-			fail("committed wire report lacks the huge-block probe")
-		}
-		return v
-	}
-	if !r.Huge.Streamed || r.Huge.Chunks < 2 {
-		fail("huge block was not streamed in chunks (streamed=%v, chunks=%d)", r.Huge.Streamed, r.Huge.Chunks)
-	}
-	if r.Huge.Bytes != r.Config.HugeBlockBytes {
-		fail("huge block carried %d bytes, config says %d", r.Huge.Bytes, r.Config.HugeBlockBytes)
-	}
-	if !r.Huge.V1Failed {
-		fail("protocol v1 fetched the huge block; it must be unfetchable without streaming")
-	}
-	if committed && r.Huge.Bytes < 64<<20 {
-		fail("committed huge block is %d bytes; the headline requires ≥ 64 MiB", r.Huge.Bytes)
-	}
-	return v
-}
-
 // LoadWireSatReport reads a BENCH_wire2.json.
 func LoadWireSatReport(path string) (*WireSatReport, error) {
 	data, err := os.ReadFile(path)

@@ -39,8 +39,8 @@ type WireSatBenchConfig struct {
 	// Blocks is each corpus's size; BlockBytes each payload's size.
 	Blocks     int `json:"blocks"`
 	BlockBytes int `json:"block_bytes"`
-	// Workers is the concurrent fetcher count; like S3, all workers share
-	// ONE connection, so the scenarios compare wire disciplines.
+	// Workers is the concurrent fetcher count; all workers share ONE
+	// connection, so the scenarios compare wire disciplines.
 	Workers int `json:"workers"`
 	// WarmRounds is how many times the warm pass walks the corpus.
 	WarmRounds int `json:"warm_rounds"`

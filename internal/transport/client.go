@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,10 +18,8 @@ import (
 )
 
 // Client is one connection to an interchange server. Safe for concurrent
-// use: on a protocol-v2 connection (the default when the server speaks
-// v2) concurrent operations are pipelined and multiplexed over the single
-// connection; on a v1 connection they are serialized one round trip at a
-// time.
+// use: concurrent operations are pipelined and multiplexed over the
+// single connection.
 type Client struct {
 	conn net.Conn
 	// Timeout bounds each round trip when the request context carries no
@@ -63,23 +60,10 @@ type Client struct {
 	serverCodec  byte
 	compress     bool
 
-	// version is the negotiated protocol version; mux is non-nil exactly
-	// when version == protoV2.
+	// version is the negotiated protocol version (2 through 4); mux
+	// carries every exchange after the hello.
 	version int
 	mux     *clientMux
-
-	// opMu serializes v1 round trips: protocol v1 has no request IDs, so
-	// one connection carries one exchange at a time.
-	opMu sync.Mutex
-	// broken is set once a v1 round trip died mid-frame: request or
-	// response bytes moved and then the exchange failed, so the framing
-	// state is unknown and the connection must not be reused. Guarded by
-	// opMu.
-	broken bool
-	// mu and gen fence the cancellation callback: a callback from an
-	// earlier round trip must not poison the deadline of a later one.
-	mu  sync.Mutex
-	gen uint64
 }
 
 // dialConfig collects the dial options.
@@ -93,9 +77,9 @@ type dialConfig struct {
 type DialOption func(*dialConfig)
 
 // WithMaxProtocolVersion caps the protocol version the client offers at
-// hello. Version 1 skips negotiation entirely and speaks the legacy
-// strict request/response protocol; the default offers the newest
-// version this build knows and falls back when the server is older.
+// hello, 2 through 4; Dial rejects anything out of range. The default
+// offers the newest version this build knows, and the hello settles on
+// the newest both sides speak.
 func WithMaxProtocolVersion(v int) DialOption {
 	return func(c *dialConfig) { c.maxVersion = v }
 }
@@ -123,35 +107,32 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 
 // DialContext connects to an interchange server, honouring the context's
 // cancellation and deadline during connection establishment and the
-// protocol handshake. Unless capped with WithMaxProtocolVersion, the
-// client offers protocol v2 and degrades to v1 when the server answers
-// the hello with an error (an old server: "unknown op").
+// protocol handshake. A server that refuses the hello — it speaks
+// nothing this client offered — fails the dial with ErrUnsupported.
 func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
 	cfg := dialConfig{maxVersion: maxProtoVersion, compress: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.maxVersion < protoV1 || cfg.maxVersion > maxProtoVersion {
-		return nil, fmt.Errorf("transport: unsupported protocol version %d", cfg.maxVersion)
+	if err := checkVersion(cfg.maxVersion); err != nil {
+		return nil, err
 	}
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, version: protoV1, wantCompress: cfg.compress, ChunkCache: cfg.chunkCache}
-	if cfg.maxVersion >= protoV2 {
-		if err := c.hello(ctx, cfg.maxVersion); err != nil {
-			conn.Close()
-			return nil, err
-		}
+	c := &Client{conn: conn, wantCompress: cfg.compress, ChunkCache: cfg.chunkCache}
+	if err := c.hello(ctx, cfg.maxVersion); err != nil {
+		conn.Close()
+		return nil, err
 	}
 	return c, nil
 }
 
 // hello negotiates the protocol version on a fresh connection. The hello
-// exchange itself travels in v1 framing; on a v2 agreement the connection
-// switches to multiplexed v2 framing for everything after.
+// exchange itself travels in v1 framing; the connection switches to
+// multiplexed v2 framing for everything after.
 func (c *Client) hello(ctx context.Context, maxVersion int) error {
 	if deadline, ok := ctx.Deadline(); ok {
 		if err := c.conn.SetDeadline(deadline); err != nil {
@@ -190,7 +171,7 @@ func (c *Client) hello(ctx context.Context, maxVersion int) error {
 			return fmt.Errorf("transport: malformed hello response")
 		}
 		version := int(resp.parts[0][0])
-		if version < protoV1 || version > maxVersion {
+		if version < protoV2 || version > maxVersion {
 			return fmt.Errorf("transport: server negotiated unsupported version %d", version)
 		}
 		c.version = version
@@ -201,19 +182,17 @@ func (c *Client) hello(ctx context.Context, maxVersion int) error {
 			c.serverCodec = resp.parts[2][0]
 		}
 		c.compress = c.wantCompress && version >= protoV4 && c.serverCodec == codec.FrameCodecFlate
-		if version >= protoV2 {
-			maxInFlight := int(uint16(resp.parts[1][0])<<8 | uint16(resp.parts[1][1]))
-			c.mux = newClientMux(c.conn, maxInFlight, &c.bytesSent, &c.bytesReceived, &c.streamChunks,
-				c.compress, func(raw, wire int64) {
-					c.compressedSent.Add(1)
-					c.compressedSaved.Add(raw - wire)
-				})
-		}
+		maxInFlight := int(binary.BigEndian.Uint16(resp.parts[1]))
+		c.mux = newClientMux(c.conn, maxInFlight, &c.bytesSent, &c.bytesReceived, &c.streamChunks,
+			c.compress, func(raw, wire int64) {
+				c.compressedSent.Add(1)
+				c.compressedSaved.Add(raw - wire)
+			})
 		return nil
 	case opErr:
-		// An old server does not know opHello; stay on protocol v1.
-		c.version = protoV1
-		return nil
+		// The server speaks nothing we offered (or predates the hello
+		// altogether); there is no serial protocol to fall back to.
+		return fmt.Errorf("%w: server refused the hello: %s", ErrUnsupported, errText(resp.parts))
 	default:
 		return fmt.Errorf("transport: unexpected hello response op %d", resp.op)
 	}
@@ -271,139 +250,14 @@ func (c *Client) withTimeout(ctx context.Context) (context.Context, context.Canc
 
 // Close says goodbye and closes the connection.
 func (c *Client) Close() error {
-	if c.mux != nil {
-		_ = c.mux.close()
-		return c.conn.Close()
-	}
-	c.opMu.Lock()
-	broken := c.broken
-	c.opMu.Unlock()
-	if !broken {
-		_ = writeFrame(c.conn, opGoodbye)
-	}
+	_ = c.mux.close()
 	return c.conn.Close()
 }
 
-// roundTrip sends a request and decodes the response, tracking sizes. On
-// a v2 connection the exchange is pipelined through the mux; on v1 it
-// holds the connection exclusively for the whole exchange. The context's
-// deadline (or, absent one, c.Timeout) bounds the exchange; cancellation
-// interrupts blocked reads/writes.
-func (c *Client) roundTrip(ctx context.Context, op byte, parts ...[]byte) ([][]byte, error) {
-	if c.mux != nil {
-		return c.muxRoundTrip(ctx, op, parts...)
-	}
-	c.opMu.Lock()
-	defer c.opMu.Unlock()
-	return c.roundTripV1(ctx, op, parts...)
-}
-
-// countConn counts the bytes a round trip actually moved, so failure
-// handling can tell a benign cancellation (nothing on the wire: the
-// connection is still frame-aligned) from a mid-frame death.
-type countConn struct {
-	conn    net.Conn
-	written int64
-	read    int64
-}
-
-func (cc *countConn) Write(p []byte) (int, error) {
-	n, err := cc.conn.Write(p)
-	cc.written += int64(n)
-	return n, err
-}
-
-func (cc *countConn) Read(p []byte) (int, error) {
-	n, err := cc.conn.Read(p)
-	cc.read += int64(n)
-	return n, err
-}
-
-// roundTripV1 is the legacy strict request/response exchange. Caller
-// holds c.opMu.
-func (c *Client) roundTripV1(ctx context.Context, op byte, parts ...[]byte) ([][]byte, error) {
-	if c.broken {
-		return nil, fmt.Errorf("transport: client connection is broken")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// The context deadline governs when present; otherwise fall back to
-	// the client's per-call Timeout.
-	deadline := time.Time{}
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d
-	} else if c.Timeout > 0 {
-		deadline = time.Now().Add(c.Timeout)
-	}
-	c.mu.Lock()
-	c.gen++
-	gen := c.gen
-	err := c.conn.SetDeadline(deadline)
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	// Wake any blocked read/write the instant the context is cancelled by
-	// forcing an already-expired deadline. The generation check makes a
-	// callback that fires after this round trip finished (and a new one
-	// armed its own deadline) a no-op.
-	stop := context.AfterFunc(ctx, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if c.gen == gen {
-			_ = c.conn.SetDeadline(time.Unix(1, 0))
-		}
-	})
-	defer stop()
-	cc := &countConn{conn: c.conn}
-	fail := func(err error) ([][]byte, error) {
-		// Poison the connection only when this exchange actually moved
-		// bytes: then the framing state is unknown. A cancellation (or
-		// forced deadline) that fired before any I/O leaves the
-		// connection frame-aligned, so a pooled connection survives
-		// benign cancellations between operations.
-		if cc.written > 0 || cc.read > 0 {
-			c.broken = true
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return nil, fmt.Errorf("transport: %w (%v)", ctxErr, err)
-		}
-		return nil, err
-	}
-
-	if err := writeFrame(cc, op, parts...); err != nil {
-		return fail(err)
-	}
-	c.bytesSent.Add(cc.written)
-	c.roundTrips.Add(1)
-	resp, err := readFrame(cc)
-	if err != nil {
-		return fail(err)
-	}
-	c.bytesReceived.Add(cc.read)
-	switch resp.op {
-	case opOK:
-		return resp.parts, nil
-	case opErrNotFound:
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotFound, errText(resp))
-	case opErrTooLarge:
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, errTooLarge, errText(resp))
-	case opErrBusy:
-		// Server-wide admission control sheds on v1 connections too; the
-		// typed error lets callers back off instead of treating it as a
-		// hard failure.
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrBusy, errText(resp))
-	case opErr:
-		return nil, fmt.Errorf("%w: %s", ErrRemote, errText(resp))
-	default:
-		return nil, fmt.Errorf("transport: unexpected response op %d", resp.op)
-	}
-}
-
-func errText(resp frame) string {
-	if len(resp.parts) > 0 {
-		return string(resp.parts[0])
+// errText is the message an error response carries in its first part.
+func errText(parts [][]byte) string {
+	if len(parts) > 0 {
+		return string(parts[0])
 	}
 	return "unknown"
 }
@@ -443,9 +297,8 @@ func (c *Client) PutDoc(ctx context.Context, name string, d *core.Document, enc 
 
 // GetBlock fetches a data block by name or content address. With a Cache
 // attached, hits are served locally and concurrent misses for the same
-// name collapse into one wire call. On a v2 connection a block too large
-// for a single response frame is transparently fetched as a chunked
-// stream; under v1 such blocks fail with a remote error.
+// name collapse into one wire call. A block too large for a single
+// response frame is transparently fetched as a chunked stream.
 func (c *Client) GetBlock(ctx context.Context, name string) (*media.Block, error) {
 	if c.Cache != nil {
 		return c.Cache.GetOrFetch(ctx, name, func(ctx context.Context) (*media.Block, error) {
@@ -469,7 +322,7 @@ func (c *Client) getBlockWire(ctx context.Context, name string) (*media.Block, e
 		}
 	}
 	parts, err := c.roundTrip(ctx, opGetBlk, []byte(name))
-	if errors.Is(err, errTooLarge) && c.mux != nil {
+	if errors.Is(err, errTooLarge) {
 		return c.getBlockStream(ctx, name)
 	}
 	if err != nil {
@@ -734,16 +587,11 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 				continue
 			case entryDeferred:
 				// The block was too large to inline in the batch frame;
-				// fetch it on its own — on a v2 connection as a chunked
-				// stream, so oversized blocks neither bypass batching
-				// with ad-hoc single frames nor hit the frame wall. A
-				// not-found here (the block was deleted meanwhile) stays
-				// a partial result.
-				if c.mux != nil {
-					blk, err = c.getBlockStream(ctx, name)
-				} else {
-					blk, err = c.getBlockWire(ctx, name)
-				}
+				// fetch it on its own as a chunked stream, so oversized
+				// blocks neither bypass batching with ad-hoc single
+				// frames nor hit the frame wall. A not-found here (the
+				// block was deleted meanwhile) stays a partial result.
+				blk, err = c.getBlockStream(ctx, name)
 				if errors.Is(err, ErrNotFound) {
 					settle(name, nil, err)
 					continue
@@ -861,22 +709,18 @@ func (c *Client) PutBlock(ctx context.Context, b *media.Block) (string, error) {
 
 // ListDocs returns the names of documents the server offers.
 func (c *Client) ListDocs(ctx context.Context) ([]string, error) {
-	parts, err := c.roundTrip(ctx, opList)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(parts))
-	for i, p := range parts {
-		out[i] = string(p)
-	}
-	return out, nil
+	return c.listDocs(ctx)
 }
 
 // ListDocsLocal returns only the documents the server holds locally,
 // skipping any cluster-wide or upstream merge — the query cluster nodes
 // use on each other so a listing fan-out cannot recurse.
 func (c *Client) ListDocsLocal(ctx context.Context) ([]string, error) {
-	parts, err := c.roundTrip(ctx, opList, listScopeLocal)
+	return c.listDocs(ctx, listScopeLocal)
+}
+
+func (c *Client) listDocs(ctx context.Context, scope ...[]byte) ([]string, error) {
+	parts, err := c.roundTrip(ctx, opList, scope...)
 	if err != nil {
 		return nil, err
 	}

@@ -24,10 +24,12 @@ import (
 )
 
 // Inline converts every resolvable external node of a clone of doc into an
-// immediate node carrying the block payload. Nodes whose file attribute
-// cannot be resolved are left external (the receiver may have its own
-// store); strict mode turns that into an error.
-func Inline(doc *core.Document, store *media.Store, strict bool) (*core.Document, error) {
+// immediate node carrying the block payload, resolving file attributes
+// through lookup (a store's GetByName, a Backend's GetBlock); the returned
+// blocks are only read. Nodes whose file attribute cannot be resolved are
+// left external (the receiver may have its own store); strict mode turns
+// that into an error.
+func Inline(doc *core.Document, lookup func(name string) (*media.Block, bool), strict bool) (*core.Document, error) {
 	clone := doc.Clone()
 	var err error
 	clone.Root.Walk(func(n *core.Node) bool {
@@ -41,7 +43,7 @@ func Inline(doc *core.Document, store *media.Store, strict bool) (*core.Document
 			}
 			return err == nil
 		}
-		blk, ok := store.GetByName(file)
+		blk, ok := lookup(file)
 		if !ok {
 			if strict {
 				err = fmt.Errorf("transport: block %q not in store", file)

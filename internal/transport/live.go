@@ -98,11 +98,12 @@ func u64be(v uint64) []byte {
 	return b
 }
 
-// subscriber is one watcher's registry-side state. The pump goroutine of
-// the owning connection drains q onto the wire; end may be called from
-// any goroutine (broadcast overflow, unsubscribe, teardown) and is
-// idempotent — the first reason wins.
-type subscriber struct {
+// Subscriber is one watcher's registry-side state, opaque outside this
+// package. The pump goroutine of the owning connection drains q onto the
+// wire; end may be called from any goroutine (broadcast overflow,
+// unsubscribe, teardown) and is idempotent — the first reason wins.
+type Subscriber struct {
+	hub *Registry // the registry whose fan-out feeds q
 	doc string
 	// subtree, when non-empty, restricts delta fan-out to change records
 	// affecting that part of the document (see recordTouches). Snapshots
@@ -116,7 +117,7 @@ type subscriber struct {
 
 // end terminates the subscription with reason. Safe to call repeatedly
 // and from multiple goroutines.
-func (s *subscriber) end(reason string) {
+func (s *Subscriber) end(reason string) {
 	s.stopOnce.Do(func() {
 		s.reason = reason
 		close(s.stop)
@@ -129,7 +130,7 @@ func (s *subscriber) end(reason string) {
 // snapshot serving repeated subscribes of an unchanged document.
 type liveState struct {
 	gens  map[string]uint64
-	subs  map[string]map[*subscriber]struct{}
+	subs  map[string]map[*Subscriber]struct{}
 	count int
 	enc   map[string]encodedDoc
 }
@@ -143,7 +144,7 @@ type encodedDoc struct {
 func (l *liveState) initLocked() {
 	if l.gens == nil {
 		l.gens = make(map[string]uint64)
-		l.subs = make(map[string]map[*subscriber]struct{})
+		l.subs = make(map[string]map[*Subscriber]struct{})
 		l.enc = make(map[string]encodedDoc)
 	}
 }
@@ -195,13 +196,13 @@ func (r *Registry) DropDoc(name, reason string) bool {
 	return true
 }
 
-// subscribe registers a watcher on the document under name and seeds its
+// Subscribe registers a watcher on the document under name and seeds its
 // queue with the current snapshot, atomically with respect to mutations:
 // no edit can intervene between the snapshot and the registration, so
 // the first delta a subscriber observes continues exactly where its
 // snapshot left off. queueCap bounds the event queue (<=0 means the
 // default); maxSubs, when positive, bounds subscriptions server-wide.
-func (r *Registry) subscribe(name string, queueCap, maxSubs int, subtree string) (*subscriber, error) {
+func (r *Registry) Subscribe(name, subtree string, queueCap, maxSubs int) (*Subscriber, error) {
 	if queueCap <= 0 {
 		queueCap = defaultSubQueue
 	}
@@ -220,7 +221,8 @@ func (r *Registry) subscribe(name string, queueCap, maxSubs int, subtree string)
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode snapshot of %q: %w", name, err)
 	}
-	sub := &subscriber{
+	sub := &Subscriber{
+		hub:     r,
 		doc:     name,
 		subtree: subtree,
 		q:       make(chan subEvent, queueCap),
@@ -229,7 +231,7 @@ func (r *Registry) subscribe(name string, queueCap, maxSubs int, subtree string)
 	sub.q <- subEvent{kind: changeSnapshot, toGen: r.live.gens[name], doc: data, at: time.Now()}
 	set := r.live.subs[name]
 	if set == nil {
-		set = make(map[*subscriber]struct{})
+		set = make(map[*Subscriber]struct{})
 		r.live.subs[name] = set
 	}
 	set[sub] = struct{}{}
@@ -237,18 +239,19 @@ func (r *Registry) subscribe(name string, queueCap, maxSubs int, subtree string)
 	return sub, nil
 }
 
-// unsubscribe drops a watcher from the hub. Idempotent; the subscriber's
-// queue is abandoned (broadcasts stop reaching it immediately).
-func (r *Registry) unsubscribe(sub *subscriber) {
+// unsubscribe drops the watcher from its hub. Idempotent; the queue is
+// abandoned (broadcasts stop reaching it immediately).
+func (s *Subscriber) unsubscribe() {
+	r := s.hub
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	set := r.live.subs[sub.doc]
-	if _, ok := set[sub]; !ok {
+	set := r.live.subs[s.doc]
+	if _, ok := set[s]; !ok {
 		return
 	}
-	delete(set, sub)
+	delete(set, s)
 	if len(set) == 0 {
-		delete(r.live.subs, sub.doc)
+		delete(r.live.subs, s.doc)
 	}
 	r.live.count--
 }

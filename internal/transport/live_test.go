@@ -140,7 +140,7 @@ func TestHubShedSlowSubscriber(t *testing.T) {
 	reg := NewRegistry(store)
 	reg.PutDoc("news", d)
 
-	sub, err := reg.subscribe("news", 2, 0, "")
+	sub, err := reg.Subscribe("news", "", 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +165,8 @@ func TestHubShedSlowSubscriber(t *testing.T) {
 	default:
 		t.Fatal("queue overflowed but the subscriber was not shed")
 	}
-	reg.unsubscribe(sub)
-	reg.unsubscribe(sub) // idempotent
+	sub.unsubscribe()
+	sub.unsubscribe() // idempotent
 	if got := reg.SubscriberCount(); got != 0 {
 		t.Fatalf("SubscriberCount = %d after unsubscribe", got)
 	}
@@ -382,10 +382,10 @@ func TestV3OpsRequireV3(t *testing.T) {
 		clientMax, serverMax int
 		want                 int
 	}{
-		{"v3-client-v1-server", 3, 1, 1},
 		{"v3-client-v2-server", 3, 2, 2},
-		{"v1-client-v3-server", 1, 3, 1},
 		{"v2-client-v3-server", 2, 3, 2},
+		{"v4-client-v2-server", 4, 2, 2},
+		{"v2-client-v4-server", 2, 4, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addr, _ := liveServer(t, func(s *Server) { s.MaxVersion = tc.serverMax })

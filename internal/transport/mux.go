@@ -21,13 +21,11 @@ import (
 var ErrBusy = errors.New("transport: server busy")
 
 // errTooLarge is the internal marker for opErrTooLarge responses: the
-// block exists but cannot travel as one frame. The v2 client reacts by
-// retrying with the chunked stream op; it never escapes to callers there.
-// A v1 client surfaces it as a plain remote error — under protocol v1
-// oversized blocks are unfetchable.
+// block exists but cannot travel as one frame. The client reacts by
+// retrying with the chunked stream op; it never escapes to callers.
 var errTooLarge = errors.New("transport: block too large for a single frame")
 
-// clientMux multiplexes pipelined requests over one v2 connection: a
+// clientMux multiplexes pipelined requests over one connection: a
 // writer goroutine serializes frame writes (coalescing bursts through a
 // buffered writer), a reader goroutine demultiplexes response frames to
 // per-request channels by request ID, and per-request contexts cancel
@@ -334,10 +332,11 @@ func (m *clientMux) recv(ctx context.Context, call *muxCall) (frameV2, error) {
 	}
 }
 
-// roundTrip performs one single-response exchange over the mux. Unlike
-// the v1 path, cancellation abandons only this request: the connection
-// and every other in-flight call on it stay healthy.
-func (c *Client) muxRoundTrip(ctx context.Context, op byte, parts ...[]byte) ([][]byte, error) {
+// roundTrip performs one single-response exchange over the mux, tracking
+// sizes. The context's deadline (or, absent one, c.Timeout) bounds the
+// exchange. Cancellation abandons only this request: the connection and
+// every other in-flight call on it stay healthy.
+func (c *Client) roundTrip(ctx context.Context, op byte, parts ...[]byte) ([][]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -364,23 +363,16 @@ func muxResponse(f frameV2) ([][]byte, error) {
 	case opOK:
 		return f.parts, nil
 	case opErrNotFound:
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotFound, errTextV2(f))
+		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotFound, errText(f.parts))
 	case opErrBusy:
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrBusy, errTextV2(f))
+		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrBusy, errText(f.parts))
 	case opErrTooLarge:
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, errTooLarge, errTextV2(f))
+		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, errTooLarge, errText(f.parts))
 	case opErr:
-		return nil, fmt.Errorf("%w: %s", ErrRemote, errTextV2(f))
+		return nil, fmt.Errorf("%w: %s", ErrRemote, errText(f.parts))
 	default:
 		return nil, fmt.Errorf("transport: unexpected response op %d", f.op)
 	}
-}
-
-func errTextV2(f frameV2) string {
-	if len(f.parts) > 0 {
-		return string(f.parts[0])
-	}
-	return "unknown"
 }
 
 // getBlockStream fetches one block as a chunked stream — the only way a

@@ -7,8 +7,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -69,22 +69,22 @@ func exerciseClient(t *testing.T, c *Client, wantVersion int) {
 }
 
 // TestVersionNegotiationMatrix runs the full client workout across every
-// protocol pairing — v1, v2 and v3 caps on either side — verifying each
+// protocol pairing — v2, v3 and v4 caps on either side — verifying each
 // pair lands on min(clientMax, serverMax) and every classic operation
 // works there.
 func TestVersionNegotiationMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		clientMax, serverMax, want int
 	}{
-		{1, 1, 1},
-		{1, 2, 1},
-		{2, 1, 1},
 		{2, 2, 2},
-		{1, 3, 1},
-		{3, 1, 1},
 		{2, 3, 2},
 		{3, 2, 2},
 		{3, 3, 3},
+		{2, 4, 2},
+		{4, 2, 2},
+		{3, 4, 3},
+		{4, 3, 3},
+		{4, 4, 4},
 	} {
 		t.Run(fmt.Sprintf("client%d-server%d", tc.clientMax, tc.serverMax), func(t *testing.T) {
 			d, store := fixture(t)
@@ -144,11 +144,11 @@ func ackHello(t *testing.T, conn net.Conn, br *bufio.Reader, maxInFlight uint16)
 	return true
 }
 
-// TestHelloFallbackOnOldServer verifies the degradation path against a
-// genuine protocol-v1 server, emulated by answering the hello the way an
-// old build does: opErr "unknown op 9". The client must settle on v1 and
-// keep working over the same connection.
-func TestHelloFallbackOnOldServer(t *testing.T) {
+// TestHelloRefusedFailsDialUnsupported pins the client half of the v1
+// retirement: a server that answers the hello with opErr — an old build
+// ("unknown op 9"), or a new one sharing no version — fails the dial with
+// ErrUnsupported. There is no serial protocol to degrade to.
+func TestHelloRefusedFailsDialUnsupported(t *testing.T) {
 	addr := rawServer(t, func(conn net.Conn, br *bufio.Reader) {
 		req, err := readFrame(br)
 		if err != nil || req.op != opHello {
@@ -156,25 +156,71 @@ func TestHelloFallbackOnOldServer(t *testing.T) {
 			return
 		}
 		_ = writeFrame(conn, opErr, []byte("unknown op 9"))
-		// The connection continues in v1: serve one list request.
-		req, err = readFrame(br)
-		if err != nil || req.op != opList {
-			t.Errorf("second frame op = %v, err = %v, want list", req.op, err)
-			return
-		}
-		_ = writeFrame(conn, opOK, []byte("legacy"))
 	})
 	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		c.Close()
+		t.Fatal("Dial succeeded against a server that refused the hello")
 	}
-	defer c.Close()
-	if c.Version() != protoV1 {
-		t.Fatalf("version after fallback = %d, want 1", c.Version())
+	if !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Dial error = %v, want ErrUnsupported", err)
 	}
-	names, err := c.ListDocs(context.Background())
-	if err != nil || len(names) != 1 || names[0] != "legacy" {
-		t.Fatalf("ListDocs over fallback connection = %v, %v", names, err)
+}
+
+// TestServerRefusesV1Peers pins the server half, on raw frames: a
+// connection that opens with anything but a hello, or whose hello offers
+// less than v2, gets exactly one v1-framed opErr naming the retirement,
+// and then the connection closes.
+func TestServerRefusesV1Peers(t *testing.T) {
+	addr, _ := startServer(t, NewRegistry(nil))
+	for _, tc := range []struct {
+		name  string
+		op    byte
+		parts [][]byte
+	}{
+		{"no hello", opList, nil},
+		{"hello offering v1", opHello, [][]byte{{1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if err := writeFrame(conn, tc.op, tc.parts...); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := readFrame(conn)
+			if err != nil {
+				t.Fatalf("reading the refusal: %v", err)
+			}
+			if resp.op != opErr || len(resp.parts) != 1 || string(resp.parts[0]) != v1Retired {
+				t.Fatalf("refusal = op %d %q, want opErr %q", resp.op, resp.parts, v1Retired)
+			}
+			if _, err := readFrame(conn); !errors.Is(err, io.EOF) {
+				t.Fatalf("after the refusal: %v, want the connection closed", err)
+			}
+		})
+	}
+}
+
+// TestVersionCapOutOfRangeIsAnError pins that a version cap this build
+// cannot honour — the retired 1 included — is refused loudly at Listen
+// and Dial instead of being clamped to "newest".
+func TestVersionCapOutOfRangeIsAnError(t *testing.T) {
+	addr, _ := startServer(t, NewRegistry(nil))
+	for _, v := range []int{0, 1, maxProtoVersion + 1, 9} {
+		srv := NewServer(NewRegistry(nil))
+		srv.MaxVersion = v
+		if bound, err := srv.Listen("127.0.0.1:0"); err == nil {
+			srv.Close()
+			t.Errorf("Listen with MaxVersion %d bound %s, want an error", v, bound)
+		}
+		if c, err := Dial(addr, WithMaxProtocolVersion(v)); err == nil {
+			c.Close()
+			t.Errorf("Dial with max version %d succeeded, want an error", v)
+		}
 	}
 }
 
@@ -426,10 +472,9 @@ func TestStreamedBlockTransfer(t *testing.T) {
 	}
 }
 
-// TestBatchDeferralBothVersions pins the deferred-entry re-fetch on each
-// protocol: entryDeferred resolves through single-item opGetBlk under
-// v1 and through the chunked stream under v2, with identical results.
-func TestBatchDeferralBothVersions(t *testing.T) {
+// TestBatchDeferral pins the deferred-entry re-fetch: entryDeferred
+// resolves through the chunked stream.
+func TestBatchDeferral(t *testing.T) {
 	oldChunk, oldBudget := streamChunkSize, batchBudget
 	streamChunkSize, batchBudget = 1<<10, 1<<11
 	t.Cleanup(func() { streamChunkSize, batchBudget = oldChunk, oldBudget })
@@ -441,40 +486,35 @@ func TestBatchDeferralBothVersions(t *testing.T) {
 	reg := NewRegistry(store)
 	addr, _ := startServer(t, reg)
 
-	for _, version := range []int{1, 2} {
-		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			c, err := Dial(addr, WithMaxProtocolVersion(version))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			blocks, err := c.GetBlocks(context.Background(), []string{"big.img", "small.img"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if blocks[0] == nil || !bytes.Equal(blocks[0].Payload, big.Payload) {
-				t.Error("deferred payload mismatch")
-			}
-			if blocks[1] == nil {
-				t.Error("inlined entry missing")
-			}
-			// The deferred re-fetch costs one extra round trip on top of
-			// the batch either way.
-			if got := c.RoundTrips(); got != 2 {
-				t.Errorf("RoundTrips = %d, want 2", got)
-			}
-			wantStreamed := version == 2
-			if streamed := c.StreamChunks() > 0; streamed != wantStreamed {
-				t.Errorf("streamed = %v, want %v on v%d", streamed, wantStreamed, version)
-			}
-		})
+	c, err := Dial(addr, WithMaxProtocolVersion(protoV2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	blocks, err := c.GetBlocks(context.Background(), []string{"big.img", "small.img"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blocks[0] == nil || !bytes.Equal(blocks[0].Payload, big.Payload) {
+		t.Error("deferred payload mismatch")
+	}
+	if blocks[1] == nil {
+		t.Error("inlined entry missing")
+	}
+	// The deferred re-fetch costs one extra round trip on top of the
+	// batch.
+	if got := c.RoundTrips(); got != 2 {
+		t.Errorf("RoundTrips = %d, want 2", got)
+	}
+	if c.StreamChunks() == 0 {
+		t.Error("deferred entry was not re-fetched through the stream")
 	}
 }
 
 // TestOversizedBlockAnswersTooLarge pins the behaviour the stream exists
 // to fix: a block past the single-frame limit answers opErrTooLarge —
-// the clean error v1 clients see, and the retry trigger for the v2
-// stream — instead of the server dying on the response write.
+// the retry trigger for the chunked stream — instead of the server dying
+// on the response write.
 func TestOversizedBlockAnswersTooLarge(t *testing.T) {
 	store := media.NewStore()
 	store.Put(media.CaptureImage("small.img", 8, 8, 7))
@@ -757,64 +797,5 @@ func TestV2GracefulDrainAnswersInFlight(t *testing.T) {
 	}
 	if err := <-result; err != nil {
 		t.Errorf("in-flight request during drain: %v", err)
-	}
-}
-
-// TestV1BenignCancellationSurvives is the regression test for the v1
-// poisoning bug: an exchange that died before a single byte moved — the
-// forced deadline beat the write — leaves the connection frame-aligned,
-// so a pooled connection survives and the next call succeeds.
-func TestV1BenignCancellationSurvives(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
-	t.Cleanup(func() { clientSide.Close(); serverSide.Close() })
-	c := &Client{conn: clientSide, version: protoV1}
-
-	// No reader on the server side: the pipe write blocks until the
-	// context deadline interrupts it with zero bytes moved.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	_, err := c.roundTrip(ctx, opList)
-	// The connection deadline mirrors the context deadline, so whichever
-	// timer fires first shapes the error; both mean "timed out".
-	if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("blocked write error = %v, want a deadline error", err)
-	}
-
-	// Now a server appears; the connection must still be usable.
-	go func() {
-		br := bufio.NewReader(serverSide)
-		req, err := readFrame(br)
-		if err != nil || req.op != opList {
-			return
-		}
-		_ = writeFrame(serverSide, opOK, []byte("alive"))
-	}()
-	names, err := c.ListDocs(context.Background())
-	if err != nil || len(names) != 1 || names[0] != "alive" {
-		t.Fatalf("post-cancellation call = %v, %v (connection poisoned?)", names, err)
-	}
-}
-
-// TestV1MidFrameDeathStillPoisons pins the other half of the bugfix: once
-// request bytes have moved and the exchange dies, the framing state is
-// unknown and the connection must be refused from then on.
-func TestV1MidFrameDeathStillPoisons(t *testing.T) {
-	clientSide, serverSide := net.Pipe()
-	t.Cleanup(func() { clientSide.Close(); serverSide.Close() })
-	c := &Client{conn: clientSide, version: protoV1}
-
-	// The server consumes part of the request then stalls, so the write
-	// dies mid-frame with bytes on the wire.
-	go func() {
-		buf := make([]byte, 4)
-		_, _ = serverSide.Read(buf)
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := c.roundTrip(ctx, opList); err == nil {
-		t.Fatal("mid-frame death succeeded")
-	}
-	if _, err := c.ListDocs(context.Background()); err == nil {
-		t.Fatal("poisoned connection accepted another call")
 	}
 }

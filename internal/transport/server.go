@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chunker"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/media"
@@ -105,12 +104,17 @@ type GetDocOptions struct {
 	Inline bool
 }
 
-// Server serves a registry over TCP. It speaks protocol v2 (multiplexed,
-// pipelined requests with chunked block streaming) to clients that
-// negotiate it at connect, and the legacy strict request/response
-// protocol v1 to everyone else.
+// Server serves a Backend over TCP: framing, the hello, admission,
+// metrics and drain live here, and an op table (ops.go) turns each
+// request into Backend calls — the server does not know where an answer
+// comes from. Every connection opens with a hello and then speaks the
+// multiplexed protocol (v2–v4: pipelined requests, chunked block
+// streaming, subscriptions, compression); a peer that cannot is refused.
 type Server struct {
-	reg *Registry
+	backend Backend
+	// peers is the backend's node-to-node half, nil unless it is a
+	// cluster node. Resolved once by NewServer.
+	peers PeerOps
 
 	// IdleTimeout bounds how long a connection may sit without delivering
 	// any data — between requests, or stalled mid-request — before the
@@ -118,18 +122,18 @@ type Server struct {
 	// progressing upload is not cut off. Zero means forever. Set before
 	// Listen.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write — on a v2 connection, each
-	// response frame — so a slow or stuck client cannot pin a serving
-	// goroutine forever; zero means no bound. Set before Listen.
+	// WriteTimeout bounds the write of each response frame, so a slow or
+	// stuck client cannot pin a serving goroutine forever; zero means no
+	// bound. Set before Listen.
 	WriteTimeout time.Duration
-	// MaxInFlight bounds how many requests one v2 connection may have in
+	// MaxInFlight bounds how many requests one connection may have in
 	// flight; requests past the bound are rejected with opErrBusy. The
 	// bound is advertised to the client at hello. Zero means
 	// defaultMaxInFlight. Set before Listen.
 	MaxInFlight int
-	// MaxVersion caps the protocol version the server negotiates; zero
-	// means the newest this build speaks. Set to 1 to force every
-	// connection onto the legacy protocol. Set before Listen.
+	// MaxVersion caps the protocol version the server negotiates, 2
+	// through 4; NewServer sets the newest this build speaks, and Listen
+	// rejects anything out of range. Set before Listen.
 	MaxVersion int
 	// Compression enables per-frame flate compression on connections
 	// that negotiate protocol v4: the hello response advertises the
@@ -152,39 +156,15 @@ type Server struct {
 	// in-flight and queue gauges, busy rejections and descriptor-cache
 	// effectiveness (NewServerMetrics). Set before Listen.
 	Metrics *ServerMetrics
-	// Cluster, when non-nil, turns the server into one node of a
-	// replicated cluster: writes — document registrations, block puts,
-	// edit batches — route through the handler (which journals on the
-	// key's primary and replicates before acknowledging), reads that
-	// miss locally are proxied to the key's replicas, and the gossip,
-	// replication and resync ops (opGossip/opReplicate/opResync) are
-	// answered. Mutually exclusive with Loader. Set before Listen.
-	Cluster ClusterHandler
-	// Loader, when non-nil, turns the server into a read-through proxy:
-	// document and block lookups that miss the local registry consult the
-	// loader (which typically fetches from an upstream origin and caches),
-	// and mutations — document registrations, block puts, edit batches —
-	// are forwarded upstream instead of applied locally, so the origin
-	// stays the single writer and mutations flow back down through the
-	// proxy's upstream subscriptions. Set before Listen.
-	Loader Loader
-
-	// ServiceDelay, when nonzero, stalls every admitted request for the
-	// given duration before handling — a capacity-modeling knob for
-	// benchmarks that emulate a fixed per-node service time (so cluster
-	// scaling measures added serving slots, not the host's core count).
-	// Zero, the production value, disables it. Set before Listen.
-	ServiceDelay time.Duration
-
 	// testOpDelay, when non-nil, stalls request handling — a test hook
 	// for exercising backpressure deterministically.
 	testOpDelay func(op byte)
 
 	// descCache memoizes wire-encoded block descriptors by content
-	// address. Blocks are immutable under their ID, so the entry never
-	// goes stale; it saves re-encoding the descriptor on every fetch of
-	// a hot block.
-	descCache sync.Map // string (block ID) → string (descriptor text)
+	// address (block ID → descriptor text), bounded by descCacheCap; it
+	// saves re-encoding the descriptor on every fetch of a hot block.
+	descMu    sync.RWMutex
+	descCache map[string]string
 
 	// adm enforces Admission; nil admits everything. Built at Listen.
 	adm *admitter
@@ -196,74 +176,26 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// NewServer returns a server over reg.
-func NewServer(reg *Registry) *Server {
-	return &Server{reg: reg, conns: make(map[net.Conn]struct{})}
-}
-
-// Loader is the read-through seam an edge cache implements (see
-// Server.Loader). Load methods run on request-handler goroutines and
-// may block on upstream round trips; Forward methods relay mutations to
-// the authority and return its verdict.
-type Loader interface {
-	// LoadDoc materializes the document registered upstream under name
-	// into the server's registry (typically by subscribing upstream, so
-	// later mutations stream down as deltas) and reports whether it
-	// exists. A false return answers the client's request with not-found.
-	LoadDoc(name string) bool
-	// LoadBlock fetches a block the local store misses, by name or
-	// content address. The implementation caches what it returns.
-	LoadBlock(name string) (*media.Block, bool)
-	// ForwardPutDoc relays a wholesale document registration upstream.
-	ForwardPutDoc(name string, d *core.Document) error
-	// ForwardPutBlock relays a block put upstream, returning the content
-	// address the authority assigned.
-	ForwardPutBlock(b *media.Block) (string, error)
-	// ForwardEdit relays an edit batch upstream, returning the new
-	// authoritative generation.
-	ForwardEdit(name string, recs []core.ChangeRecord) (uint64, error)
-	// ListDocs names the documents the authority offers.
-	ListDocs() ([]string, error)
-}
-
-// ClusterHandler is the seam a cluster node implements (see
-// Server.Cluster). Write methods run on request-handler goroutines and
-// may block on forwarding and synchronous replication; read-miss methods
-// may block on peer round trips.
-type ClusterHandler interface {
-	// Gossip merges a peer's encoded membership view and returns the
-	// local view (after the merge). An empty view reads membership
-	// without asserting any.
-	Gossip(view []byte) ([]byte, error)
-	// Replicate verifies and appends a batch of framed WAL records
-	// shipped by a key's primary, applying them to the live state.
-	Replicate(frames []byte) error
-	// Resync returns a chunk of full-state WAL records starting at
-	// cursor ("" starts); an empty next cursor ends the walk.
-	Resync(cursor string) (frames []byte, next string, err error)
-	// PutDoc routes a document registration through the ring: journal
-	// on the primary, replicate, then acknowledge.
-	PutDoc(name string, d *core.Document) error
-	// PutBlock routes a block put through the ring, returning the
-	// content address.
-	PutBlock(b *media.Block) (string, error)
-	// SubmitEdit routes an edit batch through the ring, returning the
-	// new generation. A missing document matches ErrNotFound; a
-	// conflict keeps its "conflict:" text.
-	SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error)
-	// MissingDoc proxies a read for a document this node does not hold
-	// to the key's replicas.
-	MissingDoc(name string) (*core.Document, bool)
-	// MissingBlock proxies a block read this node cannot serve.
-	MissingBlock(name string) (*media.Block, bool)
-	// DocNames merges the cluster-wide document listing.
-	DocNames() ([]string, error)
+// NewServer returns a server answering from b — a *Registry for an
+// origin, or a tier that wraps one.
+func NewServer(b Backend) *Server {
+	peers, _ := b.(PeerOps)
+	return &Server{
+		backend:    b,
+		peers:      peers,
+		MaxVersion: maxProtoVersion,
+		descCache:  make(map[string]string),
+		conns:      make(map[net.Conn]struct{}),
+	}
 }
 
 // Listen starts accepting on addr ("127.0.0.1:0" for tests) and returns the
 // bound address. Serving happens on background goroutines until Close or
 // Shutdown.
 func (s *Server) Listen(addr string) (string, error) {
+	if err := checkVersion(s.MaxVersion); err != nil {
+		return "", err
+	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
@@ -428,22 +360,29 @@ func (s *Server) maxInFlight() int {
 	return defaultMaxInFlight
 }
 
-// maxVersion resolves the newest protocol version the server offers.
-func (s *Server) maxVersion() int {
-	if s.MaxVersion >= protoV1 && s.MaxVersion < maxProtoVersion {
-		return s.MaxVersion
+// checkVersion rejects a protocol-version cap this build cannot honour,
+// on either side of the connection.
+func checkVersion(v int) error {
+	if v < protoV2 || v > maxProtoVersion {
+		return fmt.Errorf("transport: unsupported protocol version %d (this build speaks v%d–v%d)", v, protoV2, maxProtoVersion)
 	}
-	return maxProtoVersion
+	return nil
 }
 
-// serveConn handles one client until EOF, goodbye, timeout or drain. A
-// client whose first frame is a hello negotiates the protocol version;
-// on v2 the connection switches to the multiplexed loop. A draining
+// v1Retired is the refusal a peer gets when it cannot speak the
+// multiplexed protocol: no hello, or a hello offering less than v2.
+const v1Retired = "protocol v1 is retired; this server speaks v2–v4"
+
+// serveConn handles one client until EOF, goodbye, timeout or drain. The
+// first frame must be a hello, v1-framed as it has been since protocol
+// v2 introduced it; it settles the version and the connection switches to
+// the multiplexed loop. Anything else is refused with one v1-framed opErr
+// — the only frame a pre-v2 peer can read — and a close. A draining
 // server answers the requests in flight, then hangs up.
 func (s *Server) serveConn(conn net.Conn) {
 	// The read side is buffered over the idle-rearming reader: pipelined
-	// v2 clients deliver bursts of frames per syscall, and the idle
-	// deadline still re-arms on every chunk the kernel delivers.
+	// clients deliver bursts of frames per syscall, and the idle deadline
+	// still re-arms on every chunk the kernel delivers.
 	in := bufio.NewReaderSize(&idleReader{s: s, conn: conn}, muxBufSize)
 	if !s.armIdle(conn) {
 		return
@@ -452,99 +391,44 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err != nil || req.op == opGoodbye {
 		return
 	}
-	if req.op == opHello {
-		version := s.maxVersion()
-		if len(req.parts) != 1 || len(req.parts[0]) != 1 {
-			s.writeV1(conn, opErr, []byte("hello: want [maxVersion]"))
-			return
-		}
-		if clientMax := int(req.parts[0][0]); clientMax < version {
-			version = clientMax
-		}
-		if version < protoV1 {
-			s.writeV1(conn, opErr, []byte("hello: no common protocol version"))
-			return
-		}
-		ad := make([]byte, 2)
-		binary.BigEndian.PutUint16(ad, uint16(s.maxInFlight()))
-		helloParts := [][]byte{{byte(version)}, ad}
-		if version >= protoV4 {
-			// The codec capability part: pre-v4 clients tolerate extra
-			// hello parts, so it is only meaningful — and only sent —
-			// when v4 was negotiated.
-			frameCodec := codec.FrameCodecNone
-			if s.Compression {
-				frameCodec = codec.FrameCodecFlate
-			}
-			helloParts = append(helloParts, []byte{frameCodec})
-		}
-		if err := s.writeV1(conn, opOK, helloParts...); err != nil {
-			return
-		}
-		if version >= protoV2 {
-			s.serveConnV2(conn, in, version)
-			return
-		}
-		s.serveConnV1(conn, in, nil)
-		return
-	}
-	s.serveConnV1(conn, in, &req)
-}
-
-// writeV1 sends one v1 frame with the configured write deadline.
-func (s *Server) writeV1(conn net.Conn, op byte, parts ...[]byte) error {
+	// The hello answer, either way, is the one v1-framed write.
 	if s.WriteTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 	}
-	return writeFrame(conn, op, parts...)
-}
-
-// serveConnV1 is the legacy strict request/response loop; first, when
-// non-nil, is a request already read off the connection.
-func (s *Server) serveConnV1(conn net.Conn, in *bufio.Reader, first *frame) {
-	for {
-		var req frame
-		if first != nil {
-			req, first = *first, nil
-		} else {
-			if !s.armIdle(conn) {
-				return
-			}
-			var err error
-			req, err = readFrame(in)
-			if err != nil {
-				return
-			}
-			if req.op == opGoodbye {
-				return
-			}
+	refuse := func(text string) { _ = writeFrame(conn, opErr, []byte(text)) }
+	if req.op != opHello {
+		refuse(v1Retired)
+		return
+	}
+	if len(req.parts) != 1 || len(req.parts[0]) != 1 {
+		refuse("hello: want [maxVersion]")
+		return
+	}
+	version := s.MaxVersion
+	if clientMax := int(req.parts[0][0]); clientMax < version {
+		version = clientMax
+	}
+	if version < protoV2 {
+		refuse(v1Retired)
+		return
+	}
+	ad := make([]byte, 2)
+	binary.BigEndian.PutUint16(ad, uint16(s.maxInFlight()))
+	helloParts := [][]byte{{byte(version)}, ad}
+	if version >= protoV4 {
+		// The codec capability part: pre-v4 clients tolerate extra
+		// hello parts, so it is only meaningful — and only sent —
+		// when v4 was negotiated.
+		frameCodec := codec.FrameCodecNone
+		if s.Compression {
+			frameCodec = codec.FrameCodecFlate
 		}
-		resp, parts := s.admitAndHandle(req)
-		if err := s.writeV1(conn, resp, parts...); err != nil {
-			return
-		}
+		helloParts = append(helloParts, []byte{frameCodec})
 	}
-}
-
-// admitAndHandle runs one request through server-wide admission control
-// and the dispatcher, recording request count, in-flight gauge and
-// admitted latency. Shed requests answer opErrBusy without executing.
-func (s *Server) admitAndHandle(req frame) (byte, [][]byte) {
-	s.Metrics.countRequest(req.op)
-	start := time.Now()
-	release, shed := s.adm.acquire()
-	if shed != "" {
-		return opErrBusy, [][]byte{busyText(shed)}
+	if err := writeFrame(conn, opOK, helloParts...); err != nil {
+		return
 	}
-	defer release()
-	s.Metrics.inflightAdd(1)
-	defer s.Metrics.inflightAdd(-1)
-	if s.ServiceDelay > 0 {
-		time.Sleep(s.ServiceDelay)
-	}
-	resp, parts := s.handle(req)
-	s.Metrics.observe(req.op, start)
-	return resp, parts
+	s.serveConnV2(conn, in, version)
 }
 
 // v2conn is one multiplexed connection's shared state: the response
@@ -553,40 +437,33 @@ func (s *Server) admitAndHandle(req frame) (byte, [][]byte) {
 // handlers and pumps alike, and the per-connection subscription table
 // (request ID → subscriber) that opUnsubscribe resolves against.
 type v2conn struct {
-	s       *Server
 	version int
 	respCh  chan frameV2
 	done    chan struct{}
 	wg      sync.WaitGroup
 
 	mu   sync.Mutex
-	subs map[uint32]*subscriber
+	subs map[uint32]*Subscriber
 }
 
 // addSub records a live subscription under its opSubscribe request ID.
-func (cc *v2conn) addSub(id uint32, sub *subscriber) {
+func (cc *v2conn) addSub(id uint32, sub *Subscriber) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.subs == nil {
-		cc.subs = make(map[uint32]*subscriber)
+		cc.subs = make(map[uint32]*Subscriber)
 	}
 	cc.subs[id] = sub
 }
 
-// takeSub resolves and forgets a subscription by request ID.
-func (cc *v2conn) takeSub(id uint32) *subscriber {
+// takeSub resolves and forgets a subscription by request ID (an exiting
+// pump forgets its own this way).
+func (cc *v2conn) takeSub(id uint32) *Subscriber {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	sub := cc.subs[id]
 	delete(cc.subs, id)
 	return sub
-}
-
-// dropSub forgets a subscription (the pump is exiting on its own).
-func (cc *v2conn) dropSub(id uint32) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	delete(cc.subs, id)
 }
 
 // serveConnV2 is the multiplexed loop: the connection goroutine reads
@@ -671,7 +548,7 @@ func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader, version int) {
 		}
 	}()
 
-	cc := &v2conn{s: s, version: version, respCh: respCh, done: make(chan struct{})}
+	cc := &v2conn{version: version, respCh: respCh, done: make(chan struct{})}
 	sem := make(chan struct{}, maxIF)
 	for s.armIdle(conn) {
 		req, err := readFrameV2(in)
@@ -748,9 +625,8 @@ func (s *Server) handleV2(cc *v2conn, req frameV2) {
 	if s.testOpDelay != nil {
 		s.testOpDelay(req.op)
 	}
-	if s.ServiceDelay > 0 {
-		time.Sleep(s.ServiceDelay)
-	}
+	var op byte
+	var parts [][]byte
 	switch req.op {
 	case opGetBlkStream:
 		// The stream handler blocks on respCh while it emits chunks, so
@@ -765,10 +641,10 @@ func (s *Server) handleV2(cc *v2conn, req frameV2) {
 		s.handleSubscribe(cc, req, release)
 		return
 	case opUnsubscribe:
-		s.handleUnsubscribe(cc, req, release)
-		return
+		op, parts = cc.unsubscribe(req.parts)
+	default:
+		op, parts = s.handle(frame{op: req.op, parts: req.parts})
 	}
-	op, parts := s.handle(frame{op: req.op, parts: req.parts})
 	// The slot travels with the response frame and is released by the
 	// writer once the frame is actually written: a request occupies
 	// admission capacity for its whole lifetime, not just its compute,
@@ -777,21 +653,21 @@ func (s *Server) handleV2(cc *v2conn, req frameV2) {
 }
 
 // handleSubscribe answers opSubscribe: it registers a watcher on the
-// document (whose queue the registry seeds with the current snapshot,
+// document (whose queue the backend seeds with the current snapshot,
 // atomically with the registration) and starts the pump goroutine that
 // drains the queue onto the connection for the subscription's lifetime.
 // The admission slot rides the first pushed frame, exactly like a plain
 // response.
 func (s *Server) handleSubscribe(cc *v2conn, req frameV2, release func()) {
-	respCh := cc.respCh
+	refuse := func(op byte, text []byte) {
+		cc.respCh <- frameV2{op: op, id: req.id, parts: [][]byte{text}, done: release}
+	}
 	if cc.version < protoV3 {
-		respCh <- frameV2{op: opErr, id: req.id,
-			parts: [][]byte{[]byte("subscribe: requires protocol v3")}, done: release}
+		refuse(opErr, []byte("subscribe: requires protocol v3"))
 		return
 	}
 	if len(req.parts) != 1 && len(req.parts) != 2 {
-		respCh <- frameV2{op: opErr, id: req.id,
-			parts: [][]byte{[]byte("subscribe: want [name] or [name, subtree]")}, done: release}
+		refuse(opErr, []byte("subscribe: want [name] or [name, subtree]"))
 		return
 	}
 	name := string(req.parts[0])
@@ -799,20 +675,17 @@ func (s *Server) handleSubscribe(cc *v2conn, req frameV2, release func()) {
 	if len(req.parts) == 2 {
 		subtree = string(req.parts[1])
 	}
-	sub, err := s.subscribeDoc(name, subtree)
+	sub, err := s.backend.Subscribe(name, subtree, s.SubQueueCap, s.Admission.MaxSubscribers)
 	switch {
-	case errors.Is(err, errUnknownDoc):
-		respCh <- frameV2{op: opErrNotFound, id: req.id,
-			parts: [][]byte{[]byte(err.Error())}, done: release}
+	case errors.Is(err, ErrNotFound):
+		refuse(opErrNotFound, []byte(err.Error()))
 		return
 	case errors.Is(err, errSubsFull):
 		s.Metrics.shed(shedSubsFull)
-		respCh <- frameV2{op: opErrBusy, id: req.id,
-			parts: [][]byte{busyText(shedSubsFull)}, done: release}
+		refuse(opErrBusy, busyText(shedSubsFull))
 		return
 	case err != nil:
-		respCh <- frameV2{op: opErr, id: req.id,
-			parts: [][]byte{[]byte(err.Error())}, done: release}
+		refuse(opErr, []byte(err.Error()))
 		return
 	}
 	cc.addSub(req.id, sub)
@@ -823,14 +696,14 @@ func (s *Server) handleSubscribe(cc *v2conn, req frameV2, release func()) {
 
 // pumpSub forwards one subscriber's events onto the connection until the
 // subscription ends (unsubscribe, shed, registry replacement failure) or
-// the connection winds down. It owns the subscriber's registry
+// the connection winds down. It owns the subscriber's hub
 // registration and the active-subscriber gauge: whatever the exit path,
 // both are released — the leak test pins this.
-func (s *Server) pumpSub(cc *v2conn, id uint32, sub *subscriber, release func()) {
+func (s *Server) pumpSub(cc *v2conn, id uint32, sub *Subscriber, release func()) {
 	defer cc.wg.Done()
 	defer s.Metrics.subscriberAdd(-1)
-	defer s.reg.unsubscribe(sub)
-	defer cc.dropSub(id)
+	defer sub.unsubscribe()
+	defer cc.takeSub(id)
 	send := func(f frameV2) bool {
 		select {
 		case cc.respCh <- f:
@@ -868,21 +741,18 @@ func (s *Server) pumpSub(cc *v2conn, id uint32, sub *subscriber, release func())
 	}
 }
 
-// handleUnsubscribe answers opUnsubscribe: it ends the named
-// subscription — the pump emits the terminal changeEnd frame — and
-// acknowledges. Unsubscribing an unknown or already-ended subscription
-// is not an error: the shed path races client-requested ends by design.
-func (s *Server) handleUnsubscribe(cc *v2conn, req frameV2, release func()) {
-	if len(req.parts) != 1 || len(req.parts[0]) != 4 {
-		cc.respCh <- frameV2{op: opErr, id: req.id,
-			parts: [][]byte{[]byte("unsubscribe: want [subID(u32)]")}, done: release}
-		return
+// unsubscribe answers opUnsubscribe: it ends the named subscription —
+// the pump emits the terminal changeEnd frame — and acknowledges.
+// Unsubscribing an unknown or already-ended subscription is not an
+// error: the shed path races client-requested ends by design.
+func (cc *v2conn) unsubscribe(parts [][]byte) (byte, [][]byte) {
+	if len(parts) != 1 || len(parts[0]) != 4 {
+		return fail("unsubscribe: want [subID(u32)]")
 	}
-	subID := binary.BigEndian.Uint32(req.parts[0])
-	if sub := cc.takeSub(subID); sub != nil {
+	if sub := cc.takeSub(binary.BigEndian.Uint32(parts[0])); sub != nil {
 		sub.end(endReasonUnsubscribed)
 	}
-	cc.respCh <- frameV2{op: opOK, id: req.id, done: release}
+	return opOK, nil
 }
 
 // handleStream answers opGetBlkStream: a header frame, the payload cut
@@ -896,7 +766,7 @@ func (s *Server) handleStream(req frameV2, respCh chan<- frameV2) {
 		return
 	}
 	name := string(req.parts[0])
-	blk, ok := s.lookupBlock(name)
+	blk, ok := s.backend.GetBlock(name)
 	if !ok {
 		reply(opErrNotFound, []byte(fmt.Sprintf("getblkstream: no block %q", name)))
 		return
@@ -905,14 +775,12 @@ func (s *Server) handleStream(req frameV2, respCh chan<- frameV2) {
 		reply(opErr, []byte(fmt.Sprintf("getblkstream: block of %d bytes exceeds the stream limit", len(blk.Payload))))
 		return
 	}
-	descText, err := s.descriptorText(blk)
+	head, err := s.blockHead(blk)
 	if err != nil {
-		reply(opErr, []byte(fmt.Sprintf("getblkstream: descriptor: %v", err)))
+		reply(opErr, []byte(fmt.Sprintf("getblkstream: %v", err)))
 		return
 	}
-	size := make([]byte, 8)
-	binary.BigEndian.PutUint64(size, uint64(len(blk.Payload)))
-	reply(opStreamHdr, []byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), size)
+	reply(opStreamHdr, append(head, u64be(uint64(len(blk.Payload))))...)
 	var seq uint32
 	for off := 0; off < len(blk.Payload); off += streamChunkSize {
 		end := off + streamChunkSize
@@ -927,468 +795,6 @@ func (s *Server) handleStream(req frameV2, respCh chan<- frameV2) {
 	count := make([]byte, 4)
 	binary.BigEndian.PutUint32(count, seq)
 	reply(opStreamEnd, count)
-}
-
-// handle executes one request, returning the response op and parts.
-func (s *Server) handle(req frame) (byte, [][]byte) {
-	fail := func(format string, args ...interface{}) (byte, [][]byte) {
-		return opErr, [][]byte{[]byte(fmt.Sprintf(format, args...))}
-	}
-	notFound := func(format string, args ...interface{}) (byte, [][]byte) {
-		return opErrNotFound, [][]byte{[]byte(fmt.Sprintf(format, args...))}
-	}
-	switch req.op {
-	case opGetDoc:
-		if len(req.parts) != 3 || len(req.parts[1]) != 1 || len(req.parts[2]) != 1 {
-			return fail("getdoc: want [name, encoding, inline]")
-		}
-		name := string(req.parts[0])
-		doc, ok := s.reg.GetDoc(name)
-		if !ok && s.Loader != nil && s.Loader.LoadDoc(name) {
-			doc, ok = s.reg.GetDoc(name)
-		}
-		if !ok && s.Cluster != nil {
-			doc, ok = s.Cluster.MissingDoc(name)
-		}
-		if !ok {
-			return notFound("getdoc: no document %q", name)
-		}
-		if req.parts[2][0] == 1 {
-			inlined, err := Inline(doc, s.reg.Store, false)
-			if err != nil {
-				return fail("getdoc: inline: %v", err)
-			}
-			doc = inlined
-		}
-		data, err := encodeDoc(doc, Encoding(req.parts[1][0]))
-		if err != nil {
-			return fail("getdoc: %v", err)
-		}
-		return opOK, [][]byte{data}
-	case opPutDoc:
-		if len(req.parts) != 3 || len(req.parts[1]) != 1 {
-			return fail("putdoc: want [name, encoding, document]")
-		}
-		doc, err := decodeDoc(req.parts[2], Encoding(req.parts[1][0]))
-		if err != nil {
-			return fail("putdoc: %v", err)
-		}
-		if s.Loader != nil {
-			// A proxy never registers documents itself: the origin is the
-			// single writer, and its accepted registration streams back
-			// down through the proxy's upstream subscription.
-			if err := s.Loader.ForwardPutDoc(string(req.parts[0]), doc); err != nil {
-				return fail("putdoc: upstream: %v", err)
-			}
-			return opOK, nil
-		}
-		if s.Cluster != nil {
-			// The cluster handler extracts inlined payloads itself (each
-			// block routes to its own replica set, not this node's store).
-			if err := s.Cluster.PutDoc(string(req.parts[0]), doc); err != nil {
-				return fail("putdoc: %v", err)
-			}
-			return opOK, nil
-		}
-		// Absorb any inlined payloads into the local store.
-		extracted, err := Extract(doc, s.reg.Store)
-		if err != nil {
-			return fail("putdoc: extract: %v", err)
-		}
-		s.reg.PutDoc(string(req.parts[0]), extracted)
-		if err := s.durabilityErr(); err != nil {
-			return fail("putdoc: durability: %v", err)
-		}
-		return opOK, nil
-	case opSubmitEdit:
-		if len(req.parts) != 2 {
-			return fail("submitedit: want [name, records]")
-		}
-		recs, err := core.DecodeChangeRecords(req.parts[1])
-		if err != nil {
-			return fail("submitedit: %v", err)
-		}
-		name := string(req.parts[0])
-		if s.Loader != nil {
-			gen, err := s.Loader.ForwardEdit(name, recs)
-			switch {
-			case errors.Is(err, ErrNotFound):
-				return notFound("submitedit: no document %q", name)
-			case err != nil:
-				// A conflict's "conflict:" text survives the relay, so
-				// downstream clients still classify it as ErrConflict.
-				return fail("submitedit: %v", err)
-			}
-			return opOK, [][]byte{u64be(gen)}
-		}
-		if s.Cluster != nil {
-			gen, err := s.Cluster.SubmitEdit(name, recs)
-			switch {
-			case errors.Is(err, ErrNotFound):
-				return notFound("submitedit: no document %q", name)
-			case err != nil:
-				// A conflict's "conflict:" text survives the relay, so
-				// clients still classify it as ErrConflict.
-				return fail("submitedit: %v", err)
-			}
-			return opOK, [][]byte{u64be(gen)}
-		}
-		gen, err := s.reg.EditDoc(name, recs)
-		if errors.Is(err, errUnknownDoc) {
-			return notFound("submitedit: no document %q", name)
-		}
-		if err != nil {
-			// Typically a conflict: an earlier writer's edit won the
-			// registry lock and this batch's pre-edit paths no longer
-			// resolve. Nothing was applied; the submitter refetches.
-			return fail("submitedit: %v", err)
-		}
-		if err := s.durabilityErr(); err != nil {
-			return fail("submitedit: durability: %v", err)
-		}
-		return opOK, [][]byte{u64be(gen)}
-	case opGetBlk:
-		if len(req.parts) != 1 {
-			return fail("getblk: want [name]")
-		}
-		name := string(req.parts[0])
-		blk, ok := s.lookupBlock(name)
-		if !ok {
-			return notFound("getblk: no block %q", name)
-		}
-		// A payload past the frame limit cannot travel as one response.
-		// Answer opErrTooLarge instead of dying on the write: v2 clients
-		// retry with the chunked stream, v1 clients get a clean remote
-		// error (before this guard the write failure killed the
-		// connection).
-		if len(blk.Payload) > maxFrameSize-(1<<16) {
-			return opErrTooLarge, [][]byte{[]byte(fmt.Sprintf(
-				"getblk: block of %d bytes exceeds the frame limit; use the chunked stream", len(blk.Payload)))}
-		}
-		descText, err := s.descriptorText(blk)
-		if err != nil {
-			return fail("getblk: descriptor: %v", err)
-		}
-		return opOK, [][]byte{
-			[]byte(blk.Name),
-			[]byte(blk.Medium.String()),
-			[]byte(descText),
-			blk.Payload,
-		}
-	case opGetBlks:
-		if len(req.parts) == 0 {
-			return fail("getblks: want at least one name")
-		}
-		parts := make([][]byte, len(req.parts))
-		inlined := 0
-		for i, p := range req.parts {
-			blk, ok := s.lookupBlock(string(p))
-			if !ok {
-				parts[i] = []byte{entryMissing}
-				continue
-			}
-			// Defer blocks that would push the response past the frame
-			// limit; the client re-fetches them one at a time.
-			if inlined+len(blk.Payload) > batchBudget {
-				parts[i] = []byte{entryDeferred}
-				continue
-			}
-			descText, err := s.descriptorText(blk)
-			if err != nil {
-				return fail("getblks: descriptor: %v", err)
-			}
-			parts[i] = encodeEntry(
-				[]byte(blk.Name),
-				[]byte(blk.Medium.String()),
-				[]byte(descText),
-				blk.Payload,
-			)
-			inlined += len(blk.Payload)
-		}
-		return opOK, parts
-	case opGetBlkManifest:
-		if len(req.parts) != 1 {
-			return fail("getblkmanifest: want [name]")
-		}
-		name := string(req.parts[0])
-		blk, ok := s.lookupBlock(name)
-		if !ok {
-			return notFound("getblkmanifest: no block %q", name)
-		}
-		descText, err := s.descriptorText(blk)
-		if err != nil {
-			return fail("getblkmanifest: descriptor: %v", err)
-		}
-		// An empty manifest (block below the chunk threshold, or served
-		// through a loader/cluster miss with no local index) tells the
-		// client to fall back to a plain fetch.
-		var manifest []byte
-		if hashes, ok := s.reg.Store.Manifest(blk.ID); ok {
-			manifest = make([]byte, 0, len(hashes)*(chunker.HashSize+4))
-			for _, h := range hashes {
-				chunk, ok := s.reg.Store.GetChunk(h)
-				if !ok {
-					// Index shifting under a concurrent delete; punt to
-					// the plain path rather than serve a torn manifest.
-					manifest = nil
-					break
-				}
-				manifest = append(manifest, h[:]...)
-				manifest = binary.BigEndian.AppendUint32(manifest, uint32(len(chunk)))
-			}
-		}
-		return opOK, [][]byte{
-			[]byte(blk.Name),
-			[]byte(blk.Medium.String()),
-			[]byte(descText),
-			[]byte(blk.ID),
-			u64be(uint64(len(blk.Payload))),
-			manifest,
-		}
-	case opGetChunks:
-		if len(req.parts) == 0 {
-			return fail("getchunks: want at least one hash")
-		}
-		parts := make([][]byte, len(req.parts))
-		for i, p := range req.parts {
-			if len(p) != chunker.HashSize {
-				return fail("getchunks: hash %d has %d bytes, want %d", i, len(p), chunker.HashSize)
-			}
-			var h media.ChunkHash
-			copy(h[:], p)
-			if data, ok := s.reg.Store.GetChunk(h); ok {
-				parts[i] = encodeEntry(data)
-			} else {
-				parts[i] = []byte{entryMissing}
-			}
-		}
-		return opOK, parts
-	case opGetDescs:
-		if len(req.parts) == 0 {
-			return fail("getdescs: want at least one name")
-		}
-		parts := make([][]byte, len(req.parts))
-		for i, p := range req.parts {
-			blk, ok := s.lookupBlock(string(p))
-			if !ok {
-				parts[i] = []byte{entryMissing}
-				continue
-			}
-			descText, err := s.descriptorText(blk)
-			if err != nil {
-				return fail("getdescs: descriptor: %v", err)
-			}
-			parts[i] = encodeEntry([]byte(blk.Name), []byte(descText))
-		}
-		return opOK, parts
-	case opPutBlk:
-		if len(req.parts) != 4 {
-			return fail("putblk: want [name, medium, descriptor, payload]")
-		}
-		blk, err := blockFromParts(req.parts)
-		if err != nil {
-			return fail("putblk: %v", err)
-		}
-		if s.Loader != nil {
-			id, err := s.Loader.ForwardPutBlock(blk)
-			if err != nil {
-				return fail("putblk: upstream: %v", err)
-			}
-			return opOK, [][]byte{[]byte(id)}
-		}
-		if s.Cluster != nil {
-			id, err := s.Cluster.PutBlock(blk)
-			if err != nil {
-				return fail("putblk: %v", err)
-			}
-			return opOK, [][]byte{[]byte(id)}
-		}
-		s.reg.Store.Put(blk)
-		if err := s.durabilityErr(); err != nil {
-			return fail("putblk: durability: %v", err)
-		}
-		return opOK, [][]byte{[]byte(blk.ID)}
-	case opList:
-		// listScopeLocal restricts the answer to locally held documents;
-		// cluster nodes use it when merging peers' listings, so the
-		// fan-out cannot recurse.
-		localOnly := len(req.parts) == 1 && string(req.parts[0]) == string(listScopeLocal)
-		if s.Loader != nil && !localOnly {
-			if names, err := s.Loader.ListDocs(); err == nil {
-				parts := make([][]byte, len(names))
-				for i, n := range names {
-					parts[i] = []byte(n)
-				}
-				return opOK, parts
-			}
-			// Upstream unreachable: fall back to what is cached locally.
-		}
-		if s.Cluster != nil && !localOnly {
-			if names, err := s.Cluster.DocNames(); err == nil {
-				parts := make([][]byte, len(names))
-				for i, n := range names {
-					parts[i] = []byte(n)
-				}
-				return opOK, parts
-			}
-			// Peers unreachable: fall back to the local listing.
-		}
-		names := s.reg.DocNames()
-		parts := make([][]byte, len(names))
-		for i, n := range names {
-			parts[i] = []byte(n)
-		}
-		return opOK, parts
-	case opGossip:
-		if s.Cluster == nil {
-			return fail("gossip: not a cluster node")
-		}
-		if len(req.parts) > 1 {
-			return fail("gossip: want [view]")
-		}
-		var view []byte
-		if len(req.parts) == 1 {
-			view = req.parts[0]
-		}
-		local, err := s.Cluster.Gossip(view)
-		if err != nil {
-			return fail("gossip: %v", err)
-		}
-		return opOK, [][]byte{local}
-	case opReplicate:
-		if s.Cluster == nil {
-			return fail("replicate: not a cluster node")
-		}
-		if len(req.parts) != 1 {
-			return fail("replicate: want [frames]")
-		}
-		if err := s.Cluster.Replicate(req.parts[0]); err != nil {
-			return fail("replicate: %v", err)
-		}
-		return opOK, nil
-	case opResync:
-		if s.Cluster == nil {
-			return fail("resync: not a cluster node")
-		}
-		if len(req.parts) != 1 {
-			return fail("resync: want [cursor]")
-		}
-		frames, next, err := s.Cluster.Resync(string(req.parts[0]))
-		if err != nil {
-			return fail("resync: %v", err)
-		}
-		return opOK, [][]byte{frames, []byte(next)}
-	default:
-		return fail("unknown op %d", req.op)
-	}
-}
-
-// durabilityErr reports a failed durability layer. A write that reached
-// memory but not the log must not be acknowledged: the client would treat
-// it as durable, and a restart would disprove that.
-func (s *Server) durabilityErr() error {
-	if s.reg.DurabilityErr == nil {
-		return nil
-	}
-	return s.reg.DurabilityErr()
-}
-
-// lookupBlock resolves a block by registered name first, then by content
-// address — the resolution order every block-fetch op shares. A miss
-// consults the Loader when one is attached (the edge read-through path).
-// Local hits return the store's own immutable block without cloning
-// (media.Store.GetRef): response parts reference the stored — possibly
-// mmap-backed — payload directly, and the vectored writer moves it
-// store → conn with no intermediate copy. Handlers only read the
-// returned block.
-func (s *Server) lookupBlock(name string) (*media.Block, bool) {
-	if blk, ok := s.reg.Store.GetByNameRef(name); ok {
-		return blk, true
-	}
-	if blk, ok := s.reg.Store.GetRef(name); ok {
-		return blk, true
-	}
-	if s.Loader != nil {
-		return s.Loader.LoadBlock(name)
-	}
-	if s.Cluster != nil {
-		return s.Cluster.MissingBlock(name)
-	}
-	return nil, false
-}
-
-// subscribeDoc registers a watcher on the document under name,
-// materializing it through the Loader first when the registry misses —
-// an edge's downstream subscribers lease documents into the edge on
-// demand.
-func (s *Server) subscribeDoc(name, subtree string) (*subscriber, error) {
-	sub, err := s.reg.subscribe(name, s.SubQueueCap, s.Admission.MaxSubscribers, subtree)
-	if errors.Is(err, errUnknownDoc) && s.Loader != nil && s.Loader.LoadDoc(name) {
-		sub, err = s.reg.subscribe(name, s.SubQueueCap, s.Admission.MaxSubscribers, subtree)
-	}
-	return sub, err
-}
-
-// descriptorText returns the block's wire-encoded descriptor, memoized
-// by content address.
-func (s *Server) descriptorText(blk *media.Block) (string, error) {
-	if text, ok := s.descCache.Load(blk.ID); ok {
-		s.Metrics.descCacheLookup(true)
-		return text.(string), nil
-	}
-	s.Metrics.descCacheLookup(false)
-	text, err := codec.EncodeNode(descriptorNode(blk), codec.WriteOptions{Form: codec.Embedded})
-	if err != nil {
-		return "", err
-	}
-	s.descCache.Store(blk.ID, text)
-	return text, nil
-}
-
-func encodeDoc(d *core.Document, enc Encoding) ([]byte, error) {
-	switch enc {
-	case EncodingText:
-		s, err := codec.Encode(d, codec.WriteOptions{Form: codec.Conventional})
-		return []byte(s), err
-	case EncodingBinary:
-		return codec.EncodeBinary(d)
-	default:
-		return nil, fmt.Errorf("unknown encoding %q", byte(enc))
-	}
-}
-
-func decodeDoc(data []byte, enc Encoding) (*core.Document, error) {
-	switch enc {
-	case EncodingText:
-		return codec.Parse(string(data))
-	case EncodingBinary:
-		return codec.DecodeBinary(data)
-	default:
-		return nil, fmt.Errorf("unknown encoding %q", byte(enc))
-	}
-}
-
-// descriptorNode wraps a block descriptor as a CMIF fragment for the wire.
-func descriptorNode(b *media.Block) *core.Node {
-	n := core.NewExt()
-	for _, p := range b.Descriptor.Pairs() {
-		n.Attrs.Set(p.Name, p.Value)
-	}
-	return n
-}
-
-// blockFromParts rebuilds a block from putblk/getblk wire parts.
-func blockFromParts(parts [][]byte) (*media.Block, error) {
-	medium, err := core.ParseMedium(string(parts[1]))
-	if err != nil {
-		return nil, err
-	}
-	descNode, err := codec.ParseNode(string(parts[2]))
-	if err != nil {
-		return nil, fmt.Errorf("descriptor: %w", err)
-	}
-	payload := append([]byte(nil), parts[3]...)
-	return media.NewBlock(string(parts[0]), medium, payload, descNode.Attrs), nil
 }
 
 // ErrRemote wraps a server-reported error.

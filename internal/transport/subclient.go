@@ -13,10 +13,11 @@ import (
 )
 
 // ErrUnsupported reports that the negotiated protocol version does not
-// carry the requested operation — a v3 client talking to a v1/v2 server
-// cannot subscribe or submit edits. The check is local: no frame reaches
-// the wire, so the connection stays healthy for everything the old
-// server does speak. Matched with errors.Is.
+// carry the requested operation — a client that negotiated v2 cannot
+// subscribe or submit edits. That check is local: no frame reaches the
+// wire, so the connection stays healthy for everything the old server
+// does speak. Dial fails with it when the hello finds no common version
+// at all. Matched with errors.Is.
 var ErrUnsupported = errors.New("transport: not supported by negotiated protocol version")
 
 // ErrConflict reports a rejected edit batch: an earlier writer's edit
@@ -174,7 +175,7 @@ func (c *Client) SubscribeDocSubtree(ctx context.Context, name, subtree string) 
 		// server to drop it so a handshake cancellation does not leave a
 		// zombie fan-out queue behind on a healthy pooled connection.
 		m.abandon(id, call)
-		go func() { _, _ = c.muxRoundTrip(context.Background(), opUnsubscribe, u32be(id)) }()
+		go func() { _, _ = c.roundTrip(context.Background(), opUnsubscribe, u32be(id)) }()
 		return nil, err
 	}
 	if f.op != opChange {
@@ -239,7 +240,7 @@ func (s *DocSubscription) Recv(ctx context.Context) (SubEvent, error) {
 func (s *DocSubscription) Close() error {
 	s.closeOnce.Do(func() {
 		ctx, cancel := s.c.withTimeout(context.Background())
-		_, err := s.c.muxRoundTrip(ctx, opUnsubscribe, u32be(s.id))
+		_, err := s.c.roundTrip(ctx, opUnsubscribe, u32be(s.id))
 		cancel()
 		s.c.mux.finish(s.id, s.call)
 		s.closeErr = err

@@ -58,7 +58,7 @@ func startServer(t *testing.T, reg *Registry) (addr string, srv *Server) {
 
 func TestInlineAndExtract(t *testing.T) {
 	d, store := fixture(t)
-	inlined, err := Inline(d, store, true)
+	inlined, err := Inline(d, store.GetByName, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestInlineStrictErrors(t *testing.T) {
 	d.Root.AddChild(core.NewExt().SetName("ghost").
 		SetAttr("channel", attr.ID("video")).
 		SetAttr("file", attr.String("missing.vid")))
-	if _, err := Inline(d, store, true); err == nil {
+	if _, err := Inline(d, store.GetByName, true); err == nil {
 		t.Error("strict inline with missing block succeeded")
 	}
 	// Lenient mode leaves the node external.
-	lenient, err := Inline(d, store, false)
+	lenient, err := Inline(d, store.GetByName, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestInlineTransportCarriesData(t *testing.T) {
 
 func TestPutDocAbsorbsInlinedData(t *testing.T) {
 	d, store := fixture(t)
-	inlined, err := Inline(d, store, true)
+	inlined, err := Inline(d, store.GetByName, true)
 	if err != nil {
 		t.Fatal(err)
 	}

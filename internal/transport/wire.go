@@ -33,10 +33,11 @@ const (
 	// each found entry carries only the descriptor text, not the payload —
 	// the paper's "relatively small clusters of data (the attributes)".
 	opGetDescs byte = 8
-	// opHello negotiates the protocol version. It is the first frame a
-	// v2-capable client sends, in v1 framing: request [maxVersion],
-	// response opOK [version, maxInFlight(u16)]. A v1 server answers
-	// opErr ("unknown op 9") and the client stays on protocol v1.
+	// opHello negotiates the protocol version. It is the first frame on
+	// every connection, in v1 framing: request [maxVersion], response opOK
+	// [version, maxInFlight(u16)] (plus a codec byte at v4). A server that
+	// shares no version with the client — or any peer that opens with
+	// something else — gets a v1-framed opErr and the connection closes.
 	opHello byte = 9
 	// opGetBlkStream fetches one block as a chunked v2 stream: the
 	// response is a sequence of frames sharing the request ID —
@@ -64,7 +65,7 @@ const (
 	// opGossip exchanges cluster membership views: request [view], the
 	// sender's encoded member table; response opOK [view], the
 	// receiver's table after merging. Only meaningful against a cluster
-	// node (Server.Cluster attached); others answer opErr. A client may
+	// node (a Backend with PeerOps); others answer opErr. A client may
 	// send an empty view to read membership without asserting any.
 	opGossip byte = 14
 	// opReplicate ships a batch of framed durable WAL records from a
@@ -81,8 +82,8 @@ const (
 	// payload: request [name]; response opOK [name, medium, descriptor,
 	// blockID, totalSize(u64), manifest] where manifest is a sequence of
 	// (hash(32) | chunkLen(u32)) entries in payload order. An empty
-	// manifest means the block is not chunk-indexed (too small, or
-	// served through a loader) and the client falls back to opGetBlk.
+	// manifest means the block is not chunk-indexed (too small, or the
+	// backend keeps no chunk index) and the client falls back to opGetBlk.
 	// Only valid after a v4 hello.
 	opGetBlkManifest byte = 17
 	// opGetChunks fetches chunks by content address: request parts are
@@ -119,7 +120,7 @@ const (
 	// v4 hello with compression negotiated.
 	opCompressed byte = 192
 	// opErrTooLarge reports that the requested block cannot be framed as a
-	// single response (payload past maxFrameSize); v2 clients retry with
+	// single response (payload past maxFrameSize); clients retry with
 	// opGetBlkStream.
 	opErrTooLarge byte = 252
 	// opErrBusy is the per-connection backpressure rejection: the server
@@ -133,16 +134,16 @@ const (
 	opGoodbye     byte = 6
 )
 
-// Protocol versions. Version 1 is the original strict request/response
-// protocol; version 2 multiplexes pipelined requests over one connection
-// (frames carry a request ID) and adds chunked block streaming; version 3
-// adds document subscriptions — server-push ordered change deltas and
-// multi-writer edit submission over the same mux framing; version 4 adds
-// wire saturation: compressed frames (opCompressed, negotiated at hello
-// via a codec capability part) and chunk-dedupe block fetches
-// (opGetBlkManifest / opGetChunks).
+// Protocol versions. Version 1, the original strict request/response
+// protocol, is retired: only its framing survives, for the hello.
+// Version 2 — the minimum — multiplexes pipelined requests over one
+// connection (frames carry a request ID) and adds chunked block
+// streaming; version 3 adds document subscriptions — server-push ordered
+// change deltas and multi-writer edit submission over the same mux
+// framing; version 4 adds wire saturation: compressed frames
+// (opCompressed, negotiated at hello via a codec capability part) and
+// chunk-dedupe block fetches (opGetBlkManifest / opGetChunks).
 const (
-	protoV1 = 1
 	protoV2 = 2
 	protoV3 = 3
 	protoV4 = 4
@@ -151,7 +152,7 @@ const (
 )
 
 // defaultMaxInFlight bounds how many requests the server processes
-// concurrently per v2 connection; requests past the bound are rejected
+// concurrently per connection; requests past the bound are rejected
 // with opErrBusy. The server advertises its bound in the hello response
 // so well-behaved clients queue locally instead of being rejected.
 const defaultMaxInFlight = 32
@@ -252,7 +253,8 @@ func decodeEntry(part []byte, nFields int) (fields [][]byte, flag byte, err erro
 	return fields, entryFound, nil
 }
 
-// frame is one decoded wire message.
+// frame is one decoded v1-framed message: the hello exchange, and the
+// request shape handlers see once the request ID is peeled off.
 type frame struct {
 	op    byte
 	parts [][]byte
@@ -277,6 +279,11 @@ func writeFrame(w io.Writer, op byte, parts ...[]byte) error {
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
+	return writeParts(w, parts)
+}
+
+// writeParts writes the (u32 len | bytes)* tail both framings share.
+func writeParts(w io.Writer, parts [][]byte) error {
 	var lenBuf [4]byte
 	for _, p := range parts {
 		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(p)))
@@ -288,6 +295,31 @@ func writeFrame(w io.Writer, op byte, parts ...[]byte) error {
 		}
 	}
 	return nil
+}
+
+// parseParts decodes count parts from body starting at off; they must
+// fill the rest of the body exactly.
+func parseParts(body []byte, off, count int) ([][]byte, error) {
+	if count > maxParts {
+		return nil, fmt.Errorf("transport: %d parts exceeds limit", count)
+	}
+	var parts [][]byte
+	for i := 0; i < count; i++ {
+		if off+4 > len(body) {
+			return nil, fmt.Errorf("transport: truncated part header")
+		}
+		n := int(binary.BigEndian.Uint32(body[off : off+4]))
+		off += 4
+		if n < 0 || off+n > len(body) {
+			return nil, fmt.Errorf("transport: part length %d exceeds frame", n)
+		}
+		parts = append(parts, body[off:off+n])
+		off += n
+	}
+	if off != len(body) {
+		return nil, fmt.Errorf("transport: %d trailing bytes in frame", len(body)-off)
+	}
+	return parts, nil
 }
 
 // frameV2 is one decoded protocol-v2 wire message: v1 framing plus a
@@ -326,17 +358,7 @@ func writeFrameV2(w io.Writer, op byte, id uint32, parts ...[]byte) error {
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
-	var lenBuf [4]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(p)))
-		if _, err := w.Write(lenBuf[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeParts(w, parts)
 }
 
 // readFrameV2 receives and decodes one v2 frame, transparently
@@ -378,37 +400,11 @@ func parseFrameV2Body(body []byte) (frameV2, error) {
 	if len(body) < 7 {
 		return frameV2{}, fmt.Errorf("transport: v2 frame body of %d bytes too short", len(body))
 	}
-	f := frameV2{op: body[0], id: binary.BigEndian.Uint32(body[1:5])}
-	count := int(binary.BigEndian.Uint16(body[5:7]))
-	if count > maxParts {
-		return frameV2{}, fmt.Errorf("transport: %d parts exceeds limit", count)
+	parts, err := parseParts(body, 7, int(binary.BigEndian.Uint16(body[5:7])))
+	if err != nil {
+		return frameV2{}, err
 	}
-	off := 7
-	for i := 0; i < count; i++ {
-		if off+4 > len(body) {
-			return frameV2{}, fmt.Errorf("transport: truncated part header")
-		}
-		n := int(binary.BigEndian.Uint32(body[off : off+4]))
-		off += 4
-		if n < 0 || off+n > len(body) {
-			return frameV2{}, fmt.Errorf("transport: part length %d exceeds frame", n)
-		}
-		f.parts = append(f.parts, body[off:off+n])
-		off += n
-	}
-	if off != len(body) {
-		return frameV2{}, fmt.Errorf("transport: %d trailing bytes in frame", len(body)-off)
-	}
-	return f, nil
-}
-
-// frameV2Size is the on-wire size of a v2 frame, for traffic accounting.
-func frameV2Size(parts [][]byte) int64 {
-	n := int64(4 + 1 + 4 + 2)
-	for _, p := range parts {
-		n += 4 + int64(len(p))
-	}
-	return n
+	return frameV2{op: body[0], id: binary.BigEndian.Uint32(body[1:5]), parts: parts}, nil
 }
 
 // readFrame receives and decodes one frame.
@@ -425,28 +421,11 @@ func readFrame(r io.Reader) (frame, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return frame{}, err
 	}
-	f := frame{op: body[0]}
-	count := int(binary.BigEndian.Uint16(body[1:3]))
-	if count > maxParts {
-		return frame{}, fmt.Errorf("transport: %d parts exceeds limit", count)
+	parts, err := parseParts(body, 3, int(binary.BigEndian.Uint16(body[1:3])))
+	if err != nil {
+		return frame{}, err
 	}
-	off := 3
-	for i := 0; i < count; i++ {
-		if off+4 > len(body) {
-			return frame{}, fmt.Errorf("transport: truncated part header")
-		}
-		n := int(binary.BigEndian.Uint32(body[off : off+4]))
-		off += 4
-		if n < 0 || off+n > len(body) {
-			return frame{}, fmt.Errorf("transport: part length %d exceeds frame", n)
-		}
-		f.parts = append(f.parts, body[off:off+n])
-		off += n
-	}
-	if off != len(body) {
-		return frame{}, fmt.Errorf("transport: %d trailing bytes in frame", len(body)-off)
-	}
-	return f, nil
+	return frame{op: body[0], parts: parts}, nil
 }
 
 // muxBufSize sizes the buffered readers and writers of the multiplexed

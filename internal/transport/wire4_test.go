@@ -59,7 +59,6 @@ func TestHelloNegotiationMatrix(t *testing.T) {
 		{"v4 both, client declines", true, []DialOption{WithFrameCompression(false)}, protoV4, false},
 		{"client capped at v3", true, []DialOption{WithMaxProtocolVersion(protoV3)}, protoV3, false},
 		{"client capped at v2", true, []DialOption{WithMaxProtocolVersion(protoV2)}, protoV2, false},
-		{"client capped at v1", true, []DialOption{WithMaxProtocolVersion(protoV1)}, protoV1, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,17 +1,15 @@
 #!/bin/sh
 # Bench-regression gate: run cmifbench's S1 (store), S2 (scheduler),
-# S3 (wire protocol), S4 (durability), S6 (live-document fan-out),
-# S7 (edge tier), S8 (cluster tier) and S9 (wire saturation: dedupe +
-# compression) scenarios plus cmifsoak's S5 (production soak) in quick
-# smoke mode and validate both the fresh results and the committed
-# BENCH_store.json / BENCH_sched.json / BENCH_wire.json /
+# S4 (durability), S6 (live-document fan-out), S7 (edge tier) and S9
+# (wire saturation: dedupe + compression) scenarios plus cmifsoak's S5
+# (production soak) in quick smoke mode and validate both the fresh
+# results and the committed BENCH_store.json / BENCH_sched.json /
 # BENCH_durable.json / BENCH_soak.json / BENCH_subs.json /
-# BENCH_edge.json / BENCH_cluster.json / BENCH_wire2.json reference
-# files against the regression invariants:
+# BENCH_edge.json / BENCH_wire2.json reference files against the
+# regression invariants:
 #
 #   - wire-call arithmetic (per-block == one round trip per fetch, batched
-#     at least 8x fewer, warm never more than cold; S3 scenarios exactly
-#     one wire call per fetch under both connection disciplines);
+#     at least 8x fewer, warm never more than cold);
 #   - schedule equality across the single, parallel and incremental solver
 #     paths, one component per arm, one component re-solved per leaf edit;
 #   - allocation ratios (incremental reschedule allocates ≤ 1/4 of a full
@@ -19,10 +17,7 @@
 #   - relative-throughput floors with machine tolerances, and the committed
 #     headline speedups (warm-batched ≥ 4x; incremental reschedule ≥ 10x;
 #     component-parallel ≥ 2x whenever the committed run recorded
-#     GOMAXPROCS ≥ 4; multiplexed wire protocol ≥ 3x over the serialized
-#     v1 path at 16 workers on one connection);
-#   - the streamed-transfer probe: a ≥ 64 MiB block retrieved through the
-#     v2 chunked stream, and unfetchable over protocol v1;
+#     GOMAXPROCS ≥ 4);
 #   - the durability invariants: recovery restores 100% of the corpus
 #     byte-for-byte (names, content addresses, payloads), write
 #     amplification stays within the record format's ceiling, sync=never
@@ -45,11 +40,6 @@
 #     the origin, and the committed BENCH_edge.json records ≥ 1000
 #     clients behind ≥ 4 edges whose p99 does not exceed the
 #     direct-to-origin p99, at GOMAXPROCS ≥ 4;
-#   - the cluster invariants: every scenario kills a node mid-load and
-#     loses zero acknowledged writes, reads continue through the kill
-#     within the no-read-gap SLO, and the committed BENCH_cluster.json
-#     covers the 1/3/5-node ladder with 3-node read throughput ≥ 2x the
-#     single node's, at GOMAXPROCS ≥ 4;
 #   - the wire-saturation invariants (S9): bytes-on-wire arithmetic is
 #     exact against the dedupe/compression counters (plain receives at
 #     least the payload bytes, dedupe's received+saved covers the
@@ -71,8 +61,8 @@ fi
 mkdir -p "$BENCH_DIR"
 trap '[ -n "$cleanup" ] && rm -rf "$cleanup"' EXIT
 
-# The committed sched (S2), wire (S3), soak (S5), subs (S6) and edge
-# (S7) references carry concurrency headlines, so their gates require a
+# The committed sched (S2), soak (S5), subs (S6) and edge (S7)
+# references carry concurrency headlines, so their gates require a
 # record captured at GOMAXPROCS >= 4 — parallel-speedup and tail-latency
 # floors recorded on a single core prove nothing. A box that cannot
 # provide that environment cannot validate (or regenerate) those
@@ -81,8 +71,8 @@ trap '[ -n "$cleanup" ] && rm -rf "$cleanup"' EXIT
 # the offending record is visible in the failure output.
 procs="${GOMAXPROCS:-$(nproc 2>/dev/null || echo 0)}"
 if [ "$procs" -lt 4 ]; then
-    echo "error: GOMAXPROCS=$procs < 4; the S2/S3/S5/S6/S7/S8/S9 concurrency gates require >= 4 procs" >&2
-    for f in BENCH_sched.json BENCH_wire.json BENCH_soak.json BENCH_subs.json BENCH_edge.json BENCH_cluster.json BENCH_wire2.json; do
+    echo "error: GOMAXPROCS=$procs < 4; the S2/S5/S6/S7/S9 concurrency gates require >= 4 procs" >&2
+    for f in BENCH_sched.json BENCH_soak.json BENCH_subs.json BENCH_edge.json BENCH_wire2.json; do
         if [ -f "$f" ]; then
             echo "$f recorded env:" >&2
             grep -A6 '"env"' "$f" | head -7 >&2
@@ -94,21 +84,17 @@ fi
 go run ./cmd/cmifbench -smoke \
     -store-out "$BENCH_DIR/BENCH_store.json" \
     -sched-out "$BENCH_DIR/BENCH_sched.json" \
-    -wire-out "$BENCH_DIR/BENCH_wire.json" \
     -durable-out "$BENCH_DIR/BENCH_durable.json" \
     -subs-out "$BENCH_DIR/BENCH_subs.json" \
     -edge-out "$BENCH_DIR/BENCH_edge.json" \
-    -cluster-out "$BENCH_DIR/BENCH_cluster.json" \
     -wire2-out "$BENCH_DIR/BENCH_wire2.json" \
     -check-store BENCH_store.json \
     -check-sched BENCH_sched.json \
-    -check-wire BENCH_wire.json \
     -check-durable BENCH_durable.json \
     -check-subs BENCH_subs.json \
     -check-edge BENCH_edge.json \
-    -check-cluster BENCH_cluster.json \
     -check-wire2 BENCH_wire2.json \
-    S1 S2 S3 S4 S6 S7 S8 S9
+    S1 S2 S4 S6 S7 S9
 
 go run ./cmd/cmifsoak -smoke \
     -out "$BENCH_DIR/BENCH_soak.json" \

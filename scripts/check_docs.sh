@@ -23,6 +23,8 @@
 #     `cmif.ServeOption`, `cmif.EdgeOption`, `cmif.JoinOption`,
 #     `cmif.ClusterOption`) and the `edge.` package at least once each,
 #     and each of those symbols must still exist;
+#   - the server seam must stay documented: the docs must reference
+#     `transport.Backend`, and the interface must still exist;
 #   - every backticked `cmif_xxx` metric name in docs/ must appear in the
 #     source, so the documented metric inventory tracks the instruments.
 #
@@ -106,6 +108,16 @@ for sym in Fetcher DialOption ServeOption EdgeOption JoinOption ClusterOption; d
 done
 if ! grep -q '`edge\.[A-Za-z]' docs/*.md; then
     echo "docs no longer reference the internal/edge package — the edge-tier section has rotted" >&2
+    fail=1
+fi
+
+# The one seam between the server core and its three backends.
+if ! grep -q '`transport\.Backend`' docs/*.md; then
+    echo "docs no longer document \`transport.Backend\` — the server-core section has rotted" >&2
+    fail=1
+fi
+if ! grep -q '^type Backend interface' internal/transport/*.go; then
+    echo "docs document \`transport.Backend\`, which is no longer an interface in internal/transport" >&2
     fail=1
 fi
 
