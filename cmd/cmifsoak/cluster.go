@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/cmif"
+	"repro/internal/experiments"
 )
 
 // The cluster soak drives a LIVE cmifcluster deployment through its
@@ -32,10 +33,10 @@ type clusterAck struct {
 // ClusterSoakReport is the machine-readable result cmifsoak -cluster
 // writes (SOAK_cluster.json in the nightly artifact).
 type ClusterSoakReport struct {
-	Seeds   []string      `json:"seeds"`
-	Seconds float64       `json:"seconds"`
-	Workers int           `json:"workers"`
-	Env     cmif.BenchEnv `json:"env"`
+	Seeds   []string             `json:"seeds"`
+	Seconds float64              `json:"seconds"`
+	Workers int                  `json:"workers"`
+	Env     experiments.BenchEnv `json:"env"`
 
 	WritesAcked int64 `json:"writes_acked"`
 	WriteErrors int64 `json:"write_errors"`
@@ -75,7 +76,7 @@ func runClusterSoak(ctx context.Context, seedList string, seconds, workers int, 
 		Seeds:   seeds,
 		Seconds: float64(seconds),
 		Workers: workers,
-		Env:     cmif.CaptureBenchEnv(),
+		Env:     experiments.CaptureBenchEnv(),
 	}
 
 	deadline := time.Now().Add(time.Duration(seconds) * time.Second)

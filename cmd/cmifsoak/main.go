@@ -2,15 +2,15 @@
 // generated corpus into a live cmifd, runs a steady mixed workload
 // (block reads, batched fetches, queries, edits) for -seconds, floods
 // the server with -overload-conns connections to force admission-control
-// shedding, scrapes the daemon's /metrics endpoint, and writes the
-// combined report to BENCH_soak.json.
+// shedding, scrapes the daemon's /metrics endpoint, writes the combined
+// report to -out and gates it (experiments.CheckSoakReport), exiting
+// nonzero on any violation.
 //
 // Usage:
 //
 //	cmifsoak [-addr HOST:PORT -metrics-url URL] [-seconds 60]
 //	         [-overload-seconds 5] [-workers 4] [-overload-conns 8]
-//	         [-seed 1] [-rounds 2] [-out BENCH_soak.json]
-//	         [-smoke] [-check BENCH_soak.json]
+//	         [-seed 1] [-rounds 2] [-out SOAK.json] [-smoke]
 //
 // With no -addr, cmifsoak self-serves: it starts an in-process server
 // with admission control (-max-concurrent/-max-queue/-max-wait) and a
@@ -19,16 +19,14 @@
 // — start that daemon with -max-concurrent set, or the overload phase
 // has nothing to shed and the gate fails.
 //
-// -smoke shrinks the run to a CI-sized quick pass. -check validates the
-// committed reference report (with the tighter committed thresholds)
-// and the fresh run (with the looser floor) and exits nonzero on any
-// violation, same as cmifbench's gates.
+// -smoke shrinks the run to a CI-sized quick pass.
 //
 // With -cluster SEED[,SEED...] cmifsoak instead runs the cluster churn
 // soak (see cluster.go and scripts/cluster_soak.sh): a ClusterClient
 // workload of acknowledged writes and verified reads, followed by a
 // zero-loss audit that re-fetches every acknowledged write. -seconds,
-// -workers, -out and -smoke apply; the S5 flags do not.
+// -workers, -out (default SOAK_cluster.json) and -smoke apply; the S5
+// flags do not.
 package main
 
 import (
@@ -44,6 +42,7 @@ import (
 	"time"
 
 	"repro/cmif"
+	"repro/internal/experiments"
 )
 
 func main() {
@@ -59,22 +58,26 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 8, "self-serve: admission bound on concurrently executing requests")
 	maxQueue := flag.Int("max-queue", 32, "self-serve: admission queue depth beyond -max-concurrent")
 	maxWait := flag.Duration("max-wait", 0, "self-serve: longest a queued request may wait (0 = default 100ms)")
-	out := flag.String("out", "BENCH_soak.json", "output report path")
+	out := flag.String("out", "", "output report path (default SOAK.json, or SOAK_cluster.json with -cluster)")
 	smoke := flag.Bool("smoke", false, "shrink to a quick CI-sized run")
-	check := flag.String("check", "", "validate this committed BENCH_soak.json (and the fresh run) against the soak gate")
 	flag.Parse()
+
+	outPath := *out
+	if outPath == "" {
+		outPath = "SOAK.json"
+		if *cluster != "" {
+			outPath = "SOAK_cluster.json"
+		}
+	}
 
 	if *cluster != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		secs, outPath, nWorkers := *seconds, *out, *workers
+		secs := *seconds
 		if *smoke {
 			secs = 10
 		}
-		if outPath == "BENCH_soak.json" {
-			outPath = "SOAK_cluster.json"
-		}
-		if err := runClusterSoak(ctx, *cluster, secs, nWorkers, outPath); err != nil {
+		if err := runClusterSoak(ctx, *cluster, secs, *workers, outPath); err != nil {
 			fmt.Fprintln(os.Stderr, "cmifsoak:", err)
 			os.Exit(1)
 		}
@@ -83,7 +86,7 @@ func main() {
 
 	if err := run(*addr, *metricsURL, *seconds, *overloadSeconds, *workers,
 		*overloadConns, *seed, *rounds, *maxConcurrent, *maxQueue, *maxWait,
-		*out, *smoke, *check); err != nil {
+		outPath, *smoke); err != nil {
 		fmt.Fprintln(os.Stderr, "cmifsoak:", err)
 		os.Exit(1)
 	}
@@ -91,9 +94,9 @@ func main() {
 
 func run(addr, metricsURL string, seconds, overloadSeconds, workers,
 	overloadConns int, seed uint64, rounds, maxConcurrent, maxQueue int,
-	maxWait time.Duration, out string, smoke bool, check string) error {
+	maxWait time.Duration, out string, smoke bool) error {
 
-	cfg := cmif.SoakBenchConfig{
+	cfg := experiments.SoakBenchConfig{
 		Addr:            addr,
 		MetricsURL:      metricsURL,
 		Seconds:         float64(seconds),
@@ -122,7 +125,7 @@ func run(addr, metricsURL string, seconds, overloadSeconds, workers,
 		return errors.New("-metrics-url is required with -addr")
 	}
 
-	report, err := cmif.RunSoakBench(ctx, cfg)
+	report, err := experiments.SoakBench(ctx, cfg)
 	if err != nil {
 		return err
 	}
@@ -136,19 +139,7 @@ func run(addr, metricsURL string, seconds, overloadSeconds, workers,
 	}
 	fmt.Fprintf(os.Stderr, "cmifsoak: wrote %s\n", out)
 
-	var violations []string
-	if check != "" {
-		committed, err := cmif.LoadSoakBenchReport(check)
-		if err != nil {
-			return err
-		}
-		for _, v := range cmif.CheckSoakBenchReport(committed, true) {
-			violations = append(violations, "committed: "+v)
-		}
-	}
-	for _, v := range cmif.CheckSoakBenchReport(report, false) {
-		violations = append(violations, "fresh: "+v)
-	}
+	violations := experiments.CheckSoakReport(report)
 	if len(violations) == 0 {
 		fmt.Fprintln(os.Stderr, "cmifsoak: soak gate passed")
 		return nil

@@ -24,7 +24,7 @@ type Client struct {
 type clientConfig struct {
 	timeout    time.Duration
 	cache      *BlockCache
-	chunkCache *ChunkCache
+	chunkCache *transport.ChunkCache
 	poolSize   int
 	maxVersion int
 	compress   bool
@@ -70,32 +70,18 @@ func WithCompression(on bool) DialOption {
 	return func(c *clientConfig) { c.compress = on }
 }
 
-// ChunkCache is a client-side LRU cache of content-defined chunks,
-// byte-budgeted, backing the protocol-v4 dedupe fetch path: a client
-// holding most of a block's chunks fetches only the manifest plus the
-// missing chunks. Safe for concurrent use and shareable across clients
-// with WithSharedChunkCache.
-type ChunkCache = transport.ChunkCache
-
-// ChunkCacheStats snapshots a ChunkCache's effectiveness counters.
+// ChunkCacheStats snapshots the effectiveness counters of a client's
+// chunk cache (WithChunkCache).
 type ChunkCacheStats = transport.ChunkCacheStats
 
-// NewChunkCache returns a chunk cache with the given byte budget (a
-// non-positive budget gets 64 MiB).
-func NewChunkCache(budgetBytes int64) *ChunkCache { return transport.NewChunkCache(budgetBytes) }
-
-// WithChunkCache gives the client a private chunk cache with the given
-// byte budget, enabling dedupe block fetches on protocol v4: warm
-// re-fetches of near-duplicate blocks move only the chunks the client
-// does not already hold. Shared across the client's pooled connections.
+// WithChunkCache gives the client a private LRU cache of content-defined
+// chunks with the given byte budget (a non-positive budget gets 64 MiB),
+// enabling dedupe block fetches on protocol v4: a client holding most of
+// a block's chunks fetches only the manifest plus the missing chunks, so
+// warm re-fetches of near-duplicate blocks move only what it does not
+// already hold. Shared across the client's pooled connections.
 func WithChunkCache(budgetBytes int64) DialOption {
 	return func(c *clientConfig) { c.chunkCache = transport.NewChunkCache(budgetBytes) }
-}
-
-// WithSharedChunkCache attaches an existing chunk cache (NewChunkCache),
-// so several clients dedupe fetches against common local memory.
-func WithSharedChunkCache(cc *ChunkCache) DialOption {
-	return func(c *clientConfig) { c.chunkCache = cc }
 }
 
 // BlockCache is a client-side LRU block cache with singleflight miss

@@ -189,7 +189,6 @@ func (cn *ClusterNode) Close() error {
 // clusterClientConfig collects the cluster dial options.
 type clusterClientConfig struct {
 	timeout     time.Duration
-	cache       *BlockCache
 	replication int
 	refresh     time.Duration
 }
@@ -201,18 +200,6 @@ type ClusterOption func(*clusterClientConfig)
 // context deadline of its own. Zero (the default) means unbounded.
 func WithClusterRequestTimeout(d time.Duration) ClusterOption {
 	return func(c *clusterClientConfig) { c.timeout = d }
-}
-
-// WithClusterCache gives the client an LRU block cache of size blocks,
-// shared across every node connection, exactly as WithCache does for a
-// single-server client.
-func WithClusterCache(size int) ClusterOption {
-	return func(c *clusterClientConfig) { c.cache = NewBlockCache(size) }
-}
-
-// WithClusterSharedCache attaches an existing cache (NewBlockCache).
-func WithClusterSharedCache(cache *BlockCache) ClusterOption {
-	return func(c *clusterClientConfig) { c.cache = cache }
 }
 
 // WithClusterReplication tells the client the cluster's replication
@@ -412,11 +399,7 @@ func (cc *ClusterClient) client(ctx context.Context, addr string) (*Client, erro
 		return c, nil
 	}
 	cc.mu.Unlock()
-	opts := []DialOption{WithRequestTimeout(cc.cfg.timeout)}
-	if cc.cfg.cache != nil {
-		opts = append(opts, WithSharedCache(cc.cfg.cache))
-	}
-	c, err := Dial(ctx, addr, opts...)
+	c, err := Dial(ctx, addr, WithRequestTimeout(cc.cfg.timeout))
 	if err != nil {
 		return nil, err
 	}

@@ -221,29 +221,34 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestMultiWriterFanIn submits concurrent batches from several writers —
-// retrying the conflicted ones — while a subscriber follows along, and
-// requires eventual byte convergence between replica and refetch.
+// TestMultiWriterFanIn submits concurrent batches from several writers
+// on disjoint leaves while eight subscribers follow along. The fan-out
+// arithmetic is exact: every subscriber applies one delta per accepted
+// edit, each continuing the generation before it, none resynchronizes,
+// and every replica converges byte for byte on a fresh fetch.
 func TestMultiWriterFanIn(t *testing.T) {
-	const writers, editsPerWriter = 3, 12
+	const subscribers, writers, editsPerWriter = 8, 3, 12
+	const edits = writers * editsPerWriter
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	doc, store := genDoc(t, 11, 16)
-	addr := startLiveServer(t, "live", doc, store, WithSubscriberQueue(4*writers*editsPerWriter))
+	addr := startLiveServer(t, "live", doc, store, WithSubscriberQueue(4*edits))
 	c, err := Dial(ctx, addr, WithPoolSize(writers))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	sub, err := c.Subscribe(ctx, "live")
-	if err != nil {
-		t.Fatal(err)
+	subs := make([]*Subscription, subscribers)
+	for i := range subs {
+		if subs[i], err = c.Subscribe(ctx, "live"); err != nil {
+			t.Fatal(err)
+		}
+		defer subs[i].Close()
 	}
-	defer sub.Close()
 
 	var leaves []string
-	sub.Document().doc.Root.Walk(func(n *core.Node) bool {
+	subs[0].Document().doc.Root.Walk(func(n *core.Node) bool {
 		if n.Type.IsLeaf() {
 			leaves = append(leaves, n.PathString())
 		}
@@ -253,35 +258,32 @@ func TestMultiWriterFanIn(t *testing.T) {
 		t.Fatalf("fixture has %d leaves, want at least %d", len(leaves), writers)
 	}
 
-	// The drainer follows the push stream while the writers race: a
+	// Each drainer follows its push stream while the writers race: a
 	// subscription that is never read exerts backpressure on its pooled
-	// connection and would stall the writer sharing it. It keeps reading
-	// (with a short per-call deadline so it can re-check) until the
-	// writers are done and the replica has reached the last accepted
-	// generation.
-	var lastGen atomic.Uint64
-	writersDone := make(chan struct{})
-	drained := make(chan error, 1)
-	go func() {
-		for {
-			stepCtx, stepCancel := context.WithTimeout(ctx, 2*time.Second)
-			_, err := sub.Next(stepCtx)
-			stepCancel()
-			if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-				drained <- err
-				return
-			}
-			select {
-			case <-writersDone:
-				if sub.Generation() >= lastGen.Load() {
-					drained <- nil
+	// connection and would stall the writer sharing it. One Next per
+	// accepted edit, each advancing the replica's generation; Next
+	// resynchronizes rather than apply a delta that does not continue
+	// the replica's generation, so with Resyncs() == 0 below the chain
+	// was contiguous.
+	drained := make(chan error, subscribers)
+	for i, sub := range subs {
+		go func(i int, sub *Subscription) {
+			var stalled error
+			for n := 0; n < edits; n++ {
+				before := sub.Generation()
+				if _, err := sub.Next(ctx); err != nil {
+					drained <- fmt.Errorf("subscriber %d delta %d: %w", i, n, err)
 					return
 				}
-			default:
+				if got := sub.Generation(); got <= before && stalled == nil {
+					stalled = fmt.Errorf("subscriber %d delta %d: generation %d → %d did not advance", i, n, before, got)
+				}
 			}
-		}
-	}()
+			drained <- stalled
+		}(i, sub)
+	}
 
+	var lastGen atomic.Uint64
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
 	for w := 0; w < writers; w++ {
@@ -312,16 +314,26 @@ func TestMultiWriterFanIn(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	close(writersDone)
-	if err := <-drained; err != nil {
-		t.Fatalf("drainer: %v", err)
+	for range subs {
+		if err := <-drained; err != nil {
+			t.Fatalf("drainer: %v", err)
+		}
 	}
 	fresh, err := c.Document(ctx, "live", WithBinaryWire())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(docBytes(t, sub.Document()), docBytes(t, fresh)) {
-		t.Error("replica diverged from refetch after concurrent writers")
+	want := docBytes(t, fresh)
+	for i, sub := range subs {
+		if sub.Resyncs() != 0 {
+			t.Errorf("subscriber %d resynchronized %d times; a sized queue sheds nothing", i, sub.Resyncs())
+		}
+		if sub.Generation() != lastGen.Load() {
+			t.Errorf("subscriber %d stopped at generation %d, last accepted edit was %d", i, sub.Generation(), lastGen.Load())
+		}
+		if !bytes.Equal(docBytes(t, sub.Document()), want) {
+			t.Errorf("subscriber %d replica diverged from refetch after concurrent writers", i)
+		}
 	}
 }
 

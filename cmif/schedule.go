@@ -57,12 +57,6 @@ func WithRelaxation() ScheduleOption {
 	return func(c *scheduleConfig) { c.solve.Relax = true }
 }
 
-// WithSolverWorkers caps the component worker pool; zero (the default)
-// uses GOMAXPROCS.
-func WithSolverWorkers(n int) ScheduleOption {
-	return func(c *scheduleConfig) { c.solve.Workers = n }
-}
-
 // Schedule resolves every event time of the document from its structure
 // and synchronization arcs. Independent components of the constraint graph
 // are solved concurrently; the returned Plan keeps the solver state, so

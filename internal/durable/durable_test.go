@@ -452,6 +452,21 @@ func TestDocDedupeAndStats(t *testing.T) {
 	if got := l2.Stats().Records; got != seeded {
 		t.Fatalf("idempotent block re-put appended a record (%d -> %d)", seeded, got)
 	}
+
+	// Write amplification is fixed by the record format, not the
+	// machine: journaling 4 KiB blocks costs the payload plus framing,
+	// id, name and descriptor — more than 1x, never more than 1.35x.
+	var payloadBytes int64
+	appended := l2.Stats().AppendedBytes
+	for i := 0; i < 32; i++ {
+		payload := bytes.Repeat([]byte{byte(i)}, 4<<10)
+		st2.Store.Put(media.NewBlock(fmt.Sprintf("amp-%03d.bin", i), core.MediumText, payload, attr.List{}))
+		payloadBytes += int64(len(payload))
+	}
+	amp := float64(l2.Stats().AppendedBytes-appended) / float64(payloadBytes)
+	if amp <= 1.0 || amp > 1.35 {
+		t.Fatalf("write amplification %.3f for 4 KiB blocks, want in (1.0, 1.35]", amp)
+	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}

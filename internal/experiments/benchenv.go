@@ -2,10 +2,9 @@ package experiments
 
 import "runtime"
 
-// BenchEnv records the runtime environment a benchmark actually ran under,
-// so committed BENCH files can be compared across machines meaningfully: a
-// parallel-speedup figure is only interpretable next to the GOMAXPROCS and
-// CPU count that produced it.
+// BenchEnv records the runtime environment a soak actually ran under: a
+// latency quantile is only interpretable next to the GOMAXPROCS and CPU
+// count that produced it.
 type BenchEnv struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// presentation (the per-experiment index of DESIGN.md). Each experiment
+// presentation: T1, F1-F10 and the two ablations A1, A2. Each experiment
 // returns a Table: measured rows, optional rendered artifact, and notes
 // recording what shape the paper leads us to expect. cmd/cmifbench prints
-// them; EXPERIMENTS.md records a reference run.
+// them. The package also holds the one load driver that is not a paper
+// artifact: the S5 soak (soakbench.go, benchgate.go) that cmd/cmifsoak
+// runs against live daemons in the CI smoke jobs and the nightly soak.
 package experiments
 
 import (

@@ -114,7 +114,7 @@ type SoakRow struct {
 }
 
 // SoakBenchReport is the machine-readable result set cmifsoak writes to
-// BENCH_soak.json.
+// its -out file.
 type SoakBenchReport struct {
 	Config SoakBenchConfig `json:"config"`
 	Env    BenchEnv        `json:"env"`
@@ -140,7 +140,7 @@ type SoakBenchReport struct {
 	ServerLatency  map[string]metrics.HistogramSnapshot `json:"server_latency"`
 }
 
-// JSON renders the report for BENCH_soak.json.
+// JSON renders the report for cmifsoak's -out file.
 func (r *SoakBenchReport) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
@@ -339,7 +339,7 @@ func soakPopulate(ctx context.Context, addr string, set []corpus.Named) (blockNa
 // deadline. Draws are deterministic in (cfg.CorpusSeed, w).
 func soakWorker(ctx context.Context, cfg SoakBenchConfig, w int, edgeAddr string, deadline time.Time,
 	blockNames, docNames []string, docs []*core.Document, classes map[string]*soakClass) error {
-	c, err := transport.DialContext(ctx, addrOf(cfg))
+	c, err := transport.DialContext(ctx, cfg.Addr)
 	if err != nil {
 		return err
 	}
@@ -413,8 +413,8 @@ func soakWorker(ctx context.Context, cfg SoakBenchConfig, w int, edgeAddr string
 			if serr == nil {
 				// The measured operation is the handshake — subscribe,
 				// receive the snapshot, release the fan-out queue. Long-lived
-				// watchers are S6's subject; the soak cares that opening one
-				// against live mixed traffic stays within the SLO.
+				// watchers are the live-document tests' subject; the soak cares
+				// that opening one against live mixed traffic stays within the SLO.
 				serr = sub.Close()
 			}
 			classes["subscribe"].observe(start, serr)
@@ -448,7 +448,7 @@ func soakOverload(ctx context.Context, cfg SoakBenchConfig, blockNames []string,
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := transport.DialContext(ctx, addrOf(cfg))
+			c, err := transport.DialContext(ctx, cfg.Addr)
 			if err != nil {
 				errs[i] = err
 				return
@@ -484,9 +484,6 @@ func soakOverload(ctx context.Context, cfg SoakBenchConfig, blockNames []string,
 	}
 	return nil
 }
-
-// addrOf is a seam for the config's wire address.
-func addrOf(cfg SoakBenchConfig) string { return cfg.Addr }
 
 // soakScrape performs the final metrics scrapes: Prometheus text for
 // liveness and shape, JSON for the structured server-side story.

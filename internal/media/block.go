@@ -212,7 +212,7 @@ func (b *Block) Verify() error {
 // PayloadReader exposes the payload for random or streaming access
 // without copying it: *bytes.Reader implements io.Reader, io.ReaderAt,
 // io.Seeker and io.WriterTo, so stream senders can io.Copy straight
-// from a (possibly mmap-backed) payload into a connection.
+// from a payload into a connection.
 func (b *Block) PayloadReader() *bytes.Reader { return bytes.NewReader(b.Payload) }
 
 // Clone deep-copies the block.

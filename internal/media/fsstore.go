@@ -73,23 +73,7 @@ func SaveDir(s *Store, dir string) error {
 // LoadDir reads a store previously written by SaveDir, verifying every
 // payload against its content address. Payloads are read whole into
 // heap slices.
-func LoadDir(dir string) (*Store, error) { return loadDir(dir, os.ReadFile) }
-
-// LoadDirMapped is LoadDir with payloads memory-mapped read-only
-// instead of copied onto the heap (on platforms with mmap; elsewhere,
-// and under the cmif_nommap build tag, it behaves exactly like
-// LoadDir). Serving a block then moves bytes page-cache → conn with no
-// intermediate heap copy: the store keeps the mapped slice (PutOwned),
-// GetRef hands it out uncloned, and the transport writes it with
-// writev. Mappings live until process exit; the content-address check
-// still reads every page once up front.
-func LoadDirMapped(dir string) (*Store, error) { return loadDir(dir, mapFile) }
-
-// MmapSupported reports whether LoadDirMapped actually maps files in
-// this build, or falls back to plain reads.
-func MmapSupported() bool { return mmapSupported }
-
-func loadDir(dir string, readPayload func(string) ([]byte, error)) (*Store, error) {
+func LoadDir(dir string) (*Store, error) {
 	text, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("media: %w", err)
@@ -122,7 +106,7 @@ func loadDir(dir string, readPayload func(string) ([]byte, error)) (*Store, erro
 				desc.Set(it.Name, it.Value)
 			}
 		}
-		payload, err := readPayload(filepath.Join(dir, "blocks", id+".bin"))
+		payload, err := os.ReadFile(filepath.Join(dir, "blocks", id+".bin"))
 		if err != nil {
 			return nil, fmt.Errorf("media: manifest entry %q: %w", name, err)
 		}
@@ -131,9 +115,8 @@ func loadDir(dir string, readPayload func(string) ([]byte, error)) (*Store, erro
 			return nil, fmt.Errorf("media: block %q content address mismatch (%s != %s)",
 				name, b.ID[:12], id[:12])
 		}
-		// PutOwned: the payload was read (or mapped) for this store and
-		// is never touched again; cloning it would defeat the mapped
-		// zero-copy path and double peak memory on the plain path.
+		// PutOwned: the payload was read for this store and is never
+		// touched again; cloning it would double peak memory.
 		s.PutOwned(b, true)
 	}
 	return s, nil

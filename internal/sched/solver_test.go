@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/edit"
 	"repro/internal/units"
+	"runtime"
 	"testing"
 )
 
@@ -63,6 +64,33 @@ func TestRescheduleDurationChange(t *testing.T) {
 		t.Fatalf("stats after single-leaf edit: resolved %d reused %d, want 1/3", st.Resolved, st.Reused)
 	}
 	sameSchedule(t, d, sch, fullSolve(t, d, Options{}, SolveOptions{Relax: true}))
+
+	// The saving is in work done, not only in the counters: on a wider
+	// document, absorbing single-leaf edits incrementally allocates at
+	// most a quarter of what rebuilding and re-solving the graph does.
+	d = parOfSeq(t, 8, 24)
+	s = newTestSolver(t, d)
+	churn := func(absorb func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 8; i++ {
+			if err := edit.SetAttr(d, "/armb/lcb", "duration", attr.Quantity(units.MS(int64(700+i)))); err != nil {
+				t.Fatal(err)
+			}
+			absorb()
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	incremental := churn(func() {
+		if _, err := s.Reschedule(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	full := churn(func() { fullSolve(t, d, Options{}, SolveOptions{Relax: true}) })
+	if incremental*4 > full {
+		t.Errorf("incremental reschedule allocated %d bytes over 8 edits, not ≤ 1/4 of the full re-solve's %d", incremental, full)
+	}
 }
 
 func TestRescheduleNoChangesReusesEverything(t *testing.T) {

@@ -89,9 +89,9 @@ func (r *Registry) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, er
 }
 
 // GetBlock returns the store's own block without cloning
-// (media.Store.GetRef): response parts reference the stored — possibly
-// mmap-backed — payload directly, and the vectored writer moves it
-// store → conn with no intermediate copy.
+// (media.Store.GetRef): response parts reference the stored payload
+// directly, and the vectored writer moves it store → conn with no
+// intermediate copy.
 func (r *Registry) GetBlock(name string) (*media.Block, bool) {
 	if blk, ok := r.Store.GetByNameRef(name); ok {
 		return blk, true

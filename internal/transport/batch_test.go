@@ -31,7 +31,7 @@ func batchServer(t *testing.T, blocks int) (addr string, names []string, store *
 }
 
 func TestGetBlocksBatched(t *testing.T) {
-	addr, names, store := batchServer(t, 5)
+	addr, names, store := batchServer(t, 16)
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +68,27 @@ func TestGetBlocksBatched(t *testing.T) {
 	// Four unique names fit one frame: exactly one round trip.
 	if c.RoundTrips() != 1 {
 		t.Errorf("RoundTrips = %d, want 1", c.RoundTrips())
+	}
+
+	// The wire-call arithmetic batching exists for: without a cache, N
+	// per-block fetches cost exactly N round trips, and the same N names
+	// through one GetBlocks cost at most an eighth of that.
+	n := int64(len(names))
+	before := c.RoundTrips()
+	for _, name := range names {
+		if _, err := c.GetBlock(context.Background(), name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.RoundTrips() - before; got != n {
+		t.Errorf("%d per-block fetches cost %d round trips, want exactly %d", n, got, n)
+	}
+	before = c.RoundTrips()
+	if _, err := c.GetBlocks(context.Background(), names); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.RoundTrips() - before; got*8 > n {
+		t.Errorf("batched fetch of %d names cost %d round trips, want ≤ %d", n, got, n/8)
 	}
 }
 

@@ -9,12 +9,12 @@ package transport
 //   - vectored writes: large raw frames skip the bufio copy entirely —
 //     the buffered writer is flushed and the frame goes to the
 //     connection as a writev gather list (net.Buffers) whose payload
-//     elements are the store's own (possibly mmap-backed) slices, so
-//     payload bytes move store → conn with no intermediate copy;
+//     elements are the store's own slices, so payload bytes move
+//     store → conn with no intermediate copy;
 //   - everything else takes the buffered writeFrameV2 path unchanged.
 //
 // send reports the actual on-wire byte count, which is what the
-// traffic counters (and the S9 bytes-on-wire accounting) record.
+// traffic counters record.
 
 import (
 	"bufio"

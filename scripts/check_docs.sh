@@ -80,16 +80,7 @@ done
 
 # Metric names documented in the observability section: each must be
 # registered somewhere in the source (internal packages or the facade).
-# cmif_nommap shares the prefix but is a build tag, not a metric — it
-# must exist as a //go:build constraint instead.
 for name in $(grep -ho '`cmif_[a-z_]*`' docs/*.md | tr -d '`' | sort -u); do
-    if [ "$name" = "cmif_nommap" ]; then
-        if ! grep -rq "go:build.*cmif_nommap" internal; then
-            echo "docs reference build tag \`cmif_nommap\`, which no longer constrains any file" >&2
-            fail=1
-        fi
-        continue
-    fi
     if ! grep -rq "\"$name\"" internal cmif; then
         echo "docs reference metric \`$name\`, which is never registered in the source" >&2
         fail=1
