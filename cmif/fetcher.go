@@ -93,14 +93,10 @@ func PrefetchVia(ctx context.Context, f Fetcher, d *Document) (*Store, error) {
 		if b == nil {
 			continue
 		}
-		if b.Name != names[i] {
-			// The source resolved an alias (a re-pointed or duplicate
-			// name): register the block under the name the document
-			// uses, or the pipeline would see it as missing.
-			b = b.Clone()
-			b.Name = names[i]
-		}
-		store.Put(b)
+		// Where the source resolved an alias (a re-pointed or duplicate
+		// name), register the block under the name the document uses, or
+		// the pipeline would see it as missing.
+		store.Put(b.WithName(names[i]))
 	}
 	return store, nil
 }

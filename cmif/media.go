@@ -7,9 +7,16 @@ import (
 
 // Store is an in-memory, content-addressed collection of data blocks,
 // indexed by both name and content address. Safe for concurrent use.
+// Put keeps the block it is given and Get/GetByName return that same
+// pointer: nothing is copied in or out (see Block).
 type Store = media.Store
 
-// Block is one atomic single-medium data block plus its descriptor.
+// Block is one atomic single-medium data block plus its descriptor. A
+// *Block is immutable from the moment it is handed to a Store, a
+// BlockCache, a Fetcher's caller or the wire — stores, caches and fetch
+// results all share the one pointer, so never write its Payload,
+// Descriptor or Name. Make a variant with WithName (shares the payload)
+// or with Clone, the one deep copy, before mutating.
 type Block = media.Block
 
 // NewStore returns an empty block store.

@@ -263,7 +263,7 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 				continue
 			}
 			register := r.Fields[5][0] == 1
-			plan = append(plan, planned{r, func() { l.st.Store.PutOwned(b, register) }})
+			plan = append(plan, planned{r, func() { l.st.Store.PutReplayed(b, register) }})
 		case recDelBlk:
 			if err = want(r, 1); err != nil {
 				break

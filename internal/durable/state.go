@@ -101,7 +101,7 @@ func (st *State) apply(op byte, fields [][]byte) error {
 			return fmt.Errorf("putblk %q: recorded content address %.12s does not match payload (%.12s)",
 				fields[1], fields[0], b.ID)
 		}
-		st.Store.PutOwned(b, fields[5][0] == 1)
+		st.Store.PutReplayed(b, fields[5][0] == 1)
 	case recDelBlk:
 		if err := want(1); err != nil {
 			return err
@@ -158,7 +158,7 @@ func (st *State) apply(op byte, fields [][]byte) error {
 			return fmt.Errorf("putblkc %q: recorded content address %.12s does not match payload (%.12s)",
 				fields[1], fields[0], b.ID)
 		}
-		st.Store.PutOwned(b, fields[5][0] == 1)
+		st.Store.PutReplayed(b, fields[5][0] == 1)
 	case recName:
 		if err := want(2); err != nil {
 			return err
@@ -197,12 +197,11 @@ func (st *State) blockFromParts(name, mediumText, descText, payload []byte) (*me
 		return nil, fmt.Errorf("descriptor bytes attribute %d disagrees with %d-byte payload",
 			n, len(payload))
 	}
-	// Assembled by hand rather than through NewBlock, and inserted via
-	// PutOwned: the journaled descriptor already carries the bytes and
-	// format attributes NewBlock would re-derive, the payload is copied
-	// exactly once, and the memoized descriptor is shared — immutably —
-	// across every block that repeats its text. Recovery cost per block
-	// is one hash, one copy.
+	// Assembled by hand rather than through NewBlock: the journaled
+	// descriptor already carries the bytes and format attributes NewBlock
+	// would re-derive, the payload is copied exactly once, and the
+	// memoized descriptor is shared — immutably — across every block that
+	// repeats its text. Recovery cost per block is one hash, one copy.
 	return &media.Block{
 		ID:         media.ContentAddress(medium, payload),
 		Name:       string(name),

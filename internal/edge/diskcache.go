@@ -1,15 +1,7 @@
-// Package edge implements the read-through caching proxy tier: a
-// transport.Server whose misses are filled from an upstream origin and
-// cached — blocks in a two-level (memory + disk) LRU, documents in the
-// local registry under lease of the origin's v3 change stream. Content
-// addressing makes block caching trivially safe: a block's identity is
-// the hash of its payload, so a cached block can never be stale, only
-// absent. The interesting work is document freshness, which leases.go
-// handles.
 package edge
 
 import (
-	"container/list"
+	"bytes"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -25,6 +17,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/fsio"
+	"repro/internal/lru"
 	"repro/internal/media"
 )
 
@@ -52,7 +45,6 @@ const (
 	blockExt = ".cmb"
 	nameExt  = ".cmn"
 	chunkExt = ".cmc"
-	tmpExt   = ".tmp"
 )
 
 // DiskCache is the edge's second-level block cache: block bodies as
@@ -64,21 +56,22 @@ const (
 // corrupted file degrades to a miss, not to wrong bytes. Safe for
 // concurrent use.
 type DiskCache struct {
-	dir    string
-	budget int64
+	dir string
 
-	mu      sync.Mutex
-	entries map[string]*list.Element // content ID → LRU element
-	names   map[string]string        // served name → content ID
-	lru     *list.List               // front = most recently used
-	bytes   int64
+	mu sync.Mutex
+	// index ranks the resident blocks, content ID → entry. Its byte
+	// budget covers both file kinds: a block file is its entry's cost, a
+	// shared chunk file is charged when its first reference arrives and
+	// released with its last.
+	index *lru.Cache[string, *diskEntry]
+	names map[string]string // served name → content ID
 
 	// chunkRefs refcounts the shared .cmc chunk files: one ref per
 	// manifest occurrence across resident CMEB2 entries. A chunk file is
 	// deleted when its last referencing block evicts.
 	chunkRefs map[media.ChunkHash]*chunkRef
 
-	hits, misses, evictions int64
+	hits, misses int64
 }
 
 // chunkRef is one shared chunk file's index record.
@@ -91,7 +84,6 @@ type chunkRef struct {
 // for plain CMEB1 entries; for CMEB2 entries it is the manifest, in
 // order, so eviction can release the references.
 type diskEntry struct {
-	id     string
 	size   int64
 	chunks []media.ChunkHash
 }
@@ -112,9 +104,10 @@ type DiskStats struct {
 // OpenDiskCache opens (or creates) the cache rooted at dir with the
 // given byte budget (<=0 means DefaultCacheBytes) and rebuilds the index
 // from what survived the last process: block files are trusted by name
-// (their content is verified on first read), leftover temp files are
-// removed, and the LRU order is seeded from file modification times —
-// an approximation that only matters until real accesses re-rank the
+// (their content is verified on first read), the staging files of writes
+// a kill interrupted are removed, name entries whose block is gone are
+// dropped, and the LRU order is seeded from file modification times — an
+// approximation that only matters until real accesses re-rank the
 // survivors.
 func OpenDiskCache(dir string, budget int64) (*DiskCache, error) {
 	if budget <= 0 {
@@ -125,12 +118,10 @@ func OpenDiskCache(dir string, budget int64) (*DiskCache, error) {
 	}
 	c := &DiskCache{
 		dir:       dir,
-		budget:    budget,
-		entries:   make(map[string]*list.Element),
 		names:     make(map[string]string),
-		lru:       list.New(),
 		chunkRefs: make(map[media.ChunkHash]*chunkRef),
 	}
+	c.index = lru.New(budget, func(e *diskEntry) int64 { return e.size }, c.discard)
 	dents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("edge: scan disk cache: %w", err)
@@ -145,7 +136,7 @@ func OpenDiskCache(dir string, budget int64) (*DiskCache, error) {
 	for _, de := range dents {
 		name := de.Name()
 		switch {
-		case strings.HasSuffix(name, tmpExt):
+		case fsio.IsTemp(name):
 			// An interrupted write; the rename never happened.
 			_ = os.Remove(filepath.Join(dir, name))
 		case strings.HasSuffix(name, blockExt):
@@ -180,6 +171,8 @@ func OpenDiskCache(dir string, budget int64) (*DiskCache, error) {
 	// Oldest first, so the LRU front ends up holding the most recently
 	// touched survivors.
 	sort.Slice(blocks, func(i, j int) bool { return blocks[i].mtime < blocks[j].mtime })
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, b := range blocks {
 		// CMEB2 manifests must be read now to rebuild the chunk
 		// refcounts; they are tiny. CMEB1 bodies stay trusted by name
@@ -190,30 +183,20 @@ func OpenDiskCache(dir string, budget int64) (*DiskCache, error) {
 			_ = os.Remove(c.blockPath(b.id))
 			continue
 		}
-		for _, h := range chunks {
-			cr := c.chunkRefs[h]
-			if cr == nil {
-				cr = &chunkRef{}
-				c.chunkRefs[h] = cr
-			}
-			cr.refs++
-		}
-		c.entries[b.id] = c.lru.PushFront(&diskEntry{id: b.id, size: b.size, chunks: chunks})
-		c.bytes += b.size
+		c.admitLocked(b.id, &diskEntry{size: b.size, chunks: chunks}, chunkSizes)
 	}
-	// Referenced chunks join the byte accounting; orphans (their last
-	// referencing block was evicted or lost mid-crash) are swept.
-	for h, size := range chunkSizes {
-		if cr, ok := c.chunkRefs[h]; ok {
-			cr.size = size
-			c.bytes += size
-		} else {
+	// Orphan chunks (their last referencing block was evicted or lost
+	// mid-crash) are swept, and so are names whose block did not survive.
+	for h := range chunkSizes {
+		if c.chunkRefs[h] == nil {
 			_ = os.Remove(c.chunkPath(h))
 		}
 	}
-	c.mu.Lock()
-	c.evictLocked()
-	c.mu.Unlock()
+	for name, id := range c.names {
+		if !c.index.Contains(id) {
+			c.forgetNameLocked(name)
+		}
+	}
 	return c, nil
 }
 
@@ -260,9 +243,6 @@ func parseManifest(manifest []byte) ([]media.ChunkHash, bool) {
 	return hashes, true
 }
 
-// Dir reports the cache's root directory.
-func (c *DiskCache) Dir() string { return c.dir }
-
 // Stats snapshots occupancy and effectiveness counters.
 func (c *DiskCache) Stats() DiskStats {
 	c.mu.Lock()
@@ -272,33 +252,35 @@ func (c *DiskCache) Stats() DiskStats {
 		chunkBytes += cr.size
 	}
 	return DiskStats{
-		Blocks:     c.lru.Len(),
-		Bytes:      c.bytes,
+		Blocks:     c.index.Len(),
+		Bytes:      c.index.Used(),
 		Chunks:     len(c.chunkRefs),
 		ChunkBytes: chunkBytes,
 		Hits:       c.hits,
 		Misses:     c.misses,
-		Evictions:  c.evictions,
+		Evictions:  c.index.Evictions(),
 	}
 }
 
 // Get resolves key — a served name or a content address — against the
 // cache. A hit re-ranks the entry most-recently-used; a file that fails
 // to decode or whose payload no longer hashes to its address is removed
-// and reported as a miss.
+// and reported as a miss, and a name whose block has been evicted is
+// forgotten here, on its next lookup.
 func (c *DiskCache) Get(key string) (*media.Block, bool) {
 	c.mu.Lock()
-	id := key
-	if mapped, ok := c.names[key]; ok {
-		id = mapped
+	id, named := c.names[key]
+	if !named {
+		id = key
 	}
-	el, ok := c.entries[id]
-	if !ok {
+	if _, ok := c.index.Get(id); !ok {
+		if named {
+			c.forgetNameLocked(key)
+		}
 		c.misses++
 		c.mu.Unlock()
 		return nil, false
 	}
-	c.lru.MoveToFront(el)
 	c.mu.Unlock()
 
 	blk, err := c.readBlock(id)
@@ -324,7 +306,7 @@ func (c *DiskCache) Put(servedName string, b *media.Block) {
 		return
 	}
 	c.mu.Lock()
-	_, exists := c.entries[b.ID]
+	exists := c.index.Contains(b.ID)
 	c.mu.Unlock()
 
 	var size int64
@@ -356,9 +338,9 @@ func (c *DiskCache) Put(servedName string, b *media.Block) {
 					}
 				}
 			}
-			data = encodeBlockFileV2(b, manifest)
+			data = encodeBlockFile(diskMagicV2, b, manifest)
 		} else {
-			data = encodeBlockFile(b)
+			data = encodeBlockFile(diskMagic, b, b.Payload)
 		}
 		size = int64(len(data))
 		if err := fsio.WriteFileNoDirSync(c.blockPath(b.ID), data, 0o644); err != nil {
@@ -373,45 +355,51 @@ func (c *DiskCache) Put(servedName string, b *media.Block) {
 	if servedName != "" && servedName != b.ID {
 		c.names[servedName] = b.ID
 	}
-	if el, ok := c.entries[b.ID]; ok {
-		c.lru.MoveToFront(el)
+	if _, ok := c.index.Get(b.ID); ok || exists {
+		// Resident (the lookup re-ranked it) — or it was when the files
+		// would have been written and an eviction has raced this Put
+		// since, so they may be gone: the next Put re-caches cleanly.
 		return
 	}
-	if exists {
-		// Raced an eviction between the existence check and here: the
-		// files may be gone. The next Put re-caches cleanly.
-		return
-	}
-	for _, h := range hashes {
+	c.admitLocked(b.ID, &diskEntry{size: size, chunks: hashes}, sizes)
+}
+
+// admitLocked indexes one block whose files are on disk: a reference on
+// every chunk of its manifest, then the bytes of the chunk files nobody
+// referenced before (sized by sizes), then the entry itself. All the
+// references are taken before anything is charged, because a charge may
+// push older entries out through discard and the chunks they share with
+// this block must already be pinned. Callers hold c.mu.
+func (c *DiskCache) admitLocked(id string, e *diskEntry, sizes map[media.ChunkHash]int64) {
+	var fresh int64
+	for _, h := range e.chunks {
 		cr := c.chunkRefs[h]
 		if cr == nil {
 			cr = &chunkRef{size: sizes[h]}
 			c.chunkRefs[h] = cr
-			c.bytes += cr.size
+			fresh += cr.size
 		}
 		cr.refs++
 	}
-	c.entries[b.ID] = c.lru.PushFront(&diskEntry{id: b.ID, size: size, chunks: hashes})
-	c.bytes += size
-	c.evictLocked()
+	c.index.Charge(fresh)
+	if !c.index.Add(id, e) {
+		c.discard(id, e)
+	}
 }
 
-// evictLocked trims least-recently-used block files until the byte
-// budget holds, releasing chunk references as entries go (a chunk file
-// is deleted with its last referencing block). Name index entries
-// pointing at an evicted block resolve to a miss and are cleaned
-// lazily. Callers hold c.mu.
-func (c *DiskCache) evictLocked() {
-	for c.bytes > c.budget && c.lru.Len() > 0 {
-		el := c.lru.Back()
-		ent := el.Value.(*diskEntry)
-		c.lru.Remove(el)
-		delete(c.entries, ent.id)
-		c.bytes -= ent.size
-		c.evictions++
-		_ = os.Remove(c.blockPath(ent.id))
-		c.releaseChunksLocked(ent.chunks)
-	}
+// discard is the index's evict hook: the block file goes, and with it
+// one reference on each chunk of its manifest. Names pointing at the
+// block resolve to a miss from here on and are forgotten on their next
+// lookup (Get) or at the next open. Callers hold c.mu.
+func (c *DiskCache) discard(id string, e *diskEntry) {
+	_ = os.Remove(c.blockPath(id))
+	c.releaseChunksLocked(e.chunks)
+}
+
+// forgetNameLocked drops a served name and its index file.
+func (c *DiskCache) forgetNameLocked(name string) {
+	delete(c.names, name)
+	_ = os.Remove(c.namePath(name))
 }
 
 // releaseChunksLocked drops one reference per manifest occurrence,
@@ -425,7 +413,7 @@ func (c *DiskCache) releaseChunksLocked(hashes []media.ChunkHash) {
 		cr.refs--
 		if cr.refs <= 0 {
 			delete(c.chunkRefs, h)
-			c.bytes -= cr.size
+			c.index.Charge(-cr.size)
 			_ = os.Remove(c.chunkPath(h))
 		}
 	}
@@ -435,12 +423,8 @@ func (c *DiskCache) releaseChunksLocked(hashes []media.ChunkHash) {
 func (c *DiskCache) drop(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[id]; ok {
-		ent := el.Value.(*diskEntry)
-		c.lru.Remove(el)
-		delete(c.entries, id)
-		c.bytes -= ent.size
-		c.releaseChunksLocked(ent.chunks)
+	if e, ok := c.index.Remove(id); ok {
+		c.releaseChunksLocked(e.chunks)
 	}
 	_ = os.Remove(c.blockPath(id))
 }
@@ -461,41 +445,30 @@ func (c *DiskCache) namePath(name string) string {
 	return filepath.Join(c.dir, hex.EncodeToString([]byte(name))+nameExt)
 }
 
-// encodeBlockFile serializes a block for disk: magic, then
-// length-prefixed name, medium, descriptor text and payload. The content
-// address is not stored — it is the filename, and is re-derived from the
-// payload on read for verification.
-func encodeBlockFile(b *media.Block) []byte {
-	desc := descriptorText(b.Descriptor)
-	var buf []byte
-	buf = append(buf, diskMagic...)
-	for _, field := range [][]byte{[]byte(b.Name), []byte(b.Medium.String()), []byte(desc), b.Payload} {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(field)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, field...)
+// appendFields appends each field behind its 4-byte big-endian length,
+// the framing every cache file uses after its magic.
+func appendFields(buf []byte, fields ...[]byte) []byte {
+	for _, f := range fields {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(f)))
+		buf = append(buf, f...)
 	}
 	return buf
 }
 
-// encodeBlockFileV2 serializes a chunk-manifest block file: same field
-// layout as CMEB1, with the manifest in the payload position. The chunk
-// bytes live in the shared .cmc files the manifest references.
-func encodeBlockFileV2(b *media.Block, manifest []byte) []byte {
-	desc := descriptorText(b.Descriptor)
-	var buf []byte
-	buf = append(buf, diskMagicV2...)
-	for _, field := range [][]byte{[]byte(b.Name), []byte(b.Medium.String()), []byte(desc), manifest} {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(field)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, field...)
-	}
-	return buf
+// encodeBlockFile serializes a block for disk: magic, then
+// length-prefixed name, medium, descriptor text and body. Under diskMagic
+// the body is the payload; under diskMagicV2 it is the chunk manifest,
+// and the chunk bytes live in the shared .cmc files it references. The
+// content address is not stored — it is the filename, and is re-derived
+// from the payload on read for verification.
+func encodeBlockFile(magic []byte, b *media.Block, body []byte) []byte {
+	return appendFields(append([]byte(nil), magic...), []byte(b.Name),
+		[]byte(b.Medium.String()), []byte(descriptorText(b.Descriptor)), body)
 }
 
 // splitFields splits n length-prefixed fields from a block file body
-// (the bytes after the magic).
+// (the bytes after the magic). Each field's capacity is clipped to its
+// length, so a field kept past the parse carries no spare capacity.
 func splitFields(rest []byte, n int) ([][]byte, error) {
 	fields := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
@@ -507,7 +480,7 @@ func splitFields(rest []byte, n int) ([][]byte, error) {
 		if uint32(len(rest)) < l {
 			return nil, fmt.Errorf("truncated field")
 		}
-		fields = append(fields, rest[:l])
+		fields = append(fields, rest[:l:l])
 		rest = rest[l:]
 	}
 	return fields, nil
@@ -541,7 +514,13 @@ func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 		if !ok {
 			return nil, fmt.Errorf("edge: cache file %s: bad manifest", filepath.Base(path))
 		}
-		for _, h := range hashes {
+		// Verify every chunk before its size is believed, then lay the
+		// payload out once at the summed size: the block is cached by
+		// pointer from here on, and append's spare capacity would stay
+		// resident with it.
+		chunks := make([][]byte, len(hashes))
+		total := 0
+		for i, h := range hashes {
 			cdata, err := os.ReadFile(c.chunkPath(h))
 			if err != nil {
 				return nil, fmt.Errorf("edge: cache file %s: missing chunk: %w", filepath.Base(path), err)
@@ -549,10 +528,16 @@ func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 			if chunker.Sum(cdata) != h {
 				return nil, fmt.Errorf("edge: cache file %s: chunk hash mismatch", filepath.Base(path))
 			}
+			chunks[i] = cdata
+			total += len(cdata)
+		}
+		payload = make([]byte, 0, total)
+		for _, cdata := range chunks {
 			payload = append(payload, cdata...)
 		}
 	} else {
-		payload = append([]byte(nil), fields[3]...)
+		// The file buffer is private to this read; the block keeps it.
+		payload = fields[3]
 	}
 	medium, err := core.ParseMedium(string(fields[1]))
 	if err != nil {
@@ -572,41 +557,20 @@ func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 // encodeNameFile serializes a name index entry: magic, then the served
 // name and its content address, length-prefixed.
 func encodeNameFile(name, id string) []byte {
-	var buf []byte
-	buf = append(buf, diskMagic...)
-	for _, field := range [][]byte{[]byte(name), []byte(id)} {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(field)))
-		buf = append(buf, l[:]...)
-		buf = append(buf, field...)
-	}
-	return buf
+	return appendFields(append([]byte(nil), diskMagic...), []byte(name), []byte(id))
 }
 
 // readNameFile loads one name index entry; ok is false on any damage.
 func readNameFile(path string) (name, id string, ok bool) {
 	data, err := os.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(data, diskMagic) {
+		return "", "", false
+	}
+	fields, err := splitFields(data[len(diskMagic):], 2)
 	if err != nil {
 		return "", "", false
 	}
-	if len(data) < len(diskMagic) || string(data[:len(diskMagic)]) != string(diskMagic) {
-		return "", "", false
-	}
-	rest := data[len(diskMagic):]
-	var fields []string
-	for i := 0; i < 2; i++ {
-		if len(rest) < 4 {
-			return "", "", false
-		}
-		l := binary.BigEndian.Uint32(rest[:4])
-		rest = rest[4:]
-		if uint32(len(rest)) < l {
-			return "", "", false
-		}
-		fields = append(fields, string(rest[:l]))
-		rest = rest[l:]
-	}
-	return fields[0], fields[1], true
+	return string(fields[0]), string(fields[1]), true
 }
 
 // descriptorText renders a block descriptor as an embedded CMIF

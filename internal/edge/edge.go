@@ -93,7 +93,7 @@ type edgeMetrics struct {
 
 func newEdgeMetrics(reg *metrics.Registry) *edgeMetrics {
 	return &edgeMetrics{
-		blockHits:     reg.Counter("cmif_edge_block_hits_total", "Block fetches answered from the edge (memory or disk)."),
+		blockHits:     reg.Counter("cmif_edge_block_hits_total", "Block fetches the edge answered, from memory, disk or an upstream fill."),
 		blockDiskHits: reg.Counter("cmif_edge_block_disk_hits_total", "Block fetches that missed memory but hit the disk cache."),
 		blockMisses:   reg.Counter("cmif_edge_block_misses_total", "Block fetches that went upstream."),
 		docLeases:     reg.Counter("cmif_edge_doc_leases_total", "Document leases established (upstream subscriptions opened on miss)."),

@@ -322,7 +322,8 @@ func planTransforms(b *media.Block, p Profile) []TransformSpec {
 
 // Apply realizes the filter map against the store, returning a new store
 // holding transformed blocks under the original names (so the document's
-// file attributes keep resolving). Dropped entries are omitted.
+// file attributes keep resolving). Dropped entries are omitted; blocks
+// that pass untransformed are shared with the source store, not copied.
 func Apply(fm *FilterMap, store *media.Store) (*media.Store, error) {
 	out := media.NewStore()
 	done := map[string]bool{}
@@ -351,8 +352,7 @@ func Apply(fm *FilterMap, store *media.Store) (*media.Store, error) {
 				return nil, fmt.Errorf("filter: applying %v to %q: %w", tr, dec.File, err)
 			}
 		}
-		b.Name = dec.File
-		out.Put(b)
+		out.Put(b.WithName(dec.File))
 	}
 	return out, nil
 }

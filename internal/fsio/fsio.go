@@ -7,7 +7,18 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 )
+
+// tempInfix sits between a target's base name and the random suffix of
+// the temp file a write stages beside it: "<base>.tmp-<random>".
+const tempInfix = ".tmp-"
+
+// IsTemp reports whether a file name is one of WriteFileAtomic's or
+// WriteFileNoDirSync's staging files. One that outlives its writer is the
+// residue of a write killed before its rename; directory owners sweep
+// such files when they open.
+func IsTemp(name string) bool { return strings.Contains(name, tempInfix) }
 
 // SyncDir flushes directory metadata, making a just-renamed or
 // just-created file durable under its name. Windows cannot open
@@ -42,7 +53,7 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 // multi-file save, and one covers every rename before it.
 func WriteFileNoDirSync(path string, data []byte, perm os.FileMode) error {
 	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp-*")
+	f, err := os.CreateTemp(dir, base+tempInfix+"*")
 	if err != nil {
 		return err
 	}

@@ -28,6 +28,14 @@ import (
 )
 
 // Block is one atomic single-medium data block plus its descriptor.
+//
+// Ownership: a *Block is an immutable value from the moment it is handed
+// to a store, a cache or the wire. Stores and caches keep and return the
+// very pointer they were given, so nobody writes its Payload, Descriptor
+// or Name again. A variant is made with WithName (shallow: shares payload
+// and descriptor) or with Clone, the one deep copy, for a caller that
+// goes on to mutate. Operations that derive new content (ops.go) build a
+// new block and leave their input alone.
 type Block struct {
 	// ID is the content address (hex SHA-256 of medium and payload).
 	ID string
@@ -88,16 +96,7 @@ func computeID(m core.Medium, payload []byte) string {
 // NewBlock builds a block, computing its content address and filling the
 // universal descriptor attributes (bytes, format defaulting by medium).
 func NewBlock(name string, m core.Medium, payload []byte, desc attr.List) *Block {
-	b := &Block{
-		ID:         computeID(m, payload),
-		Name:       name,
-		Medium:     m,
-		Payload:    payload,
-		Descriptor: desc.Clone(),
-	}
-	b.Descriptor.Set(DescBytes, attr.Number(int64(len(payload))))
-	b.Descriptor.SetDefault(DescFormat, attr.ID(defaultFormat(m)))
-	return b
+	return NewBlockAt(computeID(m, payload), name, m, payload, desc)
 }
 
 // NewBlockAt builds a block exactly as NewBlock does but takes the
@@ -215,7 +214,21 @@ func (b *Block) Verify() error {
 // from a payload into a connection.
 func (b *Block) PayloadReader() *bytes.Reader { return bytes.NewReader(b.Payload) }
 
-// Clone deep-copies the block.
+// WithName returns the block under another name: b itself when the name
+// already matches, otherwise a shallow copy sharing b's payload and
+// descriptor — how a block is re-registered without touching the
+// original.
+func (b *Block) WithName(name string) *Block {
+	if b.Name == name {
+		return b
+	}
+	c := *b
+	c.Name = name
+	return &c
+}
+
+// Clone deep-copies the block: the explicit copy for a caller that means
+// to mutate the result. Nothing on the store, cache or wire path calls it.
 func (b *Block) Clone() *Block {
 	return &Block{
 		ID:         b.ID,

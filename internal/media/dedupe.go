@@ -57,8 +57,8 @@ func (s *Store) chunkShardOf(h ChunkHash) *chunkShard {
 }
 
 // indexChunks cuts a stored block's payload and registers its chunks,
-// taking references. stored must be the store's own copy (chunk data
-// subslices it). Idempotent per block id via the manifest table.
+// taking references; chunk data subslices the payload. Idempotent per
+// block id via the manifest table.
 func (s *Store) indexChunks(stored *Block) {
 	if len(stored.Payload) < ChunkThreshold {
 		return
@@ -194,26 +194,4 @@ func (s *Store) DedupeStats() DedupeStats {
 		cs.mu.RUnlock()
 	}
 	return st
-}
-
-// GetRef fetches a block by content address without cloning. The block
-// and its payload are the store's own immutable copies: callers may
-// read them (and hand the payload to vectored writes) but must never
-// modify them. This is the zero-copy hot path; Get keeps the cloning
-// contract for callers that go on to mutate.
-func (s *Store) GetRef(id string) (*Block, bool) {
-	bs := &s.blocks[shardOf(id)]
-	bs.mu.RLock()
-	b, ok := bs.byID[id]
-	bs.mu.RUnlock()
-	return b, ok
-}
-
-// GetByNameRef is GetRef keyed by registered name.
-func (s *Store) GetByNameRef(name string) (*Block, bool) {
-	id, ok := s.Resolve(name)
-	if !ok {
-		return nil, false
-	}
-	return s.GetRef(id)
 }

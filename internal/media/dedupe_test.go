@@ -112,7 +112,7 @@ func TestDeleteReleasesChunks(t *testing.T) {
 func TestGetRefNoClone(t *testing.T) {
 	s := NewStore()
 	b := NewBlock("ref", core.MediumImage, randomPayload(32<<10, 7), attr.List{})
-	s.PutOwned(b, true)
+	s.PutReplayed(b, true)
 
 	got, ok := s.GetRef(b.ID)
 	if !ok {
@@ -121,39 +121,36 @@ func TestGetRefNoClone(t *testing.T) {
 	if &got.Payload[0] != &b.Payload[0] {
 		t.Fatal("GetRef cloned the payload")
 	}
-	byName, ok := s.GetByNameRef("ref")
+	byName, ok := s.GetByName("ref")
 	if !ok || byName != got {
-		t.Fatal("GetByNameRef did not return the same stored block")
-	}
-	// The cloning accessor must still clone.
-	cloned, _ := s.Get(b.ID)
-	if &cloned.Payload[0] == &b.Payload[0] {
-		t.Fatal("Get stopped cloning")
+		t.Fatal("GetByName did not return the same stored block")
 	}
 }
 
-func TestPutCloneChunksStoredCopy(t *testing.T) {
-	// Put clones; the chunk index must alias the stored clone, not the
-	// caller's buffer, or a caller mutation would corrupt chunks.
+// TestChunkIndexAliasesStoredPayload pins what GetChunk documents: the
+// chunk index holds subslices of the stored block's payload, laid end to
+// end, not copies — indexing costs hashing, not storage.
+func TestChunkIndexAliasesStoredPayload(t *testing.T) {
 	s := NewStore()
-	payload := randomPayload(64<<10, 8)
-	orig := bytes.Clone(payload)
-	b := NewBlock("mut", core.MediumAudio, payload, attr.List{})
+	b := NewBlock("idx", core.MediumAudio, randomPayload(64<<10, 8), attr.List{})
 	s.Put(b)
-	for i := range payload {
-		payload[i] = 0xFF // caller scribbles over its buffer
-	}
 	hashes, ok := s.Manifest(b.ID)
 	if !ok {
 		t.Fatal("no manifest")
 	}
-	var joined []byte
-	for _, h := range hashes {
-		c, _ := s.GetChunk(h)
-		joined = append(joined, c...)
+	off := 0
+	for i, h := range hashes {
+		c, ok := s.GetChunk(h)
+		if !ok {
+			t.Fatalf("chunk %d missing", i)
+		}
+		if &c[0] != &b.Payload[off] {
+			t.Fatalf("chunk %d is a copy, want a subslice of the stored payload at %d", i, off)
+		}
+		off += len(c)
 	}
-	if !bytes.Equal(joined, orig) {
-		t.Fatal("chunk index aliases the caller's mutable buffer")
+	if off != len(b.Payload) {
+		t.Fatalf("chunks cover %d of %d bytes", off, len(b.Payload))
 	}
 }
 

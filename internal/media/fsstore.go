@@ -115,9 +115,7 @@ func LoadDir(dir string) (*Store, error) {
 			return nil, fmt.Errorf("media: block %q content address mismatch (%s != %s)",
 				name, b.ID[:12], id[:12])
 		}
-		// PutOwned: the payload was read for this store and is never
-		// touched again; cloning it would double peak memory.
-		s.PutOwned(b, true)
+		s.Put(b)
 	}
 	return s, nil
 }

@@ -327,21 +327,43 @@ func TestStoreBasics(t *testing.T) {
 	}
 }
 
-func TestStoreIsolation(t *testing.T) {
+// TestStoreSharesStoredBlock pins the ownership rule: the store keeps
+// the block it is given and every lookup returns that very pointer; a
+// variant is made with WithName (shares the payload) or Clone (does not).
+func TestStoreSharesStoredBlock(t *testing.T) {
 	s := NewStore()
 	b := CaptureText("t", "hello", "en")
 	s.Put(b)
-	// Mutating the caller's block must not affect the store.
-	b.Payload[0] = 'X'
-	got, _ := s.GetByName("t")
-	if got.Payload[0] == 'X' {
-		t.Error("store shares storage with caller")
+	byName, _ := s.GetByName("t")
+	byID, _ := s.Get(b.ID)
+	byRef, _ := s.GetRef(b.ID)
+	if byName != b || byID != b || byRef != b {
+		t.Errorf("lookups returned %p %p %p, want the stored pointer %p", byName, byID, byRef, b)
 	}
-	// Mutating a fetched block must not affect the store either.
-	got.Payload[1] = 'Y'
-	again, _ := s.GetByName("t")
-	if again.Payload[1] == 'Y' {
-		t.Error("fetched blocks share storage")
+	var seen *Block
+	s.Each(func(e *Block) bool { seen = e; return true })
+	if seen != b {
+		t.Errorf("Each visited %p, want %p", seen, b)
+	}
+
+	if b.WithName("t") != b {
+		t.Error("WithName under the same name allocated a new block")
+	}
+	alias := b.WithName("alias")
+	if alias == b || alias.Name != "alias" || b.Name != "t" || alias.ID != b.ID {
+		t.Errorf("WithName = %+v beside original %q", alias, b.Name)
+	}
+	if &alias.Payload[0] != &b.Payload[0] {
+		t.Error("WithName copied the payload")
+	}
+	clone := b.Clone()
+	if &clone.Payload[0] == &b.Payload[0] {
+		t.Error("Clone shares the payload")
+	}
+	clone.Payload[0] = 'X'
+	clone.Descriptor.Set(DescTitle, attr.String("scribble"))
+	if err := s.VerifyAll(); err != nil || b.Descriptor.Has(DescTitle) {
+		t.Errorf("mutating a Clone reached the stored block: %v", err)
 	}
 }
 

@@ -10,8 +10,10 @@ import (
 
 // Block operations implementing the Figure-7 range attributes (Slice, Clip,
 // Crop) and the constraint-filter transforms (sub-sampling, quantization,
-// down-resolution). Every operation returns a new block with a corrected
-// descriptor; inputs are never mutated.
+// down-resolution). Every operation that changes content returns a new
+// block with a corrected descriptor; inputs are never mutated, and an
+// operation with nothing to do (Quantize at or above the block's depth,
+// Downres by zero halvings) returns its input.
 
 // SliceBytes extracts payload bytes [from, to) — the "slice" attribute for
 // external nodes specifying binary data.
@@ -127,7 +129,7 @@ func Quantize(b *Block, bits int64) (*Block, error) {
 		return nil, fmt.Errorf("media: quantize to %d bits", bits)
 	}
 	if bits >= b.ColorBits() {
-		return b.Clone(), nil
+		return b, nil
 	}
 	shift := uint(8 - bits)
 	payload := make([]byte, len(b.Payload))
@@ -148,7 +150,7 @@ func Downres(b *Block, pow int) (*Block, error) {
 	if pow < 0 {
 		return nil, fmt.Errorf("media: downres power %d < 0", pow)
 	}
-	out := b.Clone()
+	out := b
 	for i := 0; i < pow; i++ {
 		w, h := out.Width(), out.Height()
 		if w < 2 || h < 2 {

@@ -111,33 +111,22 @@ func NewStore() *Store {
 }
 
 // Put inserts a block, registering its name, and returns its content
-// address. Re-putting identical content is idempotent; re-using a name for
-// different content re-points the name.
-func (s *Store) Put(b *Block) string { return s.putBlock(b, true, true) }
+// address. The store keeps b itself (see Block: immutable once handed
+// over; sharing one descriptor across many blocks is fine). Re-putting
+// identical content is idempotent; re-using a name for different content
+// re-points the name.
+func (s *Store) Put(b *Block) string { return s.PutReplayed(b, true) }
 
-// PutOwned inserts a block, taking ownership instead of cloning: the
-// caller must never mutate b, its payload or its descriptor afterwards
-// (sharing one immutable descriptor across many PutOwned blocks is fine).
-// register says whether b.Name enters the name registry — snapshot replay
-// passes false and rebuilds the registry from its own records, in
-// mutation order. Recovery uses this to rebuild large corpora without a
-// defensive copy per block; everything else should use Put.
-func (s *Store) PutOwned(b *Block, register bool) string {
-	return s.putBlock(b, register, false)
-}
-
-// putBlock is the shared insertion path behind the Put variants.
-func (s *Store) putBlock(b *Block, register, clone bool) string {
+// PutReplayed is Put for WAL and snapshot replay: register says whether
+// b.Name enters the name registry — snapshot replay passes false and
+// rebuilds the registry from its own records, in mutation order.
+// Everything else uses Put.
+func (s *Store) PutReplayed(b *Block, register bool) string {
 	bs := &s.blocks[shardOf(b.ID)]
 	bs.mu.Lock()
 	_, existed := bs.byID[b.ID]
-	var stored *Block
 	if !existed {
-		stored = b
-		if clone {
-			stored = b.Clone()
-		}
-		bs.byID[b.ID] = stored
+		bs.byID[b.ID] = b
 		// Journaled under the block-shard lock: puts and deletes of one
 		// id reach the journal in map order (see Journal).
 		if s.journal != nil {
@@ -145,11 +134,11 @@ func (s *Store) putBlock(b *Block, register, clone bool) string {
 		}
 	}
 	bs.mu.Unlock()
-	if stored != nil {
+	if !existed {
 		// Chunk-index outside the shard lock (hashing the payload is the
 		// dominant cost). A Delete racing the indexing is resolved like
 		// the name rollback below: whichever runs last unindexes.
-		s.indexChunks(stored)
+		s.indexChunks(b)
 		bs.mu.RLock()
 		_, alive := bs.byID[b.ID]
 		bs.mu.RUnlock()
@@ -218,17 +207,20 @@ func (s *Store) RegisterName(name, id string) bool {
 	return true
 }
 
-// Get fetches a block by content address.
+// Get fetches a block by content address. The result is the stored
+// pointer: read it, hand its payload to a vectored write, keep it as long
+// as needed — never modify it.
 func (s *Store) Get(id string) (*Block, bool) {
 	bs := &s.blocks[shardOf(id)]
 	bs.mu.RLock()
-	defer bs.mu.RUnlock()
 	b, ok := bs.byID[id]
-	if !ok {
-		return nil, false
-	}
-	return b.Clone(), true
+	bs.mu.RUnlock()
+	return b, ok
 }
+
+// GetRef forwards to Get. It survives only because the frozen bench/
+// module still calls it; the next benchmark PR drops it.
+func (s *Store) GetRef(id string) (*Block, bool) { return s.Get(id) }
 
 // GetByName fetches a block by registered name (the "file" attribute value).
 func (s *Store) GetByName(name string) (*Block, bool) {
@@ -255,7 +247,7 @@ func (s *Store) Delete(id string) bool {
 	_, ok := bs.byID[id]
 	if ok {
 		delete(bs.byID, id)
-		// Journaled under the block-shard lock, mirroring putBlock.
+		// Journaled under the block-shard lock, mirroring Put.
 		if s.journal != nil {
 			s.journal.JournalDeleteBlock(id)
 		}
@@ -281,11 +273,10 @@ func (s *Store) Delete(id string) bool {
 }
 
 // Each calls fn once per stored block, stopping early when fn returns
-// false. The pointers are the store's own copies: stored blocks are
-// immutable (Put clones on the way in and nothing mutates them after), so
-// fn may read them freely but must not modify or hold them past the call.
-// Pointers are collected shard-by-shard under the read lock and fn runs
-// outside it, so slow consumers (snapshot writers) do not stall writers.
+// false. The pointers are the stored blocks themselves (read-only, like
+// Get's). They are collected shard-by-shard under the read lock and fn
+// runs outside it, so slow consumers (snapshot writers) do not stall
+// writers.
 func (s *Store) Each(fn func(b *Block) bool) {
 	for i := range s.blocks {
 		bs := &s.blocks[i]

@@ -88,15 +88,14 @@ func (r *Registry) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, er
 	return gen, r.durability()
 }
 
-// GetBlock returns the store's own block without cloning
-// (media.Store.GetRef): response parts reference the stored payload
-// directly, and the vectored writer moves it store → conn with no
+// GetBlock returns the stored block itself: response parts reference its
+// payload directly, and the vectored writer moves it store → conn with no
 // intermediate copy.
 func (r *Registry) GetBlock(name string) (*media.Block, bool) {
-	if blk, ok := r.Store.GetByNameRef(name); ok {
+	if blk, ok := r.Store.GetByName(name); ok {
 		return blk, true
 	}
-	return r.Store.GetRef(name)
+	return r.Store.Get(name)
 }
 
 // StoreBlock puts the block into the store.

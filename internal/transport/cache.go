@@ -1,10 +1,10 @@
 package transport
 
 import (
-	"container/list"
 	"context"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/media"
 	"repro/internal/metrics"
 )
@@ -20,19 +20,19 @@ const DefaultCacheSize = 256
 // key are collapsed into a single wire fetch (singleflight), so a burst of
 // players starting the same presentation costs one round trip per block.
 //
+// Blocks are immutable (media.Block), so the cache stores the pointer it
+// is given and every hit — and every follower of one flight — receives
+// that same pointer; nothing is copied in or out.
+//
 // A cache is safe for concurrent use and is meant to be shared between
 // clients: each Client stays single-goroutine, while the cache coordinates
 // across them.
 type BlockCache struct {
 	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used
-	items   map[string]*list.Element
+	blocks  *lru.Cache[string, *media.Block] // budget counts blocks
 	flights map[string]*flight
 
-	hits      int64
-	misses    int64
-	evictions int64
+	hits, misses int64
 
 	// Mirrored instruments (Instrument); nil when uninstrumented. They
 	// increment at exactly the sites the fields above do, so the metrics
@@ -59,8 +59,8 @@ func (c *BlockCache) Instrument(reg *metrics.Registry) {
 	c.mEvictions = reg.Counter("cmif_cache_evictions_total", "blocks evicted by LRU pressure")
 }
 
-// countHit/countMiss/countEviction move the CacheStats field and its
-// mirrored instrument together. Caller holds c.mu.
+// countHit and countMiss move the CacheStats field and its mirrored
+// instrument together. Caller holds c.mu.
 func (c *BlockCache) countHit() {
 	c.hits++
 	if c.mHits != nil {
@@ -73,19 +73,6 @@ func (c *BlockCache) countMiss() {
 	if c.mMisses != nil {
 		c.mMisses.Inc()
 	}
-}
-
-func (c *BlockCache) countEviction() {
-	c.evictions++
-	if c.mEvictions != nil {
-		c.mEvictions.Inc()
-	}
-}
-
-// cacheEntry is one resident block.
-type cacheEntry struct {
-	key string
-	blk *media.Block
 }
 
 // flight is one in-progress fetch other goroutines can wait on.
@@ -101,50 +88,34 @@ func NewBlockCache(size int) *BlockCache {
 	if size <= 0 {
 		size = DefaultCacheSize
 	}
-	return &BlockCache{
-		cap:     size,
-		order:   list.New(),
-		items:   make(map[string]*list.Element),
-		flights: make(map[string]*flight),
-	}
+	c := &BlockCache{flights: make(map[string]*flight)}
+	c.blocks = lru.New(int64(size), func(*media.Block) int64 { return 1 },
+		func(string, *media.Block) {
+			if c.mEvictions != nil {
+				c.mEvictions.Inc()
+			}
+		})
+	return c
 }
 
-// Get returns a copy of the cached block under key, marking it recently
-// used and counting a hit.
+// Get returns the cached block under key, marking it recently used and
+// counting a hit.
 func (c *BlockCache) Get(key string) (*media.Block, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
+	blk, ok := c.blocks.Get(key)
+	if ok {
+		c.countHit()
 	}
-	c.order.MoveToFront(el)
-	c.countHit()
-	return el.Value.(*cacheEntry).blk.Clone(), true
+	return blk, ok
 }
 
-// Add stores a copy of blk under key, evicting the least recently used
-// entry when the cache is full.
+// Add stores blk under key, evicting the least recently used entry when
+// the cache is full.
 func (c *BlockCache) Add(key string, blk *media.Block) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.addLocked(key, blk)
-}
-
-// addLocked inserts a clone of blk under key. Caller holds c.mu.
-func (c *BlockCache) addLocked(key string, blk *media.Block) {
-	if el, ok := c.items[key]; ok {
-		el.Value.(*cacheEntry).blk = blk.Clone()
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&cacheEntry{key: key, blk: blk.Clone()})
-	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry).key)
-		c.countEviction()
-	}
+	c.blocks.Add(key, blk)
 }
 
 // join is the singleflight entry point shared by the single-block and
@@ -157,10 +128,9 @@ func (c *BlockCache) addLocked(key string, blk *media.Block) {
 func (c *BlockCache) join(key string) (blk *media.Block, f *flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
+	if blk, ok := c.blocks.Get(key); ok {
 		c.countHit()
-		return el.Value.(*cacheEntry).blk.Clone(), nil, false
+		return blk, nil, false
 	}
 	if f, ok := c.flights[key]; ok {
 		c.countHit()
@@ -178,7 +148,7 @@ func (c *BlockCache) settle(key string, f *flight, blk *media.Block, err error) 
 	c.mu.Lock()
 	delete(c.flights, key)
 	if err == nil && blk != nil {
-		c.addLocked(key, blk)
+		c.blocks.Add(key, blk)
 	}
 	f.blk, f.err = blk, err
 	close(f.done)
@@ -189,13 +159,7 @@ func (c *BlockCache) settle(key string, f *flight, blk *media.Block, err error) 
 func (f *flight) wait(ctx context.Context) (*media.Block, error) {
 	select {
 	case <-f.done:
-		if f.err != nil {
-			return nil, f.err
-		}
-		if f.blk == nil {
-			return nil, nil
-		}
-		return f.blk.Clone(), nil
+		return f.blk, f.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -224,7 +188,7 @@ func (c *BlockCache) GetOrFetch(ctx context.Context, key string, fetch func(cont
 func (c *BlockCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.blocks.Len()
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness. A "hit"
@@ -245,8 +209,8 @@ func (c *BlockCache) Stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits,
 		Misses:    c.misses,
-		Evictions: c.evictions,
-		Len:       c.order.Len(),
-		Capacity:  c.cap,
+		Evictions: c.blocks.Evictions(),
+		Len:       c.blocks.Len(),
+		Capacity:  int(c.blocks.Budget()),
 	}
 }

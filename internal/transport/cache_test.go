@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,17 +43,43 @@ func TestBlockCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestBlockCacheReturnsCopies(t *testing.T) {
+// TestBlockCacheSharesBlocks pins the ownership rule at the cache: the
+// pointer stored is the pointer every hit returns, and the leader and
+// every follower of one flight receive the same block.
+func TestBlockCacheSharesBlocks(t *testing.T) {
 	c := NewBlockCache(4)
-	c.Add("a", textBlock("a", "payload"))
-	got, ok := c.Get("a")
-	if !ok {
-		t.Fatal("miss")
+	a := textBlock("a", "payload")
+	c.Add("a", a)
+	for i := 0; i < 2; i++ {
+		if got, ok := c.Get("a"); !ok || got != a {
+			t.Fatalf("Get #%d = %p, %v; want the stored pointer %p", i, got, ok, a)
+		}
 	}
-	got.Payload[0] = 'X'
-	again, _ := c.Get("a")
-	if again.Payload[0] == 'X' {
-		t.Error("cache returned an aliased payload; want a copy")
+
+	_, f, leader := c.join("b")
+	if !leader {
+		t.Fatal("first join(b) did not lead")
+	}
+	followed := make(chan *media.Block)
+	go func() {
+		got, _ := c.GetOrFetch(context.Background(), "b", func(context.Context) (*media.Block, error) {
+			t.Error("follower ran its own fetch")
+			return nil, nil
+		})
+		followed <- got
+	}()
+	// The follower has joined once it has been counted (a joined flight is
+	// a hit); only then may the leader settle.
+	for c.Stats().Hits < 3 {
+		runtime.Gosched()
+	}
+	b := textBlock("b", "fetched")
+	c.settle("b", f, b, nil)
+	if got := <-followed; got != b {
+		t.Errorf("follower received %p, want the leader's block %p", got, b)
+	}
+	if got, _ := c.Get("b"); got != b {
+		t.Errorf("Get after settle = %p, want %p", got, b)
 	}
 }
 

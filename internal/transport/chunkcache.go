@@ -1,9 +1,9 @@
 package transport
 
 import (
-	"container/list"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/media"
 )
 
@@ -23,10 +23,7 @@ const DefaultChunkCacheBytes = 64 << 20
 // concurrent use and meant to be shared between clients.
 type ChunkCache struct {
 	mu     sync.Mutex
-	budget int64
-	used   int64
-	order  *list.List // front = most recently used
-	items  map[media.ChunkHash]*list.Element
+	chunks *lru.Cache[media.ChunkHash, []byte] // budget counts bytes
 
 	// verified memoizes (content address, manifest) pairs whose
 	// reassembly has already been checked against the full payload hash,
@@ -35,8 +32,7 @@ type ChunkCache struct {
 	// and the manifest-to-address binding was proven on first assembly.
 	verified map[[32]byte]struct{}
 
-	hits, misses, evictions int64
-	bytesServed             int64
+	hits, misses, bytesServed int64
 }
 
 // manifestMemoCap bounds the verified-manifest memo; past it the memo is
@@ -44,69 +40,43 @@ type ChunkCache struct {
 // so the reset only costs time, never correctness).
 const manifestMemoCap = 4096
 
-// chunkCacheEntry is one resident chunk.
-type chunkCacheEntry struct {
-	key  media.ChunkHash
-	data []byte
-}
-
 // NewChunkCache returns a cache holding up to budget bytes of chunk
 // data; a non-positive budget gets DefaultChunkCacheBytes.
 func NewChunkCache(budget int64) *ChunkCache {
 	if budget <= 0 {
 		budget = DefaultChunkCacheBytes
 	}
-	return &ChunkCache{
-		budget: budget,
-		order:  list.New(),
-		items:  make(map[media.ChunkHash]*list.Element),
-	}
+	return &ChunkCache{chunks: lru.New[media.ChunkHash](budget,
+		func(data []byte) int64 { return int64(len(data)) }, nil)}
 }
 
 // Get returns the cached chunk under h, marking it recently used. The
-// returned slice is the cache's own copy: read-only, valid until the
-// entry is evicted — copy out of it before the next cache mutation if
-// the bytes must outlive the lookup (the assembly path copies them into
-// the payload it is building immediately).
+// returned slice is the cache's own copy and read-only (the assembly
+// path copies it into the payload it is building).
 func (c *ChunkCache) Get(h media.ChunkHash) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[h]
+	data, ok := c.chunks.Get(h)
 	if !ok {
 		c.misses++
 		return nil, false
 	}
-	c.order.MoveToFront(el)
-	e := el.Value.(*chunkCacheEntry)
 	c.hits++
-	c.bytesServed += int64(len(e.data))
-	return e.data, true
+	c.bytesServed += int64(len(data))
+	return data, true
 }
 
 // Add stores a copy of data under h, evicting least recently used
 // chunks until the budget holds. A chunk larger than the whole budget
-// is not cached.
+// is not cached. The copy is deliberate: callers pass subslices of a
+// whole payload or a response frame, and a cached chunk that pinned its
+// parent would hold megabytes the byte budget never counted.
 func (c *ChunkCache) Add(h media.ChunkHash, data []byte) {
-	if int64(len(data)) > c.budget {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[h]; ok {
-		// Content-addressed: same hash, same bytes. Just refresh recency.
-		c.order.MoveToFront(el)
-		return
-	}
-	e := &chunkCacheEntry{key: h, data: append([]byte(nil), data...)}
-	c.items[h] = c.order.PushFront(e)
-	c.used += int64(len(e.data))
-	for c.used > c.budget {
-		last := c.order.Back()
-		c.order.Remove(last)
-		le := last.Value.(*chunkCacheEntry)
-		delete(c.items, le.key)
-		c.used -= int64(len(le.data))
-		c.evictions++
+	// Content-addressed: same hash, same bytes. Just refresh recency.
+	if _, ok := c.chunks.Get(h); !ok {
+		c.chunks.Add(h, append([]byte(nil), data...))
 	}
 }
 
@@ -130,13 +100,6 @@ func (c *ChunkCache) MarkManifestVerified(key [32]byte) {
 	c.verified[key] = struct{}{}
 }
 
-// Len reports the number of resident chunks.
-func (c *ChunkCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // ChunkCacheStats is a point-in-time snapshot of cache effectiveness.
 // BytesServed is the total chunk bytes answered from the cache — the
 // payload bytes the dedupe path kept off the wire.
@@ -155,12 +118,12 @@ func (c *ChunkCache) Stats() ChunkCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return ChunkCacheStats{
-		Chunks:      c.order.Len(),
-		Bytes:       c.used,
-		Budget:      c.budget,
+		Chunks:      c.chunks.Len(),
+		Bytes:       c.chunks.Used(),
+		Budget:      c.chunks.Budget(),
 		Hits:        c.hits,
 		Misses:      c.misses,
-		Evictions:   c.evictions,
+		Evictions:   c.chunks.Evictions(),
 		BytesServed: c.bytesServed,
 	}
 }

@@ -514,17 +514,16 @@ func manifestVerifyKey(id, medium, manifest []byte) [32]byte {
 func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block, error) {
 	// Collapse duplicates and classify each unique name: resident in the
 	// cache, in flight elsewhere (wait), or ours to fetch (lead).
-	need := make(map[string][]int, len(names))
+	seen := make(map[string]bool, len(names))
 	got := make(map[string]*media.Block, len(names))
 	owned := make(map[string]*flight)
 	waits := make(map[string]*flight)
 	var order []string // unique names this call fetches, in request order
-	for i, name := range names {
-		if _, dup := need[name]; dup {
-			need[name] = append(need[name], i)
+	for _, name := range names {
+		if seen[name] {
 			continue
 		}
-		need[name] = []int{i}
+		seen[name] = true
 		if c.Cache == nil {
 			order = append(order, name)
 			continue
@@ -605,7 +604,7 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 					return fail(err)
 				}
 			}
-			settle(name, blk, nil) // clones into the cache
+			settle(name, blk, nil)
 			got[name] = blk
 		}
 	}
@@ -622,21 +621,11 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 		got[name] = blk
 	}
 
-	// Fill results aligned with the request; the first index of each name
-	// takes the fetched block as-is, duplicates get copies.
+	// Fill results aligned with the request; duplicate names share one
+	// block (a missing name leaves nil).
 	out := make([]*media.Block, len(names))
-	for name, idxs := range need {
-		blk := got[name]
-		if blk == nil {
-			continue
-		}
-		for k, idx := range idxs {
-			if k == 0 {
-				out[idx] = blk
-			} else {
-				out[idx] = blk.Clone()
-			}
-		}
+	for i, name := range names {
+		out[i] = got[name]
 	}
 	return out, nil
 }

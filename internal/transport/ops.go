@@ -364,7 +364,12 @@ func descriptorNode(b *media.Block) *core.Node {
 	return n
 }
 
-// blockFromParts rebuilds a block from putblk/getblk wire parts.
+// blockFromParts rebuilds a block from putblk/getblk wire parts,
+// hashing the payload (NewBlock) and copying it exactly once. The copy is
+// one of the two the block path keeps: the block outlives the frame — in
+// a store or a cache — and must not pin a batch frame of up to 64 blocks;
+// on the streamed path it is also what trims the assembler's
+// grow-as-received buffer to size.
 func blockFromParts(parts [][]byte) (*media.Block, error) {
 	medium, err := core.ParseMedium(string(parts[1]))
 	if err != nil {
