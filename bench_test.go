@@ -1,5 +1,6 @@
-// Benchmarks regenerating the performance dimension of every experiment in
-// DESIGN.md's index: one benchmark (or family) per table/figure/ablation.
+// Benchmarks regenerating the performance dimension of every experiment
+// cmifbench prints (internal/experiments: T1, F1–F10, A1, A2): one benchmark
+// (or family) per table/figure/ablation.
 // Run with: go test -bench=. -benchmem
 package repro_test
 
@@ -371,61 +372,6 @@ func BenchmarkA2Transport(b *testing.B) {
 	b.Run("inline-binary", func(b *testing.B) {
 		run(b, transport.GetDocOptions{Encoding: transport.EncodingBinary, Inline: true})
 	})
-}
-
-// BenchmarkRelaxationStrategies compares the may-arc victim-selection
-// strategies (DESIGN.md ablation 2) on a conflict-heavy document.
-func BenchmarkRelaxationStrategies(b *testing.B) {
-	build := func() *sched.Graph {
-		root := core.NewPar().SetName("r")
-		anchor := core.NewExt().SetName("anchor").
-			SetAttr("channel", attr.ID("video")).
-			SetAttr("file", attr.String("a.vid")).
-			SetAttr("duration", attr.Quantity(units.MS(1000)))
-		root.AddChild(anchor)
-		for i := 0; i < 8; i++ {
-			n := core.NewExt().SetName(fmt.Sprintf("n%d", i)).
-				SetAttr("channel", attr.ID("audio")).
-				SetAttr("file", attr.String("n.aud")).
-				SetAttr("duration", attr.Quantity(units.MS(500)))
-			// Contradictory pins: exactly at anchor begin and at 100ms
-			// after it; one of each pair must be dropped.
-			n.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.May,
-				Source: "../anchor", SrcEnd: core.Begin, Dest: "",
-				MaxDelay: units.MS(int64(10 * (i + 1)))})
-			n.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.May,
-				Source: "../anchor", SrcEnd: core.Begin, Dest: "",
-				Offset: units.MS(500), MaxDelay: units.MS(0)})
-			root.AddChild(n)
-		}
-		d, err := core.NewDocument(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d.SetChannels(newsdoc.Channels())
-		g, err := sched.Build(d, sched.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return g
-	}
-	for _, strat := range []struct {
-		name string
-		s    sched.RelaxStrategy
-	}{
-		{"first-may", sched.RelaxFirstMay},
-		{"widest", sched.RelaxWidestWindow},
-		{"narrowest", sched.RelaxNarrowestWindow},
-	} {
-		g := build()
-		b.Run(strat.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := g.Solve(sched.SolveOptions{Relax: true, Strategy: strat.s}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkValidate measures the consistency checker on the corpus.

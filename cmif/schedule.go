@@ -59,9 +59,9 @@ func WithRelaxation() ScheduleOption {
 
 // Schedule resolves every event time of the document from its structure
 // and synchronization arcs. Independent components of the constraint graph
-// are solved concurrently; the returned Plan keeps the solver state, so
-// subsequent edits can be absorbed with Reschedule instead of a full
-// re-solve.
+// are solved one after another and remembered separately; the returned Plan
+// keeps the solver state, so subsequent edits can be absorbed with
+// Reschedule instead of a full re-solve.
 func Schedule(d *Document, opts ...ScheduleOption) (*Plan, error) {
 	var cfg scheduleConfig
 	for _, o := range opts {

@@ -17,7 +17,7 @@ import (
 // documents human-readable ("our expectation is that the documents
 // themselves will be created and viewed using appropriate user interface
 // tools", section 6); the binary codec exists so the text-vs-binary trade
-// can be measured (ablation 3 in DESIGN.md).
+// can be measured (cmifbench F5 prints both sizes).
 //
 // Layout:
 //

@@ -157,7 +157,7 @@ var StandardAttrs = NewRegistry(
 		Name: "syncarcs", Kinds: []attr.Kind{attr.KindList},
 		Doc: "explicit synchronization arcs controlled by this node (Figure 9)",
 	},
-	// Extensions beyond Figure 7, documented in DESIGN.md.
+	// Extensions beyond Figure 7; each Doc string says what it adds.
 	AttrSpec{
 		Name: "duration", NodeTypes: []NodeType{Ext, Imm},
 		Kinds: []attr.Kind{attr.KindNumber},

@@ -320,7 +320,8 @@ func (sh *dbShard) sel(preds []Pred) []string {
 }
 
 // SelectLinear evaluates predicates by scanning every descriptor, without
-// indexes. It exists as the baseline for DESIGN.md ablation 4.
+// indexes. It exists as the baseline the indexed Select is checked and
+// timed against (cmifbench F2).
 func (db *DB) SelectLinear(preds ...Pred) []string {
 	var out []string
 	for i := range db.shards {

@@ -9,7 +9,7 @@
 // information on the data block (its format, its resolution, its length,
 // the resources required to support it, etc.)"
 //
-// Substitution note (DESIGN.md): payloads are deterministic synthetic bytes.
+// Substitution note: payloads are deterministic synthetic bytes.
 // CMIF tools never interpret payloads — only descriptor attributes flow
 // through the pipeline — so synthetic blocks exercise exactly the same code
 // paths as captured media.

@@ -140,8 +140,8 @@ func Run(ctx context.Context, doc *core.Document, store *media.Store, cfg Config
 	if err != nil {
 		return out, fmt.Errorf("pipeline: %w", err)
 	}
-	// Independent components of the constraint graph solve concurrently.
-	out.Schedule, err = g.SolveParallel(sched.SolveOptions{Relax: true})
+	// Conflicting May arcs are relaxed; only a Must conflict fails the run.
+	out.Schedule, err = g.Solve(sched.SolveOptions{Relax: true})
 	if err != nil {
 		return out, fmt.Errorf("pipeline: scheduling: %w", err)
 	}

@@ -1,0 +1,212 @@
+package player
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/corpus"
+	"repro/internal/sched"
+)
+
+// corpusGolden pins the scheduler's answers on the benchmark's corpus
+// shapes: the makespan, the May arcs relaxation drops — in victim order, as
+// carrier path#index — and what playback under UniformJitter(1, 30ms) makes
+// of them. The values were recorded before the relax loop was unified and
+// must not move when it changes shape again.
+var corpusGolden = []struct {
+	spec               corpus.Spec
+	makespan, finished string
+	droppedMay         int
+	dropped            string
+}{
+	{
+		spec:     corpus.Spec{Shape: corpus.Archive, Seed: 201, Size: 20},
+		makespan: "6m14.607s", finished: "6m14.636934122s", droppedMay: 0,
+	},
+	{
+		spec:     corpus.Spec{Shape: corpus.DeepNest, Seed: 204, Size: 3, Depth: 3},
+		makespan: "29.676s", finished: "29.703641591s", droppedMay: 14,
+		dropped: `
+			/seq-2/par-1/seq-2/leaf-0#0
+			/seq-1/par-1/seq-0/leaf-0#0
+			/seq-1/par-2/seq-1/leaf-0#0
+			/seq-0/par-2/seq-2/leaf-0#0
+			/seq-0/par-2/seq-1/leaf-0#0
+			/seq-0/par-0/seq-2/leaf-0#0
+			/seq-0/par-0/seq-1/leaf-0#0
+			/seq-1/par-0/seq-2/leaf-0#0
+			/seq-0/par-2/seq-0/leaf-0#0
+			/seq-1/par-2/seq-0/leaf-0#0
+			/seq-2/par-2/seq-2/leaf-0#0
+			/seq-0/par-1/seq-0/leaf-0#0
+			/seq-2/par-2/seq-0/leaf-0#0
+			/seq-2/par-2/seq-1/leaf-0#0`,
+	},
+	{
+		spec:     corpus.Spec{Shape: corpus.DeepNest, Seed: 205, Size: 3, Depth: 3},
+		makespan: "30.379s", finished: "30.403800924s", droppedMay: 12,
+		dropped: `
+			/seq-0/par-2/seq-1/leaf-0#0
+			/seq-0/par-1/seq-2/leaf-0#0
+			/seq-0/par-2/seq-2/leaf-0#0
+			/seq-0/par-2/seq-0/leaf-0#0
+			/seq-2/par-0/seq-1/leaf-0#0
+			/seq-0/par-1/seq-1/leaf-0#0
+			/seq-2/par-0/seq-2/leaf-0#0
+			/seq-1/par-0/seq-1/leaf-0#0
+			/seq-1/par-1/seq-2/leaf-0#0
+			/seq-0/par-1/seq-0/leaf-0#0
+			/seq-1/par-1/seq-1/leaf-0#0
+			/seq-1/par-2/seq-2/leaf-0#0`,
+	},
+	{
+		spec:     corpus.Spec{Shape: corpus.DeepNest, Seed: 206, Size: 2, Depth: 6},
+		makespan: "24.291s", finished: "24.319985489s", droppedMay: 28,
+		dropped: `
+			/seq-1/par-0/seq-0/par-1/seq-0/par-0/leaf-0#0
+			/seq-1/par-1/seq-0/par-0/seq-0/par-1/leaf-1#0
+			/seq-1/par-1/seq-0/par-1/seq-1/par-1/leaf-1#0
+			/seq-0/par-1/seq-0/par-1/seq-1/par-0/leaf-1#0
+			/seq-0/par-1/seq-1/par-1/seq-1/par-1/leaf-1#0
+			/seq-0/par-1/seq-1/par-0/seq-0/par-1/leaf-1#0
+			/seq-1/par-1/seq-1/par-0/seq-0/par-1/leaf-0#0
+			/seq-0/par-1/seq-0/par-0/seq-1/par-0/leaf-0#0
+			/seq-1/par-1/seq-0/par-1/seq-0/par-0/leaf-1#0
+			/seq-1/par-1/seq-1/par-1/seq-1/par-1/leaf-0#0
+			/seq-1/par-1/seq-0/par-0/seq-1/par-1/leaf-0#0
+			/seq-0/par-1/seq-0/par-0/seq-1/par-1/leaf-1#0
+			/seq-0/par-0/seq-0/par-1/seq-1/par-0/leaf-0#0
+			/seq-0/par-1/seq-0/par-1/seq-0/par-1/leaf-0#0
+			/seq-1/par-0/seq-0/par-0/seq-1/par-0/leaf-1#0
+			/seq-1/par-0/seq-0/par-1/seq-1/par-1/leaf-0#0
+			/seq-0/par-1/seq-1/par-0/seq-1/par-1/leaf-0#0
+			/seq-0/par-1/seq-1/par-1/seq-1/par-0/leaf-0#0
+			/seq-1/par-1/seq-0/par-1/seq-1/par-0/leaf-0#0
+			/seq-0/par-0/seq-1/par-1/seq-1/par-1/leaf-0#0
+			/seq-0/par-1/seq-0/par-0/seq-0/par-0/leaf-1#0
+			/seq-0/par-0/seq-0/par-1/seq-1/par-1/leaf-1#0
+			/seq-1/par-0/seq-1/par-1/seq-1/par-0/leaf-1#0
+			/seq-1/par-0/seq-1/par-0/seq-1/par-1/leaf-1#0
+			/seq-1/par-0/seq-1/par-1/seq-0/par-1/leaf-0#0
+			/seq-1/par-1/seq-1/par-1/seq-0/par-0/leaf-0#0
+			/seq-1/par-1/seq-1/par-1/seq-0/par-1/leaf-1#0
+			/seq-0/par-1/seq-1/par-1/seq-0/par-0/leaf-1#0`,
+	},
+	{
+		spec:     corpus.Spec{Shape: corpus.DeepNest, Seed: 207, Size: 2, Depth: 6},
+		makespan: "22.644s", finished: "29.048072565s", droppedMay: 28,
+		dropped: `
+			/seq-1/par-1/seq-0/par-1/seq-1/par-1/leaf-1#0
+			/seq-0/par-0/seq-1/par-1/seq-1/par-1/leaf-0#0
+			/seq-1/par-0/seq-1/par-1/seq-0/par-1/leaf-0#0
+			/seq-0/par-0/seq-0/par-1/seq-0/par-0/leaf-1#0
+			/seq-1/par-0/seq-0/par-0/seq-1/par-0/leaf-1#0
+			/seq-0/par-0/seq-0/par-1/seq-1/par-0/leaf-0#0
+			/seq-0/par-1/seq-1/par-0/seq-1/par-1/leaf-0#0
+			/seq-1/par-1/seq-0/par-0/seq-0/par-0/leaf-0#0
+			/seq-0/par-1/seq-1/par-0/seq-0/par-0/leaf-0#0
+			/seq-0/par-0/seq-0/par-1/seq-1/par-1/leaf-1#0
+			/seq-1/par-0/seq-0/par-1/seq-1/par-1/leaf-0#0
+			/seq-0/par-0/seq-1/par-0/seq-0/par-1/leaf-0#0
+			/seq-0/par-1/seq-0/par-1/seq-0/par-1/leaf-0#0
+			/seq-1/par-0/seq-1/par-0/seq-1/par-1/leaf-1#0
+			/seq-0/par-1/seq-1/par-1/seq-0/par-0/leaf-1#0
+			/seq-1/par-0/seq-1/par-1/seq-1/par-0/leaf-1#0
+			/seq-1/par-1/seq-1/par-1/seq-1/par-1/leaf-0#0
+			/seq-0/par-1/seq-0/par-0/seq-1/par-1/leaf-1#0
+			/seq-0/par-1/seq-1/par-1/seq-1/par-1/leaf-1#0
+			/seq-1/par-1/seq-1/par-0/seq-1/par-0/leaf-1#0
+			/seq-0/par-1/seq-0/par-1/seq-1/par-0/leaf-1#0
+			/seq-1/par-1/seq-1/par-1/seq-0/par-0/leaf-0#0
+			/seq-1/par-1/seq-0/par-1/seq-0/par-0/leaf-1#0
+			/seq-1/par-0/seq-0/par-1/seq-0/par-0/leaf-0#0
+			/seq-0/par-0/seq-1/par-1/seq-0/par-1/leaf-1#0
+			/seq-1/par-1/seq-1/par-0/seq-0/par-1/leaf-0#0
+			/seq-0/par-1/seq-0/par-0/seq-0/par-0/leaf-1#0`,
+	},
+	{
+		spec:     corpus.Spec{Shape: corpus.DeepNest, Seed: 208, Size: 2, Depth: 6},
+		makespan: "18.204s", finished: "22.672640973s", droppedMay: 31,
+		dropped: `
+			/seq-0/par-1/seq-0/par-1/seq-0/par-1/leaf-0#0
+			/seq-1/par-1/seq-1/par-1/seq-0/par-0/leaf-0#0
+			/seq-0/par-1/seq-1/par-0/seq-1/par-1/leaf-0#0
+			/seq-0/par-0/seq-1/par-1/seq-0/par-1/leaf-1#0
+			/seq-1/par-1/seq-0/par-1/seq-1/par-0/leaf-0#0
+			/seq-0/par-1/seq-0/par-0/seq-1/par-0/leaf-0#0
+			/seq-0/par-0/seq-0/par-1/seq-0/par-0/leaf-1#0
+			/seq-0/par-0/seq-0/par-1/seq-1/par-0/leaf-0#0
+			/seq-1/par-1/seq-0/par-1/seq-1/par-1/leaf-1#0
+			/seq-0/par-1/seq-1/par-1/seq-0/par-0/leaf-1#0
+			/seq-0/par-0/seq-1/par-0/seq-0/par-1/leaf-0#0
+			/seq-0/par-1/seq-1/par-1/seq-1/par-1/leaf-1#0
+			/seq-0/par-0/seq-1/par-1/seq-0/par-0/leaf-0#0
+			/seq-0/par-1/seq-0/par-0/seq-1/par-1/leaf-1#0
+			/seq-1/par-0/seq-1/par-1/seq-1/par-0/leaf-1#0
+			/seq-0/par-0/seq-0/par-1/seq-1/par-1/leaf-1#0
+			/seq-0/par-1/seq-0/par-1/seq-1/par-0/leaf-1#0
+			/seq-1/par-0/seq-1/par-0/seq-1/par-0/leaf-0#0
+			/seq-0/par-1/seq-0/par-0/seq-0/par-0/leaf-1#0
+			/seq-1/par-0/seq-1/par-0/seq-0/par-0/leaf-1#0
+			/seq-1/par-1/seq-0/par-0/seq-0/par-1/leaf-1#0
+			/seq-0/par-1/seq-1/par-0/seq-0/par-1/leaf-1#0
+			/seq-0/par-1/seq-1/par-0/seq-0/par-0/leaf-0#0
+			/seq-1/par-1/seq-0/par-0/seq-1/par-1/leaf-0#0
+			/seq-1/par-0/seq-1/par-0/seq-1/par-1/leaf-1#0
+			/seq-1/par-0/seq-0/par-1/seq-0/par-1/leaf-1#0
+			/seq-1/par-0/seq-0/par-1/seq-1/par-1/leaf-0#0
+			/seq-1/par-1/seq-0/par-0/seq-0/par-0/leaf-0#0
+			/seq-1/par-1/seq-1/par-0/seq-1/par-0/leaf-1#0
+			/seq-1/par-1/seq-0/par-1/seq-0/par-0/leaf-1#0`,
+	},
+	{
+		spec:     corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 8, Languages: 4},
+		makespan: "1m46.572s", finished: "1m46.601880863s", droppedMay: 0,
+	},
+}
+
+func TestCorpusSchedulesGolden(t *testing.T) {
+	for _, want := range corpusGolden {
+		t.Run(fmt.Sprintf("%s-%d", want.spec.Shape, want.spec.Seed), func(t *testing.T) {
+			d, _, err := corpus.Generate(want.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := sched.Build(d, sched.Options{DefaultLeafDuration: 500 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := g.Solve(sched.SolveOptions{Relax: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Makespan().String(); got != want.makespan {
+				t.Errorf("makespan = %s, want %s", got, want.makespan)
+			}
+			var dropped []string
+			for _, r := range s.Dropped {
+				dropped = append(dropped, fmt.Sprintf("%s#%d", r.Node.PathString(), r.Index))
+			}
+			if got, golden := strings.Join(dropped, "\n"), strings.Join(strings.Fields(want.dropped), "\n"); got != golden {
+				t.Errorf("dropped arcs, in victim order:\n%s\nwant:\n%s", got, golden)
+			}
+			if viol := g.Verify(s.Times(), s.Dropped); len(viol) != 0 {
+				t.Errorf("schedule violates %d constraints, first: %s", len(viol), viol[0].Note)
+			}
+
+			res, err := Play(g, Options{Jitter: UniformJitter(1, 30*time.Millisecond), Relax: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.FinishedAt.String(); got != want.finished {
+				t.Errorf("played FinishedAt = %s, want %s", got, want.finished)
+			}
+			if len(res.DroppedMay) != want.droppedMay || len(res.MustViolations) != 0 {
+				t.Errorf("played: %d May dropped, %d Must violated; want %d, 0",
+					len(res.DroppedMay), len(res.MustViolations), want.droppedMay)
+			}
+		})
+	}
+}

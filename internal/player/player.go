@@ -1,9 +1,9 @@
 // Package player implements the Document Viewing stage of the
 // CWI/Multimedia Pipeline as a deterministic discrete-event playback
-// simulator. It stands in for physical playout devices (DESIGN.md
-// substitution 2): virtual channels consume leaf events under an injectable
-// latency model, and the Must/May semantics of section 5.3.2 decide what
-// happens when a device cannot honour a window:
+// simulator. It stands in for physical playout devices, which this
+// reproduction does not have: virtual channels consume leaf events under an
+// injectable latency model, and the Must/May semantics of section 5.3.2
+// decide what happens when a device cannot honour a window:
 //
 //   - Must arcs are enforced "even at the expense of overall system
 //     performance": other events are delayed (stalled, freeze-framed) to
@@ -71,8 +71,6 @@ type Options struct {
 	Jitter JitterModel
 	// Relax permits dropping May arcs to absorb latencies.
 	Relax bool
-	// Strategy picks the May arc to drop on a conflict.
-	Strategy sched.RelaxStrategy
 }
 
 // ActionKind classifies trace entries.
@@ -149,7 +147,7 @@ func (r *Result) Success() bool { return len(r.MustViolations) == 0 }
 // is computed from graph g (which must have been built with stretchable
 // leaves for freeze-frame semantics).
 func Play(g *sched.Graph, opts Options) (*Result, error) {
-	planned, err := g.Solve(sched.SolveOptions{Relax: opts.Relax, Strategy: opts.Strategy})
+	planned, err := g.Solve(sched.SolveOptions{Relax: opts.Relax})
 	if err != nil {
 		return nil, fmt.Errorf("player: planning failed: %w", err)
 	}
@@ -180,7 +178,7 @@ func Play(g *sched.Graph, opts Options) (*Result, error) {
 	var violations []sched.ArcRef
 	var actual *sched.Schedule
 	for {
-		s, err := run.Solve(sched.SolveOptions{Relax: opts.Relax, Strategy: opts.Strategy})
+		s, err := run.Solve(sched.SolveOptions{Relax: opts.Relax})
 		if err == nil {
 			actual = s
 			dropped = append(dropped, s.Dropped...)
@@ -261,11 +259,17 @@ func abs(d time.Duration) time.Duration {
 	return d
 }
 
+// dedupeRefs keeps the first occurrence of every arc, identified — as in
+// sched — by its carrier node and index.
 func dedupeRefs(refs []sched.ArcRef) []sched.ArcRef {
-	seen := map[string]bool{}
+	type arcKey struct {
+		node  *core.Node
+		index int
+	}
+	seen := map[arcKey]bool{}
 	var out []sched.ArcRef
 	for _, r := range refs {
-		k := fmt.Sprintf("%s#%d", r.Node.PathString(), r.Index)
+		k := arcKey{r.Node, r.Index}
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, r)

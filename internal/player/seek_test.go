@@ -159,3 +159,26 @@ func TestSeekNegativeTime(t *testing.T) {
 		}
 	}
 }
+
+func TestSeekResumeGraphForgetsRemovedArcs(t *testing.T) {
+	// At 150ms a has ended and cap has not: the a.end → cap.end arc is
+	// invalid and ResumeGraph removes it. A second analysis, over the
+	// resumed schedule, must not list it again; the original graph still
+	// carries it.
+	_, g, s := seekDoc(t)
+	const at = 150 * time.Millisecond
+	rep := AnalyzeSeek(s, at)
+	if len(rep.Invalid()) != 1 {
+		t.Fatalf("invalid arcs at %v = %v, want the a.end → cap.end arc", at, rep.Invalid())
+	}
+	resumed, err := ResumeGraph(g, rep).Solve(sched.SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := AnalyzeSeek(resumed, at); len(again.Arcs) != 0 {
+		t.Errorf("second seek still classifies removed arcs: %v", again.Arcs)
+	}
+	if got := len(g.Arcs()); got != 1 {
+		t.Errorf("original graph lists %d arcs after ResumeGraph, want 1", got)
+	}
+}

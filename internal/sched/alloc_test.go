@@ -1,0 +1,99 @@
+package sched
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/attr"
+	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/edit"
+	"repro/internal/units"
+)
+
+// allocated reports the bytes f allocates, by the TotalAlloc delta.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+func corpusDoc(t *testing.T, spec corpus.Spec) *core.Document {
+	t.Helper()
+	d, _, err := corpus.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestSolveAllocationCeiling pins the relax loop's ownership rule: one arena
+// per Solve call, reused across relax iterations, so what a solve allocates
+// does not scale with the arcs it drops. DeepNest 2/6 drops 28.
+func TestSolveAllocationCeiling(t *testing.T) {
+	d := corpusDoc(t, corpus.Spec{Shape: corpus.DeepNest, Seed: 206, Size: 2, Depth: 6})
+	g, err := Build(d, Options{DefaultLeafDuration: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func() {
+		s, err := g.Solve(SolveOptions{Relax: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Dropped) != 28 {
+			t.Fatalf("dropped %d arcs, want 28", len(s.Dropped))
+		}
+	}
+	solve() // materializes the graph's cached flat view
+	const calls, ceiling = 4, 2 << 20
+	per := allocated(func() {
+		for i := 0; i < calls; i++ {
+			solve()
+		}
+	}) / calls
+	t.Logf("Solve allocated %d bytes per call, ceiling %d", per, ceiling)
+	if per >= ceiling {
+		t.Error("one Solve call allocates past its ceiling")
+	}
+}
+
+// TestRescheduleSteadyStateCeiling pins the Solver's: it owns its arena and
+// buffers for life, so absorbing a one-leaf edit on a one-component
+// document does not rebuild them.
+func TestRescheduleSteadyStateCeiling(t *testing.T) {
+	d := corpusDoc(t, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 6, Languages: 3})
+	s, err := NewSolver(d, Options{DefaultLeafDuration: 500 * time.Millisecond}, SolveOptions{Relax: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Schedule(); err != nil {
+		t.Fatal(err)
+	}
+	leaf := d.Root.Leaves()[0].PathString()
+	pass := func(i int) {
+		if err := edit.SetAttr(d, leaf, "duration", attr.Quantity(units.MS(int64(700+i)))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Reschedule(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Resolved != 1 || st.FullRebuilds != 0 {
+			t.Fatalf("pass %d: resolved %d, full rebuilds %d; want an incremental pass", i, st.Resolved, st.FullRebuilds)
+		}
+	}
+	pass(0) // warm-up
+	const passes, ceiling = 100, 64 << 10
+	per := allocated(func() {
+		for i := 1; i <= passes; i++ {
+			pass(i)
+		}
+	}) / passes
+	t.Logf("edit + Reschedule allocated %d bytes per pass, ceiling %d", per, ceiling)
+	if per >= ceiling {
+		t.Error("a steady-state reschedule pass allocates past its ceiling")
+	}
+}

@@ -1,10 +1,7 @@
 package sched
 
 import (
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/core"
 )
@@ -13,9 +10,10 @@ import (
 // (id 1) are "hubs": the begin is pinned at t=0 and the end is a pure max
 // over its lower bounds, so the rest of the constraint graph falls apart
 // into weakly-connected components that can be solved independently — one
-// per arm of a par-of-seq document — and in parallel. Each component is
-// solved over its own events plus local copies of the two hubs; the global
-// root-end time is the max of the per-component values.
+// per arm of a par-of-seq document. The incremental Solver uses them as its
+// unit of reuse: an edit re-solves only the components it dirtied. Each
+// component is solved over its own events plus local copies of the two
+// hubs; the global root-end time is the max of the per-component values.
 //
 // The separation is exact as long as no constraint makes any event depend
 // on the root end's time: a constraint t[rootEnd] − t[u] ≤ W with u outside
@@ -23,7 +21,7 @@ import (
 // on some event relative to it) couples components through the hub, and so
 // does a droppable explicit arc between the two hubs. decompose detects
 // both patterns and falls back to one fused component, which is simply the
-// global problem run through the same machinery.
+// global problem run through the same loop.
 
 // consRef names one constraint by its storage slot: the owning node's
 // index, which of the node's two blocks, and the position inside it.
@@ -197,52 +195,25 @@ func (g *Graph) decompose() *compSet {
 	return cs
 }
 
-// compResult is one component's solved state.
-type compResult struct {
-	// re is the component's local root-end time: its contribution to the
-	// global max.
-	re time.Duration
-	// dropped lists the May arcs this component's relaxation dropped.
-	dropped []ArcRef
-	err     error
-}
-
-// compWorker carries one worker's reusable scratch: the solver arena plus
-// the local-id mapping and the localized constraint buffer.
-type compWorker struct {
-	sc    *solveScratch
-	local []int32 // global event id -> local vertex id, valid per component
-	buf   []Constraint
-	refs  []consRef
-	seed  []seedEvent
-	// prevTimes carries the previous solution for warm-started sweeps;
-	// nil for cold solves.
-	prevTimes []time.Duration
-}
-
-// seedEvent orders the warm-start queue seed.
-type seedEvent struct {
-	local EventID
-	t     time.Duration
-}
-
-// solveComponent runs the feasibility + earliest + relaxation loop for one
-// component and writes the solved times of its events into out (indexed by
-// global event id). The component's local problem is its own constraints
-// plus the replicated hub-hub constraints, over its events plus local
-// copies of the two hub events.
-func (g *Graph) solveComponent(cs *compSet, ci int, opts SolveOptions, w *compWorker, out []time.Duration) compResult {
+// solveComponent runs the relax loop for one component, writes the solved
+// times of its events into s.times (indexed by global event id) and records
+// its root-end time and dropped arcs under its representative. The
+// component's local problem is its own constraints plus the replicated
+// hub-hub constraints, over its events plus local copies of the two hub
+// events. With warm set, s.times still holds the component's previous
+// solution and seeds the sweep.
+func (s *Solver) solveComponent(ci int, warm bool) error {
+	g, cs := s.g, s.cs
 	evs := cs.events[ci]
 	k := len(evs)
-	localN := k + 2
 	localRB, localRE := EventID(k), EventID(k+1)
 
-	if cap(w.local) < len(g.events) {
-		w.local = make([]int32, len(g.events))
+	if cap(s.local) < len(g.events) {
+		s.local = make([]int32, len(g.events))
 	}
-	w.local = w.local[:len(g.events)]
+	s.local = s.local[:len(g.events)]
 	for li, e := range evs {
-		w.local[e] = int32(li)
+		s.local[e] = int32(li)
 	}
 	localize := func(e EventID) EventID {
 		switch e {
@@ -251,171 +222,64 @@ func (g *Graph) solveComponent(cs *compSet, ci int, opts SolveOptions, w *compWo
 		case 1:
 			return localRE
 		default:
-			return EventID(w.local[e])
+			return EventID(s.local[e])
+		}
+	}
+	s.buf = s.buf[:0]
+	for _, set := range [2][]consRef{cs.cons[ci], cs.hub} {
+		for _, r := range set {
+			c := *g.constraintAt(r)
+			c.U, c.V = localize(c.U), localize(c.V)
+			s.buf = append(s.buf, c)
 		}
 	}
 
-	dropped := make(map[arcKey]bool)
-	var droppedRefs []ArcRef
-	for {
-		// Materialize the local constraint list minus dropped arcs.
-		w.buf = w.buf[:0]
-		w.refs = w.refs[:0]
-		for _, set := range [2][]consRef{cs.cons[ci], cs.hub} {
-			for _, r := range set {
-				c := g.constraintAt(r)
-				if c.Kind == KindArc && dropped[keyOf(c.Arc)] {
-					continue
-				}
-				lc := *c
-				lc.U = localize(c.U)
-				lc.V = localize(c.V)
-				w.buf = append(w.buf, lc)
-				w.refs = append(w.refs, r)
-			}
+	// Warm start: seed the feasibility sweep in the previous solution's
+	// reverse time order. Lower bounds propagate from later events toward
+	// earlier ones, so a latest-first pass settles the unchanged regions of
+	// an edited component in one sweep. Correctness never depends on the
+	// seed — it only orders the queue.
+	s.order = s.order[:0]
+	if warm {
+		for li := range evs {
+			s.order = append(s.order, EventID(li))
 		}
+		sort.Slice(s.order, func(i, j int) bool {
+			a, b := s.order[i], s.order[j]
+			if ta, tb := s.times[evs[a]], s.times[evs[b]]; ta != tb {
+				return ta > tb
+			}
+			return a > b
+		})
+	}
 
-		// Warm start: seed the feasibility sweep in the previous
-		// solution's reverse time order. Lower bounds propagate from later
-		// events toward earlier ones, so a latest-first pass settles the
-		// unchanged regions of an edited component in one sweep.
-		// Correctness never depends on the seed — it only orders the queue.
-		w.sc.order = w.sc.order[:0]
-		if w.prevTimes != nil {
-			w.seed = w.seed[:0]
-			for li, e := range evs {
-				if int(e) < len(w.prevTimes) {
-					w.seed = append(w.seed, seedEvent{EventID(li), w.prevTimes[e]})
-				}
-			}
-			sort.Slice(w.seed, func(i, j int) bool {
-				if w.seed[i].t != w.seed[j].t {
-					return w.seed[i].t > w.seed[j].t
-				}
-				return w.seed[i].local > w.seed[j].local
-			})
-			for _, s := range w.seed {
-				w.sc.order = append(w.sc.order, s.local)
+	dist, dropped, cycle := s.sc.solve(k+2, localRB, s.buf, s.order, s.solveOpts.Relax)
+	if cycle != nil {
+		// Report the conflict in global event ids.
+		global := func(e EventID) EventID {
+			switch e {
+			case localRB:
+				return 0
+			case localRE:
+				return 1
+			default:
+				return evs[e]
 			}
 		}
-
-		w.sc.grow(localN, len(w.buf))
-		cycleIdx := findNegativeCycle(localN, w.buf, w.sc)
-		w.sc.order = w.sc.order[:0]
-		if cycleIdx != nil {
-			// Report (and relax over) the original constraints, with
-			// their global event ids.
-			cycle := make([]Constraint, len(cycleIdx))
-			for i, li := range cycleIdx {
-				cycle[i] = *g.constraintAt(w.refs[li])
-			}
-			if !opts.Relax {
-				return compResult{err: &ConflictError{Cycle: cycle}}
-			}
-			victim, ok := pickVictim(cycle, dropped, opts.Strategy)
-			if !ok {
-				return compResult{err: &ConflictError{Cycle: cycle}}
-			}
-			dropped[keyOf(victim)] = true
-			droppedRefs = append(droppedRefs, victim)
-			continue
+		for i := range cycle {
+			cycle[i].U, cycle[i].V = global(cycle[i].U), global(cycle[i].V)
 		}
-
-		// Earliest schedule: shortest paths from the local root begin on
-		// the reversed graph.
-		w.sc.buildCSR(localN, w.buf, true)
-		dist := w.sc.spfa(localN, w.buf, localRB)
-		for li, e := range evs {
-			if dist[li] == unreachable {
-				out[e] = 0
-			} else {
-				out[e] = -time.Duration(dist[li])
-			}
-		}
-		var re time.Duration
-		if dist[localRE] != unreachable {
-			re = -time.Duration(dist[localRE])
-		}
-		return compResult{re: re, dropped: droppedRefs}
+		return &ConflictError{Cycle: cycle}
 	}
-}
-
-// solveComponents runs every listed component on a worker pool, writing
-// event times into out. It returns each component's result, indexed like
-// list.
-func (g *Graph) solveComponents(cs *compSet, list []int, opts SolveOptions, prevTimes []time.Duration, out []time.Duration) []compResult {
-	results := make([]compResult, len(list))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	for li, e := range evs {
+		s.times[e] = timeOf(dist[li])
 	}
-	if workers > len(list) {
-		workers = len(list)
+	rep := cs.reps[ci]
+	s.compRe[rep] = timeOf(dist[localRE])
+	if len(dropped) > 0 {
+		s.compDropped[rep] = dropped
+	} else {
+		delete(s.compDropped, rep)
 	}
-	if workers <= 1 {
-		w := &compWorker{sc: newSolveScratch(16, 16), prevTimes: prevTimes}
-		for i, ci := range list {
-			results[i] = g.solveComponent(cs, ci, opts, w, out)
-		}
-		return results
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := &compWorker{sc: newSolveScratch(16, 16), prevTimes: prevTimes}
-			for i := range jobs {
-				results[i] = g.solveComponent(cs, list[i], opts, w, out)
-			}
-		}()
-	}
-	for i := range list {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return results
-}
-
-// mergeComponents assembles the global assignment from per-component
-// results: the root begin is the origin, the root end the max over every
-// component's local value. The first error (in component order) wins.
-func mergeComponents(results []compResult, times []time.Duration) (dropped []ArcRef, err error) {
-	times[0] = 0
-	var re time.Duration
-	for i := range results {
-		if results[i].err != nil && err == nil {
-			err = results[i].err
-		}
-		if results[i].re > re {
-			re = results[i].re
-		}
-		dropped = append(dropped, results[i].dropped...)
-	}
-	times[1] = re
-	return dropped, err
-}
-
-// SolveParallel computes the same earliest feasible schedule as Solve by
-// decomposing the constraint graph into weakly-connected components and
-// solving them concurrently on a worker pool. Relaxation of May arcs is
-// per-component: a conflict cycle is always contained in one component.
-func (g *Graph) SolveParallel(opts SolveOptions) (*Schedule, error) {
-	cs := g.decompose()
-	if cs == nil {
-		return g.Solve(opts)
-	}
-	list := make([]int, len(cs.events))
-	for i := range list {
-		list[i] = i
-	}
-	times := make([]time.Duration, len(g.events))
-	results := g.solveComponents(cs, list, opts, nil, times)
-	dropped, err := mergeComponents(results, times)
-	if err != nil {
-		return nil, err
-	}
-	return &Schedule{graph: g, times: times, Dropped: dropped}, nil
+	return nil
 }

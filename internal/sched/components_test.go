@@ -48,7 +48,17 @@ func sameSchedule(t *testing.T, d *core.Document, got, want *Schedule) {
 	})
 }
 
-func TestSolveParallelMatchesSolve(t *testing.T) {
+// solverSchedule runs the incremental Solver's full pass — the component
+// path — over the document.
+func solverSchedule(d *core.Document, opts Options, sopts SolveOptions) (*Schedule, error) {
+	s, err := NewSolver(d, opts, sopts)
+	if err != nil {
+		return nil, err
+	}
+	return s.Schedule()
+}
+
+func TestSolverMatchesSolve(t *testing.T) {
 	d := parOfSeq(t, 4, 5)
 	// Explicit arcs inside two arms plus one crossing pair of arms.
 	arc := func(src, dst string, offMS int64) core.SyncArc {
@@ -70,13 +80,26 @@ func TestSolveParallelMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		got, err := g.SolveParallel(SolveOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSchedule(t, d, got, want)
+	got, err := solverSchedule(d, Options{}, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameSchedule(t, d, got, want)
+}
+
+// TestSolveParallelForwardsToSolve holds the forward the frozen benchmark
+// harness still calls equal to Solve until it is deleted.
+func TestSolveParallelForwardsToSolve(t *testing.T) {
+	g, err := Build(parOfSeq(t, 3, 3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, errWant := g.Solve(SolveOptions{})
+	got, errGot := g.SolveParallel(SolveOptions{})
+	if errWant != nil || errGot != nil {
+		t.Fatal(errWant, errGot)
+	}
+	sameSchedule(t, g.Doc(), got, want)
 }
 
 func TestDecomposeComponentCount(t *testing.T) {
@@ -137,7 +160,7 @@ func TestDecomposeFusedOnRootEndBound(t *testing.T) {
 	sameSchedule(t, d, got, want)
 }
 
-func TestSolveParallelRelaxation(t *testing.T) {
+func TestSolverRelaxation(t *testing.T) {
 	// A May arc that contradicts seq order inside one arm: both paths must
 	// drop it and agree on the schedule.
 	d := parOfSeq(t, 3, 3)
@@ -153,24 +176,24 @@ func TestSolveParallelRelaxation(t *testing.T) {
 	if _, err := g.Solve(SolveOptions{}); err == nil {
 		t.Fatal("expected a conflict without relaxation")
 	}
-	if _, err := g.SolveParallel(SolveOptions{}); err == nil {
-		t.Fatal("expected a parallel conflict without relaxation")
+	if _, err := solverSchedule(d, Options{}, SolveOptions{}); err == nil {
+		t.Fatal("expected a component-path conflict without relaxation")
 	}
 	want, err := g.Solve(SolveOptions{Relax: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.SolveParallel(SolveOptions{Relax: true})
+	got, err := solverSchedule(d, Options{}, SolveOptions{Relax: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameSchedule(t, d, got, want)
 	if len(got.Dropped) != len(want.Dropped) {
-		t.Fatalf("dropped: parallel %v, single %v", got.Dropped, want.Dropped)
+		t.Fatalf("dropped: solver %v, single %v", got.Dropped, want.Dropped)
 	}
 }
 
-func TestSolveParallelRandomDocs(t *testing.T) {
+func TestSolverRandomDocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 40; iter++ {
 		d := randomDoc(t, rng)
@@ -186,9 +209,9 @@ func TestSolveParallelRandomDocs(t *testing.T) {
 			continue // a random arc failed to resolve; not this test's topic
 		}
 		want, errWant := g.Solve(SolveOptions{Relax: true})
-		got, errGot := g.SolveParallel(SolveOptions{Relax: true})
+		got, errGot := solverSchedule(d, opts, SolveOptions{Relax: true})
 		if (errWant == nil) != (errGot == nil) {
-			t.Fatalf("iter %d: single err %v, parallel err %v", iter, errWant, errGot)
+			t.Fatalf("iter %d: single err %v, solver err %v", iter, errWant, errGot)
 		}
 		if errWant != nil {
 			continue

@@ -560,29 +560,36 @@ func (g *Graph) AddRuntimeUpper(u, v EventID, w time.Duration, note string) {
 	g.invalidate()
 }
 
-// WithoutArc returns a clone of the graph with every constraint of the
-// given explicit arc removed. Playback environments use this to record and
-// bypass Must arcs they cannot honour.
+// WithoutArc returns a clone of the graph with the given explicit arc
+// removed: its constraints and its entry in Arcs. Playback environments use
+// this to record and bypass Must arcs they cannot honour.
 func (g *Graph) WithoutArc(r ArcRef) *Graph {
 	c := g.Clone()
 	k, ok := c.nodeIndex[r.Node]
 	if !ok {
 		return c
 	}
+	// The clone shares the inner slices: replace them, never filter in
+	// place.
 	var kept []Constraint
 	for _, con := range c.arcBlocks[k] {
-		if con.Arc.Index == r.Index {
-			continue
+		if con.Arc.Index != r.Index {
+			kept = append(kept, con)
 		}
-		kept = append(kept, con)
+	}
+	var refs []ArcRef
+	for _, ref := range c.arcRefs[k] {
+		if ref.Index != r.Index {
+			refs = append(refs, ref)
+		}
 	}
 	c.consCount -= len(c.arcBlocks[k]) - len(kept)
-	c.arcBlocks[k] = kept
+	c.arcBlocks[k], c.arcRefs[k] = kept, refs
 	return c
 }
 
 // withoutArcs returns the flat constraint list minus every constraint of
-// the listed arcs. Used by the relaxation pass.
+// the listed arcs. Used by Verify.
 func (g *Graph) withoutArcs(dropped map[arcKey]bool) []Constraint {
 	flat := g.flatten()
 	if len(dropped) == 0 {

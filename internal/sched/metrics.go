@@ -59,6 +59,15 @@ func (m *solverMetrics) observePass(full bool, start time.Time, stats SolveStats
 	m.events.Set(int64(stats.Events))
 }
 
+// now reads the clock for observePass, and only when there is a registry
+// to report to.
+func (m *solverMetrics) now() time.Time {
+	if m == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 func (m *solverMetrics) countRebuild() {
 	if m != nil {
 		m.rebuilds.Inc()

@@ -59,38 +59,35 @@ func TestSeqGapsOption(t *testing.T) {
 }
 
 func TestRelaxStrategyChoosesVictim(t *testing.T) {
-	// Two may arcs with different windows contradict a must arc; the
-	// strategy decides which may arc dies first. Both contradict, so both
-	// eventually drop; the test checks the documented orderings are
-	// exercised without error and converge.
-	for _, strat := range []RelaxStrategy{RelaxFirstMay, RelaxWidestWindow, RelaxNarrowestWindow} {
-		root := core.NewPar().SetName("r")
-		a, b := leaf("a", "video", 100), leaf("b", "sound", 100)
-		b.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.Must,
-			Source: "../a", SrcEnd: core.Begin, Offset: units.MS(500), Dest: "",
-			MaxDelay: units.MS(0)})
-		b.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.May,
-			Source: "../a", SrcEnd: core.Begin, Dest: "", MaxDelay: units.MS(10)})
-		b.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.May,
-			Source: "../a", SrcEnd: core.Begin, Dest: "", MaxDelay: units.MS(200)})
-		root.Add(a, b)
-		g, err := Build(doc(t, root), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := g.Solve(SolveOptions{Relax: true, Strategy: strat})
-		if err != nil {
-			t.Fatalf("strategy %v: %v", strat, err)
-		}
-		if len(s.Dropped) == 0 {
-			t.Errorf("strategy %v dropped nothing", strat)
-		}
-		// The must arc must hold regardless of strategy.
-		bn := g.Doc().Root.FindByName("b")
-		an := g.Doc().Root.FindByName("a")
-		if s.StartOf(bn)-s.StartOf(an) != 500*time.Millisecond {
-			t.Errorf("strategy %v: must arc violated", strat)
-		}
+	// Two may arcs with different windows contradict a must arc. Both
+	// contradict, so both eventually drop, first May arc on the cycle
+	// first; the must arc holds.
+	root := core.NewPar().SetName("r")
+	a, b := leaf("a", "video", 100), leaf("b", "sound", 100)
+	b.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.Must,
+		Source: "../a", SrcEnd: core.Begin, Offset: units.MS(500), Dest: "",
+		MaxDelay: units.MS(0)})
+	b.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.May,
+		Source: "../a", SrcEnd: core.Begin, Dest: "", MaxDelay: units.MS(10)})
+	b.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.May,
+		Source: "../a", SrcEnd: core.Begin, Dest: "", MaxDelay: units.MS(200)})
+	root.Add(a, b)
+	g, err := Build(doc(t, root), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := g.Solve(SolveOptions{Relax: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Dropped) == 0 {
+		t.Error("relaxation dropped nothing")
+	}
+	// The must arc must hold.
+	bn := g.Doc().Root.FindByName("b")
+	an := g.Doc().Root.FindByName("a")
+	if s.StartOf(bn)-s.StartOf(an) != 500*time.Millisecond {
+		t.Error("must arc violated")
 	}
 }
 
@@ -151,6 +148,38 @@ func TestWithoutArcRemovesConstraints(t *testing.T) {
 	}
 	if s.StartOf(g.Doc().Root.FindByName("b")) != 0 {
 		t.Error("arc constraints survived removal")
+	}
+}
+
+func TestWithoutArcRemovesArcRef(t *testing.T) {
+	// One carrier, two arcs: removing the first must take it out of Arcs()
+	// along with its constraints, keep the second, and leave the original
+	// graph — which shares the carrier's slices with the clone — intact.
+	root := core.NewPar().SetName("r")
+	a, b := leaf("a", "video", 100), leaf("b", "sound", 100)
+	for _, off := range []int64{100, 40} {
+		b.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.Must,
+			Source: "../a", SrcEnd: core.Begin, Offset: units.MS(off), Dest: "",
+			MaxDelay: units.InfiniteQuantity()})
+	}
+	root.Add(a, b)
+	g, err := Build(doc(t, root), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arcs := g.Arcs()
+	if len(arcs) != 2 {
+		t.Fatalf("arcs = %d, want 2", len(arcs))
+	}
+	g2 := g.WithoutArc(arcs[0])
+	if got := g2.Arcs(); len(got) != 1 || got[0].Index != arcs[1].Index {
+		t.Errorf("clone lists %v, want only %v", got, arcs[1])
+	}
+	if got := g.Arcs(); len(got) != 2 || got[0].Index != 0 || got[1].Index != 1 {
+		t.Errorf("WithoutArc changed the original's arcs: %v", got)
+	}
+	if g2.NumConstraints() != g.NumConstraints()-1 {
+		t.Errorf("constraints %d -> %d, want one fewer", g.NumConstraints(), g2.NumConstraints())
 	}
 }
 

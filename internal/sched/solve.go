@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -39,151 +38,117 @@ func (e *ConflictError) MustArcs() []ArcRef {
 	return out
 }
 
-// RelaxStrategy selects which May arc to drop when a conflict cycle offers a
-// choice (DESIGN.md ablation 2).
-type RelaxStrategy int
-
-const (
-	// RelaxFirstMay drops the first May arc encountered on the cycle.
-	RelaxFirstMay RelaxStrategy = iota
-	// RelaxWidestWindow drops the May arc with the widest delay window,
-	// on the theory that wide windows were the author's least-firm wishes.
-	RelaxWidestWindow
-	// RelaxNarrowestWindow drops the tightest May arc: the constraint most
-	// likely to be the binding one.
-	RelaxNarrowestWindow
-)
-
 // SolveOptions configures the solver.
 type SolveOptions struct {
-	// Relax enables dropping May arcs to resolve conflicts.
+	// Relax enables dropping May arcs to resolve conflicts: the first May
+	// arc on a conflict cycle is the victim.
 	Relax bool
-	// Strategy picks the victim among May arcs on a conflict cycle.
-	Strategy RelaxStrategy
-	// Workers caps the component worker pool of SolveParallel and the
-	// incremental Solver. Zero means GOMAXPROCS.
-	Workers int
 }
 
 // Solve computes the earliest feasible schedule, optionally relaxing May
 // arcs. It returns a ConflictError when the constraints cannot be satisfied
-// by dropping May arcs alone. This is the classic single-threaded full
-// solve over the whole constraint system; SolveParallel and Solver are the
-// component-parallel and incremental paths, which produce identical
-// schedules.
+// by dropping May arcs alone. It is the full solve over the whole
+// constraint system, on an arena made for this call — nothing is cached on
+// the graph, so concurrent solves stay independent. Solver is the
+// incremental path; it runs the same loop per component and produces
+// identical schedules.
 func (g *Graph) Solve(opts SolveOptions) (*Schedule, error) {
-	dropped := make(map[arcKey]bool)
-	var droppedRefs []ArcRef
-	for {
-		sched, conflict := g.solveOnce(dropped)
-		if conflict == nil {
-			sched.Dropped = droppedRefs
-			return sched, nil
-		}
-		if !opts.Relax {
-			return nil, conflict
-		}
-		victim, ok := pickVictim(conflict.Cycle, dropped, opts.Strategy)
-		if !ok {
-			return nil, conflict
-		}
-		dropped[keyOf(victim)] = true
-		droppedRefs = append(droppedRefs, victim)
-	}
-}
-
-// pickVictim chooses a not-yet-dropped May arc from the cycle.
-func pickVictim(cycle []Constraint, dropped map[arcKey]bool, strat RelaxStrategy) (ArcRef, bool) {
-	var candidates []ArcRef
-	seen := map[arcKey]bool{}
-	for _, c := range cycle {
-		if c.Kind != KindArc {
-			continue
-		}
-		if c.Arc.Arc.Strict != core.May {
-			continue
-		}
-		k := keyOf(c.Arc)
-		if dropped[k] || seen[k] {
-			continue
-		}
-		seen[k] = true
-		candidates = append(candidates, c.Arc)
-	}
-	if len(candidates) == 0 {
-		return ArcRef{}, false
-	}
-	switch strat {
-	case RelaxWidestWindow:
-		sort.SliceStable(candidates, func(i, j int) bool {
-			return windowWidth(candidates[i]) > windowWidth(candidates[j])
-		})
-	case RelaxNarrowestWindow:
-		sort.SliceStable(candidates, func(i, j int) bool {
-			return windowWidth(candidates[i]) < windowWidth(candidates[j])
-		})
-	}
-	return candidates[0], true
-}
-
-// windowWidth measures ε − δ in raw quantity values (best-effort; used only
-// for ordering candidates).
-func windowWidth(r ArcRef) int64 {
-	return r.Arc.MaxDelay.Value - r.Arc.MinDelay.Value
-}
-
-// solveOnce runs feasibility detection and earliest-schedule extraction over
-// the constraint set minus the dropped arcs.
-func (g *Graph) solveOnce(dropped map[arcKey]bool) (*Schedule, *ConflictError) {
-	cons := g.withoutArcs(dropped)
 	n := len(g.events)
-
-	sc := newSolveScratch(n, len(cons))
-	times, conflict := solveSystem(n, cons, sc)
-	if conflict != nil {
-		return nil, &ConflictError{Cycle: conflict}
+	dist, dropped, cycle := new(solveScratch).solve(n, 0, g.flatten(), nil, opts.Relax)
+	if cycle != nil {
+		return nil, &ConflictError{Cycle: cycle}
 	}
-	return &Schedule{graph: g, times: times}, nil
-}
-
-// solveSystem runs feasibility detection and, when feasible, extracts the
-// earliest schedule with t[src]=0 for src = event 0. It returns the times,
-// or the constraints of a negative cycle. The scratch arrays are reused
-// across calls; the returned times slice is freshly allocated.
-func solveSystem(n int, cons []Constraint, sc *solveScratch) ([]time.Duration, []Constraint) {
-	sc.grow(n, len(cons))
-	if cycleIdx := findNegativeCycle(n, cons, sc); cycleIdx != nil {
-		cycle := make([]Constraint, len(cycleIdx))
-		for i, ci := range cycleIdx {
-			cycle[i] = cons[ci]
-		}
-		return nil, cycle
-	}
-
-	// Earliest schedule with t[rootBegin] = 0: for difference constraints
-	// t_v − t_u ≤ w (edge u→v weight w), the earliest solution is
-	// t_v = −dist(v → root), i.e. single-source shortest paths from the
-	// root on the reversed graph.
-	sc.buildCSR(n, cons, true)
-	dist := sc.spfa(n, cons, 0)
 	times := make([]time.Duration, n)
 	for v := range times {
-		if dist[v] == unreachable {
-			// No path to the root: the event is unconstrained from below;
-			// schedule it at the root (time zero).
-			times[v] = 0
-			continue
-		}
-		times[v] = -time.Duration(dist[v])
+		times[v] = timeOf(dist[v])
 	}
-	return times, nil
+	return &Schedule{graph: g, times: times, Dropped: dropped}, nil
+}
+
+// SolveParallel forwards to Solve. It survives only because the frozen
+// benchmark harness calls it (bench/mark/view.go); the next benchmark PR
+// drops it.
+func (g *Graph) SolveParallel(opts SolveOptions) (*Schedule, error) { return g.Solve(opts) }
+
+// solve is the scheduler's one relax loop (section 5.3): detect a negative
+// cycle among the n vertices' constraints, drop the first May arc on it,
+// repeat until the system is feasible, then extract the earliest schedule
+// with t[src] = 0. cons is read, never modified: once an arc is dropped the
+// live constraints are filtered into the arena's own buffer. order
+// optionally seeds the feasibility sweep (warm start). It returns the
+// shortest-path labels, aliasing the arena — convert with timeOf before the
+// next call — and the dropped arcs in victim order, or the constraints of a
+// cycle that relaxation could not (or may not) break.
+func (sc *solveScratch) solve(n int, src EventID, cons []Constraint, order []EventID, relax bool) (dist []int64, dropped []ArcRef, conflict []Constraint) {
+	sc.order = order
+	live := cons
+	for {
+		cycleIdx := findNegativeCycle(n, live, sc)
+		if cycleIdx == nil {
+			break
+		}
+		victim, ok := ArcRef{}, false
+		if relax {
+			victim, ok = pickVictim(live, cycleIdx)
+		}
+		if !ok {
+			conflict = make([]Constraint, len(cycleIdx))
+			for i, ci := range cycleIdx {
+				conflict[i] = live[ci]
+			}
+			return nil, nil, conflict
+		}
+		dropped = append(dropped, victim)
+		// The victim's own constraint is on the cycle, so every pass
+		// shrinks the live list and the loop terminates. After the first
+		// drop live is sc.live and the filter runs in place.
+		if cap(sc.live) < len(live) {
+			sc.live = make([]Constraint, 0, len(live))
+		}
+		sc.live = sc.live[:0]
+		for i := range live {
+			if c := &live[i]; c.Kind != KindArc || keyOf(c.Arc) != keyOf(victim) {
+				sc.live = append(sc.live, *c)
+			}
+		}
+		live = sc.live
+	}
+
+	// Earliest schedule with t[src] = 0: for difference constraints
+	// t_v − t_u ≤ w (edge u→v weight w), the earliest solution is
+	// t_v = −dist(v → src), i.e. single-source shortest paths from src on
+	// the reversed graph.
+	sc.buildCSR(n, live, true)
+	return sc.spfa(n, live, src), dropped, nil
+}
+
+// pickVictim returns the first May arc on the cycle, which lists indices
+// into cons. Must arcs are never candidates.
+func pickVictim(cons []Constraint, cycle []int32) (ArcRef, bool) {
+	for _, ci := range cycle {
+		if c := &cons[ci]; c.Kind == KindArc && c.Arc.Arc.Strict == core.May {
+			return c.Arc, true
+		}
+	}
+	return ArcRef{}, false
+}
+
+// timeOf converts a shortest-path label into an event time. An event with
+// no path to the source is unconstrained from below and is scheduled at
+// the source (time zero).
+func timeOf(dist int64) time.Duration {
+	if dist == unreachable {
+		return 0
+	}
+	return -time.Duration(dist)
 }
 
 const unreachable = int64(math.MaxInt64)
 
-// solveScratch is the reusable arena for one solver: CSR adjacency, SPFA
-// queues and labels. Component workers each own one, so re-solves allocate
-// almost nothing.
+// solveScratch is the relax loop's arena: CSR adjacency, SPFA queues and
+// labels, and the live-constraint buffer. Graph.Solve makes one per call;
+// a Solver owns one for life, so its re-solves allocate almost nothing. The
+// zero value is ready to use.
 type solveScratch struct {
 	off  []int32 // CSR offsets, len n+1
 	edge []int32 // constraint indices, len m
@@ -197,12 +162,10 @@ type solveScratch struct {
 	// slots suffice and the hot loops never grow a slice.
 	queue []int32
 	order []EventID // optional SPFA seeding order (warm start)
-}
-
-func newSolveScratch(n, m int) *solveScratch {
-	sc := &solveScratch{}
-	sc.grow(n, m)
-	return sc
+	// seeded marks the vertices a warm start has already queued.
+	seeded []bool
+	// live holds the constraint list minus the arcs dropped so far.
+	live []Constraint
 }
 
 // grow sizes every scratch array for n vertices and m constraints.
@@ -215,6 +178,7 @@ func (sc *solveScratch) grow(n, m int) {
 		sc.pathlen = make([]int32, n)
 		sc.inQueue = make([]bool, n)
 		sc.queue = make([]int32, n)
+		sc.seeded = make([]bool, n)
 	}
 	sc.off = sc.off[:n+1]
 	sc.pos = sc.pos[:n]
@@ -223,6 +187,7 @@ func (sc *solveScratch) grow(n, m int) {
 	sc.pathlen = sc.pathlen[:n]
 	sc.inQueue = sc.inQueue[:n]
 	sc.queue = sc.queue[:n]
+	sc.seeded = sc.seeded[:n]
 	if cap(sc.edge) < m {
 		sc.edge = make([]int32, m)
 	}
@@ -341,7 +306,10 @@ func findNegativeCycle(n int, cons []Constraint, sc *solveScratch) []int32 {
 	// both toward lower ids — so a descending first pass settles the long
 	// seq chains in one sweep instead of one epoch per link.
 	if len(sc.order) > 0 {
-		seeded := make(map[EventID]bool, len(sc.order))
+		seeded := sc.seeded
+		for i := range seeded {
+			seeded[i] = false
+		}
 		fill := 0
 		for _, v := range sc.order {
 			if int(v) < n && !seeded[v] {

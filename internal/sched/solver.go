@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -17,8 +16,8 @@ import (
 // started from the previous solution — and reuses every other component's
 // times verbatim.
 //
-// A Solver is not safe for concurrent use; its component workers
-// parallelize internally.
+// A Solver is not safe for concurrent use: it solves its dirty components
+// one after another, on scratch it owns for life.
 type Solver struct {
 	doc       *core.Document
 	buildOpts Options
@@ -41,6 +40,14 @@ type Solver struct {
 
 	stats SolveStats
 
+	// Scratch kept across passes, sized to the document: the relax loop's
+	// arena, the global→local event map, the localized constraint buffer
+	// and the warm-start order.
+	sc    solveScratch
+	local []int32
+	buf   []Constraint
+	order []EventID
+
 	// m mirrors pass activity into a metrics registry (Instrument); nil
 	// when uninstrumented.
 	m *solverMetrics
@@ -61,8 +68,6 @@ type SolveStats struct {
 	// FullRebuilds counts how often the solver fell back to rebuilding
 	// the graph from scratch (untracked or document-wide changes).
 	FullRebuilds int
-	// Workers is the component worker-pool size.
-	Workers int
 }
 
 // NewSolver builds the constraint graph for the document and returns a
@@ -87,20 +92,12 @@ func (s *Solver) Graph() *Graph { return s.g }
 // Stats reports what the last scheduling pass did.
 func (s *Solver) Stats() SolveStats { return s.stats }
 
-// workers resolves the configured pool size.
-func (s *Solver) workers() int {
-	if s.solveOpts.Workers > 0 {
-		return s.solveOpts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Schedule computes the full schedule with the component-parallel path,
-// (re)building the graph first when the document changed since the solver
-// last saw it. The result is identical to Graph.Solve on the same
+// Schedule computes the full schedule, solving every component from
+// scratch, (re)building the graph first when the document changed since the
+// solver last saw it. The result is identical to Graph.Solve on the same
 // constraint system.
 func (s *Solver) Schedule() (*Schedule, error) {
-	start := time.Now()
+	start := s.m.now()
 	if s.cursor != s.doc.Generation() || s.broken {
 		g, err := Build(s.doc, s.buildOpts)
 		if err != nil {
@@ -140,26 +137,31 @@ func (s *Solver) solveAll() (*Schedule, error) {
 		return sch, nil
 	}
 
-	list := make([]int, len(s.cs.events))
-	for i := range list {
-		list[i] = i
-	}
 	s.times = make([]time.Duration, len(s.g.events))
-	results := s.g.solveComponents(s.cs, list, s.solveOpts, nil, s.times)
-	dropped, err := mergeComponents(results, s.times)
-	if err != nil {
-		s.solved = false
-		return nil, err
-	}
-	for i, ci := range list {
-		s.compRe[s.cs.reps[ci]] = results[i].re
-		if len(results[i].dropped) > 0 {
-			s.compDropped[s.cs.reps[ci]] = results[i].dropped
+	for ci := range s.cs.events {
+		if err := s.solveComponent(ci, false); err != nil {
+			s.solved = false
+			return nil, err
 		}
 	}
+	s.mergeHubs()
 	s.solved = true
-	s.fillStats(len(list), 0)
-	return s.snapshot(dropped), nil
+	s.fillStats(len(s.cs.events), 0)
+	return s.snapshot(s.aggregateDropped()), nil
+}
+
+// mergeHubs assembles the hub times from the per-component results: the
+// root begin is the origin, the root end the max over every component's
+// local value.
+func (s *Solver) mergeHubs() {
+	s.times[0] = 0
+	var re time.Duration
+	for _, t := range s.compRe {
+		if t > re {
+			re = t
+		}
+	}
+	s.times[1] = re
 }
 
 // Reschedule brings the schedule up to date with the document's change log.
@@ -170,7 +172,7 @@ func (s *Solver) Reschedule() (*Schedule, error) {
 	if !s.solved {
 		return s.Schedule()
 	}
-	start := time.Now()
+	start := s.m.now()
 	changes := s.doc.ChangesSince(s.cursor)
 	s.cursor = s.doc.Generation()
 	if len(changes) == 0 {
@@ -441,53 +443,34 @@ func (s *Solver) applyPatch(p *patchPlan) (*Schedule, error) {
 		}
 	}
 
-	var list []int
+	// Re-solve the dirty components, warm-started from their previous
+	// times; clean ones keep theirs.
+	resolved := 0
 	for ci := range dirty {
-		if dirty[ci] {
-			list = append(list, ci)
+		if !dirty[ci] {
+			continue
 		}
-	}
-
-	results := s.g.solveComponents(s.cs, list, s.solveOpts, s.times, s.times)
-	for i := range results {
-		if results[i].err != nil {
+		if err := s.solveComponent(ci, true); err != nil {
 			s.solved = false
-			return nil, results[i].err
+			return nil, err
 		}
+		resolved++
 	}
 
-	// Carry clean components over, install the re-solved ones, and redo
-	// the root-end max.
+	// Forget the results of components that no longer exist, and redo the
+	// root-end max.
 	compRe := make(map[EventID]time.Duration, len(s.cs.events))
 	compDropped := make(map[EventID][]ArcRef)
-	for ci := range s.cs.events {
-		rep := s.cs.reps[ci]
-		if re, ok := s.compRe[rep]; ok && !dirty[ci] {
-			compRe[rep] = re
-			if d, ok := s.compDropped[rep]; ok {
-				compDropped[rep] = d
-			}
-		}
-	}
-	for i, ci := range list {
-		rep := s.cs.reps[ci]
-		compRe[rep] = results[i].re
-		if len(results[i].dropped) > 0 {
-			compDropped[rep] = results[i].dropped
+	for _, rep := range s.cs.reps {
+		compRe[rep] = s.compRe[rep]
+		if d, ok := s.compDropped[rep]; ok {
+			compDropped[rep] = d
 		}
 	}
 	s.compRe, s.compDropped = compRe, compDropped
+	s.mergeHubs()
 
-	s.times[0] = 0
-	var re time.Duration
-	for _, t := range s.compRe {
-		if t > re {
-			re = t
-		}
-	}
-	s.times[1] = re
-
-	s.fillStats(len(list), len(s.cs.events)-len(list))
+	s.fillStats(resolved, len(s.cs.events)-resolved)
 	return s.snapshot(s.aggregateDropped()), nil
 }
 
@@ -514,7 +497,6 @@ func (s *Solver) snapshot(dropped []ArcRef) *Schedule {
 func (s *Solver) fillStats(resolved, reused int) {
 	s.stats.Resolved = resolved
 	s.stats.Reused = reused
-	s.stats.Workers = s.workers()
 	s.stats.Events = s.g.liveEvents
 	s.stats.Constraints = s.g.consCount
 	if s.cs == nil {

@@ -2,8 +2,8 @@
 // human-readable document that can be passed from one location to another
 // with or without the underlying data" (section 5). A length-prefixed TCP
 // protocol moves documents and data blocks between a server and clients,
-// standing in for the Amoeba-based distributed system of section 6
-// (DESIGN.md substitution 3).
+// standing in for the Amoeba-based distributed system of section 6, which
+// this reproduction does not have.
 //
 // Two transport shapes matter for the paper's claims:
 //

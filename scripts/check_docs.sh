@@ -26,7 +26,9 @@
 #   - the server seam must stay documented: the docs must reference
 #     `transport.Backend`, and the interface must still exist;
 #   - every backticked `cmif_xxx` metric name in docs/ must appear in the
-#     source, so the documented metric inventory tracks the instruments.
+#     source, so the documented metric inventory tracks the instruments;
+#   - every upper-case `XXX.md` file a Go comment under internal/, cmif/,
+#     cmd/ or the root package names must exist, at the root or in docs/.
 #
 # Run from the repository root: ./scripts/check_docs.sh
 set -eu
@@ -116,6 +118,15 @@ fi
 for ident in $(grep -o '`rec[A-Za-z]*`' docs/ARCHITECTURE.md | tr -d '`' | sort -u); do
     if ! grep -q "\b$ident\b" internal/durable/record.go; then
         echo "docs/ARCHITECTURE.md references \`$ident\`, which no longer exists in internal/durable/record.go" >&2
+        fail=1
+    fi
+done
+
+# Markdown files cited from Go comments (the reverse direction: source
+# pointing at a document that was never written or has been removed).
+for name in $(grep -rho --include='*.go' '//.*[A-Z][A-Z_]*\.md' internal cmif cmd ./*.go | grep -o '[A-Z][A-Z_]*\.md' | sort -u); do
+    if [ ! -f "$name" ] && [ ! -f "docs/$name" ]; then
+        echo "a Go comment cites $name, which exists neither at the root nor in docs/" >&2
         fail=1
     fi
 done
