@@ -229,7 +229,8 @@ func NewServer(opts ...ServeOption) *Server {
 	s.metrics = cfg.metrics
 	srv.Metrics = transport.NewServerMetrics(cfg.metrics)
 	// The store's chunk index feeds the dedupe half of
-	// cmif_bytes_saved_total; attach before any traffic arrives.
+	// cmif_bytes_saved_total as manifests are first asked for (a
+	// snapshot, a v4 manifest fetch); attach before any traffic arrives.
 	reg.Store.SetDedupeObserver(srv.Metrics.DedupeSaved)
 	if s.log != nil {
 		s.log.Instrument(cfg.metrics)

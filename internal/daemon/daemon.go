@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -45,7 +46,7 @@ func (f *Flags) Register(fs *flag.FlagSet, defaultAddr, scope string) {
 	fs.DurationVar(&f.Idle, "idle", 2*time.Minute, "drop connections that deliver no data for this long (0 = never)")
 	fs.DurationVar(&f.Grace, "grace", 5*time.Second, "shutdown grace period for in-flight requests")
 	fs.IntVar(&f.MaxInFlight, "max-inflight", 0, "max pipelined requests per v2 connection (0 = default 32)")
-	fs.StringVar(&f.Metrics, "metrics", "", "serve Prometheus/JSON metrics over HTTP at this address (empty disables)")
+	fs.StringVar(&f.Metrics, "metrics", "", "serve Prometheus/JSON metrics at /metrics and Go profiles at /debug/pprof/ over HTTP at this address (empty disables)")
 	fs.IntVar(&f.MaxConcurrent, "max-concurrent", 0, scope+" admission bound on concurrently executing requests (0 disables admission control)")
 	fs.IntVar(&f.MaxQueue, "max-queue", 0, "requests allowed to queue for an admission slot beyond -max-concurrent")
 	fs.DurationVar(&f.MaxWait, "max-wait", 0, "longest a queued request may wait before it is shed (0 = default 100ms)")
@@ -78,7 +79,7 @@ type Server interface {
 type RunConfig struct {
 	Name        string            // command name, prefixes every log line
 	Grace       time.Duration     // metrics drain bound after the wire listener drains
-	MetricsAddr string            // HTTP metrics address; empty disables the endpoint
+	MetricsAddr string            // HTTP address for /metrics and /debug/pprof/; empty disables both
 	Metrics     *metrics.Registry // instruments to expose and total on exit
 }
 
@@ -88,7 +89,8 @@ func SignalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// Run drives the daemon to completion: it exposes the metrics endpoint,
+// Run drives the daemon to completion: it exposes the metrics endpoint
+// (and, on the same listener, net/http/pprof under /debug/pprof/),
 // serves until ctx is cancelled, drains the metrics listener only after
 // the wire server has drained (a scraper watching the shutdown sees the
 // final request totals), prints the counter totals, and classifies the
@@ -105,8 +107,18 @@ func Run(ctx context.Context, s Server, cfg RunConfig) int {
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", cfg.Metrics.Handler())
+		// The profiler rides the metrics listener: same address, same
+		// lifetime, so a hot spot can be profiled in a running daemon
+		// (go tool pprof http://ADDR/debug/pprof/profile) without a
+		// patched binary. Index serves every named profile under its
+		// prefix; the other four are not profiles and mount by name.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		metricsSrv = &http.Server{Handler: mux}
-		fmt.Printf("%s: metrics on http://%s/metrics\n", cfg.Name, ln.Addr())
+		fmt.Printf("%s: metrics on http://%s/metrics, profiles on http://%s/debug/pprof/\n", cfg.Name, ln.Addr(), ln.Addr())
 		go func() {
 			if err := metricsSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintf(os.Stderr, "%s: metrics server: %v\n", cfg.Name, err)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"net"
+	"net/http"
 	"testing"
 	"time"
 
@@ -11,11 +13,15 @@ import (
 )
 
 type fakeServer struct {
-	err    error
-	closed bool
+	err     error
+	closed  bool
+	serving chan struct{} // closed, when non-nil, once Serve is entered
 }
 
 func (f *fakeServer) Serve(ctx context.Context) error {
+	if f.serving != nil {
+		close(f.serving)
+	}
 	<-ctx.Done()
 	return f.err
 }
@@ -62,11 +68,38 @@ func TestFlagsRegisterAndAdmission(t *testing.T) {
 func TestRunLifecycle(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ctx, cancel := context.WithCancel(context.Background())
-	srv := &fakeServer{}
+	defer cancel()
+	// Reserve a loopback port for the metrics listener Run binds itself.
+	probe, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := probe.Addr().String()
+	probe.Close()
+
+	srv := &fakeServer{serving: make(chan struct{})}
 	done := make(chan int, 1)
 	go func() {
-		done <- Run(ctx, srv, RunConfig{Name: "testd", Grace: time.Second, Metrics: reg})
+		done <- Run(ctx, srv, RunConfig{Name: "testd", Grace: time.Second, MetricsAddr: addr, Metrics: reg})
 	}()
+	select {
+	case <-srv.serving: // the metrics listener is bound before Serve
+	case code := <-done:
+		t.Fatalf("Run exited %d before serving", code)
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run never reached Serve")
+	}
+	// One listener answers both the metrics and the profiler routes.
+	for _, path := range []string{"/metrics", "/debug/pprof/cmdline"} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", path, resp.StatusCode)
+		}
+	}
 	cancel()
 	select {
 	case code := <-done:

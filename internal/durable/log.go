@@ -623,7 +623,9 @@ func writeSnapshot(dir string, seq uint64, st *State, docs map[string][]byte) (i
 		// Chunk-indexed blocks snapshot as manifests: each unique chunk is
 		// written once (recChunk, first-containing-block order) and the
 		// block itself as a recPutBlkC referencing the hashes, so a
-		// dup-heavy corpus snapshots near its unique size. Blocks below
+		// dup-heavy corpus snapshots near its unique size. Asking for the
+		// manifest is what cuts a block not cut before — here, on the
+		// snapshot goroutine, outside l.mu, once per block. Blocks below
 		// the chunk threshold — or whose manifest cannot be fully
 		// resolved against the live chunk index — keep the plain
 		// recPutBlk form.

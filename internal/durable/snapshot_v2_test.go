@@ -263,3 +263,61 @@ func TestSnapshotChunkCorruptionRejected(t *testing.T) {
 		t.Fatal("recChunk with wrong hash accepted")
 	}
 }
+
+// TestSnapshotCutsOnDemand: the store cuts a block on the first Manifest
+// request, and a snapshot is such a request. A state nobody ever asked
+// and one asked for every manifest beforehand snapshot to the same
+// deduped size and recover to the same corpus.
+func TestSnapshotCutsOnDemand(t *testing.T) {
+	const nBlocks, blockSize = 12, 64 << 10
+	snapshotOf := func(ask bool) (*State, string, int64) {
+		dir := t.TempDir()
+		l, st := mustOpen(t, dir, Options{Sync: SyncNever})
+		logical := dupHeavyCorpusBlocks(t, st, nBlocks, blockSize)
+		if ask {
+			st.Store.Each(func(b *media.Block) bool {
+				if _, ok := st.Store.Manifest(b.ID); !ok {
+					t.Fatalf("block %s has no manifest", b.Name)
+				}
+				return true
+			})
+		}
+		if err := l.Snapshot(); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		snap := newestSnapshot(t, dir)
+		if ops := snapshotOps(t, snap); ops[recPutBlkC] != nBlocks || ops[recPutBlk] != 0 || ops[recChunk] == 0 {
+			t.Fatalf("ask=%v: snapshot not in the deduped form (ops %v)", ask, ops)
+		}
+		info, err := os.Stat(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The bound TestSnapshotChunkDedupe uses.
+		if info.Size() > logical/2 {
+			t.Fatalf("ask=%v: snapshot %d bytes did not dedupe %d logical bytes", ask, info.Size(), logical)
+		}
+		return st, dir, info.Size()
+	}
+	asked, askedDir, askedSize := snapshotOf(true)
+	_, unaskedDir, unaskedSize := snapshotOf(false)
+	if askedSize != unaskedSize {
+		t.Fatalf("snapshot of the asked state is %d bytes, of the unasked state %d", askedSize, unaskedSize)
+	}
+	for _, dir := range []string{askedDir, unaskedDir} {
+		got, err := Load(dir)
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		checkEqual(t, asked, got)
+		got.Store.Each(func(b *media.Block) bool {
+			if _, ok := got.Store.Manifest(b.ID); !ok {
+				t.Fatalf("recovered block %s answers no manifest", b.Name)
+			}
+			return true
+		})
+	}
+}

@@ -1,8 +1,13 @@
 package media
 
-// Content-defined dedupe index. Every payload at or above ChunkThreshold
-// is cut with the gear chunker (internal/chunker) as it enters the
-// store, and each chunk is indexed by its raw SHA-256. Near-duplicate
+// Content-defined dedupe index. A payload at or above ChunkThreshold is
+// cut with the gear chunker (internal/chunker) and each chunk indexed by
+// its raw SHA-256 — but only once someone asks: the index is derived
+// state, built per block on the first Manifest request and never on a
+// write or reply path. The three readers that ask are a durable snapshot,
+// a protocol-v4 manifest fetch and DedupeStats; a store none of them
+// reaches (a reader's prefetch store, filter.Apply's output, a replay
+// before its first snapshot) never cuts or hashes a byte. Near-duplicate
 // blocks — multilingual variants, edited re-encodes — share most chunks,
 // and every representation that moves or persists bytes asks this index
 // first:
@@ -16,8 +21,10 @@ package media
 // Blocks keep their full contiguous payloads for serving speed — the
 // index holds subslices into the first containing block's payload, so
 // indexing a duplicate costs hashing, not storage. Entries are
-// refcounted: Delete decrements every chunk the block referenced and
-// drops entries that reach zero (the GC for dedupe state).
+// refcounted: Delete decrements every chunk the block's manifest
+// referenced and drops entries that reach zero (the GC for dedupe
+// state). chunker.Sum here names chunks; it verifies nothing, which is
+// why it alone of the store's hashing can wait for a reader.
 
 import (
 	"sync"
@@ -46,35 +53,73 @@ type chunkShard struct {
 	byHash map[ChunkHash]*chunkEntry
 }
 
-// manifestShard maps block id -> ordered chunk hashes.
+// manifest is one block's ordered chunk hashes. Whoever creates the slot
+// cuts the block; built closes once hashes is final, so a concurrent
+// asker waits instead of cutting again or seeing a half-built list.
+type manifest struct {
+	built  chan struct{}
+	hashes []ChunkHash
+}
+
+// manifestShard maps block id -> manifest, for the blocks cut so far.
 type manifestShard struct {
 	mu   sync.RWMutex
-	byID map[string][]ChunkHash
+	byID map[string]*manifest
 }
 
 func (s *Store) chunkShardOf(h ChunkHash) *chunkShard {
 	return &s.chunks[h[0]&(storeShards-1)]
 }
 
-// indexChunks cuts a stored block's payload and registers its chunks,
-// taking references; chunk data subslices the payload. Idempotent per
-// block id via the manifest table.
-func (s *Store) indexChunks(stored *Block) {
-	if len(stored.Payload) < ChunkThreshold {
-		return
+// Manifest returns the ordered chunk hashes of a stored block, or false
+// when the block is absent or too small to be chunk-indexed. The first
+// request for a block cuts its payload and registers the chunks, taking
+// references (chunk data subslices the payload); concurrent first askers
+// share that one cut, and every later request is a map lookup. The slice
+// is the store's own; callers must not modify it.
+func (s *Store) Manifest(id string) ([]ChunkHash, bool) {
+	ms := &s.manifests[shardOf(id)]
+	ms.mu.RLock()
+	m, ok := ms.byID[id]
+	ms.mu.RUnlock()
+	if ok {
+		return m.wait(), true
 	}
-	ms := &s.manifests[shardOf(stored.ID)]
+	b, ok := s.Get(id)
+	if !ok || len(b.Payload) < ChunkThreshold {
+		return nil, false
+	}
 	ms.mu.Lock()
-	if _, done := ms.byID[stored.ID]; done {
+	if m, ok = ms.byID[id]; ok {
 		ms.mu.Unlock()
-		return
+		return m.wait(), true // another first asker won the slot and is cutting
 	}
-	// Reserve the slot so a concurrent indexer of the same id backs off;
-	// filled in below once the chunks are hashed.
-	ms.byID[stored.ID] = nil
+	m = &manifest{built: make(chan struct{})}
+	ms.byID[id] = m
 	ms.mu.Unlock()
 
-	pieces := chunker.Split(stored.Payload, chunker.Config{})
+	// Cut outside every lock: hashing the payload is the dominant cost.
+	m.hashes = s.cutChunks(b.Payload)
+	close(m.built)
+	// A Delete racing the cut is resolved like Put's name rollback:
+	// whichever of this re-check and the delete runs last unindexes.
+	if _, alive := s.Get(id); !alive {
+		s.dropManifest(id)
+		return nil, false
+	}
+	return m.hashes, true
+}
+
+// wait returns the hashes once the cut that fills them has finished.
+func (m *manifest) wait() []ChunkHash {
+	<-m.built
+	return m.hashes
+}
+
+// cutChunks cuts payload and registers its chunks, taking one reference
+// per occurrence, and returns their hashes in payload order.
+func (s *Store) cutChunks(payload []byte) []ChunkHash {
+	pieces := chunker.Split(payload, chunker.Config{})
 	hashes := make([]ChunkHash, len(pieces))
 	var shared int64
 	for i, c := range pieces {
@@ -93,25 +138,23 @@ func (s *Store) indexChunks(stored *Block) {
 	if shared > 0 && s.dedupeObserver != nil {
 		s.dedupeObserver(shared)
 	}
-
-	ms.mu.Lock()
-	ms.byID[stored.ID] = hashes
-	ms.mu.Unlock()
+	return hashes
 }
 
-// unindexChunks releases a deleted block's chunk references, dropping
+// dropManifest releases a deleted block's chunk references, dropping
 // entries that reach refcount zero. Idempotent: the second caller finds
-// no manifest and does nothing.
-func (s *Store) unindexChunks(id string) {
+// no manifest and does nothing. A manifest still being cut is waited
+// for, so the references released are exactly the ones it took.
+func (s *Store) dropManifest(id string) {
 	ms := &s.manifests[shardOf(id)]
 	ms.mu.Lock()
-	hashes, ok := ms.byID[id]
+	m, ok := ms.byID[id]
 	delete(ms.byID, id)
 	ms.mu.Unlock()
 	if !ok {
 		return
 	}
-	for _, h := range hashes {
+	for _, h := range m.wait() {
 		cs := s.chunkShardOf(h)
 		cs.mu.Lock()
 		if e, ok := cs.byHash[h]; ok {
@@ -122,20 +165,6 @@ func (s *Store) unindexChunks(id string) {
 		}
 		cs.mu.Unlock()
 	}
-}
-
-// Manifest returns the ordered chunk hashes of a stored block, or false
-// when the block is absent or too small to be chunk-indexed. The slice
-// is the store's own; callers must not modify it.
-func (s *Store) Manifest(id string) ([]ChunkHash, bool) {
-	ms := &s.manifests[shardOf(id)]
-	ms.mu.RLock()
-	hashes, ok := ms.byID[id]
-	ms.mu.RUnlock()
-	if !ok || hashes == nil {
-		return nil, false
-	}
-	return hashes, true
 }
 
 // GetChunk returns a chunk's bytes by content address. The slice
@@ -166,17 +195,25 @@ type DedupeStats struct {
 }
 
 // DedupeStats reports how much of the corpus the chunk index collapses.
+// It describes the whole store, so it first asks for the manifest of
+// every block not yet cut.
 func (s *Store) DedupeStats() DedupeStats {
+	s.Each(func(b *Block) bool {
+		s.Manifest(b.ID)
+		return true
+	})
 	var st DedupeStats
 	for i := range s.manifests {
 		ms := &s.manifests[i]
 		ms.mu.RLock()
-		for _, hashes := range ms.byID {
-			if hashes == nil {
-				continue
+		for _, m := range ms.byID {
+			select {
+			case <-m.built:
+			default:
+				continue // a block put since the pass above, mid-cut
 			}
 			st.ChunkedBlocks++
-			for _, h := range hashes {
+			for _, h := range m.hashes {
 				if c, ok := s.GetChunk(h); ok {
 					st.LogicalBytes += int64(len(c))
 				}

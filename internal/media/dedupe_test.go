@@ -165,3 +165,195 @@ func TestPayloadReader(t *testing.T) {
 		t.Fatalf("ReadAt got %q", buf)
 	}
 }
+
+// splicedVariants returns n near-duplicates of one seeded base payload,
+// each with a 128-byte splice at its own offset (the shape
+// durable/snapshot_v2_test.go builds).
+func splicedVariants(n, size int, seed int64) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	base := make([]byte, size)
+	rng.Read(base)
+	out := make([][]byte, n)
+	for i := range out {
+		p := bytes.Clone(base)
+		off := (i * 8191) % (size - 128)
+		rng.Read(p[off : off+128])
+		out[i] = p
+	}
+	return out
+}
+
+// indexSize counts manifests and chunk entries, white-box.
+func indexSize(s *Store) (manifests, chunks int) {
+	for i := range s.manifests {
+		manifests += len(s.manifests[i].byID)
+	}
+	for i := range s.chunks {
+		chunks += len(s.chunks[i].byHash)
+	}
+	return manifests, chunks
+}
+
+// cutDirectly is the manifest computed without a store.
+func cutDirectly(payload []byte) []ChunkHash {
+	var hashes []ChunkHash
+	for _, c := range chunker.Split(payload, chunker.Config{}) {
+		hashes = append(hashes, chunker.Sum(c))
+	}
+	return hashes
+}
+
+// TestManifestBuiltOnDemand pins when the index exists: Put builds none
+// of it, the first Manifest request cuts exactly what chunker.Split +
+// chunker.Sum give, later requests are lookups, and Delete releases
+// exactly the references the manifest took.
+func TestManifestBuiltOnDemand(t *testing.T) {
+	s := NewStore()
+	variants := splicedVariants(3, 96<<10, 11)
+	blocks := make([]*Block, len(variants))
+	for i, p := range variants {
+		blocks[i] = NewBlock("", core.MediumVideo, p, attr.List{})
+		s.Put(blocks[i])
+	}
+	small := NewBlock("small", core.MediumText, randomPayload(ChunkThreshold-1, 12), attr.List{})
+	s.Put(small)
+	if m, c := indexSize(s); m != 0 || c != 0 {
+		t.Fatalf("Put built %d manifests and %d chunk entries, want none", m, c)
+	}
+
+	first, ok := s.Manifest(blocks[0].ID)
+	if !ok {
+		t.Fatal("no manifest for a block above the threshold")
+	}
+	want := cutDirectly(blocks[0].Payload)
+	if len(first) != len(want) {
+		t.Fatalf("manifest has %d chunks, direct cut %d", len(first), len(want))
+	}
+	for i := range want {
+		if first[i] != want[i] {
+			t.Fatalf("chunk %d differs from the direct cut", i)
+		}
+	}
+	if m, c := indexSize(s); m != 1 || c == 0 || c > len(want) {
+		t.Fatalf("after one request: %d manifests, %d chunk entries (cut has %d chunks)", m, c, len(want))
+	}
+	again, _ := s.Manifest(blocks[0].ID)
+	if &again[0] != &first[0] {
+		t.Fatal("second Manifest call re-cut the block")
+	}
+
+	if _, ok := s.Manifest(small.ID); ok {
+		t.Fatal("sub-threshold block got a manifest")
+	}
+	if _, ok := s.Manifest("no-such-id"); ok {
+		t.Fatal("absent id got a manifest")
+	}
+	if m, _ := indexSize(s); m != 1 {
+		t.Fatalf("refused requests left %d manifests, want 1", m)
+	}
+
+	// Cut the other two; then deleting one block must release exactly its
+	// references: the survivors' refcounts are what their manifests hold.
+	s.Manifest(blocks[1].ID)
+	s.Manifest(blocks[2].ID)
+	s.Delete(blocks[0].ID)
+	checkRefcounts(t, s)
+	s.Delete(blocks[1].ID)
+	s.Delete(blocks[2].ID)
+	if m, c := indexSize(s); m != 0 || c != 0 {
+		t.Fatalf("index holds %d manifests, %d chunks after deleting every block", m, c)
+	}
+}
+
+// checkRefcounts asserts, on a quiescent store, that the chunk table is
+// exactly what the live manifests reference: every entry's refs equals
+// the references to it, none is ≤ 0, no manifest outlives its block, and
+// every manifest hash resolves to bytes that hash to it.
+func checkRefcounts(t *testing.T, s *Store) {
+	t.Helper()
+	held := make(map[ChunkHash]int)
+	for i := range s.manifests {
+		for id, m := range s.manifests[i].byID {
+			if _, ok := s.Get(id); !ok {
+				t.Errorf("manifest for absent block %s", id[:12])
+			}
+			for _, h := range m.hashes {
+				held[h]++
+				c, ok := s.GetChunk(h)
+				if !ok {
+					t.Errorf("block %s references a missing chunk", id[:12])
+				} else if chunker.Sum(c) != h {
+					t.Errorf("block %s: chunk bytes do not match their hash", id[:12])
+				}
+			}
+		}
+	}
+	entries := 0
+	for i := range s.chunks {
+		for h, e := range s.chunks[i].byHash {
+			entries++
+			if e.refs <= 0 {
+				t.Errorf("chunk entry with refs %d", e.refs)
+			}
+			if e.refs != held[h] {
+				t.Errorf("chunk refs = %d, live manifests hold %d", e.refs, held[h])
+			}
+		}
+	}
+	if entries != len(held) {
+		t.Errorf("%d chunk entries, live manifests reference %d", entries, len(held))
+	}
+}
+
+// TestLazyIndexEqualsEagerIndex: the index a store builds when finally
+// asked is the one it would have built had every Put been followed by a
+// Manifest request — what Put itself used to do.
+func TestLazyIndexEqualsEagerIndex(t *testing.T) {
+	lazy, eager := NewStore(), NewStore()
+	var payloads [][]byte
+	for g := 0; g < 5; g++ {
+		payloads = append(payloads, splicedVariants(8, 48<<10, int64(20+g))...)
+	}
+	for i := 0; i < 10; i++ { // unrelated blocks, some below the threshold
+		payloads = append(payloads, randomPayload(1<<10+i*3<<10, int64(40+i)))
+	}
+	if len(payloads) != 50 {
+		t.Fatalf("built %d payloads, want 50", len(payloads))
+	}
+	for _, p := range payloads {
+		lazy.Put(NewBlock("", core.MediumVideo, p, attr.List{}))
+		b := NewBlock("", core.MediumVideo, p, attr.List{})
+		eager.Put(b)
+		eager.Manifest(b.ID)
+	}
+	if m, c := indexSize(lazy); m != 0 || c != 0 {
+		t.Fatalf("unasked store holds %d manifests, %d chunks", m, c)
+	}
+	got, want := lazy.DedupeStats(), eager.DedupeStats()
+	if got != want {
+		t.Fatalf("lazy index %+v, eager index %+v", got, want)
+	}
+	if want.ChunkedBlocks == 0 || want.UniqueBytes >= want.LogicalBytes {
+		t.Fatalf("corpus did not dedupe: %+v", want)
+	}
+	checkRefcounts(t, lazy)
+}
+
+// TestPutCutsNothing is the ceiling on Put's work: storing a 1 MiB block
+// allocates a map slot or two, not a chunk entry per 8 KiB of payload.
+func TestPutCutsNothing(t *testing.T) {
+	b := NewBlock("big.vid", core.MediumVideo, randomPayload(1<<20, 13), attr.List{})
+	const runs = 10
+	stores := make([]*Store, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range stores {
+		stores[i] = NewStore()
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		stores[next].Put(b)
+		next++
+	})
+	if allocs > 8 {
+		t.Fatalf("Put of a 1 MiB block made %.0f allocations, want <= 8: it is cutting the payload", allocs)
+	}
+}

@@ -70,8 +70,9 @@ type Store struct {
 	blocks [storeShards]blockShard
 	names  [storeShards]nameShard
 
-	// Content-defined dedupe index (dedupe.go): unique chunks and the
-	// per-block manifests referencing them, both refcounted.
+	// Content-defined dedupe index (dedupe.go): unique chunks, refcounted,
+	// and the manifests referencing them — one per block someone has
+	// asked Manifest for, none before.
 	chunks    [storeShards]chunkShard
 	manifests [storeShards]manifestShard
 
@@ -87,9 +88,11 @@ type Store struct {
 func (s *Store) SetJournal(j Journal) { s.journal = j }
 
 // SetDedupeObserver attaches a callback fired with the byte count each
-// time an incoming payload's chunks dedupe against already-indexed
-// ones — the feed behind the cmif_bytes_saved_total{reason="dedupe"}
-// counter. Attach before serving.
+// time a block's chunks, cut on its first Manifest request, dedupe
+// against already-indexed ones — the feed behind the
+// cmif_bytes_saved_total{reason="dedupe"} counter. Nothing fires at Put:
+// a block nobody asked a manifest for has saved nothing yet. Attach
+// before serving.
 func (s *Store) SetDedupeObserver(fn func(sharedBytes int64)) { s.dedupeObserver = fn }
 
 // NewStore returns an empty store.
@@ -105,7 +108,7 @@ func NewStore() *Store {
 		s.chunks[i].byHash = make(map[ChunkHash]*chunkEntry)
 	}
 	for i := range s.manifests {
-		s.manifests[i].byID = make(map[string][]ChunkHash)
+		s.manifests[i].byID = make(map[string]*manifest)
 	}
 	return s
 }
@@ -114,7 +117,8 @@ func NewStore() *Store {
 // address. The store keeps b itself (see Block: immutable once handed
 // over; sharing one descriptor across many blocks is fine). Re-putting
 // identical content is idempotent; re-using a name for different content
-// re-points the name.
+// re-points the name. Put never reads the payload: the chunk index is cut
+// by the first Manifest request, not here.
 func (s *Store) Put(b *Block) string { return s.PutReplayed(b, true) }
 
 // PutReplayed is Put for WAL and snapshot replay: register says whether
@@ -134,18 +138,6 @@ func (s *Store) PutReplayed(b *Block, register bool) string {
 		}
 	}
 	bs.mu.Unlock()
-	if !existed {
-		// Chunk-index outside the shard lock (hashing the payload is the
-		// dominant cost). A Delete racing the indexing is resolved like
-		// the name rollback below: whichever runs last unindexes.
-		s.indexChunks(b)
-		bs.mu.RLock()
-		_, alive := bs.byID[b.ID]
-		bs.mu.RUnlock()
-		if !alive {
-			s.unindexChunks(b.ID)
-		}
-	}
 	if register && b.Name != "" {
 		ns := &s.names[shardOf(b.Name)]
 		ns.mu.Lock()
@@ -256,9 +248,9 @@ func (s *Store) Delete(id string) bool {
 	if !ok {
 		return false
 	}
-	// Release the block's chunk references; entries reaching refcount
-	// zero are dropped (dedupe GC).
-	s.unindexChunks(id)
+	// Release the chunk references of the block's manifest, if one was
+	// ever cut; entries reaching refcount zero are dropped (dedupe GC).
+	s.dropManifest(id)
 	for i := range s.names {
 		ns := &s.names[i]
 		ns.mu.Lock()

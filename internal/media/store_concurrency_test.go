@@ -1,11 +1,14 @@
 package media
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/attr"
+	"repro/internal/chunker"
 	"repro/internal/core"
 )
 
@@ -114,4 +117,107 @@ func TestStoreDeleteRemovesAllNames(t *testing.T) {
 	if _, ok := s.GetByName("omega.txt"); ok {
 		t.Fatalf("omega.txt still resolves after delete")
 	}
+}
+
+// TestChunkIndexConcurrentChurn races every operation that touches the
+// on-demand chunk index over four near-duplicate blocks. Afterwards the
+// index must be exactly what the surviving manifests reference.
+func TestChunkIndexConcurrentChurn(t *testing.T) {
+	s := NewStore()
+	blocks := make([]*Block, 4)
+	for i, p := range splicedVariants(len(blocks), 64<<10, 31) {
+		blocks[i] = NewBlock(fmt.Sprintf("dup-%d.vid", i), core.MediumVideo, p, attr.List{})
+		s.Put(blocks[i])
+	}
+	const (
+		workers = 8
+		rounds  = 300
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				b := blocks[(i+w)%len(blocks)]
+				switch (i + w) % 5 {
+				case 0, 1:
+					hashes, ok := s.Manifest(b.ID)
+					if !ok {
+						continue // deleted under us
+					}
+					if len(hashes) == 0 {
+						t.Error("Manifest answered true with a half-built list")
+						return
+					}
+					for _, h := range hashes {
+						if c, ok := s.GetChunk(h); ok && chunker.Sum(c) != h {
+							t.Error("GetChunk returned bytes that do not hash to the request")
+							return
+						}
+					}
+				case 2:
+					s.Delete(b.ID)
+				case 3:
+					s.Put(b)
+				case 4:
+					s.DedupeStats() // a moving store has no exact answer; it must not tear
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkRefcounts(t, s)
+	// Whatever survived still answers, with the manifest a direct cut gives.
+	for _, b := range blocks {
+		if _, ok := s.Get(b.ID); !ok {
+			continue
+		}
+		hashes, ok := s.Manifest(b.ID)
+		if !ok || len(hashes) != len(cutDirectly(b.Payload)) {
+			t.Errorf("%s: manifest ok=%v with %d chunks", b.Name, ok, len(hashes))
+		}
+	}
+	checkRefcounts(t, s)
+}
+
+// TestManifestFirstAskersShareOneCut: 16 goroutines released together on
+// the first Manifest of one block perform one cut between them.
+func TestManifestFirstAskersShareOneCut(t *testing.T) {
+	s := NewStore()
+	var fired atomic.Int32
+	s.SetDedupeObserver(func(int64) { fired.Add(1) })
+	// 2 MiB repeated twice: the second half dedupes against the first, so
+	// every cut of this block fires the observer.
+	half := randomPayload(2<<20, 32)
+	b := NewBlock("big.vid", core.MediumVideo, append(bytes.Clone(half), half...), attr.List{})
+	s.Put(b)
+
+	const askers = 16
+	results := make([][]ChunkHash, askers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			hashes, ok := s.Manifest(b.ID)
+			if !ok {
+				t.Errorf("asker %d was told the block has no manifest", i)
+			}
+			results[i] = hashes
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, r := range results {
+		if len(r) == 0 || &r[0] != &results[0][0] || len(r) != len(results[0]) {
+			t.Fatalf("asker %d got a different manifest than asker 0", i)
+		}
+	}
+	if n := fired.Load(); n != 1 {
+		t.Fatalf("dedupe observer fired %d times for one block, want 1", n)
+	}
+	checkRefcounts(t, s)
 }

@@ -225,8 +225,9 @@ func (m *ServerMetrics) frameCompressed(raw, wire int64) {
 }
 
 // DedupeSaved counts payload bytes the content-defined chunk index
-// collapsed — bytes a duplicate-heavy corpus did not store, snapshot
-// or replicate twice. Fed by the store's dedupe observer.
+// collapsed — bytes a duplicate-heavy corpus does not snapshot or ship
+// twice. Fed by the store's dedupe observer, which fires when a block's
+// first manifest request cuts it, not when the block is put.
 func (m *ServerMetrics) DedupeSaved(bytes int64) {
 	if m != nil {
 		m.bytesSavedDedupe.Add(bytes)
