@@ -129,3 +129,76 @@ func TestPlanRescheduleIsFastPathNoop(t *testing.T) {
 		t.Fatalf("makespan changed on no-op reschedule")
 	}
 }
+
+// TestPlayPlaysThePlanItWasGiven: a plan that needed WithRelaxation plays
+// without WithPlayRelaxation. The conflict the plan resolved stays resolved;
+// the play option governs only what playback may drop on top of it. Play
+// used to re-plan from the graph with the play options and fail with
+// "planning failed" on the very conflict the plan had already relaxed.
+func TestPlayPlaysThePlanItWasGiven(t *testing.T) {
+	d := buildShow(t)
+	for _, offset := range []int64{0, 50} {
+		strict := cmif.Must
+		if offset > 0 {
+			strict = cmif.May // audio-a cannot also start 50ms after video-a
+		}
+		if err := d.AddArc("/video-strand", cmif.SyncArc{
+			Source: "video-a", SrcEnd: cmif.Begin,
+			Dest: "../audio-strand/audio-a", DestEnd: cmif.Begin,
+			Offset: cmif.MS(offset), MinDelay: cmif.MS(0), MaxDelay: cmif.MS(0), Strict: strict,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cmif.Schedule(d); err == nil {
+		t.Fatal("the conflicting May arc scheduled without relaxation")
+	}
+	plan, err := cmif.Schedule(d, cmif.WithRelaxation())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.DroppedArcs()) != 1 {
+		t.Fatalf("plan dropped %v, want the one May arc", plan.DroppedArcs())
+	}
+	res, err := plan.Play()
+	if err != nil {
+		t.Fatalf("playing a relaxed plan without WithPlayRelaxation: %v", err)
+	}
+	if !res.Success() || res.FinishedAt != plan.Makespan() || res.MaxDrift != 0 {
+		t.Errorf("ideal playback: success %v, finished %v (plan %v), drift %v",
+			res.Success(), res.FinishedAt, plan.Makespan(), res.MaxDrift)
+	}
+	if len(res.DroppedMay) != 1 || res.DroppedMay[0].Node != plan.DroppedArcs()[0].Node ||
+		res.DroppedMay[0].Index != plan.DroppedArcs()[0].Index {
+		t.Errorf("played DroppedMay = %v, want the plan's %v", res.DroppedMay, plan.DroppedArcs())
+	}
+}
+
+// TestPlayStalePlan: a plan left behind by Reschedule shares the solver's
+// live graph. Once that graph has grown, the old plan has no times for the
+// new events; playing it is refused, playing the rescheduled plan works.
+func TestPlayStalePlan(t *testing.T) {
+	d := buildShow(t)
+	old, err := cmif.Schedule(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := cmif.NewImm(nil).SetName("text-e").SetAttr("duration", cmif.Qty(cmif.MS(75)))
+	if _, err := d.InsertNode("/text-strand", -1, extra); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := old.Reschedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Play(); err == nil {
+		t.Error("a plan older than its graph played")
+	}
+	res, err := plan.Play(cmif.WithJitter(cmif.UniformJitter(3, 10_000_000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late := res.FinishedAt - plan.Makespan(); !res.Success() || late < 0 || late >= 10_000_000 {
+		t.Errorf("rescheduled plan: success %v, finished %v after a %v plan", res.Success(), res.FinishedAt, plan.Makespan())
+	}
+}

@@ -20,7 +20,6 @@ import (
 type Plan struct {
 	doc      *Document
 	solver   *sched.Solver
-	graph    *sched.Graph
 	schedule *sched.Schedule
 }
 
@@ -78,7 +77,7 @@ func Schedule(d *Document, opts ...ScheduleOption) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{doc: d, solver: solver, graph: solver.Graph(), schedule: s}, nil
+	return &Plan{doc: d, solver: solver, schedule: s}, nil
 }
 
 // Reschedule brings the plan up to date after document edits. Components
@@ -96,7 +95,7 @@ func (p *Plan) Reschedule() (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{doc: p.doc, solver: p.solver, graph: p.solver.Graph(), schedule: s}, nil
+	return &Plan{doc: p.doc, solver: p.solver, schedule: s}, nil
 }
 
 // SolveStats describes what the last Schedule/Reschedule pass did: how
@@ -181,18 +180,22 @@ func WithJitter(m JitterModel) PlayOption {
 	return func(c *playConfig) { c.opts.Jitter = m }
 }
 
-// WithPlayRelaxation permits dropping May arcs to absorb latencies.
+// WithPlayRelaxation permits dropping May arcs to absorb latencies. It
+// governs only drops beyond the plan's: the arcs a plan scheduled
+// WithRelaxation dropped stay dropped during playback with or without it.
 func WithPlayRelaxation() PlayOption {
 	return func(c *playConfig) { c.opts.Relax = true }
 }
 
-// Play simulates presenting the plan on a device described by the options.
+// Play simulates presenting the plan on a device described by the options:
+// the plan's own schedule perturbed by the device latencies, not a second
+// planning pass.
 func (p *Plan) Play(opts ...PlayOption) (*PlayResult, error) {
 	var cfg playConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	return player.Play(p.graph, cfg.opts)
+	return player.PlaySchedule(p.schedule, cfg.opts)
 }
 
 // SeekReport classifies document state at a seek point: active leaves and

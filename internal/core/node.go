@@ -289,31 +289,28 @@ func (n *Node) Inherited(name string) (attr.Value, bool) {
 	return attr.Value{}, false
 }
 
-// pathComponent returns the stable component naming n under its parent: the
-// node's name if it has one, otherwise "#i" by sibling position.
-func (n *Node) pathComponent() string {
-	if name := n.Name(); name != "" {
-		return name
-	}
-	return "#" + strconv.Itoa(n.index)
+// PathString returns an absolute slash-separated path from the root to n,
+// e.g. "/news/story-3/caption/intro". The root renders as "/". A component
+// is the node's name if it has one, otherwise "#i" by sibling position.
+func (n *Node) PathString() string {
+	var buf [64]byte
+	return string(n.AppendPath(buf[:0]))
 }
 
-// PathString returns an absolute slash-separated path from the root to n,
-// e.g. "/news/story-3/caption/intro". The root renders as "/".
-func (n *Node) PathString() string {
+// AppendPath appends PathString's rendering of n to buf and returns the
+// extended buffer, for callers that want the bytes without the string.
+func (n *Node) AppendPath(buf []byte) []byte {
 	if n.parent == nil {
-		return "/"
+		return append(buf, '/')
 	}
-	var parts []string
-	for m := n; m.parent != nil; m = m.parent {
-		parts = append(parts, m.pathComponent())
+	if n.parent.parent != nil {
+		buf = n.parent.AppendPath(buf)
 	}
-	var b strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		b.WriteByte('/')
-		b.WriteString(parts[i])
+	buf = append(buf, '/')
+	if name := n.Name(); name != "" {
+		return append(buf, name...)
 	}
-	return b.String()
+	return strconv.AppendInt(append(buf, '#'), int64(n.index), 10)
 }
 
 // PathError reports a failure to resolve a relative path name.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/attr"
@@ -182,6 +184,23 @@ func TestPathString(t *testing.T) {
 	root.Child(0).AddChild(anon)
 	if got := anon.PathString(); got != "/story-3/#3" {
 		t.Errorf("anonymous path = %q", got)
+	}
+	// AppendPath extends the caller's buffer with the same rendering, also
+	// past PathString's 64-byte stack buffer.
+	deep := anon
+	for i := 0; i < 12; i++ {
+		deep.Type = Seq
+		next := NewExt().SetName("level-" + strconv.Itoa(i))
+		deep.AddChild(next)
+		deep = next
+	}
+	for _, n := range []*Node{root, intro, anon, deep} {
+		if got := string(n.AppendPath([]byte("at "))); got != "at "+n.PathString() {
+			t.Errorf("AppendPath = %q, PathString = %q", got, n.PathString())
+		}
+	}
+	if got := deep.PathString(); len(got) < 100 || !strings.HasPrefix(got, "/story-3/#3/level-0/") {
+		t.Errorf("deep path = %q", got)
 	}
 }
 

@@ -568,7 +568,7 @@ func NewsFragment() (*Table, error) {
 		check("talking head freeze-frame stretch", s.StretchOf(th1, nil), 4*time.Second),
 		check("painting two at cap-2 end + 250ms offset", s.StartOf(g2), s.EndOf(cap2)+250*time.Millisecond),
 	}
-	res, err := player.Play(g, player.Options{Relax: true})
+	res, err := player.PlaySchedule(s, player.Options{Relax: true})
 	if err != nil {
 		return nil, err
 	}

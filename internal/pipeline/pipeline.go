@@ -177,7 +177,7 @@ func Run(ctx context.Context, doc *core.Document, store *media.Store, cfg Config
 	}
 
 	// Stage: playback simulation.
-	out.Playback, err = player.Play(g, player.Options{Jitter: cfg.Jitter, Relax: true})
+	out.Playback, err = player.PlaySchedule(out.Schedule, player.Options{Jitter: cfg.Jitter, Relax: true})
 	if err != nil {
 		return out, fmt.Errorf("pipeline: playback: %w", err)
 	}

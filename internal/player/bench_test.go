@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/sched"
 	"repro/internal/units"
 )
@@ -76,4 +77,30 @@ func BenchmarkAnalyzeSeek(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		AnalyzeSeek(s, mid)
 	}
+}
+
+// BenchmarkPlayDeepNest plays the arc-dense corpus shape (DeepNest 2/6, 28
+// May arcs dropped) under jitter: Play plans first, PlaySchedule is handed
+// the plan, as pipeline.Run and cmif.Plan.Play are.
+func BenchmarkPlayDeepNest(b *testing.B) {
+	g := corpusGraph(b, corpus.Spec{Shape: corpus.DeepNest, Seed: 206, Size: 2, Depth: 6})
+	plan, err := g.Solve(sched.SolveOptions{Relax: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Jitter: UniformJitter(1, 30*time.Millisecond), Relax: true}
+	b.Run("Play", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Play(g, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("PlaySchedule", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := PlaySchedule(plan, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -15,6 +15,15 @@ import (
 // carrier path#index — and what playback under UniformJitter(1, 30ms) makes
 // of them. The values were recorded before the relax loop was unified and
 // must not move when it changes shape again.
+//
+// One pair of values did move, on purpose: the finished/droppedMay of
+// deepnest-207 and deepnest-208. They were recorded when playback re-solved
+// the jittered system cold, and there a perturbation of at most 30ms made
+// the relax loop pick a different victim set than the plan's — 207 finished
+// at 29.048072565s with 28 arcs dropped against a 22.644s plan that drops
+// 27, 208 at 22.672640973s with 31 against 18.204s with 30. Playback now
+// re-solves from the plan (sched.SolveFrom), keeps the plan's victims and
+// finishes within the jitter bound of the makespan, like the other five.
 var corpusGolden = []struct {
 	spec               corpus.Spec
 	makespan, finished string
@@ -96,7 +105,7 @@ var corpusGolden = []struct {
 	},
 	{
 		spec:     corpus.Spec{Shape: corpus.DeepNest, Seed: 207, Size: 2, Depth: 6},
-		makespan: "22.644s", finished: "29.048072565s", droppedMay: 28,
+		makespan: "22.644s", finished: "22.672985489s", droppedMay: 27,
 		dropped: `
 			/seq-1/par-1/seq-0/par-1/seq-1/par-1/leaf-1#0
 			/seq-0/par-0/seq-1/par-1/seq-1/par-1/leaf-0#0
@@ -128,7 +137,7 @@ var corpusGolden = []struct {
 	},
 	{
 		spec:     corpus.Spec{Shape: corpus.DeepNest, Seed: 208, Size: 2, Depth: 6},
-		makespan: "18.204s", finished: "22.672640973s", droppedMay: 31,
+		makespan: "18.204s", finished: "18.231868379s", droppedMay: 30,
 		dropped: `
 			/seq-0/par-1/seq-0/par-1/seq-0/par-1/leaf-0#0
 			/seq-1/par-1/seq-1/par-1/seq-0/par-0/leaf-0#0
@@ -167,17 +176,25 @@ var corpusGolden = []struct {
 	},
 }
 
+// corpusGraph generates a corpus document and builds its constraint graph
+// the way pipeline.Run does.
+func corpusGraph(tb testing.TB, spec corpus.Spec) *sched.Graph {
+	tb.Helper()
+	d, _, err := corpus.Generate(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	g, err := sched.Build(d, sched.Options{DefaultLeafDuration: 500 * time.Millisecond})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
 func TestCorpusSchedulesGolden(t *testing.T) {
 	for _, want := range corpusGolden {
 		t.Run(fmt.Sprintf("%s-%d", want.spec.Shape, want.spec.Seed), func(t *testing.T) {
-			d, _, err := corpus.Generate(want.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := sched.Build(d, sched.Options{DefaultLeafDuration: 500 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := corpusGraph(t, want.spec)
 			s, err := g.Solve(sched.SolveOptions{Relax: true})
 			if err != nil {
 				t.Fatal(err)
@@ -208,5 +225,52 @@ func TestCorpusSchedulesGolden(t *testing.T) {
 					len(res.DroppedMay), len(res.MustViolations), want.droppedMay)
 			}
 		})
+	}
+}
+
+// TestPlaybackFollowsPlan pins the played run as a perturbation of the plan
+// on every golden document: under jitter below 30ms playback sacrifices
+// exactly the plan's arcs, in the plan's order, and neither the finish time
+// nor any single event strays from the plan by the jitter bound or more.
+func TestPlaybackFollowsPlan(t *testing.T) {
+	const bound = 30 * time.Millisecond
+	for _, want := range corpusGolden {
+		t.Run(fmt.Sprintf("%s-%d", want.spec.Shape, want.spec.Seed), func(t *testing.T) {
+			g := corpusGraph(t, want.spec)
+			plan, err := g.Solve(sched.SolveOptions{Relax: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := PlaySchedule(plan, Options{Jitter: UniformJitter(1, bound), Relax: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameArcs(t, res.DroppedMay, plan.Dropped)
+			if late := res.FinishedAt - plan.Makespan(); late < 0 || late >= bound {
+				t.Errorf("finished %v after a %v plan; want within [0, %v)", res.FinishedAt, plan.Makespan(), bound)
+			}
+			if res.MaxDrift >= bound {
+				t.Errorf("MaxDrift = %v, want under %v", res.MaxDrift, bound)
+			}
+		})
+	}
+}
+
+// sameArcs asserts got names want's arcs element for element, none twice.
+func sameArcs(t *testing.T, got, want []sched.ArcRef) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d arcs, want %d:\n%v\nwant:\n%v", len(got), len(want), got, want)
+	}
+	seen := map[string]bool{}
+	for i := range got {
+		if got[i].Node != want[i].Node || got[i].Index != want[i].Index {
+			t.Errorf("arc %d = %v, want %v", i, got[i], want[i])
+		}
+		key := fmt.Sprintf("%s#%d", got[i].Node.PathString(), got[i].Index)
+		if seen[key] {
+			t.Errorf("arc %d = %v is listed twice", i, got[i])
+		}
+		seen[key] = true
 	}
 }

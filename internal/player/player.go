@@ -11,10 +11,16 @@
 //   - May arcs are "desirable but not essential": when a latency makes one
 //     unsatisfiable, it is dropped and recorded, and playback proceeds.
 //
-// Mechanically, playback is a re-solve of the document's constraint system
-// with runtime latency constraints added. This makes the simulation exact:
-// the trace is the earliest feasible execution of the perturbed system, and
-// every residual constraint violation is a genuine Must failure.
+// Mechanically, playback is a perturbation of a plan. PlaySchedule takes the
+// schedule the viewer already holds, adds one runtime lower bound per
+// delayed leaf to the plan's own constraint system — the May arcs the plan
+// dropped stay dropped — and re-solves it from the plan's times
+// (sched.SolveFrom) instead of planning again. This makes the simulation
+// exact and keeps it honest: the trace is the earliest feasible execution of
+// the perturbed plan, drift and lateness are measured against the plan the
+// run actually followed, and every residual constraint violation is a
+// genuine Must failure. Play is the form for callers with only a graph: the
+// package's one cold solve, then PlaySchedule.
 package player
 
 import (
@@ -43,7 +49,8 @@ func UniformJitter(seed uint64, max time.Duration) JitterModel {
 	}
 	return func(n *core.Node, channel string) time.Duration {
 		h := seed ^ 0xcbf29ce484222325
-		for _, c := range []byte(n.PathString()) {
+		var buf [64]byte
+		for _, c := range n.AppendPath(buf[:0]) {
 			h = (h ^ uint64(c)) * 0x100000001b3
 		}
 		for _, c := range []byte(channel) {
@@ -69,7 +76,9 @@ func ChannelJitter(channel string, latency time.Duration) JitterModel {
 type Options struct {
 	// Jitter is the device latency model; nil means ideal devices.
 	Jitter JitterModel
-	// Relax permits dropping May arcs to absorb latencies.
+	// Relax permits dropping May arcs to absorb latencies. It governs only
+	// drops beyond the plan's: PlaySchedule keeps the arcs its plan dropped
+	// whatever Relax says. (Play also plans with it.)
 	Relax bool
 }
 
@@ -127,7 +136,8 @@ type Result struct {
 	Actual []time.Duration
 	// Trace lists observable actions in time order.
 	Trace []TraceEntry
-	// DroppedMay lists May arcs sacrificed to absorb latencies.
+	// DroppedMay lists the May arcs not honoured: the plan's dropped arcs,
+	// then those sacrificed to absorb latencies, each once.
 	DroppedMay []sched.ArcRef
 	// MustViolations lists Must arcs that no amount of stalling could
 	// satisfy; a correct environment refuses to claim success here.
@@ -143,27 +153,46 @@ type Result struct {
 // Success reports whether every Must relationship was honoured.
 func (r *Result) Success() bool { return len(r.MustViolations) == 0 }
 
-// Play simulates the document under the given options. The planned schedule
-// is computed from graph g (which must have been built with stretchable
-// leaves for freeze-frame semantics).
+// Play plans g and plays the plan: the convenience form for callers with
+// no schedule in hand. The graph must have been built with stretchable
+// leaves for freeze-frame semantics.
 func Play(g *sched.Graph, opts Options) (*Result, error) {
 	planned, err := g.Solve(sched.SolveOptions{Relax: opts.Relax})
 	if err != nil {
 		return nil, fmt.Errorf("player: planning failed: %w", err)
 	}
+	return PlaySchedule(planned, opts)
+}
+
+// leafChannel is one leaf with its channel name, resolved once per run.
+type leafChannel struct {
+	node    *core.Node
+	channel string
+}
+
+// PlaySchedule simulates presenting planned under the given options: the
+// run is the plan's own constraint system — the arcs it dropped stay
+// dropped — plus one lower bound per leaf the jitter model delays.
+func PlaySchedule(planned *sched.Schedule, opts Options) (*Result, error) {
 	jitter := opts.Jitter
 	if jitter == nil {
 		jitter = NoJitter
 	}
 
+	g := planned.Graph()
+	if len(planned.Times()) != g.NumEvents() {
+		return nil, errors.New("player: the plan predates insertions into its graph; reschedule it first")
+	}
 	doc := g.Doc()
 	run := g.Clone()
 	rootBegin := run.Begin(doc.Root)
+	var leaves []leafChannel
 	doc.Root.Walk(func(n *core.Node) bool {
 		if !n.Type.IsLeaf() {
 			return true
 		}
 		ch := channelName(doc, n)
+		leaves = append(leaves, leafChannel{n, ch})
 		if lat := jitter(n, ch); lat > 0 {
 			run.AddRuntimeLower(rootBegin, run.Begin(n),
 				planned.StartOf(n)+lat,
@@ -172,16 +201,15 @@ func Play(g *sched.Graph, opts Options) (*Result, error) {
 		return true
 	})
 
-	// Re-solve with latencies. May arcs absorb what they can; residual
-	// conflicts are Must failures, dropped one at a time and recorded.
-	dropped := append([]sched.ArcRef(nil), planned.Dropped...)
+	// Re-solve from the plan with latencies. May arcs absorb what they can;
+	// residual conflicts are Must failures, dropped one at a time and
+	// recorded.
 	var violations []sched.ArcRef
 	var actual *sched.Schedule
 	for {
-		s, err := run.Solve(sched.SolveOptions{Relax: opts.Relax})
+		s, err := run.SolveFrom(planned, sched.SolveOptions{Relax: opts.Relax})
 		if err == nil {
 			actual = s
-			dropped = append(dropped, s.Dropped...)
 			break
 		}
 		var ce *sched.ConflictError
@@ -199,15 +227,15 @@ func Play(g *sched.Graph, opts Options) (*Result, error) {
 
 	res := &Result{
 		Actual:         actual.Times(),
-		DroppedMay:     dedupeRefs(dropped),
+		DroppedMay:     actual.Dropped,
 		MustViolations: violations,
 	}
-	res.buildTrace(doc, g, planned, actual)
+	res.buildTrace(leaves, planned, actual)
 	return res, nil
 }
 
 // buildTrace derives observable actions from planned vs actual times.
-func (res *Result) buildTrace(doc *core.Document, g *sched.Graph, planned, actual *sched.Schedule) {
+func (res *Result) buildTrace(leaves []leafChannel, planned, actual *sched.Schedule) {
 	for i := range res.Actual {
 		if d := res.Actual[i] - planned.TimeOf(sched.EventID(i)); abs(d) > res.MaxDrift {
 			res.MaxDrift = abs(d)
@@ -216,11 +244,9 @@ func (res *Result) buildTrace(doc *core.Document, g *sched.Graph, planned, actua
 			res.FinishedAt = res.Actual[i]
 		}
 	}
-	doc.Root.Walk(func(n *core.Node) bool {
-		if !n.Type.IsLeaf() {
-			return true
-		}
-		ch := channelName(doc, n)
+	res.Trace = make([]TraceEntry, 0, 3*len(leaves))
+	for _, l := range leaves {
+		n, ch := l.node, l.channel
 		start, end := actual.StartOf(n), actual.EndOf(n)
 		res.Trace = append(res.Trace, TraceEntry{At: start, Channel: ch, Node: n, Action: ActionStart})
 		if late := start - planned.StartOf(n); late > 0 {
@@ -233,8 +259,7 @@ func (res *Result) buildTrace(doc *core.Document, g *sched.Graph, planned, actua
 			res.TotalStretch += stretch
 		}
 		res.Trace = append(res.Trace, TraceEntry{At: end, Channel: ch, Node: n, Action: ActionEnd})
-		return true
-	})
+	}
 	sort.SliceStable(res.Trace, func(i, j int) bool {
 		if res.Trace[i].At != res.Trace[j].At {
 			return res.Trace[i].At < res.Trace[j].At
@@ -257,25 +282,6 @@ func abs(d time.Duration) time.Duration {
 		return -d
 	}
 	return d
-}
-
-// dedupeRefs keeps the first occurrence of every arc, identified — as in
-// sched — by its carrier node and index.
-func dedupeRefs(refs []sched.ArcRef) []sched.ArcRef {
-	type arcKey struct {
-		node  *core.Node
-		index int
-	}
-	seen := map[arcKey]bool{}
-	var out []sched.ArcRef
-	for _, r := range refs {
-		k := arcKey{r.Node, r.Index}
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // String renders the trace.

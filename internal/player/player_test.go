@@ -198,6 +198,59 @@ func TestMayArcDroppedUnderJitter(t *testing.T) {
 	}
 }
 
+func TestPlayScheduleKeepsThePlansVictims(t *testing.T) {
+	// story is pinned to the root. note must start with story and may start
+	// 100ms after it: a conflict the plan resolves by dropping the May arc.
+	// label may start exactly with story, which holds until its device is
+	// slow.
+	root := core.NewPar().SetName("r")
+	story := leaf("story", "video", 500)
+	note := leaf("note", "sound", 200)
+	label := leaf("label", "text", 200)
+	story.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.Must,
+		Source: "/", SrcEnd: core.Begin, Dest: "", MaxDelay: units.MS(0)})
+	note.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.Must,
+		Source: "../story", SrcEnd: core.Begin, Dest: "", MaxDelay: units.MS(0)})
+	note.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.May,
+		Source: "../story", SrcEnd: core.Begin, Dest: "", Offset: units.MS(100), MaxDelay: units.MS(0)})
+	label.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.May,
+		Source: "../story", SrcEnd: core.Begin, Dest: "", MaxDelay: units.MS(0)})
+	root.Add(story, note, label)
+	g := graph(t, root)
+	plan, err := g.Solve(sched.SolveOptions{Relax: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Dropped) != 1 || plan.Dropped[0].Node != note || plan.Dropped[0].Index != 1 {
+		t.Fatalf("plan dropped %v, want note's May arc", plan.Dropped)
+	}
+
+	// Relax governs further drops only: without it the plan still plays,
+	// the conflict it already resolved stays resolved.
+	res, err := PlaySchedule(plan, Options{})
+	if err != nil {
+		t.Fatalf("playing a relaxed plan without Relax: %v", err)
+	}
+	sameArcs(t, res.DroppedMay, plan.Dropped)
+	if !res.Success() || res.MaxDrift != 0 {
+		t.Errorf("ideal playback of the plan: violations %v, drift %v", res.MustViolations, res.MaxDrift)
+	}
+
+	// With it, DroppedMay is the plan's list followed by the run's.
+	res, err = PlaySchedule(plan, Options{Jitter: ChannelJitter("text", 30*time.Millisecond), Relax: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labelArc := sched.ArcRef{Node: label, Index: 0}
+	sameArcs(t, res.DroppedMay, []sched.ArcRef{plan.Dropped[0], labelArc})
+	if len(plan.Dropped) != 1 {
+		t.Errorf("playback grew the plan's own Dropped list to %v", plan.Dropped)
+	}
+	if got := res.Actual[g.Begin(label)]; got != 30*time.Millisecond {
+		t.Errorf("label started at %v, want 30ms", got)
+	}
+}
+
 func TestUniformJitterDeterministic(t *testing.T) {
 	j1 := UniformJitter(7, 100*time.Millisecond)
 	j2 := UniformJitter(7, 100*time.Millisecond)

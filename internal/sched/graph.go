@@ -179,9 +179,18 @@ func (g *Graph) Constraints() []Constraint { return g.flatten() }
 // for every node in pre-order, its structural block then its arc block,
 // followed by the runtime constraints. Tombstoned nodes are not in the tree
 // and therefore drop out naturally.
-func (g *Graph) flatten() []Constraint {
-	if g.flatOK {
+func (g *Graph) flatten() []Constraint { return g.withoutArcs(nil) }
+
+// withoutArcs builds the flat constraint list minus every constraint of the
+// listed arcs, in one pass over the blocks; with no arcs listed the result
+// is the cached flat view. Used by Verify and SolveFrom.
+func (g *Graph) withoutArcs(refs []ArcRef) []Constraint {
+	if len(refs) == 0 && g.flatOK {
 		return g.flat
+	}
+	dropped := make(map[arcKey]bool, len(refs))
+	for _, r := range refs {
+		dropped[keyOf(r)] = true
 	}
 	// Nodes missing from the index were added to the tree behind the
 	// graph's back (untracked edits); skip them rather than alias the
@@ -197,12 +206,18 @@ func (g *Graph) flatten() []Constraint {
 	g.doc.Root.Walk(func(n *core.Node) bool {
 		if k, ok := g.nodeIndex[n]; ok {
 			flat = append(flat, g.structBlocks[k]...)
-			flat = append(flat, g.arcBlocks[k]...)
+			for i := range g.arcBlocks[k] {
+				if c := &g.arcBlocks[k][i]; !dropped[keyOf(c.Arc)] {
+					flat = append(flat, *c)
+				}
+			}
 		}
 		return true
 	})
 	flat = append(flat, g.runtime...)
-	g.flat, g.flatOK = flat, true
+	if len(refs) == 0 {
+		g.flat, g.flatOK = flat, true
+	}
 	return flat
 }
 
@@ -586,23 +601,6 @@ func (g *Graph) WithoutArc(r ArcRef) *Graph {
 	c.consCount -= len(c.arcBlocks[k]) - len(kept)
 	c.arcBlocks[k], c.arcRefs[k] = kept, refs
 	return c
-}
-
-// withoutArcs returns the flat constraint list minus every constraint of
-// the listed arcs. Used by Verify.
-func (g *Graph) withoutArcs(dropped map[arcKey]bool) []Constraint {
-	flat := g.flatten()
-	if len(dropped) == 0 {
-		return flat
-	}
-	out := make([]Constraint, 0, len(flat))
-	for _, c := range flat {
-		if c.Kind == KindArc && dropped[keyOf(c.Arc)] {
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
 }
 
 // arcKey identifies an arc by carrier node and index.

@@ -53,8 +53,28 @@ type SolveOptions struct {
 // incremental path; it runs the same loop per component and produces
 // identical schedules.
 func (g *Graph) Solve(opts SolveOptions) (*Schedule, error) {
+	return g.solve(g.flatten(), nil, opts)
+}
+
+// SolveFrom re-solves g — plan's graph, or a Clone of it carrying runtime
+// constraints — as a perturbation of plan. The arcs plan dropped stay
+// dropped, and plan's times seed the feasibility sweep as labels: they
+// already satisfy every constraint plan was solved under, so only the new
+// ones relax anything. The schedule is exactly what Solve returns for g
+// without those arcs (the seed buys speed, never a different answer); its
+// Dropped is plan's list followed by the victims opts.Relax allowed on top.
+func (g *Graph) SolveFrom(plan *Schedule, opts SolveOptions) (*Schedule, error) {
+	s, err := g.solve(g.withoutArcs(plan.Dropped), plan.times, opts)
+	if err == nil {
+		s.Dropped = append(plan.Dropped[:len(plan.Dropped):len(plan.Dropped)], s.Dropped...)
+	}
+	return s, err
+}
+
+// solve runs the relax loop over cons on a fresh arena and wraps the result.
+func (g *Graph) solve(cons []Constraint, seed []time.Duration, opts SolveOptions) (*Schedule, error) {
 	n := len(g.events)
-	dist, dropped, cycle := new(solveScratch).solve(n, 0, g.flatten(), nil, opts.Relax)
+	dist, dropped, cycle := (&solveScratch{seed: seed}).solve(n, 0, cons, nil, opts.Relax)
 	if cycle != nil {
 		return nil, &ConflictError{Cycle: cycle}
 	}
@@ -75,7 +95,8 @@ func (g *Graph) SolveParallel(opts SolveOptions) (*Schedule, error) { return g.S
 // repeat until the system is feasible, then extract the earliest schedule
 // with t[src] = 0. cons is read, never modified: once an arc is dropped the
 // live constraints are filtered into the arena's own buffer. order
-// optionally seeds the feasibility sweep (warm start). It returns the
+// optionally sets the feasibility sweep's queue order and sc.seed its first
+// labels (warm starts). It returns the
 // shortest-path labels, aliasing the arena — convert with timeOf before the
 // next call — and the dropped arcs in victim order, or the constraints of a
 // cycle that relaxation could not (or may not) break.
@@ -86,6 +107,13 @@ func (sc *solveScratch) solve(n int, src EventID, cons []Constraint, order []Eve
 		cycleIdx := findNegativeCycle(n, live, sc)
 		if cycleIdx == nil {
 			break
+		}
+		if sc.seed != nil {
+			// Which cycle a sweep meets first depends on its labels. A
+			// seeded sweep only answers "feasible?"; victims are always
+			// picked by the cold one.
+			sc.seed = nil
+			continue
 		}
 		victim, ok := ArcRef{}, false
 		if relax {
@@ -162,6 +190,9 @@ type solveScratch struct {
 	// slots suffice and the hot loops never grow a slice.
 	queue []int32
 	order []EventID // optional SPFA seeding order (warm start)
+	// seed, when it covers all n vertices, gives the first feasibility
+	// sweep its starting labels instead of zero (Graph.SolveFrom).
+	seed []time.Duration
 	// seeded marks the vertices a warm start has already queued.
 	seeded []bool
 	// live holds the constraint list minus the arcs dropped so far.
@@ -280,7 +311,8 @@ func (sc *solveScratch) spfa(n int, cons []Constraint, src EventID) []int64 {
 }
 
 // findNegativeCycle runs a queue-based Bellman–Ford with a virtual source
-// (every vertex starts at distance 0) over the forward graph and returns
+// (every vertex starts at distance 0, or at its seed label — any starting
+// labels are sound) over the forward graph and returns
 // the indices (into cons) of the constraints on a negative cycle, or nil
 // when the system is feasible. A vertex whose improving path grows to n
 // edges must lie on (or hang off) a negative cycle, which is then extracted
@@ -294,6 +326,9 @@ func findNegativeCycle(n int, cons []Constraint, sc *solveScratch) []int32 {
 	inq := sc.inQueue
 	for i := 0; i < n; i++ {
 		dist[i] = 0
+		if len(sc.seed) == n {
+			dist[i] = int64(sc.seed[i])
+		}
 		parent[i] = -1
 		pathlen[i] = 0
 		inq[i] = true
@@ -400,12 +435,8 @@ func findNegativeCycle(n int, cons []Constraint, sc *solveScratch) []int32 {
 // returning the violated ones. Used by tests and by the playback simulator
 // to audit traces.
 func (g *Graph) Verify(times []time.Duration, dropped []ArcRef) []Constraint {
-	droppedSet := make(map[arcKey]bool, len(dropped))
-	for _, r := range dropped {
-		droppedSet[keyOf(r)] = true
-	}
 	var violated []Constraint
-	for _, c := range g.withoutArcs(droppedSet) {
+	for _, c := range g.withoutArcs(dropped) {
 		if times[c.V]-times[c.U] > c.W {
 			violated = append(violated, c)
 		}

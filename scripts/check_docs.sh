@@ -10,8 +10,9 @@
 #     subscription fan-out hub);
 #   - every backticked `cmif.Xxx` symbol in docs/ and README.md must
 #     appear in the cmif facade sources;
-#   - every backticked `sched.Xxx` symbol in docs/ must appear in
-#     internal/sched (the scheduler-internals section of ARCHITECTURE.md);
+#   - every backticked `sched.Xxx` / `player.Xxx` / `pipeline.Xxx` symbol
+#     in docs/ must appear in that internal package (the
+#     scheduler-internals section of ARCHITECTURE.md names all three);
 #   - every backticked `durable.Xxx` / `media.Xxx` / `ddbms.Xxx` /
 #     `metrics.Xxx` / `corpus.Xxx` / `edge.Xxx` / `cluster.Xxx` /
 #     `daemon.Xxx` / `codec.Xxx` / `chunker.Xxx` symbol in docs/ must
@@ -60,18 +61,10 @@ for sym in $(grep -ho '`transport\.[A-Za-z]*`' docs/*.md | sed 's/`transport\.\(
     fi
 done
 
-# Scheduler symbols named in the scheduler-internals documentation.
-for sym in $(grep -ho '`sched\.[A-Za-z.()]*`' docs/*.md | sed 's/`sched\.\([A-Za-z]*\).*/\1/' | sort -u); do
-    if ! grep -q "\b$sym\b" internal/sched/*.go; then
-        echo "docs reference \`sched.$sym\`, which no longer exists in internal/sched" >&2
-        fail=1
-    fi
-done
-
-# Durability-layer symbols (ARCHITECTURE.md "Durable server state") plus
-# the observability and corpus packages (ARCHITECTURE.md "Observability
-# & load").
-for pkg in durable media ddbms metrics corpus edge cluster daemon codec chunker; do
+# Scheduler, player and pipeline symbols (ARCHITECTURE.md "Scheduler
+# internals"), durability-layer symbols ("Durable server state") plus
+# the observability and corpus packages ("Observability & load").
+for pkg in sched player pipeline durable media ddbms metrics corpus edge cluster daemon codec chunker; do
     for sym in $(grep -ho "\`$pkg\.[A-Za-z.()]*\`" docs/*.md | sed "s/\`$pkg\.\([A-Za-z]*\).*/\1/" | sort -u); do
         if ! grep -q "\b$sym\b" "internal/$pkg"/*.go; then
             echo "docs reference \`$pkg.$sym\`, which no longer exists in internal/$pkg" >&2
