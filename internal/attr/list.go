@@ -52,9 +52,10 @@ func (l List) Len() int { return len(l.pairs) }
 
 // Get returns the value bound to name.
 func (l List) Get(name string) (Value, bool) {
-	for _, p := range l.pairs {
-		if p.Name == name {
-			return p.Value, true
+	// Index rather than range: a range copies every Pair it passes.
+	for i := range l.pairs {
+		if l.pairs[i].Name == name {
+			return l.pairs[i].Value, true
 		}
 	}
 	return Value{}, false

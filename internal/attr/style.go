@@ -2,6 +2,7 @@ package attr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -141,20 +142,31 @@ func StyleRefs(l List) []string {
 	if !ok {
 		return nil
 	}
-	if id, ok := v.AsID(); ok {
-		return []string{id}
-	}
-	items, ok := v.AsList()
-	if !ok {
-		return nil
-	}
 	var out []string
-	for _, it := range items {
-		if id, ok := it.Value.AsID(); ok {
-			out = append(out, id)
+	for i := 0; ; {
+		id, ok := nextStyleRef(v, &i)
+		if !ok {
+			return out
+		}
+		out = append(out, id)
+	}
+}
+
+// nextStyleRef yields the references of a "style" value one at a time: a
+// single ID, or the ID items of a list. *i is the cursor.
+func nextStyleRef(v Value, i *int) (string, bool) {
+	if id, ok := v.AsID(); ok {
+		*i++
+		return id, *i == 1
+	}
+	items, _ := v.AsList()
+	for *i < len(items) {
+		*i++
+		if id, ok := items[*i-1].Value.AsID(); ok {
+			return id, true
 		}
 	}
-	return out
+	return "", false
 }
 
 // Expand applies the styles referenced by attrs, returning a new list in
@@ -166,20 +178,75 @@ func StyleRefs(l List) []string {
 // Expand returns an error on undefined styles or cycles.
 func (d *StyleDict) Expand(attrs List) (List, error) {
 	out := attrs.Clone()
-	refs := StyleRefs(out)
 	out.Del("style")
-	seen := make(map[string]bool)
-	var apply func(ref string, chain []string) error
-	apply = func(ref string, chain []string) error {
-		for _, c := range chain {
-			if c == ref {
-				return &CycleError{Chain: append(append([]string(nil), chain...), ref)}
+	err := d.walk(attrs, func(def List) {
+		for _, p := range def.Pairs() {
+			if p.Name != "style" {
+				out.SetDefault(p.Name, p.Value.Clone())
 			}
 		}
-		if seen[ref] {
-			return nil
+	})
+	if err != nil {
+		return List{}, err
+	}
+	return out, nil
+}
+
+// ExpandedGet returns the value name has in Expand(attrs), with the same
+// found flag and the same error, without building the expanded list. The
+// walk goes on after the value is found, so an undefined or cyclic style
+// still fails the lookup. The value is shared with attrs or the
+// dictionary; callers must not mutate it.
+func (d *StyleDict) ExpandedGet(attrs List, name string) (Value, bool, error) {
+	v, found := attrs.Get(name)
+	err := d.walk(attrs, func(def List) {
+		if !found {
+			v, found = def.Get(name)
 		}
-		seen[ref] = true
+	})
+	if err != nil || name == "style" {
+		return Value{}, false, err
+	}
+	return v, found, nil
+}
+
+// walk visits the definitions of the styles attrs references, depth first
+// and in reference order, each style once and before the styles it
+// references — the order in which Expand's earlier definitions win — and
+// returns the first undefined or cyclic reference as an error. The stacks
+// and the seen set start in fixed arrays, so a walk over up to eight styles
+// allocates nothing.
+func (d *StyleDict) walk(attrs List, visit func(def List)) error {
+	sv, ok := attrs.Get("style")
+	if !ok {
+		return nil
+	}
+	// frames[0] iterates attrs' own references, frames[i] those of chain[i-1].
+	type frame struct {
+		refs Value
+		next int
+	}
+	var frameBuf [8]frame
+	var chainBuf, seenBuf [8]string
+	frames := append(frameBuf[:0], frame{refs: sv})
+	chain, seen := chainBuf[:0], seenBuf[:0]
+	for len(frames) > 0 {
+		top := &frames[len(frames)-1]
+		ref, ok := nextStyleRef(top.refs, &top.next)
+		if !ok {
+			frames = frames[:len(frames)-1]
+			if len(chain) > 0 {
+				chain = chain[:len(chain)-1]
+			}
+			continue
+		}
+		if slices.Contains(chain, ref) {
+			return &CycleError{Chain: append(slices.Clone(chain), ref)}
+		}
+		if slices.Contains(seen, ref) {
+			continue
+		}
+		seen = append(seen, ref)
 		def, ok := d.styles[ref]
 		if !ok {
 			from := ""
@@ -188,25 +255,13 @@ func (d *StyleDict) Expand(attrs List) (List, error) {
 			}
 			return &UndefinedStyleError{Name: ref, ReferencedBy: from}
 		}
-		for _, p := range def.Pairs() {
-			if p.Name == "style" {
-				continue
-			}
-			out.SetDefault(p.Name, p.Value.Clone())
-		}
-		for _, sub := range StyleRefs(def) {
-			if err := apply(sub, append(chain, ref)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, ref := range refs {
-		if err := apply(ref, nil); err != nil {
-			return List{}, err
+		visit(def)
+		if sub, ok := def.Get("style"); ok {
+			chain = append(chain, ref)
+			frames = append(frames, frame{refs: sub})
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ParseStyleDict interprets a "styledict" attribute value: a list of named

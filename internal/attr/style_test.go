@@ -229,3 +229,91 @@ func TestStyleRefsForms(t *testing.T) {
 		t.Errorf("empty list yielded refs: %v", refs)
 	}
 }
+
+// expandedGetCases are dictionaries and node lists covering every path
+// through Expand: precedence, chains longer than ExpandedGet's fixed
+// buffers, diamonds, multi-style lists with non-ID items, undefined styles
+// and cycles found after the name is already bound.
+func expandedGetCases() []struct {
+	dict *StyleDict
+	node List
+} {
+	chain := NewStyleDict()
+	for i := 0; i < 12; i++ {
+		body := []Pair{P("depth", Number(int64(i))), P(string(rune('a'+i)), Number(1))}
+		if i < 11 {
+			body = append(body, P("style", ID(string(rune('A'+i+1)))))
+		}
+		chain.Define(string(rune('A'+i)), MustList(body...))
+	}
+	wide := NewStyleDict()
+	var refs []Value
+	for i := 0; i < 12; i++ {
+		name := string(rune('a' + i))
+		wide.Define(name, MustList(P("x", Number(int64(i))), P("only-"+name, Number(1))))
+		refs = append(refs, ID(name))
+	}
+	diamond := NewStyleDict()
+	diamond.Define("a", MustList(P("style", VList(ID("b"), ID("c")))))
+	diamond.Define("b", MustList(P("style", ID("d")), P("from-b", Number(1))))
+	diamond.Define("c", MustList(P("style", ID("d")), P("from-c", Number(1)), P("x", Number(3))))
+	diamond.Define("d", MustList(P("x", Number(4)), P("deep", Number(9))))
+	broken := NewStyleDict()
+	broken.Define("ok", MustList(P("x", Number(1))))
+	broken.Define("dangling", MustList(P("y", Number(2)), P("style", ID("ghost"))))
+	broken.Define("loop1", MustList(P("x", Number(5)), P("style", ID("loop2"))))
+	broken.Define("loop2", MustList(P("style", ID("loop1"))))
+	return []struct {
+		dict *StyleDict
+		node List
+	}{
+		{chain, MustList(P("style", ID("A")), P("b", Number(7)))},
+		{wide, MustList(P("style", VList(append([]Value{Number(1)}, refs...)...)))},
+		{diamond, MustList(P("style", ID("a")), P("deep", Number(1)))},
+		{diamond, MustList(P("style", String("a")))},
+		{diamond, MustList(P("x", Number(0)))},
+		{broken, MustList(P("style", VList(ID("ok"), ID("dangling"))))},
+		{broken, MustList(P("style", VList(ID("ok"), ID("loop1"))))},
+		{broken, MustList(P("style", VList(ID("ok"), ID("ok"), ID("nowhere"))))},
+		{broken, MustList(P("style", ID("")))},
+	}
+}
+
+func TestExpandedGetMatchesExpand(t *testing.T) {
+	for i, c := range expandedGetCases() {
+		want, wantErr := c.dict.Expand(c.node)
+		names := append(want.Names(), "style", "x", "y", "deep", "absent")
+		for _, name := range c.dict.Names() {
+			def, _ := c.dict.Lookup(name)
+			names = append(names, def.Names()...)
+		}
+		for _, name := range names {
+			v, found, err := c.dict.ExpandedGet(c.node, name)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("case %d %q: error %v, Expand's %v", i, name, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			wv, wfound := want.Get(name)
+			if found != wfound || !v.Equal(wv) {
+				t.Errorf("case %d %q: got %v/%v, Expand has %v/%v", i, name, v, found, wv, wfound)
+			}
+		}
+	}
+}
+
+func TestExpandedGetAllocatesNothing(t *testing.T) {
+	d := dict(t, map[string]List{
+		"base":  MustList(P("size", Number(10)), P("indent", Number(2))),
+		"title": MustList(P("style", ID("base")), P("size", Number(30))),
+	})
+	node := MustList(P("style", VList(ID("title"), ID("base"))), P("name", ID("n")))
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok, err := d.ExpandedGet(node, "indent"); !ok || err != nil {
+			t.Fatal("indent not found")
+		}
+	}); n != 0 {
+		t.Errorf("ExpandedGet allocates %v times per call, want 0", n)
+	}
+}

@@ -99,8 +99,7 @@ func (d *Document) EffectiveAttrs(n *Node) (attr.List, error) {
 	for p := n.Parent(); p != nil; p = p.Parent() {
 		// Only style references and inheritable attributes can reach n.
 		// Filter before expanding, so heavy non-inherited values (a
-		// composite's syncarcs list, immediate data) are never cloned —
-		// EffectiveAttrs runs twice per leaf on the scheduler build path.
+		// composite's syncarcs list, immediate data) are never cloned.
 		var relevant attr.List
 		for _, pair := range p.Attrs.Pairs() {
 			if pair.Name == "style" || StandardAttrs.IsInherited(pair.Name) {
@@ -123,15 +122,43 @@ func (d *Document) EffectiveAttrs(n *Node) (attr.List, error) {
 	return out, nil
 }
 
+// effectiveAttr returns the value name has in EffectiveAttrs(n), with the
+// same found flag and the same error, without building the list. The value
+// is shared with the tree; do not mutate it.
+func (d *Document) effectiveAttr(n *Node, name string) (attr.Value, bool, error) {
+	v, found, err := d.styles.ExpandedGet(n.Attrs, name)
+	if err != nil {
+		return attr.Value{}, false, fmt.Errorf("core: %s: %w", n.PathString(), err)
+	}
+	return d.inheritAttr(n, name, v, found)
+}
+
+// inheritAttr is effectiveAttr's ancestor walk: given what n itself binds
+// to name, it fills an inheritable name in from the nearest ancestor that
+// binds it and checks every ancestor's style references.
+func (d *Document) inheritAttr(n *Node, name string, v attr.Value, found bool) (attr.Value, bool, error) {
+	inherited := StandardAttrs.IsInherited(name)
+	for p := n.Parent(); p != nil; p = p.Parent() {
+		pv, pfound, err := d.styles.ExpandedGet(p.Attrs, name)
+		if err != nil {
+			return attr.Value{}, false, fmt.Errorf("core: %s: %w", p.PathString(), err)
+		}
+		if !found && inherited {
+			v, found = pv, pfound
+		}
+	}
+	return v, found, nil
+}
+
 // ChannelOf returns the channel the node's data is directed to, resolving
 // the inherited channel attribute against the channel dictionary.
 func (d *Document) ChannelOf(n *Node) (Channel, error) {
-	eff, err := d.EffectiveAttrs(n)
+	v, found, err := d.effectiveAttr(n, "channel")
 	if err != nil {
 		return Channel{}, err
 	}
-	name, ok := eff.GetID("channel")
-	if !ok {
+	name, ok := v.AsID()
+	if !found || !ok {
 		return Channel{}, fmt.Errorf("core: %s has no channel attribute", n.PathString())
 	}
 	c, ok := d.channels.Lookup(name)
@@ -144,14 +171,14 @@ func (d *Document) ChannelOf(n *Node) (Channel, error) {
 // FileOf returns the (inherited) file attribute identifying the node's data
 // descriptor, for external nodes.
 func (d *Document) FileOf(n *Node) (string, bool) {
-	eff, err := d.EffectiveAttrs(n)
-	if err != nil {
+	v, found, err := d.effectiveAttr(n, "file")
+	if err != nil || !found {
 		return "", false
 	}
-	if s, ok := eff.GetString("file"); ok {
+	if s, ok := v.AsString(); ok {
 		return s, true
 	}
-	if id, ok := eff.GetID("file"); ok {
+	if id, ok := v.AsID(); ok {
 		return id, true
 	}
 	return "", false
@@ -184,19 +211,26 @@ func (d *Document) DurationOf(n *Node) (dur units.Quantity, ok bool) {
 	if !n.Type.IsLeaf() {
 		return units.Quantity{}, false
 	}
-	eff, err := d.EffectiveAttrs(n)
-	if err != nil {
+	v, found, err := d.effectiveAttr(n, "duration")
+	if err != nil || !found {
 		return units.Quantity{}, false
 	}
-	v, okAttr := eff.Get("duration")
-	if !okAttr {
-		return units.Quantity{}, false
+	return v.AsNumber()
+}
+
+// MediumOf returns the medium of an immediate node's data from its
+// effective medium attribute; the paper's default, text, stands in when the
+// attribute is absent or does not resolve. External nodes take their medium
+// from their data descriptor instead.
+func (d *Document) MediumOf(n *Node) Medium {
+	if v, found, err := d.effectiveAttr(n, "medium"); err == nil && found {
+		if id, ok := v.AsID(); ok {
+			if m, err := ParseMedium(id); err == nil {
+				return m
+			}
+		}
 	}
-	q, okNum := v.AsNumber()
-	if !okNum {
-		return units.Quantity{}, false
-	}
-	return q, true
+	return MediumText
 }
 
 // ResolverFor returns the unit resolver applicable to node n: the rates of

@@ -102,14 +102,13 @@ func (d *Document) Validate() []Issue {
 		}
 
 		// Style references resolve (node-level; dictionary-level cycles
-		// already reported above).
-		if _, err := d.styles.Expand(n.Attrs); err != nil {
+		// already reported above), and channel references resolve against
+		// the root's channel list.
+		ch, found, err := d.styles.ExpandedGet(n.Attrs, "channel")
+		if err != nil {
 			add(Error, n, "style-ref", "%v", err)
-		}
-
-		// Channel references resolve against the root's channel list.
-		if eff, err := d.EffectiveAttrs(n); err == nil {
-			if chName, ok := eff.GetID("channel"); ok {
+		} else if ch, found, err = d.inheritAttr(n, "channel", ch, found); err == nil {
+			if chName, ok := ch.AsID(); found && ok {
 				referencedChannels[chName] = true
 				if _, defined := d.channels.Lookup(chName); !defined {
 					add(Error, n, "undefined-channel",

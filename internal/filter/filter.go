@@ -25,7 +25,11 @@ type Profile struct {
 	// MaxFrameRate caps video frame rate (0 = unlimited).
 	MaxFrameRate int64
 	// BandwidthBytesPerSec caps average payload consumption (0 =
-	// unlimited).
+	// unlimited). The verdict counts the stored bytes of every leaf the
+	// device presents — block payloads for external leaves, node data for
+	// immediate ones — before any transform, so it is an upper bound on
+	// what Apply ships; it divides them by the makespan of the plan the
+	// document is played from.
 	BandwidthBytesPerSec int64
 }
 
@@ -144,8 +148,10 @@ type Decision struct {
 type FilterMap struct {
 	Profile   Profile
 	Decisions []Decision
-	// BandwidthNeeded is the average payload rate of the passing document,
-	// bytes/second over the scheduled makespan.
+	// BandwidthNeeded is the average payload rate of the leaves that are
+	// not dropped: their stored, untransformed bytes per second of the
+	// played plan's makespan (see Profile.BandwidthBytesPerSec). It is
+	// computed only under a bandwidth cap.
 	BandwidthNeeded int64
 	// BandwidthOK reports whether the profile's bandwidth cap holds.
 	BandwidthOK bool
@@ -180,24 +186,51 @@ func (m *FilterMap) Counts() (pass, transform, drop int) {
 	return
 }
 
-// Evaluate computes the filter map for a document against a profile. The
-// store provides descriptors for external nodes; immediate nodes are judged
-// on their node attributes alone. Only descriptors are consulted — the
-// point the paper makes about working on "relatively small clusters of
-// data" — so Evaluate never touches payloads.
+// DefaultLeafDuration is the length Evaluate's plan gives a leaf with no
+// known duration; pipeline.Run plans with it too, so their verdicts agree.
+const DefaultLeafDuration = 500 * time.Millisecond
+
+// Evaluate computes the filter map for a document against a profile. When
+// the profile caps bandwidth it first plans the document (Build with
+// DefaultLeafDuration, relaxed Solve); callers that already hold the plan
+// they will play should call EvaluatePlan instead.
 func Evaluate(d *core.Document, store *media.Store, p Profile) (*FilterMap, error) {
+	var plan *sched.Schedule
+	if p.BandwidthBytesPerSec > 0 {
+		g, err := sched.Build(d, sched.Options{DefaultLeafDuration: DefaultLeafDuration})
+		if err != nil {
+			return nil, fmt.Errorf("filter: bandwidth analysis: %w", err)
+		}
+		if plan, err = g.Solve(sched.SolveOptions{Relax: true}); err != nil {
+			return nil, fmt.Errorf("filter: bandwidth analysis: %w", err)
+		}
+	}
+	return EvaluatePlan(d, store, p, plan)
+}
+
+// EvaluatePlan computes the filter map for a document against a profile,
+// judging bandwidth over plan, the schedule the document will be played
+// from. The plan may be nil only when the profile has no bandwidth cap.
+// The store provides descriptors for external nodes; immediate nodes are
+// judged on their node attributes alone. Only descriptors are consulted —
+// the point the paper makes about working on "relatively small clusters
+// of data" — so EvaluatePlan never touches payloads.
+func EvaluatePlan(d *core.Document, store *media.Store, p Profile, plan *sched.Schedule) (*FilterMap, error) {
+	if p.BandwidthBytesPerSec > 0 && plan == nil {
+		return nil, fmt.Errorf("filter: bandwidth analysis for profile %q needs a plan", p.Name)
+	}
 	fm := &FilterMap{Profile: p, BandwidthOK: true}
 	var totalBytes int64
 
-	var evalErr error
 	d.Root.Walk(func(n *core.Node) bool {
-		if evalErr != nil || !n.Type.IsLeaf() {
-			return evalErr == nil
+		if !n.Type.IsLeaf() {
+			return true
 		}
 		dec := Decision{Node: n}
 
 		var medium core.Medium
 		var blk *media.Block
+		var size int64
 		if n.Type == core.Ext {
 			file, ok := d.FileOf(n)
 			if !ok {
@@ -216,10 +249,10 @@ func Evaluate(d *core.Document, store *media.Store, p Profile) (*FilterMap, erro
 			}
 			blk = b
 			medium = b.Medium
-			totalBytes += int64(len(b.Payload))
+			size = int64(len(b.Payload))
 		} else {
-			medium = immMedium(d, n)
-			totalBytes += int64(len(n.Data))
+			medium = d.MediumOf(n)
+			size = int64(len(n.Data))
 		}
 
 		if !p.Supports(medium) {
@@ -228,6 +261,7 @@ func Evaluate(d *core.Document, store *media.Store, p Profile) (*FilterMap, erro
 			fm.Decisions = append(fm.Decisions, dec)
 			return true
 		}
+		totalBytes += size
 
 		if blk != nil {
 			dec.Transforms = planTransforms(blk, p)
@@ -243,40 +277,14 @@ func Evaluate(d *core.Document, store *media.Store, p Profile) (*FilterMap, erro
 		fm.Decisions = append(fm.Decisions, dec)
 		return true
 	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
 
-	// Bandwidth: average over the scheduled makespan.
 	if p.BandwidthBytesPerSec > 0 {
-		g, err := sched.Build(d, sched.Options{DefaultLeafDuration: 100 * time.Millisecond})
-		if err != nil {
-			return nil, fmt.Errorf("filter: bandwidth analysis: %w", err)
-		}
-		s, err := g.Solve(sched.SolveOptions{Relax: true})
-		if err != nil {
-			return nil, fmt.Errorf("filter: bandwidth analysis: %w", err)
-		}
-		if span := s.Makespan(); span > 0 {
+		if span := plan.Makespan(); span > 0 {
 			fm.BandwidthNeeded = totalBytes * int64(time.Second) / int64(span)
 			fm.BandwidthOK = fm.BandwidthNeeded <= p.BandwidthBytesPerSec
 		}
 	}
 	return fm, nil
-}
-
-// immMedium decides an immediate node's medium from its effective "medium"
-// attribute; the paper's default is text.
-func immMedium(d *core.Document, n *core.Node) core.Medium {
-	eff, err := d.EffectiveAttrs(n)
-	if err == nil {
-		if id, ok := eff.GetID("medium"); ok {
-			if m, err := core.ParseMedium(id); err == nil {
-				return m
-			}
-		}
-	}
-	return core.MediumText
 }
 
 // planTransforms derives the transform chain needed to fit blk into p,

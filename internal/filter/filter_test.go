@@ -269,3 +269,28 @@ func TestTransformSpecStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestEvaluatePlanNeedsPlanUnderCap(t *testing.T) {
+	d, store := fixture(t)
+	if _, err := EvaluatePlan(d, store, Laptop1991, nil); err == nil {
+		t.Error("a bandwidth cap without a plan gave a verdict")
+	}
+	if _, err := EvaluatePlan(d, store, Workstation1991, nil); err != nil {
+		t.Errorf("no cap, no plan: %v", err)
+	}
+}
+
+func TestBandwidthCountsPresentedLeaves(t *testing.T) {
+	// The terminal drops the video, audio and image; with a cap, only the
+	// caption it presents counts: 21 bytes over the 1s makespan.
+	d, store := fixture(t)
+	p := TextTerminal
+	p.BandwidthBytesPerSec = 1 << 20
+	fm, err := Evaluate(d, store, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len("Gestolen van Goghs...")); fm.BandwidthNeeded != want {
+		t.Errorf("BandwidthNeeded = %d, want %d (the caption alone)", fm.BandwidthNeeded, want)
+	}
+}

@@ -56,8 +56,8 @@ type Config struct {
 	Strict bool
 	// Views selects the renderings to produce; zero means all of them.
 	Views View
-	// SchedOptions tunes timing-graph construction. A zero value gets a
-	// 500ms default leaf duration, matching historical behaviour.
+	// SchedOptions tunes timing-graph construction. A nil value gets
+	// filter.DefaultLeafDuration for leaves with no known duration.
 	SchedOptions *sched.Options
 }
 
@@ -132,7 +132,7 @@ func Run(ctx context.Context, doc *core.Document, store *media.Store, cfg Config
 	}
 
 	// Stage: timing resolution.
-	schedOpts := sched.Options{DefaultLeafDuration: 500 * time.Millisecond}
+	schedOpts := sched.Options{DefaultLeafDuration: filter.DefaultLeafDuration}
 	if cfg.SchedOptions != nil {
 		schedOpts = *cfg.SchedOptions
 	}
@@ -160,8 +160,8 @@ func Run(ctx context.Context, doc *core.Document, store *media.Store, cfg Config
 		return out, err
 	}
 
-	// Stage: constraint filtering.
-	out.FilterMap, err = filter.Evaluate(doc, store, cfg.Profile)
+	// Stage: constraint filtering, judged against the plan played below.
+	out.FilterMap, err = filter.EvaluatePlan(doc, store, cfg.Profile, out.Schedule)
 	if err != nil {
 		return out, fmt.Errorf("pipeline: constraint filtering: %w", err)
 	}

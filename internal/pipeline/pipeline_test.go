@@ -154,3 +154,40 @@ func TestRunDefaultDurationLeaves(t *testing.T) {
 		t.Errorf("makespan = %v, want 1s (2 × 500ms default)", out.Schedule.Makespan())
 	}
 }
+
+func TestRunJudgesBandwidthOnThePlayedPlan(t *testing.T) {
+	// Four 128 KiB leaves with no durations. Over the played plan's 2s
+	// makespan they need 256 KiB/s, inside the laptop's 512 KiB/s; over a
+	// plan with 100ms leaves they would need 1.25 MiB/s.
+	const leafBytes = 128 << 10
+	root := core.NewSeq().SetName("r")
+	for _, name := range []string{"a", "b", "c", "d"} {
+		root.AddChild(core.NewImm(make([]byte, leafBytes)).SetName(name).
+			SetAttr("channel", attr.ID("labels")))
+	}
+	d, err := core.NewDocument(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetChannels(newsdoc.Channels())
+	cfg := newsConfig()
+	cfg.Profile = filter.Laptop1991
+	out, err := Run(context.Background(), d, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := out.Schedule.Makespan()
+	if want := int64(4*leafBytes) * int64(time.Second) / int64(span); out.FilterMap.BandwidthNeeded != want {
+		t.Errorf("BandwidthNeeded = %d, want %d (bytes over the %v plan)", out.FilterMap.BandwidthNeeded, want, span)
+	}
+	if !out.FilterMap.BandwidthOK || !out.FilterMap.Supportable() {
+		t.Errorf("laptop refuses 256 KiB/s:\n%s", out.FilterMap)
+	}
+	standalone, err := filter.Evaluate(d, nil, filter.Laptop1991)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if standalone.BandwidthNeeded != out.FilterMap.BandwidthNeeded {
+		t.Errorf("standalone verdict needs %d B/s, the pipeline's %d", standalone.BandwidthNeeded, out.FilterMap.BandwidthNeeded)
+	}
+}

@@ -214,3 +214,31 @@ func TestRuntimeConstraints(t *testing.T) {
 		t.Error("contradictory runtime constraints accepted")
 	}
 }
+
+func TestStretchOfUsesTheGraphsDurationSource(t *testing.T) {
+	// par(a, b): a's attribute says 500ms but Options.DurationOf gives it
+	// 100ms, and b's 1s holds the par open; an arc ends a with b. The
+	// intrinsic length StretchOf measures from is the 100ms the graph was
+	// built with, not the attribute.
+	root := core.NewPar().SetName("r")
+	a, b := leaf("a", "video", 500), leaf("b", "sound", 1000)
+	a.AddArc(core.SyncArc{DestEnd: core.End, Strict: core.Must,
+		Source: "../b", SrcEnd: core.End, Dest: "", MaxDelay: units.MS(0)})
+	root.Add(a, b)
+	g, err := Build(doc(t, root), Options{DurationOf: func(n *core.Node) (time.Duration, bool) {
+		if n.Name() == "a" {
+			return 100 * time.Millisecond, true
+		}
+		return time.Second, true
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := g.Solve(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.StretchOf(a, nil); got != 900*time.Millisecond {
+		t.Errorf("StretchOf(a) = %v, want 900ms (1s played, 100ms intrinsic)", got)
+	}
+}

@@ -59,24 +59,14 @@ func (s *Schedule) Makespan() time.Duration {
 // duration to satisfy synchronization constraints — the solver's version of
 // the paper's "freeze-frame video operation" (section 5.3.4) or "stretch
 // function" (section 5.3.3). It returns zero for composites and for leaves
-// with no known duration.
+// with no known duration. A nil durationOf means the duration source the
+// graph was built with (Options.DurationOf, else the document's).
 func (s *Schedule) StretchOf(n *core.Node, durationOf func(*core.Node) (time.Duration, bool)) time.Duration {
 	if !n.Type.IsLeaf() {
 		return 0
 	}
 	if durationOf == nil {
-		d := s.graph.doc
-		durationOf = func(n *core.Node) (time.Duration, bool) {
-			q, ok := d.DurationOf(n)
-			if !ok {
-				return 0, false
-			}
-			dur, err := d.ResolverFor(n).Duration(q)
-			if err != nil {
-				return 0, false
-			}
-			return dur, true
-		}
+		durationOf = s.graph.durationOf
 	}
 	intrinsic, ok := durationOf(n)
 	if !ok {

@@ -10,9 +10,10 @@
 #     subscription fan-out hub);
 #   - every backticked `cmif.Xxx` symbol in docs/ and README.md must
 #     appear in the cmif facade sources;
-#   - every backticked `sched.Xxx` / `player.Xxx` / `pipeline.Xxx` symbol
-#     in docs/ must appear in that internal package (the
-#     scheduler-internals section of ARCHITECTURE.md names all three);
+#   - every backticked `sched.Xxx` / `player.Xxx` / `pipeline.Xxx` /
+#     `filter.Xxx` / `core.Xxx` / `attr.Xxx` symbol in docs/ must appear
+#     in that internal package (the scheduler-internals section of
+#     ARCHITECTURE.md names all six);
 #   - every backticked `durable.Xxx` / `media.Xxx` / `ddbms.Xxx` /
 #     `metrics.Xxx` / `corpus.Xxx` / `edge.Xxx` / `cluster.Xxx` /
 #     `daemon.Xxx` / `codec.Xxx` / `chunker.Xxx` symbol in docs/ must
@@ -61,10 +62,11 @@ for sym in $(grep -ho '`transport\.[A-Za-z]*`' docs/*.md | sed 's/`transport\.\(
     fi
 done
 
-# Scheduler, player and pipeline symbols (ARCHITECTURE.md "Scheduler
-# internals"), durability-layer symbols ("Durable server state") plus
-# the observability and corpus packages ("Observability & load").
-for pkg in sched player pipeline durable media ddbms metrics corpus edge cluster daemon codec chunker; do
+# Scheduler, player, pipeline, filter, core and attr symbols
+# (ARCHITECTURE.md "Scheduler internals"), durability-layer symbols
+# ("Durable server state") plus the observability and corpus packages
+# ("Observability & load").
+for pkg in sched player pipeline filter core attr durable media ddbms metrics corpus edge cluster daemon codec chunker; do
     for sym in $(grep -ho "\`$pkg\.[A-Za-z.()]*\`" docs/*.md | sed "s/\`$pkg\.\([A-Za-z]*\).*/\1/" | sort -u); do
         if ! grep -q "\b$sym\b" "internal/$pkg"/*.go; then
             echo "docs reference \`$pkg.$sym\`, which no longer exists in internal/$pkg" >&2
