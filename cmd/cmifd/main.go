@@ -5,7 +5,7 @@
 // Usage:
 //
 //	cmifd [-addr 127.0.0.1:7911] [-news N] [-idle 2m] [-grace 5s]
-//	      [-max-inflight 32] [-max-proto 4] [-compress=false]
+//	      [-max-inflight 32] [-compress=false]
 //	      [-data DIR] [-sync always|interval|never] [-snap-bytes N]
 //	      [-metrics ADDR] [-max-concurrent N] [-max-queue N] [-max-wait D]
 //	      [-max-subscribers N] [-sub-queue N]
@@ -17,13 +17,12 @@
 // mid-ingest — even with SIGKILL — restarts with its exact pre-kill
 // corpus. -sync picks the fsync policy and -snap-bytes the automatic
 // snapshot/compaction threshold. The server speaks the multiplexed wire
-// protocol, up to v4 with live-document subscriptions, negotiated frame
+// protocol v4 — live-document subscriptions, negotiated frame
 // compression (-compress=false declines) and chunk-deduped block
-// fetches, to clients that negotiate it (cap with -max-proto, 2 through
-// 4; anything else is refused at startup) and bounds per-connection
-// pipelining with -max-inflight. -max-subscribers bounds live
-// subscriptions server-wide and -sub-queue sets how many pending changes
-// a slow watcher may buffer before it is shed.
+// fetches — and bounds per-connection pipelining with -max-inflight.
+// -max-subscribers bounds live subscriptions server-wide and -sub-queue
+// sets how many pending changes a slow watcher may buffer before it is
+// shed.
 //
 // With -metrics, an HTTP endpoint serves the server's instruments at
 // /metrics: Prometheus text exposition by default, JSON with
@@ -50,8 +49,7 @@ func main() {
 	var common daemon.Flags
 	common.Register(flag.CommandLine, "127.0.0.1:7911", "server-wide")
 	news := flag.Int("news", 2, "preload the evening news with N stories (0 disables)")
-	maxProto := flag.Int("max-proto", 4, "newest wire protocol version to negotiate (2-4)")
-	compress := flag.Bool("compress", true, "offer negotiated per-frame compression to protocol-v4 clients")
+	compress := flag.Bool("compress", true, "offer negotiated per-frame compression to clients")
 	dataDir := flag.String("data", "", "durable data directory: recover the corpus from it and write-ahead-log every mutation (empty = in-memory only)")
 	syncMode := flag.String("sync", "interval", "WAL fsync policy with -data: always, interval or never")
 	snapBytes := flag.Int64("snap-bytes", 0, "snapshot+compact once the WAL grows past this many bytes (0 = default 64 MiB, negative disables)")
@@ -61,7 +59,6 @@ func main() {
 		cmif.WithIdleTimeout(common.Idle),
 		cmif.WithShutdownGrace(common.Grace),
 		cmif.WithMaxInFlight(common.MaxInFlight),
-		cmif.WithMaxProtocolVersion(*maxProto),
 		cmif.WithServerCompression(*compress),
 		cmif.WithSubscriberQueue(common.SubQueue),
 	}

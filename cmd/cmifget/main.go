@@ -3,11 +3,12 @@
 // Usage:
 //
 //	cmifget [-addr 127.0.0.1:7911] [-timeout 10s] list
-//	cmifget [-addr ...] doc <name> [-inline] [-binary]
+//	cmifget [-addr ...] [-inline] [-binary] doc <name>
 //	cmifget [-addr ...] block <name>
 //
-// Every request is bounded by -timeout; a missing document or block is
-// reported distinctly from other failures.
+// Flags go before the command: parsing stops at the first positional
+// argument. Every request is bounded by -timeout; a missing document or
+// block is reported distinctly from other failures.
 //
 // The address may point at an origin server (cmifd) or an edge proxy
 // (cmifedge) — fetches go through the transport-neutral cmif.Fetcher

@@ -26,7 +26,6 @@ type clientConfig struct {
 	cache      *BlockCache
 	chunkCache *transport.ChunkCache
 	poolSize   int
-	maxVersion int
 	compress   bool
 }
 
@@ -50,22 +49,10 @@ func WithPoolSize(n int) DialOption {
 	return func(c *clientConfig) { c.poolSize = n }
 }
 
-// WithProtocolVersion caps the wire protocol version the client offers
-// at connect: 2 is the multiplexed protocol without live documents, 3
-// adds subscriptions and edit submission, and 4 (the default) adds
-// negotiated frame compression and chunk-deduped block fetches; a value
-// outside 2–4 makes Dial fail. Negotiation settles on the newest version
-// both sides speak; only the newer operations fail (with
-// ErrUnsupported) on a downgraded connection, and Dial itself fails
-// with ErrUnsupported when the server shares no version at all.
-func WithProtocolVersion(v int) DialOption {
-	return func(c *clientConfig) { c.maxVersion = v }
-}
-
 // WithCompression turns negotiated per-frame compression on or off for
 // this client (the default is on). It takes effect only when the server
-// also speaks protocol v4 with compression enabled; either side
-// declining leaves frames plain.
+// has compression enabled too; either side declining leaves frames
+// plain.
 func WithCompression(on bool) DialOption {
 	return func(c *clientConfig) { c.compress = on }
 }
@@ -76,9 +63,9 @@ type ChunkCacheStats = transport.ChunkCacheStats
 
 // WithChunkCache gives the client a private LRU cache of content-defined
 // chunks with the given byte budget (a non-positive budget gets 64 MiB),
-// enabling dedupe block fetches on protocol v4: a client holding most of
-// a block's chunks fetches only the manifest plus the missing chunks, so
-// warm re-fetches of near-duplicate blocks move only what it does not
+// enabling dedupe block fetches: a client holding most of a block's
+// chunks fetches only the manifest plus the missing chunks, so warm
+// re-fetches of near-duplicate blocks move only what it does not
 // already hold. Shared across the client's pooled connections.
 func WithChunkCache(budgetBytes int64) DialOption {
 	return func(c *clientConfig) { c.chunkCache = transport.NewChunkCache(budgetBytes) }
@@ -114,9 +101,11 @@ func WithSharedCache(cache *BlockCache) DialOption {
 }
 
 // Dial connects to an interchange server, honouring ctx during connection
-// establishment and the protocol handshake.
+// establishment and the protocol handshake. A server that does not speak
+// the wire protocol's one version (v4) fails the dial with
+// ErrUnsupported.
 func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	cfg := clientConfig{poolSize: 1, maxVersion: 4, compress: true}
+	cfg := clientConfig{poolSize: 1, compress: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -125,10 +114,7 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 	}
 	c := &Client{}
 	for i := 0; i < cfg.poolSize; i++ {
-		dialOpts := []transport.DialOption{
-			transport.WithMaxProtocolVersion(cfg.maxVersion),
-			transport.WithFrameCompression(cfg.compress),
-		}
+		dialOpts := []transport.DialOption{transport.WithFrameCompression(cfg.compress)}
 		if cfg.chunkCache != nil {
 			dialOpts = append(dialOpts, transport.WithChunkCache(cfg.chunkCache))
 		}
@@ -166,15 +152,6 @@ func (c *Client) Close() error {
 
 // PoolSize reports how many connections the client pools.
 func (c *Client) PoolSize() int { return len(c.conns) }
-
-// ProtocolVersion reports the wire protocol version the connections
-// negotiated (2 through 4).
-func (c *Client) ProtocolVersion() int {
-	if len(c.conns) == 0 {
-		return 0
-	}
-	return c.conns[0].Version()
-}
 
 // Compressed reports whether negotiated frame compression is active on
 // the pooled connections.

@@ -467,7 +467,7 @@ func (cc *ClusterClient) do(ctx context.Context, key string, op func(c *Client) 
 			notFound = err
 			continue
 		}
-		if err == nil || errors.Is(err, ErrRemote) || errors.Is(err, ErrUnsupported) {
+		if err == nil || errors.Is(err, ErrRemote) {
 			return err
 		}
 		cc.dropNode(addr)

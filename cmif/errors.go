@@ -40,13 +40,12 @@ var (
 	// document (a strict pipeline run against an inadequate environment).
 	ErrUnsupportable = errors.New("cmif: document not supportable in this environment")
 
-	// ErrUnsupported reports that the negotiated wire protocol version
-	// cannot carry the requested operation: Subscribe and SubmitEdit need
-	// protocol v3, and against an older server they fail locally with
-	// this error — the connection stays healthy for everything the server
-	// does speak. Dial fails with it when the server refuses the hello:
-	// the two sides share no protocol version.
-	ErrUnsupported = errors.New("cmif: not supported by negotiated protocol version")
+	// ErrUnsupported reports a source that cannot serve the request at
+	// all: Dial fails with it when the server does not speak the wire
+	// protocol's one version (v4) — it refuses the hello, or answers with
+	// another version — and a Fetcher layer that cannot push changes
+	// fails Subscribe with it.
+	ErrUnsupported = errors.New("cmif: not supported")
 
 	// ErrConflict reports a rejected edit submission: a concurrent
 	// writer's edit was accepted first and this batch's pre-edit paths no
@@ -115,7 +114,8 @@ func wireError(err error) error {
 	}
 	switch {
 	case errors.Is(err, transport.ErrUnsupported):
-		// A local protocol-capability check, not a server report.
+		// The hello found no common version: not a server-reported
+		// failure of an operation.
 		return tag(err, ErrUnsupported)
 	case errors.Is(err, transport.ErrConflict):
 		return tag(err, ErrRemote, ErrConflict)

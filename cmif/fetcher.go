@@ -28,8 +28,7 @@ type Fetcher interface {
 	// matches ErrNotFound under errors.Is.
 	OpenDoc(ctx context.Context, name string) (*Document, error)
 	// Subscribe opens a live replica of the document registered under
-	// name (wire protocol v3). Sources that cannot push changes fail
-	// with ErrUnsupported.
+	// name. Sources that cannot push changes fail with ErrUnsupported.
 	Subscribe(ctx context.Context, name string, opts ...SubscribeOption) (*Subscription, error)
 }
 

@@ -397,32 +397,3 @@ func TestConflictIsTypedAndAtomic(t *testing.T) {
 		}
 	}
 }
-
-// TestSubscribeUnsupportedTyped pins the downgrade contract at the
-// facade: on a connection below v3, Subscribe and SubmitEdit fail with
-// the typed ErrUnsupported and the client remains fully usable.
-func TestSubscribeUnsupportedTyped(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	doc, store := genDoc(t, 5, 8)
-	const version = 2
-	addr := startLiveServer(t, "live", doc, store, WithMaxProtocolVersion(version))
-	c, err := Dial(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.ProtocolVersion(); got != version {
-		t.Fatalf("negotiated v%d, want v%d", got, version)
-	}
-	if _, err := c.Subscribe(ctx, "live"); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("v%d Subscribe = %v, want ErrUnsupported", version, err)
-	}
-	b := NewEditBatch().SetAttr("/", "duration", attr.Quantity(units.MS(1)))
-	if _, err := c.SubmitEdit(ctx, "live", b); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("v%d SubmitEdit = %v, want ErrUnsupported", version, err)
-	}
-	if _, err := c.Document(ctx, "live"); err != nil {
-		t.Fatalf("v%d client unusable after unsupported ops: %v", version, err)
-	}
-	c.Close()
-}

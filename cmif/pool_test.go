@@ -49,9 +49,6 @@ func TestClientPool(t *testing.T) {
 	if got := c.PoolSize(); got != 3 {
 		t.Errorf("PoolSize = %d, want 3", got)
 	}
-	if got := c.ProtocolVersion(); got != 4 {
-		t.Errorf("ProtocolVersion = %d, want 4", got)
-	}
 
 	doc, err := c.Document(context.Background(), "news")
 	if err != nil {
@@ -91,60 +88,9 @@ func TestClientPool(t *testing.T) {
 	}
 }
 
-// TestProtocolVersionOptions pins the facade's version controls: a
-// client capped at v2 and a server capped at v2 both end up on v2 and
-// everything classic still works; a cap outside 2–4 — the retired 1
-// included — is an error at Dial and Listen, never a silent clamp.
-func TestProtocolVersionOptions(t *testing.T) {
-	t.Run("client-capped", func(t *testing.T) {
-		addr := startNewsServer(t)
-		c, err := cmif.Dial(context.Background(), addr, cmif.WithProtocolVersion(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if got := c.ProtocolVersion(); got != 2 {
-			t.Errorf("ProtocolVersion = %d, want 2", got)
-		}
-		if _, err := c.Document(context.Background(), "news"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("server-capped", func(t *testing.T) {
-		addr := startNewsServer(t, cmif.WithMaxProtocolVersion(2), cmif.WithMaxInFlight(4))
-		c, err := cmif.Dial(context.Background(), addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if got := c.ProtocolVersion(); got != 2 {
-			t.Errorf("ProtocolVersion = %d, want 2 (server capped)", got)
-		}
-		names, err := c.List(context.Background())
-		if err != nil || len(names) != 1 {
-			t.Fatalf("List = %v, %v", names, err)
-		}
-	})
-	t.Run("out-of-range", func(t *testing.T) {
-		addr := startNewsServer(t)
-		for _, v := range []int{0, 1, 5, 9} {
-			if c, err := cmif.Dial(context.Background(), addr, cmif.WithProtocolVersion(v)); err == nil {
-				c.Close()
-				t.Errorf("Dial with protocol version %d succeeded, want an error", v)
-			}
-			srv := cmif.NewServer(cmif.WithMaxProtocolVersion(v))
-			if bound, err := srv.Listen("127.0.0.1:0"); err == nil {
-				t.Errorf("Listen with max protocol version %d bound %s, want an error", v, bound)
-			}
-			srv.Close()
-		}
-	})
-}
-
 // TestDialRefusedHelloIsUnsupported pins the typed failure a client sees
-// against a server that shares no protocol version with it: the hello is
-// answered with a v1-framed error, and Dial fails with ErrUnsupported
-// instead of downgrading.
+// against a server that does not speak v4: the hello is answered with a
+// v1-framed error, and Dial fails with ErrUnsupported.
 func TestDialRefusedHelloIsUnsupported(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -175,7 +121,7 @@ func TestDialRefusedHelloIsUnsupported(t *testing.T) {
 	}
 }
 
-// TestPooledCancellationSurvives cancels a call on a pooled v2 client
+// TestPooledCancellationSurvives cancels a call on a pooled client
 // and verifies the pool keeps serving — the facade-level face of the
 // connection-poisoning fix.
 func TestPooledCancellationSurvives(t *testing.T) {

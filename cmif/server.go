@@ -36,7 +36,6 @@ type serverConfig struct {
 	writeTimeout time.Duration
 	grace        time.Duration
 	maxInFlight  int
-	maxVersion   int
 	dataDir      string
 	syncPolicy   SyncPolicy
 	snapBytes    int64
@@ -119,21 +118,11 @@ func WithSnapshotThreshold(n int64) ServeOption {
 	return func(c *serverConfig) { c.snapBytes = n }
 }
 
-// WithMaxProtocolVersion caps the wire protocol version the server
-// negotiates: 2 offers the multiplexed protocol without live documents,
-// 3 adds subscriptions and edit submission, and 4 (the default) adds
-// negotiated frame compression and chunk-deduped block fetches. Clients
-// capped lower are served at their own version, down to 2; a value
-// outside 2–4 makes Listen fail.
-func WithMaxProtocolVersion(v int) ServeOption {
-	return func(c *serverConfig) { c.maxVersion = v }
-}
-
 // WithServerCompression turns negotiated per-frame compression on or
-// off (the default is on). When on, protocol-v4 clients that also
-// enable it (WithCompression on the dial side) receive large
-// compressible response frames deflated; older clients and
-// incompressible payloads are unaffected frame by frame. Turn it off
+// off (the default is on). When on, clients that also enable it
+// (WithCompression on the dial side) receive large compressible
+// response frames deflated; other clients and incompressible payloads
+// are unaffected frame by frame. Turn it off
 // for corpora of pre-compressed media where the codec probe is pure
 // overhead.
 func WithServerCompression(on bool) ServeOption {
@@ -155,7 +144,7 @@ func WithSubscriberQueue(n int) ServeOption {
 // is deferred: it surfaces from Listen (and Serve), keeping NewServer's
 // signature.
 func NewServer(opts ...ServeOption) *Server {
-	cfg := serverConfig{grace: 5 * time.Second, maxVersion: 4, compression: true}
+	cfg := serverConfig{grace: 5 * time.Second, compression: true}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -219,7 +208,6 @@ func NewServer(opts ...ServeOption) *Server {
 	srv.IdleTimeout = cfg.idleTimeout
 	srv.WriteTimeout = cfg.writeTimeout
 	srv.MaxInFlight = cfg.maxInFlight
-	srv.MaxVersion = cfg.maxVersion
 	srv.Admission = cfg.admission
 	srv.SubQueueCap = cfg.subQueue
 	srv.Compression = cfg.compression
@@ -230,7 +218,7 @@ func NewServer(opts ...ServeOption) *Server {
 	srv.Metrics = transport.NewServerMetrics(cfg.metrics)
 	// The store's chunk index feeds the dedupe half of
 	// cmif_bytes_saved_total as manifests are first asked for (a
-	// snapshot, a v4 manifest fetch); attach before any traffic arrives.
+	// snapshot, a manifest fetch); attach before any traffic arrives.
 	reg.Store.SetDedupeObserver(srv.Metrics.DedupeSaved)
 	if s.log != nil {
 		s.log.Instrument(cfg.metrics)

@@ -10,7 +10,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Live documents (wire protocol v3). A Subscription keeps a local
+// Live documents. A Subscription keeps a local
 // replica of a server-side document: the server pushes every accepted
 // edit as an ordered delta of change records, the replica re-executes
 // them with the same edit engine the server used, and the attached Plan
@@ -129,7 +129,7 @@ func (b *EditBatch) Apply(d *Document) error {
 // the document's new generation, and every subscriber receives the batch
 // as one delta — or nothing changed. A batch whose pre-edit paths a
 // concurrent writer invalidated is rejected with ErrConflict; catch up
-// and rebuild it. Requires protocol v3 (ErrUnsupported otherwise).
+// and rebuild it.
 func (c *Client) SubmitEdit(ctx context.Context, name string, b *EditBatch) (uint64, error) {
 	recs, err := b.Records()
 	if err != nil {
@@ -178,9 +178,7 @@ func (c *Client) openSub(ctx context.Context, name, subtree string) (*transport.
 // current state and a Plan scheduled from it, and Next follows every
 // subsequent edit. WithSubtree restricts the delta stream to one part of
 // the document; WithSubscribeSchedule forwards scheduling options to the
-// replica's Plan. Requires protocol v3: against an older server
-// Subscribe fails with ErrUnsupported and the connection stays usable
-// for everything else. The initial scheduling must succeed; a document
+// replica's Plan. The initial scheduling must succeed; a document
 // that cannot be scheduled cannot be watched incrementally.
 func (c *Client) Subscribe(ctx context.Context, name string, opts ...SubscribeOption) (*Subscription, error) {
 	return openSubscription(ctx, c, name, opts)

@@ -45,7 +45,7 @@ func (f *Flags) Register(fs *flag.FlagSet, defaultAddr, scope string) {
 	fs.StringVar(&f.Addr, "addr", defaultAddr, "listen address")
 	fs.DurationVar(&f.Idle, "idle", 2*time.Minute, "drop connections that deliver no data for this long (0 = never)")
 	fs.DurationVar(&f.Grace, "grace", 5*time.Second, "shutdown grace period for in-flight requests")
-	fs.IntVar(&f.MaxInFlight, "max-inflight", 0, "max pipelined requests per v2 connection (0 = default 32)")
+	fs.IntVar(&f.MaxInFlight, "max-inflight", 0, "max pipelined requests per connection (0 = default 32)")
 	fs.StringVar(&f.Metrics, "metrics", "", "serve Prometheus/JSON metrics at /metrics and Go profiles at /debug/pprof/ over HTTP at this address (empty disables)")
 	fs.IntVar(&f.MaxConcurrent, "max-concurrent", 0, scope+" admission bound on concurrently executing requests (0 disables admission control)")
 	fs.IntVar(&f.MaxQueue, "max-queue", 0, "requests allowed to queue for an admission slot beyond -max-concurrent")

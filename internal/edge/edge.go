@@ -1,5 +1,5 @@
 // Package edge implements cmifedge, the read-through caching proxy
-// tier: a daemon that speaks the full wire protocol (v2–v4) downstream
+// tier: a daemon that speaks the full wire protocol (v4) downstream
 // to ordinary clients while sourcing everything it serves from a single
 // upstream origin.
 //

@@ -34,8 +34,8 @@ type Admission struct {
 	// after MaxWait it is shed with the same fast busy error instead of
 	// occupying the queue. Zero means DefaultAdmissionWait.
 	MaxWait time.Duration
-	// MaxSubscribers bounds live-document subscriptions (protocol v3)
-	// across the whole server; an opSubscribe past the bound is shed
+	// MaxSubscribers bounds live-document subscriptions across the
+	// whole server; an opSubscribe past the bound is shed
 	// with opErrBusy (reason subs_full). Independent of MaxConcurrent —
 	// a subscription occupies an admission slot only while its snapshot
 	// is produced and written, not for its whole lifetime. Zero means

@@ -30,10 +30,9 @@ type Client struct {
 	// concurrent misses for the same key into one wire call. Set before
 	// sharing the client across goroutines.
 	Cache *BlockCache
-	// ChunkCache, when non-nil on a protocol-v4 connection, switches
-	// single-block fetches to the dedupe path: fetch the block's chunk
-	// manifest, serve every chunk the cache holds locally, and pull only
-	// the missing ones. Set with WithChunkCache (or directly before
+	// ChunkCache, when non-nil, switches single-block fetches to the
+	// dedupe path: fetch the block's chunk manifest, serve every chunk
+	// the cache holds locally, and pull only the missing ones. Set with WithChunkCache (or directly before
 	// sharing the client across goroutines).
 	ChunkCache *ChunkCache
 
@@ -54,21 +53,16 @@ type Client struct {
 	compressedSaved atomic.Int64
 
 	// wantCompress carries the dial-time compression preference into the
-	// hello; serverCodec is the frame codec the server advertised there
-	// (protocol v4), compress whether the request envelope is active.
+	// hello; compress is whether the request envelope is active.
 	wantCompress bool
-	serverCodec  byte
 	compress     bool
 
-	// version is the negotiated protocol version (2 through 4); mux
-	// carries every exchange after the hello.
-	version int
-	mux     *clientMux
+	// mux carries every exchange after the hello.
+	mux *clientMux
 }
 
 // dialConfig collects the dial options.
 type dialConfig struct {
-	maxVersion int
 	compress   bool
 	chunkCache *ChunkCache
 }
@@ -76,26 +70,18 @@ type dialConfig struct {
 // DialOption configures Dial/DialContext.
 type DialOption func(*dialConfig)
 
-// WithMaxProtocolVersion caps the protocol version the client offers at
-// hello, 2 through 4; Dial rejects anything out of range. The default
-// offers the newest version this build knows, and the hello settles on
-// the newest both sides speak.
-func WithMaxProtocolVersion(v int) DialOption {
-	return func(c *dialConfig) { c.maxVersion = v }
-}
-
 // WithFrameCompression sets the client's side of the frame-compression
 // negotiation: when on (the default) and the server advertises the
-// flate codec at a v4 hello, request frames at or past the codec floor
+// flate codec at the hello, request frames at or past the codec floor
 // ship deflated. Off trades wire bytes for CPU on the send side only —
 // compressed responses are always decoded.
 func WithFrameCompression(on bool) DialOption {
 	return func(c *dialConfig) { c.compress = on }
 }
 
-// WithChunkCache attaches a chunk cache, enabling the protocol-v4
-// dedupe fetch path for single-block fetches. The cache may be shared
-// between clients; chunks are content-addressed and never go stale.
+// WithChunkCache attaches a chunk cache, enabling the dedupe fetch path
+// for single-block fetches. The cache may be shared between clients;
+// chunks are content-addressed and never go stale.
 func WithChunkCache(cc *ChunkCache) DialOption {
 	return func(c *dialConfig) { c.chunkCache = cc }
 }
@@ -107,15 +93,12 @@ func Dial(addr string, opts ...DialOption) (*Client, error) {
 
 // DialContext connects to an interchange server, honouring the context's
 // cancellation and deadline during connection establishment and the
-// protocol handshake. A server that refuses the hello — it speaks
-// nothing this client offered — fails the dial with ErrUnsupported.
+// protocol handshake. A server that refuses the hello, or answers it
+// with any version but protoVersion, fails the dial with ErrUnsupported.
 func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client, error) {
-	cfg := dialConfig{maxVersion: maxProtoVersion, compress: true}
+	cfg := dialConfig{compress: true}
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if err := checkVersion(cfg.maxVersion); err != nil {
-		return nil, err
 	}
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -123,17 +106,18 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 		return nil, err
 	}
 	c := &Client{conn: conn, wantCompress: cfg.compress, ChunkCache: cfg.chunkCache}
-	if err := c.hello(ctx, cfg.maxVersion); err != nil {
+	if err := c.hello(ctx); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// hello negotiates the protocol version on a fresh connection. The hello
-// exchange itself travels in v1 framing; the connection switches to
-// multiplexed v2 framing for everything after.
-func (c *Client) hello(ctx context.Context, maxVersion int) error {
+// hello opens a fresh connection: it offers protoVersion and learns the
+// server's pipelining bound and frame codec. The hello exchange itself
+// travels in v1 framing; the connection switches to multiplexed v2
+// framing for everything after.
+func (c *Client) hello(ctx context.Context) error {
 	if deadline, ok := ctx.Deadline(); ok {
 		if err := c.conn.SetDeadline(deadline); err != nil {
 			return err
@@ -155,7 +139,7 @@ func (c *Client) hello(ctx context.Context, maxVersion int) error {
 		}
 		return c.conn.SetDeadline(time.Time{})
 	}
-	if err := writeFrame(c.conn, opHello, []byte{byte(maxVersion)}); err != nil {
+	if err := writeFrame(c.conn, opHello, []byte{protoVersion}); err != nil {
 		return finish(fmt.Errorf("transport: hello: %w", err))
 	}
 	resp, err := readFrame(c.conn)
@@ -167,21 +151,16 @@ func (c *Client) hello(ctx context.Context, maxVersion int) error {
 	}
 	switch resp.op {
 	case opOK:
-		if len(resp.parts) < 2 || len(resp.parts[0]) != 1 || len(resp.parts[1]) != 2 {
+		if len(resp.parts) == 0 || len(resp.parts[0]) != 1 {
 			return fmt.Errorf("transport: malformed hello response")
 		}
-		version := int(resp.parts[0][0])
-		if version < protoV2 || version > maxVersion {
-			return fmt.Errorf("transport: server negotiated unsupported version %d", version)
+		if v := resp.parts[0][0]; v != protoVersion {
+			return fmt.Errorf("%w: server answered the hello with v%d, this client speaks v%d", ErrUnsupported, v, protoVersion)
 		}
-		c.version = version
-		// A v4 server advertises its frame codec as a third hello part;
-		// older servers (and older clients, which ignore extra parts)
-		// simply never negotiate compression.
-		if version >= protoV4 && len(resp.parts) >= 3 && len(resp.parts[2]) == 1 {
-			c.serverCodec = resp.parts[2][0]
+		if len(resp.parts) != 3 || len(resp.parts[1]) != 2 || len(resp.parts[2]) != 1 {
+			return fmt.Errorf("transport: malformed hello response")
 		}
-		c.compress = c.wantCompress && version >= protoV4 && c.serverCodec == codec.FrameCodecFlate
+		c.compress = c.wantCompress && resp.parts[2][0] == codec.FrameCodecFlate
 		maxInFlight := int(binary.BigEndian.Uint16(resp.parts[1]))
 		c.mux = newClientMux(c.conn, maxInFlight, &c.bytesSent, &c.bytesReceived, &c.streamChunks,
 			c.compress, func(raw, wire int64) {
@@ -190,21 +169,18 @@ func (c *Client) hello(ctx context.Context, maxVersion int) error {
 			})
 		return nil
 	case opErr:
-		// The server speaks nothing we offered (or predates the hello
-		// altogether); there is no serial protocol to fall back to.
+		// The server does not speak protoVersion (or predates the hello
+		// altogether); there is no older protocol to fall back to.
 		return fmt.Errorf("%w: server refused the hello: %s", ErrUnsupported, errText(resp.parts))
 	default:
 		return fmt.Errorf("transport: unexpected hello response op %d", resp.op)
 	}
 }
 
-// Version reports the negotiated protocol version.
-func (c *Client) Version() int { return c.version }
-
 // Compressed reports whether the request-side frame-compression
-// envelope was negotiated (protocol v4 against a codec-capable server,
-// and not disabled at dial time). Response decoding does not depend on
-// it: compressed frames are always understood.
+// envelope was negotiated (a codec-capable server, and not disabled at
+// dial time). Response decoding does not depend on it: compressed
+// frames are always understood.
 func (c *Client) Compressed() bool { return c.compress }
 
 // DedupeFetches counts single-block fetches answered through the
@@ -310,12 +286,12 @@ func (c *Client) GetBlock(ctx context.Context, name string) (*media.Block, error
 
 // getBlockWire is the uncached single-block fetch: one round trip, with a
 // transparent retry through the chunked stream when the server reports
-// the block exceeds the single-frame limit. On a v4 connection with a
-// chunk cache attached, the dedupe path goes first: manifest plus
-// missing chunks, falling back to the plain fetch whenever the server
-// has no manifest or the reassembly does not check out.
+// the block exceeds the single-frame limit. With a chunk cache
+// attached, the dedupe path goes first: manifest plus missing chunks,
+// falling back to the plain fetch whenever the server has no manifest
+// or the reassembly does not check out.
 func (c *Client) getBlockWire(ctx context.Context, name string) (*media.Block, error) {
-	if c.ChunkCache != nil && c.version >= protoV4 {
+	if c.ChunkCache != nil {
 		blk, handled, err := c.getBlockDedup(ctx, name)
 		if handled || err != nil {
 			return blk, err
@@ -344,7 +320,7 @@ func (c *Client) getBlockWire(ctx context.Context, name string) (*media.Block, e
 // warm. The gear chunker's fixed table guarantees the cuts match the
 // server's.
 func (c *Client) seedChunks(payload []byte) {
-	if c.ChunkCache == nil || c.version < protoV4 || len(payload) < media.ChunkThreshold {
+	if c.ChunkCache == nil || len(payload) < media.ChunkThreshold {
 		return
 	}
 	for _, piece := range chunker.Split(payload, chunker.Config{}) {
@@ -760,3 +736,8 @@ func (c *Client) ResyncPull(ctx context.Context, cursor string) (frames []byte, 
 // or block. It is wrapped (with ErrRemote) into errors returned by GetDoc
 // and GetBlock, so callers can test errors.Is(err, ErrNotFound).
 var ErrNotFound = errors.New("not found")
+
+// ErrUnsupported reports that the server does not speak protoVersion:
+// Dial fails with it when the hello is refused or answered with another
+// version. Matched with errors.Is.
+var ErrUnsupported = errors.New("transport: protocol version not supported")

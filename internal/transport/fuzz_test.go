@@ -48,8 +48,8 @@ func seedFrames(tb testing.TB) [][]byte {
 	}
 
 	// v1 requests and responses, as the test suite exchanges them.
-	addV1(opHello, []byte{protoV2})
-	addV1(opOK, []byte{protoV2}, u16(defaultMaxInFlight))
+	addV1(opHello, []byte{protoVersion})
+	addV1(opOK, []byte{protoVersion}, u16(defaultMaxInFlight), []byte{codec.FrameCodecFlate})
 	addV1(opGetDoc, []byte("news"), []byte{byte(EncodingText)}, []byte{0})
 	addV1(opGetBlk, []byte("voice.aud"))
 	addV1(opOK, []byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), blk.Payload[:64])

@@ -12,7 +12,7 @@ import (
 	"repro/internal/edit"
 )
 
-// Live documents (protocol v3): the registry is the fan-out hub. Every
+// Live documents: the registry is the fan-out hub. Every
 // watched document has a set of subscribers, each with a bounded event
 // queue; every mutation — an opSubmitEdit batch through EditDoc, a
 // whole-document PutDoc — broadcasts to those queues under the registry

@@ -370,53 +370,6 @@ func TestSubscriberTeardownLeakFree(t *testing.T) {
 	waitFor(t, "final release", func() bool { return reg.SubscriberCount() == 0 })
 }
 
-// TestV3OpsRequireV3 pins the compatibility contract of the live ops:
-// on any connection negotiated below protocol v3 — an old server, or a
-// client that capped itself — SubscribeDoc and SubmitEdit fail locally
-// with ErrUnsupported, no frame reaches the wire, and the connection
-// keeps serving everything the negotiated version does speak.
-func TestV3OpsRequireV3(t *testing.T) {
-	ctx := context.Background()
-	for _, tc := range []struct {
-		name                 string
-		clientMax, serverMax int
-		want                 int
-	}{
-		{"v3-client-v2-server", 3, 2, 2},
-		{"v2-client-v3-server", 2, 3, 2},
-		{"v4-client-v2-server", 4, 2, 2},
-		{"v2-client-v4-server", 2, 4, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			addr, _ := liveServer(t, func(s *Server) { s.MaxVersion = tc.serverMax })
-			c, err := Dial(addr, WithMaxProtocolVersion(tc.clientMax))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if c.Version() != tc.want {
-				t.Fatalf("negotiated v%d, want v%d", c.Version(), tc.want)
-			}
-			sent := c.BytesSent()
-			if _, err := c.SubscribeDoc(ctx, "news"); !errors.Is(err, ErrUnsupported) {
-				t.Fatalf("SubscribeDoc = %v, want ErrUnsupported", err)
-			}
-			if _, err := c.SubmitEdit(ctx, "news", setDuration(t, "/intro", 100)); !errors.Is(err, ErrUnsupported) {
-				t.Fatalf("SubmitEdit = %v, want ErrUnsupported", err)
-			}
-			if got := c.BytesSent(); got != sent {
-				t.Errorf("unsupported ops sent %d bytes; the check must be local", got-sent)
-			}
-			// The connection is not poisoned: the classic ops still work.
-			for i := 0; i < 3; i++ {
-				if _, err := c.GetDoc(ctx, "news", GetDocOptions{}); err != nil {
-					t.Fatalf("GetDoc %d after unsupported ops: %v", i, err)
-				}
-			}
-		})
-	}
-}
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()

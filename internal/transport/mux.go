@@ -43,8 +43,8 @@ type clientMux struct {
 	// sent/recvd/chunks point into the owning Client's traffic counters.
 	sent, recvd, chunks *atomic.Int64
 
-	// compress enables the opCompressed request envelope (negotiated at a
-	// v4 hello against a codec-capable server); onCompress observes each
+	// compress enables the opCompressed request envelope (negotiated at
+	// the hello against a codec-capable server); onCompress observes each
 	// request frame that actually shipped deflated. Both are fixed before
 	// the writer goroutine starts.
 	compress   bool

@@ -20,14 +20,10 @@ import (
 )
 
 // exerciseClient drives every client op against a server holding the
-// fixture corpus, verifying results — the compatibility workout run
-// under each protocol pairing.
-func exerciseClient(t *testing.T, c *Client, wantVersion int) {
+// fixture corpus, verifying results.
+func exerciseClient(t *testing.T, c *Client) {
 	t.Helper()
 	ctx := context.Background()
-	if c.Version() != wantVersion {
-		t.Fatalf("negotiated version %d, want %d", c.Version(), wantVersion)
-	}
 	doc, err := c.GetDoc(ctx, "news", GetDocOptions{})
 	if err != nil {
 		t.Fatalf("GetDoc: %v", err)
@@ -68,43 +64,21 @@ func exerciseClient(t *testing.T, c *Client, wantVersion int) {
 	}
 }
 
-// TestVersionNegotiationMatrix runs the full client workout across every
-// protocol pairing — v2, v3 and v4 caps on either side — verifying each
-// pair lands on min(clientMax, serverMax) and every classic operation
-// works there.
+// TestVersionNegotiationMatrix runs the full client workout over a v4
+// hello: every classic operation works on the one protocol generation.
 func TestVersionNegotiationMatrix(t *testing.T) {
-	for _, tc := range []struct {
-		clientMax, serverMax, want int
-	}{
-		{2, 2, 2},
-		{2, 3, 2},
-		{3, 2, 2},
-		{3, 3, 3},
-		{2, 4, 2},
-		{4, 2, 2},
-		{3, 4, 3},
-		{4, 3, 3},
-		{4, 4, 4},
-	} {
-		t.Run(fmt.Sprintf("client%d-server%d", tc.clientMax, tc.serverMax), func(t *testing.T) {
-			d, store := fixture(t)
-			reg := NewRegistry(store)
-			reg.PutDoc("news", d)
-			srv := NewServer(reg)
-			srv.MaxVersion = tc.serverMax
-			addr, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			c, err := Dial(addr, WithMaxProtocolVersion(tc.clientMax))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			exerciseClient(t, c, tc.want)
-		})
-	}
+	t.Run("client4-server4", func(t *testing.T) {
+		d, store := fixture(t)
+		reg := NewRegistry(store)
+		reg.PutDoc("news", d)
+		addr, _ := startServer(t, reg)
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		exerciseClient(t, c)
+	})
 }
 
 // rawServer accepts exactly one connection and hands it to script. The
@@ -127,7 +101,8 @@ func rawServer(t *testing.T, script func(conn net.Conn, br *bufio.Reader)) strin
 	return l.Addr().String()
 }
 
-// ackHello consumes the client's hello and answers a v2 agreement.
+// ackHello consumes the client's hello and answers the v4 agreement,
+// without compression.
 func ackHello(t *testing.T, conn net.Conn, br *bufio.Reader, maxInFlight uint16) bool {
 	t.Helper()
 	req, err := readFrame(br)
@@ -137,49 +112,72 @@ func ackHello(t *testing.T, conn net.Conn, br *bufio.Reader, maxInFlight uint16)
 	}
 	ad := make([]byte, 2)
 	binary.BigEndian.PutUint16(ad, maxInFlight)
-	if err := writeFrame(conn, opOK, []byte{protoV2}, ad); err != nil {
+	if err := writeFrame(conn, opOK, []byte{protoVersion}, ad, []byte{codec.FrameCodecNone}); err != nil {
 		t.Errorf("hello ack: %v", err)
 		return false
 	}
 	return true
 }
 
-// TestHelloRefusedFailsDialUnsupported pins the client half of the v1
+// TestHelloRefusedFailsDialUnsupported pins the client half of the
 // retirement: a server that answers the hello with opErr — an old build
-// ("unknown op 9"), or a new one sharing no version — fails the dial with
-// ErrUnsupported. There is no serial protocol to degrade to.
+// ("unknown op 9"), or a new one refusing the offer — or with any
+// version but v4 fails the dial with ErrUnsupported; there is no older
+// protocol to degrade to. A malformed v4 answer stays a plain error.
 func TestHelloRefusedFailsDialUnsupported(t *testing.T) {
-	addr := rawServer(t, func(conn net.Conn, br *bufio.Reader) {
-		req, err := readFrame(br)
-		if err != nil || req.op != opHello {
-			t.Errorf("first frame op = %v, err = %v, want hello", req.op, err)
-			return
-		}
-		_ = writeFrame(conn, opErr, []byte("unknown op 9"))
-	})
-	c, err := Dial(addr)
-	if err == nil {
-		c.Close()
-		t.Fatal("Dial succeeded against a server that refused the hello")
-	}
-	if !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("Dial error = %v, want ErrUnsupported", err)
+	ad := []byte{0, 8}
+	for _, tc := range []struct {
+		name        string
+		op          byte
+		parts       [][]byte
+		unsupported bool
+	}{
+		{"refused", opErr, [][]byte{[]byte("unknown op 9")}, true},
+		{"answers v3", opOK, [][]byte{{3}, ad}, true},
+		{"answers v5", opOK, [][]byte{{5}, ad, {codec.FrameCodecNone}}, true},
+		{"missing codec byte", opOK, [][]byte{{protoVersion}, ad}, false},
+		{"short maxInFlight", opOK, [][]byte{{protoVersion}, {8}, {codec.FrameCodecNone}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := rawServer(t, func(conn net.Conn, br *bufio.Reader) {
+				req, err := readFrame(br)
+				if err != nil || req.op != opHello {
+					t.Errorf("first frame op = %v, err = %v, want hello", req.op, err)
+					return
+				}
+				_ = writeFrame(conn, tc.op, tc.parts...)
+			})
+			c, err := Dial(addr)
+			if err == nil {
+				c.Close()
+				t.Fatal("Dial succeeded against a server that did not agree on v4")
+			}
+			if errors.Is(err, ErrUnsupported) != tc.unsupported {
+				t.Fatalf("Dial error = %v, want errors.Is(err, ErrUnsupported) == %v", err, tc.unsupported)
+			}
+		})
 	}
 }
 
 // TestServerRefusesV1Peers pins the server half, on raw frames: a
 // connection that opens with anything but a hello, or whose hello offers
-// less than v2, gets exactly one v1-framed opErr naming the retirement,
-// and then the connection closes.
+// less than v4, gets exactly one v1-framed opErr naming the retirement,
+// and then the connection closes. A hello offering a newer version is
+// answered with v4, the pipelining bound and the codec byte.
 func TestServerRefusesV1Peers(t *testing.T) {
 	addr, _ := startServer(t, NewRegistry(nil))
+	refusal := frame{op: opErr, parts: [][]byte{[]byte(retiredRefusal)}}
 	for _, tc := range []struct {
-		name  string
-		op    byte
-		parts [][]byte
+		name string
+		req  frame
+		want frame
 	}{
-		{"no hello", opList, nil},
-		{"hello offering v1", opHello, [][]byte{{1}}},
+		{"no hello", frame{op: opList}, refusal},
+		{"hello offering v1", frame{opHello, [][]byte{{1}}}, refusal},
+		{"hello offering v2", frame{opHello, [][]byte{{2}}}, refusal},
+		{"hello offering v3", frame{opHello, [][]byte{{3}}}, refusal},
+		{"hello offering v9", frame{opHello, [][]byte{{9}}},
+			frame{opOK, [][]byte{{protoVersion}, {0, defaultMaxInFlight}, {codec.FrameCodecNone}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := net.Dial("tcp", addr)
@@ -188,39 +186,23 @@ func TestServerRefusesV1Peers(t *testing.T) {
 			}
 			defer conn.Close()
 			_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-			if err := writeFrame(conn, tc.op, tc.parts...); err != nil {
+			if err := writeFrame(conn, tc.req.op, tc.req.parts...); err != nil {
 				t.Fatal(err)
 			}
 			resp, err := readFrame(conn)
 			if err != nil {
-				t.Fatalf("reading the refusal: %v", err)
+				t.Fatalf("reading the answer: %v", err)
 			}
-			if resp.op != opErr || len(resp.parts) != 1 || string(resp.parts[0]) != v1Retired {
-				t.Fatalf("refusal = op %d %q, want opErr %q", resp.op, resp.parts, v1Retired)
+			if resp.op != tc.want.op || fmt.Sprintf("%q", resp.parts) != fmt.Sprintf("%q", tc.want.parts) {
+				t.Fatalf("answer = op %d %q, want op %d %q", resp.op, resp.parts, tc.want.op, tc.want.parts)
+			}
+			if tc.want.op != opErr {
+				return
 			}
 			if _, err := readFrame(conn); !errors.Is(err, io.EOF) {
 				t.Fatalf("after the refusal: %v, want the connection closed", err)
 			}
 		})
-	}
-}
-
-// TestVersionCapOutOfRangeIsAnError pins that a version cap this build
-// cannot honour — the retired 1 included — is refused loudly at Listen
-// and Dial instead of being clamped to "newest".
-func TestVersionCapOutOfRangeIsAnError(t *testing.T) {
-	addr, _ := startServer(t, NewRegistry(nil))
-	for _, v := range []int{0, 1, maxProtoVersion + 1, 9} {
-		srv := NewServer(NewRegistry(nil))
-		srv.MaxVersion = v
-		if bound, err := srv.Listen("127.0.0.1:0"); err == nil {
-			srv.Close()
-			t.Errorf("Listen with MaxVersion %d bound %s, want an error", v, bound)
-		}
-		if c, err := Dial(addr, WithMaxProtocolVersion(v)); err == nil {
-			c.Close()
-			t.Errorf("Dial with max version %d succeeded, want an error", v)
-		}
 	}
 }
 
@@ -371,7 +353,7 @@ func TestMuxBackpressureBusy(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	if err := writeFrame(conn, opHello, []byte{protoV2}); err != nil {
+	if err := writeFrame(conn, opHello, []byte{protoVersion}); err != nil {
 		t.Fatal(err)
 	}
 	ack, err := readFrame(br)
@@ -446,11 +428,8 @@ func TestStreamedBlockTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() != maxProtoVersion {
-		t.Fatalf("version = %d", c.Version())
-	}
 
-	// The batched path defers the big block and re-fetches it; on v2 the
+	// The batched path defers the big block and re-fetches it; the
 	// re-fetch streams in chunks.
 	blocks, err := c.GetBlocks(context.Background(), []string{"big.img", "small.img"})
 	if err != nil {
@@ -486,7 +465,7 @@ func TestBatchDeferral(t *testing.T) {
 	reg := NewRegistry(store)
 	addr, _ := startServer(t, reg)
 
-	c, err := Dial(addr, WithMaxProtocolVersion(protoV2))
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

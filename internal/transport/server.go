@@ -34,7 +34,7 @@ type Registry struct {
 	// before serving.
 	DurabilityErr func() error
 
-	// live is the protocol-v3 fan-out hub: per-document generations and
+	// live is the live-document fan-out hub: per-document generations and
 	// subscriber queues, guarded by mu (see live.go).
 	live liveState
 }
@@ -108,8 +108,8 @@ type GetDocOptions struct {
 // metrics and drain live here, and an op table (ops.go) turns each
 // request into Backend calls — the server does not know where an answer
 // comes from. Every connection opens with a hello and then speaks the
-// multiplexed protocol (v2–v4: pipelined requests, chunked block
-// streaming, subscriptions, compression); a peer that cannot is refused.
+// multiplexed protocol (pipelined requests, chunked block streaming,
+// subscriptions, compression); a peer that cannot is refused.
 type Server struct {
 	backend Backend
 	// peers is the backend's node-to-node half, nil unless it is a
@@ -131,15 +131,11 @@ type Server struct {
 	// bound is advertised to the client at hello. Zero means
 	// defaultMaxInFlight. Set before Listen.
 	MaxInFlight int
-	// MaxVersion caps the protocol version the server negotiates, 2
-	// through 4; NewServer sets the newest this build speaks, and Listen
-	// rejects anything out of range. Set before Listen.
-	MaxVersion int
-	// Compression enables per-frame flate compression on connections
-	// that negotiate protocol v4: the hello response advertises the
-	// codec, and response frames past the codec floor ship deflated
-	// unless they prove incompressible. Decoding compressed frames is
-	// always on regardless of this flag. Set before Listen.
+	// Compression enables per-frame flate compression: the hello
+	// response advertises the codec, and response frames past the codec
+	// floor ship deflated unless they prove incompressible. Decoding
+	// compressed frames is always on regardless of this flag. Set before
+	// Listen.
 	Compression bool
 	// Admission configures server-wide admission control: a concurrency
 	// bound across all connections with a bounded, deadline-aware queue.
@@ -147,10 +143,10 @@ type Server struct {
 	// degrading every request's latency. The zero value disables it. Set
 	// before Listen.
 	Admission Admission
-	// SubQueueCap bounds each live-document subscriber's event queue
-	// (protocol v3): a watcher whose queue overflows is shed with a
-	// changeEnd frame instead of buffering without bound. Zero means
-	// defaultSubQueue. Set before Listen.
+	// SubQueueCap bounds each live-document subscriber's event queue: a
+	// watcher whose queue overflows is shed with a changeEnd frame
+	// instead of buffering without bound. Zero means defaultSubQueue.
+	// Set before Listen.
 	SubQueueCap int
 	// Metrics, when non-nil, records request counts, per-op latency,
 	// in-flight and queue gauges, busy rejections and descriptor-cache
@@ -181,11 +177,10 @@ type Server struct {
 func NewServer(b Backend) *Server {
 	peers, _ := b.(PeerOps)
 	return &Server{
-		backend:    b,
-		peers:      peers,
-		MaxVersion: maxProtoVersion,
-		descCache:  make(map[string]string),
-		conns:      make(map[net.Conn]struct{}),
+		backend:   b,
+		peers:     peers,
+		descCache: make(map[string]string),
+		conns:     make(map[net.Conn]struct{}),
 	}
 }
 
@@ -193,9 +188,6 @@ func NewServer(b Backend) *Server {
 // bound address. Serving happens on background goroutines until Close or
 // Shutdown.
 func (s *Server) Listen(addr string) (string, error) {
-	if err := checkVersion(s.MaxVersion); err != nil {
-		return "", err
-	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
@@ -360,25 +352,17 @@ func (s *Server) maxInFlight() int {
 	return defaultMaxInFlight
 }
 
-// checkVersion rejects a protocol-version cap this build cannot honour,
-// on either side of the connection.
-func checkVersion(v int) error {
-	if v < protoV2 || v > maxProtoVersion {
-		return fmt.Errorf("transport: unsupported protocol version %d (this build speaks v%d–v%d)", v, protoV2, maxProtoVersion)
-	}
-	return nil
-}
-
-// v1Retired is the refusal a peer gets when it cannot speak the
-// multiplexed protocol: no hello, or a hello offering less than v2.
-const v1Retired = "protocol v1 is retired; this server speaks v2–v4"
+// retiredRefusal is the refusal a peer gets when it cannot speak
+// protoVersion: no hello, or a hello offering less than v4.
+const retiredRefusal = "protocols v1–v3 are retired; this server speaks v4"
 
 // serveConn handles one client until EOF, goodbye, timeout or drain. The
 // first frame must be a hello, v1-framed as it has been since protocol
-// v2 introduced it; it settles the version and the connection switches to
-// the multiplexed loop. Anything else is refused with one v1-framed opErr
-// — the only frame a pre-v2 peer can read — and a close. A draining
-// server answers the requests in flight, then hangs up.
+// v2 introduced it; a hello offering protoVersion or newer is answered
+// with protoVersion and the connection switches to the multiplexed loop.
+// Anything else is refused with one v1-framed opErr — the only frame a
+// v1 peer can read — and a close. A draining server answers the
+// requests in flight, then hangs up.
 func (s *Server) serveConn(conn net.Conn) {
 	// The read side is buffered over the idle-rearming reader: pipelined
 	// clients deliver bursts of frames per syscall, and the idle deadline
@@ -397,38 +381,27 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	refuse := func(text string) { _ = writeFrame(conn, opErr, []byte(text)) }
 	if req.op != opHello {
-		refuse(v1Retired)
+		refuse(retiredRefusal)
 		return
 	}
 	if len(req.parts) != 1 || len(req.parts[0]) != 1 {
 		refuse("hello: want [maxVersion]")
 		return
 	}
-	version := s.MaxVersion
-	if clientMax := int(req.parts[0][0]); clientMax < version {
-		version = clientMax
-	}
-	if version < protoV2 {
-		refuse(v1Retired)
+	if req.parts[0][0] < protoVersion {
+		refuse(retiredRefusal)
 		return
 	}
 	ad := make([]byte, 2)
 	binary.BigEndian.PutUint16(ad, uint16(s.maxInFlight()))
-	helloParts := [][]byte{{byte(version)}, ad}
-	if version >= protoV4 {
-		// The codec capability part: pre-v4 clients tolerate extra
-		// hello parts, so it is only meaningful — and only sent —
-		// when v4 was negotiated.
-		frameCodec := codec.FrameCodecNone
-		if s.Compression {
-			frameCodec = codec.FrameCodecFlate
-		}
-		helloParts = append(helloParts, []byte{frameCodec})
+	frameCodec := codec.FrameCodecNone
+	if s.Compression {
+		frameCodec = codec.FrameCodecFlate
 	}
-	if err := writeFrame(conn, opOK, helloParts...); err != nil {
+	if err := writeFrame(conn, opOK, []byte{protoVersion}, ad, []byte{frameCodec}); err != nil {
 		return
 	}
-	s.serveConnV2(conn, in, version)
+	s.serveConnV2(conn, in)
 }
 
 // v2conn is one multiplexed connection's shared state: the response
@@ -437,10 +410,9 @@ func (s *Server) serveConn(conn net.Conn) {
 // handlers and pumps alike, and the per-connection subscription table
 // (request ID → subscriber) that opUnsubscribe resolves against.
 type v2conn struct {
-	version int
-	respCh  chan frameV2
-	done    chan struct{}
-	wg      sync.WaitGroup
+	respCh chan frameV2
+	done   chan struct{}
+	wg     sync.WaitGroup
 
 	mu   sync.Mutex
 	subs map[uint32]*Subscriber
@@ -476,17 +448,16 @@ func (cc *v2conn) takeSub(id uint32) *Subscriber {
 // other responses instead of blocking them. On drain the reader stops,
 // subscription pumps are told to wind down, in-flight handlers finish,
 // and their responses are flushed before the connection closes.
-func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader, version int) {
+func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader) {
 	maxIF := s.maxInFlight()
 	respCh := make(chan frameV2, maxIF+2)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		sender := newFrameSender(conn)
-		// Response compression is a v4 negotiation outcome; the codec
-		// seam itself decides per frame (size floor, incompressible
-		// bypass).
-		sender.compress = s.Compression && version >= protoV4
+		// The hello advertised the codec; the codec seam itself decides
+		// per frame (size floor, incompressible bypass).
+		sender.compress = s.Compression
 		sender.onCompress = s.Metrics.frameCompressed
 		failed := false
 		flush := func() {
@@ -548,7 +519,7 @@ func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader, version int) {
 		}
 	}()
 
-	cc := &v2conn{version: version, respCh: respCh, done: make(chan struct{})}
+	cc := &v2conn{respCh: respCh, done: make(chan struct{})}
 	sem := make(chan struct{}, maxIF)
 	for s.armIdle(conn) {
 		req, err := readFrameV2(in)
@@ -661,10 +632,6 @@ func (s *Server) handleV2(cc *v2conn, req frameV2) {
 func (s *Server) handleSubscribe(cc *v2conn, req frameV2, release func()) {
 	refuse := func(op byte, text []byte) {
 		cc.respCh <- frameV2{op: op, id: req.id, parts: [][]byte{text}, done: release}
-	}
-	if cc.version < protoV3 {
-		refuse(opErr, []byte("subscribe: requires protocol v3"))
-		return
 	}
 	if len(req.parts) != 1 && len(req.parts) != 2 {
 		refuse(opErr, []byte("subscribe: want [name] or [name, subtree]"))

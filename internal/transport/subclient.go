@@ -12,14 +12,6 @@ import (
 	"repro/internal/core"
 )
 
-// ErrUnsupported reports that the negotiated protocol version does not
-// carry the requested operation — a client that negotiated v2 cannot
-// subscribe or submit edits. That check is local: no frame reaches the
-// wire, so the connection stays healthy for everything the old server
-// does speak. Dial fails with it when the hello finds no common version
-// at all. Matched with errors.Is.
-var ErrUnsupported = errors.New("transport: not supported by negotiated protocol version")
-
 // ErrConflict reports a rejected edit batch: an earlier writer's edit
 // won the server's registry lock and this batch's pre-edit paths no
 // longer resolve. Nothing was applied — refetch (or catch up through the
@@ -130,9 +122,7 @@ type DocSubscription struct {
 // SubscribeDoc opens a live subscription on the document registered
 // under name. It blocks until the server's opening snapshot arrives —
 // on return Doc/Gen hold the watched document's current state, and every
-// mutation after it arrives through Recv in server order. On a
-// connection older than protocol v3 it fails locally with
-// ErrUnsupported, leaving the connection untouched.
+// mutation after it arrives through Recv in server order.
 func (c *Client) SubscribeDoc(ctx context.Context, name string) (*DocSubscription, error) {
 	return c.SubscribeDocSubtree(ctx, name, "")
 }
@@ -147,9 +137,6 @@ func (c *Client) SubscribeDoc(ctx context.Context, name string) (*DocSubscriptio
 // replica is authoritative only within the watched subtree. An empty
 // subtree (or "/") subscribes unfiltered.
 func (c *Client) SubscribeDocSubtree(ctx context.Context, name, subtree string) (*DocSubscription, error) {
-	if c.version < protoV3 {
-		return nil, fmt.Errorf("%w: subscriptions need protocol v3, negotiated v%d", ErrUnsupported, c.version)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -252,13 +239,8 @@ func (s *DocSubscription) Close() error {
 // registered under name, atomically: either every record re-executes
 // server-side and the call returns the document's new generation, or the
 // batch is rejected — with ErrConflict when a concurrent writer
-// invalidated its pre-edit paths — and nothing changed. Requires
-// protocol v3; on an older connection it fails locally with
-// ErrUnsupported.
+// invalidated its pre-edit paths — and nothing changed.
 func (c *Client) SubmitEdit(ctx context.Context, name string, recs []core.ChangeRecord) (uint64, error) {
-	if c.version < protoV3 {
-		return 0, fmt.Errorf("%w: edit submission needs protocol v3, negotiated v%d", ErrUnsupported, c.version)
-	}
 	parts, err := c.roundTrip(ctx, opSubmitEdit, []byte(name), core.EncodeChangeRecords(recs))
 	if err != nil {
 		// The server rejects conflicting batches with a "conflict:"

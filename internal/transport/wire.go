@@ -33,16 +33,15 @@ const (
 	// each found entry carries only the descriptor text, not the payload —
 	// the paper's "relatively small clusters of data (the attributes)".
 	opGetDescs byte = 8
-	// opHello negotiates the protocol version. It is the first frame on
-	// every connection, in v1 framing: request [maxVersion], response opOK
-	// [version, maxInFlight(u16)] (plus a codec byte at v4). A server that
-	// shares no version with the client — or any peer that opens with
-	// something else — gets a v1-framed opErr and the connection closes.
+	// opHello settles the protocol version. It is the first frame on
+	// every connection, in v1 framing: request [maxVersion], response
+	// opOK [protoVersion, maxInFlight(u16), codec(1)]. A hello offering
+	// less than protoVersion — or any peer that opens with something
+	// else — gets a v1-framed opErr and the connection closes.
 	opHello byte = 9
 	// opGetBlkStream fetches one block as a chunked v2 stream: the
 	// response is a sequence of frames sharing the request ID —
 	// opStreamHdr, then zero or more opStreamChunk, then opStreamEnd.
-	// Only valid after a v2 hello.
 	opGetBlkStream byte = 10
 	// opSubscribe watches a document: request [name] or [name, subtree];
 	// the response is an open-ended sequence of opChange frames sharing
@@ -51,7 +50,7 @@ const (
 	// (an absolute node path), deltas carry only the change records
 	// affecting that subtree or its ancestors; snapshots stay whole and
 	// generations still advance per server-side edit, so filtered deltas
-	// may be empty. Only valid after a v3 hello.
+	// may be empty.
 	opSubscribe byte = 11
 	// opUnsubscribe ends a subscription: request [subID(u32)] naming the
 	// opSubscribe request's ID; response opOK []. Idempotent — an already
@@ -84,13 +83,12 @@ const (
 	// (hash(32) | chunkLen(u32)) entries in payload order. An empty
 	// manifest means the block is not chunk-indexed (too small, or the
 	// backend keeps no chunk index) and the client falls back to opGetBlk.
-	// Only valid after a v4 hello.
 	opGetBlkManifest byte = 17
 	// opGetChunks fetches chunks by content address: request parts are
 	// raw 32-byte chunk hashes (at most maxParts per frame); the
 	// response carries one entry part per hash, in request order —
 	// entryFound with the chunk bytes as its single field, or
-	// entryMissing. Only valid after a v4 hello.
+	// entryMissing.
 	opGetChunks byte = 18
 	opOK        byte = 128
 	// opStreamHdr opens a streamed block response: parts are
@@ -116,8 +114,8 @@ const (
 	// then parsed as usual. Compression sits above CRC/framing: WAL and
 	// replication record bytes inside parts are unchanged. rawLen is
 	// bounded by maxFrameSize before inflation and a nested opCompressed
-	// is rejected. Senders only emit it on v2 mux connections after a
-	// v4 hello with compression negotiated.
+	// is rejected. Senders only emit it on v2 mux connections whose hello
+	// negotiated compression.
 	opCompressed byte = 192
 	// opErrTooLarge reports that the requested block cannot be framed as a
 	// single response (payload past maxFrameSize); clients retry with
@@ -134,22 +132,14 @@ const (
 	opGoodbye     byte = 6
 )
 
-// Protocol versions. Version 1, the original strict request/response
-// protocol, is retired: only its framing survives, for the hello.
-// Version 2 — the minimum — multiplexes pipelined requests over one
-// connection (frames carry a request ID) and adds chunked block
-// streaming; version 3 adds document subscriptions — server-push ordered
-// change deltas and multi-writer edit submission over the same mux
-// framing; version 4 adds wire saturation: compressed frames
-// (opCompressed, negotiated at hello via a codec capability part) and
-// chunk-dedupe block fetches (opGetBlkManifest / opGetChunks).
-const (
-	protoV2 = 2
-	protoV3 = 3
-	protoV4 = 4
-	// maxProtoVersion is the newest version this build speaks.
-	maxProtoVersion = protoV4
-)
+// protoVersion is the one protocol version this build speaks: pipelined
+// requests multiplexed over one connection (frames carry a request ID),
+// chunked block streaming, document subscriptions with multi-writer
+// edit submission, compressed frames (opCompressed, switched on by the
+// hello's codec part) and chunk-dedupe block fetches (opGetBlkManifest
+// / opGetChunks). Versions 1 to 3 are retired: only v1's framing
+// survives, for the hello.
+const protoVersion = 4
 
 // defaultMaxInFlight bounds how many requests the server processes
 // concurrently per connection; requests past the bound are rejected
@@ -363,8 +353,8 @@ func writeFrameV2(w io.Writer, op byte, id uint32, parts ...[]byte) error {
 
 // readFrameV2 receives and decodes one v2 frame, transparently
 // inflating a compressed envelope (opCompressed) back into the plain
-// frame it carries. Decoding is unconditional — any v4-capable build
-// understands compressed frames regardless of what it negotiated — but
+// frame it carries. Decoding is unconditional — compressed frames are
+// understood whether or not the hello switched compression on — but
 // the declared inflated size is bounded by maxFrameSize before any
 // inflation happens and nested envelopes are rejected.
 func readFrameV2(r io.Reader) (frameV2, error) {

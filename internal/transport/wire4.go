@@ -39,8 +39,8 @@ var vectoredThreshold = 64 << 10
 type frameSender struct {
 	conn io.Writer
 	bw   *bufio.Writer
-	// compress enables the opCompressed envelope (negotiated at hello:
-	// protocol v4 plus the codec capability).
+	// compress enables the opCompressed envelope (negotiated at hello
+	// through the codec capability).
 	compress bool
 	// onCompress, when set, observes every frame that actually shipped
 	// compressed: raw is the plain encoding's size, wire the envelope's.

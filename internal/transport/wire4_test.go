@@ -43,22 +43,18 @@ func textBlockV4(name string, size int) *media.Block {
 	return media.NewBlock(name, core.MediumText, payload, attr.List{})
 }
 
-// TestHelloNegotiationMatrix pins the version/codec negotiation grid:
-// who ends up on which protocol version, and when the compressed
-// request envelope actually activates.
+// TestHelloNegotiationMatrix pins the codec negotiation grid: when the
+// compressed request envelope actually activates.
 func TestHelloNegotiationMatrix(t *testing.T) {
 	cases := []struct {
 		name           string
 		serverCompress bool
 		opts           []DialOption
-		wantVersion    int
 		wantCompressed bool
 	}{
-		{"v4 both, codec on", true, nil, protoV4, true},
-		{"v4 both, server codec off", false, nil, protoV4, false},
-		{"v4 both, client declines", true, []DialOption{WithFrameCompression(false)}, protoV4, false},
-		{"client capped at v3", true, []DialOption{WithMaxProtocolVersion(protoV3)}, protoV3, false},
-		{"client capped at v2", true, []DialOption{WithMaxProtocolVersion(protoV2)}, protoV2, false},
+		{"v4 both, codec on", true, nil, true},
+		{"v4 both, server codec off", false, nil, false},
+		{"v4 both, client declines", true, []DialOption{WithFrameCompression(false)}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,9 +66,6 @@ func TestHelloNegotiationMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			if c.Version() != tc.wantVersion {
-				t.Fatalf("negotiated v%d, want v%d", c.Version(), tc.wantVersion)
-			}
 			if c.Compressed() != tc.wantCompressed {
 				t.Fatalf("Compressed() = %v, want %v", c.Compressed(), tc.wantCompressed)
 			}
@@ -224,8 +217,8 @@ func TestDedupeFetchPath(t *testing.T) {
 }
 
 // TestDedupeFallback pins every road back to the plain path: blocks
-// below the chunk threshold, servers older than v4, and a client
-// without a cache all still serve correct bytes.
+// below the chunk threshold and a client without a chunk cache both
+// still serve correct bytes.
 func TestDedupeFallback(t *testing.T) {
 	store := media.NewStore()
 	small := textBlockV4("small.txt", 512) // below media.ChunkThreshold
@@ -253,8 +246,8 @@ func TestDedupeFallback(t *testing.T) {
 		}
 	})
 
-	t.Run("v3 client ignores the cache", func(t *testing.T) {
-		c, err := Dial(addr, WithChunkCache(NewChunkCache(0)), WithMaxProtocolVersion(protoV3))
+	t.Run("client without a chunk cache", func(t *testing.T) {
+		c, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +260,7 @@ func TestDedupeFallback(t *testing.T) {
 			t.Fatal("payload mismatch")
 		}
 		if c.DedupeFetches() != 0 || c.DedupeBytesSaved() != 0 {
-			t.Errorf("dedupe counters moved (%d fetches, %d bytes) on a v3 connection",
+			t.Errorf("dedupe counters moved (%d fetches, %d bytes) without a chunk cache",
 				c.DedupeFetches(), c.DedupeBytesSaved())
 		}
 		// No codec, no dedupe: the wire carried at least the payload.

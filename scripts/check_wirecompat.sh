@@ -2,12 +2,16 @@
 # Wire-compatibility matrix: the current tree must interoperate with the
 # previous release on the wire, in BOTH directions:
 #
-#   1. current client -> previous server: the hello negotiation must
-#      settle on the older protocol/feature set and every fetch must
-#      round-trip (a new client never strands deployed servers);
+#   1. current client -> previous server: the previous server must
+#      answer the current client's hello with the same protocol version
+#      and every fetch must round-trip (a new client never strands
+#      deployed servers);
 #   2. previous client -> current server: the current server must keep
-#      answering the older hello exactly as before (a rollout never
-#      strands deployed clients).
+#      answering the previous client's hello exactly as before (a
+#      rollout never strands deployed clients).
+#
+# Both sides speak one protocol version; a release that changes it
+# cannot pass this check against its predecessor, by design.
 #
 # "Previous" is the latest tag when one exists, else the parent commit —
 # the newest code a real deployment could be running. The check builds
@@ -15,7 +19,8 @@
 # both servers with the same deterministic -news corpus, and requires
 # the documents fetched across versions to be byte-identical to the
 # current-vs-current baseline (inline fetches included, so block
-# payloads cross the version boundary too).
+# payloads cross the version boundary too, and binary-encoded fetches,
+# so the compact document encoding does).
 #
 # Needs full git history (CI: fetch-depth 0). Run from the repository
 # root: ./scripts/check_wirecompat.sh
@@ -62,11 +67,13 @@ wait_up "$work/new/cmifget" "$NEW_ADDR"
 wait_up "$work/old/cmifget" "$OLD_ADDR"
 
 # fetch CLIENT SERVER OUT: every surface a deployed pairing exercises —
-# the listing, the structured document, and the inline fetch that moves
-# the block payloads themselves across the version boundary.
+# the listing, the structured document in both wire encodings, and the
+# inline fetch that moves the block payloads themselves across the
+# version boundary.
 fetch() {
     "$1" -addr "$2" list >"$3.list"
     "$1" -addr "$2" doc news >"$3.doc"
+    "$1" -addr "$2" -binary doc news >"$3.binary"
     "$1" -addr "$2" -inline doc news >"$3.inline"
 }
 
@@ -82,7 +89,7 @@ fetch "$work/old/cmifget" "$NEW_ADDR" "$work/oc-ns"  # old client, new server
 fail=0
 for pair in "nc-ns nc-os" "oc-os oc-ns"; do
     base=${pair% *}; side=${pair#* }
-    for what in list doc inline; do
+    for what in list doc binary inline; do
         if ! cmp -s "$work/$base.$what" "$work/$side.$what"; then
             echo "wirecompat: $side $what differs from the $base baseline:" >&2
             diff "$work/$base.$what" "$work/$side.$what" >&2 || true
