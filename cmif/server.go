@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/media"
 	"repro/internal/transport"
@@ -179,12 +178,12 @@ func NewServer(opts ...ServeOption) *Server {
 			}
 		}
 		reg = transport.NewRegistry(st.Store)
-		// Recovered documents preload before the journal hook attaches —
-		// they are already on disk.
+		// Recovered documents preload before the journal attaches — they
+		// are already on disk.
 		for name, d := range st.Docs {
 			reg.PutDoc(name, d)
 		}
-		reg.OnPutDoc = func(name string, d *core.Document) { _ = log.PutDoc(name, d) }
+		reg.Journal = log
 		reg.DurabilityErr = log.Err
 	default:
 		reg = transport.NewRegistry(cfg.store)

@@ -170,7 +170,7 @@ func Start(cfg Config) (*Node, error) {
 	}
 
 	// The registry shares the recovered block store. The journal is NOT
-	// attached as the store's mutation hook and OnPutDoc stays nil: every
+	// attached as the store's mutation hook and Journal stays nil: every
 	// cluster mutation is framed once and fed through AppendFrames, which
 	// journals and applies in one step (a self-journaling state would
 	// record everything twice).
@@ -681,7 +681,8 @@ func (n *Node) StoreBlock(b *media.Block) (string, error) {
 
 // SubmitEdit routes an edit to the document's primary, which applies it
 // against its live registry (the single point where conflicts are
-// decided) and replicates the post-edit document as a full-state record.
+// decided) and replicates the post-edit document as a full-state record
+// (change records are not idempotent; replication may deliver one twice).
 func (n *Node) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error) {
 	<-n.ready
 	key := docKey(name)

@@ -18,7 +18,7 @@ import (
 )
 
 // testDoc builds a small two-leaf document.
-func testDoc(t *testing.T, label string) *core.Document {
+func testDoc(t testing.TB, label string) *core.Document {
 	t.Helper()
 	root := core.NewPar().SetName("doc-" + label)
 	root.Add(

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/attr"
+	"repro/internal/codec"
 	"repro/internal/media"
 )
 
@@ -40,8 +41,13 @@ func validWALBytes(tb testing.TB) []byte {
 // FuzzWALReplay feeds arbitrary bytes to the replayer, in both the
 // torn-tolerant (WAL tail) and strict (snapshot) modes: it must never
 // panic, never allocate the corrupt length a frame header claims, and
-// only ever return clean errors.
+// only ever return clean errors. The document-record seeds carry it into
+// codec.DecodeBinary, core.DecodeChangeRecords and edit.Apply, and every
+// document it replays must encode again.
 func FuzzWALReplay(f *testing.F) {
+	for _, s := range docRecordSeeds(f) {
+		f.Add(s.data)
+	}
 	valid := validWALBytes(f)
 	f.Add([]byte{})
 	f.Add(valid)
@@ -75,6 +81,11 @@ func FuzzWALReplay(f *testing.F) {
 			// Whatever replayed must at least be internally consistent.
 			if verr := st.Store.VerifyAll(); verr != nil {
 				t.Fatalf("replay accepted a corrupt block: %v", verr)
+			}
+			for name, d := range st.Docs {
+				if _, eerr := codec.EncodeBinary(d); eerr != nil {
+					t.Fatalf("replayed document %q does not encode: %v", name, eerr)
+				}
 			}
 		}
 	})

@@ -91,8 +91,11 @@ type Log struct {
 	err      error  // sticky first append failure
 	closed   bool
 
-	st   *State            // live state, snapshotted on demand
-	docs map[string][]byte // binary of registered documents, for dedupe + snapshot
+	st *State // live state, snapshotted on demand
+	// docs is the binary of each registered document, for dedupe and
+	// snapshot. A nil entry is stale (edited since last encoded; st.Docs
+	// holds the current version) and never equals an encoding.
+	docs map[string][]byte
 
 	snapshotting atomic.Bool
 	snapErr      error // last background-snapshot failure
@@ -435,8 +438,10 @@ func (l *Log) JournalDeleteDescriptor(id string) {
 	_ = l.append(recDelDesc, []byte(id))
 }
 
-// PutDoc records a document registration, deduping unchanged re-puts (a
-// preloaded corpus re-registered on every boot appends nothing).
+// PutDoc records a document registration (transport.Journal), deduping
+// unchanged re-puts (a preloaded corpus re-registered on every boot
+// appends nothing). The log keeps d itself as the live state, not a
+// copy: the caller must not mutate it afterwards.
 func (l *Log) PutDoc(name string, d *core.Document) error {
 	data, err := codec.EncodeBinary(d)
 	if err != nil {
@@ -452,16 +457,22 @@ func (l *Log) PutDoc(name string, d *core.Document) error {
 		l.mu.Unlock()
 		return nil
 	}
-	snapDue, err := l.appendLocked(recPutDoc, []byte(name), data)
-	if err == nil {
-		l.docs[name] = data
-		l.st.Docs[name] = d.Clone()
+	return l.appendDocAndUnlock(name, d, data, recPutDoc, []byte(name), data)
+}
+
+// EditDoc records an accepted edit batch (transport.Journal): recs is the
+// batch in core.EncodeChangeRecords form and d the document it produced,
+// kept as the live state under PutDoc's rule. The document's binary goes
+// stale; the next snapshot encodes d and writes it whole. A name the log
+// holds no document for journals d whole instead, so replay never meets
+// an edit without its base.
+func (l *Log) EditDoc(name string, d *core.Document, recs []byte) error {
+	l.mu.Lock()
+	if _, ok := l.docs[name]; !ok {
+		l.mu.Unlock()
+		return l.PutDoc(name, d)
 	}
-	l.mu.Unlock()
-	if snapDue {
-		l.snapshotAsync()
-	}
-	return err
+	return l.appendDocAndUnlock(name, d, nil, recEditDoc, []byte(name), recs)
 }
 
 // DelDoc records a document removal.
@@ -471,10 +482,19 @@ func (l *Log) DelDoc(name string) error {
 		l.mu.Unlock()
 		return nil
 	}
-	snapDue, err := l.appendLocked(recDelDoc, []byte(name))
-	if err == nil {
+	return l.appendDocAndUnlock(name, nil, nil, recDelDoc, []byte(name))
+}
+
+// appendDocAndUnlock appends one document record under the caller's l.mu
+// hold and, once it is logged, makes d (nil: no document) with its binary
+// data (nil: stale) name's live state. It releases l.mu.
+func (l *Log) appendDocAndUnlock(name string, d *core.Document, data []byte, op byte, fields ...[]byte) error {
+	snapDue, err := l.appendLocked(op, fields...)
+	if err == nil && d == nil {
 		delete(l.docs, name)
 		delete(l.st.Docs, name)
+	} else if err == nil {
+		l.docs[name], l.st.Docs[name] = data, d
 	}
 	l.mu.Unlock()
 	if snapDue {
@@ -486,11 +506,14 @@ func (l *Log) DelDoc(name string) error {
 // --- snapshots and compaction ----------------------------------------
 
 // Snapshot writes the live state to a new snapshot file and compacts the
-// WAL segments it covers. Concurrent with appends: a mutation racing the
-// capture may land in both the snapshot and the tail — harmless, because
-// records are full-state puts and deletes, so replaying the tail over the
-// snapshot converges on the live state. If a snapshot is already in
-// flight, Snapshot returns nil without taking another.
+// WAL segments it covers. Concurrent with appends: documents are captured
+// in the l.mu hold that rolls the segment, so a recEditDoc — which is not
+// idempotent — lands in the snapshot or in the tail, never both, and
+// every document is written whole. Blocks, names and descriptors are read
+// after the lock is released; a mutation racing that read may land in
+// both, which is harmless because their records state full values. If a
+// snapshot is already in flight, Snapshot returns nil without taking
+// another.
 func (l *Log) Snapshot() error {
 	if !l.snapshotting.CompareAndSwap(false, true) {
 		return nil
@@ -554,12 +577,25 @@ func (l *Log) snapshot() error {
 	// write leaves the live-WAL accounting (and the auto-trigger) intact.
 	covered := l.walBytes
 	docs := make(map[string][]byte, len(l.docs))
+	stale := make(map[string]*core.Document)
 	for name, data := range l.docs {
 		docs[name] = data
+		if data == nil {
+			stale[name] = l.st.Docs[name]
+		}
 	}
 	st := l.st
 	l.mu.Unlock()
 
+	// Stale documents encode outside the lock: the pointers captured at
+	// the roll are immutable, so they still hold the state it covers.
+	for name, d := range stale {
+		data, err := codec.EncodeBinary(d)
+		if err != nil {
+			return fmt.Errorf("durable: snapshot: document %q: %w", name, err)
+		}
+		docs[name] = data
+	}
 	size, err := writeSnapshot(l.dir, cover, st, docs)
 	if err != nil {
 		return err

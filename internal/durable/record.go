@@ -66,6 +66,11 @@ const (
 	// like recChunk; old snapshots (plain recPutBlk) still load, and old
 	// binaries reject these ops loudly rather than misreading them.
 	recPutBlkC byte = 9
+	// recEditDoc applies an edit batch to a registered document: [name,
+	// core.EncodeChangeRecords bytes]. WAL-only and, unlike every other
+	// op, not idempotent: snapshots and replication write the document
+	// whole instead. Older binaries reject it; a snapshot leaves none.
+	recEditDoc byte = 10
 )
 
 // maxRecordBytes bounds one record's payload; larger lengths in a frame

@@ -76,8 +76,8 @@ func listDir(dir string) (*dirListing, error) {
 // incomplete final record is tolerated and replay stops cleanly at the
 // last good offset; otherwise it is corruption. The returned offset is the
 // end of the last applied record — the truncation point for a torn tail.
-// docs, when non-nil, collects the raw binary of registered documents so
-// the log can dedupe and snapshot them without re-encoding.
+// docs, when non-nil, collects the raw binary of registered documents (nil
+// once edited) so the log can dedupe and snapshot them without re-encoding.
 func replayStream(r io.Reader, path string, st *State, docs map[string][]byte, tornOK bool) (int64, error) {
 	sc := newRecordScanner(r, path)
 	var fieldsBuf [][]byte
@@ -115,6 +115,8 @@ func replayStream(r io.Reader, path string, st *State, docs map[string][]byte, t
 			switch op {
 			case recPutDoc:
 				docs[string(fields[0])] = fields[1]
+			case recEditDoc:
+				docs[string(fields[0])] = nil // stale: see Log.docs
 			case recDelDoc:
 				delete(docs, string(fields[0]))
 			}

@@ -167,7 +167,8 @@ func FilterFrames(frames []byte, keep func(Record) bool) ([]byte, error) {
 // — equal-bytes document re-puts, blocks already stored under their
 // content address, name registrations already pointing at the same id —
 // so a full-state resync replayed over a mostly-caught-up replica
-// appends only the delta.
+// appends only the delta. A recEditDoc, which is not idempotent, is
+// refused as an unknown op.
 //
 // The caller must NOT have attached this log as the state's mutation
 // journal (media.Store.SetJournal / ddbms journal): AppendFrames applies
@@ -448,12 +449,16 @@ func (l *Log) resyncFrame(phase, key string) ([]byte, error) {
 	case resyncDocs:
 		l.mu.Lock()
 		data, ok := l.docs[key]
-		if ok {
-			data = append([]byte(nil), data...)
-		}
+		d := l.st.Docs[key]
 		l.mu.Unlock()
 		if !ok {
 			return nil, nil
+		}
+		if data == nil { // stale: encode the held, immutable document
+			var err error
+			if data, err = codec.EncodeBinary(d); err != nil {
+				return nil, fmt.Errorf("durable: resync document %q: %w", key, err)
+			}
 		}
 		return FramePutDoc(key, data), nil
 	case resyncBlocks:

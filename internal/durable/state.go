@@ -8,14 +8,15 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/ddbms"
+	"repro/internal/edit"
 	"repro/internal/media"
 )
 
 // State is the recovered corpus: the block store, the descriptor database
 // and the registered documents. Open and Load rebuild one by replaying the
 // newest snapshot plus the WAL tail. Once the log is attached as the
-// store's and database's journal, State stays the live corpus: Log.PutDoc
-// and Log.DelDoc keep Docs in step with what they journal.
+// store's and database's journal, State stays the live corpus: the Log's
+// document methods keep Docs in step with what they journal.
 type State struct {
 	Store *media.Store
 	DB    *ddbms.DB
@@ -81,6 +82,21 @@ func (st *State) apply(op byte, fields [][]byte) error {
 			return fmt.Errorf("putdoc %q: %w", fields[0], err)
 		}
 		st.Docs[string(fields[0])] = d
+	case recEditDoc:
+		if err := want(2); err != nil {
+			return err
+		}
+		d, ok := st.Docs[string(fields[0])]
+		if !ok {
+			return fmt.Errorf("editdoc %q: no such document", fields[0])
+		}
+		recs, err := core.DecodeChangeRecords(fields[1])
+		if err == nil {
+			err = edit.Apply(d, recs) // in place: replay owns its documents
+		}
+		if err != nil {
+			return fmt.Errorf("editdoc %q: %w", fields[0], err)
+		}
 	case recDelDoc:
 		if err := want(1); err != nil {
 			return err

@@ -17,7 +17,7 @@ import (
 // queue; every mutation — an opSubmitEdit batch through EditDoc, a
 // whole-document PutDoc — broadcasts to those queues under the registry
 // lock, so the order subscribers observe is exactly the order mutations
-// landed (and, with a durability hook attached, exactly the WAL order:
+// landed (and, with a Journal attached, exactly the WAL order:
 // EditDoc journals before it broadcasts, so an acked, fanned-out edit
 // survives a crash). A subscriber that cannot keep up — its queue
 // overflows — is shed rather than allowed to stall the hub: its
@@ -375,11 +375,11 @@ func pathTouches(p, subtree string) bool {
 // fully applied batch replaces the registered document — a conflicting
 // batch (a record whose pre-edit path no longer resolves, because an
 // earlier writer's edit won the registry lock) is rejected without
-// side effects, and the submitter refetches. Accepted batches journal
-// through the OnPutDoc durability hook before fanning out to
-// subscribers, both under the registry lock: the WAL order, the registry
-// order and the delta order every watcher observes are the same order.
-// It returns the document's new generation.
+// side effects, and the submitter refetches. An accepted batch is
+// encoded once, journaled and broadcast as the same bytes, under the
+// registry lock: the WAL order, the registry order and the delta order
+// every watcher observes are the same order. A batch the Journal refuses
+// is not applied. It returns the document's new generation.
 func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, fmt.Errorf("transport: empty edit batch")
@@ -394,10 +394,13 @@ func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error
 	if err := edit.Apply(clone, recs); err != nil {
 		return 0, fmt.Errorf("conflict: %w", err)
 	}
-	r.docs[name] = clone
-	if r.OnPutDoc != nil {
-		r.OnPutDoc(name, clone)
+	enc := core.EncodeChangeRecords(recs)
+	if r.Journal != nil {
+		if err := r.Journal.EditDoc(name, clone, enc); err != nil {
+			return 0, fmt.Errorf("durability: %w", err)
+		}
 	}
+	r.docs[name] = clone
 	r.live.initLocked()
 	delete(r.live.enc, name)
 	from := r.live.gens[name]
@@ -408,7 +411,7 @@ func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error
 			kind:    changeDelta,
 			fromGen: from,
 			toGen:   to,
-			recs:    core.EncodeChangeRecords(recs),
+			recs:    enc,
 			at:      time.Now(),
 		}, recs)
 	}
@@ -457,8 +460,8 @@ func (r *Registry) PutDocAt(name string, d *core.Document, gen uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.docs[name] = clone
-	if r.OnPutDoc != nil {
-		r.OnPutDoc(name, clone)
+	if r.Journal != nil {
+		_ = r.Journal.PutDoc(name, clone) // sticky on failure, as in PutDoc
 	}
 	r.notePutDocAtLocked(name, clone, gen)
 }

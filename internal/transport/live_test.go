@@ -172,6 +172,91 @@ func TestHubShedSlowSubscriber(t *testing.T) {
 	}
 }
 
+// recordingJournal keeps what the registry journals; a non-nil fail
+// refuses every edit batch.
+type recordingJournal struct {
+	puts  []string
+	edits [][]byte
+	docs  []*core.Document
+	fail  error
+}
+
+func (j *recordingJournal) PutDoc(name string, d *core.Document) error {
+	j.puts = append(j.puts, name)
+	return nil
+}
+
+func (j *recordingJournal) EditDoc(name string, d *core.Document, recs []byte) error {
+	if j.fail != nil {
+		return j.fail
+	}
+	j.edits = append(j.edits, recs)
+	j.docs = append(j.docs, d)
+	return nil
+}
+
+// TestRegistryJournalsTheBatch: an accepted batch is journaled as its
+// change records, the very slice its subscribers receive, together with
+// the document it produced; a batch the journal refuses changes nothing
+// and reaches no subscriber.
+func TestRegistryJournalsTheBatch(t *testing.T) {
+	d, store := fixture(t)
+	reg := NewRegistry(store)
+	j := &recordingJournal{}
+	reg.Journal = j
+	reg.PutDoc("news", d)
+	sub, err := reg.Subscribe("news", "", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-sub.q // the opening snapshot
+
+	recs := setDuration(t, "/intro", 100)
+	gen, err := reg.EditDoc("news", recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.puts) != 1 || len(j.edits) != 1 {
+		t.Fatalf("journaled %d puts and %d edits, want 1 and 1", len(j.puts), len(j.edits))
+	}
+	if !bytes.Equal(j.edits[0], core.EncodeChangeRecords(recs)) {
+		t.Fatal("journaled bytes are not the batch's change records")
+	}
+	ev := <-sub.q
+	if &ev.recs[0] != &j.edits[0][0] {
+		t.Fatal("the broadcast re-encoded the batch instead of sharing the journaled bytes")
+	}
+	served, _ := reg.GetDoc("news")
+	want, err := codec.EncodeBinary(served)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := codec.EncodeBinary(j.docs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("journaled document differs from the registered one")
+	}
+
+	j.fail = errors.New("disk full")
+	if _, err := reg.EditDoc("news", setDuration(t, "/intro", 200)); err == nil {
+		t.Fatal("a batch the journal refused was accepted")
+	}
+	if g := reg.Generation("news"); g != gen {
+		t.Fatalf("refused batch moved the generation %d -> %d", gen, g)
+	}
+	after, _ := reg.GetDoc("news")
+	if data, _ := codec.EncodeBinary(after); !bytes.Equal(data, want) {
+		t.Fatal("refused batch changed the registered document")
+	}
+	select {
+	case ev := <-sub.q:
+		t.Fatalf("refused batch was broadcast: %+v", ev)
+	default:
+	}
+}
+
 // TestHubGenerationAccounting pins the generation arithmetic: edit
 // batches advance the authoritative generation cumulatively (clones
 // reset their change logs, the hub must not), and a wholesale PutDoc

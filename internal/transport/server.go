@@ -24,10 +24,8 @@ type Registry struct {
 	docs  map[string]*core.Document
 	Store *media.Store
 
-	// OnPutDoc, when non-nil, observes every document registration
-	// (with the registry's own clone, after it lands). The durability
-	// layer uses it to journal document mutations. Set before serving.
-	OnPutDoc func(name string, d *core.Document)
+	// Journal, when non-nil, journals document mutations. Set before serving.
+	Journal Journal
 	// DurabilityErr, when non-nil, reports whether the durability layer
 	// has failed; mutating ops are refused once it returns non-nil, so
 	// the server never acknowledges a write it could not persist. Set
@@ -37,6 +35,19 @@ type Registry struct {
 	// live is the live-document fan-out hub: per-document generations and
 	// subscriber queues, guarded by mu (see live.go).
 	live liveState
+}
+
+// Journal records document mutations (*durable.Log implements it). The
+// registry calls it under its lock with the registered document itself,
+// which is never mutated — an edit registers a new one — so the journal
+// may keep the pointer. A failed EditDoc rejects its batch; a failed
+// PutDoc must be sticky and reported by DurabilityErr.
+type Journal interface {
+	// PutDoc records a wholesale registration.
+	PutDoc(name string, d *core.Document) error
+	// EditDoc records an accepted edit batch: d is the document it
+	// produced, and recs the batch in core.EncodeChangeRecords form.
+	EditDoc(name string, d *core.Document, recs []byte) error
 }
 
 // NewRegistry returns an empty registry backed by store (a fresh store when
@@ -54,12 +65,13 @@ func (r *Registry) PutDoc(name string, d *core.Document) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.docs[name] = clone
-	// The hook runs under the lock so racing registrations of one name
+	// The journal runs under the lock so racing registrations of one name
 	// journal in the order they landed in the map — recovery replays the
 	// same winner the pre-crash server served. (Readers of the registry
-	// wait out the journal append, fsync included under SyncAlways.)
-	if r.OnPutDoc != nil {
-		r.OnPutDoc(name, clone)
+	// wait out the journal append, fsync included under SyncAlways.) A
+	// failure is sticky in the journal and surfaces through durability().
+	if r.Journal != nil {
+		_ = r.Journal.PutDoc(name, clone)
 	}
 	r.notePutDocLocked(name, clone)
 }
