@@ -10,8 +10,8 @@
 // argument. Every request is bounded by -timeout; a missing document or
 // block is reported distinctly from other failures.
 //
-// The address may point at an origin server (cmifd) or an edge proxy
-// (cmifedge) — fetches go through the transport-neutral cmif.Fetcher
+// The address may point at any cmifd role — an origin, an edge proxy or
+// a cluster node — fetches go through the transport-neutral cmif.Fetcher
 // surface, so the tool neither knows nor cares which tier answers.
 package main
 

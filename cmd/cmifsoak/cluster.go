@@ -15,7 +15,7 @@ import (
 	"repro/internal/experiments"
 )
 
-// The cluster soak drives a LIVE cmifcluster deployment through its
+// The cluster soak drives a LIVE cmifd -role node cluster through its
 // ClusterClient while scripts/cluster_soak.sh kill -9s and rejoins nodes
 // underneath it: writers stream acknowledged block puts, readers verify
 // earlier writes through failover, and when the churn window closes the

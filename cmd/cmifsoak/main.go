@@ -46,7 +46,7 @@ import (
 )
 
 func main() {
-	cluster := flag.String("cluster", "", "comma-separated cmifcluster seed addresses: run the churn soak (zero-loss audit) instead of S5")
+	cluster := flag.String("cluster", "", "comma-separated cluster node (cmifd -role node) seed addresses: run the churn soak (zero-loss audit) instead of S5")
 	addr := flag.String("addr", "", "daemon address to soak (empty = start an in-process server)")
 	metricsURL := flag.String("metrics-url", "", "daemon metrics endpoint to scrape (required with -addr)")
 	seconds := flag.Int("seconds", 60, "steady-phase duration in seconds")

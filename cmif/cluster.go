@@ -24,101 +24,45 @@ type ClusterMember = cluster.Member
 
 // joinConfig collects the join options.
 type joinConfig struct {
-	cfg   cluster.Config
-	grace time.Duration
+	cfg     cluster.Config
+	durable durableConfig
 }
 
-// JoinOption configures JoinCluster. Like DialOption, ServeOption and
-// EdgeOption, it is a distinct type, so mixing option sets across
-// constructors is a compile error.
-type JoinOption func(*joinConfig)
+// JoinOption configures JoinCluster. The node-only options below satisfy
+// nothing else, so passing one to NewServer or NewEdge is a compile
+// error; the shared serving knobs (ServingOption) and the durability
+// knobs (DurableOption) satisfy it too. WithDataDir is required.
+type JoinOption interface{ applyJoin(*joinConfig) }
+
+// joinFunc is an option only JoinCluster understands.
+type joinFunc func(*joinConfig)
+
+func (f joinFunc) applyJoin(c *joinConfig) { f(c) }
 
 // WithNodeAddr sets the node's listen address (default "127.0.0.1:0").
 // The bound address is the node's cluster identity.
 func WithNodeAddr(addr string) JoinOption {
-	return func(c *joinConfig) { c.cfg.Addr = addr }
-}
-
-// WithNodeDataDir sets the node's durable directory; required. A
-// rejoining node recovers it, then resyncs what it missed from a peer.
-func WithNodeDataDir(dir string) JoinOption {
-	return func(c *joinConfig) { c.cfg.DataDir = dir }
+	return joinFunc(func(c *joinConfig) { c.cfg.Addr = addr })
 }
 
 // WithClusterPeers seeds gossip with other nodes' addresses. The first
 // node of a fresh cluster starts with none; every later node lists at
 // least one live peer.
 func WithClusterPeers(addrs ...string) JoinOption {
-	return func(c *joinConfig) { c.cfg.Peers = append(c.cfg.Peers, addrs...) }
+	return joinFunc(func(c *joinConfig) { c.cfg.Peers = append(c.cfg.Peers, addrs...) })
 }
 
 // WithReplicationFactor sets how many nodes each document and block
 // lands on (default 3). Clusters smaller than the factor replicate to
 // every node.
 func WithReplicationFactor(r int) JoinOption {
-	return func(c *joinConfig) { c.cfg.Replication = r }
+	return joinFunc(func(c *joinConfig) { c.cfg.Replication = r })
 }
 
 // WithGossipInterval paces membership exchange (default 250ms); failure
 // detection and failover latency scale with it.
 func WithGossipInterval(d time.Duration) JoinOption {
-	return func(c *joinConfig) { c.cfg.GossipInterval = d }
-}
-
-// WithNodeSyncPolicy picks the node's WAL fsync policy, exactly as
-// WithSyncPolicy does for a single server. SyncAlways gives the strict
-// guarantee the cluster bench measures: an acknowledged write survives
-// any single node's death.
-func WithNodeSyncPolicy(p SyncPolicy) JoinOption {
-	return func(c *joinConfig) { c.cfg.Sync = p }
-}
-
-// WithNodeAdmission enables server-wide admission control on the node,
-// exactly as WithAdmission does for a single server.
-func WithNodeAdmission(a AdmissionConfig) JoinOption {
-	return func(c *joinConfig) { c.cfg.Admission = a }
-}
-
-// WithNodeMetrics registers the node's instruments (server, durability
-// and cluster counters) in m.
-func WithNodeMetrics(m *Metrics) JoinOption {
-	return func(c *joinConfig) { c.cfg.Metrics = m }
-}
-
-// WithNodeTimeouts bounds idle connections and response writes, exactly
-// as WithIdleTimeout and WithWriteTimeout do for a single server.
-func WithNodeTimeouts(idle, write time.Duration) JoinOption {
-	return func(c *joinConfig) { c.cfg.IdleTimeout, c.cfg.WriteTimeout = idle, write }
-}
-
-// WithNodeMaxInFlight bounds per-connection pipelining, exactly as
-// WithMaxInFlight does for a single server.
-func WithNodeMaxInFlight(n int) JoinOption {
-	return func(c *joinConfig) { c.cfg.MaxInFlight = n }
-}
-
-// WithNodeSubscriberQueue bounds each live subscription's event queue,
-// exactly as WithSubscriberQueue does for a single server.
-func WithNodeSubscriberQueue(n int) JoinOption {
-	return func(c *joinConfig) { c.cfg.SubQueueCap = n }
-}
-
-// WithNodeCompression turns negotiated per-frame compression for the
-// node's protocol-v4 clients on or off (the default is on), exactly as
-// WithServerCompression does for a single server.
-func WithNodeCompression(on bool) JoinOption {
-	return func(c *joinConfig) { c.cfg.Compression = on }
-}
-
-// WithNodeShutdownGrace bounds how long Serve waits for in-flight
-// requests when its context is cancelled (default 5s), exactly as
-// WithShutdownGrace does for a single server.
-func WithNodeShutdownGrace(d time.Duration) JoinOption {
-	return func(c *joinConfig) {
-		if d > 0 {
-			c.grace = d
-		}
-	}
+	return joinFunc(func(c *joinConfig) { c.cfg.GossipInterval = d })
 }
 
 // ClusterNode is one serving member of a cluster, run in-process. It is
@@ -127,25 +71,23 @@ func WithNodeShutdownGrace(d time.Duration) JoinOption {
 // WAL-record replication. Clients (plain Client, Edge, ClusterClient,
 // the cmd/ tools) connect to any node's Addr and see the whole corpus.
 type ClusterNode struct {
-	n     *cluster.Node
-	grace time.Duration
+	n *cluster.Node
 }
 
 // JoinCluster starts a cluster node: recover the data directory, bind
 // the listener, join gossip with the configured peers and catch up on
 // missed writes in the background (WaitSynced observes the catch-up).
 func JoinCluster(opts ...JoinOption) (*ClusterNode, error) {
-	cfg := joinConfig{grace: 5 * time.Second}
-	cfg.cfg.Addr = "127.0.0.1:0"
-	cfg.cfg.Compression = true
+	cfg := joinConfig{cfg: cluster.Config{Addr: "127.0.0.1:0", Serve: defaultServing()}}
 	for _, o := range opts {
-		o(&cfg)
+		o.applyJoin(&cfg)
 	}
+	cfg.cfg.DataDir, cfg.cfg.Sync = cfg.durable.dataDir, cfg.durable.sync
 	n, err := cluster.Start(cfg.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterNode{n: n, grace: cfg.grace}, nil
+	return &ClusterNode{n: n}, nil
 }
 
 // Addr returns the node's bound address — its cluster identity.
@@ -167,16 +109,6 @@ func (cn *ClusterNode) DurableStats() DurableStats { return cn.n.DurableStats() 
 // closes the durable log.
 func (cn *ClusterNode) Shutdown(ctx context.Context) error { return cn.n.Shutdown(ctx) }
 
-// Serve blocks until ctx is cancelled, then drains gracefully within the
-// configured grace period — the same lifecycle Server.Serve and
-// Edge.Serve offer, so a node slots into the shared daemon scaffolding.
-func (cn *ClusterNode) Serve(ctx context.Context) error {
-	<-ctx.Done()
-	graceCtx, cancel := context.WithTimeout(context.Background(), cn.grace)
-	defer cancel()
-	return cn.Shutdown(graceCtx)
-}
-
 // Close force-closes the node without draining — the programmatic
 // equivalent of killing it. Acknowledged writes are already journaled.
 func (cn *ClusterNode) Close() error {
@@ -186,11 +118,13 @@ func (cn *ClusterNode) Close() error {
 
 // ---- consuming: ClusterClient ---------------------------------------
 
+// membershipRefresh is how often a ClusterClient re-pulls the membership
+// view from a node. Failures refresh immediately regardless.
+const membershipRefresh = 2 * time.Second
+
 // clusterClientConfig collects the cluster dial options.
 type clusterClientConfig struct {
-	timeout     time.Duration
-	replication int
-	refresh     time.Duration
+	timeout time.Duration
 }
 
 // ClusterOption configures DialCluster.
@@ -200,22 +134,6 @@ type ClusterOption func(*clusterClientConfig)
 // context deadline of its own. Zero (the default) means unbounded.
 func WithClusterRequestTimeout(d time.Duration) ClusterOption {
 	return func(c *clusterClientConfig) { c.timeout = d }
-}
-
-// WithClusterReplication tells the client the cluster's replication
-// factor (default 3), so reads route straight to a replica of the key
-// and writes straight to its primary — saving the proxy hop a
-// mis-routed request costs. A wrong value is never incorrect, only
-// slower: every node answers every request.
-func WithClusterReplication(r int) ClusterOption {
-	return func(c *clusterClientConfig) { c.replication = r }
-}
-
-// WithMembershipRefresh sets how often the client re-pulls the
-// membership view from a node (default 2s). Failures refresh
-// immediately regardless.
-func WithMembershipRefresh(d time.Duration) ClusterOption {
-	return func(c *clusterClientConfig) { c.refresh = d }
 }
 
 // ClusterClient consumes a whole cluster through one handle: it tracks
@@ -237,15 +155,9 @@ type ClusterClient struct {
 // DialCluster connects to a cluster via one or more seed node addresses
 // and discovers the full membership from whichever answers first.
 func DialCluster(ctx context.Context, seeds []string, opts ...ClusterOption) (*ClusterClient, error) {
-	cfg := clusterClientConfig{
-		replication: cluster.DefaultReplication,
-		refresh:     2 * time.Second,
-	}
+	var cfg clusterClientConfig
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.replication < 1 {
-		cfg.replication = 1
 	}
 	if len(seeds) == 0 {
 		return nil, errors.New("cmif: DialCluster needs at least one seed address")
@@ -349,7 +261,7 @@ func (cc *ClusterClient) Close() error {
 // With an empty key the order is a rotating round-robin.
 func (cc *ClusterClient) candidates(ctx context.Context, key string) ([]string, error) {
 	cc.mu.Lock()
-	stale := time.Since(cc.refreshed) > cc.cfg.refresh || len(cc.members) == 0
+	stale := time.Since(cc.refreshed) > membershipRefresh || len(cc.members) == 0
 	cc.mu.Unlock()
 	if stale {
 		if err := cc.refreshMembership(ctx); err != nil {
@@ -369,8 +281,11 @@ func (cc *ClusterClient) candidates(ctx context.Context, key string) ([]string, 
 	}
 	var order []string
 	if key != "" {
+		// Placement assumes the default replication factor. Against a
+		// cluster run with another one this is never wrong, only a proxy
+		// hop slower: every node answers every request.
 		ring := cluster.NewRing(ids, 0)
-		order = ring.ReplicaSet(key, cc.cfg.replication)
+		order = ring.ReplicaSet(key, cluster.DefaultReplication)
 	}
 	inOrder := make(map[string]bool, len(order))
 	for _, id := range order {

@@ -18,7 +18,7 @@ func startClusterNodes(t *testing.T, n int, extra ...cmif.JoinOption) []*cmif.Cl
 	var peers []string
 	for i := 0; i < n; i++ {
 		opts := []cmif.JoinOption{
-			cmif.WithNodeDataDir(t.TempDir()),
+			cmif.WithDataDir(t.TempDir()),
 			cmif.WithClusterPeers(peers...),
 			cmif.WithGossipInterval(20 * time.Millisecond),
 		}

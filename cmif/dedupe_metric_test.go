@@ -11,23 +11,52 @@ import (
 	"repro/internal/attr"
 	"repro/internal/chunker"
 	"repro/internal/media"
+	"repro/internal/metrics"
 )
 
 // TestDedupeSavedCountsAtFirstManifest pins when
 // cmif_bytes_saved_total{reason="dedupe"} moves: not when a duplicate
 // enters the store, but when the first manifest request cuts it and its
-// chunks land on ones already indexed — and only that once.
+// chunks land on ones already indexed — and only that once. An origin
+// and a cluster node given the same metrics option count alike.
 func TestDedupeSavedCountsAtFirstManifest(t *testing.T) {
+	tiers := []struct {
+		name  string
+		start func(t *testing.T, reg *cmif.Metrics) string
+	}{
+		{"origin", func(t *testing.T, reg *cmif.Metrics) string {
+			srv := cmif.NewServer(cmif.WithServerMetrics(reg))
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			return addr
+		}},
+		{"cluster node", func(t *testing.T, reg *cmif.Metrics) string {
+			node, err := cmif.JoinCluster(cmif.WithDataDir(t.TempDir()), cmif.WithServerMetrics(reg))
+			if err != nil {
+				t.Fatalf("JoinCluster: %v", err)
+			}
+			t.Cleanup(func() { node.Close() })
+			return node.Addr()
+		}},
+	}
+	for _, tier := range tiers {
+		t.Run(tier.name, func(t *testing.T) {
+			reg := cmif.NewMetrics()
+			checkDedupeSaved(t, tier.start(t, reg), reg.Counter("cmif_bytes_saved_total", "", "reason", "dedupe"))
+		})
+	}
+}
+
+// checkDedupeSaved puts two near-duplicate blocks through the server at
+// addr, fetches them twice over the manifest path, and checks saved
+// moves by exactly the shared bytes, at the first fetch only.
+func checkDedupeSaved(t *testing.T, addr string, saved *metrics.Counter) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
-	srv := cmif.NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer srv.Close()
-	saved := srv.Metrics().Counter("cmif_bytes_saved_total", "", "reason", "dedupe")
 
 	rng := rand.New(rand.NewSource(23))
 	base := make([]byte, 256<<10)

@@ -10,21 +10,20 @@ import (
 	"repro/internal/transport"
 )
 
-// Edge is the facade over cmifedge, the read-through caching proxy tier:
-// a daemon that serves the full interchange protocol downstream while
-// sourcing everything from one upstream origin. Blocks are cached on
-// disk forever (content addressing makes them immutable) behind an
-// in-memory LRU; documents are leased — the first access subscribes the
-// edge to the origin's change stream, and upstream edits invalidate the
-// cached replica incrementally. Mutations forward upstream, so the
-// origin stays the single writer.
+// Edge is the facade over the read-through caching proxy tier (cmifd
+// -role edge): a daemon that serves the full interchange protocol
+// downstream while sourcing everything from one upstream origin. Blocks
+// are cached on disk forever (content addressing makes them immutable)
+// behind an in-memory LRU; documents are leased — the first access
+// subscribes the edge to the origin's change stream, and upstream edits
+// invalidate the cached replica incrementally. Mutations forward
+// upstream, so the origin stays the single writer.
 //
 // Edge implements Fetcher through a loopback connection to its own
 // listener, so a Pipeline or a Chain can resolve against a running edge
 // exactly as it would against an origin Client.
 type Edge struct {
 	inner *edge.Edge
-	grace time.Duration
 
 	mu   sync.Mutex
 	loop *Client // lazily dialed loopback client backing the Fetcher surface
@@ -32,39 +31,43 @@ type Edge struct {
 
 // edgeConfig collects the edge options.
 type edgeConfig struct {
-	cfg   edge.Config
-	grace time.Duration
+	cfg edge.Config
 }
 
-// EdgeOption configures NewEdge. Edge options are a distinct type from
-// DialOption and ServeOption, so mixing option sets across constructors
-// is a compile error rather than a silent misconfiguration.
-type EdgeOption func(*edgeConfig)
+// EdgeOption configures NewEdge. The edge-only options below satisfy
+// nothing else, so passing one to NewServer or JoinCluster is a compile
+// error; the shared serving knobs (ServingOption) satisfy it too.
+type EdgeOption interface{ applyEdge(*edgeConfig) }
+
+// edgeFunc is an option only NewEdge understands.
+type edgeFunc func(*edgeConfig)
+
+func (f edgeFunc) applyEdge(c *edgeConfig) { f(c) }
 
 // WithOrigin names the upstream server the edge reads through to
 // (host:port). Required.
 func WithOrigin(addr string) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.Origin = addr }
+	return edgeFunc(func(c *edgeConfig) { c.cfg.Origin = addr })
 }
 
 // WithCacheDir roots the edge's crash-safe disk block cache at dir
 // (created if absent). Required: the disk tier is what lets a restarted
 // edge serve its corpus without refetching the world.
 func WithCacheDir(dir string) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.CacheDir = dir }
+	return edgeFunc(func(c *edgeConfig) { c.cfg.CacheDir = dir })
 }
 
 // WithCacheBytes bounds the disk cache's payload bytes; least recently
 // used blocks are evicted past the budget. Zero (the default) means
 // 256 MiB.
 func WithCacheBytes(n int64) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.CacheBytes = n }
+	return edgeFunc(func(c *edgeConfig) { c.cfg.CacheBytes = n })
 }
 
 // WithEdgeMemBlocks bounds the in-memory block cache fronting the disk
 // tier. Zero (the default) means 1024 blocks.
 func WithEdgeMemBlocks(n int) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.MemBlocks = n }
+	return edgeFunc(func(c *edgeConfig) { c.cfg.MemBlocks = n })
 }
 
 // WithLeaseTTL bounds how long an idle, unwatched document stays leased
@@ -72,72 +75,32 @@ func WithEdgeMemBlocks(n int) EdgeOption {
 // cached replica (the next access re-leases). Zero (the default) means
 // 2 minutes.
 func WithLeaseTTL(d time.Duration) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.LeaseTTL = d }
+	return edgeFunc(func(c *edgeConfig) { c.cfg.LeaseTTL = d })
 }
 
 // WithUpstreamPool sets how many origin connections the edge spreads its
 // misses, forwards and lease subscriptions across. Zero (the default)
 // means 4.
 func WithUpstreamPool(n int) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.UpstreamPool = n }
+	return edgeFunc(func(c *edgeConfig) { c.cfg.UpstreamPool = n })
 }
 
 // WithUpstreamTimeout bounds each upstream round trip and lease
 // handshake. Zero (the default) means 10 seconds.
 func WithUpstreamTimeout(d time.Duration) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.UpstreamTimeout = d }
+	return edgeFunc(func(c *edgeConfig) { c.cfg.UpstreamTimeout = d })
 }
 
-// WithEdgeIdleTimeout hangs up downstream connections idle longer than
-// d; zero keeps them forever.
-func WithEdgeIdleTimeout(d time.Duration) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.IdleTimeout = d }
-}
+// WithEdgeCompression is WithServerCompression under its older name.
+// It stays as a forward because the benchmark harness in
+// bench/mark/tiers.go calls it, and that harness changes only in a
+// benchmark change.
+func WithEdgeCompression(on bool) EdgeOption { return WithServerCompression(on) }
 
-// WithEdgeWriteTimeout bounds each downstream response write; zero means
-// no bound.
-func WithEdgeWriteTimeout(d time.Duration) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.WriteTimeout = d }
-}
-
-// WithEdgeMaxInFlight bounds in-flight requests per downstream v2
-// connection; zero means the protocol default (32).
-func WithEdgeMaxInFlight(n int) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.MaxInFlight = n }
-}
-
-// WithEdgeAdmission bounds edge-wide concurrency, exactly as
-// WithAdmission does for an origin server.
-func WithEdgeAdmission(a AdmissionConfig) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.Admission = a }
-}
-
-// WithEdgeSubscriberQueue bounds each downstream subscriber's event
-// queue; zero means the server default (64).
-func WithEdgeSubscriberQueue(n int) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.SubQueueCap = n }
-}
-
-// WithEdgeCompression turns negotiated per-frame compression for
-// downstream protocol-v4 clients on or off (the default is on).
-// Upstream compression is negotiated independently by the edge's own
-// origin dials.
-func WithEdgeCompression(on bool) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.Compression = on }
-}
-
-// WithEdgeMetrics shares a metrics registry: the edge contributes the
-// standard server series plus cmif_edge_* cache and lease counters.
-func WithEdgeMetrics(m *Metrics) EdgeOption {
-	return func(c *edgeConfig) { c.cfg.Metrics = m }
-}
-
-// WithEdgeShutdownGrace bounds how long Serve waits for in-flight
-// downstream requests after its context is cancelled. The default is
-// 5 seconds.
-func WithEdgeShutdownGrace(d time.Duration) EdgeOption {
-	return func(c *edgeConfig) { c.grace = d }
-}
+// WithEdgeMetrics is WithServerMetrics under its older name. It stays
+// as a forward because the benchmark harness in bench/mark/tiers.go
+// calls it, and that harness changes only in a benchmark change.
+func WithEdgeMetrics(m *Metrics) EdgeOption { return WithServerMetrics(m) }
 
 // DiskCacheStats snapshots the disk tier's occupancy and traffic.
 type DiskCacheStats = edge.DiskStats
@@ -145,16 +108,15 @@ type DiskCacheStats = edge.DiskStats
 // NewEdge builds an edge daemon: it dials the origin, opens (or
 // recovers) the disk cache, and is then ready to Listen.
 func NewEdge(opts ...EdgeOption) (*Edge, error) {
-	cfg := edgeConfig{grace: 5 * time.Second}
-	cfg.cfg.Compression = true
+	cfg := edgeConfig{cfg: edge.Config{Serve: defaultServing()}}
 	for _, o := range opts {
-		o(&cfg)
+		o.applyEdge(&cfg)
 	}
 	inner, err := edge.New(cfg.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Edge{inner: inner, grace: cfg.grace}, nil
+	return &Edge{inner: inner}, nil
 }
 
 // Listen starts serving downstream on addr ("127.0.0.1:0" picks a free
@@ -166,17 +128,9 @@ func (e *Edge) Listen(addr string) (string, error) {
 // Addr reports the bound downstream address ("" before Listen).
 func (e *Edge) Addr() string { return e.inner.Addr() }
 
-// Serve blocks until ctx is cancelled, then drains gracefully within the
-// shutdown grace period. Call after Listen.
-func (e *Edge) Serve(ctx context.Context) error {
-	<-ctx.Done()
-	graceCtx, cancel := context.WithTimeout(context.Background(), e.grace)
-	defer cancel()
-	return e.Shutdown(graceCtx)
-}
-
 // Shutdown drains downstream connections, stops the lease pumps and
-// closes the upstream pool.
+// closes the upstream pool. When ctx expires first, the remaining
+// connections are force-closed.
 func (e *Edge) Shutdown(ctx context.Context) error {
 	e.closeLoopback()
 	return e.inner.Shutdown(ctx)

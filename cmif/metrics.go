@@ -41,16 +41,17 @@ const DefaultAdmissionWait = transport.DefaultAdmissionWait
 // a.MaxQueue more (each for at most a.MaxWait), and sheds the rest with a
 // fast busy error that clients surface as ErrBusy. Sheds are counted in
 // the server's metrics as cmif_busy_rejections_total by reason.
-func WithAdmission(a AdmissionConfig) ServeOption {
-	return func(c *serverConfig) { c.admission = a }
+func WithAdmission(a AdmissionConfig) ServingOption {
+	return func(c *transport.ServeConfig) { c.Admission = a }
 }
 
 // WithServerMetrics registers the server's instruments in reg instead of
 // a private registry — useful when one process wants its server, client
 // caches and schedulers in a single exposition. Server.Metrics returns
-// reg.
-func WithServerMetrics(reg *Metrics) ServeOption {
-	return func(c *serverConfig) { c.metrics = reg }
+// reg. An edge adds its cmif_edge_* cache and lease series to reg, and a
+// cluster node its durability and cmif_cluster_* series.
+func WithServerMetrics(reg *Metrics) ServingOption {
+	return func(c *transport.ServeConfig) { c.Metrics = reg }
 }
 
 // Metrics returns the registry the server's instruments live in: request
@@ -58,7 +59,7 @@ func WithServerMetrics(reg *Metrics) ServeOption {
 // queue depth and busy rejections, descriptor-cache effectiveness, and —
 // with WithDataDir — WAL append lag, live WAL bytes and snapshot counts.
 // Always non-nil; serve it with Metrics.Handler or scrape Prometheus.
-func (s *Server) Metrics() *Metrics { return s.metrics }
+func (s *Server) Metrics() *Metrics { return s.srv.Metrics }
 
 // WithScheduleMetrics mirrors the solver's pass activity into reg:
 // cmif_schedule_seconds and cmif_schedule_passes_total split by

@@ -19,9 +19,6 @@ type Server struct {
 	grace time.Duration
 	// log is the durability layer when WithDataDir is in effect.
 	log *durable.Log
-	// metrics is the registry the server's instruments live in; always
-	// non-nil (private unless WithServerMetrics shared one).
-	metrics *Metrics
 	// initErr holds a durable-recovery failure; Listen and Serve report
 	// it (NewServer keeps its no-error signature).
 	initErr error
@@ -29,19 +26,12 @@ type Server struct {
 
 // serverConfig collects the server options.
 type serverConfig struct {
-	store        *media.Store
-	docs         []namedDoc
-	idleTimeout  time.Duration
-	writeTimeout time.Duration
-	grace        time.Duration
-	maxInFlight  int
-	dataDir      string
-	syncPolicy   SyncPolicy
-	snapBytes    int64
-	admission    AdmissionConfig
-	metrics      *Metrics
-	subQueue     int
-	compression  bool
+	store     *media.Store
+	docs      []namedDoc
+	grace     time.Duration
+	durable   durableConfig
+	snapBytes int64
+	serve     transport.ServeConfig
 }
 
 type namedDoc struct {
@@ -49,37 +39,71 @@ type namedDoc struct {
 	doc  *Document
 }
 
-// ServeOption configures NewServer and Serve.
-type ServeOption func(*serverConfig)
+// ServeOption configures NewServer and Serve. Each constructor has its
+// own option interface — ServeOption, EdgeOption, JoinOption — so an
+// option that only one tier understands is a compile error anywhere
+// else, while a ServingOption or DurableOption satisfies every
+// constructor whose tier reads it.
+type ServeOption interface{ applyServe(*serverConfig) }
+
+// serveFunc is an option only NewServer understands.
+type serveFunc func(*serverConfig)
+
+func (f serveFunc) applyServe(c *serverConfig) { f(c) }
+
+// ServingOption sets one of the serving knobs every tier shares —
+// timeouts, pipelining, compression, admission, subscriber queues and
+// the metrics registry. It satisfies ServeOption, EdgeOption and
+// JoinOption, so a knob is set the same way whichever tier it tunes.
+type ServingOption func(*transport.ServeConfig)
+
+func (o ServingOption) applyServe(c *serverConfig) { o(&c.serve) }
+func (o ServingOption) applyEdge(c *edgeConfig)    { o(&c.cfg.Serve) }
+func (o ServingOption) applyJoin(c *joinConfig)    { o(&c.cfg.Serve) }
+
+// defaultServing is every tier's starting knob set: compression offered,
+// everything else at its transport default.
+func defaultServing() transport.ServeConfig {
+	return transport.ServeConfig{Compression: true}
+}
+
+// durableConfig collects the durability knobs an origin and a cluster
+// node share.
+type durableConfig struct {
+	dataDir string
+	sync    SyncPolicy
+}
+
+// DurableOption sets a durability knob. It satisfies ServeOption and
+// JoinOption: an origin and a cluster node journal the same way, and an
+// edge, which holds only caches, takes neither.
+type DurableOption func(*durableConfig)
+
+func (o DurableOption) applyServe(c *serverConfig) { o(&c.durable) }
+func (o DurableOption) applyJoin(c *joinConfig)    { o(&c.durable) }
 
 // WithServedStore backs the server with an existing block store instead of
 // an empty one.
 func WithServedStore(s *Store) ServeOption {
-	return func(c *serverConfig) { c.store = s }
+	return serveFunc(func(c *serverConfig) { c.store = s })
 }
 
 // WithServedDocument preloads a document under name.
 func WithServedDocument(name string, d *Document) ServeOption {
-	return func(c *serverConfig) { c.docs = append(c.docs, namedDoc{name, d}) }
+	return serveFunc(func(c *serverConfig) { c.docs = append(c.docs, namedDoc{name, d}) })
 }
 
 // WithIdleTimeout hangs up connections that sit idle between requests
 // longer than d. Zero (the default) keeps them forever.
-func WithIdleTimeout(d time.Duration) ServeOption {
-	return func(c *serverConfig) { c.idleTimeout = d }
-}
-
-// WithWriteTimeout bounds each response write. Zero (the default) means no
-// bound.
-func WithWriteTimeout(d time.Duration) ServeOption {
-	return func(c *serverConfig) { c.writeTimeout = d }
+func WithIdleTimeout(d time.Duration) ServingOption {
+	return func(c *transport.ServeConfig) { c.IdleTimeout = d }
 }
 
 // WithShutdownGrace bounds how long Serve waits for in-flight requests
 // after its context is cancelled before force-closing connections. The
 // default is 5 seconds.
 func WithShutdownGrace(d time.Duration) ServeOption {
-	return func(c *serverConfig) { c.grace = d }
+	return serveFunc(func(c *serverConfig) { c.grace = d })
 }
 
 // WithMaxInFlight bounds how many requests one connection may have in
@@ -87,34 +111,37 @@ func WithShutdownGrace(d time.Duration) ServeOption {
 // busy error (ErrBusy). The bound is advertised to clients at connect so
 // well-behaved clients queue locally instead of being rejected. Zero (the
 // default) means 32.
-func WithMaxInFlight(n int) ServeOption {
-	return func(c *serverConfig) { c.maxInFlight = n }
+func WithMaxInFlight(n int) ServingOption {
+	return func(c *transport.ServeConfig) { c.MaxInFlight = n }
 }
 
-// WithDataDir makes the server durable: the corpus recovers from dir on
-// start (newest snapshot plus WAL replay) and every subsequent mutation —
-// document registrations, block puts, deletes — is write-ahead-logged
-// there before it is acknowledged, so a killed server restarts with its
-// exact pre-kill corpus. An empty or missing directory starts empty.
-// Combine with WithServedStore/WithServedDocument to seed a corpus: seed
-// content already recovered from dir journals nothing.
-func WithDataDir(dir string) ServeOption {
-	return func(c *serverConfig) { c.dataDir = dir }
+// WithDataDir makes the server or cluster node durable: the corpus
+// recovers from dir on start (newest snapshot plus WAL replay) and every
+// subsequent mutation — document registrations, block puts, deletes — is
+// write-ahead-logged there before it is acknowledged, so a killed server
+// restarts with its exact pre-kill corpus. An empty or missing directory
+// starts empty. A cluster node requires it; a rejoining node recovers it,
+// then resyncs what it missed from a peer. On a server, combine with
+// WithServedStore/WithServedDocument to seed a corpus: seed content
+// already recovered from dir journals nothing.
+func WithDataDir(dir string) DurableOption {
+	return func(c *durableConfig) { c.dataDir = dir }
 }
 
 // WithSyncPolicy picks when WithDataDir's log fsyncs: SyncAlways before
 // every acknowledgement, SyncInterval (the default) on a background tick,
 // SyncNever when the OS feels like it. See the SyncPolicy docs for the
-// loss windows.
-func WithSyncPolicy(p SyncPolicy) ServeOption {
-	return func(c *serverConfig) { c.syncPolicy = p }
+// loss windows. SyncAlways gives a cluster node the strict guarantee: an
+// acknowledged write survives any single node's death.
+func WithSyncPolicy(p SyncPolicy) DurableOption {
+	return func(c *durableConfig) { c.sync = p }
 }
 
 // WithSnapshotThreshold triggers a background snapshot (and WAL
 // compaction) whenever the un-snapshotted log grows past n bytes. Zero
 // keeps the 64 MiB default; negative disables automatic snapshots.
 func WithSnapshotThreshold(n int64) ServeOption {
-	return func(c *serverConfig) { c.snapBytes = n }
+	return serveFunc(func(c *serverConfig) { c.snapBytes = n })
 }
 
 // WithServerCompression turns negotiated per-frame compression on or
@@ -123,9 +150,10 @@ func WithSnapshotThreshold(n int64) ServeOption {
 // response frames deflated; other clients and incompressible payloads
 // are unaffected frame by frame. Turn it off
 // for corpora of pre-compressed media where the codec probe is pure
-// overhead.
-func WithServerCompression(on bool) ServeOption {
-	return func(c *serverConfig) { c.compression = on }
+// overhead. On an edge it covers downstream clients only: the edge's
+// origin dials negotiate upstream compression independently.
+func WithServerCompression(on bool) ServingOption {
+	return func(c *transport.ServeConfig) { c.Compression = on }
 }
 
 // WithSubscriberQueue bounds each live subscription's server-side event
@@ -134,8 +162,8 @@ func WithServerCompression(on bool) ServeOption {
 // ends with reason "sub_slow") rather than allowed to buffer without
 // bound; the client resynchronizes by subscribing again. Zero (the
 // default) means 64.
-func WithSubscriberQueue(n int) ServeOption {
-	return func(c *serverConfig) { c.subQueue = n }
+func WithSubscriberQueue(n int) ServingOption {
+	return func(c *transport.ServeConfig) { c.SubQueueCap = n }
 }
 
 // NewServer builds a server from functional options. It does not listen
@@ -143,16 +171,16 @@ func WithSubscriberQueue(n int) ServeOption {
 // is deferred: it surfaces from Listen (and Serve), keeping NewServer's
 // signature.
 func NewServer(opts ...ServeOption) *Server {
-	cfg := serverConfig{grace: 5 * time.Second, compression: true}
+	cfg := serverConfig{grace: 5 * time.Second, serve: defaultServing()}
 	for _, o := range opts {
-		o(&cfg)
+		o.applyServe(&cfg)
 	}
 	s := &Server{grace: cfg.grace}
 	var reg *transport.Registry
 	switch {
-	case cfg.dataDir != "":
-		log, st, err := durable.Open(cfg.dataDir, durable.Options{
-			Sync:          cfg.syncPolicy,
+	case cfg.durable.dataDir != "":
+		log, st, err := durable.Open(cfg.durable.dataDir, durable.Options{
+			Sync:          cfg.durable.sync,
 			SnapshotBytes: cfg.snapBytes,
 		})
 		if err != nil {
@@ -203,26 +231,15 @@ func NewServer(opts ...ServeOption) *Server {
 		s.log.Close()
 		s.log = nil
 	}
-	srv := transport.NewServer(reg)
-	srv.IdleTimeout = cfg.idleTimeout
-	srv.WriteTimeout = cfg.writeTimeout
-	srv.MaxInFlight = cfg.maxInFlight
-	srv.Admission = cfg.admission
-	srv.SubQueueCap = cfg.subQueue
-	srv.Compression = cfg.compression
-	if cfg.metrics == nil {
-		cfg.metrics = NewMetrics()
+	// Server.Metrics promises a registry even when none was shared.
+	if cfg.serve.Metrics == nil {
+		cfg.serve.Metrics = NewMetrics()
 	}
-	s.metrics = cfg.metrics
-	srv.Metrics = transport.NewServerMetrics(cfg.metrics)
-	// The store's chunk index feeds the dedupe half of
-	// cmif_bytes_saved_total as manifests are first asked for (a
-	// snapshot, a manifest fetch); attach before any traffic arrives.
-	reg.Store.SetDedupeObserver(srv.Metrics.DedupeSaved)
 	if s.log != nil {
-		s.log.Instrument(cfg.metrics)
+		s.log.Instrument(cfg.serve.Metrics)
 	}
-	s.reg, s.srv = reg, srv
+	s.reg, s.srv = reg, transport.NewServer(reg)
+	s.srv.ServeConfig = cfg.serve
 	return s
 }
 

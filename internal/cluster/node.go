@@ -60,18 +60,9 @@ type Config struct {
 	// default, negative disables).
 	SnapshotBytes int64
 
-	// Serving knobs, passed through to the transport server.
-	IdleTimeout  time.Duration
-	WriteTimeout time.Duration
-	MaxInFlight  int
-	Admission    transport.Admission
-	SubQueueCap  int
-	// Compression offers negotiated per-frame compression to
-	// protocol-v4 clients of this node.
-	Compression bool
-	// Metrics, when non-nil, receives the node's instruments (server,
-	// durable and cluster counters).
-	Metrics *metrics.Registry
+	// Serve holds the node's serving knobs. Serve.Metrics, when non-nil,
+	// also receives the durable and cluster counters.
+	Serve transport.ServeConfig
 }
 
 func (c *Config) fillDefaults() {
@@ -191,18 +182,11 @@ func Start(cfg Config) (*Node, error) {
 	}
 
 	srv := transport.NewServer(n)
-	srv.IdleTimeout = cfg.IdleTimeout
-	srv.WriteTimeout = cfg.WriteTimeout
-	srv.MaxInFlight = cfg.MaxInFlight
-	srv.Admission = cfg.Admission
-	srv.SubQueueCap = cfg.SubQueueCap
-	srv.Compression = cfg.Compression
-	if cfg.Metrics != nil {
-		srv.Metrics = transport.NewServerMetrics(cfg.Metrics)
-		log.Instrument(cfg.Metrics)
-	}
-	mreg := cfg.Metrics
-	if mreg == nil {
+	srv.ServeConfig = cfg.Serve
+	mreg := cfg.Serve.Metrics
+	if mreg != nil {
+		log.Instrument(mreg)
+	} else {
 		mreg = metrics.NewRegistry()
 	}
 	n.mForwarded = mreg.Counter("cmif_cluster_forwarded_writes_total", "Writes forwarded to a key's primary.")

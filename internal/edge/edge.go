@@ -1,5 +1,5 @@
-// Package edge implements cmifedge, the read-through caching proxy
-// tier: a daemon that speaks the full wire protocol (v4) downstream
+// Package edge implements the read-through caching proxy tier (cmifd
+// -role edge): a daemon that speaks the full wire protocol (v4) downstream
 // to ordinary clients while sourcing everything it serves from a single
 // upstream origin.
 //
@@ -62,19 +62,11 @@ type Config struct {
 	// zero means DefaultLeaseTTL.
 	LeaseTTL time.Duration
 
-	// Downstream serving knobs, mirroring transport.Server.
-	IdleTimeout  time.Duration
-	WriteTimeout time.Duration
-	MaxInFlight  int
-	Admission    transport.Admission
-	SubQueueCap  int
-	// Compression offers negotiated per-frame compression to downstream
-	// protocol-v4 clients. (Upstream compression is negotiated by the
-	// pool's own dials, independent of this.)
-	Compression bool
-	// Metrics, when non-nil, receives both the standard server metrics
-	// and the edge-specific cmif_edge_* series.
-	Metrics *metrics.Registry
+	// Serve holds the downstream serving knobs. Serve.Compression covers
+	// downstream clients only: the pool's own dials negotiate upstream
+	// compression. Serve.Metrics, when non-nil, receives the
+	// edge-specific cmif_edge_* series beside the server's.
+	Serve transport.ServeConfig
 }
 
 // edgeMetrics are the edge-specific series. Always allocated (against a
@@ -162,7 +154,7 @@ func New(cfg Config) (*Edge, error) {
 	if memBlocks <= 0 {
 		memBlocks = DefaultMemBlocks
 	}
-	mreg := cfg.Metrics
+	mreg := cfg.Serve.Metrics
 	if mreg == nil {
 		mreg = metrics.NewRegistry()
 	}
@@ -184,17 +176,8 @@ func New(cfg Config) (*Edge, error) {
 		baseCtx:  ctx,
 		stop:     cancel,
 	}
-	srv := transport.NewServer(e)
-	srv.IdleTimeout = cfg.IdleTimeout
-	srv.WriteTimeout = cfg.WriteTimeout
-	srv.MaxInFlight = cfg.MaxInFlight
-	srv.Admission = cfg.Admission
-	srv.SubQueueCap = cfg.SubQueueCap
-	srv.Compression = cfg.Compression
-	if cfg.Metrics != nil {
-		srv.Metrics = transport.NewServerMetrics(cfg.Metrics)
-	}
-	e.srv = srv
+	e.srv = transport.NewServer(e)
+	e.srv.ServeConfig = cfg.Serve
 	return e, nil
 }
 

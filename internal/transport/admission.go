@@ -66,11 +66,11 @@ type admitter struct {
 	cfg    Admission
 	slots  chan struct{}
 	queued atomic.Int64
-	m      *ServerMetrics
+	m      *serverMetrics
 }
 
 // newAdmitter builds the enforcement state; nil when cfg disables it.
-func newAdmitter(cfg Admission, m *ServerMetrics) *admitter {
+func newAdmitter(cfg Admission, m *serverMetrics) *admitter {
 	if !cfg.Enabled() {
 		return nil
 	}

@@ -27,7 +27,7 @@ func TestAdmissionHammer(t *testing.T) {
 	reg := NewRegistry(store)
 	srv := NewServer(reg)
 	srv.Admission = Admission{MaxConcurrent: 2, MaxQueue: 4, MaxWait: 25 * time.Millisecond}
-	srv.Metrics = NewServerMetrics(metrics.NewRegistry())
+	srv.Metrics = metrics.NewRegistry()
 	// A few milliseconds of synthetic work per fetch pins the two slots,
 	// so the flood below reliably overflows the four-deep queue.
 	srv.testOpDelay = func(op byte) {
@@ -109,7 +109,7 @@ func TestAdmissionHammer(t *testing.T) {
 		t.Errorf("shed p99 %v; busy errors must be prompt", p)
 	}
 
-	snap := srv.Metrics.reg.Snapshot()
+	snap := srv.Metrics.Snapshot()
 	var sheds int64
 	for name, val := range snap.Counters {
 		if strings.HasPrefix(name, "cmif_busy_rejections_total") {

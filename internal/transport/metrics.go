@@ -6,7 +6,7 @@ import (
 	"repro/internal/metrics"
 )
 
-// ServerMetrics is the transport server's instrument set, resolved once
+// serverMetrics is the transport server's instrument set, resolved once
 // against a metrics.Registry so the per-request path touches only
 // atomics. Every method is nil-receiver safe: an uninstrumented server
 // pays a single predictable branch.
@@ -26,9 +26,7 @@ import (
 //	cmif_subscribers_active        gauge      live document subscriptions
 //	cmif_deltas_pushed_total       counter    change deltas fanned out
 //	cmif_delta_fanout_seconds      histogram  edit-broadcast → frame handoff lag
-type ServerMetrics struct {
-	reg *metrics.Registry
-
+type serverMetrics struct {
 	conns      *metrics.Gauge
 	inflight   *metrics.Gauge
 	queueDepth *metrics.Gauge
@@ -75,11 +73,9 @@ var opNames = map[byte]string{
 	opGetChunks:      "getchunks",
 }
 
-// NewServerMetrics resolves the server instrument set in reg. Attach it
-// to a Server before Listen.
-func NewServerMetrics(reg *metrics.Registry) *ServerMetrics {
-	m := &ServerMetrics{
-		reg:        reg,
+// newServerMetrics resolves the server instrument set in reg.
+func newServerMetrics(reg *metrics.Registry) *serverMetrics {
+	m := &serverMetrics{
 		conns:      reg.Gauge("cmif_connections_open", "open client connections"),
 		inflight:   reg.Gauge("cmif_inflight_requests", "requests currently executing"),
 		queueDepth: reg.Gauge("cmif_admission_queue_depth", "requests waiting for an admission slot"),
@@ -119,28 +115,20 @@ func NewServerMetrics(reg *metrics.Registry) *ServerMetrics {
 	return m
 }
 
-// Registry returns the registry the instruments live in.
-func (m *ServerMetrics) Registry() *metrics.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
-}
-
-func (m *ServerMetrics) connOpened() {
+func (m *serverMetrics) connOpened() {
 	if m != nil {
 		m.conns.Add(1)
 	}
 }
 
-func (m *ServerMetrics) connClosed() {
+func (m *serverMetrics) connClosed() {
 	if m != nil {
 		m.conns.Add(-1)
 	}
 }
 
 // countRequest tallies one received request by op.
-func (m *ServerMetrics) countRequest(op byte) {
+func (m *serverMetrics) countRequest(op byte) {
 	if m == nil {
 		return
 	}
@@ -153,7 +141,7 @@ func (m *ServerMetrics) countRequest(op byte) {
 
 // observe records one admitted request's latency — queue wait plus
 // service time, the delay the client actually saw.
-func (m *ServerMetrics) observe(op byte, start time.Time) {
+func (m *serverMetrics) observe(op byte, start time.Time) {
 	if m == nil {
 		return
 	}
@@ -165,20 +153,20 @@ func (m *ServerMetrics) observe(op byte, start time.Time) {
 	m.opSecondsOther.Observe(d)
 }
 
-func (m *ServerMetrics) inflightAdd(delta int64) {
+func (m *serverMetrics) inflightAdd(delta int64) {
 	if m != nil {
 		m.inflight.Add(delta)
 	}
 }
 
-func (m *ServerMetrics) queueDepthSet(depth int64) {
+func (m *serverMetrics) queueDepthSet(depth int64) {
 	if m != nil {
 		m.queueDepth.Set(depth)
 	}
 }
 
 // shed tallies one busy rejection by reason.
-func (m *ServerMetrics) shed(reason string) {
+func (m *serverMetrics) shed(reason string) {
 	if m == nil {
 		return
 	}
@@ -197,7 +185,7 @@ func (m *ServerMetrics) shed(reason string) {
 }
 
 // subscriberAdd moves the active-subscription gauge.
-func (m *ServerMetrics) subscriberAdd(delta int64) {
+func (m *serverMetrics) subscriberAdd(delta int64) {
 	if m != nil {
 		m.subscribers.Add(delta)
 	}
@@ -205,7 +193,7 @@ func (m *ServerMetrics) subscriberAdd(delta int64) {
 
 // deltaPushed tallies one fanned-out change delta and its hub-to-wire
 // handoff lag.
-func (m *ServerMetrics) deltaPushed(lag time.Duration) {
+func (m *serverMetrics) deltaPushed(lag time.Duration) {
 	if m == nil {
 		return
 	}
@@ -215,7 +203,7 @@ func (m *ServerMetrics) deltaPushed(lag time.Duration) {
 
 // frameCompressed records one response frame that actually shipped
 // deflated: raw is the plain encoding's wire size, wire the envelope's.
-func (m *ServerMetrics) frameCompressed(raw, wire int64) {
+func (m *serverMetrics) frameCompressed(raw, wire int64) {
 	if m == nil {
 		return
 	}
@@ -224,18 +212,18 @@ func (m *ServerMetrics) frameCompressed(raw, wire int64) {
 	m.compressRatio.ObserveSeconds(float64(wire) / float64(raw))
 }
 
-// DedupeSaved counts payload bytes the content-defined chunk index
+// dedupeSaved counts payload bytes the content-defined chunk index
 // collapsed — bytes a duplicate-heavy corpus does not snapshot or ship
 // twice. Fed by the store's dedupe observer, which fires when a block's
 // first manifest request cuts it, not when the block is put.
-func (m *ServerMetrics) DedupeSaved(bytes int64) {
+func (m *serverMetrics) dedupeSaved(bytes int64) {
 	if m != nil {
 		m.bytesSavedDedupe.Add(bytes)
 	}
 }
 
 // descCacheLookup tallies one descriptor-cache lookup.
-func (m *ServerMetrics) descCacheLookup(hit bool) {
+func (m *serverMetrics) descCacheLookup(hit bool) {
 	if m == nil {
 		return
 	}

@@ -315,7 +315,7 @@ func (s *Server) descriptorText(blk *media.Block) (string, error) {
 	s.descMu.RLock()
 	text, ok := s.descCache[blk.ID]
 	s.descMu.RUnlock()
-	s.Metrics.descCacheLookup(ok)
+	s.metrics.descCacheLookup(ok)
 	if ok {
 		return text, nil
 	}

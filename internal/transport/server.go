@@ -15,6 +15,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/media"
+	"repro/internal/metrics"
 )
 
 // Registry holds the documents and blocks a server offers. Safe for
@@ -116,6 +117,41 @@ type GetDocOptions struct {
 	Inline bool
 }
 
+// ServeConfig is the serving knob set every tier shares: an origin, an
+// edge and a cluster node each carry one, so a knob has one field
+// whichever tier it tunes.
+type ServeConfig struct {
+	// IdleTimeout bounds how long a connection may sit without delivering
+	// any data — between requests, or stalled mid-request — before the
+	// server hangs up; every received chunk re-arms it, so a slow but
+	// progressing upload is not cut off. Zero means forever.
+	IdleTimeout time.Duration
+	// MaxInFlight bounds how many requests one connection may have in
+	// flight; requests past the bound are rejected with opErrBusy. The
+	// bound is advertised to the client at hello. Zero means
+	// defaultMaxInFlight.
+	MaxInFlight int
+	// Compression enables per-frame flate compression: the hello
+	// response advertises the codec, and response frames past the codec
+	// floor ship deflated unless they prove incompressible. Decoding
+	// compressed frames is always on regardless of this flag.
+	Compression bool
+	// Admission configures server-wide admission control: a concurrency
+	// bound across all connections with a bounded, deadline-aware queue.
+	// Requests past the bounds are shed with opErrBusy instead of
+	// degrading every request's latency. The zero value disables it.
+	Admission Admission
+	// SubQueueCap bounds each live-document subscriber's event queue: a
+	// watcher whose queue overflows is shed with a changeEnd frame
+	// instead of buffering without bound. Zero means defaultSubQueue.
+	SubQueueCap int
+	// Metrics, when non-nil, receives the server's instruments: request
+	// counts, per-op latency, in-flight and queue gauges, busy
+	// rejections, descriptor-cache effectiveness, frame compression and
+	// the chunk index's dedupe savings.
+	Metrics *metrics.Registry
+}
+
 // Server serves a Backend over TCP: framing, the hello, admission,
 // metrics and drain live here, and an op table (ops.go) turns each
 // request into Backend calls — the server does not know where an answer
@@ -128,42 +164,11 @@ type Server struct {
 	// cluster node. Resolved once by NewServer.
 	peers PeerOps
 
-	// IdleTimeout bounds how long a connection may sit without delivering
-	// any data — between requests, or stalled mid-request — before the
-	// server hangs up; every received chunk re-arms it, so a slow but
-	// progressing upload is not cut off. Zero means forever. Set before
-	// Listen.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds the write of each response frame, so a slow or
-	// stuck client cannot pin a serving goroutine forever; zero means no
-	// bound. Set before Listen.
-	WriteTimeout time.Duration
-	// MaxInFlight bounds how many requests one connection may have in
-	// flight; requests past the bound are rejected with opErrBusy. The
-	// bound is advertised to the client at hello. Zero means
-	// defaultMaxInFlight. Set before Listen.
-	MaxInFlight int
-	// Compression enables per-frame flate compression: the hello
-	// response advertises the codec, and response frames past the codec
-	// floor ship deflated unless they prove incompressible. Decoding
-	// compressed frames is always on regardless of this flag. Set before
-	// Listen.
-	Compression bool
-	// Admission configures server-wide admission control: a concurrency
-	// bound across all connections with a bounded, deadline-aware queue.
-	// Requests past the bounds are shed with opErrBusy instead of
-	// degrading every request's latency. The zero value disables it. Set
-	// before Listen.
-	Admission Admission
-	// SubQueueCap bounds each live-document subscriber's event queue: a
-	// watcher whose queue overflows is shed with a changeEnd frame
-	// instead of buffering without bound. Zero means defaultSubQueue.
-	// Set before Listen.
-	SubQueueCap int
-	// Metrics, when non-nil, records request counts, per-op latency,
-	// in-flight and queue gauges, busy rejections and descriptor-cache
-	// effectiveness (NewServerMetrics). Set before Listen.
-	Metrics *ServerMetrics
+	// ServeConfig holds the serving knobs. Set before Listen.
+	ServeConfig
+	// metrics is the instrument set Listen builds from
+	// ServeConfig.Metrics; nil leaves the server uninstrumented.
+	metrics *serverMetrics
 	// testOpDelay, when non-nil, stalls request handling — a test hook
 	// for exercising backpressure deterministically.
 	testOpDelay func(op byte)
@@ -207,12 +212,32 @@ func (s *Server) Listen(addr string) (string, error) {
 	s.mu.Lock()
 	s.listener = l
 	if s.adm == nil {
-		s.adm = newAdmitter(s.Admission, s.Metrics)
+		s.instrument()
+		s.adm = newAdmitter(s.Admission, s.metrics)
 	}
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(l)
 	return l.Addr().String(), nil
+}
+
+// storeBacked is a backend whose chunk index lives in a media store: the
+// Registry, and every tier that embeds one.
+type storeBacked interface{ chunkStore() *media.Store }
+
+func (r *Registry) chunkStore() *media.Store { return r.Store }
+
+// instrument builds the server's instruments from the Metrics registry —
+// the one place any tier's server metrics are made — and feeds the
+// backend's chunk index savings into them before traffic arrives.
+func (s *Server) instrument() {
+	if s.Metrics == nil {
+		return
+	}
+	s.metrics = newServerMetrics(s.Metrics)
+	if b, ok := s.backend.(storeBacked); ok {
+		b.chunkStore().SetDedupeObserver(s.metrics.dedupeSaved)
+	}
 }
 
 // Close force-closes the listener and every open connection, then waits for
@@ -332,8 +357,8 @@ func (s *Server) acceptLoop(l net.Listener) {
 			defer s.wg.Done()
 			defer s.untrack(conn)
 			defer conn.Close()
-			s.Metrics.connOpened()
-			defer s.Metrics.connClosed()
+			s.metrics.connOpened()
+			defer s.metrics.connClosed()
 			s.serveConn(conn)
 		}()
 	}
@@ -388,9 +413,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	// The hello answer, either way, is the one v1-framed write.
-	if s.WriteTimeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-	}
 	refuse := func(text string) { _ = writeFrame(conn, opErr, []byte(text)) }
 	if req.op != opHello {
 		refuse(retiredRefusal)
@@ -455,7 +477,7 @@ func (cc *v2conn) takeSub(id uint32) *Subscriber {
 // bounded by the per-connection in-flight limit — requests past the
 // bound are rejected immediately with opErrBusy. A writer goroutine
 // serializes response frames (coalescing bursts through a buffered
-// writer, bounding each write with the write timeout), so responses
+// writer), so responses
 // complete out of order and a large streamed block interleaves with
 // other responses instead of blocking them. On drain the reader stops,
 // subscription pumps are told to wind down, in-flight handlers finish,
@@ -470,17 +492,14 @@ func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader) {
 		// The hello advertised the codec; the codec seam itself decides
 		// per frame (size floor, incompressible bypass).
 		sender.compress = s.Compression
-		sender.onCompress = s.Metrics.frameCompressed
+		sender.onCompress = s.metrics.frameCompressed
 		failed := false
 		flush := func() {
 			if failed {
 				return
 			}
-			if s.WriteTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-			}
 			if err := sender.flush(); err != nil {
-				// The connection is gone (or the client too slow): keep
+				// The connection is gone: keep
 				// draining respCh so handlers never block, and kill the
 				// read side so the connection goroutine unwinds.
 				failed = true
@@ -513,9 +532,6 @@ func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader) {
 				}
 				continue
 			}
-			if s.WriteTimeout > 0 {
-				_ = conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-			}
 			_, err := sender.send(f.op, f.id, f.parts)
 			if f.done != nil {
 				// The frame is in the write buffer (or the buffer's own
@@ -542,8 +558,8 @@ func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader) {
 			break
 		}
 		if !admit(sem) {
-			s.Metrics.countRequest(req.op)
-			s.Metrics.shed(shedConnInflight)
+			s.metrics.countRequest(req.op)
+			s.metrics.shed(shedConnInflight)
 			respCh <- frameV2{op: opErrBusy, id: req.id,
 				parts: [][]byte{[]byte(fmt.Sprintf("busy: %d requests in flight", maxIF))}}
 			continue
@@ -595,16 +611,16 @@ func admit(sem chan struct{}) bool {
 // handlers (or their own fast busy rejections).
 func (s *Server) handleV2(cc *v2conn, req frameV2) {
 	respCh := cc.respCh
-	s.Metrics.countRequest(req.op)
+	s.metrics.countRequest(req.op)
 	start := time.Now()
 	release, shed := s.adm.acquire()
 	if shed != "" {
 		respCh <- frameV2{op: opErrBusy, id: req.id, parts: [][]byte{busyText(shed)}}
 		return
 	}
-	s.Metrics.inflightAdd(1)
-	defer s.Metrics.inflightAdd(-1)
-	defer s.Metrics.observe(req.op, start)
+	s.metrics.inflightAdd(1)
+	defer s.metrics.inflightAdd(-1)
+	defer s.metrics.observe(req.op, start)
 	if s.testOpDelay != nil {
 		s.testOpDelay(req.op)
 	}
@@ -660,7 +676,7 @@ func (s *Server) handleSubscribe(cc *v2conn, req frameV2, release func()) {
 		refuse(opErrNotFound, []byte(err.Error()))
 		return
 	case errors.Is(err, errSubsFull):
-		s.Metrics.shed(shedSubsFull)
+		s.metrics.shed(shedSubsFull)
 		refuse(opErrBusy, busyText(shedSubsFull))
 		return
 	case err != nil:
@@ -668,7 +684,7 @@ func (s *Server) handleSubscribe(cc *v2conn, req frameV2, release func()) {
 		return
 	}
 	cc.addSub(req.id, sub)
-	s.Metrics.subscriberAdd(1)
+	s.metrics.subscriberAdd(1)
 	cc.wg.Add(1)
 	go s.pumpSub(cc, req.id, sub, release)
 }
@@ -680,7 +696,7 @@ func (s *Server) handleSubscribe(cc *v2conn, req frameV2, release func()) {
 // both are released — the leak test pins this.
 func (s *Server) pumpSub(cc *v2conn, id uint32, sub *Subscriber, release func()) {
 	defer cc.wg.Done()
-	defer s.Metrics.subscriberAdd(-1)
+	defer s.metrics.subscriberAdd(-1)
 	defer sub.unsubscribe()
 	defer cc.takeSub(id)
 	send := func(f frameV2) bool {
@@ -700,14 +716,14 @@ func (s *Server) pumpSub(cc *v2conn, id uint32, sub *Subscriber, release func())
 			f := frameV2{op: opChange, id: id, parts: ev.parts(), done: release}
 			release = nil
 			if ev.kind == changeDelta {
-				s.Metrics.deltaPushed(time.Since(ev.at))
+				s.metrics.deltaPushed(time.Since(ev.at))
 			}
 			if !send(f) {
 				return
 			}
 		case <-sub.stop:
 			if sub.reason == shedSubSlow {
-				s.Metrics.shed(shedSubSlow)
+				s.metrics.shed(shedSubSlow)
 			}
 			send(frameV2{op: opChange, id: id, parts: endParts(sub.reason), done: release})
 			return

@@ -16,7 +16,7 @@
 #     ARCHITECTURE.md names all six);
 #   - every backticked `durable.Xxx` / `media.Xxx` / `ddbms.Xxx` /
 #     `metrics.Xxx` / `corpus.Xxx` / `edge.Xxx` / `cluster.Xxx` /
-#     `daemon.Xxx` / `codec.Xxx` / `chunker.Xxx` symbol in docs/ must
+#     `codec.Xxx` / `chunker.Xxx` symbol in docs/ must
 #     appear in the corresponding internal package, and every `recXxx`
 #     record op named in the durability section must appear in
 #     internal/durable/record.go;
@@ -66,7 +66,7 @@ done
 # (ARCHITECTURE.md "Scheduler internals"), durability-layer symbols
 # ("Durable server state") plus the observability and corpus packages
 # ("Observability & load").
-for pkg in sched player pipeline filter core attr durable media ddbms metrics corpus edge cluster daemon codec chunker; do
+for pkg in sched player pipeline filter core attr durable media ddbms metrics corpus edge cluster codec chunker; do
     for sym in $(grep -ho "\`$pkg\.[A-Za-z.()]*\`" docs/*.md | sed "s/\`$pkg\.\([A-Za-z]*\).*/\1/" | sort -u); do
         if ! grep -q "\b$sym\b" "internal/$pkg"/*.go; then
             echo "docs reference \`$pkg.$sym\`, which no longer exists in internal/$pkg" >&2

@@ -3,9 +3,10 @@
 # standard soak gate while one replica is SIGKILLed mid-load, then prove
 # the cluster's durability story end to end:
 #
-#   1. three cmifcluster nodes (sync=always, replication 3) gossip into
-#      a cluster; the soak driver runs its steady phases plus overload
-#      flood against node 1 under the same SLO gate as soak-smoke;
+#   1. three cluster nodes (cmifd -role node, sync=always, replication 3)
+#      gossip into a cluster; the soak driver runs its steady phases
+#      plus overload flood against node 1 under the same SLO gate as
+#      soak-smoke;
 #   2. node 2 is killed -9 in the middle of the steady phase — the gate
 #      still holds, so the kill cost the client nothing;
 #   3. after the soak, every document the driver acked must be served by
@@ -14,7 +15,7 @@
 #      must serve one of those documents within the recovery SLO.
 #
 # Binaries are taken from $BIN (default ./bin) — build them first:
-#   go build -race -o bin/ ./cmd/cmifcluster ./cmd/cmifsoak ./cmd/cmifget
+#   go build -race -o bin/ ./cmd/cmifd ./cmd/cmifsoak ./cmd/cmifget
 # Run from the repository root: ./scripts/cluster_smoke.sh
 set -eu
 
@@ -50,15 +51,15 @@ wait_up() {
     done
 }
 
-"$BIN"/cmifcluster -addr "$N1" -metrics "$M1" -data "$work/n1" \
+"$BIN"/cmifd -role node -addr "$N1" -metrics "$M1" -data "$work/n1" \
     -sync always -gossip-interval 100ms \
     -max-concurrent 8 -max-queue 32 &
 n1=$!
 wait_up "$N1"
-"$BIN"/cmifcluster -addr "$N2" -data "$work/n2" -peers "$N1" \
+"$BIN"/cmifd -role node -addr "$N2" -data "$work/n2" -peers "$N1" \
     -sync always -gossip-interval 100ms &
 n2=$!
-"$BIN"/cmifcluster -addr "$N3" -data "$work/n3" -peers "$N1" \
+"$BIN"/cmifd -role node -addr "$N3" -data "$work/n3" -peers "$N1" \
     -sync always -gossip-interval 100ms &
 n3=$!
 wait_up "$N2"
@@ -106,7 +107,7 @@ echo "cluster_smoke: survivor $N3 serves all $count acked documents"
 # Recovery SLO: the killed node restarts on its own data directory,
 # rejoins via gossip, resyncs what it missed, and serves.
 first=$(printf '%s\n' "$names" | head -1)
-"$BIN"/cmifcluster -addr "$N2" -data "$work/n2" -peers "$N1" \
+"$BIN"/cmifd -role node -addr "$N2" -data "$work/n2" -peers "$N1" \
     -sync always -gossip-interval 100ms &
 n2=$!
 deadline=$((RECOVERY_SLO * 5))

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Nightly minutes-scale cluster churn soak: a 3-node cmifcluster runs
+# Nightly minutes-scale cluster churn soak: a 3-node cmifd -role node cluster runs
 # under a continuous ClusterClient workload (cmifsoak -cluster) while
 # this script kill -9s a different node every cycle and restarts it on
 # its own data directory, for at least $CYCLES (default 3) kill/rejoin
@@ -12,7 +12,7 @@
 # nightly job so a red run is diagnosable from the workflow page.
 #
 # Binaries are taken from $BIN (default ./bin) — build them first:
-#   go build -o bin/ ./cmd/cmifcluster ./cmd/cmifsoak ./cmd/cmifget
+#   go build -o bin/ ./cmd/cmifd ./cmd/cmifsoak ./cmd/cmifget
 # Run from the repository root: ./scripts/cluster_soak.sh
 set -eu
 
@@ -50,7 +50,7 @@ wait_up() {
 }
 
 # A restarted node is safe to leave behind once it has resynced what it
-# missed — cmifcluster logs "synced" exactly then.
+# missed — a node logs "synced" exactly then.
 wait_synced() {
     i=0
     until grep -q "synced" "$1" 2>/dev/null; do
@@ -62,10 +62,10 @@ wait_synced() {
 
 start_node() { # addr datadir peers logfile
     if [ -n "$3" ]; then
-        "$BIN"/cmifcluster -addr "$1" -data "$2" -peers "$3" \
+        "$BIN"/cmifd -role node -addr "$1" -data "$2" -peers "$3" \
             -sync always -gossip-interval 100ms >"$4" 2>&1 &
     else
-        "$BIN"/cmifcluster -addr "$1" -data "$2" \
+        "$BIN"/cmifd -role node -addr "$1" -data "$2" \
             -sync always -gossip-interval 100ms >"$4" 2>&1 &
     fi
 }
