@@ -52,9 +52,9 @@ const (
 // to content addresses, with byte-budget LRU eviction. Every write goes
 // through internal/fsio's fsync-before-rename discipline, so a SIGKILL
 // mid-write can lose the entry being written but can never leave a torn
-// file that decodes — and payloads are hash-verified on read, so even a
-// corrupted file degrades to a miss, not to wrong bytes. Safe for
-// concurrent use.
+// file that decodes — and every read is checked against the one digest
+// that names it, the block's content address, so even a corrupted file
+// degrades to a miss, not to wrong bytes. Safe for concurrent use.
 type DiskCache struct {
 	dir string
 
@@ -74,7 +74,7 @@ type DiskCache struct {
 	hits, misses int64
 }
 
-// chunkRef is one shared chunk file's index record.
+// chunkRef is one shared chunk file's index record; a read expects size.
 type chunkRef struct {
 	size int64
 	refs int
@@ -487,10 +487,11 @@ func splitFields(rest []byte, n int) ([][]byte, error) {
 }
 
 // readBlock loads and verifies one cached block, either format: framing
-// must parse, every chunk must hash back to its manifest entry, and the
-// payload must hash back to the content address the file is named for.
-// Anything else is an error — the caller drops the entry (releasing its
-// chunk references).
+// must parse, and the payload must hash back to the content address the
+// file is named for. That one digest of (medium, payload) covers every
+// byte served, so chunks are not hashed again: a damaged chunk, manifest
+// or medium fails it. Anything else is an error — the caller drops the
+// entry (releasing its chunk references).
 func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 	path := c.blockPath(wantID)
 	data, err := os.ReadFile(path)
@@ -514,26 +515,26 @@ func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 		if !ok {
 			return nil, fmt.Errorf("edge: cache file %s: bad manifest", filepath.Base(path))
 		}
-		// Verify every chunk before its size is believed, then lay the
-		// payload out once at the summed size: the block is cached by
-		// pointer from here on, and append's spare capacity would stay
-		// resident with it.
-		chunks := make([][]byte, len(hashes))
+		// Size the payload from the index (an unindexed chunk sizes as 0)
+		// and read each chunk file straight into its slot: one buffer at
+		// the exact size, since the block is cached by pointer from here.
+		sizes := make([]int, len(hashes))
 		total := 0
+		c.mu.Lock()
 		for i, h := range hashes {
-			cdata, err := os.ReadFile(c.chunkPath(h))
-			if err != nil {
-				return nil, fmt.Errorf("edge: cache file %s: missing chunk: %w", filepath.Base(path), err)
+			if cr := c.chunkRefs[h]; cr != nil {
+				sizes[i] = int(cr.size)
 			}
-			if chunker.Sum(cdata) != h {
-				return nil, fmt.Errorf("edge: cache file %s: chunk hash mismatch", filepath.Base(path))
-			}
-			chunks[i] = cdata
-			total += len(cdata)
+			total += sizes[i]
 		}
-		payload = make([]byte, 0, total)
-		for _, cdata := range chunks {
-			payload = append(payload, cdata...)
+		c.mu.Unlock()
+		payload = make([]byte, total)
+		off := 0
+		for i, h := range hashes {
+			if err := readChunk(c.chunkPath(h), payload[off:off+sizes[i]]); err != nil {
+				return nil, fmt.Errorf("edge: cache file %s: chunk: %w", filepath.Base(path), err)
+			}
+			off += sizes[i]
 		}
 	} else {
 		// The file buffer is private to this read; the block keeps it.
@@ -552,6 +553,21 @@ func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 		return nil, fmt.Errorf("edge: cache file %s: payload hash mismatch", filepath.Base(path))
 	}
 	return blk, nil
+}
+
+// readChunk reads the chunk file at path into slot, which must be the
+// file's exact length: a shorter or longer file is an error.
+func readChunk(path string, slot []byte) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = io.ReadFull(f, slot)
+	if n, _ := f.Read(make([]byte, 1)); err == nil && n != 0 {
+		err = fmt.Errorf("longer than indexed")
+	}
+	return err
 }
 
 // encodeNameFile serializes a name index entry: magic, then the served

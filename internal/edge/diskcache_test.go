@@ -2,14 +2,18 @@ package edge
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/attr"
+	"repro/internal/chunker"
 	"repro/internal/core"
 	"repro/internal/fsio"
 	"repro/internal/media"
@@ -120,7 +124,8 @@ func TestDiskCacheLegacyFormatReadable(t *testing.T) {
 
 // TestDiskCacheEvictionReleasesChunks: evicting the last block that
 // references a chunk deletes its file; shared chunks survive while any
-// referencing block remains.
+// referencing block remains. Damage, which drops through the same path,
+// is TestDiskCacheDamageIsAMiss.
 func TestDiskCacheEvictionReleasesChunks(t *testing.T) {
 	dir := t.TempDir()
 	const size = 64 << 10
@@ -151,25 +156,6 @@ func TestDiskCacheEvictionReleasesChunks(t *testing.T) {
 	}
 	if got := countFiles(t, dir, chunkExt); got != after.Chunks {
 		t.Fatalf("chunk files on disk %d != indexed %d after drop", got, after.Chunks)
-	}
-
-	// A corrupted chunk file degrades the block to a miss and the entry
-	// is dropped, chunk files cleaned.
-	var victim media.ChunkHash
-	c.mu.Lock()
-	for h := range c.chunkRefs {
-		victim = h
-		break
-	}
-	c.mu.Unlock()
-	if err := os.WriteFile(c.chunkPath(victim), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(b2.ID); ok {
-		t.Fatal("block with corrupt chunk served")
-	}
-	if st := c.Stats(); st.Blocks != 0 || st.Chunks != 0 || st.Bytes != 0 {
-		t.Fatalf("corrupt-chunk drop left residue: %+v", st)
 	}
 }
 
@@ -323,4 +309,304 @@ func TestDiskCacheEvictionSparesIncomingChunks(t *testing.T) {
 	if got := countFiles(t, dir, chunkExt); got != st.Chunks {
 		t.Errorf("%d chunk files on disk, %d indexed", got, st.Chunks)
 	}
+}
+
+// damageFixture is a cache holding three blocks: a chunked victim, a
+// chunked sibling that shares every chunk of the victim but one, and a
+// small inline (CMEB1) block. own is the victim's chunk the sibling
+// lacks; other is the sibling's chunk in its place, of the same length.
+type damageFixture struct {
+	c                       *DiskCache
+	dir                     string
+	victim, sibling, inline *media.Block
+	own, other              media.ChunkHash
+}
+
+func newDamageFixture(t *testing.T, reopen bool) *damageFixture {
+	t.Helper()
+	rng := rand.New(rand.NewSource(19))
+	payload := make([]byte, 128<<10)
+	rng.Read(payload)
+	// Flip one byte in the middle of a middle chunk: far enough from its
+	// end that the cut stays put, so the sibling's chunk there has the
+	// victim's length and every other chunk is shared.
+	pieces := chunker.Split(payload, chunker.Config{})
+	start := 0
+	for _, p := range pieces[:len(pieces)/2] {
+		start += len(p)
+	}
+	k := pieces[len(pieces)/2]
+	sibling := append([]byte(nil), payload...)
+	sibling[start+len(k)/2] ^= 0xff
+	f := &damageFixture{
+		dir:     t.TempDir(),
+		victim:  media.NewBlock("victim.vid", core.MediumVideo, payload, attr.List{}),
+		sibling: media.NewBlock("sibling.vid", core.MediumVideo, sibling, attr.List{}),
+		inline:  media.NewBlock("inline.txt", core.MediumText, []byte("a small inline block"), attr.List{}),
+		own:     chunker.Sum(k),
+		other:   chunker.Sum(sibling[start : start+len(k)]),
+	}
+	if got := chunkSet(f.sibling.Payload); !got[f.other] || got[f.own] || len(got) != len(chunkSet(payload)) {
+		t.Fatal("the sibling does not swap exactly one same-length chunk; pick another seed")
+	}
+	c, err := OpenDiskCache(f.dir, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*media.Block{f.victim, f.sibling, f.inline} {
+		c.Put(b.Name, b)
+	}
+	if reopen {
+		if c, err = OpenDiskCache(f.dir, 1<<30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.c = c
+	return f
+}
+
+// chunkSet is the set of chunk addresses a chunked payload is stored as.
+func chunkSet(payload []byte) map[media.ChunkHash]bool {
+	set := make(map[media.ChunkHash]bool)
+	if len(payload) >= media.ChunkThreshold {
+		for _, p := range chunker.Split(payload, chunker.Config{}) {
+			set[chunker.Sum(p)] = true
+		}
+	}
+	return set
+}
+
+// rewrite replaces the file at path with edit applied to its bytes.
+func rewrite(t *testing.T, path string, edit func([]byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDiskCacheDamageIsAMiss: whatever is damaged — a chunk file's bytes
+// or length, the manifest, the medium, an inline payload or the magic —
+// the block's content address catches it. The read is a miss, the entry
+// and every chunk only it referenced are gone, and the blocks that
+// survive still serve byte-identically, shared chunks included. Each row
+// runs on entries admitted by Put and on entries rebuilt by a reopen.
+func TestDiskCacheDamageIsAMiss(t *testing.T) {
+	type row struct {
+		name   string
+		inline bool // the damage hits the inline block, not the victim
+		damage func(t *testing.T, f *damageFixture)
+	}
+	rows := []row{
+		{"chunk byte flipped", false, func(t *testing.T, f *damageFixture) {
+			rewrite(t, f.c.chunkPath(f.own), func(b []byte) []byte { b[len(b)/2] ^= 1; return b })
+		}},
+		{"chunk file truncated", false, func(t *testing.T, f *damageFixture) {
+			rewrite(t, f.c.chunkPath(f.own), func(b []byte) []byte { return b[:len(b)-1] })
+		}},
+		{"chunk file extended", false, func(t *testing.T, f *damageFixture) {
+			rewrite(t, f.c.chunkPath(f.own), func(b []byte) []byte { return append(b, 0) })
+		}},
+		{"chunk file replaced by a resident chunk of the same length", false, func(t *testing.T, f *damageFixture) {
+			rewrite(t, f.c.chunkPath(f.own), func([]byte) []byte {
+				other, err := os.ReadFile(f.c.chunkPath(f.other))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return other
+			})
+		}},
+		{"manifest hash rewritten to a resident chunk", false, func(t *testing.T, f *damageFixture) {
+			rewrite(t, f.c.blockPath(f.victim.ID), func(b []byte) []byte {
+				return bytes.Replace(b, f.own[:], f.other[:], 1)
+			})
+		}},
+		{"medium rewritten to another valid medium", false, func(t *testing.T, f *damageFixture) {
+			rewrite(t, f.c.blockPath(f.victim.ID), func(b []byte) []byte {
+				fields, err := splitFields(b[len(diskMagicV2):], 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return appendFields(append([]byte(nil), diskMagicV2...), fields[0],
+					[]byte(core.MediumAudio.String()), fields[2], fields[3])
+			})
+		}},
+		{"CMEB1 payload byte flipped", true, func(t *testing.T, f *damageFixture) {
+			rewrite(t, f.c.blockPath(f.inline.ID), func(b []byte) []byte { b[len(b)-1] ^= 1; return b })
+		}},
+		{"bad magic", false, func(t *testing.T, f *damageFixture) {
+			rewrite(t, f.c.blockPath(f.victim.ID), func(b []byte) []byte { copy(b, "CMEB9"); return b })
+		}},
+	}
+	for _, reopen := range []bool{false, true} {
+		for _, r := range rows {
+			t.Run(fmt.Sprintf("reopen=%v/%s", reopen, r.name), func(t *testing.T) {
+				f := newDamageFixture(t, reopen)
+				target, survivors := f.victim, []*media.Block{f.sibling, f.inline}
+				if r.inline {
+					target, survivors = f.inline, []*media.Block{f.victim, f.sibling}
+				}
+				r.damage(t, f)
+				if _, ok := f.c.Get(target.ID); ok {
+					t.Fatal("a damaged block was served")
+				}
+				if f.c.index.Contains(target.ID) {
+					t.Error("the damaged entry is still indexed")
+				}
+				if _, err := os.Stat(f.c.blockPath(target.ID)); !os.IsNotExist(err) {
+					t.Errorf("the damaged block file survived (stat err = %v)", err)
+				}
+				// The chunk files left are exactly the survivors' chunks,
+				// and the budget charges exactly the files left.
+				want := make(map[media.ChunkHash]bool)
+				for _, b := range survivors {
+					for h := range chunkSet(b.Payload) {
+						want[h] = true
+					}
+				}
+				dents, err := os.ReadDir(f.dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var onDisk int64
+				chunks := 0
+				for _, de := range dents {
+					name := de.Name()
+					if !strings.HasSuffix(name, blockExt) && !strings.HasSuffix(name, chunkExt) {
+						continue
+					}
+					info, err := de.Info()
+					if err != nil {
+						t.Fatal(err)
+					}
+					onDisk += info.Size()
+					if hexHash, ok := strings.CutSuffix(name, chunkExt); ok {
+						chunks++
+						var h media.ChunkHash
+						if raw, err := hex.DecodeString(hexHash); err != nil || copy(h[:], raw) != len(h) || !want[h] {
+							t.Errorf("orphaned chunk file %s", name)
+						}
+					}
+				}
+				if st := f.c.Stats(); st.Blocks != len(survivors) || st.Chunks != len(want) || chunks != len(want) || st.Bytes != onDisk {
+					t.Errorf("after the drop: %+v; want %d blocks, %d chunks (%d files), %d bytes on disk",
+						st, len(survivors), len(want), chunks, onDisk)
+				}
+				for _, b := range survivors {
+					got, ok := f.c.Get(b.ID)
+					if !ok || got.ID != b.ID || !bytes.Equal(got.Payload, b.Payload) {
+						t.Errorf("survivor %s no longer serves byte-identically (ok=%v)", b.Name, ok)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDiskCacheHitAllocatesOnePayload: a chunked disk hit reads each
+// chunk file straight into one payload buffer at its exact size, so the
+// hit allocates the payload and little else.
+func TestDiskCacheHitAllocatesOnePayload(t *testing.T) {
+	c, err := OpenDiskCache(t.TempDir(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 128 << 10
+	payload := make([]byte, size)
+	rand.New(rand.NewSource(23)).Read(payload)
+	b := media.NewBlock("alloc.vid", core.MediumVideo, payload, attr.List{})
+	c.Put(b.Name, b)
+	if st := c.Stats(); st.Chunks == 0 {
+		t.Fatal("the block was not stored chunked; the CMEB2 path went untested")
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if got, ok := c.Get(b.ID); !ok || len(got.Payload) != size {
+			t.Fatalf("disk hit failed (ok=%v)", ok)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls the function once more to warm up.
+	perHit := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("a %d-byte disk hit: %.0f allocations, %.0f bytes (%.2fx the payload)", size, allocs, perHit, perHit/size)
+	if perHit > 1.25*size {
+		t.Errorf("a %d-byte disk hit allocates %.0f bytes, %.2fx the payload; want at most 1.25x", size, perHit, perHit/size)
+	}
+}
+
+// TestDiskCacheConcurrentHitsAndEvictions: readers size a payload from
+// the chunk index while writers push blocks out under a budget that holds
+// about two of them, so chunks are released and re-admitted mid-read. A
+// read that loses that race is a miss; a hit is always the block put.
+func TestDiskCacheConcurrentHitsAndEvictions(t *testing.T) {
+	blocks := nearDupBlocks(t, 4, 32<<10)
+	probe, err := OpenDiskCache(t.TempDir(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Put("", blocks[0])
+	c, err := OpenDiskCache(t.TempDir(), 2*probe.Stats().Bytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				b := blocks[(g+i)%len(blocks)]
+				c.Put(b.Name, b)
+				if got, ok := c.Get(b.ID); ok && !bytes.Equal(got.Payload, b.Payload) {
+					t.Errorf("a concurrent hit served the wrong bytes for %.12s", b.ID)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Hits == 0 || st.Evictions == 0 {
+		t.Fatalf("the run never raced a hit against an eviction: %+v", st)
+	}
+}
+
+// FuzzDiskCacheGet: arbitrary bytes as the block file of a known address,
+// and optionally as the file of its one chunk, never panic the open scan
+// or the read, and a hit serves exactly the block that was put. The name
+// and descriptor are not content-addressed, so only the address, medium
+// and payload are compared.
+func FuzzDiskCacheGet(f *testing.F) {
+	payload := bytes.Repeat([]byte("k"), media.ChunkThreshold)
+	if n := len(chunker.Split(payload, chunker.Config{})); n != 1 {
+		f.Fatalf("the fuzz payload splits into %d chunks, want 1", n)
+	}
+	want := media.NewBlock("fuzz.vid", core.MediumVideo, payload, attr.List{})
+	h := chunker.Sum(payload)
+	f.Add(encodeBlockFile(diskMagic, want, payload), []byte(nil), false)
+	f.Add(encodeBlockFile(diskMagicV2, want, h[:]), payload, true)
+	f.Fuzz(func(t *testing.T, blockFile, chunkFile []byte, withChunk bool) {
+		dir := t.TempDir()
+		probe := &DiskCache{dir: dir}
+		if err := os.WriteFile(probe.blockPath(want.ID), blockFile, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if withChunk {
+			if err := os.WriteFile(probe.chunkPath(h), chunkFile, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := OpenDiskCache(dir, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := c.Get(want.ID)
+		if ok && (got.ID != want.ID || got.Medium != want.Medium || !bytes.Equal(got.Payload, want.Payload)) {
+			t.Fatalf("served %.12s (%v, %d bytes), want the block that was put", got.ID, got.Medium, len(got.Payload))
+		}
+	})
 }

@@ -308,16 +308,19 @@ func (e *Edge) Subscribe(name, subtree string, queueCap, maxSubs int) (*transpor
 	return sub, err
 }
 
-// GetBlock answers from the cache tiers or the origin. Errors (including
-// upstream down) degrade to not-found: the client sees the same answer
-// it would for a block that never existed, and retries re-drive the
-// fetch.
+// GetBlock answers from memory, else the disk tier or the origin: only a
+// miss builds the upstream timeout context. Errors (including upstream
+// down) degrade to not-found: the client sees the same answer it would for
+// a block that never existed, and retries re-drive the fetch.
 func (e *Edge) GetBlock(name string) (*media.Block, bool) {
-	ctx, cancel := e.upstreamCtx()
-	defer cancel()
-	b, err := e.fetchBlock(ctx, name)
-	if err != nil {
-		return nil, false
+	b, ok := e.mem.Get(name)
+	if !ok {
+		ctx, cancel := e.upstreamCtx()
+		defer cancel()
+		var err error
+		if b, err = e.fetchBlock(ctx, name); err != nil {
+			return nil, false
+		}
 	}
 	e.met.blockHits.Inc()
 	return b, true
