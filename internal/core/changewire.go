@@ -113,6 +113,10 @@ const changeWireVersion = 1
 // hostile length prefix from driving allocation.
 const maxChangeRecords = 1 << 16
 
+// minRecordBytes is the smallest encoded record: the op byte and five
+// one-byte varints (four empty strings and index 0).
+const minRecordBytes = 6
+
 // EncodeChangeRecords packs an ordered edit batch into one blob:
 //
 //	blob   := u8 version | uvarint count | record*
@@ -175,6 +179,11 @@ func DecodeChangeRecords(data []byte) ([]ChangeRecord, error) {
 	}
 	if count > maxChangeRecords {
 		return nil, fmt.Errorf("core: change blob declares %d records (limit %d)", count, maxChangeRecords)
+	}
+	// A count the remaining bytes cannot hold is refused before it sizes
+	// the allocation below.
+	if count > uint64(len(data)-off)/minRecordBytes {
+		return nil, fmt.Errorf("core: truncated record: %d declared in %d bytes", count, len(data)-off)
 	}
 	recs := make([]ChangeRecord, 0, count)
 	for i := uint64(0); i < count; i++ {

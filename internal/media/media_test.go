@@ -1,6 +1,8 @@
 package media
 
 import (
+	"bytes"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -237,6 +239,43 @@ func TestQuantize(t *testing.T) {
 	}
 	if _, err := Quantize(b, 0); err == nil {
 		t.Error("0-bit quantize accepted")
+	}
+}
+
+// TestQuantizeMatchesByteRule holds the word-at-a-time mask to the
+// byte rule (p>>s)<<s: every depth from 1 to 7, every length from 0 to
+// 17 (a word, a word and a tail, tails alone) and a 1 MiB random
+// payload, comparing the payload and the content address.
+func TestQuantizeMatchesByteRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	payloads := make([][]byte, 0, 19)
+	for n := 0; n <= 17; n++ {
+		p := make([]byte, n)
+		rng.Read(p)
+		payloads = append(payloads, p)
+	}
+	big := make([]byte, 1<<20)
+	rng.Read(big)
+	payloads = append(payloads, big)
+	for bits := int64(1); bits <= 7; bits++ {
+		shift := uint(8 - bits)
+		for _, p := range payloads {
+			b := NewBlock("q.img", core.MediumImage, p, attr.List{})
+			q, err := Quantize(b, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, len(p))
+			for i, v := range p {
+				want[i] = (v >> shift) << shift
+			}
+			if !bytes.Equal(q.Payload, want) {
+				t.Fatalf("%d bits, %d bytes: payload differs from the byte rule", bits, len(p))
+			}
+			if q.ID != ContentAddress(core.MediumImage, want) {
+				t.Fatalf("%d bits, %d bytes: content address differs", bits, len(p))
+			}
+		}
 	}
 }
 

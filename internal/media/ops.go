@@ -1,6 +1,7 @@
 package media
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/attr"
@@ -131,10 +132,17 @@ func Quantize(b *Block, bits int64) (*Block, error) {
 	if bits >= b.ColorBits() {
 		return b, nil
 	}
-	shift := uint(8 - bits)
+	// (p>>s)<<s keeps a byte's top bits, which is p&mask; the loop masks
+	// eight bytes at a time with mask repeated in every byte of word.
+	mask := byte(0xff) << (8 - bits)
+	word := uint64(mask) * 0x0101010101010101
 	payload := make([]byte, len(b.Payload))
-	for i, p := range b.Payload {
-		payload[i] = (p >> shift) << shift
+	i := 0
+	for ; i+8 <= len(payload); i += 8 {
+		binary.LittleEndian.PutUint64(payload[i:], binary.LittleEndian.Uint64(b.Payload[i:])&word)
+	}
+	for ; i < len(payload); i++ {
+		payload[i] = b.Payload[i] & mask
 	}
 	out := NewBlock(fmt.Sprintf("%s[%dbit]", b.Name, bits), b.Medium, payload, b.Descriptor)
 	out.Descriptor.Set(DescColorBits, attr.Number(bits))

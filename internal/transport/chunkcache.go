@@ -69,7 +69,7 @@ func (c *ChunkCache) Get(h media.ChunkHash) ([]byte, bool) {
 // Add stores a copy of data under h, evicting least recently used
 // chunks until the budget holds. A chunk larger than the whole budget
 // is not cached. The copy is deliberate: callers pass subslices of a
-// whole payload or a response frame, and a cached chunk that pinned its
+// whole payload or a response part, and a cached chunk that pinned its
 // parent would hold megabytes the byte budget never counted.
 func (c *ChunkCache) Add(h media.ChunkHash, data []byte) {
 	c.mu.Lock()

@@ -55,11 +55,11 @@ func seedFrames(tb testing.TB) [][]byte {
 	addV1(opOK, []byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), blk.Payload[:64])
 	addV1(opGetBlks, []byte("anchor.vid"), []byte("voice.aud"), []byte("ghost"))
 	addV1(opOK,
-		encodeEntry([]byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), blk.Payload[:32]),
+		entryPart([]byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), blk.Payload[:32]),
 		[]byte{entryMissing},
 		[]byte{entryDeferred})
 	addV1(opGetDescs, []byte("voice.aud"))
-	addV1(opOK, encodeEntry([]byte(blk.Name), []byte(descText)))
+	addV1(opOK, entryPart([]byte(blk.Name), []byte(descText)))
 	addV1(opErrNotFound, []byte(`getblk: no block "ghost"`))
 	addV1(opList)
 	addV1(opGoodbye)
@@ -73,6 +73,13 @@ func seedFrames(tb testing.TB) [][]byte {
 	addV2(opStreamChunk, 7, u32(0), blk.Payload[:len(blk.Payload)/2])
 	addV2(opStreamChunk, 7, u32(1), blk.Payload[len(blk.Payload)/2:])
 	addV2(opStreamEnd, 7, u32(2))
+
+	// Edge shapes for the per-part reader: a frame of no parts, and a
+	// part whose length runs past what the frame's total has left.
+	addV2(opOK, 12)
+	body := append([]byte{opOK}, u32(13)...)
+	body = append(append(append(body, u16(1)...), u32(1<<20)...), "abc"...)
+	frames = append(frames, append(u32(uint32(len(body))), body...))
 	return frames
 }
 
@@ -132,7 +139,10 @@ func seedStreams(tb testing.TB) [][]byte {
 
 // FuzzDecodeFrame throws arbitrary bytes at both frame decoders: they
 // must never panic, and anything they accept must survive an
-// encode-decode round trip unchanged.
+// encode-decode round trip unchanged. The per-part v2 reader is also
+// held to the whole-body reference (readFrameV2Whole): both accept and
+// reject the same bytes and yield equal parts, and no two parts it
+// returns share a backing array.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, frame := range seedFrames(f) {
 		f.Add(frame)
@@ -151,7 +161,18 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("v1 round trip changed the frame: %v -> %v", v1, again)
 			}
 		}
-		if v2, err := readFrameV2(bytes.NewReader(data)); err == nil {
+		v2, err := readFrameV2(bytes.NewReader(data))
+		ref, refErr := readFrameV2Whole(bytes.NewReader(data))
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("per-part reader: %v; whole-body reader: %v", err, refErr)
+		}
+		if err == nil {
+			if v2.op != ref.op || v2.id != ref.id || !partsEqual(v2.parts, ref.parts) {
+				t.Fatalf("per-part reader decoded %v, whole-body reader %v", v2, ref)
+			}
+			if sharedBacking(v2.parts) {
+				t.Fatal("two received parts share a backing array")
+			}
 			var buf bytes.Buffer
 			if err := writeFrameV2(&buf, v2.op, v2.id, v2.parts...); err != nil {
 				t.Fatalf("accepted v2 frame does not re-encode: %v", err)
@@ -316,7 +337,7 @@ func seedCompressedFrames(tb testing.TB) [][]byte {
 		var buf bytes.Buffer
 		s := newFrameSender(&buf)
 		s.compress = true
-		if _, err := s.send(op, id, parts); err != nil {
+		if _, err := s.send(frameV2{op: op, id: id, parts: parts}); err != nil {
 			tb.Fatal(err)
 		}
 		if err := s.flush(); err != nil {
@@ -375,7 +396,7 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 		var buf bytes.Buffer
 		s := newFrameSender(&buf)
 		s.compress = true
-		if _, err := s.send(frm.op, frm.id, frm.parts); err != nil {
+		if _, err := s.send(frm); err != nil {
 			t.Fatalf("accepted frame does not re-encode compressed: %v", err)
 		}
 		if err := s.flush(); err != nil {

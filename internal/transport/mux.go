@@ -174,7 +174,7 @@ func (m *clientMux) writeLoop() {
 				}
 			}
 		}
-		n, err := sender.send(f.op, f.id, f.parts)
+		n, err := sender.send(f)
 		if err != nil {
 			m.fail(err)
 			return

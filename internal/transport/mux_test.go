@@ -173,11 +173,11 @@ func TestServerRefusesV1Peers(t *testing.T) {
 		want frame
 	}{
 		{"no hello", frame{op: opList}, refusal},
-		{"hello offering v1", frame{opHello, [][]byte{{1}}}, refusal},
-		{"hello offering v2", frame{opHello, [][]byte{{2}}}, refusal},
-		{"hello offering v3", frame{opHello, [][]byte{{3}}}, refusal},
-		{"hello offering v9", frame{opHello, [][]byte{{9}}},
-			frame{opOK, [][]byte{{protoVersion}, {0, defaultMaxInFlight}, {codec.FrameCodecNone}}}},
+		{"hello offering v1", frame{op: opHello, parts: [][]byte{{1}}}, refusal},
+		{"hello offering v2", frame{op: opHello, parts: [][]byte{{2}}}, refusal},
+		{"hello offering v3", frame{op: opHello, parts: [][]byte{{3}}}, refusal},
+		{"hello offering v9", frame{op: opHello, parts: [][]byte{{9}}},
+			frame{op: opOK, parts: [][]byte{{protoVersion}, {0, defaultMaxInFlight}, {codec.FrameCodecNone}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn, err := net.Dial("tcp", addr)
@@ -501,13 +501,13 @@ func TestOversizedBlockAnswersTooLarge(t *testing.T) {
 	reg := NewRegistry(store)
 	srv := NewServer(reg)
 
-	resp, parts := srv.handle(frame{op: opGetBlk, parts: [][]byte{[]byte("small.img")}})
-	if resp != opOK {
-		t.Fatalf("in-budget block: op %d (%s)", resp, parts[0])
+	resp := srv.handle(frame{op: opGetBlk, parts: [][]byte{[]byte("small.img")}})
+	if resp.op != opOK {
+		t.Fatalf("in-budget block: op %d (%s)", resp.op, resp.parts[0])
 	}
-	resp, parts = srv.handle(frame{op: opGetBlk, parts: [][]byte{[]byte("huge.raw")}})
-	if resp != opErrTooLarge || len(parts) == 0 {
-		t.Fatalf("oversized block: op %d, want opErrTooLarge", resp)
+	resp = srv.handle(frame{op: opGetBlk, parts: [][]byte{[]byte("huge.raw")}})
+	if resp.op != opErrTooLarge || len(resp.parts) == 0 {
+		t.Fatalf("oversized block: op %d, want opErrTooLarge", resp.op)
 	}
 }
 

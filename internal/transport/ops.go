@@ -13,7 +13,7 @@ import (
 
 // opHandler answers one single-response request from the server's
 // backend. The part count is already checked against the op's row.
-type opHandler func(s *Server, parts [][]byte) (byte, [][]byte)
+type opHandler func(s *Server, parts [][]byte) frame
 
 // opSpec is one row of the op table: the request arity and the handler.
 type opSpec struct {
@@ -42,8 +42,8 @@ var opTable = map[byte]opSpec{
 	opResync:         {"resync", 1, 1, "[cursor]", peerOp("resync", resync)},
 }
 
-// handle executes one request, returning the response op and parts.
-func (s *Server) handle(req frame) (byte, [][]byte) {
+// handle executes one request, returning the response frame.
+func (s *Server) handle(req frame) frame {
 	spec, ok := opTable[req.op]
 	if !ok {
 		return fail("unknown op %d", req.op)
@@ -54,15 +54,17 @@ func (s *Server) handle(req frame) (byte, [][]byte) {
 	return spec.handle(s, req.parts)
 }
 
-func fail(format string, args ...any) (byte, [][]byte) {
-	return opErr, [][]byte{[]byte(fmt.Sprintf(format, args...))}
+func okFrame(parts ...[]byte) frame { return frame{op: opOK, parts: parts} }
+
+func fail(format string, args ...any) frame {
+	return frame{op: opErr, parts: [][]byte{[]byte(fmt.Sprintf(format, args...))}}
 }
 
-func notFound(format string, args ...any) (byte, [][]byte) {
-	return opErrNotFound, [][]byte{[]byte(fmt.Sprintf(format, args...))}
+func notFound(format string, args ...any) frame {
+	return frame{op: opErrNotFound, parts: [][]byte{[]byte(fmt.Sprintf(format, args...))}}
 }
 
-func (s *Server) getDoc(parts [][]byte) (byte, [][]byte) {
+func (s *Server) getDoc(parts [][]byte) frame {
 	if len(parts[1]) != 1 || len(parts[2]) != 1 {
 		return fail("getdoc: encoding and inline are one byte each")
 	}
@@ -85,10 +87,10 @@ func (s *Server) getDoc(parts [][]byte) (byte, [][]byte) {
 	if err != nil {
 		return fail("getdoc: %v", err)
 	}
-	return opOK, [][]byte{data}
+	return okFrame(data)
 }
 
-func (s *Server) putDoc(parts [][]byte) (byte, [][]byte) {
+func (s *Server) putDoc(parts [][]byte) frame {
 	if len(parts[1]) != 1 {
 		return fail("putdoc: encoding is one byte")
 	}
@@ -99,10 +101,10 @@ func (s *Server) putDoc(parts [][]byte) (byte, [][]byte) {
 	if err := s.backend.StoreDoc(string(parts[0]), doc); err != nil {
 		return fail("putdoc: %v", err)
 	}
-	return opOK, nil
+	return okFrame()
 }
 
-func (s *Server) submitEdit(parts [][]byte) (byte, [][]byte) {
+func (s *Server) submitEdit(parts [][]byte) frame {
 	recs, err := core.DecodeChangeRecords(parts[1])
 	if err != nil {
 		return fail("submitedit: %v", err)
@@ -119,7 +121,7 @@ func (s *Server) submitEdit(parts [][]byte) (byte, [][]byte) {
 		// as ErrConflict and refetch.
 		return fail("submitedit: %v", err)
 	}
-	return opOK, [][]byte{u64be(gen)}
+	return okFrame(u64be(gen))
 }
 
 // blockHead returns the [name, medium, descriptor] parts every block
@@ -133,7 +135,7 @@ func (s *Server) blockHead(blk *media.Block) ([][]byte, error) {
 	return append(make([][]byte, 0, 6), []byte(blk.Name), []byte(blk.Medium.String()), []byte(desc)), nil
 }
 
-func (s *Server) getBlk(parts [][]byte) (byte, [][]byte) {
+func (s *Server) getBlk(parts [][]byte) frame {
 	name := string(parts[0])
 	blk, ok := s.backend.GetBlock(name)
 	if !ok {
@@ -143,42 +145,42 @@ func (s *Server) getBlk(parts [][]byte) (byte, [][]byte) {
 	// Answer opErrTooLarge instead of dying on the write: the client
 	// retries with the chunked stream.
 	if len(blk.Payload) > maxFrameSize-(1<<16) {
-		return opErrTooLarge, [][]byte{[]byte(fmt.Sprintf(
-			"getblk: block of %d bytes exceeds the frame limit; use the chunked stream", len(blk.Payload)))}
+		return frame{op: opErrTooLarge, parts: [][]byte{[]byte(fmt.Sprintf(
+			"getblk: block of %d bytes exceeds the frame limit; use the chunked stream", len(blk.Payload)))}}
 	}
 	head, err := s.blockHead(blk)
 	if err != nil {
 		return fail("getblk: %v", err)
 	}
-	return opOK, append(head, blk.Payload)
+	return okFrame(append(head, blk.Payload)...)
 }
 
-func (s *Server) getBlks(parts [][]byte) (byte, [][]byte) {
-	out := make([][]byte, len(parts))
+func (s *Server) getBlks(parts [][]byte) frame {
+	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][]byte, len(parts))}
 	inlined := 0
 	for i, p := range parts {
 		blk, ok := s.backend.GetBlock(string(p))
 		if !ok {
-			out[i] = []byte{entryMissing}
+			out.parts[i] = []byte{entryMissing}
 			continue
 		}
 		// Defer blocks that would push the response past the frame
 		// limit; the client re-fetches them one at a time.
 		if inlined+len(blk.Payload) > batchBudget {
-			out[i] = []byte{entryDeferred}
+			out.parts[i] = []byte{entryDeferred}
 			continue
 		}
 		head, err := s.blockHead(blk)
 		if err != nil {
 			return fail("getblks: %v", err)
 		}
-		out[i] = encodeEntry(append(head, blk.Payload)...)
+		out.parts[i], out.tails[i] = encodeEntry(append(head, blk.Payload)...)
 		inlined += len(blk.Payload)
 	}
-	return opOK, out
+	return out
 }
 
-func (s *Server) getBlkManifest(parts [][]byte) (byte, [][]byte) {
+func (s *Server) getBlkManifest(parts [][]byte) frame {
 	name := string(parts[0])
 	blk, ok := s.backend.GetBlock(name)
 	if !ok {
@@ -206,11 +208,11 @@ func (s *Server) getBlkManifest(parts [][]byte) (byte, [][]byte) {
 			manifest = binary.BigEndian.AppendUint32(manifest, uint32(len(chunk)))
 		}
 	}
-	return opOK, append(head, []byte(blk.ID), u64be(uint64(len(blk.Payload))), manifest)
+	return okFrame(append(head, []byte(blk.ID), u64be(uint64(len(blk.Payload))), manifest)...)
 }
 
-func (s *Server) getChunks(parts [][]byte) (byte, [][]byte) {
-	out := make([][]byte, len(parts))
+func (s *Server) getChunks(parts [][]byte) frame {
+	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][]byte, len(parts))}
 	for i, p := range parts {
 		if len(p) != chunker.HashSize {
 			return fail("getchunks: hash %d has %d bytes, want %d", i, len(p), chunker.HashSize)
@@ -218,32 +220,32 @@ func (s *Server) getChunks(parts [][]byte) (byte, [][]byte) {
 		var h media.ChunkHash
 		copy(h[:], p)
 		if data, ok := s.backend.GetChunk(h); ok {
-			out[i] = encodeEntry(data)
+			out.parts[i], out.tails[i] = encodeEntry(data)
 		} else {
-			out[i] = []byte{entryMissing}
+			out.parts[i] = []byte{entryMissing}
 		}
 	}
-	return opOK, out
+	return out
 }
 
-func (s *Server) getDescs(parts [][]byte) (byte, [][]byte) {
-	out := make([][]byte, len(parts))
+func (s *Server) getDescs(parts [][]byte) frame {
+	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][]byte, len(parts))}
 	for i, p := range parts {
 		blk, ok := s.backend.GetBlock(string(p))
 		if !ok {
-			out[i] = []byte{entryMissing}
+			out.parts[i] = []byte{entryMissing}
 			continue
 		}
 		desc, err := s.descriptorText(blk)
 		if err != nil {
 			return fail("getdescs: descriptor: %v", err)
 		}
-		out[i] = encodeEntry([]byte(blk.Name), []byte(desc))
+		out.parts[i], out.tails[i] = encodeEntry([]byte(blk.Name), []byte(desc))
 	}
-	return opOK, out
+	return out
 }
 
-func (s *Server) putBlk(parts [][]byte) (byte, [][]byte) {
+func (s *Server) putBlk(parts [][]byte) frame {
 	blk, err := blockFromParts(parts)
 	if err != nil {
 		return fail("putblk: %v", err)
@@ -252,23 +254,23 @@ func (s *Server) putBlk(parts [][]byte) (byte, [][]byte) {
 	if err != nil {
 		return fail("putblk: %v", err)
 	}
-	return opOK, [][]byte{[]byte(id)}
+	return okFrame([]byte(id))
 }
 
-func (s *Server) list(parts [][]byte) (byte, [][]byte) {
+func (s *Server) list(parts [][]byte) frame {
 	localOnly := len(parts) == 1 && string(parts[0]) == string(listScopeLocal)
 	names := s.backend.ListDocs(localOnly)
 	out := make([][]byte, len(names))
 	for i, n := range names {
 		out[i] = []byte(n)
 	}
-	return opOK, out
+	return okFrame(out...)
 }
 
 // peerOp wraps a node-to-node handler so that a server whose backend is
 // not a cluster node refuses the op from the table.
-func peerOp(name string, h func(p PeerOps, parts [][]byte) (byte, [][]byte)) opHandler {
-	return func(s *Server, parts [][]byte) (byte, [][]byte) {
+func peerOp(name string, h func(p PeerOps, parts [][]byte) frame) opHandler {
+	return func(s *Server, parts [][]byte) frame {
 		if s.peers == nil {
 			return fail("%s: not a cluster node", name)
 		}
@@ -276,7 +278,7 @@ func peerOp(name string, h func(p PeerOps, parts [][]byte) (byte, [][]byte)) opH
 	}
 }
 
-func gossip(p PeerOps, parts [][]byte) (byte, [][]byte) {
+func gossip(p PeerOps, parts [][]byte) frame {
 	var view []byte
 	if len(parts) == 1 {
 		view = parts[0]
@@ -285,22 +287,22 @@ func gossip(p PeerOps, parts [][]byte) (byte, [][]byte) {
 	if err != nil {
 		return fail("gossip: %v", err)
 	}
-	return opOK, [][]byte{local}
+	return okFrame(local)
 }
 
-func replicate(p PeerOps, parts [][]byte) (byte, [][]byte) {
+func replicate(p PeerOps, parts [][]byte) frame {
 	if err := p.Replicate(parts[0]); err != nil {
 		return fail("replicate: %v", err)
 	}
-	return opOK, nil
+	return okFrame()
 }
 
-func resync(p PeerOps, parts [][]byte) (byte, [][]byte) {
+func resync(p PeerOps, parts [][]byte) frame {
 	frames, next, err := p.Resync(string(parts[0]))
 	if err != nil {
 		return fail("resync: %v", err)
 	}
-	return opOK, [][]byte{frames, []byte(next)}
+	return okFrame(frames, []byte(next))
 }
 
 // descCacheCap bounds the descriptor cache. Past it the cache starts
@@ -365,11 +367,10 @@ func descriptorNode(b *media.Block) *core.Node {
 }
 
 // blockFromParts rebuilds a block from putblk/getblk wire parts,
-// hashing the payload (NewBlock) and copying it exactly once. The copy is
-// one of the two the block path keeps: the block outlives the frame — in
-// a store or a cache — and must not pin a batch frame of up to 64 blocks;
-// on the streamed path it is also what trims the assembler's
-// grow-as-received buffer to size.
+// hashing the payload (NewBlock). The payload is parts[3] itself,
+// capacity-clipped, not a copy: a received part owns its buffer
+// (readPartsV2), so the block pins that part alone — for a batch entry,
+// its few header bytes beyond the payload — never a whole frame.
 func blockFromParts(parts [][]byte) (*media.Block, error) {
 	medium, err := core.ParseMedium(string(parts[1]))
 	if err != nil {
@@ -379,6 +380,6 @@ func blockFromParts(parts [][]byte) (*media.Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("descriptor: %w", err)
 	}
-	payload := append([]byte(nil), parts[3]...)
+	payload := parts[3][:len(parts[3]):len(parts[3])]
 	return media.NewBlock(string(parts[0]), medium, payload, descNode.Attrs), nil
 }

@@ -532,7 +532,7 @@ func (s *Server) serveConnV2(conn net.Conn, in *bufio.Reader) {
 				}
 				continue
 			}
-			_, err := sender.send(f.op, f.id, f.parts)
+			_, err := sender.send(f)
 			if f.done != nil {
 				// The frame is in the write buffer (or the buffer's own
 				// flush blocked until the socket drained): release the
@@ -624,8 +624,7 @@ func (s *Server) handleV2(cc *v2conn, req frameV2) {
 	if s.testOpDelay != nil {
 		s.testOpDelay(req.op)
 	}
-	var op byte
-	var parts [][]byte
+	var resp frame
 	switch req.op {
 	case opGetBlkStream:
 		// The stream handler blocks on respCh while it emits chunks, so
@@ -640,15 +639,15 @@ func (s *Server) handleV2(cc *v2conn, req frameV2) {
 		s.handleSubscribe(cc, req, release)
 		return
 	case opUnsubscribe:
-		op, parts = cc.unsubscribe(req.parts)
+		resp = cc.unsubscribe(req.parts)
 	default:
-		op, parts = s.handle(frame{op: req.op, parts: req.parts})
+		resp = s.handle(frame{op: req.op, parts: req.parts})
 	}
 	// The slot travels with the response frame and is released by the
 	// writer once the frame is actually written: a request occupies
 	// admission capacity for its whole lifetime, not just its compute,
 	// so overload driven by response backpressure still sheds.
-	respCh <- frameV2{op: op, id: req.id, parts: parts, done: release}
+	respCh <- frameV2{op: resp.op, id: req.id, parts: resp.parts, tails: resp.tails, done: release}
 }
 
 // handleSubscribe answers opSubscribe: it registers a watcher on the
@@ -740,14 +739,14 @@ func (s *Server) pumpSub(cc *v2conn, id uint32, sub *Subscriber, release func())
 // the pump emits the terminal changeEnd frame — and acknowledges.
 // Unsubscribing an unknown or already-ended subscription is not an
 // error: the shed path races client-requested ends by design.
-func (cc *v2conn) unsubscribe(parts [][]byte) (byte, [][]byte) {
+func (cc *v2conn) unsubscribe(parts [][]byte) frame {
 	if len(parts) != 1 || len(parts[0]) != 4 {
 		return fail("unsubscribe: want [subID(u32)]")
 	}
 	if sub := cc.takeSub(binary.BigEndian.Uint32(parts[0])); sub != nil {
 		sub.end(endReasonUnsubscribed)
 	}
-	return opOK, nil
+	return okFrame()
 }
 
 // handleStream answers opGetBlkStream: a header frame, the payload cut

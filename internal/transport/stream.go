@@ -36,9 +36,7 @@ func (a *chunkAssembler) begin(parts [][]byte) error {
 		return fmt.Errorf("transport: stream of %d bytes exceeds limit", size)
 	}
 	a.started = true
-	a.name = append([]byte(nil), parts[0]...)
-	a.medium = append([]byte(nil), parts[1]...)
-	a.desc = append([]byte(nil), parts[2]...)
+	a.name, a.medium, a.desc = parts[0], parts[1], parts[2]
 	a.size = int64(size)
 	return nil
 }
@@ -83,8 +81,11 @@ func (a *chunkAssembler) finish(parts [][]byte) (*media.Block, error) {
 	if int64(len(a.payload)) != a.size {
 		return nil, fmt.Errorf("transport: stream delivered %d of %d bytes", len(a.payload), a.size)
 	}
-	if a.payload == nil {
-		a.payload = []byte{}
+	payload := a.payload
+	if cap(payload) > len(payload) {
+		// Trim the grow-as-received buffer: the block keeps its bytes, not
+		// append's spare capacity.
+		payload = append(make([]byte, 0, len(payload)), payload...)
 	}
-	return blockFromParts([][]byte{a.name, a.medium, a.desc, a.payload})
+	return blockFromParts([][]byte{a.name, a.medium, a.desc, payload})
 }

@@ -351,11 +351,11 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		{op: opPutBlk, parts: [][]byte{[]byte("x")}},
 		{op: 42},
 	} {
-		op, parts := srv.handle(req)
-		if op != opErr && op != opErrNotFound {
-			t.Errorf("req op %d: response %d, want error", req.op, op)
+		resp := srv.handle(req)
+		if resp.op != opErr && resp.op != opErrNotFound {
+			t.Errorf("req op %d: response %d, want error", req.op, resp.op)
 		}
-		if len(parts) == 0 || len(parts[0]) == 0 {
+		if len(resp.parts) == 0 || len(resp.parts[0]) == 0 {
 			t.Errorf("req op %d: error response carries no message", req.op)
 		}
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -190,21 +191,26 @@ const (
 // exercise the deferral path with small blocks.
 var batchBudget = maxFrameSize - (1 << 20)
 
-// encodeEntry packs a found entry's fields into one response part.
-func encodeEntry(fields ...[]byte) []byte {
-	n := 1
-	for _, f := range fields {
-		n += 4 + len(f)
+// encodeEntry packs a found entry into one response part, returned as a
+// head and a tail that go on the wire back to back (frame.tails): the
+// head holds the flag, every field's length prefix and every field but
+// the last; the tail is the last field itself, uncopied — for a block,
+// the store's own payload.
+func encodeEntry(fields ...[]byte) (head, tail []byte) {
+	last := len(fields) - 1
+	n := 1 + 4*len(fields)
+	for _, f := range fields[:last] {
+		n += len(f)
 	}
-	out := make([]byte, 1, n)
-	out[0] = entryFound
-	var lenBuf [4]byte
-	for _, f := range fields {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(f)))
-		out = append(out, lenBuf[:]...)
-		out = append(out, f...)
+	head = make([]byte, 1, n)
+	head[0] = entryFound
+	for i, f := range fields {
+		head = binary.BigEndian.AppendUint32(head, uint32(len(f)))
+		if i < last {
+			head = append(head, f...)
+		}
 	}
-	return out
+	return head, fields[last]
 }
 
 // decodeEntry unpacks one batched-response part into exactly nFields
@@ -243,11 +249,25 @@ func decodeEntry(part []byte, nFields int) (fields [][]byte, flag byte, err erro
 	return fields, entryFound, nil
 }
 
-// frame is one decoded v1-framed message: the hello exchange, and the
-// request shape handlers see once the request ID is peeled off.
+// frame is one v1-framed message: the hello exchange, the request shape
+// handlers see once the request ID is peeled off, and the response they
+// build.
 type frame struct {
 	op    byte
 	parts [][]byte
+	// tails, on a response being built, is nil or holds one tail per
+	// part: tails[i] goes on the wire right after parts[i] as the rest of
+	// that part (see encodeEntry). A decoded frame carries none — a
+	// received part is one buffer.
+	tails [][]byte
+}
+
+// tailAt returns part i's tail, if tails has one.
+func tailAt(tails [][]byte, i int) []byte {
+	if tails == nil {
+		return nil
+	}
+	return tails[i]
 }
 
 // writeFrame encodes and sends a frame.
@@ -318,6 +338,7 @@ type frameV2 struct {
 	op    byte
 	id    uint32
 	parts [][]byte
+	tails [][]byte // as frame.tails
 	// done, when non-nil, runs once the frame has been written (or
 	// dropped on a dead connection). The server's response path uses it
 	// to hold the admission slot until the response actually leaves, so
@@ -357,44 +378,74 @@ func writeFrameV2(w io.Writer, op byte, id uint32, parts ...[]byte) error {
 // understood whether or not the hello switched compression on — but
 // the declared inflated size is bounded by maxFrameSize before any
 // inflation happens and nested envelopes are rejected.
+//
+// A received part owns its buffer: each is read into its own
+// exactly-sized allocation, so whatever a caller keeps of a frame — a
+// block's payload — pins that part alone, never the rest of the frame.
+// A part length is checked against the bytes the frame has left before
+// anything is allocated for it.
 func readFrameV2(r io.Reader) (frameV2, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	var hdr [4 + 1 + 4 + 2]byte // totalLen | op | reqID | partCount
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return frameV2{}, err
 	}
-	total := binary.BigEndian.Uint32(lenBuf[:])
-	if total < 5 || total > maxFrameSize {
-		return frameV2{}, fmt.Errorf("transport: v2 frame length %d out of range", total)
+	rest := int(binary.BigEndian.Uint32(hdr[:4]))
+	if rest < 5 || rest > maxFrameSize {
+		return frameV2{}, fmt.Errorf("transport: v2 frame length %d out of range", rest)
 	}
-	body := make([]byte, total)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if _, err := io.ReadFull(r, hdr[4:9]); err != nil {
 		return frameV2{}, err
 	}
-	if body[0] == opCompressed {
-		rawLen := int(binary.BigEndian.Uint32(body[1:5]))
-		raw, err := codec.DecompressFrame(body[5:], rawLen, maxFrameSize)
+	if hdr[4] == opCompressed {
+		comp := make([]byte, rest-5)
+		if _, err := io.ReadFull(r, comp); err != nil {
+			return frameV2{}, err
+		}
+		raw, err := codec.DecompressFrame(comp, int(binary.BigEndian.Uint32(hdr[5:9])), maxFrameSize)
 		if err != nil {
 			return frameV2{}, fmt.Errorf("transport: %w", err)
 		}
 		if len(raw) > 0 && raw[0] == opCompressed {
 			return frameV2{}, fmt.Errorf("transport: nested compressed frame")
 		}
-		body = raw
+		// The inflated frame's parts are split out as a plain frame's are.
+		size := binary.BigEndian.AppendUint32(nil, uint32(len(raw)))
+		return readFrameV2(io.MultiReader(bytes.NewReader(size), bytes.NewReader(raw)))
 	}
-	return parseFrameV2Body(body)
-}
-
-// parseFrameV2Body decodes a plain v2 frame body (everything after the
-// totalLen prefix, after any decompression).
-func parseFrameV2Body(body []byte) (frameV2, error) {
-	if len(body) < 7 {
-		return frameV2{}, fmt.Errorf("transport: v2 frame body of %d bytes too short", len(body))
+	if rest < 7 {
+		return frameV2{}, fmt.Errorf("transport: v2 frame body of %d bytes too short", rest)
 	}
-	parts, err := parseParts(body, 7, int(binary.BigEndian.Uint16(body[5:7])))
-	if err != nil {
+	if _, err := io.ReadFull(r, hdr[9:]); err != nil {
 		return frameV2{}, err
 	}
-	return frameV2{op: body[0], id: binary.BigEndian.Uint32(body[1:5]), parts: parts}, nil
+	rest -= 7
+	f := frameV2{op: hdr[4], id: binary.BigEndian.Uint32(hdr[5:9])}
+	if count := int(binary.BigEndian.Uint16(hdr[9:])); count > maxParts {
+		return frameV2{}, fmt.Errorf("transport: %d parts exceeds limit", count)
+	} else if count > 0 {
+		f.parts = make([][]byte, count)
+	}
+	for i := range f.parts {
+		if rest < 4 {
+			return frameV2{}, fmt.Errorf("transport: truncated part header")
+		}
+		if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+			return frameV2{}, err
+		}
+		n := int(binary.BigEndian.Uint32(hdr[:4]))
+		if rest -= 4; n > rest {
+			return frameV2{}, fmt.Errorf("transport: part length %d exceeds frame", n)
+		}
+		f.parts[i] = make([]byte, n)
+		if _, err := io.ReadFull(r, f.parts[i]); err != nil {
+			return frameV2{}, err
+		}
+		rest -= n
+	}
+	if rest != 0 {
+		return frameV2{}, fmt.Errorf("transport: %d trailing bytes in frame", rest)
+	}
+	return f, nil
 }
 
 // readFrame receives and decodes one frame.

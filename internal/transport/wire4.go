@@ -6,12 +6,17 @@ package transport
 //   - compression: when negotiated, frame bodies at or past the codec
 //     floor are deflated whole into an opCompressed envelope, with the
 //     incompressible-data bypass falling back to the raw encoding;
-//   - vectored writes: large raw frames skip the bufio copy entirely —
-//     the buffered writer is flushed and the frame goes to the
-//     connection as a writev gather list (net.Buffers) whose payload
-//     elements are the store's own slices, so payload bytes move
-//     store → conn with no intermediate copy;
-//   - everything else takes the buffered writeFrameV2 path unchanged.
+//   - vectored writes: a raw frame is laid out as a gather list
+//     (net.Buffers) of its header, length prefixes, parts and tails;
+//     a large one skips the bufio copy entirely — the buffered writer is
+//     flushed and the list goes to the connection as one writev — and
+//     everything else goes through the buffered writer.
+//
+// A batched entry's last field — a block's payload, a chunk — travels as
+// its part's tail (encodeEntry), the store's own slice. So on the
+// vectored path payload bytes move store → conn with no in-process copy;
+// the buffered path copies them once into the bufio buffer, and the
+// compressed path once into the body it deflates.
 //
 // send reports the actual on-wire byte count, which is what the
 // traffic counters record.
@@ -54,34 +59,31 @@ func newFrameSender(conn io.Writer) *frameSender {
 // send writes one frame under the sender's policy and returns its
 // on-wire size. The frame may still be sitting in the buffered writer
 // when send returns; flush before blocking on reads.
-func (s *frameSender) send(op byte, id uint32, parts [][]byte) (int64, error) {
-	if len(parts) > maxParts {
-		return 0, fmt.Errorf("transport: %d parts exceeds limit", len(parts))
+func (s *frameSender) send(f frameV2) (int64, error) {
+	if len(f.parts) > maxParts {
+		return 0, fmt.Errorf("transport: %d parts exceeds limit", len(f.parts))
 	}
 	total := 1 + 4 + 2
-	payload := 0
-	for _, p := range parts {
-		total += 4 + len(p)
-		payload += len(p)
+	for i, p := range f.parts {
+		total += 4 + len(p) + len(tailAt(f.tails, i))
 	}
 	if total > maxFrameSize {
 		return 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", total)
 	}
 	if s.compress && total >= codec.CompressFloor {
-		if n, ok, err := s.sendCompressed(op, id, parts, total); ok || err != nil {
+		if n, ok, err := s.sendCompressed(f, total); ok || err != nil {
 			return n, err
 		}
 	}
-	if payload >= vectoredThreshold {
+	var w io.Writer = s.bw
+	if payload := total - (1 + 4 + 2) - 4*len(f.parts); payload >= vectoredThreshold {
 		if err := s.bw.Flush(); err != nil {
 			return 0, err
 		}
-		if err := writeFrameV2Vectored(s.conn, op, id, parts, total); err != nil {
-			return 0, err
-		}
-		return int64(4 + total), nil
+		w = s.conn
 	}
-	if err := writeFrameV2(s.bw, op, id, parts...); err != nil {
+	bufs := gatherFrameV2(f, total)
+	if _, err := bufs.WriteTo(w); err != nil {
 		return 0, err
 	}
 	return int64(4 + total), nil
@@ -89,14 +91,15 @@ func (s *frameSender) send(op byte, id uint32, parts [][]byte) (int64, error) {
 
 // sendCompressed deflates the frame body and writes the envelope. ok is
 // false (and nothing is written) when compression was not worthwhile.
-func (s *frameSender) sendCompressed(op byte, id uint32, parts [][]byte, total int) (int64, bool, error) {
+func (s *frameSender) sendCompressed(f frameV2, total int) (int64, bool, error) {
 	body := make([]byte, 0, total)
-	body = append(body, op)
-	body = binary.BigEndian.AppendUint32(body, id)
-	body = binary.BigEndian.AppendUint16(body, uint16(len(parts)))
-	for _, p := range parts {
-		body = binary.BigEndian.AppendUint32(body, uint32(len(p)))
-		body = append(body, p...)
+	body = append(body, f.op)
+	body = binary.BigEndian.AppendUint32(body, f.id)
+	body = binary.BigEndian.AppendUint16(body, uint16(len(f.parts)))
+	for i, p := range f.parts {
+		tail := tailAt(f.tails, i)
+		body = binary.BigEndian.AppendUint32(body, uint32(len(p)+len(tail)))
+		body = append(append(body, p...), tail...)
 	}
 	comp, ok := codec.CompressFrame(body)
 	if !ok {
@@ -121,32 +124,34 @@ func (s *frameSender) sendCompressed(op byte, id uint32, parts [][]byte, total i
 
 func (s *frameSender) flush() error { return s.bw.Flush() }
 
-// writeFrameV2Vectored writes one raw v2 frame as a single gather list:
-// a meta buffer holds the frame header and every part-length prefix,
-// and the payload elements are the caller's slices, untouched. One
-// backing array, at most 2·parts+1 iovecs, no payload copies. total is
-// the already-validated body size.
-func writeFrameV2Vectored(conn io.Writer, op byte, id uint32, parts [][]byte, total int) error {
-	meta := make([]byte, 4+1+4+2+4*len(parts))
+// gatherFrameV2 lays one raw v2 frame out as a gather list: a meta
+// buffer holds the frame header and every part-length prefix, and the
+// other elements are the frame's parts and tails, untouched. One backing
+// array, at most 4·parts+1 elements, no payload copies. Written to the
+// connection it is one writev (which skips the empty meta ranges between
+// a part and its tail); written to the bufio.Writer, one Write each.
+// total is the already-validated body size.
+func gatherFrameV2(f frameV2, total int) net.Buffers {
+	// Sized once, so the meta ranges already in bufs never move.
+	meta := make([]byte, 4+1+4+2, 4+1+4+2+4*len(f.parts))
 	binary.BigEndian.PutUint32(meta[0:4], uint32(total))
-	meta[4] = op
-	binary.BigEndian.PutUint32(meta[5:9], id)
-	binary.BigEndian.PutUint16(meta[9:11], uint16(len(parts)))
-	bufs := make(net.Buffers, 0, 1+2*len(parts))
-	off := 11
+	meta[4] = f.op
+	binary.BigEndian.PutUint32(meta[5:9], f.id)
+	binary.BigEndian.PutUint16(meta[9:11], uint16(len(f.parts)))
+	bufs := make(net.Buffers, 0, 1+4*len(f.parts))
 	prev := 0 // start of the pending meta range (header + successive prefixes)
-	for _, p := range parts {
-		binary.BigEndian.PutUint32(meta[off:off+4], uint32(len(p)))
-		off += 4
-		if len(p) == 0 {
-			continue // fold this prefix into the next meta range
+	for i, p := range f.parts {
+		tail := tailAt(f.tails, i)
+		meta = binary.BigEndian.AppendUint32(meta, uint32(len(p)+len(tail)))
+		for _, seg := range [2][]byte{p, tail} {
+			if len(seg) > 0 { // an empty part's prefix folds into the next meta range
+				bufs = append(bufs, meta[prev:], seg)
+				prev = len(meta)
+			}
 		}
-		bufs = append(bufs, meta[prev:off], p)
-		prev = off
 	}
-	if prev < off {
-		bufs = append(bufs, meta[prev:off])
+	if prev < len(meta) {
+		bufs = append(bufs, meta[prev:])
 	}
-	_, err := bufs.WriteTo(conn)
-	return err
+	return bufs
 }
