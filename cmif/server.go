@@ -193,7 +193,6 @@ func NewServer(opts ...ServeOption) *Server {
 		// content already recovered from the directory journals nothing
 		// (Store.Put only journals state changes).
 		st.Store.SetJournal(log)
-		st.DB.SetJournal(log)
 		if cfg.store != nil {
 			cfg.store.Each(func(b *media.Block) bool {
 				st.Store.Put(b)

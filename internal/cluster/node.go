@@ -425,7 +425,7 @@ func blockKey(b *media.Block) string {
 // name registration ("n/").
 func recordKey(r durable.Record) string {
 	switch r.Op {
-	case durable.RecPutDoc, durable.RecDelDoc:
+	case durable.RecPutDoc:
 		return "d/" + string(r.Fields[0])
 	case durable.RecPutBlk, durable.RecDelBlk:
 		return "B/" + string(r.Fields[0])
@@ -550,32 +550,27 @@ func (n *Node) applyFramesLocked(frames []byte, refreshReg bool) error {
 	if len(frames) == 0 {
 		return nil
 	}
-	putDocs, delDocs, err := n.log.AppendFrames(frames)
+	putDocs, err := n.log.AppendFrames(frames)
 	if err != nil {
 		return err
 	}
-	if !refreshReg {
+	if !refreshReg || len(putDocs) == 0 {
 		return nil
 	}
-	if len(putDocs) > 0 {
-		changed := make(map[string]bool, len(putDocs))
-		for _, name := range putDocs {
-			changed[name] = true
-		}
-		// Decode errors are impossible here: AppendFrames just validated
-		// the identical bytes.
-		recs, _ := durable.DecodeFrames(frames)
-		for _, r := range recs {
-			if r.Op != durable.RecPutDoc || !changed[string(r.Fields[0])] {
-				continue
-			}
-			if d, derr := codec.DecodeBinary(r.Fields[1]); derr == nil {
-				n.Registry.PutDoc(string(r.Fields[0]), d)
-			}
-		}
+	changed := make(map[string]bool, len(putDocs))
+	for _, name := range putDocs {
+		changed[name] = true
 	}
-	for _, name := range delDocs {
-		n.DropDoc(name, "cluster: deleted")
+	// Decode errors are impossible here: AppendFrames just validated the
+	// identical bytes.
+	recs, _ := durable.DecodeFrames(frames)
+	for _, r := range recs {
+		if r.Op != durable.RecPutDoc || !changed[string(r.Fields[0])] {
+			continue
+		}
+		if d, derr := codec.DecodeBinary(r.Fields[1]); derr == nil {
+			n.Registry.PutDoc(string(r.Fields[0]), d)
+		}
 	}
 	return nil
 }

@@ -29,16 +29,6 @@ func NewDocument(root *Node) (*Document, error) {
 	return d, nil
 }
 
-// MustDocument is NewDocument that panics on error, for static literals in
-// tests and examples.
-func MustDocument(root *Node) *Document {
-	d, err := NewDocument(root)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // Refresh re-decodes the root dictionaries after the tree was edited. The
 // refresh is recorded as a global change: callers use Refresh after editing
 // the tree directly, which incremental consumers cannot track.

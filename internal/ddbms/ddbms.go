@@ -51,28 +51,10 @@ type dbShard struct {
 	numeric map[string]map[units.Unit][]numEntry
 }
 
-// Journal observes database mutations once attached with SetJournal. The
-// durability layer (internal/durable) implements it to write-ahead-log
-// every change. Hooks run under the mutated shard's lock, so records for
-// one id reach the journal in exactly the order they changed the shard
-// and recovery replays racing upserts/deletes to the pre-crash state.
-type Journal interface {
-	// JournalPutDescriptor records an insert or upsert.
-	JournalPutDescriptor(id string, desc attr.List)
-	// JournalDeleteDescriptor records a delete.
-	JournalDeleteDescriptor(id string)
-}
-
 // DB is an attribute-indexed descriptor store. Safe for concurrent use.
 type DB struct {
 	shards [dbShards]dbShard
-
-	journal Journal
 }
-
-// SetJournal attaches a mutation journal. Attach before serving: the call
-// itself is not synchronized against concurrent mutations.
-func (db *DB) SetJournal(j Journal) { db.journal = j }
 
 type numEntry struct {
 	value int64
@@ -105,9 +87,6 @@ func (db *DB) Insert(id string, desc attr.List) error {
 		return fmt.Errorf("ddbms: descriptor %q already exists", id)
 	}
 	sh.put(id, desc)
-	if db.journal != nil {
-		db.journal.JournalPutDescriptor(id, desc)
-	}
 	return nil
 }
 
@@ -124,9 +103,6 @@ func (db *DB) Upsert(id string, desc attr.List) {
 		sh.remove(id)
 	}
 	sh.put(id, desc)
-	if db.journal != nil {
-		db.journal.JournalPutDescriptor(id, desc)
-	}
 }
 
 // put indexes desc under id. Caller holds the shard lock.
@@ -201,9 +177,6 @@ func (db *DB) Delete(id string) bool {
 		return false
 	}
 	sh.remove(id)
-	if db.journal != nil {
-		db.journal.JournalDeleteDescriptor(id)
-	}
 	return true
 }
 

@@ -47,12 +47,11 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Log, *State) {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	st.Store.SetJournal(l)
-	st.DB.SetJournal(l)
 	return l, st
 }
 
 // populate drives every mutation kind through the journal: block puts,
-// a name re-point, a delete, document puts, descriptor upserts/deletes.
+// a name re-point, a delete and document puts.
 func populate(t *testing.T, l *Log, st *State) {
 	t.Helper()
 	for i := 0; i < 8; i++ {
@@ -72,28 +71,13 @@ func populate(t *testing.T, l *Log, st *State) {
 	if err := l.PutDoc("news", testDoc(t, "news")); err != nil {
 		t.Fatalf("PutDoc: %v", err)
 	}
-	if err := l.PutDoc("gone", testDoc(t, "gone")); err != nil {
-		t.Fatalf("PutDoc: %v", err)
-	}
-	if err := l.DelDoc("gone"); err != nil {
-		t.Fatalf("DelDoc: %v", err)
-	}
-
-	var desc attr.List
-	desc.Set("format", attr.ID("utf8"))
-	desc.Set("bytes", attr.Number(42))
-	st.DB.Upsert("desc-a", desc)
-	var desc2 attr.List
-	desc2.Set("format", attr.ID("pcm8"))
-	st.DB.Upsert("desc-b", desc2)
-	st.DB.Delete("desc-b")
 	if err := l.Err(); err != nil {
 		t.Fatalf("journal unhealthy after populate: %v", err)
 	}
 }
 
 // checkEqual asserts two states hold the identical corpus: names, content
-// addresses, payloads, descriptors, documents and database entries.
+// addresses, payloads, descriptors and documents.
 func checkEqual(t *testing.T, want, got *State) {
 	t.Helper()
 	if w, g := want.Store.Len(), got.Store.Len(); w != g {
@@ -151,18 +135,6 @@ func checkEqual(t *testing.T, want, got *State) {
 			t.Fatalf("document %q differs after recovery", name)
 		}
 	}
-
-	wids, gids := want.DB.IDs(), got.DB.IDs()
-	if fmt.Sprint(wids) != fmt.Sprint(gids) {
-		t.Fatalf("descriptor ids: want %v, got %v", wids, gids)
-	}
-	for _, id := range wids {
-		wd, _ := want.DB.Get(id)
-		gd, _ := got.DB.Get(id)
-		if !wd.Equal(gd) {
-			t.Fatalf("descriptor %q differs: %v vs %v", id, wd, gd)
-		}
-	}
 }
 
 func TestRecoveryRoundTrip(t *testing.T) {
@@ -177,9 +149,6 @@ func TestRecoveryRoundTrip(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	checkEqual(t, st, got)
-	if _, ok := got.Docs["gone"]; ok {
-		t.Fatal("deleted document resurrected")
-	}
 	if id, _ := got.Store.Resolve("story-00.txt"); id != media.CaptureText("story-00.txt", "rewritten", "en").ID {
 		t.Fatal("re-pointed name resolves to stale content after recovery")
 	}

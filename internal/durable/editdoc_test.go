@@ -360,7 +360,7 @@ func TestResyncAndAppendFramesSeeEditedDocs(t *testing.T) {
 		t.Fatal("resync did not ship the edited document whole")
 	}
 
-	putDocs, _, err := l.AppendFrames(FramePutDoc("news", docBytes(t, base)))
+	putDocs, err := l.AppendFrames(FramePutDoc("news", docBytes(t, base)))
 	if err != nil {
 		t.Fatal(err)
 	}

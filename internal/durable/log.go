@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/attr"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/fsio"
@@ -68,10 +67,11 @@ type Stats struct {
 }
 
 // Log is the durability layer: an append-only WAL plus snapshots over one
-// data directory. It implements the mutation-journal interfaces of
-// media.Store and ddbms.DB, so attaching it to the recovered state makes
-// every subsequent mutation durable. One process may hold a directory's
-// log at a time; Open does not lock, it trusts the deployment.
+// data directory. It implements media.Store's mutation journal, so
+// attaching it to the recovered store makes every subsequent block and
+// name mutation durable; documents journal through PutDoc and EditDoc.
+// One process may hold a directory's log at a time; Open does not lock,
+// it trusts the deployment.
 //
 // Append errors are sticky: after the first IO failure every further
 // append fails and Err reports it, so a server can refuse to acknowledge
@@ -122,9 +122,9 @@ type Log struct {
 
 // Open recovers dir (creating it if needed) and returns the log plus the
 // recovered state. The caller wires the state into its server and then
-// attaches the log as the store's and database's journal; mutations made
-// before attaching are not captured. A torn final record — the residue of
-// a crash mid-append — is truncated away; corrupt records fail recovery
+// attaches the log as the store's journal; mutations made before
+// attaching are not captured. A torn final record — the residue of a
+// crash mid-append — is truncated away; corrupt records fail recovery
 // with an error matching ErrCorrupt.
 func Open(dir string, opts Options) (*Log, *State, error) {
 	opts.fillDefaults()
@@ -421,23 +421,6 @@ func (l *Log) JournalRegisterName(name, id string) {
 	_ = l.append(recName, []byte(name), []byte(id))
 }
 
-// JournalPutDescriptor records a descriptor upsert (ddbms.Journal).
-func (l *Log) JournalPutDescriptor(id string, desc attr.List) {
-	data, err := encodeDescriptor(desc)
-	if err != nil {
-		l.mu.Lock()
-		l.fail(fmt.Errorf("durable: descriptor %q: %w", id, err))
-		l.mu.Unlock()
-		return
-	}
-	_ = l.append(recPutDesc, []byte(id), data)
-}
-
-// JournalDeleteDescriptor records a descriptor delete (ddbms.Journal).
-func (l *Log) JournalDeleteDescriptor(id string) {
-	_ = l.append(recDelDesc, []byte(id))
-}
-
 // PutDoc records a document registration (transport.Journal), deduping
 // unchanged re-puts (a preloaded corpus re-registered on every boot
 // appends nothing). The log keeps d itself as the live state, not a
@@ -475,25 +458,12 @@ func (l *Log) EditDoc(name string, d *core.Document, recs []byte) error {
 	return l.appendDocAndUnlock(name, d, nil, recEditDoc, []byte(name), recs)
 }
 
-// DelDoc records a document removal.
-func (l *Log) DelDoc(name string) error {
-	l.mu.Lock()
-	if _, ok := l.docs[name]; !ok {
-		l.mu.Unlock()
-		return nil
-	}
-	return l.appendDocAndUnlock(name, nil, nil, recDelDoc, []byte(name))
-}
-
 // appendDocAndUnlock appends one document record under the caller's l.mu
-// hold and, once it is logged, makes d (nil: no document) with its binary
-// data (nil: stale) name's live state. It releases l.mu.
+// hold and, once it is logged, makes d with its binary data (nil: stale)
+// name's live state. It releases l.mu.
 func (l *Log) appendDocAndUnlock(name string, d *core.Document, data []byte, op byte, fields ...[]byte) error {
 	snapDue, err := l.appendLocked(op, fields...)
-	if err == nil && d == nil {
-		delete(l.docs, name)
-		delete(l.st.Docs, name)
-	} else if err == nil {
+	if err == nil {
 		l.docs[name], l.st.Docs[name] = data, d
 	}
 	l.mu.Unlock()
@@ -509,11 +479,10 @@ func (l *Log) appendDocAndUnlock(name string, d *core.Document, data []byte, op 
 // WAL segments it covers. Concurrent with appends: documents are captured
 // in the l.mu hold that rolls the segment, so a recEditDoc — which is not
 // idempotent — lands in the snapshot or in the tail, never both, and
-// every document is written whole. Blocks, names and descriptors are read
-// after the lock is released; a mutation racing that read may land in
-// both, which is harmless because their records state full values. If a
-// snapshot is already in flight, Snapshot returns nil without taking
-// another.
+// every document is written whole. Blocks and names are read after the
+// lock is released; a mutation racing that read may land in both, which
+// is harmless because their records state full values. If a snapshot is
+// already in flight, Snapshot returns nil without taking another.
 func (l *Log) Snapshot() error {
 	if !l.snapshotting.CompareAndSwap(false, true) {
 		return nil
@@ -707,22 +676,6 @@ func writeSnapshot(dir string, seq uint64, st *State, docs map[string][]byte) (i
 				continue
 			}
 			if werr = write(recName, []byte(name), []byte(id)); werr != nil {
-				break
-			}
-		}
-	}
-	if werr == nil {
-		for _, id := range st.DB.IDs() {
-			desc, ok := st.DB.Get(id)
-			if !ok {
-				continue
-			}
-			data, err := encodeDescriptor(desc)
-			if err != nil {
-				werr = fmt.Errorf("descriptor %q: %w", id, err)
-				break
-			}
-			if werr = write(recPutDesc, []byte(id), data); werr != nil {
 				break
 			}
 		}

@@ -31,10 +31,13 @@ import (
 )
 
 // Record ops. Every mutation of the served corpus becomes one record.
+// Retired ops are never written; replay still accepts them so that a
+// directory written before their retirement recovers unchanged.
 const (
 	// recPutDoc registers a document: [name, binary document].
 	recPutDoc byte = 1
-	// recDelDoc removes a document: [name].
+	// recDelDoc removed a document: [name]. Retired: replay-only, never
+	// written. Replay still deletes the document.
 	recDelDoc byte = 2
 	// recPutBlk stores a block: [id, name, medium, descriptor, payload,
 	// register-flag]. The id is redundant (it is the content address of
@@ -46,9 +49,12 @@ const (
 	recPutBlk byte = 3
 	// recDelBlk removes a block and its names: [id].
 	recDelBlk byte = 4
-	// recPutDesc upserts a ddbms descriptor: [id, descriptor].
+	// recPutDesc upserted a descriptor-database entry: [id, descriptor].
+	// Retired: replay-only, never written. Replay checks its field count
+	// and drops it.
 	recPutDesc byte = 5
-	// recDelDesc removes a ddbms descriptor: [id].
+	// recDelDesc removed a descriptor-database entry: [id]. Retired like
+	// recPutDesc.
 	recDelDesc byte = 6
 	// recName points a registry name at a content address: [name, id].
 	recName byte = 7

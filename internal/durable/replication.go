@@ -5,9 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
+	"strings"
 
-	"repro/internal/attr"
 	"repro/internal/codec"
 	"repro/internal/media"
 )
@@ -25,13 +26,10 @@ import (
 // Exported record-op aliases for replication consumers (the cluster
 // layer routes records by key, and the key is Fields[0] for every op).
 const (
-	RecPutDoc  = recPutDoc
-	RecDelDoc  = recDelDoc
-	RecPutBlk  = recPutBlk
-	RecDelBlk  = recDelBlk
-	RecPutDesc = recPutDesc
-	RecDelDesc = recDelDesc
-	RecName    = recName
+	RecPutDoc = recPutDoc
+	RecPutBlk = recPutBlk
+	RecDelBlk = recDelBlk
+	RecName   = recName
 )
 
 // Record is one decoded WAL record: the op byte plus its fields. Fields
@@ -45,11 +43,6 @@ type Record struct {
 // codec.EncodeBinary form of the document.
 func FramePutDoc(name string, docBinary []byte) []byte {
 	return encodeFrame(recPutDoc, []byte(name), docBinary)
-}
-
-// FrameDelDoc frames a document removal.
-func FrameDelDoc(name string) []byte {
-	return encodeFrame(recDelDoc, []byte(name))
 }
 
 // FramePutBlock frames a detached block put (register flag 0 — name
@@ -72,20 +65,6 @@ func FrameDelBlock(id string) []byte {
 // FrameRegisterName frames a registry name→content-address registration.
 func FrameRegisterName(name, id string) []byte {
 	return encodeFrame(recName, []byte(name), []byte(id))
-}
-
-// FramePutDescriptor frames a ddbms descriptor upsert.
-func FramePutDescriptor(id string, desc attr.List) ([]byte, error) {
-	data, err := encodeDescriptor(desc)
-	if err != nil {
-		return nil, fmt.Errorf("durable: descriptor %q: %w", id, err)
-	}
-	return encodeFrame(recPutDesc, []byte(id), data), nil
-}
-
-// FrameDelDescriptor frames a ddbms descriptor removal.
-func FrameDelDescriptor(id string) []byte {
-	return encodeFrame(recDelDesc, []byte(id))
 }
 
 // DecodeFrames splits a concatenation of framed records, verifying each
@@ -167,21 +146,21 @@ func FilterFrames(frames []byte, keep func(Record) bool) ([]byte, error) {
 // — equal-bytes document re-puts, blocks already stored under their
 // content address, name registrations already pointing at the same id —
 // so a full-state resync replayed over a mostly-caught-up replica
-// appends only the delta. A recEditDoc, which is not idempotent, is
-// refused as an unknown op.
+// appends only the delta. A recEditDoc, which is not idempotent, and the
+// retired ops are refused as unknown.
 //
-// The caller must NOT have attached this log as the state's mutation
-// journal (media.Store.SetJournal / ddbms journal): AppendFrames applies
-// mutations directly and journals them itself, and a self-journaling
-// state would record every record twice. Cluster nodes replicate
-// explicitly and leave the journal detached.
+// The caller must NOT have attached this log as the store's mutation
+// journal (media.Store.SetJournal): AppendFrames applies mutations
+// directly and journals them itself, and a self-journaling store would
+// record every record twice. Cluster nodes replicate explicitly and leave
+// the journal detached.
 //
-// It returns the names of documents the batch registered (putDocs) and
-// removed (delDocs), so a serving registry can be refreshed.
-func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error) {
+// It returns the names of documents the batch registered (putDocs), so a
+// serving registry can be refreshed.
+func (l *Log) AppendFrames(frames []byte) (putDocs []string, err error) {
 	recs, err := DecodeFrames(frames)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	type planned struct {
@@ -192,12 +171,12 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		return nil, nil, ErrClosed
+		return nil, ErrClosed
 	}
 	if l.err != nil {
 		err := l.err
 		l.mu.Unlock()
-		return nil, nil, err
+		return nil, err
 	}
 
 	plan := make([]planned, 0, len(recs))
@@ -228,19 +207,6 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 				l.docs[name] = data
 				l.st.Docs[name] = doc
 				putDocs = append(putDocs, name)
-			}})
-		case recDelDoc:
-			if err = want(r, 1); err != nil {
-				break
-			}
-			name := string(r.Fields[0])
-			if _, ok := l.docs[name]; !ok {
-				continue
-			}
-			plan = append(plan, planned{r, func() {
-				delete(l.docs, name)
-				delete(l.st.Docs, name)
-				delDocs = append(delDocs, name)
 			}})
 		case recPutBlk:
 			if err = want(r, 6); err != nil {
@@ -283,37 +249,12 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 				continue
 			}
 			plan = append(plan, planned{r, func() { l.st.Store.RegisterName(name, id) }})
-		case recPutDesc:
-			if err = want(r, 2); err != nil {
-				break
-			}
-			id := string(r.Fields[0])
-			desc, derr := parseDescriptor(r.Fields[1])
-			if derr != nil {
-				err = fmt.Errorf("durable: replicated descriptor %q: %w", id, derr)
-				break
-			}
-			if cur, ok := l.st.DB.Get(id); ok {
-				if curData, cerr := encodeDescriptor(cur); cerr == nil && bytes.Equal(curData, r.Fields[1]) {
-					continue
-				}
-			}
-			plan = append(plan, planned{r, func() { l.st.DB.Upsert(id, desc) }})
-		case recDelDesc:
-			if err = want(r, 1); err != nil {
-				break
-			}
-			id := string(r.Fields[0])
-			if _, ok := l.st.DB.Get(id); !ok {
-				continue
-			}
-			plan = append(plan, planned{r, func() { l.st.DB.Delete(id) }})
 		default:
 			err = fmt.Errorf("durable: replicated record: unknown op %d", r.Op)
 		}
 		if err != nil {
 			l.mu.Unlock()
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
@@ -322,7 +263,7 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 		due, aerr := l.appendLocked(p.rec.Op, p.rec.Fields...)
 		if aerr != nil {
 			l.mu.Unlock()
-			return nil, nil, aerr
+			return nil, aerr
 		}
 		snapDue = snapDue || due
 		p.apply()
@@ -331,7 +272,7 @@ func (l *Log) AppendFrames(frames []byte) (putDocs, delDocs []string, err error)
 	if snapDue {
 		l.snapshotAsync()
 	}
-	return putDocs, delDocs, nil
+	return putDocs, nil
 }
 
 // Resync cursor phases, walked in snapshot order.
@@ -339,18 +280,16 @@ const (
 	resyncDocs   = "docs"
 	resyncBlocks = "blocks"
 	resyncNames  = "names"
-	resyncDescs  = "descs"
 )
 
-var resyncPhases = []string{resyncDocs, resyncBlocks, resyncNames, resyncDescs}
+var resyncPhases = []string{resyncDocs, resyncBlocks, resyncNames}
 
 // ResyncChunk serializes a slice of the live state as framed records,
 // resuming from cursor ("" starts from the beginning). It walks
-// documents, blocks, name registrations and descriptors in sorted key
-// order — the cursor is "phase/lastKey", so resumption is keyed, not
-// positional, and concurrent churn can only re-send a key (harmless:
-// AppendFrames dedupes), never skip one that existed when the walk
-// started. The chunk stops once maxBytes is exceeded; next == "" means
+// documents, blocks and name registrations in sorted key order — the
+// cursor is "phase/lastKey", so resumption is keyed, not positional, and
+// concurrent churn can only re-send a key (harmless: AppendFrames
+// dedupes), never skip one that existed when the walk started. The chunk stops once maxBytes is exceeded; next == "" means
 // the walk is complete. This is the pull half of a rejoining replica's
 // catch-up: the records are exactly what a snapshot of the source would
 // hold, so the target replays them like crash recovery.
@@ -358,41 +297,18 @@ func (l *Log) ResyncChunk(cursor string, maxBytes int) (frames []byte, next stri
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
-	phase, lastKey := resyncDocs, ""
+	phaseIdx, lastKey := 0, ""
 	if cursor != "" {
-		i := -1
-		for j := 0; j < len(cursor); j++ {
-			if cursor[j] == '/' {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			return nil, "", fmt.Errorf("durable: bad resync cursor %q", cursor)
-		}
-		phase, lastKey = cursor[:i], cursor[i+1:]
-		ok := false
-		for _, p := range resyncPhases {
-			if p == phase {
-				ok = true
-			}
-		}
-		if !ok {
+		phase, key, ok := strings.Cut(cursor, "/")
+		phaseIdx, lastKey = slices.Index(resyncPhases, phase), key
+		if !ok || phaseIdx < 0 {
 			return nil, "", fmt.Errorf("durable: bad resync cursor %q", cursor)
 		}
 	}
 
 	var buf bytes.Buffer
-	emit := func(frame []byte) { buf.Write(frame) }
-
-	phaseIdx := 0
-	for i, p := range resyncPhases {
-		if p == phase {
-			phaseIdx = i
-		}
-	}
 	for ; phaseIdx < len(resyncPhases); phaseIdx++ {
-		phase = resyncPhases[phaseIdx]
+		phase := resyncPhases[phaseIdx]
 		keys := l.resyncKeys(phase)
 		sort.Strings(keys)
 		for _, key := range keys {
@@ -403,9 +319,7 @@ func (l *Log) ResyncChunk(cursor string, maxBytes int) (frames []byte, next stri
 			if ferr != nil {
 				return nil, "", ferr
 			}
-			if frame != nil {
-				emit(frame)
-			}
+			buf.Write(frame)
 			lastKey = key
 			if buf.Len() >= maxBytes {
 				return buf.Bytes(), phase + "/" + lastKey, nil
@@ -436,8 +350,6 @@ func (l *Log) resyncKeys(phase string) []string {
 		return ids
 	case resyncNames:
 		return l.st.Store.Names()
-	case resyncDescs:
-		return l.st.DB.IDs()
 	}
 	return nil
 }
@@ -473,12 +385,6 @@ func (l *Log) resyncFrame(phase, key string) ([]byte, error) {
 			return nil, nil
 		}
 		return FrameRegisterName(key, id), nil
-	case resyncDescs:
-		desc, ok := l.st.DB.Get(key)
-		if !ok {
-			return nil, nil
-		}
-		return FramePutDescriptor(key, desc)
 	}
 	return nil, fmt.Errorf("durable: unknown resync phase %q", phase)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -25,7 +26,7 @@ func shipAll(t *testing.T, src, dst *Log, maxBytes int) {
 			t.Fatalf("ResyncChunk(%q): %v", cursor, err)
 		}
 		if len(frames) > 0 {
-			if _, _, err := dst.AppendFrames(frames); err != nil {
+			if _, err := dst.AppendFrames(frames); err != nil {
 				t.Fatalf("AppendFrames: %v", err)
 			}
 		}
@@ -36,8 +37,8 @@ func shipAll(t *testing.T, src, dst *Log, maxBytes int) {
 	}
 }
 
-// compareStates asserts two states hold the same documents, blocks,
-// names and descriptors.
+// compareStates asserts two states hold the same documents, blocks and
+// names.
 func compareStates(t *testing.T, got, want *State) {
 	t.Helper()
 	if len(got.Docs) != len(want.Docs) {
@@ -85,15 +86,6 @@ func compareStates(t *testing.T, got, want *State) {
 	if gl, wl := len(got.Store.Names()), len(wantNames); gl != wl {
 		t.Fatalf("names: got %d, want %d", gl, wl)
 	}
-	wantIDs := want.DB.IDs()
-	if gl, wl := len(got.DB.IDs()), len(wantIDs); gl != wl {
-		t.Fatalf("descriptors: got %d, want %d", gl, wl)
-	}
-	for _, id := range wantIDs {
-		if _, ok := got.DB.Get(id); !ok {
-			t.Fatalf("descriptor %q missing", id)
-		}
-	}
 }
 
 func TestFrameHelpersRoundTrip(t *testing.T) {
@@ -111,15 +103,13 @@ func TestFrameHelpersRoundTrip(t *testing.T) {
 	stream = append(stream, FramePutDoc("frame", data)...)
 	stream = append(stream, bf...)
 	stream = append(stream, FrameRegisterName("frame.txt", blk.ID)...)
-	stream = append(stream, FrameDelDoc("frame")...)
 	stream = append(stream, FrameDelBlock(blk.ID)...)
-	stream = append(stream, FrameDelDescriptor("d1")...)
 
 	recs, err := DecodeFrames(stream)
 	if err != nil {
 		t.Fatalf("DecodeFrames: %v", err)
 	}
-	wantOps := []byte{RecPutDoc, RecPutBlk, RecName, RecDelDoc, RecDelBlk, RecDelDesc}
+	wantOps := []byte{RecPutDoc, RecPutBlk, RecName, RecDelBlk}
 	if len(recs) != len(wantOps) {
 		t.Fatalf("got %d records, want %d", len(recs), len(wantOps))
 	}
@@ -169,12 +159,12 @@ func TestAppendFramesAppliesAndSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putDocs, delDocs, err := dst.AppendFrames(FramePutDoc("repl", data))
+	putDocs, err := dst.AppendFrames(FramePutDoc("repl", data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(putDocs) != 1 || putDocs[0] != "repl" || len(delDocs) != 0 {
-		t.Fatalf("putDocs=%v delDocs=%v", putDocs, delDocs)
+	if len(putDocs) != 1 || putDocs[0] != "repl" {
+		t.Fatalf("putDocs=%v", putDocs)
 	}
 
 	if err := dst.Close(); err != nil {
@@ -221,14 +211,14 @@ func TestAppendFramesDedupes(t *testing.T) {
 	stream := append(append([]byte(nil), FramePutDoc("dd", data)...), bf...)
 	stream = append(stream, FrameRegisterName("dd.txt", blk.ID)...)
 
-	if _, _, err := l.AppendFrames(stream); err != nil {
+	if _, err := l.AppendFrames(stream); err != nil {
 		t.Fatal(err)
 	}
 	before := l.Stats().Records
 	if before != 3 {
 		t.Fatalf("first batch appended %d records, want 3", before)
 	}
-	putDocs, _, err := l.AppendFrames(stream)
+	putDocs, err := l.AppendFrames(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +232,7 @@ func TestAppendFramesDedupes(t *testing.T) {
 
 func TestAppendFramesRejectsBadBatchAtomically(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Sync: SyncNever})
+	l, st, err := Open(dir, Options{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,21 +243,39 @@ func TestAppendFramesRejectsBadBatchAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Valid putdoc followed by a record that decodes but cannot apply
-	// (putdoc whose document bytes are garbage): nothing may append.
-	stream := append([]byte(nil), FramePutDoc("ok", data)...)
-	stream = append(stream, FramePutDoc("bad", []byte("garbage"))...)
-	if _, _, err := l.AppendFrames(stream); err == nil {
-		t.Fatal("bad batch accepted")
+	desc, err := encodeDescriptor(media.CaptureText("d.txt", "d", "en").Descriptor)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := l.Stats().Records; n != 0 {
-		t.Fatalf("bad batch appended %d records", n)
-	}
-	if err := l.Err(); err != nil {
-		t.Fatalf("bad batch stuck the log: %v", err)
+	// Each batch is a valid putdoc followed by a record that cannot
+	// apply: a putdoc whose document bytes are garbage, or a retired op
+	// that only replay of an old directory still accepts. Nothing may
+	// append and nothing may apply.
+	for _, tc := range []struct {
+		name string
+		bad  []byte
+	}{
+		{"garbage-doc", FramePutDoc("bad", []byte("garbage"))},
+		{"retired-deldoc", encodeFrame(recDelDoc, []byte("ok"))},
+		{"retired-putdesc", encodeFrame(recPutDesc, []byte("d1"), desc)},
+		{"retired-deldesc", encodeFrame(recDelDesc, []byte("d1"))},
+	} {
+		stream := append(append([]byte(nil), FramePutDoc("ok", data)...), tc.bad...)
+		if _, err := l.AppendFrames(stream); err == nil {
+			t.Fatalf("%s: bad batch accepted", tc.name)
+		}
+		if n := l.Stats().Records; n != 0 {
+			t.Fatalf("%s: bad batch appended %d records", tc.name, n)
+		}
+		if len(st.Docs) != 0 || len(l.docs) != 0 {
+			t.Fatalf("%s: bad batch applied its valid prefix", tc.name)
+		}
+		if err := l.Err(); err != nil {
+			t.Fatalf("%s: bad batch stuck the log: %v", tc.name, err)
+		}
 	}
 	// The log must still accept a good batch afterwards.
-	if _, _, err := l.AppendFrames(FramePutDoc("ok", data)); err != nil {
+	if _, err := l.AppendFrames(FramePutDoc("ok", data)); err != nil {
 		t.Fatalf("log unusable after rejected batch: %v", err)
 	}
 }
@@ -281,7 +289,12 @@ func TestResyncChunkCursorIsKeyed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_ = st
+	var blocks []*media.Block
+	for i := 0; i < 4; i++ {
+		b := media.CaptureText(fmt.Sprintf("blk-%d.txt", i), fmt.Sprint("body ", i), "en")
+		st.Store.Put(b)
+		blocks = append(blocks, b)
+	}
 
 	frames, next, err := l.ResyncChunk("", 1)
 	if err != nil {
@@ -294,13 +307,16 @@ func TestResyncChunkCursorIsKeyed(t *testing.T) {
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("chunk: %d records, err %v", len(recs), err)
 	}
-	// Deleting the already-shipped key must not derail resumption.
-	if err := l.DelDoc(string(recs[0].Fields[0])); err != nil {
-		t.Fatal(err)
-	}
+	// A block (and its name) vanishing mid-walk must not derail
+	// resumption: it is simply not shipped.
+	victim := blocks[1]
+	st.Store.Delete(victim.ID)
 	seen := map[string]bool{}
 	cursor := next
 	for cursor != "" {
+		if phase, _, _ := strings.Cut(cursor, "/"); phase != "docs" && phase != "blocks" && phase != "names" {
+			t.Fatalf("cursor %q names no resync phase", cursor)
+		}
 		frames, cursor, err = l.ResyncChunk(cursor, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -310,14 +326,29 @@ func TestResyncChunkCursorIsKeyed(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range rs {
-			if r.Op == RecPutDoc {
-				seen[string(r.Fields[0])] = true
-			}
+			seen[fmt.Sprintf("%d/%s", r.Op, r.Fields[0])] = true
 		}
 	}
 	for i := 1; i < 6; i++ {
-		if !seen[fmt.Sprintf("doc-%d", i)] {
+		if !seen[fmt.Sprintf("%d/doc-%d", RecPutDoc, i)] {
 			t.Fatalf("doc-%d not shipped after churn", i)
+		}
+	}
+	for _, b := range blocks {
+		blk, name := seen[fmt.Sprintf("%d/%s", RecPutBlk, b.ID)], seen[fmt.Sprintf("%d/%s", RecName, b.Name)]
+		if b == victim && (blk || name) {
+			t.Fatalf("block %s deleted mid-walk but shipped", b.Name)
+		}
+		if b != victim && !(blk && name) {
+			t.Fatalf("block %s not shipped after churn (block %v, name %v)", b.Name, blk, name)
+		}
+	}
+
+	// A cursor naming no phase of this walk — such as the retired
+	// descriptor phase — is an error, not a panic.
+	for _, bad := range []string{"descs/x", "descs/", "docs", "nope/x"} {
+		if _, _, err := l.ResyncChunk(bad, 1); err == nil {
+			t.Fatalf("cursor %q accepted", bad)
 		}
 	}
 }

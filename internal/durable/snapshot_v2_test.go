@@ -162,17 +162,6 @@ func writeLegacySnapshot(t *testing.T, dir string, seq uint64, st *State, docs m
 			write(recName, []byte(name), []byte(id))
 		}
 	}
-	for _, id := range st.DB.IDs() {
-		desc, ok := st.DB.Get(id)
-		if !ok {
-			continue
-		}
-		data, err := encodeDescriptor(desc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		write(recPutDesc, []byte(id), data)
-	}
 	if err := os.WriteFile(filepath.Join(dir, snapName(seq)), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -7,19 +7,17 @@ import (
 	"repro/internal/chunker"
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/ddbms"
 	"repro/internal/edit"
 	"repro/internal/media"
 )
 
-// State is the recovered corpus: the block store, the descriptor database
-// and the registered documents. Open and Load rebuild one by replaying the
-// newest snapshot plus the WAL tail. Once the log is attached as the
-// store's and database's journal, State stays the live corpus: the Log's
-// document methods keep Docs in step with what they journal.
+// State is the recovered corpus: the block store and the registered
+// documents. Open and Load rebuild one by replaying the newest snapshot
+// plus the WAL tail. Once the log is attached as the store's journal,
+// State stays the live corpus: the Log's document methods keep Docs in
+// step with what they journal.
 type State struct {
 	Store *media.Store
-	DB    *ddbms.DB
 	Docs  map[string]*core.Document
 
 	// descMemo caches descriptor parses by their wire text during
@@ -43,7 +41,6 @@ type ChunkHash = media.ChunkHash
 func newState() *State {
 	return &State{
 		Store:    media.NewStore(),
-		DB:       ddbms.New(),
 		Docs:     make(map[string]*core.Document),
 		descMemo: make(map[string]attr.List),
 	}
@@ -97,7 +94,7 @@ func (st *State) apply(op byte, fields [][]byte) error {
 		if err != nil {
 			return fmt.Errorf("editdoc %q: %w", fields[0], err)
 		}
-	case recDelDoc:
+	case recDelDoc: // retired, but replay still honours it
 		if err := want(1); err != nil {
 			return err
 		}
@@ -123,20 +120,10 @@ func (st *State) apply(op byte, fields [][]byte) error {
 			return err
 		}
 		st.Store.Delete(string(fields[0]))
-	case recPutDesc:
-		if err := want(2); err != nil {
-			return err
-		}
-		desc, err := st.parseDesc(fields[1])
-		if err != nil {
-			return fmt.Errorf("putdesc %q: %w", fields[0], err)
-		}
-		st.DB.Upsert(string(fields[0]), desc)
-	case recDelDesc:
-		if err := want(1); err != nil {
-			return err
-		}
-		st.DB.Delete(string(fields[0]))
+	case recPutDesc: // retired: checked, then dropped
+		return want(2)
+	case recDelDesc: // retired: checked, then dropped
+		return want(1)
 	case recChunk:
 		if err := want(2); err != nil {
 			return err

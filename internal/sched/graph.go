@@ -396,9 +396,6 @@ func Build(d *core.Document, opts Options) (*Graph, error) {
 // NumConstraints reports the number of live constraints.
 func (g *Graph) NumConstraints() int { return g.consCount }
 
-// NumLiveEvents reports the number of live (non-tombstoned) events.
-func (g *Graph) NumLiveEvents() int { return g.liveEvents }
-
 // lower appends t[v] ≥ t[u] + w, i.e. t[u] − t[v] ≤ −w (edge v→u).
 func lower(buf []Constraint, u, v EventID, w time.Duration, kind ConstraintKind, arc ArcRef, note string) []Constraint {
 	return append(buf, Constraint{U: v, V: u, W: -w, Kind: kind, Arc: arc, Note: note})

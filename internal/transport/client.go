@@ -193,10 +193,11 @@ func (c *Client) DedupeBytesSaved() int64 { return c.dedupeBytesSaved.Load() }
 
 // CompressedFrames counts request frames that actually shipped
 // deflated; CompressedBytesSaved the wire bytes that saved.
+// Tests read it to prove the compressed path ran.
 func (c *Client) CompressedFrames() int64 { return c.compressedSent.Load() }
 
 // CompressedBytesSaved reports request bytes compression kept off the
-// wire.
+// wire. Tests read it to prove the compressed path ran.
 func (c *Client) CompressedBytesSaved() int64 { return c.compressedSaved.Load() }
 
 // BytesSent reports accumulated request traffic for the transport-cost
@@ -212,7 +213,7 @@ func (c *Client) BytesReceived() int64 { return c.bytesReceived.Load() }
 func (c *Client) RoundTrips() int64 { return c.roundTrips.Load() }
 
 // StreamChunks counts chunk frames received through streamed block
-// transfers.
+// transfers. Tests read it to prove the streamed path ran.
 func (c *Client) StreamChunks() int64 { return c.streamChunks.Load() }
 
 // withTimeout applies the client's per-call Timeout when the context

@@ -19,7 +19,9 @@
 #     `codec.Xxx` / `chunker.Xxx` symbol in docs/ must
 #     appear in the corresponding internal package, and every `recXxx`
 #     record op named in the durability section must appear in
-#     internal/durable/record.go;
+#     internal/durable/record.go — and, the other way round, every `rec`
+#     op constant record.go declares must be named in that section, so
+#     a new or retired op cannot go undocumented;
 #   - the redesigned client API must stay documented: the docs must
 #     reference `cmif.Fetcher`, the typed option sets (`cmif.DialOption`,
 #     `cmif.ServeOption`, `cmif.EdgeOption`, `cmif.JoinOption`,
@@ -113,6 +115,22 @@ fi
 for ident in $(grep -o '`rec[A-Za-z]*`' docs/ARCHITECTURE.md | tr -d '`' | sort -u); do
     if ! grep -q "\b$ident\b" internal/durable/record.go; then
         echo "docs/ARCHITECTURE.md references \`$ident\`, which no longer exists in internal/durable/record.go" >&2
+        fail=1
+    fi
+done
+
+# ...and every record op record.go declares must be named in the
+# durability section ("### 5. Durable server state" up to the next
+# section heading).
+durability=$(awk '/^### 5\. Durable server state/{on=1; next} /^##/{on=0} on' docs/ARCHITECTURE.md)
+recops=$(sed -n 's/^[[:space:]]*\(rec[A-Za-z]*\) byte = .*/\1/p' internal/durable/record.go)
+if [ -z "$recops" ]; then
+    echo "found no record op constants in internal/durable/record.go" >&2
+    fail=1
+fi
+for ident in $recops; do
+    if ! printf '%s\n' "$durability" | grep -q "\`$ident\`"; then
+        echo "internal/durable/record.go declares \`$ident\`, which the durability section of docs/ARCHITECTURE.md never names" >&2
         fail=1
     fi
 done
