@@ -51,7 +51,10 @@ func WithSeqGaps() ScheduleOption {
 }
 
 // WithRelaxation permits dropping May arcs when the constraint set is
-// otherwise unsatisfiable (the paper's conflict resolution).
+// otherwise unsatisfiable (the paper's conflict resolution). An arc is
+// dropped only if it cannot hold together with the non-May constraints and
+// the May arcs kept before it in document order, so the victims are the
+// same on every run and putting any one of them back conflicts.
 func WithRelaxation() ScheduleOption {
 	return func(c *scheduleConfig) { c.solve.Relax = true }
 }

@@ -31,8 +31,9 @@ func corpusDoc(t *testing.T, spec corpus.Spec) *core.Document {
 }
 
 // TestSolveAllocationCeiling pins the relax loop's ownership rule: one arena
-// per Solve call, reused across relax iterations, so what a solve allocates
-// does not scale with the arcs it drops. DeepNest 2/6 drops 28.
+// per Solve call, reused across every admission, so what a solve allocates
+// does not scale with the arcs it drops. DeepNest 2/6 drops 25; the solve
+// allocates about 87 KB (223 KB when each victim cost a cold sweep).
 func TestSolveAllocationCeiling(t *testing.T) {
 	d := corpusDoc(t, corpus.Spec{Shape: corpus.DeepNest, Seed: 206, Size: 2, Depth: 6})
 	g, err := Build(d, Options{DefaultLeafDuration: 500 * time.Millisecond})
@@ -44,12 +45,12 @@ func TestSolveAllocationCeiling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(s.Dropped) != 28 {
-			t.Fatalf("dropped %d arcs, want 28", len(s.Dropped))
+		if len(s.Dropped) != 25 {
+			t.Fatalf("dropped %d arcs, want 25", len(s.Dropped))
 		}
 	}
 	solve() // materializes the graph's cached flat view
-	const calls, ceiling = 4, 2 << 20
+	const calls, ceiling = 4, 256 << 10
 	per := allocated(func() {
 		for i := 0; i < calls; i++ {
 			solve()

@@ -3,9 +3,11 @@ package sched
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/attr"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/units"
 )
 
@@ -83,6 +85,43 @@ func BenchmarkSolve(b *testing.B) {
 		b.Run(fmt.Sprintf("leaves-%d", leaves), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := g.Solve(SolveOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// structureSpecs are the eight documents cmifmark's view-structure workload
+// schedules: three conflict-free Archive documents and five DeepNest ones
+// whose May arcs conflict.
+var structureSpecs = []corpus.Spec{
+	{Shape: corpus.Archive, Seed: 201, Size: 20},
+	{Shape: corpus.Archive, Seed: 202, Size: 20},
+	{Shape: corpus.Archive, Seed: 203, Size: 20},
+	{Shape: corpus.DeepNest, Seed: 204, Size: 3, Depth: 3},
+	{Shape: corpus.DeepNest, Seed: 205, Size: 3, Depth: 3},
+	{Shape: corpus.DeepNest, Seed: 206, Size: 2, Depth: 6},
+	{Shape: corpus.DeepNest, Seed: 207, Size: 2, Depth: 6},
+	{Shape: corpus.DeepNest, Seed: 208, Size: 2, Depth: 6},
+}
+
+// BenchmarkSolveCorpus measures one relaxing Solve of each view-structure
+// document, built the way the workload builds it.
+func BenchmarkSolveCorpus(b *testing.B) {
+	for _, spec := range structureSpecs {
+		d, _, err := corpus.Generate(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := Build(d, Options{DefaultLeafDuration: 500 * time.Millisecond})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s-%d", spec.Shape, spec.Seed), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Solve(SolveOptions{Relax: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -40,8 +40,9 @@ func (e *ConflictError) MustArcs() []ArcRef {
 
 // SolveOptions configures the solver.
 type SolveOptions struct {
-	// Relax enables dropping May arcs to resolve conflicts: the first May
-	// arc on a conflict cycle is the victim.
+	// Relax enables dropping May arcs to resolve conflicts. An arc is
+	// dropped only if it cannot hold together with the non-May constraints
+	// and the May arcs kept before it in document order.
 	Relax bool
 }
 
@@ -90,75 +91,122 @@ func (g *Graph) solve(cons []Constraint, seed []time.Duration, opts SolveOptions
 // drops it.
 func (g *Graph) SolveParallel(opts SolveOptions) (*Schedule, error) { return g.Solve(opts) }
 
-// solve is the scheduler's one relax loop (section 5.3): detect a negative
-// cycle among the n vertices' constraints, drop the first May arc on it,
-// repeat until the system is feasible, then extract the earliest schedule
-// with t[src] = 0. cons is read, never modified: once an arc is dropped the
-// live constraints are filtered into the arena's own buffer. order
-// optionally sets the feasibility sweep's queue order and sc.seed its first
-// labels (warm starts). It returns the
-// shortest-path labels, aliasing the arena — convert with timeOf before the
-// next call — and the dropped arcs in victim order, or the constraints of a
-// cycle that relaxation could not (or may not) break.
+// solve is the scheduler's one relax loop (section 5.3). A feasibility
+// sweep over all of cons comes first; when it finds no negative cycle
+// nothing is dropped. Otherwise, with relax, the loop sweeps the system
+// without its May arcs and then admits the May arcs one at a time in list
+// order (document order, then arc index), all constraints of one arc
+// together: an arc is dropped only if it cannot hold together with the
+// non-May constraints and the May arcs kept before it (relaxation by
+// insertion; Ramalingam et al., Algorithmica 1999). Victims depend on the
+// constraint list alone, never on labels or queue order, so order and
+// sc.seed (warm starts) only speed up the sweeps, and a conflict is always
+// reported from a cold one. Finally the earliest schedule with t[src] = 0
+// is extracted over the kept constraints. cons is read, never modified. It
+// returns the shortest-path labels, aliasing the arena — convert with
+// timeOf before the next call — and the dropped arcs in list order, or the
+// constraints of a cycle that relaxation could not (or may not) break.
 func (sc *solveScratch) solve(n int, src EventID, cons []Constraint, order []EventID, relax bool) (dist []int64, dropped []ArcRef, conflict []Constraint) {
 	sc.order = order
-	live := cons
-	for {
-		cycleIdx := findNegativeCycle(n, live, sc)
-		if cycleIdx == nil {
-			break
+	sc.active = sc.active[:0]
+	sc.grow(n, len(cons))
+	sc.buildCSR(n, cons, false)
+	cycleIdx := sc.findNegativeCycle(n, cons)
+	if cycleIdx != nil && relax {
+		for i := range cons {
+			sc.active = append(sc.active, !isMay(&cons[i]))
 		}
+		if cycleIdx = sc.findNegativeCycle(n, cons); cycleIdx == nil {
+			dropped = sc.admitMay(cons)
+		}
+	}
+	if cycleIdx != nil {
 		if sc.seed != nil {
-			// Which cycle a sweep meets first depends on its labels. A
-			// seeded sweep only answers "feasible?"; victims are always
-			// picked by the cold one.
+			// Which cycle a sweep meets first depends on its labels.
 			sc.seed = nil
-			continue
+			cycleIdx = sc.findNegativeCycle(n, cons)
 		}
-		victim, ok := ArcRef{}, false
-		if relax {
-			victim, ok = pickVictim(live, cycleIdx)
+		conflict = make([]Constraint, len(cycleIdx))
+		for i, ci := range cycleIdx {
+			conflict[i] = cons[ci]
 		}
-		if !ok {
-			conflict = make([]Constraint, len(cycleIdx))
-			for i, ci := range cycleIdx {
-				conflict[i] = live[ci]
-			}
-			return nil, nil, conflict
-		}
-		dropped = append(dropped, victim)
-		// The victim's own constraint is on the cycle, so every pass
-		// shrinks the live list and the loop terminates. After the first
-		// drop live is sc.live and the filter runs in place.
-		if cap(sc.live) < len(live) {
-			sc.live = make([]Constraint, 0, len(live))
-		}
-		sc.live = sc.live[:0]
-		for i := range live {
-			if c := &live[i]; c.Kind != KindArc || keyOf(c.Arc) != keyOf(victim) {
-				sc.live = append(sc.live, *c)
-			}
-		}
-		live = sc.live
+		return nil, nil, conflict
 	}
 
 	// Earliest schedule with t[src] = 0: for difference constraints
 	// t_v − t_u ≤ w (edge u→v weight w), the earliest solution is
 	// t_v = −dist(v → src), i.e. single-source shortest paths from src on
 	// the reversed graph.
-	sc.buildCSR(n, live, true)
-	return sc.spfa(n, live, src), dropped, nil
+	sc.buildCSR(n, cons, true)
+	return sc.spfa(n, cons, src), dropped, nil
 }
 
-// pickVictim returns the first May arc on the cycle, which lists indices
-// into cons. Must arcs are never candidates.
-func pickVictim(cons []Constraint, cycle []int32) (ArcRef, bool) {
-	for _, ci := range cycle {
-		if c := &cons[ci]; c.Kind == KindArc && c.Arc.Arc.Strict == core.May {
-			return c.Arc, true
+func isMay(c *Constraint) bool { return c.Kind == KindArc && c.Arc.Arc.Strict == core.May }
+
+// admitMay activates cons' May arcs in list order over the labels of a
+// feasible sweep of the rest, and returns the arcs it had to reject. An
+// arc's constraints are adjacent in the list and stand or fall together.
+func (sc *solveScratch) admitMay(cons []Constraint) (dropped []ArcRef) {
+	for i := 0; i < len(cons); {
+		if !isMay(&cons[i]) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(cons) && cons[j].Kind == KindArc && keyOf(cons[j].Arc) == keyOf(cons[i].Arc) {
+			j++
+		}
+		sc.undo = sc.undo[:0]
+		for k := i; k < j; k++ {
+			sc.active[k] = true
+			if !sc.insert(cons, k) {
+				for k := i; k < j; k++ {
+					sc.active[k] = false
+				}
+				for u := len(sc.undo) - 1; u >= 0; u-- {
+					sc.dist[sc.undo[u].v] = sc.undo[u].d
+				}
+				dropped = append(dropped, cons[i].Arc)
+				break
+			}
+		}
+		i = j
+	}
+	return dropped
+}
+
+// insert restores feasible labels after cons[k] was activated, logging
+// every label it lowers in sc.undo. If the labels already satisfy the
+// constraint that costs nothing; otherwise the change is propagated
+// forward from its tail over active constraints. The labels were feasible
+// before, so any negative cycle runs through cons[k], and propagation
+// finds one exactly when it would lower the constraint's tail: insert then
+// reports false and leaves the restore to the caller.
+func (sc *solveScratch) insert(cons []Constraint, k int) bool {
+	c, dist, q := &cons[k], sc.dist, &sc.q
+	if dist[c.U]+int64(c.W) >= dist[c.V] {
+		return true
+	}
+	q.push(int32(c.U), dist)
+	for q.count > 0 {
+		u := q.pop()
+		for e := sc.off[u]; e < sc.off[u+1]; e++ {
+			ci := sc.edge[e]
+			d := &cons[ci]
+			if nd := dist[u] + int64(d.W); nd < dist[d.V] && sc.active[ci] {
+				if d.V == c.U {
+					for q.count > 0 {
+						q.pop()
+					}
+					return false
+				}
+				sc.undo = append(sc.undo, labelUndo{d.V, dist[d.V]})
+				dist[d.V] = nd
+				q.push(int32(d.V), dist)
+			}
 		}
 	}
-	return ArcRef{}, false
+	return true
 }
 
 // timeOf converts a shortest-path label into an event time. An event with
@@ -173,10 +221,10 @@ func timeOf(dist int64) time.Duration {
 
 const unreachable = int64(math.MaxInt64)
 
-// solveScratch is the relax loop's arena: CSR adjacency, SPFA queues and
-// labels, and the live-constraint buffer. Graph.Solve makes one per call;
-// a Solver owns one for life, so its re-solves allocate almost nothing. The
-// zero value is ready to use.
+// solveScratch is the relax loop's arena: CSR adjacency, the SPFA queue and
+// labels, the active flags and the label undo log. Graph.Solve makes one
+// per call; a Solver owns one for life, so its re-solves allocate almost
+// nothing. The zero value is ready to use.
 type solveScratch struct {
 	off  []int32 // CSR offsets, len n+1
 	edge []int32 // constraint indices, len m
@@ -185,18 +233,59 @@ type solveScratch struct {
 	dist    []int64
 	parent  []int32
 	pathlen []int32
-	inQueue []bool
-	// queue is a ring: the in-queue guard bounds live entries to n, so n
-	// slots suffice and the hot loops never grow a slice.
-	queue []int32
-	order []EventID // optional SPFA seeding order (warm start)
+	q       ring
+	order   []EventID // optional SPFA seeding order (warm start)
 	// seed, when it covers all n vertices, gives the first feasibility
 	// sweep its starting labels instead of zero (Graph.SolveFrom).
 	seed []time.Duration
-	// seeded marks the vertices a warm start has already queued.
-	seeded []bool
-	// live holds the constraint list minus the arcs dropped so far.
-	live []Constraint
+	// active, when set, flags the constraints in force (one per
+	// constraint); the sweeps and the reversed CSR skip the rest. Unset,
+	// every constraint is in force.
+	active []bool
+	// undo logs the labels an admission lowered, oldest first.
+	undo []labelUndo
+}
+
+// labelUndo records vertex v's label before an admission lowered it.
+type labelUndo struct {
+	v EventID
+	d int64
+}
+
+// ring is the label-correcting worklist: a deque over a power-of-two
+// number of slots, at least n. The in-queue guard bounds live entries to
+// n, so the hot loops never grow a slice. push follows the
+// smaller-label-first heuristic: a vertex whose label undercuts the
+// front's jumps the line, which drastically cuts re-relaxations on
+// arc-dense documents.
+type ring struct {
+	slot        []int32
+	in          []bool
+	head, count int // head may wrap below zero; slots are indexed & mask
+	mask        int
+}
+
+// push queues v unless it is queued already.
+func (r *ring) push(v int32, dist []int64) {
+	if r.in[v] {
+		return
+	}
+	r.in[v] = true
+	if r.count > 0 && dist[v] <= dist[r.slot[r.head&r.mask]] {
+		r.head--
+		r.slot[r.head&r.mask] = v
+	} else {
+		r.slot[(r.head+r.count)&r.mask] = v
+	}
+	r.count++
+}
+
+func (r *ring) pop() int32 {
+	v := r.slot[r.head&r.mask]
+	r.head++
+	r.count--
+	r.in[v] = false
+	return v
 }
 
 // grow sizes every scratch array for n vertices and m constraints.
@@ -207,27 +296,30 @@ func (sc *solveScratch) grow(n, m int) {
 		sc.dist = make([]int64, n)
 		sc.parent = make([]int32, n)
 		sc.pathlen = make([]int32, n)
-		sc.inQueue = make([]bool, n)
-		sc.queue = make([]int32, n)
-		sc.seeded = make([]bool, n)
+		sc.q.in = make([]bool, n)
 	}
 	sc.off = sc.off[:n+1]
 	sc.pos = sc.pos[:n]
 	sc.dist = sc.dist[:n]
 	sc.parent = sc.parent[:n]
 	sc.pathlen = sc.pathlen[:n]
-	sc.inQueue = sc.inQueue[:n]
-	sc.queue = sc.queue[:n]
-	sc.seeded = sc.seeded[:n]
+	size := 1
+	for size < n {
+		size <<= 1
+	}
+	if cap(sc.q.slot) < size {
+		sc.q.slot = make([]int32, size)
+	}
+	sc.q = ring{slot: sc.q.slot[:size], in: sc.q.in[:n], mask: size - 1}
 	if cap(sc.edge) < m {
 		sc.edge = make([]int32, m)
 	}
 	sc.edge = sc.edge[:m]
 }
 
-// buildCSR lays the constraints out as compact adjacency. With reverse set,
-// edges are keyed by V (the reversed graph used for earliest extraction);
-// otherwise by U (the forward graph used for feasibility).
+// buildCSR lays the constraints in force out as compact adjacency. With
+// reverse set, edges are keyed by V (the reversed graph used for earliest
+// extraction); otherwise by U (the forward graph used for feasibility).
 func (sc *solveScratch) buildCSR(n int, cons []Constraint, reverse bool) {
 	for i := range sc.off {
 		sc.off[i] = 0
@@ -238,46 +330,37 @@ func (sc *solveScratch) buildCSR(n int, cons []Constraint, reverse bool) {
 		}
 		return int32(c.U)
 	}
+	inForce := func(i int) bool { return len(sc.active) == 0 || sc.active[i] }
 	for i := range cons {
-		sc.off[key(&cons[i])+1]++
+		if inForce(i) {
+			sc.off[key(&cons[i])+1]++
+		}
 	}
 	for i := 0; i < n; i++ {
 		sc.off[i+1] += sc.off[i]
 		sc.pos[i] = sc.off[i]
 	}
 	for i := range cons {
-		k := key(&cons[i])
-		sc.edge[sc.pos[k]] = int32(i)
-		sc.pos[k]++
+		if inForce(i) {
+			k := key(&cons[i])
+			sc.edge[sc.pos[k]] = int32(i)
+			sc.pos[k]++
+		}
 	}
 }
 
 // spfa computes single-source shortest paths from src over the reversed
 // graph laid out by buildCSR(reverse=true). The caller guarantees no
 // negative cycles (checked beforehand). The result aliases the scratch.
-// The worklist is a ring deque with the smaller-label-first heuristic:
-// vertices whose label undercuts the queue front jump the line, which
-// drastically cuts re-relaxations on arc-dense documents.
 func (sc *solveScratch) spfa(n int, cons []Constraint, src EventID) []int64 {
-	dist := sc.dist
-	inq := sc.inQueue
-	q := sc.queue
+	dist, q := sc.dist, &sc.q
 	for i := 0; i < n; i++ {
 		dist[i] = unreachable
-		inq[i] = false
 	}
 	dist[src] = 0
-	head, count := 0, 1
-	q[0] = int32(src)
-	inq[src] = true
-	for count > 0 {
-		u := q[head]
-		head++
-		if head == n {
-			head = 0
-		}
-		count--
-		inq[u] = false
+	q.push(int32(src), dist)
+	for q.count > 0 {
+		u := q.pop()
 		du := dist[u]
 		if du == unreachable {
 			continue
@@ -287,23 +370,7 @@ func (sc *solveScratch) spfa(n int, cons []Constraint, src EventID) []int64 {
 			// Reversed edge V→U with weight W.
 			if nd := du + int64(c.W); nd < dist[c.U] {
 				dist[c.U] = nd
-				if !inq[c.U] {
-					if count > 0 && nd <= dist[q[head]] {
-						head--
-						if head < 0 {
-							head = n - 1
-						}
-						q[head] = int32(c.U)
-					} else {
-						tail := head + count
-						if tail >= n {
-							tail -= n
-						}
-						q[tail] = int32(c.U)
-					}
-					count++
-					inq[c.U] = true
-				}
+				q.push(int32(c.U), dist)
 			}
 		}
 	}
@@ -312,18 +379,18 @@ func (sc *solveScratch) spfa(n int, cons []Constraint, src EventID) []int64 {
 
 // findNegativeCycle runs a queue-based Bellman–Ford with a virtual source
 // (every vertex starts at distance 0, or at its seed label — any starting
-// labels are sound) over the forward graph and returns
-// the indices (into cons) of the constraints on a negative cycle, or nil
-// when the system is feasible. A vertex whose improving path grows to n
-// edges must lie on (or hang off) a negative cycle, which is then extracted
-// through the parent pointers.
-func findNegativeCycle(n int, cons []Constraint, sc *solveScratch) []int32 {
-	sc.grow(n, len(cons))
-	sc.buildCSR(n, cons, false)
+// labels are sound) over the constraints in force, on the forward graph
+// laid out by buildCSR(reverse=false), and returns the indices (into cons)
+// of the constraints on a negative cycle, or nil when they are feasible;
+// sc.dist then holds feasible labels. A vertex whose improving path grows
+// to n edges must lie on (or hang off) a negative cycle, which is then
+// extracted through the parent pointers.
+func (sc *solveScratch) findNegativeCycle(n int, cons []Constraint) []int32 {
+	active := sc.active
 	dist := sc.dist
 	parent := sc.parent
 	pathlen := sc.pathlen
-	inq := sc.inQueue
+	q := &sc.q
 	for i := 0; i < n; i++ {
 		dist[i] = 0
 		if len(sc.seed) == n {
@@ -331,52 +398,37 @@ func findNegativeCycle(n int, cons []Constraint, sc *solveScratch) []int32 {
 		}
 		parent[i] = -1
 		pathlen[i] = 0
-		inq[i] = true
+		q.in[i] = false
 	}
-	q := sc.queue
 	// Seed the queue in warm-start order when one is installed, so the
 	// first pass sweeps the system in (approximately) scheduled order.
 	// Cold solves seed in descending id order: lower bounds propagate from
 	// end events to begin events and from successors to predecessors —
 	// both toward lower ids — so a descending first pass settles the long
 	// seq chains in one sweep instead of one epoch per link.
-	if len(sc.order) > 0 {
-		seeded := sc.seeded
-		for i := range seeded {
-			seeded[i] = false
-		}
-		fill := 0
-		for _, v := range sc.order {
-			if int(v) < n && !seeded[v] {
-				q[fill] = int32(v)
-				fill++
-				seeded[v] = true
-			}
-		}
-		for i := n - 1; i >= 0; i-- {
-			if !seeded[EventID(i)] {
-				q[fill] = int32(i)
-				fill++
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			q[i] = int32(n - 1 - i)
+	fill := 0
+	for _, v := range sc.order {
+		if int(v) < n && !q.in[v] {
+			q.slot[fill], q.in[v] = int32(v), true
+			fill++
 		}
 	}
-	head, count := 0, n
-	var cycleAt int32 = -1
-	for count > 0 && cycleAt < 0 {
-		u := q[head]
-		head++
-		if head == n {
-			head = 0
+	for i := n - 1; i >= 0; i-- {
+		if !q.in[i] {
+			q.slot[fill], q.in[i] = int32(i), true
+			fill++
 		}
-		count--
-		inq[u] = false
+	}
+	q.head, q.count = 0, n
+	var cycleAt int32 = -1
+	for q.count > 0 && cycleAt < 0 {
+		u := q.pop()
 		du := dist[u]
 		for e := sc.off[u]; e < sc.off[u+1]; e++ {
 			ci := sc.edge[e]
+			if len(active) > 0 && !active[ci] {
+				continue
+			}
 			c := &cons[ci]
 			if nd := du + int64(c.W); nd < dist[c.V] {
 				dist[c.V] = nd
@@ -386,25 +438,12 @@ func findNegativeCycle(n int, cons []Constraint, sc *solveScratch) []int32 {
 					cycleAt = int32(c.V)
 					break
 				}
-				if !inq[c.V] {
-					if count > 0 && nd <= dist[q[head]] {
-						head--
-						if head < 0 {
-							head = n - 1
-						}
-						q[head] = int32(c.V)
-					} else {
-						tail := head + count
-						if tail >= n {
-							tail -= n
-						}
-						q[tail] = int32(c.V)
-					}
-					count++
-					inq[c.V] = true
-				}
+				q.push(int32(c.V), dist)
 			}
 		}
+	}
+	for q.count > 0 {
+		q.pop()
 	}
 	if cycleAt < 0 {
 		return nil
