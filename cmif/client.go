@@ -280,7 +280,8 @@ func (c *Client) Block(ctx context.Context, name string) (*Block, error) {
 // request frame instead of one round trip per block. The result aligns
 // with names; a name the server cannot resolve yields a nil entry (partial
 // results are not an error). A cache attached at Dial time serves hits
-// locally and absorbs the fetched blocks.
+// locally and absorbs the fetched blocks; a chunk cache (WithChunkCache)
+// assembles large blocks from the chunks it already holds.
 func (c *Client) Blocks(ctx context.Context, names []string) ([]*Block, error) {
 	blocks, err := c.pick().GetBlocks(ctx, names)
 	if err != nil {

@@ -143,8 +143,8 @@ func Open(path string, opts ...CodecOption) (*Document, error) {
 }
 
 // Encode serializes the document. The default is the conventional indented
-// text form; select others with WithFormat(FormatBinary), WithEmbeddedForm
-// or WithIndent.
+// text form; select others with WithFormat(FormatBinary) or
+// WithEmbeddedForm.
 func Encode(d *Document, opts ...CodecOption) ([]byte, error) {
 	return encodeNode(d.doc.Root, opts)
 }
@@ -173,7 +173,7 @@ func encodeNode(n *core.Node, opts []CodecOption) ([]byte, error) {
 	}
 	switch cfg.format {
 	case FormatText, FormatAuto:
-		wo := codec.WriteOptions{Indent: cfg.indent}
+		var wo codec.WriteOptions
 		if cfg.embedded {
 			wo.Form = codec.Embedded
 		}
@@ -203,7 +203,6 @@ func EncodeTo(w io.Writer, d *Document, opts ...CodecOption) error {
 type codecConfig struct {
 	format   Format
 	embedded bool
-	indent   string
 }
 
 // CodecOption configures Decode, Open, Encode and their variants.
@@ -220,10 +219,4 @@ func WithFormat(f Format) CodecOption {
 // text encoding.
 func WithEmbeddedForm() CodecOption {
 	return func(c *codecConfig) { c.embedded = true }
-}
-
-// WithIndent sets the per-level indentation of the conventional text form;
-// the default is two spaces.
-func WithIndent(indent string) CodecOption {
-	return func(c *codecConfig) { c.indent = indent }
 }

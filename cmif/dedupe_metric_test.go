@@ -121,3 +121,57 @@ func checkDedupeSaved(t *testing.T, addr string, saved *metrics.Counter) {
 		t.Fatalf("dedupe counter moved to %d on a re-fetch, want it to stay %d", got, want)
 	}
 }
+
+// TestChunkCacheServesPrefetch pins the chunk cache inside the batched
+// fetch plan: a client dialed WithChunkCache that prefetches a document
+// twice assembles the second run's large blocks from chunks the first
+// run cached, and every payload still equals the origin's.
+func TestChunkCacheServesPrefetch(t *testing.T) {
+	ctx := context.Background()
+	doc, store, err := cmif.BuildNews(cmif.NewsConfig{Stories: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := 0
+	for _, name := range doc.ExternalFiles() {
+		if b, ok := store.GetByName(name); ok && len(b.Payload) >= media.ChunkThreshold {
+			large++
+		}
+	}
+	if large == 0 {
+		t.Fatal("no block passes the chunk threshold; the test would prove nothing")
+	}
+	srv := cmif.NewServer(cmif.WithServedStore(store), cmif.WithServedDocument("news", doc))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+
+	c, err := cmif.Dial(ctx, addr, cmif.WithChunkCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var fetches, saved int64
+	for run := 1; run <= 2; run++ {
+		fetches, saved = c.DedupeFetches(), c.DedupeBytesSaved()
+		local, err := cmif.PrefetchVia(ctx, c, doc)
+		if err != nil {
+			t.Fatalf("run %d: PrefetchVia: %v", run, err)
+		}
+		for _, name := range doc.ExternalFiles() {
+			want, _ := store.GetByName(name)
+			got, ok := local.GetByName(name)
+			if !ok || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("run %d: %s differs from the origin's", run, name)
+			}
+		}
+	}
+	if n := c.DedupeFetches() - fetches; n <= 0 {
+		t.Errorf("second prefetch took the dedupe path %d times, want > 0", n)
+	}
+	if n := c.DedupeBytesSaved() - saved; n <= 0 {
+		t.Errorf("second prefetch saved %d bytes from the chunk cache, want > 0", n)
+	}
+}

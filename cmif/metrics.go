@@ -8,8 +8,8 @@ import (
 // Metrics is a registry of counters, gauges and latency histograms. One
 // registry typically serves a whole process: the server instruments
 // itself into its own (Server.Metrics), while client-side caches
-// (BlockCache.Instrument) and schedulers (WithScheduleMetrics) accept any
-// registry — NewMetrics builds a fresh one.
+// (BlockCache.Instrument) accept any registry — NewMetrics builds a
+// fresh one.
 //
 // A registry serves its contents three ways: Prometheus text exposition
 // (Prometheus, or the cmifd -metrics endpoint), a structured Snapshot
@@ -60,11 +60,3 @@ func WithServerMetrics(reg *Metrics) ServingOption {
 // with WithDataDir — WAL append lag, live WAL bytes and snapshot counts.
 // Always non-nil; serve it with Metrics.Handler or scrape Prometheus.
 func (s *Server) Metrics() *Metrics { return s.srv.Metrics }
-
-// WithScheduleMetrics mirrors the solver's pass activity into reg:
-// cmif_schedule_seconds and cmif_schedule_passes_total split by
-// full/incremental, graph rebuilds, and the size of the last solved
-// system.
-func WithScheduleMetrics(reg *Metrics) ScheduleOption {
-	return func(c *scheduleConfig) { c.metrics = reg }
-}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/media"
 	"repro/internal/pipeline"
 	"repro/internal/present"
-	"repro/internal/sched"
 )
 
 // Profile describes a target presentation environment for constraint
@@ -78,9 +77,6 @@ const (
 	RenderAll = pipeline.AllViews
 )
 
-// SchedulerOptions tunes the timing-resolution stage of a pipeline run.
-type SchedulerOptions = sched.Options
-
 // Outcome carries every artifact a pipeline run produces: issues,
 // schedule, presentation map, filter map, filtered store, playback result
 // and the requested view renderings.
@@ -133,12 +129,6 @@ func WithStoreFromDataDir(dir string) PipelineOption {
 // the fetcher.
 func WithFetcher(f Fetcher) PipelineOption {
 	return func(c *pipelineConfig) { c.fetcher = f }
-}
-
-// WithScheduler tunes timing-graph construction (leaf durations, rigid
-// leaves, sequence gaps).
-func WithScheduler(opts SchedulerOptions) PipelineOption {
-	return func(c *pipelineConfig) { c.cfg.SchedOptions = &opts }
 }
 
 // WithRenderTarget restricts the run to the given renderings instead of

@@ -25,9 +25,8 @@ type Plan struct {
 
 // scheduleConfig collects the scheduling options.
 type scheduleConfig struct {
-	opts    sched.Options
-	solve   sched.SolveOptions
-	metrics *Metrics
+	opts  sched.Options
+	solve sched.SolveOptions
 }
 
 // ScheduleOption configures Schedule.
@@ -37,17 +36,6 @@ type ScheduleOption func(*scheduleConfig)
 // (the default) leaves them flexible.
 func WithDefaultLeafDuration(d time.Duration) ScheduleOption {
 	return func(c *scheduleConfig) { c.opts.DefaultLeafDuration = d }
-}
-
-// WithRigidLeaves forbids stretching leaf events (no freeze-frame).
-func WithRigidLeaves() ScheduleOption {
-	return func(c *scheduleConfig) { c.opts.RigidLeaves = true }
-}
-
-// WithSeqGaps permits dead time between consecutive children of a
-// sequential node instead of stretching the predecessor.
-func WithSeqGaps() ScheduleOption {
-	return func(c *scheduleConfig) { c.opts.SeqGaps = true }
 }
 
 // WithRelaxation permits dropping May arcs when the constraint set is
@@ -72,9 +60,6 @@ func Schedule(d *Document, opts ...ScheduleOption) (*Plan, error) {
 	solver, err := sched.NewSolver(d.doc, cfg.opts, cfg.solve)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.metrics != nil {
-		solver.Instrument(cfg.metrics)
 	}
 	s, err := solver.Schedule()
 	if err != nil {

@@ -56,9 +56,6 @@ type Config struct {
 	Strict bool
 	// Views selects the renderings to produce; zero means all of them.
 	Views View
-	// SchedOptions tunes timing-graph construction. A nil value gets
-	// filter.DefaultLeafDuration for leaves with no known duration.
-	SchedOptions *sched.Options
 }
 
 // Outcome carries every artifact the pipeline produces.
@@ -132,11 +129,7 @@ func Run(ctx context.Context, doc *core.Document, store *media.Store, cfg Config
 	}
 
 	// Stage: timing resolution.
-	schedOpts := sched.Options{DefaultLeafDuration: filter.DefaultLeafDuration}
-	if cfg.SchedOptions != nil {
-		schedOpts = *cfg.SchedOptions
-	}
-	g, err := sched.Build(doc, schedOpts)
+	g, err := sched.Build(doc, sched.Options{DefaultLeafDuration: filter.DefaultLeafDuration})
 	if err != nil {
 		return out, fmt.Errorf("pipeline: %w", err)
 	}

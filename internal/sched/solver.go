@@ -47,10 +47,6 @@ type Solver struct {
 	local []int32
 	buf   []Constraint
 	order []EventID
-
-	// m mirrors pass activity into a metrics registry (Instrument); nil
-	// when uninstrumented.
-	m *solverMetrics
 }
 
 // SolveStats describes the last (re)scheduling pass.
@@ -97,7 +93,6 @@ func (s *Solver) Stats() SolveStats { return s.stats }
 // solver last saw it. The result is identical to Graph.Solve on the same
 // constraint system.
 func (s *Solver) Schedule() (*Schedule, error) {
-	start := s.m.now()
 	if s.cursor != s.doc.Generation() || s.broken {
 		g, err := Build(s.doc, s.buildOpts)
 		if err != nil {
@@ -107,13 +102,8 @@ func (s *Solver) Schedule() (*Schedule, error) {
 		s.cursor = s.doc.Generation()
 		s.broken = false
 		s.stats.FullRebuilds++
-		s.m.countRebuild()
 	}
-	sch, err := s.solveAll()
-	if err == nil {
-		s.m.observePass(true, start, s.stats)
-	}
-	return sch, err
+	return s.solveAll()
 }
 
 // solveAll solves every component from scratch and records the solution.
@@ -172,12 +162,10 @@ func (s *Solver) Reschedule() (*Schedule, error) {
 	if !s.solved {
 		return s.Schedule()
 	}
-	start := s.m.now()
 	changes := s.doc.ChangesSince(s.cursor)
 	s.cursor = s.doc.Generation()
 	if len(changes) == 0 {
 		s.stats.Resolved, s.stats.Reused = 0, len(s.cs.eventsOrNone())
-		s.m.observePass(false, start, s.stats)
 		return s.snapshot(s.aggregateDropped()), nil
 	}
 
@@ -233,18 +221,9 @@ func (s *Solver) Reschedule() (*Schedule, error) {
 		}
 		s.g = g
 		s.stats.FullRebuilds++
-		s.m.countRebuild()
-		sch, err := s.solveAll()
-		if err == nil {
-			s.m.observePass(false, start, s.stats)
-		}
-		return sch, err
+		return s.solveAll()
 	}
-	sch, err := s.applyPatch(&p)
-	if err == nil {
-		s.m.observePass(false, start, s.stats)
-	}
-	return sch, err
+	return s.applyPatch(&p)
 }
 
 // patchPlan accumulates what an edit batch dirtied.

@@ -118,8 +118,8 @@ func (c *BlockCache) Add(key string, blk *media.Block) {
 	c.blocks.Add(key, blk)
 }
 
-// join is the singleflight entry point shared by the single-block and
-// batched fetch paths. It returns exactly one of:
+// join is the singleflight entry point shared by GetOrFetch and the
+// client's batched fetch plan. It returns exactly one of:
 //
 //   - a resident block (a hit; blk non-nil),
 //   - an existing flight to wait on (another goroutine is fetching; also

@@ -30,10 +30,11 @@ type Client struct {
 	// concurrent misses for the same key into one wire call. Set before
 	// sharing the client across goroutines.
 	Cache *BlockCache
-	// ChunkCache, when non-nil, switches single-block fetches to the
-	// dedupe path: fetch the block's chunk manifest, serve every chunk
-	// the cache holds locally, and pull only the missing ones. Set with WithChunkCache (or directly before
-	// sharing the client across goroutines).
+	// ChunkCache, when non-nil, puts the dedupe path first in every block
+	// fetch: fetch the block's chunk manifest, serve every chunk the
+	// cache holds locally, and pull only the missing ones. Set with
+	// WithChunkCache (or directly before sharing the client across
+	// goroutines).
 	ChunkCache *ChunkCache
 
 	// Traffic counters, atomically maintained across goroutines.
@@ -80,7 +81,7 @@ func WithFrameCompression(on bool) DialOption {
 }
 
 // WithChunkCache attaches a chunk cache, enabling the dedupe fetch path
-// for single-block fetches. The cache may be shared between clients;
+// for every block fetch. The cache may be shared between clients;
 // chunks are content-addressed and never go stale.
 func WithChunkCache(cc *ChunkCache) DialOption {
 	return func(c *dialConfig) { c.chunkCache = cc }
@@ -183,7 +184,7 @@ func (c *Client) hello(ctx context.Context) error {
 // frames are always understood.
 func (c *Client) Compressed() bool { return c.compress }
 
-// DedupeFetches counts single-block fetches answered through the
+// DedupeFetches counts block fetches answered through the
 // manifest/chunk dedupe path rather than a whole-payload transfer.
 func (c *Client) DedupeFetches() int64 { return c.dedupeFetches.Load() }
 
@@ -272,51 +273,28 @@ func (c *Client) PutDoc(ctx context.Context, name string, d *core.Document, enc 
 	return err
 }
 
-// GetBlock fetches a data block by name or content address. With a Cache
-// attached, hits are served locally and concurrent misses for the same
-// name collapse into one wire call. A block too large for a single
-// response frame is transparently fetched as a chunked stream.
+// GetBlock fetches a data block by name or content address: a batch of
+// one through GetBlocks, so the cache, the chunk-cache dedupe path and
+// the chunked stream for oversized blocks all apply. A name the server
+// cannot resolve is an error matching ErrNotFound.
 func (c *Client) GetBlock(ctx context.Context, name string) (*media.Block, error) {
-	if c.Cache != nil {
-		return c.Cache.GetOrFetch(ctx, name, func(ctx context.Context) (*media.Block, error) {
-			return c.getBlockWire(ctx, name)
-		})
-	}
-	return c.getBlockWire(ctx, name)
-}
-
-// getBlockWire is the uncached single-block fetch: one round trip, with a
-// transparent retry through the chunked stream when the server reports
-// the block exceeds the single-frame limit. With a chunk cache
-// attached, the dedupe path goes first: manifest plus missing chunks,
-// falling back to the plain fetch whenever the server has no manifest
-// or the reassembly does not check out.
-func (c *Client) getBlockWire(ctx context.Context, name string) (*media.Block, error) {
-	if c.ChunkCache != nil {
-		blk, handled, err := c.getBlockDedup(ctx, name)
-		if handled || err != nil {
-			return blk, err
-		}
-	}
-	parts, err := c.roundTrip(ctx, opGetBlk, []byte(name))
-	if errors.Is(err, errTooLarge) {
-		return c.getBlockStream(ctx, name)
-	}
+	blocks, err := c.GetBlocks(ctx, []string{name})
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) != 4 {
-		return nil, fmt.Errorf("transport: getblk returned %d parts", len(parts))
+	if blocks[0] == nil {
+		return nil, errNoBlock(name)
 	}
-	blk, err := blockFromParts(parts)
-	if err == nil {
-		c.seedChunks(blk.Payload)
-	}
-	return blk, err
+	return blocks[0], nil
 }
 
-// seedChunks cuts a whole payload that arrived over the plain path and
-// caches its chunks, so the very next fetch of this block — or of a
+// errNoBlock is the not-found error of a block fetch.
+func errNoBlock(name string) error {
+	return fmt.Errorf("%w: %w: getblks: no block %q", ErrRemote, ErrNotFound, name)
+}
+
+// seedChunks cuts a whole payload that arrived in a getblks entry or a
+// stream and caches its chunks, so the very next fetch of this block — or of a
 // near-duplicate sharing most of its content — takes the dedupe path
 // warm. The gear chunker's fixed table guarantees the cuts match the
 // server's.
@@ -335,32 +313,45 @@ const manifestEntrySize = chunker.HashSize + 4
 
 // getBlockDedup fetches a block through the manifest/chunk path:
 // resolve the manifest, copy every cached chunk into the payload being
-// assembled, pull only the missing chunks (batched up to maxParts per
+// assembled, pull only the missing chunks (batched up to maxBatch per
 // round trip), and verify the reassembled payload against the server's
-// content address. handled is false — and nothing is returned — when
-// the server offers no manifest for the block or any step of the
-// reassembly disagrees with the manifest; the caller then takes the
-// plain whole-payload fetch, which remains the source of truth.
-func (c *Client) getBlockDedup(ctx context.Context, name string) (blk *media.Block, handled bool, err error) {
+// content address. A not-found is an answer and returns its error.
+// Otherwise the block is nil — and the name joins the batched fetch,
+// which remains the source of truth — when the server offers no
+// manifest for it or any step of the reassembly disagrees with the
+// manifest.
+func (c *Client) getBlockDedup(ctx context.Context, name string) (*media.Block, error) {
 	parts, err := c.roundTrip(ctx, opGetBlkManifest, []byte(name))
 	if err != nil {
 		// An old-style failure (or a proxy that does not forward the op)
 		// falls back; a definitive not-found is an answer, not a fallback.
 		if errors.Is(err, ErrNotFound) {
-			return nil, true, err
+			return nil, err
 		}
-		return nil, false, nil
+		return nil, nil
 	}
 	if len(parts) != 6 {
-		return nil, false, nil
+		return nil, nil
 	}
 	manifest := parts[5]
 	if len(manifest) == 0 || len(manifest)%manifestEntrySize != 0 {
-		return nil, false, nil
+		return nil, nil
 	}
+	// Check every entry before allocating: the server cuts each manifest
+	// with chunker.Config{}, so no chunk exceeds chunker.DefaultMax, and
+	// the sizes must add up to the declared total. A lying manifest then
+	// cannot force an allocation larger than its entries can describe.
 	totalSize := binary.BigEndian.Uint64(parts[4])
-	if totalSize > uint64(maxStreamBytes) {
-		return nil, false, nil
+	var sum uint64
+	for e := 0; e < len(manifest); e += manifestEntrySize {
+		size := binary.BigEndian.Uint32(manifest[e+chunker.HashSize : e+manifestEntrySize])
+		if size == 0 || size > chunker.DefaultMax {
+			return nil, nil
+		}
+		sum += uint64(size)
+	}
+	if sum != totalSize || totalSize > uint64(maxStreamBytes) {
+		return nil, nil
 	}
 
 	// Lay the payload out from the manifest: cached chunks copy in
@@ -378,9 +369,6 @@ func (c *Client) getBlockDedup(ctx context.Context, name string) (blk *media.Blo
 		var h media.ChunkHash
 		copy(h[:], manifest[e:e+chunker.HashSize])
 		size := int(binary.BigEndian.Uint32(manifest[e+chunker.HashSize : e+manifestEntrySize]))
-		if size <= 0 || off+size > len(payload) {
-			return nil, false, nil
-		}
 		if data, ok := c.ChunkCache.Get(h); ok && len(data) == size {
 			copy(payload[off:off+size], data)
 			fromCache += int64(size)
@@ -392,57 +380,43 @@ func (c *Client) getBlockDedup(ctx context.Context, name string) (blk *media.Blo
 		}
 		off += size
 	}
-	if off != len(payload) {
-		return nil, false, nil
-	}
 
-	for start := 0; start < len(missing); start += maxParts {
-		end := start + maxParts
-		if end > len(missing) {
-			end = len(missing)
+	keys := make([][]byte, len(missing))
+	for i := range missing {
+		keys[i] = missing[i][:]
+	}
+	// Any disagreement — a chunk GCed between manifest and fetch (a
+	// concurrent delete), or bytes that do not match their address or
+	// slot — means the manifest is stale: start over on the batched path.
+	errStale := errors.New("transport: stale manifest")
+	err = c.fetchBatched(ctx, opGetChunks, keys, 1, func(i int, fields [][]byte, flag byte) error {
+		if flag != entryFound {
+			return errStale
 		}
-		batch := missing[start:end]
-		req := make([][]byte, len(batch))
-		for i := range batch {
-			req[i] = batch[i][:]
+		data, h := fields[0], missing[i]
+		if chunker.Sum(data) != h {
+			return errStale
 		}
-		resp, err := c.roundTrip(ctx, opGetChunks, req...)
-		if err != nil {
-			return nil, false, nil
-		}
-		if len(resp) != len(batch) {
-			return nil, false, nil
-		}
-		for i, entry := range resp {
-			fields, flag, err := decodeEntry(entry, 1)
-			if err != nil || flag != entryFound {
-				// The chunk was GCed between manifest and fetch (a
-				// concurrent delete): the manifest is stale, start over
-				// on the plain path.
-				return nil, false, nil
+		for _, sl := range slots[h] {
+			if len(data) != sl.size {
+				return errStale
 			}
-			data := fields[0]
-			h := batch[i]
-			if chunker.Sum(data) != h {
-				return nil, false, nil
-			}
-			for _, sl := range slots[h] {
-				if len(data) != sl.size {
-					return nil, false, nil
-				}
-				copy(payload[sl.off:sl.off+sl.size], data)
-			}
-			c.ChunkCache.Add(h, data)
+			copy(payload[sl.off:sl.off+sl.size], data)
 		}
+		c.ChunkCache.Add(h, data)
+		return nil
+	})
+	if err != nil {
+		return nil, nil
 	}
 
 	medium, err := core.ParseMedium(string(parts[1]))
 	if err != nil {
-		return nil, false, nil
+		return nil, nil
 	}
 	descNode, err := codec.ParseNode(string(parts[2]))
 	if err != nil {
-		return nil, false, nil
+		return nil, nil
 	}
 	// The manifest fully determines the payload (every chunk above was
 	// verified against its content address), so once an (address,
@@ -457,14 +431,14 @@ func (c *Client) getBlockDedup(ctx context.Context, name string) (blk *media.Blo
 		b = media.NewBlock(string(parts[0]), medium, payload, descNode.Attrs)
 		if b.ID != string(parts[3]) {
 			// Reassembly disagrees with the server's content address —
-			// whatever went wrong, the plain fetch self-verifies.
-			return nil, false, nil
+			// whatever went wrong, the batched fetch self-verifies.
+			return nil, nil
 		}
 		c.ChunkCache.MarkManifestVerified(vkey)
 	}
 	c.dedupeFetches.Add(1)
 	c.dedupeBytesSaved.Add(fromCache)
-	return b, true, nil
+	return b, nil
 }
 
 // manifestVerifyKey digests the (content address, medium, manifest)
@@ -481,13 +455,49 @@ func manifestVerifyKey(id, medium, manifest []byte) [32]byte {
 	return key
 }
 
-// GetBlocks fetches many blocks in batched round trips: up to maxBatch
-// names travel per frame, so N blocks cost ceil(N/maxBatch) round trips
-// instead of N. The result is aligned with names; a name the server cannot
-// resolve yields a nil entry (a partial result, not an error). With a
-// Cache attached, cached names are served locally, misses join the cache's
-// singleflight — concurrent fetches of the same name, batched or single,
-// collapse to one wire transfer — and fetched blocks populate the cache.
+// fetchBatched sends keys under op, at most maxBatch per frame, so N keys
+// cost ceil(N/maxBatch) round trips. It checks each response carries one
+// entry per key and hands visit the key's index with its decoded entry
+// (nFields fields when found). The first error stops the fetch.
+func (c *Client) fetchBatched(ctx context.Context, op byte, keys [][]byte, nFields int, visit func(i int, fields [][]byte, flag byte) error) error {
+	for start := 0; start < len(keys); start += maxBatch {
+		end := min(start+maxBatch, len(keys))
+		resp, err := c.roundTrip(ctx, op, keys[start:end]...)
+		if err != nil {
+			return err
+		}
+		if len(resp) != end-start {
+			return fmt.Errorf("transport: %s returned %d entries for %d keys", opNames[op], len(resp), end-start)
+		}
+		for i, entry := range resp {
+			fields, flag, err := decodeEntry(entry, nFields)
+			if err != nil {
+				return err
+			}
+			if err := visit(start+i, fields, flag); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// GetBlocks is the client's one fetch plan. The result is aligned with
+// names; a name the server cannot resolve yields a nil entry (a partial
+// result, not an error). Duplicate names are fetched once, and each
+// unique name goes through these steps:
+//
+//  1. With a Cache attached, resident names are served locally, and a
+//     name another goroutine is already fetching waits on that fetch
+//     (singleflight); the rest this call leads.
+//  2. With a ChunkCache attached, each led name tries the manifest/chunk
+//     dedupe path first. A not-found is an answer; anything the path
+//     does not handle goes on to step 3.
+//  3. The remaining names travel up to maxBatch per getblks frame. An
+//     entry the server deferred as too large for the frame is fetched
+//     on its own as a chunked stream.
+//  4. Every decoded block seeds the chunk cache, and with a Cache
+//     attached, populates it.
 func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block, error) {
 	// Collapse duplicates and classify each unique name: resident in the
 	// cache, in flight elsewhere (wait), or ours to fetch (lead).
@@ -517,7 +527,12 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 		}
 	}
 	// Whatever happens below, never strand a follower on an owned flight.
+	// A settled not-found carries the usual not-found taxonomy to
+	// GetOrFetch followers of the flight.
 	settle := func(name string, blk *media.Block, err error) {
+		if blk != nil {
+			got[name] = blk
+		}
 		if f, ok := owned[name]; ok {
 			c.Cache.settle(name, f, blk, err)
 			delete(owned, name)
@@ -530,60 +545,54 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 		return nil, err
 	}
 
-	for start := 0; start < len(order); start += maxBatch {
-		end := start + maxBatch
-		if end > len(order) {
-			end = len(order)
-		}
-		chunk := order[start:end]
-		parts := make([][]byte, len(chunk))
-		for i, name := range chunk {
-			parts[i] = []byte(name)
-		}
-		resp, err := c.roundTrip(ctx, opGetBlks, parts...)
-		if err != nil {
-			return fail(err)
-		}
-		if len(resp) != len(chunk) {
-			return fail(fmt.Errorf("transport: getblks returned %d entries for %d names", len(resp), len(chunk)))
-		}
-		for i, entry := range resp {
-			name := chunk[i]
-			fields, flag, err := decodeEntry(entry, 4)
-			if err != nil {
-				return fail(err)
-			}
-			var blk *media.Block
-			switch flag {
-			case entryMissing:
-				// Settle with the same error shape a single-block fetch
-				// of a missing name produces, so GetOrFetch followers of
-				// this flight see the usual not-found taxonomy.
-				settle(name, nil, fmt.Errorf("%w: %w: getblks: no block %q", ErrRemote, ErrNotFound, name))
+	if c.ChunkCache != nil {
+		rest := order[:0]
+		for _, name := range order {
+			blk, err := c.getBlockDedup(ctx, name)
+			if err == nil && blk == nil {
+				rest = append(rest, name)
 				continue
-			case entryDeferred:
-				// The block was too large to inline in the batch frame;
-				// fetch it on its own as a chunked stream, so oversized
-				// blocks neither bypass batching with ad-hoc single
-				// frames nor hit the frame wall. A not-found here (the
-				// block was deleted meanwhile) stays a partial result.
-				blk, err = c.getBlockStream(ctx, name)
-				if errors.Is(err, ErrNotFound) {
-					settle(name, nil, err)
-					continue
-				}
-				if err != nil {
-					return fail(err)
-				}
-			default:
-				blk, err = blockFromParts(fields)
-				if err != nil {
-					return fail(err)
-				}
 			}
-			settle(name, blk, nil)
-			got[name] = blk
+			settle(name, blk, err)
 		}
+		order = rest
+	}
+
+	keys := make([][]byte, len(order))
+	for i, name := range order {
+		keys[i] = []byte(name)
+	}
+	err := c.fetchBatched(ctx, opGetBlks, keys, 4, func(i int, fields [][]byte, flag byte) error {
+		name := order[i]
+		var blk *media.Block
+		var err error
+		switch flag {
+		case entryMissing:
+			settle(name, nil, errNoBlock(name))
+			return nil
+		case entryDeferred:
+			// The block was too large to inline in the batch frame; fetch
+			// it on its own as a chunked stream, so oversized blocks
+			// neither bypass batching with ad-hoc single frames nor hit
+			// the frame wall. A not-found here (the block was deleted
+			// meanwhile) stays a partial result.
+			blk, err = c.getBlockStream(ctx, name)
+			if errors.Is(err, ErrNotFound) {
+				settle(name, nil, err)
+				return nil
+			}
+		default:
+			blk, err = blockFromParts(fields)
+		}
+		if err != nil {
+			return err
+		}
+		c.seedChunks(blk.Payload)
+		settle(name, blk, nil)
+		return nil
+	})
+	if err != nil {
+		return fail(err)
 	}
 
 	// Collect the names other goroutines were already fetching.
@@ -614,44 +623,28 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 func (c *Client) GetDescriptors(ctx context.Context, names []string) (map[string]attr.List, error) {
 	out := make(map[string]attr.List, len(names))
 	var order []string
+	var keys [][]byte
 	seen := make(map[string]bool, len(names))
 	for _, name := range names {
 		if !seen[name] {
 			seen[name] = true
 			order = append(order, name)
+			keys = append(keys, []byte(name))
 		}
 	}
-	for start := 0; start < len(order); start += maxBatch {
-		end := start + maxBatch
-		if end > len(order) {
-			end = len(order)
+	err := c.fetchBatched(ctx, opGetDescs, keys, 2, func(i int, fields [][]byte, flag byte) error {
+		if flag != entryFound {
+			return nil
 		}
-		chunk := order[start:end]
-		parts := make([][]byte, len(chunk))
-		for i, name := range chunk {
-			parts[i] = []byte(name)
-		}
-		resp, err := c.roundTrip(ctx, opGetDescs, parts...)
+		descNode, err := codec.ParseNode(string(fields[1]))
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("transport: getdescs descriptor: %w", err)
 		}
-		if len(resp) != len(chunk) {
-			return nil, fmt.Errorf("transport: getdescs returned %d entries for %d names", len(resp), len(chunk))
-		}
-		for i, entry := range resp {
-			fields, flag, err := decodeEntry(entry, 2)
-			if err != nil {
-				return nil, err
-			}
-			if flag != entryFound {
-				continue
-			}
-			descNode, err := codec.ParseNode(string(fields[1]))
-			if err != nil {
-				return nil, fmt.Errorf("transport: getdescs descriptor: %w", err)
-			}
-			out[chunk[i]] = descNode.Attrs
-		}
+		out[order[i]] = descNode.Attrs
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

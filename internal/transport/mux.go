@@ -20,11 +20,6 @@ import (
 // requests complete, or raise the pool size.
 var ErrBusy = errors.New("transport: server busy")
 
-// errTooLarge is the internal marker for opErrTooLarge responses: the
-// block exists but cannot travel as one frame. The client reacts by
-// retrying with the chunked stream op; it never escapes to callers.
-var errTooLarge = errors.New("transport: block too large for a single frame")
-
 // clientMux multiplexes pipelined requests over one connection: a
 // writer goroutine serializes frame writes (coalescing bursts through a
 // buffered writer), a reader goroutine demultiplexes response frames to
@@ -366,8 +361,6 @@ func muxResponse(f frameV2) ([][]byte, error) {
 		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrNotFound, errText(f.parts))
 	case opErrBusy:
 		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, ErrBusy, errText(f.parts))
-	case opErrTooLarge:
-		return nil, fmt.Errorf("%w: %w: %s", ErrRemote, errTooLarge, errText(f.parts))
 	case opErr:
 		return nil, fmt.Errorf("%w: %s", ErrRemote, errText(f.parts))
 	default:
@@ -412,9 +405,6 @@ func (c *Client) getBlockStream(ctx context.Context, name string) (*media.Block,
 		case opStreamEnd:
 			blk, err := asm.finish(f.parts)
 			m.finish(id, call)
-			if err == nil {
-				c.seedChunks(blk.Payload)
-			}
 			return blk, err
 		default:
 			m.finish(id, call)

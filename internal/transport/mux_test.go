@@ -17,6 +17,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/media"
+	"repro/internal/metrics"
 )
 
 // exerciseClient drives every client op against a server holding the
@@ -490,10 +491,82 @@ func TestBatchDeferral(t *testing.T) {
 	}
 }
 
-// TestOversizedBlockAnswersTooLarge pins the behaviour the stream exists
-// to fix: a block past the single-frame limit answers opErrTooLarge —
-// the retry trigger for the chunked stream — instead of the server dying
-// on the response write.
+// TestGetBlockRidesGetBlks pins the single-block fetch as a batch of
+// one: a present, a missing and an oversized block all travel through
+// opGetBlks (the oversized one deferred to the chunked stream), and the
+// server never sees opGetBlk.
+func TestGetBlockRidesGetBlks(t *testing.T) {
+	oldChunk, oldBudget := streamChunkSize, batchBudget
+	streamChunkSize, batchBudget = 1<<10, 1<<11
+	t.Cleanup(func() { streamChunkSize, batchBudget = oldChunk, oldBudget })
+
+	store := media.NewStore()
+	small := media.CaptureImage("small.img", 8, 8, 8)
+	big := media.CaptureImage("big.img", 80, 80, 7) // 6400 B payload > batchBudget
+	store.Put(small)
+	store.Put(big)
+	srv := NewServer(NewRegistry(store))
+	srv.Metrics = metrics.NewRegistry()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	requests := func(op string) int64 {
+		return srv.Metrics.Counter("cmif_requests_total", "requests received", "op", op).Value()
+	}
+
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+
+	got, err := c.GetBlock(ctx, "small.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != small.ID || got.Name != small.Name || got.Medium != small.Medium ||
+		!bytes.Equal(got.Payload, small.Payload) || got.Width() != small.Width() {
+		t.Errorf("present block = %+v, want %+v", got, small)
+	}
+
+	if _, err := c.GetBlock(ctx, "ghost"); !errors.Is(err, ErrNotFound) || !errors.Is(err, ErrRemote) {
+		t.Errorf("missing block: err = %v, want ErrRemote and ErrNotFound", err)
+	}
+
+	before := c.RoundTrips()
+	got, err = c.GetBlock(ctx, "big.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != big.ID || !bytes.Equal(got.Payload, big.Payload) {
+		t.Error("oversized block came back different")
+	}
+	// The batch defers the block and the stream carries it: the same two
+	// round trips TestStreamedBlockTransfer pays.
+	if n := c.RoundTrips() - before; n != 2 {
+		t.Errorf("oversized block took %d round trips, want 2", n)
+	}
+	if c.StreamChunks() == 0 {
+		t.Error("oversized block did not travel as a chunked stream")
+	}
+
+	if n := requests("getblk"); n != 0 {
+		t.Errorf("server saw %d getblk requests, want 0", n)
+	}
+	if n := requests("getblks"); n != 3 {
+		t.Errorf("server saw %d getblks requests, want 3", n)
+	}
+}
+
+// TestOversizedBlockAnswersTooLarge pins what the server still owes
+// clients of earlier releases, which fetch single blocks with opGetBlk:
+// a block past the single-frame limit answers opErrTooLarge — their
+// retry trigger for the chunked stream — instead of the server dying on
+// the response write. This client never sends opGetBlk
+// (TestGetBlockRidesGetBlks).
 func TestOversizedBlockAnswersTooLarge(t *testing.T) {
 	store := media.NewStore()
 	store.Put(media.CaptureImage("small.img", 8, 8, 7))

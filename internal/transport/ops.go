@@ -142,8 +142,9 @@ func (s *Server) getBlk(parts [][]byte) frame {
 		return notFound("getblk: no block %q", name)
 	}
 	// A payload past the frame limit cannot travel as one response.
-	// Answer opErrTooLarge instead of dying on the write: the client
-	// retries with the chunked stream.
+	// Answer opErrTooLarge instead of dying on the write: clients of
+	// earlier releases, the only senders of opGetBlk, retry with the
+	// chunked stream.
 	if len(blk.Payload) > maxFrameSize-(1<<16) {
 		return frame{op: opErrTooLarge, parts: [][]byte{[]byte(fmt.Sprintf(
 			"getblk: block of %d bytes exceeds the frame limit; use the chunked stream", len(blk.Payload)))}}
@@ -191,8 +192,8 @@ func (s *Server) getBlkManifest(parts [][]byte) frame {
 		return fail("getblkmanifest: %v", err)
 	}
 	// An empty manifest (block below the chunk threshold, or a backend
-	// with no chunk index for it) tells the client to fall back to a
-	// plain fetch.
+	// with no chunk index for it) tells the client to fall back to the
+	// batched fetch.
 	var manifest []byte
 	if hashes, ok := s.backend.Manifest(blk.ID); ok {
 		manifest = make([]byte, 0, len(hashes)*manifestEntrySize)
@@ -200,7 +201,7 @@ func (s *Server) getBlkManifest(parts [][]byte) frame {
 			chunk, ok := s.backend.GetChunk(h)
 			if !ok {
 				// Index shifting under a concurrent delete; punt to the
-				// plain path rather than serve a torn manifest.
+				// batched fetch rather than serve a torn manifest.
 				manifest = nil
 				break
 			}

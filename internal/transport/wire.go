@@ -23,6 +23,8 @@ const (
 const (
 	opGetDoc byte = 1
 	opPutDoc byte = 2
+	// opGetBlk is the single-block get of earlier releases. The server
+	// still answers it; this client fetches even one block with opGetBlks.
 	opGetBlk byte = 3
 	opList   byte = 4
 	opPutBlk byte = 5
@@ -83,7 +85,8 @@ const (
 	// blockID, totalSize(u64), manifest] where manifest is a sequence of
 	// (hash(32) | chunkLen(u32)) entries in payload order. An empty
 	// manifest means the block is not chunk-indexed (too small, or the
-	// backend keeps no chunk index) and the client falls back to opGetBlk.
+	// backend keeps no chunk index) and the name joins the client's
+	// opGetBlks batch.
 	opGetBlkManifest byte = 17
 	// opGetChunks fetches chunks by content address: request parts are
 	// raw 32-byte chunk hashes (at most maxParts per frame); the
@@ -118,9 +121,9 @@ const (
 	// is rejected. Senders only emit it on v2 mux connections whose hello
 	// negotiated compression.
 	opCompressed byte = 192
-	// opErrTooLarge reports that the requested block cannot be framed as a
-	// single response (payload past maxFrameSize); clients retry with
-	// opGetBlkStream.
+	// opErrTooLarge reports that an opGetBlk block cannot be framed as a
+	// single response (payload past maxFrameSize); clients of earlier
+	// releases retry with opGetBlkStream.
 	opErrTooLarge byte = 252
 	// opErrBusy is the per-connection backpressure rejection: the server
 	// already has its maximum number of requests in flight on this

@@ -1,10 +1,14 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -282,6 +286,62 @@ func TestDedupeFallback(t *testing.T) {
 			t.Fatalf("err = %v, want ErrNotFound", err)
 		}
 	})
+}
+
+// TestLyingManifestAllocatesNothing answers getblkmanifest with a
+// declared size of 2 GiB but a single entry: the client must refuse the
+// manifest before allocating the payload, then fall back to the batched
+// fetch.
+func TestLyingManifestAllocatesNothing(t *testing.T) {
+	const declared = uint64(1) << 31
+	addr := rawServer(t, func(conn net.Conn, br *bufio.Reader) {
+		if !ackHello(t, conn, br, 8) {
+			return
+		}
+		for {
+			req, err := readFrameV2(br)
+			if err != nil {
+				return
+			}
+			var op byte
+			var parts [][]byte
+			switch req.op {
+			case opGetBlkManifest:
+				size := make([]byte, 8)
+				binary.BigEndian.PutUint64(size, declared)
+				entry := make([]byte, manifestEntrySize)
+				binary.BigEndian.PutUint32(entry[chunker.HashSize:], 4096)
+				op = opOK
+				parts = [][]byte{req.parts[0], []byte("video"), []byte("(ext)"), []byte("id"), size, entry}
+			case opGetBlks:
+				op = opOK
+				for range req.parts {
+					parts = append(parts, []byte{entryMissing})
+				}
+			default:
+				op, parts = opErrNotFound, [][]byte{[]byte("no such block")}
+			}
+			if err := writeFrameV2(conn, op, req.id, parts...); err != nil {
+				return
+			}
+		}
+	})
+	c, err := Dial(addr, WithChunkCache(NewChunkCache(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = c.GetBlock(context.Background(), "liar.vid")
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrNotFound) {
+		t.Errorf("err = %v, want the batched fetch's ErrNotFound", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Errorf("a lying manifest made the client allocate %d MiB", n>>20)
+	}
 }
 
 // TestVectoredWritePath forces every frame through the writev gather

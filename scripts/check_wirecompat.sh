@@ -18,9 +18,10 @@
 # cmifd + cmifget from that ref in a temporary git worktree, preloads
 # both servers with the same deterministic -news corpus, and requires
 # the documents fetched across versions to be byte-identical to the
-# current-vs-current baseline (inline fetches included, so block
-# payloads cross the version boundary too, and binary-encoded fetches,
-# so the compact document encoding does).
+# current-vs-current baseline (inline fetches and two block fetches
+# included, so block payloads cross the version boundary both inlined
+# and through the batched block fetch, and binary-encoded fetches, so
+# the compact document encoding does).
 #
 # Needs full git history (CI: fetch-depth 0). Run from the repository
 # root: ./scripts/check_wirecompat.sh
@@ -67,14 +68,16 @@ wait_up "$work/new/cmifget" "$NEW_ADDR"
 wait_up "$work/old/cmifget" "$OLD_ADDR"
 
 # fetch CLIENT SERVER OUT: every surface a deployed pairing exercises —
-# the listing, the structured document in both wire encodings, and the
-# inline fetch that moves the block payloads themselves across the
-# version boundary.
+# the listing, the structured document in both wire encodings, the
+# inline fetch that moves the block payloads inside the document, and
+# an audio and a video block fetched on their own.
 fetch() {
     "$1" -addr "$2" list >"$3.list"
     "$1" -addr "$2" doc news >"$3.doc"
     "$1" -addr "$2" -binary doc news >"$3.binary"
     "$1" -addr "$2" -inline doc news >"$3.inline"
+    "$1" -addr "$2" block story0-voice.aud >"$3.audio"
+    "$1" -addr "$2" block story1-crime-scene.vid >"$3.video"
 }
 
 # Each client is compared against its own same-version baseline, so a
@@ -89,7 +92,7 @@ fetch "$work/old/cmifget" "$NEW_ADDR" "$work/oc-ns"  # old client, new server
 fail=0
 for pair in "nc-ns nc-os" "oc-os oc-ns"; do
     base=${pair% *}; side=${pair#* }
-    for what in list doc binary inline; do
+    for what in list doc binary inline audio video; do
         if ! cmp -s "$work/$base.$what" "$work/$side.$what"; then
             echo "wirecompat: $side $what differs from the $base baseline:" >&2
             diff "$work/$base.$what" "$work/$side.$what" >&2 || true
