@@ -1,0 +1,101 @@
+package cmif
+
+import (
+	"bytes"
+	"context"
+	"testing"
+	"time"
+
+	"repro/internal/codec"
+)
+
+// TestServedDocumentIsolation: the facade is where a caller's document
+// crosses into a server, and the one place it is copied. Changing a
+// Document after WithServedDocument or Server.Register changes nothing a
+// client fetches, in either encoding.
+func TestServedDocumentIsolation(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	seeded, store, err := BuildNews(NewsConfig{Stories: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := seeded.Clone()
+	want, err := codec.EncodeBinary(seeded.doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate := func(d *Document) {
+		d.Root().SetName("mutated")
+		d.Root().Children()[0].SetName("also-mutated")
+	}
+	opt := WithServedDocument("seeded", seeded)
+	mutate(seeded) // before the server even exists
+	srv := NewServer(WithServedStore(store), opt)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.Register("registered", registered)
+	mutate(registered)
+
+	c, err := Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, name := range []string{"seeded", "registered"} {
+		for _, opts := range [][]WireOption{nil, {WithBinaryWire()}} {
+			got, err := c.Document(ctx, name, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := codec.EncodeBinary(got.doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, want) {
+				t.Errorf("%s (%d options): a change made after registering reached the server", name, len(opts))
+			}
+		}
+	}
+	if names := srv.DocumentNames(); len(names) != 2 || names[0] != "registered" || names[1] != "seeded" {
+		t.Errorf("DocumentNames = %v", names)
+	}
+}
+
+// TestRestartHoldsEachDocumentOnce: a durable server restarted on its
+// data directory, re-seeded with the same corpus, holds one decoded copy
+// of each document — the registry's entry is the log's live state —
+// whether the document was recovered only or recovered and re-seeded.
+func TestRestartHoldsEachDocumentOnce(t *testing.T) {
+	dir := t.TempDir()
+	doc, store, err := BuildNews(NewsConfig{Stories: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := []ServeOption{WithDataDir(dir), WithServedStore(store), WithServedDocument("news", doc)}
+	for run := 0; run < 3; run++ {
+		srv := NewServer(seed...)
+		if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			srv.Register("extra", doc)
+		}
+		names := srv.DocumentNames()
+		if len(names) != 2 {
+			t.Fatalf("run %d: documents %v, want news and extra", run, names)
+		}
+		for _, name := range names {
+			e, _ := srv.reg.GetDoc(name)
+			if e.Doc() != srv.log.Doc(name) {
+				t.Errorf("run %d: the registry and the log hold two copies of %q", run, name)
+			}
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -88,8 +88,10 @@ func WithServedStore(s *Store) ServeOption {
 	return serveFunc(func(c *serverConfig) { c.store = s })
 }
 
-// WithServedDocument preloads a document under name.
+// WithServedDocument preloads a copy of d under name, taken now: later
+// changes to d do not reach the server.
 func WithServedDocument(name string, d *Document) ServeOption {
+	d = d.Clone()
 	return serveFunc(func(c *serverConfig) { c.docs = append(c.docs, namedDoc{name, d}) })
 }
 
@@ -206,7 +208,7 @@ func NewServer(opts ...ServeOption) *Server {
 		}
 		reg = transport.NewRegistry(st.Store)
 		// Recovered documents preload before the journal attaches — they
-		// are already on disk.
+		// are already on disk — and are shared with the log, not copied.
 		for name, d := range st.Docs {
 			reg.PutDoc(name, d)
 		}
@@ -242,8 +244,9 @@ func NewServer(opts ...ServeOption) *Server {
 	return s
 }
 
-// Register adds (or replaces) a document under name while serving.
-func (s *Server) Register(name string, d *Document) { s.reg.PutDoc(name, d.doc) }
+// Register adds (or replaces) a copy of d under name while serving:
+// later changes to d do not reach the server.
+func (s *Server) Register(name string, d *Document) { s.reg.PutDoc(name, d.doc.Clone()) }
 
 // DocumentNames lists the registered document names, sorted.
 func (s *Server) DocumentNames() []string { return s.reg.DocNames() }

@@ -233,7 +233,7 @@ func TestClusterWriteForwarding(t *testing.T) {
 	ring := nodes[0].ring()
 	for i := range nodes {
 		name := fmt.Sprintf("via-%d", i)
-		primary := ring.Primary(docKey(name))
+		primary := ring.Primary(DocKey(name))
 		var owner *Node
 		for _, n := range nodes {
 			if n.Addr() == primary {
@@ -273,7 +273,7 @@ func TestClusterEditsForwardToPrimary(t *testing.T) {
 		if !ok {
 			t.Fatalf("node %s lost the doc", n.Addr())
 		}
-		v, ok := d.Root.FindByName("label").Attrs.Get("duration")
+		v, ok := d.Doc().Root.FindByName("label").Attrs.Get("duration")
 		if !ok || v.String() != attr.Quantity(units.MS(250)).String() {
 			t.Fatalf("node %s: edit not applied (duration %v)", n.Addr(), v)
 		}
@@ -398,5 +398,31 @@ func TestClusterRejoinResyncs(t *testing.T) {
 	again := startNode(t, dirs[2], nil, 3)
 	if _, ok := again.Registry.GetDoc("new-3"); !ok {
 		t.Fatal("resynced state did not survive recovery")
+	}
+}
+
+// TestClusterPutDecodesOnce: a put applied on a node — by its primary's
+// commit or by Replicate on the other replica — is decoded once: the
+// registry serves the document the log decoded while appending it.
+func TestClusterPutDecodesOnce(t *testing.T) {
+	nodes := startCluster(t, 2, 2)
+	ctx := context.Background()
+	c0 := dialNode(t, nodes[0].Addr())
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("doc-%d", i)
+		if err := c0.PutDoc(ctx, name, testDoc(t, name), transport.EncodingBinary); err != nil {
+			t.Fatalf("put %q: %v", name, err)
+		}
+	}
+	for _, n := range nodes {
+		if got := len(n.DocNames()); got != 4 {
+			t.Fatalf("node %s holds %d documents, want 4", n.Addr(), got)
+		}
+		for _, name := range n.DocNames() {
+			e, _ := n.Registry.GetDoc(name)
+			if e.Doc() != n.log.Doc(name) {
+				t.Errorf("node %s decoded %q twice", n.Addr(), name)
+			}
+		}
 	}
 }

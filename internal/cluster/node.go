@@ -160,11 +160,12 @@ func Start(cfg Config) (*Node, error) {
 		return nil, err
 	}
 
-	// The registry shares the recovered block store. The journal is NOT
-	// attached as the store's mutation hook and Journal stays nil: every
-	// cluster mutation is framed once and fed through AppendFrames, which
-	// journals and applies in one step (a self-journaling state would
-	// record everything twice).
+	// The registry shares the recovered block store and documents (a
+	// registered document is immutable, so one copy serves both). The
+	// journal is NOT attached as the store's mutation hook and Journal
+	// stays nil: every cluster mutation is framed once and fed through
+	// AppendFrames, which journals and applies in one step (a
+	// self-journaling state would record everything twice).
 	reg := transport.NewRegistry(st.Store)
 	for name, d := range st.Docs {
 		reg.PutDoc(name, d)
@@ -407,16 +408,13 @@ func DocKey(name string) string { return "d/" + name }
 // address — whichever identifier the block is addressed by).
 func BlockKey(name string) string { return "b/" + name }
 
-func docKey(name string) string { return DocKey(name) }
-func blkKey(name string) string { return BlockKey(name) }
-
 // blockKey places a block by its registered name when it has one (reads
 // resolve names), by content address otherwise.
 func blockKey(b *media.Block) string {
 	if b.Name != "" {
-		return blkKey(b.Name)
+		return BlockKey(b.Name)
 	}
-	return blkKey(b.ID)
+	return BlockKey(b.ID)
 }
 
 // recordKey identifies the state a WAL record touches, for the resync
@@ -554,23 +552,13 @@ func (n *Node) applyFramesLocked(frames []byte, refreshReg bool) error {
 	if err != nil {
 		return err
 	}
-	if !refreshReg || len(putDocs) == 0 {
+	if !refreshReg {
 		return nil
 	}
-	changed := make(map[string]bool, len(putDocs))
+	// The registry adopts the documents AppendFrames decoded: applyMu
+	// serializes every append, so the log still holds exactly those.
 	for _, name := range putDocs {
-		changed[name] = true
-	}
-	// Decode errors are impossible here: AppendFrames just validated the
-	// identical bytes.
-	recs, _ := durable.DecodeFrames(frames)
-	for _, r := range recs {
-		if r.Op != durable.RecPutDoc || !changed[string(r.Fields[0])] {
-			continue
-		}
-		if d, derr := codec.DecodeBinary(r.Fields[1]); derr == nil {
-			n.Registry.PutDoc(string(r.Fields[0]), d)
-		}
+		n.Registry.PutDoc(name, n.log.Doc(name))
 	}
 	return nil
 }
@@ -620,7 +608,7 @@ func (n *Node) StoreDoc(name string, d *core.Document) error {
 	if err != nil {
 		return fmt.Errorf("cluster: encode %q: %w", name, err)
 	}
-	key := docKey(name)
+	key := DocKey(name)
 	frame := durable.FramePutDoc(name, data)
 	return n.routeWrite(key,
 		func() error { return n.commitLocal(key, frame) },
@@ -664,7 +652,7 @@ func (n *Node) StoreBlock(b *media.Block) (string, error) {
 // (change records are not idempotent; replication may deliver one twice).
 func (n *Node) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error) {
 	<-n.ready
-	key := docKey(name)
+	key := DocKey(name)
 	var gen uint64
 	err := n.routeWrite(key,
 		func() error {
@@ -675,11 +663,11 @@ func (n *Node) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error)
 				return err
 			}
 			gen = g
-			doc, ok := n.Registry.GetDoc(name)
+			e, ok := n.Registry.GetDoc(name)
 			if !ok {
 				return fmt.Errorf("cluster: edited document %q vanished", name)
 			}
-			data, err := codec.EncodeBinary(doc)
+			data, err := e.Binary()
 			if err != nil {
 				return err
 			}
@@ -735,15 +723,18 @@ func (n *Node) Resync(cursor string) ([]byte, string, error) {
 // replicas. A node that is itself a replica of the key answers
 // authoritatively (its miss IS the answer), which also bounds the proxy
 // chain at one hop.
-func (n *Node) GetDoc(name string) (*core.Document, bool) {
-	if d, ok := n.Registry.GetDoc(name); ok {
-		return d, true
+func (n *Node) GetDoc(name string) (*transport.Entry, bool) {
+	if e, ok := n.Registry.GetDoc(name); ok {
+		return e, true
 	}
 	<-n.ready
-	doc := proxyRead(n, docKey(name), func(ctx context.Context, c *transport.Client) (*core.Document, error) {
+	doc := proxyRead(n, DocKey(name), func(ctx context.Context, c *transport.Client) (*core.Document, error) {
 		return c.GetDoc(ctx, name, transport.GetDocOptions{Encoding: transport.EncodingBinary})
 	})
-	return doc, doc != nil
+	if doc == nil {
+		return nil, false
+	}
+	return transport.NewEntry(doc), true
 }
 
 // GetBlock answers from the local store and proxies a miss to the key's
@@ -753,7 +744,7 @@ func (n *Node) GetBlock(name string) (*media.Block, bool) {
 		return b, true
 	}
 	<-n.ready
-	b := proxyRead(n, blkKey(name), func(ctx context.Context, c *transport.Client) (*media.Block, error) {
+	b := proxyRead(n, BlockKey(name), func(ctx context.Context, c *transport.Client) (*media.Block, error) {
 		return c.GetBlock(ctx, name)
 	})
 	return b, b != nil

@@ -39,6 +39,11 @@ func testDoc(t testing.TB, label string) *core.Document {
 	return d
 }
 
+// binaryOf is what a registry hands Log.PutDoc beside d: its encoding.
+func binaryOf(d *core.Document) func() ([]byte, error) {
+	return func() ([]byte, error) { return codec.EncodeBinary(d) }
+}
+
 // mustOpen opens a log with the journal attached to the returned state.
 func mustOpen(t *testing.T, dir string, opts Options) (*Log, *State) {
 	t.Helper()
@@ -68,7 +73,8 @@ func populate(t *testing.T, l *Log, st *State) {
 	st.Store.Put(victim)
 	st.Store.Delete(victim.ID)
 
-	if err := l.PutDoc("news", testDoc(t, "news")); err != nil {
+	d := testDoc(t, "news")
+	if err := l.PutDoc("news", d, binaryOf(d)); err != nil {
 		t.Fatalf("PutDoc: %v", err)
 	}
 	if err := l.Err(); err != nil {
@@ -163,7 +169,8 @@ func TestSnapshotReplayEqualsLive(t *testing.T) {
 	}
 	// Mutations after the snapshot land in the WAL tail.
 	st.Store.Put(media.CaptureText("late.txt", "after the snapshot", "en"))
-	if err := l.PutDoc("late", testDoc(t, "late")); err != nil {
+	d := testDoc(t, "late")
+	if err := l.PutDoc("late", d, binaryOf(d)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -392,14 +399,14 @@ func TestDocDedupeAndStats(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{Sync: SyncNever})
 	d := testDoc(t, "same")
-	if err := l.PutDoc("d", d); err != nil {
+	if err := l.PutDoc("d", d, binaryOf(d)); err != nil {
 		t.Fatal(err)
 	}
 	before := l.Stats()
 	if before.Records != 1 {
 		t.Fatalf("want 1 record, got %d", before.Records)
 	}
-	if err := l.PutDoc("d", d); err != nil {
+	if err := l.PutDoc("d", d, binaryOf(d)); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.Stats().Records; got != before.Records {
@@ -412,7 +419,7 @@ func TestDocDedupeAndStats(t *testing.T) {
 	// A second boot re-registering the same corpus appends nothing
 	// either — the idempotent-seed property the server merge relies on.
 	l2, st2 := mustOpen(t, dir, Options{Sync: SyncNever})
-	if err := l2.PutDoc("d", d); err != nil {
+	if err := l2.PutDoc("d", d, binaryOf(d)); err != nil {
 		t.Fatal(err)
 	}
 	st2.Store.Put(media.CaptureText("seed.txt", "seed", "en"))
@@ -450,7 +457,8 @@ func TestLoadMissingDirAndClosedAppend(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.PutDoc("x", testDoc(t, "x")); !errors.Is(err, ErrClosed) {
+	d := testDoc(t, "x")
+	if err := l.PutDoc("x", d, binaryOf(d)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append on closed log: want ErrClosed, got %v", err)
 	}
 	if err := l.Close(); err != nil {

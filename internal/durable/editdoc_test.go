@@ -182,7 +182,7 @@ func TestEditDocJournalsTheChange(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{Sync: SyncNever})
 	live := testDoc(t, "news")
-	if err := l.PutDoc("news", live); err != nil {
+	if err := l.PutDoc("news", live, binaryOf(live)); err != nil {
 		t.Fatal(err)
 	}
 	whole := int64(len(docBytes(t, live)))
@@ -221,7 +221,7 @@ func TestEditDocJournalsTheChange(t *testing.T) {
 	l2, _ := mustOpen(t, dir, Options{Sync: SyncNever})
 	base := testDoc(t, "news")
 	for i := 0; i < 2; i++ {
-		if err := l2.PutDoc("news", base); err != nil {
+		if err := l2.PutDoc("news", base, binaryOf(base)); err != nil {
 			t.Fatal(err)
 		}
 		next, enc := edited(t, base, setDuration(t, "/cap", 900))
@@ -229,7 +229,7 @@ func TestEditDocJournalsTheChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l2.PutDoc("news", base); err != nil {
+	if err := l2.PutDoc("news", base, binaryOf(base)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -341,7 +341,7 @@ func TestResyncAndAppendFramesSeeEditedDocs(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
 	defer l.Close()
 	base := testDoc(t, "news")
-	if err := l.PutDoc("news", base); err != nil {
+	if err := l.PutDoc("news", base, binaryOf(base)); err != nil {
 		t.Fatal(err)
 	}
 	live, enc := edited(t, base, insertLeaf(t, "late"))
@@ -381,7 +381,8 @@ func TestSnapshotRacesEdits(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{Sync: SyncNever, SegmentBytes: 1 << 10, SnapshotBytes: -1})
 	for i := 0; i < 500; i++ {
-		if err := l.PutDoc(fmt.Sprintf("idle-%d", i), testDoc(t, "idle")); err != nil {
+		d := testDoc(t, "idle")
+		if err := l.PutDoc(fmt.Sprintf("idle-%d", i), d, binaryOf(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,7 +391,7 @@ func TestSnapshotRacesEdits(t *testing.T) {
 	encs := make([][][]byte, writers)
 	for w := range chains {
 		prev := testDoc(t, "race")
-		if err := l.PutDoc(fmt.Sprintf("race-%d", w), prev); err != nil {
+		if err := l.PutDoc(fmt.Sprintf("race-%d", w), prev, binaryOf(prev)); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < edits; i++ {

@@ -423,10 +423,12 @@ func (l *Log) JournalRegisterName(name, id string) {
 
 // PutDoc records a document registration (transport.Journal), deduping
 // unchanged re-puts (a preloaded corpus re-registered on every boot
-// appends nothing). The log keeps d itself as the live state, not a
-// copy: the caller must not mutate it afterwards.
-func (l *Log) PutDoc(name string, d *core.Document) error {
-	data, err := codec.EncodeBinary(d)
+// appends nothing). binary returns d's encoding. The log keeps d and
+// that slice themselves as the live state, not copies — on a dedupe too,
+// so a re-registered document is held once — and the caller must not
+// mutate either afterwards.
+func (l *Log) PutDoc(name string, d *core.Document, binary func() ([]byte, error)) error {
+	data, err := binary()
 	if err != nil {
 		// Sticky: the document is registered in memory but cannot reach
 		// the log, so the server must stop acknowledging.
@@ -437,6 +439,7 @@ func (l *Log) PutDoc(name string, d *core.Document) error {
 	}
 	l.mu.Lock()
 	if prev, ok := l.docs[name]; ok && bytes.Equal(prev, data) {
+		l.docs[name], l.st.Docs[name] = data, d
 		l.mu.Unlock()
 		return nil
 	}
@@ -453,9 +456,18 @@ func (l *Log) EditDoc(name string, d *core.Document, recs []byte) error {
 	l.mu.Lock()
 	if _, ok := l.docs[name]; !ok {
 		l.mu.Unlock()
-		return l.PutDoc(name, d)
+		return l.PutDoc(name, d, func() ([]byte, error) { return codec.EncodeBinary(d) })
 	}
 	return l.appendDocAndUnlock(name, d, nil, recEditDoc, []byte(name), recs)
+}
+
+// Doc returns the live document registered under name, nil if none. A
+// cluster node's registry adopts the documents AppendFrames decoded
+// through it, so a replicated put is decoded once.
+func (l *Log) Doc(name string) *core.Document {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.st.Docs[name]
 }
 
 // appendDocAndUnlock appends one document record under the caller's l.mu

@@ -181,7 +181,7 @@ func TestAppendFramesAppliesAndSurvivesRecovery(t *testing.T) {
 		t.Fatal("replicated doc lost on recovery")
 	}
 	// Mirror the extra put on the source, then the two must match again.
-	if err := src.PutDoc("repl", doc); err != nil {
+	if err := src.PutDoc("repl", doc, binaryOf(doc)); err != nil {
 		t.Fatal(err)
 	}
 	compareStates(t, reSt, srcSt)
@@ -285,7 +285,8 @@ func TestResyncChunkCursorIsKeyed(t *testing.T) {
 	l, st := mustOpen(t, dir, Options{Sync: SyncNever})
 	defer l.Close()
 	for i := 0; i < 6; i++ {
-		if err := l.PutDoc(fmt.Sprintf("doc-%d", i), testDoc(t, fmt.Sprint(i))); err != nil {
+		d := testDoc(t, fmt.Sprint(i))
+		if err := l.PutDoc(fmt.Sprintf("doc-%d", i), d, binaryOf(d)); err != nil {
 			t.Fatal(err)
 		}
 	}

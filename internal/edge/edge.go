@@ -288,9 +288,9 @@ func (e *Edge) upstreamCtx() (context.Context, context.CancelFunc) {
 
 // GetDoc serves the leased replica, leasing the document upstream first
 // when the registry misses.
-func (e *Edge) GetDoc(name string) (*core.Document, bool) {
-	if d, ok := e.Registry.GetDoc(name); ok {
-		return d, true
+func (e *Edge) GetDoc(name string) (*transport.Entry, bool) {
+	if ent, ok := e.Registry.GetDoc(name); ok {
+		return ent, true
 	}
 	if !e.leaseDoc(name) {
 		return nil, false

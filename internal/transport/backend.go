@@ -17,8 +17,10 @@ import (
 // differs. Methods run on request-handler goroutines and may block on
 // upstream or peer round trips.
 type Backend interface {
-	// GetDoc returns a copy of the document registered under name.
-	GetDoc(name string) (*core.Document, bool)
+	// GetDoc returns the entry registered under name. The entry is
+	// shared and immutable: callers read its document and its binary,
+	// and clone the document to change it.
+	GetDoc(name string) (*Entry, bool)
 	// StoreDoc registers a document that arrived over the wire, absorbing
 	// any inlined payloads as blocks. A nil error is the acknowledgement:
 	// it must not be returned for a write that could be lost.

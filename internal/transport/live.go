@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/edit"
 )
@@ -124,42 +123,32 @@ func (s *Subscriber) end(reason string) {
 	})
 }
 
-// liveState is the registry's fan-out hub, guarded by Registry.mu. gens
-// carries each document's authoritative generation — cumulative across
-// edit batches, reset by a wholesale PutDoc — and enc caches the encoded
-// snapshot serving repeated subscribes of an unchanged document.
+// liveState is the registry's fan-out hub, guarded by Registry.mu: the
+// subscriber set of each watched document. Each document's generation —
+// cumulative across edit batches, reset by a wholesale PutDoc — lives in
+// its Entry.
 type liveState struct {
-	gens  map[string]uint64
 	subs  map[string]map[*Subscriber]struct{}
 	count int
-	enc   map[string]encodedDoc
 }
 
-type encodedDoc struct {
-	gen  uint64
-	data []byte
-}
-
-// initLocked lazily builds the hub maps. Callers hold r.mu.
-func (l *liveState) initLocked() {
-	if l.gens == nil {
-		l.gens = make(map[string]uint64)
-		l.subs = make(map[string]map[*Subscriber]struct{})
-		l.enc = make(map[string]encodedDoc)
-	}
-}
-
-// Generation reports the authoritative generation of the document
-// registered under name: how many change records have been applied since
-// it was last wholesale registered.
+// Generation reports the generation of the document registered under
+// name: how many change records have been applied since it was last
+// wholesale registered. No server path calls it — they read the entry
+// under the lock; it is how tests check the generation accounting.
 func (r *Registry) Generation(name string) uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.live.gens[name]
+	if e, ok := r.docs[name]; ok {
+		return e.gen
+	}
+	return 0
 }
 
 // SubscriberCount reports the live subscriptions registered across every
-// document — queues whose events a connection pump still drains.
+// document — queues whose events a connection pump still drains. No
+// server path needs the total; it is how a test checks that teardown
+// leaks no subscriber.
 func (r *Registry) SubscriberCount() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -187,9 +176,6 @@ func (r *Registry) DropDoc(name, reason string) bool {
 		return false
 	}
 	delete(r.docs, name)
-	r.live.initLocked()
-	delete(r.live.enc, name)
-	delete(r.live.gens, name)
 	for sub := range r.live.subs[name] {
 		sub.end(reason)
 	}
@@ -209,15 +195,14 @@ func (r *Registry) Subscribe(name, subtree string, queueCap, maxSubs int) (*Subs
 	subtree = normalizeSubtree(subtree)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, ok := r.docs[name]
+	e, ok := r.docs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", errUnknownDoc, name)
 	}
-	r.live.initLocked()
 	if maxSubs > 0 && r.live.count >= maxSubs {
 		return nil, errSubsFull
 	}
-	data, err := r.encodedLocked(name, d)
+	data, err := e.Binary()
 	if err != nil {
 		return nil, fmt.Errorf("transport: encode snapshot of %q: %w", name, err)
 	}
@@ -228,7 +213,7 @@ func (r *Registry) Subscribe(name, subtree string, queueCap, maxSubs int) (*Subs
 		q:       make(chan subEvent, queueCap),
 		stop:    make(chan struct{}),
 	}
-	sub.q <- subEvent{kind: changeSnapshot, toGen: r.live.gens[name], doc: data, at: time.Now()}
+	sub.q <- subEvent{kind: changeSnapshot, toGen: e.gen, doc: data, at: time.Now()}
 	set := r.live.subs[name]
 	if set == nil {
 		set = make(map[*Subscriber]struct{})
@@ -254,22 +239,6 @@ func (s *Subscriber) unsubscribe() {
 		delete(r.live.subs, s.doc)
 	}
 	r.live.count--
-}
-
-// encodedLocked returns the binary snapshot of the document under name,
-// serving repeated subscribes of an unchanged document from a one-entry
-// cache. Callers hold r.mu with the hub initialized.
-func (r *Registry) encodedLocked(name string, d *core.Document) ([]byte, error) {
-	gen := r.live.gens[name]
-	if e, ok := r.live.enc[name]; ok && e.gen == gen {
-		return e.data, nil
-	}
-	data, err := codec.EncodeBinary(d)
-	if err != nil {
-		return nil, err
-	}
-	r.live.enc[name] = encodedDoc{gen: gen, data: data}
-	return data, nil
 }
 
 // broadcastLocked fans one event out to every watcher of name. Sends
@@ -386,11 +355,11 @@ func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	d, ok := r.docs[name]
+	cur, ok := r.docs[name]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", errUnknownDoc, name)
 	}
-	clone := d.Clone()
+	clone := cur.doc.Clone()
 	if err := edit.Apply(clone, recs); err != nil {
 		return 0, fmt.Errorf("conflict: %w", err)
 	}
@@ -400,68 +369,52 @@ func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error
 			return 0, fmt.Errorf("durability: %w", err)
 		}
 	}
-	r.docs[name] = clone
-	r.live.initLocked()
-	delete(r.live.enc, name)
-	from := r.live.gens[name]
-	to := from + clone.Generation()
-	r.live.gens[name] = to
+	next := &Entry{doc: clone, gen: cur.gen + clone.Generation()}
+	r.docs[name] = next
 	if len(r.live.subs[name]) > 0 {
 		r.broadcastLocked(name, subEvent{
 			kind:    changeDelta,
-			fromGen: from,
-			toGen:   to,
+			fromGen: cur.gen,
+			toGen:   next.gen,
 			recs:    enc,
 			at:      time.Now(),
 		}, recs)
 	}
-	return to, nil
+	return next.gen, nil
 }
 
-// notePutDocLocked folds a wholesale document registration into the live
-// hub: the generation resets (the new document carries a fresh change
-// log) and watchers receive a new snapshot. Called by PutDoc with r.mu
-// held, after the durability hook.
-func (r *Registry) notePutDocLocked(name string, d *core.Document) {
-	r.notePutDocAtLocked(name, d, 0)
-}
-
-// notePutDocAtLocked is notePutDocLocked with an explicit generation
-// baseline (see PutDocAt).
-func (r *Registry) notePutDocAtLocked(name string, d *core.Document, gen uint64) {
-	r.live.initLocked()
-	delete(r.live.enc, name)
-	r.live.gens[name] = gen
+// PutDocAt is PutDoc with an explicit generation baseline instead of
+// zero. A proxy replicating an upstream document registers the snapshot
+// at the upstream's authoritative generation, so its own subscribers
+// observe the same generation numbers the origin assigns — a writer can
+// correlate the generation a forwarded edit returned with the deltas its
+// subscription through the proxy delivers.
+//
+// The registration and its journal append happen under the lock, so
+// racing registrations of one name journal in the order they landed —
+// recovery replays the same winner the pre-crash server served. (Readers
+// wait out the append, fsync included under SyncAlways.) A journal
+// failure is sticky and surfaces through durability(). Watchers receive
+// the new document as a snapshot at gen.
+func (r *Registry) PutDocAt(name string, d *core.Document, gen uint64) {
+	e := &Entry{doc: d, gen: gen}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.docs[name] = e
+	if r.Journal != nil {
+		_ = r.Journal.PutDoc(name, d, e.Binary)
+	}
 	if len(r.live.subs[name]) == 0 {
 		return
 	}
-	data, err := r.encodedLocked(name, d)
+	data, err := e.Binary()
 	if err != nil {
-		// The document just decoded or cloned successfully; an encode
-		// failure here means a subscriber cannot be brought to the new
-		// state — end its subscription and let it resynchronize.
+		// An encode failure means a subscriber cannot be brought to the
+		// new state — end its subscription and let it resynchronize.
 		for sub := range r.live.subs[name] {
 			sub.end("snapshot encode failed")
 		}
 		return
 	}
 	r.broadcastLocked(name, subEvent{kind: changeSnapshot, toGen: gen, doc: data, at: time.Now()}, nil)
-}
-
-// PutDocAt registers a document under name with an explicit generation
-// baseline instead of the zero a wholesale PutDoc establishes. A proxy
-// replicating an upstream document registers the snapshot at the
-// upstream's authoritative generation, so its own subscribers observe
-// the same generation numbers the origin assigns — a writer can
-// correlate the generation a forwarded edit returned with the deltas its
-// subscription through the proxy delivers.
-func (r *Registry) PutDocAt(name string, d *core.Document, gen uint64) {
-	clone := d.Clone()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.docs[name] = clone
-	if r.Journal != nil {
-		_ = r.Journal.PutDoc(name, clone) // sticky on failure, as in PutDoc
-	}
-	r.notePutDocAtLocked(name, clone, gen)
 }

@@ -176,13 +176,19 @@ func TestHubShedSlowSubscriber(t *testing.T) {
 // refuses every edit batch.
 type recordingJournal struct {
 	puts  []string
+	bins  [][]byte
 	edits [][]byte
 	docs  []*core.Document
 	fail  error
 }
 
-func (j *recordingJournal) PutDoc(name string, d *core.Document) error {
+func (j *recordingJournal) PutDoc(name string, d *core.Document, binary func() ([]byte, error)) error {
+	data, err := binary()
+	if err != nil {
+		return err
+	}
 	j.puts = append(j.puts, name)
+	j.bins = append(j.bins, data)
 	return nil
 }
 
@@ -227,7 +233,7 @@ func TestRegistryJournalsTheBatch(t *testing.T) {
 		t.Fatal("the broadcast re-encoded the batch instead of sharing the journaled bytes")
 	}
 	served, _ := reg.GetDoc("news")
-	want, err := codec.EncodeBinary(served)
+	want, err := codec.EncodeBinary(served.Doc())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +253,7 @@ func TestRegistryJournalsTheBatch(t *testing.T) {
 		t.Fatalf("refused batch moved the generation %d -> %d", gen, g)
 	}
 	after, _ := reg.GetDoc("news")
-	if data, _ := codec.EncodeBinary(after); !bytes.Equal(data, want) {
+	if data, _ := codec.EncodeBinary(after.Doc()); !bytes.Equal(data, want) {
 		t.Fatal("refused batch changed the registered document")
 	}
 	select {
@@ -466,4 +472,31 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestSubscriptionOpensWithItsSnapshot: a subscription ended before its
+// pump sent anything — a DropDoc racing the subscribe — still opens with
+// its snapshot, then ends; a client never meets a subscription whose
+// first frame is its end.
+func TestSubscriptionOpensWithItsSnapshot(t *testing.T) {
+	d, store := fixture(t)
+	reg := NewRegistry(store)
+	reg.PutDoc("news", d)
+	srv := NewServer(reg)
+	for i := 0; i < 50; i++ {
+		sub, err := reg.Subscribe("news", "", 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub.end("dropped")
+		cc := &v2conn{respCh: make(chan frameV2, 2), done: make(chan struct{})}
+		cc.wg.Add(1)
+		srv.pumpSub(cc, 1, sub, nil)
+		if f := <-cc.respCh; f.parts[0][0] != changeSnapshot {
+			t.Fatalf("run %d: the subscription opened with %q, not its snapshot", i, f.parts[0])
+		}
+		if f := <-cc.respCh; f.parts[0][0] != changeEnd {
+			t.Fatalf("run %d: the snapshot was not followed by the end", i)
+		}
+	}
 }

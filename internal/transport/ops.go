@@ -69,21 +69,28 @@ func (s *Server) getDoc(parts [][]byte) frame {
 		return fail("getdoc: encoding and inline are one byte each")
 	}
 	name := string(parts[0])
-	doc, ok := s.backend.GetDoc(name)
+	e, ok := s.backend.GetDoc(name)
 	if !ok {
 		return notFound("getdoc: no document %q", name)
 	}
-	if parts[2][0] == 1 {
+	enc := Encoding(parts[1][0])
+	var data []byte
+	var err error
+	switch {
+	case parts[2][0] == 1:
 		// Payloads resolve through the backend like every other block
 		// read, so an edge or a non-owner cluster node inlines what it
 		// can fetch, not just what it happens to hold.
-		inlined, err := Inline(doc, s.backend.GetBlock, false)
-		if err != nil {
-			return fail("getdoc: inline: %v", err)
+		inlined, ierr := Inline(e.Doc(), s.backend.GetBlock, false)
+		if ierr != nil {
+			return fail("getdoc: inline: %v", ierr)
 		}
-		doc = inlined
+		data, err = encodeDoc(inlined, enc)
+	case enc == EncodingBinary:
+		data, err = e.Binary() // the registration's one encoding, shared
+	default:
+		data, err = encodeDoc(e.Doc(), enc)
 	}
-	data, err := encodeDoc(doc, Encoding(parts[1][0]))
 	if err != nil {
 		return fail("getdoc: %v", err)
 	}

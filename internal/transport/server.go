@@ -22,7 +22,7 @@ import (
 // concurrent use.
 type Registry struct {
 	mu    sync.RWMutex
-	docs  map[string]*core.Document
+	docs  map[string]*Entry
 	Store *media.Store
 
 	// Journal, when non-nil, journals document mutations. Set before serving.
@@ -33,9 +33,38 @@ type Registry struct {
 	// before serving.
 	DurabilityErr func() error
 
-	// live is the live-document fan-out hub: per-document generations and
-	// subscriber queues, guarded by mu (see live.go).
+	// live is the live-document fan-out hub: the subscriber queues,
+	// guarded by mu (see live.go).
 	live liveState
+}
+
+// Entry is one registered document: the tree, its generation and its
+// binary. An entry never changes — a registration or an accepted edit
+// makes a new one — so every reader shares it: the tree is read-only for
+// everyone, and the binary is encoded at most once, on first demand, and
+// then serves every binary getdoc, subscribe snapshot and journal append
+// of that registration.
+type Entry struct {
+	doc  *core.Document
+	gen  uint64
+	once sync.Once
+	bin  []byte
+	err  error
+}
+
+// NewEntry wraps d as an entry, for a backend that answers a read from
+// elsewhere (a cluster node's proxy read); d must not be mutated
+// afterwards.
+func NewEntry(d *core.Document) *Entry { return &Entry{doc: d} }
+
+// Doc returns the document. It is shared: read it, or Clone it to edit.
+func (e *Entry) Doc() *core.Document { return e.doc }
+
+// Binary returns the document's codec.EncodeBinary form, encoding it on
+// the first call. The slice is shared: read it only.
+func (e *Entry) Binary() ([]byte, error) {
+	e.once.Do(func() { e.bin, e.err = codec.EncodeBinary(e.doc) })
+	return e.bin, e.err
 }
 
 // Journal records document mutations (*durable.Log implements it). The
@@ -44,8 +73,9 @@ type Registry struct {
 // may keep the pointer. A failed EditDoc rejects its batch; a failed
 // PutDoc must be sticky and reported by DurabilityErr.
 type Journal interface {
-	// PutDoc records a wholesale registration.
-	PutDoc(name string, d *core.Document) error
+	// PutDoc records a wholesale registration. binary returns the
+	// entry's one encoding of d; the journal may keep the slice.
+	PutDoc(name string, d *core.Document, binary func() ([]byte, error)) error
 	// EditDoc records an accepted edit batch: d is the document it
 	// produced, and recs the batch in core.EncodeChangeRecords form.
 	EditDoc(name string, d *core.Document, recs []byte) error
@@ -57,35 +87,24 @@ func NewRegistry(store *media.Store) *Registry {
 	if store == nil {
 		store = media.NewStore()
 	}
-	return &Registry{docs: make(map[string]*core.Document), Store: store}
-}
-
-// PutDoc registers a document under name.
-func (r *Registry) PutDoc(name string, d *core.Document) {
-	clone := d.Clone()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.docs[name] = clone
-	// The journal runs under the lock so racing registrations of one name
-	// journal in the order they landed in the map — recovery replays the
-	// same winner the pre-crash server served. (Readers of the registry
-	// wait out the journal append, fsync included under SyncAlways.) A
-	// failure is sticky in the journal and surfaces through durability().
-	if r.Journal != nil {
-		_ = r.Journal.PutDoc(name, clone)
+	return &Registry{
+		docs:  make(map[string]*Entry),
+		Store: store,
+		live:  liveState{subs: make(map[string]map[*Subscriber]struct{})},
 	}
-	r.notePutDocLocked(name, clone)
 }
 
-// GetDoc fetches a clone of the document registered under name.
-func (r *Registry) GetDoc(name string) (*core.Document, bool) {
+// PutDoc registers d under name at generation zero. The registry takes d
+// over: nobody may mutate it afterwards, so a caller that keeps its own
+// copy registers a clone.
+func (r *Registry) PutDoc(name string, d *core.Document) { r.PutDocAt(name, d, 0) }
+
+// GetDoc returns the entry registered under name.
+func (r *Registry) GetDoc(name string) (*Entry, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	d, ok := r.docs[name]
-	if !ok {
-		return nil, false
-	}
-	return d.Clone(), true
+	e, ok := r.docs[name]
+	return e, ok
 }
 
 // DocNames returns registered document names, sorted.
@@ -709,27 +728,30 @@ func (s *Server) pumpSub(cc *v2conn, id uint32, sub *Subscriber, release func())
 			return false
 		}
 	}
+	// Subscribe seeded the queue with the opening snapshot. It goes out
+	// first even when the subscription has already ended (a DropDoc
+	// racing the subscribe), so every subscription opens with one; the
+	// admission slot rides it.
+	first := <-sub.q
+	if !send(frameV2{op: opChange, id: id, parts: first.parts(), done: release}) {
+		return
+	}
 	for {
 		select {
 		case ev := <-sub.q:
-			f := frameV2{op: opChange, id: id, parts: ev.parts(), done: release}
-			release = nil
 			if ev.kind == changeDelta {
 				s.metrics.deltaPushed(time.Since(ev.at))
 			}
-			if !send(f) {
+			if !send(frameV2{op: opChange, id: id, parts: ev.parts()}) {
 				return
 			}
 		case <-sub.stop:
 			if sub.reason == shedSubSlow {
 				s.metrics.shed(shedSubSlow)
 			}
-			send(frameV2{op: opChange, id: id, parts: endParts(sub.reason), done: release})
+			send(frameV2{op: opChange, id: id, parts: endParts(sub.reason)})
 			return
 		case <-cc.done:
-			if release != nil {
-				release()
-			}
 			return
 		}
 	}

@@ -223,7 +223,7 @@ func TestPutDocAbsorbsInlinedData(t *testing.T) {
 	if !ok {
 		t.Fatal("document not registered")
 	}
-	if got.Root.FindByName("intro").Type != core.Ext {
+	if got.Doc().Root.FindByName("intro").Type != core.Ext {
 		t.Error("server did not re-externalize inlined nodes")
 	}
 }
@@ -320,19 +320,18 @@ func TestFrameErrors(t *testing.T) {
 	}
 }
 
-func TestRegistryIsolation(t *testing.T) {
+// TestRegistryHoldsWhatItIsGiven: the registry takes a document over
+// and every read shares it — no copy per registration or per read.
+// Callers that keep their own copy clone at the boundary (cmif's
+// TestServedDocumentIsolation).
+func TestRegistryHoldsWhatItIsGiven(t *testing.T) {
 	d, _ := fixture(t)
 	reg := NewRegistry(nil)
 	reg.PutDoc("x", d)
-	d.Root.SetName("mutated")
-	got, _ := reg.GetDoc("x")
-	if got.Root.Name() != "news" {
-		t.Error("registry shares storage with caller")
-	}
-	got.Root.SetName("also-mutated")
+	first, _ := reg.GetDoc("x")
 	again, _ := reg.GetDoc("x")
-	if again.Root.Name() != "news" {
-		t.Error("registry shares storage with fetchers")
+	if first != again || first.Doc() != d {
+		t.Error("the registry copied the document it was given")
 	}
 	if names := reg.DocNames(); len(names) != 1 || names[0] != "x" {
 		t.Errorf("DocNames = %v", names)
