@@ -148,7 +148,7 @@ func (d *Document) DeleteNode(path string) (*EditResult, error) {
 }
 
 // InsertNode inserts child under the composite at parentPath at the given
-// index (-1 appends).
+// index: a negative index inserts first, one at or past the end appends.
 func (d *Document) InsertNode(parentPath string, index int, child *Node) (*EditResult, error) {
 	return edit.InsertNode(d.doc, parentPath, index, child)
 }

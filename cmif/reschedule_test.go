@@ -1,8 +1,12 @@
 package cmif_test
 
 import (
-	"repro/cmif"
+	"context"
+	"reflect"
 	"testing"
+	"time"
+
+	"repro/cmif"
 )
 
 // buildShow authors a par-of-seq document through the facade: three
@@ -46,21 +50,14 @@ func TestPlanRescheduleAfterEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := plan.SolveStats().Components; got != 3 {
-		t.Fatalf("components = %d, want 3", got)
-	}
 
-	// Stretch one leaf; only its strand's component re-solves.
+	// Stretch one leaf.
 	if err := d.SetNodeAttr("/audio-strand/audio-b", "duration", cmif.Qty(cmif.MS(900))); err != nil {
 		t.Fatal(err)
 	}
 	plan2, err := plan.Reschedule()
 	if err != nil {
 		t.Fatal(err)
-	}
-	st := plan2.SolveStats()
-	if st.Resolved != 1 || st.Reused != 2 {
-		t.Fatalf("resolved %d reused %d, want 1/2", st.Resolved, st.Reused)
 	}
 	fresh, err := cmif.Schedule(d)
 	if err != nil {
@@ -72,7 +69,7 @@ func TestPlanRescheduleAfterEdits(t *testing.T) {
 			plan.Makespan(), plan2.Makespan())
 	}
 
-	// An arc between strands merges their components.
+	// An arc between strands.
 	if err := d.AddArc("/video-strand", cmif.SyncArc{
 		Source: "video-a", SrcEnd: cmif.End,
 		Dest: "../text-strand/text-a", DestEnd: cmif.Begin,
@@ -84,9 +81,6 @@ func TestPlanRescheduleAfterEdits(t *testing.T) {
 	plan3, err := plan2.Reschedule()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := plan3.SolveStats().Components; got != 2 {
-		t.Fatalf("components after cross-strand arc = %d, want 2", got)
 	}
 	fresh, err = cmif.Schedule(d)
 	if err != nil {
@@ -121,9 +115,6 @@ func TestPlanRescheduleIsFastPathNoop(t *testing.T) {
 	again, err := plan.Reschedule()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st := again.SolveStats(); st.Resolved != 0 {
-		t.Fatalf("no-op reschedule resolved %d components", st.Resolved)
 	}
 	if again.Makespan() != plan.Makespan() {
 		t.Fatalf("makespan changed on no-op reschedule")
@@ -176,7 +167,8 @@ func TestPlayPlaysThePlanItWasGiven(t *testing.T) {
 
 // TestPlayStalePlan: a plan left behind by Reschedule shares the solver's
 // live graph. Once that graph has grown, the old plan has no times for the
-// new events; playing it is refused, playing the rescheduled plan works.
+// new events: it reads them as zero and its views do not panic, playing it
+// is refused, and playing the rescheduled plan works.
 func TestPlayStalePlan(t *testing.T) {
 	d := buildShow(t)
 	old, err := cmif.Schedule(d)
@@ -191,6 +183,15 @@ func TestPlayStalePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := old.StartOf(extra); got != 0 {
+		t.Errorf("stale plan starts the node it never scheduled at %v, want 0", got)
+	}
+	if old.Timeline(cmif.TimelineOptions{}) == "" || old.TOC() == "" {
+		t.Error("stale plan rendered an empty view")
+	}
+	if seek := old.AnalyzeSeek(old.Makespan() / 2); len(seek.Active) == 0 {
+		t.Error("stale plan lands on no active leaf mid-presentation")
+	}
 	if _, err := old.Play(); err == nil {
 		t.Error("a plan older than its graph played")
 	}
@@ -200,5 +201,82 @@ func TestPlayStalePlan(t *testing.T) {
 	}
 	if late := res.FinishedAt - plan.Makespan(); !res.Success() || late < 0 || late >= 10_000_000 {
 		t.Errorf("rescheduled plan: success %v, finished %v after a %v plan", res.Success(), res.FinishedAt, plan.Makespan())
+	}
+}
+
+// TestInsertIndexEnds pins what an insert index means at either end, on a
+// local document and over SubmitEdit on the server's copy and a
+// subscriber's replica: a negative index inserts first, an index past the
+// end appends.
+func TestInsertIndexEnds(t *testing.T) {
+	leaf := func(name string) *cmif.Node {
+		return cmif.NewImm(nil).SetName(name).SetAttr("duration", cmif.Qty(cmif.MS(75)))
+	}
+	want := []string{"text-first", "text-a", "text-b", "text-c", "text-d", "text-last"}
+	check := func(label string, d *cmif.Document) {
+		t.Helper()
+		strand, err := d.Root().Resolve("/text-strand")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, c := range strand.Children() {
+			got = append(got, c.Name())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: /text-strand holds %v, want %v", label, got, want)
+		}
+	}
+
+	local := buildShow(t)
+	if _, err := local.InsertNode("/text-strand", -1, leaf("text-first")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := local.InsertNode("/text-strand", 99, leaf("text-last")); err != nil {
+		t.Fatal(err)
+	}
+	check("InsertNode", local)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	srv := cmif.NewServer(cmif.WithServedDocument("show", buildShow(t)))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := cmif.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub, err := c.Subscribe(ctx, "show")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	gen, err := c.SubmitEdit(ctx, "show", cmif.NewEditBatch().
+		Insert("/text-strand", -1, leaf("text-first")).
+		Insert("/text-strand", 99, leaf("text-last")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sub.Generation() < gen {
+		if _, err := sub.Next(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	server, err := c.Document(ctx, "show")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("server copy", server)
+	check("subscriber replica", sub.Document())
+	first, err := sub.Document().Root().Resolve("/text-strand/text-first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sub.Plan().StartOf(first); got != 0 {
+		t.Errorf("replica plan starts text-first at %v, want 0", got)
 	}
 }

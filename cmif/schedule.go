@@ -16,7 +16,8 @@ import (
 // A Plan carries reusable solver state: after editing the document through
 // its mutation API (DeleteNode, InsertNode, MoveNode, RenameNode, AddArc,
 // RemoveArc, SetNodeAttr), Reschedule brings the timing up to date by
-// re-solving only the constraint-graph components the edits touched.
+// patching the constraint graph where the edits touched it and solving the
+// patched graph.
 type Plan struct {
 	doc      *Document
 	solver   *sched.Solver
@@ -48,10 +49,9 @@ func WithRelaxation() ScheduleOption {
 }
 
 // Schedule resolves every event time of the document from its structure
-// and synchronization arcs. Independent components of the constraint graph
-// are solved one after another and remembered separately; the returned Plan
-// keeps the solver state, so subsequent edits can be absorbed with
-// Reschedule instead of a full re-solve.
+// and synchronization arcs. The returned Plan keeps the solver state, so
+// subsequent edits can be absorbed with Reschedule instead of rebuilding
+// the constraint graph.
 func Schedule(d *Document, opts ...ScheduleOption) (*Plan, error) {
 	var cfg scheduleConfig
 	for _, o := range opts {
@@ -68,13 +68,13 @@ func Schedule(d *Document, opts ...ScheduleOption) (*Plan, error) {
 	return &Plan{doc: d, solver: solver, schedule: s}, nil
 }
 
-// Reschedule brings the plan up to date after document edits. Components
-// of the constraint graph untouched by the edits keep their previous
-// solution; only the dirty ones are re-solved, warm-started from the last
-// schedule. The result is identical to a fresh Schedule of the edited
-// document. The receiver is not mutated; the returned Plan shares the
-// underlying solver, so interleaving Reschedule calls on stale plans is
-// not supported.
+// Reschedule brings the plan up to date after document edits. Only the
+// constraints of the nodes the edits touched are re-derived; the patched
+// graph is then solved whole, and not at all when no constraint changed.
+// The result is identical to a fresh Schedule of the edited document. The
+// receiver keeps its times but shares the patched graph with the returned
+// Plan: it reads events the edits added as time zero and refuses to Play,
+// and interleaving Reschedule calls on stale plans is not supported.
 func (p *Plan) Reschedule() (*Plan, error) {
 	if p.solver == nil {
 		return nil, fmt.Errorf("cmif: plan has no solver state")
@@ -84,19 +84,6 @@ func (p *Plan) Reschedule() (*Plan, error) {
 		return nil, err
 	}
 	return &Plan{doc: p.doc, solver: p.solver, schedule: s}, nil
-}
-
-// SolveStats describes what the last Schedule/Reschedule pass did: how
-// many constraint-graph components exist, how many were re-solved and how
-// many reused.
-type SolveStats = sched.SolveStats
-
-// SolveStats reports the last scheduling pass's shape.
-func (p *Plan) SolveStats() SolveStats {
-	if p.solver == nil {
-		return SolveStats{}
-	}
-	return p.solver.Stats()
 }
 
 // Makespan returns the planned total presentation length.

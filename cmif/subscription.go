@@ -78,8 +78,9 @@ func (b *EditBatch) RemoveArc(path string, index int) *EditBatch {
 }
 
 // Insert records inserting child under the composite at parentPath at
-// the given index (-1 appends). The subtree is serialized now; the
-// caller keeps ownership of child.
+// the given index: a negative index inserts first, one at or past the
+// end appends. The subtree is serialized now; the caller keeps ownership
+// of child.
 func (b *EditBatch) Insert(parentPath string, index int, child *Node) *EditBatch {
 	rec, err := edit.RecordInsert(parentPath, index, child)
 	return b.add(rec, err)
@@ -229,10 +230,10 @@ func (s *Subscription) resync(ctx context.Context) error {
 }
 
 // Next blocks for the next change to the watched document, applies it to
-// the replica, and returns the rescheduled Plan. Deltas re-solve only
-// the constraint-graph components the edit touched; a wholesale document
-// replacement (or any condition that forces a resync) costs a full
-// snapshot and schedule. ctx bounds the wait; its cancellation leaves
+// the replica, and returns the rescheduled Plan. A delta patches the
+// plan's constraint graph where the edit touched it before the graph is
+// solved again; a wholesale document replacement (or any condition that
+// forces a resync) costs a full snapshot and schedule. ctx bounds the wait; its cancellation leaves
 // the subscription usable.
 func (s *Subscription) Next(ctx context.Context) (*Plan, error) {
 	if s.closed {

@@ -33,9 +33,8 @@ func TestGenerateShapesScheduleAndValidate(t *testing.T) {
 			if s.Makespan() <= 0 {
 				t.Errorf("makespan = %v, want > 0", s.Makespan())
 			}
-			st := solver.Stats()
-			if st.Events == 0 || st.Constraints == 0 {
-				t.Errorf("stats = %+v, want a non-trivial constraint system", st)
+			if g := solver.Graph(); g.NumEvents() == 0 || g.NumConstraints() == 0 {
+				t.Errorf("%v, want a non-trivial constraint system", g)
 			}
 		})
 	}

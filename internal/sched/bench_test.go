@@ -8,6 +8,7 @@ import (
 	"repro/internal/attr"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/edit"
 	"repro/internal/units"
 )
 
@@ -193,5 +194,41 @@ func BenchmarkConflictDetection(b *testing.B) {
 		if _, err := g.Solve(SolveOptions{}); err == nil {
 			b.Fatal("conflict not detected")
 		}
+	}
+}
+
+// BenchmarkReschedule measures a one-leaf duration edit absorbed by
+// Solver.Reschedule: on NewsWeb 6/3 (the author-live workload's document),
+// Archive-201 (a view-structure document) and a par-of-seq with 64 arms of
+// 16 leaves, where the edit touches one arm of many.
+func BenchmarkReschedule(b *testing.B) {
+	docs := []struct {
+		name string
+		d    *core.Document
+	}{
+		{"newsweb-6x3", corpusDoc(b, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 6, Languages: 3})},
+		{"archive-201", corpusDoc(b, corpus.Spec{Shape: corpus.Archive, Seed: 201, Size: 20})},
+		{"parofseq-64x16", parOfSeq(b, 64, 16)},
+	}
+	for _, c := range docs {
+		s, err := NewSolver(c.d, Options{DefaultLeafDuration: 500 * time.Millisecond}, SolveOptions{Relax: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Schedule(); err != nil {
+			b.Fatal(err)
+		}
+		leaf := c.d.Root.Leaves()[0].PathString()
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := edit.SetAttr(c.d, leaf, "duration", attr.Quantity(units.MS(int64(700+i%2)))); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Reschedule(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

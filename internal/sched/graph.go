@@ -123,10 +123,9 @@ type Graph struct {
 	// flat caches the document-ordered flattened constraint list.
 	flat   []Constraint
 	flatOK bool
-	// consCount and liveEvents track the live system size without
-	// flattening (tombstones excluded).
-	consCount  int
-	liveEvents int
+	// consCount tracks the live system size without flattening
+	// (tombstones excluded).
+	consCount int
 
 	opts       Options
 	durationOf func(n *core.Node) (time.Duration, bool)
@@ -192,33 +191,31 @@ func (g *Graph) withoutArcs(refs []ArcRef) []Constraint {
 	for _, r := range refs {
 		dropped[keyOf(r)] = true
 	}
-	// Nodes missing from the index were added to the tree behind the
-	// graph's back (untracked edits); skip them rather than alias the
-	// root's slot — a stale graph stays consistent with its build.
-	total := len(g.runtime)
+	flat := g.appendFlat(make([]Constraint, 0, g.consCount), dropped)
+	if len(refs) == 0 {
+		g.flat, g.flatOK = flat, true
+	}
+	return flat
+}
+
+// appendFlat appends the document-ordered constraint list to buf, minus
+// every constraint of the arcs in drop. Nodes missing from the index were
+// added to the tree behind the graph's back (untracked edits); they are
+// skipped rather than aliased to the root's slot, so a stale graph stays
+// consistent with its build.
+func (g *Graph) appendFlat(buf []Constraint, drop map[arcKey]bool) []Constraint {
 	g.doc.Root.Walk(func(n *core.Node) bool {
 		if k, ok := g.nodeIndex[n]; ok {
-			total += len(g.structBlocks[k]) + len(g.arcBlocks[k])
-		}
-		return true
-	})
-	flat := make([]Constraint, 0, total)
-	g.doc.Root.Walk(func(n *core.Node) bool {
-		if k, ok := g.nodeIndex[n]; ok {
-			flat = append(flat, g.structBlocks[k]...)
+			buf = append(buf, g.structBlocks[k]...)
 			for i := range g.arcBlocks[k] {
-				if c := &g.arcBlocks[k][i]; !dropped[keyOf(c.Arc)] {
-					flat = append(flat, *c)
+				if c := &g.arcBlocks[k][i]; !drop[keyOf(c.Arc)] {
+					buf = append(buf, *c)
 				}
 			}
 		}
 		return true
 	})
-	flat = append(flat, g.runtime...)
-	if len(refs) == 0 {
-		g.flat, g.flatOK = flat, true
-	}
-	return flat
+	return append(buf, g.runtime...)
 }
 
 // invalidate drops the cached flat view after a mutation.
@@ -389,7 +386,6 @@ func Build(d *core.Document, opts Options) (*Graph, error) {
 		return nil, buildErr
 	}
 	g.consCount = len(arena)
-	g.liveEvents = len(g.events)
 	return g, nil
 }
 
@@ -552,7 +548,6 @@ func (g *Graph) Clone() *Graph {
 		opts:         g.opts,
 		durationOf:   g.durationOf,
 		consCount:    g.consCount,
-		liveEvents:   g.liveEvents,
 	}
 }
 

@@ -310,7 +310,7 @@ func TestSolveOracle(t *testing.T) {
 			further++
 		}
 
-		// Solver: the per-component path, then edits.
+		// Solver: a full pass, then duration edits.
 		s, err := NewSolver(d, bopts, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -341,18 +341,149 @@ func TestSolveOracle(t *testing.T) {
 }
 
 // FuzzSolveOracle holds a relaxing Solve of a random document, seeded by
-// the fuzz input, to the oracle's first three properties.
+// the fuzz input, to the oracle's first three properties. The same input
+// then drives a short edit script — attribute edits (duration, channel,
+// style), insert, delete, move, arc add and remove, rename — and after
+// each edit Solver.Reschedule must agree with a cold Build + Solve of the
+// edited document (the same times, the same victims in order, the same
+// failure) and pass the oracle.
 func FuzzSolveOracle(f *testing.F) {
-	for _, seed := range []int64{1, 39, 206, 1991} {
+	// Seed 26 reports a victim whose arc an edit rewrote; 1572 deletes
+	// the target of an arc, which must fail the reschedule as it fails
+	// Build.
+	for _, seed := range []int64{1, 26, 39, 206, 1572, 1991} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		d := oracleDoc(t, rng)
-		g, err := Build(d, Options{DefaultLeafDuration: 500 * time.Millisecond, RigidLeaves: rng.Intn(2) == 0})
+		bopts := Options{DefaultLeafDuration: 500 * time.Millisecond, RigidLeaves: rng.Intn(2) == 0}
+		g, err := Build(d, bopts)
 		if err != nil {
 			return
 		}
 		oracleSolve(t, "fuzz", g, true, false)
+
+		fuzzDictionaries(d)
+		s, err := NewSolver(d, bopts, SolveOptions{Relax: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Schedule(); err != nil {
+			checkOracleConflict(t, "fuzz Solver.Schedule", s.Graph(), s.Graph().Constraints(), true, err)
+		}
+		for step := 0; step < 8; step++ {
+			if !fuzzEdit(rng, d, step) {
+				continue
+			}
+			label := "fuzz edit " + itoa(step)
+			got, errGot := s.Reschedule()
+			cold, err := Build(d, bopts)
+			if err != nil {
+				if errGot == nil {
+					t.Fatalf("%s: Reschedule succeeded where Build fails: %v", label, err)
+				}
+				continue
+			}
+			want, errWant := cold.Solve(SolveOptions{Relax: true})
+			if (errGot == nil) != (errWant == nil) {
+				t.Fatalf("%s: Reschedule error %v, cold solve error %v", label, errGot, errWant)
+			}
+			if errWant != nil {
+				checkOracleConflict(t, label, cold, cold.Constraints(), true, errWant)
+				continue
+			}
+			sameSchedule(t, d, got, want)
+			if len(got.Dropped) != len(want.Dropped) {
+				t.Fatalf("%s: dropped %v, cold solve %v", label, got.Dropped, want.Dropped)
+			}
+			for i := range got.Dropped {
+				if got.Dropped[i] != want.Dropped[i] {
+					t.Fatalf("%s: dropped[%d] = %v, cold solve %v", label, i, got.Dropped[i], want.Dropped[i])
+				}
+			}
+			checkOracle(t, label, s.Graph(), s.Graph().Constraints(), got, got.Dropped, false)
+		}
 	})
+}
+
+// fuzzDictionaries gives d a 50 fps channel beside doc's three, and two
+// styles that pick a video channel, so channel and style edits change the
+// rates frame quantities convert with.
+func fuzzDictionaries(d *core.Document) {
+	cd := core.NewChannelDict()
+	cd.Define(core.Channel{Name: "video", Medium: core.MediumVideo, Rates: units.Rates{FrameRate: 25}})
+	cd.Define(core.Channel{Name: "fastvideo", Medium: core.MediumVideo, Rates: units.Rates{FrameRate: 50}})
+	cd.Define(core.Channel{Name: "sound", Medium: core.MediumAudio, Rates: units.Rates{SampleRate: 8000}})
+	cd.Define(core.Channel{Name: "text", Medium: core.MediumText})
+	d.SetChannels(cd)
+	sd := attr.NewStyleDict()
+	for _, st := range [][2]string{{"slow", "video"}, {"fast", "fastvideo"}} {
+		l := attr.List{}
+		l.Set("channel", attr.ID(st[1]))
+		sd.Define(st[0], l)
+	}
+	d.SetStyles(sd)
+}
+
+// fuzzEdit applies one random edit to d through internal/edit and reports
+// whether the edit engine accepted it. Inserted leaves take their channel
+// from a style, and durations and offsets are in frames half the time.
+func fuzzEdit(rng *rand.Rand, d *core.Document, step int) bool {
+	var nodes, composites []*core.Node
+	d.Root.Walk(func(n *core.Node) bool {
+		nodes = append(nodes, n)
+		if !n.Type.IsLeaf() {
+			composites = append(composites, n)
+		}
+		return true
+	})
+	n, p := nodes[rng.Intn(len(nodes))], composites[rng.Intn(len(composites))]
+	qty := func(max int) units.Quantity {
+		if rng.Intn(2) == 0 {
+			return units.Q(int64(rng.Intn(max/40+1)), units.Frames)
+		}
+		return units.MS(int64(rng.Intn(max)))
+	}
+	var err error
+	switch rng.Intn(9) {
+	case 0:
+		err = edit.SetAttr(d, n.PathString(), "duration", attr.Quantity(qty(900)))
+	case 1:
+		err = edit.SetAttr(d, n.PathString(), "channel", attr.ID([]string{"video", "fastvideo", "sound", "text"}[rng.Intn(4)]))
+	case 2:
+		err = edit.SetAttr(d, n.PathString(), "style", attr.ID([]string{"slow", "fast"}[rng.Intn(2)]))
+	case 3:
+		l := core.NewExt().SetName("f"+itoa(step)).
+			SetAttr("style", attr.ID("slow")).
+			SetAttr("file", attr.String("f.dat")).
+			SetAttr("duration", attr.Quantity(qty(400)))
+		_, err = edit.InsertNode(d, p.PathString(), rng.Intn(p.NumChildren()+3)-1, l)
+	case 4:
+		_, err = edit.DeleteNode(d, n.PathString())
+	case 5:
+		_, err = edit.MoveNode(d, n.PathString(), p.PathString(), rng.Intn(p.NumChildren()+1))
+	case 6:
+		a := core.SyncArc{
+			Source: nodes[rng.Intn(len(nodes))].PathString(), SrcEnd: core.EndPoint(rng.Intn(2)),
+			Dest: "", DestEnd: core.EndPoint(rng.Intn(2)),
+			Offset: qty(600), MinDelay: units.MS(0), MaxDelay: units.InfiniteQuantity(), Strict: core.May,
+		}
+		if rng.Intn(2) == 0 {
+			a.MaxDelay = units.MS(int64(rng.Intn(300)))
+		}
+		if rng.Intn(4) == 0 {
+			a.Strict = core.Must
+		}
+		err = edit.AddArc(d, n.PathString(), a)
+	case 7:
+		arcs, _ := n.Arcs()
+		if len(arcs) == 0 {
+			return false
+		}
+		err = edit.RemoveArc(d, n.PathString(), rng.Intn(len(arcs)))
+	case 8:
+		_, err = edit.RenameNode(d, n.PathString(), "r"+itoa(step))
+	}
+	return err == nil
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // doc builds a Document and fails the test on error.
-func doc(t *testing.T, root *core.Node) *core.Document {
+func doc(t testing.TB, root *core.Node) *core.Document {
 	t.Helper()
 	d, err := core.NewDocument(root)
 	if err != nil {

@@ -21,8 +21,15 @@ type Schedule struct {
 // Graph returns the constraint graph the schedule was computed from.
 func (s *Schedule) Graph() *Graph { return s.graph }
 
-// TimeOf returns the scheduled time of an event id.
-func (s *Schedule) TimeOf(id EventID) time.Duration { return s.times[id] }
+// TimeOf returns the scheduled time of an event id. An event the schedule
+// has no time for — one a later Solver.Reschedule added to the shared
+// graph — reads as zero.
+func (s *Schedule) TimeOf(id EventID) time.Duration {
+	if int(id) >= len(s.times) {
+		return 0
+	}
+	return s.times[id]
+}
 
 // Times returns the raw assignment indexed by EventID. Shared; do not
 // mutate.
@@ -30,12 +37,12 @@ func (s *Schedule) Times() []time.Duration { return s.times }
 
 // StartOf returns the scheduled begin time of node n.
 func (s *Schedule) StartOf(n *core.Node) time.Duration {
-	return s.times[s.graph.Begin(n)]
+	return s.TimeOf(s.graph.Begin(n))
 }
 
 // EndOf returns the scheduled end time of node n.
 func (s *Schedule) EndOf(n *core.Node) time.Duration {
-	return s.times[s.graph.End(n)]
+	return s.TimeOf(s.graph.End(n))
 }
 
 // LengthOf returns the scheduled extent of node n.

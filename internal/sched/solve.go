@@ -50,11 +50,11 @@ type SolveOptions struct {
 // arcs. It returns a ConflictError when the constraints cannot be satisfied
 // by dropping May arcs alone. It is the full solve over the whole
 // constraint system, on an arena made for this call — nothing is cached on
-// the graph, so concurrent solves stay independent. Solver is the
-// incremental path; it runs the same loop per component and produces
-// identical schedules.
+// the graph, so concurrent solves stay independent. Solver runs the same
+// loop over the same list after patching its graph for edits, on an arena
+// it keeps, and produces identical schedules.
 func (g *Graph) Solve(opts SolveOptions) (*Schedule, error) {
-	return g.solve(g.flatten(), nil, opts)
+	return g.solve(&solveScratch{}, g.flatten(), opts)
 }
 
 // SolveFrom re-solves g — plan's graph, or a Clone of it carrying runtime
@@ -65,17 +65,17 @@ func (g *Graph) Solve(opts SolveOptions) (*Schedule, error) {
 // without those arcs (the seed buys speed, never a different answer); its
 // Dropped is plan's list followed by the victims opts.Relax allowed on top.
 func (g *Graph) SolveFrom(plan *Schedule, opts SolveOptions) (*Schedule, error) {
-	s, err := g.solve(g.withoutArcs(plan.Dropped), plan.times, opts)
+	s, err := g.solve(&solveScratch{seed: plan.times}, g.withoutArcs(plan.Dropped), opts)
 	if err == nil {
 		s.Dropped = append(plan.Dropped[:len(plan.Dropped):len(plan.Dropped)], s.Dropped...)
 	}
 	return s, err
 }
 
-// solve runs the relax loop over cons on a fresh arena and wraps the result.
-func (g *Graph) solve(cons []Constraint, seed []time.Duration, opts SolveOptions) (*Schedule, error) {
+// solve runs the relax loop over cons on sc and wraps the result.
+func (g *Graph) solve(sc *solveScratch, cons []Constraint, opts SolveOptions) (*Schedule, error) {
 	n := len(g.events)
-	dist, dropped, cycle := (&solveScratch{seed: seed}).solve(n, 0, cons, nil, opts.Relax)
+	dist, dropped, cycle := sc.solve(n, 0, cons, opts.Relax)
 	if cycle != nil {
 		return nil, &ConflictError{Cycle: cycle}
 	}
@@ -99,15 +99,14 @@ func (g *Graph) SolveParallel(opts SolveOptions) (*Schedule, error) { return g.S
 // together: an arc is dropped only if it cannot hold together with the
 // non-May constraints and the May arcs kept before it (relaxation by
 // insertion; Ramalingam et al., Algorithmica 1999). Victims depend on the
-// constraint list alone, never on labels or queue order, so order and
-// sc.seed (warm starts) only speed up the sweeps, and a conflict is always
-// reported from a cold one. Finally the earliest schedule with t[src] = 0
+// constraint list alone, never on labels or queue order, so sc.seed (a
+// warm start) only speeds up the sweeps, and a conflict is always reported
+// from a cold one. Finally the earliest schedule with t[src] = 0
 // is extracted over the kept constraints. cons is read, never modified. It
 // returns the shortest-path labels, aliasing the arena — convert with
 // timeOf before the next call — and the dropped arcs in list order, or the
 // constraints of a cycle that relaxation could not (or may not) break.
-func (sc *solveScratch) solve(n int, src EventID, cons []Constraint, order []EventID, relax bool) (dist []int64, dropped []ArcRef, conflict []Constraint) {
-	sc.order = order
+func (sc *solveScratch) solve(n int, src EventID, cons []Constraint, relax bool) (dist []int64, dropped []ArcRef, conflict []Constraint) {
 	sc.active = sc.active[:0]
 	sc.grow(n, len(cons))
 	sc.buildCSR(n, cons, false)
@@ -223,8 +222,9 @@ const unreachable = int64(math.MaxInt64)
 
 // solveScratch is the relax loop's arena: CSR adjacency, the SPFA queue and
 // labels, the active flags and the label undo log. Graph.Solve makes one
-// per call; a Solver owns one for life, so its re-solves allocate almost
-// nothing. The zero value is ready to use.
+// per call; a Solver owns one for life, so its re-solves of the patched
+// graph allocate almost nothing beyond the schedule. The zero value is
+// ready to use.
 type solveScratch struct {
 	off  []int32 // CSR offsets, len n+1
 	edge []int32 // constraint indices, len m
@@ -234,7 +234,6 @@ type solveScratch struct {
 	parent  []int32
 	pathlen []int32
 	q       ring
-	order   []EventID // optional SPFA seeding order (warm start)
 	// seed, when it covers all n vertices, gives the first feasibility
 	// sweep its starting labels instead of zero (Graph.SolveFrom).
 	seed []time.Duration
@@ -398,26 +397,13 @@ func (sc *solveScratch) findNegativeCycle(n int, cons []Constraint) []int32 {
 		}
 		parent[i] = -1
 		pathlen[i] = 0
-		q.in[i] = false
 	}
-	// Seed the queue in warm-start order when one is installed, so the
-	// first pass sweeps the system in (approximately) scheduled order.
-	// Cold solves seed in descending id order: lower bounds propagate from
+	// Seed the queue in descending id order: lower bounds propagate from
 	// end events to begin events and from successors to predecessors —
 	// both toward lower ids — so a descending first pass settles the long
 	// seq chains in one sweep instead of one epoch per link.
-	fill := 0
-	for _, v := range sc.order {
-		if int(v) < n && !q.in[v] {
-			q.slot[fill], q.in[v] = int32(v), true
-			fill++
-		}
-	}
-	for i := n - 1; i >= 0; i-- {
-		if !q.in[i] {
-			q.slot[fill], q.in[i] = int32(i), true
-			fill++
-		}
+	for i := 0; i < n; i++ {
+		q.slot[i], q.in[i] = int32(n-1-i), true
 	}
 	q.head, q.count = 0, n
 	var cycleAt int32 = -1
