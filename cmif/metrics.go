@@ -56,7 +56,7 @@ func WithServerMetrics(reg *Metrics) ServingOption {
 
 // Metrics returns the registry the server's instruments live in: request
 // counts and latency by op, in-flight and connection gauges, admission
-// queue depth and busy rejections, descriptor-cache effectiveness, and —
+// queue depth and busy rejections, and —
 // with WithDataDir — WAL append lag, live WAL bytes and snapshot counts.
 // Always non-nil; serve it with Metrics.Handler or scrape Prometheus.
 func (s *Server) Metrics() *Metrics { return s.srv.Metrics }

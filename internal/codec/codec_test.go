@@ -144,6 +144,8 @@ func TestParseErrors(t *testing.T) {
 		"bad-char":          `(seq @)`,
 		"unterminated-list": `(seq (x [1 2)`,
 		"attr-no-name":      `(seq (42 x))`,
+		"unwritable-attr":   `(seq (+A 1))`,
+		"unwritable-item":   `(seq (x [(+b 1)]))`,
 	}
 	for name, src := range cases {
 		if _, err := Parse(src); err == nil {

@@ -128,6 +128,10 @@ func (p *parser) parseNode() (*core.Node, error) {
 			// Attribute pair: we already consumed '(' and sit on the name.
 			name := p.tok.text
 			namePos := p.tok.pos
+			if !identOK(name) {
+				return nil, &SyntaxError{Pos: namePos,
+					Msg: fmt.Sprintf("attribute name %q is not an identifier the writer can render", name)}
+			}
 			if err := p.advance(); err != nil {
 				return nil, err
 			}
@@ -270,6 +274,10 @@ func (p *parser) parseList() (attr.Value, error) {
 			name, err := p.expect(tokIdent)
 			if err != nil {
 				return attr.Value{}, err
+			}
+			if !identOK(name.text) {
+				return attr.Value{}, &SyntaxError{Pos: name.pos,
+					Msg: fmt.Sprintf("list item name %q is not an identifier the writer can render", name.text)}
 			}
 			v, err := p.parsePairValues()
 			if err != nil {

@@ -9,9 +9,9 @@ import (
 	"repro/internal/units"
 )
 
-// TestDBConcurrentHammer drives the sharded database from parallel
+// TestDBConcurrentHammer drives the database from parallel
 // goroutines mixing inserts, upserts, deletes and every query shape; run
-// with -race it proves the per-shard locking is sound, and the final
+// with -race it proves the locking is sound, and the final
 // consistency sweep proves the indexes match the entries.
 func TestDBConcurrentHammer(t *testing.T) {
 	db := New()

@@ -12,17 +12,12 @@
 // manipulation of "relatively small clusters of data (the attributes)
 // rather than the often massive amounts of media-based data itself."
 //
-// For concurrency the database is lock-striped: descriptors shard by FNV of
-// their id, and every shard carries its own slice of the inverted and
-// numeric indexes. Because shards partition the id space, a query evaluates
-// its predicates independently per shard and unions the per-shard matches —
-// intersection distributes over the disjoint union — so concurrent writers
-// touching different descriptors never contend on one mutex.
+// The database is safe for concurrent use under one read-write lock over
+// one set of indexes: queries share it, writers take it alone.
 package ddbms
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 
@@ -30,30 +25,14 @@ import (
 	"repro/internal/units"
 )
 
-// dbShards is the lock-stripe count (a power of two, so modulo is a mask).
-const dbShards = 16
-
-// shardOf maps a descriptor id to its stripe by FNV-1a.
-func shardOf(id string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return h.Sum32() & (dbShards - 1)
-}
-
-// dbShard is one stripe: the descriptors whose id hashes here, plus the
-// index slices covering exactly those descriptors.
-type dbShard struct {
+// DB is an attribute-indexed descriptor store. Safe for concurrent use.
+type DB struct {
 	mu      sync.RWMutex
 	entries map[string]attr.List
 	// inverted maps attribute name -> canonical value key -> sorted ids.
 	inverted map[string]map[string][]string
 	// numeric maps attribute name -> unit -> sorted (value, id) pairs.
 	numeric map[string]map[units.Unit][]numEntry
-}
-
-// DB is an attribute-indexed descriptor store. Safe for concurrent use.
-type DB struct {
-	shards [dbShards]dbShard
 }
 
 type numEntry struct {
@@ -63,66 +42,57 @@ type numEntry struct {
 
 // New returns an empty database.
 func New() *DB {
-	db := &DB{}
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.entries = make(map[string]attr.List)
-		sh.inverted = make(map[string]map[string][]string)
-		sh.numeric = make(map[string]map[units.Unit][]numEntry)
+	return &DB{
+		entries:  make(map[string]attr.List),
+		inverted: make(map[string]map[string][]string),
+		numeric:  make(map[string]map[units.Unit][]numEntry),
 	}
-	return db
 }
 
-// shard returns the stripe owning id.
-func (db *DB) shard(id string) *dbShard {
-	return &db.shards[shardOf(id)]
-}
-
-// Insert adds a descriptor under id; it fails if id already exists.
+// Insert adds a descriptor under id; it fails if id already exists. It
+// is Upsert for a caller that must not replace a descriptor by accident.
 func (db *DB) Insert(id string, desc attr.List) error {
-	sh := db.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.entries[id]; exists {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, exists := db.entries[id]; exists {
 		return fmt.Errorf("ddbms: descriptor %q already exists", id)
 	}
-	sh.put(id, desc)
+	db.put(id, desc)
 	return nil
 }
 
 // Upsert adds or replaces the descriptor under id.
 func (db *DB) Upsert(id string, desc attr.List) {
-	sh := db.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	prev, exists := sh.entries[id]
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	prev, exists := db.entries[id]
 	if exists {
 		if prev.Equal(desc) {
 			return
 		}
-		sh.remove(id)
+		db.remove(id)
 	}
-	sh.put(id, desc)
+	db.put(id, desc)
 }
 
-// put indexes desc under id. Caller holds the shard lock.
-func (sh *dbShard) put(id string, desc attr.List) {
+// put indexes desc under id. Caller holds the write lock.
+func (db *DB) put(id string, desc attr.List) {
 	desc = desc.Clone()
-	sh.entries[id] = desc
+	db.entries[id] = desc
 	for _, p := range desc.Pairs() {
 		key := p.Value.String()
-		byVal := sh.inverted[p.Name]
+		byVal := db.inverted[p.Name]
 		if byVal == nil {
 			byVal = make(map[string][]string)
-			sh.inverted[p.Name] = byVal
+			db.inverted[p.Name] = byVal
 		}
 		byVal[key] = insertSorted(byVal[key], id)
 
 		if q, ok := p.Value.AsNumber(); ok {
-			byUnit := sh.numeric[p.Name]
+			byUnit := db.numeric[p.Name]
 			if byUnit == nil {
 				byUnit = make(map[units.Unit][]numEntry)
-				sh.numeric[p.Name] = byUnit
+				db.numeric[p.Name] = byUnit
 			}
 			entries := byUnit[q.Unit]
 			i := sort.Search(len(entries), func(i int) bool {
@@ -139,23 +109,23 @@ func (sh *dbShard) put(id string, desc attr.List) {
 	}
 }
 
-// remove unindexes id. Caller holds the shard lock.
-func (sh *dbShard) remove(id string) {
-	desc, ok := sh.entries[id]
+// remove unindexes id. Caller holds the write lock.
+func (db *DB) remove(id string) {
+	desc, ok := db.entries[id]
 	if !ok {
 		return
 	}
-	delete(sh.entries, id)
+	delete(db.entries, id)
 	for _, p := range desc.Pairs() {
 		key := p.Value.String()
-		if byVal := sh.inverted[p.Name]; byVal != nil {
+		if byVal := db.inverted[p.Name]; byVal != nil {
 			byVal[key] = removeSorted(byVal[key], id)
 			if len(byVal[key]) == 0 {
 				delete(byVal, key)
 			}
 		}
 		if q, ok := p.Value.AsNumber(); ok {
-			if byUnit := sh.numeric[p.Name]; byUnit != nil {
+			if byUnit := db.numeric[p.Name]; byUnit != nil {
 				entries := byUnit[q.Unit]
 				for i, e := range entries {
 					if e.id == id && e.value == q.Value {
@@ -168,24 +138,25 @@ func (sh *dbShard) remove(id string) {
 	}
 }
 
-// Delete removes the descriptor under id.
+// Delete removes the descriptor under id, reporting whether it was
+// there. It is what keeps the indexes true when a block leaves the
+// store; without it they could only grow.
 func (db *DB) Delete(id string) bool {
-	sh := db.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.entries[id]; !ok {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if _, ok := db.entries[id]; !ok {
 		return false
 	}
-	sh.remove(id)
+	db.remove(id)
 	return true
 }
 
-// Get fetches a descriptor by id.
+// Get fetches a copy of the descriptor under id: the "access" half of the
+// paper's locate-and-access, for a caller that holds an id from Select.
 func (db *DB) Get(id string) (attr.List, bool) {
-	sh := db.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	desc, ok := sh.entries[id]
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	desc, ok := db.entries[id]
 	if !ok {
 		return attr.List{}, false
 	}
@@ -194,29 +165,9 @@ func (db *DB) Get(id string) (attr.List, bool) {
 
 // Len reports the number of descriptors.
 func (db *DB) Len() int {
-	total := 0
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		total += len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return total
-}
-
-// IDs returns every descriptor id, sorted.
-func (db *DB) IDs() []string {
-	var out []string
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for id := range sh.entries {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return len(db.entries)
 }
 
 // Pred is one query predicate.
@@ -256,30 +207,21 @@ func Range(name string, lo, hi int64, u units.Unit) Pred {
 // Select returns the ids (sorted) matching every predicate. An empty
 // predicate list matches everything.
 func (db *DB) Select(preds ...Pred) []string {
-	var out []string
-	for i := range db.shards {
-		out = append(out, db.shards[i].sel(preds)...)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sel evaluates preds against one shard, taking its read lock.
-func (sh *dbShard) sel(preds []Pred) []string {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	if len(preds) == 0 {
-		out := make([]string, 0, len(sh.entries))
-		for id := range sh.entries {
+		out := make([]string, 0, len(db.entries))
+		for id := range db.entries {
 			out = append(out, id)
 		}
+		sort.Strings(out)
 		return out
 	}
-	// Evaluate each predicate via the shard's index, intersecting as we
-	// go, starting from the most selective (smallest) posting list.
+	// Evaluate each predicate via the indexes, intersecting as we go,
+	// starting from the most selective (smallest) posting list.
 	lists := make([][]string, len(preds))
 	for i, p := range preds {
-		lists[i] = sh.evalPred(p)
+		lists[i] = db.evalPred(p)
 	}
 	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
 	result := lists[0]
@@ -296,23 +238,20 @@ func (sh *dbShard) sel(preds []Pred) []string {
 // indexes. It exists as the baseline the indexed Select is checked and
 // timed against (cmifbench F2).
 func (db *DB) SelectLinear(preds ...Pred) []string {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	var out []string
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for id, desc := range sh.entries {
-			ok := true
-			for _, p := range preds {
-				if !matches(desc, p) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, id)
+	for id, desc := range db.entries {
+		ok := true
+		for _, p := range preds {
+			if !matches(desc, p) {
+				ok = false
+				break
 			}
 		}
-		sh.mu.RUnlock()
+		if ok {
+			out = append(out, id)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -336,12 +275,12 @@ func matches(desc attr.List, p Pred) bool {
 	}
 }
 
-// evalPred returns the sorted id list matching p within the shard. Caller
-// holds the shard's RLock.
-func (sh *dbShard) evalPred(p Pred) []string {
+// evalPred returns the sorted id list matching p. Caller holds the read
+// lock.
+func (db *DB) evalPred(p Pred) []string {
 	switch p.kind {
 	case predEq:
-		byVal := sh.inverted[p.name]
+		byVal := db.inverted[p.name]
 		if byVal == nil {
 			return nil
 		}
@@ -349,7 +288,7 @@ func (sh *dbShard) evalPred(p Pred) []string {
 		// later inserts/removes, so it must never escape the lock.
 		return append([]string(nil), byVal[p.val.String()]...)
 	case predHas:
-		byVal := sh.inverted[p.name]
+		byVal := db.inverted[p.name]
 		if byVal == nil {
 			return nil
 		}
@@ -359,7 +298,7 @@ func (sh *dbShard) evalPred(p Pred) []string {
 		}
 		return out
 	case predRange:
-		byUnit := sh.numeric[p.name]
+		byUnit := db.numeric[p.name]
 		if byUnit == nil {
 			return nil
 		}
@@ -385,31 +324,23 @@ type Stats struct {
 	NumericValues int
 }
 
-// Stats reports index statistics, aggregated across shards. Because each
-// shard indexes its own descriptors, an attribute indexed in k shards
-// counts k posting-list groups; Descriptors and NumericValues are exact.
+// Stats reports index statistics.
 func (db *DB) Stats() Stats {
-	s := Stats{}
-	attrs := make(map[string]struct{})
-	numAttrs := make(map[string]struct{})
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		s.Descriptors += len(sh.entries)
-		for name, byVal := range sh.inverted {
-			attrs[name] = struct{}{}
-			s.PostingLists += len(byVal)
-		}
-		for name, byUnit := range sh.numeric {
-			numAttrs[name] = struct{}{}
-			for _, entries := range byUnit {
-				s.NumericValues += len(entries)
-			}
-		}
-		sh.mu.RUnlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	s := Stats{
+		Descriptors:  len(db.entries),
+		IndexedAttrs: len(db.inverted),
+		NumericIndex: len(db.numeric),
 	}
-	s.IndexedAttrs = len(attrs)
-	s.NumericIndex = len(numAttrs)
+	for _, byVal := range db.inverted {
+		s.PostingLists += len(byVal)
+	}
+	for _, byUnit := range db.numeric {
+		for _, entries := range byUnit {
+			s.NumericValues += len(entries)
+		}
+	}
 	return s
 }
 

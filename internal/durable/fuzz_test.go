@@ -20,7 +20,7 @@ func validWALBytes(tb testing.TB) []byte {
 		buf.Write(frameRecord(encodeRecord(op, fields...)))
 	}
 	b := media.CaptureText("fuzz-seed.txt", "seed payload", "en")
-	desc, err := encodeDescriptor(b.Descriptor)
+	desc, err := media.EncodeDescriptor(b.Descriptor)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func validWALBytes(tb testing.TB) []byte {
 	write(recName, []byte("alias.txt"), []byte(b.ID))
 	var d attr.List
 	d.Set("format", attr.ID("utf8"))
-	dd, err := encodeDescriptor(d)
+	dd, err := media.EncodeDescriptor(d)
 	if err != nil {
 		tb.Fatal(err)
 	}

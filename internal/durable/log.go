@@ -400,7 +400,7 @@ func (l *Log) Close() error {
 // journal as their own recName records (see media.Journal) — but replay
 // still honours a set flag for compatibility.
 func (l *Log) JournalPutBlock(b *media.Block) {
-	desc, err := encodeDescriptor(b.Descriptor)
+	desc, err := b.DescriptorText()
 	if err != nil {
 		l.mu.Lock()
 		l.fail(fmt.Errorf("durable: block %q descriptor: %w", b.Name, err))
@@ -648,7 +648,7 @@ func writeSnapshot(dir string, seq uint64, st *State, docs map[string][]byte) (i
 		// recPutBlk form.
 		chunksWritten := make(map[media.ChunkHash]bool)
 		st.Store.Each(func(b *media.Block) bool {
-			desc, err := encodeDescriptor(b.Descriptor)
+			desc, err := b.DescriptorText()
 			if err != nil {
 				werr = fmt.Errorf("block %q descriptor: %w", b.Name, err)
 				return false

@@ -200,9 +200,10 @@ func recoverDir(dir string, repair bool) (st *State, docs map[string][]byte, wal
 			maxSeq = seq
 		}
 	}
-	// Snapshot chunk staging is replay-only scratch; drop it before the
-	// state goes live so the unique-chunk copies don't shadow the corpus.
-	st.releaseReplayChunks()
+	// Snapshot chunk staging and the descriptor memo are replay-only
+	// scratch; drop them before the state goes live so the unique-chunk
+	// copies don't shadow the corpus and the memo doesn't grow with it.
+	st.releaseReplay()
 	return st, docs, walBytes, maxSeq, nil
 }
 

@@ -49,7 +49,7 @@ func FramePutDoc(name string, docBinary []byte) []byte {
 // registrations travel as separate FrameRegisterName records, exactly as
 // the journal writes them).
 func FramePutBlock(b *media.Block) ([]byte, error) {
-	desc, err := encodeDescriptor(b.Descriptor)
+	desc, err := b.DescriptorText()
 	if err != nil {
 		return nil, fmt.Errorf("durable: block %q descriptor: %w", b.Name, err)
 	}

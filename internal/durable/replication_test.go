@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/attr"
 	"repro/internal/codec"
 	"repro/internal/media"
 )
@@ -230,6 +231,43 @@ func TestAppendFramesDedupes(t *testing.T) {
 	}
 }
 
+// TestAppendFramesLeavesNoDescriptorMemo pins the descriptor memo's
+// scope to one recovery: replicated puts, on a live log, parse without
+// it, so a replica's memory does not grow by one entry per put — and
+// keep none of it for a block deleted since.
+func TestAppendFramesLeavesNoDescriptorMemo(t *testing.T) {
+	dir := t.TempDir()
+	l, st, err := Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var ids []string
+	for i := 0; i < 200; i++ {
+		b := media.CaptureText(fmt.Sprintf("put-%03d.txt", i), fmt.Sprintf("body %d", i), "en")
+		b.Descriptor.Set(media.DescTitle, attr.String(fmt.Sprintf("story %d", i))) // one text per put
+		frame, err := FramePutBlock(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.AppendFrames(frame); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, b.ID)
+	}
+	for _, id := range ids[:100] {
+		if _, err := l.AppendFrames(FrameDelBlock(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(st.descMemo); n != 0 {
+		t.Fatalf("descriptor memo holds %d entries after 200 replicated puts and 100 deletes, want 0", n)
+	}
+	if got := st.Store.Len(); got != 100 {
+		t.Fatalf("store holds %d blocks, want 100", got)
+	}
+}
+
 func TestAppendFramesRejectsBadBatchAtomically(t *testing.T) {
 	dir := t.TempDir()
 	l, st, err := Open(dir, Options{Sync: SyncNever})
@@ -243,7 +281,7 @@ func TestAppendFramesRejectsBadBatchAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc, err := encodeDescriptor(media.CaptureText("d.txt", "d", "en").Descriptor)
+	desc, err := media.EncodeDescriptor(media.CaptureText("d.txt", "d", "en").Descriptor)
 	if err != nil {
 		t.Fatal(err)
 	}

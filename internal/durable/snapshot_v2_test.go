@@ -146,7 +146,7 @@ func writeLegacySnapshot(t *testing.T, dir string, seq uint64, st *State, docs m
 	}
 	var werr error
 	st.Store.Each(func(b *media.Block) bool {
-		desc, err := encodeDescriptor(b.Descriptor)
+		desc, err := media.EncodeDescriptor(b.Descriptor)
 		if err != nil {
 			werr = err
 			return false

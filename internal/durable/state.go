@@ -20,11 +20,12 @@ type State struct {
 	Store *media.Store
 	Docs  map[string]*core.Document
 
-	// descMemo caches descriptor parses by their wire text during
-	// replay: a corpus of same-shaped blocks repeats a handful of
+	// descMemo caches descriptor parses by their text during one
+	// recovery: a corpus of same-shaped blocks repeats a handful of
 	// descriptor texts thousands of times, and re-parsing each one
 	// would dominate recovery. Consumers clone before mutating, so
-	// sharing the parsed list is safe.
+	// sharing the parsed list is safe. Released with replayChunks;
+	// nil afterwards, so replicated records parse without it.
 	descMemo map[string]attr.List
 
 	// replayChunks stages recChunk records (snapshot-only) so the
@@ -46,12 +47,16 @@ func newState() *State {
 	}
 }
 
-// parseDesc is parseDescriptor with the replay memo in front.
+// parseDesc is media.ParseDescriptor with the replay memo, while there
+// is one, in front.
 func (st *State) parseDesc(data []byte) (attr.List, error) {
+	if st.descMemo == nil {
+		return media.ParseDescriptor(data)
+	}
 	if cached, ok := st.descMemo[string(data)]; ok {
 		return cached, nil
 	}
-	desc, err := parseDescriptor(data)
+	desc, err := media.ParseDescriptor(data)
 	if err != nil {
 		return attr.List{}, err
 	}
@@ -245,31 +250,11 @@ func (st *State) assembleChunks(manifest []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// releaseReplayChunks drops the chunk staging table once replay is done;
-// the assembled payloads own their bytes and the staging copies would
-// otherwise linger for the process lifetime.
-func (st *State) releaseReplayChunks() { st.replayChunks = nil }
-
-// encodeDescriptor serializes an attribute list as an embedded CMIF
-// fragment — the same representation the wire protocol ships descriptors
-// in, so one proven round-trip serves both layers.
-func encodeDescriptor(desc attr.List) ([]byte, error) {
-	n := core.NewExt()
-	for _, p := range desc.Pairs() {
-		n.Attrs.Set(p.Name, p.Value)
-	}
-	text, err := codec.EncodeNode(n, codec.WriteOptions{Form: codec.Embedded})
-	if err != nil {
-		return nil, err
-	}
-	return []byte(text), nil
-}
-
-// parseDescriptor inverts encodeDescriptor.
-func parseDescriptor(data []byte) (attr.List, error) {
-	n, err := codec.ParseNode(string(data))
-	if err != nil {
-		return attr.List{}, err
-	}
-	return n.Attrs.Clone(), nil
+// releaseReplay drops the replay-only tables once replay is done: the
+// assembled payloads own their bytes and the blocks their descriptors,
+// and the staging copies and memo entries would otherwise linger for
+// the process lifetime.
+func (st *State) releaseReplay() {
+	st.replayChunks = nil
+	st.descMemo = nil
 }

@@ -12,9 +12,7 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/attr"
 	"repro/internal/chunker"
-	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/fsio"
 	"repro/internal/lru"
@@ -300,9 +298,14 @@ func (c *DiskCache) Get(key string) (*media.Block, bool) {
 // Put caches a fetched block under its content address and records the
 // served-name alias when it differs. Both files land atomically; a
 // failure to persist is silent (the cache is best-effort — the block
-// was already served from memory).
+// was already served from memory), and a block whose descriptor does not
+// encode stores nothing.
 func (c *DiskCache) Put(servedName string, b *media.Block) {
 	if b == nil || b.ID == "" {
+		return
+	}
+	desc, err := b.DescriptorText()
+	if err != nil {
 		return
 	}
 	c.mu.Lock()
@@ -338,9 +341,9 @@ func (c *DiskCache) Put(servedName string, b *media.Block) {
 					}
 				}
 			}
-			data = encodeBlockFile(diskMagicV2, b, manifest)
+			data = encodeBlockFile(diskMagicV2, b, desc, manifest)
 		} else {
-			data = encodeBlockFile(diskMagic, b, b.Payload)
+			data = encodeBlockFile(diskMagic, b, desc, b.Payload)
 		}
 		size = int64(len(data))
 		if err := fsio.WriteFileNoDirSync(c.blockPath(b.ID), data, 0o644); err != nil {
@@ -461,9 +464,9 @@ func appendFields(buf []byte, fields ...[]byte) []byte {
 // and the chunk bytes live in the shared .cmc files it references. The
 // content address is not stored — it is the filename, and is re-derived
 // from the payload on read for verification.
-func encodeBlockFile(magic []byte, b *media.Block, body []byte) []byte {
+func encodeBlockFile(magic []byte, b *media.Block, desc, body []byte) []byte {
 	return appendFields(append([]byte(nil), magic...), []byte(b.Name),
-		[]byte(b.Medium.String()), []byte(descriptorText(b.Descriptor)), body)
+		[]byte(b.Medium.String()), desc, body)
 }
 
 // splitFields splits n length-prefixed fields from a block file body
@@ -544,7 +547,7 @@ func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("edge: cache file %s: %w", filepath.Base(path), err)
 	}
-	descs, err := parseDescriptorText(string(fields[2]))
+	descs, err := media.ParseDescriptor(fields[2])
 	if err != nil {
 		return nil, fmt.Errorf("edge: cache file %s: %w", filepath.Base(path), err)
 	}
@@ -587,31 +590,4 @@ func readNameFile(path string) (name, id string, ok bool) {
 		return "", "", false
 	}
 	return string(fields[0]), string(fields[1]), true
-}
-
-// descriptorText renders a block descriptor as an embedded CMIF
-// fragment — the same encoding the wire uses, so the codec round-trips
-// it.
-func descriptorText(l attr.List) string {
-	n := core.NewExt()
-	for _, p := range l.Pairs() {
-		n.Attrs.Set(p.Name, p.Value)
-	}
-	text, err := codec.EncodeNode(n, codec.WriteOptions{Form: codec.Embedded})
-	if err != nil {
-		return ""
-	}
-	return text
-}
-
-// parseDescriptorText decodes a descriptorText rendering.
-func parseDescriptorText(text string) (attr.List, error) {
-	if text == "" {
-		return attr.List{}, nil
-	}
-	n, err := codec.ParseNode(text)
-	if err != nil {
-		return attr.List{}, err
-	}
-	return n.Attrs, nil
 }

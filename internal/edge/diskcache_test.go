@@ -106,7 +106,7 @@ func TestDiskCacheLegacyFormatReadable(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("legacy payload "), 4<<10) // ≥ ChunkThreshold
 	b := media.NewBlock("old.vid", core.MediumVideo, payload, attr.List{})
-	if err := fsio.WriteFileNoDirSync(filepath.Join(dir, b.ID+blockExt), encodeBlockFile(diskMagic, b, b.Payload), 0o644); err != nil {
+	if err := fsio.WriteFileNoDirSync(filepath.Join(dir, b.ID+blockExt), encodeBlockFile(diskMagic, b, descText(t, b), b.Payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	c, err := OpenDiskCache(dir, 1<<30)
@@ -278,6 +278,42 @@ func TestDiskCachePayloadExactSize(t *testing.T) {
 	}
 	if st := c.Stats(); st.Chunks == 0 {
 		t.Fatal("the large block was not stored chunked; the CMEB2 path went untested")
+	}
+}
+
+// TestDiskCachePutRefusesUnencodableDescriptor: a block whose descriptor
+// the encoder rejects (an attribute named after a node type) is not
+// cached at all — in either file format, and not under its served name —
+// rather than written with some other descriptor.
+func TestDiskCachePutRefusesUnencodableDescriptor(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenDiskCache(dir, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := attr.MustList(attr.P(media.DescTitle, attr.String("kept")), attr.P("seq", attr.Number(1)))
+	for _, size := range []int{11, 100 << 10} { // CMEB1 inline, CMEB2 chunked
+		b := media.NewBlock(fmt.Sprintf("bad-%d.txt", size), core.MediumText, bytes.Repeat([]byte("x"), size), desc)
+		if _, err := b.DescriptorText(); err == nil {
+			t.Fatal("the encoder accepted an attribute named seq; the test needs one it rejects")
+		}
+		c.Put("served-"+b.Name, b)
+		if got, ok := c.Get(b.Name); ok {
+			t.Errorf("%d-byte block: Get served %v with descriptor %v", size, got, got.Descriptor)
+		}
+		if _, ok := c.Get("served-" + b.Name); ok {
+			t.Errorf("%d-byte block: Get served it under its served name", size)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("Put left %s behind", e.Name())
+	}
+	if st := c.Stats(); st.Blocks != 0 || st.Chunks != 0 {
+		t.Errorf("Stats = %+v, want nothing cached", st)
 	}
 }
 
@@ -587,8 +623,8 @@ func FuzzDiskCacheGet(f *testing.F) {
 	}
 	want := media.NewBlock("fuzz.vid", core.MediumVideo, payload, attr.List{})
 	h := chunker.Sum(payload)
-	f.Add(encodeBlockFile(diskMagic, want, payload), []byte(nil), false)
-	f.Add(encodeBlockFile(diskMagicV2, want, h[:]), payload, true)
+	f.Add(encodeBlockFile(diskMagic, want, descText(f, want), payload), []byte(nil), false)
+	f.Add(encodeBlockFile(diskMagicV2, want, descText(f, want), h[:]), payload, true)
 	f.Fuzz(func(t *testing.T, blockFile, chunkFile []byte, withChunk bool) {
 		dir := t.TempDir()
 		probe := &DiskCache{dir: dir}
@@ -609,4 +645,14 @@ func FuzzDiskCacheGet(f *testing.F) {
 			t.Fatalf("served %.12s (%v, %d bytes), want the block that was put", got.ID, got.Medium, len(got.Payload))
 		}
 	})
+}
+
+// descText is b's descriptor text, for writing block files by hand.
+func descText(tb testing.TB, b *media.Block) []byte {
+	tb.Helper()
+	text, err := b.DescriptorText()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return text
 }

@@ -20,9 +20,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/attr"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/units"
 )
@@ -36,6 +38,13 @@ import (
 // and descriptor) or with Clone, the one deep copy, for a caller that
 // goes on to mutate. Operations that derive new content (ops.go) build a
 // new block and leave their input alone.
+//
+// The descriptor's text form is part of that value: DescriptorText
+// encodes it on first use and keeps the slice, so a block is encoded at
+// most once however many responses, journal records, replication frames
+// and disk files carry it. A constructor may still edit Descriptor before
+// the block is handed on (ops.go does); after the first DescriptorText
+// call nobody may.
 type Block struct {
 	// ID is the content address (hex SHA-256 of medium and payload).
 	ID string
@@ -47,6 +56,10 @@ type Block struct {
 	Payload []byte
 	// Descriptor carries the block's attributes.
 	Descriptor attr.List
+
+	descOnce sync.Once
+	descText []byte
+	descErr  error
 }
 
 // Standard descriptor attribute names.
@@ -222,9 +235,41 @@ func (b *Block) WithName(name string) *Block {
 	if b.Name == name {
 		return b
 	}
-	c := *b
-	c.Name = name
-	return &c
+	return &Block{ID: b.ID, Name: name, Medium: b.Medium, Payload: b.Payload, Descriptor: b.Descriptor}
+}
+
+// DescriptorText returns EncodeDescriptor(b.Descriptor), encoded on the
+// first call and kept: every later call, from any goroutine, returns the
+// same slice, which callers must not modify.
+func (b *Block) DescriptorText() ([]byte, error) {
+	b.descOnce.Do(func() { b.descText, b.descErr = EncodeDescriptor(b.Descriptor) })
+	return b.descText, b.descErr
+}
+
+// EncodeDescriptor renders a descriptor in its text form, the embedded
+// CMIF fragment "(ext (bytes 11) (format utf8))" that block heads on the
+// wire, durable records and edge disk files carry. It fails when an
+// attribute cannot be written (a name such as "seq" that collides with a
+// node type, or one that is not an identifier); a caller refuses the
+// block rather than ship it with another descriptor.
+func EncodeDescriptor(desc attr.List) ([]byte, error) {
+	n := core.NewExt()
+	n.Attrs = desc // read only: the writer does not mutate it
+	text, err := codec.EncodeNode(n, codec.WriteOptions{Form: codec.Embedded})
+	if err != nil {
+		return nil, err
+	}
+	return []byte(text), nil
+}
+
+// ParseDescriptor inverts EncodeDescriptor. It returns the attributes of
+// the one node text holds; the list is the caller's.
+func ParseDescriptor(text []byte) (attr.List, error) {
+	n, err := codec.ParseNode(string(text))
+	if err != nil {
+		return attr.List{}, err
+	}
+	return n.Attrs, nil
 }
 
 // Clone deep-copies the block: the explicit copy for a caller that means

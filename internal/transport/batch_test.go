@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/attr"
-	"repro/internal/core"
 	"repro/internal/media"
 )
 
@@ -233,43 +231,6 @@ func TestGetDescriptors(t *testing.T) {
 	if c.BytesReceived() >= store.TotalBytes() {
 		t.Errorf("descriptor batch moved %d bytes, payload total %d — payloads leaked onto the wire",
 			c.BytesReceived(), store.TotalBytes())
-	}
-}
-
-// TestDescriptorCacheBounded pins the cap on the server's descriptor
-// cache: serving more distinct blocks than descCacheCap leaves at most
-// descCacheCap entries behind, and descriptors served after the cache
-// started over are still correct.
-func TestDescriptorCacheBounded(t *testing.T) {
-	store := media.NewStore()
-	names := make([]string, descCacheCap+descCacheCap/4)
-	for i := range names {
-		names[i] = fmt.Sprintf("t-%d", i)
-		store.Put(media.NewBlock(names[i], core.MediumText, []byte(names[i]), attr.List{}))
-	}
-	addr, srv := startServer(t, NewRegistry(store))
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	descs, err := c.GetDescriptors(context.Background(), names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.descMu.RLock()
-	cached := len(srv.descCache)
-	srv.descMu.RUnlock()
-	if cached > descCacheCap {
-		t.Errorf("descriptor cache holds %d entries after %d distinct blocks, cap is %d", cached, len(names), descCacheCap)
-	}
-	for _, name := range []string{names[0], names[descCacheCap], names[len(names)-1]} {
-		blk, _ := store.GetByName(name)
-		want, _ := blk.Descriptor.GetInt(media.DescBytes)
-		if got, ok := descs[name].GetInt(media.DescBytes); !ok || got != want {
-			t.Errorf("%q bytes attr = %d (present %v), want %d", name, got, ok, want)
-		}
 	}
 }
 

@@ -414,7 +414,7 @@ func (c *Client) getBlockDedup(ctx context.Context, name string) (*media.Block, 
 	if err != nil {
 		return nil, nil
 	}
-	descNode, err := codec.ParseNode(string(parts[2]))
+	desc, err := media.ParseDescriptor(parts[2])
 	if err != nil {
 		return nil, nil
 	}
@@ -426,9 +426,9 @@ func (c *Client) getBlockDedup(ctx context.Context, name string) (*media.Block, 
 	var b *media.Block
 	vkey := manifestVerifyKey(parts[3], parts[1], manifest)
 	if c.ChunkCache.ManifestVerified(vkey) {
-		b = media.NewBlockAt(string(parts[3]), string(parts[0]), medium, payload, descNode.Attrs)
+		b = media.NewBlockAt(string(parts[3]), string(parts[0]), medium, payload, desc)
 	} else {
-		b = media.NewBlock(string(parts[0]), medium, payload, descNode.Attrs)
+		b = media.NewBlock(string(parts[0]), medium, payload, desc)
 		if b.ID != string(parts[3]) {
 			// Reassembly disagrees with the server's content address —
 			// whatever went wrong, the batched fetch self-verifies.
@@ -636,11 +636,11 @@ func (c *Client) GetDescriptors(ctx context.Context, names []string) (map[string
 		if flag != entryFound {
 			return nil
 		}
-		descNode, err := codec.ParseNode(string(fields[1]))
+		desc, err := media.ParseDescriptor(fields[1])
 		if err != nil {
 			return fmt.Errorf("transport: getdescs descriptor: %w", err)
 		}
-		out[order[i]] = descNode.Attrs
+		out[order[i]] = desc
 		return nil
 	})
 	if err != nil {
@@ -651,12 +651,12 @@ func (c *Client) GetDescriptors(ctx context.Context, names []string) (map[string
 
 // PutBlock stores a block on the server, returning its content address.
 func (c *Client) PutBlock(ctx context.Context, b *media.Block) (string, error) {
-	descText, err := codec.EncodeNode(descriptorNode(b), codec.WriteOptions{Form: codec.Embedded})
+	desc, err := b.DescriptorText()
 	if err != nil {
 		return "", err
 	}
 	parts, err := c.roundTrip(ctx, opPutBlk,
-		[]byte(b.Name), []byte(b.Medium.String()), []byte(descText), b.Payload)
+		[]byte(b.Name), []byte(b.Medium.String()), desc, b.Payload)
 	if err != nil {
 		return "", err
 	}

@@ -130,11 +130,11 @@ func TestBatchResponsesMatchWholeEntries(t *testing.T) {
 	}
 	srv := NewServer(NewRegistry(store))
 	desc := func(b *media.Block) []byte {
-		text, err := codec.EncodeNode(descriptorNode(b), codec.WriteOptions{Form: codec.Embedded})
+		text, err := media.EncodeDescriptor(b.Descriptor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []byte(text)
+		return text
 	}
 	blkEntry := func(b *media.Block) []byte {
 		return entryPart([]byte(b.Name), []byte(b.Medium.String()), desc(b), b.Payload)

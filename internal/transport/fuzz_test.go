@@ -23,7 +23,7 @@ import (
 func seedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	blk := media.CaptureAudio("voice.aud", 200, 8000, 440, 2)
-	descText, err := codec.EncodeNode(descriptorNode(blk), codec.WriteOptions{Form: codec.Embedded})
+	descText, err := media.EncodeDescriptor(blk.Descriptor)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func seedFrames(tb testing.TB) [][]byte {
 func seedStreams(tb testing.TB) [][]byte {
 	tb.Helper()
 	blk := media.CaptureAudio("voice.aud", 200, 8000, 440, 2)
-	descText, err := codec.EncodeNode(descriptorNode(blk), codec.WriteOptions{Form: codec.Embedded})
+	descText, err := media.EncodeDescriptor(blk.Descriptor)
 	if err != nil {
 		tb.Fatal(err)
 	}

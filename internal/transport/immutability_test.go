@@ -19,7 +19,8 @@ import (
 // TestSharedBlocksStayImmutable is the guard behind the ownership rule
 // (media.Block): stores, caches and fetch results all hand out the one
 // stored pointer, so everything that reads blocks — the pipeline with a
-// transforming profile, filter.Apply, the media operations, batched
+// transforming profile, filter.Apply, the media operations, descriptor
+// encoding (the server's and direct DescriptorText calls), batched
 // fetches through a shared BlockCache — must leave them exactly as they
 // were. Each reader runs once on its own with the sources compared after
 // it (a deterministic culprit is named), then all of them run from
@@ -145,8 +146,19 @@ func TestSharedBlocksStayImmutable(t *testing.T) {
 				if err := out.Verify(); err != nil {
 					return err
 				}
+				if err := encodesItsDescriptor(out); err != nil {
+					return err
+				}
 			}
 			return nil
+		}},
+		{"Block.DescriptorText", func(*Client) error {
+			var err error
+			store.Each(func(b *media.Block) bool {
+				err = encodesItsDescriptor(b)
+				return err == nil
+			})
+			return err
 		}},
 		{"Client.GetBlocks", fetch},
 	}
@@ -182,4 +194,24 @@ func TestSharedBlocksStayImmutable(t *testing.T) {
 			t.Errorf("cached %s: resident=%v, verify=%v", name, ok, b.Verify())
 		}
 	}
+}
+
+// encodesItsDescriptor checks that b's descriptor text is the encoding of
+// its descriptor as it stands, and parses back to it.
+func encodesItsDescriptor(b *media.Block) error {
+	text, err := b.DescriptorText()
+	if err != nil {
+		return fmt.Errorf("%s: %w", b.Name, err)
+	}
+	want, err := media.EncodeDescriptor(b.Descriptor)
+	if err != nil {
+		return fmt.Errorf("%s: %w", b.Name, err)
+	}
+	if !bytes.Equal(text, want) {
+		return fmt.Errorf("%s: DescriptorText %q, descriptor encodes as %q", b.Name, text, want)
+	}
+	if back, err := media.ParseDescriptor(text); err != nil || !back.Equal(b.Descriptor) {
+		return fmt.Errorf("%s: %q parses as %v (%v), want %v", b.Name, text, back, err, b.Descriptor)
+	}
+	return nil
 }

@@ -21,8 +21,6 @@ import (
 //	cmif_busy_rejections_total{reason} counter sheds: conn_inflight,
 //	                                          queue_full, queue_timeout,
 //	                                          sub_slow, subs_full
-//	cmif_desc_cache_hits_total     counter    descriptor-cache hits
-//	cmif_desc_cache_misses_total   counter    descriptor-cache misses
 //	cmif_subscribers_active        gauge      live document subscriptions
 //	cmif_deltas_pushed_total       counter    change deltas fanned out
 //	cmif_delta_fanout_seconds      histogram  edit-broadcast → frame handoff lag
@@ -41,9 +39,6 @@ type serverMetrics struct {
 	busyQueueTimeout *metrics.Counter
 	busySubSlow      *metrics.Counter
 	busySubsFull     *metrics.Counter
-
-	descHits   *metrics.Counter
-	descMisses *metrics.Counter
 
 	subscribers *metrics.Gauge
 	deltas      *metrics.Counter
@@ -91,8 +86,6 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 			"requests shed with a busy error", "reason", "sub_slow"),
 		busySubsFull: reg.Counter("cmif_busy_rejections_total",
 			"requests shed with a busy error", "reason", "subs_full"),
-		descHits:    reg.Counter("cmif_desc_cache_hits_total", "descriptor-cache hits"),
-		descMisses:  reg.Counter("cmif_desc_cache_misses_total", "descriptor-cache misses"),
 		subscribers: reg.Gauge("cmif_subscribers_active", "live document subscriptions"),
 		deltas:      reg.Counter("cmif_deltas_pushed_total", "change deltas fanned out to subscribers"),
 		deltaLag:    reg.Histogram("cmif_delta_fanout_seconds", "edit broadcast to frame handoff lag"),
@@ -219,17 +212,5 @@ func (m *serverMetrics) frameCompressed(raw, wire int64) {
 func (m *serverMetrics) dedupeSaved(bytes int64) {
 	if m != nil {
 		m.bytesSavedDedupe.Add(bytes)
-	}
-}
-
-// descCacheLookup tallies one descriptor-cache lookup.
-func (m *serverMetrics) descCacheLookup(hit bool) {
-	if m == nil {
-		return
-	}
-	if hit {
-		m.descHits.Inc()
-	} else {
-		m.descMisses.Inc()
 	}
 }

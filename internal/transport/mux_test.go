@@ -616,7 +616,7 @@ func streamScript(t *testing.T, frames func(id uint32) [][]interface{}) string {
 func streamHdrParts(t *testing.T, payloadSize int) [][]byte {
 	t.Helper()
 	blk := media.CaptureAudio("trunc.aud", 100, 8000, 440, 3)
-	descText, err := codec.EncodeNode(descriptorNode(blk), codec.WriteOptions{Form: codec.Embedded})
+	descText, err := media.EncodeDescriptor(blk.Descriptor)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,12 +134,12 @@ func (s *Server) submitEdit(parts [][]byte) frame {
 // blockHead returns the [name, medium, descriptor] parts every block
 // response opens with.
 func (s *Server) blockHead(blk *media.Block) ([][]byte, error) {
-	desc, err := s.descriptorText(blk)
+	desc, err := blk.DescriptorText()
 	if err != nil {
 		return nil, fmt.Errorf("descriptor: %w", err)
 	}
 	// Room for what callers append (payload; or ID, size and manifest).
-	return append(make([][]byte, 0, 6), []byte(blk.Name), []byte(blk.Medium.String()), []byte(desc)), nil
+	return append(make([][]byte, 0, 6), []byte(blk.Name), []byte(blk.Medium.String()), desc), nil
 }
 
 func (s *Server) getBlk(parts [][]byte) frame {
@@ -244,11 +244,11 @@ func (s *Server) getDescs(parts [][]byte) frame {
 			out.parts[i] = []byte{entryMissing}
 			continue
 		}
-		desc, err := s.descriptorText(blk)
+		desc, err := blk.DescriptorText()
 		if err != nil {
 			return fail("getdescs: descriptor: %v", err)
 		}
-		out.parts[i], out.tails[i] = encodeEntry([]byte(blk.Name), []byte(desc))
+		out.parts[i], out.tails[i] = encodeEntry([]byte(blk.Name), desc)
 	}
 	return out
 }
@@ -313,35 +313,6 @@ func resync(p PeerOps, parts [][]byte) frame {
 	return okFrame(frames, []byte(next))
 }
 
-// descCacheCap bounds the descriptor cache. Past it the cache starts
-// over: descriptors are cheap to re-encode, and a reset keeps the hot
-// path to one map lookup with no recency bookkeeping.
-const descCacheCap = 4096
-
-// descriptorText returns the block's wire-encoded descriptor, memoized
-// by content address. Blocks are immutable under their ID, so an entry
-// never goes stale.
-func (s *Server) descriptorText(blk *media.Block) (string, error) {
-	s.descMu.RLock()
-	text, ok := s.descCache[blk.ID]
-	s.descMu.RUnlock()
-	s.metrics.descCacheLookup(ok)
-	if ok {
-		return text, nil
-	}
-	text, err := codec.EncodeNode(descriptorNode(blk), codec.WriteOptions{Form: codec.Embedded})
-	if err != nil {
-		return "", err
-	}
-	s.descMu.Lock()
-	if len(s.descCache) >= descCacheCap {
-		s.descCache = make(map[string]string)
-	}
-	s.descCache[blk.ID] = text
-	s.descMu.Unlock()
-	return text, nil
-}
-
 func encodeDoc(d *core.Document, enc Encoding) ([]byte, error) {
 	switch enc {
 	case EncodingText:
@@ -365,15 +336,6 @@ func decodeDoc(data []byte, enc Encoding) (*core.Document, error) {
 	}
 }
 
-// descriptorNode wraps a block descriptor as a CMIF fragment for the wire.
-func descriptorNode(b *media.Block) *core.Node {
-	n := core.NewExt()
-	for _, p := range b.Descriptor.Pairs() {
-		n.Attrs.Set(p.Name, p.Value)
-	}
-	return n
-}
-
 // blockFromParts rebuilds a block from putblk/getblk wire parts,
 // hashing the payload (NewBlock). The payload is parts[3] itself,
 // capacity-clipped, not a copy: a received part owns its buffer
@@ -384,10 +346,10 @@ func blockFromParts(parts [][]byte) (*media.Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	descNode, err := codec.ParseNode(string(parts[2]))
+	desc, err := media.ParseDescriptor(parts[2])
 	if err != nil {
 		return nil, fmt.Errorf("descriptor: %w", err)
 	}
 	payload := parts[3][:len(parts[3]):len(parts[3])]
-	return media.NewBlock(string(parts[0]), medium, payload, descNode.Attrs), nil
+	return media.NewBlock(string(parts[0]), medium, payload, desc), nil
 }

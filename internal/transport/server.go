@@ -166,8 +166,8 @@ type ServeConfig struct {
 	SubQueueCap int
 	// Metrics, when non-nil, receives the server's instruments: request
 	// counts, per-op latency, in-flight and queue gauges, busy
-	// rejections, descriptor-cache effectiveness, frame compression and
-	// the chunk index's dedupe savings.
+	// rejections, frame compression and the chunk index's dedupe
+	// savings.
 	Metrics *metrics.Registry
 }
 
@@ -192,12 +192,6 @@ type Server struct {
 	// for exercising backpressure deterministically.
 	testOpDelay func(op byte)
 
-	// descCache memoizes wire-encoded block descriptors by content
-	// address (block ID → descriptor text), bounded by descCacheCap; it
-	// saves re-encoding the descriptor on every fetch of a hot block.
-	descMu    sync.RWMutex
-	descCache map[string]string
-
 	// adm enforces Admission; nil admits everything. Built at Listen.
 	adm *admitter
 
@@ -213,10 +207,9 @@ type Server struct {
 func NewServer(b Backend) *Server {
 	peers, _ := b.(PeerOps)
 	return &Server{
-		backend:   b,
-		peers:     peers,
-		descCache: make(map[string]string),
-		conns:     make(map[net.Conn]struct{}),
+		backend: b,
+		peers:   peers,
+		conns:   make(map[net.Conn]struct{}),
 	}
 }
 
