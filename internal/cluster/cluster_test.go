@@ -8,7 +8,9 @@ import (
 	"time"
 
 	"repro/internal/attr"
+	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/edit"
 	"repro/internal/media"
 	"repro/internal/transport"
@@ -424,5 +426,66 @@ func TestClusterPutDecodesOnce(t *testing.T) {
 				t.Errorf("node %s decoded %q twice", n.Addr(), name)
 			}
 		}
+	}
+}
+
+// TestResyncDropsStaleCopiesOfHeldRecords: while a resync is in flight,
+// a replicated batch marks every record's key touched — also records the
+// state already holds, which append nothing — so the resync's stale
+// copies of those keys are dropped instead of regressing them.
+func TestResyncDropsStaleCopiesOfHeldRecords(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	src := startNode(t, t.TempDir(), nil, 1)
+	dst := startNode(t, t.TempDir(), nil, 1)
+	for _, n := range []*Node{src, dst} {
+		if err := n.WaitSynced(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := func(label string) []byte {
+		data, err := codec.EncodeBinary(testDoc(t, label))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := media.CaptureText("clip.txt", label, "en")
+		frame, err := durable.FramePutBlock(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := append(durable.FramePutDoc("news", data), frame...)
+		return append(frames, durable.FrameRegisterName("clip.txt", b.ID)...)
+	}
+	// The resync source holds the old version; the target already holds
+	// the new one when its resync starts.
+	if err := src.applyFrames(batch("old"), true); err != nil {
+		t.Fatal(err)
+	}
+	fresh := batch("new")
+	if err := dst.applyFrames(fresh, true); err != nil {
+		t.Fatal(err)
+	}
+	dst.applyMu.Lock()
+	dst.touched = make(map[string]bool)
+	dst.applyMu.Unlock()
+	// The new version is replicated again mid-resync: every record is
+	// already held, so nothing appends — but every key is still touched.
+	records := dst.DurableStats().Records
+	if err := dst.Replicate(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.DurableStats().Records; got != records {
+		t.Fatalf("re-replicated batch appended %d records, want 0", got-records)
+	}
+	if !dst.resyncFrom(src.Addr()) {
+		t.Fatal("resync did not complete")
+	}
+	e, ok := dst.Registry.GetDoc("news")
+	if !ok || docLabel(e.Doc()) != "new" {
+		t.Fatalf("resync regressed the document (found %v)", ok)
+	}
+	b, ok := dst.Registry.GetBlock("clip.txt")
+	if !ok || string(b.Payload) != "new" {
+		t.Fatalf("resync regressed the name registration (found %v)", ok)
 	}
 }

@@ -164,7 +164,7 @@ func Start(cfg Config) (*Node, error) {
 	// registered document is immutable, so one copy serves both). The
 	// journal is NOT attached as the store's mutation hook and Journal
 	// stays nil: every cluster mutation is framed once and fed through
-	// AppendFrames, which journals and applies in one step (a
+	// AppendRecords, which journals and applies in one step (a
 	// self-journaling state would record everything twice).
 	reg := transport.NewRegistry(st.Store)
 	for name, d := range st.Docs {
@@ -303,21 +303,14 @@ func (n *Node) gossipLoop() {
 			if m.ID == n.view.SelfID() || m.State != StateAlive {
 				continue
 			}
-			c, err := n.peer(m.Addr)
-			if err != nil {
-				n.condemn(m.ID, m.Addr)
-				continue
+			var resp []byte
+			err := n.call(m.ID, m.Addr, func(ctx context.Context, c *transport.Client) (err error) {
+				resp, err = c.GossipExchange(ctx, encoded)
+				return err
+			})
+			if err == nil {
+				_, _ = n.view.Merge(resp)
 			}
-			ctx, cancel := n.peerCtx()
-			resp, err := c.GossipExchange(ctx, encoded)
-			cancel()
-			if err != nil {
-				if isPeerDown(err) {
-					n.condemn(m.ID, m.Addr)
-				}
-				continue
-			}
-			_, _ = n.view.Merge(resp)
 		}
 		n.view.SweepStale(n.cfg.SuspectAfter)
 		n.mGossip.Inc()
@@ -345,6 +338,23 @@ func isPeerDown(err error) bool {
 
 func (n *Node) peerCtx() (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), n.cfg.PeerTimeout)
+}
+
+// call runs one RPC against the member id at addr, on its cached
+// connection and bounded by PeerTimeout, and condemns the member on
+// failure evidence: a failed dial, or an error the peer did not answer
+// (isPeerDown). It returns the dial's or the RPC's error.
+func (n *Node) call(id, addr string, rpc func(ctx context.Context, c *transport.Client) error) error {
+	c, err := n.peer(addr)
+	if err == nil {
+		ctx, cancel := n.peerCtx()
+		err = rpc(ctx, c)
+		cancel()
+	}
+	if isPeerDown(err) {
+		n.condemn(id, addr)
+	}
+	return err
 }
 
 // peer returns the cached client for addr, dialing on first use.
@@ -458,15 +468,7 @@ func (n *Node) routeWrite(key string, local func() error, forward func(ctx conte
 			lastErr = fmt.Errorf("cluster: primary %s not alive", primary)
 			continue
 		}
-		c, err := n.peer(addr)
-		if err != nil {
-			n.condemn(primary, addr)
-			lastErr = err
-			continue
-		}
-		ctx, cancel := n.peerCtx()
-		err = forward(ctx, c)
-		cancel()
+		err := n.call(primary, addr, forward)
 		if err == nil {
 			n.mForwarded.Inc()
 			return nil
@@ -476,7 +478,6 @@ func (n *Node) routeWrite(key string, local func() error, forward func(ctx conte
 			// validation), not a liveness problem.
 			return err
 		}
-		n.condemn(primary, addr)
 		lastErr = err
 	}
 	return fmt.Errorf("cluster: write failed after failover: %w", lastErr)
@@ -489,7 +490,7 @@ func (n *Node) routeWrite(key string, local func() error, forward func(ctx conte
 func (n *Node) commitLocal(key string, frames []byte) error {
 	n.replMu.Lock()
 	defer n.replMu.Unlock()
-	if err := n.applyFrames(frames); err != nil {
+	if err := n.applyFrames(frames, true); err != nil {
 		return err
 	}
 	return n.replicateOut(key, frames)
@@ -510,67 +511,53 @@ func (n *Node) replicateOut(key string, frames []byte) error {
 		if addr == "" {
 			continue
 		}
-		c, err := n.peer(addr)
-		if err != nil {
-			n.condemn(id, addr)
-			continue
-		}
-		ctx, cancel := n.peerCtx()
-		err = c.Replicate(ctx, frames)
-		cancel()
+		err := n.call(id, addr, func(ctx context.Context, c *transport.Client) error {
+			return c.Replicate(ctx, frames)
+		})
 		if err == nil {
 			n.mReplRecs.Inc()
 			continue
 		}
-		if isPeerDown(err) {
-			n.condemn(id, addr)
-			continue
+		if !isPeerDown(err) {
+			return fmt.Errorf("cluster: replica %s rejected write: %w", id, err)
 		}
-		return fmt.Errorf("cluster: replica %s rejected write: %w", id, err)
 	}
 	return nil
 }
 
-// applyFrames journals and applies a batch, refreshing the serving
-// registry for any document it changed. Serialized with resync applies so
-// the touched-key bookkeeping cannot miss a write.
-func (n *Node) applyFrames(frames []byte) error {
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	n.noteTouchedLocked(frames)
-	return n.applyFramesLocked(frames, true)
-}
-
-// applyFramesLocked appends frames through the WAL and mirrors document
-// changes into the registry (refreshReg false skips the mirror — the
-// edit path already updated the registry through EditDoc).
-func (n *Node) applyFramesLocked(frames []byte, refreshReg bool) error {
-	if len(frames) == 0 {
-		return nil
-	}
-	putDocs, err := n.log.AppendFrames(frames)
+// applyFrames decodes a batch once, journals and applies it, and mirrors
+// the documents it registered into the serving registry (refreshReg
+// false skips the mirror — the edit path already updated the registry
+// through EditDoc). Serialized with resync applies so the touched-key
+// bookkeeping cannot miss a write.
+func (n *Node) applyFrames(frames []byte, refreshReg bool) error {
+	recs, err := durable.DecodeFrames(frames)
 	if err != nil {
 		return err
 	}
-	if !refreshReg {
-		return nil
+	n.applyMu.Lock()
+	defer n.applyMu.Unlock()
+	n.noteTouchedLocked(recs)
+	putDocs, err := n.log.AppendRecords(recs)
+	if err == nil && refreshReg {
+		n.adoptLocked(putDocs)
 	}
-	// The registry adopts the documents AppendFrames decoded: applyMu
-	// serializes every append, so the log still holds exactly those.
+	return err
+}
+
+// adoptLocked registers the documents an append just decoded: applyMu
+// serializes every append, so the log still holds exactly those.
+func (n *Node) adoptLocked(putDocs []string) {
 	for _, name := range putDocs {
 		n.Registry.PutDoc(name, n.log.Doc(name))
 	}
-	return nil
 }
 
-// noteTouchedLocked records the keys a batch touches while a resync is in
+// noteTouchedLocked records the keys of every record in a batch —
+// applied, skipped as already held, or rejected — while a resync is in
 // flight, so the resync filter drops its stale copies of them.
-func (n *Node) noteTouchedLocked(frames []byte) {
+func (n *Node) noteTouchedLocked(recs []durable.Record) {
 	if n.touched == nil {
-		return
-	}
-	recs, err := durable.DecodeFrames(frames)
-	if err != nil {
 		return
 	}
 	for _, r := range recs {
@@ -672,11 +659,7 @@ func (n *Node) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error)
 				return err
 			}
 			frame := durable.FramePutDoc(name, data)
-			n.applyMu.Lock()
-			n.noteTouchedLocked(frame)
-			err = n.applyFramesLocked(frame, false)
-			n.applyMu.Unlock()
-			if err != nil {
+			if err := n.applyFrames(frame, false); err != nil {
 				return err
 			}
 			return n.replicateOut(key, frame)
@@ -710,7 +693,7 @@ func (n *Node) Gossip(view []byte) ([]byte, error) {
 // the write path.
 func (n *Node) Replicate(frames []byte) error {
 	<-n.ready
-	return n.applyFrames(frames)
+	return n.applyFrames(frames, true)
 }
 
 // Resync serves a chunk of this node's state to a rejoining replica.
@@ -766,20 +749,14 @@ func proxyRead[T any](n *Node, key string, fetch func(ctx context.Context, c *tr
 		if addr == "" {
 			continue
 		}
-		c, err := n.peer(addr)
-		if err != nil {
-			n.condemn(id, addr)
-			continue
-		}
-		ctx, cancel := n.peerCtx()
-		v, err := fetch(ctx, c)
-		cancel()
+		var v *T
+		err := n.call(id, addr, func(ctx context.Context, c *transport.Client) (err error) {
+			v, err = fetch(ctx, c)
+			return err
+		})
 		if err == nil {
 			n.mProxied.Inc()
 			return v
-		}
-		if isPeerDown(err) {
-			n.condemn(id, addr)
 		}
 	}
 	return nil
@@ -803,18 +780,12 @@ func (n *Node) ListDocs(localOnly bool) []string {
 		if m.ID == self || m.State != StateAlive {
 			continue
 		}
-		c, err := n.peer(m.Addr)
+		var names []string
+		err := n.call(m.ID, m.Addr, func(ctx context.Context, c *transport.Client) (err error) {
+			names, err = c.ListDocsLocal(ctx)
+			return err
+		})
 		if err != nil {
-			n.condemn(m.ID, m.Addr)
-			continue
-		}
-		ctx, cancel := n.peerCtx()
-		names, err := c.ListDocsLocal(ctx)
-		cancel()
-		if err != nil {
-			if isPeerDown(err) {
-				n.condemn(m.ID, m.Addr)
-			}
 			continue
 		}
 		for _, name := range names {
@@ -926,8 +897,11 @@ func (n *Node) resyncFrom(addr string) bool {
 		kept, ferr := durable.FilterFrames(frames, func(r durable.Record) bool {
 			return !n.touched[recordKey(r)]
 		})
-		if ferr == nil {
-			ferr = n.applyFramesLocked(kept, true)
+		if ferr == nil && len(kept) > 0 {
+			var putDocs []string
+			if putDocs, ferr = n.log.AppendFrames(kept); ferr == nil {
+				n.adoptLocked(putDocs)
+			}
 		}
 		n.applyMu.Unlock()
 		if ferr != nil {

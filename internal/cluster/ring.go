@@ -130,13 +130,3 @@ func (r *Ring) Primary(key string) string {
 	}
 	return set[0]
 }
-
-// Owns reports whether node is in key's n-replica set.
-func (r *Ring) Owns(node, key string, n int) bool {
-	for _, m := range r.ReplicaSet(key, n) {
-		if m == node {
-			return true
-		}
-	}
-	return false
-}

@@ -151,7 +151,4 @@ func TestRingEdgeCases(t *testing.T) {
 	if got := one.ReplicaSet("x", 3); len(got) != 1 || got[0] != "a" {
 		t.Fatalf("dup/empty IDs: %v", got)
 	}
-	if !one.Owns("a", "x", 3) || one.Owns("b", "x", 3) {
-		t.Fatal("Owns misreports")
-	}
 }

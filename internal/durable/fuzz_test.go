@@ -3,7 +3,11 @@ package durable
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/attr"
@@ -17,7 +21,7 @@ func validWALBytes(tb testing.TB) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	write := func(op byte, fields ...[]byte) {
-		buf.Write(frameRecord(encodeRecord(op, fields...)))
+		buf.Write(encodeFrame(op, fields...))
 	}
 	b := media.CaptureText("fuzz-seed.txt", "seed payload", "en")
 	desc, err := media.EncodeDescriptor(b.Descriptor)
@@ -65,8 +69,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, tornOK := range []bool{true, false} {
 			st := newState()
-			docs := map[string][]byte{}
-			end, err := replayStream(bytes.NewReader(data), "fuzz", st, docs, tornOK)
+			end, err := replayStream(bytes.NewReader(data), "fuzz", st, tornOK)
 			if end < 0 || end > int64(len(data)) {
 				t.Fatalf("replay end %d outside input of %d bytes", end, len(data))
 			}
@@ -88,5 +91,97 @@ func FuzzWALReplay(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// fingerprint lists what a state holds: each document by name and
+// pointer, each block by content address, and each name's target.
+func fingerprint(st *State) string {
+	var b strings.Builder
+	for _, name := range slices.Sorted(maps.Keys(st.Docs)) {
+		fmt.Fprintf(&b, "doc %s %p\n", name, st.Docs[name])
+	}
+	var ids []string
+	st.Store.Each(func(blk *media.Block) bool {
+		ids = append(ids, blk.ID)
+		return true
+	})
+	slices.Sort(ids)
+	fmt.Fprintln(&b, "blocks", ids)
+	for _, name := range st.Store.Names() {
+		id, _ := st.Store.Resolve(name)
+		fmt.Fprintf(&b, "name %s %s\n", name, id)
+	}
+	return b.String()
+}
+
+// FuzzAppendFrames is FuzzWALReplay's replication twin: arbitrary bytes
+// shipped to a live log must never panic, and every error must be typed.
+// A rejected batch appends and applies nothing; an accepted one
+// recovers, after Close and Open, to the state it applied — documents
+// byte-equal by binary, blocks and names equal.
+func FuzzAppendFrames(f *testing.F) {
+	blk := media.CaptureText("fuzz.txt", "fuzzed body", "en")
+	putBlk, err := FramePutBlock(blk)
+	if err != nil {
+		f.Fatal(err)
+	}
+	base := slices.Concat(FramePutDoc("news", docBytes(f, testDoc(f, "news"))), putBlk,
+		FrameRegisterName("fuzz.txt", blk.ID))
+	other := media.CaptureText("other.txt", "another body", "en")
+	putOther, err := FramePutBlock(other)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := slices.Concat(FramePutDoc("late", docBytes(f, testDoc(f, "late"))), putOther,
+		FrameRegisterName("other.txt", other.ID), FrameRegisterName("fuzz.txt", other.ID),
+		encodeFrame(recDelBlk, []byte(blk.ID)))
+	f.Add([]byte{})
+	f.Add(base)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	flipped := slices.Clone(valid)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped)
+	f.Add(slices.Concat(valid, FramePutDoc("bad", []byte("garbage")))) // verified, then refused
+	f.Add(validWALBytes(f))
+	for _, s := range docRecordSeeds(f) {
+		f.Add(s.data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		opts := Options{Sync: SyncNever, SnapshotBytes: -1}
+		l, st, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		// A base state, so a rejected batch has something to leave alone.
+		if _, err := l.AppendFrames(base); err != nil {
+			t.Fatal(err)
+		}
+		records, held := l.Stats().Records, fingerprint(st)
+		if _, err := l.AppendFrames(data); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("AppendFrames returned untyped error %T: %v", err, err)
+			}
+			if got := l.Stats().Records; got != records {
+				t.Fatalf("rejected batch appended %d records", got-records)
+			}
+			if got := fingerprint(st); got != held {
+				t.Fatalf("rejected batch changed the state:\n%s\nwant:\n%s", got, held)
+			}
+			return
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, reSt, err := Open(dir, opts)
+		if err != nil {
+			t.Fatalf("accepted batch does not recover: %v", err)
+		}
+		defer re.Close()
+		compareStates(t, reSt, st)
 	})
 }

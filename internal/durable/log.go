@@ -5,9 +5,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,11 +92,7 @@ type Log struct {
 	err      error  // sticky first append failure
 	closed   bool
 
-	st *State // live state, snapshotted on demand
-	// docs is the binary of each registered document, for dedupe and
-	// snapshot. A nil entry is stale (edited since last encoded; st.Docs
-	// holds the current version) and never equals an encoding.
-	docs map[string][]byte
+	st *State // live state, snapshotted on demand; its documents under mu
 
 	snapshotting atomic.Bool
 	snapErr      error // last background-snapshot failure
@@ -131,7 +128,7 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("durable: %w", err)
 	}
-	st, docs, walBytes, maxSeq, err := recoverDir(dir, true)
+	st, walBytes, maxSeq, err := recoverDir(dir, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -141,7 +138,6 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 		seq:      maxSeq, // rollLocked moves to maxSeq+1
 		walBytes: walBytes,
 		st:       st,
-		docs:     docs,
 	}
 	l.mu.Lock()
 	err = l.rollLocked()
@@ -438,8 +434,8 @@ func (l *Log) PutDoc(name string, d *core.Document, binary func() ([]byte, error
 		return err
 	}
 	l.mu.Lock()
-	if prev, ok := l.docs[name]; ok && bytes.Equal(prev, data) {
-		l.docs[name], l.st.Docs[name] = data, d
+	if prev := l.st.binary[name]; prev != nil && bytes.Equal(prev, data) {
+		l.st.setDoc(name, d, data)
 		l.mu.Unlock()
 		return nil
 	}
@@ -454,7 +450,7 @@ func (l *Log) PutDoc(name string, d *core.Document, binary func() ([]byte, error
 // an edit without its base.
 func (l *Log) EditDoc(name string, d *core.Document, recs []byte) error {
 	l.mu.Lock()
-	if _, ok := l.docs[name]; !ok {
+	if _, ok := l.st.Docs[name]; !ok {
 		l.mu.Unlock()
 		return l.PutDoc(name, d, func() ([]byte, error) { return codec.EncodeBinary(d) })
 	}
@@ -462,7 +458,7 @@ func (l *Log) EditDoc(name string, d *core.Document, recs []byte) error {
 }
 
 // Doc returns the live document registered under name, nil if none. A
-// cluster node's registry adopts the documents AppendFrames decoded
+// cluster node's registry adopts the documents AppendRecords decoded
 // through it, so a replicated put is decoded once.
 func (l *Log) Doc(name string) *core.Document {
 	l.mu.Lock()
@@ -476,7 +472,7 @@ func (l *Log) Doc(name string) *core.Document {
 func (l *Log) appendDocAndUnlock(name string, d *core.Document, data []byte, op byte, fields ...[]byte) error {
 	snapDue, err := l.appendLocked(op, fields...)
 	if err == nil {
-		l.docs[name], l.st.Docs[name] = data, d
+		l.st.setDoc(name, d, data)
 	}
 	l.mu.Unlock()
 	if snapDue {
@@ -557,27 +553,12 @@ func (l *Log) snapshot() error {
 	// the counter is settled only once the snapshot lands, so a failed
 	// write leaves the live-WAL accounting (and the auto-trigger) intact.
 	covered := l.walBytes
-	docs := make(map[string][]byte, len(l.docs))
-	stale := make(map[string]*core.Document)
-	for name, data := range l.docs {
-		docs[name] = data
-		if data == nil {
-			stale[name] = l.st.Docs[name]
-		}
-	}
-	st := l.st
+	// The captured documents are immutable, so the stale ones encode
+	// outside the lock and still hold the state the roll covers.
+	st := &State{Store: l.st.Store, Docs: maps.Clone(l.st.Docs), binary: maps.Clone(l.st.binary)}
 	l.mu.Unlock()
 
-	// Stale documents encode outside the lock: the pointers captured at
-	// the roll are immutable, so they still hold the state it covers.
-	for name, d := range stale {
-		data, err := codec.EncodeBinary(d)
-		if err != nil {
-			return fmt.Errorf("durable: snapshot: document %q: %w", name, err)
-		}
-		docs[name] = data
-	}
-	size, err := writeSnapshot(l.dir, cover, st, docs)
+	size, err := writeSnapshot(l.dir, cover, st)
 	if err != nil {
 		return err
 	}
@@ -603,8 +584,8 @@ func (l *Log) snapshot() error {
 }
 
 // writeSnapshot serializes the state into snap-<seq>.snap via a temp file
-// and an atomic rename.
-func writeSnapshot(dir string, seq uint64, st *State, docs map[string][]byte) (int64, error) {
+// and an atomic rename, encoding its stale documents on the way.
+func writeSnapshot(dir string, seq uint64, st *State) (int64, error) {
 	final := filepath.Join(dir, snapName(seq))
 	tmp := final + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -620,14 +601,13 @@ func writeSnapshot(dir string, seq uint64, st *State, docs map[string][]byte) (i
 		return err
 	}
 
-	names := make([]string, 0, len(docs))
-	for name := range docs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var werr error
-	for _, name := range names {
-		if werr = write(recPutDoc, []byte(name), docs[name]); werr != nil {
+	for _, name := range slices.Sorted(maps.Keys(st.Docs)) {
+		var data []byte
+		if data, werr = encodedDoc(name, st.Docs[name], st.binary[name]); werr != nil {
+			break
+		}
+		if werr = write(recPutDoc, []byte(name), data); werr != nil {
 			break
 		}
 	}

@@ -122,22 +122,6 @@ func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 // else it is corruption.
 var errTorn = errors.New("durable: torn record")
 
-// encodeRecord builds a record payload: the op byte followed by each field
-// as a uvarint length prefix plus bytes.
-func encodeRecord(op byte, fields ...[]byte) []byte {
-	size := 1
-	for _, f := range fields {
-		size += binary.MaxVarintLen64 + len(f)
-	}
-	buf := make([]byte, 1, size)
-	buf[0] = op
-	for _, f := range fields {
-		buf = binary.AppendUvarint(buf, uint64(len(f)))
-		buf = append(buf, f...)
-	}
-	return buf
-}
-
 // decodeRecord splits a record payload into its op and fields, appending
 // into buf (pass nil, or a reused slice to avoid the per-record
 // allocation). It never panics on arbitrary bytes — the fuzzed guarantee
@@ -163,19 +147,11 @@ func decodeRecord(payload []byte, buf [][]byte) (op byte, fields [][]byte, err e
 	return op, fields, nil
 }
 
-// frameRecord wraps a record payload in its frame: length, CRC-32C,
-// payload.
-func frameRecord(payload []byte) []byte {
-	buf := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[frameHeaderSize:], payload)
-	return buf
-}
-
-// encodeFrame is encodeRecord+frameRecord fused into one allocation — the
-// append hot path runs under a shard lock, and a multi-megabyte payload
-// must not be copied twice there.
+// encodeFrame builds one framed record in a single allocation: the
+// frame header, then the payload — the op byte followed by each field as
+// a uvarint length prefix plus bytes. The append hot path runs under a
+// shard lock, and a multi-megabyte payload must not be copied twice
+// there.
 func encodeFrame(op byte, fields ...[]byte) []byte {
 	size := 1
 	for _, f := range fields {
@@ -191,6 +167,63 @@ func encodeFrame(op byte, fields ...[]byte) []byte {
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
 	return buf
+}
+
+// frameLength reads the payload length a frame header declares. Zero,
+// or anything past maxRecordBytes, is corruption: no writer frames an
+// empty record, and the bound keeps a corrupt header from allocating.
+func frameLength(hdr []byte) (int, error) {
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if n == 0 || n > maxRecordBytes {
+		return 0, fmt.Errorf("impossible record length %d", n)
+	}
+	return int(n), nil
+}
+
+// checkFrame verifies a payload against the CRC-32C its frame header
+// stores. No field of a record is read before its frame passes.
+func checkFrame(hdr, payload []byte) error {
+	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
+		return fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", want, got)
+	}
+	return nil
+}
+
+// walkFrames reads an in-memory batch of framed records — a replication
+// or resync batch — with the checks recovery applies to a file: each
+// frame's length and checksum pass before its fields are decoded. fn
+// receives each frame's bytes and its record, both aliasing data. A
+// short or corrupt frame stops the walk with a *CorruptError.
+func walkFrames(data []byte, fn func(frame []byte, r Record)) error {
+	for off := 0; off < len(data); {
+		if len(data)-off < frameHeaderSize {
+			return streamCorrupt(off, "truncated frame header")
+		}
+		hdr := data[off : off+frameHeaderSize]
+		length, err := frameLength(hdr)
+		if err != nil {
+			return streamCorrupt(off, err.Error())
+		}
+		if len(data)-off-frameHeaderSize < length {
+			return streamCorrupt(off, "truncated record payload")
+		}
+		end := off + frameHeaderSize + length
+		payload := data[off+frameHeaderSize : end]
+		if err := checkFrame(hdr, payload); err != nil {
+			return streamCorrupt(off, err.Error())
+		}
+		op, fields, err := decodeRecord(payload, nil)
+		if err != nil {
+			return streamCorrupt(off, err.Error())
+		}
+		fn(data[off:end], Record{Op: op, Fields: fields})
+		off = end
+	}
+	return nil
+}
+
+func streamCorrupt(off int, reason string) error {
+	return &CorruptError{Path: "(stream)", Offset: int64(off), Reason: reason}
 }
 
 // recordScanner iterates the framed records of one WAL segment or
@@ -229,10 +262,9 @@ func (s *recordScanner) next() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	if length == 0 || length > maxRecordBytes {
-		return nil, &CorruptError{Path: s.path, Offset: start,
-			Reason: fmt.Sprintf("impossible record length %d", length)}
+	length, err := frameLength(hdr[:])
+	if err != nil {
+		return nil, &CorruptError{Path: s.path, Offset: start, Reason: err.Error()}
 	}
 	// Read the payload in bounded steps: a corrupt length header must
 	// not allocate its claimed size up front, only what is actually
@@ -242,7 +274,7 @@ func (s *recordScanner) next() ([]byte, error) {
 	const chunkSize = 1 << 20
 	var payload []byte
 	if length <= chunkSize {
-		if cap(s.scratch) < int(length) {
+		if cap(s.scratch) < length {
 			s.scratch = make([]byte, length)
 		}
 		payload = s.scratch[:length]
@@ -254,7 +286,7 @@ func (s *recordScanner) next() ([]byte, error) {
 		}
 	} else {
 		payload = make([]byte, 0, chunkSize)
-		for remaining := int(length); remaining > 0; {
+		for remaining := length; remaining > 0; {
 			chunk := remaining
 			if chunk > chunkSize {
 				chunk = chunkSize
@@ -272,9 +304,8 @@ func (s *recordScanner) next() ([]byte, error) {
 			remaining -= chunk
 		}
 	}
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
-		return nil, &CorruptError{Path: s.path, Offset: start,
-			Reason: fmt.Sprintf("checksum mismatch (stored %08x, computed %08x)", want, got)}
+	if err := checkFrame(hdr[:], payload); err != nil {
+		return nil, &CorruptError{Path: s.path, Offset: start, Reason: err.Error()}
 	}
 	s.offset = start + frameHeaderSize + int64(length)
 	return payload, nil

@@ -76,9 +76,7 @@ func listDir(dir string) (*dirListing, error) {
 // incomplete final record is tolerated and replay stops cleanly at the
 // last good offset; otherwise it is corruption. The returned offset is the
 // end of the last applied record — the truncation point for a torn tail.
-// docs, when non-nil, collects the raw binary of registered documents (nil
-// once edited) so the log can dedupe and snapshot them without re-encoding.
-func replayStream(r io.Reader, path string, st *State, docs map[string][]byte, tornOK bool) (int64, error) {
+func replayStream(r io.Reader, path string, st *State, tornOK bool) (int64, error) {
 	sc := newRecordScanner(r, path)
 	var fieldsBuf [][]byte
 	for {
@@ -97,29 +95,17 @@ func replayStream(r io.Reader, path string, st *State, docs map[string][]byte, t
 		if err != nil {
 			return start, err
 		}
-		op, fields, derr := decodeRecord(payload, fieldsBuf)
-		if derr != nil {
-			return start, &CorruptError{Path: path, Offset: start, Reason: derr.Error()}
+		op, fields, err := decodeRecord(payload, fieldsBuf)
+		if err != nil {
+			return start, &CorruptError{Path: path, Offset: start, Reason: err.Error()}
 		}
 		fieldsBuf = fields
-		if op == recPutDoc && len(fields) == 2 {
-			// Document bytes outlive this record (the decoded tree and
-			// the docs map both retain them), so detach them from the
-			// scanner's reused scratch buffer before applying.
-			fields[1] = append([]byte(nil), fields[1]...)
+		m, err := st.verify(op, fields)
+		if err == nil {
+			err = st.apply(m)
 		}
-		if aerr := st.apply(op, fields); aerr != nil {
-			return start, &CorruptError{Path: path, Offset: start, Reason: aerr.Error()}
-		}
-		if docs != nil {
-			switch op {
-			case recPutDoc:
-				docs[string(fields[0])] = fields[1]
-			case recEditDoc:
-				docs[string(fields[0])] = nil // stale: see Log.docs
-			case recDelDoc:
-				delete(docs, string(fields[0]))
-			}
+		if err != nil {
+			return start, &CorruptError{Path: path, Offset: start, Reason: err.Error()}
 		}
 	}
 }
@@ -127,13 +113,13 @@ func replayStream(r io.Reader, path string, st *State, docs map[string][]byte, t
 // replayFile replays one segment or snapshot file. repair truncates a
 // tolerated torn tail in place so the file is clean for appending and for
 // the next recovery.
-func replayFile(path string, st *State, docs map[string][]byte, tornOK, repair bool) (int64, error) {
+func replayFile(path string, st *State, tornOK, repair bool) (int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	br := bufio.NewReaderSize(f, 1<<20)
-	end, rerr := replayStream(br, path, st, docs, tornOK)
+	end, rerr := replayStream(br, path, st, tornOK)
 	cerr := f.Close()
 	if rerr != nil {
 		return end, rerr
@@ -155,7 +141,7 @@ func replayFile(path string, st *State, docs map[string][]byte, tornOK, repair b
 // WAL segments it does not cover, in sequence order. It returns the live
 // (uncompacted) WAL byte count and the highest sequence number in use.
 // repair additionally truncates a torn tail off the final segment.
-func recoverDir(dir string, repair bool) (st *State, docs map[string][]byte, walBytes int64, maxSeq uint64, err error) {
+func recoverDir(dir string, repair bool) (st *State, walBytes int64, maxSeq uint64, err error) {
 	// Replay is a tight rebuild loop whose garbage is all short-lived;
 	// letting the collector run at its default cadence costs a third of
 	// the recovery time. Back it off (bounded — the heap still caps at
@@ -164,10 +150,9 @@ func recoverDir(dir string, repair bool) (st *State, docs map[string][]byte, wal
 
 	listing, err := listDir(dir)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, 0, 0, err
 	}
 	st = newState()
-	docs = make(map[string][]byte)
 
 	var snapSeq uint64
 	if n := len(listing.snapSeqs); n > 0 {
@@ -177,8 +162,8 @@ func recoverDir(dir string, repair bool) (st *State, docs map[string][]byte, wal
 		// so a snapshot that exists at all must read back perfectly:
 		// no torn tail is tolerated.
 		path := filepath.Join(dir, snapName(snapSeq))
-		if _, err := replayFile(path, st, docs, false, false); err != nil {
-			return nil, nil, 0, 0, fmt.Errorf("durable: snapshot %s: %w", snapName(snapSeq), err)
+		if _, err := replayFile(path, st, false, false); err != nil {
+			return nil, 0, 0, fmt.Errorf("durable: snapshot %s: %w", snapName(snapSeq), err)
 		}
 	}
 
@@ -191,9 +176,9 @@ func recoverDir(dir string, repair bool) (st *State, docs map[string][]byte, wal
 	for i, seq := range live {
 		last := i == len(live)-1
 		path := filepath.Join(dir, walName(seq))
-		n, err := replayFile(path, st, docs, last, repair && last)
+		n, err := replayFile(path, st, last, repair && last)
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return nil, 0, 0, err
 		}
 		walBytes += n
 		if seq > maxSeq {
@@ -204,7 +189,7 @@ func recoverDir(dir string, repair bool) (st *State, docs map[string][]byte, wal
 	// scratch; drop them before the state goes live so the unique-chunk
 	// copies don't shadow the corpus and the memo doesn't grow with it.
 	st.releaseReplay()
-	return st, docs, walBytes, maxSeq, nil
+	return st, walBytes, maxSeq, nil
 }
 
 // The GC back-off is a process-global knob, so overlapping recoveries
@@ -246,6 +231,6 @@ func relaxGC() func() {
 // record for a torn tail, silently dropping acknowledged mutations.
 // Stop the server, or snapshot-copy the directory, before loading it.
 func Load(dir string) (*State, error) {
-	st, _, _, _, err := recoverDir(dir, false)
+	st, _, _, err := recoverDir(dir, false)
 	return st, err
 }

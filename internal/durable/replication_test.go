@@ -104,7 +104,7 @@ func TestFrameHelpersRoundTrip(t *testing.T) {
 	stream = append(stream, FramePutDoc("frame", data)...)
 	stream = append(stream, bf...)
 	stream = append(stream, FrameRegisterName("frame.txt", blk.ID)...)
-	stream = append(stream, FrameDelBlock(blk.ID)...)
+	stream = append(stream, encodeFrame(recDelBlk, []byte(blk.ID))...)
 
 	recs, err := DecodeFrames(stream)
 	if err != nil {
@@ -256,7 +256,7 @@ func TestAppendFramesLeavesNoDescriptorMemo(t *testing.T) {
 		ids = append(ids, b.ID)
 	}
 	for _, id := range ids[:100] {
-		if _, err := l.AppendFrames(FrameDelBlock(id)); err != nil {
+		if _, err := l.AppendFrames(encodeFrame(recDelBlk, []byte(id))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func TestAppendFramesRejectsBadBatchAtomically(t *testing.T) {
 		if n := l.Stats().Records; n != 0 {
 			t.Fatalf("%s: bad batch appended %d records", tc.name, n)
 		}
-		if len(st.Docs) != 0 || len(l.docs) != 0 {
+		if len(st.Docs) != 0 || len(st.binary) != 0 {
 			t.Fatalf("%s: bad batch applied its valid prefix", tc.name)
 		}
 		if err := l.Err(); err != nil {
@@ -388,6 +388,24 @@ func TestResyncChunkCursorIsKeyed(t *testing.T) {
 	for _, bad := range []string{"descs/x", "descs/", "docs", "nope/x"} {
 		if _, _, err := l.ResyncChunk(bad, 1); err == nil {
 			t.Fatalf("cursor %q accepted", bad)
+		}
+	}
+}
+
+// TestFilterFramesRejectsCorruptFrame: FilterFrames reads a batch as
+// DecodeFrames does, so a frame with one flipped bit fails the batch
+// with ErrCorrupt — whether the filter would keep that frame or drop it.
+func TestFilterFramesRejectsCorruptFrame(t *testing.T) {
+	blk := media.CaptureText("alias.txt", "aliased body", "en")
+	bad := FrameRegisterName("alias.txt", blk.ID)
+	bad[len(bad)-1] ^= 0x01 // one bit of the id
+	batch := append(FramePutDoc("ok", []byte("doc bytes")), bad...)
+	for name, keep := range map[string]func(Record) bool{
+		"keep-all":   func(Record) bool { return true },
+		"drop-names": func(r Record) bool { return r.Op != RecName },
+	} {
+		if out, err := FilterFrames(batch, keep); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: FilterFrames returned %d bytes and err %v, want ErrCorrupt", name, len(out), err)
 		}
 	}
 }

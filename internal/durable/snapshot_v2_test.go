@@ -238,7 +238,7 @@ func TestSnapshotChunkCorruptionRejected(t *testing.T) {
 	for i := range h {
 		h[i] = byte(i)
 	}
-	err := st.apply(recPutBlkC, [][]byte{
+	_, err := st.verify(recPutBlkC, [][]byte{
 		[]byte("someid"), []byte("name"), []byte("text"), []byte("<ext>"), h[:], {0},
 	})
 	if err == nil {
@@ -247,7 +247,7 @@ func TestSnapshotChunkCorruptionRejected(t *testing.T) {
 
 	// A staged chunk whose bytes do not match its recorded hash is
 	// rejected before it can poison later assemblies.
-	err = st.apply(recChunk, [][]byte{h[:], []byte("not the preimage")})
+	_, err = st.verify(recChunk, [][]byte{h[:], []byte("not the preimage")})
 	if err == nil {
 		t.Fatal("recChunk with wrong hash accepted")
 	}

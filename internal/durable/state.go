@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/attr"
@@ -19,6 +20,12 @@ import (
 type State struct {
 	Store *media.Store
 	Docs  map[string]*core.Document
+
+	// binary holds each registered document's encoding, set beside Docs
+	// by apply: the bytes a re-put is deduped against and a snapshot or
+	// resync writes. nil is stale — the document was edited since it
+	// was encoded, and Docs holds the current version.
+	binary map[string][]byte
 
 	// descMemo caches descriptor parses by their text during one
 	// recovery: a corpus of same-shaped blocks repeats a handful of
@@ -43,6 +50,7 @@ func newState() *State {
 	return &State{
 		Store:    media.NewStore(),
 		Docs:     make(map[string]*core.Document),
+		binary:   make(map[string][]byte),
 		descMemo: make(map[string]attr.List),
 	}
 }
@@ -64,130 +72,199 @@ func (st *State) parseDesc(data []byte) (attr.List, error) {
 	return desc, nil
 }
 
-// apply replays one decoded record into the state. Errors wrap the
-// offending op; arbitrary bytes must never panic, only fail (the fuzzed
-// guarantee).
-func (st *State) apply(op byte, fields [][]byte) error {
-	want := func(n int) error {
-		if len(fields) != n {
-			return fmt.Errorf("op %d: want %d fields, got %d", op, n, len(fields))
-		}
-		return nil
-	}
-	switch op {
-	case recPutDoc:
-		if err := want(2); err != nil {
-			return err
-		}
-		d, err := codec.DecodeBinary(fields[1])
-		if err != nil {
-			return fmt.Errorf("putdoc %q: %w", fields[0], err)
-		}
-		st.Docs[string(fields[0])] = d
-	case recEditDoc:
-		if err := want(2); err != nil {
-			return err
-		}
-		d, ok := st.Docs[string(fields[0])]
-		if !ok {
-			return fmt.Errorf("editdoc %q: no such document", fields[0])
-		}
-		recs, err := core.DecodeChangeRecords(fields[1])
-		if err == nil {
-			err = edit.Apply(d, recs) // in place: replay owns its documents
-		}
-		if err != nil {
-			return fmt.Errorf("editdoc %q: %w", fields[0], err)
-		}
-	case recDelDoc: // retired, but replay still honours it
-		if err := want(1); err != nil {
-			return err
-		}
-		delete(st.Docs, string(fields[0]))
-	case recPutBlk:
-		if err := want(6); err != nil {
-			return err
-		}
-		if len(fields[5]) != 1 {
-			return fmt.Errorf("putblk: bad register flag")
-		}
-		b, err := st.blockFromRecord(fields)
-		if err != nil {
-			return fmt.Errorf("putblk %q: %w", fields[1], err)
-		}
-		if b.ID != string(fields[0]) {
-			return fmt.Errorf("putblk %q: recorded content address %.12s does not match payload (%.12s)",
-				fields[1], fields[0], b.ID)
-		}
-		st.Store.PutReplayed(b, fields[5][0] == 1)
-	case recDelBlk:
-		if err := want(1); err != nil {
-			return err
-		}
-		st.Store.Delete(string(fields[0]))
-	case recPutDesc: // retired: checked, then dropped
-		return want(2)
-	case recDelDesc: // retired: checked, then dropped
-		return want(1)
-	case recChunk:
-		if err := want(2); err != nil {
-			return err
-		}
-		if len(fields[0]) != chunker.HashSize {
-			return fmt.Errorf("chunk: bad hash length %d", len(fields[0]))
-		}
-		var h ChunkHash
-		copy(h[:], fields[0])
-		if chunker.Sum(fields[1]) != h {
-			return fmt.Errorf("chunk %.12x: bytes do not match recorded hash", fields[0])
-		}
-		if st.replayChunks == nil {
-			st.replayChunks = make(map[ChunkHash][]byte)
-		}
-		// Detach from the scanner's scratch buffer; the staged copy is
-		// shared by every block manifest that references it.
-		st.replayChunks[h] = append(make([]byte, 0, len(fields[1])), fields[1]...)
-	case recPutBlkC:
-		if err := want(6); err != nil {
-			return err
-		}
-		if len(fields[5]) != 1 {
-			return fmt.Errorf("putblkc: bad register flag")
-		}
-		payload, err := st.assembleChunks(fields[4])
-		if err != nil {
-			return fmt.Errorf("putblkc %q: %w", fields[1], err)
-		}
-		b, err := st.blockFromParts(fields[1], fields[2], fields[3], payload)
-		if err != nil {
-			return fmt.Errorf("putblkc %q: %w", fields[1], err)
-		}
-		if b.ID != string(fields[0]) {
-			return fmt.Errorf("putblkc %q: recorded content address %.12s does not match payload (%.12s)",
-				fields[1], fields[0], b.ID)
-		}
-		st.Store.PutReplayed(b, fields[5][0] == 1)
-	case recName:
-		if err := want(2); err != nil {
-			return err
-		}
-		// Best-effort: a registration whose block a later-journaled (but
-		// racing) delete already removed skips silently — the live store
-		// rolled the same registration back, so skipping converges on
-		// the pre-crash state.
-		st.Store.RegisterName(string(fields[0]), string(fields[1]))
-	default:
-		return fmt.Errorf("unknown record op %d", op)
+// mutation is one verified record: the change it makes, decoded and
+// checked but not yet applied. It owns its bytes — nothing in it aliases
+// the record it came from.
+type mutation struct {
+	op byte
+	// key is the document name (document ops), the block's content
+	// address (recDelBlk) or the registry name (recName).
+	key string
+	// id is the content address a recName points key at.
+	id       string
+	doc      *core.Document      // recPutDoc
+	data     []byte              // recPutDoc: doc's binary; recChunk: the chunk
+	edits    []core.ChangeRecord // recEditDoc
+	block    *media.Block        // recPutBlk, recPutBlkC
+	register bool                // recPutBlk, recPutBlkC: the legacy register flag
+	chunk    ChunkHash           // recChunk
+}
+
+// replicates reports whether op may travel in a replication or resync
+// batch: the four full-state ops, which are safe to apply twice.
+func replicates(op byte) bool {
+	return op == recPutDoc || op == recPutBlk || op == recDelBlk || op == recName
+}
+
+// wantFields checks a record's field count.
+func wantFields(op byte, fields [][]byte, n int) error {
+	if len(fields) != n {
+		return fmt.Errorf("op %d: want %d fields, got %d", op, n, len(fields))
 	}
 	return nil
 }
 
-// blockFromRecord rebuilds a block from recPutBlk fields, recomputing its
-// content address from medium and payload. The payload detaches from the
-// scanner's scratch buffer exactly once.
-func (st *State) blockFromRecord(fields [][]byte) (*media.Block, error) {
-	payload := append(make([]byte, 0, len(fields[4])), fields[4]...)
-	return st.blockFromParts(fields[1], fields[2], fields[3], payload)
+// verify checks one decoded record — its field count, register flag,
+// content address, descriptor and document binary — and returns the
+// mutation it makes. It reads only the record (and, for recPutBlkC, the
+// chunks staged before it), so replication verifies a batch without the
+// log's lock. Arbitrary bytes must never panic, only fail (the fuzzed
+// guarantee).
+func (st *State) verify(op byte, fields [][]byte) (m mutation, err error) {
+	m.op = op
+	switch op {
+	case recPutDoc:
+		if err := wantFields(op, fields, 2); err != nil {
+			return m, err
+		}
+		m.key = string(fields[0])
+		// The binary outlives the record (the decoded tree and the state
+		// both retain it), so detach it from the buffer first.
+		m.data = append([]byte(nil), fields[1]...)
+		if m.doc, err = codec.DecodeBinary(m.data); err != nil {
+			return m, fmt.Errorf("putdoc %q: %w", fields[0], err)
+		}
+	case recEditDoc:
+		if err := wantFields(op, fields, 2); err != nil {
+			return m, err
+		}
+		m.key = string(fields[0])
+		if m.edits, err = core.DecodeChangeRecords(fields[1]); err != nil {
+			return m, fmt.Errorf("editdoc %q: %w", fields[0], err)
+		}
+	case recDelDoc, recDelBlk:
+		if err := wantFields(op, fields, 1); err != nil {
+			return m, err
+		}
+		m.key = string(fields[0])
+	case recPutBlk, recPutBlkC:
+		if err := wantFields(op, fields, 6); err != nil {
+			return m, err
+		}
+		if len(fields[5]) != 1 {
+			return m, fmt.Errorf("op %d: bad register flag", op)
+		}
+		var payload []byte
+		if op == recPutBlk {
+			payload = append(make([]byte, 0, len(fields[4])), fields[4]...)
+		} else if payload, err = st.assembleChunks(fields[4]); err != nil {
+			return m, fmt.Errorf("putblkc %q: %w", fields[1], err)
+		}
+		if m.block, err = st.blockFromParts(fields[1], fields[2], fields[3], payload); err != nil {
+			return m, fmt.Errorf("op %d %q: %w", op, fields[1], err)
+		}
+		if m.block.ID != string(fields[0]) {
+			return m, fmt.Errorf("op %d %q: recorded content address %.12s does not match payload (%.12s)",
+				op, fields[1], fields[0], m.block.ID)
+		}
+		m.register = fields[5][0] == 1
+	case recPutDesc: // retired: checked, then dropped
+		return m, wantFields(op, fields, 2)
+	case recDelDesc: // retired: checked, then dropped
+		return m, wantFields(op, fields, 1)
+	case recChunk:
+		if err := wantFields(op, fields, 2); err != nil {
+			return m, err
+		}
+		if len(fields[0]) != chunker.HashSize {
+			return m, fmt.Errorf("chunk: bad hash length %d", len(fields[0]))
+		}
+		copy(m.chunk[:], fields[0])
+		if chunker.Sum(fields[1]) != m.chunk {
+			return m, fmt.Errorf("chunk %.12x: bytes do not match recorded hash", fields[0])
+		}
+		// Detached: the staged copy is shared by every block manifest
+		// that references it.
+		m.data = append(make([]byte, 0, len(fields[1])), fields[1]...)
+	case recName:
+		if err := wantFields(op, fields, 2); err != nil {
+			return m, err
+		}
+		m.key, m.id = string(fields[0]), string(fields[1])
+	default:
+		return m, fmt.Errorf("unknown record op %d", op)
+	}
+	return m, nil
+}
+
+// apply makes a verified mutation part of the state — the one step
+// recovery and replication both run. Only an edit can fail: its document
+// must be registered, and the batch must apply to it.
+func (st *State) apply(m mutation) error {
+	switch m.op {
+	case recPutDoc:
+		st.setDoc(m.key, m.doc, m.data)
+	case recEditDoc:
+		d, ok := st.Docs[m.key]
+		if !ok {
+			return fmt.Errorf("editdoc %q: no such document", m.key)
+		}
+		if err := edit.Apply(d, m.edits); err != nil { // in place: replay owns its documents
+			return fmt.Errorf("editdoc %q: %w", m.key, err)
+		}
+		st.binary[m.key] = nil
+	case recDelDoc: // retired, but replay still honours it
+		delete(st.Docs, m.key)
+		delete(st.binary, m.key)
+	case recPutBlk, recPutBlkC:
+		st.Store.PutReplayed(m.block, m.register)
+	case recDelBlk:
+		st.Store.Delete(m.key)
+	case recChunk:
+		if st.replayChunks == nil {
+			st.replayChunks = make(map[ChunkHash][]byte)
+		}
+		st.replayChunks[m.chunk] = m.data
+	case recName:
+		// Best-effort: a registration whose block a later-journaled (but
+		// racing) delete already removed skips silently — the live store
+		// rolled the same registration back, so skipping converges on
+		// the pre-crash state.
+		st.Store.RegisterName(m.key, m.id)
+	}
+	return nil
+}
+
+// holds reports whether the state already has a replicated mutation's
+// effect — the same document bytes, a block already stored under its
+// content address, a block already gone, a name already pointing at the
+// id — so appending it again would change nothing.
+func (st *State) holds(m mutation) bool {
+	switch m.op {
+	case recPutDoc:
+		prev := st.binary[m.key]
+		return prev != nil && bytes.Equal(prev, m.data)
+	case recPutBlk:
+		_, ok := st.Store.Get(m.block.ID)
+		return ok
+	case recDelBlk:
+		_, ok := st.Store.Get(m.key)
+		return !ok
+	case recName:
+		cur, ok := st.Store.Resolve(m.key)
+		return ok && cur == m.id
+	}
+	return false
+}
+
+// setDoc registers d under name with its binary (nil: stale).
+func (st *State) setDoc(name string, d *core.Document, data []byte) {
+	st.Docs[name], st.binary[name] = d, data
+}
+
+// encodedDoc returns the binary of name's document d: data while it is
+// current, d's fresh encoding once it is stale. Documents are immutable
+// once live, so a caller may read the pair under the log's lock and
+// encode after releasing it.
+func encodedDoc(name string, d *core.Document, data []byte) ([]byte, error) {
+	if data != nil {
+		return data, nil
+	}
+	data, err := codec.EncodeBinary(d)
+	if err != nil {
+		return nil, fmt.Errorf("document %q: %w", name, err)
+	}
+	return data, nil
 }
 
 // blockFromParts assembles a block from replayed parts, taking ownership
