@@ -8,7 +8,9 @@
 //
 // Flags go before the command: parsing stops at the first positional
 // argument. Every request is bounded by -timeout; a missing document or
-// block is reported distinctly from other failures.
+// block is reported distinctly from other failures. A document travels
+// in the binary encoding and is printed in the text form; -binary is
+// accepted for existing scripts and changes nothing.
 //
 // The address may point at any cmifd role — an origin, an edge proxy or
 // a cluster node — fetches go through the transport-neutral cmif.Fetcher
@@ -29,7 +31,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7911", "server address")
 	inline := flag.Bool("inline", false, "fetch documents with inlined payloads")
-	binaryEnc := flag.Bool("binary", false, "use the binary wire encoding")
+	flag.Bool("binary", false, "no effect: documents travel in the binary encoding (kept so existing scripts run)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline")
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -44,10 +46,9 @@ func main() {
 		fatal(err)
 	}
 	defer c.Close()
-	// Everything below fetches through the Fetcher interface; only the
-	// wire-encoding variants of "doc" (-inline/-binary) reach for the
-	// concrete client, because the encoding is a property of the dialed
-	// transport, not of the read surface.
+	// Everything below fetches through the Fetcher interface; only
+	// "-inline doc" reaches for the concrete client, because inlining is
+	// a property of the dialed transport, not of the read surface.
 	var f cmif.Fetcher = c
 
 	switch flag.Arg(0) {
@@ -64,15 +65,8 @@ func main() {
 			usage()
 		}
 		var doc *cmif.Document
-		if *binaryEnc || *inline {
-			var opts []cmif.WireOption
-			if *binaryEnc {
-				opts = append(opts, cmif.WithBinaryWire())
-			}
-			if *inline {
-				opts = append(opts, cmif.WithInline())
-			}
-			doc, err = c.Document(ctx, flag.Arg(1), opts...)
+		if *inline {
+			doc, err = c.Document(ctx, flag.Arg(1), cmif.WithInline())
 		} else {
 			doc, err = f.OpenDoc(ctx, flag.Arg(1))
 		}

@@ -211,18 +211,11 @@ func (c *Client) BytesReceived() int64 {
 
 // wireConfig collects the per-call wire options.
 type wireConfig struct {
-	encoding transport.Encoding
-	inline   bool
+	inline bool
 }
 
 // WireOption configures document transfers (Client.Document, Client.Put).
 type WireOption func(*wireConfig)
-
-// WithBinaryWire ships the document in the compact binary encoding instead
-// of the text default.
-func WithBinaryWire() WireOption {
-	return func(c *wireConfig) { c.encoding = transport.EncodingBinary }
-}
 
 // WithInline asks the server to inline data payloads into the tree, so the
 // transfer is self-contained (no shared storage server). Fetch-only.
@@ -231,20 +224,19 @@ func WithInline() WireOption {
 }
 
 func wireConfigOf(opts []WireOption) wireConfig {
-	cfg := wireConfig{encoding: transport.EncodingText}
+	var cfg wireConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	return cfg
 }
 
-// Document fetches the document registered under name. A missing name
-// matches both ErrRemote and ErrNotFound under errors.Is.
+// Document fetches the document registered under name, in the binary
+// encoding the server keeps for it. A missing name matches both
+// ErrRemote and ErrNotFound under errors.Is.
 func (c *Client) Document(ctx context.Context, name string, opts ...WireOption) (*Document, error) {
 	cfg := wireConfigOf(opts)
-	d, err := c.pick().GetDoc(ctx, name, transport.GetDocOptions{
-		Encoding: cfg.encoding, Inline: cfg.inline,
-	})
+	d, err := c.pick().GetDoc(ctx, name, transport.GetDocOptions{Inline: cfg.inline})
 	if err != nil {
 		return nil, wireError(err)
 	}
@@ -252,16 +244,16 @@ func (c *Client) Document(ctx context.Context, name string, opts ...WireOption) 
 }
 
 // OpenDoc fetches the document registered under name — the Fetcher
-// surface of Document, always in the default wire encoding.
+// surface of Document.
 func (c *Client) OpenDoc(ctx context.Context, name string) (*Document, error) {
 	return c.Document(ctx, name)
 }
 
-// Put registers a document under name on the server. Inlined payloads are
-// absorbed into the server's store.
+// Put registers a document under name on the server, shipped in the
+// binary encoding. Inlined payloads are absorbed into the server's
+// store.
 func (c *Client) Put(ctx context.Context, name string, d *Document, opts ...WireOption) error {
-	cfg := wireConfigOf(opts)
-	return wireError(c.pick().PutDoc(ctx, name, d.doc, cfg.encoding))
+	return wireError(c.pick().PutDoc(ctx, name, d.doc, transport.EncodingBinary))
 }
 
 // Block fetches a data block by name or content address. A missing block

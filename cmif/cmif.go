@@ -17,7 +17,9 @@
 //   - Pipeline runs the target-system-dependent stages under a
 //     context.Context, configured with functional options.
 //   - Client and Serve speak the interchange protocol with cancellation
-//     and deadlines threaded down to the wire.
+//     and deadlines threaded down to the wire. Documents cross it in the
+//     binary encoding a server keeps for each registration; the text
+//     form stays the interchange form of files and cmifc.
 //
 // Errors escaping this package belong to a small taxonomy (ErrNotFound,
 // ErrBadFormat, ErrRemote, ErrUnsupportable, *ValidationError) and are

@@ -220,7 +220,7 @@ func TestClientServerFacade(t *testing.T) {
 	if err != nil || len(names) != 1 || names[0] != "news" {
 		t.Fatalf("List = %v, %v", names, err)
 	}
-	got, err := c.Document(ctx, "news", cmif.WithBinaryWire())
+	got, err := c.Document(ctx, "news")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,7 +190,7 @@ func TestCrashRecoveryServerEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mirror what the server registered, not what was sent.
-	mirror, err := c.Document(ctx, "live", cmif.WithBinaryWire())
+	mirror, err := c.Document(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}

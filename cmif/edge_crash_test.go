@@ -109,7 +109,7 @@ func TestEdgeCrashRecovery(t *testing.T) {
 			t.Fatalf("child edge missed block %q", names[i])
 		}
 	}
-	if _, err := c.Document(ctx, "live", WithBinaryWire()); err != nil {
+	if _, err := c.Document(ctx, "live"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,7 +162,7 @@ func TestEdgeCrashRecovery(t *testing.T) {
 
 	// The document re-leases — a fresh upstream subscription, not a block
 	// refetch.
-	if _, err := c2.Document(ctx, "live", WithBinaryWire()); err != nil {
+	if _, err := c2.Document(ctx, "live"); err != nil {
 		t.Fatal(err)
 	}
 	if got := e2.Leases(); got != 1 {

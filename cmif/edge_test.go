@@ -178,7 +178,7 @@ func TestEdgeDocInvalidation(t *testing.T) {
 	if _, err := oc.SubmitEdit(ctx, "live", NewEditBatch().SetAttr(leaf, "duration", attr.Quantity(units.MS(777)))); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := oc.Document(ctx, "live", WithBinaryWire())
+	fresh, err := oc.Document(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestEdgeDocInvalidation(t *testing.T) {
 	if n := sub.Resyncs(); n != 0 {
 		t.Errorf("edge subscription needed %d resyncs, want 0", n)
 	}
-	after, err := oc.Document(ctx, "live", WithBinaryWire())
+	after, err := oc.Document(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestEdgeLeaseExpiry(t *testing.T) {
 	if _, err := oc.SubmitEdit(ctx, "live", NewEditBatch().SetAttr(leaf, "duration", attr.Quantity(units.MS(654)))); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := oc.Document(ctx, "live", WithBinaryWire())
+	fresh, err := oc.Document(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestEdgeExpiryChangeStreamRace(t *testing.T) {
 	}
 
 	// Settle: the edge must converge on the origin's final bytes.
-	fresh, err := oc.Document(ctx, "live", WithBinaryWire())
+	fresh, err := oc.Document(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}

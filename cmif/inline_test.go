@@ -53,7 +53,7 @@ func TestInlineFetchThroughEveryTier(t *testing.T) {
 	}
 	// The self-contained form: the node extracts the payloads and routes
 	// each block to its own owner.
-	if err := seed.Put(ctx, "news", inlined, cmif.WithBinaryWire()); err != nil {
+	if err := seed.Put(ctx, "news", inlined); err != nil {
 		t.Fatal(err)
 	}
 	seed.Close()
@@ -71,7 +71,7 @@ func TestInlineFetchThroughEveryTier(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tier.name, err)
 		}
-		got, err := c.Document(ctx, "news", cmif.WithInline(), cmif.WithBinaryWire())
+		got, err := c.Document(ctx, "news", cmif.WithInline())
 		c.Close()
 		if err != nil {
 			t.Fatalf("%s: inline fetch: %v", tier.name, err)

@@ -188,7 +188,7 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 				t.Errorf("single-writer script needed %d resyncs, want 0", n)
 			}
 
-			fresh, err := c.Document(ctx, "live", WithBinaryWire())
+			fresh, err := c.Document(ctx, "live")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +319,7 @@ func TestMultiWriterFanIn(t *testing.T) {
 			t.Fatalf("drainer: %v", err)
 		}
 	}
-	fresh, err := c.Document(ctx, "live", WithBinaryWire())
+	fresh, err := c.Document(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestConflictIsTypedAndAtomic(t *testing.T) {
 	}
 	defer c.Close()
 
-	base, err := c.Document(ctx, "live", WithBinaryWire())
+	base, err := c.Document(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestConflictIsTypedAndAtomic(t *testing.T) {
 		t.Errorf("conflicts are remote rejections; errors.Is(err, ErrRemote) = false")
 	}
 
-	after, err := c.Document(ctx, "live", WithBinaryWire())
+	after, err := c.Document(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func main() {
 		structureBytes, stats.Nodes, stats.Arcs)
 
 	// 2. Fetch inlined: document plus payloads in one transfer.
-	inlined, err := c.Document(ctx, "news", cmif.WithBinaryWire(), cmif.WithInline())
+	inlined, err := c.Document(ctx, "news", cmif.WithInline())
 	if err != nil {
 		log.Fatal(err)
 	}

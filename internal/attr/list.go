@@ -2,6 +2,7 @@ package attr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -89,6 +90,10 @@ func (l *List) SetDefault(name string, v Value) bool {
 	l.pairs = append(l.pairs, Pair{Name: name, Value: v})
 	return true
 }
+
+// Grow makes room for n more attributes without reallocating, for a
+// decoder that knows how many it is about to set.
+func (l *List) Grow(n int) { l.pairs = slices.Grow(l.pairs, n) }
 
 // Del removes name, reporting whether it was present.
 func (l *List) Del(name string) bool {

@@ -68,7 +68,7 @@ func DecodeBinary(data []byte) (*core.Document, error) {
 
 // DecodeBinaryNode parses a binary node tree.
 func DecodeBinaryNode(data []byte) (*core.Node, error) {
-	r := &byteReader{data: data}
+	r := newByteReader(data)
 	var magic [4]byte
 	if err := r.read(magic[:]); err != nil {
 		return nil, fmt.Errorf("codec: binary header: %w", err)
@@ -96,10 +96,16 @@ func DecodeBinaryNode(data []byte) (*core.Node, error) {
 const maxBinaryDepth = 10000
 
 func encodeNode(b *bytes.Buffer, n *core.Node) error {
+	if n.Type != core.Imm && len(n.Data) > 0 {
+		return fmt.Errorf("codec: data on non-imm %v node", n.Type)
+	}
 	b.WriteByte(byte(n.Type))
 	pairs := n.Attrs.Pairs()
 	putUvarint(b, uint64(len(pairs)))
 	for _, p := range pairs {
+		if err := CheckAttrName(p.Name); err != nil {
+			return err
+		}
 		putString(b, p.Name)
 		if err := encodeValue(b, p.Value); err != nil {
 			return err
@@ -132,9 +138,13 @@ func decodeNode(r *byteReader, depth int) (*core.Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	n.Attrs.Grow(r.presize(attrCount))
 	for i := uint64(0); i < attrCount; i++ {
 		name, err := r.str()
 		if err != nil {
+			return nil, err
+		}
+		if err := CheckAttrName(name); err != nil {
 			return nil, err
 		}
 		v, err := decodeValue(r, 0)
@@ -151,6 +161,9 @@ func decodeNode(r *byteReader, depth int) (*core.Node, error) {
 		return nil, err
 	}
 	if dataLen > 0 {
+		if n.Type != core.Imm {
+			return nil, fmt.Errorf("codec: data on non-imm %v node", n.Type)
+		}
 		if dataLen > uint64(len(r.data)-r.off) {
 			return nil, fmt.Errorf("codec: data length %d exceeds input", dataLen)
 		}
@@ -166,6 +179,7 @@ func decodeNode(r *byteReader, depth int) (*core.Node, error) {
 	if n.Type.IsLeaf() && childCount > 0 {
 		return nil, fmt.Errorf("codec: %v leaf with %d children", n.Type, childCount)
 	}
+	n.GrowChildren(r.presize(childCount))
 	for i := uint64(0); i < childCount; i++ {
 		c, err := decodeNode(r, depth+1)
 		if err != nil {
@@ -190,7 +204,7 @@ func EncodeBinaryValue(v attr.Value) ([]byte, error) {
 // DecodeBinaryValue parses one binary-encoded attribute value, rejecting
 // trailing bytes.
 func DecodeBinaryValue(data []byte) (attr.Value, error) {
-	r := &byteReader{data: data}
+	r := newByteReader(data)
 	v, err := decodeValue(r, 0)
 	if err != nil {
 		return attr.Value{}, err
@@ -221,6 +235,9 @@ func encodeValue(b *bytes.Buffer, v attr.Value) error {
 		b.WriteByte(3)
 		putUvarint(b, uint64(len(items)))
 		for _, it := range items {
+			if err := checkItemName(it.Name); err != nil {
+				return err
+			}
 			putString(b, it.Name)
 			if err := encodeValue(b, it.Value); err != nil {
 				return err
@@ -274,10 +291,13 @@ func decodeValue(r *byteReader, depth int) (attr.Value, error) {
 		if count > uint64(len(r.data)-r.off) {
 			return attr.Value{}, fmt.Errorf("codec: list count %d exceeds input", count)
 		}
-		items := make([]attr.Item, 0, count)
+		items := make([]attr.Item, 0, r.presize(count))
 		for i := uint64(0); i < count; i++ {
 			name, err := r.str()
 			if err != nil {
+				return attr.Value{}, err
+			}
+			if err := checkItemName(name); err != nil {
 				return attr.Value{}, err
 			}
 			v, err := decodeValue(r, depth+1)
@@ -296,6 +316,28 @@ func decodeValue(r *byteReader, depth int) (attr.Value, error) {
 type byteReader struct {
 	data []byte
 	off  int
+	// room is how many more attributes, children and list items the
+	// decoder may allocate slots for before reading them. Each takes at
+	// least minElemBytes of input, so an honest input never runs out of
+	// room, and lying counts, however deeply nested, cannot make the
+	// decoder allocate more slots than the input could describe.
+	room uint64
+}
+
+// minElemBytes is the smallest encoding of an attribute or a list item
+// (name length, kind, one payload byte); a child node takes more.
+const minElemBytes = 3
+
+func newByteReader(data []byte) *byteReader {
+	return &byteReader{data: data, room: uint64(len(data) / minElemBytes)}
+}
+
+// presize returns the capacity to allocate for count elements about to
+// be read, taking it from the reader's room.
+func (r *byteReader) presize(count uint64) int {
+	n := min(count, r.room)
+	r.room -= n
+	return int(n)
 }
 
 func (r *byteReader) byte() (byte, error) {

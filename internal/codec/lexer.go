@@ -23,7 +23,6 @@ package codec
 import (
 	"fmt"
 	"strings"
-	"unicode"
 	"unicode/utf8"
 )
 
@@ -277,8 +276,9 @@ func identOK(s string) bool {
 			return false
 		}
 	}
-	// Reject anything that would lex back as a number.
-	if unicode.IsDigit(rune(s[0])) {
+	// Reject what would lex back as something else: a sign before a
+	// digit is a number, and a lone "-" is the empty ID.
+	if s == "-" || s[0] == '-' && len(s) > 1 && '0' <= s[1] && s[1] <= '9' {
 		return false
 	}
 	return true

@@ -21,7 +21,14 @@ func Parse(src string) (*core.Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewDocument(root)
+	d, err := core.NewDocument(root)
+	if err != nil {
+		// The root's dictionaries do not decode: an error at the root.
+		l := newLexer(src)
+		l.skipSpace()
+		return nil, &SyntaxError{Pos: l.pos(), Msg: err.Error()}
+	}
+	return d, nil
 }
 
 // ParseReader is Parse over an io.Reader.
@@ -97,7 +104,7 @@ func (p *parser) parseNode() (*core.Node, error) {
 				return nil, err
 			}
 			if err := applyImmData(n, dataAttr, dataHex); err != nil {
-				return nil, err
+				return nil, &SyntaxError{Pos: head.pos, Msg: err.Error()}
 			}
 			return n, nil
 		case tokLParen:
@@ -177,10 +184,10 @@ func applyImmData(n *core.Node, text, hexData *string) error {
 		return nil
 	}
 	if n.Type != core.Imm {
-		return fmt.Errorf("codec: data attribute on non-imm %v node", n.Type)
+		return fmt.Errorf("data attribute on non-imm %v node", n.Type)
 	}
 	if text != nil && hexData != nil {
-		return fmt.Errorf("codec: imm node carries both data and datahex")
+		return fmt.Errorf("imm node carries both data and datahex")
 	}
 	if text != nil {
 		n.Data = []byte(*text)
@@ -188,7 +195,7 @@ func applyImmData(n *core.Node, text, hexData *string) error {
 	}
 	b, err := decodeHex(*hexData)
 	if err != nil {
-		return fmt.Errorf("codec: datahex: %w", err)
+		return fmt.Errorf("datahex: %w", err)
 	}
 	n.Data = b
 	return nil

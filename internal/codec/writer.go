@@ -96,14 +96,8 @@ func (w *writer) writeNode(n *core.Node, depth int) error {
 		return nil
 	}
 	for _, p := range pairs {
-		if _, isNodeType := nodeTypeSet[p.Name]; isNodeType {
-			return fmt.Errorf("codec: attribute name %q collides with a node type keyword", p.Name)
-		}
-		if p.Name == "data" || p.Name == "datahex" {
-			return fmt.Errorf("codec: attribute name %q is reserved for imm payloads", p.Name)
-		}
-		if !identOK(p.Name) {
-			return fmt.Errorf("codec: attribute name %q is not a valid identifier", p.Name)
+		if err := CheckAttrName(p.Name); err != nil {
+			return err
 		}
 		w.newlineOrSpace()
 		w.indent(depth + 1)
@@ -147,6 +141,34 @@ func (w *writer) writeNode(n *core.Node, depth int) error {
 	return nil
 }
 
+// CheckAttrName reports why the text form cannot carry an attribute
+// named name, or nil. The writer enforces it, and the binary codec and
+// the edit engine apply it too, so that every document the system holds
+// has a text form.
+func CheckAttrName(name string) error {
+	// A switch, not nodeTypeSet: the binary decoder runs this for every
+	// attribute it reads.
+	switch name {
+	case "seq", "par", "ext", "imm":
+		return fmt.Errorf("codec: attribute name %q collides with a node type keyword", name)
+	case "data", "datahex":
+		return fmt.Errorf("codec: attribute name %q is reserved for imm payloads", name)
+	}
+	if !identOK(name) {
+		return fmt.Errorf("codec: attribute name %q is not a valid identifier", name)
+	}
+	return nil
+}
+
+// checkItemName is CheckAttrName's rule for the name of a named list
+// item; an unnamed item has the empty name.
+func checkItemName(name string) error {
+	if name != "" && !identOK(name) {
+		return fmt.Errorf("codec: list item name %q is not a valid identifier", name)
+	}
+	return nil
+}
+
 // writeValue renders an attribute value; identifiers that cannot round-trip
 // as bare identifiers are re-rendered as strings.
 func (w *writer) writeValue(v attr.Value) error {
@@ -174,8 +196,8 @@ func (w *writer) writeValue(v attr.Value) error {
 				w.b.WriteByte(' ')
 			}
 			if it.Name != "" {
-				if !identOK(it.Name) {
-					return fmt.Errorf("codec: list item name %q is not a valid identifier", it.Name)
+				if err := checkItemName(it.Name); err != nil {
+					return err
 				}
 				w.b.WriteByte('(')
 				w.b.WriteString(it.Name)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -124,6 +125,10 @@ func (n *Node) AddChild(child *Node) *Node {
 	n.children = append(n.children, child)
 	return n
 }
+
+// GrowChildren makes room for k more children without reallocating, for
+// a decoder that knows how many it is about to add.
+func (n *Node) GrowChildren(k int) { n.children = slices.Grow(n.children, k) }
 
 // Add appends several children and returns n.
 func (n *Node) Add(children ...*Node) *Node {

@@ -1,14 +1,19 @@
 package edge
 
 import (
+	"bytes"
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/attr"
+	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/edit"
 	"repro/internal/media"
 	"repro/internal/metrics"
 	"repro/internal/transport"
+	"repro/internal/units"
 )
 
 // TestEdgeMemoryHitAllocatesNothing: a block resident in the memory tier
@@ -38,4 +43,111 @@ func TestEdgeMemoryHitAllocatesNothing(t *testing.T) {
 	if st := e.mem.Stats(); st.Hits != runs+1 || st.Misses != 0 {
 		t.Errorf("memory tier counted %+v, want %d hits and no miss", st, runs+1)
 	}
+}
+
+// TestGetDocNeverServesStale: after a document is re-registered with
+// putdoc, and after an edit is submitted, getdoc returns the new
+// document in both encodings — the binary a client asks for by default
+// and the text an earlier client asks for — at the origin at once and
+// through a warmed edge once its lease has the change.
+func TestGetDocNeverServesStale(t *testing.T) {
+	ctx := context.Background()
+	doc := func(name string) *core.Document {
+		root := core.NewPar().SetName(name)
+		root.Add(
+			core.NewExt().SetName("intro").
+				SetAttr("file", attr.String("anchor.vid")).
+				SetAttr("duration", attr.Quantity(units.MS(500))),
+			core.NewImm([]byte("Story 3")).SetName("label"),
+		)
+		d, err := core.NewDocument(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	bin := func(d *core.Document) []byte {
+		t.Helper()
+		data, err := codec.EncodeBinary(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	reg := transport.NewRegistry(nil)
+	reg.PutDoc("news", doc("v0"))
+	origin := transport.NewServer(reg)
+	originAddr, err := origin.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	e, err := New(Config{Origin: originAddr, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeAddr, err := e.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	dial := func(addr string) *transport.Client {
+		c, err := transport.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	oc, ec := dial(originAddr), dial(edgeAddr)
+	if _, err := ec.GetDoc(ctx, "news", transport.GetDocOptions{}); err != nil {
+		t.Fatal(err) // warms the edge: the document is leased
+	}
+
+	// serves reports whether c's getdoc answers want in both encodings.
+	serves := func(c *transport.Client, want []byte) bool {
+		t.Helper()
+		for _, enc := range []transport.Encoding{transport.EncodingBinary, transport.EncodingText} {
+			got, err := c.GetDoc(ctx, "news", transport.GetDocOptions{Encoding: enc})
+			if err != nil {
+				t.Fatalf("getdoc %c: %v", enc, err)
+			}
+			if !bytes.Equal(bin(got), want) {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(step string, want []byte) {
+		t.Helper()
+		if !serves(oc, want) {
+			t.Fatalf("%s: the origin's getdoc serves the document from before", step)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for !serves(ec, want) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the edge's getdoc still serves the document from before", step)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+
+	put := doc("v1")
+	if err := oc.PutDoc(ctx, "news", put, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("putdoc", bin(put))
+
+	rec, err := edit.RecordSetAttr("/intro", "duration", attr.Quantity(units.MS(900)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := put.Clone()
+	if err := edit.Apply(edited, []core.ChangeRecord{rec}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oc.SubmitEdit(ctx, "news", []core.ChangeRecord{rec}); err != nil {
+		t.Fatal(err)
+	}
+	check("submitedit", bin(edited))
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/attr"
+	"repro/internal/codec"
 	"repro/internal/core"
 )
 
@@ -289,6 +290,11 @@ func SetAttr(d *core.Document, path, name string, v attr.Value) error {
 		// Writing the raw attribute would bypass the document's decoded
 		// dictionaries and the global-change record they require.
 		return fmt.Errorf("edit: use Document.SetStyles/SetChannels to change %s", name)
+	}
+	if err := codec.CheckAttrName(name); err != nil {
+		// A document the text form cannot render could not be served
+		// to a text client, nor recovered from its binary snapshot.
+		return fmt.Errorf("edit: %w", err)
 	}
 	n.Attrs.Set(name, v)
 	d.NoteChange(core.Change{Kind: core.ChangeAttr, Node: n, Attr: name})

@@ -152,6 +152,21 @@ func TestRenameErrors(t *testing.T) {
 	}
 }
 
+// TestSetAttrRefusesNamesTheTextFormCannotCarry: a submitted edit cannot
+// give a node an attribute the text writer refuses.
+func TestSetAttrRefusesNamesTheTextFormCannotCarry(t *testing.T) {
+	d := news(t)
+	for _, name := range []string{"+A", "seq", "data", "has space"} {
+		rec, err := RecordSetAttr("story-0/caption/cap-1", name, attr.ID("v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Apply(d, []core.ChangeRecord{rec}); err == nil {
+			t.Errorf("attribute %q accepted", name)
+		}
+	}
+}
+
 func TestMoveNodeRewritesArcs(t *testing.T) {
 	d := news(t)
 	// Move the whole caption sequence under a new wrapper; the arcs from

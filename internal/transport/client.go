@@ -240,10 +240,11 @@ func errText(parts [][]byte) string {
 	return "unknown"
 }
 
-// GetDoc fetches the document registered under name.
+// GetDoc fetches the document registered under name, in the binary
+// encoding unless opts asks for text.
 func (c *Client) GetDoc(ctx context.Context, name string, opts GetDocOptions) (*core.Document, error) {
 	if opts.Encoding == 0 {
-		opts.Encoding = EncodingText
+		opts.Encoding = EncodingBinary
 	}
 	inline := byte(0)
 	if opts.Inline {
@@ -259,11 +260,12 @@ func (c *Client) GetDoc(ctx context.Context, name string, opts GetDocOptions) (*
 	return decodeDoc(parts[0], opts.Encoding)
 }
 
-// PutDoc registers a document under name on the server. Inlined payloads
-// are absorbed into the server's store.
+// PutDoc registers a document under name on the server, in the binary
+// encoding when enc is zero. Inlined payloads are absorbed into the
+// server's store.
 func (c *Client) PutDoc(ctx context.Context, name string, d *core.Document, enc Encoding) error {
 	if enc == 0 {
-		enc = EncodingText
+		enc = EncodingBinary
 	}
 	data, err := encodeDoc(d, enc)
 	if err != nil {

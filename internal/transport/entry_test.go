@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/attr"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -288,6 +290,42 @@ func TestEntryNeverServesStale(t *testing.T) {
 		}
 		if got, err := e.Binary(); err != nil || !bytes.Equal(got, want) {
 			t.Fatal("an entry's binary is not its document")
+		}
+	}
+}
+
+// TestBinaryPutDocRefusesWhatTextCannotCarry: a document a client puts
+// in binary must be one every text client can fetch. A leaf carrying an
+// attribute the text writer refuses ("+A") is refused at putdoc, and
+// nothing is registered under the name.
+func TestBinaryPutDocRefusesWhatTextCannotCarry(t *testing.T) {
+	d, store := fixture(t)
+	d.Root.Children()[0].SetAttr("xA", attr.ID("v"))
+	data, err := codec.EncodeBinary(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The encoder refuses "+A" too, so patch an accepted name of the
+	// same length in the bytes.
+	at := bytes.Index(data, []byte("xA"))
+	if at < 0 {
+		t.Fatal("attribute name not found in the encoding")
+	}
+	data[at] = '+'
+	addr, _ := startServer(t, NewRegistry(store))
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	_, err = c.roundTrip(ctx, opPutDoc, []byte("news"), []byte{byte(EncodingBinary)}, data)
+	if err == nil || !strings.Contains(err.Error(), `"+A"`) {
+		t.Fatalf("binary putdoc of an attribute named +A: %v, want a refusal naming it", err)
+	}
+	for _, enc := range []Encoding{EncodingText, EncodingBinary} {
+		if _, err := c.GetDoc(ctx, "news", GetDocOptions{Encoding: enc}); !errors.Is(err, ErrNotFound) {
+			t.Errorf("getdoc %c after the refused putdoc: %v, want ErrNotFound", enc, err)
 		}
 	}
 }

@@ -123,14 +123,18 @@ func (r *Registry) DocNames() []string {
 type Encoding byte
 
 const (
-	// EncodingText is the human-readable form.
+	// EncodingText is the human-readable form: the interchange form of
+	// files and cmifc, and what clients of earlier releases ask for. A
+	// server encodes it per request.
 	EncodingText Encoding = 't'
-	// EncodingBinary is the compact TLV form.
+	// EncodingBinary is the compact TLV form: the one a server keeps per
+	// registration, and the clients' default.
 	EncodingBinary Encoding = 'b'
 )
 
 // GetDocOptions shapes a document fetch.
 type GetDocOptions struct {
+	// Encoding is the wire encoding asked for; zero means binary.
 	Encoding Encoding
 	// Inline ships payloads inside the tree (no common storage server).
 	Inline bool

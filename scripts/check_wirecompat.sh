@@ -20,8 +20,10 @@
 # the documents fetched across versions to be byte-identical to the
 # current-vs-current baseline (inline fetches and two block fetches
 # included, so block payloads cross the version boundary both inlined
-# and through the batched block fetch, and binary-encoded fetches, so
-# the compact document encoding does).
+# and through the batched block fetch). A current client's plain "doc"
+# travels in the binary encoding and "-binary" is a no-op it still
+# accepts; a previous client that fetches text still exercises the text
+# encoding against the current server.
 #
 # Needs full git history (CI: fetch-depth 0). Run from the repository
 # root: ./scripts/check_wirecompat.sh
@@ -68,7 +70,7 @@ wait_up "$work/new/cmifget" "$NEW_ADDR"
 wait_up "$work/old/cmifget" "$OLD_ADDR"
 
 # fetch CLIENT SERVER OUT: every surface a deployed pairing exercises —
-# the listing, the structured document in both wire encodings, the
+# the listing, the structured document (plain and -binary), the
 # inline fetch that moves the block payloads inside the document, and
 # an audio and a video block fetched on their own.
 fetch() {
