@@ -221,6 +221,74 @@ func TestDeltaEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestReplicaChangeLogStaysBounded: a replica absorbs every delta in
+// place, and each remove record would hold its detached subtree for as
+// long as the change log kept it. After 1,000 insert and delete deltas
+// the replica keeps a handful of change records, and its plan, patched
+// delta by delta, still equals a cold schedule of the served document.
+func TestReplicaChangeLogStaysBounded(t *testing.T) {
+	const rounds = 500 // an insert and a delete each
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	doc, store := genDoc(t, 3, 4)
+	addr := startLiveServer(t, "live", doc, store)
+	c, err := Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sub, err := c.Subscribe(ctx, "live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	submit := func(b *EditBatch) {
+		t.Helper()
+		gen, err := c.SubmitEdit(ctx, "live", b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sub.Generation() < gen {
+			if _, err := sub.Next(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < rounds; i++ {
+		name := fmt.Sprintf("extra-%d", i)
+		leaf := NewImm([]byte(name)).SetName(name).SetAttr("duration", attr.Quantity(units.MS(500)))
+		submit(NewEditBatch().Insert("/issue-1/articles", 1, leaf))
+		submit(NewEditBatch().Delete("/issue-1/articles/" + name))
+	}
+	if n := sub.Resyncs(); n != 0 {
+		t.Fatalf("the replica resynchronized %d times", n)
+	}
+	if held := len(sub.doc.doc.ChangesSince(0)); held > 4 {
+		t.Errorf("after %d deltas the replica's change log holds %d records", 2*rounds, held)
+	}
+
+	fresh, err := c.Document(ctx, "live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(docBytes(t, sub.Document()), docBytes(t, fresh)) {
+		t.Fatal("the replica diverged from the served document")
+	}
+	cold, err := Schedule(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := planShape(cold, fresh), planShape(sub.Plan(), sub.Document())
+	if len(want) != len(got) {
+		t.Fatalf("plans cover %d vs %d nodes", len(got), len(want))
+	}
+	for path, w := range want {
+		if g := got[path]; g != w {
+			t.Errorf("%s: replica plan [%v, %v] vs cold [%v, %v]", path, g[0], g[1], w[0], w[1])
+		}
+	}
+}
+
 // TestMultiWriterFanIn submits concurrent batches from several writers
 // on disjoint leaves while eight subscribers follow along. The fan-out
 // arithmetic is exact: every subscriber applies one delta per accepted

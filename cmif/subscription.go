@@ -114,9 +114,12 @@ func (b *EditBatch) Records() ([]ChangeRecord, error) {
 	return b.recs, nil
 }
 
-// Apply re-executes the batch against a local document — the same code
-// path every subscriber replica runs. Useful for previewing a batch
-// before submitting it; apply to a Clone to keep the original intact.
+// Apply re-executes the batch against a local document, in place and all
+// or nothing — the same code path the server and every subscriber
+// replica run. A batch that fails at any record leaves d as it was and
+// names the record. Useful for previewing a batch before submitting it;
+// apply to a Clone to keep the original intact. It reports no broken
+// arcs: use the Document methods, or CheckArcs, for that.
 func (b *EditBatch) Apply(d *Document) error {
 	recs, err := b.Records()
 	if err != nil {
@@ -285,6 +288,10 @@ func (s *Subscription) Next(ctx context.Context) (*Plan, error) {
 			if err != nil {
 				return nil, fmt.Errorf("cmif: subscription %q: reschedule: %w", s.name, err)
 			}
+			// The plan has read the replica's change log; drop it, and the
+			// subtrees its remove records hold, so a long-lived replica
+			// does not grow with every edit it absorbs.
+			s.doc.doc.TrimChanges()
 			s.plan = plan
 			return s.plan, nil
 		case transport.SubEnd:
@@ -302,7 +309,9 @@ func (s *Subscription) Next(ctx context.Context) (*Plan, error) {
 
 // Document returns the replica at the generation Next last established.
 // The subscription owns it: treat it as read-only, and Clone before
-// editing.
+// editing. Next drops the replica's change log once its own plan has
+// read it, so a Plan of your own over the replica rebuilds on its next
+// Reschedule rather than patching.
 func (s *Subscription) Document() *Document { return s.doc }
 
 // Plan returns the replica's current plan.

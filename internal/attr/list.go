@@ -136,6 +136,11 @@ func (l List) Clone() List {
 	return List{pairs: pairs}
 }
 
+// Snapshot returns a copy of the bindings that later Set and Del calls on
+// l do not reach. The values are shared, not cloned: no List method
+// mutates a value in place.
+func (l List) Snapshot() List { return List{pairs: slices.Clone(l.pairs)} }
+
 // Equal reports deep equality including order.
 func (l List) Equal(o List) bool {
 	if len(l.pairs) != len(o.pairs) {

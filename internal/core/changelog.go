@@ -77,14 +77,39 @@ func (d *Document) NoteChange(c Change) { d.changes = append(d.changes, c) }
 func (d *Document) NoteGlobalChange() { d.NoteChange(Change{Kind: ChangeGlobal}) }
 
 // Generation identifies the document's edit state: it advances by one per
-// recorded change. Equal generations mean no recorded edits in between.
-func (d *Document) Generation() uint64 { return uint64(len(d.changes)) }
+// recorded change, trimmed or not. Equal generations mean no recorded
+// edits in between.
+func (d *Document) Generation() uint64 { return d.trimmed + uint64(len(d.changes)) }
 
 // ChangesSince returns the change records appended after generation gen.
-// The slice aliases the log; callers must not mutate it.
+// The slice aliases the log; callers must not mutate it. Records below
+// the trimmed point are gone, so a gen before it answers one ChangeGlobal:
+// a consumer that fell behind re-derives everything instead of missing
+// an edit.
 func (d *Document) ChangesSince(gen uint64) []Change {
-	if gen >= uint64(len(d.changes)) {
+	switch {
+	case gen < d.trimmed:
+		return []Change{{Kind: ChangeGlobal}}
+	case gen >= d.Generation():
 		return nil
 	}
-	return d.changes[gen:]
+	return d.changes[gen-d.trimmed:]
+}
+
+// TrimChanges drops every change record while keeping the generation. An
+// owner whose consumers have all read up to Generation() calls it, so the
+// log — and the detached subtrees its remove records hold — does not
+// grow with the edits a long-lived document absorbs.
+func (d *Document) TrimChanges() {
+	d.trimmed = d.Generation()
+	d.changes = nil
+}
+
+// CutChanges drops the records appended after generation gen, for an
+// applier taking back a batch it could not finish; gen is a generation
+// the document had since its last trim.
+func (d *Document) CutChanges(gen uint64) {
+	keep := int(gen - d.trimmed)
+	clear(d.changes[keep:])
+	d.changes = d.changes[:keep]
 }

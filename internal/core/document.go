@@ -18,6 +18,9 @@ type Document struct {
 	styles   *attr.StyleDict
 	channels *ChannelDict
 	changes  []Change
+	// trimmed is the generation of changes[0]: the records TrimChanges
+	// dropped.
+	trimmed uint64
 }
 
 // NewDocument wraps root, decoding its style and channel dictionaries.

@@ -226,3 +226,32 @@ func TestRefreshAfterEdit(t *testing.T) {
 		t.Errorf("Refresh did not re-decode: %d channels", d.Channels().Len())
 	}
 }
+
+// TestTrimAndCutChanges: a trim drops the records and keeps the
+// generation; ChangesSince below the trimmed point answers one
+// ChangeGlobal; a cut takes back the records after a generation.
+func TestTrimAndCutChanges(t *testing.T) {
+	d, err := NewDocument(NewSeq().Add(NewImm([]byte("a")).SetName("a")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := d.Root.Child(0)
+	d.NoteChange(Change{Kind: ChangeAttr, Node: a, Attr: "duration"})
+	gen := d.Generation()
+	d.TrimChanges()
+	if d.Generation() != gen || d.ChangesSince(gen) != nil {
+		t.Fatalf("a trim moved the generation %d -> %d or kept records", gen, d.Generation())
+	}
+	if got := d.ChangesSince(gen - 1); len(got) != 1 || got[0].Kind != ChangeGlobal {
+		t.Fatalf("ChangesSince below the trim = %v, want one global change", got)
+	}
+	d.NoteChange(Change{Kind: ChangeArcs, Node: a})
+	d.NoteChange(Change{Kind: ChangeRename, Node: a})
+	if got := d.ChangesSince(gen); len(got) != 2 || got[0].Kind != ChangeArcs || d.Generation() != gen+2 {
+		t.Fatalf("after the trim: generation %d, ChangesSince = %v", d.Generation(), got)
+	}
+	d.CutChanges(gen + 1)
+	if got := d.ChangesSince(gen); d.Generation() != gen+1 || len(got) != 1 || got[0].Kind != ChangeArcs {
+		t.Fatalf("after the cut: generation %d, ChangesSince = %v", d.Generation(), got)
+	}
+}

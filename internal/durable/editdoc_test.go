@@ -16,8 +16,8 @@ import (
 	"repro/internal/units"
 )
 
-// edited applies recs to a clone of d, as transport.Registry.EditDoc
-// does, and returns the new document with the batch's encoding.
+// edited applies recs to a clone of d and returns the document the batch
+// produces, with the batch's encoding.
 func edited(t testing.TB, d *core.Document, recs ...core.ChangeRecord) (*core.Document, []byte) {
 	t.Helper()
 	next := d.Clone()
@@ -193,7 +193,7 @@ func TestEditDocJournalsTheChange(t *testing.T) {
 		{edit.RecordDelete("/clip")},
 	} {
 		next, enc := edited(t, live, recs...)
-		if err := l.EditDoc("news", next, enc); err != nil {
+		if err := l.EditDoc("news", recs, enc, binaryOf(next)); err != nil {
 			t.Fatal(err)
 		}
 		live = next
@@ -224,8 +224,9 @@ func TestEditDocJournalsTheChange(t *testing.T) {
 		if err := l2.PutDoc("news", base, binaryOf(base)); err != nil {
 			t.Fatal(err)
 		}
-		next, enc := edited(t, base, setDuration(t, "/cap", 900))
-		if err := l2.EditDoc("news", next, enc); err != nil {
+		rec := setDuration(t, "/cap", 900)
+		next, enc := edited(t, base, rec)
+		if err := l2.EditDoc("news", []core.ChangeRecord{rec}, enc, binaryOf(next)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,14 +244,154 @@ func TestEditDocJournalsTheChange(t *testing.T) {
 	}
 }
 
+// TestRefusedEditLeavesTheLogsCopy: a batch that does not apply to the
+// log's copy, or whose record cannot be appended, is refused and leaves
+// that copy as it was — the log edits its own copy in place, so it must
+// take the batch back.
+func TestRefusedEditLeavesTheLogsCopy(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
+	base := testDoc(t, "news")
+	if err := l.PutDoc("news", base, binaryOf(base)); err != nil {
+		t.Fatal(err)
+	}
+	ok := setDuration(t, "/cap", 250)
+	live, enc := edited(t, base, ok)
+	if err := l.EditDoc("news", []core.ChangeRecord{ok}, enc, binaryOf(live)); err != nil {
+		t.Fatal(err)
+	}
+	want, records := docBytes(t, l.Doc("news")), l.Stats().Records
+
+	conflict := []core.ChangeRecord{insertLeaf(t, "late"), edit.RecordDelete("/ghost")}
+	if err := l.EditDoc("news", conflict, core.EncodeChangeRecords(conflict), binaryOf(live)); err == nil {
+		t.Fatal("a batch that does not apply was journaled")
+	}
+	if !bytes.Equal(docBytes(t, l.Doc("news")), want) || l.Stats().Records != records {
+		t.Fatal("a batch that does not apply changed the log")
+	}
+
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	more := []core.ChangeRecord{insertLeaf(t, "late")}
+	if err := l.EditDoc("news", more, core.EncodeChangeRecords(more), binaryOf(live)); err == nil {
+		t.Fatal("a closed log journaled an edit")
+	}
+	if !bytes.Equal(docBytes(t, l.Doc("news")), want) {
+		t.Fatal("an edit the log could not append changed its copy")
+	}
+}
+
+// TestLogEditsOnlyItsOwnCopy: the log edits a document in place only
+// while the copy is its own. A tree PutDoc hands over, or Doc hands out,
+// is copied before the next edit, so its holder's tree stays as it was.
+func TestLogEditsOnlyItsOwnCopy(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
+	defer l.Close()
+	var mirror *core.Document // what the log's copy should be
+	editNews := func(ms int64) {
+		t.Helper()
+		rec := setDuration(t, "/cap", ms)
+		var enc []byte
+		mirror, enc = edited(t, mirror, rec)
+		if err := l.EditDoc("news", []core.ChangeRecord{rec}, enc, binaryOf(mirror)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := testDoc(t, "news")
+	mirror = put.Clone()
+	putBytes := docBytes(t, put)
+	if err := l.PutDoc("news", put, binaryOf(put)); err != nil {
+		t.Fatal(err)
+	}
+	editNews(100)
+	held := l.Doc("news")
+	heldBytes := docBytes(t, held)
+	editNews(200) // the log owned its copy until Doc handed it out
+	again := testDoc(t, "news")
+	if err := l.PutDoc("news", again, binaryOf(again)); err != nil {
+		t.Fatal(err)
+	}
+	mirror = again.Clone()
+	editNews(300) // the log owned its copy until PutDoc replaced it
+	if !bytes.Equal(docBytes(t, l.Doc("news")), docBytes(t, mirror)) {
+		t.Fatal("the log's copy missed an edit")
+	}
+	for _, c := range []struct {
+		what      string
+		d         *core.Document
+		wantBytes []byte
+	}{{"put", put, putBytes}, {"handed out", held, heldBytes}, {"put again", again, putBytes}} {
+		if !bytes.Equal(docBytes(t, c.d), c.wantBytes) {
+			t.Errorf("an edit changed a tree the log %s", c.what)
+		}
+	}
+}
+
+// TestResyncRacesEdits: a resync frames a document outside the log's
+// lock, so the capture must stop the log from editing that copy in
+// place; under -race an edit racing the encode would be reported, and
+// every framed document must be one the edits produced.
+func TestResyncRacesEdits(t *testing.T) {
+	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, SnapshotBytes: -1})
+	defer l.Close()
+	prev := testDoc(t, "race")
+	if err := l.PutDoc("race", prev, binaryOf(prev)); err != nil {
+		t.Fatal(err)
+	}
+	const edits = 300
+	versions := map[string]bool{string(docBytes(t, prev)): true}
+	var batches [][]core.ChangeRecord
+	var chain []*core.Document
+	for i := 0; i < edits; i++ {
+		recs := []core.ChangeRecord{insertLeaf(t, fmt.Sprintf("n-%d", i))}
+		if i > 0 {
+			recs = append(recs, edit.RecordDelete(fmt.Sprintf("/n-%d", i-1)))
+		}
+		next, _ := edited(t, prev, recs...)
+		versions[string(docBytes(t, next))] = true
+		batches, chain = append(batches, recs), append(chain, next)
+		prev = next
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, recs := range batches {
+			if err := l.EditDoc("race", recs, core.EncodeChangeRecords(recs), binaryOf(chain[i])); err != nil {
+				t.Errorf("EditDoc: %v", err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		frames, _, err := l.ResyncChunk("", 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := DecodeFrames(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 || recs[0].Op != RecPutDoc || !versions[string(recs[0].Fields[1])] {
+			t.Fatal("a resync framed a document no edit produced")
+		}
+	}
+}
+
 // TestEditDocOfUnknownNameJournalsWhole: an edit of a name the log holds
 // no document for is journaled as a put, so the WAL never holds an edit
 // recovery cannot apply.
 func TestEditDocOfUnknownNameJournalsWhole(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{Sync: SyncNever})
-	d, enc := edited(t, testDoc(t, "fresh"), setDuration(t, "/cap", 300))
-	if err := l.EditDoc("fresh", d, enc); err != nil {
+	rec := setDuration(t, "/cap", 300)
+	d, enc := edited(t, testDoc(t, "fresh"), rec)
+	if err := l.EditDoc("fresh", []core.ChangeRecord{rec}, enc, binaryOf(d)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -273,9 +414,10 @@ func TestEditDocFormatCompat(t *testing.T) {
 	live := testDoc(t, "news")
 	var states []*core.Document
 	var encs [][]byte
-	for _, rec := range []core.ChangeRecord{
+	recs := []core.ChangeRecord{
 		setDuration(t, "/cap", 250), insertLeaf(t, "late"), edit.RecordDelete("/clip"),
-	} {
+	}
+	for _, rec := range recs {
 		var enc []byte
 		live, enc = edited(t, live, rec)
 		states, encs = append(states, live), append(encs, enc)
@@ -295,8 +437,9 @@ func TestEditDocFormatCompat(t *testing.T) {
 			t.Fatal("earlier-format directory recovered a different document")
 		}
 		l, st := mustOpen(t, dir, Options{Sync: SyncNever})
-		next, enc := edited(t, st.Docs["news"], insertLeaf(t, "later"))
-		if err := l.EditDoc("news", next, enc); err != nil {
+		rec := insertLeaf(t, "later")
+		next, enc := edited(t, st.Docs["news"], rec)
+		if err := l.EditDoc("news", []core.ChangeRecord{rec}, enc, binaryOf(next)); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -312,7 +455,7 @@ func TestEditDocFormatCompat(t *testing.T) {
 		l, st := mustOpen(t, dir, Options{Sync: SyncNever})
 		populate(t, l, st) // blocks, names, descriptors and the base document
 		for i, d := range states {
-			if err := l.EditDoc("news", d, encs[i]); err != nil {
+			if err := l.EditDoc("news", recs[i:i+1], encs[i], binaryOf(d)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -344,8 +487,9 @@ func TestResyncAndAppendFramesSeeEditedDocs(t *testing.T) {
 	if err := l.PutDoc("news", base, binaryOf(base)); err != nil {
 		t.Fatal(err)
 	}
-	live, enc := edited(t, base, insertLeaf(t, "late"))
-	if err := l.EditDoc("news", live, enc); err != nil {
+	rec := insertLeaf(t, "late")
+	live, enc := edited(t, base, rec)
+	if err := l.EditDoc("news", []core.ChangeRecord{rec}, enc, binaryOf(live)); err != nil {
 		t.Fatal(err)
 	}
 	frames, next, err := l.ResyncChunk("", 1<<20)
@@ -388,6 +532,7 @@ func TestSnapshotRacesEdits(t *testing.T) {
 	}
 	const writers, edits = 4, 1000
 	chains := make([][]*core.Document, writers)
+	batches := make([][][]core.ChangeRecord, writers)
 	encs := make([][][]byte, writers)
 	for w := range chains {
 		prev := testDoc(t, "race")
@@ -401,6 +546,7 @@ func TestSnapshotRacesEdits(t *testing.T) {
 			}
 			next, enc := edited(t, prev, recs...)
 			chains[w], encs[w] = append(chains[w], next), append(encs[w], enc)
+			batches[w] = append(batches[w], recs)
 			prev = next
 		}
 	}
@@ -429,7 +575,7 @@ func TestSnapshotRacesEdits(t *testing.T) {
 		go func(w int) {
 			defer editors.Done()
 			for i, d := range chains[w] {
-				if err := l.EditDoc(fmt.Sprintf("race-%d", w), d, encs[w][i]); err != nil {
+				if err := l.EditDoc(fmt.Sprintf("race-%d", w), batches[w][i], encs[w][i], binaryOf(d)); err != nil {
 					t.Errorf("EditDoc: %v", err)
 					return
 				}

@@ -443,26 +443,69 @@ func (l *Log) PutDoc(name string, d *core.Document, binary func() ([]byte, error
 }
 
 // EditDoc records an accepted edit batch (transport.Journal): recs is the
-// batch in core.EncodeChangeRecords form and d the document it produced,
-// kept as the live state under PutDoc's rule. The document's binary goes
-// stale; the next snapshot encodes d and writes it whole. A name the log
-// holds no document for journals d whole instead, so replay never meets
-// an edit without its base.
-func (l *Log) EditDoc(name string, d *core.Document, recs []byte) error {
+// batch and enc its core.EncodeChangeRecords form. The log applies recs
+// to its own copy of the document, through the step recovery runs, so its
+// live state is what replay of its records rebuilds; a copy that was
+// shared since the log last edited it — handed over by PutDoc or Doc,
+// captured by a snapshot or a resync — is copied once first. A batch that
+// does not apply, or whose record cannot be appended, leaves the state as
+// it was and is refused. The document's binary goes stale; the next
+// snapshot encodes the copy and writes it whole. A name the log holds no
+// document for journals binary's document whole instead, so replay never
+// meets an edit without its base.
+func (l *Log) EditDoc(name string, recs []core.ChangeRecord, enc []byte, binary func() ([]byte, error)) error {
 	l.mu.Lock()
 	if _, ok := l.st.Docs[name]; !ok {
 		l.mu.Unlock()
-		return l.PutDoc(name, d, func() ([]byte, error) { return codec.EncodeBinary(d) })
+		return l.putEdited(name, binary)
 	}
-	return l.appendDocAndUnlock(name, d, nil, recEditDoc, []byte(name), recs)
+	if !l.st.owned[name] {
+		l.st.Docs[name] = l.st.Docs[name].Clone()
+		l.st.owned[name] = true
+	}
+	undo, err := l.st.editDoc(name, recs)
+	if err != nil {
+		l.mu.Unlock()
+		return err
+	}
+	snapDue, err := l.appendLocked(recEditDoc, []byte(name), enc)
+	if err != nil {
+		undo()
+	} else {
+		l.st.Docs[name].TrimChanges()
+	}
+	l.mu.Unlock()
+	if snapDue {
+		l.snapshotAsync()
+	}
+	return err
+}
+
+// putEdited journals an edited document the log holds no base for whole,
+// keeping a decoded copy of binary's encoding as the live state.
+func (l *Log) putEdited(name string, binary func() ([]byte, error)) error {
+	data, err := binary()
+	var d *core.Document
+	if err == nil {
+		d, err = codec.DecodeBinary(data)
+	}
+	if err != nil {
+		l.mu.Lock()
+		l.fail(fmt.Errorf("durable: document %q: %w", name, err))
+		l.mu.Unlock()
+		return err
+	}
+	return l.PutDoc(name, d, func() ([]byte, error) { return data, nil })
 }
 
 // Doc returns the live document registered under name, nil if none. A
 // cluster node's registry adopts the documents AppendRecords decoded
-// through it, so a replicated put is decoded once.
+// through it, so a replicated put is decoded once; the log treats the
+// returned document as shared.
 func (l *Log) Doc(name string) *core.Document {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	delete(l.st.owned, name)
 	return l.st.Docs[name]
 }
 
@@ -553,9 +596,11 @@ func (l *Log) snapshot() error {
 	// the counter is settled only once the snapshot lands, so a failed
 	// write leaves the live-WAL accounting (and the auto-trigger) intact.
 	covered := l.walBytes
-	// The captured documents are immutable, so the stale ones encode
-	// outside the lock and still hold the state the roll covers.
+	// The captured documents are shared from here on — the log's next
+	// edit of each copies it — so the stale ones encode outside the lock
+	// and still hold the state the roll covers.
 	st := &State{Store: l.st.Store, Docs: maps.Clone(l.st.Docs), binary: maps.Clone(l.st.binary)}
+	clear(l.st.owned)
 	l.mu.Unlock()
 
 	size, err := writeSnapshot(l.dir, cover, st)

@@ -257,6 +257,7 @@ func (l *Log) resyncFrame(phase, key string) ([]byte, error) {
 		l.mu.Lock()
 		d, ok := l.st.Docs[key]
 		data := l.st.binary[key]
+		delete(l.st.owned, key) // d may encode outside the lock
 		l.mu.Unlock()
 		if !ok {
 			return nil, nil

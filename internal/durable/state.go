@@ -27,6 +27,13 @@ type State struct {
 	// was encoded, and Docs holds the current version.
 	binary map[string][]byte
 
+	// owned marks the documents the live log copied for itself and has
+	// not shared since: Log.EditDoc edits those in place and copies any
+	// other first. Replay edits in place regardless — nobody holds its
+	// documents until recovery returns, with none of them owned. setDoc,
+	// a snapshot or resync capture and Log.Doc drop the mark.
+	owned map[string]bool
+
 	// descMemo caches descriptor parses by their text during one
 	// recovery: a corpus of same-shaped blocks repeats a handful of
 	// descriptor texts thousands of times, and re-parsing each one
@@ -51,6 +58,7 @@ func newState() *State {
 		Store:    media.NewStore(),
 		Docs:     make(map[string]*core.Document),
 		binary:   make(map[string][]byte),
+		owned:    make(map[string]bool),
 		descMemo: make(map[string]attr.List),
 	}
 }
@@ -195,17 +203,16 @@ func (st *State) apply(m mutation) error {
 	case recPutDoc:
 		st.setDoc(m.key, m.doc, m.data)
 	case recEditDoc:
-		d, ok := st.Docs[m.key]
-		if !ok {
-			return fmt.Errorf("editdoc %q: no such document", m.key)
+		if _, err := st.editDoc(m.key, m.edits); err != nil {
+			return err
 		}
-		if err := edit.Apply(d, m.edits); err != nil { // in place: replay owns its documents
-			return fmt.Errorf("editdoc %q: %w", m.key, err)
-		}
-		st.binary[m.key] = nil
+		// Nothing schedules the state's documents: the applied records'
+		// change log, and the removed subtrees it holds, can go.
+		st.Docs[m.key].TrimChanges()
 	case recDelDoc: // retired, but replay still honours it
 		delete(st.Docs, m.key)
 		delete(st.binary, m.key)
+		delete(st.owned, m.key)
 	case recPutBlk, recPutBlkC:
 		st.Store.PutReplayed(m.block, m.register)
 	case recDelBlk:
@@ -247,15 +254,33 @@ func (st *State) holds(m mutation) bool {
 	return false
 }
 
-// setDoc registers d under name with its binary (nil: stale).
+// editDoc applies an edit batch to name's document in place, all or
+// nothing, and marks its binary stale. The returned undo takes the batch
+// back; the binary stays stale, which costs at most a re-encode.
+func (st *State) editDoc(name string, recs []core.ChangeRecord) (undo func(), err error) {
+	d, ok := st.Docs[name]
+	if !ok {
+		return nil, fmt.Errorf("editdoc %q: no such document", name)
+	}
+	if undo, err = edit.ApplyUndo(d, recs); err != nil {
+		return nil, fmt.Errorf("editdoc %q: %w", name, err)
+	}
+	st.binary[name] = nil
+	return undo, nil
+}
+
+// setDoc registers d under name with its binary (nil: stale). d is shared
+// with whoever handed it over.
 func (st *State) setDoc(name string, d *core.Document, data []byte) {
 	st.Docs[name], st.binary[name] = d, data
+	delete(st.owned, name)
 }
 
 // encodedDoc returns the binary of name's document d: data while it is
-// current, d's fresh encoding once it is stale. Documents are immutable
-// once live, so a caller may read the pair under the log's lock and
-// encode after releasing it.
+// current, d's fresh encoding once it is stale. A caller may read the pair
+// under the log's lock and encode after releasing it if it drops the
+// log's ownership of d there (see State.owned): the log never edits a
+// shared document in place.
 func encodedDoc(name string, d *core.Document, data []byte) ([]byte, error) {
 	if data != nil {
 		return data, nil

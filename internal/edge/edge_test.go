@@ -151,3 +151,121 @@ func TestGetDocNeverServesStale(t *testing.T) {
 	}
 	check("submitedit", bin(edited))
 }
+
+// TestGenerationRule pins the rule origins, edges and subscribers of every
+// release count generations by: a batch of k records moves a document
+// from generation g to g + k + 1, at the origin and on an edge lease
+// replica that follows it, whichever ops the batch holds; a wholesale put
+// restarts the count at zero.
+func TestGenerationRule(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	root := core.NewPar().SetName("news")
+	root.Add(
+		core.NewExt().SetName("intro").
+			SetAttr("file", attr.String("anchor.vid")).
+			SetAttr("duration", attr.Quantity(units.MS(500))),
+		core.NewImm([]byte("Story 3")).SetName("label").
+			SetAttr("duration", attr.Quantity(units.MS(800))),
+		core.NewSeq().SetName("more"),
+	)
+	d, err := core.NewDocument(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := transport.NewRegistry(nil)
+	reg.PutDoc("news", d)
+	origin := transport.NewServer(reg)
+	originAddr, err := origin.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer origin.Close()
+	e, err := New(Config{Origin: originAddr, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeAddr, err := e.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	oc, err := transport.Dial(originAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oc.Close()
+	ec, err := transport.Dial(edgeAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+	sub, err := ec.SubscribeDoc(ctx, "news") // leases the document at the edge
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if sub.Gen != 0 {
+		t.Fatalf("a fresh registration is at generation %d through the edge, want 0", sub.Gen)
+	}
+
+	setDur := func(path string, ms int64) core.ChangeRecord {
+		rec, err := edit.RecordSetAttr(path, "duration", attr.Quantity(units.MS(ms)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	insert := func(name string) core.ChangeRecord {
+		rec, err := edit.RecordInsert("/more", 0, core.NewImm([]byte(name)).SetName(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	var gen uint64
+	for _, batch := range [][]core.ChangeRecord{
+		{setDur("/intro", 600)},
+		{setDur("/intro", 700), setDur("/label", 900)},
+		{insert("a"), edit.RecordRename("/more/a", "b"), edit.RecordMove("/more/b", "/", 0)},
+		{edit.RecordDelete("/b"), setDur("/label", 1000), insert("c"), edit.RecordRemoveArc("/label", 0)},
+	} {
+		want := gen + uint64(len(batch)) + 1
+		got, err := oc.SubmitEdit(ctx, "news", batch)
+		if len(batch) == 4 {
+			// The last record fails: nothing applies, nothing advances.
+			if err == nil {
+				t.Fatal("a batch whose last record fails was accepted")
+			}
+			if g := reg.Generation("news"); g != gen {
+				t.Fatalf("a refused batch moved the origin's generation %d -> %d", gen, g)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("a batch of %d records moved the origin from generation %d to %d, want %d", len(batch), gen, got, want)
+		}
+		ev, err := sub.Recv(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind != transport.SubDelta || ev.FromGen != gen || ev.Gen != want {
+			t.Fatalf("the edge delivered %+v, want a delta %d -> %d", ev, gen, want)
+		}
+		if g := e.Registry.Generation("news"); g != want {
+			t.Fatalf("the edge replica is at generation %d, want %d", g, want)
+		}
+		gen = want
+	}
+	d2, err := core.NewDocument(core.NewPar().SetName("news"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.PutDoc("news", d2)
+	if g := reg.Generation("news"); g != 0 {
+		t.Fatalf("a wholesale put left the origin at generation %d, want 0", g)
+	}
+}

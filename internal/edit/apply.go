@@ -10,13 +10,14 @@ import (
 
 // Change-record construction and re-execution. A core.ChangeRecord is the
 // wire form of one edit; this file is the single bridge between records
-// and the path-addressed edit operations above: writers build records
-// with the Record* constructors, and every receiver — the authoritative
-// server copy and each subscriber replica — re-executes them through
-// Apply. Because both sides run the identical code, a replica that
-// applies the pushed records of an edit stream is structurally identical
-// to the source document, and its own change log advances by the same
-// entries, which is what lets incremental rescheduling run on replicas.
+// and the path-addressed edit operations: writers build records with the
+// Record* constructors, and every receiver — the authoritative server
+// copy, the durable log's copy and each subscriber replica — re-executes
+// them through Apply. Because every receiver runs the identical code, a
+// replica that applies the pushed records of an edit stream is
+// structurally identical to the source document, and its own change log
+// advances by the same entries, which is what lets incremental
+// rescheduling run on replicas.
 
 // RecordSetAttr builds the record for SetAttr(path, name, v).
 func RecordSetAttr(path, name string, v attr.Value) (core.ChangeRecord, error) {
@@ -66,29 +67,105 @@ func RecordRename(path, newName string) core.ChangeRecord {
 	return core.ChangeRecord{Op: core.OpRename, Path: path, Name: newName}
 }
 
-// Apply re-executes an ordered edit batch against d. It stops at the
-// first record that fails — an unresolvable path, a malformed payload, a
-// structural rejection — and reports which record failed; records before
-// it have already mutated d. Callers needing atomicity apply to a clone
-// and swap on success (transport.Registry.EditDoc does exactly that).
+// Apply re-executes an ordered edit batch against d, in place and all or
+// nothing: at the first record that fails — an unresolvable path, a
+// malformed payload, a structural rejection — the records before it are
+// taken back, and d, its Generation() and its ChangesSince are as they
+// were; the error names the failed record. It runs no arc check — no
+// caller on the record path reads a broken-arc report — so a record costs
+// what it touches, except that a move or rename rewrites every arc.
 func Apply(d *core.Document, recs []core.ChangeRecord) error {
+	var u undoLog
+	return u.apply(d, recs)
+}
+
+// ApplyUndo is Apply that also returns the applied batch's undo, for a
+// caller that must still be able to refuse the batch — a registry whose
+// journal rejects it. Calling undo before any other change to d restores
+// d, its generation and its change log to what they were.
+func ApplyUndo(d *core.Document, recs []core.ChangeRecord) (undo func(), err error) {
+	u := new(undoLog)
+	if err := u.apply(d, recs); err != nil {
+		return nil, err
+	}
+	return u.undo, nil
+}
+
+// undoLog is what taking a batch back needs: a step per mutation, saved
+// before it, and the generation the change log is cut back to. The
+// reporting ops, which never take an edit back, pass a nil log, which
+// records nothing.
+type undoLog struct {
+	d     *core.Document
+	gen   uint64
+	steps []undoStep
+}
+
+// undoStep restores one node: its attribute list, or (place) its position
+// — under parent at index, or detached when parent is nil.
+type undoStep struct {
+	node   *core.Node
+	place  bool
+	attrs  attr.List
+	parent *core.Node
+	index  int
+}
+
+// apply runs the batch, taking back what it applied at the first record
+// that fails.
+func (u *undoLog) apply(d *core.Document, recs []core.ChangeRecord) error {
+	u.d, u.gen = d, d.Generation()
 	for i, rec := range recs {
-		if err := applyOne(d, rec); err != nil {
+		if err := applyOne(d, rec, u); err != nil {
+			u.undo()
 			return fmt.Errorf("edit: record %d (%v): %w", i, rec.Op, err)
 		}
 	}
 	return nil
 }
 
+// saveAttrs records n's attribute list before a mutation changes it.
+func (u *undoLog) saveAttrs(n *core.Node) {
+	if u != nil {
+		u.steps = append(u.steps, undoStep{node: n, attrs: n.Attrs.Snapshot()})
+	}
+}
+
+// savePlace records n's position before a mutation moves it.
+func (u *undoLog) savePlace(n *core.Node) {
+	if u != nil {
+		u.steps = append(u.steps, undoStep{node: n, place: true, parent: n.Parent(), index: n.Index()})
+	}
+}
+
+// undo reverts the steps newest first and cuts the change log back.
+func (u *undoLog) undo() {
+	for i := len(u.steps) - 1; i >= 0; i-- {
+		s := &u.steps[i]
+		if !s.place {
+			s.node.Attrs = s.attrs
+			continue
+		}
+		if p := s.node.Parent(); p != nil {
+			p.RemoveChild(s.node.Index())
+		}
+		if s.parent != nil {
+			s.parent.InsertChild(s.index, s.node)
+		}
+	}
+	u.steps = nil
+	u.d.CutChanges(u.gen)
+}
+
 // applyOne dispatches one record to its edit operation.
-func applyOne(d *core.Document, rec core.ChangeRecord) error {
+func applyOne(d *core.Document, rec core.ChangeRecord, u *undoLog) error {
 	switch rec.Op {
 	case core.OpSetAttr:
 		v, err := codec.DecodeBinaryValue(rec.Payload)
 		if err != nil {
 			return err
 		}
-		return SetAttr(d, rec.Path, rec.Name, v)
+		return setAttr(d, rec.Path, rec.Name, v, u)
 	case core.OpAddArc:
 		v, err := codec.DecodeBinaryValue(rec.Payload)
 		if err != nil {
@@ -98,24 +175,22 @@ func applyOne(d *core.Document, rec core.ChangeRecord) error {
 		if err != nil {
 			return err
 		}
-		return AddArc(d, rec.Path, a)
+		return addArc(d, rec.Path, a, u)
 	case core.OpRemoveArc:
-		return RemoveArc(d, rec.Path, rec.Index)
+		return removeArc(d, rec.Path, rec.Index, u)
 	case core.OpInsert:
 		child, err := codec.DecodeBinaryNode(rec.Payload)
 		if err != nil {
 			return err
 		}
-		_, err = InsertNode(d, rec.Dest, rec.Index, child)
-		return err
+		return insertNode(d, rec.Dest, rec.Index, child, u)
 	case core.OpRemove:
-		_, err := DeleteNode(d, rec.Path)
-		return err
+		return deleteNode(d, rec.Path, u)
 	case core.OpMove:
-		_, err := MoveNode(d, rec.Path, rec.Dest, rec.Index)
+		_, err := moveNode(d, rec.Path, rec.Dest, rec.Index, u)
 		return err
 	case core.OpRename:
-		_, err := RenameNode(d, rec.Path, rec.Name)
+		_, err := renameNode(d, rec.Path, rec.Name, u)
 		return err
 	default:
 		return fmt.Errorf("unknown edit op %d", byte(rec.Op))

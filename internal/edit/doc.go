@@ -6,7 +6,9 @@
 // "provide a means for a reader to 'view' or (possibly) edit a document".
 //
 // Arcs reference nodes by relative path, so structural edits can silently
-// break them. Every operation here runs an arc-integrity check afterwards
-// and reports the arcs it severed; MoveNode additionally rewrites arc paths
-// it can repair automatically.
+// break them. The interactive operations (InsertNode, DeleteNode,
+// MoveNode, RenameNode) run an arc-integrity check and report the arcs
+// they severed; MoveNode and RenameNode also rewrite the arc paths they can
+// repair. Apply, the record path every server, log and replica runs, makes
+// the same edits without the checks: nothing reads their report there.
 package edit

@@ -63,43 +63,58 @@ type Result struct {
 // or to the removed subtree are severed; arcs carried inside it vanish with
 // it. The severed arcs are reported so an interactive tool can warn.
 func DeleteNode(d *core.Document, path string) (*Result, error) {
-	n, err := d.Root.Resolve(path)
-	if err != nil {
+	before := CheckArcs(d)
+	if err := deleteNode(d, path, nil); err != nil {
 		return nil, err
 	}
-	if n.IsRoot() {
-		return nil, fmt.Errorf("edit: cannot delete the root")
+	return &Result{Broken: newlyBroken(before, CheckArcs(d))}, nil
+}
+
+func deleteNode(d *core.Document, path string, u *undoLog) error {
+	n, err := d.Root.Resolve(path)
+	if err != nil {
+		return err
 	}
-	before := CheckArcs(d)
+	if n.IsRoot() {
+		return fmt.Errorf("edit: cannot delete the root")
+	}
 	parent := n.Parent()
+	u.savePlace(n)
 	parent.RemoveChild(n.Index())
 	d.NoteChange(core.Change{Kind: core.ChangeRemove, Node: n, Parent: parent})
-	res := &Result{Broken: newlyBroken(before, CheckArcs(d))}
-	return res, nil
+	return nil
 }
 
 // InsertNode places child under the composite node at parentPath, at
-// position index (clamped).
+// position index (clamped), and reports the arcs the insert severed.
 func InsertNode(d *core.Document, parentPath string, index int, child *core.Node) (*Result, error) {
-	parent, err := d.Root.Resolve(parentPath)
-	if err != nil {
+	before := CheckArcs(d)
+	if err := insertNode(d, parentPath, index, child, nil); err != nil {
 		return nil, err
 	}
+	return &Result{Broken: newlyBroken(before, CheckArcs(d))}, nil
+}
+
+func insertNode(d *core.Document, parentPath string, index int, child *core.Node, u *undoLog) error {
+	parent, err := d.Root.Resolve(parentPath)
+	if err != nil {
+		return err
+	}
 	if parent.Type.IsLeaf() {
-		return nil, fmt.Errorf("edit: %s is a %v leaf", parent.PathString(), parent.Type)
+		return fmt.Errorf("edit: %s is a %v leaf", parent.PathString(), parent.Type)
 	}
 	if name := child.Name(); name != "" {
 		for _, sib := range parent.Children() {
 			if sib.Name() == name {
-				return nil, fmt.Errorf("edit: %s already has a child named %q",
+				return fmt.Errorf("edit: %s already has a child named %q",
 					parent.PathString(), name)
 			}
 		}
 	}
-	before := CheckArcs(d)
+	u.savePlace(child)
 	parent.InsertChild(index, child)
 	d.NoteChange(core.Change{Kind: core.ChangeInsert, Node: child, Parent: parent})
-	return &Result{Broken: newlyBroken(before, CheckArcs(d))}, nil
+	return nil
 }
 
 // MoveNode detaches the subtree at fromPath and re-attaches it under the
@@ -107,168 +122,135 @@ func InsertNode(d *core.Document, parentPath string, index int, child *core.Node
 // inside or outside the moved subtree are rewritten to the new relative
 // paths where possible; arcs that cannot be rewritten are reported broken.
 func MoveNode(d *core.Document, fromPath, toParentPath string, index int) (*Result, error) {
-	n, err := d.Root.Resolve(fromPath)
+	rewritten, err := moveNode(d, fromPath, toParentPath, index, nil)
 	if err != nil {
 		return nil, err
 	}
+	return &Result{Rewritten: rewritten, Broken: CheckArcs(d)}, nil
+}
+
+func moveNode(d *core.Document, fromPath, toParentPath string, index int, u *undoLog) (int, error) {
+	n, err := d.Root.Resolve(fromPath)
+	if err != nil {
+		return 0, err
+	}
 	if n.IsRoot() {
-		return nil, fmt.Errorf("edit: cannot move the root")
+		return 0, fmt.Errorf("edit: cannot move the root")
 	}
 	newParent, err := d.Root.Resolve(toParentPath)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if newParent.Type.IsLeaf() {
-		return nil, fmt.Errorf("edit: %s is a %v leaf", newParent.PathString(), newParent.Type)
+		return 0, fmt.Errorf("edit: %s is a %v leaf", newParent.PathString(), newParent.Type)
 	}
 	// Reject moving a node into its own subtree.
 	for p := newParent; p != nil; p = p.Parent() {
 		if p == n {
-			return nil, fmt.Errorf("edit: cannot move %s into its own subtree", fromPath)
+			return 0, fmt.Errorf("edit: cannot move %s into its own subtree", fromPath)
 		}
 	}
 	if name := n.Name(); name != "" {
 		for _, sib := range newParent.Children() {
 			if sib != n && sib.Name() == name {
-				return nil, fmt.Errorf("edit: %s already has a child named %q",
+				return 0, fmt.Errorf("edit: %s already has a child named %q",
 					newParent.PathString(), name)
 			}
 		}
 	}
-
-	// Record resolved endpoint *nodes* of every arc before the move; the
-	// nodes survive the move even though their paths change.
-	type arcRecord struct {
-		carrier          *core.Node
-		arc              core.SyncArc
-		srcNode, dstNode *core.Node
-		resolved         bool
-	}
-	var records []arcRecord
-	var carriersInOrder []*core.Node
-	seenCarrier := map[*core.Node]bool{}
-	d.Root.Walk(func(m *core.Node) bool {
-		arcs, err := m.Arcs()
-		if err != nil || len(arcs) == 0 {
-			return true
-		}
-		if !seenCarrier[m] {
-			seenCarrier[m] = true
-			carriersInOrder = append(carriersInOrder, m)
-		}
-		for _, a := range arcs {
-			rec := arcRecord{carrier: m, arc: a}
-			if src, dst, err := m.ResolveArc(a); err == nil {
-				rec.srcNode, rec.dstNode, rec.resolved = src, dst, true
-			}
-			records = append(records, rec)
-		}
-		return true
-	})
-
-	oldParent := n.Parent()
-	oldParent.RemoveChild(n.Index())
-	newParent.InsertChild(index, n)
-	d.NoteChange(core.Change{Kind: core.ChangeMove, Node: n, Parent: newParent, OldParent: oldParent})
-
-	// Rewrite arcs: recompute relative paths from each carrier to the
-	// recorded endpoint nodes.
-	res := &Result{}
-	rewrittenByCarrier := map[*core.Node][]core.SyncArc{}
-	for _, rec := range records {
-		a := rec.arc
-		if rec.resolved {
-			newSrc := relativePath(rec.carrier, rec.srcNode)
-			newDst := relativePath(rec.carrier, rec.dstNode)
-			if newSrc != a.Source || newDst != a.Dest {
-				a.Source, a.Dest = newSrc, newDst
-				res.Rewritten++
-			}
-		}
-		rewrittenByCarrier[rec.carrier] = append(rewrittenByCarrier[rec.carrier], a)
-	}
-	for _, carrier := range carriersInOrder {
-		carrier.Attrs.Del("syncarcs")
-		for _, a := range rewrittenByCarrier[carrier] {
-			carrier.AddArc(a)
-		}
-	}
-	res.Broken = CheckArcs(d)
-	return res, nil
+	return keepArcsResolving(d, u, func() {
+		oldParent := n.Parent()
+		u.savePlace(n)
+		oldParent.RemoveChild(n.Index())
+		newParent.InsertChild(index, n)
+		d.NoteChange(core.Change{Kind: core.ChangeMove, Node: n, Parent: newParent, OldParent: oldParent})
+	}), nil
 }
 
 // RenameNode changes a node's name and rewrites every arc path that
 // referenced it (or passed through it) so the document's arcs keep
 // resolving to the same nodes.
 func RenameNode(d *core.Document, path, newName string) (*Result, error) {
-	n, err := d.Root.Resolve(path)
+	rewritten, err := renameNode(d, path, newName, nil)
 	if err != nil {
 		return nil, err
 	}
+	return &Result{Rewritten: rewritten, Broken: CheckArcs(d)}, nil
+}
+
+func renameNode(d *core.Document, path, newName string, u *undoLog) (int, error) {
+	n, err := d.Root.Resolve(path)
+	if err != nil {
+		return 0, err
+	}
 	if newName == "" {
-		return nil, fmt.Errorf("edit: empty name")
+		return 0, fmt.Errorf("edit: empty name")
 	}
 	if p := n.Parent(); p != nil {
 		for _, sib := range p.Children() {
 			if sib != n && sib.Name() == newName {
-				return nil, fmt.Errorf("edit: sibling already named %q", newName)
+				return 0, fmt.Errorf("edit: sibling already named %q", newName)
 			}
 		}
 	}
-	// Record absolute endpoints, rename, then rewrite like MoveNode.
-	type rec struct {
-		carrier          *core.Node
-		arc              core.SyncArc
-		srcNode, dstNode *core.Node
-		ok               bool
+	return keepArcsResolving(d, u, func() {
+		u.saveAttrs(n)
+		n.SetName(newName)
+		d.NoteChange(core.Change{Kind: core.ChangeRename, Node: n})
+	}), nil
+}
+
+// keepArcsResolving runs change, a move or rename that shifts relative
+// paths, and then rewrites every arc in the document so it resolves to
+// the nodes it resolved to before. It records each arc's endpoint *nodes*
+// first — they survive the change even though their paths do not — and
+// reports how many arcs it rewrote. Arcs that did not resolve before are
+// kept as they were.
+func keepArcsResolving(d *core.Document, u *undoLog, change func()) int {
+	type endpoints struct {
+		arc      core.SyncArc
+		src, dst *core.Node // nil: the arc did not resolve
 	}
-	var records []rec
-	var carriers []*core.Node
-	seen := map[*core.Node]bool{}
+	type carrier struct {
+		node *core.Node
+		arcs []endpoints
+	}
+	var carriers []carrier
 	d.Root.Walk(func(m *core.Node) bool {
 		arcs, err := m.Arcs()
 		if err != nil || len(arcs) == 0 {
 			return true
 		}
-		if !seen[m] {
-			seen[m] = true
-			carriers = append(carriers, m)
-		}
-		for _, a := range arcs {
-			r := rec{carrier: m, arc: a}
+		c := carrier{node: m, arcs: make([]endpoints, len(arcs))}
+		for i, a := range arcs {
+			c.arcs[i].arc = a
 			if src, dst, err := m.ResolveArc(a); err == nil {
-				r.srcNode, r.dstNode, r.ok = src, dst, true
+				c.arcs[i].src, c.arcs[i].dst = src, dst
 			}
-			records = append(records, r)
 		}
+		carriers = append(carriers, c)
 		return true
 	})
 
-	n.SetName(newName)
-	d.NoteChange(core.Change{Kind: core.ChangeRename, Node: n})
+	change()
 
-	res := &Result{}
-	byCarrier := map[*core.Node][]core.SyncArc{}
-	for _, r := range records {
-		a := r.arc
-		if r.ok {
-			newSrc := relativePath(r.carrier, r.srcNode)
-			newDst := relativePath(r.carrier, r.dstNode)
-			if newSrc != a.Source || newDst != a.Dest {
-				a.Source, a.Dest = newSrc, newDst
-				res.Rewritten++
+	rewritten := 0
+	for _, c := range carriers {
+		u.saveAttrs(c.node)
+		c.node.Attrs.Del("syncarcs")
+		for _, e := range c.arcs {
+			a := e.arc
+			if e.src != nil {
+				src, dst := relativePath(c.node, e.src), relativePath(c.node, e.dst)
+				if src != a.Source || dst != a.Dest {
+					a.Source, a.Dest = src, dst
+					rewritten++
+				}
 			}
-		}
-		byCarrier[r.carrier] = append(byCarrier[r.carrier], a)
-	}
-	for _, carrier := range carriers {
-		carrier.Attrs.Del("syncarcs")
-		for _, a := range byCarrier[carrier] {
-			carrier.AddArc(a)
+			c.node.AddArc(a)
 		}
 	}
-	res.Broken = CheckArcs(d)
-	return res, nil
+	return rewritten
 }
 
 // SetAttr assigns an attribute on the node at path and records the change
@@ -276,6 +258,10 @@ func RenameNode(d *core.Document, path, newName string) (*Result, error) {
 // RenameNode and arcs through AddArc/RemoveArc, which keep arc paths
 // resolving.
 func SetAttr(d *core.Document, path, name string, v attr.Value) error {
+	return setAttr(d, path, name, v, nil)
+}
+
+func setAttr(d *core.Document, path, name string, v attr.Value, u *undoLog) error {
 	n, err := d.Root.Resolve(path)
 	if err != nil {
 		return err
@@ -296,6 +282,7 @@ func SetAttr(d *core.Document, path, name string, v attr.Value) error {
 		// to a text client, nor recovered from its binary snapshot.
 		return fmt.Errorf("edit: %w", err)
 	}
+	u.saveAttrs(n)
 	n.Attrs.Set(name, v)
 	d.NoteChange(core.Change{Kind: core.ChangeAttr, Node: n, Attr: name})
 	return nil
@@ -304,6 +291,10 @@ func SetAttr(d *core.Document, path, name string, v attr.Value) error {
 // AddArc appends an explicit synchronization arc to the node at path. The
 // arc must resolve from that node.
 func AddArc(d *core.Document, path string, a core.SyncArc) error {
+	return addArc(d, path, a, nil)
+}
+
+func addArc(d *core.Document, path string, a core.SyncArc, u *undoLog) error {
 	n, err := d.Root.Resolve(path)
 	if err != nil {
 		return err
@@ -314,6 +305,7 @@ func AddArc(d *core.Document, path string, a core.SyncArc) error {
 	if _, _, err := n.ResolveArc(a); err != nil {
 		return fmt.Errorf("edit: %s: %w", n.PathString(), err)
 	}
+	u.saveAttrs(n)
 	n.AddArc(a)
 	d.NoteChange(core.Change{Kind: core.ChangeArcs, Node: n})
 	return nil
@@ -321,6 +313,10 @@ func AddArc(d *core.Document, path string, a core.SyncArc) error {
 
 // RemoveArc deletes the index'th arc of the node at path.
 func RemoveArc(d *core.Document, path string, index int) error {
+	return removeArc(d, path, index, nil)
+}
+
+func removeArc(d *core.Document, path string, index int, u *undoLog) error {
 	n, err := d.Root.Resolve(path)
 	if err != nil {
 		return err
@@ -332,6 +328,7 @@ func RemoveArc(d *core.Document, path string, index int) error {
 	if index < 0 || index >= len(arcs) {
 		return fmt.Errorf("edit: %s has no syncarcs[%d]", n.PathString(), index)
 	}
+	u.saveAttrs(n)
 	n.Attrs.Del("syncarcs")
 	for i, a := range arcs {
 		if i != index {

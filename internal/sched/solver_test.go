@@ -254,6 +254,28 @@ func TestRescheduleGlobalChangeRebuilds(t *testing.T) {
 	}
 }
 
+// TestRescheduleAfterATrim: a solver that fell behind a trimmed change
+// log cannot patch — the records it missed are gone — so it rebuilds,
+// and the schedule is a fresh solve's; one that had read everything
+// before the trim keeps patching.
+func TestRescheduleAfterATrim(t *testing.T) {
+	d := parOfSeq(t, 2, 2)
+	behind, current := newTestSolver(t, d), newTestSolver(t, d)
+	if err := edit.SetAttr(d, "/arma/laa", "duration", attr.Quantity(units.MS(900))); err != nil {
+		t.Fatal(err)
+	}
+	reschedule(t, current)
+	d.TrimChanges()
+	if err := edit.SetAttr(d, "/armb/lab", "duration", attr.Quantity(units.MS(700))); err != nil {
+		t.Fatal(err)
+	}
+	want := fullSolve(t, d, Options{}, SolveOptions{Relax: true})
+	sameSchedule(t, d, reschedule(t, behind), want)
+	wantPasses(t, behind, 1, 2)
+	sameSchedule(t, d, reschedule(t, current), want)
+	wantPasses(t, current, 0, 3)
+}
+
 // TestRescheduleRelaxationStaysPerComponent: a conflict inside one arm
 // drops an arc of that arm and leaves the others' times as a fresh solve
 // places them.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/durable"
 	"repro/internal/edit"
 )
 
@@ -56,6 +57,108 @@ func TestGetDocReadsTheEntry(t *testing.T) {
 	clone := testing.AllocsPerRun(20, func() { large.Clone() })
 	if extra := text - encode; extra >= clone {
 		t.Errorf("text getdoc allocates %v beyond its encoding (%v), a clone's worth (%v)", extra, encode, clone)
+	}
+}
+
+// submitEditAllocs counts what one submitedit handler call allocates on a
+// registry journaled to a durable log, with no read between the edits:
+// each sets the duration of the first issue's title.
+func submitEditAllocs(t *testing.T, d *core.Document) float64 {
+	t.Helper()
+	l, st, err := durable.Open(t.TempDir(), durable.Options{Sync: durable.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	reg := NewRegistry(st.Store)
+	reg.Journal = l
+	reg.PutDoc("doc", d)
+	srv := NewServer(reg)
+	req := frame{op: opSubmitEdit, parts: [][]byte{[]byte("doc"),
+		core.EncodeChangeRecords(setDuration(t, "/issue-0/title", 2500))}}
+	// The first edit copies the registered tree, in the registry and in
+	// the log: PutDoc shared it with its caller and the journal.
+	if resp := srv.handle(req); resp.op != opOK {
+		t.Fatalf("submitedit: %s", resp.parts[0])
+	}
+	return testing.AllocsPerRun(20, func() {
+		if resp := srv.handle(req); resp.op != opOK {
+			t.Fatalf("submitedit: %s", resp.parts[0])
+		}
+	})
+}
+
+// TestSubmitEditCostsWhatItTouches: a one-attribute edit nobody read
+// between copies nothing of the document — not in the registry, not in
+// the journal's copy — so what it allocates does not grow with the
+// document.
+func TestSubmitEditCostsWhatItTouches(t *testing.T) {
+	small, large := submitEditAllocs(t, archiveDoc(t, 20)), submitEditAllocs(t, archiveDoc(t, 200))
+	if small != large {
+		t.Errorf("a one-attribute submitedit allocates %v objects at size 20 and %v at size 200, want the same", small, large)
+	}
+}
+
+// TestEditCopiesAPutTree: PutDoc shares its tree with the caller and the
+// journal, and GetDoc with its reader, so the first edit after either
+// copies it — in the registry and in the durable log alike. The caller's
+// tree stays as it was put, a reader's tree as it was read, the
+// registered document and the log's copy each take every batch once, and
+// recovery rebuilds the same document.
+func TestEditCopiesAPutTree(t *testing.T) {
+	dir := t.TempDir()
+	l, st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	reg := NewRegistry(st.Store)
+	reg.Journal = l
+	d, _ := fixture(t)
+	bin := func(d *core.Document) string {
+		t.Helper()
+		data, err := codec.EncodeBinary(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	put := bin(d)
+	reg.PutDoc("news", d)
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("late-%d", i)
+		rec, err := edit.RecordInsert("/", 0, core.NewImm([]byte(name)).SetName(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.EditDoc("news", []core.ChangeRecord{rec}); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	if bin(d) != put {
+		t.Fatal("an edit changed the tree its caller put")
+	}
+	read, _ := reg.GetDoc("news")
+	held := bin(read.Doc())
+	if _, err := reg.EditDoc("news", setDuration(t, "/intro", 700)); err != nil {
+		t.Fatal(err)
+	}
+	if bin(read.Doc()) != held {
+		t.Fatal("an edit changed the tree a reader holds")
+	}
+	e, _ := reg.GetDoc("news")
+	if got := bin(e.Doc()); got != bin(l.Doc("news")) {
+		t.Fatal("the log's copy differs from the registered document")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := durable.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bin(rec.Docs["news"]) != bin(e.Doc()) {
+		t.Fatal("recovery rebuilt a different document")
 	}
 }
 

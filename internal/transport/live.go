@@ -340,15 +340,17 @@ func pathTouches(p, subtree string) bool {
 }
 
 // EditDoc applies an ordered edit batch to the document registered under
-// name, atomically: the records re-execute against a clone, and only a
-// fully applied batch replaces the registered document — a conflicting
-// batch (a record whose pre-edit path no longer resolves, because an
-// earlier writer's edit won the registry lock) is rejected without
-// side effects, and the submitter refetches. An accepted batch is
-// encoded once, journaled and broadcast as the same bytes, under the
-// registry lock: the WAL order, the registry order and the delta order
-// every watcher observes are the same order. A batch the Journal refuses
-// is not applied. It returns the document's new generation.
+// name, atomically. The batch edits the registered tree in place while no
+// reader holds it (see Entry.shared) and a copy, made once, when one may;
+// a conflicting batch (a record whose pre-edit path no longer resolves,
+// because an earlier writer's edit won the registry lock) or one the
+// Journal refuses is taken back, so it leaves the registered document,
+// its binary and its generation as they were and reaches no subscriber,
+// and the submitter refetches. An accepted batch is encoded once,
+// journaled and broadcast as the same bytes, under the registry lock:
+// the WAL order, the registry order and the delta order every watcher
+// observes are the same order. It returns the document's new generation:
+// the old one plus the batch's record count plus one.
 func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, fmt.Errorf("transport: empty edit batch")
@@ -359,17 +361,28 @@ func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", errUnknownDoc, name)
 	}
-	clone := cur.doc.Clone()
-	if err := edit.Apply(clone, recs); err != nil {
+	d := cur.doc
+	if cur.shared.Load() {
+		d = d.Clone()
+	}
+	undo, err := edit.ApplyUndo(d, recs)
+	if err != nil {
 		return 0, fmt.Errorf("conflict: %w", err)
 	}
+	// Generations advance as they did when every edit copied the tree
+	// (the copy's change log opened with one record, and each edit record
+	// added one), so origins, edges and subscribers of every release
+	// agree.
+	next := &Entry{doc: d, gen: cur.gen + uint64(len(recs)) + 1}
 	enc := core.EncodeChangeRecords(recs)
 	if r.Journal != nil {
-		if err := r.Journal.EditDoc(name, clone, enc); err != nil {
+		if err := r.Journal.EditDoc(name, recs, enc, next.Binary); err != nil {
+			undo()
 			return 0, fmt.Errorf("durability: %w", err)
 		}
 	}
-	next := &Entry{doc: clone, gen: cur.gen + clone.Generation()}
+	// Nothing reads the registered tree's change log.
+	d.TrimChanges()
 	r.docs[name] = next
 	if len(r.live.subs[name]) > 0 {
 		r.broadcastLocked(name, subEvent{
@@ -398,6 +411,7 @@ func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error
 // the new document as a snapshot at gen.
 func (r *Registry) PutDocAt(name string, d *core.Document, gen uint64) {
 	e := &Entry{doc: d, gen: gen}
+	e.shared.Store(true) // the caller handed d over, and the journal may keep it
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.docs[name] = e

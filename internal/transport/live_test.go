@@ -172,13 +172,14 @@ func TestHubShedSlowSubscriber(t *testing.T) {
 	}
 }
 
-// recordingJournal keeps what the registry journals; a non-nil fail
-// refuses every edit batch.
+// recordingJournal keeps what the registry journals and, as durable.Log
+// does, its own copy of each document, which every accepted batch is
+// applied to; a non-nil fail refuses every edit batch.
 type recordingJournal struct {
 	puts  []string
 	bins  [][]byte
 	edits [][]byte
-	docs  []*core.Document
+	docs  map[string]*core.Document
 	fail  error
 }
 
@@ -187,24 +188,34 @@ func (j *recordingJournal) PutDoc(name string, d *core.Document, binary func() (
 	if err != nil {
 		return err
 	}
+	own, err := codec.DecodeBinary(data)
+	if err != nil {
+		return err
+	}
+	if j.docs == nil {
+		j.docs = make(map[string]*core.Document)
+	}
 	j.puts = append(j.puts, name)
 	j.bins = append(j.bins, data)
+	j.docs[name] = own
 	return nil
 }
 
-func (j *recordingJournal) EditDoc(name string, d *core.Document, recs []byte) error {
+func (j *recordingJournal) EditDoc(name string, recs []core.ChangeRecord, enc []byte, binary func() ([]byte, error)) error {
 	if j.fail != nil {
 		return j.fail
 	}
-	j.edits = append(j.edits, recs)
-	j.docs = append(j.docs, d)
+	if err := edit.Apply(j.docs[name], recs); err != nil {
+		return err
+	}
+	j.edits = append(j.edits, enc)
 	return nil
 }
 
 // TestRegistryJournalsTheBatch: an accepted batch is journaled as its
-// change records, the very slice its subscribers receive, together with
-// the document it produced; a batch the journal refuses changes nothing
-// and reaches no subscriber.
+// change records, the very slice its subscribers receive, and the
+// journal's own copy reaches the document the batch produced; a batch the
+// journal refuses changes nothing and reaches no subscriber.
 func TestRegistryJournalsTheBatch(t *testing.T) {
 	d, store := fixture(t)
 	reg := NewRegistry(store)
@@ -237,7 +248,7 @@ func TestRegistryJournalsTheBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := codec.EncodeBinary(j.docs[0])
+	got, err := codec.EncodeBinary(j.docs["news"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +271,96 @@ func TestRegistryJournalsTheBatch(t *testing.T) {
 	case ev := <-sub.q:
 		t.Fatalf("refused batch was broadcast: %+v", ev)
 	default:
+	}
+}
+
+// TestRefusedBatchOnAnUnreadTree: while no reader holds the registered
+// tree, EditDoc edits it in place. A batch that conflicts at a later
+// record, or that the journal refuses, is taken back there: the tree
+// encodes as before, the generation stands, the journal's copy is
+// untouched, and no subscriber hears of it.
+func TestRefusedBatchOnAnUnreadTree(t *testing.T) {
+	d, store := fixture(t)
+	reg := NewRegistry(store)
+	j := &recordingJournal{}
+	reg.Journal = j
+	reg.PutDoc("news", d)
+	// PutDoc shared d with its caller; the first edit copies it, and
+	// nobody has read the copy.
+	if _, err := reg.EditDoc("news", setDuration(t, "/intro", 100)); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := reg.Subscribe("news", "", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.unsubscribe()
+	<-sub.q // the opening snapshot
+	registered := func() (*core.Document, uint64) {
+		reg.mu.RLock()
+		defer reg.mu.RUnlock()
+		e := reg.docs["news"]
+		return e.doc, e.gen
+	}
+	bin := func(d *core.Document) []byte {
+		t.Helper()
+		data, err := codec.EncodeBinary(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	tree, gen := registered()
+	want, journaled := bin(tree), bin(j.docs["news"])
+
+	leaf := core.NewImm([]byte("late")).SetName("late").SetAttr("channel", attr.ID("labels"))
+	insert, err := edit.RecordInsert("/", 1, leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := append(setDuration(t, "/voice", 300), insert,
+		edit.RecordRename("/label", "caption"), edit.RecordMove("/intro", "/", 3))
+	for _, tc := range []struct {
+		name string
+		recs []core.ChangeRecord
+		fail error
+	}{
+		{"conflict at the last record", append(valid[:len(valid):len(valid)], edit.RecordDelete("/ghost")), nil},
+		{"journal refusal", valid, errors.New("disk full")},
+	} {
+		j.fail = tc.fail
+		if _, err := reg.EditDoc("news", tc.recs); err == nil {
+			t.Fatalf("%s: the batch was accepted", tc.name)
+		}
+		got, g := registered()
+		if got != tree {
+			t.Fatalf("%s: the unread tree was copied, not edited in place", tc.name)
+		}
+		if !bytes.Equal(bin(got), want) || g != gen {
+			t.Fatalf("%s: the refused batch changed the registered document (generation %d -> %d)", tc.name, gen, g)
+		}
+		if !bytes.Equal(bin(j.docs["news"]), journaled) {
+			t.Fatalf("%s: the refused batch reached the journal's copy", tc.name)
+		}
+		select {
+		case ev := <-sub.q:
+			t.Fatalf("%s: the refused batch was broadcast: %+v", tc.name, ev)
+		default:
+		}
+	}
+
+	// The document takes the batch once nothing refuses it.
+	j.fail = nil
+	next, err := reg.EditDoc("news", valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := gen + uint64(len(valid)) + 1; next != want {
+		t.Fatalf("a batch of %d records moved the generation %d -> %d, want %d", len(valid), gen, next, want)
+	}
+	got, _ := registered()
+	if !bytes.Equal(bin(got), bin(j.docs["news"])) {
+		t.Fatal("the journal's copy differs from the registered document")
 	}
 }
 

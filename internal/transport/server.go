@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -39,17 +40,22 @@ type Registry struct {
 }
 
 // Entry is one registered document: the tree, its generation and its
-// binary. An entry never changes — a registration or an accepted edit
-// makes a new one — so every reader shares it: the tree is read-only for
-// everyone, and the binary is encoded at most once, on first demand, and
-// then serves every binary getdoc, subscribe snapshot and journal append
-// of that registration.
+// binary. An entry never changes once a reader holds it — a registration
+// or an accepted edit makes a new one — so every reader shares it: the
+// tree is read-only for everyone, and the binary is encoded at most once,
+// on first demand, and then serves every binary getdoc, subscribe
+// snapshot and journal append of that registration.
 type Entry struct {
-	doc  *core.Document
-	gen  uint64
-	once sync.Once
-	bin  []byte
-	err  error
+	doc *core.Document
+	gen uint64
+	// shared marks a tree someone outside the registry may hold: a
+	// reader that took the entry through GetDoc, or the caller and the
+	// journal of a PutDoc. EditDoc edits an unshared tree in place and
+	// copies a shared one once.
+	shared atomic.Bool
+	once   sync.Once
+	bin    []byte
+	err    error
 }
 
 // NewEntry wraps d as an entry, for a backend that answers a read from
@@ -68,17 +74,22 @@ func (e *Entry) Binary() ([]byte, error) {
 }
 
 // Journal records document mutations (*durable.Log implements it). The
-// registry calls it under its lock with the registered document itself,
-// which is never mutated — an edit registers a new one — so the journal
-// may keep the pointer. A failed EditDoc rejects its batch; a failed
-// PutDoc must be sticky and reported by DurabilityErr.
+// registry calls it under its lock. PutDoc hands over the registered tree,
+// which the registry then treats as shared, so the journal may keep it;
+// EditDoc hands over only the batch, because the registry edits its tree
+// in place while no reader holds it — a journal that keeps documents
+// applies the batch to its own copy. A failed EditDoc refuses the batch
+// (the registry takes it back); a failed PutDoc must be sticky and
+// reported by DurabilityErr.
 type Journal interface {
 	// PutDoc records a wholesale registration. binary returns the
 	// entry's one encoding of d; the journal may keep the slice.
 	PutDoc(name string, d *core.Document, binary func() ([]byte, error)) error
-	// EditDoc records an accepted edit batch: d is the document it
-	// produced, and recs the batch in core.EncodeChangeRecords form.
-	EditDoc(name string, d *core.Document, recs []byte) error
+	// EditDoc records an accepted edit batch: recs decoded, and enc in
+	// core.EncodeChangeRecords form. binary returns the encoding of the
+	// document the batch produced, for a journal that holds no copy of
+	// name to apply recs to.
+	EditDoc(name string, recs []core.ChangeRecord, enc []byte, binary func() ([]byte, error)) error
 }
 
 // NewRegistry returns an empty registry backed by store (a fresh store when
@@ -99,11 +110,16 @@ func NewRegistry(store *media.Store) *Registry {
 // copy registers a clone.
 func (r *Registry) PutDoc(name string, d *core.Document) { r.PutDocAt(name, d, 0) }
 
-// GetDoc returns the entry registered under name.
+// GetDoc returns the entry registered under name and marks it shared: the
+// caller may read its tree for as long as it likes, so the next edit
+// copies the tree instead of editing it in place.
 func (r *Registry) GetDoc(name string) (*Entry, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	e, ok := r.docs[name]
+	if ok && !e.shared.Load() {
+		e.shared.Store(true)
+	}
 	return e, ok
 }
 
