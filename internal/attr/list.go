@@ -3,7 +3,6 @@ package attr
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -119,14 +118,6 @@ func (l List) Names() []string {
 	return out
 }
 
-// SortedNames returns the attribute names sorted lexicographically, for
-// deterministic diagnostics.
-func (l List) SortedNames() []string {
-	out := l.Names()
-	sort.Strings(out)
-	return out
-}
-
 // Clone returns a deep copy.
 func (l List) Clone() List {
 	pairs := make([]Pair, len(l.pairs))
@@ -190,15 +181,6 @@ func (l List) GetString(name string) (string, bool) {
 		return "", false
 	}
 	return v.AsString()
-}
-
-// GetText returns the scalar text of attribute name (ID, STRING or NUMBER).
-func (l List) GetText(name string) (string, bool) {
-	v, ok := l.Get(name)
-	if !ok {
-		return "", false
-	}
-	return v.Text()
 }
 
 // GetInt returns the dimensionless integer value of attribute name.

@@ -80,14 +80,6 @@ func TestListEqualOrderSensitive(t *testing.T) {
 	}
 }
 
-func TestSortedNames(t *testing.T) {
-	l := MustList(P("zebra", Number(1)), P("alpha", Number(2)), P("mid", Number(3)))
-	want := []string{"alpha", "mid", "zebra"}
-	if got := l.SortedNames(); !reflect.DeepEqual(got, want) {
-		t.Errorf("SortedNames = %v, want %v", got, want)
-	}
-}
-
 func TestTypedGettersAbsent(t *testing.T) {
 	var l List
 	if _, ok := l.GetID("x"); ok {
@@ -101,9 +93,6 @@ func TestTypedGettersAbsent(t *testing.T) {
 	}
 	if _, ok := l.GetList("x"); ok {
 		t.Error("GetList on empty list")
-	}
-	if _, ok := l.GetText("x"); ok {
-		t.Error("GetText on empty list")
 	}
 }
 

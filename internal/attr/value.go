@@ -54,8 +54,7 @@ func (k Kind) String() string {
 // Value is the empty ID, which renders as "-".
 type Value struct {
 	kind Kind
-	id   string
-	str  string
+	s    string // an ID's or a STRING's text
 	num  units.Quantity
 	list []Item
 }
@@ -80,11 +79,11 @@ func ID(s string) Value {
 			return r
 		}, s)
 	}
-	return Value{kind: KindID, id: s}
+	return Value{kind: KindID, s: s}
 }
 
 // String constructs a string value.
-func String(s string) Value { return Value{kind: KindString, str: s} }
+func String(s string) Value { return Value{kind: KindString, s: s} }
 
 // Number constructs a dimensionless numeric value.
 func Number(v int64) Value {
@@ -117,7 +116,7 @@ func (v Value) Kind() Kind { return v.kind }
 // AsID returns the identifier text if the value is an ID.
 func (v Value) AsID() (string, bool) {
 	if v.kind == KindID {
-		return v.id, true
+		return v.s, true
 	}
 	return "", false
 }
@@ -125,7 +124,7 @@ func (v Value) AsID() (string, bool) {
 // AsString returns the string text if the value is a STRING.
 func (v Value) AsString() (string, bool) {
 	if v.kind == KindString {
-		return v.str, true
+		return v.s, true
 	}
 	return "", false
 }
@@ -158,10 +157,8 @@ func (v Value) AsList() ([]Item, bool) {
 // text, the string text, or the formatted number. Lists return false.
 func (v Value) Text() (string, bool) {
 	switch v.kind {
-	case KindID:
-		return v.id, true
-	case KindString:
-		return v.str, true
+	case KindID, KindString:
+		return v.s, true
 	case KindNumber:
 		return v.num.String(), true
 	default:
@@ -175,10 +172,8 @@ func (v Value) Equal(o Value) bool {
 		return false
 	}
 	switch v.kind {
-	case KindID:
-		return v.id == o.id
-	case KindString:
-		return v.str == o.str
+	case KindID, KindString:
+		return v.s == o.s
 	case KindNumber:
 		return v.num == o.num
 	case KindList:
@@ -220,13 +215,13 @@ func (v Value) String() string {
 func (v Value) write(b *strings.Builder) {
 	switch v.kind {
 	case KindID:
-		if v.id == "" {
+		if v.s == "" {
 			b.WriteString("-")
 			return
 		}
-		b.WriteString(v.id)
+		b.WriteString(v.s)
 	case KindString:
-		b.WriteString(quote(v.str))
+		b.WriteString(quote(v.s))
 	case KindNumber:
 		b.WriteString(v.num.String())
 	case KindList:

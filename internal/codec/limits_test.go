@@ -183,7 +183,8 @@ func TestWriterQuotesIDsThatLexAsSomethingElse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ID %q: the text form %s does not parse: %v", id, text, err)
 		}
-		if got, _ := back.Attrs.GetText("v"); got != id {
+		v, _ := back.Attrs.Get("v")
+		if got, _ := v.Text(); got != id {
 			t.Errorf("ID %q comes back from %s as %q", id, text, got)
 		}
 	}

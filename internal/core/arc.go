@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/attr"
@@ -192,6 +193,9 @@ func (a SyncArc) Value() attr.Value {
 	return attr.ListOf(items...)
 }
 
+// arcFields are the fields an arc's list may carry, each at most once.
+var arcFields = [...]string{"type", "src", "dest", "srcend", "offset", "min", "max", "cond"}
+
 // ParseArc decodes one arc from its attribute value form.
 func ParseArc(v attr.Value) (SyncArc, error) {
 	items, ok := v.AsList()
@@ -199,15 +203,18 @@ func ParseArc(v attr.Value) (SyncArc, error) {
 		return SyncArc{}, fmt.Errorf("core: sync arc must be a list, got %v", v.Kind())
 	}
 	var a SyncArc
-	seen := map[string]bool{}
-	for _, it := range items {
+	var seen uint
+	for i := range items {
+		it := &items[i]
 		if it.Name == "" {
 			return SyncArc{}, fmt.Errorf("core: sync arc contains unnamed field")
 		}
-		if seen[it.Name] {
-			return SyncArc{}, fmt.Errorf("core: sync arc repeats field %q", it.Name)
+		if f := slices.Index(arcFields[:], it.Name); f >= 0 {
+			if seen&(1<<f) != 0 {
+				return SyncArc{}, fmt.Errorf("core: sync arc repeats field %q", it.Name)
+			}
+			seen |= 1 << f
 		}
-		seen[it.Name] = true
 		switch it.Name {
 		case "type":
 			tItems, ok := it.Value.AsList()
@@ -276,7 +283,7 @@ func ParseArc(v attr.Value) (SyncArc, error) {
 			return SyncArc{}, fmt.Errorf("core: unknown arc field %q", it.Name)
 		}
 	}
-	if !seen["type"] {
+	if seen&1 == 0 { // arcFields[0] is "type"
 		return SyncArc{}, fmt.Errorf("core: sync arc missing type field")
 	}
 	return a, nil

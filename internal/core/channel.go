@@ -146,13 +146,13 @@ func ParseChannel(name string, v attr.Value) (Channel, error) {
 
 // ChannelDict is an ordered set of channel definitions.
 type ChannelDict struct {
-	channels map[string]Channel
+	channels map[string]*Channel
 	order    []string
 }
 
 // NewChannelDict returns an empty dictionary.
 func NewChannelDict() *ChannelDict {
-	return &ChannelDict{channels: make(map[string]Channel)}
+	return &ChannelDict{channels: make(map[string]*Channel)}
 }
 
 // Define adds or replaces a channel definition.
@@ -160,13 +160,15 @@ func (d *ChannelDict) Define(c Channel) {
 	if _, exists := d.channels[c.Name]; !exists {
 		d.order = append(d.order, c.Name)
 	}
-	d.channels[c.Name] = c
+	d.channels[c.Name] = &c
 }
 
 // Lookup returns the channel named name.
 func (d *ChannelDict) Lookup(name string) (Channel, bool) {
-	c, ok := d.channels[name]
-	return c, ok
+	if c, ok := d.channels[name]; ok {
+		return *c, true
+	}
+	return Channel{}, false
 }
 
 // Names returns channel names in definition order.
@@ -178,7 +180,7 @@ func (d *ChannelDict) Names() []string {
 func (d *ChannelDict) Channels() []Channel {
 	out := make([]Channel, 0, len(d.order))
 	for _, n := range d.order {
-		out = append(out, d.channels[n])
+		out = append(out, *d.channels[n])
 	}
 	return out
 }

@@ -116,20 +116,15 @@ func (d *Document) EffectiveAttrs(n *Node) (attr.List, error) {
 }
 
 // effectiveAttr returns the value name has in EffectiveAttrs(n), with the
-// same found flag and the same error, without building the list. The value
-// is shared with the tree; do not mutate it.
+// same found flag and the same error, without building the list: n's own
+// binding through its styles, else the nearest ancestor's for an
+// inheritable name, with every ancestor's style references checked. The
+// value is shared with the tree; do not mutate it.
 func (d *Document) effectiveAttr(n *Node, name string) (attr.Value, bool, error) {
 	v, found, err := d.styles.ExpandedGet(n.Attrs, name)
 	if err != nil {
 		return attr.Value{}, false, fmt.Errorf("core: %s: %w", n.PathString(), err)
 	}
-	return d.inheritAttr(n, name, v, found)
-}
-
-// inheritAttr is effectiveAttr's ancestor walk: given what n itself binds
-// to name, it fills an inheritable name in from the nearest ancestor that
-// binds it and checks every ancestor's style references.
-func (d *Document) inheritAttr(n *Node, name string, v attr.Value, found bool) (attr.Value, bool, error) {
 	inherited := StandardAttrs.IsInherited(name)
 	for p := n.Parent(); p != nil; p = p.Parent() {
 		pv, pfound, err := d.styles.ExpandedGet(p.Attrs, name)
@@ -168,13 +163,13 @@ func (d *Document) FileOf(n *Node) (string, bool) {
 	if err != nil || !found {
 		return "", false
 	}
-	if s, ok := v.AsString(); ok {
-		return s, true
-	}
-	if id, ok := v.AsID(); ok {
-		return id, true
-	}
-	return "", false
+	return fileText(v)
+}
+
+// fileText is a file attribute's text: a STRING or an ID.
+func fileText(v attr.Value) (string, bool) {
+	s, err := pathText(v)
+	return s, err == nil
 }
 
 // ExternalFiles returns the distinct (inherited) file attributes of the
@@ -216,23 +211,18 @@ func (d *Document) DurationOf(n *Node) (dur units.Quantity, ok bool) {
 // attribute is absent or does not resolve. External nodes take their medium
 // from their data descriptor instead.
 func (d *Document) MediumOf(n *Node) Medium {
-	if v, found, err := d.effectiveAttr(n, "medium"); err == nil && found {
-		if id, ok := v.AsID(); ok {
-			if m, err := ParseMedium(id); err == nil {
-				return m
-			}
+	v, found, err := d.effectiveAttr(n, "medium")
+	return mediumOf(v, found && err == nil)
+}
+
+// mediumOf reads a medium attribute, defaulting to text.
+func mediumOf(v attr.Value, found bool) Medium {
+	if id, ok := v.AsID(); found && ok {
+		if m, err := ParseMedium(id); err == nil {
+			return m
 		}
 	}
 	return MediumText
-}
-
-// ResolverFor returns the unit resolver applicable to node n: the rates of
-// its channel when it has one, otherwise a plain time-only resolver.
-func (d *Document) ResolverFor(n *Node) *units.Resolver {
-	if c, err := d.ChannelOf(n); err == nil {
-		return c.Resolver()
-	}
-	return units.NewResolver(units.Rates{})
 }
 
 // Stats summarizes a document's structure for table-of-contents style tools

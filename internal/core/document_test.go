@@ -167,20 +167,24 @@ func TestDurationOf(t *testing.T) {
 	}
 }
 
-func TestResolverFor(t *testing.T) {
+// TestResolvedChannelRates: a node's resolution carries its channel's unit
+// rates, and a channel-less node's converts time alone.
+func TestResolvedChannelRates(t *testing.T) {
 	d := newsDocument(t)
-	intro := d.Root.FindByName("intro")
-	r := d.ResolverFor(intro)
-	dur, err := r.Duration(units.Q(25, units.Frames))
-	if err != nil || dur.Seconds() != 1 {
-		t.Errorf("video resolver: %v, %v", dur, err)
-	}
-	// A channel-less node still gets a time-only resolver.
 	orphan := NewImm([]byte("x"))
 	d.Root.AddChild(orphan)
-	r = d.ResolverFor(orphan)
-	if _, err := r.Duration(units.MS(5)); err != nil {
-		t.Errorf("fallback resolver: %v", err)
+	rates := map[*Node]units.Rates{}
+	for _, r := range Resolve(d) {
+		if r.Channel != nil {
+			rates[r.Node] = r.Channel.Rates
+		}
+	}
+	dur, err := units.NewResolver(rates[d.Root.FindByName("intro")]).Duration(units.Q(25, units.Frames))
+	if err != nil || dur.Seconds() != 1 {
+		t.Errorf("video rates: %v, %v", dur, err)
+	}
+	if _, err := units.NewResolver(rates[orphan]).Duration(units.MS(5)); err != nil {
+		t.Errorf("channel-less rates: %v", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/attr"
@@ -27,15 +30,21 @@ func lookupNames() []string {
 }
 
 // checkLookup compares the single-name lookup with EffectiveAttrs for
-// every node and name of d: the same value, found flag and error text.
+// every node and name of d: the same value, found flag and error text. It
+// then holds Resolve to the lookups node by node: the walk visits the
+// nodes in pre-order, and each resolved field and error equals what
+// ChannelOf, FileOf, DurationOf, MediumOf, Node.Arcs and the single-name
+// lookup report.
 func checkLookup(t *testing.T, label string, d *core.Document) {
 	t.Helper()
 	names := lookupNames()
+	var order []*core.Node
 	d.Root.Walk(func(n *core.Node) bool {
+		order = append(order, n)
 		eff, effErr := d.EffectiveAttrs(n)
 		for _, name := range names {
 			v, found, err := core.EffectiveAttr(d, n, name)
-			if (err == nil) != (effErr == nil) || (err != nil && err.Error() != effErr.Error()) {
+			if !sameErr(err, effErr) {
 				t.Fatalf("%s %s %q: error %v, EffectiveAttrs %v", label, n.PathString(), name, err, effErr)
 			}
 			if err != nil {
@@ -49,6 +58,44 @@ func checkLookup(t *testing.T, label string, d *core.Document) {
 		}
 		return true
 	})
+	res := core.Resolve(d)
+	if len(res) != len(order) {
+		t.Fatalf("%s: Resolve gave %d nodes, the tree has %d", label, len(res), len(order))
+	}
+	for i, n := range order {
+		r := &res[i]
+		fail := func(field string, got, want interface{}) {
+			t.Helper()
+			t.Fatalf("%s %s: resolved %s %v, lookup says %v", label, n.PathString(), field, got, want)
+		}
+		if r.Node != n {
+			fail("node", r.Node.PathString(), n.PathString())
+		}
+		if _, _, err := core.EffectiveAttr(d, n, "channel"); !sameErr(r.Err(), err) {
+			fail("error", r.Err(), err)
+		}
+		ch, err := d.ChannelOf(n)
+		if (r.Channel != nil) != (err == nil) || r.Channel != nil && !reflect.DeepEqual(*r.Channel, ch) || !sameErr(r.ChannelErr(), err) {
+			fail("channel", fmt.Sprint(r.Channel, r.ChannelErr()), fmt.Sprint(ch, err))
+		}
+		if file, ok := d.FileOf(n); r.File != file || r.HasFile != ok {
+			fail("file", r.File, file)
+		}
+		if dur, ok := d.DurationOf(n); r.Duration != dur || r.HasDuration != ok {
+			fail("duration", r.Duration, dur)
+		}
+		if m := d.MediumOf(n); r.Medium != m {
+			fail("medium", r.Medium, m)
+		}
+		if arcs, err := n.Arcs(); !reflect.DeepEqual(r.Arcs, arcs) || !sameErr(r.ArcsErr, err) {
+			fail("arcs", fmt.Sprint(r.Arcs, r.ArcsErr), fmt.Sprint(arcs, err))
+		}
+	}
+}
+
+// sameErr reports whether two errors are both nil or have the same text.
+func sameErr(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
 }
 
 // styledDocs are hand-built documents for the style paths the corpora do
@@ -119,6 +166,18 @@ func styledDocs(t *testing.T) map[string]*core.Document {
 		"b":     attr.MustList(attr.P("style", attr.ID("c"))),
 		"c":     attr.MustList(attr.P("style", attr.ID("a"))),
 	})
+
+	// A channel the dictionary lacks, one bound as a string, and syncarcs
+	// that are not a list or hold a malformed arc.
+	root = core.NewSeq().SetName("r").SetAttr("channel", attr.ID("nowhere"))
+	typeless := attr.ListOf(attr.Named("src", attr.String("..")))
+	root.Add(
+		leaf("lost"),
+		leaf("stringchan").SetAttr("channel", attr.String("video")),
+		leaf("scalararcs").SetAttr("syncarcs", attr.Number(3)),
+		leaf("badarc").SetAttr("syncarcs", attr.VList(typeless)),
+	)
+	docs["undefined-channel-bad-arcs"] = build(root, nil)
 	return docs
 }
 
@@ -157,7 +216,18 @@ func TestAttrLookupMatchesEffectiveAttrs(t *testing.T) {
 			t.Errorf("%s: the lookup on %s did not fail", label, leaf)
 		}
 	}
-	d := cases["precedence-and-chains"]
+	d := cases["undefined-channel-bad-arcs"]
+	for leaf, want := range map[string]string{"lost": "undefined channel", "stringchan": "no channel"} {
+		if _, err := d.ChannelOf(d.Root.FindByName(leaf)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("undefined-channel-bad-arcs: ChannelOf(%s) = %v, want %q", leaf, err, want)
+		}
+	}
+	for _, leaf := range []string{"scalararcs", "badarc"} {
+		if _, err := d.Root.FindByName(leaf).Arcs(); err == nil {
+			t.Errorf("undefined-channel-bad-arcs: %s's syncarcs parsed", leaf)
+		}
+	}
+	d = cases["precedence-and-chains"]
 	if c, err := d.ChannelOf(d.Root.FindByName("own")); err != nil || c.Name != "video" {
 		t.Errorf("own channel lost to its style: %v, %v", c.Name, err)
 	}

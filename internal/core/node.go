@@ -219,15 +219,8 @@ func (n *Node) Depth() int {
 	return d
 }
 
-// NextSibling returns the sibling to the right, or nil.
-func (n *Node) NextSibling() *Node {
-	if n.parent == nil {
-		return nil
-	}
-	return n.parent.Child(n.index + 1)
-}
-
-// PrevSibling returns the sibling to the left, or nil.
+// PrevSibling returns the sibling to the left, or nil. The benchmark
+// module's author workload (bench/mark) is its caller.
 func (n *Node) PrevSibling() *Node {
 	if n.parent == nil {
 		return nil
@@ -271,27 +264,6 @@ func (n *Node) Leaves() []*Node {
 		return true
 	})
 	return out
-}
-
-// Inherited looks up an attribute on n or, failing that, on its ancestors
-// bottom-up. It implements the paper's inheritance rule for attributes such
-// as channel and file: "inherited by children (and arbitrary levels of
-// grandchildren) of the node on which they are set unless explicitly
-// overridden". Only attributes registered as inheritable participate; others
-// are looked up on n alone.
-func (n *Node) Inherited(name string) (attr.Value, bool) {
-	if v, ok := n.Attrs.Get(name); ok {
-		return v, true
-	}
-	if !StandardAttrs.IsInherited(name) {
-		return attr.Value{}, false
-	}
-	for p := n.parent; p != nil; p = p.parent {
-		if v, ok := p.Attrs.Get(name); ok {
-			return v, true
-		}
-	}
-	return attr.Value{}, false
 }
 
 // PathString returns an absolute slash-separated path from the root to n,
@@ -343,7 +315,11 @@ func (e *PathError) Error() string {
 //	"name"       the child named name (or "#i" for the i'th child)
 //	"a/b/c"      components resolved left to right
 //	"/a/b"       absolute: resolved from the root
-func (n *Node) Resolve(path string) (*Node, error) {
+func (n *Node) Resolve(path string) (*Node, error) { return n.ResolveVia(path, nil) }
+
+// ResolveVia is Resolve with the child of p named name found by byName,
+// when it is set: a caller's memo of the tree's names.
+func (n *Node) ResolveVia(path string, byName func(p *Node, name string) *Node) (*Node, error) {
 	cur := n
 	rest := path
 	if strings.HasPrefix(path, "/") {
@@ -363,12 +339,16 @@ func (n *Node) Resolve(path string) (*Node, error) {
 			}
 			cur = cur.parent
 		default:
-			next := cur.childByComponent(comp)
-			if next == nil {
+			next := byName
+			if next == nil || strings.HasPrefix(comp, "#") {
+				next = (*Node).childByComponent
+			}
+			child := next(cur, comp)
+			if child == nil {
 				return nil, &PathError{From: n, Path: path, At: comp,
 					Why: fmt.Sprintf("no such child of %s", cur.PathString())}
 			}
-			cur = next
+			cur = child
 		}
 	}
 	return cur, nil

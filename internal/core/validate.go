@@ -65,7 +65,10 @@ func (d *Document) Validate() []Issue {
 
 	referencedChannels := map[string]bool{}
 
-	d.Root.Walk(func(n *Node) bool {
+	res := Resolve(d)
+	for i := range res {
+		r := &res[i]
+		n := r.Node
 		isRoot := n.IsRoot()
 
 		// Registry checks: root-only attributes, node-type restrictions,
@@ -102,31 +105,29 @@ func (d *Document) Validate() []Issue {
 		}
 
 		// Style references resolve (node-level; dictionary-level cycles
-		// already reported above), and channel references resolve against
-		// the root's channel list.
-		ch, found, err := d.styles.ExpandedGet(n.Attrs, "channel")
-		if err != nil {
-			add(Error, n, "style-ref", "%v", err)
-		} else if ch, found, err = d.inheritAttr(n, "channel", ch, found); err == nil {
-			if chName, ok := ch.AsID(); found && ok {
-				referencedChannels[chName] = true
-				if _, defined := d.channels.Lookup(chName); !defined {
-					add(Error, n, "undefined-channel",
-						"channel %q not in the root node's channel list", chName)
-				}
-			} else if n.Type.IsLeaf() {
-				add(Warning, n, "no-channel",
-					"leaf has no channel attribute (inherited or direct)")
+		// already reported above; an ancestor's broken reference is
+		// reported on the ancestor), and channel references resolve
+		// against the root's channel list.
+		switch {
+		case r.errAt == n:
+			add(Error, n, "style-ref", "%v", r.styleErr)
+		case r.styleErr != nil:
+		case r.chanBound:
+			referencedChannels[r.chanName] = true
+			if r.Channel == nil {
+				add(Error, n, "undefined-channel",
+					"channel %q not in the root node's channel list", r.chanName)
 			}
+		case n.Type.IsLeaf():
+			add(Warning, n, "no-channel",
+				"leaf has no channel attribute (inherited or direct)")
 		}
 
 		// External nodes "should have (or inherit) a file attribute
 		// specifying the data descriptor containing the data".
-		if n.Type == Ext {
-			if _, ok := d.FileOf(n); !ok {
-				add(Error, n, "ext-no-file",
-					"external node has no file attribute (direct or inherited)")
-			}
+		if n.Type == Ext && !r.HasFile {
+			add(Error, n, "ext-no-file",
+				"external node has no file attribute (direct or inherited)")
 		}
 
 		// Immediate nodes should carry data.
@@ -164,11 +165,10 @@ func (d *Document) Validate() []Issue {
 		}
 
 		// Synchronization arcs: field rules and path resolution.
-		arcs, err := n.Arcs()
-		if err != nil {
-			add(Error, n, "bad-arc", "%v", err)
+		if r.ArcsErr != nil {
+			add(Error, n, "bad-arc", "%v", r.ArcsErr)
 		}
-		for i, a := range arcs {
+		for i, a := range r.Arcs {
 			if err := a.Validate(); err != nil {
 				add(Error, n, "arc-fields", "arc %d: %v", i, err)
 			}
@@ -176,8 +176,7 @@ func (d *Document) Validate() []Issue {
 				add(Error, n, "arc-path", "arc %d: %v", i, err)
 			}
 		}
-		return true
-	})
+	}
 
 	// Unreferenced channels are legal but worth flagging for authors.
 	for _, name := range d.channels.Names() {

@@ -222,9 +222,22 @@ func EvaluatePlan(d *core.Document, store *media.Store, p Profile, plan *sched.S
 	fm := &FilterMap{Profile: p, BandwidthOK: true}
 	var totalBytes int64
 
+	// The plan's graph holds the document's resolution; without a plan of
+	// this document, resolve it here, in the order Walk visits.
+	var res []core.Resolved
+	if plan == nil || plan.Graph().Doc() != d {
+		res = core.Resolve(d)
+	}
+	i := -1
 	d.Root.Walk(func(n *core.Node) bool {
-		if !n.Type.IsLeaf() {
+		if i++; !n.Type.IsLeaf() {
 			return true
+		}
+		var r *core.Resolved
+		if res != nil {
+			r = &res[i]
+		} else {
+			r = plan.Graph().Resolved(n)
 		}
 		dec := Decision{Node: n}
 
@@ -232,8 +245,8 @@ func EvaluatePlan(d *core.Document, store *media.Store, p Profile, plan *sched.S
 		var blk *media.Block
 		var size int64
 		if n.Type == core.Ext {
-			file, ok := d.FileOf(n)
-			if !ok {
+			file := r.File
+			if !r.HasFile {
 				dec.Action = Drop
 				dec.Reason = "external node has no file attribute"
 				fm.Decisions = append(fm.Decisions, dec)
@@ -251,7 +264,7 @@ func EvaluatePlan(d *core.Document, store *media.Store, p Profile, plan *sched.S
 			medium = b.Medium
 			size = int64(len(b.Payload))
 		} else {
-			medium = d.MediumOf(n)
+			medium = r.Medium
 			size = int64(len(n.Data))
 		}
 

@@ -207,7 +207,7 @@ func TestCorpusSchedulesGolden(t *testing.T) {
 				t.Errorf("dropped arcs, in victim order:\n%s\nwant:\n%s", got, golden)
 			}
 			if viol := g.Verify(s.Times(), s.Dropped); len(viol) != 0 {
-				t.Errorf("schedule violates %d constraints, first: %s", len(viol), viol[0].Note)
+				t.Errorf("schedule violates %d constraints, first: %s", len(viol), viol[0].Note())
 			}
 
 			res, err := Play(g, Options{Jitter: UniformJitter(1, 30*time.Millisecond), Relax: true})

@@ -191,12 +191,15 @@ func PlaySchedule(planned *sched.Schedule, opts Options) (*Result, error) {
 		if !n.Type.IsLeaf() {
 			return true
 		}
-		ch := channelName(doc, n)
+		ch := "(unassigned)" // traces stay complete
+		if r := g.Resolved(n); r.Channel != nil {
+			ch = r.Channel.Name
+		}
 		leaves = append(leaves, leafChannel{n, ch})
 		if lat := jitter(n, ch); lat > 0 {
-			run.AddRuntimeLower(rootBegin, run.Begin(n),
-				planned.StartOf(n)+lat,
-				fmt.Sprintf("device latency %v on %s", lat, n.PathString()))
+			run.AddRuntimeLower(rootBegin, run.Begin(n), planned.StartOf(n)+lat, func() string {
+				return fmt.Sprintf("device latency %v on %s", lat, n.PathString())
+			})
 		}
 		return true
 	})
@@ -266,15 +269,6 @@ func (res *Result) buildTrace(leaves []leafChannel, planned, actual *sched.Sched
 		}
 		return res.Trace[i].Channel < res.Trace[j].Channel
 	})
-}
-
-// channelName resolves a leaf's channel, with a placeholder for unassigned
-// leaves so traces stay complete.
-func channelName(doc *core.Document, n *core.Node) string {
-	if c, err := doc.ChannelOf(n); err == nil {
-		return c.Name
-	}
-	return "(unassigned)"
 }
 
 func abs(d time.Duration) time.Duration {

@@ -13,9 +13,12 @@ import (
 // Tree renders the node tree in the conventional indented form of Figure
 // 5a, annotating each node with its type, name and channel.
 func Tree(d *core.Document) string {
+	res := core.Resolve(d) // in the order walk visits
 	var b strings.Builder
 	var walk func(n *core.Node, depth int)
 	walk = func(n *core.Node, depth int) {
+		r := &res[0]
+		res = res[1:]
 		b.WriteString(strings.Repeat("  ", depth))
 		b.WriteString(n.Type.String())
 		if name := n.Name(); name != "" {
@@ -23,17 +26,17 @@ func Tree(d *core.Document) string {
 			b.WriteString(name)
 		}
 		var notes []string
-		if ch, err := d.ChannelOf(n); err == nil && n.Type.IsLeaf() {
-			notes = append(notes, "channel="+ch.Name)
+		if r.Channel != nil && n.Type.IsLeaf() {
+			notes = append(notes, "channel="+r.Channel.Name)
 		}
-		if f, ok := d.FileOf(n); ok && n.Type == core.Ext {
-			notes = append(notes, "file="+f)
+		if r.HasFile && n.Type == core.Ext {
+			notes = append(notes, "file="+r.File)
 		}
 		if n.Type == core.Imm {
 			notes = append(notes, fmt.Sprintf("%d bytes", len(n.Data)))
 		}
-		if arcs, err := n.Arcs(); err == nil && len(arcs) > 0 {
-			notes = append(notes, fmt.Sprintf("%d arcs", len(arcs)))
+		if len(r.Arcs) > 0 {
+			notes = append(notes, fmt.Sprintf("%d arcs", len(r.Arcs)))
 		}
 		if len(notes) > 0 {
 			b.WriteString("  [")
@@ -97,12 +100,10 @@ func TOCText(s *sched.Schedule) string {
 // of Figure 9: type, source, offset, destination, min_delay, max_delay.
 func ArcTable(d *core.Document) string {
 	var rows [][6]string
-	d.Root.Walk(func(n *core.Node) bool {
-		arcs, err := n.Arcs()
-		if err != nil {
-			return true
-		}
-		for _, a := range arcs {
+	res := core.Resolve(d)
+	for i := range res {
+		n := res[i].Node
+		for _, a := range res[i].Arcs {
 			maxs := a.MaxDelay.String()
 			if a.MaxDelay.Value >= 1<<62 {
 				maxs = "inf"
@@ -116,8 +117,7 @@ func ArcTable(d *core.Document) string {
 				maxs,
 			})
 		}
-		return true
-	})
+	}
 	header := [6]string{"type", "source", "offset", "destination", "min_delay", "max_delay"}
 	widths := make([]int, 6)
 	for i, h := range header {
@@ -270,18 +270,4 @@ func pad(s string, n int) string {
 		return s[:n]
 	}
 	return s + strings.Repeat(" ", n-len(s))
-}
-
-// TraceText renders a playback trace table aligned with a header.
-func TraceText(header string, lines []string) string {
-	var b strings.Builder
-	b.WriteString(header)
-	b.WriteByte('\n')
-	b.WriteString(strings.Repeat("=", len(header)))
-	b.WriteByte('\n')
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

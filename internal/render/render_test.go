@@ -159,10 +159,6 @@ func TestHelpers(t *testing.T) {
 	if pad("ab", 4) != "ab  " || pad("abcdef", 3) != "abc" {
 		t.Error("pad broken")
 	}
-	out := TraceText("hdr", []string{"l1", "l2"})
-	if !strings.Contains(out, "hdr") || !strings.Contains(out, "l2") {
-		t.Errorf("TraceText = %q", out)
-	}
 }
 
 func TestTimelineUnassignedChannel(t *testing.T) {

@@ -23,8 +23,6 @@ package sched
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -53,7 +51,7 @@ func (e Event) String() string {
 
 // ConstraintKind records where a constraint came from, for conflict
 // reporting and for the relaxation pass.
-type ConstraintKind int
+type ConstraintKind uint8
 
 const (
 	// KindStructural marks a default arc derived from the tree (seq
@@ -95,22 +93,52 @@ func (r ArcRef) String() string {
 	return fmt.Sprintf("%s syncarcs[%d] %s", r.Node.PathString(), r.Index, r.Arc)
 }
 
-// Constraint is one difference constraint t[V] − t[U] ≤ W.
+// Constraint is one difference constraint t[V] − t[U] ≤ W. It keeps what
+// describes it — its kind, events, weight and arc, or the rule and node
+// that produced it — and Note words that only when someone reads it.
 type Constraint struct {
 	U, V EventID
 	W    time.Duration
+	// Arc is set for KindArc constraints. It points into the graph's arc
+	// list, shared; do not mutate.
+	Arc  *ArcRef
 	Kind ConstraintKind
-	// Arc is set for KindArc constraints.
-	Arc ArcRef
-	// Note is a human-readable description of the constraint's origin.
-	Note string
+	// A structural or duration constraint's note is words, then the
+	// duration for KindDuration, then node's path; note words a runtime
+	// constraint.
+	words string
+	node  *core.Node
+	note  func() string
 }
 
-// Graph is the constraint system for one document.
+// Note is a human-readable description of the constraint's origin,
+// formatted on each call: conflict reports, drop reports and tests read
+// it, and a solve that succeeds never does.
+func (c *Constraint) Note() string {
+	switch c.Kind {
+	case KindArc:
+		return c.Arc.String()
+	case KindRuntime:
+		if c.note == nil {
+			return ""
+		}
+		return c.note()
+	case KindDuration: // W is the duration, negated for a lower bound
+		return fmt.Sprintf("%s%v of %s", c.words, max(c.W, -c.W), c.node.PathString())
+	}
+	return c.words + c.node.PathString()
+}
+
+// Graph is the constraint system for one document, with the document's
+// resolution (core.Resolve) it was built from: res[k] is node k's, and the
+// duration source, the arcs' unit rates, Schedule.ChannelTimeline and the
+// layers that read Resolved all take their answers from it. Solver
+// re-resolves the subtrees an edit touches.
 type Graph struct {
 	doc       *core.Document
 	events    []Event
 	nodeIndex map[*core.Node]int32
+	res       []core.Resolved
 	// structBlocks[k] holds the structural and duration constraints node k
 	// owns; arcBlocks[k] the constraints of the explicit arcs node k
 	// carries; arcRefs[k] those arcs. Blocks are replaced, never mutated,
@@ -127,8 +155,7 @@ type Graph struct {
 	// (tombstones excluded).
 	consCount int
 
-	opts       Options
-	durationOf func(n *core.Node) (time.Duration, bool)
+	opts Options
 	// nameIdx memoizes child-name lookups per composite during arc
 	// resolution (documents routinely carry thousands of arcs naming
 	// siblings in wide composites). Cleared whenever the tree is patched.
@@ -208,7 +235,7 @@ func (g *Graph) appendFlat(buf []Constraint, drop map[arcKey]bool) []Constraint 
 		if k, ok := g.nodeIndex[n]; ok {
 			buf = append(buf, g.structBlocks[k]...)
 			for i := range g.arcBlocks[k] {
-				if c := &g.arcBlocks[k][i]; !drop[keyOf(c.Arc)] {
+				if c := &g.arcBlocks[k][i]; !drop[keyOf(*c.Arc)] {
 					buf = append(buf, *c)
 				}
 			}
@@ -235,6 +262,44 @@ func (g *Graph) Arcs() []ArcRef {
 
 // Doc returns the document the graph was built from.
 func (g *Graph) Doc() *core.Document { return g.doc }
+
+// Resolved returns node n's resolution as the graph holds it, nil for a
+// nil node. A node the graph does not know — one added behind its back —
+// is resolved on the spot from its ancestors. Shared; do not mutate.
+func (g *Graph) Resolved(n *core.Node) *core.Resolved {
+	if n == nil {
+		return nil
+	}
+	if k, ok := g.nodeIndex[n]; ok {
+		return &g.res[k]
+	}
+	r := g.doc.ResolveNode(n, g.Resolved(n.Parent()))
+	return &r
+}
+
+// leafDuration is the graph's duration source: Options.DurationOf, else
+// the leaf's resolved duration attribute in its channel's units.
+func (g *Graph) leafDuration(n *core.Node) (time.Duration, bool) {
+	if g.opts.DurationOf != nil {
+		return g.opts.DurationOf(n)
+	}
+	r := g.Resolved(n)
+	if !r.HasDuration {
+		return 0, false
+	}
+	dur, err := inUnitsOf(r, r.Duration)
+	return dur, err == nil
+}
+
+// inUnitsOf converts q with the rates of r's channel; a node without one
+// converts time alone.
+func inUnitsOf(r *core.Resolved, q units.Quantity) (time.Duration, error) {
+	var rates units.Rates
+	if r.Channel != nil {
+		rates = r.Channel.Rates
+	}
+	return units.NewResolver(rates).Duration(q)
+}
 
 // eventOf resolves an arc endpoint to an event id.
 func (g *Graph) eventOf(n *core.Node, ep core.EndPoint) EventID {
@@ -265,125 +330,59 @@ func (g *Graph) childByName(p *core.Node, name string) *core.Node {
 	return m[name]
 }
 
-// resolvePath mirrors core.Node.Resolve's path grammar ("", ".", "..",
-// "name", "#i", "/abs") using the memoized name index.
-func (g *Graph) resolvePath(n *core.Node, path string) (*core.Node, error) {
-	cur := n
-	rest := path
-	if strings.HasPrefix(path, "/") {
-		cur = n.Root()
-		rest = strings.TrimPrefix(path, "/")
-	}
-	if rest == "" {
-		return cur, nil
-	}
-	for _, comp := range strings.Split(rest, "/") {
-		switch comp {
-		case "", ".":
-			continue
-		case "..":
-			if cur.Parent() == nil {
-				return nil, &core.PathError{From: n, Path: path, At: comp, Why: "root has no parent"}
-			}
-			cur = cur.Parent()
-		default:
-			var next *core.Node
-			if strings.HasPrefix(comp, "#") {
-				i, err := strconv.Atoi(comp[1:])
-				if err == nil {
-					next = cur.Child(i)
-				}
-			} else {
-				next = g.childByName(cur, comp)
-			}
-			if next == nil {
-				return nil, &core.PathError{From: n, Path: path, At: comp,
-					Why: fmt.Sprintf("no such child of %s", cur.PathString())}
-			}
-			cur = next
-		}
-	}
-	return cur, nil
-}
-
-// resolveArc resolves an arc's endpoints like core.Node.ResolveArc, through
-// the memoized index.
+// resolveArc resolves an arc's endpoints like core.Node.ResolveArc, with
+// named children looked up through the memoized index.
 func (g *Graph) resolveArc(n *core.Node, a core.SyncArc) (src, dst *core.Node, err error) {
-	if src, err = g.resolvePath(n, a.Source); err != nil {
+	if src, err = n.ResolveVia(a.Source, g.childByName); err != nil {
 		return nil, nil, err
 	}
-	if dst, err = g.resolvePath(n, a.Dest); err != nil {
+	if dst, err = n.ResolveVia(a.Dest, g.childByName); err != nil {
 		return nil, nil, err
 	}
 	return src, dst, nil
 }
 
-// Build constructs the constraint graph for the document. The event table
-// and constraint blocks are laid out densely up front: one walk enumerates
-// events, a second emits every node's constraints into a shared arena.
+// Build constructs the constraint graph for the document. It resolves the
+// document once (core.Resolve), lays the event table out in the
+// resolution's pre-order, and emits every node's constraints into a
+// shared arena.
 func Build(d *core.Document, opts Options) (*Graph, error) {
-	nodes := d.Root.Count()
+	res := core.Resolve(d)
+	nodes := len(res)
 	g := &Graph{
 		doc:          d,
 		events:       make([]Event, 0, 2*nodes),
 		nodeIndex:    make(map[*core.Node]int32, nodes),
+		res:          res,
 		structBlocks: make([][]Constraint, nodes),
 		arcBlocks:    make([][]Constraint, nodes),
 		arcRefs:      make([][]ArcRef, nodes),
 		opts:         opts,
 	}
-
-	// Enumerate events.
-	d.Root.Walk(func(n *core.Node) bool {
-		g.nodeIndex[n] = int32(len(g.events) / 2)
+	for k := range res {
+		n := res[k].Node
+		g.nodeIndex[n] = int32(k)
 		g.events = append(g.events,
 			Event{Node: n, End: core.Begin},
 			Event{Node: n, End: core.End})
-		return true
-	})
-
-	g.durationOf = opts.DurationOf
-	if g.durationOf == nil {
-		g.durationOf = func(n *core.Node) (time.Duration, bool) {
-			q, ok := d.DurationOf(n)
-			if !ok {
-				return 0, false
-			}
-			dur, err := d.ResolverFor(n).Duration(q)
-			if err != nil {
-				return 0, false
-			}
-			return dur, true
-		}
 	}
 
 	// Emit constraints into one arena; blocks are full-capacity sub-slices
 	// so later appends can never scribble over a neighbour.
 	arena := make([]Constraint, 0, 4*nodes)
-	var buildErr error
-	d.Root.Walk(func(n *core.Node) bool {
-		if buildErr != nil {
-			return false
-		}
-		k := g.nodeIndex[n]
+	for k := range res {
 		start := len(arena)
-		arena = g.emitStructural(arena, n)
+		arena = g.emitStructural(arena, int32(k))
 		g.structBlocks[k] = arena[start:len(arena):len(arena)]
 
 		start = len(arena)
 		var refs []ArcRef
 		var err error
-		arena, refs, err = g.emitArcs(arena, n)
-		if err != nil {
-			buildErr = err
-			return false
+		if arena, refs, err = g.emitArcs(arena, int32(k)); err != nil {
+			return nil, err
 		}
 		g.arcBlocks[k] = arena[start:len(arena):len(arena)]
 		g.arcRefs[k] = refs
-		return true
-	})
-	if buildErr != nil {
-		return nil, buildErr
 	}
 	g.consCount = len(arena)
 	return g, nil
@@ -392,14 +391,22 @@ func Build(d *core.Document, opts Options) (*Graph, error) {
 // NumConstraints reports the number of live constraints.
 func (g *Graph) NumConstraints() int { return g.consCount }
 
-// lower appends t[v] ≥ t[u] + w, i.e. t[u] − t[v] ≤ −w (edge v→u).
-func lower(buf []Constraint, u, v EventID, w time.Duration, kind ConstraintKind, arc ArcRef, note string) []Constraint {
-	return append(buf, Constraint{U: v, V: u, W: -w, Kind: kind, Arc: arc, Note: note})
+// lower appends c as t[v] ≥ t[u] + w, i.e. t[u] − t[v] ≤ −w (edge v→u).
+func lower(buf []Constraint, u, v EventID, w time.Duration, c Constraint) []Constraint {
+	c.U, c.V, c.W = v, u, -w
+	return append(buf, c)
 }
 
-// upper appends t[v] ≤ t[u] + w (edge u→v).
-func upper(buf []Constraint, u, v EventID, w time.Duration, kind ConstraintKind, arc ArcRef, note string) []Constraint {
-	return append(buf, Constraint{U: u, V: v, W: w, Kind: kind, Arc: arc, Note: note})
+// upper appends c as t[v] ≤ t[u] + w (edge u→v).
+func upper(buf []Constraint, u, v EventID, w time.Duration, c Constraint) []Constraint {
+	c.U, c.V, c.W = u, v, w
+	return append(buf, c)
+}
+
+// about describes a structural constraint by its note's words and the
+// node they name.
+func about(words string, n *core.Node) Constraint {
+	return Constraint{Kind: KindStructural, words: words, node: n}
 }
 
 // emitStructural encodes the default synchronization arcs of section 5.3.1:
@@ -417,24 +424,23 @@ func upper(buf []Constraint, u, v EventID, w time.Duration, kind ConstraintKind,
 // bound whose earliest solution is equality. The par end relation is "start
 // the successor when the slowest parallel node finishes": end(parent) is
 // bounded below by every child's end, and the earliest solution is the max.
-func (g *Graph) emitStructural(buf []Constraint, n *core.Node) []Constraint {
+func (g *Graph) emitStructural(buf []Constraint, k int32) []Constraint {
 	opts := g.opts
-	nb, ne := g.Begin(n), g.End(n)
+	n := g.events[2*k].Node
+	nb, ne := EventID(2*k), EventID(2*k+1)
 
 	// Every node runs forward in time.
-	buf = lower(buf, nb, ne, 0, KindStructural, ArcRef{}, "end after begin of "+n.PathString())
+	buf = lower(buf, nb, ne, 0, about("end after begin of ", n))
 
 	if n.Type.IsLeaf() {
-		dur, known := g.durationOf(n)
+		dur, known := g.leafDuration(n)
 		if !known {
 			dur = opts.DefaultLeafDuration
 		}
 		if dur > 0 {
-			buf = lower(buf, nb, ne, dur, KindDuration, ArcRef{},
-				fmt.Sprintf("duration %v of %s", dur, n.PathString()))
+			buf = lower(buf, nb, ne, dur, Constraint{Kind: KindDuration, words: "duration ", node: n})
 			if opts.RigidLeaves {
-				buf = upper(buf, nb, ne, dur, KindDuration, ArcRef{},
-					fmt.Sprintf("rigid duration %v of %s", dur, n.PathString()))
+				buf = upper(buf, nb, ne, dur, Constraint{Kind: KindDuration, words: "rigid duration ", node: n})
 			}
 		}
 		return buf
@@ -447,36 +453,29 @@ func (g *Graph) emitStructural(buf []Constraint, n *core.Node) []Constraint {
 		for i, c := range children {
 			cb, ce := g.Begin(c), g.End(c)
 			if i == 0 {
-				buf = lower(buf, nb, cb, 0, KindStructural, ArcRef{},
-					"seq parent begin to first child "+c.PathString())
+				buf = lower(buf, nb, cb, 0, about("seq parent begin to first child ", c))
 			} else {
-				buf = lower(buf, prev, cb, 0, KindStructural, ArcRef{},
-					"seq successor "+c.PathString())
+				buf = lower(buf, prev, cb, 0, about("seq successor ", c))
 				if !opts.SeqGaps {
 					// Gap-free: the successor begins exactly when the
 					// predecessor ends, so delays propagate backwards as
 					// stretch (freeze-frame) rather than dead air.
-					buf = upper(buf, prev, cb, 0, KindStructural, ArcRef{},
-						"seq gap-free adjacency before "+c.PathString())
+					buf = upper(buf, prev, cb, 0, about("seq gap-free adjacency before ", c))
 				}
 			}
 			prev = ce
 		}
 		if len(children) > 0 {
-			buf = lower(buf, prev, ne, 0, KindStructural, ArcRef{},
-				"seq last child to parent end "+n.PathString())
+			buf = lower(buf, prev, ne, 0, about("seq last child to parent end ", n))
 			if !opts.SeqGaps {
-				buf = upper(buf, prev, ne, 0, KindStructural, ArcRef{},
-					"seq parent ends with last child "+n.PathString())
+				buf = upper(buf, prev, ne, 0, about("seq parent ends with last child ", n))
 			}
 		}
 	case core.Par:
 		for _, c := range children {
 			cb, ce := g.Begin(c), g.End(c)
-			buf = lower(buf, nb, cb, 0, KindStructural, ArcRef{},
-				"par parent begin to child "+c.PathString())
-			buf = lower(buf, ce, ne, 0, KindStructural, ArcRef{},
-				"par child end to parent end "+c.PathString())
+			buf = lower(buf, nb, cb, 0, about("par parent begin to child ", c))
+			buf = lower(buf, ce, ne, 0, about("par child end to parent end ", c))
 		}
 	}
 	return buf
@@ -490,13 +489,14 @@ func (g *Graph) emitStructural(buf []Constraint, n *core.Node) []Constraint {
 // The offset is converted with the source node's channel rates ("offsets may
 // be expressed in terms of media-dependent units"); δ and ε with the
 // destination's.
-func (g *Graph) emitArcs(buf []Constraint, n *core.Node) ([]Constraint, []ArcRef, error) {
-	arcs, err := n.Arcs()
-	if err != nil {
-		return buf, nil, err
+func (g *Graph) emitArcs(buf []Constraint, k int32) ([]Constraint, []ArcRef, error) {
+	r := &g.res[k]
+	n := r.Node
+	if r.ArcsErr != nil {
+		return buf, nil, r.ArcsErr
 	}
-	var refs []ArcRef
-	for i, a := range arcs {
+	refs := make([]ArcRef, 0, len(r.Arcs)) // constraints point into it
+	for i, a := range r.Arcs {
 		if err := a.Validate(); err != nil {
 			return buf, nil, fmt.Errorf("sched: %s arc %d: %w", n.PathString(), i, err)
 		}
@@ -504,29 +504,28 @@ func (g *Graph) emitArcs(buf []Constraint, n *core.Node) ([]Constraint, []ArcRef
 		if err != nil {
 			return buf, nil, fmt.Errorf("sched: %s arc %d: %w", n.PathString(), i, err)
 		}
-		ref := ArcRef{Node: n, Index: i, Arc: a}
-		refs = append(refs, ref)
+		refs = append(refs, ArcRef{Node: n, Index: i, Arc: a})
 
 		srcEv := g.eventOf(src, a.SrcEnd)
 		dstEv := g.eventOf(dst, a.DestEnd)
 
-		offset, err := g.doc.ResolverFor(src).Duration(a.Offset)
+		offset, err := inUnitsOf(g.Resolved(src), a.Offset)
 		if err != nil {
 			return buf, nil, fmt.Errorf("sched: %s arc %d offset: %w", n.PathString(), i, err)
 		}
-		dstRes := g.doc.ResolverFor(dst)
-		minD, err := dstRes.Duration(a.MinDelay)
+		dstRes := g.Resolved(dst)
+		minD, err := inUnitsOf(dstRes, a.MinDelay)
 		if err != nil {
 			return buf, nil, fmt.Errorf("sched: %s arc %d min_delay: %w", n.PathString(), i, err)
 		}
-		note := ref.String()
-		buf = lower(buf, srcEv, dstEv, offset+minD, KindArc, ref, note)
+		c := Constraint{Kind: KindArc, Arc: &refs[i]}
+		buf = lower(buf, srcEv, dstEv, offset+minD, c)
 		if !units.IsInfinite(a.MaxDelay) {
-			maxD, err := dstRes.Duration(a.MaxDelay)
+			maxD, err := inUnitsOf(dstRes, a.MaxDelay)
 			if err != nil {
 				return buf, nil, fmt.Errorf("sched: %s arc %d max_delay: %w", n.PathString(), i, err)
 			}
-			buf = upper(buf, srcEv, dstEv, offset+maxD, KindArc, ref, note)
+			buf = upper(buf, srcEv, dstEv, offset+maxD, c)
 		}
 	}
 	return buf, refs, nil
@@ -541,28 +540,21 @@ func (g *Graph) Clone() *Graph {
 		doc:          g.doc,
 		events:       g.events,
 		nodeIndex:    g.nodeIndex,
+		res:          g.res,
 		structBlocks: append([][]Constraint(nil), g.structBlocks...),
 		arcBlocks:    append([][]Constraint(nil), g.arcBlocks...),
 		arcRefs:      append([][]ArcRef(nil), g.arcRefs...),
 		runtime:      append([]Constraint(nil), g.runtime...),
 		opts:         g.opts,
-		durationOf:   g.durationOf,
 		consCount:    g.consCount,
 	}
 }
 
 // AddRuntimeLower adds the runtime constraint t[v] ≥ t[u] + w: presentation
 // environments use this to inject device latencies and interaction delays
-// (section 5.3.3 case 2 analysis).
-func (g *Graph) AddRuntimeLower(u, v EventID, w time.Duration, note string) {
-	g.runtime = lower(g.runtime, u, v, w, KindRuntime, ArcRef{}, note)
-	g.consCount++
-	g.invalidate()
-}
-
-// AddRuntimeUpper adds the runtime constraint t[v] ≤ t[u] + w.
-func (g *Graph) AddRuntimeUpper(u, v EventID, w time.Duration, note string) {
-	g.runtime = upper(g.runtime, u, v, w, KindRuntime, ArcRef{}, note)
+// (section 5.3.3 case 2 analysis). note words the constraint for its Note.
+func (g *Graph) AddRuntimeLower(u, v EventID, w time.Duration, note func() string) {
+	g.runtime = lower(g.runtime, u, v, w, Constraint{Kind: KindRuntime, note: note})
 	g.consCount++
 	g.invalidate()
 }

@@ -53,7 +53,7 @@ func TestNotesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range g.Constraints() {
-		b.WriteString(c.Note + "\n")
+		b.WriteString(c.Note() + "\n")
 	}
 	report := func(label string, s *Schedule, err error) {
 		var ce *ConflictError
@@ -101,7 +101,7 @@ func TestNotesGolden(t *testing.T) {
 		for _, l := range d.Root.Leaves() {
 			if rng.Intn(3) == 0 {
 				lat := time.Duration(rng.Int63n(int64(400 * time.Millisecond)))
-				run.AddRuntimeLower(0, run.Begin(l), plan.StartOf(l)+lat, "latency on "+l.PathString())
+				run.AddRuntimeLower(0, run.Begin(l), plan.StartOf(l)+lat, func() string { return "latency on " + l.PathString() })
 			}
 		}
 		s, err := run.SolveFrom(plan, SolveOptions{Relax: true})

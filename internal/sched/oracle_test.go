@@ -148,7 +148,7 @@ func checkOracle(t *testing.T, label string, g *Graph, base []Constraint, sch *S
 	times := sch.Times()
 	for _, c := range kept {
 		if times[c.V]-times[c.U] > c.W {
-			t.Fatalf("%s: kept constraint violated: %s", label, c.Note)
+			t.Fatalf("%s: kept constraint violated: %s", label, c.Note())
 		}
 	}
 	// 2. The times are the kept set's least solution.
@@ -300,7 +300,7 @@ func TestSolveOracle(t *testing.T) {
 		for _, l := range d.Root.Leaves() {
 			if rng.Intn(3) > 0 {
 				lat := time.Duration(rng.Int63n(int64(400 * time.Millisecond)))
-				run.AddRuntimeLower(0, run.Begin(l), plan.StartOf(l)+lat, "latency on "+l.PathString())
+				run.AddRuntimeLower(0, run.Begin(l), plan.StartOf(l)+lat, func() string { return "latency on " + l.PathString() })
 			}
 		}
 		base := oracleWithout(run.Constraints(), plan.Dropped)

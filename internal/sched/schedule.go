@@ -72,10 +72,13 @@ func (s *Schedule) StretchOf(n *core.Node, durationOf func(*core.Node) (time.Dur
 	if !n.Type.IsLeaf() {
 		return 0
 	}
+	var intrinsic time.Duration
+	var ok bool
 	if durationOf == nil {
-		durationOf = s.graph.durationOf
+		intrinsic, ok = s.graph.leafDuration(n)
+	} else {
+		intrinsic, ok = durationOf(n)
 	}
-	intrinsic, ok := durationOf(n)
 	if !ok {
 		return 0
 	}
@@ -96,15 +99,13 @@ type Slot struct {
 // start time. It is the data behind the Figure 3 / Figure 10 channel views.
 func (s *Schedule) ChannelTimeline() map[string][]Slot {
 	out := make(map[string][]Slot)
-	d := s.graph.doc
-	d.Root.Walk(func(n *core.Node) bool {
+	s.graph.doc.Root.Walk(func(n *core.Node) bool {
 		if !n.Type.IsLeaf() {
 			return true
 		}
-		ch, err := d.ChannelOf(n)
 		name := "(unassigned)"
-		if err == nil {
-			name = ch.Name
+		if r := s.graph.Resolved(n); r.Channel != nil {
+			name = r.Channel.Name
 		}
 		out[name] = append(out[name], Slot{
 			Node:  n,

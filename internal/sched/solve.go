@@ -20,9 +20,9 @@ type ConflictError struct {
 func (e *ConflictError) Error() string {
 	var b strings.Builder
 	b.WriteString("sched: unsatisfiable synchronization constraints:")
-	for _, c := range e.Cycle {
+	for i := range e.Cycle {
 		b.WriteString("\n  ")
-		b.WriteString(c.Note)
+		b.WriteString(e.Cycle[i].Note())
 	}
 	return b.String()
 }
@@ -32,7 +32,7 @@ func (e *ConflictError) MustArcs() []ArcRef {
 	var out []ArcRef
 	for _, c := range e.Cycle {
 		if c.Kind == KindArc && c.Arc.Arc.Strict == core.Must {
-			out = append(out, c.Arc)
+			out = append(out, *c.Arc)
 		}
 	}
 	return out
@@ -152,7 +152,7 @@ func (sc *solveScratch) admitMay(cons []Constraint) (dropped []ArcRef) {
 			continue
 		}
 		j := i + 1
-		for j < len(cons) && cons[j].Kind == KindArc && keyOf(cons[j].Arc) == keyOf(cons[i].Arc) {
+		for j < len(cons) && cons[j].Kind == KindArc && keyOf(*cons[j].Arc) == keyOf(*cons[i].Arc) {
 			j++
 		}
 		sc.undo = sc.undo[:0]
@@ -165,7 +165,7 @@ func (sc *solveScratch) admitMay(cons []Constraint) (dropped []ArcRef) {
 				for u := len(sc.undo) - 1; u >= 0; u-- {
 					sc.dist[sc.undo[u].v] = sc.undo[u].d
 				}
-				dropped = append(dropped, cons[i].Arc)
+				dropped = append(dropped, *cons[i].Arc)
 				break
 			}
 		}

@@ -87,7 +87,7 @@ func TestSolveFromMatchesColdSolve(t *testing.T) {
 			run := g.Clone()
 			for _, n := range d.Root.Leaves() {
 				if lat := time.Duration(rng.Int63n(int64(maxLat))); rng.Intn(3) > 0 {
-					run.AddRuntimeLower(0, run.Begin(n), plan.StartOf(n)+lat, "latency on "+n.PathString())
+					run.AddRuntimeLower(0, run.Begin(n), plan.StartOf(n)+lat, func() string { return "latency on " + n.PathString() })
 				}
 			}
 			cold := run
@@ -106,7 +106,7 @@ func TestSolveFromMatchesColdSolve(t *testing.T) {
 			sameSchedule(t, d, got, want)
 			sameRefs(t, got.Dropped, append(append([]ArcRef(nil), plan.Dropped...), want.Dropped...))
 			if viol := run.Verify(got.Times(), got.Dropped); len(viol) != 0 {
-				t.Errorf("doc %d relax %v: re-solved schedule violates %d constraints, first: %s", i, relax, len(viol), viol[0].Note)
+				t.Errorf("doc %d relax %v: re-solved schedule violates %d constraints, first: %s", i, relax, len(viol), viol[0].Note())
 			}
 			if len(want.Dropped) > 0 {
 				further++

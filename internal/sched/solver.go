@@ -164,7 +164,8 @@ func (s *Solver) Reschedule() (*Schedule, error) {
 type patchPlan struct {
 	full bool
 	// dirtyStruct nodes get their structural blocks re-emitted;
-	// dirtySubtrees extends that to whole subtrees (attribute inheritance).
+	// dirtySubtrees extends that to whole subtrees (attribute inheritance),
+	// re-resolved first.
 	dirtyStruct   map[*core.Node]bool
 	dirtySubtrees []*core.Node
 	// dirtyArcs nodes get their arc blocks re-emitted; reresolveArcs
@@ -202,6 +203,7 @@ func (s *Solver) insertSubtree(root *core.Node) {
 		g.events = append(g.events,
 			Event{Node: m, End: core.Begin},
 			Event{Node: m, End: core.End})
+		g.res = append(g.res, core.Resolved{})
 		g.structBlocks = append(g.structBlocks, nil)
 		g.arcBlocks = append(g.arcBlocks, nil)
 		g.arcRefs = append(g.arcRefs, nil)
@@ -239,15 +241,11 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 	g := s.g
 	g.invalidate()
 
-	// Expand subtree dirt into concrete owners (skipping nodes that were
-	// removed again later in the batch).
+	// Re-resolve what the batch touched, then expand subtree dirt into
+	// concrete owners (skipping nodes that were removed again later in
+	// the batch).
 	for _, root := range p.dirtySubtrees {
-		root.Walk(func(m *core.Node) bool {
-			if _, ok := g.nodeIndex[m]; ok {
-				p.dirtyStruct[m] = true
-			}
-			return true
-		})
+		g.reresolve(root, p.dirtyStruct)
 	}
 
 	// Re-emit structural blocks.
@@ -256,7 +254,7 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 		if !ok {
 			continue
 		}
-		neu := g.emitStructural(nil, n)
+		neu := g.emitStructural(nil, k)
 		p.changed = p.changed || blocksDiffer(g.structBlocks[k], neu)
 		g.consCount += len(neu) - len(g.structBlocks[k])
 		g.structBlocks[k] = neu
@@ -264,13 +262,16 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 
 	// Re-emit arc blocks: the explicitly dirtied ones, plus — after
 	// structural edits — every node carrying arcs, since relative paths
-	// may now resolve to different nodes.
+	// may now resolve to different nodes. Each carrier is re-resolved
+	// first: a move or rename rewrites arc paths with no record of its
+	// own.
 	reemitArcs := func(n *core.Node) error {
 		k, ok := g.nodeIndex[n]
 		if !ok {
 			return nil
 		}
-		neu, refs, err := g.emitArcs(nil, n)
+		g.res[k] = g.doc.ResolveNode(n, g.Resolved(n.Parent()))
+		neu, refs, err := g.emitArcs(nil, k)
 		if err != nil {
 			return err
 		}
@@ -289,10 +290,8 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 			if !ok {
 				return true
 			}
-			if len(g.arcRefs[k]) == 0 {
-				if _, carries := n.Attrs.Get("syncarcs"); !carries {
-					return true
-				}
+			if r := &g.res[k]; len(g.arcRefs[k]) == 0 && !p.dirtyArcs[n] && len(r.Arcs) == 0 && r.ArcsErr == nil {
+				return true
 			}
 			if err := reemitArcs(n); err != nil {
 				emitErr = err
@@ -310,6 +309,21 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 	return nil
 }
 
+// reresolve re-resolves the subtree at n from n's parent and marks its
+// nodes for structural re-emission; nodes the graph no longer holds are
+// skipped with their subtrees.
+func (g *Graph) reresolve(n *core.Node, dirty map[*core.Node]bool) {
+	k, ok := g.nodeIndex[n]
+	if !ok {
+		return
+	}
+	g.res[k] = g.doc.ResolveNode(n, g.Resolved(n.Parent()))
+	dirty[n] = true
+	for _, c := range n.Children() {
+		g.reresolve(c, dirty)
+	}
+}
+
 // blocksDiffer reports whether an owner's re-emitted constraint block
 // differs from its old one in a field the schedule depends on, the arc
 // reference included (a dropped arc is reported by it).
@@ -319,7 +333,7 @@ func blocksDiffer(old, neu []Constraint) bool {
 	}
 	for i := range old {
 		o, n := &old[i], &neu[i]
-		if o.U != n.U || o.V != n.V || o.W != n.W || o.Kind != n.Kind || o.Arc != n.Arc {
+		if o.U != n.U || o.V != n.V || o.W != n.W || o.Kind != n.Kind || (o.Arc == nil) != (n.Arc == nil) || o.Arc != nil && *o.Arc != *n.Arc {
 			return true
 		}
 	}
