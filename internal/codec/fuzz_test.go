@@ -6,11 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/attr"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/player"
+	"repro/internal/render"
+	"repro/internal/sched"
 )
 
 // seedDocs returns a small document of every corpus shape and one
@@ -86,7 +90,8 @@ func FuzzDecodeBinary(f *testing.F) {
 // carry, and putdoc accepts it from the wire. Arbitrary text must never
 // panic the parser, and every refusal is a *codec.SyntaxError. An
 // accepted text must survive the trip through the binary form: text →
-// doc → binary → doc → text equals text → doc → text.
+// doc → binary → doc → text equals text → doc → text. A document that
+// validates must then get through every layer of a view without a panic.
 func FuzzParse(f *testing.F) {
 	for _, d := range seedDocs(f) {
 		for _, form := range []codec.Form{codec.Conventional, codec.Embedded} {
@@ -135,7 +140,31 @@ func FuzzParse(f *testing.F) {
 		if crossed != direct {
 			t.Fatalf("text → doc → binary → doc → text differs from text → doc → text:\n%s\n---\n%s", direct, crossed)
 		}
+		viewValid(d)
 	})
+}
+
+// viewValid runs a document that validates through the view's layers
+// after the codec — the scheduler, a relaxed solve, playback under jitter
+// and the four renderings — as a reader would. Errors are answers; only a
+// panic fails the fuzz target.
+func viewValid(d *core.Document) {
+	if len(core.Errors(d.Validate())) > 0 {
+		return
+	}
+	render.Tree(d)
+	render.ArcTable(d)
+	g, err := sched.Build(d, sched.Options{DefaultLeafDuration: 500 * time.Millisecond})
+	if err != nil {
+		return
+	}
+	plan, err := g.Solve(sched.SolveOptions{Relax: true})
+	if err != nil {
+		return
+	}
+	player.PlaySchedule(plan, player.Options{Jitter: player.UniformJitter(1, 30*time.Millisecond), Relax: true})
+	render.Timeline(plan, render.TimelineOptions{})
+	render.TOCText(plan)
 }
 
 // textCarried returns a copy of d as its text form carries it: an ID

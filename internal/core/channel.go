@@ -188,18 +188,6 @@ func (d *ChannelDict) Channels() []Channel {
 // Len reports the number of channels.
 func (d *ChannelDict) Len() int { return len(d.channels) }
 
-// ByMedium returns the names of channels carrying medium m, in definition
-// order. "It is possible to have several channels of the same medium type."
-func (d *ChannelDict) ByMedium(m Medium) []string {
-	var out []string
-	for _, n := range d.order {
-		if d.channels[n].Medium == m {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // ParseChannelDict decodes a root "channeldict" attribute value.
 func ParseChannelDict(v attr.Value) (*ChannelDict, error) {
 	items, ok := v.AsList()

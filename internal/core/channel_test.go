@@ -46,13 +46,6 @@ func TestChannelDictBasics(t *testing.T) {
 	if _, ok := d.Lookup("smell"); ok {
 		t.Error("phantom channel found")
 	}
-	texts := d.ByMedium(MediumText)
-	if !reflect.DeepEqual(texts, []string{"captions", "labels"}) {
-		t.Errorf("ByMedium(text) = %v", texts)
-	}
-	if got := d.ByMedium(MediumGraphic); got != nil {
-		t.Errorf("ByMedium(graphic) = %v", got)
-	}
 }
 
 func TestChannelRedefineKeepsOrder(t *testing.T) {

@@ -163,12 +163,7 @@ func (d *Document) FileOf(n *Node) (string, bool) {
 	if err != nil || !found {
 		return "", false
 	}
-	return fileText(v)
-}
-
-// fileText is a file attribute's text: a STRING or an ID.
-func fileText(v attr.Value) (string, bool) {
-	s, err := pathText(v)
+	s, err := pathText(v) // a STRING or an ID
 	return s, err == nil
 }
 

@@ -2,19 +2,16 @@ package core
 
 import "repro/internal/units"
 
-// Resolved is what one node's attributes come to once its styles are
-// expanded and its inheritable attributes are filled in from its
-// ancestors: the answers ChannelOf, FileOf, DurationOf, MediumOf and
-// Node.Arcs give for the node, worked out once. A lookup that would fail
-// on a broken style reference leaves every field at its zero value (and
-// Medium at text), as those lookups report.
+// Resolved is what a node's attributes come to, its styles expanded and
+// its inheritable attributes filled in from its ancestors: the answers
+// ChannelOf, FileOf, DurationOf, MediumOf and Node.Arcs give, worked out
+// once. A broken style reference leaves the lookups' zero answers.
 type Resolved struct {
 	Node *Node
 	// Channel is the node's channel, shared with the root's channel
 	// dictionary; nil when it does not resolve.
 	Channel *Channel
-	// File is the (inherited) file attribute naming the node's data
-	// descriptor.
+	// File is the (inherited) file attribute naming the data descriptor.
 	File string
 	// Duration is a leaf's own presentation duration, in its units.
 	Duration units.Quantity
@@ -74,7 +71,8 @@ func (d *Document) ResolveNode(n *Node, parent *Resolved) Resolved {
 		r.Channel, r.chanName, r.chanBound = parent.Channel, parent.chanName, parent.chanBound
 	}
 	if v, found, _ := d.styles.ExpandedGet(n.Attrs, "file"); found {
-		r.File, r.HasFile = fileText(v)
+		file, err := pathText(v)
+		r.File, r.HasFile = file, err == nil
 	} else if parent != nil {
 		r.File, r.HasFile = parent.File, parent.HasFile
 	}

@@ -69,12 +69,11 @@ func (d *Document) Validate() []Issue {
 	for i := range res {
 		r := &res[i]
 		n := r.Node
-		isRoot := n.IsRoot()
 
 		// Registry checks: root-only attributes, node-type restrictions,
 		// value kinds.
 		for _, p := range n.Attrs.Pairs() {
-			if err := StandardAttrs.Check(p.Name, p.Value, n.Type, isRoot); err != nil {
+			if err := StandardAttrs.Check(p.Name, p.Value, n.Type, n.IsRoot()); err != nil {
 				add(Error, n, "attr-spec", "%v", err)
 			}
 		}

@@ -72,13 +72,10 @@ func (s *Schedule) StretchOf(n *core.Node, durationOf func(*core.Node) (time.Dur
 	if !n.Type.IsLeaf() {
 		return 0
 	}
-	var intrinsic time.Duration
-	var ok bool
 	if durationOf == nil {
-		intrinsic, ok = s.graph.leafDuration(n)
-	} else {
-		intrinsic, ok = durationOf(n)
+		durationOf = s.graph.leafDuration
 	}
+	intrinsic, ok := durationOf(n)
 	if !ok {
 		return 0
 	}

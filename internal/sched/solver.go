@@ -241,11 +241,16 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 	g := s.g
 	g.invalidate()
 
-	// Re-resolve what the batch touched, then expand subtree dirt into
-	// concrete owners (skipping nodes that were removed again later in
-	// the batch).
+	// Re-resolve subtree dirt top down and expand it into concrete owners
+	// (skipping nodes that were removed again later in the batch).
 	for _, root := range p.dirtySubtrees {
-		g.reresolve(root, p.dirtyStruct)
+		root.Walk(func(m *core.Node) bool {
+			if k, ok := g.nodeIndex[m]; ok {
+				g.res[k] = g.doc.ResolveNode(m, g.Resolved(m.Parent()))
+				p.dirtyStruct[m] = true
+			}
+			return true
+		})
 	}
 
 	// Re-emit structural blocks.
@@ -309,21 +314,6 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 	return nil
 }
 
-// reresolve re-resolves the subtree at n from n's parent and marks its
-// nodes for structural re-emission; nodes the graph no longer holds are
-// skipped with their subtrees.
-func (g *Graph) reresolve(n *core.Node, dirty map[*core.Node]bool) {
-	k, ok := g.nodeIndex[n]
-	if !ok {
-		return
-	}
-	g.res[k] = g.doc.ResolveNode(n, g.Resolved(n.Parent()))
-	dirty[n] = true
-	for _, c := range n.Children() {
-		g.reresolve(c, dirty)
-	}
-}
-
 // blocksDiffer reports whether an owner's re-emitted constraint block
 // differs from its old one in a field the schedule depends on, the arc
 // reference included (a dropped arc is reported by it).
@@ -333,7 +323,7 @@ func blocksDiffer(old, neu []Constraint) bool {
 	}
 	for i := range old {
 		o, n := &old[i], &neu[i]
-		if o.U != n.U || o.V != n.V || o.W != n.W || o.Kind != n.Kind || (o.Arc == nil) != (n.Arc == nil) || o.Arc != nil && *o.Arc != *n.Arc {
+		if o.U != n.U || o.V != n.V || o.W != n.W || o.Kind != n.Kind || o.Kind == KindArc && *o.Arc != *n.Arc {
 			return true
 		}
 	}

@@ -16,8 +16,9 @@
 #     ARCHITECTURE.md names all six);
 #   - every backticked `durable.Xxx` / `media.Xxx` / `ddbms.Xxx` /
 #     `metrics.Xxx` / `corpus.Xxx` / `edge.Xxx` / `cluster.Xxx` /
-#     `codec.Xxx` / `chunker.Xxx` symbol in docs/ must
-#     appear in the corresponding internal package, and every `recXxx`
+#     `codec.Xxx` / `chunker.Xxx` / `transport.Xxx` / `edit.Xxx` /
+#     `render.Xxx` / `present.Xxx` / `units.Xxx` / `fsio.Xxx` symbol in
+#     docs/ must appear in the corresponding internal package, and every `recXxx`
 #     record op named in the durability section must appear in
 #     internal/durable/record.go — and, the other way round, every `rec`
 #     op constant record.go declares must be named in that section, so
@@ -56,19 +57,13 @@ for sym in $(grep -ho '`cmif\.[A-Za-z]*`' docs/*.md README.md | sed 's/`cmif\.\(
     fi
 done
 
-# Internal transport symbols named in the protocol error-taxonomy table.
-for sym in $(grep -ho '`transport\.[A-Za-z]*`' docs/*.md | sed 's/`transport\.\(.*\)`/\1/' | sort -u); do
-    if ! grep -q "\b$sym\b" internal/transport/*.go; then
-        echo "docs reference \`transport.$sym\`, which no longer exists in internal/transport" >&2
-        fail=1
-    fi
-done
-
 # Scheduler, player, pipeline, filter, core and attr symbols
 # (ARCHITECTURE.md "Scheduler internals"), durability-layer symbols
-# ("Durable server state") plus the observability and corpus packages
-# ("Observability & load").
-for pkg in sched player pipeline filter core attr durable media ddbms metrics corpus edge cluster codec chunker; do
+# ("Durable server state"), the observability and corpus packages
+# ("Observability & load"), the transport (the protocol error-taxonomy
+# table among others) and the editing, rendering, presentation, units
+# and file-system helpers.
+for pkg in sched player pipeline filter core attr durable media ddbms metrics corpus edge cluster codec chunker transport edit render present units fsio; do
     for sym in $(grep -ho "\`$pkg\.[A-Za-z.()]*\`" docs/*.md | sed "s/\`$pkg\.\([A-Za-z]*\).*/\1/" | sort -u); do
         if ! grep -q "\b$sym\b" "internal/$pkg"/*.go; then
             echo "docs reference \`$pkg.$sym\`, which no longer exists in internal/$pkg" >&2
