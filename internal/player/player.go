@@ -24,9 +24,10 @@
 package player
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -247,7 +248,7 @@ func (res *Result) buildTrace(leaves []leafChannel, planned, actual *sched.Sched
 			res.FinishedAt = res.Actual[i]
 		}
 	}
-	res.Trace = make([]TraceEntry, 0, 3*len(leaves))
+	res.Trace = make([]TraceEntry, 0, 4*len(leaves)) // start, late, freeze, end
 	for _, l := range leaves {
 		n, ch := l.node, l.channel
 		start, end := actual.StartOf(n), actual.EndOf(n)
@@ -263,11 +264,11 @@ func (res *Result) buildTrace(leaves []leafChannel, planned, actual *sched.Sched
 		}
 		res.Trace = append(res.Trace, TraceEntry{At: end, Channel: ch, Node: n, Action: ActionEnd})
 	}
-	sort.SliceStable(res.Trace, func(i, j int) bool {
-		if res.Trace[i].At != res.Trace[j].At {
-			return res.Trace[i].At < res.Trace[j].At
+	slices.SortStableFunc(res.Trace, func(a, b TraceEntry) int {
+		if a.At != b.At {
+			return cmp.Compare(a.At, b.At)
 		}
-		return res.Trace[i].Channel < res.Trace[j].Channel
+		return strings.Compare(a.Channel, b.Channel)
 	})
 }
 

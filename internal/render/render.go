@@ -1,153 +1,170 @@
 package render
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/units"
 )
+
+// Every view appends its text to one byte buffer: no fmt, and no string
+// per row or cell. Padding counts runes, as fmt's widths do.
 
 // Tree renders the node tree in the conventional indented form of Figure
 // 5a, annotating each node with its type, name and channel.
 func Tree(d *core.Document) string {
 	res := core.Resolve(d) // in the order walk visits
-	var b strings.Builder
+	buf := make([]byte, 0, 64*len(res))
 	var walk func(n *core.Node, depth int)
 	walk = func(n *core.Node, depth int) {
 		r := &res[0]
 		res = res[1:]
-		b.WriteString(strings.Repeat("  ", depth))
-		b.WriteString(n.Type.String())
+		buf = fill(buf, ' ', 2*depth)
+		buf = append(buf, n.Type.String()...)
 		if name := n.Name(); name != "" {
-			b.WriteString(" ")
-			b.WriteString(name)
+			buf = append(append(buf, ' '), name...)
 		}
-		var notes []string
+		notes := len(buf)
 		if r.Channel != nil && n.Type.IsLeaf() {
-			notes = append(notes, "channel="+r.Channel.Name)
+			buf = append(note(buf, notes), "channel="...)
+			buf = append(buf, r.Channel.Name...)
 		}
 		if r.HasFile && n.Type == core.Ext {
-			notes = append(notes, "file="+r.File)
+			buf = append(note(buf, notes), "file="...)
+			buf = append(buf, r.File...)
 		}
 		if n.Type == core.Imm {
-			notes = append(notes, fmt.Sprintf("%d bytes", len(n.Data)))
+			buf = strconv.AppendInt(note(buf, notes), int64(len(n.Data)), 10)
+			buf = append(buf, " bytes"...)
 		}
 		if len(r.Arcs) > 0 {
-			notes = append(notes, fmt.Sprintf("%d arcs", len(r.Arcs)))
+			buf = strconv.AppendInt(note(buf, notes), int64(len(r.Arcs)), 10)
+			buf = append(buf, " arcs"...)
 		}
-		if len(notes) > 0 {
-			b.WriteString("  [")
-			b.WriteString(strings.Join(notes, ", "))
-			b.WriteString("]")
+		if len(buf) > notes {
+			buf = append(buf, ']')
 		}
-		b.WriteByte('\n')
+		buf = append(buf, '\n')
 		for _, c := range n.Children() {
 			walk(c, depth+1)
 		}
 	}
 	walk(d.Root, 0)
-	return b.String()
+	return string(buf)
 }
 
-// TOCEntry is one named node in the table of contents.
-type TOCEntry struct {
-	Node  *core.Node
-	Depth int
-	Start time.Duration
-	End   time.Duration
+// note appends the separator before one of a node's annotations, which
+// start at offset at: "  [" before the first, ", " between.
+func note(buf []byte, at int) []byte {
+	if len(buf) == at {
+		return append(buf, "  ["...)
+	}
+	return append(buf, ", "...)
 }
 
-// TOC builds the table of contents: every named composite and leaf with its
-// scheduled extent. "The document structure map provides a data-independent,
-// position-independent and system-independent view of the multimedia
-// document being read, acting as an internal table-of-contents function."
-func TOC(s *sched.Schedule) []TOCEntry {
-	var out []TOCEntry
-	d := s.Graph().Doc()
-	d.Root.Walk(func(n *core.Node) bool {
-		if n.Name() == "" && !n.IsRoot() {
-			return true
-		}
-		out = append(out, TOCEntry{
-			Node:  n,
-			Depth: n.Depth(),
-			Start: s.StartOf(n),
-			End:   s.EndOf(n),
-		})
-		return true
-	})
-	return out
-}
-
-// TOCText renders the table of contents.
+// TOCText renders the table of contents: every named composite and leaf,
+// indented by its depth, with its scheduled extent. "The document
+// structure map provides a data-independent, position-independent and
+// system-independent view of the multimedia document being read, acting
+// as an internal table-of-contents function."
 func TOCText(s *sched.Schedule) string {
-	var b strings.Builder
-	for _, e := range TOC(s) {
-		name := e.Node.Name()
-		if name == "" {
+	buf := make([]byte, 0, 64*s.Graph().NumEvents()/2)
+	var walk func(n *core.Node, depth int)
+	walk = func(n *core.Node, depth int) {
+		name := n.Name()
+		if name == "" && n.IsRoot() {
 			name = "(document)"
 		}
-		fmt.Fprintf(&b, "%s%-24s %10v .. %-10v\n",
-			strings.Repeat("  ", e.Depth), name, e.Start, e.End)
+		if name != "" {
+			buf = padRight(fill(buf, ' ', 2*depth), name, 24)
+			buf = padLeft(append(buf, ' '), s.StartOf(n).String(), 10)
+			buf = padRight(append(buf, " .. "...), s.EndOf(n).String(), 10)
+			buf = append(buf, '\n')
+		}
+		for _, c := range n.Children() {
+			walk(c, depth+1)
+		}
 	}
-	return b.String()
+	walk(s.Graph().Doc().Root, 0)
+	return string(buf)
 }
 
 // ArcTable renders every explicit arc in the document in the tabular form
 // of Figure 9: type, source, offset, destination, min_delay, max_delay.
 func ArcTable(d *core.Document) string {
-	var rows [][6]string
+	const cols = 6
 	res := core.Resolve(d)
+	rows := 1
+	for i := range res {
+		rows += len(res[i].Arcs)
+	}
+	// The cells, header row first, go into one buffer; ends[k] is where
+	// cell k ends, and cell k sits in column k%cols.
+	cells := make([]byte, 0, 96*rows)
+	ends := make([]int, 0, cols*rows)
+	var widths [cols]int
+	endCell := func() {
+		start := 0
+		if len(ends) > 0 {
+			start = ends[len(ends)-1]
+		}
+		col := len(ends) % cols
+		widths[col] = max(widths[col], len(cells)-start)
+		ends = append(ends, len(cells))
+	}
+	for _, h := range [cols]string{"type", "source", "offset", "destination", "min_delay", "max_delay"} {
+		cells = append(cells, h...)
+		endCell()
+	}
 	for i := range res {
 		n := res[i].Node
 		for _, a := range res[i].Arcs {
-			maxs := a.MaxDelay.String()
+			cells = append(append(cells, '('), a.DestEnd.String()...)
+			cells = append(append(cells, ' '), a.Strict.String()...)
+			cells = append(cells, ')')
+			endCell()
+			cells = append(n.AppendPath(cells), " : "...)
+			cells = append(cells, orSelf(a.Source)...)
+			cells = append(append(cells, '.'), a.SrcEnd.String()...)
+			endCell()
+			cells = appendQuantity(cells, a.Offset)
+			endCell()
+			cells = append(cells, orSelf(a.Dest)...)
+			endCell()
+			cells = appendQuantity(cells, a.MinDelay)
+			endCell()
 			if a.MaxDelay.Value >= 1<<62 {
-				maxs = "inf"
+				cells = append(cells, "inf"...)
+			} else {
+				cells = appendQuantity(cells, a.MaxDelay)
 			}
-			rows = append(rows, [6]string{
-				fmt.Sprintf("(%s %s)", a.DestEnd, a.Strict),
-				n.PathString() + " : " + orSelf(a.Source) + "." + a.SrcEnd.String(),
-				a.Offset.String(),
-				orSelf(a.Dest),
-				a.MinDelay.String(),
-				maxs,
-			})
+			endCell()
 		}
 	}
-	header := [6]string{"type", "source", "offset", "destination", "min_delay", "max_delay"}
-	widths := make([]int, 6)
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, cell := range r {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(r [6]string) {
-		for i, cell := range r {
-			fmt.Fprintf(&b, "| %-*s ", widths[i], cell)
-		}
-		b.WriteString("|\n")
-	}
-	writeRow(header)
+
 	total := 1
 	for _, w := range widths {
 		total += w + 3
 	}
-	b.WriteString(strings.Repeat("-", total))
-	b.WriteByte('\n')
-	for _, r := range rows {
-		writeRow(r)
+	buf := make([]byte, 0, (rows+1)*(total+1))
+	start := 0
+	for k, end := range ends {
+		cell := cells[start:end]
+		start = end
+		buf = append(append(buf, "| "...), cell...)
+		buf = append(fill(buf, ' ', widths[k%cols]-utf8.RuneCount(cell)), ' ')
+		if k%cols == cols-1 {
+			buf = append(buf, "|\n"...)
+		}
+		if k == cols-1 { // under the header
+			buf = append(fill(buf, '-', total), '\n')
+		}
 	}
-	return b.String()
+	return string(buf)
 }
 
 func orSelf(p string) string {
@@ -155,6 +172,11 @@ func orSelf(p string) string {
 		return "(self)"
 	}
 	return p
+}
+
+// appendQuantity appends q as units.Quantity.String renders it.
+func appendQuantity(buf []byte, q units.Quantity) []byte {
+	return append(strconv.AppendInt(buf, q.Value, 10), q.Unit.String()...)
 }
 
 // TimelineOptions controls the channel/time view.
@@ -206,53 +228,52 @@ func Timeline(s *sched.Schedule, opts TimelineOptions) string {
 	}
 
 	cw := opts.ColWidth
-	var b strings.Builder
+	buf := make([]byte, 0, (rows+2)*(12+len(channels)*cw))
 	// Header.
-	b.WriteString(strings.Repeat(" ", 11))
+	buf = fill(buf, ' ', 11)
 	for _, ch := range channels {
-		fmt.Fprintf(&b, "%-*s", cw, clip(ch, cw-1))
+		buf = padRight(buf, clip(ch, cw-1), cw)
 	}
-	b.WriteString("\n")
-	b.WriteString(strings.Repeat(" ", 11))
+	buf = fill(append(buf, '\n'), ' ', 11)
 	for range channels {
-		b.WriteString(strings.Repeat("-", cw-1))
-		b.WriteString(" ")
+		buf = append(fill(buf, '-', cw-1), ' ')
 	}
-	b.WriteString("\n")
+	buf = append(buf, '\n')
 
 	for row := 0; row < rows; row++ {
 		t0 := time.Duration(row) * opts.Resolution
 		t1 := t0 + opts.Resolution
-		fmt.Fprintf(&b, "%9v  ", t0)
+		buf = append(padLeft(buf, t0.String(), 9), "  "...)
 		for _, ch := range channels {
-			cell := strings.Repeat(" ", cw-1)
-			for _, slot := range tl[ch] {
-				if slot.End <= t0 || slot.Start >= t1 {
-					continue
-				}
-				switch {
-				case slot.Start >= t0: // block starts in this bucket
-					label := "+" + clip(nodeLabel(slot.Node), cw-2)
-					cell = pad(label, cw-1)
-				case slot.End <= t1: // block ends in this bucket
-					cell = pad("+"+strings.Repeat("-", cw-3), cw-1)
-				default: // continuation
-					cell = pad("|", cw-1)
+			// The last slot overlapping the row draws the cell.
+			var slot *sched.Slot
+			for i, sl := range tl[ch] {
+				if sl.End > t0 && sl.Start < t1 {
+					slot = &tl[ch][i]
 				}
 			}
-			b.WriteString(cell)
-			b.WriteString(" ")
+			cell := len(buf)
+			switch {
+			case slot == nil:
+			case slot.Start >= t0: // block starts in this bucket
+				buf = append(buf, '+')
+				label := len(buf)
+				if name := slot.Node.Name(); name != "" {
+					buf = append(buf, name...)
+				} else {
+					buf = slot.Node.AppendPath(buf)
+				}
+				buf = buf[:min(len(buf), label+cw-2)]
+			case slot.End <= t1: // block ends in this bucket
+				buf = fill(append(buf, '+'), '-', cw-3)
+			default: // continuation
+				buf = append(buf, '|')
+			}
+			buf = fill(buf, ' ', cw-(len(buf)-cell))
 		}
-		b.WriteString("\n")
+		buf = append(buf, '\n')
 	}
-	return b.String()
-}
-
-func nodeLabel(n *core.Node) string {
-	if name := n.Name(); name != "" {
-		return name
-	}
-	return n.PathString()
+	return string(buf)
 }
 
 func clip(s string, n int) string {
@@ -265,9 +286,22 @@ func clip(s string, n int) string {
 	return s
 }
 
-func pad(s string, n int) string {
-	if len(s) >= n {
-		return s[:n]
+// fill appends n copies of c; none when n ≤ 0.
+func fill(buf []byte, c byte, n int) []byte {
+	for ; n > 0; n-- {
+		buf = append(buf, c)
 	}
-	return s + strings.Repeat(" ", n-len(s))
+	return buf
+}
+
+// padRight appends s left-aligned in a field of width runes, like fmt's
+// %-*s.
+func padRight(buf []byte, s string, width int) []byte {
+	return fill(append(buf, s...), ' ', width-utf8.RuneCountInString(s))
+}
+
+// padLeft appends s right-aligned in a field of width runes, like fmt's
+// %*s.
+func padLeft(buf []byte, s string, width int) []byte {
+	return append(fill(buf, ' ', width-utf8.RuneCountInString(s)), s...)
 }

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -80,17 +81,17 @@ func TestTree(t *testing.T) {
 
 func TestTOC(t *testing.T) {
 	_, s := newsFixture(t)
-	entries := TOC(s)
-	if len(entries) < 5 {
-		t.Fatalf("TOC entries = %d", len(entries))
+	lines := strings.Split(strings.TrimSuffix(TOCText(s), "\n"), "\n")
+	if len(lines) < 5 {
+		t.Fatalf("TOC rows = %d", len(lines))
 	}
-	if entries[0].Node.Name() != "news" || entries[0].Depth != 0 {
-		t.Errorf("first entry = %+v", entries[0])
+	// Rows are indented by depth: the root first, unindented.
+	if !strings.HasPrefix(lines[0], "news ") {
+		t.Errorf("first row = %q", lines[0])
 	}
-	text := TOCText(s)
-	for _, want := range []string{"news", "story-3", "intro", "voice"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("TOC text missing %q:\n%s", want, text)
+	for _, want := range []string{"  story-3", "    intro", "  voice"} {
+		if !strings.Contains(TOCText(s), "\n"+want+" ") {
+			t.Errorf("TOC text missing row %q:\n%s", want, strings.Join(lines, "\n"))
 		}
 	}
 }
@@ -156,8 +157,16 @@ func TestHelpers(t *testing.T) {
 	if clip("abcdef", 3) != "abc" || clip("ab", 5) != "ab" || clip("x", 0) != "" {
 		t.Error("clip broken")
 	}
-	if pad("ab", 4) != "ab  " || pad("abcdef", 3) != "abc" {
-		t.Error("pad broken")
+	// The padding helpers count runes, as fmt's widths do.
+	for _, s := range []string{"", "ab", "1.5µs", "twenty-five-bytes-exactly", "ünïcödé"} {
+		for _, w := range []int{0, 3, 10, 24} {
+			if got, want := string(padRight(nil, s, w)), fmt.Sprintf("%-*s", w, s); got != want {
+				t.Errorf("padRight(%q, %d) = %q, want %q", s, w, got, want)
+			}
+			if got, want := string(padLeft(nil, s, w)), fmt.Sprintf("%*s", w, s); got != want {
+				t.Errorf("padLeft(%q, %d) = %q, want %q", s, w, got, want)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -112,12 +114,11 @@ func (s *Schedule) ChannelTimeline() map[string][]Slot {
 		return true
 	})
 	for name := range out {
-		slots := out[name]
-		sort.SliceStable(slots, func(i, j int) bool {
-			if slots[i].Start != slots[j].Start {
-				return slots[i].Start < slots[j].Start
+		slices.SortStableFunc(out[name], func(a, b Slot) int {
+			if a.Start != b.Start {
+				return cmp.Compare(a.Start, b.Start)
 			}
-			return slots[i].End < slots[j].End
+			return cmp.Compare(a.End, b.End)
 		})
 	}
 	return out
