@@ -33,7 +33,8 @@ func corpusDoc(t testing.TB, spec corpus.Spec) *core.Document {
 // TestSolveAllocationCeiling pins the relax loop's ownership rule: one arena
 // per Solve call, reused across every admission, so what a solve allocates
 // does not scale with the arcs it drops. DeepNest 2/6 drops 25; the solve
-// allocates about 87 KB (223 KB when each victim cost a cold sweep).
+// allocates about 99 KB (87 KB before its adjacency carried each edge's
+// head and weight, 223 KB when each victim cost a cold sweep).
 func TestSolveAllocationCeiling(t *testing.T) {
 	d := corpusDoc(t, corpus.Spec{Shape: corpus.DeepNest, Seed: 206, Size: 2, Depth: 6})
 	g, err := Build(d, Options{DefaultLeafDuration: 500 * time.Millisecond})

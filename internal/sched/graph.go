@@ -148,9 +148,15 @@ type Graph struct {
 	arcRefs      [][]ArcRef
 	// runtime holds constraints injected after construction.
 	runtime []Constraint
-	// flat caches the document-ordered flattened constraint list.
-	flat   []Constraint
-	flatOK bool
+	// flat caches the document-ordered flattened constraint list with the
+	// first flatRuntime runtime constraints; flatAt[k] is where node k's
+	// blocks start in it, -1 for a node outside the tree. Runtime
+	// constraints added later follow it uncopied (list). Clones share the
+	// cache; replacing a block drops it.
+	flat        []Constraint
+	flatAt      []int32
+	flatRuntime int
+	flatOK      bool
 	// consCount tracks the live system size without flattening
 	// (tombstones excluded).
 	consCount int
@@ -205,48 +211,68 @@ func (g *Graph) Constraints() []Constraint { return g.flatten() }
 // for every node in pre-order, its structural block then its arc block,
 // followed by the runtime constraints. Tombstoned nodes are not in the tree
 // and therefore drop out naturally.
-func (g *Graph) flatten() []Constraint { return g.withoutArcs(nil) }
-
-// withoutArcs builds the flat constraint list minus every constraint of the
-// listed arcs, in one pass over the blocks; with no arcs listed the result
-// is the cached flat view. Used by Verify and SolveFrom.
-func (g *Graph) withoutArcs(refs []ArcRef) []Constraint {
-	if len(refs) == 0 && g.flatOK {
-		return g.flat
+func (g *Graph) flatten() []Constraint {
+	if !g.flatOK || g.flatRuntime < len(g.runtime) {
+		g.flatAt = make([]int32, len(g.structBlocks))
+		g.flat = g.appendFlat(make([]Constraint, 0, g.consCount), g.flatAt)
+		g.flatRuntime, g.flatOK = len(g.runtime), true
 	}
-	dropped := make(map[arcKey]bool, len(refs))
-	for _, r := range refs {
-		dropped[keyOf(r)] = true
-	}
-	flat := g.appendFlat(make([]Constraint, 0, g.consCount), dropped)
-	if len(refs) == 0 {
-		g.flat, g.flatOK = flat, true
-	}
-	return flat
+	return g.flat
 }
 
-// appendFlat appends the document-ordered constraint list to buf, minus
-// every constraint of the arcs in drop. Nodes missing from the index were
-// added to the tree behind the graph's back (untracked edits); they are
-// skipped rather than aliased to the root's slot, so a stale graph stays
-// consistent with its build.
-func (g *Graph) appendFlat(buf []Constraint, drop map[arcKey]bool) []Constraint {
+// list is the constraint list the solves run over: the cached flat view,
+// then the runtime constraints added since it was made, uncopied.
+func (g *Graph) list() conList {
+	if !g.flatOK {
+		g.flatten()
+	}
+	return conList{g.flat, g.runtime[g.flatRuntime:]}
+}
+
+// maskArcs flags the constraints of the arcs in drop in a mask over list(),
+// finding each arc's block through flatAt rather than walking the tree.
+func (g *Graph) maskArcs(drop []ArcRef) []bool {
+	cons := g.list()
+	mask := make([]bool, cons.len())
+	for _, r := range drop {
+		k, ok := g.nodeIndex[r.Node]
+		if !ok || g.flatAt[k] < 0 {
+			continue
+		}
+		at := int(g.flatAt[k]) + len(g.structBlocks[k])
+		for i := range g.arcBlocks[k] {
+			if g.arcBlocks[k][i].Arc.Index == r.Index {
+				mask[at+i] = true
+			}
+		}
+	}
+	return mask
+}
+
+// appendFlat appends the document-ordered constraint list to buf and, when
+// at is set, records where each node's blocks start. Nodes missing from
+// the index were added to the tree behind the graph's back (untracked
+// edits); they are skipped rather than aliased to the root's slot, so a
+// stale graph stays consistent with its build.
+func (g *Graph) appendFlat(buf []Constraint, at []int32) []Constraint {
+	for k := range at {
+		at[k] = -1
+	}
 	g.doc.Root.Walk(func(n *core.Node) bool {
 		if k, ok := g.nodeIndex[n]; ok {
-			buf = append(buf, g.structBlocks[k]...)
-			for i := range g.arcBlocks[k] {
-				if c := &g.arcBlocks[k][i]; !drop[keyOf(*c.Arc)] {
-					buf = append(buf, *c)
-				}
+			if at != nil {
+				at[k] = int32(len(buf))
 			}
+			buf = append(buf, g.structBlocks[k]...)
+			buf = append(buf, g.arcBlocks[k]...)
 		}
 		return true
 	})
 	return append(buf, g.runtime...)
 }
 
-// invalidate drops the cached flat view after a mutation.
-func (g *Graph) invalidate() { g.flat, g.flatOK = nil, false }
+// invalidate drops the cached flat view after a block changed.
+func (g *Graph) invalidate() { g.flat, g.flatAt, g.flatOK = nil, nil, false }
 
 // Arcs returns every explicit arc found in the document, in document order.
 func (g *Graph) Arcs() []ArcRef {
@@ -531,10 +557,11 @@ func (g *Graph) emitArcs(buf []Constraint, k int32) ([]Constraint, []ArcRef, err
 	return buf, refs, nil
 }
 
-// Clone returns a graph sharing the document, event table and constraint
-// blocks (blocks are replaced, never mutated, so sharing is safe) but with
-// an independent runtime-constraint list, so runtime constraints can be
-// added without disturbing the original.
+// Clone returns a graph sharing the document, event table, constraint
+// blocks and cached flat view (blocks are replaced, never mutated, so
+// sharing is safe) but with an independent runtime-constraint list, so
+// runtime constraints can be added without disturbing the original — or
+// copying its constraint list.
 func (g *Graph) Clone() *Graph {
 	return &Graph{
 		doc:          g.doc,
@@ -545,6 +572,10 @@ func (g *Graph) Clone() *Graph {
 		arcBlocks:    append([][]Constraint(nil), g.arcBlocks...),
 		arcRefs:      append([][]ArcRef(nil), g.arcRefs...),
 		runtime:      append([]Constraint(nil), g.runtime...),
+		flat:         g.flat,
+		flatAt:       g.flatAt,
+		flatRuntime:  g.flatRuntime,
+		flatOK:       g.flatOK,
 		opts:         g.opts,
 		consCount:    g.consCount,
 	}
@@ -556,7 +587,6 @@ func (g *Graph) Clone() *Graph {
 func (g *Graph) AddRuntimeLower(u, v EventID, w time.Duration, note func() string) {
 	g.runtime = lower(g.runtime, u, v, w, Constraint{Kind: KindRuntime, note: note})
 	g.consCount++
-	g.invalidate()
 }
 
 // WithoutArc returns a clone of the graph with the given explicit arc
@@ -584,6 +614,7 @@ func (g *Graph) WithoutArc(r ArcRef) *Graph {
 	}
 	c.consCount -= len(c.arcBlocks[k]) - len(kept)
 	c.arcBlocks[k], c.arcRefs[k] = kept, refs
+	c.invalidate()
 	return c
 }
 

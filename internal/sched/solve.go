@@ -54,7 +54,7 @@ type SolveOptions struct {
 // loop over the same list after patching its graph for edits, on an arena
 // it keeps, and produces identical schedules.
 func (g *Graph) Solve(opts SolveOptions) (*Schedule, error) {
-	return g.solve(&solveScratch{}, g.flatten(), opts)
+	return g.solve(&solveScratch{}, g.list(), opts)
 }
 
 // SolveFrom re-solves g — plan's graph, or a Clone of it carrying runtime
@@ -64,8 +64,17 @@ func (g *Graph) Solve(opts SolveOptions) (*Schedule, error) {
 // ones relax anything. The schedule is exactly what Solve returns for g
 // without those arcs (the seed buys speed, never a different answer); its
 // Dropped is plan's list followed by the victims opts.Relax allowed on top.
+//
+// The solve runs over g's list: for a Clone of a graph that has solved,
+// the parent's cached flat view followed by the runtime constraints added
+// to the clone, neither copied. Plan's dropped arcs are masked out of it,
+// not filtered.
 func (g *Graph) SolveFrom(plan *Schedule, opts SolveOptions) (*Schedule, error) {
-	s, err := g.solve(&solveScratch{seed: plan.times}, g.withoutArcs(plan.Dropped), opts)
+	sc := &solveScratch{seed: plan.times}
+	if len(plan.Dropped) > 0 {
+		sc.masked = g.maskArcs(plan.Dropped)
+	}
+	s, err := g.solve(sc, g.list(), opts)
 	if err == nil {
 		s.Dropped = append(plan.Dropped[:len(plan.Dropped):len(plan.Dropped)], s.Dropped...)
 	}
@@ -73,7 +82,7 @@ func (g *Graph) SolveFrom(plan *Schedule, opts SolveOptions) (*Schedule, error) 
 }
 
 // solve runs the relax loop over cons on sc and wraps the result.
-func (g *Graph) solve(sc *solveScratch, cons []Constraint, opts SolveOptions) (*Schedule, error) {
+func (g *Graph) solve(sc *solveScratch, cons conList, opts SolveOptions) (*Schedule, error) {
 	n := len(g.events)
 	dist, dropped, cycle := sc.solve(n, 0, cons, opts.Relax)
 	if cycle != nil {
@@ -106,14 +115,18 @@ func (g *Graph) SolveParallel(opts SolveOptions) (*Schedule, error) { return g.S
 // returns the shortest-path labels, aliasing the arena — convert with
 // timeOf before the next call — and the dropped arcs in list order, or the
 // constraints of a cycle that relaxation could not (or may not) break.
-func (sc *solveScratch) solve(n int, src EventID, cons []Constraint, relax bool) (dist []int64, dropped []ArcRef, conflict []Constraint) {
+func (sc *solveScratch) solve(n int, src EventID, cons conList, relax bool) (dist []int64, dropped []ArcRef, conflict []Constraint) {
 	sc.active = sc.active[:0]
-	sc.grow(n, len(cons))
+	for _, out := range sc.masked {
+		sc.active = append(sc.active, !out)
+	}
+	sc.grow(n, cons.len())
 	sc.buildCSR(n, cons, false)
 	cycleIdx := sc.findNegativeCycle(n, cons)
 	if cycleIdx != nil && relax {
-		for i := range cons {
-			sc.active = append(sc.active, !isMay(&cons[i]))
+		sc.active = sc.active[:0]
+		for i := range cons.len() {
+			sc.active = append(sc.active, !isMay(cons.at(i)) && !sc.isMasked(i))
 		}
 		if cycleIdx = sc.findNegativeCycle(n, cons); cycleIdx == nil {
 			dropped = sc.admitMay(cons)
@@ -127,7 +140,7 @@ func (sc *solveScratch) solve(n int, src EventID, cons []Constraint, relax bool)
 		}
 		conflict = make([]Constraint, len(cycleIdx))
 		for i, ci := range cycleIdx {
-			conflict[i] = cons[ci]
+			conflict[i] = *cons.at(int(ci))
 		}
 		return nil, nil, conflict
 	}
@@ -137,22 +150,27 @@ func (sc *solveScratch) solve(n int, src EventID, cons []Constraint, relax bool)
 	// t_v = −dist(v → src), i.e. single-source shortest paths from src on
 	// the reversed graph.
 	sc.buildCSR(n, cons, true)
-	return sc.spfa(n, cons, src), dropped, nil
+	return sc.spfa(n, src), dropped, nil
 }
 
 func isMay(c *Constraint) bool { return c.Kind == KindArc && c.Arc.Arc.Strict == core.May }
 
+// isMasked reports whether constraint i is out of this solve altogether.
+func (sc *solveScratch) isMasked(i int) bool { return sc.masked != nil && sc.masked[i] }
+
 // admitMay activates cons' May arcs in list order over the labels of a
 // feasible sweep of the rest, and returns the arcs it had to reject. An
 // arc's constraints are adjacent in the list and stand or fall together.
-func (sc *solveScratch) admitMay(cons []Constraint) (dropped []ArcRef) {
-	for i := 0; i < len(cons); {
-		if !isMay(&cons[i]) {
+// Masked arcs are never admitted.
+func (sc *solveScratch) admitMay(cons conList) (dropped []ArcRef) {
+	for i := 0; i < cons.len(); {
+		if !isMay(cons.at(i)) || sc.isMasked(i) {
 			i++
 			continue
 		}
+		arc := keyOf(*cons.at(i).Arc)
 		j := i + 1
-		for j < len(cons) && cons[j].Kind == KindArc && keyOf(*cons[j].Arc) == keyOf(*cons[i].Arc) {
+		for j < cons.len() && cons.at(j).Kind == KindArc && keyOf(*cons.at(j).Arc) == arc {
 			j++
 		}
 		sc.undo = sc.undo[:0]
@@ -165,7 +183,7 @@ func (sc *solveScratch) admitMay(cons []Constraint) (dropped []ArcRef) {
 				for u := len(sc.undo) - 1; u >= 0; u-- {
 					sc.dist[sc.undo[u].v] = sc.undo[u].d
 				}
-				dropped = append(dropped, *cons[i].Arc)
+				dropped = append(dropped, *cons.at(i).Arc)
 				break
 			}
 		}
@@ -181,8 +199,8 @@ func (sc *solveScratch) admitMay(cons []Constraint) (dropped []ArcRef) {
 // before, so any negative cycle runs through cons[k], and propagation
 // finds one exactly when it would lower the constraint's tail: insert then
 // reports false and leaves the restore to the caller.
-func (sc *solveScratch) insert(cons []Constraint, k int) bool {
-	c, dist, q := &cons[k], sc.dist, &sc.q
+func (sc *solveScratch) insert(cons conList, k int) bool {
+	c, dist, q := cons.at(k), sc.dist, &sc.q
 	if dist[c.U]+int64(c.W) >= dist[c.V] {
 		return true
 	}
@@ -190,18 +208,17 @@ func (sc *solveScratch) insert(cons []Constraint, k int) bool {
 	for q.count > 0 {
 		u := q.pop()
 		for e := sc.off[u]; e < sc.off[u+1]; e++ {
-			ci := sc.edge[e]
-			d := &cons[ci]
-			if nd := dist[u] + int64(d.W); nd < dist[d.V] && sc.active[ci] {
-				if d.V == c.U {
+			d := &sc.edge[e]
+			if nd := dist[u] + d.w; nd < dist[d.to] && sc.active[d.ci] {
+				if EventID(d.to) == c.U {
 					for q.count > 0 {
 						q.pop()
 					}
 					return false
 				}
-				sc.undo = append(sc.undo, labelUndo{d.V, dist[d.V]})
-				dist[d.V] = nd
-				q.push(int32(d.V), dist)
+				sc.undo = append(sc.undo, labelUndo{EventID(d.to), dist[d.to]})
+				dist[d.to] = nd
+				q.push(d.to, dist)
 			}
 		}
 	}
@@ -220,15 +237,29 @@ func timeOf(dist int64) time.Duration {
 
 const unreachable = int64(math.MaxInt64)
 
+// conList is a solve's constraint list in two runs, head then tail, so a
+// play can list its runtime constraints after its plan's without copying
+// either: constraint i is head[i], or tail[i-len(head)].
+type conList struct{ head, tail []Constraint }
+
+func (l conList) len() int { return len(l.head) + len(l.tail) }
+
+func (l conList) at(i int) *Constraint {
+	if i < len(l.head) {
+		return &l.head[i]
+	}
+	return &l.tail[i-len(l.head)]
+}
+
 // solveScratch is the relax loop's arena: CSR adjacency, the SPFA queue and
 // labels, the active flags and the label undo log. Graph.Solve makes one
 // per call; a Solver owns one for life, so its re-solves of the patched
 // graph allocate almost nothing beyond the schedule. The zero value is
 // ready to use.
 type solveScratch struct {
-	off  []int32 // CSR offsets, len n+1
-	edge []int32 // constraint indices, len m
-	pos  []int32 // CSR fill cursor, len n
+	off  []int32   // CSR offsets, len n+1
+	edge []csrEdge // len m
+	pos  []int32   // CSR fill cursor, len n
 
 	dist    []int64
 	parent  []int32
@@ -241,6 +272,10 @@ type solveScratch struct {
 	// constraint); the sweeps and the reversed CSR skip the rest. Unset,
 	// every constraint is in force.
 	active []bool
+	// masked, when set, flags the constraints out of the solve altogether
+	// — a plan's dropped arcs (Graph.SolveFrom): never in force, never
+	// admitted.
+	masked []bool
 	// undo logs the labels an admission lowered, oldest first.
 	undo []labelUndo
 }
@@ -311,7 +346,7 @@ func (sc *solveScratch) grow(n, m int) {
 	}
 	sc.q = ring{slot: sc.q.slot[:size], in: sc.q.in[:n], mask: size - 1}
 	if cap(sc.edge) < m {
-		sc.edge = make([]int32, m)
+		sc.edge = make([]csrEdge, m)
 	}
 	sc.edge = sc.edge[:m]
 }
@@ -319,39 +354,49 @@ func (sc *solveScratch) grow(n, m int) {
 // buildCSR lays the constraints in force out as compact adjacency. With
 // reverse set, edges are keyed by V (the reversed graph used for earliest
 // extraction); otherwise by U (the forward graph used for feasibility).
-func (sc *solveScratch) buildCSR(n int, cons []Constraint, reverse bool) {
+func (sc *solveScratch) buildCSR(n int, cons conList, reverse bool) {
 	for i := range sc.off {
 		sc.off[i] = 0
 	}
-	key := func(c *Constraint) int32 {
+	ends := func(c *Constraint) (from, to int32) {
 		if reverse {
-			return int32(c.V)
+			return int32(c.V), int32(c.U)
 		}
-		return int32(c.U)
+		return int32(c.U), int32(c.V)
 	}
 	inForce := func(i int) bool { return len(sc.active) == 0 || sc.active[i] }
-	for i := range cons {
+	for i := range cons.len() {
 		if inForce(i) {
-			sc.off[key(&cons[i])+1]++
+			from, _ := ends(cons.at(i))
+			sc.off[from+1]++
 		}
 	}
 	for i := 0; i < n; i++ {
 		sc.off[i+1] += sc.off[i]
 		sc.pos[i] = sc.off[i]
 	}
-	for i := range cons {
+	for i := range cons.len() {
 		if inForce(i) {
-			k := key(&cons[i])
-			sc.edge[sc.pos[k]] = int32(i)
-			sc.pos[k]++
+			c := cons.at(i)
+			from, to := ends(c)
+			sc.edge[sc.pos[from]] = csrEdge{ci: int32(i), to: to, w: int64(c.W)}
+			sc.pos[from]++
 		}
 	}
+}
+
+// csrEdge is one constraint laid out as adjacency: its index in the list,
+// the vertex it leads to and its weight, so the sweeps read the edge
+// array alone and never the constraint records.
+type csrEdge struct {
+	ci, to int32
+	w      int64
 }
 
 // spfa computes single-source shortest paths from src over the reversed
 // graph laid out by buildCSR(reverse=true). The caller guarantees no
 // negative cycles (checked beforehand). The result aliases the scratch.
-func (sc *solveScratch) spfa(n int, cons []Constraint, src EventID) []int64 {
+func (sc *solveScratch) spfa(n int, src EventID) []int64 {
 	dist, q := sc.dist, &sc.q
 	for i := 0; i < n; i++ {
 		dist[i] = unreachable
@@ -365,11 +410,10 @@ func (sc *solveScratch) spfa(n int, cons []Constraint, src EventID) []int64 {
 			continue
 		}
 		for e := sc.off[u]; e < sc.off[u+1]; e++ {
-			c := &cons[sc.edge[e]]
-			// Reversed edge V→U with weight W.
-			if nd := du + int64(c.W); nd < dist[c.U] {
-				dist[c.U] = nd
-				q.push(int32(c.U), dist)
+			// A reversed edge: V→U with weight W.
+			if d := &sc.edge[e]; du+d.w < dist[d.to] {
+				dist[d.to] = du + d.w
+				q.push(d.to, dist)
 			}
 		}
 	}
@@ -384,7 +428,7 @@ func (sc *solveScratch) spfa(n int, cons []Constraint, src EventID) []int64 {
 // sc.dist then holds feasible labels. A vertex whose improving path grows
 // to n edges must lie on (or hang off) a negative cycle, which is then
 // extracted through the parent pointers.
-func (sc *solveScratch) findNegativeCycle(n int, cons []Constraint) []int32 {
+func (sc *solveScratch) findNegativeCycle(n int, cons conList) []int32 {
 	active := sc.active
 	dist := sc.dist
 	parent := sc.parent
@@ -411,20 +455,19 @@ func (sc *solveScratch) findNegativeCycle(n int, cons []Constraint) []int32 {
 		u := q.pop()
 		du := dist[u]
 		for e := sc.off[u]; e < sc.off[u+1]; e++ {
-			ci := sc.edge[e]
-			if len(active) > 0 && !active[ci] {
+			d := &sc.edge[e]
+			if len(active) > 0 && !active[d.ci] {
 				continue
 			}
-			c := &cons[ci]
-			if nd := du + int64(c.W); nd < dist[c.V] {
-				dist[c.V] = nd
-				parent[c.V] = ci
-				pathlen[c.V] = pathlen[u] + 1
-				if int(pathlen[c.V]) >= n {
-					cycleAt = int32(c.V)
+			if nd := du + d.w; nd < dist[d.to] {
+				dist[d.to] = nd
+				parent[d.to] = d.ci
+				pathlen[d.to] = pathlen[u] + 1
+				if int(pathlen[d.to]) >= n {
+					cycleAt = d.to
 					break
 				}
-				q.push(int32(c.V), dist)
+				q.push(d.to, dist)
 			}
 		}
 	}
@@ -437,14 +480,14 @@ func (sc *solveScratch) findNegativeCycle(n int, cons []Constraint) []int32 {
 	// Walk parents n times to be sure we are on the cycle, then collect.
 	v := EventID(cycleAt)
 	for i := 0; i < n; i++ {
-		v = cons[parent[v]].U
+		v = cons.at(int(parent[v])).U
 	}
 	var cycle []int32
 	start := v
 	for {
 		ci := parent[v]
 		cycle = append(cycle, ci)
-		v = cons[ci].U
+		v = cons.at(int(ci)).U
 		if v == start {
 			break
 		}
@@ -457,13 +500,13 @@ func (sc *solveScratch) findNegativeCycle(n int, cons []Constraint) []int32 {
 }
 
 // Verify checks a time assignment against every non-dropped constraint,
-// returning the violated ones. Used by tests and by the playback simulator
-// to audit traces.
+// returning the violated ones. Tests use it to audit schedules and traces.
 func (g *Graph) Verify(times []time.Duration, dropped []ArcRef) []Constraint {
+	cons, mask := g.list(), g.maskArcs(dropped)
 	var violated []Constraint
-	for _, c := range g.withoutArcs(dropped) {
-		if times[c.V]-times[c.U] > c.W {
-			violated = append(violated, c)
+	for i := range cons.len() {
+		if c := cons.at(i); !mask[i] && times[c.V]-times[c.U] > c.W {
+			violated = append(violated, *c)
 		}
 	}
 	return violated

@@ -82,7 +82,7 @@ func (s *Solver) solve() (*Schedule, error) {
 	s.solves++
 	s.buf = s.g.appendFlat(s.buf[:0], nil)
 	var err error
-	s.last, err = s.g.solve(&s.sc, s.buf, s.solveOpts)
+	s.last, err = s.g.solve(&s.sc, conList{head: s.buf}, s.solveOpts)
 	return s.last, err
 }
 
