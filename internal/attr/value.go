@@ -267,36 +267,3 @@ func quote(s string) string {
 	b.WriteByte('"')
 	return b.String()
 }
-
-// Unquote reverses quote; it accepts the escapes quote emits.
-func Unquote(s string) (string, error) {
-	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' {
-		return "", fmt.Errorf("attr: not a quoted string: %q", s)
-	}
-	body := s[1 : len(s)-1]
-	var b strings.Builder
-	for i := 0; i < len(body); i++ {
-		c := body[i]
-		if c != '\\' {
-			b.WriteByte(c)
-			continue
-		}
-		i++
-		if i >= len(body) {
-			return "", fmt.Errorf("attr: dangling escape in %q", s)
-		}
-		switch body[i] {
-		case '"':
-			b.WriteByte('"')
-		case '\\':
-			b.WriteByte('\\')
-		case 'n':
-			b.WriteByte('\n')
-		case 't':
-			b.WriteByte('\t')
-		default:
-			return "", fmt.Errorf("attr: unknown escape \\%c in %q", body[i], s)
-		}
-	}
-	return b.String(), nil
-}

@@ -1,6 +1,7 @@
 package attr
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -96,19 +97,11 @@ func TestValueCloneIsDeep(t *testing.T) {
 
 func TestQuoteUnquoteRoundTrip(t *testing.T) {
 	f := func(s string) bool {
-		got, err := Unquote(quote(s))
+		got, err := strconv.Unquote(quote(s))
 		return err == nil && got == s
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUnquoteErrors(t *testing.T) {
-	for _, s := range []string{``, `"`, `no quotes`, `"dangling\`, `"bad\q"`} {
-		if _, err := Unquote(s); err == nil {
-			t.Errorf("Unquote(%q): want error", s)
-		}
 	}
 }
 

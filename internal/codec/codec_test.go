@@ -436,13 +436,3 @@ func TestBinarySmallerThanText(t *testing.T) {
 		t.Errorf("binary (%d bytes) not smaller than text (%d bytes)", len(bin), len(text))
 	}
 }
-
-func TestParseReader(t *testing.T) {
-	d, err := ParseReader(strings.NewReader(newsText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Root.Name() != "news" {
-		t.Errorf("root name = %q", d.Root.Name())
-	}
-}

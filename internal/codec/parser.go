@@ -2,7 +2,6 @@ package codec
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/attr"
 	"repro/internal/core"
@@ -29,15 +28,6 @@ func Parse(src string) (*core.Document, error) {
 		return nil, &SyntaxError{Pos: l.pos(), Msg: err.Error()}
 	}
 	return d, nil
-}
-
-// ParseReader is Parse over an io.Reader.
-func ParseReader(r io.Reader) (*core.Document, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("codec: read: %w", err)
-	}
-	return Parse(string(data))
 }
 
 // ParseNode parses a single node tree from src without document-level

@@ -118,12 +118,6 @@ type SyncArc struct {
 	Cond string
 }
 
-// IsHard reports whether the arc requests hard synchronization (δ = ε = 0):
-// "A minimum delay of 0 units indicates a hard synchronization relationship."
-func (a SyncArc) IsHard() bool {
-	return a.MinDelay.Value == 0 && a.MaxDelay.Value == 0
-}
-
 // String renders the arc in the tabular order of Figure 9.
 func (a SyncArc) String() string {
 	var b strings.Builder

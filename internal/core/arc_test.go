@@ -86,15 +86,6 @@ func TestArcValidate(t *testing.T) {
 	}
 }
 
-func TestIsHard(t *testing.T) {
-	if !(SyncArc{}).IsHard() {
-		t.Error("zero-delay arc not hard")
-	}
-	if (SyncArc{MaxDelay: units.MS(1)}).IsHard() {
-		t.Error("relaxed arc reported hard")
-	}
-}
-
 func TestParseArcErrors(t *testing.T) {
 	typ := attr.Named("type", attr.VList(attr.ID("begin"), attr.ID("must")))
 	cases := map[string]attr.Value{

@@ -47,11 +47,6 @@ func ParseMedium(s string) (Medium, error) {
 	return 0, fmt.Errorf("core: unknown medium %q", s)
 }
 
-// AllMedia lists every medium, for tools that iterate the space.
-func AllMedia() []Medium {
-	return []Medium{MediumText, MediumAudio, MediumVideo, MediumImage, MediumGraphic}
-}
-
 // Channel is one synchronization channel definition from the root node's
 // channel dictionary. "Events that are placed on a single channel are
 // synchronized in linear time order ... Two events that are placed on

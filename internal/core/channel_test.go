@@ -19,7 +19,7 @@ func newsChannels() *ChannelDict {
 }
 
 func TestMediumParsing(t *testing.T) {
-	for _, m := range AllMedia() {
+	for _, m := range []Medium{MediumText, MediumAudio, MediumVideo, MediumImage, MediumGraphic} {
 		got, err := ParseMedium(m.String())
 		if err != nil || got != m {
 			t.Errorf("medium %v round trip: %v, %v", m, got, err)

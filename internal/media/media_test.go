@@ -175,23 +175,6 @@ func TestCrop(t *testing.T) {
 	}
 }
 
-func TestClipFrames(t *testing.T) {
-	b := CaptureVideo("v", 20, 8, 8, 25, 3)
-	c, err := ClipFrames(b, 5, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Frames() != 10 || len(c.Payload) != 10*64 {
-		t.Errorf("frame clip: %d frames, %d bytes", c.Frames(), len(c.Payload))
-	}
-	if d, _ := c.Duration(); d != 400*time.Millisecond {
-		t.Errorf("clip duration = %v", d)
-	}
-	if _, err := ClipFrames(b, 15, 25); err == nil {
-		t.Error("overlong frame clip accepted")
-	}
-}
-
 func TestSubsampleFrames(t *testing.T) {
 	b := CaptureVideo("v", 20, 8, 8, 24, 3)
 	s, err := SubsampleFrames(b, 2)

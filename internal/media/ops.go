@@ -71,27 +71,6 @@ func Crop(b *Block, x, y, w, h int64) (*Block, error) {
 	return out, nil
 }
 
-// ClipFrames extracts frames [from, to) of a video block, the video
-// analogue of Clip used by editing tools.
-func ClipFrames(b *Block, from, to int64) (*Block, error) {
-	if b.Medium != core.MediumVideo {
-		return nil, fmt.Errorf("media: frame clip on %v block %q", b.Medium, b.Name)
-	}
-	n := b.Frames()
-	if from < 0 || to < from || to > n {
-		return nil, fmt.Errorf("media: frame clip [%d,%d) out of range for %d frames",
-			from, to, n)
-	}
-	frameBytes := b.Width() * b.Height()
-	out := NewBlock(fmt.Sprintf("%s[frames %d:%d]", b.Name, from, to),
-		core.MediumVideo,
-		append([]byte(nil), b.Payload[from*frameBytes:to*frameBytes]...),
-		b.Descriptor)
-	out.Descriptor.Set(DescFrames, attr.Number(to-from))
-	out.Descriptor.Set(DescDuration, attr.Quantity(units.Q(to-from, units.Frames)))
-	return out, nil
-}
-
 // SubsampleFrames keeps every factor'th frame and divides the frame rate,
 // preserving intrinsic duration — the constraint filter's "full-frame-rate
 // video to sub-sampled rate video".

@@ -213,10 +213,6 @@ func (c *Client) BytesReceived() int64 { return c.bytesReceived.Load() }
 // block transfer counts once however many chunk frames it spans.
 func (c *Client) RoundTrips() int64 { return c.roundTrips.Load() }
 
-// StreamChunks counts chunk frames received through streamed block
-// transfers. Tests read it to prove the streamed path ran.
-func (c *Client) StreamChunks() int64 { return c.streamChunks.Load() }
-
 // withTimeout applies the client's per-call Timeout when the context
 // carries no deadline of its own.
 func (c *Client) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {

@@ -177,42 +177,6 @@ func scale(count, perSecond int64) time.Duration {
 		time.Duration(rem*int64(time.Second)/perSecond)
 }
 
-// FromDuration converts document time back into the requested unit, rounding
-// toward zero. It is the inverse of Duration up to unit granularity.
-func (r *Resolver) FromDuration(d time.Duration, u Unit) (Quantity, error) {
-	switch u {
-	case None, Millis:
-		return Q(int64(d/time.Millisecond), Millis), nil
-	case Seconds:
-		return Q(int64(d/time.Second), Seconds), nil
-	case Frames:
-		if r == nil || r.Rates.FrameRate <= 0 {
-			return Quantity{}, fmt.Errorf("%w: frames need FrameRate", ErrNoRate)
-		}
-		return Q(muldiv(int64(d), r.Rates.FrameRate), Frames), nil
-	case Samples:
-		if r == nil || r.Rates.SampleRate <= 0 {
-			return Quantity{}, fmt.Errorf("%w: samples need SampleRate", ErrNoRate)
-		}
-		return Q(muldiv(int64(d), r.Rates.SampleRate), Samples), nil
-	case Bytes:
-		if r == nil || r.Rates.ByteRate <= 0 {
-			return Quantity{}, fmt.Errorf("%w: bytes need ByteRate", ErrNoRate)
-		}
-		return Q(muldiv(int64(d), r.Rates.ByteRate), Bytes), nil
-	default:
-		return Quantity{}, fmt.Errorf("units: cannot convert to %v", u)
-	}
-}
-
-// muldiv computes ns*rate/1e9 without overflowing for realistic inputs by
-// splitting into whole seconds and the sub-second remainder.
-func muldiv(ns, rate int64) int64 {
-	sec := ns / int64(time.Second)
-	rem := ns % int64(time.Second)
-	return sec*rate + rem*rate/int64(time.Second)
-}
-
 // Infinite is the sentinel used for "maximum tolerable delay = infinite"
 // (section 5.3.1 allows a possibly infinite maximum delay).
 const Infinite = int64(1) << 62
