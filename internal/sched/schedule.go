@@ -115,10 +115,7 @@ func (s *Schedule) ChannelTimeline() map[string][]Slot {
 	})
 	for name := range out {
 		slices.SortStableFunc(out[name], func(a, b Slot) int {
-			if a.Start != b.Start {
-				return cmp.Compare(a.Start, b.Start)
-			}
-			return cmp.Compare(a.End, b.End)
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 		})
 	}
 	return out
