@@ -50,7 +50,7 @@ func TestSolveAllocationCeiling(t *testing.T) {
 			t.Fatalf("dropped %d arcs, want 25", len(s.Dropped))
 		}
 	}
-	solve() // materializes the graph's cached flat view
+	solve() // warm-up
 	const calls, ceiling = 4, 256 << 10
 	per := allocated(func() {
 		for i := 0; i < calls; i++ {

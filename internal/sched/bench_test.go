@@ -199,15 +199,19 @@ func BenchmarkConflictDetection(b *testing.B) {
 
 // BenchmarkReschedule measures a one-leaf duration edit absorbed by
 // Solver.Reschedule: on NewsWeb 6/3 (the author-live workload's document),
-// Archive-201 (a view-structure document) and a par-of-seq with 64 arms of
-// 16 leaves, where the edit touches one arm of many.
+// NewsWeb 8/4 (the document the view workloads' live tail follows),
+// Archive-201 (a view-structure document), DeepNest 2/6 (a plan with
+// dropped May arcs) and a par-of-seq with 64 arms of 16 leaves, where the
+// edit touches one arm of many.
 func BenchmarkReschedule(b *testing.B) {
 	docs := []struct {
 		name string
 		d    *core.Document
 	}{
 		{"newsweb-6x3", corpusDoc(b, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 6, Languages: 3})},
+		{"newsweb-8x4", corpusDoc(b, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 8, Languages: 4})},
 		{"archive-201", corpusDoc(b, corpus.Spec{Shape: corpus.Archive, Seed: 201, Size: 20})},
+		{"deepnest-206", corpusDoc(b, corpus.Spec{Shape: corpus.DeepNest, Seed: 206, Size: 2, Depth: 6})},
 		{"parofseq-64x16", parOfSeq(b, 64, 16)},
 	}
 	for _, c := range docs {

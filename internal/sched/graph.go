@@ -6,9 +6,9 @@
 // defined, directly or indirectly, by a user").
 //
 // The document's events (begin/end of every node) and their constraints form
-// a system of difference constraints t_v − t_u ≤ w. The system is solved
-// with a queue-based Bellman–Ford; a negative cycle is exactly an
-// unsatisfiable set of synchronization relationships and is reported with
+// a system of difference constraints t_v − t_u ≤ w, checked by a queue-based
+// Bellman–Ford and solved by Dijkstra over its labels; a negative cycle is
+// exactly an unsatisfiable set of synchronization relationships, reported with
 // the provenance of every constraint on the cycle. "May" arcs that appear on
 // a conflict cycle can be relaxed (dropped) — must arcs can not, mirroring
 // the paper's May/Must semantics.
@@ -151,8 +151,8 @@ type Graph struct {
 	// flat caches the document-ordered flattened constraint list with the
 	// first flatRuntime runtime constraints; flatAt[k] is where node k's
 	// blocks start in it, -1 for a node outside the tree. Runtime
-	// constraints added later follow it uncopied (list). Clones share the
-	// cache; replacing a block drops it.
+	// constraints added later follow it uncopied (list). Build makes it,
+	// clones share it, and replacing a block drops it.
 	flat        []Constraint
 	flatAt      []int32
 	flatRuntime int
@@ -411,6 +411,7 @@ func Build(d *core.Document, opts Options) (*Graph, error) {
 		g.arcRefs[k] = refs
 	}
 	g.consCount = len(arena)
+	g.flatten() // so that solves of g only ever read it
 	return g, nil
 }
 

@@ -49,10 +49,11 @@ type SolveOptions struct {
 // Solve computes the earliest feasible schedule, optionally relaxing May
 // arcs. It returns a ConflictError when the constraints cannot be satisfied
 // by dropping May arcs alone. It is the full solve over the whole
-// constraint system, on an arena made for this call — nothing is cached on
-// the graph, so concurrent solves stay independent. Solver runs the same
-// loop over the same list after patching its graph for edits, on an arena
-// it keeps, and produces identical schedules.
+// constraint system, on an arena made for this call. It only reads the
+// graph — Build made its flat constraint list — so concurrent solves of
+// one graph stay independent. Solver runs the same loop over the same list
+// after patching its graph for edits, on an arena it keeps, and produces
+// identical schedules.
 func (g *Graph) Solve(opts SolveOptions) (*Schedule, error) {
 	return g.solve(&solveScratch{}, g.list(), opts)
 }
@@ -150,7 +151,7 @@ func (sc *solveScratch) solve(n int, src EventID, cons conList, relax bool) (dis
 	// t_v = −dist(v → src), i.e. single-source shortest paths from src on
 	// the reversed graph.
 	sc.buildCSR(n, cons, true)
-	return sc.spfa(n, src), dropped, nil
+	return sc.earliest(n, src), dropped, nil
 }
 
 func isMay(c *Constraint) bool { return c.Kind == KindArc && c.Arc.Arc.Strict == core.May }
@@ -251,11 +252,11 @@ func (l conList) at(i int) *Constraint {
 	return &l.tail[i-len(l.head)]
 }
 
-// solveScratch is the relax loop's arena: CSR adjacency, the SPFA queue and
-// labels, the active flags and the label undo log. Graph.Solve makes one
-// per call; a Solver owns one for life, so its re-solves of the patched
-// graph allocate almost nothing beyond the schedule. The zero value is
-// ready to use.
+// solveScratch is the relax loop's arena: CSR adjacency, the sweeps' queue
+// and labels, extraction's keys and heap, the active flags and the label
+// undo log. Graph.Solve makes one per call; a Solver owns one for life, so
+// its re-solves of the patched graph allocate almost nothing beyond the
+// schedule. The zero value is ready to use.
 type solveScratch struct {
 	off  []int32   // CSR offsets, len n+1
 	edge []csrEdge // len m
@@ -265,8 +266,12 @@ type solveScratch struct {
 	parent  []int32
 	pathlen []int32
 	q       ring
-	// seed, when it covers all n vertices, gives the first feasibility
-	// sweep its starting labels instead of zero (Graph.SolveFrom).
+	// Extraction's: each event's key and heap slot (or marker), the indexed
+	// min-heap, and one wave's settled events and other relaxations.
+	key                      []int64
+	at, heap, stack, pending []int32
+	// seed gives the feasibility sweeps their starting labels instead of
+	// zero, for the events it covers (Graph.SolveFrom, Solver's re-solves).
 	seed []time.Duration
 	// active, when set, flags the constraints in force (one per
 	// constraint); the sweeps and the reversed CSR skip the rest. Unset,
@@ -331,6 +336,10 @@ func (sc *solveScratch) grow(n, m int) {
 		sc.parent = make([]int32, n)
 		sc.pathlen = make([]int32, n)
 		sc.q.in = make([]bool, n)
+		sc.key = make([]int64, n)
+		sc.at = make([]int32, n)
+		sc.stack = make([]int32, 0, n)
+		sc.pending = make([]int32, 0, n)
 	}
 	sc.off = sc.off[:n+1]
 	sc.pos = sc.pos[:n]
@@ -393,31 +402,108 @@ type csrEdge struct {
 	w      int64
 }
 
-// spfa computes single-source shortest paths from src over the reversed
-// graph laid out by buildCSR(reverse=true). The caller guarantees no
-// negative cycles (checked beforehand). The result aliases the scratch.
-func (sc *solveScratch) spfa(n int, src EventID) []int64 {
-	dist, q := sc.dist, &sc.q
-	for i := 0; i < n; i++ {
-		dist[i] = unreachable
+// earliest computes single-source shortest paths from src over the
+// reversed graph laid out by buildCSR(reverse=true), settling each event
+// once: sc.dist holds labels p feasible for exactly the constraints laid
+// out (p[V] ≤ p[U] + W), so a reversed edge V→U has reduced weight
+// W − p[V] + p[U] ≥ 0 and Dijkstra keyed by dist + p (sc.key) is exact.
+// An event reached over a tight edge — at the current minimum key — is
+// final at once and goes on a stack, not the heap; the other events a wave
+// reaches first enter the heap once it is over. The result aliases sc.
+func (sc *solveScratch) earliest(n int, src EventID) []int64 {
+	p, key, at := sc.dist, sc.key, sc.at
+	for v := 0; v < n; v++ {
+		key[v], at[v] = unreachable, unqueued
 	}
-	dist[src] = 0
-	q.push(int32(src), dist)
-	for q.count > 0 {
-		u := q.pop()
-		du := dist[u]
-		if du == unreachable {
-			continue
-		}
-		for e := sc.off[u]; e < sc.off[u+1]; e++ {
-			// A reversed edge: V→U with weight W.
-			if d := &sc.edge[e]; du+d.w < dist[d.to] {
-				dist[d.to] = du + d.w
-				q.push(d.to, dist)
+	key[src], at[src] = p[src], settled
+	stack := append(sc.stack[:0], int32(src))
+	for {
+		k, pending := key[stack[0]], sc.pending[:0]
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			ku := k - p[u]
+			for e := sc.off[u]; e < sc.off[u+1]; e++ {
+				// A reversed edge: V→U with weight W.
+				d := &sc.edge[e]
+				nk := ku + d.w + p[d.to]
+				old := key[d.to]
+				if nk >= old {
+					continue
+				}
+				key[d.to] = nk
+				switch {
+				case at[d.to] >= 0:
+					sc.siftUp(int(at[d.to]))
+				case nk == k:
+					at[d.to] = settled
+					stack = append(stack, d.to)
+				case old == unreachable:
+					pending = append(pending, d.to)
+				}
 			}
 		}
+		for _, v := range pending {
+			if at[v] == unqueued {
+				at[v] = int32(len(sc.heap))
+				sc.heap = append(sc.heap, v)
+				sc.siftUp(int(at[v]))
+			}
+		}
+		sc.pending = pending
+		if len(sc.heap) == 0 {
+			break
+		}
+		stack = append(stack, sc.popMin())
 	}
-	return dist
+	sc.stack = stack
+	for v := 0; v < n; v++ {
+		if key[v] == unreachable {
+			p[v] = unreachable
+		} else {
+			p[v] = key[v] - p[v]
+		}
+	}
+	return p
+}
+
+// at's markers for an event off the heap: never queued, or settled.
+const unqueued, settled = -1, -2
+
+// popMin removes and settles the heap's minimum-key event, then sifts the
+// last event down from the root.
+func (sc *solveScratch) popMin() int32 {
+	h, key, at := sc.heap[:len(sc.heap)-1], sc.key, sc.at
+	top, v, i := sc.heap[0], sc.heap[len(h)], 0
+	sc.heap, at[top] = h, settled
+	for c := 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && key[h[c+1]] < key[h[c]] {
+			c++
+		}
+		if key[v] <= key[h[c]] {
+			break
+		}
+		h[i], at[h[c]] = h[c], int32(i)
+		i = c
+	}
+	if len(h) > 0 {
+		h[i], at[v] = v, int32(i)
+	}
+	return top
+}
+
+// siftUp restores the heap order above slot i, keeping at in step.
+func (sc *solveScratch) siftUp(i int) {
+	h, key, v := sc.heap, sc.key, sc.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if key[h[parent]] <= key[v] {
+			break
+		}
+		h[i], sc.at[h[parent]] = h[parent], int32(i)
+		i = parent
+	}
+	h[i], sc.at[v] = v, int32(i)
 }
 
 // findNegativeCycle runs a queue-based Bellman–Ford with a virtual source
@@ -436,7 +522,7 @@ func (sc *solveScratch) findNegativeCycle(n int, cons conList) []int32 {
 	q := &sc.q
 	for i := 0; i < n; i++ {
 		dist[i] = 0
-		if len(sc.seed) == n {
+		if i < len(sc.seed) {
 			dist[i] = int64(sc.seed[i])
 		}
 		parent[i] = -1

@@ -78,11 +78,24 @@ func (s *Solver) rebuild() error {
 }
 
 // solve runs the relax loop over the whole graph and records the result.
+// A patched graph is flattened into the Solver's buffer. When the last
+// schedule solved this graph, its times seed the sweep: event ids are
+// stable across patches and any starting labels are sound.
 func (s *Solver) solve() (*Schedule, error) {
 	s.solves++
-	s.buf = s.g.appendFlat(s.buf[:0], nil)
+	var cons conList
+	if s.g.flatOK {
+		cons = s.g.list()
+	} else {
+		s.buf = s.g.appendFlat(s.buf[:0], nil)
+		cons = conList{head: s.buf}
+	}
+	if s.last != nil && s.last.graph == s.g {
+		s.sc.seed = s.last.times
+	}
 	var err error
-	s.last, err = s.g.solve(&s.sc, conList{head: s.buf}, s.solveOpts)
+	s.last, err = s.g.solve(&s.sc, cons, s.solveOpts)
+	s.sc.seed = nil
 	return s.last, err
 }
 

@@ -33,7 +33,10 @@
 #   - every backticked `cmif_xxx` metric name in docs/ must appear in the
 #     source, so the documented metric inventory tracks the instruments;
 #   - every upper-case `XXX.md` file a Go comment under internal/, cmif/,
-#     cmd/ or the root package names must exist, at the root or in docs/.
+#     cmd/ or the root package names must exist, at the root or in docs/;
+#   - every backticked `TestXxx` / `BenchmarkXxx` / `FuzzXxx` name in
+#     docs/ or README.md must be declared by some `_test.go` in the tree
+#     (bench/ included), so a renamed or deleted test cannot stay cited.
 #
 # Run from the repository root: ./scripts/check_docs.sh
 set -eu
@@ -135,6 +138,14 @@ done
 for name in $(grep -rho --include='*.go' '//.*[A-Z][A-Z_]*\.md' internal cmif cmd ./*.go | grep -o '[A-Z][A-Z_]*\.md' | sort -u); do
     if [ ! -f "$name" ] && [ ! -f "docs/$name" ]; then
         echo "a Go comment cites $name, which exists neither at the root nor in docs/" >&2
+        fail=1
+    fi
+done
+
+# Tests, benchmarks and fuzz targets cited by name.
+for name in $(grep -ho '`\(Test\|Benchmark\|Fuzz\)[A-Za-z0-9_]*' docs/*.md README.md | tr -d '`' | sort -u); do
+    if ! grep -rqs --include='*_test.go' "^func $name(" .; then
+        echo "docs reference \`$name\`, which no _test.go declares" >&2
         fail=1
     fi
 done
