@@ -144,3 +144,36 @@ func TestChainErrorDoesNotBlockLaterTiers(t *testing.T) {
 		t.Fatalf("partial batch resolved wrong set: %v", blocks)
 	}
 }
+
+// countingFetcher misses like missFetcher and records the name lists
+// its Descriptors calls receive.
+type countingFetcher struct {
+	missFetcher
+	calls [][]string
+}
+
+func (f *countingFetcher) Descriptors(_ context.Context, names []string) (map[string]cmif.AttrList, error) {
+	f.calls = append(f.calls, names)
+	return map[string]cmif.AttrList{}, nil
+}
+
+// TestChainDescriptorsStopsWhenResolved: once earlier layers resolve
+// every name, later layers are not asked at all — not even with an
+// empty list — however often a name repeats in the request.
+func TestChainDescriptorsStopsWhenResolved(t *testing.T) {
+	store := cmif.NewStore()
+	store.Put(cmif.CaptureText("a.txt", "hello", "en"))
+	later := &countingFetcher{}
+	ch := cmif.Chain(cmif.StoreFetcher(store), later)
+
+	descs, err := ch.Descriptors(context.Background(), []string{"a.txt", "a.txt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := descs["a.txt"]; !ok || len(descs) != 1 {
+		t.Fatalf("Descriptors = %v, want a.txt alone", descs)
+	}
+	if len(later.calls) != 0 {
+		t.Errorf("later layer was asked for %q after the store resolved everything", later.calls)
+	}
+}

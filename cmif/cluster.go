@@ -14,7 +14,7 @@ import (
 // This file is the facade over the cluster tier (internal/cluster):
 // JoinCluster runs a node in-process, ClusterClient consumes a cluster of
 // nodes through the same Fetcher surface every other tier speaks —
-// Pipeline, PrefetchVia, Chain and the cmd/ tools work against a cluster
+// RunPipeline, PrefetchVia, Chain and the cmd/ tools work against a cluster
 // exactly as they work against a single server or an edge cache.
 
 // ClusterMember is one node's gossiped membership record.
@@ -496,12 +496,6 @@ func (cc *ClusterClient) List(ctx context.Context) ([]string, error) {
 		return lerr
 	})
 	return names, err
-}
-
-// Prefetch resolves every external file the document references through
-// the cluster, returning a local store ready to back a Pipeline run.
-func (cc *ClusterClient) Prefetch(ctx context.Context, d *Document) (*Store, error) {
-	return PrefetchVia(ctx, cc, d)
 }
 
 // ClusterClient implements Fetcher.

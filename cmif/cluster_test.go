@@ -110,7 +110,7 @@ func TestClusterFacadeEndToEnd(t *testing.T) {
 		t.Fatal("descriptor fetch missed intro.img")
 	}
 
-	store, err := cc.Prefetch(ctx, got)
+	store, err := cmif.PrefetchVia(ctx, cc, got)
 	if err != nil {
 		t.Fatal(err)
 	}

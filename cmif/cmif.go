@@ -14,16 +14,22 @@
 //     detection; Encode writes either form, selected by functional options.
 //   - Document wraps a decoded tree with validation, editing and attribute
 //     accessors.
-//   - Pipeline runs the target-system-dependent stages under a
+//   - RunPipeline runs the target-system-dependent stages under a
 //     context.Context, configured with functional options.
 //   - Client and Serve speak the interchange protocol with cancellation
-//     and deadlines threaded down to the wire. Documents cross it in the
-//     binary encoding a server keeps for each registration; the text
-//     form stays the interchange form of files and cmifc.
+//     and deadlines threaded down to the wire. A Client asks for
+//     documents and blocks over one multiplexed connection. Documents
+//     cross it in the binary encoding a server keeps for each
+//     registration; the text form stays the interchange form of files
+//     and cmifc.
+//   - A Fetcher — a Client, an Edge, a ClusterClient or a Chain of
+//     them — is where a tool gets its blocks from; PrefetchVia and
+//     WithFetcher read through any of them.
 //
 // Errors escaping this package belong to a small taxonomy (ErrNotFound,
-// ErrBadFormat, ErrRemote, ErrUnsupportable, *ValidationError) and are
-// matched with errors.Is / errors.As. See README.md for a quickstart.
+// ErrBadFormat, ErrRemote, ErrBusy, ErrUnsupported, ErrConflict,
+// *ValidationError) and are matched with errors.Is / errors.As. See
+// README.md for a quickstart.
 package cmif
 
 import (

@@ -159,38 +159,39 @@ func TestPipelineRunAndCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cmif.NewPipeline(
+	opts := []cmif.PipelineOption{
 		cmif.WithProfile(cmif.Laptop1991),
 		cmif.WithStore(store),
 		cmif.WithScreen(cmif.Screen{W: 640, H: 480}),
 		cmif.WithSpeakers(1),
-		cmif.WithRenderTarget(cmif.RenderTOC|cmif.RenderTimeline),
-	)
-	out, err := p.Run(context.Background(), doc)
+	}
+	out, err := cmif.RunPipeline(context.Background(), doc, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Schedule == nil || out.FilterMap == nil || out.Playback == nil {
 		t.Error("outcome missing artifacts")
 	}
-	if out.TOCView == "" || out.TimelineView == "" {
-		t.Error("requested views not rendered")
-	}
-	if out.TreeView != "" || out.ArcView != "" {
-		t.Error("unrequested views rendered")
+	if out.TreeView == "" || out.TimelineView == "" || out.TOCView == "" || out.ArcView == "" {
+		t.Error("a view was not rendered")
 	}
 
 	// A cancelled context aborts the run with context.Canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p.Run(ctx, doc); !errors.Is(err, context.Canceled) {
+	if _, err := cmif.RunPipeline(ctx, doc, opts...); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run = %v, want context.Canceled", err)
 	}
 
-	// A strict run on a text terminal cannot support the broadcast.
-	if _, err := p.Run(context.Background(), doc,
-		cmif.WithProfile(cmif.TextTerminal), cmif.WithStrict()); !errors.Is(err, cmif.ErrUnsupportable) {
-		t.Errorf("strict terminal run = %v, want ErrUnsupportable", err)
+	// A text terminal cannot support the broadcast: the run completes and
+	// the filter map says so. Later options override earlier ones.
+	out, err = cmif.RunPipeline(context.Background(), doc,
+		append(opts, cmif.WithProfile(cmif.TextTerminal))...)
+	if err != nil {
+		t.Fatalf("terminal run = %v, want the unsupportable verdict in the outcome", err)
+	}
+	if out.FilterMap.Supportable() {
+		t.Error("terminal run claims support")
 	}
 }
 
@@ -284,7 +285,7 @@ func TestBatchedFetchAndPrefetch(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	ctx := context.Background()
-	c, err := cmif.Dial(ctx, addr, cmif.WithCache(512))
+	c, err := cmif.Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +321,7 @@ func TestBatchedFetchAndPrefetch(t *testing.T) {
 	}
 
 	// Prefetch assembles a local store good enough to run the pipeline.
-	local, err := c.Prefetch(ctx, doc)
+	local, err := cmif.PrefetchVia(ctx, c, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,20 +341,6 @@ func TestBatchedFetchAndPrefetch(t *testing.T) {
 	}
 	if !out.FilterMap.Supportable() {
 		t.Error("prefetched store left the document unsupportable")
-	}
-
-	// The blocks are warm now: a repeat prefetch is all cache hits.
-	before, ok := c.CacheStats()
-	if !ok {
-		t.Fatal("CacheStats reported no cache")
-	}
-	if _, err := c.Prefetch(ctx, doc); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := c.CacheStats()
-	if after.Misses != before.Misses {
-		t.Errorf("repeat prefetch missed (%d -> %d misses), want all hits",
-			before.Misses, after.Misses)
 	}
 }
 

@@ -75,7 +75,7 @@ func (d *Document) Check() error { return validationError(d.doc.Validate()) }
 
 // ExternalFiles returns the distinct (inherited) file attributes of the
 // document's external leaves, in first-appearance order — the block list a
-// player must resolve (Client.Prefetch fetches it in batched round trips).
+// player must resolve (PrefetchVia fetches it in batched round trips).
 func (d *Document) ExternalFiles() []string { return d.doc.ExternalFiles() }
 
 // Stats summarizes document structure (the paper's table-of-contents

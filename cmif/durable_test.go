@@ -111,22 +111,7 @@ func TestPipelineFromDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	out, err := cmif.NewPipeline(
-		cmif.WithStoreFromDataDir(dir),
-		cmif.WithScreen(cmif.Screen{W: 1152, H: 900}),
-		cmif.WithSpeakers(2),
-	).Run(ctx, doc)
-	if err != nil {
-		t.Fatalf("pipeline over recovered store: %v", err)
-	}
-	if out.Schedule == nil {
-		t.Fatal("pipeline over recovered store produced no schedule")
-	}
-
-	// The recovered store really fed the run: the same pipeline without
-	// a store must see every external leaf as missing data.
+	// The recovered store holds every block the document references...
 	recovered, docs, err := cmif.LoadDataDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +123,21 @@ func TestPipelineFromDataDir(t *testing.T) {
 		if _, ok := recovered.GetByName(file); !ok {
 			t.Fatalf("recovered store missing external file %q", file)
 		}
+	}
+
+	// ...and backs a pipeline run.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := cmif.RunPipeline(ctx, doc,
+		cmif.WithStore(recovered),
+		cmif.WithScreen(cmif.Screen{W: 1152, H: 900}),
+		cmif.WithSpeakers(2),
+	)
+	if err != nil {
+		t.Fatalf("pipeline over recovered store: %v", err)
+	}
+	if out.Schedule == nil {
+		t.Fatal("pipeline over recovered store produced no schedule")
 	}
 }
 

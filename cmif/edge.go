@@ -20,7 +20,7 @@ import (
 // upstream, so the origin stays the single writer.
 //
 // Edge implements Fetcher through a loopback connection to its own
-// listener, so a Pipeline or a Chain can resolve against a running edge
+// listener, so RunPipeline (WithFetcher) or a Chain can resolve against a running edge
 // exactly as it would against an origin Client.
 type Edge struct {
 	inner *edge.Edge

@@ -33,12 +33,8 @@ var (
 	// already had its maximum number of requests in flight on the
 	// connection (WithMaxInFlight) and refused to queue more. A busy
 	// rejection wraps both ErrRemote and ErrBusy; retry after in-flight
-	// work completes, or spread load with WithPoolSize.
+	// work completes.
 	ErrBusy = errors.New("cmif: server busy")
-
-	// ErrUnsupportable reports that a device profile cannot present the
-	// document (a strict pipeline run against an inadequate environment).
-	ErrUnsupportable = errors.New("cmif: document not supportable in this environment")
 
 	// ErrUnsupported reports a source that cannot serve the request at
 	// all: Dial fails with it when the server does not speak the wire

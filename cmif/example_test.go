@@ -81,10 +81,9 @@ func ExampleRunPipeline() {
 	// playback success: true
 }
 
-// ExampleServe runs an in-process interchange server and a caching
-// client against it: the document travels once, its block list is
-// prefetched in one batched round trip, and a repeated fetch is served
-// from the local cache without touching the wire.
+// ExampleServe runs an in-process interchange server and a client
+// against it: the document travels once, and its block list is
+// prefetched in one batched round trip.
 func ExampleServe() {
 	// A served corpus: one document referencing one stored block.
 	store := cmif.NewStore()
@@ -114,7 +113,7 @@ func ExampleServe() {
 	defer srv.Close()
 
 	ctx := context.Background()
-	client, err := cmif.Dial(ctx, addr, cmif.WithCache(64))
+	client, err := cmif.Dial(ctx, addr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,19 +125,11 @@ func ExampleServe() {
 	}
 	// Prefetch the presentation's whole block list in batched round
 	// trips; the result backs a local pipeline run via WithStore.
-	local, err := client.Prefetch(ctx, fetched)
+	local, err := cmif.PrefetchVia(ctx, client, fetched)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("blocks prefetched:", local.Len())
-
-	// A repeat fetch hits the client-side cache, not the network.
-	if _, err := client.Block(ctx, "caption.txt"); err != nil {
-		log.Fatal(err)
-	}
-	stats, _ := client.CacheStats()
-	fmt.Println("cache hits:", stats.Hits)
 	// Output:
 	// blocks prefetched: 1
-	// cache hits: 1
 }

@@ -12,7 +12,7 @@ import (
 // committing to where the bytes come from. *Client implements it against
 // an origin server, *Edge against a local disk cache that reads through
 // to an origin, and Chain composes any number of layers into one
-// fall-through lookup path. Pipeline (WithFetcher), PrefetchVia and the
+// fall-through lookup path. RunPipeline (WithFetcher), PrefetchVia and the
 // cmd/ tools all consume this interface rather than *Client, so a
 // presentation can be resolved against an origin, an edge, or a purely
 // local store with the same code.
@@ -75,7 +75,7 @@ func subscribeConfigOf(opts []SubscribeOption) subscribeConfig {
 
 // PrefetchVia resolves every external file the document references and
 // fetches the blocks through f in batched round trips, returning a local
-// store ready to back a Pipeline run (WithStore). Blocks the fetcher
+// store ready to back a pipeline run (WithStore). Blocks the fetcher
 // cannot resolve are simply absent from the store — constraint filtering
 // reports them as missing data — so a partial corpus is not an error.
 func PrefetchVia(ctx context.Context, f Fetcher, d *Document) (*Store, error) {
@@ -170,14 +170,14 @@ func (ch *chain) Descriptors(ctx context.Context, names []string) (map[string]At
 	result := make(map[string]AttrList, len(names))
 	var firstErr error
 	for _, layer := range ch.layers {
-		if len(result) == len(names) {
-			break
-		}
-		want := make([]string, 0, len(names)-len(result))
+		var want []string
 		for _, n := range names {
 			if _, ok := result[n]; !ok {
 				want = append(want, n)
 			}
+		}
+		if len(want) == 0 {
+			break
 		}
 		got, err := layer.Descriptors(ctx, want)
 		if err != nil {

@@ -290,7 +290,8 @@ func TestReplicaChangeLogStaysBounded(t *testing.T) {
 }
 
 // TestMultiWriterFanIn submits concurrent batches from several writers
-// on disjoint leaves while eight subscribers follow along. The fan-out
+// on disjoint leaves while eight subscribers follow along, all
+// multiplexed over one connection. The fan-out
 // arithmetic is exact: every subscriber applies one delta per accepted
 // edit, each continuing the generation before it, none resynchronizes,
 // and every replica converges byte for byte on a fresh fetch.
@@ -301,7 +302,7 @@ func TestMultiWriterFanIn(t *testing.T) {
 	defer cancel()
 	doc, store := genDoc(t, 11, 16)
 	addr := startLiveServer(t, "live", doc, store, WithSubscriberQueue(4*edits))
-	c, err := Dial(ctx, addr, WithPoolSize(writers))
+	c, err := Dial(ctx, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +328,8 @@ func TestMultiWriterFanIn(t *testing.T) {
 	}
 
 	// Each drainer follows its push stream while the writers race: a
-	// subscription that is never read exerts backpressure on its pooled
-	// connection and would stall the writer sharing it. One Next per
+	// subscription that is never read exerts backpressure on the
+	// connection and would stall the writers sharing it. One Next per
 	// accepted edit, each advancing the replica's generation; Next
 	// resynchronizes rather than apply a delta that does not continue
 	// the replica's generation, so with Resyncs() == 0 below the chain

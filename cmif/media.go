@@ -13,7 +13,7 @@ type Store = media.Store
 
 // Block is one atomic single-medium data block plus its descriptor. A
 // *Block is immutable from the moment it is handed to a Store, a
-// BlockCache, a Fetcher's caller or the wire — stores, caches and fetch
+// cache, a Fetcher's caller or the wire — stores, caches and fetch
 // results all share the one pointer, so never write its Payload,
 // Descriptor or Name. Make a variant with WithName (shares the payload)
 // or with Clone, the one deep copy, before mutating.

@@ -7,9 +7,8 @@ import (
 
 // Metrics is a registry of counters, gauges and latency histograms. One
 // registry typically serves a whole process: the server instruments
-// itself into its own (Server.Metrics), while client-side caches
-// (BlockCache.Instrument) accept any registry — NewMetrics builds a
-// fresh one.
+// itself into its own (Server.Metrics), while other tiers accept any
+// registry (WithEdgeMetrics) — NewMetrics builds a fresh one.
 //
 // A registry serves its contents three ways: Prometheus text exposition
 // (Prometheus, or the cmifd -metrics endpoint), a structured Snapshot

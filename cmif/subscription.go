@@ -139,7 +139,7 @@ func (c *Client) SubmitEdit(ctx context.Context, name string, b *EditBatch) (uin
 	if err != nil {
 		return 0, err
 	}
-	gen, err := c.pick().SubmitEdit(ctx, name, recs)
+	gen, err := c.tc.SubmitEdit(ctx, name, recs)
 	if err != nil {
 		return 0, wireError(err)
 	}
@@ -172,9 +172,9 @@ type subSource interface {
 	openSub(ctx context.Context, name, subtree string) (*transport.DocSubscription, error)
 }
 
-// openSub implements subSource over a pooled origin connection.
+// openSub implements subSource over the origin connection.
 func (c *Client) openSub(ctx context.Context, name, subtree string) (*transport.DocSubscription, error) {
-	return c.pick().SubscribeDocSubtree(ctx, name, subtree)
+	return c.tc.SubscribeDocSubtree(ctx, name, subtree)
 }
 
 // Subscribe opens a live subscription on the document registered under
@@ -217,9 +217,8 @@ func (s *Subscription) open(ctx context.Context) error {
 
 // resync abandons the current replica and starts over from a fresh
 // snapshot: the server shed us, the connection died, or a delta did not
-// continue our generation. A new wire subscription (possibly on another
-// pooled connection) delivers the snapshot and the stream after it
-// atomically, so nothing is missed across the switch.
+// continue our generation. A new wire subscription delivers the
+// snapshot and the stream after it atomically, so nothing is missed across the switch.
 func (s *Subscription) resync(ctx context.Context) error {
 	if s.sub != nil {
 		_ = s.sub.Close()

@@ -5,7 +5,7 @@
 //
 // Blocks are immutable under their content address, so they cache
 // forever: a miss fetches upstream once, lands in a crash-safe
-// disk-backed LRU (DiskCache) fronted by an in-memory BlockCache, and
+// disk-backed LRU (DiskCache) fronted by an in-memory blockCache, and
 // every later fetch — across edge restarts — is served locally.
 // Documents are mutable, so they are cached under leases: the first
 // access subscribes upstream and registers the snapshot locally, and the
@@ -107,7 +107,7 @@ type Edge struct {
 	srv  *transport.Server
 	up   []*transport.Client
 	next atomic.Uint64 // round-robin cursor over up
-	mem  *transport.BlockCache
+	mem  *blockCache
 	disk *DiskCache
 	lt   *leaseTable
 	met  *edgeMetrics
@@ -158,8 +158,6 @@ func New(cfg Config) (*Edge, error) {
 	if mreg == nil {
 		mreg = metrics.NewRegistry()
 	}
-	mem := transport.NewBlockCache(memBlocks)
-	mem.Instrument(mreg)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	// The registry's media store stays empty: edge blocks live in the
@@ -169,7 +167,7 @@ func New(cfg Config) (*Edge, error) {
 		Registry: transport.NewRegistry(nil),
 		cfg:      cfg,
 		up:       up,
-		mem:      mem,
+		mem:      newBlockCache(memBlocks, mreg),
 		disk:     disk,
 		lt:       newLeaseTable(),
 		met:      newEdgeMetrics(mreg),
@@ -264,7 +262,7 @@ func (e *Edge) leaseTTL() time.Duration {
 // singleflight collapses concurrent misses for one name into a single
 // disk read or upstream round trip.
 func (e *Edge) fetchBlock(ctx context.Context, name string) (*media.Block, error) {
-	return e.mem.GetOrFetch(ctx, name, func(ctx context.Context) (*media.Block, error) {
+	return e.mem.getOrFetch(ctx, name, func(ctx context.Context) (*media.Block, error) {
 		if b, ok := e.disk.Get(name); ok {
 			e.met.blockDiskHits.Inc()
 			return b, nil
@@ -313,7 +311,7 @@ func (e *Edge) Subscribe(name, subtree string, queueCap, maxSubs int) (*transpor
 // down) degrade to not-found: the client sees the same answer it would for
 // a block that never existed, and retries re-drive the fetch.
 func (e *Edge) GetBlock(name string) (*media.Block, bool) {
-	b, ok := e.mem.Get(name)
+	b, ok := e.mem.get(name)
 	if !ok {
 		ctx, cancel := e.upstreamCtx()
 		defer cancel()

@@ -20,13 +20,14 @@ import (
 // is answered without building the upstream timeout context — no
 // allocation at all — and still counts as an answered fetch.
 func TestEdgeMemoryHitAllocatesNothing(t *testing.T) {
+	reg := metrics.NewRegistry()
 	e := &Edge{
-		mem:     transport.NewBlockCache(8),
-		met:     newEdgeMetrics(metrics.NewRegistry()),
+		mem:     newBlockCache(8, reg),
+		met:     newEdgeMetrics(reg),
 		baseCtx: context.Background(),
 	}
 	b := media.NewBlock("hot.txt", core.MediumText, []byte("a hot block"), attr.List{})
-	e.mem.Add(b.Name, b)
+	e.mem.add(b.Name, b)
 	const runs = 100
 	allocs := testing.AllocsPerRun(runs, func() {
 		if got, ok := e.GetBlock(b.Name); !ok || got != b {
@@ -40,7 +41,7 @@ func TestEdgeMemoryHitAllocatesNothing(t *testing.T) {
 	if hits := e.met.blockHits.Value(); hits != runs+1 {
 		t.Errorf("cmif_edge_block_hits_total = %d after %d memory hits", hits, runs+1)
 	}
-	if st := e.mem.Stats(); st.Hits != runs+1 || st.Misses != 0 {
+	if st := e.mem.stats(); st.Hits != runs+1 || st.Misses != 0 {
 		t.Errorf("memory tier counted %+v, want %d hits and no miss", st, runs+1)
 	}
 }

@@ -1,5 +1,5 @@
 // Package lru is the one recency list behind the budgeted caches
-// (transport.BlockCache, transport.ChunkCache, the index of
+// (the edge's memory tier, transport.ChunkCache, the index of
 // edge.DiskCache): a map plus a linked list, a budget in whatever unit
 // the owner's cost function counts, and an evict hook. It does not lock:
 // each owner's one mutex already guards more than the list (flights, the

@@ -25,23 +25,6 @@ import (
 	"repro/internal/sched"
 )
 
-// View is a bitmask selecting which reading-tool renderings Run produces.
-type View uint
-
-const (
-	// ViewTree renders the indented structure view (Figure 5a).
-	ViewTree View = 1 << iota
-	// ViewTimeline renders the channel/time view (Figure 4b / 10).
-	ViewTimeline
-	// ViewTOC renders the table-of-contents text.
-	ViewTOC
-	// ViewArcs renders the synchronization-arc table (Figure 9).
-	ViewArcs
-	// AllViews selects every rendering; it is also the meaning of a zero
-	// Views field.
-	AllViews = ViewTree | ViewTimeline | ViewTOC | ViewArcs
-)
-
 // Config selects the target environment.
 type Config struct {
 	// Profile is the device's constraint profile.
@@ -51,11 +34,6 @@ type Config struct {
 	Speakers int
 	// Jitter models device latencies during playback; nil = ideal.
 	Jitter player.JitterModel
-	// Strict refuses documents with validation errors (always) and with
-	// unsupportable filter maps (when true).
-	Strict bool
-	// Views selects the renderings to produce; zero means all of them.
-	Views View
 }
 
 // Outcome carries every artifact the pipeline produces.
@@ -68,7 +46,9 @@ type Outcome struct {
 	// payloads).
 	Filtered *media.Store
 	Playback *player.Result
-	// Views are the rendered reading-tool outputs.
+	// Views are the rendered reading-tool outputs: the indented
+	// structure (Figure 5a), the channel/time view (Figures 4b and 10),
+	// the table of contents and the synchronization-arc table (Figure 9).
 	TreeView     string
 	TimelineView string
 	TOCView      string
@@ -91,30 +71,14 @@ func (e *ValidationError) Error() string {
 		len(errs), errs[0])
 }
 
-// UnsupportableError reports a strict run against an environment whose
-// profile cannot support the document. It carries the filter map with the
-// per-leaf verdicts.
-type UnsupportableError struct {
-	Profile   filter.Profile
-	FilterMap *filter.FilterMap
-}
-
-// Error names the environment and includes the verdict table.
-func (e *UnsupportableError) Error() string {
-	return fmt.Sprintf("pipeline: environment %q cannot support the document:\n%s",
-		e.Profile.Name, e.FilterMap)
-}
-
 // Run drives doc (with its block store) through presentation mapping,
-// constraint filtering and simulated playback for one environment. The
-// context is checked between stages: a cancelled or expired ctx aborts the
-// run with the partial Outcome built so far and ctx's error.
+// constraint filtering, simulated playback and the four views for one
+// environment. An environment that cannot support the document is not an
+// error: the Outcome's FilterMap says so (Supportable). The context is
+// checked between stages: a cancelled or expired ctx aborts the run with
+// the partial Outcome built so far and ctx's error.
 func Run(ctx context.Context, doc *core.Document, store *media.Store, cfg Config) (*Outcome, error) {
 	out := &Outcome{}
-	views := cfg.Views
-	if views == 0 {
-		views = AllViews
-	}
 	if err := ctx.Err(); err != nil {
 		return out, err
 	}
@@ -158,9 +122,6 @@ func Run(ctx context.Context, doc *core.Document, store *media.Store, cfg Config
 	if err != nil {
 		return out, fmt.Errorf("pipeline: constraint filtering: %w", err)
 	}
-	if cfg.Strict && !out.FilterMap.Supportable() {
-		return out, &UnsupportableError{Profile: cfg.Profile, FilterMap: out.FilterMap}
-	}
 	out.Filtered, err = filter.Apply(out.FilterMap, store)
 	if err != nil {
 		return out, fmt.Errorf("pipeline: applying filters: %w", err)
@@ -179,20 +140,12 @@ func Run(ctx context.Context, doc *core.Document, store *media.Store, cfg Config
 	}
 
 	// Stage: viewing tools.
-	if views&ViewTree != 0 {
-		out.TreeView = render.Tree(doc)
-	}
-	if views&ViewTimeline != 0 {
-		out.TimelineView = render.Timeline(out.Schedule, render.TimelineOptions{
-			Resolution: timelineResolution(out.Schedule.Makespan()),
-		})
-	}
-	if views&ViewTOC != 0 {
-		out.TOCView = render.TOCText(out.Schedule)
-	}
-	if views&ViewArcs != 0 {
-		out.ArcView = render.ArcTable(doc)
-	}
+	out.TreeView = render.Tree(doc)
+	out.TimelineView = render.Timeline(out.Schedule, render.TimelineOptions{
+		Resolution: timelineResolution(out.Schedule.Makespan()),
+	})
+	out.TOCView = render.TOCText(out.Schedule)
+	out.ArcView = render.ArcTable(doc)
 	return out, nil
 }
 

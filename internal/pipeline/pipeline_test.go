@@ -90,19 +90,15 @@ func TestRunRejectsInvalidDocument(t *testing.T) {
 	}
 }
 
-func TestRunStrictUnsupportable(t *testing.T) {
+// TestRunReportsUnsupportable: an environment that cannot support the
+// document completes the run and says so in the filter map.
+func TestRunReportsUnsupportable(t *testing.T) {
 	doc, store, err := newsdoc.Build(newsdoc.Config{Stories: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := newsConfig()
 	cfg.Profile = filter.TextTerminal
-	cfg.Strict = true
-	if _, err := Run(context.Background(), doc, store, cfg); err == nil {
-		t.Error("terminal profile accepted news document in strict mode")
-	}
-	// Non-strict mode completes and reports.
-	cfg.Strict = false
 	out, err := Run(context.Background(), doc, store, cfg)
 	if err != nil {
 		t.Fatal(err)

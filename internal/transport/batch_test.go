@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/media"
@@ -112,43 +111,6 @@ func TestGetBlocksChunksLargeBatches(t *testing.T) {
 	}
 }
 
-func TestGetBlocksServesFromCache(t *testing.T) {
-	addr, names, _ := batchServer(t, 8)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Cache = NewBlockCache(16)
-
-	if _, err := c.GetBlocks(context.Background(), names); err != nil {
-		t.Fatal(err)
-	}
-	if c.RoundTrips() != 1 {
-		t.Fatalf("cold batch RoundTrips = %d, want 1", c.RoundTrips())
-	}
-	// Second pass: all cached, no wire traffic.
-	blocks, err := c.GetBlocks(context.Background(), names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range blocks {
-		if b == nil || b.Name != names[i] {
-			t.Fatalf("warm result %d = %v", i, b)
-		}
-	}
-	if c.RoundTrips() != 1 {
-		t.Errorf("warm batch went to the wire: RoundTrips = %d, want still 1", c.RoundTrips())
-	}
-	// Single gets also hit the same cache.
-	if _, err := c.GetBlock(context.Background(), names[0]); err != nil {
-		t.Fatal(err)
-	}
-	if c.RoundTrips() != 1 {
-		t.Errorf("cached single get went to the wire: RoundTrips = %d", c.RoundTrips())
-	}
-}
-
 // TestGetBlocksDefersOversizedEntries pins the frame-limit behaviour: a
 // batch whose payloads exceed the response budget defers the overflow
 // entries, and the client transparently re-fetches them one at a time.
@@ -231,62 +193,5 @@ func TestGetDescriptors(t *testing.T) {
 	if c.BytesReceived() >= store.TotalBytes() {
 		t.Errorf("descriptor batch moved %d bytes, payload total %d — payloads leaked onto the wire",
 			c.BytesReceived(), store.TotalBytes())
-	}
-}
-
-// TestSharedCacheCollapsesAcrossClients is the end-to-end singleflight
-// claim: 16 goroutines, each with its own connection, share a cache and
-// fetch the same block concurrently; exactly one wire call happens.
-func TestSharedCacheCollapsesAcrossClients(t *testing.T) {
-	addr, names, _ := batchServer(t, 1)
-	cache := NewBlockCache(4)
-
-	const goroutines = 16
-	clients := make([]*Client, goroutines)
-	for i := range clients {
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Cache = cache
-		clients[i] = c
-		defer c.Close()
-	}
-
-	var start, done sync.WaitGroup
-	start.Add(1)
-	errs := make([]error, goroutines)
-	for i := 0; i < goroutines; i++ {
-		done.Add(1)
-		go func(i int) {
-			defer done.Done()
-			start.Wait()
-			blk, err := clients[i].GetBlock(context.Background(), names[0])
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if blk.Name != names[0] {
-				errs[i] = fmt.Errorf("got block %q", blk.Name)
-			}
-		}(i)
-	}
-	start.Done()
-	done.Wait()
-
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("client %d: %v", i, err)
-		}
-	}
-	var wire int64
-	for _, c := range clients {
-		wire += c.RoundTrips()
-	}
-	if wire != 1 {
-		t.Errorf("%d wire calls for %d concurrent fetches of one block, want 1", wire, goroutines)
-	}
-	if st := cache.Stats(); st.Misses != 1 || st.Hits != goroutines-1 {
-		t.Errorf("cache stats = %+v, want 1 miss / %d hits", st, goroutines-1)
 	}
 }

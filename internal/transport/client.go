@@ -26,10 +26,6 @@ type Client struct {
 	// deadline of its own. Zero means no per-call bound. Set before
 	// sharing the client across goroutines.
 	Timeout time.Duration
-	// Cache, when non-nil, answers block fetches locally and collapses
-	// concurrent misses for the same key into one wire call. Set before
-	// sharing the client across goroutines.
-	Cache *BlockCache
 	// ChunkCache, when non-nil, puts the dedupe path first in every block
 	// fetch: fetch the block's chunk manifest, serve every chunk the
 	// cache holds locally, and pull only the missing ones. Set with
@@ -208,8 +204,7 @@ func (c *Client) BytesSent() int64 { return c.bytesSent.Load() }
 // BytesReceived reports accumulated response traffic.
 func (c *Client) BytesReceived() int64 { return c.bytesReceived.Load() }
 
-// RoundTrips counts requests that went out on the wire — cache hits do
-// not move it, which is what the cache experiments measure. A streamed
+// RoundTrips counts requests that went out on the wire. A streamed
 // block transfer counts once however many chunk frames it spans.
 func (c *Client) RoundTrips() int64 { return c.roundTrips.Load() }
 
@@ -272,8 +267,8 @@ func (c *Client) PutDoc(ctx context.Context, name string, d *core.Document, enc 
 }
 
 // GetBlock fetches a data block by name or content address: a batch of
-// one through GetBlocks, so the cache, the chunk-cache dedupe path and
-// the chunked stream for oversized blocks all apply. A name the server
+// one through GetBlocks, so the chunk-cache dedupe path and the chunked
+// stream for oversized blocks all apply. A name the server
 // cannot resolve is an error matching ErrNotFound.
 func (c *Client) GetBlock(ctx context.Context, name string) (*media.Block, error) {
 	blocks, err := c.GetBlocks(ctx, []string{name})
@@ -485,62 +480,21 @@ func (c *Client) fetchBatched(ctx context.Context, op byte, keys [][]byte, nFiel
 // result, not an error). Duplicate names are fetched once, and each
 // unique name goes through these steps:
 //
-//  1. With a Cache attached, resident names are served locally, and a
-//     name another goroutine is already fetching waits on that fetch
-//     (singleflight); the rest this call leads.
-//  2. With a ChunkCache attached, each led name tries the manifest/chunk
+//  1. With a ChunkCache attached, each name tries the manifest/chunk
 //     dedupe path first. A not-found is an answer; anything the path
-//     does not handle goes on to step 3.
-//  3. The remaining names travel up to maxBatch per getblks frame. An
+//     does not handle goes on to step 2.
+//  2. The remaining names travel up to maxBatch per getblks frame. An
 //     entry the server deferred as too large for the frame is fetched
-//     on its own as a chunked stream.
-//  4. Every decoded block seeds the chunk cache, and with a Cache
-//     attached, populates it.
+//     on its own as a chunked stream. Every decoded block seeds the
+//     chunk cache.
 func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block, error) {
-	// Collapse duplicates and classify each unique name: resident in the
-	// cache, in flight elsewhere (wait), or ours to fetch (lead).
-	seen := make(map[string]bool, len(names))
 	got := make(map[string]*media.Block, len(names))
-	owned := make(map[string]*flight)
-	waits := make(map[string]*flight)
-	var order []string // unique names this call fetches, in request order
+	var order []string // unique names, in request order
 	for _, name := range names {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		if c.Cache == nil {
+		if _, dup := got[name]; !dup {
+			got[name] = nil
 			order = append(order, name)
-			continue
 		}
-		blk, f, leader := c.Cache.join(name)
-		switch {
-		case blk != nil:
-			got[name] = blk
-		case leader:
-			owned[name] = f
-			order = append(order, name)
-		default:
-			waits[name] = f
-		}
-	}
-	// Whatever happens below, never strand a follower on an owned flight.
-	// A settled not-found carries the usual not-found taxonomy to
-	// GetOrFetch followers of the flight.
-	settle := func(name string, blk *media.Block, err error) {
-		if blk != nil {
-			got[name] = blk
-		}
-		if f, ok := owned[name]; ok {
-			c.Cache.settle(name, f, blk, err)
-			delete(owned, name)
-		}
-	}
-	fail := func(err error) ([]*media.Block, error) {
-		for name := range owned {
-			settle(name, nil, err)
-		}
-		return nil, err
 	}
 
 	if c.ChunkCache != nil {
@@ -551,7 +505,7 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 				rest = append(rest, name)
 				continue
 			}
-			settle(name, blk, err)
+			got[name] = blk
 		}
 		order = rest
 	}
@@ -566,7 +520,6 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 		var err error
 		switch flag {
 		case entryMissing:
-			settle(name, nil, errNoBlock(name))
 			return nil
 		case entryDeferred:
 			// The block was too large to inline in the batch frame; fetch
@@ -576,7 +529,6 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 			// meanwhile) stays a partial result.
 			blk, err = c.getBlockStream(ctx, name)
 			if errors.Is(err, ErrNotFound) {
-				settle(name, nil, err)
 				return nil
 			}
 		default:
@@ -586,23 +538,11 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 			return err
 		}
 		c.seedChunks(blk.Payload)
-		settle(name, blk, nil)
+		got[name] = blk
 		return nil
 	})
 	if err != nil {
-		return fail(err)
-	}
-
-	// Collect the names other goroutines were already fetching.
-	for name, f := range waits {
-		blk, err := f.wait(ctx)
-		if err != nil {
-			if errors.Is(err, ErrNotFound) {
-				continue // their fetch found nothing: a nil entry here too
-			}
-			return nil, err
-		}
-		got[name] = blk
+		return nil, err
 	}
 
 	// Fill results aligned with the request; duplicate names share one

@@ -11,7 +11,7 @@ import (
 // atomics. Every method is nil-receiver safe: an uninstrumented server
 // pays a single predictable branch.
 //
-// Metric names (see docs/ARCHITECTURE.md, scale layer 6):
+// Metric names (see docs/ARCHITECTURE.md, scale layer 5):
 //
 //	cmif_connections_open          gauge      open client connections
 //	cmif_requests_total{op}        counter    requests received, by op

@@ -10,6 +10,11 @@
 #     subscription fan-out hub);
 #   - every backticked `cmif.Xxx` symbol in docs/ and README.md must
 #     appear in the cmif facade sources;
+#   - every backticked identifier in README.md's *Surface map* table
+#     (`Name`, `Type.Method`, `Prefix*` for a family, `Name(args)`) must
+#     be declared — as a func, method, type, const or var — in the
+#     non-test cmif sources, so a row naming a deleted entry point fails
+#     here rather than rotting;
 #   - every backticked `sched.Xxx` / `player.Xxx` / `pipeline.Xxx` /
 #     `filter.Xxx` / `core.Xxx` / `attr.Xxx` symbol in docs/ must appear
 #     in that internal package (the scheduler-internals section of
@@ -58,6 +63,29 @@ for sym in $(grep -ho '`cmif\.[A-Za-z]*`' docs/*.md README.md | sed 's/`cmif\.\(
         echo "docs reference \`cmif.$sym\`, which no longer exists in the cmif facade" >&2
         fail=1
     fi
+done
+
+# Every identifier the README's Surface map table names must be declared
+# by the facade's non-test sources.
+facade=$(ls cmif/*.go | grep -v '_test\.go$')
+declared=$( (sed -n 's/^func \(([^)]*) \)\{0,1\}\([A-Z][A-Za-z0-9]*\).*/\2/p; s/^\(type\|const\|var\) \([A-Z][A-Za-z0-9]*\).*/\2/p' $facade
+    awk '/^(const|var) \($/{g=1; next} g && /^\)/{g=0} g && /^\t[A-Z]/{sub(/^\t/, ""); sub(/[^A-Za-z0-9].*/, ""); print}' $facade) | sort -u)
+surface=$(awk '/^### Surface map/{on=1; next} /^#/{on=0} on && /^\|/' README.md | grep -o '`[^`]*`' | tr -d '`' | sed 's/(.*//' | sort -u)
+if [ -z "$surface" ]; then
+    echo "README.md has no Surface map table to check" >&2
+    fail=1
+fi
+for ident in $surface; do
+    for part in $(printf '%s\n' "$ident" | tr '.' ' '); do
+        case "$part" in
+        *'*') found=$(printf '%s\n' "$declared" | grep -c "^${part%\*}" || true) ;;
+        *) found=$(printf '%s\n' "$declared" | grep -cx "$part" || true) ;;
+        esac
+        if [ "$found" -eq 0 ]; then
+            echo "README.md's Surface map names \`$ident\`, but the cmif facade declares no \`$part\`" >&2
+            fail=1
+        fi
+    done
 done
 
 # Scheduler, player, pipeline, filter, core and attr symbols
@@ -118,9 +146,9 @@ for ident in $(grep -o '`rec[A-Za-z]*`' docs/ARCHITECTURE.md | tr -d '`' | sort 
 done
 
 # ...and every record op record.go declares must be named in the
-# durability section ("### 5. Durable server state" up to the next
+# durability section ("### N. Durable server state" up to the next
 # section heading).
-durability=$(awk '/^### 5\. Durable server state/{on=1; next} /^##/{on=0} on' docs/ARCHITECTURE.md)
+durability=$(awk '/^### [0-9]+\. Durable server state/{on=1; next} /^##/{on=0} on' docs/ARCHITECTURE.md)
 recops=$(sed -n 's/^[[:space:]]*\(rec[A-Za-z]*\) byte = .*/\1/p' internal/durable/record.go)
 if [ -z "$recops" ]; then
     echo "found no record op constants in internal/durable/record.go" >&2
