@@ -18,9 +18,8 @@ type Client struct {
 
 // clientConfig collects the dial options.
 type clientConfig struct {
-	timeout    time.Duration
-	chunkCache *transport.ChunkCache
-	compress   bool
+	timeout  time.Duration
+	compress bool
 }
 
 // DialOption configures Dial. Dial options are a distinct type from the
@@ -43,20 +42,6 @@ func WithCompression(on bool) DialOption {
 	return func(c *clientConfig) { c.compress = on }
 }
 
-// ChunkCacheStats snapshots the effectiveness counters of a client's
-// chunk cache (WithChunkCache).
-type ChunkCacheStats = transport.ChunkCacheStats
-
-// WithChunkCache gives the client a private LRU cache of content-defined
-// chunks with the given byte budget (a non-positive budget gets 64 MiB),
-// enabling dedupe block fetches: a client holding most of a block's
-// chunks fetches only the manifest plus the missing chunks, so warm
-// re-fetches of near-duplicate blocks move only what it does not
-// already hold.
-func WithChunkCache(budgetBytes int64) DialOption {
-	return func(c *clientConfig) { c.chunkCache = transport.NewChunkCache(budgetBytes) }
-}
-
 // Dial connects to an interchange server, honouring ctx during connection
 // establishment and the protocol handshake. A server that does not speak
 // the wire protocol's one version (v4) fails the dial with
@@ -66,11 +51,7 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 	for _, o := range opts {
 		o(&cfg)
 	}
-	dialOpts := []transport.DialOption{transport.WithFrameCompression(cfg.compress)}
-	if cfg.chunkCache != nil {
-		dialOpts = append(dialOpts, transport.WithChunkCache(cfg.chunkCache))
-	}
-	tc, err := transport.DialContext(ctx, addr, dialOpts...)
+	tc, err := transport.DialContext(ctx, addr, transport.WithFrameCompression(cfg.compress))
 	if err != nil {
 		return nil, wireError(err)
 	}
@@ -80,28 +61,6 @@ func Dial(ctx context.Context, addr string, opts ...DialOption) (*Client, error)
 
 // Close says goodbye and closes the connection.
 func (c *Client) Close() error { return c.tc.Close() }
-
-// Compressed reports whether negotiated frame compression is active on
-// the connection.
-func (c *Client) Compressed() bool { return c.tc.Compressed() }
-
-// ChunkCacheStats snapshots the attached chunk cache's counters; ok is
-// false when the client was dialled without one.
-func (c *Client) ChunkCacheStats() (stats ChunkCacheStats, ok bool) {
-	if c.tc.ChunkCache == nil {
-		return ChunkCacheStats{}, false
-	}
-	return c.tc.ChunkCache.Stats(), true
-}
-
-// DedupeFetches reports how many block fetches were served by the
-// chunk-dedupe path (manifest plus missing chunks) rather than a
-// whole-payload transfer.
-func (c *Client) DedupeFetches() int64 { return c.tc.DedupeFetches() }
-
-// DedupeBytesSaved reports payload bytes the dedupe path kept off the
-// wire — chunk bytes served from the local cache during dedupe fetches.
-func (c *Client) DedupeBytesSaved() int64 { return c.tc.DedupeBytesSaved() }
 
 // BytesSent reports accumulated request traffic, for transport-cost
 // accounting.
@@ -172,8 +131,8 @@ func (c *Client) Block(ctx context.Context, name string) (*Block, error) {
 // Blocks fetches many blocks in batched round trips: up to 64 names per
 // request frame instead of one round trip per block. The result aligns
 // with names; a name the server cannot resolve yields a nil entry (partial
-// results are not an error). A chunk cache (WithChunkCache) assembles
-// large blocks from the chunks it already holds.
+// results are not an error). A block too large for a batch frame
+// arrives as a chunked stream.
 func (c *Client) Blocks(ctx context.Context, names []string) ([]*Block, error) {
 	blocks, err := c.tc.GetBlocks(ctx, names)
 	if err != nil {

@@ -122,27 +122,12 @@ func (cn *ClusterNode) Close() error {
 // view from a node. Failures refresh immediately regardless.
 const membershipRefresh = 2 * time.Second
 
-// clusterClientConfig collects the cluster dial options.
-type clusterClientConfig struct {
-	timeout time.Duration
-}
-
-// ClusterOption configures DialCluster.
-type ClusterOption func(*clusterClientConfig)
-
-// WithClusterRequestTimeout bounds each round trip that carries no
-// context deadline of its own. Zero (the default) means unbounded.
-func WithClusterRequestTimeout(d time.Duration) ClusterOption {
-	return func(c *clusterClientConfig) { c.timeout = d }
-}
-
 // ClusterClient consumes a whole cluster through one handle: it tracks
 // membership by gossiping with the nodes, routes each request to a
 // replica of the key it touches, and fails over to the next replica when
 // a node dies mid-conversation. It implements Fetcher, so pipelines,
 // prefetch, chains and the cmd/ tools run against a cluster unchanged.
 type ClusterClient struct {
-	cfg   clusterClientConfig
 	seeds []string
 
 	mu        sync.Mutex
@@ -154,16 +139,11 @@ type ClusterClient struct {
 
 // DialCluster connects to a cluster via one or more seed node addresses
 // and discovers the full membership from whichever answers first.
-func DialCluster(ctx context.Context, seeds []string, opts ...ClusterOption) (*ClusterClient, error) {
-	var cfg clusterClientConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func DialCluster(ctx context.Context, seeds []string) (*ClusterClient, error) {
 	if len(seeds) == 0 {
 		return nil, errors.New("cmif: DialCluster needs at least one seed address")
 	}
 	cc := &ClusterClient{
-		cfg:     cfg,
 		seeds:   append([]string(nil), seeds...),
 		clients: make(map[string]*Client),
 	}
@@ -314,7 +294,7 @@ func (cc *ClusterClient) client(ctx context.Context, addr string) (*Client, erro
 		return c, nil
 	}
 	cc.mu.Unlock()
-	c, err := Dial(ctx, addr, WithRequestTimeout(cc.cfg.timeout))
+	c, err := Dial(ctx, addr)
 	if err != nil {
 		return nil, err
 	}

@@ -60,10 +60,10 @@ func startClusterNodes(t *testing.T, n int, extra ...cmif.JoinOption) []*cmif.Cl
 // against three nodes.
 func TestClusterFacadeEndToEnd(t *testing.T) {
 	nodes := startClusterNodes(t, 3)
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 
-	cc, err := cmif.DialCluster(ctx, []string{nodes[0].Addr()},
-		cmif.WithClusterRequestTimeout(5*time.Second))
+	cc, err := cmif.DialCluster(ctx, []string{nodes[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // rolling hash. Payloads are cut at positions the *content* chooses, so
 // two near-duplicate payloads — a multilingual variant, an edited
 // re-encode — share most of their chunks byte-for-byte and dedupe by
-// chunk content address in the block store, the edge disk cache, WAL
-// snapshots and on the wire (protocol v4's manifest fetch path).
+// chunk content address in the block store, the edge disk cache and WAL
+// snapshots.
 //
 // The gear hash is h = (h << 1) + gear[b]: each byte's influence shifts
 // out after 64 positions, so a cut decision at position p depends only
@@ -58,9 +58,9 @@ func (c Config) normalize() Config {
 }
 
 // gearTable is the byte → random-64-bit mapping the rolling hash mixes.
-// Deterministic (splitmix64 from a fixed seed): every build, platform
-// and PR cuts identical chunks, which the cross-version dedupe paths
-// (snapshots, disk caches, wire manifests) depend on.
+// Deterministic (splitmix64 from a fixed seed): every build and
+// platform cuts identical chunks, which the cross-version dedupe paths
+// (snapshots, disk caches) depend on.
 var gearTable = buildGearTable()
 
 func buildGearTable() [256]uint64 {

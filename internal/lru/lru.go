@@ -1,12 +1,11 @@
-// Package lru is the one recency list behind the budgeted caches
-// (the edge's memory tier, transport.ChunkCache, the index of
-// edge.DiskCache): a map plus a linked list, a budget in whatever unit
-// the owner's cost function counts, and an evict hook. It does not lock:
-// each owner's one mutex already guards more than the list (flights, the
-// verified-manifest memo, name and chunk-reference tables), and every
-// method here runs under it. Hits and misses stay with the owners, for
-// whom a hit means three different things (a joined flight, a resident
-// chunk, a file that verified).
+// Package lru is the one recency list behind the budgeted caches (the
+// edge's memory tier and the index of edge.DiskCache): a map plus a
+// linked list, a budget in whatever unit the owner's cost function
+// counts, and an evict hook. It does not lock: each owner's one mutex
+// already guards more than the list (flights, name and chunk-reference
+// tables), and every method here runs under it. Hits and misses stay
+// with the owners, for whom a hit means different things (a joined
+// flight, a file that verified).
 package lru
 
 import "container/list"

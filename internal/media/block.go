@@ -109,17 +109,8 @@ func computeID(m core.Medium, payload []byte) string {
 // NewBlock builds a block, computing its content address and filling the
 // universal descriptor attributes (bytes, format defaulting by medium).
 func NewBlock(name string, m core.Medium, payload []byte, desc attr.List) *Block {
-	return NewBlockAt(computeID(m, payload), name, m, payload, desc)
-}
-
-// NewBlockAt builds a block exactly as NewBlock does but takes the
-// content address as given instead of digesting the payload. The caller
-// must have established id == ContentAddress(m, payload) by other means
-// — the dedupe fetch path does, assembling chunk-verified bytes under a
-// manifest whose binding to id was proven on its first assembly.
-func NewBlockAt(id, name string, m core.Medium, payload []byte, desc attr.List) *Block {
 	b := &Block{
-		ID:         id,
+		ID:         computeID(m, payload),
 		Name:       name,
 		Medium:     m,
 		Payload:    payload,

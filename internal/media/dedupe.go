@@ -4,19 +4,14 @@ package media
 // cut with the gear chunker (internal/chunker) and each chunk indexed by
 // its raw SHA-256 — but only once someone asks: the index is derived
 // state, built per block on the first Manifest request and never on a
-// write or reply path. The three readers that ask are a durable snapshot,
-// a protocol-v4 manifest fetch and DedupeStats; a store none of them
-// reaches (a reader's prefetch store, filter.Apply's output, a replay
-// before its first snapshot) never cuts or hashes a byte. Near-duplicate
-// blocks — multilingual variants, edited re-encodes — share most chunks,
-// and every representation that moves or persists bytes asks this index
-// first:
-//
-//   - the wire (protocol v4): GetBlkManifest + GetChunks let a client
-//     with a warm chunk cache skip the bytes it already holds;
-//   - durable snapshots: each unique chunk is written once, chunked
-//     blocks record manifests (internal/durable);
-//   - the edge disk cache stores chunk files shared across blocks.
+// write or reply path. Two readers ask: a durable snapshot, which writes
+// each unique chunk once and records chunked blocks as manifests
+// (internal/durable), and DedupeStats. A store neither reaches (a
+// reader's prefetch store, filter.Apply's output, a replay before its
+// first snapshot) never cuts or hashes a byte. Near-duplicate blocks —
+// multilingual variants, edited re-encodes — share most chunks, so a
+// dup-heavy corpus snapshots near its unique size. (The edge disk cache
+// cuts its own chunk files with the same chunker.)
 //
 // Blocks keep their full contiguous payloads for serving speed — the
 // index holds subslices into the first containing block's payload, so

@@ -40,14 +40,6 @@ type Backend interface {
 	// StoreBlock stores a block and returns its content address; the
 	// acknowledgement rule of StoreDoc applies.
 	StoreBlock(b *media.Block) (string, error)
-	// Manifest returns a block's chunk hashes in payload order; GetChunk
-	// one chunk of a block whose manifest has been asked for, by content
-	// address. A store-backed backend answers for every block of at
-	// least media.ChunkThreshold bytes, cutting it on the first request;
-	// a backend with no chunk index answers false, and clients fall back
-	// to whole-block fetches.
-	Manifest(id string) ([]media.ChunkHash, bool)
-	GetChunk(h media.ChunkHash) ([]byte, bool)
 	// ListDocs names the documents on offer, sorted. localOnly restricts
 	// the answer to what this process holds — cluster nodes ask each
 	// other that way, so a merged listing cannot recurse.
@@ -106,13 +98,6 @@ func (r *Registry) GetBlock(name string) (*media.Block, bool) {
 func (r *Registry) StoreBlock(b *media.Block) (string, error) {
 	return r.Store.Put(b), r.durability()
 }
-
-// Manifest reads the store's chunk index, which cuts the block if this
-// is the first request for it.
-func (r *Registry) Manifest(id string) ([]media.ChunkHash, bool) { return r.Store.Manifest(id) }
-
-// GetChunk reads one chunk from the store's chunk index.
-func (r *Registry) GetChunk(h media.ChunkHash) ([]byte, bool) { return r.Store.GetChunk(h) }
 
 // ListDocs lists the registered documents; a registry has nothing but
 // local ones.

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/attr"
-	"repro/internal/chunker"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/media"
@@ -26,23 +24,12 @@ type Client struct {
 	// deadline of its own. Zero means no per-call bound. Set before
 	// sharing the client across goroutines.
 	Timeout time.Duration
-	// ChunkCache, when non-nil, puts the dedupe path first in every block
-	// fetch: fetch the block's chunk manifest, serve every chunk the
-	// cache holds locally, and pull only the missing ones. Set with
-	// WithChunkCache (or directly before sharing the client across
-	// goroutines).
-	ChunkCache *ChunkCache
 
 	// Traffic counters, atomically maintained across goroutines.
 	bytesSent     atomic.Int64
 	bytesReceived atomic.Int64
 	roundTrips    atomic.Int64
 	streamChunks  atomic.Int64
-
-	// Dedupe-path counters: fetches that went through the manifest path,
-	// and payload bytes served from the chunk cache instead of the wire.
-	dedupeFetches    atomic.Int64
-	dedupeBytesSaved atomic.Int64
 
 	// compressedSent counts request frames that actually shipped
 	// deflated; compressedSaved the bytes that saved.
@@ -60,8 +47,7 @@ type Client struct {
 
 // dialConfig collects the dial options.
 type dialConfig struct {
-	compress   bool
-	chunkCache *ChunkCache
+	compress bool
 }
 
 // DialOption configures Dial/DialContext.
@@ -74,13 +60,6 @@ type DialOption func(*dialConfig)
 // compressed responses are always decoded.
 func WithFrameCompression(on bool) DialOption {
 	return func(c *dialConfig) { c.compress = on }
-}
-
-// WithChunkCache attaches a chunk cache, enabling the dedupe fetch path
-// for every block fetch. The cache may be shared between clients;
-// chunks are content-addressed and never go stale.
-func WithChunkCache(cc *ChunkCache) DialOption {
-	return func(c *dialConfig) { c.chunkCache = cc }
 }
 
 // Dial connects to an interchange server with no cancellation.
@@ -102,7 +81,7 @@ func DialContext(ctx context.Context, addr string, opts ...DialOption) (*Client,
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, wantCompress: cfg.compress, ChunkCache: cfg.chunkCache}
+	c := &Client{conn: conn, wantCompress: cfg.compress}
 	if err := c.hello(ctx); err != nil {
 		conn.Close()
 		return nil, err
@@ -173,20 +152,6 @@ func (c *Client) hello(ctx context.Context) error {
 		return fmt.Errorf("transport: unexpected hello response op %d", resp.op)
 	}
 }
-
-// Compressed reports whether the request-side frame-compression
-// envelope was negotiated (a codec-capable server, and not disabled at
-// dial time). Response decoding does not depend on it: compressed
-// frames are always understood.
-func (c *Client) Compressed() bool { return c.compress }
-
-// DedupeFetches counts block fetches answered through the
-// manifest/chunk dedupe path rather than a whole-payload transfer.
-func (c *Client) DedupeFetches() int64 { return c.dedupeFetches.Load() }
-
-// DedupeBytesSaved reports payload bytes served from the chunk cache
-// instead of the wire across dedupe-path fetches.
-func (c *Client) DedupeBytesSaved() int64 { return c.dedupeBytesSaved.Load() }
 
 // CompressedFrames counts request frames that actually shipped
 // deflated; CompressedBytesSaved the wire bytes that saved.
@@ -267,9 +232,9 @@ func (c *Client) PutDoc(ctx context.Context, name string, d *core.Document, enc 
 }
 
 // GetBlock fetches a data block by name or content address: a batch of
-// one through GetBlocks, so the chunk-cache dedupe path and the chunked
-// stream for oversized blocks all apply. A name the server
-// cannot resolve is an error matching ErrNotFound.
+// one through GetBlocks, so an oversized block arrives as a chunked
+// stream. A name the server cannot resolve is an error matching
+// ErrNotFound.
 func (c *Client) GetBlock(ctx context.Context, name string) (*media.Block, error) {
 	blocks, err := c.GetBlocks(ctx, []string{name})
 	if err != nil {
@@ -284,168 +249,6 @@ func (c *Client) GetBlock(ctx context.Context, name string) (*media.Block, error
 // errNoBlock is the not-found error of a block fetch.
 func errNoBlock(name string) error {
 	return fmt.Errorf("%w: %w: getblks: no block %q", ErrRemote, ErrNotFound, name)
-}
-
-// seedChunks cuts a whole payload that arrived in a getblks entry or a
-// stream and caches its chunks, so the very next fetch of this block — or of a
-// near-duplicate sharing most of its content — takes the dedupe path
-// warm. The gear chunker's fixed table guarantees the cuts match the
-// server's.
-func (c *Client) seedChunks(payload []byte) {
-	if c.ChunkCache == nil || len(payload) < media.ChunkThreshold {
-		return
-	}
-	for _, piece := range chunker.Split(payload, chunker.Config{}) {
-		c.ChunkCache.Add(chunker.Sum(piece), piece)
-	}
-}
-
-// manifestEntrySize is one wire manifest entry: a chunk's content
-// address followed by its length.
-const manifestEntrySize = chunker.HashSize + 4
-
-// getBlockDedup fetches a block through the manifest/chunk path:
-// resolve the manifest, copy every cached chunk into the payload being
-// assembled, pull only the missing chunks (batched up to maxBatch per
-// round trip), and verify the reassembled payload against the server's
-// content address. A not-found is an answer and returns its error.
-// Otherwise the block is nil — and the name joins the batched fetch,
-// which remains the source of truth — when the server offers no
-// manifest for it or any step of the reassembly disagrees with the
-// manifest.
-func (c *Client) getBlockDedup(ctx context.Context, name string) (*media.Block, error) {
-	parts, err := c.roundTrip(ctx, opGetBlkManifest, []byte(name))
-	if err != nil {
-		// An old-style failure (or a proxy that does not forward the op)
-		// falls back; a definitive not-found is an answer, not a fallback.
-		if errors.Is(err, ErrNotFound) {
-			return nil, err
-		}
-		return nil, nil
-	}
-	if len(parts) != 6 {
-		return nil, nil
-	}
-	manifest := parts[5]
-	if len(manifest) == 0 || len(manifest)%manifestEntrySize != 0 {
-		return nil, nil
-	}
-	// Check every entry before allocating: the server cuts each manifest
-	// with chunker.Config{}, so no chunk exceeds chunker.DefaultMax, and
-	// the sizes must add up to the declared total. A lying manifest then
-	// cannot force an allocation larger than its entries can describe.
-	totalSize := binary.BigEndian.Uint64(parts[4])
-	var sum uint64
-	for e := 0; e < len(manifest); e += manifestEntrySize {
-		size := binary.BigEndian.Uint32(manifest[e+chunker.HashSize : e+manifestEntrySize])
-		if size == 0 || size > chunker.DefaultMax {
-			return nil, nil
-		}
-		sum += uint64(size)
-	}
-	if sum != totalSize || totalSize > uint64(maxStreamBytes) {
-		return nil, nil
-	}
-
-	// Lay the payload out from the manifest: cached chunks copy in
-	// immediately, missing ones record their slot for the batched fetch.
-	type slot struct {
-		off  int
-		size int
-	}
-	payload := make([]byte, totalSize)
-	var missing []media.ChunkHash
-	slots := make(map[media.ChunkHash][]slot)
-	off := 0
-	var fromCache int64
-	for e := 0; e < len(manifest); e += manifestEntrySize {
-		var h media.ChunkHash
-		copy(h[:], manifest[e:e+chunker.HashSize])
-		size := int(binary.BigEndian.Uint32(manifest[e+chunker.HashSize : e+manifestEntrySize]))
-		if data, ok := c.ChunkCache.Get(h); ok && len(data) == size {
-			copy(payload[off:off+size], data)
-			fromCache += int64(size)
-		} else {
-			if _, dup := slots[h]; !dup {
-				missing = append(missing, h)
-			}
-			slots[h] = append(slots[h], slot{off: off, size: size})
-		}
-		off += size
-	}
-
-	keys := make([][]byte, len(missing))
-	for i := range missing {
-		keys[i] = missing[i][:]
-	}
-	// Any disagreement — a chunk GCed between manifest and fetch (a
-	// concurrent delete), or bytes that do not match their address or
-	// slot — means the manifest is stale: start over on the batched path.
-	errStale := errors.New("transport: stale manifest")
-	err = c.fetchBatched(ctx, opGetChunks, keys, 1, func(i int, fields [][]byte, flag byte) error {
-		if flag != entryFound {
-			return errStale
-		}
-		data, h := fields[0], missing[i]
-		if chunker.Sum(data) != h {
-			return errStale
-		}
-		for _, sl := range slots[h] {
-			if len(data) != sl.size {
-				return errStale
-			}
-			copy(payload[sl.off:sl.off+sl.size], data)
-		}
-		c.ChunkCache.Add(h, data)
-		return nil
-	})
-	if err != nil {
-		return nil, nil
-	}
-
-	medium, err := core.ParseMedium(string(parts[1]))
-	if err != nil {
-		return nil, nil
-	}
-	desc, err := media.ParseDescriptor(parts[2])
-	if err != nil {
-		return nil, nil
-	}
-	// The manifest fully determines the payload (every chunk above was
-	// verified against its content address), so once an (address,
-	// manifest) pair has survived the whole-payload digest, repeat
-	// assemblies can take the address as proven instead of hashing the
-	// same bytes again — the warm path's throughput lives here.
-	var b *media.Block
-	vkey := manifestVerifyKey(parts[3], parts[1], manifest)
-	if c.ChunkCache.ManifestVerified(vkey) {
-		b = media.NewBlockAt(string(parts[3]), string(parts[0]), medium, payload, desc)
-	} else {
-		b = media.NewBlock(string(parts[0]), medium, payload, desc)
-		if b.ID != string(parts[3]) {
-			// Reassembly disagrees with the server's content address —
-			// whatever went wrong, the batched fetch self-verifies.
-			return nil, nil
-		}
-		c.ChunkCache.MarkManifestVerified(vkey)
-	}
-	c.dedupeFetches.Add(1)
-	c.dedupeBytesSaved.Add(fromCache)
-	return b, nil
-}
-
-// manifestVerifyKey digests the (content address, medium, manifest)
-// binding the dedupe path proves on first assembly and memoizes after.
-func manifestVerifyKey(id, medium, manifest []byte) [32]byte {
-	h := sha256.New()
-	h.Write(id)
-	h.Write([]byte{0})
-	h.Write(medium)
-	h.Write([]byte{0})
-	h.Write(manifest)
-	var key [32]byte
-	h.Sum(key[:0])
-	return key
 }
 
 // fetchBatched sends keys under op, at most maxBatch per frame, so N keys
@@ -477,16 +280,10 @@ func (c *Client) fetchBatched(ctx context.Context, op byte, keys [][]byte, nFiel
 
 // GetBlocks is the client's one fetch plan. The result is aligned with
 // names; a name the server cannot resolve yields a nil entry (a partial
-// result, not an error). Duplicate names are fetched once, and each
-// unique name goes through these steps:
-//
-//  1. With a ChunkCache attached, each name tries the manifest/chunk
-//     dedupe path first. A not-found is an answer; anything the path
-//     does not handle goes on to step 2.
-//  2. The remaining names travel up to maxBatch per getblks frame. An
-//     entry the server deferred as too large for the frame is fetched
-//     on its own as a chunked stream. Every decoded block seeds the
-//     chunk cache.
+// result, not an error). Duplicate names are fetched once. The unique
+// names travel up to maxBatch per getblks frame, and an entry the server
+// deferred as too large for the frame is fetched on its own as a chunked
+// stream.
 func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block, error) {
 	got := make(map[string]*media.Block, len(names))
 	var order []string // unique names, in request order
@@ -495,19 +292,6 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 			got[name] = nil
 			order = append(order, name)
 		}
-	}
-
-	if c.ChunkCache != nil {
-		rest := order[:0]
-		for _, name := range order {
-			blk, err := c.getBlockDedup(ctx, name)
-			if err == nil && blk == nil {
-				rest = append(rest, name)
-				continue
-			}
-			got[name] = blk
-		}
-		order = rest
 	}
 
 	keys := make([][]byte, len(order))
@@ -537,7 +321,6 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 		if err != nil {
 			return err
 		}
-		c.seedChunks(blk.Payload)
 		got[name] = blk
 		return nil
 	})

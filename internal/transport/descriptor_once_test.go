@@ -17,14 +17,14 @@ import (
 
 // TestBlockDescriptorEncodedOnce: a stored block's descriptor is encoded
 // once, and that one text is what every place that carries it carries —
-// getblks (several times), getdescs, getblkmanifest, a stream header, a
-// journal record, a replication frame and a snapshot. After the first
-// encoding the test swaps the block's Descriptor for one that encodes
-// differently (a block is immutable once shared, so only a test may), so
-// any path that encoded again would carry the swapped text.
+// getblks (several times), getdescs, a stream header, a journal record,
+// a replication frame and a snapshot. After the first encoding the test
+// swaps the block's Descriptor for one that encodes differently (a block
+// is immutable once shared, so only a test may), so any path that
+// encoded again would carry the swapped text.
 func TestBlockDescriptorEncodedOnce(t *testing.T) {
 	ctx := context.Background()
-	payload := make([]byte, 4*media.ChunkThreshold) // chunked: it has a manifest
+	payload := make([]byte, 4*media.ChunkThreshold) // chunked: it snapshots as a manifest
 	rand.New(rand.NewSource(43)).Read(payload)
 	blk := media.NewBlock("once.vid", core.MediumVideo, payload,
 		attr.MustList(attr.P(media.DescTitle, attr.String("encoded once"))))
@@ -117,11 +117,6 @@ func TestBlockDescriptorEncodedOnce(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	parts, err := c.roundTrip(ctx, opGetBlkManifest, key[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("getblkmanifest", parts[2])
 	streamed, err := c.getBlockStream(ctx, blk.Name)
 	if err != nil {
 		t.Fatal(err)

@@ -110,10 +110,10 @@ func TestEncodeEntryConcatenatesToWholePart(t *testing.T) {
 }
 
 // TestBatchResponsesMatchWholeEntries is the wire golden for the
-// head-and-tail entries: a getblks, getchunks and getdescs response —
-// found, missing, deferred and zero-length-payload entries — goes on the
-// wire byte for byte as the frame of whole entries would, on the
-// buffered path, the vectored path and inside the compressed envelope.
+// head-and-tail entries: a getblks and getdescs response — found,
+// missing, deferred and zero-length-payload entries — goes on the wire
+// byte for byte as the frame of whole entries would, on the buffered
+// path, the vectored path and inside the compressed envelope.
 func TestBatchResponsesMatchWholeEntries(t *testing.T) {
 	oldBudget, oldThreshold := batchBudget, vectoredThreshold
 	t.Cleanup(func() { batchBudget, vectoredThreshold = oldBudget, oldThreshold })
@@ -142,20 +142,6 @@ func TestBatchResponsesMatchWholeEntries(t *testing.T) {
 	descEntry := func(b *media.Block) []byte { return entryPart([]byte(b.Name), desc(b)) }
 	missing, deferredFlag := []byte{entryMissing}, []byte{entryDeferred}
 
-	hashes, ok := store.Manifest(big.ID)
-	if !ok || len(hashes) < 2 {
-		t.Fatalf("big.vid is not chunk-indexed (%d chunks)", len(hashes))
-	}
-	chunkEntry := func(h media.ChunkHash) []byte {
-		data, ok := store.GetChunk(h)
-		if !ok {
-			t.Fatalf("chunk %x not held", h[:4])
-		}
-		return entryPart(data)
-	}
-	var ghost media.ChunkHash
-	ghost[0] = 0xee
-
 	names := func(bs ...string) [][]byte {
 		out := make([][]byte, len(bs))
 		for i, b := range bs {
@@ -177,8 +163,6 @@ func TestBatchResponsesMatchWholeEntries(t *testing.T) {
 			[][]byte{blkEntry(small), missing, blkEntry(empty), blkEntry(big), deferredFlag, blkEntry(text)}, true},
 		{"getblks-text", opGetBlks, names("empty.img", "story.txt", "ghost", "small.img"),
 			[][]byte{blkEntry(empty), blkEntry(text), missing, blkEntry(small)}, true},
-		{"getchunks", opGetChunks, [][]byte{hashes[0][:], ghost[:], hashes[1][:]},
-			[][]byte{chunkEntry(hashes[0]), missing, chunkEntry(hashes[1])}, false},
 		{"getdescs", opGetDescs, names("small.img", "ghost", "empty.img", "story.txt", "big.vid"),
 			[][]byte{descEntry(small), missing, descEntry(empty), descEntry(text), descEntry(big)}, false},
 	}

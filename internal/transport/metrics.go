@@ -63,9 +63,6 @@ var opNames = map[byte]string{
 	opSubscribe:    "subscribe",
 	opUnsubscribe:  "unsubscribe",
 	opSubmitEdit:   "submitedit",
-
-	opGetBlkManifest: "getblkmanifest",
-	opGetChunks:      "getchunks",
 }
 
 // newServerMetrics resolves the server instrument set in reg.

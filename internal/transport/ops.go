@@ -1,11 +1,9 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"repro/internal/chunker"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/media"
@@ -27,19 +25,17 @@ type opSpec struct {
 // multi-frame ops (opGetBlkStream, opSubscribe, opUnsubscribe) need the
 // connection and are dispatched by handleV2.
 var opTable = map[byte]opSpec{
-	opGetDoc:         {"getdoc", 3, 3, "[name, encoding, inline]", (*Server).getDoc},
-	opPutDoc:         {"putdoc", 3, 3, "[name, encoding, document]", (*Server).putDoc},
-	opSubmitEdit:     {"submitedit", 2, 2, "[name, records]", (*Server).submitEdit},
-	opGetBlk:         {"getblk", 1, 1, "[name]", (*Server).getBlk},
-	opGetBlks:        {"getblks", 1, maxParts, "at least one name", (*Server).getBlks},
-	opGetBlkManifest: {"getblkmanifest", 1, 1, "[name]", (*Server).getBlkManifest},
-	opGetChunks:      {"getchunks", 1, maxParts, "at least one hash", (*Server).getChunks},
-	opGetDescs:       {"getdescs", 1, maxParts, "at least one name", (*Server).getDescs},
-	opPutBlk:         {"putblk", 4, 4, "[name, medium, descriptor, payload]", (*Server).putBlk},
-	opList:           {"list", 0, maxParts, "[] or [scope]", (*Server).list},
-	opGossip:         {"gossip", 0, 1, "[view]", peerOp("gossip", gossip)},
-	opReplicate:      {"replicate", 1, 1, "[frames]", peerOp("replicate", replicate)},
-	opResync:         {"resync", 1, 1, "[cursor]", peerOp("resync", resync)},
+	opGetDoc:     {"getdoc", 3, 3, "[name, encoding, inline]", (*Server).getDoc},
+	opPutDoc:     {"putdoc", 3, 3, "[name, encoding, document]", (*Server).putDoc},
+	opSubmitEdit: {"submitedit", 2, 2, "[name, records]", (*Server).submitEdit},
+	opGetBlk:     {"getblk", 1, 1, "[name]", (*Server).getBlk},
+	opGetBlks:    {"getblks", 1, maxParts, "at least one name", (*Server).getBlks},
+	opGetDescs:   {"getdescs", 1, maxParts, "at least one name", (*Server).getDescs},
+	opPutBlk:     {"putblk", 4, 4, "[name, medium, descriptor, payload]", (*Server).putBlk},
+	opList:       {"list", 0, maxParts, "[] or [scope]", (*Server).list},
+	opGossip:     {"gossip", 0, 1, "[view]", peerOp("gossip", gossip)},
+	opReplicate:  {"replicate", 1, 1, "[frames]", peerOp("replicate", replicate)},
+	opResync:     {"resync", 1, 1, "[cursor]", peerOp("resync", resync)},
 }
 
 // handle executes one request, returning the response frame.
@@ -184,54 +180,6 @@ func (s *Server) getBlks(parts [][]byte) frame {
 		}
 		out.parts[i], out.tails[i] = encodeEntry(append(head, blk.Payload)...)
 		inlined += len(blk.Payload)
-	}
-	return out
-}
-
-func (s *Server) getBlkManifest(parts [][]byte) frame {
-	name := string(parts[0])
-	blk, ok := s.backend.GetBlock(name)
-	if !ok {
-		return notFound("getblkmanifest: no block %q", name)
-	}
-	head, err := s.blockHead(blk)
-	if err != nil {
-		return fail("getblkmanifest: %v", err)
-	}
-	// An empty manifest (block below the chunk threshold, or a backend
-	// with no chunk index for it) tells the client to fall back to the
-	// batched fetch.
-	var manifest []byte
-	if hashes, ok := s.backend.Manifest(blk.ID); ok {
-		manifest = make([]byte, 0, len(hashes)*manifestEntrySize)
-		for _, h := range hashes {
-			chunk, ok := s.backend.GetChunk(h)
-			if !ok {
-				// Index shifting under a concurrent delete; punt to the
-				// batched fetch rather than serve a torn manifest.
-				manifest = nil
-				break
-			}
-			manifest = append(manifest, h[:]...)
-			manifest = binary.BigEndian.AppendUint32(manifest, uint32(len(chunk)))
-		}
-	}
-	return okFrame(append(head, []byte(blk.ID), u64be(uint64(len(blk.Payload))), manifest)...)
-}
-
-func (s *Server) getChunks(parts [][]byte) frame {
-	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][]byte, len(parts))}
-	for i, p := range parts {
-		if len(p) != chunker.HashSize {
-			return fail("getchunks: hash %d has %d bytes, want %d", i, len(p), chunker.HashSize)
-		}
-		var h media.ChunkHash
-		copy(h[:], p)
-		if data, ok := s.backend.GetChunk(h); ok {
-			out.parts[i], out.tails[i] = encodeEntry(data)
-		} else {
-			out.parts[i] = []byte{entryMissing}
-		}
 	}
 	return out
 }

@@ -80,21 +80,8 @@ const (
 	// rejoin catch-up: request [cursor] ("" starts); response opOK
 	// [frames, nextCursor], where an empty nextCursor ends the walk.
 	opResync byte = 16
-	// opGetBlkManifest fetches a block's chunk manifest instead of its
-	// payload: request [name]; response opOK [name, medium, descriptor,
-	// blockID, totalSize(u64), manifest] where manifest is a sequence of
-	// (hash(32) | chunkLen(u32)) entries in payload order. An empty
-	// manifest means the block is not chunk-indexed (too small, or the
-	// backend keeps no chunk index) and the name joins the client's
-	// opGetBlks batch.
-	opGetBlkManifest byte = 17
-	// opGetChunks fetches chunks by content address: request parts are
-	// raw 32-byte chunk hashes (at most maxParts per frame); the
-	// response carries one entry part per hash, in request order —
-	// entryFound with the chunk bytes as its single field, or
-	// entryMissing.
-	opGetChunks byte = 18
-	opOK        byte = 128
+	// Bytes 17 and 18 are retired (the chunk-dedupe fetch); never reuse them.
+	opOK byte = 128
 	// opStreamHdr opens a streamed block response: parts are
 	// [name, medium, descriptor, payloadSize(u64)].
 	opStreamHdr byte = 129
@@ -139,10 +126,9 @@ const (
 // protoVersion is the one protocol version this build speaks: pipelined
 // requests multiplexed over one connection (frames carry a request ID),
 // chunked block streaming, document subscriptions with multi-writer
-// edit submission, compressed frames (opCompressed, switched on by the
-// hello's codec part) and chunk-dedupe block fetches (opGetBlkManifest
-// / opGetChunks). Versions 1 to 3 are retired: only v1's framing
-// survives, for the hello.
+// edit submission and compressed frames (opCompressed, switched on by
+// the hello's codec part). Versions 1 to 3 are retired: only v1's
+// framing survives, for the hello.
 const protoVersion = 4
 
 // defaultMaxInFlight bounds how many requests the server processes

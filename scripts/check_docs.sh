@@ -30,9 +30,9 @@
 #     a new or retired op cannot go undocumented;
 #   - the redesigned client API must stay documented: the docs must
 #     reference `cmif.Fetcher`, the typed option sets (`cmif.DialOption`,
-#     `cmif.ServeOption`, `cmif.EdgeOption`, `cmif.JoinOption`,
-#     `cmif.ClusterOption`) and the `edge.` package at least once each,
-#     and each of those symbols must still exist;
+#     `cmif.ServeOption`, `cmif.EdgeOption`, `cmif.JoinOption`) and the
+#     `edge.` package at least once each, and each of those symbols must
+#     still exist;
 #   - the server seam must stay documented: the docs must reference
 #     `transport.Backend`, and the interface must still exist;
 #   - every backticked `cmif_xxx` metric name in docs/ must appear in the
@@ -116,7 +116,7 @@ done
 # the typed option sets and the edge tier must stay documented (and the
 # symbols themselves must still exist — the facade loop above validates
 # existence for anything referenced, this insists they are referenced).
-for sym in Fetcher DialOption ServeOption EdgeOption JoinOption ClusterOption; do
+for sym in Fetcher DialOption ServeOption EdgeOption JoinOption; do
     if ! grep -q "\`cmif\.$sym\`" docs/*.md; then
         echo "docs no longer document \`cmif.$sym\` — the client API section has rotted" >&2
         fail=1
