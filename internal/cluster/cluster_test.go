@@ -489,3 +489,19 @@ func TestResyncDropsStaleCopiesOfHeldRecords(t *testing.T) {
 		t.Fatalf("resync regressed the name registration (found %v)", ok)
 	}
 }
+
+// TestGenesisNodeSyncsAtOnce: a node started without peers has nobody to
+// resync from, so WaitSynced returns within one gossip interval instead
+// of after the rounds a node spends waiting for an unreachable peer.
+func TestGenesisNodeSyncsAtOnce(t *testing.T) {
+	n, err := Start(Config{Addr: "127.0.0.1:0", DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Kill)
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultGossipInterval)
+	defer cancel()
+	if err := n.WaitSynced(ctx); err != nil {
+		t.Fatalf("one-node WaitSynced: %v", err)
+	}
+}

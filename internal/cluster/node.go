@@ -807,11 +807,16 @@ func (n *Node) ListDocs(localOnly bool) []string {
 // mostly-caught-up WAL appends only the delta). Writes that arrive live
 // during the pull mark their keys touched, and the stale resync copies of
 // those keys are filtered out — a resync can only add missing state,
-// never regress a newer write. A node with no reachable peers (the
-// genesis node) gives up after a few rounds and serves empty.
+// never regress a newer write. A node configured without peers (the
+// genesis node) has nobody to catch up from and is synced at once; one
+// whose peers are all unreachable gives up after a few rounds and serves
+// what it recovered.
 func (n *Node) resyncLoop() {
 	defer n.wg.Done()
 	defer close(n.synced)
+	if len(n.cfg.Peers) == 0 {
+		return
+	}
 
 	n.applyMu.Lock()
 	n.touched = make(map[string]bool)

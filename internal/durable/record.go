@@ -60,8 +60,10 @@ const (
 	recName byte = 7
 	// recChunk stages one unique content-defined chunk: [hash, bytes].
 	// Snapshot-only: WAL appends and replication frames never carry it.
-	// The hash is the chunk's raw SHA-256 (verified on replay); a later
-	// recPutBlkC in the same file assembles payloads from staged chunks.
+	// The hash is the chunk's raw SHA-256; a later recPutBlkC in the same
+	// file assembles payloads from staged chunks. Replay checks only the
+	// hash's length: the content address of every block that assembles
+	// the chunk covers its bytes, so a wrong chunk fails that block.
 	recChunk byte = 8
 	// recPutBlkC stores a chunk-manifest block: [id, name, medium,
 	// descriptor, manifest, register-flag] — recPutBlk with the payload

@@ -76,7 +76,24 @@ func listDir(dir string) (*dirListing, error) {
 // incomplete final record is tolerated and replay stops cleanly at the
 // last good offset; otherwise it is corruption. The returned offset is the
 // end of the last applied record — the truncation point for a torn tail.
+//
+// Block addresses are checked beside the loop, and replayStream waits for
+// every check before it returns. A failed check is an earlier record
+// than any the loop stopped at, so it wins, and a bad address is never
+// mistaken for a torn tail; the failed blocks are purged from st.
 func replayStream(r io.Reader, path string, st *State, tornOK bool) (int64, error) {
+	chk := newAddrChecker()
+	end, err := replayRecords(r, path, st, tornOK, chk)
+	if pos, reason := chk.wait(); reason != nil {
+		chk.purge(st)
+		return pos, &CorruptError{Path: path, Offset: pos, Reason: reason.Error()}
+	}
+	return end, err
+}
+
+// replayRecords is replayStream's loop: it decodes, verifies and applies
+// each record, queueing block address checks on chk.
+func replayRecords(r io.Reader, path string, st *State, tornOK bool, chk *addrChecker) (int64, error) {
 	sc := newRecordScanner(r, path)
 	var fieldsBuf [][]byte
 	for {
@@ -100,7 +117,7 @@ func replayStream(r io.Reader, path string, st *State, tornOK bool) (int64, erro
 			return start, &CorruptError{Path: path, Offset: start, Reason: err.Error()}
 		}
 		fieldsBuf = fields
-		m, err := st.verify(op, fields)
+		m, err := st.verify(op, fields, chk, start)
 		if err == nil {
 			err = st.apply(m)
 		}

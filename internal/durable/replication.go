@@ -128,15 +128,28 @@ func (l *Log) AppendFrames(frames []byte) (putDocs []string, err error) {
 // It returns the names of documents the batch registered (putDocs), so a
 // serving registry can be refreshed.
 func (l *Log) AppendRecords(recs []Record) (putDocs []string, err error) {
-	// Verification reads only the records, so it runs before the lock.
+	// Verification reads only the records, so it runs before the lock,
+	// and every block address check is done before anything appends. A
+	// failed check is an earlier record than any the loop stopped at.
+	chk := newAddrChecker()
 	muts := make([]mutation, len(recs))
+	var bad int
 	for i, r := range recs {
 		if !replicates(r.Op) {
-			return nil, fmt.Errorf("%w: replicated record %d: op %d does not replicate", ErrCorrupt, i, r.Op)
+			err = fmt.Errorf("op %d does not replicate", r.Op)
+		} else {
+			muts[i], err = l.st.verify(r.Op, r.Fields, chk, int64(i))
 		}
-		if muts[i], err = l.st.verify(r.Op, r.Fields); err != nil {
-			return nil, fmt.Errorf("%w: replicated record %d: %v", ErrCorrupt, i, err)
+		if err != nil {
+			bad = i
+			break
 		}
+	}
+	if pos, cerr := chk.wait(); cerr != nil {
+		bad, err = int(pos), cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: replicated record %d: %v", ErrCorrupt, bad, err)
 	}
 
 	l.mu.Lock()

@@ -3,12 +3,14 @@ package durable
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/attr"
@@ -240,16 +242,70 @@ func TestSnapshotChunkCorruptionRejected(t *testing.T) {
 	}
 	_, err := st.verify(recPutBlkC, [][]byte{
 		[]byte("someid"), []byte("name"), []byte("text"), []byte("<ext>"), h[:], {0},
-	})
+	}, newAddrChecker(), 0)
 	if err == nil {
 		t.Fatal("recPutBlkC with unstaged chunk accepted")
 	}
+}
 
-	// A staged chunk whose bytes do not match its recorded hash is
-	// rejected before it can poison later assemblies.
-	_, err = st.verify(recChunk, [][]byte{h[:], []byte("not the preimage")})
-	if err == nil {
-		t.Fatal("recChunk with wrong hash accepted")
+// TestSnapshotWrongChunkFailsItsFirstBlock: replay stages a chunk without
+// hashing it, so a staged chunk whose bytes do not match its recorded
+// hash fails recovery at the first recPutBlkC that assembles it — that
+// block's content address covers every chunk byte.
+func TestSnapshotWrongChunkFailsItsFirstBlock(t *testing.T) {
+	dir := t.TempDir()
+	l, st := mustOpen(t, dir, Options{Sync: SyncNever})
+	dupHeavyCorpusBlocks(t, st, 4, 64<<10)
+	if err := l.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := newestSnapshot(t, dir)
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := DecodeFrames(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the snapshot with the first staged chunk's bytes changed
+	// under its hash, and note where the first block that uses it starts.
+	var out bytes.Buffer
+	var victim []byte
+	want := int64(-1)
+	for _, r := range recs {
+		switch {
+		case r.Op == recChunk && victim == nil:
+			victim = r.Fields[0]
+			r.Fields[1][len(r.Fields[1])/2] ^= 0x01
+		case r.Op == recPutBlkC && want < 0 && victim != nil:
+			for off := 0; off < len(r.Fields[4]); off += len(victim) {
+				if bytes.Equal(r.Fields[4][off:off+len(victim)], victim) {
+					want = int64(out.Len())
+				}
+			}
+		}
+		out.Write(encodeFrame(r.Op, r.Fields...))
+	}
+	if want < 0 {
+		t.Fatal("no recPutBlkC assembles the first staged chunk")
+	}
+	if err := os.WriteFile(snap, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = Load(dir)
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Load of a snapshot with a wrong chunk: %v, want a *CorruptError", err)
+	}
+	if ce.Path != snap || ce.Offset != want || !strings.Contains(ce.Reason, "recorded content address") {
+		t.Fatalf("corruption reported in %s at %d (%s), want the block at %d in %s",
+			ce.Path, ce.Offset, ce.Reason, want, snap)
 	}
 }
 

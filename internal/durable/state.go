@@ -3,6 +3,8 @@ package durable
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"repro/internal/attr"
 	"repro/internal/chunker"
@@ -81,8 +83,9 @@ func (st *State) parseDesc(data []byte) (attr.List, error) {
 }
 
 // mutation is one verified record: the change it makes, decoded and
-// checked but not yet applied. It owns its bytes — nothing in it aliases
-// the record it came from.
+// checked but not yet applied. A block's address check may still be
+// running on the verifying caller's addrChecker. It owns its bytes —
+// nothing in it aliases the record it came from.
 type mutation struct {
 	op byte
 	// key is the document name (document ops), the block's content
@@ -113,12 +116,14 @@ func wantFields(op byte, fields [][]byte, n int) error {
 }
 
 // verify checks one decoded record — its field count, register flag,
-// content address, descriptor and document binary — and returns the
-// mutation it makes. It reads only the record (and, for recPutBlkC, the
-// chunks staged before it), so replication verifies a batch without the
-// log's lock. Arbitrary bytes must never panic, only fail (the fuzzed
-// guarantee).
-func (st *State) verify(op byte, fields [][]byte) (m mutation, err error) {
+// descriptor and document binary — and returns the mutation it makes.
+// A block record's content address is compared on chk, beside the
+// caller's loop, as the check of the record at pos: the caller waits on
+// chk before it reports or commits anything. It reads only the record
+// (and, for recPutBlkC, the chunks staged before it), so replication
+// verifies a batch without the log's lock. Arbitrary bytes must never
+// panic, only fail (the fuzzed guarantee).
+func (st *State) verify(op byte, fields [][]byte, chk *addrChecker, pos int64) (m mutation, err error) {
 	m.op = op
 	switch op {
 	case recPutDoc:
@@ -154,17 +159,14 @@ func (st *State) verify(op byte, fields [][]byte) (m mutation, err error) {
 		}
 		var payload []byte
 		if op == recPutBlk {
-			payload = append(make([]byte, 0, len(fields[4])), fields[4]...)
+			payload = bytes.Clone(fields[4])
 		} else if payload, err = st.assembleChunks(fields[4]); err != nil {
 			return m, fmt.Errorf("putblkc %q: %w", fields[1], err)
 		}
-		if m.block, err = st.blockFromParts(fields[1], fields[2], fields[3], payload); err != nil {
+		if m.block, err = st.blockFromParts(fields[0], fields[1], fields[2], fields[3], payload); err != nil {
 			return m, fmt.Errorf("op %d %q: %w", op, fields[1], err)
 		}
-		if m.block.ID != string(fields[0]) {
-			return m, fmt.Errorf("op %d %q: recorded content address %.12s does not match payload (%.12s)",
-				op, fields[1], fields[0], m.block.ID)
-		}
+		chk.check(pos, op, m.block)
 		m.register = fields[5][0] == 1
 	case recPutDesc: // retired: checked, then dropped
 		return m, wantFields(op, fields, 2)
@@ -178,12 +180,10 @@ func (st *State) verify(op byte, fields [][]byte) (m mutation, err error) {
 			return m, fmt.Errorf("chunk: bad hash length %d", len(fields[0]))
 		}
 		copy(m.chunk[:], fields[0])
-		if chunker.Sum(fields[1]) != m.chunk {
-			return m, fmt.Errorf("chunk %.12x: bytes do not match recorded hash", fields[0])
-		}
-		// Detached: the staged copy is shared by every block manifest
-		// that references it.
-		m.data = append(make([]byte, 0, len(fields[1])), fields[1]...)
+		// Detached, not hashed: the staged copy is shared by every block
+		// manifest that references it, and each such block's content
+		// address covers its bytes.
+		m.data = bytes.Clone(fields[1])
 	case recName:
 		if err := wantFields(op, fields, 2); err != nil {
 			return m, err
@@ -292,9 +292,11 @@ func encodedDoc(name string, d *core.Document, data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// blockFromParts assembles a block from replayed parts, taking ownership
-// of payload (callers pass a detached or freshly assembled slice).
-func (st *State) blockFromParts(name, mediumText, descText, payload []byte) (*media.Block, error) {
+// blockFromParts assembles a block from replayed parts under its
+// recorded content address id, taking ownership of payload (callers pass
+// a detached or freshly assembled slice). It does not hash: the caller
+// checks id on an addrChecker.
+func (st *State) blockFromParts(id, name, mediumText, descText, payload []byte) (*media.Block, error) {
 	medium, err := core.ParseMedium(string(mediumText))
 	if err != nil {
 		return nil, err
@@ -311,9 +313,10 @@ func (st *State) blockFromParts(name, mediumText, descText, payload []byte) (*me
 	// descriptor already carries the bytes and format attributes NewBlock
 	// would re-derive, the payload is copied exactly once, and the
 	// memoized descriptor is shared — immutably — across every block that
-	// repeats its text. Recovery cost per block is one hash, one copy.
+	// repeats its text. Recovery cost per block is one hash, on the
+	// checker, and one copy.
 	return &media.Block{
-		ID:         media.ContentAddress(medium, payload),
+		ID:         string(id),
 		Name:       string(name),
 		Medium:     medium,
 		Payload:    payload,
@@ -323,13 +326,14 @@ func (st *State) blockFromParts(name, mediumText, descText, payload []byte) (*me
 
 // assembleChunks rebuilds a recPutBlkC payload from its manifest — a
 // concatenation of fixed-size chunk hashes, each staged by an earlier
-// recChunk in the same snapshot. Every chunk's hash was verified when it
-// was staged and the caller verifies the whole payload's content
-// address, so assembly is pure concatenation.
+// recChunk in the same snapshot. Staged chunks are not hashed: the
+// caller checks the assembled payload's content address, which covers
+// every chunk's bytes in manifest order, so assembly is one copy.
 func (st *State) assembleChunks(manifest []byte) ([]byte, error) {
 	if len(manifest) == 0 || len(manifest)%chunker.HashSize != 0 {
 		return nil, fmt.Errorf("manifest length %d not a multiple of hash size", len(manifest))
 	}
+	chunks := make([][]byte, 0, len(manifest)/chunker.HashSize)
 	total := 0
 	for off := 0; off < len(manifest); off += chunker.HashSize {
 		var h ChunkHash
@@ -342,14 +346,9 @@ func (st *State) assembleChunks(manifest []byte) ([]byte, error) {
 		if total > maxRecordBytes {
 			return nil, fmt.Errorf("assembled payload exceeds %d bytes", maxRecordBytes)
 		}
+		chunks = append(chunks, data)
 	}
-	payload := make([]byte, 0, total)
-	for off := 0; off < len(manifest); off += chunker.HashSize {
-		var h ChunkHash
-		copy(h[:], manifest[off:])
-		payload = append(payload, st.replayChunks[h]...)
-	}
-	return payload, nil
+	return bytes.Join(chunks, nil), nil
 }
 
 // releaseReplay drops the replay-only tables once replay is done: the
@@ -359,4 +358,63 @@ func (st *State) assembleChunks(manifest []byte) ([]byte, error) {
 func (st *State) releaseReplay() {
 	st.replayChunks = nil
 	st.descMemo = nil
+}
+
+// addrChecker compares block payloads with the content addresses their
+// records carry on up to GOMAXPROCS goroutines, beside the loop that
+// queues them, so the hashing overlaps decoding and applying. Each
+// replayed stream and each replicated batch has its own. wait reports
+// the failure at the lowest position, whatever order checks finish in.
+type addrChecker struct {
+	slots chan struct{}
+	wg    sync.WaitGroup
+
+	mu  sync.Mutex
+	pos int64          // position of the earliest failure so far
+	err error          // its reason; nil while every check passed
+	bad []*media.Block // every block that failed
+}
+
+func newAddrChecker() *addrChecker {
+	return &addrChecker{slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
+}
+
+// check queues the comparison of b's payload with b.ID, the address the
+// record at pos carries, and blocks while every worker is busy.
+func (c *addrChecker) check(pos int64, op byte, b *media.Block) {
+	c.slots <- struct{}{}
+	c.wg.Add(1)
+	go func() {
+		defer func() { <-c.slots; c.wg.Done() }()
+		got := media.ContentAddress(b.Medium, b.Payload)
+		if got == b.ID {
+			return
+		}
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.err == nil || pos < c.pos {
+			c.pos = pos
+			c.err = fmt.Errorf("op %d %q: recorded content address %.12s does not match payload (%.12s)",
+				op, b.Name, b.ID, got)
+		}
+		c.bad = append(c.bad, b)
+	}()
+}
+
+// wait blocks until every queued check is done and returns the earliest
+// failure, or a nil error.
+func (c *addrChecker) wait() (pos int64, err error) {
+	c.wg.Wait()
+	return c.pos, c.err
+}
+
+// purge drops every block that failed its check from st's store, so the
+// state a failed replay leaves behind holds no block under a wrong
+// address. Call it after wait.
+func (c *addrChecker) purge(st *State) {
+	for _, b := range c.bad {
+		if cur, ok := st.Store.Get(b.ID); ok && cur == b {
+			st.Store.Delete(b.ID)
+		}
+	}
 }
