@@ -117,3 +117,23 @@ func Sum(chunk []byte) [sha256.Size]byte {
 // HashSize is the byte length of a chunk content address on the wire
 // and in snapshot records.
 const HashSize = sha256.Size
+
+// Cut is one chunk of a payload, by content address and length. A
+// payload's cuts lie end to end: chunk i is the Len bytes after the
+// earlier chunks' lengths.
+type Cut struct {
+	Hash [HashSize]byte
+	Len  int
+}
+
+// Cuts splits data with the default Config and returns each chunk's
+// content address and length in payload order — the form every dedupe
+// path keeps, so none holds a subslice of data past the call.
+func Cuts(data []byte) []Cut {
+	chunks := Split(data, Config{})
+	cuts := make([]Cut, len(chunks))
+	for i, c := range chunks {
+		cuts[i] = Cut{Hash: Sum(c), Len: len(c)}
+	}
+	return cuts
+}

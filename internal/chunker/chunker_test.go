@@ -203,6 +203,29 @@ func TestSumDistinguishesContent(t *testing.T) {
 	}
 }
 
+// TestCutsMatchSplit: Cuts names exactly the chunks Split returns, in
+// order, and their lengths cover the payload end to end.
+func TestCutsMatchSplit(t *testing.T) {
+	for _, n := range []int{0, 100, 1 << 18} {
+		data := testData(t, n, int64(n)+11)
+		chunks := Split(data, Config{})
+		cuts := Cuts(data)
+		if len(cuts) != len(chunks) {
+			t.Fatalf("%d bytes: %d cuts, %d chunks", n, len(cuts), len(chunks))
+		}
+		off := 0
+		for i, c := range cuts {
+			if c.Len != len(chunks[i]) || c.Hash != Sum(data[off:off+c.Len]) {
+				t.Fatalf("%d bytes: cut %d is not chunk %d", n, i, i)
+			}
+			off += c.Len
+		}
+		if off != n {
+			t.Fatalf("cuts cover %d of %d bytes", off, n)
+		}
+	}
+}
+
 // FuzzChunker checks the structural invariants plus the
 // chunk-boundary stability property on arbitrary data: flip one byte
 // and every boundary more than one gear window before the edit must

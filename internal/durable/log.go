@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/chunker"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/fsio"
@@ -97,6 +98,9 @@ type Log struct {
 	snapshotting atomic.Bool
 	snapErr      error // last background-snapshot failure
 	snapWG       sync.WaitGroup
+	// cuts is touched only by the in-flight snapshot; snapshotting
+	// admits one at a time.
+	cuts cutMemo
 
 	stopSync  chan struct{}
 	syncDone  chan struct{}
@@ -603,7 +607,8 @@ func (l *Log) snapshot() error {
 	clear(l.st.owned)
 	l.mu.Unlock()
 
-	size, err := writeSnapshot(l.dir, cover, st)
+	l.cuts.forget(st.Store)
+	size, err := writeSnapshot(l.dir, cover, st, &l.cuts)
 	if err != nil {
 		return err
 	}
@@ -628,9 +633,64 @@ func (l *Log) snapshot() error {
 	return nil
 }
 
+// cutMemo remembers how each chunked block was cut, across snapshots, so
+// a block is hashed on its first snapshot and never again: per block id
+// the hash and length of every chunk (no payload references), and per
+// chunk hash how many remembered blocks hold it.
+type cutMemo struct {
+	byID map[string][]chunker.Cut
+	refs map[ChunkHash]int
+	// saved is cmif_bytes_saved_total{reason="dedupe"} (Instrument);
+	// nil when uninstrumented.
+	saved *metrics.Counter
+}
+
+// forget drops the cuts of blocks s no longer holds, with their chunk
+// references, so a later first cut counts as shared only the chunks of
+// blocks still stored.
+func (m *cutMemo) forget(s *media.Store) {
+	for id, cuts := range m.byID {
+		if _, ok := s.Get(id); ok {
+			continue
+		}
+		delete(m.byID, id)
+		for _, c := range cuts {
+			if m.refs[c.Hash]--; m.refs[c.Hash] == 0 {
+				delete(m.refs, c.Hash)
+			}
+		}
+	}
+}
+
+// of returns b's cuts, cutting b if no earlier snapshot did. A first cut
+// adds to the dedupe counter the bytes that land on chunks a remembered
+// block — or an earlier chunk of b itself — already holds.
+func (m *cutMemo) of(b *media.Block) []chunker.Cut {
+	if cuts, ok := m.byID[b.ID]; ok {
+		return cuts
+	}
+	if m.byID == nil {
+		m.byID = make(map[string][]chunker.Cut)
+		m.refs = make(map[ChunkHash]int)
+	}
+	cuts := chunker.Cuts(b.Payload)
+	var shared int64
+	for _, c := range cuts {
+		if m.refs[c.Hash] > 0 {
+			shared += int64(c.Len)
+		}
+		m.refs[c.Hash]++
+	}
+	m.byID[b.ID] = cuts
+	if shared > 0 && m.saved != nil {
+		m.saved.Add(shared)
+	}
+	return cuts
+}
+
 // writeSnapshot serializes the state into snap-<seq>.snap via a temp file
 // and an atomic rename, encoding its stale documents on the way.
-func writeSnapshot(dir string, seq uint64, st *State) (int64, error) {
+func writeSnapshot(dir string, seq uint64, st *State, memo *cutMemo) (int64, error) {
 	final := filepath.Join(dir, snapName(seq))
 	tmp := final + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -662,47 +722,40 @@ func writeSnapshot(dir string, seq uint64, st *State) (int64, error) {
 		// on mutation order. The recName records that follow rebuild the
 		// registry exactly.
 		//
-		// Chunk-indexed blocks snapshot as manifests: each unique chunk is
-		// written once (recChunk, first-containing-block order) and the
-		// block itself as a recPutBlkC referencing the hashes, so a
-		// dup-heavy corpus snapshots near its unique size. Asking for the
-		// manifest is what cuts a block not cut before — here, on the
-		// snapshot goroutine, outside l.mu, once per block. Blocks below
-		// the chunk threshold — or whose manifest cannot be fully
-		// resolved against the live chunk index — keep the plain
-		// recPutBlk form.
-		chunksWritten := make(map[media.ChunkHash]bool)
+		// Blocks at or above the chunk threshold snapshot as manifests:
+		// each unique chunk is written once (recChunk, first-containing-
+		// block order), its bytes taken from that block's payload, and
+		// the block itself as a recPutBlkC referencing the hashes, so a
+		// dup-heavy corpus snapshots near its unique size. The memo cuts
+		// a block on its first snapshot — here, on the snapshot
+		// goroutine, outside l.mu. Smaller blocks stay recPutBlk.
+		chunksWritten := make(map[ChunkHash]bool)
 		st.Store.Each(func(b *media.Block) bool {
 			desc, err := b.DescriptorText()
 			if err != nil {
 				werr = fmt.Errorf("block %q descriptor: %w", b.Name, err)
 				return false
 			}
-			if hashes, ok := st.Store.Manifest(b.ID); ok {
-				manifest := make([]byte, 0, len(hashes)*len(hashes[0]))
-				resolved := true
-				for _, h := range hashes {
-					data, ok := st.Store.GetChunk(h)
-					if !ok {
-						resolved = false
-						break
-					}
-					if !chunksWritten[h] {
-						if werr = write(recChunk, h[:], data); werr != nil {
-							return false
-						}
-						chunksWritten[h] = true
-					}
-					manifest = append(manifest, h[:]...)
-				}
-				if resolved {
-					werr = write(recPutBlkC,
-						[]byte(b.ID), []byte(b.Name), []byte(b.Medium.String()), desc, manifest, []byte{0})
-					return werr == nil
-				}
+			if len(b.Payload) < media.ChunkThreshold {
+				werr = write(recPutBlk,
+					[]byte(b.ID), []byte(b.Name), []byte(b.Medium.String()), desc, b.Payload, []byte{0})
+				return werr == nil
 			}
-			werr = write(recPutBlk,
-				[]byte(b.ID), []byte(b.Name), []byte(b.Medium.String()), desc, b.Payload, []byte{0})
+			cuts := memo.of(b)
+			manifest := make([]byte, 0, len(cuts)*chunker.HashSize)
+			off := 0
+			for _, c := range cuts {
+				if !chunksWritten[c.Hash] {
+					if werr = write(recChunk, c.Hash[:], b.Payload[off:off+c.Len]); werr != nil {
+						return false
+					}
+					chunksWritten[c.Hash] = true
+				}
+				manifest = append(manifest, c.Hash[:]...)
+				off += c.Len
+			}
+			werr = write(recPutBlkC,
+				[]byte(b.ID), []byte(b.Name), []byte(b.Medium.String()), desc, manifest, []byte{0})
 			return werr == nil
 		})
 	}

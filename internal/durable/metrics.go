@@ -9,6 +9,9 @@ import "repro/internal/metrics"
 //	cmif_wal_live_bytes          gauge      WAL bytes not yet covered by a snapshot
 //	cmif_snapshots_total         counter    snapshots landed
 //	cmif_snapshot_bytes          gauge      size of the last landed snapshot
+//	cmif_bytes_saved_total       counter    {reason="dedupe"}: payload bytes a block's
+//	                                        first snapshot cut found on chunks of
+//	                                        blocks still stored
 //
 // Instrument before attaching the log to a server; the mirrored
 // instruments start at zero, so Stats and the metrics agree only on
@@ -22,5 +25,7 @@ func (l *Log) Instrument(reg *metrics.Registry) {
 	l.mWALBytes = reg.Gauge("cmif_wal_live_bytes", "WAL bytes not yet covered by a snapshot")
 	l.mSnapshots = reg.Counter("cmif_snapshots_total", "snapshots landed")
 	l.mSnapBytes = reg.Gauge("cmif_snapshot_bytes", "size of the last landed snapshot")
+	l.cuts.saved = reg.Counter("cmif_bytes_saved_total",
+		"bytes not moved or stored thanks to wire saturation", "reason", "dedupe")
 	l.mWALBytes.Set(l.walBytes)
 }

@@ -174,7 +174,12 @@ func TestAppendRecordsReportsFirstBadBlock(t *testing.T) {
 // BenchmarkLoad recovers a directory holding a chunked snapshot of
 // media-shaped blocks — video, audio and images, as the corpus generator
 // makes them — plus a WAL tail of block puts and document edits.
-func BenchmarkLoad(b *testing.B) {
+// benchCorpusDir writes the recovery benchmarks' directory: a news
+// document, 192 captured media blocks, a snapshot after the first 144,
+// and a WAL tail of the rest plus 32 document edits. It returns the
+// directory and its size on disk.
+func benchCorpusDir(b *testing.B) (string, int64) {
+	b.Helper()
 	dir := b.TempDir()
 	l, st, err := Open(dir, Options{Sync: SyncNever, SnapshotBytes: -1})
 	if err != nil {
@@ -221,7 +226,11 @@ func BenchmarkLoad(b *testing.B) {
 		}
 		size += info.Size()
 	}
+	return dir, size
+}
 
+func BenchmarkLoad(b *testing.B) {
+	dir, size := benchCorpusDir(b)
 	b.SetBytes(size)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -230,4 +239,51 @@ func BenchmarkLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSnapshot snapshots BenchmarkLoad's recovered corpus: cold is
+// a fresh log's first snapshot, which cuts every chunked block; warm
+// repeats a snapshot on a log that has cut them all already. Bytes are
+// the stored payload bytes each snapshot covers.
+func BenchmarkSnapshot(b *testing.B) {
+	dir, _ := benchCorpusDir(b)
+	open := func(b *testing.B) *Log {
+		l, st, err := Open(dir, Options{Sync: SyncNever, SnapshotBytes: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		st.Store.SetJournal(l)
+		b.SetBytes(st.Store.TotalBytes())
+		return l
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			l := open(b)
+			b.StartTimer()
+			if err := l.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := l.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		l := open(b)
+		defer l.Close()
+		if err := l.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := l.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

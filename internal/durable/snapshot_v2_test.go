@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,9 +15,12 @@ import (
 	"testing"
 
 	"repro/internal/attr"
+	"repro/internal/chunker"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/media"
+	"repro/internal/metrics"
+	"repro/internal/transport"
 )
 
 // dupHeavyCorpusBlocks stores nBlocks near-duplicate video blocks: one
@@ -309,33 +313,24 @@ func TestSnapshotWrongChunkFailsItsFirstBlock(t *testing.T) {
 	}
 }
 
-// TestSnapshotCutsOnDemand: the store cuts a block on the first Manifest
-// request, and a snapshot is such a request. A state nobody ever asked
-// and one asked for every manifest beforehand snapshot to the same
-// deduped size and recover to the same corpus.
+// TestSnapshotCutsOnDemand: a log cuts a block on its first snapshot and
+// remembers the cut after. A cold snapshot, a warm repeat of the same
+// state, and the first snapshot of a fresh log over the recovered
+// directory all come out the same deduped size and recover the same
+// corpus.
 func TestSnapshotCutsOnDemand(t *testing.T) {
 	const nBlocks, blockSize = 12, 64 << 10
-	snapshotOf := func(ask bool) (*State, string, int64) {
-		dir := t.TempDir()
-		l, st := mustOpen(t, dir, Options{Sync: SyncNever})
-		logical := dupHeavyCorpusBlocks(t, st, nBlocks, blockSize)
-		if ask {
-			st.Store.Each(func(b *media.Block) bool {
-				if _, ok := st.Store.Manifest(b.ID); !ok {
-					t.Fatalf("block %s has no manifest", b.Name)
-				}
-				return true
-			})
-		}
+	dir := t.TempDir()
+	l, st := mustOpen(t, dir, Options{Sync: SyncNever, SnapshotBytes: -1})
+	logical := dupHeavyCorpusBlocks(t, st, nBlocks, blockSize)
+	snapshotSize := func(l *Log, label string) int64 {
+		t.Helper()
 		if err := l.Snapshot(); err != nil {
-			t.Fatalf("Snapshot: %v", err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s snapshot: %v", label, err)
 		}
 		snap := newestSnapshot(t, dir)
 		if ops := snapshotOps(t, snap); ops[recPutBlkC] != nBlocks || ops[recPutBlk] != 0 || ops[recChunk] == 0 {
-			t.Fatalf("ask=%v: snapshot not in the deduped form (ops %v)", ask, ops)
+			t.Fatalf("%s snapshot not in the deduped form (ops %v)", label, ops)
 		}
 		info, err := os.Stat(snap)
 		if err != nil {
@@ -343,26 +338,146 @@ func TestSnapshotCutsOnDemand(t *testing.T) {
 		}
 		// The bound TestSnapshotChunkDedupe uses.
 		if info.Size() > logical/2 {
-			t.Fatalf("ask=%v: snapshot %d bytes did not dedupe %d logical bytes", ask, info.Size(), logical)
+			t.Fatalf("%s snapshot %d bytes did not dedupe %d logical bytes", label, info.Size(), logical)
 		}
-		return st, dir, info.Size()
+		got, err := Load(dir)
+		if err != nil {
+			t.Fatalf("Load after the %s snapshot: %v", label, err)
+		}
+		checkEqual(t, st, got)
+		return info.Size()
 	}
-	asked, askedDir, askedSize := snapshotOf(true)
-	_, unaskedDir, unaskedSize := snapshotOf(false)
-	if askedSize != unaskedSize {
-		t.Fatalf("snapshot of the asked state is %d bytes, of the unasked state %d", askedSize, unaskedSize)
+	cold := snapshotSize(l, "cold")
+	if warm := snapshotSize(l, "warm"); warm != cold {
+		t.Fatalf("warm snapshot is %d bytes, cold %d", warm, cold)
 	}
-	for _, dir := range []string{askedDir, unaskedDir} {
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, _ = mustOpen(t, dir, Options{Sync: SyncNever, SnapshotBytes: -1})
+	defer l.Close()
+	if fresh := snapshotSize(l, "recovered"); fresh != cold {
+		t.Fatalf("recovered log's snapshot is %d bytes, cold %d", fresh, cold)
+	}
+}
+
+// TestSnapshotSweepsDeletedBlocks: a block deleted between snapshots
+// leaves the chunks it shared with a survivor in every later snapshot
+// and takes the rest with it, and the dedupe counter counts a later
+// block's chunks as shared only against blocks still stored.
+func TestSnapshotSweepsDeletedBlocks(t *testing.T) {
+	dir := t.TempDir()
+	l, st := mustOpen(t, dir, Options{Sync: SyncNever, SnapshotBytes: -1})
+	defer l.Close()
+	st.Store.SetJournal(l)
+	// The counter is read where an origin serves it: the log's
+	// instruments and a server over the store share one registry.
+	reg := metrics.NewRegistry()
+	l.Instrument(reg)
+	srv := transport.NewServer(transport.NewRegistry(st.Store))
+	srv.Metrics = reg
+	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	saved := reg.Counter("cmif_bytes_saved_total", "", "reason", "dedupe")
+
+	// a and b splice one base in different places; c carries a's splice
+	// and one of its own, so it shares a's edited chunks, which b lacks.
+	rng := rand.New(rand.NewSource(41))
+	base := make([]byte, 192<<10)
+	rng.Read(base)
+	splice := func(p []byte, off int, seed int64) {
+		rand.New(rand.NewSource(seed)).Read(p[off : off+128])
+	}
+	pa, pb := bytes.Clone(base), bytes.Clone(base)
+	splice(pa, 40<<10, 1)
+	splice(pb, 150<<10, 2)
+	pc := bytes.Clone(pa)
+	splice(pc, 100<<10, 3)
+	a := media.NewBlock("a.vid", core.MediumVideo, pa, attr.List{})
+	b := media.NewBlock("b.vid", core.MediumVideo, pb, attr.List{})
+	c := media.NewBlock("c.vid", core.MediumVideo, pc, attr.List{})
+
+	// sharedBytes is what a first cut of p adds to the counter when the
+	// blocks cut before it hold held.
+	sharedBytes := func(held map[ChunkHash]bool, p []byte) int64 {
+		var n int64
+		for _, c := range chunker.Split(p, chunker.Config{}) {
+			h := chunker.Sum(c)
+			if held[h] {
+				n += int64(len(c))
+			}
+			held[h] = true
+		}
+		return n
+	}
+	setOf := func(payloads ...[]byte) map[ChunkHash]bool {
+		set := make(map[ChunkHash]bool)
+		for _, p := range payloads {
+			for _, c := range chunker.Split(p, chunker.Config{}) {
+				set[chunker.Sum(c)] = true
+			}
+		}
+		return set
+	}
+	// snapshotChunks snapshots and returns the chunk hashes written.
+	snapshotChunks := func() map[ChunkHash]bool {
+		t.Helper()
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(newestSnapshot(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := DecodeFrames(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written := make(map[ChunkHash]bool)
+		for _, r := range recs {
+			if r.Op == recChunk {
+				written[ChunkHash(r.Fields[0])] = true
+			}
+		}
 		got, err := Load(dir)
 		if err != nil {
 			t.Fatalf("Load: %v", err)
 		}
-		checkEqual(t, asked, got)
-		got.Store.Each(func(b *media.Block) bool {
-			if _, ok := got.Store.Manifest(b.ID); !ok {
-				t.Fatalf("recovered block %s answers no manifest", b.Name)
-			}
-			return true
-		})
+		checkEqual(t, st, got)
+		return written
+	}
+	checkChunks := func(label string, got, want map[ChunkHash]bool) {
+		t.Helper()
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s: snapshot wrote %d chunks, want the %d of the stored blocks", label, len(got), len(want))
+		}
+	}
+
+	st.Store.Put(a)
+	st.Store.Put(b)
+	want := sharedBytes(make(map[ChunkHash]bool), pa) // a's own repeats
+	want += sharedBytes(setOf(pa), pb)
+	checkChunks("both stored", snapshotChunks(), setOf(pa, pb))
+	if got := saved.Value(); got != want || want == 0 {
+		t.Fatalf("dedupe counter = %d after the first snapshot, want %d > 0", got, want)
+	}
+
+	st.Store.Delete(a.ID)
+	checkChunks("a deleted", snapshotChunks(), setOf(pb))
+	if got := saved.Value(); got != want {
+		t.Fatalf("dedupe counter moved to %d on a snapshot that cut nothing, want %d", got, want)
+	}
+
+	st.Store.Put(c)
+	add := sharedBytes(setOf(pb), pc)
+	if sharedBytes(setOf(pa, pb), pc) == add {
+		t.Fatal("c shares no chunk with a that b lacks; the test would prove nothing")
+	}
+	want += add
+	checkChunks("c stored", snapshotChunks(), setOf(pb, pc))
+	if got := saved.Value(); got != want {
+		t.Fatalf("dedupe counter = %d after c's first snapshot, want %d: only b's chunks count", got, want)
 	}
 }

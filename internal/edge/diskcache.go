@@ -321,17 +321,19 @@ func (c *DiskCache) Put(servedName string, b *media.Block) {
 			// Chunk-manifest form: shared .cmc files plus a tiny CMEB2
 			// manifest. Chunks already on disk (another block's) are not
 			// rewritten — that sharing is the dedupe.
-			pieces := chunker.Split(b.Payload, chunker.Config{})
-			hashes = make([]media.ChunkHash, len(pieces))
-			manifest := make([]byte, 0, len(pieces)*chunker.HashSize)
-			for i, p := range pieces {
-				h := chunker.Sum(p)
+			cuts := chunker.Cuts(b.Payload)
+			hashes = make([]media.ChunkHash, len(cuts))
+			manifest := make([]byte, 0, len(cuts)*chunker.HashSize)
+			off := 0
+			for i, cut := range cuts {
+				h, p := cut.Hash, b.Payload[off:off+cut.Len]
+				off += cut.Len
 				hashes[i] = h
 				manifest = append(manifest, h[:]...)
 				if _, seen := sizes[h]; seen {
 					continue
 				}
-				sizes[h] = int64(len(p))
+				sizes[h] = int64(cut.Len)
 				c.mu.Lock()
 				have := c.chunkRefs[h] != nil
 				c.mu.Unlock()

@@ -4,9 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/attr"
-	"repro/internal/core"
 )
 
 func TestSaveLoadDirRoundTrip(t *testing.T) {
@@ -136,28 +133,5 @@ func TestLoadDirErrors(t *testing.T) {
 	os.Remove(filepath.Join(dir2, "blocks", blk.ID+".bin"))
 	if _, err := LoadDir(dir2); err == nil {
 		t.Error("missing payload loaded")
-	}
-}
-
-// TestLoadDirChunksIndexed: a store loaded from disk must chunk-index
-// its large payloads exactly as Put does, or a reloaded server could
-// not answer manifest requests for them.
-func TestLoadDirChunksIndexed(t *testing.T) {
-	dir := t.TempDir()
-	s := NewStore()
-	s.Put(NewBlock("big-video", core.MediumVideo, randomPayload(300<<10, 99), attr.List{}))
-	if err := SaveDir(s, dir); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, ok := loaded.Resolve("big-video")
-	if !ok {
-		t.Fatal("big-video missing")
-	}
-	if _, ok := loaded.Manifest(id); !ok {
-		t.Fatal("loaded large block was not chunk-indexed")
 	}
 }

@@ -66,34 +66,20 @@ type Journal interface {
 // content address and name registrations by FNV of the name, so concurrent
 // readers and writers touching different blocks do not contend on a single
 // mutex (the serialization the scaled-up storage server must avoid).
+//
+// The store holds blocks and names and nothing derived from them: the
+// chunk form of a payload is kept by whoever writes chunks — a durable
+// snapshot, the edge disk cache — not here (dedupe.go).
 type Store struct {
 	blocks [storeShards]blockShard
 	names  [storeShards]nameShard
 
-	// Content-defined dedupe index (dedupe.go): unique chunks, refcounted,
-	// and the manifests referencing them — one per block someone has
-	// asked Manifest for, none before.
-	chunks    [storeShards]chunkShard
-	manifests [storeShards]manifestShard
-
 	journal Journal
-
-	// dedupeObserver, when set, observes every payload byte the chunk
-	// index collapsed onto an existing entry (SetDedupeObserver).
-	dedupeObserver func(sharedBytes int64)
 }
 
 // SetJournal attaches a mutation journal. Attach before serving: the call
 // itself is not synchronized against concurrent mutations.
 func (s *Store) SetJournal(j Journal) { s.journal = j }
-
-// SetDedupeObserver attaches a callback fired with the byte count each
-// time a block's chunks, cut on its first Manifest request, dedupe
-// against already-indexed ones — the feed behind the
-// cmif_bytes_saved_total{reason="dedupe"} counter. Nothing fires at Put:
-// a block nobody asked a manifest for has saved nothing yet. Attach
-// before serving.
-func (s *Store) SetDedupeObserver(fn func(sharedBytes int64)) { s.dedupeObserver = fn }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
@@ -104,12 +90,6 @@ func NewStore() *Store {
 	for i := range s.names {
 		s.names[i].byName = make(map[string]string)
 	}
-	for i := range s.chunks {
-		s.chunks[i].byHash = make(map[ChunkHash]*chunkEntry)
-	}
-	for i := range s.manifests {
-		s.manifests[i].byID = make(map[string]*manifest)
-	}
 	return s
 }
 
@@ -117,8 +97,7 @@ func NewStore() *Store {
 // address. The store keeps b itself (see Block: immutable once handed
 // over; sharing one descriptor across many blocks is fine). Re-putting
 // identical content is idempotent; re-using a name for different content
-// re-points the name. Put never reads the payload: the chunk index is cut
-// by the first Manifest request, not here.
+// re-points the name. Put never reads the payload.
 func (s *Store) Put(b *Block) string { return s.PutReplayed(b, true) }
 
 // PutReplayed is Put for WAL and snapshot replay: register says whether
@@ -248,9 +227,6 @@ func (s *Store) Delete(id string) bool {
 	if !ok {
 		return false
 	}
-	// Release the chunk references of the block's manifest, if one was
-	// ever cut; entries reaching refcount zero are dropped (dedupe GC).
-	s.dropManifest(id)
 	for i := range s.names {
 		ns := &s.names[i]
 		ns.mu.Lock()

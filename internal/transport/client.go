@@ -283,7 +283,9 @@ func (c *Client) fetchBatched(ctx context.Context, op byte, keys [][]byte, nFiel
 // result, not an error). Duplicate names are fetched once. The unique
 // names travel up to maxBatch per getblks frame, and an entry the server
 // deferred as too large for the frame is fetched on its own as a chunked
-// stream.
+// stream. A key in content-address form answered by a block carrying
+// neither that name nor that address fails the call with an
+// *AddressMismatchError.
 func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block, error) {
 	got := make(map[string]*media.Block, len(names))
 	var order []string // unique names, in request order
@@ -320,6 +322,11 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 		}
 		if err != nil {
 			return err
+		}
+		// Asked by address and answered under another name, the block
+		// is checked by the ID its bytes already hashed to.
+		if blk.Name != name && blk.ID != name && isContentAddress(name) {
+			return &AddressMismatchError{Key: name, ID: blk.ID}
 		}
 		got[name] = blk
 		return nil
@@ -451,6 +458,35 @@ func (c *Client) ResyncPull(ctx context.Context, cursor string) (frames []byte, 
 // or block. It is wrapped (with ErrRemote) into errors returned by GetDoc
 // and GetBlock, so callers can test errors.Is(err, ErrNotFound).
 var ErrNotFound = errors.New("not found")
+
+// AddressMismatchError reports a block fetched by content address whose
+// bytes have another address. GetBlocks fails with it instead of
+// settling the wrong bytes under the key asked for. It matches ErrRemote:
+// the server answered, wrongly, and a cluster peer that did is not down.
+type AddressMismatchError struct {
+	Key string // the content address asked for
+	ID  string // the content address of the bytes that came back
+}
+
+func (e *AddressMismatchError) Error() string {
+	return fmt.Sprintf("transport: getblks: block %s came back as %s", e.Key, e.ID)
+}
+
+func (e *AddressMismatchError) Unwrap() error { return ErrRemote }
+
+// isContentAddress reports whether key has the form media.ContentAddress
+// returns: 64 lowercase hex digits.
+func isContentAddress(key string) bool {
+	if len(key) != 64 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // ErrUnsupported reports that the server does not speak protoVersion:
 // Dial fails with it when the hello is refused or answered with another

@@ -46,7 +46,6 @@ type serverMetrics struct {
 
 	framesCompressed   *metrics.Counter
 	bytesSavedCompress *metrics.Counter
-	bytesSavedDedupe   *metrics.Counter
 	compressRatio      *metrics.Histogram
 }
 
@@ -90,8 +89,6 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 			"response frames shipped deflated (protocol v4)"),
 		bytesSavedCompress: reg.Counter("cmif_bytes_saved_total",
 			"bytes not moved or stored thanks to wire saturation", "reason", "compress"),
-		bytesSavedDedupe: reg.Counter("cmif_bytes_saved_total",
-			"bytes not moved or stored thanks to wire saturation", "reason", "dedupe"),
 		compressRatio: reg.HistogramBuckets("cmif_compress_ratio",
 			"compressed/raw frame size ratio",
 			[]float64{0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95}),
@@ -200,14 +197,4 @@ func (m *serverMetrics) frameCompressed(raw, wire int64) {
 	m.framesCompressed.Inc()
 	m.bytesSavedCompress.Add(raw - wire)
 	m.compressRatio.ObserveSeconds(float64(wire) / float64(raw))
-}
-
-// dedupeSaved counts payload bytes the content-defined chunk index
-// collapsed — bytes a duplicate-heavy corpus does not snapshot or ship
-// twice. Fed by the store's dedupe observer, which fires when a block's
-// first manifest request cuts it, not when the block is put.
-func (m *serverMetrics) dedupeSaved(bytes int64) {
-	if m != nil {
-		m.bytesSavedDedupe.Add(bytes)
-	}
 }

@@ -186,8 +186,8 @@ type ServeConfig struct {
 	SubQueueCap int
 	// Metrics, when non-nil, receives the server's instruments: request
 	// counts, per-op latency, in-flight and queue gauges, busy
-	// rejections, frame compression and the chunk index's dedupe
-	// savings.
+	// rejections and frame compression. (A durable log's dedupe savings
+	// reach the same registry through durable.Log.Instrument.)
 	Metrics *metrics.Registry
 }
 
@@ -244,32 +244,16 @@ func (s *Server) Listen(addr string) (string, error) {
 	s.mu.Lock()
 	s.listener = l
 	if s.adm == nil {
-		s.instrument()
+		// The one place any tier's server instruments are made.
+		if s.Metrics != nil {
+			s.metrics = newServerMetrics(s.Metrics)
+		}
 		s.adm = newAdmitter(s.Admission, s.metrics)
 	}
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(l)
 	return l.Addr().String(), nil
-}
-
-// storeBacked is a backend whose chunk index lives in a media store: the
-// Registry, and every tier that embeds one.
-type storeBacked interface{ chunkStore() *media.Store }
-
-func (r *Registry) chunkStore() *media.Store { return r.Store }
-
-// instrument builds the server's instruments from the Metrics registry —
-// the one place any tier's server metrics are made — and feeds the
-// backend's chunk index savings into them before traffic arrives.
-func (s *Server) instrument() {
-	if s.Metrics == nil {
-		return
-	}
-	s.metrics = newServerMetrics(s.Metrics)
-	if b, ok := s.backend.(storeBacked); ok {
-		b.chunkStore().SetDedupeObserver(s.metrics.dedupeSaved)
-	}
 }
 
 // Close force-closes the listener and every open connection, then waits for
