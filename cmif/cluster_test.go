@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/cmif"
+	"repro/internal/cluster"
 )
 
 // startClusterNodes brings up n in-process cluster nodes and waits for
@@ -38,18 +39,26 @@ func startClusterNodes(t *testing.T, n int, extra ...cmif.JoinOption) []*cmif.Cl
 			t.Fatalf("node %s never synced: %v", node.Addr(), err)
 		}
 	}
+	// Every node must see every member alive: a node whose view still
+	// lacks one places keys on a smaller ring and answers a miss as
+	// authoritative.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		alive := 0
-		for _, m := range nodes[0].Members() {
-			alive++
-			_ = m
+		converged := true
+		for _, node := range nodes {
+			alive := 0
+			for _, m := range node.Members() {
+				if m.State == cluster.StateAlive {
+					alive++
+				}
+			}
+			converged = converged && alive == n
 		}
-		if alive >= n {
+		if converged {
 			return nodes
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("membership converged on %d of %d", alive, n)
+			t.Fatalf("membership never converged on %d alive members", n)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -400,13 +400,14 @@ func TestSnapshotSweepsDeletedBlocks(t *testing.T) {
 	c := media.NewBlock("c.vid", core.MediumVideo, pc, attr.List{})
 
 	// sharedBytes is what a first cut of p adds to the counter when the
-	// blocks cut before it hold held.
+	// blocks remembered before it hold the chunks in held; it adds p's
+	// chunks to held.
 	sharedBytes := func(held map[ChunkHash]bool, p []byte) int64 {
 		var n int64
-		for _, c := range chunker.Split(p, chunker.Config{}) {
-			h := chunker.Sum(c)
+		for _, chunk := range chunker.Split(p, chunker.Config{}) {
+			h := chunker.Sum(chunk)
 			if held[h] {
-				n += int64(len(c))
+				n += int64(len(chunk))
 			}
 			held[h] = true
 		}
