@@ -5,7 +5,7 @@
 //
 //	cmifd [-role origin] [-news N] [-data DIR [-sync POLICY] [-snap-bytes N]]
 //	cmifd -role edge -origin HOST:PORT -cache DIR [-cache-bytes N]
-//	      [-mem-blocks N] [-pool N] [-upstream-timeout 10s] [-lease-ttl 2m]
+//	      [-mem-blocks N] [-upstream-timeout 10s] [-lease-ttl 2m]
 //	cmifd -role node -data DIR [-sync POLICY] [-peers HOST:PORT,...]
 //	      [-replicas 3] [-gossip-interval 250ms]
 //
@@ -27,6 +27,7 @@
 // Documents are leased: the first access subscribes to the origin's
 // change stream, and an idle, unwatched lease is released after
 // -lease-ttl. Mutations are forwarded to the origin, the single writer.
+// Misses, forwards and leases share one multiplexed origin connection.
 //
 // A node is one member of a replicated, consistent-hash-sharded cluster.
 // The first node starts with no -peers; every later one names a live
@@ -109,7 +110,7 @@ type flags struct {
 
 	origin, cache   string
 	cacheBytes      int64
-	memBlocks, pool int
+	memBlocks       int
 	upstreamTimeout time.Duration
 	leaseTTL        time.Duration
 
@@ -146,7 +147,6 @@ func (f *flags) register(fs *flag.FlagSet) {
 	fs.StringVar(&f.cache, "cache", "", "edge: disk block cache directory (required)")
 	fs.Int64Var(&f.cacheBytes, "cache-bytes", 0, "edge: disk cache budget in payload bytes (0 = default 256 MiB)")
 	fs.IntVar(&f.memBlocks, "mem-blocks", 0, "edge: in-memory block cache size fronting the disk tier (0 = default 1024)")
-	fs.IntVar(&f.pool, "pool", 0, "edge: upstream connection pool size (0 = default 4)")
 	fs.DurationVar(&f.upstreamTimeout, "upstream-timeout", 0, "edge: per-round-trip bound toward the origin (0 = default 10s)")
 	fs.DurationVar(&f.leaseTTL, "lease-ttl", 0, "edge: idle bound before an unwatched document lease is released (0 = default 2m)")
 
@@ -282,7 +282,6 @@ func startEdge(f *flags, reg *cmif.Metrics, logf func(string, ...any)) (tier, er
 		cmif.WithCacheDir(f.cache),
 		cmif.WithCacheBytes(f.cacheBytes),
 		cmif.WithEdgeMemBlocks(f.memBlocks),
-		cmif.WithUpstreamPool(f.pool),
 		cmif.WithUpstreamTimeout(f.upstreamTimeout),
 		cmif.WithLeaseTTL(f.leaseTTL),
 	}

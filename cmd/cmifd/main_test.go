@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"go/parser"
+	"go/token"
 	"net"
 	"net/http"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -220,5 +225,39 @@ func TestRunFlagSurface(t *testing.T) {
 				t.Fatalf("no drain line after cancellation; stdout:\n%s\nstderr:\n%s", stdout, stderr)
 			}
 		})
+	}
+}
+
+// TestUsageNamesEveryFlag keeps the package doc's synopsis — the
+// command lines and the serving-flags paragraph after them — naming
+// exactly the flags register installs, so a flag added or removed
+// without its usage line fails here.
+func TestUsageNamesEveryFlag(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paras := strings.Split(file.Doc.Text(), "\n\n")
+	start := slices.IndexFunc(paras, func(p string) bool { return strings.HasPrefix(p, "\t") })
+	if start < 0 || start+1 >= len(paras) {
+		t.Fatal("package doc has no synopsis block followed by a paragraph")
+	}
+	synopsis := paras[start] + "\n" + paras[start+1]
+	documented := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`).FindAllStringSubmatch(synopsis, -1) {
+		documented[m[1]] = true
+	}
+
+	fs := flag.NewFlagSet("cmifd", flag.ContinueOnError)
+	var f flags
+	f.register(fs)
+	fs.VisitAll(func(fl *flag.Flag) {
+		if !documented[fl.Name] {
+			t.Errorf("flag -%s is missing from the usage synopsis", fl.Name)
+		}
+		delete(documented, fl.Name)
+	})
+	for name := range documented {
+		t.Errorf("usage synopsis names -%s, which cmifd does not define", name)
 	}
 }

@@ -74,7 +74,7 @@ type wireConfig struct {
 	inline bool
 }
 
-// WireOption configures document transfers (Client.Document, Client.Put).
+// WireOption configures document fetches (Client.Document).
 type WireOption func(*wireConfig)
 
 // WithInline asks the server to inline data payloads into the tree, so the
@@ -112,7 +112,7 @@ func (c *Client) OpenDoc(ctx context.Context, name string) (*Document, error) {
 // Put registers a document under name on the server, shipped in the
 // binary encoding. Inlined payloads are absorbed into the server's
 // store.
-func (c *Client) Put(ctx context.Context, name string, d *Document, opts ...WireOption) error {
+func (c *Client) Put(ctx context.Context, name string, d *Document) error {
 	return wireError(c.tc.PutDoc(ctx, name, d.doc, transport.EncodingBinary))
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/transport"
 )
 
 // This file is the facade over the cluster tier (internal/cluster):
@@ -154,7 +153,9 @@ func DialCluster(ctx context.Context, seeds []string) (*ClusterClient, error) {
 }
 
 // refreshMembership pulls the gossip view from the first reachable node
-// (known members first, then the seeds) and keeps its alive records.
+// (known members first, then the seeds) over its pooled client and keeps
+// its alive records. A node that fails at the connection level loses its
+// pooled client, so the next request dials it afresh.
 func (cc *ClusterClient) refreshMembership(ctx context.Context) error {
 	cc.mu.Lock()
 	candidates := make([]string, 0, len(cc.members)+len(cc.seeds))
@@ -175,7 +176,22 @@ func (cc *ClusterClient) refreshMembership(ctx context.Context) error {
 
 	var lastErr error
 	for _, addr := range candidates {
-		view, err := gossipView(ctx, addr)
+		c, err := cc.client(ctx, addr)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		data, err := c.tc.GossipExchange(ctx, nil)
+		if err != nil {
+			if err = wireError(err); !errors.Is(err, ErrRemote) {
+				cc.mu.Lock()
+				cc.dropClient(addr)
+				cc.mu.Unlock()
+			}
+			lastErr = err
+			continue
+		}
+		view, err := cluster.DecodeMembers(data)
 		if err != nil {
 			lastErr = err
 			continue
@@ -197,21 +213,6 @@ func (cc *ClusterClient) refreshMembership(ctx context.Context) error {
 		return nil
 	}
 	return fmt.Errorf("cmif: no cluster node reachable: %w", lastErr)
-}
-
-// gossipView pulls one node's membership view over a transient
-// connection.
-func gossipView(ctx context.Context, addr string) ([]ClusterMember, error) {
-	tc, err := transport.DialContext(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	defer tc.Close()
-	data, err := tc.GossipExchange(ctx, nil)
-	if err != nil {
-		return nil, err
-	}
-	return cluster.DecodeMembers(data)
 }
 
 // Members returns the client's current view of the alive membership.
@@ -309,15 +310,20 @@ func (cc *ClusterClient) client(ctx context.Context, addr string) (*Client, erro
 	return c, nil
 }
 
+// dropClient closes and forgets addr's pooled client. cc.mu is held.
+func (cc *ClusterClient) dropClient(addr string) {
+	if c, ok := cc.clients[addr]; ok {
+		delete(cc.clients, addr)
+		go c.Close()
+	}
+}
+
 // dropNode forgets a node that failed at the connection level: its
 // client closes and its member record is removed until the next
 // membership refresh re-discovers it (or not).
 func (cc *ClusterClient) dropNode(addr string) {
 	cc.mu.Lock()
-	if c, ok := cc.clients[addr]; ok {
-		delete(cc.clients, addr)
-		go c.Close()
-	}
+	cc.dropClient(addr)
 	kept := cc.members[:0]
 	for _, m := range cc.members {
 		if m.Addr != addr {
@@ -432,9 +438,9 @@ func (cc *ClusterClient) Subscribe(ctx context.Context, name string, opts ...Sub
 
 // Put registers a document cluster-wide: the receiving node journals it
 // at the key's primary and replicates before acknowledging.
-func (cc *ClusterClient) Put(ctx context.Context, name string, d *Document, opts ...WireOption) error {
+func (cc *ClusterClient) Put(ctx context.Context, name string, d *Document) error {
 	return cc.do(ctx, cluster.DocKey(name), func(c *Client) error {
-		return c.Put(ctx, name, d, opts...)
+		return c.Put(ctx, name, d)
 	})
 }
 

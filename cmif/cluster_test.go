@@ -266,10 +266,16 @@ func TestPlainClientAgainstCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer edge.Close()
-	if _, err := edge.Listen("127.0.0.1:0"); err != nil {
+	edgeAddr, err := edge.Listen("127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := edge.OpenDoc(ctx, "show"); err != nil {
+	ec, err := cmif.Dial(ctx, edgeAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+	if _, err := ec.OpenDoc(ctx, "show"); err != nil {
 		t.Fatalf("edge against cluster: %v", err)
 	}
 }

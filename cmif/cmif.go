@@ -22,9 +22,10 @@
 //     cross it in the binary encoding a server keeps for each
 //     registration; the text form stays the interchange form of files
 //     and cmifc.
-//   - A Fetcher — a Client, an Edge, a ClusterClient or a Chain of
-//     them — is where a tool gets its blocks from; PrefetchVia and
-//     WithFetcher read through any of them.
+//   - A Fetcher — a Client (dialed to an origin, an edge or a cluster
+//     node), a ClusterClient or a Chain of them — is where a tool gets
+//     its blocks from; PrefetchVia and WithFetcher read through any of
+//     them.
 //
 // Errors escaping this package belong to a small taxonomy (ErrNotFound,
 // ErrBadFormat, ErrRemote, ErrBusy, ErrUnsupported, ErrConflict,

@@ -2,12 +2,9 @@ package cmif
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/edge"
-	"repro/internal/transport"
 )
 
 // Edge is the facade over the read-through caching proxy tier (cmifd
@@ -17,16 +14,14 @@ import (
 // behind an in-memory LRU; documents are leased — the first access
 // subscribes the edge to the origin's change stream, and upstream edits
 // invalidate the cached replica incrementally. Mutations forward
-// upstream, so the origin stays the single writer.
+// upstream, so the origin stays the single writer. The edge reaches its
+// origin over one multiplexed connection.
 //
-// Edge implements Fetcher through a loopback connection to its own
-// listener, so RunPipeline (WithFetcher) or a Chain can resolve against a running edge
-// exactly as it would against an origin Client.
+// An edge speaks the same protocol as an origin, so a reader reaches it
+// the same way: Dial(ctx, e.Addr()) returns a Client that is the edge's
+// Fetcher in RunPipeline (WithFetcher) or a Chain.
 type Edge struct {
 	inner *edge.Edge
-
-	mu   sync.Mutex
-	loop *Client // lazily dialed loopback client backing the Fetcher surface
 }
 
 // edgeConfig collects the edge options.
@@ -78,13 +73,6 @@ func WithLeaseTTL(d time.Duration) EdgeOption {
 	return edgeFunc(func(c *edgeConfig) { c.cfg.LeaseTTL = d })
 }
 
-// WithUpstreamPool sets how many origin connections the edge spreads its
-// misses, forwards and lease subscriptions across. Zero (the default)
-// means 4.
-func WithUpstreamPool(n int) EdgeOption {
-	return edgeFunc(func(c *edgeConfig) { c.cfg.UpstreamPool = n })
-}
-
 // WithUpstreamTimeout bounds each upstream round trip and lease
 // handshake. Zero (the default) means 10 seconds.
 func WithUpstreamTimeout(d time.Duration) EdgeOption {
@@ -129,28 +117,12 @@ func (e *Edge) Listen(addr string) (string, error) {
 func (e *Edge) Addr() string { return e.inner.Addr() }
 
 // Shutdown drains downstream connections, stops the lease pumps and
-// closes the upstream pool. When ctx expires first, the remaining
+// closes the upstream connection. When ctx expires first, the remaining
 // connections are force-closed.
-func (e *Edge) Shutdown(ctx context.Context) error {
-	e.closeLoopback()
-	return e.inner.Shutdown(ctx)
-}
+func (e *Edge) Shutdown(ctx context.Context) error { return e.inner.Shutdown(ctx) }
 
 // Close force-closes everything immediately.
-func (e *Edge) Close() error {
-	e.closeLoopback()
-	return e.inner.Close()
-}
-
-func (e *Edge) closeLoopback() {
-	e.mu.Lock()
-	loop := e.loop
-	e.loop = nil
-	e.mu.Unlock()
-	if loop != nil {
-		_ = loop.Close()
-	}
-}
+func (e *Edge) Close() error { return e.inner.Close() }
 
 // Leases reports how many documents the edge currently holds under an
 // upstream lease.
@@ -163,69 +135,3 @@ func (e *Edge) DiskStats() DiskCacheStats { return e.inner.DiskStats() }
 // origin — with downstream request counts, the origin-offload
 // measurement.
 func (e *Edge) UpstreamRoundTrips() int64 { return e.inner.UpstreamRoundTrips() }
-
-// loopback returns the lazily dialed client over the edge's own
-// listener that backs the Fetcher surface.
-func (e *Edge) loopback(ctx context.Context) (*Client, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.loop != nil {
-		return e.loop, nil
-	}
-	addr := e.inner.Addr()
-	if addr == "" {
-		return nil, fmt.Errorf("cmif: edge is not listening; call Listen before using it as a Fetcher")
-	}
-	c, err := Dial(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	e.loop = c
-	return c, nil
-}
-
-// Blocks implements Fetcher against the edge's cache tiers (read-through
-// to the origin on a miss).
-func (e *Edge) Blocks(ctx context.Context, names []string) ([]*Block, error) {
-	c, err := e.loopback(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return c.Blocks(ctx, names)
-}
-
-// Descriptors implements Fetcher against the edge's cache tiers.
-func (e *Edge) Descriptors(ctx context.Context, names []string) (map[string]AttrList, error) {
-	c, err := e.loopback(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return c.Descriptors(ctx, names)
-}
-
-// OpenDoc implements Fetcher: the document is leased from the origin on
-// first access and served from the live local replica afterwards.
-func (e *Edge) OpenDoc(ctx context.Context, name string) (*Document, error) {
-	c, err := e.loopback(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return c.OpenDoc(ctx, name)
-}
-
-// openSub implements subSource over the loopback connection: downstream
-// subscribers ride the edge's local fan-out hub, which the upstream
-// lease keeps fresh.
-func (e *Edge) openSub(ctx context.Context, name, subtree string) (*transport.DocSubscription, error) {
-	c, err := e.loopback(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return c.openSub(ctx, name, subtree)
-}
-
-// Subscribe implements Fetcher: a live replica fed by the edge's
-// fan-out hub, which the upstream lease keeps current.
-func (e *Edge) Subscribe(ctx context.Context, name string, opts ...SubscribeOption) (*Subscription, error) {
-	return openSubscription(ctx, e, name, opts)
-}

@@ -3,7 +3,8 @@ package cmif
 // Edge-tier tests: the cold/warm/disk-warm block matrix, lease-based
 // document invalidation (origin edits reach edge replicas; edits
 // forwarded through the edge stream back down), lease expiry racing a
-// live change stream, and the Fetcher/Chain composition over an edge.
+// live change stream, and the Fetcher/Chain composition over a client
+// dialed to an edge.
 // The SIGKILL crash-restart harness lives in edge_crash_test.go.
 
 import (
@@ -141,6 +142,45 @@ func TestEdgeBlockMatrix(t *testing.T) {
 	}
 }
 
+// TestEdgeHoldsOneOriginConnection pins the edge's upstream to one
+// multiplexed connection: after a lease and a cold block fill, the
+// origin counts exactly one open connection, and the fill still shows
+// as an upstream round trip.
+func TestEdgeHoldsOneOriginConnection(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	doc, store := genDoc(t, 71, 8)
+	reg := NewMetrics()
+	origin := startLiveServer(t, "live", doc, store, WithServerMetrics(reg))
+	e, edgeAddr := startEdge(t, origin, t.TempDir())
+	ec, err := Dial(ctx, edgeAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+
+	if _, err := ec.OpenDoc(ctx, "live"); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Leases(); got != 1 {
+		t.Fatalf("%d leases after read, want 1", got)
+	}
+	names := doc.ExternalFiles()
+	if len(names) == 0 {
+		t.Fatal("fixture references no external blocks; widen the corpus")
+	}
+	before := e.UpstreamRoundTrips()
+	if _, err := ec.Block(ctx, names[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.UpstreamRoundTrips(); got <= before {
+		t.Fatalf("cold fill counted no upstream round trip: %d before, %d after", before, got)
+	}
+	if got := reg.Gauge("cmif_connections_open", "").Value(); got != 1 {
+		t.Fatalf("origin holds %d connections from the edge, want 1", got)
+	}
+}
+
 // TestEdgeDocInvalidation pins the lease freshness contract: a document
 // read through an edge is leased, origin-side edits invalidate the edge
 // replica through the change stream, edits submitted through the edge
@@ -165,7 +205,7 @@ func TestEdgeDocInvalidation(t *testing.T) {
 	defer ec.Close()
 
 	// First read through the edge leases the document.
-	first, err := e.OpenDoc(ctx, "live")
+	first, err := ec.OpenDoc(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +225,7 @@ func TestEdgeDocInvalidation(t *testing.T) {
 	want := docBytes(t, fresh)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		got, err := e.OpenDoc(ctx, "live")
+		got, err := ec.OpenDoc(ctx, "live")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +241,7 @@ func TestEdgeDocInvalidation(t *testing.T) {
 	// A subscription through the edge rides its local fan-out hub; an
 	// edit forwarded through the edge streams back down to it, at the
 	// origin's generation numbers.
-	sub, err := e.Subscribe(ctx, "live")
+	sub, err := ec.Subscribe(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +284,13 @@ func TestEdgeLeaseExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer oc.Close()
+	ec, err := Dial(ctx, edgeAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
 
-	first, err := e.OpenDoc(ctx, "live")
+	first, err := ec.OpenDoc(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +301,6 @@ func TestEdgeLeaseExpiry(t *testing.T) {
 
 	// A live subscriber pins the lease across many TTLs, and still
 	// receives edits made long after the last explicit access.
-	ec, err := Dial(ctx, edgeAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ec.Close()
 	sub, err := ec.Subscribe(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +339,7 @@ func TestEdgeLeaseExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relatched, err := e.OpenDoc(ctx, "live")
+	relatched, err := ec.OpenDoc(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,14 +361,19 @@ func TestEdgeExpiryChangeStreamRace(t *testing.T) {
 	defer cancel()
 	doc, store := genDoc(t, 51, 12)
 	origin := startLiveServer(t, "live", doc, store)
-	e, _ := startEdge(t, origin, t.TempDir(), WithLeaseTTL(100*time.Millisecond))
+	_, edgeAddr := startEdge(t, origin, t.TempDir(), WithLeaseTTL(100*time.Millisecond))
 
 	oc, err := Dial(ctx, origin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oc.Close()
-	first, err := e.OpenDoc(ctx, "live")
+	ec, err := Dial(ctx, edgeAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
+	first, err := ec.OpenDoc(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +405,7 @@ func TestEdgeExpiryChangeStreamRace(t *testing.T) {
 				return
 			case <-time.After(40 * time.Millisecond):
 			}
-			if _, err := e.OpenDoc(ctx, "live"); err != nil {
+			if _, err := ec.OpenDoc(ctx, "live"); err != nil {
 				readerErr <- fmt.Errorf("read through the edge failed mid-race: %w", err)
 				return
 			}
@@ -383,7 +428,7 @@ func TestEdgeExpiryChangeStreamRace(t *testing.T) {
 	want := docBytes(t, fresh)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		got, err := e.OpenDoc(ctx, "live")
+		got, err := ec.OpenDoc(ctx, "live")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,27 +444,32 @@ func TestEdgeExpiryChangeStreamRace(t *testing.T) {
 
 // TestEdgeFetcherChain exercises the API-redesign seam end to end: a
 // Pipeline resolves its corpus through a Chain of local store → edge →
-// origin, and PrefetchVia works identically over a Client, an Edge and
-// the Chain.
+// origin, and PrefetchVia works identically over an origin Client, a
+// Client dialed to an edge, and the Chain.
 func TestEdgeFetcherChain(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	doc, store := genDoc(t, 61, 16)
 	origin := startLiveServer(t, "live", doc, store)
-	e, _ := startEdge(t, origin, t.TempDir())
+	_, edgeAddr := startEdge(t, origin, t.TempDir())
 	oc, err := Dial(ctx, origin)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer oc.Close()
+	ec, err := Dial(ctx, edgeAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ec.Close()
 
 	var fetchers = []struct {
 		name string
 		f    Fetcher
 	}{
 		{"client", oc},
-		{"edge", e},
-		{"chain", Chain(StoreFetcher(NewStore()), e, oc)},
+		{"edge", ec},
+		{"chain", Chain(StoreFetcher(NewStore()), ec, oc)},
 	}
 	var want *Store
 	for _, tc := range fetchers {
@@ -439,11 +489,11 @@ func TestEdgeFetcherChain(t *testing.T) {
 		}
 	}
 
-	remote, err := e.OpenDoc(ctx, "live")
+	remote, err := ec.OpenDoc(ctx, "live")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPipeline(ctx, remote, WithFetcher(e),
+	if _, err := RunPipeline(ctx, remote, WithFetcher(ec),
 		WithProfile(Workstation1991),
 		WithScreen(Screen{W: 1152, H: 900}),
 		WithSpeakers(2),
@@ -453,7 +503,7 @@ func TestEdgeFetcherChain(t *testing.T) {
 
 	// An unsupported layer falls through: a chain whose first layer
 	// cannot subscribe still delivers a live subscription from the edge.
-	sub, err := Chain(StoreFetcher(NewStore()), e).Subscribe(ctx, "live")
+	sub, err := Chain(StoreFetcher(NewStore()), ec).Subscribe(ctx, "live")
 	if err != nil {
 		t.Fatalf("chain subscribe fell through wrong: %v", err)
 	}

@@ -10,12 +10,12 @@ import (
 // a consumer needs to resolve a document's content — batched block and
 // descriptor fetches, document retrieval, live subscription — without
 // committing to where the bytes come from. *Client implements it against
-// an origin server, *Edge against a local disk cache that reads through
-// to an origin, and Chain composes any number of layers into one
-// fall-through lookup path. RunPipeline (WithFetcher), PrefetchVia and the
-// cmd/ tools all consume this interface rather than *Client, so a
-// presentation can be resolved against an origin, an edge, or a purely
-// local store with the same code.
+// whatever server it dialed — an origin, or an edge whose disk cache
+// reads through to one — *ClusterClient against a cluster, and Chain
+// composes any number of layers into one fall-through lookup path.
+// RunPipeline (WithFetcher), PrefetchVia and the cmd/ tools all consume
+// this interface rather than *Client, so a presentation can be resolved
+// against an origin, an edge, or a purely local store with the same code.
 type Fetcher interface {
 	// Blocks fetches many blocks at once. The result aligns with names;
 	// an unresolvable name yields a nil entry (partial results are not an
@@ -112,7 +112,8 @@ type chain struct {
 // first appears; OpenDoc and Subscribe return the first layer's answer,
 // falling through on ErrNotFound (and, for Subscribe, ErrUnsupported).
 // The canonical arrangement puts cheap local layers first and the origin
-// last: Chain(localStore, edge, origin).
+// last: Chain(StoreFetcher(local), edgeClient, originClient), where
+// edgeClient is a Client dialed to an edge.
 func Chain(fetchers ...Fetcher) Fetcher {
 	layers := make([]Fetcher, 0, len(fetchers))
 	for _, f := range fetchers {

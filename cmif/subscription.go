@@ -151,7 +151,7 @@ func (c *Client) SubmitEdit(ctx context.Context, name string, b *EditBatch) (uin
 // Plan up to date with incremental rescheduling. Not safe for concurrent
 // use; one goroutine owns a subscription.
 type Subscription struct {
-	src     subSource
+	c       *Client
 	name    string
 	subtree string
 	opts    []ScheduleOption
@@ -164,19 +164,6 @@ type Subscription struct {
 	closed  bool
 }
 
-// subSource opens (and re-opens, across resyncs) the wire subscription a
-// Subscription rides. *Client implements it against an origin server and
-// *Edge against its local fan-out hub; the Subscription logic — replica,
-// plan, gap detection, resync — is identical over either.
-type subSource interface {
-	openSub(ctx context.Context, name, subtree string) (*transport.DocSubscription, error)
-}
-
-// openSub implements subSource over the origin connection.
-func (c *Client) openSub(ctx context.Context, name, subtree string) (*transport.DocSubscription, error) {
-	return c.tc.SubscribeDocSubtree(ctx, name, subtree)
-}
-
 // Subscribe opens a live subscription on the document registered under
 // name: the returned Subscription holds a replica of the document's
 // current state and a Plan scheduled from it, and Next follows every
@@ -185,13 +172,8 @@ func (c *Client) openSub(ctx context.Context, name, subtree string) (*transport.
 // replica's Plan. The initial scheduling must succeed; a document
 // that cannot be scheduled cannot be watched incrementally.
 func (c *Client) Subscribe(ctx context.Context, name string, opts ...SubscribeOption) (*Subscription, error) {
-	return openSubscription(ctx, c, name, opts)
-}
-
-// openSubscription builds a Subscription over any subSource.
-func openSubscription(ctx context.Context, src subSource, name string, opts []SubscribeOption) (*Subscription, error) {
 	cfg := subscribeConfigOf(opts)
-	s := &Subscription{src: src, name: name, subtree: cfg.subtree, opts: cfg.sched}
+	s := &Subscription{c: c, name: name, subtree: cfg.subtree, opts: cfg.sched}
 	if err := s.open(ctx); err != nil {
 		return nil, err
 	}
@@ -201,7 +183,7 @@ func openSubscription(ctx context.Context, src subSource, name string, opts []Su
 // open establishes (or re-establishes) the wire subscription and builds
 // the replica and plan from its opening snapshot.
 func (s *Subscription) open(ctx context.Context) error {
-	sub, err := s.src.openSub(ctx, s.name, s.subtree)
+	sub, err := s.c.tc.SubscribeDocSubtree(ctx, s.name, s.subtree)
 	if err != nil {
 		return wireError(err)
 	}

@@ -79,8 +79,8 @@ func main() {
 	// 4. Run the local stages for a constrained laptop. The run is backed
 	// by a Fetcher chain instead of a bare store: the rebuilt local store
 	// answers first, and anything it lacks falls through to the origin
-	// client — the same code would work against an edge proxy, because
-	// Client, Edge and Chain all implement cmif.Fetcher.
+	// client. The same code works against an edge proxy: a Client dialed
+	// to the edge's address is its cmif.Fetcher.
 	out, err := cmif.RunPipeline(ctx, localDoc,
 		cmif.WithProfile(cmif.Laptop1991),
 		cmif.WithFetcher(cmif.Chain(cmif.StoreFetcher(localStore), c)),

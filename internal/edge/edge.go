@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -33,7 +32,6 @@ import (
 // Defaults for the tunables a Config leaves zero.
 const (
 	DefaultMemBlocks       = 1024
-	DefaultUpstreamPool    = 4
 	DefaultUpstreamTimeout = 10 * time.Second
 )
 
@@ -50,11 +48,6 @@ type Config struct {
 	// MemBlocks bounds the in-memory block cache fronting the disk tier;
 	// zero means DefaultMemBlocks.
 	MemBlocks int
-	// UpstreamPool is how many upstream connections the edge fans its
-	// misses and forwards across; zero means DefaultUpstreamPool. Lease
-	// subscriptions share the pool (they are multiplexed, long-lived
-	// calls that do not pin a pipeline slot).
-	UpstreamPool int
 	// UpstreamTimeout bounds each upstream round trip and each lease
 	// handshake; zero means DefaultUpstreamTimeout.
 	UpstreamTimeout time.Duration
@@ -63,7 +56,7 @@ type Config struct {
 	LeaseTTL time.Duration
 
 	// Serve holds the downstream serving knobs. Serve.Compression covers
-	// downstream clients only: the pool's own dials negotiate upstream
+	// downstream clients only: the upstream dial negotiates its own
 	// compression. Serve.Metrics, when non-nil, receives the
 	// edge-specific cmif_edge_* series beside the server's.
 	Serve transport.ServeConfig
@@ -103,10 +96,13 @@ func newEdgeMetrics(reg *metrics.Registry) *edgeMetrics {
 // writes (forward upstream, never apply locally).
 type Edge struct {
 	*transport.Registry
-	cfg  Config
-	srv  *transport.Server
-	up   []*transport.Client
-	next atomic.Uint64 // round-robin cursor over up
+	cfg Config
+	srv *transport.Server
+	// up is the one upstream connection. It is multiplexed, so misses,
+	// forwards and lease subscriptions share it: at most the origin's
+	// advertised in-flight bound of them are on the wire at once, and
+	// the rest queue client-side under their upstream timeout.
+	up   *transport.Client
 	mem  *blockCache
 	disk *DiskCache
 	lt   *leaseTable
@@ -118,7 +114,7 @@ type Edge struct {
 	addr    string
 }
 
-// New builds an edge over cfg, dialing the upstream pool and opening the
+// New builds an edge over cfg, dialing the origin and opening the
 // disk cache. The returned edge is not yet serving; call Listen.
 func New(cfg Config) (*Edge, error) {
 	if cfg.Origin == "" {
@@ -131,24 +127,13 @@ func New(cfg Config) (*Edge, error) {
 	if err != nil {
 		return nil, fmt.Errorf("edge: open disk cache: %w", err)
 	}
-	pool := cfg.UpstreamPool
-	if pool <= 0 {
-		pool = DefaultUpstreamPool
+	up, err := transport.Dial(cfg.Origin)
+	if err != nil {
+		return nil, fmt.Errorf("edge: dial origin %s: %w", cfg.Origin, err)
 	}
-	up := make([]*transport.Client, 0, pool)
-	for i := 0; i < pool; i++ {
-		c, err := transport.Dial(cfg.Origin)
-		if err != nil {
-			for _, prev := range up {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("edge: dial origin %s: %w", cfg.Origin, err)
-		}
-		c.Timeout = cfg.UpstreamTimeout
-		if c.Timeout == 0 {
-			c.Timeout = DefaultUpstreamTimeout
-		}
-		up = append(up, c)
+	up.Timeout = cfg.UpstreamTimeout
+	if up.Timeout == 0 {
+		up.Timeout = DefaultUpstreamTimeout
 	}
 	memBlocks := cfg.MemBlocks
 	if memBlocks <= 0 {
@@ -196,7 +181,7 @@ func (e *Edge) Listen(addr string) (string, error) {
 func (e *Edge) Addr() string { return e.addr }
 
 // Shutdown drains the downstream server (in-flight requests finish),
-// stops the lease pumps and sweeper, and closes the upstream pool.
+// stops the lease pumps and sweeper, and closes the upstream connection.
 func (e *Edge) Shutdown(ctx context.Context) error {
 	err := e.srv.Shutdown(ctx)
 	e.teardown()
@@ -213,9 +198,7 @@ func (e *Edge) Close() error {
 func (e *Edge) teardown() {
 	e.stop()
 	e.wg.Wait()
-	for _, c := range e.up {
-		c.Close()
-	}
+	e.up.Close()
 }
 
 // Leases reports the live lease count (tests and the stats endpoint).
@@ -224,22 +207,9 @@ func (e *Edge) Leases() int { return e.lt.Len() }
 // DiskStats reports the disk tier's occupancy and traffic.
 func (e *Edge) DiskStats() DiskStats { return e.disk.Stats() }
 
-// UpstreamRoundTrips sums wire round trips across the upstream pool —
-// the numerator of the origin-offload measurement.
-func (e *Edge) UpstreamRoundTrips() int64 {
-	var n int64
-	for _, c := range e.up {
-		n += c.RoundTrips()
-	}
-	return n
-}
-
-// pick returns the next upstream connection round-robin. Every client in
-// the pool is multiplexed, so this only spreads load; correctness does
-// not depend on which connection a call lands on.
-func (e *Edge) pick() *transport.Client {
-	return e.up[e.next.Add(1)%uint64(len(e.up))]
-}
+// UpstreamRoundTrips counts wire round trips to the origin — the
+// numerator of the origin-offload measurement.
+func (e *Edge) UpstreamRoundTrips() int64 { return e.up.RoundTrips() }
 
 // upstreamTimeout is the per-round-trip bound toward the origin.
 func (e *Edge) upstreamTimeout() time.Duration {
@@ -267,7 +237,7 @@ func (e *Edge) fetchBlock(ctx context.Context, name string) (*media.Block, error
 			e.met.blockDiskHits.Inc()
 			return b, nil
 		}
-		b, err := e.pick().GetBlock(ctx, name)
+		b, err := e.up.GetBlock(ctx, name)
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +302,7 @@ func (e *Edge) StoreDoc(name string, d *core.Document) error {
 	ctx, cancel := e.upstreamCtx()
 	defer cancel()
 	e.met.forwards.Inc()
-	if err := e.pick().PutDoc(ctx, name, d, transport.EncodingBinary); err != nil {
+	if err := e.up.PutDoc(ctx, name, d, transport.EncodingBinary); err != nil {
 		return fmt.Errorf("upstream: %w", err)
 	}
 	return nil
@@ -345,7 +315,7 @@ func (e *Edge) StoreBlock(b *media.Block) (string, error) {
 	ctx, cancel := e.upstreamCtx()
 	defer cancel()
 	e.met.forwards.Inc()
-	id, err := e.pick().PutBlock(ctx, b)
+	id, err := e.up.PutBlock(ctx, b)
 	if err != nil {
 		return "", fmt.Errorf("upstream: %w", err)
 	}
@@ -360,7 +330,7 @@ func (e *Edge) SubmitEdit(name string, recs []core.ChangeRecord) (uint64, error)
 	ctx, cancel := e.upstreamCtx()
 	defer cancel()
 	e.met.forwards.Inc()
-	return e.pick().SubmitEdit(ctx, name, recs)
+	return e.up.SubmitEdit(ctx, name, recs)
 }
 
 // ListDocs asks the origin for the authoritative catalogue, falling back
@@ -370,7 +340,7 @@ func (e *Edge) ListDocs(localOnly bool) []string {
 	if !localOnly {
 		ctx, cancel := e.upstreamCtx()
 		defer cancel()
-		if names, err := e.pick().ListDocs(ctx); err == nil {
+		if names, err := e.up.ListDocs(ctx); err == nil {
 			return names
 		}
 	}

@@ -160,7 +160,7 @@ func (e *Edge) establishLease(name string) bool {
 func (e *Edge) subscribeUpstream(ctx context.Context, name string) (*transport.DocSubscription, error) {
 	hctx, hcancel := context.WithTimeout(ctx, e.upstreamTimeout())
 	defer hcancel()
-	return e.pick().SubscribeDoc(hctx, name)
+	return e.up.SubscribeDoc(hctx, name)
 }
 
 // pumpLease is the invalidation loop: it drains one upstream
