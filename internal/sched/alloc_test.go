@@ -63,39 +63,59 @@ func TestSolveAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestRescheduleSteadyStateCeiling pins the Solver's: it owns its arena and
-// constraint buffer for life, so absorbing a one-leaf edit patches the graph
-// and re-solves it without rebuilding either.
+// TestRescheduleSteadyStateCeiling pins the Solver's: it owns its arena
+// and edge layout for life, so absorbing an edit patches the graph and
+// re-solves it without rebuilding either. It holds for each of the
+// author-live workload's op kinds on its document: a one-leaf duration
+// edit, a May arc added or removed, and a leaf inserted or deleted.
 func TestRescheduleSteadyStateCeiling(t *testing.T) {
-	d := corpusDoc(t, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 6, Languages: 3})
-	s, err := NewSolver(d, Options{DefaultLeafDuration: 500 * time.Millisecond}, SolveOptions{Relax: true})
-	if err != nil {
-		t.Fatal(err)
+	kinds := []struct {
+		name  string
+		edits func(*core.Document) []func(int) error
+	}{
+		{"duration", func(d *core.Document) []func(int) error {
+			leaf := d.Root.Leaves()[0].PathString()
+			return []func(int) error{func(i int) error {
+				return edit.SetAttr(d, leaf, "duration", attr.Quantity(units.MS(int64(700+i))))
+			}}
+		}},
+		{"arc-pair", func(d *core.Document) []func(int) error { p := livePairs(t, d); return p.arc[:] }},
+		{"insert-pair", func(d *core.Document) []func(int) error { p := livePairs(t, d); return p.insert[:] }},
 	}
-	if _, err := s.Schedule(); err != nil {
-		t.Fatal(err)
-	}
-	leaf := d.Root.Leaves()[0].PathString()
-	pass := func(i int) {
-		if err := edit.SetAttr(d, leaf, "duration", attr.Quantity(units.MS(int64(700+i)))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Reschedule(); err != nil {
-			t.Fatal(err)
-		}
-		if s.rebuilds != 0 || s.solves != i+2 {
-			t.Fatalf("pass %d: %d rebuilds, %d solves; want the graph patched and solved once per pass", i, s.rebuilds, s.solves)
-		}
-	}
-	pass(0) // warm-up
-	const passes, ceiling = 100, 64 << 10
-	per := allocated(func() {
-		for i := 1; i <= passes; i++ {
-			pass(i)
-		}
-	}) / passes
-	t.Logf("edit + Reschedule allocated %d bytes per pass, ceiling %d", per, ceiling)
-	if per >= ceiling {
-		t.Error("a steady-state reschedule pass allocates past its ceiling")
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			d := corpusDoc(t, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 6, Languages: 3})
+			s, err := NewSolver(d, Options{DefaultLeafDuration: 500 * time.Millisecond}, SolveOptions{Relax: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Schedule(); err != nil {
+				t.Fatal(err)
+			}
+			edits := k.edits(d)
+			pass := func(i int) {
+				if err := edits[i%len(edits)](i); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Reschedule(); err != nil {
+					t.Fatal(err)
+				}
+				if s.rebuilds != 0 || s.solves != i+2 || s.warm != i+1 {
+					t.Fatalf("pass %d: %d rebuilds, %d solves, %d warm; want the graph patched and solved warm once per pass",
+						i, s.rebuilds, s.solves, s.warm)
+				}
+			}
+			pass(0) // warm-up
+			const passes, ceiling = 100, 64 << 10
+			per := allocated(func() {
+				for i := 1; i <= passes; i++ {
+					pass(i)
+				}
+			}) / passes
+			t.Logf("edit + Reschedule allocated %d bytes per pass, ceiling %d", per, ceiling)
+			if per >= ceiling {
+				t.Error("a steady-state reschedule pass allocates past its ceiling")
+			}
+		})
 	}
 }

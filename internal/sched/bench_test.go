@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,17 +203,34 @@ func BenchmarkConflictDetection(b *testing.B) {
 // NewsWeb 8/4 (the document the view workloads' live tail follows),
 // Archive-201 (a view-structure document), DeepNest 2/6 (a plan with
 // dropped May arcs) and a par-of-seq with 64 arms of 16 leaves, where the
-// edit touches one arm of many.
+// edit touches one arm of many. On NewsWeb 6/3 it also measures
+// author-live's structural op kinds, each as a pair of edits that undo
+// each other with a Reschedule after each: a May arc added and removed
+// (arc-pair), and a leaf inserted and deleted (insert-pair).
 func BenchmarkReschedule(b *testing.B) {
+	newsweb := func() *core.Document {
+		return corpusDoc(b, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 6, Languages: 3})
+	}
+	duration := func(d *core.Document) []func(int) error {
+		leaf := d.Root.Leaves()[0].PathString()
+		return []func(int) error{func(i int) error {
+			return edit.SetAttr(d, leaf, "duration", attr.Quantity(units.MS(int64(700+i%2))))
+		}}
+	}
+	arcPair := func(d *core.Document) []func(int) error { p := livePairs(b, d); return p.arc[:] }
+	insertPair := func(d *core.Document) []func(int) error { p := livePairs(b, d); return p.insert[:] }
 	docs := []struct {
-		name string
-		d    *core.Document
+		name  string
+		d     *core.Document
+		edits func(*core.Document) []func(int) error
 	}{
-		{"newsweb-6x3", corpusDoc(b, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 6, Languages: 3})},
-		{"newsweb-8x4", corpusDoc(b, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 8, Languages: 4})},
-		{"archive-201", corpusDoc(b, corpus.Spec{Shape: corpus.Archive, Seed: 201, Size: 20})},
-		{"deepnest-206", corpusDoc(b, corpus.Spec{Shape: corpus.DeepNest, Seed: 206, Size: 2, Depth: 6})},
-		{"parofseq-64x16", parOfSeq(b, 64, 16)},
+		{"newsweb-6x3", newsweb(), duration},
+		{"newsweb-8x4", corpusDoc(b, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 8, Languages: 4}), duration},
+		{"archive-201", corpusDoc(b, corpus.Spec{Shape: corpus.Archive, Seed: 201, Size: 20}), duration},
+		{"deepnest-206", corpusDoc(b, corpus.Spec{Shape: corpus.DeepNest, Seed: 206, Size: 2, Depth: 6}), duration},
+		{"parofseq-64x16", parOfSeq(b, 64, 16), duration},
+		{"newsweb-6x3-arc-pair", newsweb(), arcPair},
+		{"newsweb-6x3-insert-pair", newsweb(), insertPair},
 	}
 	for _, c := range docs {
 		s, err := NewSolver(c.d, Options{DefaultLeafDuration: 500 * time.Millisecond}, SolveOptions{Relax: true})
@@ -222,17 +240,63 @@ func BenchmarkReschedule(b *testing.B) {
 		if _, err := s.Schedule(); err != nil {
 			b.Fatal(err)
 		}
-		leaf := c.d.Root.Leaves()[0].PathString()
+		edits := c.edits(c.d)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := edit.SetAttr(c.d, leaf, "duration", attr.Quantity(units.MS(int64(700+i%2)))); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.Reschedule(); err != nil {
-					b.Fatal(err)
+				for _, e := range edits {
+					if err := e(i); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := s.Reschedule(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
+	}
+}
+
+// editPairs are author-live's structural op kinds on one leaf, each as
+// two edits that undo each other.
+type editPairs struct{ arc, insert [2]func(int) error }
+
+// livePairs finds an arc-free immediate leaf of d with a named previous
+// sibling. Its arc pair adds a May arc from the leaf to that sibling's end
+// and removes it again; its insert pair inserts a copy of the leaf before
+// its siblings and deletes the copy. The insert pair applies change
+// records, as a follower does.
+func livePairs(tb testing.TB, d *core.Document) editPairs {
+	var leaf *core.Node
+	d.Root.Walk(func(n *core.Node) bool {
+		if prev := n.PrevSibling(); leaf == nil && n.Type == core.Imm && n.Attrs.Has("duration") &&
+			prev != nil && prev.Name() != "" && !n.Attrs.Has("syncarcs") {
+			leaf = n
+		}
+		return leaf == nil
+	})
+	if leaf == nil {
+		tb.Fatal("document has no arc-free immediate leaf with a named previous sibling")
+	}
+	path, parent := leaf.PathString(), leaf.Parent().PathString()
+	insert, err := edit.RecordInsert(parent, -1, leaf.Clone().SetName("copy"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	remove := edit.RecordDelete(strings.TrimSuffix(parent, "/") + "/copy")
+	return editPairs{
+		arc: [2]func(int) error{
+			func(int) error {
+				return edit.AddArc(d, path, core.SyncArc{
+					DestEnd: core.Begin, Strict: core.May, Source: "../" + leaf.PrevSibling().Name(), SrcEnd: core.End,
+					MaxDelay: units.MS(300),
+				})
+			},
+			func(int) error { return edit.RemoveArc(d, path, 0) },
+		},
+		insert: [2]func(int) error{
+			func(int) error { return edit.Apply(d, []core.ChangeRecord{insert}) },
+			func(int) error { return edit.Apply(d, []core.ChangeRecord{remove}) },
+		},
 	}
 }

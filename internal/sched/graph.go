@@ -23,6 +23,7 @@ package sched
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -152,11 +153,19 @@ type Graph struct {
 	// first flatRuntime runtime constraints; flatAt[k] is where node k's
 	// blocks start in it, -1 for a node outside the tree. Runtime
 	// constraints added later follow it uncopied (list). Build makes it,
-	// clones share it, and replacing a block drops it.
+	// clones share it, and replacing a block drops it. flatMu guards it:
+	// plays of one plan clone its graph, and so may flatten it, at once.
+	// A dropped view that no clone or caller was handed is kept in spare
+	// for the next flatten to reuse: a Solver whose passes fall back to a
+	// cold solve flattens after every patch.
+	flatMu      sync.Mutex
 	flat        []Constraint
 	flatAt      []int32
 	flatRuntime int
 	flatOK      bool
+	flatShared  bool
+	spare       []Constraint
+	spareAt     []int32
 	// consCount tracks the live system size without flattening
 	// (tombstones excluded).
 	consCount int
@@ -205,28 +214,57 @@ func (g *Graph) NumEvents() int { return len(g.events) }
 
 // Constraints returns the flat constraint list in document order, runtime
 // constraints last. Shared; do not mutate.
-func (g *Graph) Constraints() []Constraint { return g.flatten() }
-
-// flatten materializes (and caches) the document-ordered constraint view:
-// for every node in pre-order, its structural block then its arc block,
-// followed by the runtime constraints. Tombstoned nodes are not in the tree
-// and therefore drop out naturally.
-func (g *Graph) flatten() []Constraint {
+func (g *Graph) Constraints() []Constraint {
+	g.flatMu.Lock()
+	defer g.flatMu.Unlock()
 	if !g.flatOK || g.flatRuntime < len(g.runtime) {
-		g.flatAt = make([]int32, len(g.structBlocks))
-		g.flat = g.appendFlat(make([]Constraint, 0, g.consCount), g.flatAt)
-		g.flatRuntime, g.flatOK = len(g.runtime), true
+		g.makeFlat()
 	}
+	g.flatShared = true
 	return g.flat
 }
 
 // list is the constraint list the solves run over: the cached flat view,
 // then the runtime constraints added since it was made, uncopied.
 func (g *Graph) list() conList {
+	g.flatMu.Lock()
+	defer g.flatMu.Unlock()
 	if !g.flatOK {
-		g.flatten()
+		g.makeFlat()
 	}
 	return conList{g.flat, g.runtime[g.flatRuntime:]}
+}
+
+// makeFlat materializes the document-ordered constraint view, in the
+// dropped one's storage if there is one: for every node in pre-order, its
+// structural block then its arc block, followed by the runtime
+// constraints. Tombstoned nodes are not in the tree and therefore drop
+// out naturally, and so do nodes missing from the index — added to the
+// tree behind the graph's back (untracked edits) — so a stale graph stays
+// consistent with its build. flatMu is held.
+func (g *Graph) makeFlat() {
+	at, buf := g.spareAt, g.spare[:0]
+	g.spare, g.spareAt = nil, nil
+	if cap(at) < len(g.structBlocks) {
+		at = make([]int32, len(g.structBlocks))
+	}
+	at = at[:len(g.structBlocks)]
+	for k := range at {
+		at[k] = -1
+	}
+	if cap(buf) < g.consCount {
+		buf = make([]Constraint, 0, g.consCount)
+	}
+	g.doc.Root.Walk(func(n *core.Node) bool {
+		if k, ok := g.nodeIndex[n]; ok {
+			at[k] = int32(len(buf))
+			buf = append(buf, g.structBlocks[k]...)
+			buf = append(buf, g.arcBlocks[k]...)
+		}
+		return true
+	})
+	g.flat, g.flatAt = append(buf, g.runtime...), at
+	g.flatRuntime, g.flatOK = len(g.runtime), true
 }
 
 // maskArcs flags the constraints of the arcs in drop in a mask over list(),
@@ -249,30 +287,16 @@ func (g *Graph) maskArcs(drop []ArcRef) []bool {
 	return mask
 }
 
-// appendFlat appends the document-ordered constraint list to buf and, when
-// at is set, records where each node's blocks start. Nodes missing from
-// the index were added to the tree behind the graph's back (untracked
-// edits); they are skipped rather than aliased to the root's slot, so a
-// stale graph stays consistent with its build.
-func (g *Graph) appendFlat(buf []Constraint, at []int32) []Constraint {
-	for k := range at {
-		at[k] = -1
+// invalidate drops the cached flat view after a block changed, keeping
+// it for reuse unless it was handed out.
+func (g *Graph) invalidate() {
+	g.flatMu.Lock()
+	if g.flatOK && !g.flatShared {
+		g.spare, g.spareAt = g.flat, g.flatAt
 	}
-	g.doc.Root.Walk(func(n *core.Node) bool {
-		if k, ok := g.nodeIndex[n]; ok {
-			if at != nil {
-				at[k] = int32(len(buf))
-			}
-			buf = append(buf, g.structBlocks[k]...)
-			buf = append(buf, g.arcBlocks[k]...)
-		}
-		return true
-	})
-	return append(buf, g.runtime...)
+	g.flat, g.flatAt, g.flatOK, g.flatShared = nil, nil, false, false
+	g.flatMu.Unlock()
 }
-
-// invalidate drops the cached flat view after a block changed.
-func (g *Graph) invalidate() { g.flat, g.flatAt, g.flatOK = nil, nil, false }
 
 // Arcs returns every explicit arc found in the document, in document order.
 func (g *Graph) Arcs() []ArcRef {
@@ -411,7 +435,7 @@ func Build(d *core.Document, opts Options) (*Graph, error) {
 		g.arcRefs[k] = refs
 	}
 	g.consCount = len(arena)
-	g.flatten() // so that solves of g only ever read it
+	g.list() // so that solves of g only ever read it
 	return g, nil
 }
 
@@ -559,11 +583,18 @@ func (g *Graph) emitArcs(buf []Constraint, k int32) ([]Constraint, []ArcRef, err
 }
 
 // Clone returns a graph sharing the document, event table, constraint
-// blocks and cached flat view (blocks are replaced, never mutated, so
-// sharing is safe) but with an independent runtime-constraint list, so
-// runtime constraints can be added without disturbing the original — or
-// copying its constraint list.
+// blocks and flat view (blocks are replaced, never mutated, so sharing is
+// safe) but with an independent runtime-constraint list, so runtime
+// constraints can be added without disturbing the original — or copying
+// its constraint list. g is flattened first if it must be, so every clone
+// of one generation shares one flat view.
 func (g *Graph) Clone() *Graph {
+	g.flatMu.Lock()
+	defer g.flatMu.Unlock()
+	if !g.flatOK {
+		g.makeFlat()
+	}
+	g.flatShared = true
 	return &Graph{
 		doc:          g.doc,
 		events:       g.events,
@@ -576,7 +607,8 @@ func (g *Graph) Clone() *Graph {
 		flat:         g.flat,
 		flatAt:       g.flatAt,
 		flatRuntime:  g.flatRuntime,
-		flatOK:       g.flatOK,
+		flatOK:       true,
+		flatShared:   true,
 		opts:         g.opts,
 		consCount:    g.consCount,
 	}

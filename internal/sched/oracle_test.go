@@ -342,11 +342,12 @@ func TestSolveOracle(t *testing.T) {
 
 // FuzzSolveOracle holds a relaxing Solve of a random document, seeded by
 // the fuzz input, to the oracle's first three properties. The same input
-// then drives a short edit script — attribute edits (duration, channel,
-// style), insert, delete, move, arc add and remove, rename — and after
-// each edit Solver.Reschedule must agree with a cold Build + Solve of the
-// edited document (the same times, the same victims in order, the same
-// failure) and pass the oracle.
+// then drives a 16-step edit script — attribute edits (duration, channel,
+// style), insert, delete, move, arc add and remove, rename — absorbing
+// one to three edits per step, so a warm pass checks several changed
+// blocks at once. After each step Solver.Reschedule must agree with a
+// cold Build + Solve of the edited document (the same times, the same
+// victims in order, the same failure) and pass the oracle.
 func FuzzSolveOracle(f *testing.F) {
 	// Seed 26 reports a victim whose arc an edit rewrote; 1572 deletes
 	// the target of an arc, which must fail the reschedule as it fails
@@ -372,8 +373,12 @@ func FuzzSolveOracle(f *testing.F) {
 		if _, err := s.Schedule(); err != nil {
 			checkOracleConflict(t, "fuzz Solver.Schedule", s.Graph(), s.Graph().Constraints(), true, err)
 		}
-		for step := 0; step < 8; step++ {
-			if !fuzzEdit(rng, d, step) {
+		for step := 0; step < 16; step++ {
+			edited := false
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				edited = fuzzEdit(rng, d, step) || edited
+			}
+			if !edited {
 				continue
 			}
 			label := "fuzz edit " + itoa(step)

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -84,16 +85,20 @@ func (g *Graph) SolveFrom(plan *Schedule, opts SolveOptions) (*Schedule, error) 
 
 // solve runs the relax loop over cons on sc and wraps the result.
 func (g *Graph) solve(sc *solveScratch, cons conList, opts SolveOptions) (*Schedule, error) {
-	n := len(g.events)
-	dist, dropped, cycle := sc.solve(n, 0, cons, opts.Relax)
+	dist, dropped, cycle := sc.solve(len(g.events), 0, cons, opts.Relax)
 	if cycle != nil {
 		return nil, &ConflictError{Cycle: cycle}
 	}
-	times := make([]time.Duration, n)
+	return g.schedule(dist, dropped), nil
+}
+
+// schedule wraps extraction's labels as g's schedule.
+func (g *Graph) schedule(dist []int64, dropped []ArcRef) *Schedule {
+	times := make([]time.Duration, len(dist))
 	for v := range times {
 		times[v] = timeOf(dist[v])
 	}
-	return &Schedule{graph: g, times: times, Dropped: dropped}, nil
+	return &Schedule{graph: g, times: times, Dropped: dropped}
 }
 
 // SolveParallel forwards to Solve. It survives only because the frozen
@@ -116,12 +121,14 @@ func (g *Graph) SolveParallel(opts SolveOptions) (*Schedule, error) { return g.S
 // returns the shortest-path labels, aliasing the arena — convert with
 // timeOf before the next call — and the dropped arcs in list order, or the
 // constraints of a cycle that relaxation could not (or may not) break.
+// sc.dist is left holding the sweep's labels, feasible for every kept
+// constraint: a Solver's next pass starts from them (resweep).
 func (sc *solveScratch) solve(n int, src EventID, cons conList, relax bool) (dist []int64, dropped []ArcRef, conflict []Constraint) {
 	sc.active = sc.active[:0]
 	for _, out := range sc.masked {
 		sc.active = append(sc.active, !out)
 	}
-	sc.grow(n, cons.len())
+	sc.grow(n)
 	sc.buildCSR(n, cons, false)
 	cycleIdx := sc.findNegativeCycle(n, cons)
 	if cycleIdx != nil && relax {
@@ -151,7 +158,40 @@ func (sc *solveScratch) solve(n int, src EventID, cons conList, relax bool) (dis
 	// t_v = −dist(v → src), i.e. single-source shortest paths from src on
 	// the reversed graph.
 	sc.buildCSR(n, cons, true)
-	return sc.earliest(n, src), dropped, nil
+	return sc.earliest(&sc.adj, n, src), dropped, nil
+}
+
+// resweep restores feasible labels after a patch, starting from the labels
+// the last sweep left in sc.dist. Those satisfy every constraint laid out
+// in fwd except the ones in fresh, the blocks the patch added or changed;
+// so only the tails of fresh constraints they violate are queued, and the
+// sweep relaxes from there. Events added since start from whatever label
+// their slot holds: every constraint that reaches them is fresh. Without a
+// cycle, the earliest schedule is extracted over rev, exactly as a cold
+// solve extracts it: feasible labels are all Dijkstra needs, and the
+// earliest schedule of a feasible system is unique. resweep returns nil at
+// a cycle — which cycle a sweep meets depends on its labels, so the
+// caller solves cold and reports from there. With every constraint in
+// force the sweep reads no constraint index: the edges fwd and rev carry
+// need not match any list.
+func (sc *solveScratch) resweep(fwd, rev *adjacency, n int, fresh [][]Constraint) []int64 {
+	sc.grow(n)
+	sc.active = sc.active[:0]
+	dist := sc.dist
+	for v := 0; v < n; v++ {
+		sc.parent[v], sc.pathlen[v] = -1, 0
+	}
+	for _, block := range fresh {
+		for i := range block {
+			if c := &block[i]; dist[c.U]+int64(c.W) < dist[c.V] {
+				sc.q.push(int32(c.U), dist)
+			}
+		}
+	}
+	if sc.sweep(fwd, n) >= 0 {
+		return nil
+	}
+	return sc.earliest(rev, n, 0)
 }
 
 func isMay(c *Constraint) bool { return c.Kind == KindArc && c.Arc.Arc.Strict == core.May }
@@ -208,8 +248,8 @@ func (sc *solveScratch) insert(cons conList, k int) bool {
 	q.push(int32(c.U), dist)
 	for q.count > 0 {
 		u := q.pop()
-		for e := sc.off[u]; e < sc.off[u+1]; e++ {
-			d := &sc.edge[e]
+		for e := sc.adj.off[u]; e < sc.adj.end[u]; e++ {
+			d := &sc.adj.edge[e]
 			if nd := dist[u] + d.w; nd < dist[d.to] && sc.active[d.ci] {
 				if EventID(d.to) == c.U {
 					for q.count > 0 {
@@ -258,9 +298,8 @@ func (l conList) at(i int) *Constraint {
 // its re-solves of the patched graph allocate almost nothing beyond the
 // schedule. The zero value is ready to use.
 type solveScratch struct {
-	off  []int32   // CSR offsets, len n+1
-	edge []csrEdge // len m
-	pos  []int32   // CSR fill cursor, len n
+	adj adjacency // buildCSR's
+	pos []int32   // CSR fill cursor, len n
 
 	dist    []int64
 	parent  []int32
@@ -327,23 +366,28 @@ func (r *ring) pop() int32 {
 	return v
 }
 
-// grow sizes every scratch array for n vertices and m constraints.
-func (sc *solveScratch) grow(n, m int) {
-	if cap(sc.off) < n+1 {
-		sc.off = make([]int32, n+1)
-		sc.pos = make([]int32, n)
-		sc.dist = make([]int64, n)
-		sc.parent = make([]int32, n)
-		sc.pathlen = make([]int32, n)
-		sc.q.in = make([]bool, n)
-		sc.key = make([]int64, n)
-		sc.at = make([]int32, n)
-		sc.stack = make([]int32, 0, n)
-		sc.pending = make([]int32, 0, n)
+// grow sizes every per-event scratch array for n events. It keeps the
+// labels in sc.dist: a Solver's next sweep starts from them, events added
+// since included. Growth leaves slack for the events later inserts add.
+func (sc *solveScratch) grow(n int) {
+	if c := cap(sc.dist); c < n {
+		if c > 0 {
+			c = n + n/2
+		} else {
+			c = n
+		}
+		sc.dist = append(make([]int64, 0, c), sc.dist...)
+		sc.pos = make([]int32, c)
+		sc.parent = make([]int32, c)
+		sc.pathlen = make([]int32, c)
+		sc.q.in = make([]bool, c)
+		sc.key = make([]int64, c)
+		sc.at = make([]int32, c)
+		sc.stack = make([]int32, 0, c)
+		sc.pending = make([]int32, 0, c)
 	}
-	sc.off = sc.off[:n+1]
-	sc.pos = sc.pos[:n]
 	sc.dist = sc.dist[:n]
+	sc.pos = sc.pos[:n]
 	sc.parent = sc.parent[:n]
 	sc.pathlen = sc.pathlen[:n]
 	size := 1
@@ -354,64 +398,142 @@ func (sc *solveScratch) grow(n, m int) {
 		sc.q.slot = make([]int32, size)
 	}
 	sc.q = ring{slot: sc.q.slot[:size], in: sc.q.in[:n], mask: size - 1}
-	if cap(sc.edge) < m {
-		sc.edge = make([]csrEdge, m)
-	}
-	sc.edge = sc.edge[:m]
 }
 
-// buildCSR lays the constraints in force out as compact adjacency. With
-// reverse set, edges are keyed by V (the reversed graph used for earliest
-// extraction); otherwise by U (the forward graph used for feasibility).
+// buildCSR lays the constraints in force out as sc.adj: keyed by U (the
+// forward graph used for feasibility), or with reverse set by V (the
+// reversed graph used for earliest extraction).
 func (sc *solveScratch) buildCSR(n int, cons conList, reverse bool) {
-	for i := range sc.off {
-		sc.off[i] = 0
-	}
+	sc.adj = layOut(sc.adj, sc.pos, n, cons, sc.active, reverse)
+}
+
+// adjacency is a constraint system laid out by event: the edges leaving
+// event u are edge[off[u]:end[u]]. Laid out by layOut, the rows are packed
+// in event order and end is off shifted by one.
+type adjacency struct {
+	off, end []int32
+	edge     []csrEdge
+}
+
+// layOut lays the constraints of cons in force — all of them when active
+// is empty — out as packed rows, reusing a's storage and count (len n) as
+// the fill cursor.
+func layOut(a adjacency, count []int32, n int, cons conList, active []bool, reverse bool) adjacency {
 	ends := func(c *Constraint) (from, to int32) {
 		if reverse {
 			return int32(c.V), int32(c.U)
 		}
 		return int32(c.U), int32(c.V)
 	}
-	inForce := func(i int) bool { return len(sc.active) == 0 || sc.active[i] }
+	inForce := func(i int) bool { return len(active) == 0 || active[i] }
+	if cap(a.off) < n+1 {
+		a.off = make([]int32, n+1)
+	}
+	off := a.off[:n+1]
+	for i := range off {
+		off[i] = 0
+	}
 	for i := range cons.len() {
 		if inForce(i) {
 			from, _ := ends(cons.at(i))
-			sc.off[from+1]++
+			off[from+1]++
 		}
 	}
-	for i := 0; i < n; i++ {
-		sc.off[i+1] += sc.off[i]
-		sc.pos[i] = sc.off[i]
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+		count[u] = off[u]
 	}
+	edge := a.edge
+	if m := int(off[n]); cap(edge) < m {
+		edge = make([]csrEdge, m)
+	}
+	edge = edge[:off[n]]
 	for i := range cons.len() {
 		if inForce(i) {
 			c := cons.at(i)
 			from, to := ends(c)
-			sc.edge[sc.pos[from]] = csrEdge{ci: int32(i), to: to, w: int64(c.W)}
-			sc.pos[from]++
+			edge[count[from]] = csrEdge{ci: int32(i), to: to, w: int64(c.W)}
+			count[from]++
+		}
+	}
+	return adjacency{off: off, end: off[1:], edge: edge}
+}
+
+// keptRows is an adjacency a Solver keeps for the life of its graph and
+// edits in place: row u may grow into edge[end[u]:lim[u]]. A full row
+// moves to the arena's end with room to double, so no edit moves another
+// row, and what moved rows leave behind is bounded by their own sizes. A
+// rebuild lays the graph out afresh.
+type keptRows struct {
+	adjacency
+	lim []int32
+}
+
+// keep makes a packed layout editable.
+func keep(a adjacency) keptRows {
+	n := len(a.end)
+	end := append([]int32(nil), a.end...)
+	return keptRows{
+		adjacency: adjacency{off: a.off[:n:n], end: end, edge: a.edge},
+		lim:       append([]int32(nil), end...),
+	}
+}
+
+// addRows appends k empty rows, for events inserted after the layout.
+func (r *keptRows) addRows(k int) {
+	for ; k > 0; k-- {
+		at := int32(len(r.edge))
+		r.off, r.end, r.lim = append(r.off, at), append(r.end, at), append(r.lim, at)
+	}
+}
+
+// remove takes one edge from → to of weight w out of its row. Parallel
+// edges of one weight are interchangeable, so any match will do.
+func (r *keptRows) remove(from, to EventID, w time.Duration) {
+	last := r.end[from] - 1
+	for e := r.off[from]; e <= last; e++ {
+		if d := &r.edge[e]; d.to == int32(to) && d.w == int64(w) {
+			*d = r.edge[last]
+			r.end[from] = last
+			return
 		}
 	}
 }
 
+// add appends an edge from → to of weight w to its row.
+func (r *keptRows) add(from, to EventID, w time.Duration) {
+	if r.end[from] == r.lim[from] {
+		off, n := r.off[from], r.end[from]-r.off[from]
+		at := int32(len(r.edge))
+		r.edge = append(r.edge, r.edge[off:off+n]...)
+		r.edge = slices.Grow(r.edge, int(n)+2)[:int(at+2*n+2)]
+		r.off[from], r.end[from], r.lim[from] = at, at+n, at+2*n+2
+	}
+	r.edge[r.end[from]] = csrEdge{ci: -1, to: int32(to), w: int64(w)}
+	r.end[from]++
+}
+
 // csrEdge is one constraint laid out as adjacency: its index in the list,
 // the vertex it leads to and its weight, so the sweeps read the edge
-// array alone and never the constraint records.
+// array alone and never the constraint records. An edge a Solver adds to
+// its kept rows has no index (−1); only cold sweeps read it.
 type csrEdge struct {
 	ci, to int32
 	w      int64
 }
 
-// earliest computes single-source shortest paths from src over the
-// reversed graph laid out by buildCSR(reverse=true), settling each event
-// once: sc.dist holds labels p feasible for exactly the constraints laid
-// out (p[V] ≤ p[U] + W), so a reversed edge V→U has reduced weight
-// W − p[V] + p[U] ≥ 0 and Dijkstra keyed by dist + p (sc.key) is exact.
-// An event reached over a tight edge — at the current minimum key — is
-// final at once and goes on a stack, not the heap; the other events a wave
-// reaches first enter the heap once it is over. The result aliases sc.
-func (sc *solveScratch) earliest(n int, src EventID) []int64 {
+// earliest computes single-source shortest paths from src over rev, the
+// reversed graph (buildCSR(reverse=true), or a Solver's kept rows),
+// settling each event once: sc.dist holds labels p feasible for exactly
+// the constraints laid out (p[V] ≤ p[U] + W), so a reversed edge V→U has
+// reduced weight W − p[V] + p[U] ≥ 0 and Dijkstra keyed by dist + p
+// (sc.key) is exact. An event reached over a tight edge — at the current
+// minimum key — is final at once and goes on a stack, not the heap; the
+// other events a wave reaches first enter the heap once it is over. The
+// result aliases sc.key; the labels stay in sc.dist.
+func (sc *solveScratch) earliest(rev *adjacency, n int, src EventID) []int64 {
 	p, key, at := sc.dist, sc.key, sc.at
+	off, end, edge := rev.off, rev.end, rev.edge
 	for v := 0; v < n; v++ {
 		key[v], at[v] = unreachable, unqueued
 	}
@@ -423,9 +545,9 @@ func (sc *solveScratch) earliest(n int, src EventID) []int64 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			ku := k - p[u]
-			for e := sc.off[u]; e < sc.off[u+1]; e++ {
+			for e := off[u]; e < end[u]; e++ {
 				// A reversed edge: V→U with weight W.
-				d := &sc.edge[e]
+				d := &edge[e]
 				nk := ku + d.w + p[d.to]
 				old := key[d.to]
 				if nk >= old {
@@ -458,13 +580,11 @@ func (sc *solveScratch) earliest(n int, src EventID) []int64 {
 	}
 	sc.stack = stack
 	for v := 0; v < n; v++ {
-		if key[v] == unreachable {
-			p[v] = unreachable
-		} else {
-			p[v] = key[v] - p[v]
+		if key[v] != unreachable {
+			key[v] -= p[v]
 		}
 	}
-	return p
+	return key[:n]
 }
 
 // at's markers for an event off the heap: never queued, or settled.
@@ -511,11 +631,9 @@ func (sc *solveScratch) siftUp(i int) {
 // labels are sound) over the constraints in force, on the forward graph
 // laid out by buildCSR(reverse=false), and returns the indices (into cons)
 // of the constraints on a negative cycle, or nil when they are feasible;
-// sc.dist then holds feasible labels. A vertex whose improving path grows
-// to n edges must lie on (or hang off) a negative cycle, which is then
-// extracted through the parent pointers.
+// sc.dist then holds feasible labels. The cycle is extracted through the
+// parent pointers.
 func (sc *solveScratch) findNegativeCycle(n int, cons conList) []int32 {
-	active := sc.active
 	dist := sc.dist
 	parent := sc.parent
 	pathlen := sc.pathlen
@@ -536,30 +654,7 @@ func (sc *solveScratch) findNegativeCycle(n int, cons conList) []int32 {
 		q.slot[i], q.in[i] = int32(n-1-i), true
 	}
 	q.head, q.count = 0, n
-	var cycleAt int32 = -1
-	for q.count > 0 && cycleAt < 0 {
-		u := q.pop()
-		du := dist[u]
-		for e := sc.off[u]; e < sc.off[u+1]; e++ {
-			d := &sc.edge[e]
-			if len(active) > 0 && !active[d.ci] {
-				continue
-			}
-			if nd := du + d.w; nd < dist[d.to] {
-				dist[d.to] = nd
-				parent[d.to] = d.ci
-				pathlen[d.to] = pathlen[u] + 1
-				if int(pathlen[d.to]) >= n {
-					cycleAt = d.to
-					break
-				}
-				q.push(d.to, dist)
-			}
-		}
-	}
-	for q.count > 0 {
-		q.pop()
-	}
+	cycleAt := sc.sweep(&sc.adj, n)
 	if cycleAt < 0 {
 		return nil
 	}
@@ -585,6 +680,42 @@ func (sc *solveScratch) findNegativeCycle(n int, cons conList) []int32 {
 	return cycle
 }
 
+// sweep is the label-correcting loop: it relaxes the edges of fwd in force
+// (sc.active) from the queued events until no label drops. It returns -1
+// when the labels are then feasible, or the event whose improving path
+// reached n edges. Such a path repeats an event, and each relaxation
+// along it lowered a label, so the repeat closes a negative cycle —
+// whatever labels the sweep started from.
+func (sc *solveScratch) sweep(fwd *adjacency, n int) int32 {
+	active, dist, parent, pathlen, q := sc.active, sc.dist, sc.parent, sc.pathlen, &sc.q
+	off, end, edge := fwd.off, fwd.end, fwd.edge
+	var cycleAt int32 = -1
+	for q.count > 0 && cycleAt < 0 {
+		u := q.pop()
+		du := dist[u]
+		for e := off[u]; e < end[u]; e++ {
+			d := &edge[e]
+			if len(active) > 0 && !active[d.ci] {
+				continue
+			}
+			if nd := du + d.w; nd < dist[d.to] {
+				dist[d.to] = nd
+				parent[d.to] = d.ci
+				pathlen[d.to] = pathlen[u] + 1
+				if int(pathlen[d.to]) >= n {
+					cycleAt = d.to
+					break
+				}
+				q.push(d.to, dist)
+			}
+		}
+	}
+	for q.count > 0 {
+		q.pop()
+	}
+	return cycleAt
+}
+
 // Verify checks a time assignment against every non-dropped constraint,
 // returning the violated ones. Tests use it to audit schedules and traces.
 func (g *Graph) Verify(times []time.Duration, dropped []ArcRef) []Constraint {
@@ -601,8 +732,9 @@ func (g *Graph) Verify(times []time.Duration, dropped []ArcRef) []Constraint {
 // String renders the constraint count summary.
 func (g *Graph) String() string {
 	var structural, duration, arcs int
-	for _, c := range g.flatten() {
-		switch c.Kind {
+	cons := g.list()
+	for i := range cons.len() {
+		switch cons.at(i).Kind {
 		case KindStructural:
 			structural++
 		case KindDuration:

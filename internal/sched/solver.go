@@ -1,13 +1,21 @@
 package sched
 
-import "repro/internal/core"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/core"
+)
 
 // Solver is the reusable, incrementally reschedulable solver state: the
 // arena-backed constraint graph and the last schedule. A Solver is built
 // once per document; after edits recorded in the document's change log (via
 // internal/edit or the cmif facade), Reschedule patches only the constraint
-// blocks of the edited nodes and solves the patched graph whole, through the
-// relax loop Graph.Solve runs, on scratch the Solver owns for life.
+// blocks of the edited nodes. It keeps the graph laid out by event for
+// life, moving the edges of each block it replaces, and re-solves from the
+// last pass's labels, checking only the constraints the patch changed.
+// Whenever that warm pass cannot answer, it solves the patched graph whole,
+// through the relax loop Graph.Solve runs, on scratch the Solver owns.
 //
 // A Solver is not safe for concurrent use.
 type Solver struct {
@@ -25,13 +33,25 @@ type Solver struct {
 	// after any pass fails.
 	last *Schedule
 
-	// The relax loop's arena and the flattened constraint list, sized to
-	// the document and kept across passes.
-	sc  solveScratch
-	buf []Constraint
+	// sc is the relax loop's arena, sized to the document and kept across
+	// passes. After a pass that dropped nothing, its labels satisfy every
+	// constraint of g as it was solved, and feasible says so.
+	sc       solveScratch
+	feasible bool
+	// fwd and rev lay every constraint of g out by event, forward (by U)
+	// and reversed (by V); carriers holds every node that carries arcs.
+	// They are made on g's first patch and follow every block it
+	// replaces. fresh lists the blocks the current patch put in: the only
+	// constraints the labels have not been checked against.
+	fwd, rev keptRows
+	carriers map[*core.Node]struct{}
+	fresh    [][]Constraint
+	// dead counts the nodes tombstoned in g.
+	dead int
 
-	// rebuilds and solves count graph rebuilds and solves since NewSolver.
-	rebuilds, solves int
+	// rebuilds and solves count graph rebuilds and solves since
+	// NewSolver; warm counts the solves the warm pass answered.
+	rebuilds, solves, warm int
 }
 
 // NewSolver builds the constraint graph for the document and returns a
@@ -67,6 +87,7 @@ func (s *Solver) Schedule() (*Schedule, error) {
 
 // rebuild replaces the graph with a fresh Build of the document.
 func (s *Solver) rebuild() error {
+	s.feasible, s.fwd, s.rev, s.carriers, s.dead = false, keptRows{}, keptRows{}, nil, 0
 	g, err := Build(s.doc, s.buildOpts)
 	if err != nil {
 		s.last, s.broken = nil, true
@@ -77,32 +98,77 @@ func (s *Solver) rebuild() error {
 	return nil
 }
 
-// solve runs the relax loop over the whole graph and records the result.
-// A patched graph is flattened into the Solver's buffer. When the last
-// schedule solved this graph, its times seed the sweep: event ids are
-// stable across patches and any starting labels are sound.
+// solve brings the schedule up to date with the graph. When the labels
+// of the last pass hold, the warm pass re-solves from them (resweep).
+// Otherwise, or when the warm pass meets a cycle, the relax loop runs over
+// g's flat list, seeded with the last schedule's times when it solved this
+// graph: event ids are stable across patches and any starting labels are
+// sound.
 func (s *Solver) solve() (*Schedule, error) {
 	s.solves++
-	var cons conList
-	if s.g.flatOK {
-		cons = s.g.list()
-	} else {
-		s.buf = s.g.appendFlat(s.buf[:0], nil)
-		cons = conList{head: s.buf}
+	// The layout is made on the first patch, and a runtime constraint
+	// added to the live graph is not in it.
+	if s.feasible && s.carriers != nil && len(s.g.runtime) == 0 {
+		if dist := s.sc.resweep(&s.fwd.adjacency, &s.rev.adjacency, len(s.g.events), s.fresh); dist != nil {
+			s.warm++
+			s.last = s.g.schedule(dist, nil)
+			return s.last, nil
+		}
 	}
+	cons := s.g.list()
 	if s.last != nil && s.last.graph == s.g {
 		s.sc.seed = s.last.times
 	}
 	var err error
 	s.last, err = s.g.solve(&s.sc, cons, s.solveOpts)
 	s.sc.seed = nil
+	s.feasible = err == nil && len(s.last.Dropped) == 0
 	return s.last, err
+}
+
+// index lays g out as fwd and rev and collects its arc carriers, once per
+// graph, before its first patch.
+func (s *Solver) index() {
+	g := s.g
+	n, cons := len(g.events), g.list()
+	count := make([]int32, n)
+	s.fwd = keep(layOut(adjacency{}, count, n, cons, nil, false))
+	s.rev = keep(layOut(adjacency{}, count, n, cons, nil, true))
+	s.carriers = map[*core.Node]struct{}{}
+	for node, k := range g.nodeIndex {
+		s.noteCarrier(node, k)
+	}
+}
+
+// noteCarrier adds node n (index k) to the carriers if it carries arcs.
+func (s *Solver) noteCarrier(n *core.Node, k int32) {
+	if r := &s.g.res[k]; len(r.Arcs) > 0 || r.ArcsErr != nil || len(s.g.arcRefs[k]) > 0 {
+		s.carriers[n] = struct{}{}
+	}
+}
+
+// replaceBlock moves an owner's edges in fwd and rev from its old block to
+// neu, and lists neu as fresh.
+func (s *Solver) replaceBlock(old, neu []Constraint) {
+	for i := range old {
+		c := &old[i]
+		s.fwd.remove(c.U, c.V, c.W)
+		s.rev.remove(c.V, c.U, c.W)
+	}
+	for i := range neu {
+		c := &neu[i]
+		s.fwd.add(c.U, c.V, c.W)
+		s.rev.add(c.V, c.U, c.W)
+	}
+	if len(neu) > 0 {
+		s.fresh = append(s.fresh, neu)
+	}
 }
 
 // Reschedule brings the schedule up to date with the document's change log.
 // Unrecorded or document-wide changes fall back to a full rebuild; tracked
 // edits patch the constraint blocks of the touched nodes, and the patched
-// graph is solved whole unless no constraint changed.
+// graph is re-solved, warm when it can be, unless no constraint changed.
 func (s *Solver) Reschedule() (*Schedule, error) {
 	if s.last == nil {
 		return s.Schedule()
@@ -112,6 +178,10 @@ func (s *Solver) Reschedule() (*Schedule, error) {
 	if len(changes) == 0 {
 		return s.last, nil
 	}
+	if s.carriers == nil {
+		s.index()
+	}
+	s.fresh = s.fresh[:0]
 
 	p := patchPlan{
 		dirtyStruct: map[*core.Node]bool{},
@@ -157,14 +227,16 @@ func (s *Solver) Reschedule() (*Schedule, error) {
 			break
 		}
 	}
-	if p.full {
+	// Deleted nodes leave tombstones, which every pass still extracts
+	// times for: once they fill half the event table, compact it.
+	if p.full || s.dead > len(s.g.events)/4 {
 		if err := s.rebuild(); err != nil {
 			return nil, err
 		}
 		return s.solve()
 	}
 	if err := s.applyPatch(&p); err != nil {
-		s.last, s.broken = nil, true
+		s.last, s.broken, s.feasible = nil, true, false
 		return nil, err
 	}
 	if !p.changed {
@@ -220,6 +292,8 @@ func (s *Solver) insertSubtree(root *core.Node) {
 		g.structBlocks = append(g.structBlocks, nil)
 		g.arcBlocks = append(g.arcBlocks, nil)
 		g.arcRefs = append(g.arcRefs, nil)
+		s.fwd.addRows(2)
+		s.rev.addRows(2)
 		return true
 	})
 }
@@ -238,18 +312,22 @@ func (s *Solver) tombstoneSubtree(root *core.Node, p *patchPlan) {
 		g.events[2*k] = Event{}
 		g.events[2*k+1] = Event{}
 		g.consCount -= len(g.structBlocks[k]) + len(g.arcBlocks[k])
+		s.replaceBlock(g.structBlocks[k], nil)
+		s.replaceBlock(g.arcBlocks[k], nil)
 		g.structBlocks[k] = nil
 		g.arcBlocks[k] = nil
 		g.arcRefs[k] = nil
 		delete(g.nodeIndex, m)
+		s.dead++
 		delete(p.dirtyStruct, m)
 		delete(p.dirtyArcs, m)
 		return true
 	})
 }
 
-// applyPatch re-emits the dirty blocks and records in p.changed whether any
-// constraint differs from before.
+// applyPatch re-emits the dirty blocks, moves the edges of every block
+// that changed, and records in p.changed whether any constraint differs
+// from before.
 func (s *Solver) applyPatch(p *patchPlan) error {
 	g := s.g
 	g.invalidate()
@@ -260,6 +338,7 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 		root.Walk(func(m *core.Node) bool {
 			if k, ok := g.nodeIndex[m]; ok {
 				g.res[k] = g.doc.ResolveNode(m, g.Resolved(m.Parent()))
+				s.noteCarrier(m, k)
 				p.dirtyStruct[m] = true
 			}
 			return true
@@ -273,7 +352,10 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 			continue
 		}
 		neu := g.emitStructural(nil, k)
-		p.changed = p.changed || blocksDiffer(g.structBlocks[k], neu)
+		if blocksDiffer(g.structBlocks[k], neu) {
+			p.changed = true
+			s.replaceBlock(g.structBlocks[k], neu)
+		}
 		g.consCount += len(neu) - len(g.structBlocks[k])
 		g.structBlocks[k] = neu
 	}
@@ -293,31 +375,47 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 		if err != nil {
 			return err
 		}
-		p.changed = p.changed || blocksDiffer(g.arcBlocks[k], neu)
+		if blocksDiffer(g.arcBlocks[k], neu) {
+			p.changed = true
+			s.replaceBlock(g.arcBlocks[k], neu)
+		}
 		g.consCount += len(neu) - len(g.arcBlocks[k])
 		g.arcBlocks[k] = neu
 		g.arcRefs[k] = refs
+		s.noteCarrier(n, k)
 		return nil
 	}
 	if p.reresolveArcs {
 		// Paths may bind differently now; the name memo is stale.
 		g.nameIdx = nil
-		var emitErr error
-		g.doc.Root.Walk(func(n *core.Node) bool {
+		// Visit the carriers and the dirtied nodes in document order, so
+		// that the first arc that fails to resolve is the one Build
+		// reports.
+		visit := make([]*core.Node, 0, len(s.carriers)+len(p.dirtyArcs))
+		for n := range s.carriers {
 			k, ok := g.nodeIndex[n]
 			if !ok {
-				return true
+				delete(s.carriers, n)
+				continue
 			}
 			if r := &g.res[k]; len(g.arcRefs[k]) == 0 && !p.dirtyArcs[n] && len(r.Arcs) == 0 && r.ArcsErr == nil {
-				return true
+				delete(s.carriers, n)
+				continue
 			}
+			visit = append(visit, n)
+		}
+		for n := range p.dirtyArcs {
+			if _, ok := s.carriers[n]; !ok {
+				visit = append(visit, n)
+			}
+		}
+		slices.SortFunc(visit, docOrder)
+		for _, n := range visit {
 			if err := reemitArcs(n); err != nil {
-				emitErr = err
-				return false
+				return err
 			}
-			return true
-		})
-		return emitErr
+		}
+		return nil
 	}
 	for n := range p.dirtyArcs {
 		if err := reemitArcs(n); err != nil {
@@ -341,4 +439,24 @@ func blocksDiffer(old, neu []Constraint) bool {
 		}
 	}
 	return false
+}
+
+// docOrder compares two nodes of one tree by document order (pre-order):
+// an ancestor precedes its descendants, siblings go by index.
+func docOrder(a, b *core.Node) int {
+	da, db := a.Depth(), b.Depth()
+	for ; da > db; da-- {
+		if a = a.Parent(); a == b {
+			return 1
+		}
+	}
+	for ; db > da; db-- {
+		if b = b.Parent(); b == a {
+			return -1
+		}
+	}
+	for a != b && a.Parent() != b.Parent() {
+		a, b = a.Parent(), b.Parent()
+	}
+	return cmp.Compare(a.Index(), b.Index())
 }
