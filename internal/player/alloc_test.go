@@ -32,9 +32,12 @@ func allocated(f func()) uint64 {
 // list plus its own runtime constraints, with the plan's 25 dropped arcs
 // masked instead of filtered out of a copy (−70 KB), the trace is sized
 // for four actions a leaf up front (−25 KB) and the solver's adjacency
-// carries each edge's head and weight (+12 KB): PlaySchedule allocates
-// about 118 KB, and the ceiling is 160 KB. Copying the list again —
-// 1,017 constraints of 64 B, about 65 KB — breaks it, as does one more
+// carries each edge's head and weight (+12 KB): PlaySchedule allocated
+// about 118 KB under a 160 KB ceiling. Now Build's arena is the plan's
+// constraint list and a clone shares the plan's block tables instead of
+// copying them (−22 KB): PlaySchedule allocates about 108 KB, and the
+// ceiling is 120 KB. Copying the block tables again breaks it, as does
+// copying the list (1,017 constraints of 64 B, about 65 KB) or one more
 // cold solve (about 99 KB).
 func TestPlayAllocationCeiling(t *testing.T) {
 	g := corpusGraph(t, corpus.Spec{Shape: corpus.DeepNest, Seed: 206, Size: 2, Depth: 6})
@@ -49,7 +52,7 @@ func TestPlayAllocationCeiling(t *testing.T) {
 		}
 	}
 	play()
-	const calls, ceiling = 4, 160 << 10
+	const calls, ceiling = 4, 120 << 10
 	played := allocated(func() {
 		for i := 0; i < calls; i++ {
 			play()

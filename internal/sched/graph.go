@@ -23,6 +23,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -140,34 +141,26 @@ type Graph struct {
 	events    []Event
 	nodeIndex map[*core.Node]int32
 	res       []core.Resolved
-	// structBlocks[k] holds the structural and duration constraints node k
-	// owns; arcBlocks[k] the constraints of the explicit arcs node k
-	// carries; arcRefs[k] those arcs. Blocks are replaced, never mutated,
-	// so clones can share them.
-	structBlocks [][]Constraint
-	arcBlocks    [][]Constraint
-	arcRefs      [][]ArcRef
-	// runtime holds constraints injected after construction.
+	// pool holds every constraint the graph has emitted, and a
+	// constraint's index in it is the reference its edges carry.
+	// blocks[k] spans node k's two blocks in it: the structural and
+	// duration constraints it owns, then the constraints of the explicit
+	// arcs it carries, which arcRefs[k] lists. A block is replaced by
+	// appending its successor to the pool, so clones share the pool.
+	pool    []Constraint
+	blocks  [][2]span
+	arcRefs [][]ArcRef
+	// runtime holds constraints injected after construction; they number
+	// after the pool (conList).
 	runtime []Constraint
-	// flat caches the document-ordered flattened constraint list with the
-	// first flatRuntime runtime constraints; flatAt[k] is where node k's
-	// blocks start in it, -1 for a node outside the tree. Runtime
-	// constraints added later follow it uncopied (list). Build makes it,
-	// clones share it, and replacing a block drops it. flatMu guards it:
-	// plays of one plan clone its graph, and so may flatten it, at once.
-	// A dropped view that no clone or caller was handed is kept in spare
-	// for the next flatten to reuse: a Solver whose passes fall back to a
-	// cold solve flattens after every patch.
-	flatMu      sync.Mutex
-	flat        []Constraint
-	flatAt      []int32
-	flatRuntime int
-	flatOK      bool
-	flatShared  bool
-	spare       []Constraint
-	spareAt     []int32
-	// consCount tracks the live system size without flattening
-	// (tombstones excluded).
+	// ordered reports that the pool is the constraint list, as Build emits
+	// it. Otherwise the list reads the blocks of the nodes order names, in
+	// document order: made when first asked for and dropped when the
+	// tree's shape changes. orderMu guards it: plays clone a plan at once.
+	ordered bool
+	orderMu sync.Mutex
+	order   []int32
+	// consCount tracks the live system size (tombstones excluded).
 	consCount int
 
 	opts Options
@@ -176,6 +169,9 @@ type Graph struct {
 	// siblings in wide composites). Cleared whenever the tree is patched.
 	nameIdx map[*core.Node]map[string]*core.Node
 }
+
+// span is a block's range [at, end) in its graph's pool.
+type span struct{ at, end int32 }
 
 // Options configures graph construction.
 type Options struct {
@@ -212,90 +208,57 @@ func (g *Graph) Event(id EventID) Event { return g.events[id] }
 // included).
 func (g *Graph) NumEvents() int { return len(g.events) }
 
-// Constraints returns the flat constraint list in document order, runtime
-// constraints last. Shared; do not mutate.
+// Constraints returns the constraint list in document order, runtime
+// constraints last, as a copy.
 func (g *Graph) Constraints() []Constraint {
-	g.flatMu.Lock()
-	defer g.flatMu.Unlock()
-	if !g.flatOK || g.flatRuntime < len(g.runtime) {
-		g.makeFlat()
+	out := make([]Constraint, 0, g.consCount)
+	for _, c := range g.list().all {
+		out = append(out, *c)
 	}
-	g.flatShared = true
-	return g.flat
+	return out
 }
 
-// list is the constraint list the solves run over: the cached flat view,
-// then the runtime constraints added since it was made, uncopied.
-func (g *Graph) list() conList {
-	g.flatMu.Lock()
-	defer g.flatMu.Unlock()
-	if !g.flatOK {
-		g.makeFlat()
-	}
-	return conList{g.flat, g.runtime[g.flatRuntime:]}
-}
-
-// makeFlat materializes the document-ordered constraint view, in the
-// dropped one's storage if there is one: for every node in pre-order, its
-// structural block then its arc block, followed by the runtime
-// constraints. Tombstoned nodes are not in the tree and therefore drop
-// out naturally, and so do nodes missing from the index — added to the
+// list is the constraint list the solves run over: the pool, read through
+// the node order unless it is in order itself, then the runtime
+// constraints. Tombstoned nodes are not in the tree and therefore drop out
+// of the order, and so do nodes missing from the index — added to the
 // tree behind the graph's back (untracked edits) — so a stale graph stays
-// consistent with its build. flatMu is held.
-func (g *Graph) makeFlat() {
-	at, buf := g.spareAt, g.spare[:0]
-	g.spare, g.spareAt = nil, nil
-	if cap(at) < len(g.structBlocks) {
-		at = make([]int32, len(g.structBlocks))
+// consistent with its build.
+func (g *Graph) list() conList {
+	if g.ordered {
+		return conList{head: g.pool, tail: g.runtime}
 	}
-	at = at[:len(g.structBlocks)]
-	for k := range at {
-		at[k] = -1
+	g.orderMu.Lock()
+	defer g.orderMu.Unlock()
+	if g.order == nil {
+		g.order = make([]int32, 0, len(g.nodeIndex))
+		g.doc.Root.Walk(func(n *core.Node) bool {
+			if k, ok := g.nodeIndex[n]; ok {
+				g.order = append(g.order, k)
+			}
+			return true
+		})
 	}
-	if cap(buf) < g.consCount {
-		buf = make([]Constraint, 0, g.consCount)
-	}
-	g.doc.Root.Walk(func(n *core.Node) bool {
-		if k, ok := g.nodeIndex[n]; ok {
-			at[k] = int32(len(buf))
-			buf = append(buf, g.structBlocks[k]...)
-			buf = append(buf, g.arcBlocks[k]...)
-		}
-		return true
-	})
-	g.flat, g.flatAt = append(buf, g.runtime...), at
-	g.flatRuntime, g.flatOK = len(g.runtime), true
+	return conList{head: g.pool, tail: g.runtime, order: g.order, blocks: g.blocks}
 }
 
-// maskArcs flags the constraints of the arcs in drop in a mask over list(),
-// finding each arc's block through flatAt rather than walking the tree.
+// maskArcs returns a flag per constraint reference of list(), set for each
+// constraint in force: every one but those of the arcs in drop.
 func (g *Graph) maskArcs(drop []ArcRef) []bool {
-	cons := g.list()
-	mask := make([]bool, cons.len())
+	on := make([]bool, len(g.pool)+len(g.runtime))
+	for i := range on {
+		on[i] = true
+	}
 	for _, r := range drop {
-		k, ok := g.nodeIndex[r.Node]
-		if !ok || g.flatAt[k] < 0 {
-			continue
-		}
-		at := int(g.flatAt[k]) + len(g.structBlocks[k])
-		for i := range g.arcBlocks[k] {
-			if g.arcBlocks[k][i].Arc.Index == r.Index {
-				mask[at+i] = true
+		if k, ok := g.nodeIndex[r.Node]; ok {
+			for ci := g.blocks[k][1].at; ci < g.blocks[k][1].end; ci++ {
+				if g.pool[ci].Arc.Index == r.Index {
+					on[ci] = false
+				}
 			}
 		}
 	}
-	return mask
-}
-
-// invalidate drops the cached flat view after a block changed, keeping
-// it for reuse unless it was handed out.
-func (g *Graph) invalidate() {
-	g.flatMu.Lock()
-	if g.flatOK && !g.flatShared {
-		g.spare, g.spareAt = g.flat, g.flatAt
-	}
-	g.flat, g.flatAt, g.flatOK, g.flatShared = nil, nil, false, false
-	g.flatMu.Unlock()
+	return on
 }
 
 // Arcs returns every explicit arc found in the document, in document order.
@@ -394,20 +357,19 @@ func (g *Graph) resolveArc(n *core.Node, a core.SyncArc) (src, dst *core.Node, e
 
 // Build constructs the constraint graph for the document. It resolves the
 // document once (core.Resolve), lays the event table out in the
-// resolution's pre-order, and emits every node's constraints into a
-// shared arena.
+// resolution's pre-order, and emits every node's constraints into the
+// graph's pool.
 func Build(d *core.Document, opts Options) (*Graph, error) {
 	res := core.Resolve(d)
 	nodes := len(res)
 	g := &Graph{
-		doc:          d,
-		events:       make([]Event, 0, 2*nodes),
-		nodeIndex:    make(map[*core.Node]int32, nodes),
-		res:          res,
-		structBlocks: make([][]Constraint, nodes),
-		arcBlocks:    make([][]Constraint, nodes),
-		arcRefs:      make([][]ArcRef, nodes),
-		opts:         opts,
+		doc:       d,
+		events:    make([]Event, 0, 2*nodes),
+		nodeIndex: make(map[*core.Node]int32, nodes),
+		res:       res,
+		blocks:    make([][2]span, nodes),
+		arcRefs:   make([][]ArcRef, nodes),
+		opts:      opts,
 	}
 	for k := range res {
 		n := res[k].Node
@@ -417,25 +379,21 @@ func Build(d *core.Document, opts Options) (*Graph, error) {
 			Event{Node: n, End: core.End})
 	}
 
-	// Emit constraints into one arena; blocks are full-capacity sub-slices
-	// so later appends can never scribble over a neighbour.
-	arena := make([]Constraint, 0, 4*nodes)
+	// Emit constraints into one arena, the pool, in pre-order: it is the
+	// constraint list as it stands.
+	g.pool = make([]Constraint, 0, 4*nodes)
 	for k := range res {
-		start := len(arena)
-		arena = g.emitStructural(arena, int32(k))
-		g.structBlocks[k] = arena[start:len(arena):len(arena)]
-
-		start = len(arena)
-		var refs []ArcRef
-		var err error
-		if arena, refs, err = g.emitArcs(arena, int32(k)); err != nil {
+		start := int32(len(g.pool))
+		g.pool = g.emitStructural(g.pool, int32(k))
+		mid := int32(len(g.pool))
+		refs, err := g.emitArcs(int32(k))
+		if err != nil {
 			return nil, err
 		}
-		g.arcBlocks[k] = arena[start:len(arena):len(arena)]
+		g.blocks[k] = [2]span{{start, mid}, {mid, int32(len(g.pool))}}
 		g.arcRefs[k] = refs
 	}
-	g.consCount = len(arena)
-	g.list() // so that solves of g only ever read it
+	g.consCount, g.ordered = len(g.pool), true
 	return g, nil
 }
 
@@ -539,21 +497,21 @@ func (g *Graph) emitStructural(buf []Constraint, k int32) []Constraint {
 //
 // The offset is converted with the source node's channel rates ("offsets may
 // be expressed in terms of media-dependent units"); δ and ε with the
-// destination's.
-func (g *Graph) emitArcs(buf []Constraint, k int32) ([]Constraint, []ArcRef, error) {
+// destination's. The constraints are appended to the pool.
+func (g *Graph) emitArcs(k int32) ([]ArcRef, error) {
 	r := &g.res[k]
 	n := r.Node
 	if r.ArcsErr != nil {
-		return buf, nil, r.ArcsErr
+		return nil, r.ArcsErr
 	}
 	refs := make([]ArcRef, 0, len(r.Arcs)) // constraints point into it
 	for i, a := range r.Arcs {
 		if err := a.Validate(); err != nil {
-			return buf, nil, fmt.Errorf("sched: %s arc %d: %w", n.PathString(), i, err)
+			return nil, fmt.Errorf("sched: %s arc %d: %w", n.PathString(), i, err)
 		}
 		src, dst, err := g.resolveArc(n, a)
 		if err != nil {
-			return buf, nil, fmt.Errorf("sched: %s arc %d: %w", n.PathString(), i, err)
+			return nil, fmt.Errorf("sched: %s arc %d: %w", n.PathString(), i, err)
 		}
 		refs = append(refs, ArcRef{Node: n, Index: i, Arc: a})
 
@@ -562,55 +520,48 @@ func (g *Graph) emitArcs(buf []Constraint, k int32) ([]Constraint, []ArcRef, err
 
 		offset, err := inUnitsOf(g.Resolved(src), a.Offset)
 		if err != nil {
-			return buf, nil, fmt.Errorf("sched: %s arc %d offset: %w", n.PathString(), i, err)
+			return nil, fmt.Errorf("sched: %s arc %d offset: %w", n.PathString(), i, err)
 		}
 		dstRes := g.Resolved(dst)
 		minD, err := inUnitsOf(dstRes, a.MinDelay)
 		if err != nil {
-			return buf, nil, fmt.Errorf("sched: %s arc %d min_delay: %w", n.PathString(), i, err)
+			return nil, fmt.Errorf("sched: %s arc %d min_delay: %w", n.PathString(), i, err)
 		}
 		c := Constraint{Kind: KindArc, Arc: &refs[i]}
-		buf = lower(buf, srcEv, dstEv, offset+minD, c)
+		g.pool = lower(g.pool, srcEv, dstEv, offset+minD, c)
 		if !units.IsInfinite(a.MaxDelay) {
 			maxD, err := inUnitsOf(dstRes, a.MaxDelay)
 			if err != nil {
-				return buf, nil, fmt.Errorf("sched: %s arc %d max_delay: %w", n.PathString(), i, err)
+				return nil, fmt.Errorf("sched: %s arc %d max_delay: %w", n.PathString(), i, err)
 			}
-			buf = upper(buf, srcEv, dstEv, offset+maxD, c)
+			g.pool = upper(g.pool, srcEv, dstEv, offset+maxD, c)
 		}
 	}
-	return buf, refs, nil
+	return refs, nil
 }
 
 // Clone returns a graph sharing the document, event table, constraint
-// blocks and flat view (blocks are replaced, never mutated, so sharing is
-// safe) but with an independent runtime-constraint list, so runtime
-// constraints can be added without disturbing the original — or copying
-// its constraint list. g is flattened first if it must be, so every clone
-// of one generation shares one flat view.
+// pool, block tables and node order with g, but with an independent
+// runtime-constraint list, so runtime constraints can be added without
+// disturbing the original. g is ordered first if it must be, so every
+// clone of one generation shares one order. A clone never writes the
+// tables in place (WithoutArc copies what it replaces), and a Solver that
+// patches them leaves g's plans stale, and a stale plan refuses to play.
 func (g *Graph) Clone() *Graph {
-	g.flatMu.Lock()
-	defer g.flatMu.Unlock()
-	if !g.flatOK {
-		g.makeFlat()
-	}
-	g.flatShared = true
+	cons := g.list()
 	return &Graph{
-		doc:          g.doc,
-		events:       g.events,
-		nodeIndex:    g.nodeIndex,
-		res:          g.res,
-		structBlocks: append([][]Constraint(nil), g.structBlocks...),
-		arcBlocks:    append([][]Constraint(nil), g.arcBlocks...),
-		arcRefs:      append([][]ArcRef(nil), g.arcRefs...),
-		runtime:      append([]Constraint(nil), g.runtime...),
-		flat:         g.flat,
-		flatAt:       g.flatAt,
-		flatRuntime:  g.flatRuntime,
-		flatOK:       true,
-		flatShared:   true,
-		opts:         g.opts,
-		consCount:    g.consCount,
+		doc:       g.doc,
+		events:    g.events,
+		nodeIndex: g.nodeIndex,
+		res:       g.res,
+		pool:      g.pool,
+		blocks:    g.blocks,
+		arcRefs:   g.arcRefs,
+		runtime:   append([]Constraint(nil), g.runtime...),
+		ordered:   g.ordered,
+		order:     cons.order,
+		opts:      g.opts,
+		consCount: g.consCount,
 	}
 }
 
@@ -631,23 +582,16 @@ func (g *Graph) WithoutArc(r ArcRef) *Graph {
 	if !ok {
 		return c
 	}
-	// The clone shares the inner slices: replace them, never filter in
-	// place.
-	var kept []Constraint
-	for _, con := range c.arcBlocks[k] {
-		if con.Arc.Index != r.Index {
-			kept = append(kept, con)
-		}
-	}
-	var refs []ArcRef
-	for _, ref := range c.arcRefs[k] {
-		if ref.Index != r.Index {
-			refs = append(refs, ref)
-		}
-	}
-	c.consCount -= len(c.arcBlocks[k]) - len(kept)
-	c.arcBlocks[k], c.arcRefs[k] = kept, refs
-	c.invalidate()
+	// The clone appends to a pool of its own and copies what it replaces.
+	old := c.blocks[k][1]
+	kept := slices.DeleteFunc(slices.Clone(c.pool[old.at:old.end]), func(con Constraint) bool { return con.Arc.Index == r.Index })
+	at := int32(len(c.pool))
+	c.pool = append(slices.Clip(c.pool), kept...)
+	c.blocks, c.arcRefs = slices.Clone(c.blocks), slices.Clone(c.arcRefs)
+	c.blocks[k][1] = span{at, int32(len(c.pool))}
+	c.arcRefs[k] = slices.DeleteFunc(slices.Clone(c.arcRefs[k]), func(ref ArcRef) bool { return ref.Index == r.Index })
+	c.consCount -= int(old.end-old.at) - len(kept)
+	c.ordered = false
 	return c
 }
 

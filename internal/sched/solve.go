@@ -50,13 +50,12 @@ type SolveOptions struct {
 // Solve computes the earliest feasible schedule, optionally relaxing May
 // arcs. It returns a ConflictError when the constraints cannot be satisfied
 // by dropping May arcs alone. It is the full solve over the whole
-// constraint system, on an arena made for this call. It only reads the
-// graph — Build made its flat constraint list — so concurrent solves of
-// one graph stay independent. Solver runs the same loop over the same list
-// after patching its graph for edits, on an arena it keeps, and produces
-// identical schedules.
+// constraint system, laid out on an arena made for this call. It only
+// reads the graph, so concurrent solves of one graph stay independent.
+// Solver runs the same loop over the layout it keeps of its graph, and
+// produces identical schedules.
 func (g *Graph) Solve(opts SolveOptions) (*Schedule, error) {
-	return g.solve(&solveScratch{}, g.list(), opts)
+	return g.solve(&solveScratch{}, opts)
 }
 
 // SolveFrom re-solves g — plan's graph, or a Clone of it carrying runtime
@@ -67,25 +66,24 @@ func (g *Graph) Solve(opts SolveOptions) (*Schedule, error) {
 // without those arcs (the seed buys speed, never a different answer); its
 // Dropped is plan's list followed by the victims opts.Relax allowed on top.
 //
-// The solve runs over g's list: for a Clone of a graph that has solved,
-// the parent's cached flat view followed by the runtime constraints added
-// to the clone, neither copied. Plan's dropped arcs are masked out of it,
-// not filtered.
+// The solve runs over g's list: for a Clone, the parent's pool followed
+// by the runtime constraints added to the clone, neither copied. Plan's
+// dropped arcs are taken out of force, not filtered.
 func (g *Graph) SolveFrom(plan *Schedule, opts SolveOptions) (*Schedule, error) {
 	sc := &solveScratch{seed: plan.times}
 	if len(plan.Dropped) > 0 {
-		sc.masked = g.maskArcs(plan.Dropped)
+		sc.on = g.maskArcs(plan.Dropped)
 	}
-	s, err := g.solve(sc, g.list(), opts)
+	s, err := g.solve(sc, opts)
 	if err == nil {
 		s.Dropped = append(plan.Dropped[:len(plan.Dropped):len(plan.Dropped)], s.Dropped...)
 	}
 	return s, err
 }
 
-// solve runs the relax loop over cons on sc and wraps the result.
-func (g *Graph) solve(sc *solveScratch, cons conList, opts SolveOptions) (*Schedule, error) {
-	dist, dropped, cycle := sc.solve(len(g.events), 0, cons, opts.Relax)
+// solve runs the relax loop over g's list on sc and wraps the result.
+func (g *Graph) solve(sc *solveScratch, opts SolveOptions) (*Schedule, error) {
+	dist, dropped, cycle := sc.solve(len(g.events), 0, g.list(), opts.Relax)
 	if cycle != nil {
 		return nil, &ConflictError{Cycle: cycle}
 	}
@@ -106,59 +104,89 @@ func (g *Graph) schedule(dist []int64, dropped []ArcRef) *Schedule {
 // drops it.
 func (g *Graph) SolveParallel(opts SolveOptions) (*Schedule, error) { return g.Solve(opts) }
 
-// solve is the scheduler's one relax loop (section 5.3). A feasibility
-// sweep over all of cons comes first; when it finds no negative cycle
-// nothing is dropped. Otherwise, with relax, the loop sweeps the system
-// without its May arcs and then admits the May arcs one at a time in list
-// order (document order, then arc index), all constraints of one arc
-// together: an arc is dropped only if it cannot hold together with the
-// non-May constraints and the May arcs kept before it (relaxation by
-// insertion; Ramalingam et al., Algorithmica 1999). Victims depend on the
-// constraint list alone, never on labels or queue order, so sc.seed (a
-// warm start) only speeds up the sweeps, and a conflict is always reported
-// from a cold one. Finally the earliest schedule with t[src] = 0
-// is extracted over the kept constraints. cons is read, never modified. It
-// returns the shortest-path labels, aliasing the arena — convert with
-// timeOf before the next call — and the dropped arcs in list order, or the
-// constraints of a cycle that relaxation could not (or may not) break.
-// sc.dist is left holding the sweep's labels, feasible for every kept
-// constraint: a Solver's next pass starts from them (resweep).
+// solve is the cold solve: settle over cons laid out forward, then the
+// earliest schedule with t[src] = 0 over cons laid out reversed. For
+// difference constraints t_v − t_u ≤ w (edge u→v weight w), the earliest
+// solution is t_v = −dist(v → src), i.e. single-source shortest paths from
+// src on the reversed graph. cons is read, never modified. It returns the
+// shortest-path labels, aliasing the arena — convert with timeOf before
+// the next call — and the dropped arcs in list order, or the constraints of
+// a cycle that relaxation could not (or may not) break.
 func (sc *solveScratch) solve(n int, src EventID, cons conList, relax bool) (dist []int64, dropped []ArcRef, conflict []Constraint) {
-	sc.active = sc.active[:0]
-	for _, out := range sc.masked {
-		sc.active = append(sc.active, !out)
-	}
 	sc.grow(n)
-	sc.buildCSR(n, cons, false)
-	cycleIdx := sc.findNegativeCycle(n, cons)
-	if cycleIdx != nil && relax {
-		sc.active = sc.active[:0]
-		for i := range cons.len() {
-			sc.active = append(sc.active, !isMay(cons.at(i)) && !sc.isMasked(i))
-		}
-		if cycleIdx = sc.findNegativeCycle(n, cons); cycleIdx == nil {
-			dropped = sc.admitMay(cons)
-		}
+	sc.adj = layOut(sc.adj, sc.pos, n, cons, nil, false)
+	dropped, at := sc.settle(&sc.adj, n, cons, relax)
+	if at >= 0 {
+		return nil, nil, sc.conflict(&sc.adj, n, cons, at)
 	}
-	if cycleIdx != nil {
-		if sc.seed != nil {
-			// Which cycle a sweep meets first depends on its labels.
-			sc.seed = nil
-			cycleIdx = sc.findNegativeCycle(n, cons)
-		}
-		conflict = make([]Constraint, len(cycleIdx))
-		for i, ci := range cycleIdx {
-			conflict[i] = *cons.at(int(ci))
-		}
-		return nil, nil, conflict
-	}
-
-	// Earliest schedule with t[src] = 0: for difference constraints
-	// t_v − t_u ≤ w (edge u→v weight w), the earliest solution is
-	// t_v = −dist(v → src), i.e. single-source shortest paths from src on
-	// the reversed graph.
-	sc.buildCSR(n, cons, true)
+	sc.adj = layOut(sc.adj, sc.pos, n, cons, nil, true)
 	return sc.earliest(&sc.adj, n, src), dropped, nil
+}
+
+// settle is the scheduler's one relax loop (section 5.3) over fwd, which
+// lays out cons. A feasibility sweep over every constraint in force comes
+// first; when it finds no negative cycle nothing is dropped. Otherwise,
+// with relax, the loop takes the May arcs in force out of force, sweeps
+// the rest, and then admits those arcs one at a time in list order
+// (document order, then arc index), all constraints of one arc together:
+// an arc is dropped only if it cannot hold together with the non-May
+// constraints and the May arcs kept before it (relaxation by insertion;
+// Ramalingam et al., Algorithmica 1999). Victims depend on the constraint
+// list alone, never on labels, queue or edge order, so sc.seed (a warm
+// start) only speeds up the sweeps and fwd may order its rows' edges any
+// way. It returns the dropped arcs in list order and -1, or where its last
+// sweep met a cycle. sc.dist is left holding feasible labels for every
+// constraint in force: a Solver's next pass starts from them (resweep).
+func (sc *solveScratch) settle(fwd *adjacency, n int, cons conList, relax bool) (dropped []ArcRef, at int32) {
+	if at = sc.sweepAll(fwd, n); at < 0 || !relax {
+		return nil, at
+	}
+	if len(sc.on) == 0 {
+		m := len(cons.head) + len(cons.tail)
+		sc.on = slices.Grow(sc.on, m)[:m]
+		for i := range sc.on {
+			sc.on[i] = true
+		}
+	}
+	sc.may = sc.may[:0]
+	for ci, c := range cons.all {
+		if sc.on[ci] && isMay(c) {
+			sc.on[ci] = false
+			sc.may = append(sc.may, ci)
+		}
+	}
+	if at = sc.sweepAll(fwd, n); at < 0 {
+		dropped = sc.admitMay(fwd, cons)
+	}
+	return dropped, at
+}
+
+// conflict returns the constraints of the cycle a cold sweep over fwd
+// meets with the constraints in force as they stand. Which cycle a sweep
+// meets depends on its starting labels and on edge order, so fwd must lay
+// cons out in list order, and the report then equals a cold Build and
+// Solve's. at is where the last sweep over fwd met one, or -1.
+func (sc *solveScratch) conflict(fwd *adjacency, n int, cons conList, at int32) []Constraint {
+	if at < 0 || sc.seed != nil {
+		sc.seed = nil
+		at = sc.sweepAll(fwd, n)
+	}
+	// Walk parents n times to be sure we are on the cycle, then collect.
+	v := EventID(at)
+	for i := 0; i < n; i++ {
+		v = cons.at(sc.parent[v]).U
+	}
+	var cycle []Constraint
+	for start := v; ; {
+		c := cons.at(sc.parent[v])
+		cycle = append(cycle, *c)
+		if v = c.U; v == start {
+			break
+		}
+	}
+	// Reverse so the cycle reads in constraint direction.
+	slices.Reverse(cycle)
+	return cycle
 }
 
 // resweep restores feasible labels after a patch, starting from the labels
@@ -166,17 +194,15 @@ func (sc *solveScratch) solve(n int, src EventID, cons conList, relax bool) (dis
 // in fwd except the ones in fresh, the blocks the patch added or changed;
 // so only the tails of fresh constraints they violate are queued, and the
 // sweep relaxes from there. Events added since start from whatever label
-// their slot holds: every constraint that reaches them is fresh. Without a
-// cycle, the earliest schedule is extracted over rev, exactly as a cold
-// solve extracts it: feasible labels are all Dijkstra needs, and the
-// earliest schedule of a feasible system is unique. resweep returns nil at
-// a cycle — which cycle a sweep meets depends on its labels, so the
-// caller solves cold and reports from there. With every constraint in
-// force the sweep reads no constraint index: the edges fwd and rev carry
-// need not match any list.
+// their slot holds: every constraint that reaches them is fresh. Every
+// constraint is in force. Without a cycle, the earliest schedule is
+// extracted over rev, exactly as a cold solve extracts it: feasible labels
+// are all Dijkstra needs, and the earliest schedule of a feasible system
+// is unique. resweep returns nil at a cycle — which cycle a sweep meets
+// depends on its labels, so the caller solves cold and reports from there.
+// sc must be sized for n events.
 func (sc *solveScratch) resweep(fwd, rev *adjacency, n int, fresh [][]Constraint) []int64 {
-	sc.grow(n)
-	sc.active = sc.active[:0]
+	sc.on = sc.on[:0]
 	dist := sc.dist
 	for v := 0; v < n; v++ {
 		sc.parent[v], sc.pathlen[v] = -1, 0
@@ -196,35 +222,29 @@ func (sc *solveScratch) resweep(fwd, rev *adjacency, n int, fresh [][]Constraint
 
 func isMay(c *Constraint) bool { return c.Kind == KindArc && c.Arc.Arc.Strict == core.May }
 
-// isMasked reports whether constraint i is out of this solve altogether.
-func (sc *solveScratch) isMasked(i int) bool { return sc.masked != nil && sc.masked[i] }
-
-// admitMay activates cons' May arcs in list order over the labels of a
-// feasible sweep of the rest, and returns the arcs it had to reject. An
-// arc's constraints are adjacent in the list and stand or fall together.
-// Masked arcs are never admitted.
-func (sc *solveScratch) admitMay(cons conList) (dropped []ArcRef) {
-	for i := 0; i < cons.len(); {
-		if !isMay(cons.at(i)) || sc.isMasked(i) {
-			i++
-			continue
-		}
-		arc := keyOf(*cons.at(i).Arc)
+// admitMay puts the May arcs settle took out of force (sc.may) back in
+// list order over the labels of a feasible sweep of the rest, and returns
+// the arcs it had to reject. An arc's constraints are adjacent in the list
+// and stand or fall together.
+func (sc *solveScratch) admitMay(fwd *adjacency, cons conList) (dropped []ArcRef) {
+	may := sc.may
+	for i := 0; i < len(may); {
+		arc := cons.at(may[i]).Arc
 		j := i + 1
-		for j < cons.len() && cons.at(j).Kind == KindArc && keyOf(*cons.at(j).Arc) == arc {
+		for j < len(may) && keyOf(*cons.at(may[j]).Arc) == keyOf(*arc) {
 			j++
 		}
 		sc.undo = sc.undo[:0]
-		for k := i; k < j; k++ {
-			sc.active[k] = true
-			if !sc.insert(cons, k) {
-				for k := i; k < j; k++ {
-					sc.active[k] = false
+		for _, ci := range may[i:j] {
+			sc.on[ci] = true
+			if !sc.insert(fwd, cons.at(ci)) {
+				for _, ci := range may[i:j] {
+					sc.on[ci] = false
 				}
 				for u := len(sc.undo) - 1; u >= 0; u-- {
 					sc.dist[sc.undo[u].v] = sc.undo[u].d
 				}
-				dropped = append(dropped, *cons.at(i).Arc)
+				dropped = append(dropped, *arc)
 				break
 			}
 		}
@@ -233,24 +253,25 @@ func (sc *solveScratch) admitMay(cons conList) (dropped []ArcRef) {
 	return dropped
 }
 
-// insert restores feasible labels after cons[k] was activated, logging
-// every label it lowers in sc.undo. If the labels already satisfy the
-// constraint that costs nothing; otherwise the change is propagated
-// forward from its tail over active constraints. The labels were feasible
-// before, so any negative cycle runs through cons[k], and propagation
-// finds one exactly when it would lower the constraint's tail: insert then
-// reports false and leaves the restore to the caller.
-func (sc *solveScratch) insert(cons conList, k int) bool {
-	c, dist, q := cons.at(k), sc.dist, &sc.q
+// insert restores feasible labels after c was put in force, logging every
+// label it lowers in sc.undo. If the labels already satisfy c that costs
+// nothing; otherwise the change is propagated forward from its tail over
+// the edges of fwd in force. The labels were feasible before, so any
+// negative cycle runs through c, and propagation finds one exactly when it
+// would lower c's tail: insert then reports false and leaves the restore
+// to the caller.
+func (sc *solveScratch) insert(fwd *adjacency, c *Constraint) bool {
+	dist, q, on := sc.dist, &sc.q, sc.on
+	off, end, edge := fwd.off, fwd.end, fwd.edge
 	if dist[c.U]+int64(c.W) >= dist[c.V] {
 		return true
 	}
 	q.push(int32(c.U), dist)
 	for q.count > 0 {
 		u := q.pop()
-		for e := sc.adj.off[u]; e < sc.adj.end[u]; e++ {
-			d := &sc.adj.edge[e]
-			if nd := dist[u] + d.w; nd < dist[d.to] && sc.active[d.ci] {
+		for e := off[u]; e < end[u]; e++ {
+			d := &edge[e]
+			if nd := dist[u] + d.w; nd < dist[d.to] && on[d.ci] {
 				if EventID(d.to) == c.U {
 					for q.count > 0 {
 						q.pop()
@@ -278,28 +299,60 @@ func timeOf(dist int64) time.Duration {
 
 const unreachable = int64(math.MaxInt64)
 
-// conList is a solve's constraint list in two runs, head then tail, so a
+// conList is a solve's constraint list: the pool head, then tail, so a
 // play can list its runtime constraints after its plan's without copying
-// either: constraint i is head[i], or tail[i-len(head)].
-type conList struct{ head, tail []Constraint }
-
-func (l conList) len() int { return len(l.head) + len(l.tail) }
-
-func (l conList) at(i int) *Constraint {
-	if i < len(l.head) {
-		return &l.head[i]
-	}
-	return &l.tail[i-len(l.head)]
+// either. A constraint's reference is its index in head, or len(head)
+// plus its index in tail. Without order, head is the list as it stands;
+// with it, the list reads the blocks of each node order names, in turn
+// (Graph.list).
+type conList struct {
+	head, tail []Constraint
+	order      []int32
+	blocks     [][2]span
 }
 
-// solveScratch is the relax loop's arena: CSR adjacency, the sweeps' queue
-// and labels, extraction's keys and heap, the active flags and the label
-// undo log. Graph.Solve makes one per call; a Solver owns one for life, so
-// its re-solves of the patched graph allocate almost nothing beyond the
-// schedule. The zero value is ready to use.
+func (l conList) at(ci int32) *Constraint {
+	if int(ci) < len(l.head) {
+		return &l.head[ci]
+	}
+	return &l.tail[int(ci)-len(l.head)]
+}
+
+// runs yields the list in order as runs of adjacent constraints, each
+// with the reference of its first.
+func (l conList) runs(yield func(ci int32, run []Constraint) bool) {
+	if l.order == nil && !yield(0, l.head) {
+		return
+	}
+	for _, k := range l.order {
+		for _, b := range l.blocks[k] {
+			if !yield(b.at, l.head[b.at:b.end]) {
+				return
+			}
+		}
+	}
+	yield(int32(len(l.head)), l.tail)
+}
+
+// all yields the list's constraints in order, each with its reference.
+func (l conList) all(yield func(ci int32, c *Constraint) bool) {
+	for at, run := range l.runs {
+		for i := range run {
+			if !yield(at+int32(i), &run[i]) {
+				return
+			}
+		}
+	}
+}
+
+// solveScratch is the relax loop's arena: the cold layout, the sweeps'
+// queue and labels, extraction's keys and heap, the in-force flags and the
+// label undo log. Graph.Solve makes one per call; a Solver owns one for
+// life, so its re-solves of the patched graph allocate almost nothing
+// beyond the schedule. The zero value is ready to use.
 type solveScratch struct {
-	adj adjacency // buildCSR's
-	pos []int32   // CSR fill cursor, len n
+	adj adjacency // the cold layout, forward then reversed
+	pos []int32   // layOut's fill cursor, len n
 
 	dist    []int64
 	parent  []int32
@@ -312,14 +365,14 @@ type solveScratch struct {
 	// seed gives the feasibility sweeps their starting labels instead of
 	// zero, for the events it covers (Graph.SolveFrom, Solver's re-solves).
 	seed []time.Duration
-	// active, when set, flags the constraints in force (one per
-	// constraint); the sweeps and the reversed CSR skip the rest. Unset,
-	// every constraint is in force.
-	active []bool
-	// masked, when set, flags the constraints out of the solve altogether
-	// — a plan's dropped arcs (Graph.SolveFrom): never in force, never
-	// admitted.
-	masked []bool
+	// on flags the constraints in force by reference: a constraint is in
+	// force exactly when its flag is set, and an empty set stands for all
+	// set. Graph.SolveFrom clears a plan's dropped arcs' flags before the
+	// solve, so they are never in force and never admitted.
+	on []bool
+	// may lists the May constraints settle took out of force, in list
+	// order: admission's candidates.
+	may []int32
 	// undo logs the labels an admission lowered, oldest first.
 	undo []labelUndo
 }
@@ -400,32 +453,33 @@ func (sc *solveScratch) grow(n int) {
 	sc.q = ring{slot: sc.q.slot[:size], in: sc.q.in[:n], mask: size - 1}
 }
 
-// buildCSR lays the constraints in force out as sc.adj: keyed by U (the
-// forward graph used for feasibility), or with reverse set by V (the
-// reversed graph used for earliest extraction).
-func (sc *solveScratch) buildCSR(n int, cons conList, reverse bool) {
-	sc.adj = layOut(sc.adj, sc.pos, n, cons, sc.active, reverse)
-}
-
 // adjacency is a constraint system laid out by event: the edges leaving
-// event u are edge[off[u]:end[u]]. Laid out by layOut, the rows are packed
-// in event order and end is off shifted by one.
+// event u are edge[off[u]:end[u]]. A packed layout's rows follow each
+// other in event order, and its end is off shifted by one. Kept rows (a
+// Solver's) each have an end of their own and a limit: row u may grow
+// into edge[end[u]:lim[u]]. A full row moves to the arena's end with room
+// to double, so no edit moves another row, and what moved rows leave
+// behind is bounded by their own sizes.
 type adjacency struct {
-	off, end []int32
-	edge     []csrEdge
+	off, end, lim []int32
+	edge          []csrEdge
 }
 
-// layOut lays the constraints of cons in force — all of them when active
-// is empty — out as packed rows, reusing a's storage and count (len n) as
-// the fill cursor.
-func layOut(a adjacency, count []int32, n int, cons conList, active []bool, reverse bool) adjacency {
-	ends := func(c *Constraint) (from, to int32) {
-		if reverse {
-			return int32(c.V), int32(c.U)
-		}
-		return int32(c.U), int32(c.V)
-	}
-	inForce := func(i int) bool { return len(active) == 0 || active[i] }
+// csrEdge is one constraint laid out as an edge: its reference in the
+// list the rows lay out (conList), which stays valid across a Solver's
+// patches, the vertex it leads to and its weight, so the sweeps read the
+// edge array alone and never the constraint records.
+type csrEdge struct {
+	ci, to int32
+	w      int64
+}
+
+// layOut lays every constraint of cons out as rows in list order, keyed
+// by U (the forward graph the sweeps relax), or with reverse by V (the
+// reversed graph extraction reads). It reuses a's storage and count (len
+// n) as the fill cursor. Without lim the rows are packed. With lim (len n)
+// they are kept: count becomes their ends and lim their limits.
+func layOut(a adjacency, count []int32, n int, cons conList, lim []int32, reverse bool) adjacency {
 	if cap(a.off) < n+1 {
 		a.off = make([]int32, n+1)
 	}
@@ -433,9 +487,9 @@ func layOut(a adjacency, count []int32, n int, cons conList, active []bool, reve
 	for i := range off {
 		off[i] = 0
 	}
-	for i := range cons.len() {
-		if inForce(i) {
-			from, _ := ends(cons.at(i))
+	for _, run := range cons.runs {
+		for i := range run {
+			from, _ := run[i].ends(reverse)
 			off[from+1]++
 		}
 	}
@@ -448,84 +502,64 @@ func layOut(a adjacency, count []int32, n int, cons conList, active []bool, reve
 		edge = make([]csrEdge, m)
 	}
 	edge = edge[:off[n]]
-	for i := range cons.len() {
-		if inForce(i) {
-			c := cons.at(i)
-			from, to := ends(c)
-			edge[count[from]] = csrEdge{ci: int32(i), to: to, w: int64(c.W)}
+	for at, run := range cons.runs {
+		for i := range run {
+			from, to := run[i].ends(reverse)
+			edge[count[from]] = csrEdge{ci: at + int32(i), to: int32(to), w: int64(run[i].W)}
 			count[from]++
 		}
 	}
-	return adjacency{off: off, end: off[1:], edge: edge}
-}
-
-// keptRows is an adjacency a Solver keeps for the life of its graph and
-// edits in place: row u may grow into edge[end[u]:lim[u]]. A full row
-// moves to the arena's end with room to double, so no edit moves another
-// row, and what moved rows leave behind is bounded by their own sizes. A
-// rebuild lays the graph out afresh.
-type keptRows struct {
-	adjacency
-	lim []int32
-}
-
-// keep makes a packed layout editable.
-func keep(a adjacency) keptRows {
-	n := len(a.end)
-	end := append([]int32(nil), a.end...)
-	return keptRows{
-		adjacency: adjacency{off: a.off[:n:n], end: end, edge: a.edge},
-		lim:       append([]int32(nil), end...),
+	if lim == nil {
+		return adjacency{off: off[:n], end: off[1:], edge: edge}
 	}
+	copy(lim, count)
+	return adjacency{off: off[:n], end: count, lim: lim, edge: edge}
 }
 
-// addRows appends k empty rows, for events inserted after the layout.
-func (r *keptRows) addRows(k int) {
-	for ; k > 0; k-- {
-		at := int32(len(r.edge))
-		r.off, r.end, r.lim = append(r.off, at), append(r.end, at), append(r.lim, at)
+// ends returns c's edge as from → to, or reversed.
+func (c *Constraint) ends(reverse bool) (from, to EventID) {
+	if reverse {
+		return c.V, c.U
 	}
+	return c.U, c.V
 }
 
-// remove takes one edge from → to of weight w out of its row. Parallel
-// edges of one weight are interchangeable, so any match will do.
-func (r *keptRows) remove(from, to EventID, w time.Duration) {
-	last := r.end[from] - 1
-	for e := r.off[from]; e <= last; e++ {
-		if d := &r.edge[e]; d.to == int32(to) && d.w == int64(w) {
-			*d = r.edge[last]
-			r.end[from] = last
+// addNode appends two empty rows to kept rows, for the events of a node
+// inserted after the layout.
+func (a *adjacency) addNode() {
+	at := int32(len(a.edge))
+	a.off, a.end, a.lim = append(a.off, at, at), append(a.end, at, at), append(a.lim, at, at)
+}
+
+// remove takes constraint ci's edge out of kept row from.
+func (a *adjacency) remove(from EventID, ci int32) {
+	last := a.end[from] - 1
+	for e := a.off[from]; e <= last; e++ {
+		if a.edge[e].ci == ci {
+			a.edge[e] = a.edge[last]
+			a.end[from] = last
 			return
 		}
 	}
 }
 
-// add appends an edge from → to of weight w to its row.
-func (r *keptRows) add(from, to EventID, w time.Duration) {
-	if r.end[from] == r.lim[from] {
-		off, n := r.off[from], r.end[from]-r.off[from]
-		at := int32(len(r.edge))
-		r.edge = append(r.edge, r.edge[off:off+n]...)
-		r.edge = slices.Grow(r.edge, int(n)+2)[:int(at+2*n+2)]
-		r.off[from], r.end[from], r.lim[from] = at, at+n, at+2*n+2
+// add appends edge e to kept row from.
+func (a *adjacency) add(from EventID, e csrEdge) {
+	if a.end[from] == a.lim[from] {
+		off, n := a.off[from], a.end[from]-a.off[from]
+		at := int32(len(a.edge))
+		a.edge = append(a.edge, a.edge[off:off+n]...)
+		a.edge = slices.Grow(a.edge, int(n)+2)[:int(at+2*n+2)]
+		a.off[from], a.end[from], a.lim[from] = at, at+n, at+2*n+2
 	}
-	r.edge[r.end[from]] = csrEdge{ci: -1, to: int32(to), w: int64(w)}
-	r.end[from]++
+	a.edge[a.end[from]] = e
+	a.end[from]++
 }
 
-// csrEdge is one constraint laid out as adjacency: its index in the list,
-// the vertex it leads to and its weight, so the sweeps read the edge
-// array alone and never the constraint records. An edge a Solver adds to
-// its kept rows has no index (−1); only cold sweeps read it.
-type csrEdge struct {
-	ci, to int32
-	w      int64
-}
-
-// earliest computes single-source shortest paths from src over rev, the
-// reversed graph (buildCSR(reverse=true), or a Solver's kept rows),
-// settling each event once: sc.dist holds labels p feasible for exactly
-// the constraints laid out (p[V] ≤ p[U] + W), so a reversed edge V→U has
+// earliest computes single-source shortest paths from src over the edges
+// of rev in force, the reversed graph, settling each event once: sc.dist
+// holds labels p feasible for exactly the constraints in force
+// (p[V] ≤ p[U] + W), so a reversed edge V→U has
 // reduced weight W − p[V] + p[U] ≥ 0 and Dijkstra keyed by dist + p
 // (sc.key) is exact. An event reached over a tight edge — at the current
 // minimum key — is final at once and goes on a stack, not the heap; the
@@ -550,7 +584,7 @@ func (sc *solveScratch) earliest(rev *adjacency, n int, src EventID) []int64 {
 				d := &edge[e]
 				nk := ku + d.w + p[d.to]
 				old := key[d.to]
-				if nk >= old {
+				if nk >= old || len(sc.on) > 0 && !sc.on[d.ci] {
 					continue
 				}
 				key[d.to] = nk
@@ -626,18 +660,13 @@ func (sc *solveScratch) siftUp(i int) {
 	h[i], sc.at[v] = v, int32(i)
 }
 
-// findNegativeCycle runs a queue-based Bellman–Ford with a virtual source
-// (every vertex starts at distance 0, or at its seed label — any starting
-// labels are sound) over the constraints in force, on the forward graph
-// laid out by buildCSR(reverse=false), and returns the indices (into cons)
-// of the constraints on a negative cycle, or nil when they are feasible;
-// sc.dist then holds feasible labels. The cycle is extracted through the
-// parent pointers.
-func (sc *solveScratch) findNegativeCycle(n int, cons conList) []int32 {
-	dist := sc.dist
-	parent := sc.parent
-	pathlen := sc.pathlen
-	q := &sc.q
+// sweepAll runs a queue-based Bellman–Ford with a virtual source (every
+// vertex starts at distance 0, or at its seed label — any starting labels
+// are sound) over the edges of fwd in force, and returns -1 when they are
+// feasible, sc.dist then holding feasible labels, or the event where it
+// met a negative cycle, which the parent pointers close.
+func (sc *solveScratch) sweepAll(fwd *adjacency, n int) int32 {
+	dist, parent, pathlen, q := sc.dist, sc.parent, sc.pathlen, &sc.q
 	for i := 0; i < n; i++ {
 		dist[i] = 0
 		if i < len(sc.seed) {
@@ -654,40 +683,17 @@ func (sc *solveScratch) findNegativeCycle(n int, cons conList) []int32 {
 		q.slot[i], q.in[i] = int32(n-1-i), true
 	}
 	q.head, q.count = 0, n
-	cycleAt := sc.sweep(&sc.adj, n)
-	if cycleAt < 0 {
-		return nil
-	}
-	// Walk parents n times to be sure we are on the cycle, then collect.
-	v := EventID(cycleAt)
-	for i := 0; i < n; i++ {
-		v = cons.at(int(parent[v])).U
-	}
-	var cycle []int32
-	start := v
-	for {
-		ci := parent[v]
-		cycle = append(cycle, ci)
-		v = cons.at(int(ci)).U
-		if v == start {
-			break
-		}
-	}
-	// Reverse so the cycle reads in constraint direction.
-	for i, j := 0, len(cycle)-1; i < j; i, j = i+1, j-1 {
-		cycle[i], cycle[j] = cycle[j], cycle[i]
-	}
-	return cycle
+	return sc.sweep(fwd, n)
 }
 
 // sweep is the label-correcting loop: it relaxes the edges of fwd in force
-// (sc.active) from the queued events until no label drops. It returns -1
+// (sc.on) from the queued events until no label drops. It returns -1
 // when the labels are then feasible, or the event whose improving path
 // reached n edges. Such a path repeats an event, and each relaxation
 // along it lowered a label, so the repeat closes a negative cycle —
 // whatever labels the sweep started from.
 func (sc *solveScratch) sweep(fwd *adjacency, n int) int32 {
-	active, dist, parent, pathlen, q := sc.active, sc.dist, sc.parent, sc.pathlen, &sc.q
+	on, dist, parent, pathlen, q := sc.on, sc.dist, sc.parent, sc.pathlen, &sc.q
 	off, end, edge := fwd.off, fwd.end, fwd.edge
 	var cycleAt int32 = -1
 	for q.count > 0 && cycleAt < 0 {
@@ -695,7 +701,7 @@ func (sc *solveScratch) sweep(fwd *adjacency, n int) int32 {
 		du := dist[u]
 		for e := off[u]; e < end[u]; e++ {
 			d := &edge[e]
-			if len(active) > 0 && !active[d.ci] {
+			if len(on) > 0 && !on[d.ci] {
 				continue
 			}
 			if nd := du + d.w; nd < dist[d.to] {
@@ -719,10 +725,10 @@ func (sc *solveScratch) sweep(fwd *adjacency, n int) int32 {
 // Verify checks a time assignment against every non-dropped constraint,
 // returning the violated ones. Tests use it to audit schedules and traces.
 func (g *Graph) Verify(times []time.Duration, dropped []ArcRef) []Constraint {
-	cons, mask := g.list(), g.maskArcs(dropped)
+	on := g.maskArcs(dropped)
 	var violated []Constraint
-	for i := range cons.len() {
-		if c := cons.at(i); !mask[i] && times[c.V]-times[c.U] > c.W {
+	for ci, c := range g.list().all {
+		if on[ci] && times[c.V]-times[c.U] > c.W {
 			violated = append(violated, *c)
 		}
 	}
@@ -732,9 +738,8 @@ func (g *Graph) Verify(times []time.Duration, dropped []ArcRef) []Constraint {
 // String renders the constraint count summary.
 func (g *Graph) String() string {
 	var structural, duration, arcs int
-	cons := g.list()
-	for i := range cons.len() {
-		switch cons.at(i).Kind {
+	for _, c := range g.list().all {
+		switch c.Kind {
 		case KindStructural:
 			structural++
 		case KindDuration:

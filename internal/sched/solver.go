@@ -11,11 +11,12 @@ import (
 // arena-backed constraint graph and the last schedule. A Solver is built
 // once per document; after edits recorded in the document's change log (via
 // internal/edit or the cmif facade), Reschedule patches only the constraint
-// blocks of the edited nodes. It keeps the graph laid out by event for
-// life, moving the edges of each block it replaces, and re-solves from the
-// last pass's labels, checking only the constraints the patch changed.
-// Whenever that warm pass cannot answer, it solves the patched graph whole,
-// through the relax loop Graph.Solve runs, on scratch the Solver owns.
+// blocks of the edited nodes. It lays the graph out by event on its first
+// solve and keeps that layout for the graph's life, moving the edges of
+// each block it replaces. A pass re-solves warm from the last pass's
+// labels, checking only the constraints the patch changed; whenever that
+// cannot answer, it runs Graph.Solve's relax loop over the same layout, on
+// scratch the Solver owns.
 //
 // A Solver is not safe for concurrent use.
 type Solver struct {
@@ -39,13 +40,14 @@ type Solver struct {
 	sc       solveScratch
 	feasible bool
 	// fwd and rev lay every constraint of g out by event, forward (by U)
-	// and reversed (by V); carriers holds every node that carries arcs.
-	// They are made on g's first patch and follow every block it
-	// replaces. fresh lists the blocks the current patch put in: the only
+	// and reversed (by V), as kept rows; carriers holds every node that
+	// carries arcs. The rows are made on g's first solve and carriers on
+	// its first patch, and both follow every block a patch replaces. The
+	// blocks a patch puts in lie in g's pool from fresh on: the only
 	// constraints the labels have not been checked against.
-	fwd, rev keptRows
+	fwd, rev adjacency
 	carriers map[*core.Node]struct{}
-	fresh    [][]Constraint
+	fresh    int
 	// dead counts the nodes tombstoned in g.
 	dead int
 
@@ -87,7 +89,7 @@ func (s *Solver) Schedule() (*Schedule, error) {
 
 // rebuild replaces the graph with a fresh Build of the document.
 func (s *Solver) rebuild() error {
-	s.feasible, s.fwd, s.rev, s.carriers, s.dead = false, keptRows{}, keptRows{}, nil, 0
+	s.feasible, s.fwd, s.rev, s.carriers, s.dead, s.fresh = false, adjacency{}, adjacency{}, nil, 0, 0
 	g, err := Build(s.doc, s.buildOpts)
 	if err != nil {
 		s.last, s.broken = nil, true
@@ -101,43 +103,42 @@ func (s *Solver) rebuild() error {
 // solve brings the schedule up to date with the graph. When the labels
 // of the last pass hold, the warm pass re-solves from them (resweep).
 // Otherwise, or when the warm pass meets a cycle, the relax loop runs over
-// g's flat list, seeded with the last schedule's times when it solved this
+// the kept rows, seeded with the last schedule's times when it solved this
 // graph: event ids are stable across patches and any starting labels are
-// sound.
+// sound. Patches move edges within their rows, so a conflict is reported
+// from g laid out afresh in list order, as a cold solve reports it.
 func (s *Solver) solve() (*Schedule, error) {
 	s.solves++
-	// The layout is made on the first patch, and a runtime constraint
-	// added to the live graph is not in it.
-	if s.feasible && s.carriers != nil && len(s.g.runtime) == 0 {
-		if dist := s.sc.resweep(&s.fwd.adjacency, &s.rev.adjacency, len(s.g.events), s.fresh); dist != nil {
+	g, n, sc := s.g, len(s.g.events), &s.sc
+	sc.grow(n)
+	if s.feasible && len(g.runtime) == 0 {
+		if dist := sc.resweep(&s.fwd, &s.rev, n, [][]Constraint{g.pool[s.fresh:]}); dist != nil {
 			s.warm++
-			s.last = s.g.schedule(dist, nil)
+			s.last = g.schedule(dist, nil)
 			return s.last, nil
 		}
 	}
-	cons := s.g.list()
-	if s.last != nil && s.last.graph == s.g {
-		s.sc.seed = s.last.times
+	cons := g.list()
+	// A runtime constraint's reference follows the pool, which a patch
+	// extends: a graph carrying some is laid out on every pass.
+	if s.fwd.lim == nil || len(g.runtime) > 0 {
+		s.fwd = layOut(adjacency{}, make([]int32, n), n, cons, make([]int32, n), false)
+		s.rev = layOut(adjacency{}, make([]int32, n), n, cons, make([]int32, n), true)
 	}
-	var err error
-	s.last, err = s.g.solve(&s.sc, cons, s.solveOpts)
-	s.sc.seed = nil
-	s.feasible = err == nil && len(s.last.Dropped) == 0
-	return s.last, err
-}
-
-// index lays g out as fwd and rev and collects its arc carriers, once per
-// graph, before its first patch.
-func (s *Solver) index() {
-	g := s.g
-	n, cons := len(g.events), g.list()
-	count := make([]int32, n)
-	s.fwd = keep(layOut(adjacency{}, count, n, cons, nil, false))
-	s.rev = keep(layOut(adjacency{}, count, n, cons, nil, true))
-	s.carriers = map[*core.Node]struct{}{}
-	for node, k := range g.nodeIndex {
-		s.noteCarrier(node, k)
+	if s.last != nil && s.last.graph == g {
+		sc.seed = s.last.times
 	}
+	sc.on = sc.on[:0]
+	dropped, at := sc.settle(&s.fwd, n, cons, s.solveOpts.Relax)
+	sc.seed = nil
+	s.feasible = at < 0 && len(dropped) == 0
+	if at >= 0 {
+		s.last = nil
+		sc.adj = layOut(sc.adj, sc.pos, n, cons, nil, false)
+		return nil, &ConflictError{Cycle: sc.conflict(&sc.adj, n, cons, -1)}
+	}
+	s.last = g.schedule(sc.earliest(&s.rev, n, 0), dropped)
+	return s.last, nil
 }
 
 // noteCarrier adds node n (index k) to the carriers if it carries arcs.
@@ -147,21 +148,68 @@ func (s *Solver) noteCarrier(n *core.Node, k int32) {
 	}
 }
 
-// replaceBlock moves an owner's edges in fwd and rev from its old block to
-// neu, and lists neu as fresh.
-func (s *Solver) replaceBlock(old, neu []Constraint) {
-	for i := range old {
-		c := &old[i]
-		s.fwd.remove(c.U, c.V, c.W)
-		s.rev.remove(c.V, c.U, c.W)
+// replace makes the block emitted at the pool's tail from start node k's
+// block *b if it differs from *b, moving the edges of fwd and rev from one
+// to the other and recording in p that the system changed; otherwise it
+// drops the tail. It reports whether the block changed.
+func (s *Solver) replace(b *span, start int32, p *patchPlan) bool {
+	g := s.g
+	neu := span{start, int32(len(g.pool))}
+	if !blocksDiffer(g.pool[b.at:b.end], g.pool[neu.at:]) {
+		g.pool = g.pool[:start]
+		return false
 	}
-	for i := range neu {
-		c := &neu[i]
-		s.fwd.add(c.U, c.V, c.W)
-		s.rev.add(c.V, c.U, c.W)
+	p.changed = true
+	for ci := b.at; ci < b.end; ci++ {
+		s.fwd.remove(g.pool[ci].U, ci)
+		s.rev.remove(g.pool[ci].V, ci)
 	}
-	if len(neu) > 0 {
-		s.fresh = append(s.fresh, neu)
+	for ci := neu.at; ci < neu.end; ci++ {
+		c := &g.pool[ci]
+		s.fwd.add(c.U, csrEdge{ci: ci, to: int32(c.V), w: int64(c.W)})
+		s.rev.add(c.V, csrEdge{ci: ci, to: int32(c.U), w: int64(c.W)})
+	}
+	g.consCount += int(neu.end-neu.at) - int(b.end-b.at)
+	*b = neu
+	return true
+}
+
+// compact slides the live blocks down over the replaced ones and renames
+// the edges of fwd and rev after their new places (a runtime constraint's
+// to 0: a graph carrying some is laid out afresh on its next solve).
+func (s *Solver) compact() {
+	g := s.g
+	// to[ci] marks a live constraint with 1, then counts the live ones
+	// before ci: its new reference, and a new bound for a block.
+	to, n := make([]int32, len(g.pool)+len(g.runtime)+1), int32(0)
+	for _, bs := range g.blocks {
+		for _, b := range bs {
+			for ci := b.at; ci < b.end; ci++ {
+				to[ci] = 1
+			}
+		}
+	}
+	for ci := range g.pool {
+		live := to[ci] == 1
+		if to[ci] = n; live {
+			g.pool[n] = g.pool[ci]
+			n++
+		}
+	}
+	to[len(g.pool)] = n
+	clear(g.pool[n:])
+	g.pool = g.pool[:n]
+	for k := range g.blocks {
+		for i, b := range g.blocks[k] {
+			g.blocks[k][i] = span{to[b.at], to[b.end]}
+		}
+	}
+	for _, a := range []*adjacency{&s.fwd, &s.rev} {
+		for u := range a.off {
+			for e := a.off[u]; e < a.end[u]; e++ {
+				a.edge[e].ci = to[a.edge[e].ci]
+			}
+		}
 	}
 }
 
@@ -179,9 +227,11 @@ func (s *Solver) Reschedule() (*Schedule, error) {
 		return s.last, nil
 	}
 	if s.carriers == nil {
-		s.index()
+		s.carriers = map[*core.Node]struct{}{}
+		for node, k := range s.g.nodeIndex {
+			s.noteCarrier(node, k)
+		}
 	}
-	s.fresh = s.fresh[:0]
 
 	p := patchPlan{
 		dirtyStruct: map[*core.Node]bool{},
@@ -235,6 +285,11 @@ func (s *Solver) Reschedule() (*Schedule, error) {
 		}
 		return s.solve()
 	}
+	// Compact the pool once the blocks it replaced fill half of it.
+	if len(s.g.pool) > 2*s.g.consCount {
+		s.compact()
+	}
+	s.fresh = len(s.g.pool)
 	if err := s.applyPatch(&p); err != nil {
 		s.last, s.broken, s.feasible = nil, true, false
 		return nil, err
@@ -289,11 +344,10 @@ func (s *Solver) insertSubtree(root *core.Node) {
 			Event{Node: m, End: core.Begin},
 			Event{Node: m, End: core.End})
 		g.res = append(g.res, core.Resolved{})
-		g.structBlocks = append(g.structBlocks, nil)
-		g.arcBlocks = append(g.arcBlocks, nil)
+		g.blocks = append(g.blocks, [2]span{})
 		g.arcRefs = append(g.arcRefs, nil)
-		s.fwd.addRows(2)
-		s.rev.addRows(2)
+		s.fwd.addNode()
+		s.rev.addNode()
 		return true
 	})
 }
@@ -311,11 +365,9 @@ func (s *Solver) tombstoneSubtree(root *core.Node, p *patchPlan) {
 		// re-derived via the dirty parent.
 		g.events[2*k] = Event{}
 		g.events[2*k+1] = Event{}
-		g.consCount -= len(g.structBlocks[k]) + len(g.arcBlocks[k])
-		s.replaceBlock(g.structBlocks[k], nil)
-		s.replaceBlock(g.arcBlocks[k], nil)
-		g.structBlocks[k] = nil
-		g.arcBlocks[k] = nil
+		for i := range g.blocks[k] {
+			s.replace(&g.blocks[k][i], int32(len(g.pool)), p)
+		}
 		g.arcRefs[k] = nil
 		delete(g.nodeIndex, m)
 		s.dead++
@@ -325,12 +377,16 @@ func (s *Solver) tombstoneSubtree(root *core.Node, p *patchPlan) {
 	})
 }
 
-// applyPatch re-emits the dirty blocks, moves the edges of every block
-// that changed, and records in p.changed whether any constraint differs
-// from before.
+// applyPatch re-emits the dirty blocks into the pool, moves the edges of
+// every block that changed, and records in p.changed whether any
+// constraint differs from before.
 func (s *Solver) applyPatch(p *patchPlan) error {
 	g := s.g
-	g.invalidate()
+	g.ordered = false
+	if p.reresolveArcs {
+		// The tree's shape may have changed, and its node order with it.
+		g.order = nil
+	}
 
 	// Re-resolve subtree dirt top down and expand it into concrete owners
 	// (skipping nodes that were removed again later in the batch).
@@ -351,13 +407,9 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 		if !ok {
 			continue
 		}
-		neu := g.emitStructural(nil, k)
-		if blocksDiffer(g.structBlocks[k], neu) {
-			p.changed = true
-			s.replaceBlock(g.structBlocks[k], neu)
-		}
-		g.consCount += len(neu) - len(g.structBlocks[k])
-		g.structBlocks[k] = neu
+		start := int32(len(g.pool))
+		g.pool = g.emitStructural(g.pool, k)
+		s.replace(&g.blocks[k][0], start, p)
 	}
 
 	// Re-emit arc blocks: the explicitly dirtied ones, plus — after
@@ -371,17 +423,14 @@ func (s *Solver) applyPatch(p *patchPlan) error {
 			return nil
 		}
 		g.res[k] = g.doc.ResolveNode(n, g.Resolved(n.Parent()))
-		neu, refs, err := g.emitArcs(nil, k)
+		start := int32(len(g.pool))
+		refs, err := g.emitArcs(k)
 		if err != nil {
 			return err
 		}
-		if blocksDiffer(g.arcBlocks[k], neu) {
-			p.changed = true
-			s.replaceBlock(g.arcBlocks[k], neu)
+		if s.replace(&g.blocks[k][1], start, p) {
+			g.arcRefs[k] = refs
 		}
-		g.consCount += len(neu) - len(g.arcBlocks[k])
-		g.arcBlocks[k] = neu
-		g.arcRefs[k] = refs
 		s.noteCarrier(n, k)
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/edit"
 	"repro/internal/units"
 )
@@ -206,6 +207,30 @@ func TestRescheduleInsertAndDelete(t *testing.T) {
 	}
 	sch = reschedule(t, s)
 	wantPasses(t, s, 0, 4)
+	sameSchedule(t, d, sch, fullSolve(t, d, Options{}, SolveOptions{Relax: true}))
+}
+
+// TestScheduleAfterCompactingRebuild: once deleted nodes fill the event
+// table, Reschedule rebuilds the graph, and a Schedule with no edit since
+// is answered warm over the new graph's pool, which is shorter than the
+// old one's.
+func TestScheduleAfterCompactingRebuild(t *testing.T) {
+	d := corpusDoc(t, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 6, Languages: 3})
+	s := newTestSolver(t, d)
+	pair := livePairs(t, d).insert
+	for i := 0; s.rebuilds == 0; i++ {
+		if i == 1000 {
+			t.Fatal("1,000 inserts and deletes never compacted the event table")
+		}
+		if err := pair[i%2](i); err != nil {
+			t.Fatal(err)
+		}
+		reschedule(t, s)
+	}
+	sch, err := s.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sameSchedule(t, d, sch, fullSolve(t, d, Options{}, SolveOptions{Relax: true}))
 }
 

@@ -250,14 +250,17 @@ func TestEarliestMatchesOracle(t *testing.T) {
 		}
 		want := oracleLeast(c.n, kept)
 		for trial := 0; trial < 20; trial++ {
-			sc := &solveScratch{masked: c.masked}
+			sc := &solveScratch{}
+			for _, out := range c.masked {
+				sc.on = append(sc.on, !out)
+			}
 			if trial > 0 {
 				sc.seed = make([]time.Duration, rng.Intn(c.n+1))
 				for v := range sc.seed {
 					sc.seed[v] = time.Duration(rng.Intn(41) - 20)
 				}
 			}
-			dist, dropped, conflict := sc.solve(c.n, 0, conList{c.head, c.tail}, true)
+			dist, dropped, conflict := sc.solve(c.n, 0, conList{head: c.head, tail: c.tail}, true)
 			if conflict != nil || dropped != nil {
 				t.Fatalf("%s: conflict %v, dropped %v", c.name, conflict, dropped)
 			}
@@ -612,11 +615,11 @@ func TestPlaysShareOneFlatList(t *testing.T) {
 	}
 	wg.Wait()
 	g := plan.Graph()
-	if !g.flatOK || len(g.flat) == 0 {
+	if len(g.order) == 0 {
 		t.Fatal("the plays left the plan's graph unflattened")
 	}
 	for i, run := range runs {
-		if &run.flat[0] != &g.flat[0] {
+		if &run.order[0] != &g.order[0] {
 			t.Errorf("play %d flattened a list of its own", i)
 		}
 	}
