@@ -237,10 +237,10 @@ type recordScanner struct {
 	// successful next() it is the end of the returned record, so a torn
 	// tail truncates the file back to the last good offset.
 	offset int64
-	// scratch is the reused payload buffer: each next() overwrites the
-	// previous record, so consumers must finish (or detach) a record
-	// before asking for the next one. Replaying a large corpus is GC
-	// bound without this.
+	// scratch is the reused payload buffer of records nothing keeps:
+	// each next() overwrites the previous one, so consumers must finish
+	// (or detach) such a record before asking for the next one.
+	// Replaying a large corpus is GC bound without this.
 	scratch []byte
 }
 
@@ -248,43 +248,62 @@ func newRecordScanner(r io.Reader, path string) *recordScanner {
 	return &recordScanner{r: r, path: path}
 }
 
+// keepsBytes reports whether a record of op carries bytes the state
+// keeps as they stand: a block payload or a snapshot chunk.
+func keepsBytes(op byte) bool { return op == recPutBlk || op == recChunk }
+
 // next returns the next record payload. io.EOF means a clean end, errTorn
 // an incomplete final record, and *CorruptError a record that is present
-// but fails its checks.
-func (s *recordScanner) next() ([]byte, error) {
+// but fails its checks. kept reports a payload read into a buffer of its
+// own, which the caller may keep: a record of at most 1 MiB whose op
+// carries bytes the state keeps (keepsBytes). Any other payload is
+// overwritten by the next call.
+func (s *recordScanner) next() (payload []byte, kept bool, err error) {
 	start := s.offset
-	var hdr [frameHeaderSize]byte
-	_, err := io.ReadFull(s.r, hdr[:])
+	var hdr [frameHeaderSize + 1]byte // the frame header, then the op
+	_, err = io.ReadFull(s.r, hdr[:frameHeaderSize])
 	if err == io.EOF {
-		return nil, io.EOF
+		return nil, false, io.EOF
 	}
 	if err == io.ErrUnexpectedEOF {
-		return nil, errTorn
+		return nil, false, errTorn
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	length, err := frameLength(hdr[:])
+	length, err := frameLength(hdr[:frameHeaderSize])
 	if err != nil {
-		return nil, &CorruptError{Path: s.path, Offset: start, Reason: err.Error()}
+		return nil, false, &CorruptError{Path: s.path, Offset: start, Reason: err.Error()}
+	}
+	torn := func(err error) error {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return errTorn
+		}
+		return err
 	}
 	// Read the payload in bounded steps: a corrupt length header must
 	// not allocate its claimed size up front, only what is actually
 	// present in the file. Sane lengths (≤ 1 MiB, the overwhelmingly
-	// common case) read in one shot into the reused scratch buffer —
-	// replay throughput is a headline, and GC churn here dominates it.
+	// common case) read in one shot: a block payload or chunk straight
+	// into the buffer the state keeps, anything else into the reused
+	// scratch buffer — replay throughput is a headline, and copies and
+	// GC churn here dominate it. The op byte, read first, decides which.
 	const chunkSize = 1 << 20
-	var payload []byte
 	if length <= chunkSize {
-		if cap(s.scratch) < length {
-			s.scratch = make([]byte, length)
+		if _, err := io.ReadFull(s.r, hdr[frameHeaderSize:]); err != nil {
+			return nil, false, torn(err)
 		}
-		payload = s.scratch[:length]
-		if _, err := io.ReadFull(s.r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil, errTorn
+		if kept = keepsBytes(hdr[frameHeaderSize]); kept {
+			payload = make([]byte, length)
+		} else {
+			if cap(s.scratch) < length {
+				s.scratch = make([]byte, length)
 			}
-			return nil, err
+			payload = s.scratch[:length]
+		}
+		payload[0] = hdr[frameHeaderSize]
+		if _, err := io.ReadFull(s.r, payload[1:]); err != nil {
+			return nil, false, torn(err)
 		}
 	} else {
 		payload = make([]byte, 0, chunkSize)
@@ -298,17 +317,14 @@ func (s *recordScanner) next() ([]byte, error) {
 			n, err := io.ReadFull(s.r, payload[off:])
 			payload = payload[:off+n]
 			if err != nil {
-				if err == io.EOF || err == io.ErrUnexpectedEOF {
-					return nil, errTorn
-				}
-				return nil, err
+				return nil, false, torn(err)
 			}
 			remaining -= chunk
 		}
 	}
-	if err := checkFrame(hdr[:], payload); err != nil {
-		return nil, &CorruptError{Path: s.path, Offset: start, Reason: err.Error()}
+	if err := checkFrame(hdr[:frameHeaderSize], payload); err != nil {
+		return nil, false, &CorruptError{Path: s.path, Offset: start, Reason: err.Error()}
 	}
 	s.offset = start + frameHeaderSize + int64(length)
-	return payload, nil
+	return payload, kept, nil
 }

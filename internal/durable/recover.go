@@ -98,7 +98,7 @@ func replayRecords(r io.Reader, path string, st *State, tornOK bool, chk *addrCh
 	var fieldsBuf [][]byte
 	for {
 		start := sc.offset
-		payload, err := sc.next()
+		payload, kept, err := sc.next()
 		if err == io.EOF {
 			return sc.offset, nil
 		}
@@ -117,7 +117,7 @@ func replayRecords(r io.Reader, path string, st *State, tornOK bool, chk *addrCh
 			return start, &CorruptError{Path: path, Offset: start, Reason: err.Error()}
 		}
 		fieldsBuf = fields
-		m, err := st.verify(op, fields, chk, start)
+		m, err := st.verify(op, fields, kept, chk, start)
 		if err == nil {
 			err = st.apply(m)
 		}

@@ -138,7 +138,7 @@ func (l *Log) AppendRecords(recs []Record) (putDocs []string, err error) {
 		if !replicates(r.Op) {
 			err = fmt.Errorf("op %d does not replicate", r.Op)
 		} else {
-			muts[i], err = l.st.verify(r.Op, r.Fields, chk, int64(i))
+			muts[i], err = l.st.verify(r.Op, r.Fields, false, chk, int64(i))
 		}
 		if err != nil {
 			bad = i

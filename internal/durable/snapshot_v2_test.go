@@ -57,7 +57,7 @@ func snapshotOps(t *testing.T, path string) map[byte]int {
 	sc := newRecordScanner(bufio.NewReaderSize(f, 1<<20), path)
 	ops := make(map[byte]int)
 	for {
-		payload, err := sc.next()
+		payload, _, err := sc.next()
 		if err == io.EOF {
 			return ops
 		}
@@ -246,7 +246,7 @@ func TestSnapshotChunkCorruptionRejected(t *testing.T) {
 	}
 	_, err := st.verify(recPutBlkC, [][]byte{
 		[]byte("someid"), []byte("name"), []byte("text"), []byte("<ext>"), h[:], {0},
-	}, newAddrChecker(), 0)
+	}, false, newAddrChecker(), 0)
 	if err == nil {
 		t.Fatal("recPutBlkC with unstaged chunk accepted")
 	}

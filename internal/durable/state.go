@@ -117,13 +117,15 @@ func wantFields(op byte, fields [][]byte, n int) error {
 
 // verify checks one decoded record — its field count, register flag,
 // descriptor and document binary — and returns the mutation it makes.
+// kept says the record's bytes are the caller's to give away: a block
+// payload or chunk then stays in them instead of being copied out.
 // A block record's content address is compared on chk, beside the
 // caller's loop, as the check of the record at pos: the caller waits on
 // chk before it reports or commits anything. It reads only the record
 // (and, for recPutBlkC, the chunks staged before it), so replication
 // verifies a batch without the log's lock. Arbitrary bytes must never
 // panic, only fail (the fuzzed guarantee).
-func (st *State) verify(op byte, fields [][]byte, chk *addrChecker, pos int64) (m mutation, err error) {
+func (st *State) verify(op byte, fields [][]byte, kept bool, chk *addrChecker, pos int64) (m mutation, err error) {
 	m.op = op
 	switch op {
 	case recPutDoc:
@@ -159,7 +161,7 @@ func (st *State) verify(op byte, fields [][]byte, chk *addrChecker, pos int64) (
 		}
 		var payload []byte
 		if op == recPutBlk {
-			payload = bytes.Clone(fields[4])
+			payload = detach(fields[4], kept)
 		} else if payload, err = st.assembleChunks(fields[4]); err != nil {
 			return m, fmt.Errorf("putblkc %q: %w", fields[1], err)
 		}
@@ -183,7 +185,7 @@ func (st *State) verify(op byte, fields [][]byte, chk *addrChecker, pos int64) (
 		// Detached, not hashed: the staged copy is shared by every block
 		// manifest that references it, and each such block's content
 		// address covers its bytes.
-		m.data = bytes.Clone(fields[1])
+		m.data = detach(fields[1], kept)
 	case recName:
 		if err := wantFields(op, fields, 2); err != nil {
 			return m, err
@@ -193,6 +195,15 @@ func (st *State) verify(op byte, fields [][]byte, chk *addrChecker, pos int64) (
 		return m, fmt.Errorf("unknown record op %d", op)
 	}
 	return m, nil
+}
+
+// detach returns field as bytes the state may keep: field itself when
+// the record's buffer is the caller's to give away (kept), else a copy.
+func detach(field []byte, kept bool) []byte {
+	if kept {
+		return field
+	}
+	return bytes.Clone(field)
 }
 
 // apply makes a verified mutation part of the state — the one step
@@ -311,10 +322,10 @@ func (st *State) blockFromParts(id, name, mediumText, descText, payload []byte) 
 	}
 	// Assembled by hand rather than through NewBlock: the journaled
 	// descriptor already carries the bytes and format attributes NewBlock
-	// would re-derive, the payload is copied exactly once, and the
-	// memoized descriptor is shared — immutably — across every block that
-	// repeats its text. Recovery cost per block is one hash, on the
-	// checker, and one copy.
+	// would re-derive, the payload is not copied again, and the memoized
+	// descriptor is shared — immutably — across every block that repeats
+	// its text. Recovery cost per block is one hash, on the checker, and
+	// at most one copy (none when the scanner's record buffer was kept).
 	return &media.Block{
 		ID:         string(id),
 		Name:       string(name),

@@ -345,6 +345,8 @@ func planTransforms(b *media.Block, p Profile) []TransformSpec {
 // holding transformed blocks under the original names (so the document's
 // file attributes keep resolving). Dropped entries are omitted; blocks
 // that pass untransformed are shared with the source store, not copied.
+// A transformed block is kept under its derivation (Store.PutDerived):
+// nothing looks it up by content, so its bytes are never hashed.
 func Apply(fm *FilterMap, store *media.Store) (*media.Store, error) {
 	out := media.NewStore()
 	done := map[string]bool{}
@@ -373,7 +375,7 @@ func Apply(fm *FilterMap, store *media.Store) (*media.Store, error) {
 				return nil, fmt.Errorf("filter: applying %v to %q: %w", tr, dec.File, err)
 			}
 		}
-		out.Put(b.WithName(dec.File))
+		out.PutDerived(b.WithName(dec.File))
 	}
 	return out, nil
 }

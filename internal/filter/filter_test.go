@@ -146,6 +146,13 @@ func TestApplyRealizesTransforms(t *testing.T) {
 	if voice.ID != origVoice.ID {
 		t.Error("pass-through block changed")
 	}
+	// The transformed scene was never hashed, so no address reaches it.
+	if scene.ID != "" {
+		t.Errorf("transformed scene named %.12s", scene.ID)
+	}
+	if _, ok := out.Get(scene.Address()); ok {
+		t.Error("transformed scene reachable by the address of its bytes")
+	}
 }
 
 func TestBandwidthVerdict(t *testing.T) {

@@ -46,7 +46,10 @@ import (
 // the block is handed on (ops.go does); after the first DescriptorText
 // call nobody may.
 type Block struct {
-	// ID is the content address (hex SHA-256 of medium and payload).
+	// ID is the content address (hex SHA-256 of medium and payload), or
+	// empty on a block an operation derived (ops.go): nothing looks a
+	// derived block up by address, so none is computed until Address
+	// asks for it.
 	ID string
 	// Name is the human-oriented identifier used by "file" attributes.
 	Name string
@@ -56,6 +59,11 @@ type Block struct {
 	Payload []byte
 	// Descriptor carries the block's attributes.
 	Descriptor attr.List
+
+	// derivation keys a derived block in a store (Store.PutDerived): its
+	// source's key followed by the operations applied, never a content
+	// address. Empty on a block that carries its ID.
+	derivation string
 
 	descOnce sync.Once
 	descText []byte
@@ -109,16 +117,46 @@ func computeID(m core.Medium, payload []byte) string {
 // NewBlock builds a block, computing its content address and filling the
 // universal descriptor attributes (bytes, format defaulting by medium).
 func NewBlock(name string, m core.Medium, payload []byte, desc attr.List) *Block {
-	b := &Block{
-		ID:         computeID(m, payload),
-		Name:       name,
-		Medium:     m,
-		Payload:    payload,
-		Descriptor: desc.Clone(),
-	}
+	b := newBlock(name, m, payload, desc)
+	b.ID = computeID(m, payload)
+	return b
+}
+
+// derive builds the block an operation makes from src: named and keyed
+// by src's name and key with op appended, with NewBlock's descriptor
+// defaults and no content address.
+func derive(src *Block, op string, m core.Medium, payload []byte) *Block {
+	b := newBlock(src.Name+op, m, payload, src.Descriptor)
+	b.derivation = src.key() + op
+	return b
+}
+
+func newBlock(name string, m core.Medium, payload []byte, desc attr.List) *Block {
+	b := &Block{Name: name, Medium: m, Payload: payload, Descriptor: desc.Clone()}
 	b.Descriptor.Set(DescBytes, attr.Number(int64(len(payload))))
 	b.Descriptor.SetDefault(DescFormat, attr.ID(defaultFormat(m)))
 	return b
+}
+
+// Address returns the block's content address: ID, or for a derived
+// block the hash of its bytes, computed on every call.
+func (b *Block) Address() string {
+	if b.ID != "" {
+		return b.ID
+	}
+	return computeID(b.Medium, b.Payload)
+}
+
+// key is what a store keys b by: its ID, else its derivation, else (a
+// block built by hand without either) its address.
+func (b *Block) key() string {
+	switch {
+	case b.ID != "":
+		return b.ID
+	case b.derivation != "":
+		return b.derivation
+	}
+	return b.Address()
 }
 
 func defaultFormat(m core.Medium) string {
@@ -199,10 +237,11 @@ func (b *Block) ColorBits() int64 {
 	return 8
 }
 
-// Verify recomputes the content address and checks descriptor/payload
-// agreement; used after transport and by property tests.
+// Verify recomputes the content address the block carries (a derived
+// block carries none) and checks descriptor/payload agreement; used after
+// transport and by property tests.
 func (b *Block) Verify() error {
-	if want := computeID(b.Medium, b.Payload); b.ID != want {
+	if b.ID != "" && computeID(b.Medium, b.Payload) != b.ID {
 		return fmt.Errorf("media: block %q content address mismatch", b.Name)
 	}
 	if n, ok := b.Descriptor.GetInt(DescBytes); ok && n != int64(len(b.Payload)) {
@@ -226,7 +265,8 @@ func (b *Block) WithName(name string) *Block {
 	if b.Name == name {
 		return b
 	}
-	return &Block{ID: b.ID, Name: name, Medium: b.Medium, Payload: b.Payload, Descriptor: b.Descriptor}
+	return &Block{ID: b.ID, Name: name, Medium: b.Medium, Payload: b.Payload, Descriptor: b.Descriptor,
+		derivation: b.derivation}
 }
 
 // DescriptorText returns EncodeDescriptor(b.Descriptor), encoded on the
@@ -272,6 +312,7 @@ func (b *Block) Clone() *Block {
 		Medium:     b.Medium,
 		Payload:    append([]byte(nil), b.Payload...),
 		Descriptor: b.Descriptor.Clone(),
+		derivation: b.derivation,
 	}
 }
 

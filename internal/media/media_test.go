@@ -255,7 +255,7 @@ func TestQuantizeMatchesByteRule(t *testing.T) {
 			if !bytes.Equal(q.Payload, want) {
 				t.Fatalf("%d bits, %d bytes: payload differs from the byte rule", bits, len(p))
 			}
-			if q.ID != ContentAddress(core.MediumImage, want) {
+			if q.Address() != ContentAddress(core.MediumImage, want) {
 				t.Fatalf("%d bits, %d bytes: content address differs", bits, len(p))
 			}
 		}

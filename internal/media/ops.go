@@ -12,9 +12,10 @@ import (
 // Block operations implementing the Figure-7 range attributes (Slice, Clip,
 // Crop) and the constraint-filter transforms (sub-sampling, quantization,
 // down-resolution). Every operation that changes content returns a new
-// block with a corrected descriptor; inputs are never mutated, and an
-// operation with nothing to do (Quantize at or above the block's depth,
-// Downres by zero halvings) returns its input.
+// block with a corrected descriptor and no content address (derive);
+// inputs are never mutated, and an operation with nothing to do (Quantize
+// at or above the block's depth, Downres by zero halvings) returns its
+// input.
 
 // SliceBytes extracts payload bytes [from, to) — the "slice" attribute for
 // external nodes specifying binary data.
@@ -23,8 +24,7 @@ func SliceBytes(b *Block, from, to int64) (*Block, error) {
 		return nil, fmt.Errorf("media: slice [%d,%d) out of range for %d bytes",
 			from, to, len(b.Payload))
 	}
-	out := NewBlock(fmt.Sprintf("%s[%d:%d]", b.Name, from, to),
-		b.Medium, append([]byte(nil), b.Payload[from:to]...), b.Descriptor)
+	out := derive(b, fmt.Sprintf("[%d:%d]", from, to), b.Medium, append([]byte(nil), b.Payload[from:to]...))
 	// Byte slicing invalidates unit counts and duration.
 	out.Descriptor.Del(DescFrames)
 	out.Descriptor.Del(DescSamples)
@@ -43,8 +43,7 @@ func Clip(b *Block, from, to int64) (*Block, error) {
 		return nil, fmt.Errorf("media: clip [%d,%d) out of range for %d samples",
 			from, to, n)
 	}
-	out := NewBlock(fmt.Sprintf("%s[clip %d:%d]", b.Name, from, to),
-		core.MediumAudio, append([]byte(nil), b.Payload[from:to]...), b.Descriptor)
+	out := derive(b, fmt.Sprintf("[clip %d:%d]", from, to), core.MediumAudio, append([]byte(nil), b.Payload[from:to]...))
 	out.Descriptor.Set(DescSamples, attr.Number(to-from))
 	out.Descriptor.Set(DescDuration, attr.Quantity(units.Q(to-from, units.Samples)))
 	return out, nil
@@ -64,8 +63,7 @@ func Crop(b *Block, x, y, w, h int64) (*Block, error) {
 	for row := int64(0); row < h; row++ {
 		copy(payload[row*w:(row+1)*w], b.Payload[(y+row)*bw+x:(y+row)*bw+x+w])
 	}
-	out := NewBlock(fmt.Sprintf("%s[crop %dx%d+%d+%d]", b.Name, w, h, x, y),
-		core.MediumImage, payload, b.Descriptor)
+	out := derive(b, fmt.Sprintf("[crop %dx%d+%d+%d]", w, h, x, y), core.MediumImage, payload)
 	out.Descriptor.Set(DescWidth, attr.Number(w))
 	out.Descriptor.Set(DescHeight, attr.Number(h))
 	return out, nil
@@ -91,8 +89,7 @@ func SubsampleFrames(b *Block, factor int64) (*Block, error) {
 	for f := int64(0); f < frames; f += factor {
 		payload = append(payload, b.Payload[f*frameBytes:(f+1)*frameBytes]...)
 	}
-	out := NewBlock(fmt.Sprintf("%s[/%d fps]", b.Name, factor),
-		core.MediumVideo, payload, b.Descriptor)
+	out := derive(b, fmt.Sprintf("[/%d fps]", factor), core.MediumVideo, payload)
 	out.Descriptor.Set(DescFrames, attr.Number(kept))
 	out.Descriptor.Set(DescFrameRate, attr.Number(rate/factor))
 	out.Descriptor.Set(DescDuration, attr.Quantity(units.Q(kept, units.Frames)))
@@ -123,7 +120,7 @@ func Quantize(b *Block, bits int64) (*Block, error) {
 	for ; i < len(payload); i++ {
 		payload[i] = b.Payload[i] & mask
 	}
-	out := NewBlock(fmt.Sprintf("%s[%dbit]", b.Name, bits), b.Medium, payload, b.Descriptor)
+	out := derive(b, fmt.Sprintf("[%dbit]", bits), b.Medium, payload)
 	out.Descriptor.Set(DescColorBits, attr.Number(bits))
 	return out, nil
 }
@@ -160,7 +157,7 @@ func Downres(b *Block, pow int) (*Block, error) {
 				}
 			}
 		}
-		next := NewBlock(fmt.Sprintf("%s[half]", out.Name), out.Medium, payload, out.Descriptor)
+		next := derive(out, "[half]", out.Medium, payload)
 		next.Descriptor.Set(DescWidth, attr.Number(nw))
 		next.Descriptor.Set(DescHeight, attr.Number(nh))
 		out = next

@@ -97,19 +97,43 @@ func NewStore() *Store {
 // address. The store keeps b itself (see Block: immutable once handed
 // over; sharing one descriptor across many blocks is fine). Re-putting
 // identical content is idempotent; re-using a name for different content
-// re-points the name. Put never reads the payload.
-func (s *Store) Put(b *Block) string { return s.PutReplayed(b, true) }
+// re-points the name. Put reads the payload only of a derived block,
+// which carries no address: it keeps a shallow copy named by the hash of
+// its bytes instead (PutDerived does not hash).
+func (s *Store) Put(b *Block) string {
+	if b.ID == "" {
+		b = &Block{ID: b.Address(), Name: b.Name, Medium: b.Medium, Payload: b.Payload, Descriptor: b.Descriptor}
+	}
+	return s.PutReplayed(b, true)
+}
+
+// PutDerived inserts a block as Put does but never hashes it: a derived
+// block (ops.go) is kept under its derivation — its source's key and the
+// operations applied — which no content address equals, so Get by
+// address never reaches it. Two names derived the same way from one
+// source share one entry, as equal content does under Put. It returns
+// the key. Any other block, or any block put into a journaled store,
+// takes Put's path.
+func (s *Store) PutDerived(b *Block) string {
+	if b.derivation == "" || s.journal != nil {
+		return s.Put(b)
+	}
+	return s.put(b.derivation, b, true)
+}
 
 // PutReplayed is Put for WAL and snapshot replay: register says whether
 // b.Name enters the name registry — snapshot replay passes false and
 // rebuilds the registry from its own records, in mutation order.
 // Everything else uses Put.
-func (s *Store) PutReplayed(b *Block, register bool) string {
-	bs := &s.blocks[shardOf(b.ID)]
+func (s *Store) PutReplayed(b *Block, register bool) string { return s.put(b.ID, b, register) }
+
+// put keeps b under key, registering b.Name when register is set.
+func (s *Store) put(key string, b *Block, register bool) string {
+	bs := &s.blocks[shardOf(key)]
 	bs.mu.Lock()
-	_, existed := bs.byID[b.ID]
+	_, existed := bs.byID[key]
 	if !existed {
-		bs.byID[b.ID] = b
+		bs.byID[key] = b
 		// Journaled under the block-shard lock: puts and deletes of one
 		// id reach the journal in map order (see Journal).
 		if s.journal != nil {
@@ -120,15 +144,15 @@ func (s *Store) PutReplayed(b *Block, register bool) string {
 	if register && b.Name != "" {
 		ns := &s.names[shardOf(b.Name)]
 		ns.mu.Lock()
-		if prev, ok := ns.byName[b.Name]; !ok || prev != b.ID {
-			ns.byName[b.Name] = b.ID
+		if prev, ok := ns.byName[b.Name]; !ok || prev != key {
+			ns.byName[b.Name] = key
 			// Every registration journals as its own record inside this
 			// critical section — never inside the put record — so a
 			// snapshot racing this put either sees the registration in
 			// its name capture or finds the record in the un-compacted
 			// tail; the registration cannot fall between.
 			if s.journal != nil {
-				s.journal.JournalRegisterName(b.Name, b.ID)
+				s.journal.JournalRegisterName(b.Name, key)
 			}
 		}
 		ns.mu.Unlock()
@@ -140,17 +164,17 @@ func (s *Store) PutReplayed(b *Block, register bool) string {
 		// extra help: the delete's record was appended after this put's
 		// (block-shard order), so replay also puts, then sweeps.
 		bs.mu.RLock()
-		_, alive := bs.byID[b.ID]
+		_, alive := bs.byID[key]
 		bs.mu.RUnlock()
 		if !alive {
 			ns.mu.Lock()
-			if ns.byName[b.Name] == b.ID {
+			if ns.byName[b.Name] == key {
 				delete(ns.byName, b.Name)
 			}
 			ns.mu.Unlock()
 		}
 	}
-	return b.ID
+	return key
 }
 
 // RegisterName points name at an already-stored block's content address.
@@ -312,7 +336,7 @@ func (s *Store) VerifyAll() error {
 		for id, b := range bs.byID {
 			if err := b.Verify(); err != nil {
 				bs.mu.RUnlock()
-				return fmt.Errorf("media: store entry %s: %w", id[:12], err)
+				return fmt.Errorf("media: store entry %.12s: %w", id, err)
 			}
 		}
 		bs.mu.RUnlock()

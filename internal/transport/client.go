@@ -41,6 +41,10 @@ type Client struct {
 	wantCompress bool
 	compress     bool
 
+	// plainGetBlks is set once the server refused opGetBlksRefs and
+	// answered opGetBlks: it predates back-references.
+	plainGetBlks atomic.Bool
+
 	// mux carries every exchange after the hello.
 	mux *clientMux
 }
@@ -300,39 +304,45 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 	for i, name := range order {
 		keys[i] = []byte(name)
 	}
-	err := c.fetchBatched(ctx, opGetBlks, keys, 4, func(i int, fields [][]byte, flag byte) error {
-		name := order[i]
-		var blk *media.Block
-		var err error
-		switch flag {
-		case entryMissing:
-			return nil
-		case entryDeferred:
-			// The block was too large to inline in the batch frame; fetch
-			// it on its own as a chunked stream, so oversized blocks
-			// neither bypass batching with ad-hoc single frames nor hit
-			// the frame wall. A not-found here (the block was deleted
-			// meanwhile) stays a partial result.
-			blk, err = c.getBlockStream(ctx, name)
-			if errors.Is(err, ErrNotFound) {
-				return nil
-			}
-		default:
-			blk, err = blockFromParts(fields)
-		}
+	for start := 0; start < len(keys); start += maxBatch {
+		end := min(start+maxBatch, len(keys))
+		resp, refs, err := c.getBlks(ctx, keys[start:end])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		// Asked by address and answered under another name, the block
-		// is checked by the ID its bytes already hashed to.
-		if blk.Name != name && blk.ID != name && isContentAddress(name) {
-			return &AddressMismatchError{Key: name, ID: blk.ID}
+		if len(resp) != end-start {
+			return nil, fmt.Errorf("transport: getblks returned %d entries for %d keys", len(resp), end-start)
 		}
-		got[name] = blk
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		blocks, flags, err := decodeBlocks(resp, refs)
+		if err != nil {
+			return nil, err
+		}
+		for i, name := range order[start:end] {
+			blk := blocks[i]
+			switch flags[i] {
+			case entryMissing:
+				continue
+			case entryDeferred:
+				// The block was too large to inline in the batch frame;
+				// fetch it on its own as a chunked stream, so oversized
+				// blocks neither bypass batching with ad-hoc single frames
+				// nor hit the frame wall. A not-found here (the block was
+				// deleted meanwhile) stays a partial result.
+				blk, err = c.getBlockStream(ctx, name)
+				if errors.Is(err, ErrNotFound) {
+					continue
+				}
+				if err != nil {
+					return nil, err
+				}
+			}
+			// Asked by address and answered under another name, the block
+			// is checked by the ID its bytes already hashed to.
+			if blk.Name != name && blk.ID != name && isContentAddress(name) {
+				return nil, &AddressMismatchError{Key: name, ID: blk.ID}
+			}
+			got[name] = blk
+		}
 	}
 
 	// Fill results aligned with the request; duplicate names share one
@@ -342,6 +352,69 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 		out[i] = got[name]
 	}
 	return out, nil
+}
+
+// getBlks sends one getblks frame: opGetBlksRefs, unless this
+// connection's server refused it before. A refusal (a plain opErr) is
+// retried as opGetBlks, and if that succeeds the server predates
+// back-references and the connection stops asking. refs reports whether
+// the response may hold back-reference entries.
+func (c *Client) getBlks(ctx context.Context, keys [][]byte) (resp [][]byte, refs bool, err error) {
+	if !c.plainGetBlks.Load() {
+		f, err := c.exchange(ctx, opGetBlksRefs, keys)
+		if err != nil {
+			return nil, false, err
+		}
+		if f.op != opErr {
+			resp, err := muxResponse(f)
+			return resp, true, err
+		}
+		if resp, err = c.roundTrip(ctx, opGetBlks, keys...); err == nil {
+			c.plainGetBlks.Store(true)
+		}
+		return resp, false, err
+	}
+	resp, err = c.roundTrip(ctx, opGetBlks, keys...)
+	return resp, false, err
+}
+
+// decodeBlocks rebuilds the blocks of one getblks response, aligned with
+// its entries. A found entry becomes a block named by the hash of its
+// payload; a back-reference (accepted only when refs is set) resolves to
+// the block an earlier found entry built — the same payload and address,
+// renamed when the reference carries a name; missing and deferred
+// entries leave nil. flags holds each entry's flag. A back-reference
+// that does not point back at a found entry fails the response.
+func decodeBlocks(resp [][]byte, refs bool) (blocks []*media.Block, flags []byte, err error) {
+	blocks = make([]*media.Block, len(resp))
+	flags = make([]byte, len(resp))
+	for i, part := range resp {
+		if refs && len(part) > 0 && part[0] == entryRef {
+			j, name, err := decodeRef(part)
+			if err != nil {
+				return nil, nil, err
+			}
+			if j >= i || flags[j] != entryFound {
+				return nil, nil, fmt.Errorf("transport: getblks entry %d refers to entry %d, not an earlier payload", i, j)
+			}
+			flags[i], blocks[i] = entryRef, blocks[j]
+			if len(name) > 0 {
+				blocks[i] = blocks[j].WithName(string(name))
+			}
+			continue
+		}
+		fields, flag, err := decodeEntry(part, 4)
+		if err != nil {
+			return nil, nil, err
+		}
+		flags[i] = flag
+		if flag == entryFound {
+			if blocks[i], err = blockFromParts(fields); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return blocks, flags, nil
 }
 
 // GetDescriptors fetches only the data descriptors (attribute lists) of

@@ -412,6 +412,107 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 	})
 }
 
+// seedBlksEntries captures opGetBlksRefs responses as v2 frames: the
+// back-reference fixture's real answers (found, missing, deferred and
+// back-reference entries, under a budget that defers and one that does
+// not), plus one response per back-reference the client must reject —
+// forward, to itself, out of range, to a missing and to a deferred
+// entry — and a truncated one.
+func seedBlksEntries(tb testing.TB) [][]byte {
+	tb.Helper()
+	store := media.NewStore()
+	a, c := randomBlock("a.vid", 300, 41), randomBlock("c.vid", 2000, 42)
+	store.Put(a)
+	store.Put(a.WithName("b.vid"))
+	store.Put(c)
+	twin := media.NewBlock("twin.vid", a.Medium, a.Payload, attr.List{})
+	srv := NewServer(twinBackend{NewRegistry(store), map[string]*media.Block{"twin.vid": twin}})
+	frameOf := func(parts ...[]byte) []byte {
+		var buf bytes.Buffer
+		if err := writeFrameV2(&buf, opOK, 1, parts...); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var seeds [][]byte
+	req := [][]byte{[]byte("a.vid"), []byte("ghost"), []byte("c.vid"), []byte("b.vid"), []byte(a.ID), []byte("twin.vid")}
+	old := batchBudget
+	for _, budget := range []int{old, 1000} {
+		batchBudget = budget
+		resp := srv.handle(frame{op: opGetBlksRefs, parts: req})
+		whole := make([][]byte, len(resp.parts))
+		for i, p := range resp.parts {
+			whole[i] = append(bytes.Clone(p), tailAt(resp.tails, i)...)
+		}
+		seeds = append(seeds, frameOf(whole...))
+	}
+	batchBudget = old
+	desc, err := a.DescriptorText()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	found := entryPart([]byte(a.Name), []byte(a.Medium.String()), desc, a.Payload)
+	missing, deferred := []byte{entryMissing}, []byte{entryDeferred}
+	seeds = append(seeds,
+		frameOf(encodeRef(1, ""), found),
+		frameOf(found, encodeRef(1, "")),
+		frameOf(found, encodeRef(7, "x.vid")),
+		frameOf(missing, encodeRef(0, "")),
+		frameOf(found, deferred, encodeRef(1, "")),
+		frameOf(found, []byte{entryRef, 0}),
+	)
+	return seeds
+}
+
+// FuzzGetBlksEntries decodes arbitrary opGetBlksRefs responses: the
+// client must resolve one, with every block named by the hash of bytes
+// that arrived in that response, or reject it without panicking. A
+// response it resolves holds no back-reference that points forward, at
+// itself, out of range, or at an entry that did not inline its bytes.
+func FuzzGetBlksEntries(f *testing.F) {
+	for _, seed := range seedBlksEntries(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frm, err := readFrameV2(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		blocks, flags, err := decodeBlocks(frm.parts, true)
+		if err != nil {
+			return
+		}
+		for i, part := range frm.parts {
+			blk := blocks[i]
+			switch flags[i] {
+			case entryMissing, entryDeferred:
+				if blk != nil {
+					t.Fatalf("entry %d: flag %d carries a block", i, flags[i])
+				}
+				continue
+			case entryRef:
+				j, _, err := decodeRef(part)
+				if err != nil || j >= i || flags[j] != entryFound {
+					t.Fatalf("entry %d resolved a back-reference to entry %d (flag %d, %v)", i, j, flags[j], err)
+				}
+				if blk.ID != blocks[j].ID || len(blk.Payload) > 0 && &blk.Payload[0] != &blocks[j].Payload[0] {
+					t.Fatalf("entry %d: back-reference resolved to a copy or to other bytes", i)
+				}
+				part = frm.parts[j]
+			case entryFound:
+			default:
+				t.Fatalf("entry %d: flag %d", i, flags[i])
+			}
+			if blk.ID != media.ContentAddress(blk.Medium, blk.Payload) {
+				t.Fatalf("entry %d: block %.12s is not the hash of its bytes", i, blk.ID)
+			}
+			if !bytes.HasSuffix(part, blk.Payload) {
+				t.Fatalf("entry %d: payload did not arrive in its entry", i)
+			}
+		}
+	})
+}
+
 // TestWriteFuzzSeedCorpus materializes the captured frames as corpus
 // files under testdata/fuzz when UPDATE_FUZZ_CORPUS=1, so the committed
 // corpus stays derivable from the transport tests' real traffic.

@@ -332,24 +332,33 @@ func (m *clientMux) recv(ctx context.Context, call *muxCall) (frameV2, error) {
 // exchange. Cancellation abandons only this request: the connection and
 // every other in-flight call on it stay healthy.
 func (c *Client) roundTrip(ctx context.Context, op byte, parts ...[]byte) ([][]byte, error) {
-	if err := ctx.Err(); err != nil {
+	f, err := c.exchange(ctx, op, parts)
+	if err != nil {
 		return nil, err
+	}
+	return muxResponse(f)
+}
+
+// exchange is roundTrip up to the response frame, whatever its op.
+func (c *Client) exchange(ctx context.Context, op byte, parts [][]byte) (frameV2, error) {
+	if err := ctx.Err(); err != nil {
+		return frameV2{}, err
 	}
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
 	m := c.mux
 	id, call, err := m.begin(ctx, op, parts)
 	if err != nil {
-		return nil, err
+		return frameV2{}, err
 	}
 	c.roundTrips.Add(1)
 	f, err := m.recv(ctx, call)
 	if err != nil {
 		m.abandon(id, call)
-		return nil, err
+		return frameV2{}, err
 	}
 	m.finish(id, call)
-	return muxResponse(f)
+	return f, nil
 }
 
 // muxResponse maps a terminal response frame to parts or a typed error.

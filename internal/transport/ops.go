@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -25,17 +26,18 @@ type opSpec struct {
 // multi-frame ops (opGetBlkStream, opSubscribe, opUnsubscribe) need the
 // connection and are dispatched by handleV2.
 var opTable = map[byte]opSpec{
-	opGetDoc:     {"getdoc", 3, 3, "[name, encoding, inline]", (*Server).getDoc},
-	opPutDoc:     {"putdoc", 3, 3, "[name, encoding, document]", (*Server).putDoc},
-	opSubmitEdit: {"submitedit", 2, 2, "[name, records]", (*Server).submitEdit},
-	opGetBlk:     {"getblk", 1, 1, "[name]", (*Server).getBlk},
-	opGetBlks:    {"getblks", 1, maxParts, "at least one name", (*Server).getBlks},
-	opGetDescs:   {"getdescs", 1, maxParts, "at least one name", (*Server).getDescs},
-	opPutBlk:     {"putblk", 4, 4, "[name, medium, descriptor, payload]", (*Server).putBlk},
-	opList:       {"list", 0, maxParts, "[] or [scope]", (*Server).list},
-	opGossip:     {"gossip", 0, 1, "[view]", peerOp("gossip", gossip)},
-	opReplicate:  {"replicate", 1, 1, "[frames]", peerOp("replicate", replicate)},
-	opResync:     {"resync", 1, 1, "[cursor]", peerOp("resync", resync)},
+	opGetDoc:      {"getdoc", 3, 3, "[name, encoding, inline]", (*Server).getDoc},
+	opPutDoc:      {"putdoc", 3, 3, "[name, encoding, document]", (*Server).putDoc},
+	opSubmitEdit:  {"submitedit", 2, 2, "[name, records]", (*Server).submitEdit},
+	opGetBlk:      {"getblk", 1, 1, "[name]", (*Server).getBlk},
+	opGetBlks:     {"getblks", 1, maxParts, "at least one name", (*Server).getBlks},
+	opGetBlksRefs: {"getblks", 1, maxParts, "at least one name", (*Server).getBlksRefs},
+	opGetDescs:    {"getdescs", 1, maxParts, "at least one name", (*Server).getDescs},
+	opPutBlk:      {"putblk", 4, 4, "[name, medium, descriptor, payload]", (*Server).putBlk},
+	opList:        {"list", 0, maxParts, "[] or [scope]", (*Server).list},
+	opGossip:      {"gossip", 0, 1, "[view]", peerOp("gossip", gossip)},
+	opReplicate:   {"replicate", 1, 1, "[frames]", peerOp("replicate", replicate)},
+	opResync:      {"resync", 1, 1, "[cursor]", peerOp("resync", resync)},
 }
 
 // handle executes one request, returning the response frame.
@@ -159,13 +161,29 @@ func (s *Server) getBlk(parts [][]byte) frame {
 	return okFrame(append(head, blk.Payload)...)
 }
 
-func (s *Server) getBlks(parts [][]byte) frame {
+func (s *Server) getBlks(parts [][]byte) frame { return s.batchBlocks(parts, false) }
+
+// getBlksRefs answers opGetBlksRefs: getblks, with each repeat of content
+// an earlier entry inlined sent as a back-reference to that entry.
+func (s *Server) getBlksRefs(parts [][]byte) frame { return s.batchBlocks(parts, true) }
+
+func (s *Server) batchBlocks(parts [][]byte, refs bool) frame {
 	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][]byte, len(parts))}
 	inlined := 0
+	var sent []int // with refs: the entries that inlined their block
+	var sentBlk []*media.Block
 	for i, p := range parts {
 		blk, ok := s.backend.GetBlock(string(p))
 		if !ok {
 			out.parts[i] = []byte{entryMissing}
+			continue
+		}
+		if j := repeatOf(blk, sentBlk); j >= 0 {
+			name := ""
+			if blk.Name != sentBlk[j].Name {
+				name = blk.Name
+			}
+			out.parts[i] = encodeRef(sent[j], name)
 			continue
 		}
 		// Defer blocks that would push the response past the frame
@@ -180,8 +198,32 @@ func (s *Server) getBlks(parts [][]byte) frame {
 		}
 		out.parts[i], out.tails[i] = encodeEntry(append(head, blk.Payload)...)
 		inlined += len(blk.Payload)
+		if refs {
+			sent, sentBlk = append(sent, i), append(sentBlk, blk)
+		}
 	}
 	return out
+}
+
+// repeatOf returns the index in sentBlk of a block blk can travel as a
+// back-reference to, or -1: the same block, or one with its content
+// address, medium and descriptor text under a name a reference can carry
+// (a block without an address, or an unnamed one, repeats only itself).
+func repeatOf(blk *media.Block, sentBlk []*media.Block) int {
+	for j, prev := range sentBlk {
+		if prev == blk {
+			return j
+		}
+		if blk.ID == "" || prev.ID != blk.ID || prev.Medium != blk.Medium || (blk.Name == "" && prev.Name != "") {
+			continue
+		}
+		a, errA := prev.DescriptorText()
+		b, errB := blk.DescriptorText()
+		if errA == nil && errB == nil && bytes.Equal(a, b) {
+			return j
+		}
+	}
+	return -1
 }
 
 func (s *Server) getDescs(parts [][]byte) frame {

@@ -81,7 +81,16 @@ const (
 	// [frames, nextCursor], where an empty nextCursor ends the walk.
 	opResync byte = 16
 	// Bytes 17 and 18 are retired (the chunk-dedupe fetch); never reuse them.
-	opOK byte = 128
+	//
+	// opGetBlksRefs is opGetBlks for a client that reads back-reference
+	// entries: the same request parts, and a response that may answer a
+	// name whose content an earlier entry of the same response inlined
+	// with an entryRef to that entry instead of a second payload. A
+	// server of an earlier release refuses it with a plain opErr; the
+	// client then falls back to opGetBlks for the rest of the connection.
+	// The server counts and times it as getblks.
+	opGetBlksRefs byte = 19
+	opOK          byte = 128
 	// opStreamHdr opens a streamed block response: parts are
 	// [name, medium, descriptor, payloadSize(u64)].
 	opStreamHdr byte = 129
@@ -168,10 +177,20 @@ var listScopeLocal = []byte("local")
 // fields follow, and flag=2 means the block exists but inlining it would
 // have pushed the response past maxFrameSize — the client re-fetches
 // deferred entries with single-item ops. Flags 0 and 2 carry no fields.
+//
+// flag=3, only in an opGetBlksRefs response, is a back-reference: the
+// block is the one an earlier found entry of the same response inlined
+// (same content address, medium and descriptor), so no payload follows:
+//
+//	u8 3 | u16 index | name
+//
+// index is the earlier entry's position in the response; name, when not
+// empty, is the block's name if it differs from that entry's.
 const (
 	entryMissing  byte = 0
 	entryFound    byte = 1
 	entryDeferred byte = 2
+	entryRef      byte = 3
 )
 
 // batchBudget caps the payload bytes a batched response inlines, leaving
@@ -200,6 +219,22 @@ func encodeEntry(fields ...[]byte) (head, tail []byte) {
 		}
 	}
 	return head, fields[last]
+}
+
+// encodeRef packs a back-reference to entry index, naming the block when
+// name is not empty.
+func encodeRef(index int, name string) []byte {
+	ref := binary.BigEndian.AppendUint16(make([]byte, 1, 3+len(name)), uint16(index))
+	ref[0] = entryRef
+	return append(ref, name...)
+}
+
+// decodeRef unpacks a back-reference entry.
+func decodeRef(part []byte) (index int, name []byte, err error) {
+	if len(part) < 3 || part[0] != entryRef {
+		return 0, nil, fmt.Errorf("transport: malformed back-reference entry")
+	}
+	return int(binary.BigEndian.Uint16(part[1:3])), part[3:], nil
 }
 
 // decodeEntry unpacks one batched-response part into exactly nFields

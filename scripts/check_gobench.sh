@@ -1,18 +1,42 @@
 #!/usr/bin/env bash
 # Paired go-benchmark comparison: PAIRS runs of the benchmarks matching
 # PATTERN in package PKG on BASE_REF (default HEAD^) and on this tree,
-# alternating which side runs first, one `-count 1` run per side per pair.
-# Each side's test binary is built once. Per benchmark case it prints the
-# median ns/op and B/op of both sides and in how many pairs this tree was
-# faster (ties count for neither side). It exits non-zero only when a run
-# fails; judging the figures is left to the reader.
+# alternating which side runs first. Each side runs `-count COUNT`
+# (default 1) at `-benchtime BENCHTIME` (default Go's 1s) per pair, so a
+# few-percent difference can be given more samples and longer ones. Each
+# side's test binary is built once. Per benchmark case it prints the
+# median ns/op and B/op of both sides over every sample, and in how many
+# pairs this tree's median was faster (ties count for neither side). It
+# exits non-zero only when a run fails; judging the figures is left to
+# the reader.
 #
-#   scripts/check_gobench.sh [PAIRS] [BASE_REF] PKG PATTERN
+#   scripts/check_gobench.sh [-count N] [-benchtime T] [PAIRS] [BASE_REF] PKG PATTERN
 #   scripts/check_gobench.sh 10 HEAD^ ./internal/sched 'Solve$|SolveCorpus'
+#   scripts/check_gobench.sh -count 3 -benchtime 2s 6 HEAD^ ./internal/durable 'Load$'
 set -euo pipefail
-if (($# < 2 || $# > 4)); then
-  echo "usage: $0 [PAIRS] [BASE_REF] PKG PATTERN" >&2
+usage() {
+  echo "usage: $0 [-count N] [-benchtime T] [PAIRS] [BASE_REF] PKG PATTERN" >&2
   exit 2
+}
+count=1
+benchtime=1s
+while (($# > 0)); do
+  case "$1" in
+  -count)
+    (($# >= 2)) && [[ "$2" =~ ^[1-9][0-9]*$ ]] || usage
+    count="$2"
+    shift 2
+    ;;
+  -benchtime)
+    (($# >= 2)) || usage
+    benchtime="$2"
+    shift 2
+    ;;
+  *) break ;;
+  esac
+done
+if (($# < 2 || $# > 4)); then
+  usage
 fi
 args=("$@")
 pkg="${args[$# - 2]}"
@@ -34,7 +58,7 @@ go test -c -o "$out/head.test" "$pkg"
 
 run() { # side tree
   (cd "$2/$pkg" && "$out/$1.test" -test.run '^$' -test.bench "$pattern" -test.benchmem \
-    -test.count 1 -test.timeout 30m) | awk -v pair="$i" '/^Benchmark/ {
+    -test.count "$count" -test.benchtime "$benchtime" -test.timeout 30m) | awk -v pair="$i" '/^Benchmark/ {
       ns = ""; b = ""
       for (f = 3; f < NF; f++) {
         if ($(f + 1) == "ns/op") ns = $f
@@ -68,7 +92,7 @@ awk '
     if (!(key in seen)) { seen[key] = 1; order[++cases] = key }
     ns[side, key] = ns[side, key] " " $3
     bytes[side, key] = bytes[side, key] " " $4
-    pns[side, key, $1] = $3
+    pns[side, key, $1] = pns[side, key, $1] " " $3
   }
   END {
     printf "%-48s %14s %14s %12s %12s %6s\n", "case", "base ns/op", "tree ns/op", "base B/op", "tree B/op", "wins"
@@ -77,7 +101,7 @@ awk '
       for (p = 1; (1, key, p) in pns; p++) {
         if ((2, key, p) in pns) {
           n++
-          if (pns[2, key, p] + 0 < pns[1, key, p] + 0) wins++
+          if (median(pns[2, key, p]) + 0 < median(pns[1, key, p]) + 0) wins++
         }
       }
       printf "%-48s %14s %14s %12s %12s %3d/%-3d\n", key, median(ns[1, key]), median(ns[2, key]),
