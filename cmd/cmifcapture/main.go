@@ -71,7 +71,9 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown medium %q", *medium))
 	}
-	store.Put(blk)
+	if _, err := store.Put(blk); err != nil {
+		fatal(err)
+	}
 	if err := cmif.SaveStoreDir(store, *dir); err != nil {
 		fatal(err)
 	}

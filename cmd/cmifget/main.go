@@ -4,13 +4,16 @@
 //
 //	cmifget [-addr 127.0.0.1:7911] [-timeout 10s] list
 //	cmifget [-addr ...] [-inline] [-binary] doc <name>
-//	cmifget [-addr ...] block <name>
+//	cmifget [-addr ...] block <name> [<name> ...]
 //
 // Flags go before the command: parsing stops at the first positional
 // argument. Every request is bounded by -timeout; a missing document or
 // block is reported distinctly from other failures. A document travels
 // in the binary encoding and is printed in the text form; -binary is
-// accepted for existing scripts and changes nothing.
+// accepted for existing scripts and changes nothing. The names of one
+// "block" command are fetched as one batch — a name may be a block's
+// content address, and may repeat — and their payloads are written to
+// stdout in the order named; nothing is written when one is missing.
 //
 // The address may point at any cmifd role — an origin, an edge proxy or
 // a cluster node — fetches go through the transport-neutral cmif.Fetcher
@@ -78,26 +81,31 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "cmifget: %d wire bytes received\n", c.BytesReceived())
 	case "block":
-		if flag.NArg() != 2 {
+		if flag.NArg() < 2 {
 			usage()
 		}
-		blocks, err := f.Blocks(ctx, []string{flag.Arg(1)})
+		names := flag.Args()[1:]
+		blocks, err := f.Blocks(ctx, names)
 		if err != nil {
 			fatal(err)
 		}
-		if len(blocks) == 0 || blocks[0] == nil {
-			fatal(fmt.Errorf("block %q: %w", flag.Arg(1), cmif.ErrNotFound))
+		for i, b := range blocks {
+			if b == nil {
+				fatal(fmt.Errorf("block %q: %w", names[i], cmif.ErrNotFound))
+			}
 		}
-		b := blocks[0]
-		fmt.Fprintf(os.Stderr, "cmifget: %s (%s, %d bytes)\n", b.Name, b.Medium, len(b.Payload))
-		os.Stdout.Write(b.Payload)
+		for _, b := range blocks {
+			fmt.Fprintf(os.Stderr, "cmifget: %s (%s, %d bytes)\n", b.Name, b.Medium, len(b.Payload))
+			os.Stdout.Write(b.Payload)
+		}
+		fmt.Fprintf(os.Stderr, "cmifget: %d wire bytes received\n", c.BytesReceived())
 	default:
 		usage()
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cmifget [-addr a] [-timeout d] [-inline] [-binary] (list | doc <name> | block <name>)")
+	fmt.Fprintln(os.Stderr, "usage: cmifget [-addr a] [-timeout d] [-inline] [-binary] (list | doc <name> | block <name>...)")
 	os.Exit(2)
 }
 

@@ -95,7 +95,9 @@ func PrefetchVia(ctx context.Context, f Fetcher, d *Document) (*Store, error) {
 		// Where the source resolved an alias (a re-pointed or duplicate
 		// name), register the block under the name the document uses, or
 		// the pipeline would see it as missing.
-		store.Put(b.WithName(names[i]))
+		if _, err := store.Put(b.WithName(names[i])); err != nil {
+			return nil, err
+		}
 	}
 	return store, nil
 }

@@ -87,24 +87,39 @@ func Split(data []byte, cfg Config) [][]byte {
 	}
 	mask := uint64(cfg.Avg - 1)
 	chunks := make([][]byte, 0, len(data)/cfg.Avg+1)
-	start := 0
-	var h uint64
-	for i, b := range data {
-		h = (h << 1) + gearTable[b]
-		n := i - start + 1
-		if n < cfg.Min {
-			continue
-		}
-		if h&mask == 0 || n >= cfg.Max {
-			chunks = append(chunks, data[start:i+1])
-			start = i + 1
-			h = 0
-		}
-	}
-	if start < len(data) {
-		chunks = append(chunks, data[start:])
+	for start := 0; start < len(data); {
+		n := chunkLen(data[start:], cfg.Min, cfg.Max, mask)
+		chunks = append(chunks, data[start:start+n])
+		start += n
 	}
 	return chunks
+}
+
+// chunkLen returns the length of the chunk data starts with: the first
+// length of at least lo whose last byte brings the gear hash to a
+// boundary (h&mask == 0), else hi, else all of data. The hash at a byte
+// depends only on the 64 bytes ending there — each byte's term shifts
+// out after 64 steps — so hashing starts 64 bytes before the first byte
+// a cut may follow, not at the chunk's start.
+func chunkLen(data []byte, lo, hi int, mask uint64) int {
+	if len(data) <= lo {
+		return len(data)
+	}
+	if len(data) > hi {
+		data = data[:hi]
+	}
+	var h uint64
+	i := max(0, lo-64)
+	for ; i < lo-1; i++ {
+		h = (h << 1) + gearTable[data[i]]
+	}
+	for ; i < len(data); i++ {
+		h = (h << 1) + gearTable[data[i]]
+		if h&mask == 0 {
+			return i + 1
+		}
+	}
+	return len(data)
 }
 
 // Sum returns a chunk's content address: its raw SHA-256. Chunks are

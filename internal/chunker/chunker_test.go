@@ -292,3 +292,53 @@ func FuzzChunker(f *testing.F) {
 		}
 	})
 }
+
+// splitReference is the gear chunker hashing every byte from each
+// chunk's start: the definition Split's 64-byte window must match.
+func splitReference(data []byte, cfg Config) [][]byte {
+	cfg = cfg.normalize()
+	mask := uint64(cfg.Avg - 1)
+	var chunks [][]byte
+	start := 0
+	var h uint64
+	for i, b := range data {
+		h = (h << 1) + gearTable[b]
+		n := i - start + 1
+		if n < cfg.Min {
+			continue
+		}
+		if h&mask == 0 || n >= cfg.Max {
+			chunks = append(chunks, data[start:i+1])
+			start = i + 1
+			h = 0
+		}
+	}
+	if start < len(data) {
+		chunks = append(chunks, data[start:])
+	}
+	return chunks
+}
+
+// TestSplitMatchesReference: hashing only the 64 bytes before each
+// possible cut cuts exactly where hashing every byte does, for the
+// default sizes and for floors below, at and above the window, on
+// random, constant and short data.
+func TestSplitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	random := make([]byte, 1<<20)
+	rng.Read(random)
+	inputs := [][]byte{random, make([]byte, 200<<10), random[:1], random[:63], random[:2049], random[:100<<10]}
+	for _, cfg := range []Config{{}, {Min: 16, Avg: 64, Max: 256}, {Min: 64, Avg: 128, Max: 512}, {Min: 65, Avg: 256, Max: 300}, {Min: 1, Avg: 2, Max: 4}} {
+		for _, data := range inputs {
+			got, want := Split(data, cfg), splitReference(data, cfg)
+			if len(got) != len(want) {
+				t.Fatalf("%+v, %d bytes: %d chunks, want %d", cfg, len(data), len(got), len(want))
+			}
+			for i := range want {
+				if len(got[i]) != len(want[i]) {
+					t.Fatalf("%+v, %d bytes: chunk %d is %d bytes, want %d", cfg, len(data), i, len(got[i]), len(want[i]))
+				}
+			}
+		}
+	}
+}

@@ -321,7 +321,10 @@ func (c *DiskCache) Put(servedName string, b *media.Block) {
 			// Chunk-manifest form: shared .cmc files plus a tiny CMEB2
 			// manifest. Chunks already on disk (another block's) are not
 			// rewritten — that sharing is the dedupe.
+			// The cache names chunk files by cuts it hashed itself; they
+			// become the block's memo if it holds none yet.
 			cuts := chunker.Cuts(b.Payload)
+			b.SetCuts(cuts)
 			hashes = make([]media.ChunkHash, len(cuts))
 			manifest := make([]byte, 0, len(cuts)*chunker.HashSize)
 			off := 0
@@ -495,8 +498,11 @@ func splitFields(rest []byte, n int) ([][]byte, error) {
 // must parse, and the payload must hash back to the content address the
 // file is named for. That one digest of (medium, payload) covers every
 // byte served, so chunks are not hashed again: a damaged chunk, manifest
-// or medium fails it. Anything else is an error — the caller drops the
-// entry (releasing its chunk references).
+// or medium fails it. A manifest's chunks become the block's cuts
+// (media.Block.SetCuts), so a response that spells the block from
+// chunks another entry carried does not cut it again. Anything else is
+// an error — the caller drops the entry (releasing its chunk
+// references).
 func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 	path := c.blockPath(wantID)
 	data, err := os.ReadFile(path)
@@ -515,6 +521,7 @@ func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 		return nil, fmt.Errorf("edge: cache file %s: %w", filepath.Base(path), err)
 	}
 	var payload []byte
+	var cuts []chunker.Cut
 	if magic == string(diskMagicV2) {
 		hashes, ok := parseManifest(fields[3])
 		if !ok {
@@ -534,12 +541,14 @@ func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 		}
 		c.mu.Unlock()
 		payload = make([]byte, total)
+		cuts = make([]chunker.Cut, len(hashes))
 		off := 0
 		for i, h := range hashes {
 			if err := readChunk(c.chunkPath(h), payload[off:off+sizes[i]]); err != nil {
 				return nil, fmt.Errorf("edge: cache file %s: chunk: %w", filepath.Base(path), err)
 			}
 			off += sizes[i]
+			cuts[i] = chunker.Cut{Hash: h, Len: sizes[i]}
 		}
 	} else {
 		// The file buffer is private to this read; the block keeps it.
@@ -557,6 +566,7 @@ func (c *DiskCache) readBlock(wantID string) (*media.Block, error) {
 	if blk.ID != wantID {
 		return nil, fmt.Errorf("edge: cache file %s: payload hash mismatch", filepath.Base(path))
 	}
+	blk.SetCuts(cuts)
 	return blk, nil
 }
 

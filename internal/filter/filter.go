@@ -375,7 +375,9 @@ func Apply(fm *FilterMap, store *media.Store) (*media.Store, error) {
 				return nil, fmt.Errorf("filter: applying %v to %q: %w", tr, dec.File, err)
 			}
 		}
-		out.PutDerived(b.WithName(dec.File))
+		if _, err := out.PutDerived(b.WithName(dec.File)); err != nil {
+			return nil, fmt.Errorf("filter: %w", err)
+		}
 	}
 	return out, nil
 }

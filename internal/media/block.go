@@ -21,9 +21,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/attr"
+	"repro/internal/chunker"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/units"
@@ -68,6 +70,10 @@ type Block struct {
 	descOnce sync.Once
 	descText []byte
 	descErr  error
+
+	// cuts is Cuts' memo: nil until the first call, or until SetCuts
+	// hands over cuts the caller already holds.
+	cuts atomic.Pointer[[]chunker.Cut]
 }
 
 // Standard descriptor attribute names.
@@ -98,6 +104,22 @@ const (
 	// DescLang is a language tag for text blocks.
 	DescLang = "lang"
 )
+
+// IsContentAddress reports whether s has the form ContentAddress
+// returns: 64 lowercase hex digits. A name of that form names only the
+// block with that address (Store.Put refuses any other), so a fetch by
+// such a key is answered by bytes that hash to it or not at all.
+func IsContentAddress(s string) bool {
+	if len(s) != 64 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
 
 // ContentAddress returns the content address a block with this medium and
 // payload would carry — what NewBlock fills into ID. The durability layer
@@ -265,9 +287,48 @@ func (b *Block) WithName(name string) *Block {
 	if b.Name == name {
 		return b
 	}
-	return &Block{ID: b.ID, Name: name, Medium: b.Medium, Payload: b.Payload, Descriptor: b.Descriptor,
+	nb := &Block{ID: b.ID, Name: name, Medium: b.Medium, Payload: b.Payload, Descriptor: b.Descriptor,
 		derivation: b.derivation}
+	nb.cuts.Store(b.cuts.Load())
+	return nb
 }
+
+// Cuts returns the payload's content-defined chunks (chunker.Cuts),
+// computed on the first call and kept, so a block is cut at most once
+// however many responses carry it; callers must not modify the slice.
+// Cuts are an index into the payload, never an address: whoever reuses
+// bytes found by a cut's hash compares the bytes first, and nothing
+// names a file or a record by a cut it did not hash itself.
+func (b *Block) Cuts() []chunker.Cut {
+	if p := b.cuts.Load(); p != nil {
+		return *p
+	}
+	cuts := chunker.Cuts(b.Payload)
+	b.cuts.CompareAndSwap(nil, &cuts)
+	return *b.cuts.Load()
+}
+
+// SetCuts hands Cuts cuts the caller already holds for the payload — a
+// chunk manifest it read the payload back from — so the block is not
+// cut again. They are kept only when no memo exists yet and their
+// lengths tile the payload exactly. Their hashes are not checked: a
+// wrong one costs a reader of the index a missed match, never bytes.
+func (b *Block) SetCuts(cuts []chunker.Cut) {
+	total := 0
+	for _, c := range cuts {
+		if c.Len <= 0 {
+			return
+		}
+		total += c.Len
+	}
+	if total == len(b.Payload) && len(cuts) > 0 {
+		b.cuts.CompareAndSwap(nil, &cuts)
+	}
+}
+
+// CutsKept reports whether the block holds its cuts, without computing
+// them: tests use it to prove a path cut nothing.
+func (b *Block) CutsKept() bool { return b.cuts.Load() != nil }
 
 // DescriptorText returns EncodeDescriptor(b.Descriptor), encoded on the
 // first call and kept: every later call, from any goroutine, returns the

@@ -37,8 +37,8 @@ func TestDerivedBlocksAreNotNamedByContent(t *testing.T) {
 
 	s := NewStore()
 	again, _ := Quantize(src, 4)
-	k1 := s.PutDerived(q.WithName("a.img"))
-	k2 := s.PutDerived(again.WithName("b.img"))
+	k1, _ := s.PutDerived(q.WithName("a.img"))
+	k2, _ := s.PutDerived(again.WithName("b.img"))
 	if k1 != k2 || s.Len() != 1 || s.TotalBytes() != int64(len(q.Payload)) {
 		t.Errorf("two names derived alike: keys %q and %q, %d entries of %d bytes; want one", k1, k2, s.Len(), s.TotalBytes())
 	}
@@ -51,14 +51,14 @@ func TestDerivedBlocksAreNotNamedByContent(t *testing.T) {
 	if b, ok := s.GetByName("b.img"); !ok || !bytes.Equal(b.Payload, q.Payload) || b.ID != "" {
 		t.Error("the derived block is not served under its name as it was put")
 	}
-	if kept := s.PutDerived(src); kept != src.ID {
+	if kept, _ := s.PutDerived(src); kept != src.ID {
 		t.Errorf("PutDerived of an addressed block kept it under %q, want its ID", kept)
 	}
 
-	for _, put := range []func(*Store, *Block) string{(*Store).Put, (*Store).PutDerived} {
+	for _, put := range []func(*Store, *Block) (string, error){(*Store).Put, (*Store).PutDerived} {
 		s, j := NewStore(), &idJournal{}
 		s.SetJournal(j)
-		if id := put(s, q); id != addr || len(j.ids) != 1 || j.ids[0] != addr {
+		if id, _ := put(s, q); id != addr || len(j.ids) != 1 || j.ids[0] != addr {
 			t.Errorf("journaled put of a derived block: key %.12s, journaled %v; want its address", id, j.ids)
 		}
 		if b, ok := s.Get(addr); !ok || b.ID != addr || !bytes.Equal(b.Payload, q.Payload) {

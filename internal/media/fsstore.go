@@ -115,7 +115,9 @@ func LoadDir(dir string) (*Store, error) {
 			return nil, fmt.Errorf("media: block %q content address mismatch (%s != %s)",
 				name, b.ID[:12], id[:12])
 		}
-		s.Put(b)
+		if _, err := s.Put(b); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }

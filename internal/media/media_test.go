@@ -314,8 +314,8 @@ func TestApplyRegion(t *testing.T) {
 func TestStoreBasics(t *testing.T) {
 	s := NewStore()
 	b := CaptureText("label.txt", "Story 3. Paintings", "en")
-	id := s.Put(b)
-	if id != b.ID {
+	id, err := s.Put(b)
+	if err != nil || id != b.ID {
 		t.Error("Put returned wrong id")
 	}
 	got, ok := s.Get(id)

@@ -99,12 +99,39 @@ func NewStore() *Store {
 // identical content is idempotent; re-using a name for different content
 // re-points the name. Put reads the payload only of a derived block,
 // which carries no address: it keeps a shallow copy named by the hash of
-// its bytes instead (PutDerived does not hash).
-func (s *Store) Put(b *Block) string {
+// its bytes instead (PutDerived does not hash). A name in content-address
+// form that is not the block's own address is refused with an
+// *AddressNameError, and nothing is stored.
+func (s *Store) Put(b *Block) (string, error) {
 	if b.ID == "" {
 		b = &Block{ID: b.Address(), Name: b.Name, Medium: b.Medium, Payload: b.Payload, Descriptor: b.Descriptor}
 	}
-	return s.PutReplayed(b, true)
+	if err := checkName(b.Name, b.ID); err != nil {
+		return "", err
+	}
+	return s.PutReplayed(b, true), nil
+}
+
+// AddressNameError reports a name in content-address form
+// (IsContentAddress) offered for a block with another address. A store
+// that registered it would answer a fetch by that address with other
+// bytes, so it refuses: an address names only its own content.
+type AddressNameError struct {
+	Name string // the address-shaped name
+	ID   string // the content address of the block it was offered for
+}
+
+func (e *AddressNameError) Error() string {
+	return fmt.Sprintf("media: name %s has the form of a content address but names block %s", e.Name, e.ID)
+}
+
+// checkName refuses name for the block at id when it has the form of
+// another content address.
+func checkName(name, id string) error {
+	if name != id && IsContentAddress(name) {
+		return &AddressNameError{Name: name, ID: id}
+	}
+	return nil
 }
 
 // PutDerived inserts a block as Put does but never hashes it: a derived
@@ -113,12 +140,13 @@ func (s *Store) Put(b *Block) string {
 // address never reaches it. Two names derived the same way from one
 // source share one entry, as equal content does under Put. It returns
 // the key. Any other block, or any block put into a journaled store,
-// takes Put's path.
-func (s *Store) PutDerived(b *Block) string {
+// takes Put's path. A derived block is registered under whatever name a
+// document gave its source: no fetch by address reaches a derived store.
+func (s *Store) PutDerived(b *Block) (string, error) {
 	if b.derivation == "" || s.journal != nil {
 		return s.Put(b)
 	}
-	return s.put(b.derivation, b, true)
+	return s.put(b.derivation, b, true), nil
 }
 
 // PutReplayed is Put for WAL and snapshot replay: register says whether
@@ -179,6 +207,8 @@ func (s *Store) put(key string, b *Block, register bool) string {
 
 // RegisterName points name at an already-stored block's content address.
 // It reports false when no block with that id exists (or name is empty).
+// It replays what a journal or a replica recorded and judges no name:
+// Put is where a name enters a store.
 func (s *Store) RegisterName(name, id string) bool {
 	if name == "" {
 		return false

@@ -62,7 +62,7 @@ func TestStoreConcurrentHammer(t *testing.T) {
 					// workers and make their deletes race each other)
 					b := CaptureText(fmt.Sprintf("tmp-w%d-%04d.txt", w, i),
 						fmt.Sprintf("tmp w%d i%d", w, i), "en")
-					id := s.Put(b)
+					id, _ := s.Put(b)
 					if !s.Delete(id) {
 						t.Errorf("Delete(%q) = false for fresh block", id[:12])
 						return

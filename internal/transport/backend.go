@@ -96,7 +96,11 @@ func (r *Registry) GetBlock(name string) (*media.Block, bool) {
 
 // StoreBlock puts the block into the store.
 func (r *Registry) StoreBlock(b *media.Block) (string, error) {
-	return r.Store.Put(b), r.durability()
+	id, err := r.Store.Put(b)
+	if err != nil {
+		return "", err
+	}
+	return id, r.durability()
 }
 
 // ListDocs lists the registered documents; a registry has nothing but

@@ -195,10 +195,10 @@ func TestEarlierClientGetsFullPayloads(t *testing.T) {
 }
 
 // TestGetBlocksFallsBackOnRefusal: against a server that refuses
-// opGetBlksRefs with a plain opErr, as one of an earlier release does,
-// the client retries the frame as opGetBlks, fetches the same blocks,
-// and asks with opGetBlks alone for the rest of the connection. A
-// failure both ops share leaves references on.
+// opGetBlksChunked and opGetBlksRefs with a plain opErr, as one of an
+// earlier release does, the client retries the frame as opGetBlks,
+// fetches the same blocks, and asks with opGetBlks alone for the rest of
+// the connection. A failure both ops share leaves references on.
 func TestGetBlocksFallsBackOnRefusal(t *testing.T) {
 	be, a, c := backrefFixture(t)
 	bad := media.NewBlock("bad.vid", core.MediumVideo, []byte("x"), descOf("seq", attr.Number(1)))
@@ -226,9 +226,11 @@ func TestGetBlocksFallsBackOnRefusal(t *testing.T) {
 		t.Error("a failure opGetBlks shares turned references off")
 	}
 
-	spec := opTable[opGetBlksRefs]
-	delete(opTable, opGetBlksRefs)
-	t.Cleanup(func() { opTable[opGetBlksRefs] = spec })
+	for _, op := range []byte{opGetBlksRefs, opGetBlksChunked} {
+		spec := opTable[op]
+		delete(opTable, op)
+		t.Cleanup(func() { opTable[op] = spec })
+	}
 	old, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -41,8 +41,8 @@ type Client struct {
 	wantCompress bool
 	compress     bool
 
-	// plainGetBlks is set once the server refused opGetBlksRefs and
-	// answered opGetBlks: it predates back-references.
+	// plainGetBlks is set once the server refused opGetBlksChunked and
+	// answered opGetBlks: it predates chunked entries.
 	plainGetBlks atomic.Bool
 
 	// mux carries every exchange after the hello.
@@ -287,9 +287,9 @@ func (c *Client) fetchBatched(ctx context.Context, op byte, keys [][]byte, nFiel
 // result, not an error). Duplicate names are fetched once. The unique
 // names travel up to maxBatch per getblks frame, and an entry the server
 // deferred as too large for the frame is fetched on its own as a chunked
-// stream. A key in content-address form answered by a block carrying
-// neither that name nor that address fails the call with an
-// *AddressMismatchError.
+// stream. A key in content-address form (media.IsContentAddress) is
+// answered only by a block with that address: any other fails the call
+// with an *AddressMismatchError, whatever name the block came back under.
 func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block, error) {
 	got := make(map[string]*media.Block, len(names))
 	var order []string // unique names, in request order
@@ -336,9 +336,10 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 					return nil, err
 				}
 			}
-			// Asked by address and answered under another name, the block
-			// is checked by the ID its bytes already hashed to.
-			if blk.Name != name && blk.ID != name && isContentAddress(name) {
+			// Asked by address, the block is checked by the ID its bytes
+			// already hashed to, whatever name it came back under: an
+			// honest store puts no address-shaped name but a block's own.
+			if blk.ID != name && media.IsContentAddress(name) {
 				return nil, &AddressMismatchError{Key: name, ID: blk.ID}
 			}
 			got[name] = blk
@@ -354,14 +355,14 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 	return out, nil
 }
 
-// getBlks sends one getblks frame: opGetBlksRefs, unless this
+// getBlks sends one getblks frame: opGetBlksChunked, unless this
 // connection's server refused it before. A refusal (a plain opErr) is
 // retried as opGetBlks, and if that succeeds the server predates
-// back-references and the connection stops asking. refs reports whether
-// the response may hold back-reference entries.
+// chunked entries and the connection stops asking. refs reports whether
+// the response may hold back-reference and chunked entries.
 func (c *Client) getBlks(ctx context.Context, keys [][]byte) (resp [][]byte, refs bool, err error) {
 	if !c.plainGetBlks.Load() {
-		f, err := c.exchange(ctx, opGetBlksRefs, keys)
+		f, err := c.exchange(ctx, opGetBlksChunked, keys)
 		if err != nil {
 			return nil, false, err
 		}
@@ -380,21 +381,59 @@ func (c *Client) getBlks(ctx context.Context, keys [][]byte) (resp [][]byte, ref
 
 // decodeBlocks rebuilds the blocks of one getblks response, aligned with
 // its entries. A found entry becomes a block named by the hash of its
-// payload; a back-reference (accepted only when refs is set) resolves to
-// the block an earlier found entry built — the same payload and address,
-// renamed when the reference carries a name; missing and deferred
-// entries leave nil. flags holds each entry's flag. A back-reference
-// that does not point back at a found entry fails the response.
+// payload. When refs is set, two more kinds are accepted: a
+// back-reference resolves to the block an earlier found or chunked
+// entry built — the same payload and address, renamed when the
+// reference carries a name — and a chunked entry becomes a block named
+// by the hash of the payload its segments spell from its own bytes and
+// earlier found or chunked entries' payloads. Missing and deferred
+// entries leave nil. flags holds each entry's flag. A reference or copy
+// that does not point back at such an entry, a copy past its source's
+// end, or chunked payloads adding up to more than maxFrameSize fail the
+// response.
 func decodeBlocks(resp [][]byte, refs bool) (blocks []*media.Block, flags []byte, err error) {
 	blocks = make([]*media.Block, len(resp))
 	flags = make([]byte, len(resp))
+	carried := func(i, j int) bool { // entry j carried a payload entry i may reuse
+		return j < i && (flags[j] == entryFound || flags[j] == entryChunked)
+	}
+	assembled := 0 // payload bytes chunked entries spelled so far
 	for i, part := range resp {
+		if refs && len(part) > 0 && part[0] == entryChunked {
+			fields, size, segs, err := decodeChunked(part)
+			if err != nil {
+				return nil, nil, err
+			}
+			if assembled += size; assembled > maxFrameSize {
+				return nil, nil, fmt.Errorf("transport: getblks chunked entries spell more than %d bytes", maxFrameSize)
+			}
+			payload := make([]byte, 0, size)
+			for _, sg := range segs {
+				if sg.entry < 0 { // a literal, inside the part by decodeChunked
+					payload = append(payload, part[sg.off:sg.off+sg.n]...)
+					continue
+				}
+				if !carried(i, sg.entry) {
+					return nil, nil, fmt.Errorf("transport: getblks entry %d copies entry %d, not an earlier payload", i, sg.entry)
+				}
+				src := blocks[sg.entry].Payload
+				if sg.off > len(src) || sg.n > len(src)-sg.off {
+					return nil, nil, fmt.Errorf("transport: getblks entry %d copies past the end of entry %d", i, sg.entry)
+				}
+				payload = append(payload, src[sg.off:sg.off+sg.n]...)
+			}
+			flags[i] = entryChunked
+			if blocks[i], err = blockFromParts(append(fields, payload)); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
 		if refs && len(part) > 0 && part[0] == entryRef {
 			j, name, err := decodeRef(part)
 			if err != nil {
 				return nil, nil, err
 			}
-			if j >= i || flags[j] != entryFound {
+			if !carried(i, j) {
 				return nil, nil, fmt.Errorf("transport: getblks entry %d refers to entry %d, not an earlier payload", i, j)
 			}
 			flags[i], blocks[i] = entryRef, blocks[j]
@@ -546,20 +585,6 @@ func (e *AddressMismatchError) Error() string {
 }
 
 func (e *AddressMismatchError) Unwrap() error { return ErrRemote }
-
-// isContentAddress reports whether key has the form media.ContentAddress
-// returns: 64 lowercase hex digits.
-func isContentAddress(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
 
 // ErrUnsupported reports that the server does not speak protoVersion:
 // Dial fails with it when the hello is refused or answered with another

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/attr"
@@ -464,13 +465,54 @@ func seedBlksEntries(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzGetBlksEntries decodes arbitrary opGetBlksRefs responses: the
+// seedChunkedEntries returns opGetBlksChunked response frames: a real
+// one — a block whole, a near-duplicate and a near-duplicate of that as
+// chunked entries, a repeat as a back-reference to a chunked entry — and
+// one for each fault of badChunkedResponses.
+func seedChunkedEntries(tb testing.TB) [][]byte {
+	tb.Helper()
+	a := randomBlock("a.vid", 12<<10, 46) // three chunks
+	b := edited("b.vid", a, 12<<10-100)
+	c := edited("c.vid", b, 0)
+	store := media.NewStore()
+	for _, blk := range []*media.Block{a, b, c, b.WithName("b2.vid")} {
+		store.Put(blk)
+	}
+	resp := NewServer(NewRegistry(store)).handle(frame{op: opGetBlksChunked,
+		parts: keysOf("a.vid", "ghost", "b.vid", "c.vid", "b2.vid")})
+	whole := wholeParts(resp)
+	if whole[2][0] != entryChunked || whole[3][0] != entryChunked {
+		tb.Fatal("the seed's near-duplicates did not travel chunked")
+	}
+	frameOf := func(parts ...[]byte) []byte {
+		var buf bytes.Buffer
+		if err := writeFrameV2(&buf, opOK, 1, parts...); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	seeds := [][]byte{frameOf(whole...)}
+	bad := badChunkedResponses(foundEntry())
+	names := make([]string, 0, len(bad))
+	for name := range bad {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		seeds = append(seeds, frameOf(bad[name]...))
+	}
+	return seeds
+}
+
+// FuzzGetBlksEntries decodes arbitrary opGetBlksChunked responses: the
 // client must resolve one, with every block named by the hash of bytes
 // that arrived in that response, or reject it without panicking. A
-// response it resolves holds no back-reference that points forward, at
-// itself, out of range, or at an entry that did not inline its bytes.
+// response it resolves holds no back-reference or copy that points
+// forward, at itself, out of range, or at an entry that did not carry
+// its bytes, and each chunked entry's payload is its literal bytes and
+// copies, in order.
 func FuzzGetBlksEntries(f *testing.F) {
-	for _, seed := range seedBlksEntries(f) {
+	for _, seed := range append(seedBlksEntries(f), seedChunkedEntries(f)...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -482,6 +524,9 @@ func FuzzGetBlksEntries(f *testing.F) {
 		if err != nil {
 			return
 		}
+		carried := func(i, j int) bool {
+			return j < i && (flags[j] == entryFound || flags[j] == entryChunked)
+		}
 		for i, part := range frm.parts {
 			blk := blocks[i]
 			switch flags[i] {
@@ -491,23 +536,42 @@ func FuzzGetBlksEntries(f *testing.F) {
 				}
 				continue
 			case entryRef:
+				// Entry j's own check covers the bytes.
 				j, _, err := decodeRef(part)
-				if err != nil || j >= i || flags[j] != entryFound {
-					t.Fatalf("entry %d resolved a back-reference to entry %d (flag %d, %v)", i, j, flags[j], err)
+				if err != nil || !carried(i, j) {
+					t.Fatalf("entry %d resolved a back-reference to entry %d (%v)", i, j, err)
 				}
 				if blk.ID != blocks[j].ID || len(blk.Payload) > 0 && &blk.Payload[0] != &blocks[j].Payload[0] {
 					t.Fatalf("entry %d: back-reference resolved to a copy or to other bytes", i)
 				}
-				part = frm.parts[j]
 			case entryFound:
+				if !bytes.HasSuffix(part, blk.Payload) {
+					t.Fatalf("entry %d: payload did not arrive in its entry", i)
+				}
+			case entryChunked:
+				_, _, segs, err := decodeChunked(part)
+				if err != nil {
+					t.Fatalf("entry %d: resolved an undecodable chunked entry: %v", i, err)
+				}
+				var spelled []byte
+				for _, sg := range segs {
+					src := part
+					if sg.entry >= 0 {
+						if !carried(i, sg.entry) {
+							t.Fatalf("entry %d resolved a copy of entry %d", i, sg.entry)
+						}
+						src = blocks[sg.entry].Payload
+					}
+					spelled = append(spelled, src[sg.off:sg.off+sg.n]...)
+				}
+				if !bytes.Equal(spelled, blk.Payload) {
+					t.Fatalf("entry %d: payload is not its segments' bytes", i)
+				}
 			default:
 				t.Fatalf("entry %d: flag %d", i, flags[i])
 			}
 			if blk.ID != media.ContentAddress(blk.Medium, blk.Payload) {
 				t.Fatalf("entry %d: block %.12s is not the hash of its bytes", i, blk.ID)
-			}
-			if !bytes.HasSuffix(part, blk.Payload) {
-				t.Fatalf("entry %d: payload did not arrive in its entry", i)
 			}
 		}
 	})
@@ -537,4 +601,5 @@ func TestWriteFuzzSeedCorpus(t *testing.T) {
 	write("FuzzReassembleChunks", seedStreams(t))
 	write("FuzzDecodeChangeFrame", seedChangeFrames(t))
 	write("FuzzDecodeCompressedFrame", seedCompressedFrames(t))
+	write("FuzzGetBlksEntries", append(seedBlksEntries(t), seedChunkedEntries(t)...))
 }

@@ -104,7 +104,10 @@ func Extract(doc *core.Document, store *media.Store) (*core.Document, error) {
 			}
 		}
 		blk := media.NewBlock(name, medium, n.Data, desc)
-		store.Put(blk)
+		if _, err = store.Put(blk); err != nil {
+			err = fmt.Errorf("transport: %s: %w", n.PathString(), err)
+			return false
+		}
 		n.Type = core.Ext
 		n.Data = nil
 		n.Attrs.Set("file", attr.String(name))

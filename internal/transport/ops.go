@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/chunker"
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/media"
@@ -26,18 +27,19 @@ type opSpec struct {
 // multi-frame ops (opGetBlkStream, opSubscribe, opUnsubscribe) need the
 // connection and are dispatched by handleV2.
 var opTable = map[byte]opSpec{
-	opGetDoc:      {"getdoc", 3, 3, "[name, encoding, inline]", (*Server).getDoc},
-	opPutDoc:      {"putdoc", 3, 3, "[name, encoding, document]", (*Server).putDoc},
-	opSubmitEdit:  {"submitedit", 2, 2, "[name, records]", (*Server).submitEdit},
-	opGetBlk:      {"getblk", 1, 1, "[name]", (*Server).getBlk},
-	opGetBlks:     {"getblks", 1, maxParts, "at least one name", (*Server).getBlks},
-	opGetBlksRefs: {"getblks", 1, maxParts, "at least one name", (*Server).getBlksRefs},
-	opGetDescs:    {"getdescs", 1, maxParts, "at least one name", (*Server).getDescs},
-	opPutBlk:      {"putblk", 4, 4, "[name, medium, descriptor, payload]", (*Server).putBlk},
-	opList:        {"list", 0, maxParts, "[] or [scope]", (*Server).list},
-	opGossip:      {"gossip", 0, 1, "[view]", peerOp("gossip", gossip)},
-	opReplicate:   {"replicate", 1, 1, "[frames]", peerOp("replicate", replicate)},
-	opResync:      {"resync", 1, 1, "[cursor]", peerOp("resync", resync)},
+	opGetDoc:         {"getdoc", 3, 3, "[name, encoding, inline]", (*Server).getDoc},
+	opPutDoc:         {"putdoc", 3, 3, "[name, encoding, document]", (*Server).putDoc},
+	opSubmitEdit:     {"submitedit", 2, 2, "[name, records]", (*Server).submitEdit},
+	opGetBlk:         {"getblk", 1, 1, "[name]", (*Server).getBlk},
+	opGetBlks:        {"getblks", 1, maxParts, "at least one name", (*Server).getBlks},
+	opGetBlksRefs:    {"getblks", 1, maxParts, "at least one name", (*Server).getBlksRefs},
+	opGetBlksChunked: {"getblks", 1, maxParts, "at least one name", (*Server).getBlksChunked},
+	opGetDescs:       {"getdescs", 1, maxParts, "at least one name", (*Server).getDescs},
+	opPutBlk:         {"putblk", 4, 4, "[name, medium, descriptor, payload]", (*Server).putBlk},
+	opList:           {"list", 0, maxParts, "[] or [scope]", (*Server).list},
+	opGossip:         {"gossip", 0, 1, "[view]", peerOp("gossip", gossip)},
+	opReplicate:      {"replicate", 1, 1, "[frames]", peerOp("replicate", replicate)},
+	opResync:         {"resync", 1, 1, "[cursor]", peerOp("resync", resync)},
 }
 
 // handle executes one request, returning the response frame.
@@ -161,14 +163,26 @@ func (s *Server) getBlk(parts [][]byte) frame {
 	return okFrame(append(head, blk.Payload)...)
 }
 
-func (s *Server) getBlks(parts [][]byte) frame { return s.batchBlocks(parts, false) }
+func (s *Server) getBlks(parts [][]byte) frame { return s.batchBlocks(parts, opGetBlks) }
 
 // getBlksRefs answers opGetBlksRefs: getblks, with each repeat of content
 // an earlier entry inlined sent as a back-reference to that entry.
-func (s *Server) getBlksRefs(parts [][]byte) frame { return s.batchBlocks(parts, true) }
+func (s *Server) getBlksRefs(parts [][]byte) frame { return s.batchBlocks(parts, opGetBlksRefs) }
 
-func (s *Server) batchBlocks(parts [][]byte, refs bool) frame {
-	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][]byte, len(parts))}
+// getBlksChunked answers opGetBlksChunked: getblksrefs, with each block
+// that repeats chunks an earlier entry inlined sent as a chunked entry
+// copying them.
+func (s *Server) getBlksChunked(parts [][]byte) frame { return s.batchBlocks(parts, opGetBlksChunked) }
+
+// batchBlocks answers the three getblks ops; op says which entry kinds
+// the response may use.
+func (s *Server) batchBlocks(parts [][]byte, op byte) frame {
+	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][][]byte, len(parts))}
+	refs := op != opGetBlks
+	var chunks *chunkIndex
+	if op == opGetBlksChunked {
+		chunks = &chunkIndex{}
+	}
 	inlined := 0
 	var sent []int // with refs: the entries that inlined their block
 	var sentBlk []*media.Block
@@ -196,7 +210,11 @@ func (s *Server) batchBlocks(parts [][]byte, refs bool) frame {
 		if err != nil {
 			return fail("getblks: %v", err)
 		}
-		out.parts[i], out.tails[i] = encodeEntry(append(head, blk.Payload)...)
+		if segs := chunks.segments(i, blk); segs != nil {
+			out.parts[i], out.tails[i] = encodeChunked(head, blk.Payload, segs)
+		} else {
+			out.parts[i], out.tails[i] = oneTail(encodeEntry(append(head, blk.Payload)...))
+		}
 		inlined += len(blk.Payload)
 		if refs {
 			sent, sentBlk = append(sent, i), append(sentBlk, blk)
@@ -226,8 +244,91 @@ func repeatOf(blk *media.Block, sentBlk []*media.Block) int {
 	return -1
 }
 
+// chunkIndex finds, for each chunkable block (media.ChunkThreshold) a
+// response inlines, the chunks an earlier entry of that response
+// already carried. The first chunkable block is only remembered: it is
+// cut when a second one arrives, so a response inlining at most one
+// cuts nothing. Cuts come from the block's own memo (media.Block.Cuts)
+// and serve as an index only: a copy is sent only for bytes that
+// compare equal.
+type chunkIndex struct {
+	first   *media.Block // the first chunkable block, until a second arrives
+	firstAt int
+	at      map[media.ChunkHash]chunkAt // each indexed chunk's first carrier
+}
+
+// chunkAt is where an indexed chunk's bytes travel: at off in the
+// payload of entry.
+type chunkAt struct {
+	entry, off int
+	payload    []byte
+}
+
+// minCopied is the share of a block copies must cover for it to travel
+// chunked. Its reader assembles a chunked block into a second buffer of
+// the block's size, which a block copying less saves too little wire to
+// pay for.
+const minCopied = 4 // a quarter
+
+// segments returns the segments spelling blk, inlined by entry i, when
+// copies of earlier entries' chunks cover at least 1/minCopied of it;
+// nil means blk travels as a found entry. A nil index (an op without
+// chunked entries) says nil.
+func (x *chunkIndex) segments(i int, blk *media.Block) []segment {
+	if x == nil || len(blk.Payload) < media.ChunkThreshold {
+		return nil
+	}
+	if x.at == nil {
+		if x.first == nil {
+			x.first, x.firstAt = blk, i
+			return nil
+		}
+		x.at = make(map[media.ChunkHash]chunkAt)
+		x.index(x.firstAt, x.first.Payload, x.first.Cuts())
+	}
+	cuts := blk.Cuts()
+	var segs []segment
+	copied, off := 0, 0
+	for _, c := range cuts {
+		chunk := blk.Payload[off : off+c.Len]
+		src, ok := x.at[c.Hash]
+		last := len(segs) - 1
+		switch {
+		case ok && src.off+c.Len <= len(src.payload) && bytes.Equal(src.payload[src.off:src.off+c.Len], chunk):
+			copied += c.Len
+			if last >= 0 && segs[last].entry == src.entry && segs[last].off+segs[last].n == src.off {
+				segs[last].n += c.Len
+			} else {
+				segs = append(segs, segment{entry: src.entry, off: src.off, n: c.Len})
+			}
+		case last >= 0 && segs[last].entry < 0:
+			segs[last].n += c.Len
+		default:
+			segs = append(segs, segment{entry: -1, off: off, n: c.Len})
+		}
+		off += c.Len
+	}
+	x.index(i, blk.Payload, cuts)
+	if copied*minCopied < len(blk.Payload) {
+		return nil
+	}
+	return segs
+}
+
+// index records the chunks of entry i's payload no earlier entry
+// carried.
+func (x *chunkIndex) index(i int, payload []byte, cuts []chunker.Cut) {
+	off := 0
+	for _, c := range cuts {
+		if _, ok := x.at[c.Hash]; !ok {
+			x.at[c.Hash] = chunkAt{entry: i, off: off, payload: payload}
+		}
+		off += c.Len
+	}
+}
+
 func (s *Server) getDescs(parts [][]byte) frame {
-	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][]byte, len(parts))}
+	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][][]byte, len(parts))}
 	for i, p := range parts {
 		blk, ok := s.backend.GetBlock(string(p))
 		if !ok {
@@ -238,7 +339,7 @@ func (s *Server) getDescs(parts [][]byte) frame {
 		if err != nil {
 			return fail("getdescs: descriptor: %v", err)
 		}
-		out.parts[i], out.tails[i] = encodeEntry([]byte(blk.Name), desc)
+		out.parts[i], out.tails[i] = oneTail(encodeEntry([]byte(blk.Name), desc))
 	}
 	return out
 }

@@ -90,7 +90,15 @@ const (
 	// client then falls back to opGetBlks for the rest of the connection.
 	// The server counts and times it as getblks.
 	opGetBlksRefs byte = 19
-	opOK          byte = 128
+	// opGetBlksChunked is opGetBlksRefs for a client that also reads
+	// chunked entries (entryChunked): the same request parts, and a
+	// response that may carry a block as segments, each either literal
+	// bytes or a copy of bytes an earlier entry of the same response
+	// carried. A server of an earlier release refuses it with a plain
+	// opErr; the client then falls back to opGetBlks for the rest of the
+	// connection. The server counts and times it as getblks.
+	opGetBlksChunked byte = 20
+	opOK             byte = 128
 	// opStreamHdr opens a streamed block response: parts are
 	// [name, medium, descriptor, payloadSize(u64)].
 	opStreamHdr byte = 129
@@ -186,12 +194,38 @@ var listScopeLocal = []byte("local")
 //
 // index is the earlier entry's position in the response; name, when not
 // empty, is the block's name if it differs from that entry's.
+//
+// flag=4, only in an opGetBlksChunked response, is a chunked entry: a
+// found block whose payload is spelled as segments, each either literal
+// bytes or a copy of bytes an earlier found entry (flag 1 or 4) of the
+// same response carried:
+//
+//	u8 4 | (u32 fieldLen | fieldBytes)×3 | u32 size | segment*
+//	segment: u8 0 | u32 n | n bytes                 (literal)
+//	       | u8 1 | u16 index | u32 offset | u32 n  (copy)
+//
+// The three fields are name, medium and descriptor, as in a found
+// entry; size is the payload length the segments must add up to.
 const (
 	entryMissing  byte = 0
 	entryFound    byte = 1
 	entryDeferred byte = 2
 	entryRef      byte = 3
+	entryChunked  byte = 4
 )
+
+// Segment kinds of a chunked entry.
+const (
+	segLiteral byte = 0
+	segCopy    byte = 1
+)
+
+// segment is one run of a chunked entry's payload: n bytes at off in
+// the entry's own part (a literal, entry < 0) or in the payload of the
+// entry at index entry (a copy).
+type segment struct {
+	entry, off, n int
+}
 
 // batchBudget caps the payload bytes a batched response inlines, leaving
 // headroom inside maxFrameSize for frame/part/field framing and the
@@ -219,6 +253,130 @@ func encodeEntry(fields ...[]byte) (head, tail []byte) {
 		}
 	}
 	return head, fields[last]
+}
+
+// oneTail is a part whose tail is one slice, in frame.tails' form.
+func oneTail(head, tail []byte) ([]byte, [][]byte) { return head, [][]byte{tail} }
+
+// encodeChunked packs a chunked entry for a block with the given name,
+// medium and descriptor fields whose payload segs spell, returned like
+// encodeEntry's: the head holds everything up to the first literal's
+// bytes, and the tail alternates the literal bytes — subslices of
+// payload, uncopied — with the segment headers between them.
+func encodeChunked(fields [][]byte, payload []byte, segs []segment) (head []byte, tail [][]byte) {
+	n := 1 + 4
+	for _, f := range fields {
+		n += 4 + len(f)
+	}
+	for _, sg := range segs {
+		if sg.entry < 0 {
+			n += 1 + 4
+		} else {
+			n += 1 + 2 + 4 + 4
+		}
+	}
+	// Sized once, so the ranges already cut from meta never move.
+	meta := make([]byte, 1, n)
+	meta[0] = entryChunked
+	for _, f := range fields {
+		meta = binary.BigEndian.AppendUint32(meta, uint32(len(f)))
+		meta = append(meta, f...)
+	}
+	meta = binary.BigEndian.AppendUint32(meta, uint32(len(payload)))
+	prev := 0
+	for _, sg := range segs {
+		if sg.entry >= 0 {
+			meta = append(meta, segCopy)
+			meta = binary.BigEndian.AppendUint16(meta, uint16(sg.entry))
+			meta = binary.BigEndian.AppendUint32(meta, uint32(sg.off))
+			meta = binary.BigEndian.AppendUint32(meta, uint32(sg.n))
+			continue
+		}
+		meta = append(meta, segLiteral)
+		meta = binary.BigEndian.AppendUint32(meta, uint32(sg.n))
+		if head == nil {
+			head = meta[prev:]
+		} else {
+			tail = append(tail, meta[prev:])
+		}
+		tail = append(tail, payload[sg.off:sg.off+sg.n])
+		prev = len(meta)
+	}
+	if head == nil {
+		return meta, nil
+	}
+	if prev < len(meta) {
+		tail = append(tail, meta[prev:])
+	}
+	return head, tail
+}
+
+// decodeChunked unpacks a chunked entry: its name, medium and
+// descriptor fields, its payload size and its segments, a literal's
+// offset counted in part. It checks the layout and that the segments
+// add up to size, not what a copy points at.
+func decodeChunked(part []byte) (fields [][]byte, size int, segs []segment, err error) {
+	if len(part) < 1 || part[0] != entryChunked {
+		return nil, 0, nil, fmt.Errorf("transport: malformed chunked entry")
+	}
+	off := 1
+	u32 := func() (int, bool) {
+		if off+4 > len(part) {
+			return 0, false
+		}
+		v := int(binary.BigEndian.Uint32(part[off:]))
+		off += 4
+		return v, v >= 0 // an int of 32 bits cannot hold every u32
+	}
+	for i := 0; i < 3; i++ {
+		n, ok := u32()
+		if !ok || n > len(part)-off {
+			return nil, 0, nil, fmt.Errorf("transport: truncated chunked entry field")
+		}
+		fields = append(fields, part[off:off+n])
+		off += n
+	}
+	size, ok := u32()
+	if !ok {
+		return nil, 0, nil, fmt.Errorf("transport: truncated chunked entry size")
+	}
+	total := 0
+	for off < len(part) {
+		kind := part[off]
+		off++
+		var sg segment
+		switch kind {
+		case segLiteral:
+			n, ok := u32()
+			if !ok || n > len(part)-off {
+				return nil, 0, nil, fmt.Errorf("transport: truncated chunked entry literal")
+			}
+			sg = segment{entry: -1, off: off, n: n}
+			off += n
+		case segCopy:
+			if off+2 > len(part) {
+				return nil, 0, nil, fmt.Errorf("transport: truncated chunked entry copy")
+			}
+			sg.entry = int(binary.BigEndian.Uint16(part[off:]))
+			off += 2
+			var ok1, ok2 bool
+			sg.off, ok1 = u32()
+			sg.n, ok2 = u32()
+			if !ok1 || !ok2 {
+				return nil, 0, nil, fmt.Errorf("transport: truncated chunked entry copy")
+			}
+		default:
+			return nil, 0, nil, fmt.Errorf("transport: unknown chunked entry segment kind %d", kind)
+		}
+		if total += sg.n; total > size {
+			return nil, 0, nil, fmt.Errorf("transport: chunked entry segments exceed its size %d", size)
+		}
+		segs = append(segs, sg)
+	}
+	if total != size {
+		return nil, 0, nil, fmt.Errorf("transport: chunked entry segments add up to %d, not its size %d", total, size)
+	}
+	return fields, size, segs, nil
 }
 
 // encodeRef packs a back-reference to entry index, naming the block when
@@ -280,18 +438,27 @@ type frame struct {
 	op    byte
 	parts [][]byte
 	// tails, on a response being built, is nil or holds one tail per
-	// part: tails[i] goes on the wire right after parts[i] as the rest of
-	// that part (see encodeEntry). A decoded frame carries none — a
-	// received part is one buffer.
-	tails [][]byte
+	// part: the slices of tails[i] go on the wire right after parts[i],
+	// in order, as the rest of that part (see encodeEntry). A decoded
+	// frame carries none — a received part is one buffer.
+	tails [][][]byte
 }
 
-// tailAt returns part i's tail, if tails has one.
-func tailAt(tails [][]byte, i int) []byte {
+// tailOf returns part i's tail, if tails has one.
+func tailOf(tails [][][]byte, i int) [][]byte {
 	if tails == nil {
 		return nil
 	}
 	return tails[i]
+}
+
+// partLen is the on-wire length of a part and its tail.
+func partLen(p []byte, tail [][]byte) int {
+	n := len(p)
+	for _, t := range tail {
+		n += len(t)
+	}
+	return n
 }
 
 // writeFrame encodes and sends a frame.
@@ -362,7 +529,7 @@ type frameV2 struct {
 	op    byte
 	id    uint32
 	parts [][]byte
-	tails [][]byte // as frame.tails
+	tails [][][]byte // as frame.tails
 	// done, when non-nil, runs once the frame has been written (or
 	// dropped on a dead connection). The server's response path uses it
 	// to hold the admission slot until the response actually leaves, so

@@ -65,7 +65,7 @@ func (s *frameSender) send(f frameV2) (int64, error) {
 	}
 	total := 1 + 4 + 2
 	for i, p := range f.parts {
-		total += 4 + len(p) + len(tailAt(f.tails, i))
+		total += 4 + partLen(p, tailOf(f.tails, i))
 	}
 	if total > maxFrameSize {
 		return 0, fmt.Errorf("transport: frame of %d bytes exceeds limit", total)
@@ -97,9 +97,12 @@ func (s *frameSender) sendCompressed(f frameV2, total int) (int64, bool, error) 
 	body = binary.BigEndian.AppendUint32(body, f.id)
 	body = binary.BigEndian.AppendUint16(body, uint16(len(f.parts)))
 	for i, p := range f.parts {
-		tail := tailAt(f.tails, i)
-		body = binary.BigEndian.AppendUint32(body, uint32(len(p)+len(tail)))
-		body = append(append(body, p...), tail...)
+		tail := tailOf(f.tails, i)
+		body = binary.BigEndian.AppendUint32(body, uint32(partLen(p, tail)))
+		body = append(body, p...)
+		for _, t := range tail {
+			body = append(body, t...)
+		}
 	}
 	comp, ok := codec.CompressFrame(body)
 	if !ok {
@@ -126,11 +129,11 @@ func (s *frameSender) flush() error { return s.bw.Flush() }
 
 // gatherFrameV2 lays one raw v2 frame out as a gather list: a meta
 // buffer holds the frame header and every part-length prefix, and the
-// other elements are the frame's parts and tails, untouched. One backing
-// array, at most 4·parts+1 elements, no payload copies. Written to the
-// connection it is one writev (which skips the empty meta ranges between
-// a part and its tail); written to the bufio.Writer, one Write each.
-// total is the already-validated body size.
+// other elements are the frame's parts and the slices of their tails,
+// untouched. One backing array, no payload copies. Written to the
+// connection it is one writev per 1024 elements; written to the
+// bufio.Writer, one Write each. total is the already-validated body
+// size.
 func gatherFrameV2(f frameV2, total int) net.Buffers {
 	// Sized once, so the meta ranges already in bufs never move.
 	meta := make([]byte, 4+1+4+2, 4+1+4+2+4*len(f.parts))
@@ -138,16 +141,28 @@ func gatherFrameV2(f frameV2, total int) net.Buffers {
 	meta[4] = f.op
 	binary.BigEndian.PutUint32(meta[5:9], f.id)
 	binary.BigEndian.PutUint16(meta[9:11], uint16(len(f.parts)))
-	bufs := make(net.Buffers, 0, 1+4*len(f.parts))
+	n := 1 + 2*len(f.parts)
+	for i := range f.parts {
+		n += len(tailOf(f.tails, i))
+	}
+	bufs := make(net.Buffers, 0, n)
 	prev := 0 // start of the pending meta range (header + successive prefixes)
+	add := func(seg []byte) {
+		if len(seg) == 0 { // an empty part's prefix folds into the next meta range
+			return
+		}
+		if prev < len(meta) {
+			bufs = append(bufs, meta[prev:])
+			prev = len(meta)
+		}
+		bufs = append(bufs, seg)
+	}
 	for i, p := range f.parts {
-		tail := tailAt(f.tails, i)
-		meta = binary.BigEndian.AppendUint32(meta, uint32(len(p)+len(tail)))
-		for _, seg := range [2][]byte{p, tail} {
-			if len(seg) > 0 { // an empty part's prefix folds into the next meta range
-				bufs = append(bufs, meta[prev:], seg)
-				prev = len(meta)
-			}
+		tail := tailOf(f.tails, i)
+		meta = binary.BigEndian.AppendUint32(meta, uint32(partLen(p, tail)))
+		add(p)
+		for _, t := range tail {
+			add(t)
 		}
 	}
 	if prev < len(meta) {

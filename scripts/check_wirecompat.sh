@@ -20,7 +20,13 @@
 # the documents fetched across versions to be byte-identical to the
 # current-vs-current baseline (inline fetches and two block fetches
 # included, so block payloads cross the version boundary both inlined
-# and through the batched block fetch). A current client's plain "doc"
+# and through the batched block fetch). The current client also fetches
+# a near-duplicate set in one batch — videos that share most of their
+# chunks, two names for one voice-over and a repeated name — so that
+# back-references and chunked entries cross the boundary, and the
+# previous server's refusal of the op that asks for them is answered by
+# the client's fallback; the previous client keeps its one-name block
+# fetches. A current client's plain "doc"
 # travels in the binary encoding and "-binary" is a no-op it still
 # accepts; a previous client that fetches text still exercises the text
 # encoding against the current server.
@@ -82,19 +88,32 @@ fetch() {
     "$1" -addr "$2" block story1-crime-scene.vid >"$3.video"
 }
 
+# batch CLIENT SERVER OUT: the near-duplicate set in one batch (the
+# current client only: the previous one fetches one name per call).
+batch() {
+    "$1" -addr "$2" block story0-crime-scene.vid story1-crime-scene.vid \
+        story0-talking-head-1.vid story0-voice.aud story1-voice.aud \
+        story0-crime-scene.vid story1-talking-head-2.vid >"$3.batch" 2>"$3.batchlog"
+    echo "wirecompat: $(basename "$3") near-duplicate batch: $(tail -n 1 "$3.batchlog" | sed 's/^cmifget: //')"
+}
+
 # Each client is compared against its own same-version baseline, so a
 # deliberate change in the TOOL's output format cannot masquerade as (or
 # mask) a wire incompatibility: only the server on the other end varies
 # within each pair.
 fetch "$work/new/cmifget" "$NEW_ADDR" "$work/nc-ns"  # new client baseline
 fetch "$work/new/cmifget" "$OLD_ADDR" "$work/nc-os"  # new client, old server
+batch "$work/new/cmifget" "$NEW_ADDR" "$work/nc-ns"
+batch "$work/new/cmifget" "$OLD_ADDR" "$work/nc-os"
 fetch "$work/old/cmifget" "$OLD_ADDR" "$work/oc-os"  # old client baseline
 fetch "$work/old/cmifget" "$NEW_ADDR" "$work/oc-ns"  # old client, new server
 
 fail=0
 for pair in "nc-ns nc-os" "oc-os oc-ns"; do
     base=${pair% *}; side=${pair#* }
-    for what in list doc binary inline audio video; do
+    whats="list doc binary inline audio video"
+    [ "$base" = nc-ns ] && whats="$whats batch"
+    for what in $whats; do
         if ! cmp -s "$work/$base.$what" "$work/$side.$what"; then
             echo "wirecompat: $side $what differs from the $base baseline:" >&2
             diff "$work/$base.$what" "$work/$side.$what" >&2 || true
