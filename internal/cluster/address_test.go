@@ -2,16 +2,42 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/media"
+	"repro/internal/transport"
 )
+
+// lyingNode is a node whose server answers a read of the address armed
+// for it in lies with other bytes.
+type lyingNode struct {
+	*Node
+	lies *sync.Map // *Node → lie
+}
+
+type lie struct {
+	addr  string
+	other *media.Block
+}
+
+func (n lyingNode) GetBlock(name string) (*media.Block, bool) {
+	if l, ok := n.lies.Load(n.Node); ok && l.(lie).addr == name {
+		return l.(lie).other, true
+	}
+	return n.Node.GetBlock(name)
+}
 
 // TestProxyReadRefusesMisaddressedBlock: a node proxying a read by
 // content address to a replica that answers with other bytes answers
 // not-found, keeps nothing, and does not condemn the replica — it
 // answered, wrongly.
 func TestProxyReadRefusesMisaddressedBlock(t *testing.T) {
+	var lies sync.Map
+	plain := backendOf
+	backendOf = func(n *Node) transport.Backend { return lyingNode{n, &lies} }
+	t.Cleanup(func() { backendOf = plain })
 	nodes := startCluster(t, 2, 1)
 	want := media.CaptureVideo("anchor.vid", 5, 16, 12, 25, 1)
 	other := media.CaptureVideo("other.vid", 6, 16, 12, 25, 1)
@@ -20,10 +46,11 @@ func TestProxyReadRefusesMisaddressedBlock(t *testing.T) {
 	if liar.view.SelfID() != owner {
 		liar, asker = asker, liar
 	}
-	// The owner resolves the address as a name pointing at other bytes.
-	liar.Registry.Store.Put(other)
-	if !liar.Registry.Store.RegisterName(want.ID, other.ID) {
-		t.Fatal("RegisterName refused")
+	// The owner answers a read of the address with other bytes.
+	lies.Store(liar, lie{want.ID, other})
+	var mismatch *transport.AddressMismatchError
+	if _, err := dialNode(t, liar.Addr()).GetBlock(context.Background(), want.ID); !errors.As(err, &mismatch) {
+		t.Fatalf("a direct read from the lying replica: %v, want an address mismatch", err)
 	}
 
 	if b, ok := asker.GetBlock(want.ID); ok {

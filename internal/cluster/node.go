@@ -143,6 +143,10 @@ type Node struct {
 	mProxied   *metrics.Counter
 }
 
+// backendOf is what a node's server answers from: the node itself. Tests
+// wrap it to make a replica that answers wrongly.
+var backendOf = func(n *Node) transport.Backend { return n }
+
 // Start opens (or recovers) the node's data directory, binds its listener
 // — the bound address is the node's identity — and joins gossip with the
 // configured peers. A node with peers resyncs the writes it missed in the
@@ -182,7 +186,7 @@ func Start(cfg Config) (*Node, error) {
 		stop:     make(chan struct{}),
 	}
 
-	srv := transport.NewServer(n)
+	srv := transport.NewServer(backendOf(n))
 	srv.ServeConfig = cfg.Serve
 	mreg := cfg.Serve.Metrics
 	if mreg != nil {

@@ -635,8 +635,9 @@ func (l *Log) snapshot() error {
 
 // cutMemo remembers how each chunked block was cut, across snapshots, so
 // a block is hashed on its first snapshot and never again: per block id
-// the hash and length of every chunk (no payload references), and per
-// chunk hash how many remembered blocks hold it.
+// the hash and length of every chunk (the block's own memo, shared:
+// media.Block.Cuts; no payload references), and per chunk hash how many
+// remembered blocks hold it.
 type cutMemo struct {
 	byID map[string][]chunker.Cut
 	refs map[ChunkHash]int
@@ -662,9 +663,9 @@ func (m *cutMemo) forget(s *media.Store) {
 	}
 }
 
-// of returns b's cuts, cutting b if no earlier snapshot did. A first cut
-// adds to the dedupe counter the bytes that land on chunks a remembered
-// block — or an earlier chunk of b itself — already holds.
+// of returns b's cuts, cutting b if no earlier snapshot or reader did. A
+// first cut adds to the dedupe counter the bytes that land on chunks a
+// remembered block — or an earlier chunk of b itself — already holds.
 func (m *cutMemo) of(b *media.Block) []chunker.Cut {
 	if cuts, ok := m.byID[b.ID]; ok {
 		return cuts
@@ -673,7 +674,7 @@ func (m *cutMemo) of(b *media.Block) []chunker.Cut {
 		m.byID = make(map[string][]chunker.Cut)
 		m.refs = make(map[ChunkHash]int)
 	}
-	cuts := chunker.Cuts(b.Payload)
+	cuts := b.Cuts()
 	var shared int64
 	for _, c := range cuts {
 		if m.refs[c.Hash] > 0 {

@@ -135,12 +135,7 @@ func (l *Log) AppendRecords(recs []Record) (putDocs []string, err error) {
 	muts := make([]mutation, len(recs))
 	var bad int
 	for i, r := range recs {
-		if !replicates(r.Op) {
-			err = fmt.Errorf("op %d does not replicate", r.Op)
-		} else {
-			muts[i], err = l.st.verify(r.Op, r.Fields, false, chk, int64(i))
-		}
-		if err != nil {
+		if muts[i], err = l.st.verifyReplicated(r, chk, int64(i)); err != nil {
 			bad = i
 			break
 		}

@@ -107,6 +107,22 @@ func replicates(op byte) bool {
 	return op == recPutDoc || op == recPutBlk || op == recDelBlk || op == recName
 }
 
+// verifyReplicated is verify for a record a peer shipped: its op must
+// replicate, and a name registration must keep the address rule
+// (media.CheckName), as a block record must keep its address. Recovery
+// skips such a registration instead (Store.RegisterName refuses it): a
+// log written before the rule may hold one.
+func (st *State) verifyReplicated(r Record, chk *addrChecker, pos int64) (mutation, error) {
+	if !replicates(r.Op) {
+		return mutation{}, fmt.Errorf("op %d does not replicate", r.Op)
+	}
+	m, err := st.verify(r.Op, r.Fields, false, chk, pos)
+	if err == nil && m.op == recName {
+		err = media.CheckName(m.key, m.id)
+	}
+	return m, err
+}
+
 // wantFields checks a record's field count.
 func wantFields(op byte, fields [][]byte, n int) error {
 	if len(fields) != n {
@@ -237,7 +253,8 @@ func (st *State) apply(m mutation) error {
 		// Best-effort: a registration whose block a later-journaled (but
 		// racing) delete already removed skips silently — the live store
 		// rolled the same registration back, so skipping converges on
-		// the pre-crash state.
+		// the pre-crash state. So does one of an address-shaped name for
+		// another block, which no store registers any more.
 		st.Store.RegisterName(m.key, m.id)
 	}
 	return nil

@@ -320,11 +320,9 @@ func (c *DiskCache) Put(servedName string, b *media.Block) {
 		if len(b.Payload) >= media.ChunkThreshold {
 			// Chunk-manifest form: shared .cmc files plus a tiny CMEB2
 			// manifest. Chunks already on disk (another block's) are not
-			// rewritten — that sharing is the dedupe.
-			// The cache names chunk files by cuts it hashed itself; they
-			// become the block's memo if it holds none yet.
-			cuts := chunker.Cuts(b.Payload)
-			b.SetCuts(cuts)
+			// rewritten — that sharing is the dedupe. The chunk files are
+			// named by the block's own cuts, made once per block.
+			cuts := b.Cuts()
 			hashes = make([]media.ChunkHash, len(cuts))
 			manifest := make([]byte, 0, len(cuts)*chunker.HashSize)
 			off := 0
@@ -363,7 +361,21 @@ func (c *DiskCache) Put(servedName string, b *media.Block) {
 	if servedName != "" && servedName != b.ID {
 		c.names[servedName] = b.ID
 	}
-	if _, ok := c.index.Get(b.ID); ok || exists {
+	e, ok := c.index.Get(b.ID)
+	if ok && exists && len(e.chunks) > 0 && !b.CutsKept() {
+		// Cached under another name already: the block takes its cuts
+		// from the resident manifest, unhashed, so no response cuts it
+		// again. A chunk no longer indexed sizes as 0, which SetCuts
+		// refuses.
+		cuts := make([]chunker.Cut, len(e.chunks))
+		for i, h := range e.chunks {
+			if cr := c.chunkRefs[h]; cr != nil {
+				cuts[i] = chunker.Cut{Hash: h, Len: int(cr.size)}
+			}
+		}
+		b.SetCuts(cuts)
+	}
+	if ok || exists {
 		// Resident (the lookup re-ranked it) — or it was when the files
 		// would have been written and an eviction has raced this Put
 		// since, so they may be gone: the next Put re-caches cleanly.

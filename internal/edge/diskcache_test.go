@@ -575,6 +575,41 @@ func TestDiskCacheHitAllocatesOnePayload(t *testing.T) {
 	}
 }
 
+// TestDiskCachePutUnderSecondNameKeepsCuts: a block fetched under a
+// second name, whose content the cache already holds, takes its cuts from
+// the resident manifest, so the next response that carries it does not
+// cut it again — and they are the cuts chunker makes of its payload.
+func TestDiskCachePutUnderSecondNameKeepsCuts(t *testing.T) {
+	c, err := OpenDiskCache(t.TempDir(), 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 96<<10)
+	rand.New(rand.NewSource(29)).Read(payload)
+	first := media.NewBlock("first.vid", core.MediumVideo, payload, attr.List{})
+	c.Put(first.Name, first)
+	if st := c.Stats(); st.Chunks < 2 {
+		t.Fatalf("the block was stored in %d chunks; the manifest path went untested", st.Chunks)
+	}
+	second := media.NewBlock("second.vid", core.MediumVideo, bytes.Clone(payload), attr.List{})
+	if second.CutsKept() {
+		t.Fatal("a fresh block holds cuts already")
+	}
+	c.Put(second.Name, second)
+	if !second.CutsKept() {
+		t.Fatal("the block put under a second name holds no cuts")
+	}
+	got, want := second.Cuts(), chunker.Cuts(payload)
+	if len(got) != len(want) {
+		t.Fatalf("%d cuts, chunker makes %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cut %d = %x/%d, chunker's %x/%d", i, got[i].Hash[:4], got[i].Len, want[i].Hash[:4], want[i].Len)
+		}
+	}
+}
+
 // TestDiskCacheConcurrentHitsAndEvictions: readers size a payload from
 // the chunk index while writers push blocks out under a budget that holds
 // about two of them, so chunks are released and re-admitted mid-read. A

@@ -296,9 +296,10 @@ func (b *Block) WithName(name string) *Block {
 // Cuts returns the payload's content-defined chunks (chunker.Cuts),
 // computed on the first call and kept, so a block is cut at most once
 // however many responses carry it; callers must not modify the slice.
-// Cuts are an index into the payload, never an address: whoever reuses
-// bytes found by a cut's hash compares the bytes first, and nothing
-// names a file or a record by a cut it did not hash itself.
+// Each cut's hash is chunker's hash of its bytes, as SetCuts requires:
+// the edge disk cache names chunk files and the durable log chunk
+// records by them. Whoever reuses bytes found by a cut's hash still
+// compares the bytes first.
 func (b *Block) Cuts() []chunker.Cut {
 	if p := b.cuts.Load(); p != nil {
 		return *p
@@ -309,10 +310,10 @@ func (b *Block) Cuts() []chunker.Cut {
 }
 
 // SetCuts hands Cuts cuts the caller already holds for the payload — a
-// chunk manifest it read the payload back from — so the block is not
-// cut again. They are kept only when no memo exists yet and their
-// lengths tile the payload exactly. Their hashes are not checked: a
-// wrong one costs a reader of the index a missed match, never bytes.
+// chunk manifest of chunker.Cuts it read the payload back from, or
+// another copy's — so the block is not cut again. They are kept only
+// when no memo exists yet and their lengths tile the payload exactly.
+// Their hashes are not checked, so the caller vouches for them.
 func (b *Block) SetCuts(cuts []chunker.Cut) {
 	total := 0
 	for _, c := range cuts {

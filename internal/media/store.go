@@ -106,7 +106,7 @@ func (s *Store) Put(b *Block) (string, error) {
 	if b.ID == "" {
 		b = &Block{ID: b.Address(), Name: b.Name, Medium: b.Medium, Payload: b.Payload, Descriptor: b.Descriptor}
 	}
-	if err := checkName(b.Name, b.ID); err != nil {
+	if err := CheckName(b.Name, b.ID); err != nil {
 		return "", err
 	}
 	return s.PutReplayed(b, true), nil
@@ -125,9 +125,9 @@ func (e *AddressNameError) Error() string {
 	return fmt.Sprintf("media: name %s has the form of a content address but names block %s", e.Name, e.ID)
 }
 
-// checkName refuses name for the block at id when it has the form of
-// another content address.
-func checkName(name, id string) error {
+// CheckName refuses name for the block at id when it has the form of
+// another content address: an address names only its own block.
+func CheckName(name, id string) error {
 	if name != id && IsContentAddress(name) {
 		return &AddressNameError{Name: name, ID: id}
 	}
@@ -206,11 +206,12 @@ func (s *Store) put(key string, b *Block, register bool) string {
 }
 
 // RegisterName points name at an already-stored block's content address.
-// It reports false when no block with that id exists (or name is empty).
-// It replays what a journal or a replica recorded and judges no name:
-// Put is where a name enters a store.
+// It reports false when no block with that id exists, when name is empty,
+// or when name has the form of another content address (CheckName), and
+// then registers nothing. It replays what a journal or a replica
+// recorded: Put is where a name enters a store.
 func (s *Store) RegisterName(name, id string) bool {
-	if name == "" {
+	if name == "" || CheckName(name, id) != nil {
 		return false
 	}
 	bs := &s.blocks[shardOf(id)]

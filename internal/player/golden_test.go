@@ -206,7 +206,7 @@ func TestCorpusSchedulesGolden(t *testing.T) {
 			if got, golden := strings.Join(dropped, "\n"), strings.Join(strings.Fields(want.dropped), "\n"); got != golden {
 				t.Errorf("dropped arcs, in victim order:\n%s\nwant:\n%s", got, golden)
 			}
-			if viol := g.Verify(s.Times(), s.Dropped); len(viol) != 0 {
+			if viol := g.Verify(s.Times(), nil, s.Dropped); len(viol) != 0 {
 				t.Errorf("schedule violates %d constraints, first: %s", len(viol), viol[0].Note())
 			}
 

@@ -11,16 +11,19 @@
 //   - May arcs are "desirable but not essential": when a latency makes one
 //     unsatisfiable, it is dropped and recorded, and playback proceeds.
 //
-// Mechanically, playback is a perturbation of a plan. PlaySchedule takes the
-// schedule the viewer already holds, adds one runtime lower bound per
-// delayed leaf to the plan's own constraint system — the May arcs the plan
-// dropped stay dropped — and re-solves it from the plan's times
-// (sched.SolveFrom) instead of planning again. This makes the simulation
-// exact and keeps it honest: the trace is the earliest feasible execution of
-// the perturbed plan, drift and lateness are measured against the plan the
-// run actually followed, and every residual constraint violation is a
-// genuine Must failure. Play is the form for callers with only a graph: the
-// package's one cold solve, then PlaySchedule.
+// Mechanically, playback is a perturbation of a plan's solve, not of its
+// graph. PlaySchedule takes the schedule the viewer already holds and
+// re-solves the plan's own constraint system from the plan's times
+// (sched.SolveFrom) instead of planning again, passing beside it one
+// runtime lower bound per delayed leaf and the Must arcs it had to give
+// up; the May arcs the plan dropped stay dropped. The plan's graph is only
+// read, so any number of plays of one plan may run at once. This makes the
+// simulation exact and keeps it honest: the trace is the earliest feasible
+// execution of the perturbed plan, drift and lateness are measured against
+// the plan the run actually followed, and every residual constraint
+// violation is a genuine Must failure. Play is the form for callers with
+// only a graph: the package's one cold solve, then PlaySchedule. A seek
+// (AnalyzeSeek) is analyzed, not played.
 package player
 
 import (
@@ -185,9 +188,9 @@ func PlaySchedule(planned *sched.Schedule, opts Options) (*Result, error) {
 		return nil, errors.New("player: the plan predates insertions into its graph; reschedule it first")
 	}
 	doc := g.Doc()
-	run := g.Clone()
-	rootBegin := run.Begin(doc.Root)
+	rootBegin := g.Begin(doc.Root)
 	var leaves []leafChannel
+	var bounds []sched.Constraint
 	doc.Root.Walk(func(n *core.Node) bool {
 		if !n.Type.IsLeaf() {
 			return true
@@ -198,9 +201,9 @@ func PlaySchedule(planned *sched.Schedule, opts Options) (*Result, error) {
 		}
 		leaves = append(leaves, leafChannel{n, ch})
 		if lat := jitter(n, ch); lat > 0 {
-			run.AddRuntimeLower(rootBegin, run.Begin(n), planned.StartOf(n)+lat, func() string {
+			bounds = append(bounds, sched.RuntimeLower(rootBegin, g.Begin(n), planned.StartOf(n)+lat, func() string {
 				return fmt.Sprintf("device latency %v on %s", lat, n.PathString())
-			})
+			}))
 		}
 		return true
 	})
@@ -211,7 +214,7 @@ func PlaySchedule(planned *sched.Schedule, opts Options) (*Result, error) {
 	var violations []sched.ArcRef
 	var actual *sched.Schedule
 	for {
-		s, err := run.SolveFrom(planned, sched.SolveOptions{Relax: opts.Relax})
+		s, err := g.SolveFrom(planned, bounds, violations, sched.SolveOptions{Relax: opts.Relax})
 		if err == nil {
 			actual = s
 			break
@@ -224,9 +227,7 @@ func PlaySchedule(planned *sched.Schedule, opts Options) (*Result, error) {
 		if len(musts) == 0 {
 			return nil, fmt.Errorf("player: irreducible conflict: %w", ce)
 		}
-		victim := musts[0]
-		violations = append(violations, victim)
-		run = run.WithoutArc(victim)
+		violations = append(violations, musts[0])
 	}
 
 	res := &Result{

@@ -343,15 +343,13 @@ func TestSeekAnalysis(t *testing.T) {
 		t.Errorf("no satisfied arc at 200ms: %v", states)
 	}
 
-	// Resumed playback with invalid arcs removed still solves.
-	rg := ResumeGraph(g, late)
-	if _, err := rg.Solve(sched.SolveOptions{}); err != nil {
-		t.Errorf("resume graph unsolvable: %v", err)
+	// Resumed playback with invalid arcs dropped still solves.
+	if _, err := g.SolveFrom(s, nil, late.Invalid(), sched.SolveOptions{}); err != nil {
+		t.Errorf("resume unsolvable: %v", err)
 	}
-	// ResumeGraph with nothing invalid returns a working clone.
-	rg2 := ResumeGraph(g, early)
-	if _, err := rg2.Solve(sched.SolveOptions{}); err != nil {
-		t.Errorf("clean resume graph unsolvable: %v", err)
+	// With nothing invalid the resume is the plan.
+	if _, err := g.SolveFrom(s, nil, early.Invalid(), sched.SolveOptions{}); err != nil {
+		t.Errorf("clean resume unsolvable: %v", err)
 	}
 }
 

@@ -63,7 +63,9 @@ type SeekArc struct {
 	State ArcState
 }
 
-// Invalid filters the report to invalid arcs.
+// Invalid filters the report to invalid arcs: playback resumed at the
+// seek point ignores them, per the paper's rule, by re-solving its plan
+// with them dropped (sched.Graph.SolveFrom).
 func (r *SeekReport) Invalid() []sched.ArcRef {
 	var out []sched.ArcRef
 	for _, a := range r.Arcs {
@@ -114,18 +116,4 @@ func AnalyzeSeek(s *sched.Schedule, at time.Duration) *SeekReport {
 		rep.Arcs = append(rep.Arcs, SeekArc{Ref: ref, State: state})
 	}
 	return rep
-}
-
-// ResumeGraph builds the constraint graph for playback resumed at the seek
-// point: invalid arcs are removed, per the paper's rule. The returned graph
-// can be solved and played as usual.
-func ResumeGraph(g *sched.Graph, rep *SeekReport) *sched.Graph {
-	out := g
-	for _, ref := range rep.Invalid() {
-		out = out.WithoutArc(ref)
-	}
-	if out == g {
-		out = g.Clone()
-	}
-	return out
 }

@@ -123,14 +123,14 @@ func TestSeekIntoDroppedArcRegion(t *testing.T) {
 		t.Errorf("dropped-arc state at 150ms = %v", rep.Arcs[0].State)
 	}
 
-	rg := ResumeGraph(g, rep)
-	if _, err := rg.Solve(sched.SolveOptions{Relax: true}); err != nil {
+	if _, err := g.SolveFrom(s, nil, rep.Invalid(), sched.SolveOptions{Relax: true}); err != nil {
 		t.Errorf("resume inside dropped-arc region unsolvable: %v", err)
 	}
 
 	// Past both endpoints the dropped arc reads satisfied — its window is
-	// history even though playback never honoured it — and resuming still
-	// needs relaxation, since satisfied arcs stay in the graph.
+	// history even though playback never honoured it. It stays in the
+	// graph, so a cold solve still needs relaxation; a resume re-solves
+	// the plan, which keeps it dropped and needs none.
 	rep = AnalyzeSeek(s, 250*time.Millisecond)
 	if len(rep.Invalid()) != 0 {
 		t.Fatalf("invalid arcs at 250ms = %v, want none", rep.Invalid())
@@ -138,12 +138,15 @@ func TestSeekIntoDroppedArcRegion(t *testing.T) {
 	if rep.Arcs[0].State != ArcSatisfied {
 		t.Errorf("dropped-arc state at 250ms = %v, want satisfied", rep.Arcs[0].State)
 	}
-	rg = ResumeGraph(g, rep)
-	if _, err := rg.Solve(sched.SolveOptions{}); err == nil {
-		t.Error("resume keeps the conflicting May arc: expected a conflict without relaxation")
+	if _, err := g.Solve(sched.SolveOptions{}); err == nil {
+		t.Error("the graph lost the conflicting May arc: expected a conflict without relaxation")
 	}
-	if _, err := rg.Solve(sched.SolveOptions{Relax: true}); err != nil {
-		t.Errorf("resume with relaxation unsolvable: %v", err)
+	resumed, err := g.SolveFrom(s, nil, rep.Invalid(), sched.SolveOptions{})
+	if err != nil {
+		t.Fatalf("resume from the plan unsolvable: %v", err)
+	}
+	if len(resumed.Dropped) != 1 || resumed.Dropped[0] != s.Dropped[0] {
+		t.Errorf("resume dropped %v, want the plan's %v", resumed.Dropped, s.Dropped)
 	}
 }
 
@@ -157,28 +160,5 @@ func TestSeekNegativeTime(t *testing.T) {
 		if sa.State != ArcValid {
 			t.Errorf("arc %v before start: %v, want valid", sa.Ref, sa.State)
 		}
-	}
-}
-
-func TestSeekResumeGraphForgetsRemovedArcs(t *testing.T) {
-	// At 150ms a has ended and cap has not: the a.end → cap.end arc is
-	// invalid and ResumeGraph removes it. A second analysis, over the
-	// resumed schedule, must not list it again; the original graph still
-	// carries it.
-	_, g, s := seekDoc(t)
-	const at = 150 * time.Millisecond
-	rep := AnalyzeSeek(s, at)
-	if len(rep.Invalid()) != 1 {
-		t.Fatalf("invalid arcs at %v = %v, want the a.end → cap.end arc", at, rep.Invalid())
-	}
-	resumed, err := ResumeGraph(g, rep).Solve(sched.SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again := AnalyzeSeek(resumed, at); len(again.Arcs) != 0 {
-		t.Errorf("second seek still classifies removed arcs: %v", again.Arcs)
-	}
-	if got := len(g.Arcs()); got != 1 {
-		t.Errorf("original graph lists %d arcs after ResumeGraph, want 1", got)
 	}
 }

@@ -166,7 +166,7 @@ func BenchmarkVerify(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v := g.Verify(s.Times(), nil); len(v) != 0 {
+		if v := g.Verify(s.Times(), nil, nil); len(v) != 0 {
 			b.Fatal("schedule does not verify")
 		}
 	}

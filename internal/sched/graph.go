@@ -23,7 +23,6 @@ package sched
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -146,17 +145,16 @@ type Graph struct {
 	// blocks[k] spans node k's two blocks in it: the structural and
 	// duration constraints it owns, then the constraints of the explicit
 	// arcs it carries, which arcRefs[k] lists. A block is replaced by
-	// appending its successor to the pool, so clones share the pool.
+	// appending its successor to the pool. Only the graph's Solver writes
+	// any of it.
 	pool    []Constraint
 	blocks  [][2]span
 	arcRefs [][]ArcRef
-	// runtime holds constraints injected after construction; they number
-	// after the pool (conList).
-	runtime []Constraint
 	// ordered reports that the pool is the constraint list, as Build emits
 	// it. Otherwise the list reads the blocks of the nodes order names, in
 	// document order: made when first asked for and dropped when the
-	// tree's shape changes. orderMu guards it: plays clone a plan at once.
+	// tree's shape changes. orderMu guards it: plays of one plan solve its
+	// graph at once.
 	ordered bool
 	orderMu sync.Mutex
 	order   []int32
@@ -208,8 +206,7 @@ func (g *Graph) Event(id EventID) Event { return g.events[id] }
 // included).
 func (g *Graph) NumEvents() int { return len(g.events) }
 
-// Constraints returns the constraint list in document order, runtime
-// constraints last, as a copy.
+// Constraints returns the constraint list in document order, as a copy.
 func (g *Graph) Constraints() []Constraint {
 	out := make([]Constraint, 0, g.consCount)
 	for _, c := range g.list().all {
@@ -219,14 +216,13 @@ func (g *Graph) Constraints() []Constraint {
 }
 
 // list is the constraint list the solves run over: the pool, read through
-// the node order unless it is in order itself, then the runtime
-// constraints. Tombstoned nodes are not in the tree and therefore drop out
-// of the order, and so do nodes missing from the index — added to the
-// tree behind the graph's back (untracked edits) — so a stale graph stays
-// consistent with its build.
+// the node order unless it is in order itself. Tombstoned nodes are not in
+// the tree and therefore drop out of the order, and so do nodes missing
+// from the index — added to the tree behind the graph's back (untracked
+// edits) — so a stale graph stays consistent with its build.
 func (g *Graph) list() conList {
 	if g.ordered {
-		return conList{head: g.pool, tail: g.runtime}
+		return conList{head: g.pool}
 	}
 	g.orderMu.Lock()
 	defer g.orderMu.Unlock()
@@ -239,21 +235,24 @@ func (g *Graph) list() conList {
 			return true
 		})
 	}
-	return conList{head: g.pool, tail: g.runtime, order: g.order, blocks: g.blocks}
+	return conList{head: g.pool, order: g.order, blocks: g.blocks}
 }
 
-// maskArcs returns a flag per constraint reference of list(), set for each
-// constraint in force: every one but those of the arcs in drop.
-func (g *Graph) maskArcs(drop []ArcRef) []bool {
-	on := make([]bool, len(g.pool)+len(g.runtime))
+// inForce returns a flag per constraint reference of list() with bounds
+// more listed after it, set for each constraint in force: every one but
+// those of the arcs in drops.
+func (g *Graph) inForce(bounds int, drops ...[]ArcRef) []bool {
+	on := make([]bool, len(g.pool)+bounds)
 	for i := range on {
 		on[i] = true
 	}
-	for _, r := range drop {
-		if k, ok := g.nodeIndex[r.Node]; ok {
-			for ci := g.blocks[k][1].at; ci < g.blocks[k][1].end; ci++ {
-				if g.pool[ci].Arc.Index == r.Index {
-					on[ci] = false
+	for _, drop := range drops {
+		for _, r := range drop {
+			if k, ok := g.nodeIndex[r.Node]; ok {
+				for ci := g.blocks[k][1].at; ci < g.blocks[k][1].end; ci++ {
+					if g.pool[ci].Arc.Index == r.Index {
+						on[ci] = false
+					}
 				}
 			}
 		}
@@ -540,59 +539,12 @@ func (g *Graph) emitArcs(k int32) ([]ArcRef, error) {
 	return refs, nil
 }
 
-// Clone returns a graph sharing the document, event table, constraint
-// pool, block tables and node order with g, but with an independent
-// runtime-constraint list, so runtime constraints can be added without
-// disturbing the original. g is ordered first if it must be, so every
-// clone of one generation shares one order. A clone never writes the
-// tables in place (WithoutArc copies what it replaces), and a Solver that
-// patches them leaves g's plans stale, and a stale plan refuses to play.
-func (g *Graph) Clone() *Graph {
-	cons := g.list()
-	return &Graph{
-		doc:       g.doc,
-		events:    g.events,
-		nodeIndex: g.nodeIndex,
-		res:       g.res,
-		pool:      g.pool,
-		blocks:    g.blocks,
-		arcRefs:   g.arcRefs,
-		runtime:   append([]Constraint(nil), g.runtime...),
-		ordered:   g.ordered,
-		order:     cons.order,
-		opts:      g.opts,
-		consCount: g.consCount,
-	}
-}
-
-// AddRuntimeLower adds the runtime constraint t[v] ≥ t[u] + w: presentation
-// environments use this to inject device latencies and interaction delays
-// (section 5.3.3 case 2 analysis). note words the constraint for its Note.
-func (g *Graph) AddRuntimeLower(u, v EventID, w time.Duration, note func() string) {
-	g.runtime = lower(g.runtime, u, v, w, Constraint{Kind: KindRuntime, note: note})
-	g.consCount++
-}
-
-// WithoutArc returns a clone of the graph with the given explicit arc
-// removed: its constraints and its entry in Arcs. Playback environments use
-// this to record and bypass Must arcs they cannot honour.
-func (g *Graph) WithoutArc(r ArcRef) *Graph {
-	c := g.Clone()
-	k, ok := c.nodeIndex[r.Node]
-	if !ok {
-		return c
-	}
-	// The clone appends to a pool of its own and copies what it replaces.
-	old := c.blocks[k][1]
-	kept := slices.DeleteFunc(slices.Clone(c.pool[old.at:old.end]), func(con Constraint) bool { return con.Arc.Index == r.Index })
-	at := int32(len(c.pool))
-	c.pool = append(slices.Clip(c.pool), kept...)
-	c.blocks, c.arcRefs = slices.Clone(c.blocks), slices.Clone(c.arcRefs)
-	c.blocks[k][1] = span{at, int32(len(c.pool))}
-	c.arcRefs[k] = slices.DeleteFunc(slices.Clone(c.arcRefs[k]), func(ref ArcRef) bool { return ref.Index == r.Index })
-	c.consCount -= int(old.end-old.at) - len(kept)
-	c.ordered = false
-	return c
+// RuntimeLower returns the runtime constraint t[v] ≥ t[u] + w: presentation
+// environments pass such bounds to SolveFrom to inject device latencies
+// and interaction delays (section 5.3.3 case 2 analysis). note words the
+// constraint for its Note.
+func RuntimeLower(u, v EventID, w time.Duration, note func() string) Constraint {
+	return Constraint{U: v, V: u, W: -w, Kind: KindRuntime, note: note} // as lower writes it
 }
 
 // arcKey identifies an arc by carrier node and index.

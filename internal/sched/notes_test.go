@@ -97,14 +97,14 @@ func TestNotesGolden(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		run := g.Clone()
+		var bounds []Constraint
 		for _, l := range d.Root.Leaves() {
 			if rng.Intn(3) == 0 {
 				lat := time.Duration(rng.Int63n(int64(400 * time.Millisecond)))
-				run.AddRuntimeLower(0, run.Begin(l), plan.StartOf(l)+lat, func() string { return "latency on " + l.PathString() })
+				bounds = append(bounds, RuntimeLower(0, g.Begin(l), plan.StartOf(l)+lat, func() string { return "latency on " + l.PathString() }))
 			}
 		}
-		s, err := run.SolveFrom(plan, SolveOptions{Relax: true})
+		s, err := g.SolveFrom(plan, bounds, nil, SolveOptions{Relax: true})
 		report(label+" latencies", s, err)
 	}
 	checkGolden(t, "notes.golden", b.String())

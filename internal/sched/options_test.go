@@ -117,7 +117,7 @@ func TestConflictErrorListsConstraintNotes(t *testing.T) {
 	}
 }
 
-func TestWithoutArcRemovesConstraints(t *testing.T) {
+func TestSolveFromDropsArc(t *testing.T) {
 	root := core.NewPar().SetName("r")
 	a, b := leaf("a", "video", 100), leaf("b", "sound", 100)
 	b.AddArc(core.SyncArc{DestEnd: core.Begin, Strict: core.Must,
@@ -132,29 +132,36 @@ func TestWithoutArcRemovesConstraints(t *testing.T) {
 	if len(refs) != 1 {
 		t.Fatal("arc not registered")
 	}
-	before := len(g.Constraints())
-	g2 := g.WithoutArc(refs[0])
-	if len(g2.Constraints()) >= before {
-		t.Errorf("WithoutArc removed nothing: %d -> %d", before, len(g2.Constraints()))
-	}
-	// Original untouched.
-	if len(g.Constraints()) != before {
-		t.Error("WithoutArc mutated original")
-	}
-	// Without the pin, b starts at 0.
-	s, err := g2.Solve(SolveOptions{})
+	plan, err := g.Solve(SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.StartOf(g.Doc().Root.FindByName("b")) != 0 {
-		t.Error("arc constraints survived removal")
+	before := len(g.Constraints())
+	// Without the pin, b starts at 0.
+	s, err := g.SolveFrom(plan, nil, refs, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.StartOf(b) != 0 {
+		t.Error("arc constraints survived the drop")
+	}
+	if len(s.Dropped) != 0 {
+		t.Errorf("the dropped arc is reported as relaxed: %v", s.Dropped)
+	}
+	if len(g.Constraints()) != before || len(g.Arcs()) != 1 {
+		t.Error("SolveFrom changed the graph")
+	}
+	if viol := g.Verify(s.Times(), nil, refs); len(viol) != 0 {
+		t.Errorf("Verify holds the schedule to the dropped arc: %s", viol[0].Note())
+	}
+	if viol := g.Verify(s.Times(), nil, nil); len(viol) == 0 {
+		t.Error("Verify without the drop passes a schedule that breaks the arc")
 	}
 }
 
-func TestWithoutArcRemovesArcRef(t *testing.T) {
-	// One carrier, two arcs: removing the first must take it out of Arcs()
-	// along with its constraints, keep the second, and leave the original
-	// graph — which shares the carrier's slices with the clone — intact.
+func TestSolveFromDropsOnlyTheNamedArc(t *testing.T) {
+	// One carrier, two arcs: dropping the first takes its constraints out
+	// of the solve and keeps the second's in force.
 	root := core.NewPar().SetName("r")
 	a, b := leaf("a", "video", 100), leaf("b", "sound", 100)
 	for _, off := range []int64{100, 40} {
@@ -171,15 +178,19 @@ func TestWithoutArcRemovesArcRef(t *testing.T) {
 	if len(arcs) != 2 {
 		t.Fatalf("arcs = %d, want 2", len(arcs))
 	}
-	g2 := g.WithoutArc(arcs[0])
-	if got := g2.Arcs(); len(got) != 1 || got[0].Index != arcs[1].Index {
-		t.Errorf("clone lists %v, want only %v", got, arcs[1])
+	plan, err := g.Solve(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := g.Arcs(); len(got) != 2 || got[0].Index != 0 || got[1].Index != 1 {
-		t.Errorf("WithoutArc changed the original's arcs: %v", got)
+	if plan.StartOf(b) != 100*time.Millisecond {
+		t.Fatalf("planned b at %v, want 100ms", plan.StartOf(b))
 	}
-	if g2.NumConstraints() != g.NumConstraints()-1 {
-		t.Errorf("constraints %d -> %d, want one fewer", g.NumConstraints(), g2.NumConstraints())
+	s, err := g.SolveFrom(plan, nil, arcs[:1], SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.StartOf(b) != 40*time.Millisecond {
+		t.Errorf("b at %v, want 40ms: only the second arc holds", s.StartOf(b))
 	}
 }
 
@@ -192,14 +203,20 @@ func TestRuntimeConstraints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := g.Clone()
-	g2.AddRuntimeLower(g2.Begin(d.Root), g2.Begin(a), 50*time.Millisecond, func() string { return "latency" })
-	s, err := g2.Solve(SolveOptions{})
+	plan, err := g.Solve(SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []Constraint{RuntimeLower(g.Begin(d.Root), g.Begin(a), 50*time.Millisecond, func() string { return "latency" })}
+	s, err := g.SolveFrom(plan, bounds, nil, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.StartOf(a) != 50*time.Millisecond {
 		t.Errorf("runtime lower ignored: %v", s.StartOf(a))
+	}
+	if viol := g.Verify(plan.Times(), bounds, nil); len(viol) != 1 || viol[0].Note() != "latency" {
+		t.Errorf("Verify of the plan against the bound = %v, want the bound", viol)
 	}
 }
 

@@ -291,22 +291,22 @@ func TestSolveOracle(t *testing.T) {
 		// SolveFrom: the plan's arcs stay dropped; the oracle judges the
 		// further victims against the rest.
 		opts := SolveOptions{Relax: true}
-		same, err := g.SolveFrom(plan, opts)
+		same, err := g.SolveFrom(plan, nil, nil, opts)
 		if err != nil {
 			t.Fatalf("%s: re-solving the plan's own graph: %v", label, err)
 		}
 		checkOracle(t, label+" SolveFrom", g, oracleWithout(g.Constraints(), plan.Dropped), same, same.Dropped[len(plan.Dropped):], e.exhaustive)
-		run := g.Clone()
+		var bounds []Constraint
 		for _, l := range d.Root.Leaves() {
 			if rng.Intn(3) > 0 {
 				lat := time.Duration(rng.Int63n(int64(400 * time.Millisecond)))
-				run.AddRuntimeLower(0, run.Begin(l), plan.StartOf(l)+lat, func() string { return "latency on " + l.PathString() })
+				bounds = append(bounds, RuntimeLower(0, g.Begin(l), plan.StartOf(l)+lat, func() string { return "latency on " + l.PathString() }))
 			}
 		}
-		base := oracleWithout(run.Constraints(), plan.Dropped)
-		if got, err := run.SolveFrom(plan, opts); err != nil {
-			checkOracleConflict(t, label+" SolveFrom latencies", run, base, true, err)
-		} else if checkOracle(t, label+" SolveFrom latencies", run, base, got, got.Dropped[len(plan.Dropped):], e.exhaustive) {
+		base := oracleWithout(append(g.Constraints(), bounds...), plan.Dropped)
+		if got, err := g.SolveFrom(plan, bounds, nil, opts); err != nil {
+			checkOracleConflict(t, label+" SolveFrom latencies", g, base, true, err)
+		} else if checkOracle(t, label+" SolveFrom latencies", g, base, got, got.Dropped[len(plan.Dropped):], e.exhaustive) {
 			further++
 		}
 

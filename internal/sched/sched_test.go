@@ -47,7 +47,7 @@ func solve(t *testing.T, d *core.Document, opts Options, sopts SolveOptions) *Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viol := g.Verify(s.Times(), s.Dropped); len(viol) != 0 {
+	if viol := g.Verify(s.Times(), nil, s.Dropped); len(viol) != 0 {
 		t.Fatalf("schedule violates its own constraints: %v", viol)
 	}
 	return s
@@ -437,7 +437,7 @@ func TestRandomDocumentsScheduleProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		if viol := g.Verify(s.Times(), nil); len(viol) != 0 {
+		if viol := g.Verify(s.Times(), nil, nil); len(viol) != 0 {
 			t.Fatalf("iter %d: violations %v", iter, viol)
 		}
 		wrapped.Walk(func(n *core.Node) bool {

@@ -55,35 +55,40 @@ type SolveOptions struct {
 // Solver runs the same loop over the layout it keeps of its graph, and
 // produces identical schedules.
 func (g *Graph) Solve(opts SolveOptions) (*Schedule, error) {
-	return g.solve(&solveScratch{}, opts)
+	return g.solve(&solveScratch{}, g.list(), opts)
 }
 
-// SolveFrom re-solves g — plan's graph, or a Clone of it carrying runtime
-// constraints — as a perturbation of plan. The arcs plan dropped stay
-// dropped, and plan's times seed the feasibility sweep as labels: they
-// already satisfy every constraint plan was solved under, so only the new
-// ones relax anything. The schedule is exactly what Solve returns for g
-// without those arcs (the seed buys speed, never a different answer); its
-// Dropped is plan's list followed by the victims opts.Relax allowed on top.
+// SolveFrom re-solves plan's graph g as a perturbation of plan: with the
+// runtime bounds (RuntimeLower) in force beside g's own constraints, and
+// without the arcs in drop or those plan dropped. plan's times seed the
+// feasibility sweep as labels: they already satisfy every constraint plan
+// was solved under, so only the new ones relax anything. The schedule is
+// exactly what Solve returns for g with bounds added and those arcs
+// removed (the seed buys speed, never a different answer); its Dropped is
+// plan's list followed by the victims opts.Relax allowed on top, and
+// names no arc of drop.
 //
-// The solve runs over g's list: for a Clone, the parent's pool followed
-// by the runtime constraints added to the clone, neither copied. Plan's
-// dropped arcs are taken out of force, not filtered.
-func (g *Graph) SolveFrom(plan *Schedule, opts SolveOptions) (*Schedule, error) {
+// The solve runs over g's list followed by bounds, neither copied, and
+// takes the dropped arcs out of force rather than out of the list. Like
+// Solve, it only reads g.
+func (g *Graph) SolveFrom(plan *Schedule, bounds []Constraint, drop []ArcRef, opts SolveOptions) (*Schedule, error) {
 	sc := &solveScratch{seed: plan.times}
-	if len(plan.Dropped) > 0 {
-		sc.on = g.maskArcs(plan.Dropped)
+	if len(plan.Dropped)+len(drop) > 0 {
+		sc.on = g.inForce(len(bounds), plan.Dropped, drop)
 	}
-	s, err := g.solve(sc, opts)
+	cons := g.list()
+	cons.tail = bounds
+	s, err := g.solve(sc, cons, opts)
 	if err == nil {
 		s.Dropped = append(plan.Dropped[:len(plan.Dropped):len(plan.Dropped)], s.Dropped...)
 	}
 	return s, err
 }
 
-// solve runs the relax loop over g's list on sc and wraps the result.
-func (g *Graph) solve(sc *solveScratch, opts SolveOptions) (*Schedule, error) {
-	dist, dropped, cycle := sc.solve(len(g.events), 0, g.list(), opts.Relax)
+// solve runs the relax loop over cons, g's list, on sc and wraps the
+// result.
+func (g *Graph) solve(sc *solveScratch, cons conList, opts SolveOptions) (*Schedule, error) {
+	dist, dropped, cycle := sc.solve(len(g.events), 0, cons, opts.Relax)
 	if cycle != nil {
 		return nil, &ConflictError{Cycle: cycle}
 	}
@@ -300,11 +305,11 @@ func timeOf(dist int64) time.Duration {
 const unreachable = int64(math.MaxInt64)
 
 // conList is a solve's constraint list: the pool head, then tail, so a
-// play can list its runtime constraints after its plan's without copying
-// either. A constraint's reference is its index in head, or len(head)
-// plus its index in tail. Without order, head is the list as it stands;
-// with it, the list reads the blocks of each node order names, in turn
-// (Graph.list).
+// play can list its runtime bounds after its graph's constraints without
+// copying either. A constraint's reference is its index in head, or
+// len(head) plus its index in tail. Without order, head is the list as it
+// stands; with it, the list reads the blocks of each node order names, in
+// turn (Graph.list).
 type conList struct {
 	head, tail []Constraint
 	order      []int32
@@ -367,8 +372,9 @@ type solveScratch struct {
 	seed []time.Duration
 	// on flags the constraints in force by reference: a constraint is in
 	// force exactly when its flag is set, and an empty set stands for all
-	// set. Graph.SolveFrom clears a plan's dropped arcs' flags before the
-	// solve, so they are never in force and never admitted.
+	// set. Graph.SolveFrom clears the flags of a plan's dropped arcs and
+	// of the arcs it is told to drop before the solve, so they are never
+	// in force and never admitted.
 	on []bool
 	// may lists the May constraints settle took out of force, in list
 	// order: admission's candidates.
@@ -722,12 +728,15 @@ func (sc *solveScratch) sweep(fwd *adjacency, n int) int32 {
 	return cycleAt
 }
 
-// Verify checks a time assignment against every non-dropped constraint,
+// Verify checks a time assignment against every constraint SolveFrom
+// would hold it to — g's own but those of the dropped arcs, then bounds —
 // returning the violated ones. Tests use it to audit schedules and traces.
-func (g *Graph) Verify(times []time.Duration, dropped []ArcRef) []Constraint {
-	on := g.maskArcs(dropped)
+func (g *Graph) Verify(times []time.Duration, bounds []Constraint, dropped []ArcRef) []Constraint {
+	on := g.inForce(len(bounds), dropped)
+	cons := g.list()
+	cons.tail = bounds
 	var violated []Constraint
-	for ci, c := range g.list().all {
+	for ci, c := range cons.all {
 		if on[ci] && times[c.V]-times[c.U] > c.W {
 			violated = append(violated, *c)
 		}

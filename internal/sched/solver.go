@@ -111,7 +111,7 @@ func (s *Solver) solve() (*Schedule, error) {
 	s.solves++
 	g, n, sc := s.g, len(s.g.events), &s.sc
 	sc.grow(n)
-	if s.feasible && len(g.runtime) == 0 {
+	if s.feasible {
 		if dist := sc.resweep(&s.fwd, &s.rev, n, [][]Constraint{g.pool[s.fresh:]}); dist != nil {
 			s.warm++
 			s.last = g.schedule(dist, nil)
@@ -119,9 +119,7 @@ func (s *Solver) solve() (*Schedule, error) {
 		}
 	}
 	cons := g.list()
-	// A runtime constraint's reference follows the pool, which a patch
-	// extends: a graph carrying some is laid out on every pass.
-	if s.fwd.lim == nil || len(g.runtime) > 0 {
+	if s.fwd.lim == nil {
 		s.fwd = layOut(adjacency{}, make([]int32, n), n, cons, make([]int32, n), false)
 		s.rev = layOut(adjacency{}, make([]int32, n), n, cons, make([]int32, n), true)
 	}
@@ -175,13 +173,12 @@ func (s *Solver) replace(b *span, start int32, p *patchPlan) bool {
 }
 
 // compact slides the live blocks down over the replaced ones and renames
-// the edges of fwd and rev after their new places (a runtime constraint's
-// to 0: a graph carrying some is laid out afresh on its next solve).
+// the edges of fwd and rev after their new places.
 func (s *Solver) compact() {
 	g := s.g
 	// to[ci] marks a live constraint with 1, then counts the live ones
 	// before ci: its new reference, and a new bound for a block.
-	to, n := make([]int32, len(g.pool)+len(g.runtime)+1), int32(0)
+	to, n := make([]int32, len(g.pool)+1), int32(0)
 	for _, bs := range g.blocks {
 		for _, b := range bs {
 			for ci := b.at; ci < b.end; ci++ {

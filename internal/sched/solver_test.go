@@ -45,7 +45,7 @@ func reschedule(t *testing.T, s *Solver) *Schedule {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viol := s.Graph().Verify(sch.Times(), sch.Dropped); len(viol) != 0 {
+	if viol := s.Graph().Verify(sch.Times(), nil, sch.Dropped); len(viol) != 0 {
 		t.Fatalf("incremental schedule violates constraints: %v", viol[0])
 	}
 	return sch

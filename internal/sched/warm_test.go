@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,8 +16,8 @@ import (
 )
 
 // TestConcurrentFirstSolves: Build makes the graph's flat list, so the
-// first solves of one graph, and a clone played beside them, only read
-// it. Run under -race.
+// first solves of one graph, and a play re-solving it beside them, only
+// read it. Run under -race.
 func TestConcurrentFirstSolves(t *testing.T) {
 	d := corpusDoc(t, corpus.Spec{Shape: corpus.Archive, Seed: 201, Size: 20})
 	g, err := Build(d, Options{DefaultLeafDuration: 500 * time.Millisecond})
@@ -43,10 +44,9 @@ func TestConcurrentFirstSolves(t *testing.T) {
 				got[i], _ = g.Solve(SolveOptions{Relax: true})
 				return
 			}
-			run := g.Clone()
 			leaf := d.Root.Leaves()[0]
-			run.AddRuntimeLower(0, run.Begin(leaf), plan.StartOf(leaf), nil)
-			got[i], _ = run.SolveFrom(plan, SolveOptions{Relax: true})
+			bounds := []Constraint{RuntimeLower(0, g.Begin(leaf), plan.StartOf(leaf), nil)}
+			got[i], _ = g.SolveFrom(plan, bounds, nil, SolveOptions{Relax: true})
 		}()
 	}
 	wg.Wait()
@@ -581,7 +581,8 @@ func TestRescheduleWorkIsLocal(t *testing.T) {
 
 // TestPlaysShareOneFlatList: a Solver's warm pass leaves its graph
 // unflattened; the plays of the plan it returns flatten it once between
-// them and share that list, even when they run at once (run under -race).
+// them, even when they run at once, and otherwise leave the graph as it
+// was: its constraints, their blocks and the order (run under -race).
 func TestPlaysShareOneFlatList(t *testing.T) {
 	d := corpusDoc(t, corpus.Spec{Shape: corpus.NewsWeb, Seed: 101, Size: 6, Languages: 3})
 	s, err := NewSolver(d, Options{DefaultLeafDuration: 500 * time.Millisecond}, SolveOptions{Relax: true})
@@ -599,28 +600,35 @@ func TestPlaysShareOneFlatList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := make([]*Graph, 2)
+	g := plan.Graph()
+	if g.order != nil {
+		t.Fatal("the warm pass flattened the graph; the plays have nothing to share")
+	}
+	pool, blocks, count := slices.Clone(g.pool), slices.Clone(g.blocks), g.NumConstraints()
+	play := func() {
+		bounds := []Constraint{RuntimeLower(0, g.Begin(leaf), plan.StartOf(leaf)+time.Second, nil)}
+		if _, err := g.SolveFrom(plan, bounds, nil, SolveOptions{Relax: true}); err != nil {
+			t.Error(err)
+		}
+	}
 	var wg sync.WaitGroup
-	for i := range runs {
+	for range 2 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := plan.Graph().Clone()
-			run.AddRuntimeLower(0, run.Begin(leaf), plan.StartOf(leaf)+time.Second, nil)
-			if _, err := run.SolveFrom(plan, SolveOptions{Relax: true}); err != nil {
-				t.Error(err)
-			}
-			runs[i] = run
+			play()
 		}()
 	}
 	wg.Wait()
-	g := plan.Graph()
 	if len(g.order) == 0 {
 		t.Fatal("the plays left the plan's graph unflattened")
 	}
-	for i, run := range runs {
-		if &run.order[0] != &g.order[0] {
-			t.Errorf("play %d flattened a list of its own", i)
-		}
+	order := g.order
+	play()
+	if &g.order[0] != &order[0] {
+		t.Error("a later play flattened the graph again")
+	}
+	if blocksDiffer(g.pool, pool) || !slices.Equal(g.blocks, blocks) || g.NumConstraints() != count {
+		t.Error("the plays changed the plan's graph")
 	}
 }

@@ -28,12 +28,13 @@ func (b twinBackend) GetBlock(name string) (*media.Block, bool) {
 
 // backrefFixture is a store holding a block under two names, a second
 // block, and a backend adding a same-content block under a third name
-// and one with the same bytes but another descriptor.
+// and one with the same bytes but another descriptor. The blocks are too
+// small to chunk, so every entry but a back-reference travels found.
 func backrefFixture(t *testing.T) (be twinBackend, a, c *media.Block) {
 	t.Helper()
 	store := media.NewStore()
-	a = randomBlock("a.vid", 4<<10, 31)
-	c = randomBlock("c.vid", 4<<10, 32)
+	a = randomBlock("a.vid", media.ChunkThreshold-1, 31)
+	c = randomBlock("c.vid", media.ChunkThreshold-1, 32)
 	store.Put(a)
 	store.Put(a.WithName("b.vid")) // one stored block, two names
 	store.Put(c)
@@ -60,7 +61,7 @@ func keysOf(names ...string) [][]byte {
 }
 
 // TestGetBlksRefsAnswersRepeatsByReference pins the two getblks
-// responses entry by entry: opGetBlksRefs answers each later name for
+// responses entry by entry: opGetBlksChunked answers each later name for
 // content an earlier entry inlined — the same block, its address, or a
 // distinct block with its address, medium and descriptor — with a
 // back-reference, naming the block only when the name differs; opGetBlks
@@ -81,7 +82,7 @@ func TestGetBlksRefsAnswersRepeatsByReference(t *testing.T) {
 		op   byte
 		want [][]byte
 	}{
-		{opGetBlksRefs, [][]byte{entry(a), encodeRef(0, ""), {entryMissing}, entry(c), encodeRef(0, ""),
+		{opGetBlksChunked, [][]byte{entry(a), encodeRef(0, ""), {entryMissing}, entry(c), encodeRef(0, ""),
 			encodeRef(0, "twin.vid"), entry(retitled)}},
 		{opGetBlks, [][]byte{entry(a), entry(a), {entryMissing}, entry(c), entry(a),
 			entry(be.extra["twin.vid"]), entry(retitled)}},
@@ -103,7 +104,7 @@ func TestGetBlksRefsAnswersRepeatsByReference(t *testing.T) {
 	old := batchBudget
 	batchBudget = 1 << 10
 	t.Cleanup(func() { batchBudget = old })
-	resp := srv.handle(frame{op: opGetBlksRefs, parts: keysOf("a.vid", "b.vid")})
+	resp := srv.handle(frame{op: opGetBlksChunked, parts: keysOf("a.vid", "b.vid")})
 	for i, p := range resp.parts {
 		if !bytes.Equal(p, []byte{entryDeferred}) {
 			t.Errorf("over budget, entry %d = %v, want deferred", i, p)
@@ -195,10 +196,10 @@ func TestEarlierClientGetsFullPayloads(t *testing.T) {
 }
 
 // TestGetBlocksFallsBackOnRefusal: against a server that refuses
-// opGetBlksChunked and opGetBlksRefs with a plain opErr, as one of an
-// earlier release does, the client retries the frame as opGetBlks,
-// fetches the same blocks, and asks with opGetBlks alone for the rest of
-// the connection. A failure both ops share leaves references on.
+// opGetBlksChunked with a plain opErr, as one of an earlier release does,
+// the client retries the frame as opGetBlks, fetches the same blocks, and
+// asks with opGetBlks alone for the rest of the connection. A failure
+// both ops share leaves references on.
 func TestGetBlocksFallsBackOnRefusal(t *testing.T) {
 	be, a, c := backrefFixture(t)
 	bad := media.NewBlock("bad.vid", core.MediumVideo, []byte("x"), descOf("seq", attr.Number(1)))
@@ -226,11 +227,9 @@ func TestGetBlocksFallsBackOnRefusal(t *testing.T) {
 		t.Error("a failure opGetBlks shares turned references off")
 	}
 
-	for _, op := range []byte{opGetBlksRefs, opGetBlksChunked} {
-		spec := opTable[op]
-		delete(opTable, op)
-		t.Cleanup(func() { opTable[op] = spec })
-	}
+	spec := opTable[opGetBlksChunked]
+	delete(opTable, opGetBlksChunked)
+	t.Cleanup(func() { opTable[opGetBlksChunked] = spec })
 	old, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -120,10 +120,10 @@ func TestGetBlksChunkedSpellsSharedChunks(t *testing.T) {
 	}
 }
 
-// TestEarlierOpsGetWholePayloads: the same request under opGetBlksRefs
-// and opGetBlks, over the wire, comes back with every payload whole —
-// found entries and, for opGetBlksRefs, back-references — and no
-// chunked entry.
+// TestEarlierOpsGetWholePayloads: a client of the release that sent
+// getblks with back-references only (the retired byte 19) gets a plain
+// opErr for it, and its fallback, the same request under opGetBlks,
+// comes back with every payload whole in found entries.
 func TestEarlierOpsGetWholePayloads(t *testing.T) {
 	store, a, b, c := chunkedFixture(t)
 	srv := NewServer(NewRegistry(store))
@@ -141,29 +141,10 @@ func TestEarlierOpsGetWholePayloads(t *testing.T) {
 	keys := keysOf("a.vid", "b.vid", "c.vid", "b2.vid")
 	want := []*media.Block{a, b, c, b}
 
-	f, err := cl.exchange(ctx, opGetBlksRefs, keys)
-	if err != nil {
-		t.Fatal(err)
+	const retiredRefs = 19
+	if f, err := cl.exchange(ctx, retiredRefs, keys); err != nil || f.op != opErr {
+		t.Fatalf("retired op %d: response op %d, %v; want a plain opErr", retiredRefs, f.op, err)
 	}
-	resp, err := muxResponse(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range resp {
-		if p[0] != entryFound && p[0] != entryRef {
-			t.Errorf("opGetBlksRefs entry %d: flag %d", i, p[0])
-		}
-	}
-	blocks, _, err := decodeBlocks(resp, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if blocks[i].ID != want[i].ID {
-			t.Errorf("opGetBlksRefs entry %d: another block", i)
-		}
-	}
-
 	if err := cl.fetchBatched(ctx, opGetBlks, keys, 4, func(i int, fields [][]byte, flag byte) error {
 		if flag != entryFound || !bytes.Equal(fields[3], want[i].Payload) {
 			t.Errorf("opGetBlks entry %d: flag %d, want a found entry carrying the payload", i, flag)

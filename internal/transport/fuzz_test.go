@@ -413,7 +413,7 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 	})
 }
 
-// seedBlksEntries captures opGetBlksRefs responses as v2 frames: the
+// seedBlksEntries captures opGetBlksChunked responses as v2 frames: the
 // back-reference fixture's real answers (found, missing, deferred and
 // back-reference entries, under a budget that defers and one that does
 // not), plus one response per back-reference the client must reject —
@@ -440,7 +440,7 @@ func seedBlksEntries(tb testing.TB) [][]byte {
 	old := batchBudget
 	for _, budget := range []int{old, 1000} {
 		batchBudget = budget
-		resp := srv.handle(frame{op: opGetBlksRefs, parts: req})
+		resp := srv.handle(frame{op: opGetBlksChunked, parts: req})
 		whole := make([][]byte, len(resp.parts))
 		for i, p := range resp.parts {
 			whole[i] = append(bytes.Clone(p), tailAt(resp.tails, i)...)

@@ -55,8 +55,7 @@ var opNames = map[byte]string{
 	opPutDoc:         "putdoc",
 	opGetBlk:         "getblk",
 	opGetBlks:        "getblks",
-	opGetBlksRefs:    "getblks", // one instrument with opGetBlks
-	opGetBlksChunked: "getblks",
+	opGetBlksChunked: "getblks", // one instrument with opGetBlks
 	opGetDescs:       "getdescs",
 	opPutBlk:         "putblk",
 	opList:           "list",

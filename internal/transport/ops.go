@@ -32,7 +32,6 @@ var opTable = map[byte]opSpec{
 	opSubmitEdit:     {"submitedit", 2, 2, "[name, records]", (*Server).submitEdit},
 	opGetBlk:         {"getblk", 1, 1, "[name]", (*Server).getBlk},
 	opGetBlks:        {"getblks", 1, maxParts, "at least one name", (*Server).getBlks},
-	opGetBlksRefs:    {"getblks", 1, maxParts, "at least one name", (*Server).getBlksRefs},
 	opGetBlksChunked: {"getblks", 1, maxParts, "at least one name", (*Server).getBlksChunked},
 	opGetDescs:       {"getdescs", 1, maxParts, "at least one name", (*Server).getDescs},
 	opPutBlk:         {"putblk", 4, 4, "[name, medium, descriptor, payload]", (*Server).putBlk},
@@ -163,24 +162,20 @@ func (s *Server) getBlk(parts [][]byte) frame {
 	return okFrame(append(head, blk.Payload)...)
 }
 
-func (s *Server) getBlks(parts [][]byte) frame { return s.batchBlocks(parts, opGetBlks) }
+func (s *Server) getBlks(parts [][]byte) frame { return s.batchBlocks(parts, false) }
 
-// getBlksRefs answers opGetBlksRefs: getblks, with each repeat of content
-// an earlier entry inlined sent as a back-reference to that entry.
-func (s *Server) getBlksRefs(parts [][]byte) frame { return s.batchBlocks(parts, opGetBlksRefs) }
+// getBlksChunked answers opGetBlksChunked: getblks, with each repeat of
+// content an earlier entry inlined sent as a back-reference to that
+// entry, and each block that repeats chunks an earlier entry inlined
+// sent as a chunked entry copying them.
+func (s *Server) getBlksChunked(parts [][]byte) frame { return s.batchBlocks(parts, true) }
 
-// getBlksChunked answers opGetBlksChunked: getblksrefs, with each block
-// that repeats chunks an earlier entry inlined sent as a chunked entry
-// copying them.
-func (s *Server) getBlksChunked(parts [][]byte) frame { return s.batchBlocks(parts, opGetBlksChunked) }
-
-// batchBlocks answers the three getblks ops; op says which entry kinds
-// the response may use.
-func (s *Server) batchBlocks(parts [][]byte, op byte) frame {
+// batchBlocks answers the two getblks ops; refs says whether the
+// response may use back-reference and chunked entries.
+func (s *Server) batchBlocks(parts [][]byte, refs bool) frame {
 	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][][]byte, len(parts))}
-	refs := op != opGetBlks
 	var chunks *chunkIndex
-	if op == opGetBlksChunked {
+	if refs {
 		chunks = &chunkIndex{}
 	}
 	inlined := 0

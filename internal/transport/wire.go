@@ -80,23 +80,20 @@ const (
 	// rejoin catch-up: request [cursor] ("" starts); response opOK
 	// [frames, nextCursor], where an empty nextCursor ends the walk.
 	opResync byte = 16
-	// Bytes 17 and 18 are retired (the chunk-dedupe fetch); never reuse them.
+	// Bytes 17 and 18 are retired (the chunk-dedupe fetch), and so is 19
+	// (getblks with back-references but no chunked entries); never reuse
+	// them.
 	//
-	// opGetBlksRefs is opGetBlks for a client that reads back-reference
-	// entries: the same request parts, and a response that may answer a
-	// name whose content an earlier entry of the same response inlined
-	// with an entryRef to that entry instead of a second payload. A
-	// server of an earlier release refuses it with a plain opErr; the
-	// client then falls back to opGetBlks for the rest of the connection.
-	// The server counts and times it as getblks.
-	opGetBlksRefs byte = 19
-	// opGetBlksChunked is opGetBlksRefs for a client that also reads
-	// chunked entries (entryChunked): the same request parts, and a
-	// response that may carry a block as segments, each either literal
-	// bytes or a copy of bytes an earlier entry of the same response
-	// carried. A server of an earlier release refuses it with a plain
-	// opErr; the client then falls back to opGetBlks for the rest of the
-	// connection. The server counts and times it as getblks.
+	// opGetBlksChunked is opGetBlks for a client that reads
+	// back-reference (entryRef) and chunked (entryChunked) entries: the
+	// same request parts, and a response that may answer a name whose
+	// content an earlier entry of the same response inlined with a
+	// reference to that entry instead of a second payload, and may carry
+	// a block as segments, each either literal bytes or a copy of bytes
+	// an earlier entry of the same response carried. A server of an
+	// earlier release refuses it with a plain opErr; the client then
+	// falls back to opGetBlks for the rest of the connection. The server
+	// counts and times it as getblks.
 	opGetBlksChunked byte = 20
 	opOK             byte = 128
 	// opStreamHdr opens a streamed block response: parts are
@@ -186,7 +183,7 @@ var listScopeLocal = []byte("local")
 // have pushed the response past maxFrameSize — the client re-fetches
 // deferred entries with single-item ops. Flags 0 and 2 carry no fields.
 //
-// flag=3, only in an opGetBlksRefs response, is a back-reference: the
+// flag=3, only in an opGetBlksChunked response, is a back-reference: the
 // block is the one an earlier found entry of the same response inlined
 // (same content address, medium and descriptor), so no payload follows:
 //

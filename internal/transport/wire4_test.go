@@ -175,7 +175,7 @@ func TestVectoredWritePath(t *testing.T) {
 
 // TestRetiredDedupeOpsAnswerPlainError pins the wire contract for the
 // retired chunk-dedupe ops, bytes 17 (block manifest) and 18 (chunks by
-// hash): a current server answers each with opErr, never opOK and never
+// hash), and for 19 (getblks with back-references only): a current server answers each with opErr, never opOK and never
 // opErrNotFound, even for a block it holds or a name it does not. A
 // client of an earlier release treats exactly that answer as "fall back
 // to getblks", so it keeps working against this server. The connection
@@ -207,6 +207,7 @@ func TestRetiredDedupeOpsAnswerPlainError(t *testing.T) {
 		{"manifest of a held block", 17, []byte(blk.Name)},
 		{"manifest of a missing block", 17, []byte("ghost")},
 		{"chunks by hash", 18, chunk[:]},
+		{"getblks with back-references", 19, []byte(blk.Name)},
 	} {
 		id := uint32(i + 1)
 		if err := writeFrameV2(conn, req.op, id, req.part); err != nil {
