@@ -3,15 +3,14 @@
 // Usage:
 //
 //	cmifget [-addr 127.0.0.1:7911] [-timeout 10s] list
-//	cmifget [-addr ...] [-inline] [-binary] doc <name>
+//	cmifget [-addr ...] [-inline] doc <name>
 //	cmifget [-addr ...] block <name> [<name> ...]
 //
 // Flags go before the command: parsing stops at the first positional
 // argument. Every request is bounded by -timeout; a missing document or
 // block is reported distinctly from other failures. A document travels
-// in the binary encoding and is printed in the text form; -binary is
-// accepted for existing scripts and changes nothing. The names of one
-// "block" command are fetched as one batch — a name may be a block's
+// in the binary encoding and is printed in the text form. The names of
+// one "block" command are fetched as one batch — a name may be a block's
 // content address, and may repeat — and their payloads are written to
 // stdout in the order named; nothing is written when one is missing.
 //
@@ -34,7 +33,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7911", "server address")
 	inline := flag.Bool("inline", false, "fetch documents with inlined payloads")
-	flag.Bool("binary", false, "no effect: documents travel in the binary encoding (kept so existing scripts run)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request deadline")
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -105,7 +103,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cmifget [-addr a] [-timeout d] [-inline] [-binary] (list | doc <name> | block <name>...)")
+	fmt.Fprintln(os.Stderr, "usage: cmifget [-addr a] [-timeout d] [-inline] (list | doc <name> | block <name>...)")
 	os.Exit(2)
 }
 

@@ -15,31 +15,40 @@ import (
 	"repro/internal/media"
 )
 
-// validWALBytes frames a realistic record sequence: a registered block
-// put, a name re-point, a descriptor upsert and a delete.
+// validWALBytes frames a realistic record sequence, as a current writer
+// emits it: a block put (register flag 0), its name and an alias, and a
+// delete.
 func validWALBytes(tb testing.TB) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	write := func(op byte, fields ...[]byte) {
-		buf.Write(encodeFrame(op, fields...))
-	}
 	b := media.CaptureText("fuzz-seed.txt", "seed payload", "en")
-	desc, err := media.EncodeDescriptor(b.Descriptor)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	write(recPutBlk, []byte(b.ID), []byte(b.Name), []byte(b.Medium.String()), desc, b.Payload, []byte{1})
-	write(recName, []byte("alias.txt"), []byte(b.ID))
+	buf.Write(putBlkFrame(tb, b, false))
+	buf.Write(encodeFrame(recName, []byte(b.Name), []byte(b.ID)))
+	buf.Write(encodeFrame(recName, []byte("alias.txt"), []byte(b.ID)))
+	buf.Write(encodeFrame(recDelBlk, []byte(b.ID)))
+	return buf.Bytes()
+}
+
+// retiredWALSeeds are records outside what a current writer emits: a
+// retired op-5 descriptor upsert, and a recPutBlk with its register flag
+// set. Replay refuses both as corruption.
+func retiredWALSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
 	var d attr.List
 	d.Set("format", attr.ID("utf8"))
 	dd, err := media.EncodeDescriptor(d)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	write(recPutDesc, []byte("desc-1"), dd)
-	write(recDelDesc, []byte("desc-1"))
-	write(recDelBlk, []byte(b.ID))
-	return buf.Bytes()
+	b := media.CaptureText("flagged.txt", "registered by flag", "en")
+	desc, err := b.DescriptorText()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{
+		encodeFrame(5, []byte("desc-1"), dd),
+		encodeFrame(recPutBlk, []byte(b.ID), []byte(b.Name), []byte(b.Medium.String()), desc, b.Payload, []byte{1}),
+	}
 }
 
 // FuzzWALReplay feeds arbitrary bytes to the replayer, in both the
@@ -65,6 +74,14 @@ func FuzzWALReplay(f *testing.F) {
 	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0x7f // impossible length
 	f.Add(huge)
 	f.Add([]byte("not a wal at all, just prose pretending"))
+	for _, seed := range retiredWALSeeds(f) {
+		f.Add(seed)
+		for _, tornOK := range []bool{true, false} {
+			if _, err := replayStream(bytes.NewReader(seed), "retired", newState(), tornOK); !errors.Is(err, ErrCorrupt) {
+				f.Fatalf("retired record (op %d) replays with %v, want ErrCorrupt", seed[frameHeaderSize], err)
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, tornOK := range []bool{true, false} {

@@ -396,9 +396,8 @@ func (l *Log) Close() error {
 
 // JournalPutBlock records a block put (media.Journal). Failures are
 // sticky: the block is in memory but the server must stop acknowledging.
-// The register flag in the record is always 0 — name registrations
-// journal as their own recName records (see media.Journal) — but replay
-// still honours a set flag for compatibility.
+// The register flag in the record is always 0: name registrations
+// journal as their own recName records (see media.Journal).
 func (l *Log) JournalPutBlock(b *media.Block) {
 	desc, err := b.DescriptorText()
 	if err != nil {

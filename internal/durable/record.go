@@ -31,31 +31,21 @@ import (
 )
 
 // Record ops. Every mutation of the served corpus becomes one record.
-// Retired ops are never written; replay still accepts them so that a
-// directory written before their retirement recovers unchanged.
+// Ops 2 (document delete), 5 and 6 (descriptor-database upsert and
+// delete) are retired: no writer emits them, replay refuses them as
+// corruption like any unknown op, and they are never reused.
 const (
 	// recPutDoc registers a document: [name, binary document].
 	recPutDoc byte = 1
-	// recDelDoc removed a document: [name]. Retired: replay-only, never
-	// written. Replay still deletes the document.
-	recDelDoc byte = 2
 	// recPutBlk stores a block: [id, name, medium, descriptor, payload,
 	// register-flag]. The id is redundant (it is the content address of
 	// medium+payload) and is verified on replay. Name registrations
 	// always travel as separate recName records — ordered by the name
-	// shard, immune to snapshot compaction races — so current writers
-	// leave the register flag 0; replay still honours a set flag for
-	// compatibility with earlier logs.
+	// shard, immune to snapshot compaction races — so the register flag
+	// is always 0; replay refuses any other value.
 	recPutBlk byte = 3
 	// recDelBlk removes a block and its names: [id].
 	recDelBlk byte = 4
-	// recPutDesc upserted a descriptor-database entry: [id, descriptor].
-	// Retired: replay-only, never written. Replay checks its field count
-	// and drops it.
-	recPutDesc byte = 5
-	// recDelDesc removed a descriptor-database entry: [id]. Retired like
-	// recPutDesc.
-	recDelDesc byte = 6
 	// recName points a registry name at a content address: [name, id].
 	recName byte = 7
 	// recChunk stages one unique content-defined chunk: [hash, bytes].
@@ -71,13 +61,12 @@ const (
 	// recChunk staged earlier in the same snapshot. Duplicate chunks are
 	// written once per snapshot instead of once per block, so a
 	// dup-heavy corpus snapshots near its unique size. Snapshot-only,
-	// like recChunk; old snapshots (plain recPutBlk) still load, and old
-	// binaries reject these ops loudly rather than misreading them.
+	// like recChunk.
 	recPutBlkC byte = 9
 	// recEditDoc applies an edit batch to a registered document: [name,
 	// core.EncodeChangeRecords bytes]. WAL-only and, unlike every other
 	// op, not idempotent: snapshots and replication write the document
-	// whole instead. Older binaries reject it; a snapshot leaves none.
+	// whole instead, so a snapshot leaves none.
 	recEditDoc byte = 10
 )
 

@@ -109,7 +109,7 @@ func (l *Log) AppendFrames(frames []byte) (putDocs []string, err error) {
 // WAL and applies each to the live state — the replica half of log
 // shipping, through the verify and apply steps crash recovery runs. Only
 // the four full-state ops replicate; a recEditDoc, which is not
-// idempotent, and the retired ops are refused. The whole batch is
+// idempotent, is refused like any other op. The whole batch is
 // verified (field shapes, decodability, content-address agreement)
 // before anything is appended, so a bad batch appends nothing and can
 // never brick the directory with a record recovery would reject; a

@@ -286,17 +286,17 @@ func TestAppendFramesRejectsBadBatchAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Each batch is a valid putdoc followed by a record that cannot
-	// apply: a putdoc whose document bytes are garbage, or a retired op
-	// that only replay of an old directory still accepts. Nothing may
-	// append and nothing may apply.
+	// apply: a putdoc whose document bytes are garbage, or one of the
+	// retired ops 2 (document delete), 5 and 6 (descriptor upsert and
+	// delete). Nothing may append and nothing may apply.
 	for _, tc := range []struct {
 		name string
 		bad  []byte
 	}{
 		{"garbage-doc", FramePutDoc("bad", []byte("garbage"))},
-		{"retired-deldoc", encodeFrame(recDelDoc, []byte("ok"))},
-		{"retired-putdesc", encodeFrame(recPutDesc, []byte("d1"), desc)},
-		{"retired-deldesc", encodeFrame(recDelDesc, []byte("d1"))},
+		{"retired-deldoc", encodeFrame(2, []byte("ok"))},
+		{"retired-putdesc", encodeFrame(5, []byte("d1"), desc)},
+		{"retired-deldesc", encodeFrame(6, []byte("d1"))},
 	} {
 		stream := append(append([]byte(nil), FramePutDoc("ok", data)...), tc.bad...)
 		if _, err := l.AppendFrames(stream); err == nil {

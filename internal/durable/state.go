@@ -92,13 +92,12 @@ type mutation struct {
 	// address (recDelBlk) or the registry name (recName).
 	key string
 	// id is the content address a recName points key at.
-	id       string
-	doc      *core.Document      // recPutDoc
-	data     []byte              // recPutDoc: doc's binary; recChunk: the chunk
-	edits    []core.ChangeRecord // recEditDoc
-	block    *media.Block        // recPutBlk, recPutBlkC
-	register bool                // recPutBlk, recPutBlkC: the legacy register flag
-	chunk    ChunkHash           // recChunk
+	id    string
+	doc   *core.Document      // recPutDoc
+	data  []byte              // recPutDoc: doc's binary; recChunk: the chunk
+	edits []core.ChangeRecord // recEditDoc
+	block *media.Block        // recPutBlk, recPutBlkC
+	chunk ChunkHash           // recChunk
 }
 
 // replicates reports whether op may travel in a replication or resync
@@ -163,7 +162,7 @@ func (st *State) verify(op byte, fields [][]byte, kept bool, chk *addrChecker, p
 		if m.edits, err = core.DecodeChangeRecords(fields[1]); err != nil {
 			return m, fmt.Errorf("editdoc %q: %w", fields[0], err)
 		}
-	case recDelDoc, recDelBlk:
+	case recDelBlk:
 		if err := wantFields(op, fields, 1); err != nil {
 			return m, err
 		}
@@ -172,8 +171,8 @@ func (st *State) verify(op byte, fields [][]byte, kept bool, chk *addrChecker, p
 		if err := wantFields(op, fields, 6); err != nil {
 			return m, err
 		}
-		if len(fields[5]) != 1 {
-			return m, fmt.Errorf("op %d: bad register flag", op)
+		if len(fields[5]) != 1 || fields[5][0] != 0 {
+			return m, fmt.Errorf("op %d: register flag %v, want 0", op, fields[5])
 		}
 		var payload []byte
 		if op == recPutBlk {
@@ -185,11 +184,6 @@ func (st *State) verify(op byte, fields [][]byte, kept bool, chk *addrChecker, p
 			return m, fmt.Errorf("op %d %q: %w", op, fields[1], err)
 		}
 		chk.check(pos, op, m.block)
-		m.register = fields[5][0] == 1
-	case recPutDesc: // retired: checked, then dropped
-		return m, wantFields(op, fields, 2)
-	case recDelDesc: // retired: checked, then dropped
-		return m, wantFields(op, fields, 1)
 	case recChunk:
 		if err := wantFields(op, fields, 2); err != nil {
 			return m, err
@@ -236,12 +230,8 @@ func (st *State) apply(m mutation) error {
 		// Nothing schedules the state's documents: the applied records'
 		// change log, and the removed subtrees it holds, can go.
 		st.Docs[m.key].TrimChanges()
-	case recDelDoc: // retired, but replay still honours it
-		delete(st.Docs, m.key)
-		delete(st.binary, m.key)
-		delete(st.owned, m.key)
 	case recPutBlk, recPutBlkC:
-		st.Store.PutReplayed(m.block, m.register)
+		st.Store.PutReplayed(m.block)
 	case recDelBlk:
 		st.Store.Delete(m.key)
 	case recChunk:

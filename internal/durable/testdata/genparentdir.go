@@ -1,13 +1,18 @@
 //go:build ignore
 
 // Command genparentdir writes the data directory committed as
-// internal/durable/testdata/parent-dir. It uses the durable API of commit
-// 8005186, the last one whose writers emitted the retired record ops 2
-// (document delete), 5 and 6 (descriptor upsert and delete), so it only
-// builds there: copy it into a checkout of that commit and run, from the
-// checkout's root,
+// internal/durable/testdata/parent-dir: a snapshot and a WAL tail as the
+// oldest writer inside the compatibility window wrote them. It uses the
+// durable API of commit 9116582, so it only builds there: copy it into a
+// checkout of that commit and run, from the checkout's root,
 //
 //	go run genparentdir.go OUTDIR
+//
+// The snapshot holds documents, small blocks (recPutBlk), two
+// near-duplicate large blocks as chunks and manifests (recChunk,
+// recPutBlkC) and names (recName). The WAL tail holds a block put, a name
+// re-point, a block delete, a document put and an edit of it (recPutDoc,
+// recEditDoc, recPutBlk, recDelBlk, recName).
 package main
 
 import (
@@ -15,8 +20,10 @@ import (
 	"os"
 
 	"repro/internal/attr"
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/edit"
 	"repro/internal/media"
 	"repro/internal/units"
 )
@@ -32,9 +39,7 @@ func doc(label string) *core.Document {
 			SetAttr("channel", attr.ID("labels")),
 	)
 	d, err := core.NewDocument(root)
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	cd := core.NewChannelDict()
 	cd.Define(core.Channel{Name: "video", Medium: core.MediumVideo, Rates: units.Rates{FrameRate: 25}})
 	cd.Define(core.Channel{Name: "labels", Medium: core.MediumText})
@@ -42,11 +47,43 @@ func doc(label string) *core.Document {
 	return d
 }
 
+// clip mirrors the parent-dir test's clip helper: size bytes from a
+// fixed linear congruential sequence, with the 16 bytes at edit inverted
+// (none when edit is negative).
+func clip(name string, size, edit int) *media.Block {
+	p := make([]byte, size)
+	x := uint32(2463534242)
+	for i := range p {
+		x = x*1664525 + 1013904223
+		p[i] = byte(x >> 24)
+	}
+	for i := edit; i >= 0 && i < edit+16; i++ {
+		p[i] ^= 0xff
+	}
+	return media.NewBlock(name, core.MediumVideo, p, attr.List{})
+}
+
+func binaryOf(d *core.Document) func() ([]byte, error) {
+	return func() ([]byte, error) { return codec.EncodeBinary(d) }
+}
+
+// editDoc journals recs against the log's copy of name's document.
+func editDoc(l *durable.Log, name string, recs ...core.ChangeRecord) {
+	next := l.Doc(name).Clone()
+	must(edit.Apply(next, recs))
+	must(l.EditDoc(name, recs, core.EncodeChangeRecords(recs), binaryOf(next)))
+}
+
 func must(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "genparentdir:", err)
 		os.Exit(1)
 	}
+}
+
+func put(st *durable.State, b *media.Block) {
+	_, err := st.Store.Put(b)
+	must(err)
 }
 
 func main() {
@@ -57,37 +94,39 @@ func main() {
 	l, st, err := durable.Open(os.Args[1], durable.Options{Sync: durable.SyncNever, SnapshotBytes: -1})
 	must(err)
 	st.Store.SetJournal(l)
-	st.DB.SetJournal(l)
 
-	// Covered by the snapshot: block puts, a name re-point, a block
-	// delete, two documents and a delete of one, descriptor upserts and
-	// a descriptor delete.
+	// Covered by the snapshot: small block puts, a name re-point, a
+	// block delete, two near-duplicate large blocks, and a document put
+	// and edited.
 	for i := 0; i < 3; i++ {
-		st.Store.Put(media.CaptureText(fmt.Sprintf("story-%d.txt", i), fmt.Sprintf("story body %d", i), "en"))
+		put(st, media.CaptureText(fmt.Sprintf("story-%d.txt", i), fmt.Sprintf("story body %d", i), "en"))
 	}
-	st.Store.Put(media.CaptureText("story-0.txt", "rewritten", "en"))
+	put(st, media.CaptureText("story-0.txt", "rewritten", "en"))
 	victim := media.CaptureText("victim.txt", "doomed", "en")
-	st.Store.Put(victim)
+	put(st, victim)
 	st.Store.Delete(victim.ID)
-	must(l.PutDoc("news", doc("news")))
-	must(l.PutDoc("gone", doc("gone")))
-	must(l.DelDoc("gone"))
-	var desc attr.List
-	desc.Set("format", attr.ID("utf8"))
-	desc.Set("bytes", attr.Number(42))
-	st.DB.Upsert("desc-a", desc)
-	st.DB.Upsert("desc-b", desc)
-	st.DB.Delete("desc-b")
+	put(st, clip("clip-a.vid", 32<<10, -1))
+	put(st, clip("clip-b.vid", 32<<10, 24<<10))
+	news := doc("news")
+	must(l.PutDoc("news", news, binaryOf(news)))
+	dur, err := edit.RecordSetAttr("/clip", "duration", attr.Quantity(units.MS(4000)))
+	must(err)
+	editDoc(l, "news", dur)
 	must(l.Snapshot())
 
-	// The WAL tail: a block, a document put and delete, and descriptor
-	// records of both kinds.
-	st.Store.Put(media.CaptureText("late.txt", "after the snapshot", "en"))
-	must(l.PutDoc("late", doc("late")))
-	must(l.PutDoc("doomed", doc("doomed")))
-	must(l.DelDoc("doomed"))
-	st.DB.Upsert("desc-c", desc)
-	st.DB.Delete("desc-a")
+	// The WAL tail: a block put, a name re-point, a block put and
+	// delete, and a document put and edited.
+	put(st, media.CaptureText("late.txt", "after the snapshot", "en"))
+	put(st, media.CaptureText("story-1.txt", "rewritten after the snapshot", "en"))
+	doomed := media.CaptureText("doomed.txt", "doomed after the snapshot", "en")
+	put(st, doomed)
+	st.Store.Delete(doomed.ID)
+	late := doc("late")
+	must(l.PutDoc("late", late, binaryOf(late)))
+	leaf := core.NewImm([]byte("extra")).SetName("extra").SetAttr("channel", attr.ID("labels"))
+	ins, err := edit.RecordInsert("/", -1, leaf)
+	must(err)
+	editDoc(l, "late", ins)
 	must(l.Err())
 	must(l.Close())
 }

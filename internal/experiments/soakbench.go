@@ -135,7 +135,7 @@ type SoakBenchReport struct {
 	PromBytes        int `json:"prom_bytes"`
 	// ServerCounters is the daemon's counter set from the final scrape;
 	// ServerLatency the daemon-side request histograms, keyed like the
-	// Prometheus families (cmif_request_seconds{op="getblk"}, ...).
+	// Prometheus families (cmif_request_seconds{op="getblks"}, ...).
 	ServerCounters map[string]int64                     `json:"server_counters"`
 	ServerLatency  map[string]metrics.HistogramSnapshot `json:"server_latency"`
 }

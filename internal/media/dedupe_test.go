@@ -97,7 +97,9 @@ func TestDeleteReleasesChunks(t *testing.T) {
 func TestGetRefNoClone(t *testing.T) {
 	s := NewStore()
 	b := NewBlock("ref", core.MediumImage, randomPayload(32<<10, 7), attr.List{})
-	s.PutReplayed(b, true)
+	if _, err := s.Put(b); err != nil {
+		t.Fatal(err)
+	}
 
 	got, ok := s.GetRef(b.ID)
 	if !ok {

@@ -109,7 +109,7 @@ func (s *Store) Put(b *Block) (string, error) {
 	if err := CheckName(b.Name, b.ID); err != nil {
 		return "", err
 	}
-	return s.PutReplayed(b, true), nil
+	return s.put(b.ID, b, true), nil
 }
 
 // AddressNameError reports a name in content-address form
@@ -149,11 +149,10 @@ func (s *Store) PutDerived(b *Block) (string, error) {
 	return s.put(b.derivation, b, true), nil
 }
 
-// PutReplayed is Put for WAL and snapshot replay: register says whether
-// b.Name enters the name registry — snapshot replay passes false and
-// rebuilds the registry from its own records, in mutation order.
-// Everything else uses Put.
-func (s *Store) PutReplayed(b *Block, register bool) string { return s.put(b.ID, b, register) }
+// PutReplayed is Put for WAL and snapshot replay: b.Name does not enter
+// the name registry, which replay rebuilds from its own records, in
+// mutation order. Everything else uses Put.
+func (s *Store) PutReplayed(b *Block) string { return s.put(b.ID, b, false) }
 
 // put keeps b under key, registering b.Name when register is set.
 func (s *Store) put(key string, b *Block, register bool) string {

@@ -175,7 +175,7 @@ const (
 // labels (rendered Prometheus-style), help text and the typed value.
 type metric struct {
 	name   string // base name, e.g. cmif_requests_total
-	labels string // rendered label set, e.g. {op="getblk"}, or ""
+	labels string // rendered label set, e.g. {op="getblks"}, or ""
 	help   string
 	kind   metricKind
 	c      *Counter

@@ -31,7 +31,7 @@ func TestAdmissionHammer(t *testing.T) {
 	// A few milliseconds of synthetic work per fetch pins the two slots,
 	// so the flood below reliably overflows the four-deep queue.
 	srv.testOpDelay = func(op byte) {
-		if op == opGetBlk {
+		if op == opGetBlks {
 			time.Sleep(3 * time.Millisecond)
 		}
 	}

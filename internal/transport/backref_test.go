@@ -3,11 +3,9 @@ package transport
 import (
 	"bytes"
 	"context"
-	"errors"
 	"testing"
 
 	"repro/internal/attr"
-	"repro/internal/core"
 	"repro/internal/media"
 )
 
@@ -60,12 +58,11 @@ func keysOf(names ...string) [][]byte {
 	return out
 }
 
-// TestGetBlksRefsAnswersRepeatsByReference pins the two getblks
-// responses entry by entry: opGetBlksChunked answers each later name for
-// content an earlier entry inlined — the same block, its address, or a
-// distinct block with its address, medium and descriptor — with a
-// back-reference, naming the block only when the name differs; opGetBlks
-// answers the same request with every payload, as before.
+// TestGetBlksRefsAnswersRepeatsByReference pins a getblks response
+// entry by entry: each later name for content an earlier entry inlined
+// — the same block, its address, or a distinct block with its address,
+// medium and descriptor — is answered with a back-reference, naming the
+// block only when the name differs.
 func TestGetBlksRefsAnswersRepeatsByReference(t *testing.T) {
 	be, a, c := backrefFixture(t)
 	srv := NewServer(be)
@@ -77,25 +74,16 @@ func TestGetBlksRefsAnswersRepeatsByReference(t *testing.T) {
 		}
 		return entryPart([]byte(b.Name), []byte(b.Medium.String()), desc, b.Payload)
 	}
-	retitled := be.extra["retitled.vid"]
-	for _, tc := range []struct {
-		op   byte
-		want [][]byte
-	}{
-		{opGetBlksChunked, [][]byte{entry(a), encodeRef(0, ""), {entryMissing}, entry(c), encodeRef(0, ""),
-			encodeRef(0, "twin.vid"), entry(retitled)}},
-		{opGetBlks, [][]byte{entry(a), entry(a), {entryMissing}, entry(c), entry(a),
-			entry(be.extra["twin.vid"]), entry(retitled)}},
-	} {
-		resp := srv.handle(frame{op: tc.op, parts: req})
-		if resp.op != opOK || len(resp.parts) != len(tc.want) {
-			t.Fatalf("op %d: response op %d with %d parts", tc.op, resp.op, len(resp.parts))
-		}
-		for i, want := range tc.want {
-			got := append(bytes.Clone(resp.parts[i]), tailAt(resp.tails, i)...)
-			if !bytes.Equal(got, want) {
-				t.Errorf("op %d, entry %d (%s): %d bytes, want %d", tc.op, i, req[i], len(got), len(want))
-			}
+	want := [][]byte{entry(a), encodeRef(0, ""), {entryMissing}, entry(c), encodeRef(0, ""),
+		encodeRef(0, "twin.vid"), entry(be.extra["retitled.vid"])}
+	resp := srv.handle(frame{op: opGetBlks, parts: req})
+	if resp.op != opOK || len(resp.parts) != len(want) {
+		t.Fatalf("response op %d with %d parts", resp.op, len(resp.parts))
+	}
+	for i, want := range want {
+		got := append(bytes.Clone(resp.parts[i]), tailAt(resp.tails, i)...)
+		if !bytes.Equal(got, want) {
+			t.Errorf("entry %d (%s): %d bytes, want %d", i, req[i], len(got), len(want))
 		}
 	}
 
@@ -104,7 +92,7 @@ func TestGetBlksRefsAnswersRepeatsByReference(t *testing.T) {
 	old := batchBudget
 	batchBudget = 1 << 10
 	t.Cleanup(func() { batchBudget = old })
-	resp := srv.handle(frame{op: opGetBlksChunked, parts: keysOf("a.vid", "b.vid")})
+	resp = srv.handle(frame{op: opGetBlks, parts: keysOf("a.vid", "b.vid")})
 	for i, p := range resp.parts {
 		if !bytes.Equal(p, []byte{entryDeferred}) {
 			t.Errorf("over budget, entry %d = %v, want deferred", i, p)
@@ -115,9 +103,9 @@ func TestGetBlksRefsAnswersRepeatsByReference(t *testing.T) {
 // TestGetBlocksResolvesBackReferences: through the wire, a repeated
 // block arrives once and every name for it resolves to that one block —
 // one payload, one address, renamed where the server named it otherwise
-// — and the response is smaller than the same fetch without references.
+// — and the response carries each distinct payload once.
 func TestGetBlocksResolvesBackReferences(t *testing.T) {
-	be, a, _ := backrefFixture(t)
+	be, a, c := backrefFixture(t)
 	srv := NewServer(be)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -127,20 +115,15 @@ func TestGetBlocksResolvesBackReferences(t *testing.T) {
 	ctx := context.Background()
 	names := []string{"a.vid", "b.vid", a.ID, "twin.vid", "c.vid"}
 
-	fetch := func(plain bool) ([]*media.Block, int64) {
-		c, err := Dial(addr, WithFrameCompression(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		c.plainGetBlks.Store(plain)
-		blocks, err := c.GetBlocks(ctx, names)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blocks, c.BytesReceived()
+	cl, err := Dial(addr, WithFrameCompression(false))
+	if err != nil {
+		t.Fatal(err)
 	}
-	blocks, refBytes := fetch(false)
+	defer cl.Close()
+	blocks, err := cl.GetBlocks(ctx, names)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i < 3; i++ {
 		if blocks[i] != blocks[0] {
 			t.Errorf("%s resolved to another block value than %s", names[i], names[0])
@@ -156,107 +139,19 @@ func TestGetBlocksResolvesBackReferences(t *testing.T) {
 		}
 	}
 
-	plainBlocks, plainBytes := fetch(true)
-	for i := range names {
-		if plainBlocks[i].ID != blocks[i].ID || plainBlocks[i].Name != blocks[i].Name {
-			t.Errorf("%s: without references %s %.12s, with %s %.12s", names[i],
-				plainBlocks[i].Name, plainBlocks[i].ID, blocks[i].Name, blocks[i].ID)
-		}
+	if blocks[4].ID != c.ID {
+		t.Errorf("%s resolved to %.12s, want %.12s", names[4], blocks[4].ID, c.ID)
 	}
-	if saved := plainBytes - refBytes; saved < 3*int64(len(a.Payload)) {
-		t.Errorf("references saved %d bytes, want at least three payloads of %d", saved, len(a.Payload))
-	}
-}
-
-// TestEarlierClientGetsFullPayloads: a client that only speaks opGetBlks
-// reads every entry of the new server's answer as found, payload inline,
-// with no back-reference.
-func TestEarlierClientGetsFullPayloads(t *testing.T) {
-	be, a, _ := backrefFixture(t)
-	srv := NewServer(be)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	keys := keysOf("a.vid", "b.vid", a.ID, "twin.vid")
-	if err := c.fetchBatched(context.Background(), opGetBlks, keys, 4, func(i int, fields [][]byte, flag byte) error {
-		if flag != entryFound || !bytes.Equal(fields[3], a.Payload) {
-			t.Errorf("%s: flag %d, want a found entry carrying the payload", keys[i], flag)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestGetBlocksFallsBackOnRefusal: against a server that refuses
-// opGetBlksChunked with a plain opErr, as one of an earlier release does,
-// the client retries the frame as opGetBlks, fetches the same blocks, and
-// asks with opGetBlks alone for the rest of the connection. A failure
-// both ops share leaves references on.
-func TestGetBlocksFallsBackOnRefusal(t *testing.T) {
-	be, a, c := backrefFixture(t)
-	bad := media.NewBlock("bad.vid", core.MediumVideo, []byte("x"), descOf("seq", attr.Number(1)))
-	be.extra["bad.vid"] = bad
-	if _, err := bad.DescriptorText(); err == nil {
-		t.Fatal("the bad descriptor encodes; the failure case would prove nothing")
-	}
-	srv := NewServer(be)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	ctx := context.Background()
-
-	cl, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.GetBlocks(ctx, []string{"a.vid", "bad.vid"}); err == nil || !errors.Is(err, ErrRemote) {
-		t.Fatalf("fetch of an unencodable descriptor = %v, want a remote error", err)
-	}
-	if cl.plainGetBlks.Load() {
-		t.Error("a failure opGetBlks shares turned references off")
-	}
-
-	spec := opTable[opGetBlksChunked]
-	delete(opTable, opGetBlksChunked)
-	t.Cleanup(func() { opTable[opGetBlksChunked] = spec })
-	old, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer old.Close()
-	names := []string{"a.vid", "b.vid", "c.vid"}
-	blocks, err := old.GetBlocks(ctx, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []*media.Block{a, a, c} {
-		if blocks[i] == nil || blocks[i].ID != want.ID || !bytes.Equal(blocks[i].Payload, want.Payload) {
-			t.Errorf("%s: fetched the wrong block", names[i])
-		}
-	}
-	if n := old.RoundTrips(); n != 2 || !old.plainGetBlks.Load() {
-		t.Errorf("refused fetch: %d round trips, plain %v; want 2 and plain", n, old.plainGetBlks.Load())
-	}
-	if _, err := old.GetBlocks(ctx, names); err != nil || old.RoundTrips() != 3 {
-		t.Errorf("second fetch: %v after %d round trips, want one more than 2", err, old.RoundTrips())
+	// Four names for a's content and one for c's: two payloads, and
+	// framing under half of one.
+	if got, payloads := cl.BytesReceived(), int64(len(a.Payload)+len(c.Payload)); got > payloads+int64(len(a.Payload))/2 {
+		t.Errorf("received %d bytes for two distinct payloads of %d bytes", got, payloads)
 	}
 }
 
 // TestDecodeBlocksRejectsBadReferences: every malformed back-reference
 // seed of FuzzGetBlksEntries — forward, to itself, out of range, to a
-// missing and to a deferred entry, truncated — fails the response, and
-// a plain getblks response rejects even a well-formed one.
+// missing and to a deferred entry, truncated — fails the response.
 func TestDecodeBlocksRejectsBadReferences(t *testing.T) {
 	seeds := seedBlksEntries(t)
 	for i, seed := range seeds {
@@ -264,12 +159,9 @@ func TestDecodeBlocksRejectsBadReferences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = decodeBlocks(frm.parts, true)
+		_, _, err = decodeBlocks(frm.parts)
 		if real := i < 2; (err == nil) != real {
 			t.Errorf("seed %d: decode error %v, want an error %v", i, err, !real)
-		}
-		if _, _, err := decodeBlocks(frm.parts, false); err == nil {
-			t.Errorf("seed %d: a plain getblks response accepted a back-reference", i)
 		}
 	}
 }

@@ -51,18 +51,18 @@ func wholeParts(resp frame) [][]byte {
 	return out
 }
 
-// TestGetBlksChunkedSpellsSharedChunks: an opGetBlksChunked response
+// TestGetBlksChunkedSpellsSharedChunks: a getblks response
 // sends the first of the near-duplicates whole and each later one as a
 // chunked entry copying the chunks earlier entries carried — from a
 // found entry and from a chunked one — and a repeat of a chunked block
 // as a back-reference to it. The client rebuilds every payload byte for
-// byte, named by its hash, from a response about a third of the plain
-// one's size.
+// byte, named by its hash, from a response about a third of the size
+// of the payloads it spells.
 func TestGetBlksChunkedSpellsSharedChunks(t *testing.T) {
 	store, a, b, c := chunkedFixture(t)
 	srv := NewServer(NewRegistry(store))
 	req := keysOf("a.vid", "small.txt", "ghost", "b.vid", "c.vid", "b2.vid")
-	resp := srv.handle(frame{op: opGetBlksChunked, parts: req})
+	resp := srv.handle(frame{op: opGetBlks, parts: req})
 	if resp.op != opOK {
 		t.Fatalf("response op %d: %q", resp.op, resp.parts)
 	}
@@ -92,7 +92,7 @@ func TestGetBlksChunkedSpellsSharedChunks(t *testing.T) {
 		t.Errorf("b2.vid: reference to %d named %q (%v), want entry 3 under its name", j, name, err)
 	}
 
-	blocks, _, err := decodeBlocks(parts, true)
+	blocks, _, err := decodeBlocks(parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,44 +114,9 @@ func TestGetBlksChunkedSpellsSharedChunks(t *testing.T) {
 		}
 		return n
 	}
-	plain := size(wholeParts(srv.handle(frame{op: opGetBlks, parts: req})))
+	plain := len(a.Payload) + 2*len(b.Payload) + len(c.Payload)
 	if got := size(parts); got*3 > plain+len(a.Payload)/2 {
-		t.Errorf("chunked response %d bytes, plain %d: want about a third", got, plain)
-	}
-}
-
-// TestEarlierOpsGetWholePayloads: a client of the release that sent
-// getblks with back-references only (the retired byte 19) gets a plain
-// opErr for it, and its fallback, the same request under opGetBlks,
-// comes back with every payload whole in found entries.
-func TestEarlierOpsGetWholePayloads(t *testing.T) {
-	store, a, b, c := chunkedFixture(t)
-	srv := NewServer(NewRegistry(store))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cl, err := Dial(addr, WithFrameCompression(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	ctx := context.Background()
-	keys := keysOf("a.vid", "b.vid", "c.vid", "b2.vid")
-	want := []*media.Block{a, b, c, b}
-
-	const retiredRefs = 19
-	if f, err := cl.exchange(ctx, retiredRefs, keys); err != nil || f.op != opErr {
-		t.Fatalf("retired op %d: response op %d, %v; want a plain opErr", retiredRefs, f.op, err)
-	}
-	if err := cl.fetchBatched(ctx, opGetBlks, keys, 4, func(i int, fields [][]byte, flag byte) error {
-		if flag != entryFound || !bytes.Equal(fields[3], want[i].Payload) {
-			t.Errorf("opGetBlks entry %d: flag %d, want a found entry carrying the payload", i, flag)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+		t.Errorf("chunked response %d bytes for %d payload bytes: want about a third", got, plain)
 	}
 }
 
@@ -200,7 +165,7 @@ func TestOneChunkableBlockCutsNothing(t *testing.T) {
 	}
 }
 
-// TestChunkedResponseMatchesWholeEntries: an opGetBlksChunked response,
+// TestChunkedResponseMatchesWholeEntries: an opGetBlks response,
 // whose chunked entries go out as heads and tails of many slices, is on
 // the wire byte for byte the frame of its whole entries, on the
 // buffered, vectored and compressed paths.
@@ -211,7 +176,7 @@ func TestChunkedResponseMatchesWholeEntries(t *testing.T) {
 	text := textBlockV4("story.txt", 20<<10) // compressible, so the envelope ships
 	store.Put(text)
 	store.Put(edited("story2.txt", text, 10<<10))
-	resp := NewServer(NewRegistry(store)).handle(frame{op: opGetBlksChunked,
+	resp := NewServer(NewRegistry(store)).handle(frame{op: opGetBlks,
 		parts: keysOf("a.vid", "b.vid", "story.txt", "story2.txt", "small.txt")})
 	var plain bytes.Buffer
 	if err := writeFrameV2(&plain, opOK, 7, wholeParts(resp)...); err != nil {
@@ -247,7 +212,7 @@ func TestChunkedResponseMatchesWholeEntries(t *testing.T) {
 }
 
 // TestGetBlksChunkedServesLiteralsUncopied: answering and writing an
-// opGetBlksChunked response for two 1 MiB near-duplicates allocates the
+// opGetBlks response for two 1 MiB near-duplicates allocates the
 // entries' heads, segments and chunk index, never payload bytes.
 func TestGetBlksChunkedServesLiteralsUncopied(t *testing.T) {
 	a := randomBlock("a.vid", 1<<20, 71)
@@ -256,7 +221,7 @@ func TestGetBlksChunkedServesLiteralsUncopied(t *testing.T) {
 	store.Put(edited("b.vid", a, 1<<19))
 	srv := NewServer(NewRegistry(store))
 	s := newFrameSender(io.Discard)
-	req := frame{op: opGetBlksChunked, parts: keysOf("a.vid", "b.vid")}
+	req := frame{op: opGetBlks, parts: keysOf("a.vid", "b.vid")}
 	if resp := srv.handle(req); resp.parts[1][0] != entryChunked {
 		t.Fatal("the near-duplicate did not travel chunked")
 	}
@@ -329,19 +294,16 @@ func foundEntry() []byte {
 // — a copy forward, of itself, out of the response, past its source's
 // end, of a missing, deferred or reference entry, segments short of or
 // past the declared size, truncation, an unknown segment — fails the
-// response; a plain getblks response rejects even a good chunked entry.
+// response.
 func TestDecodeBlocksRejectsBadChunks(t *testing.T) {
 	found := foundEntry()
 	good := [][]byte{found, chunkedPart(13, copySeg(0, 100, 10), litSeg([]byte("abc")))}
-	blocks, flags, err := decodeBlocks(good, true)
+	blocks, flags, err := decodeBlocks(good)
 	if err != nil || flags[1] != entryChunked || string(blocks[1].Payload) != "yyyyyyyyyyabc" {
 		t.Fatalf("good chunked entry: %v", err)
 	}
-	if _, _, err := decodeBlocks(good, false); err == nil {
-		t.Error("a plain getblks response accepted a chunked entry")
-	}
 	for name, resp := range badChunkedResponses(found) {
-		if _, _, err := decodeBlocks(resp, true); err == nil {
+		if _, _, err := decodeBlocks(resp); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

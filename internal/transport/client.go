@@ -41,10 +41,6 @@ type Client struct {
 	wantCompress bool
 	compress     bool
 
-	// plainGetBlks is set once the server refused opGetBlksChunked and
-	// answered opGetBlks: it predates chunked entries.
-	plainGetBlks atomic.Bool
-
 	// mux carries every exchange after the hello.
 	mux *clientMux
 }
@@ -306,14 +302,14 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 	}
 	for start := 0; start < len(keys); start += maxBatch {
 		end := min(start+maxBatch, len(keys))
-		resp, refs, err := c.getBlks(ctx, keys[start:end])
+		resp, err := c.roundTrip(ctx, opGetBlks, keys[start:end]...)
 		if err != nil {
 			return nil, err
 		}
 		if len(resp) != end-start {
 			return nil, fmt.Errorf("transport: getblks returned %d entries for %d keys", len(resp), end-start)
 		}
-		blocks, flags, err := decodeBlocks(resp, refs)
+		blocks, flags, err := decodeBlocks(resp)
 		if err != nil {
 			return nil, err
 		}
@@ -355,35 +351,10 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 	return out, nil
 }
 
-// getBlks sends one getblks frame: opGetBlksChunked, unless this
-// connection's server refused it before. A refusal (a plain opErr) is
-// retried as opGetBlks, and if that succeeds the server predates
-// chunked entries and the connection stops asking. refs reports whether
-// the response may hold back-reference and chunked entries.
-func (c *Client) getBlks(ctx context.Context, keys [][]byte) (resp [][]byte, refs bool, err error) {
-	if !c.plainGetBlks.Load() {
-		f, err := c.exchange(ctx, opGetBlksChunked, keys)
-		if err != nil {
-			return nil, false, err
-		}
-		if f.op != opErr {
-			resp, err := muxResponse(f)
-			return resp, true, err
-		}
-		if resp, err = c.roundTrip(ctx, opGetBlks, keys...); err == nil {
-			c.plainGetBlks.Store(true)
-		}
-		return resp, false, err
-	}
-	resp, err = c.roundTrip(ctx, opGetBlks, keys...)
-	return resp, false, err
-}
-
 // decodeBlocks rebuilds the blocks of one getblks response, aligned with
 // its entries. A found entry becomes a block named by the hash of its
-// payload. When refs is set, two more kinds are accepted: a
-// back-reference resolves to the block an earlier found or chunked
-// entry built — the same payload and address, renamed when the
+// payload. A back-reference resolves to the block an earlier found or
+// chunked entry built — the same payload and address, renamed when the
 // reference carries a name — and a chunked entry becomes a block named
 // by the hash of the payload its segments spell from its own bytes and
 // earlier found or chunked entries' payloads. Missing and deferred
@@ -391,7 +362,7 @@ func (c *Client) getBlks(ctx context.Context, keys [][]byte) (resp [][]byte, ref
 // that does not point back at such an entry, a copy past its source's
 // end, or chunked payloads adding up to more than maxFrameSize fail the
 // response.
-func decodeBlocks(resp [][]byte, refs bool) (blocks []*media.Block, flags []byte, err error) {
+func decodeBlocks(resp [][]byte) (blocks []*media.Block, flags []byte, err error) {
 	blocks = make([]*media.Block, len(resp))
 	flags = make([]byte, len(resp))
 	carried := func(i, j int) bool { // entry j carried a payload entry i may reuse
@@ -399,7 +370,7 @@ func decodeBlocks(resp [][]byte, refs bool) (blocks []*media.Block, flags []byte
 	}
 	assembled := 0 // payload bytes chunked entries spelled so far
 	for i, part := range resp {
-		if refs && len(part) > 0 && part[0] == entryChunked {
+		if len(part) > 0 && part[0] == entryChunked {
 			fields, size, segs, err := decodeChunked(part)
 			if err != nil {
 				return nil, nil, err
@@ -428,7 +399,7 @@ func decodeBlocks(resp [][]byte, refs bool) (blocks []*media.Block, flags []byte
 			}
 			continue
 		}
-		if refs && len(part) > 0 && part[0] == entryRef {
+		if len(part) > 0 && part[0] == entryRef {
 			j, name, err := decodeRef(part)
 			if err != nil {
 				return nil, nil, err

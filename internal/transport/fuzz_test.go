@@ -52,7 +52,7 @@ func seedFrames(tb testing.TB) [][]byte {
 	addV1(opHello, []byte{protoVersion})
 	addV1(opOK, []byte{protoVersion}, u16(defaultMaxInFlight), []byte{codec.FrameCodecFlate})
 	addV1(opGetDoc, []byte("news"), []byte{byte(EncodingText)}, []byte{0})
-	addV1(opGetBlk, []byte("voice.aud"))
+	addV1(3, []byte("voice.aud")) // the retired single-block get, as an earlier client sends it
 	addV1(opOK, []byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), blk.Payload[:64])
 	addV1(opGetBlks, []byte("anchor.vid"), []byte("voice.aud"), []byte("ghost"))
 	addV1(opOK,
@@ -61,7 +61,7 @@ func seedFrames(tb testing.TB) [][]byte {
 		[]byte{entryDeferred})
 	addV1(opGetDescs, []byte("voice.aud"))
 	addV1(opOK, entryPart([]byte(blk.Name), []byte(descText)))
-	addV1(opErrNotFound, []byte(`getblk: no block "ghost"`))
+	addV1(opErrNotFound, []byte(`getdoc: no document "ghost"`))
 	addV1(opList)
 	addV1(opGoodbye)
 
@@ -69,7 +69,7 @@ func seedFrames(tb testing.TB) [][]byte {
 	addV2(opGetDoc, 1, []byte("news"), []byte{byte(EncodingBinary)}, []byte{1})
 	addV2(opGetBlkStream, 7, []byte("voice.aud"))
 	addV2(opErrBusy, 9, []byte("busy: 32 requests in flight"))
-	addV2(opErrTooLarge, 3, []byte("getblk: block of 67108864 bytes exceeds the frame limit"))
+	addV2(opErr, 3, []byte("unknown op 3"))
 	addV2(opStreamHdr, 7, []byte(blk.Name), []byte(blk.Medium.String()), []byte(descText), u64(uint64(len(blk.Payload))))
 	addV2(opStreamChunk, 7, u32(0), blk.Payload[:len(blk.Payload)/2])
 	addV2(opStreamChunk, 7, u32(1), blk.Payload[len(blk.Payload)/2:])
@@ -413,7 +413,7 @@ func FuzzDecodeCompressedFrame(f *testing.F) {
 	})
 }
 
-// seedBlksEntries captures opGetBlksChunked responses as v2 frames: the
+// seedBlksEntries captures opGetBlks responses as v2 frames: the
 // back-reference fixture's real answers (found, missing, deferred and
 // back-reference entries, under a budget that defers and one that does
 // not), plus one response per back-reference the client must reject —
@@ -440,7 +440,7 @@ func seedBlksEntries(tb testing.TB) [][]byte {
 	old := batchBudget
 	for _, budget := range []int{old, 1000} {
 		batchBudget = budget
-		resp := srv.handle(frame{op: opGetBlksChunked, parts: req})
+		resp := srv.handle(frame{op: opGetBlks, parts: req})
 		whole := make([][]byte, len(resp.parts))
 		for i, p := range resp.parts {
 			whole[i] = append(bytes.Clone(p), tailAt(resp.tails, i)...)
@@ -465,7 +465,7 @@ func seedBlksEntries(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// seedChunkedEntries returns opGetBlksChunked response frames: a real
+// seedChunkedEntries returns opGetBlks response frames: a real
 // one — a block whole, a near-duplicate and a near-duplicate of that as
 // chunked entries, a repeat as a back-reference to a chunked entry — and
 // one for each fault of badChunkedResponses.
@@ -478,7 +478,7 @@ func seedChunkedEntries(tb testing.TB) [][]byte {
 	for _, blk := range []*media.Block{a, b, c, b.WithName("b2.vid")} {
 		store.Put(blk)
 	}
-	resp := NewServer(NewRegistry(store)).handle(frame{op: opGetBlksChunked,
+	resp := NewServer(NewRegistry(store)).handle(frame{op: opGetBlks,
 		parts: keysOf("a.vid", "ghost", "b.vid", "c.vid", "b2.vid")})
 	whole := wholeParts(resp)
 	if whole[2][0] != entryChunked || whole[3][0] != entryChunked {
@@ -504,7 +504,7 @@ func seedChunkedEntries(tb testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzGetBlksEntries decodes arbitrary opGetBlksChunked responses: the
+// FuzzGetBlksEntries decodes arbitrary opGetBlks responses: the
 // client must resolve one, with every block named by the hash of bytes
 // that arrived in that response, or reject it without panicking. A
 // response it resolves holds no back-reference or copy that points
@@ -520,7 +520,7 @@ func FuzzGetBlksEntries(f *testing.F) {
 		if err != nil {
 			return
 		}
-		blocks, flags, err := decodeBlocks(frm.parts, true)
+		blocks, flags, err := decodeBlocks(frm.parts)
 		if err != nil {
 			return
 		}

@@ -51,18 +51,16 @@ type serverMetrics struct {
 
 // opNames maps the request ops the server handles to their label values.
 var opNames = map[byte]string{
-	opGetDoc:         "getdoc",
-	opPutDoc:         "putdoc",
-	opGetBlk:         "getblk",
-	opGetBlks:        "getblks",
-	opGetBlksChunked: "getblks", // one instrument with opGetBlks
-	opGetDescs:       "getdescs",
-	opPutBlk:         "putblk",
-	opList:           "list",
-	opGetBlkStream:   "getblkstream",
-	opSubscribe:      "subscribe",
-	opUnsubscribe:    "unsubscribe",
-	opSubmitEdit:     "submitedit",
+	opGetDoc:       "getdoc",
+	opPutDoc:       "putdoc",
+	opGetBlks:      "getblks",
+	opGetDescs:     "getdescs",
+	opPutBlk:       "putblk",
+	opList:         "list",
+	opGetBlkStream: "getblkstream",
+	opSubscribe:    "subscribe",
+	opUnsubscribe:  "unsubscribe",
+	opSubmitEdit:   "submitedit",
 }
 
 // newServerMetrics resolves the server instrument set in reg.

@@ -332,33 +332,24 @@ func (m *clientMux) recv(ctx context.Context, call *muxCall) (frameV2, error) {
 // exchange. Cancellation abandons only this request: the connection and
 // every other in-flight call on it stay healthy.
 func (c *Client) roundTrip(ctx context.Context, op byte, parts ...[]byte) ([][]byte, error) {
-	f, err := c.exchange(ctx, op, parts)
-	if err != nil {
-		return nil, err
-	}
-	return muxResponse(f)
-}
-
-// exchange is roundTrip up to the response frame, whatever its op.
-func (c *Client) exchange(ctx context.Context, op byte, parts [][]byte) (frameV2, error) {
 	if err := ctx.Err(); err != nil {
-		return frameV2{}, err
+		return nil, err
 	}
 	ctx, cancel := c.withTimeout(ctx)
 	defer cancel()
 	m := c.mux
 	id, call, err := m.begin(ctx, op, parts)
 	if err != nil {
-		return frameV2{}, err
+		return nil, err
 	}
 	c.roundTrips.Add(1)
 	f, err := m.recv(ctx, call)
 	if err != nil {
 		m.abandon(id, call)
-		return frameV2{}, err
+		return nil, err
 	}
 	m.finish(id, call)
-	return f, nil
+	return muxResponse(f)
 }
 
 // muxResponse maps a terminal response frame to parts or a typed error.

@@ -493,8 +493,7 @@ func TestBatchDeferral(t *testing.T) {
 
 // TestGetBlockRidesGetBlks pins the single-block fetch as a batch of
 // one: a present, a missing and an oversized block all travel through
-// opGetBlks (the oversized one deferred to the chunked stream), and the
-// server never sees opGetBlk.
+// opGetBlks (the oversized one deferred to the chunked stream).
 func TestGetBlockRidesGetBlks(t *testing.T) {
 	oldChunk, oldBudget := streamChunkSize, batchBudget
 	streamChunkSize, batchBudget = 1<<10, 1<<11
@@ -553,34 +552,27 @@ func TestGetBlockRidesGetBlks(t *testing.T) {
 		t.Error("oversized block did not travel as a chunked stream")
 	}
 
-	if n := requests("getblk"); n != 0 {
-		t.Errorf("server saw %d getblk requests, want 0", n)
-	}
 	if n := requests("getblks"); n != 3 {
 		t.Errorf("server saw %d getblks requests, want 3", n)
 	}
 }
 
-// TestOversizedBlockAnswersTooLarge pins what the server still owes
-// clients of earlier releases, which fetch single blocks with opGetBlk:
-// a block past the single-frame limit answers opErrTooLarge — their
-// retry trigger for the chunked stream — instead of the server dying on
-// the response write. This client never sends opGetBlk
-// (TestGetBlockRidesGetBlks).
-func TestOversizedBlockAnswersTooLarge(t *testing.T) {
+// TestOversizedBlockAnswersDeferred: at the real batch budget, a block
+// past the single-frame limit answers getblks as a deferred entry — the
+// client's cue for the chunked stream — while a small one beside it
+// travels found, instead of the server dying on the response write.
+func TestOversizedBlockAnswersDeferred(t *testing.T) {
 	store := media.NewStore()
 	store.Put(media.CaptureImage("small.img", 8, 8, 7))
 	store.Put(media.NewBlock("huge.raw", core.MediumImage, make([]byte, maxFrameSize), attr.List{}))
-	reg := NewRegistry(store)
-	srv := NewServer(reg)
+	srv := NewServer(NewRegistry(store))
 
-	resp := srv.handle(frame{op: opGetBlk, parts: [][]byte{[]byte("small.img")}})
-	if resp.op != opOK {
-		t.Fatalf("in-budget block: op %d (%s)", resp.op, resp.parts[0])
+	resp := srv.handle(frame{op: opGetBlks, parts: keysOf("small.img", "huge.raw")})
+	if resp.op != opOK || len(resp.parts) != 2 {
+		t.Fatalf("response op %d with %d parts", resp.op, len(resp.parts))
 	}
-	resp = srv.handle(frame{op: opGetBlk, parts: [][]byte{[]byte("huge.raw")}})
-	if resp.op != opErrTooLarge || len(resp.parts) == 0 {
-		t.Fatalf("oversized block: op %d, want opErrTooLarge", resp.op)
+	if resp.parts[0][0] != entryFound || !bytes.Equal(resp.parts[1], []byte{entryDeferred}) {
+		t.Fatalf("entries %d and %v, want found and deferred", resp.parts[0][0], resp.parts[1])
 	}
 }
 

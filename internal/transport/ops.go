@@ -27,18 +27,16 @@ type opSpec struct {
 // multi-frame ops (opGetBlkStream, opSubscribe, opUnsubscribe) need the
 // connection and are dispatched by handleV2.
 var opTable = map[byte]opSpec{
-	opGetDoc:         {"getdoc", 3, 3, "[name, encoding, inline]", (*Server).getDoc},
-	opPutDoc:         {"putdoc", 3, 3, "[name, encoding, document]", (*Server).putDoc},
-	opSubmitEdit:     {"submitedit", 2, 2, "[name, records]", (*Server).submitEdit},
-	opGetBlk:         {"getblk", 1, 1, "[name]", (*Server).getBlk},
-	opGetBlks:        {"getblks", 1, maxParts, "at least one name", (*Server).getBlks},
-	opGetBlksChunked: {"getblks", 1, maxParts, "at least one name", (*Server).getBlksChunked},
-	opGetDescs:       {"getdescs", 1, maxParts, "at least one name", (*Server).getDescs},
-	opPutBlk:         {"putblk", 4, 4, "[name, medium, descriptor, payload]", (*Server).putBlk},
-	opList:           {"list", 0, maxParts, "[] or [scope]", (*Server).list},
-	opGossip:         {"gossip", 0, 1, "[view]", peerOp("gossip", gossip)},
-	opReplicate:      {"replicate", 1, 1, "[frames]", peerOp("replicate", replicate)},
-	opResync:         {"resync", 1, 1, "[cursor]", peerOp("resync", resync)},
+	opGetDoc:     {"getdoc", 3, 3, "[name, encoding, inline]", (*Server).getDoc},
+	opPutDoc:     {"putdoc", 3, 3, "[name, encoding, document]", (*Server).putDoc},
+	opSubmitEdit: {"submitedit", 2, 2, "[name, records]", (*Server).submitEdit},
+	opGetBlks:    {"getblks", 1, maxParts, "at least one name", (*Server).getBlks},
+	opGetDescs:   {"getdescs", 1, maxParts, "at least one name", (*Server).getDescs},
+	opPutBlk:     {"putblk", 4, 4, "[name, medium, descriptor, payload]", (*Server).putBlk},
+	opList:       {"list", 0, maxParts, "[] or [scope]", (*Server).list},
+	opGossip:     {"gossip", 0, 1, "[view]", peerOp("gossip", gossip)},
+	opReplicate:  {"replicate", 1, 1, "[frames]", peerOp("replicate", replicate)},
+	opResync:     {"resync", 1, 1, "[cursor]", peerOp("resync", resync)},
 }
 
 // handle executes one request, returning the response frame.
@@ -141,45 +139,15 @@ func (s *Server) blockHead(blk *media.Block) ([][]byte, error) {
 	return append(make([][]byte, 0, 6), []byte(blk.Name), []byte(blk.Medium.String()), desc), nil
 }
 
-func (s *Server) getBlk(parts [][]byte) frame {
-	name := string(parts[0])
-	blk, ok := s.backend.GetBlock(name)
-	if !ok {
-		return notFound("getblk: no block %q", name)
-	}
-	// A payload past the frame limit cannot travel as one response.
-	// Answer opErrTooLarge instead of dying on the write: clients of
-	// earlier releases, the only senders of opGetBlk, retry with the
-	// chunked stream.
-	if len(blk.Payload) > maxFrameSize-(1<<16) {
-		return frame{op: opErrTooLarge, parts: [][]byte{[]byte(fmt.Sprintf(
-			"getblk: block of %d bytes exceeds the frame limit; use the chunked stream", len(blk.Payload)))}}
-	}
-	head, err := s.blockHead(blk)
-	if err != nil {
-		return fail("getblk: %v", err)
-	}
-	return okFrame(append(head, blk.Payload)...)
-}
-
-func (s *Server) getBlks(parts [][]byte) frame { return s.batchBlocks(parts, false) }
-
-// getBlksChunked answers opGetBlksChunked: getblks, with each repeat of
-// content an earlier entry inlined sent as a back-reference to that
-// entry, and each block that repeats chunks an earlier entry inlined
-// sent as a chunked entry copying them.
-func (s *Server) getBlksChunked(parts [][]byte) frame { return s.batchBlocks(parts, true) }
-
-// batchBlocks answers the two getblks ops; refs says whether the
-// response may use back-reference and chunked entries.
-func (s *Server) batchBlocks(parts [][]byte, refs bool) frame {
+// getBlks answers opGetBlks: each repeat of content an earlier entry
+// inlined travels as a back-reference to that entry, and each block
+// that repeats chunks an earlier entry inlined as a chunked entry
+// copying them.
+func (s *Server) getBlks(parts [][]byte) frame {
 	out := frame{op: opOK, parts: make([][]byte, len(parts)), tails: make([][][]byte, len(parts))}
-	var chunks *chunkIndex
-	if refs {
-		chunks = &chunkIndex{}
-	}
+	var chunks chunkIndex
 	inlined := 0
-	var sent []int // with refs: the entries that inlined their block
+	var sent []int // the entries that inlined their block
 	var sentBlk []*media.Block
 	for i, p := range parts {
 		blk, ok := s.backend.GetBlock(string(p))
@@ -211,9 +179,7 @@ func (s *Server) batchBlocks(parts [][]byte, refs bool) frame {
 			out.parts[i], out.tails[i] = oneTail(encodeEntry(append(head, blk.Payload)...))
 		}
 		inlined += len(blk.Payload)
-		if refs {
-			sent, sentBlk = append(sent, i), append(sentBlk, blk)
-		}
+		sent, sentBlk = append(sent, i), append(sentBlk, blk)
 	}
 	return out
 }
@@ -267,10 +233,9 @@ const minCopied = 4 // a quarter
 
 // segments returns the segments spelling blk, inlined by entry i, when
 // copies of earlier entries' chunks cover at least 1/minCopied of it;
-// nil means blk travels as a found entry. A nil index (an op without
-// chunked entries) says nil.
+// nil means blk travels as a found entry.
 func (x *chunkIndex) segments(i int, blk *media.Block) []segment {
-	if x == nil || len(blk.Payload) < media.ChunkThreshold {
+	if len(blk.Payload) < media.ChunkThreshold {
 		return nil
 	}
 	if x.at == nil {
@@ -422,7 +387,7 @@ func decodeDoc(data []byte, enc Encoding) (*core.Document, error) {
 	}
 }
 
-// blockFromParts rebuilds a block from putblk/getblk wire parts,
+// blockFromParts rebuilds a block from putblk/getblks wire parts,
 // hashing the payload (NewBlock). The payload is parts[3] itself,
 // capacity-clipped, not a copy: a received part owns its buffer
 // (readPartsV2), so the block pins that part alone — for a batch entry,

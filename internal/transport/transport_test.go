@@ -346,7 +346,7 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		{op: opGetDoc, parts: [][]byte{[]byte("x"), {99}, {0}}},
 		{op: opPutDoc, parts: [][]byte{[]byte("x")}},
 		{op: opPutDoc, parts: [][]byte{[]byte("x"), {byte(EncodingText)}, []byte("(junk")}},
-		{op: opGetBlk},
+		{op: 3}, // the retired single-block get
 		{op: opPutBlk, parts: [][]byte{[]byte("x")}},
 		{op: 42},
 	} {

@@ -23,15 +23,12 @@ const (
 const (
 	opGetDoc byte = 1
 	opPutDoc byte = 2
-	// opGetBlk is the single-block get of earlier releases. The server
-	// still answers it; this client fetches even one block with opGetBlks.
-	opGetBlk byte = 3
+	// Byte 3 is retired (the single-block get); never reuse it.
 	opList   byte = 4
 	opPutBlk byte = 5
-	// opGetBlks is the batched block multi-get: request parts are names
-	// (or content addresses), the response carries one entry part per
-	// requested name, in request order (see encodeEntry).
-	opGetBlks byte = 7
+	// Byte 7 is retired (getblks without back-reference or chunked
+	// entries); never reuse it.
+	//
 	// opGetDescs is the batched descriptor multi-get: like opGetBlks but
 	// each found entry carries only the descriptor text, not the payload —
 	// the paper's "relatively small clusters of data (the attributes)".
@@ -84,18 +81,16 @@ const (
 	// (getblks with back-references but no chunked entries); never reuse
 	// them.
 	//
-	// opGetBlksChunked is opGetBlks for a client that reads
-	// back-reference (entryRef) and chunked (entryChunked) entries: the
-	// same request parts, and a response that may answer a name whose
-	// content an earlier entry of the same response inlined with a
-	// reference to that entry instead of a second payload, and may carry
-	// a block as segments, each either literal bytes or a copy of bytes
-	// an earlier entry of the same response carried. A server of an
-	// earlier release refuses it with a plain opErr; the client then
-	// falls back to opGetBlks for the rest of the connection. The server
-	// counts and times it as getblks.
-	opGetBlksChunked byte = 20
-	opOK             byte = 128
+	// opGetBlks is the batched block multi-get: request parts are names
+	// (or content addresses), the response carries one entry part per
+	// requested name, in request order (see encodeEntry). An entry may
+	// answer a name whose content an earlier entry of the same response
+	// inlined with a reference to that entry instead of a second payload
+	// (entryRef), and may carry a block as segments, each either literal
+	// bytes or a copy of bytes an earlier entry of the same response
+	// carried (entryChunked).
+	opGetBlks byte = 20
+	opOK      byte = 128
 	// opStreamHdr opens a streamed block response: parts are
 	// [name, medium, descriptor, payloadSize(u64)].
 	opStreamHdr byte = 129
@@ -122,10 +117,9 @@ const (
 	// is rejected. Senders only emit it on v2 mux connections whose hello
 	// negotiated compression.
 	opCompressed byte = 192
-	// opErrTooLarge reports that an opGetBlk block cannot be framed as a
-	// single response (payload past maxFrameSize); clients of earlier
-	// releases retry with opGetBlkStream.
-	opErrTooLarge byte = 252
+	// Byte 252 is retired (the single-block get's too-large answer);
+	// never reuse it.
+	//
 	// opErrBusy is the per-connection backpressure rejection: the server
 	// already has its maximum number of requests in flight on this
 	// connection and refuses to queue more.
@@ -183,7 +177,7 @@ var listScopeLocal = []byte("local")
 // have pushed the response past maxFrameSize — the client re-fetches
 // deferred entries with single-item ops. Flags 0 and 2 carry no fields.
 //
-// flag=3, only in an opGetBlksChunked response, is a back-reference: the
+// flag=3 is a back-reference: the
 // block is the one an earlier found entry of the same response inlined
 // (same content address, medium and descriptor), so no payload follows:
 //
@@ -192,7 +186,7 @@ var listScopeLocal = []byte("local")
 // index is the earlier entry's position in the response; name, when not
 // empty, is the block's name if it differs from that entry's.
 //
-// flag=4, only in an opGetBlksChunked response, is a chunked entry: a
+// flag=4 is a chunked entry: a
 // found block whose payload is spelled as segments, each either literal
 // bytes or a copy of bytes an earlier found entry (flag 1 or 4) of the
 // same response carried:

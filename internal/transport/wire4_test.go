@@ -174,12 +174,12 @@ func TestVectoredWritePath(t *testing.T) {
 }
 
 // TestRetiredDedupeOpsAnswerPlainError pins the wire contract for the
-// retired chunk-dedupe ops, bytes 17 (block manifest) and 18 (chunks by
-// hash), and for 19 (getblks with back-references only): a current server answers each with opErr, never opOK and never
-// opErrNotFound, even for a block it holds or a name it does not. A
-// client of an earlier release treats exactly that answer as "fall back
-// to getblks", so it keeps working against this server. The connection
-// survives and answers the fallback.
+// retired request ops: 3 (the single-block get), 7 (getblks without
+// back-reference or chunked entries), 17 (block manifest), 18 (chunks by
+// hash) and 19 (getblks with back-references only). A current server
+// answers each with opErr, never opOK and never opErrNotFound, even for
+// a block it holds or a name it does not, and the connection keeps
+// serving: a getblks after each is answered.
 func TestRetiredDedupeOpsAnswerPlainError(t *testing.T) {
 	store := media.NewStore()
 	blk := randomBlock("clip.vid", 4*media.ChunkThreshold, 17)
@@ -204,12 +204,14 @@ func TestRetiredDedupeOpsAnswerPlainError(t *testing.T) {
 		op   byte
 		part []byte
 	}{
+		{"single-block get", 3, []byte(blk.Name)},
+		{"getblks without references", 7, []byte(blk.Name)},
 		{"manifest of a held block", 17, []byte(blk.Name)},
 		{"manifest of a missing block", 17, []byte("ghost")},
 		{"chunks by hash", 18, chunk[:]},
 		{"getblks with back-references", 19, []byte(blk.Name)},
 	} {
-		id := uint32(i + 1)
+		id := uint32(2*i + 1)
 		if err := writeFrameV2(conn, req.op, id, req.part); err != nil {
 			t.Fatal(err)
 		}
@@ -220,11 +222,11 @@ func TestRetiredDedupeOpsAnswerPlainError(t *testing.T) {
 		if resp.id != id || resp.op != opErr {
 			t.Errorf("%s: response op %d id %d, want opErr (%d) for id %d", req.name, resp.op, resp.id, opErr, id)
 		}
-	}
-	if err := writeFrameV2(conn, opGetBlks, 9, []byte(blk.Name)); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := readFrameV2(br); err != nil || resp.op != opOK || resp.id != 9 {
-		t.Fatalf("getblks after the retired ops: %v, %v", resp, err)
+		if err := writeFrameV2(conn, opGetBlks, id+1, []byte(blk.Name)); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := readFrameV2(br); err != nil || resp.op != opOK || resp.id != id+1 {
+			t.Fatalf("getblks after %s: %v, %v", req.name, resp, err)
+		}
 	}
 }

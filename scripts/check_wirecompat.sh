@@ -1,35 +1,39 @@
 #!/bin/sh
-# Wire-compatibility matrix: the current tree must interoperate with the
-# previous release on the wire, in BOTH directions:
+# Compatibility window check. The window is one release: "previous" is
+# the latest tag when one exists, else the parent commit — the newest
+# code a real deployment could be running. Inside it:
 #
-#   1. current client -> previous server: the previous server must
-#      answer the current client's hello with the same protocol version
-#      and every fetch must round-trip (a new client never strands
-#      deployed servers);
-#   2. previous client -> current server: the current server must keep
-#      answering the previous client's hello exactly as before (a
-#      rollout never strands deployed clients).
+#   1. current client -> previous server: the previous server answers
+#      the current client's hello with the same protocol version and
+#      every fetch round-trips (a new client never strands deployed
+#      servers);
+#   2. previous client -> current server: the current server answers
+#      the previous client exactly as before (a rollout never strands
+#      deployed clients);
+#   3. previous data directory -> current node: a directory the
+#      previous cmifd wrote (a snapshot and a WAL tail) is served by the
+#      current cmifd as it was written.
+#
+# Nothing outside the window is served or read: a peer or a directory
+# from an older release is carried across by a release inside it.
 #
 # Both sides speak one protocol version; a release that changes it
 # cannot pass this check against its predecessor, by design.
 #
-# "Previous" is the latest tag when one exists, else the parent commit —
-# the newest code a real deployment could be running. The check builds
-# cmifd + cmifget from that ref in a temporary git worktree, preloads
-# both servers with the same deterministic -news corpus, and requires
-# the documents fetched across versions to be byte-identical to the
-# current-vs-current baseline (inline fetches and two block fetches
-# included, so block payloads cross the version boundary both inlined
-# and through the batched block fetch). The current client also fetches
-# a near-duplicate set in one batch — videos that share most of their
-# chunks, two names for one voice-over and a repeated name — so that
-# back-references and chunked entries cross the boundary, and the
-# previous server's refusal of the op that asks for them is answered by
-# the client's fallback; the previous client keeps its one-name block
-# fetches. A current client's plain "doc"
-# travels in the binary encoding and "-binary" is a no-op it still
-# accepts; a previous client that fetches text still exercises the text
-# encoding against the current server.
+# The check builds cmifd + cmifget from the previous ref in a temporary
+# git worktree, preloads both servers with the same deterministic -news
+# corpus, and requires the documents fetched across versions to be
+# byte-identical to the current-vs-current baseline (inline fetches and
+# two block fetches included, so block payloads cross the version
+# boundary both inlined and through the batched block fetch). The
+# current client also fetches a near-duplicate set in one batch —
+# videos that share most of their chunks, two names for one voice-over
+# and a repeated name — so that back-references and chunked entries
+# cross the boundary; the previous client keeps its one-name block
+# fetches. For the data directory, the previous cmifd preloads the same corpus
+# into it, snapshotting at 4 KiB, and is stopped with TERM; the current
+# cmifd then serves the directory with no preload, and the current
+# client's listing, document and block fetches must match its baseline.
 #
 # Needs full git history (CI: fetch-depth 0). Run from the repository
 # root: ./scripts/check_wirecompat.sh
@@ -37,17 +41,18 @@ set -eu
 
 NEW_ADDR=127.0.0.1:7961
 OLD_ADDR=127.0.0.1:7962
+DATA_ADDR=127.0.0.1:7963
 
 prev=$(git describe --tags --abbrev=0 2>/dev/null || git rev-parse HEAD~1)
 echo "wirecompat: current HEAD vs $prev"
 
 work=$(mktemp -d)
-newd=""; oldd=""
+newd=""; oldd=""; datad=""
 cleanup() {
-    for pid in $newd $oldd; do
+    for pid in $newd $oldd $datad; do
         kill -TERM "$pid" 2>/dev/null || true
     done
-    for pid in $newd $oldd; do
+    for pid in $newd $oldd $datad; do
         wait "$pid" 2>/dev/null || true
     done
     git worktree remove --force "$work/prev" 2>/dev/null || true
@@ -76,13 +81,12 @@ wait_up "$work/new/cmifget" "$NEW_ADDR"
 wait_up "$work/old/cmifget" "$OLD_ADDR"
 
 # fetch CLIENT SERVER OUT: every surface a deployed pairing exercises —
-# the listing, the structured document (plain and -binary), the
-# inline fetch that moves the block payloads inside the document, and
-# an audio and a video block fetched on their own.
+# the listing, the structured document, the inline fetch that moves the
+# block payloads inside the document, and an audio and a video block
+# fetched on their own.
 fetch() {
     "$1" -addr "$2" list >"$3.list"
     "$1" -addr "$2" doc news >"$3.doc"
-    "$1" -addr "$2" -binary doc news >"$3.binary"
     "$1" -addr "$2" -inline doc news >"$3.inline"
     "$1" -addr "$2" block story0-voice.aud >"$3.audio"
     "$1" -addr "$2" block story1-crime-scene.vid >"$3.video"
@@ -108,11 +112,27 @@ batch "$work/new/cmifget" "$OLD_ADDR" "$work/nc-os"
 fetch "$work/old/cmifget" "$OLD_ADDR" "$work/oc-os"  # old client baseline
 fetch "$work/old/cmifget" "$NEW_ADDR" "$work/oc-ns"  # old client, new server
 
+# The previous cmifd writes a data directory and drains on TERM; the
+# current cmifd serves it with no preload of its own.
+"$work/old/cmifd" -addr "$DATA_ADDR" -news 2 -snap-bytes 4096 -data "$work/data" &
+datad=$!
+wait_up "$work/old/cmifget" "$DATA_ADDR"
+kill -TERM "$datad"
+if ! wait "$datad"; then
+    echo "wirecompat: the previous cmifd did not drain cleanly on TERM" >&2
+    exit 1
+fi
+echo "wirecompat: previous data directory: $(ls "$work/data" | tr '\n' ' ')"
+"$work/new/cmifd" -addr "$DATA_ADDR" -news 0 -data "$work/data" &
+datad=$!
+wait_up "$work/new/cmifget" "$DATA_ADDR"
+fetch "$work/new/cmifget" "$DATA_ADDR" "$work/nc-od"  # new client, new server on the old directory
+
 fail=0
-for pair in "nc-ns nc-os" "oc-os oc-ns"; do
+for pair in "nc-ns nc-os" "oc-os oc-ns" "nc-ns nc-od"; do
     base=${pair% *}; side=${pair#* }
-    whats="list doc binary inline audio video"
-    [ "$base" = nc-ns ] && whats="$whats batch"
+    whats="list doc inline audio video"
+    [ "$pair" = "nc-ns nc-os" ] && whats="$whats batch"
     for what in $whats; do
         if ! cmp -s "$work/$base.$what" "$work/$side.$what"; then
             echo "wirecompat: $side $what differs from the $base baseline:" >&2
@@ -123,4 +143,4 @@ for pair in "nc-ns nc-os" "oc-os oc-ns"; do
 done
 [ "$fail" -ne 0 ] && exit 1
 
-echo "wirecompat: both directions byte-identical to baseline against $prev"
+echo "wirecompat: both directions and the data directory byte-identical to baseline against $prev"
