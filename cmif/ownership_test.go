@@ -64,9 +64,11 @@ func TestServedDocumentIsolation(t *testing.T) {
 }
 
 // TestRestartHoldsEachDocumentOnce: a durable server restarted on its
-// data directory, re-seeded with the same corpus, holds one decoded copy
-// of each document — the registry's entry is the log's live state —
-// whether the document was recovered only or recovered and re-seeded.
+// data directory, re-seeded with the same corpus, serves each document
+// from one tree — the registry's; the log keeps only its bytes — and
+// journals nothing again: the re-put of the seed is deduped against the
+// bytes the log kept for it, whether the document was recovered only or
+// recovered and re-seeded.
 func TestRestartHoldsEachDocumentOnce(t *testing.T) {
 	dir := t.TempDir()
 	doc, store, err := BuildNews(NewsConfig{Stories: 2})
@@ -86,11 +88,8 @@ func TestRestartHoldsEachDocumentOnce(t *testing.T) {
 		if len(names) != 2 {
 			t.Fatalf("run %d: documents %v, want news and extra", run, names)
 		}
-		for _, name := range names {
-			e, _ := srv.reg.GetDoc(name)
-			if e.Doc() != srv.log.Doc(name) {
-				t.Errorf("run %d: the registry and the log hold two copies of %q", run, name)
-			}
+		if n := srv.log.Stats().Records; run > 0 && n != 0 {
+			t.Errorf("run %d: the re-seeded restart journaled %d records", run, n)
 		}
 		if err := srv.Close(); err != nil {
 			t.Fatal(err)

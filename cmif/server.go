@@ -208,7 +208,7 @@ func NewServer(opts ...ServeOption) *Server {
 		}
 		reg = transport.NewRegistry(st.Store)
 		// Recovered documents preload before the journal attaches — they
-		// are already on disk — and are shared with the log, not copied.
+		// are already on disk, as the records the log keeps.
 		for name, d := range st.Docs {
 			reg.PutDoc(name, d)
 		}

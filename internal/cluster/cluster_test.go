@@ -405,7 +405,8 @@ func TestClusterRejoinResyncs(t *testing.T) {
 
 // TestClusterPutDecodesOnce: a put applied on a node — by its primary's
 // commit or by Replicate on the other replica — is decoded once: the
-// registry serves the document the log decoded while appending it.
+// registry serves the document the log's verify step decoded, so a
+// replicated put of a wide document allocates less than two decodes.
 func TestClusterPutDecodesOnce(t *testing.T) {
 	nodes := startCluster(t, 2, 2)
 	ctx := context.Background()
@@ -420,12 +421,35 @@ func TestClusterPutDecodesOnce(t *testing.T) {
 		if got := len(n.DocNames()); got != 4 {
 			t.Fatalf("node %s holds %d documents, want 4", n.Addr(), got)
 		}
-		for _, name := range n.DocNames() {
-			e, _ := n.Registry.GetDoc(name)
-			if e.Doc() != n.log.Doc(name) {
-				t.Errorf("node %s decoded %q twice", n.Addr(), name)
-			}
+	}
+
+	var frames [2][]byte
+	for v := range frames {
+		d := testDoc(t, fmt.Sprintf("wide-%d", v))
+		for i := 0; i < 200; i++ {
+			d.Root.Add(core.NewImm([]byte(fmt.Sprint(i))).SetName(fmt.Sprintf("n-%d", i)).
+				SetAttr("channel", attr.ID("labels")))
 		}
+		data, err := codec.EncodeBinary(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[v] = durable.FramePutDoc("wide", data)
+	}
+	recs, err := durable.DecodeFrames(frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := testing.AllocsPerRun(10, func() { _, _ = codec.DecodeBinary(recs[0].Fields[1]) })
+	n, v := nodes[1], 0
+	apply := testing.AllocsPerRun(10, func() {
+		v ^= 1 // alternate versions, so no put is deduped
+		if err := n.Replicate(frames[v]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if apply >= 1.5*decode {
+		t.Errorf("a replicated put allocates %v objects, one decode %v: it was decoded twice", apply, decode)
 	}
 }
 

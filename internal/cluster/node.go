@@ -164,8 +164,8 @@ func Start(cfg Config) (*Node, error) {
 		return nil, err
 	}
 
-	// The registry shares the recovered block store and documents (a
-	// registered document is immutable, so one copy serves both). The
+	// The registry shares the recovered block store and takes the
+	// recovered documents: the log keeps their bytes, not the trees. The
 	// journal is NOT attached as the store's mutation hook and Journal
 	// stays nil: every cluster mutation is framed once and fed through
 	// AppendRecords, which journals and applies in one step (a
@@ -542,18 +542,18 @@ func (n *Node) applyFrames(frames []byte, refreshReg bool) error {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 	n.noteTouchedLocked(recs)
-	putDocs, err := n.log.AppendRecords(recs)
+	docs, err := n.log.AppendRecords(recs)
 	if err == nil && refreshReg {
-		n.adoptLocked(putDocs)
+		n.adoptLocked(docs)
 	}
 	return err
 }
 
-// adoptLocked registers the documents an append just decoded: applyMu
-// serializes every append, so the log still holds exactly those.
-func (n *Node) adoptLocked(putDocs []string) {
-	for _, name := range putDocs {
-		n.Registry.PutDoc(name, n.log.Doc(name))
+// adoptLocked registers the documents an append just decoded. applyMu
+// serializes every append, so no later put of a name overtakes them.
+func (n *Node) adoptLocked(docs map[string]*core.Document) {
+	for name, d := range docs {
+		n.Registry.PutDoc(name, d)
 	}
 }
 
@@ -907,9 +907,9 @@ func (n *Node) resyncFrom(addr string) bool {
 			return !n.touched[recordKey(r)]
 		})
 		if ferr == nil && len(kept) > 0 {
-			var putDocs []string
-			if putDocs, ferr = n.log.AppendFrames(kept); ferr == nil {
-				n.adoptLocked(putDocs)
+			var docs map[string]*core.Document
+			if docs, ferr = n.log.AppendFrames(kept); ferr == nil {
+				n.adoptLocked(docs)
 			}
 		}
 		n.applyMu.Unlock()

@@ -182,7 +182,7 @@ func TestEditDocJournalsTheChange(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{Sync: SyncNever})
 	live := testDoc(t, "news")
-	if err := l.PutDoc("news", live, binaryOf(live)); err != nil {
+	if err := l.PutDoc("news", binaryOf(live)); err != nil {
 		t.Fatal(err)
 	}
 	whole := int64(len(docBytes(t, live)))
@@ -193,7 +193,7 @@ func TestEditDocJournalsTheChange(t *testing.T) {
 		{edit.RecordDelete("/clip")},
 	} {
 		next, enc := edited(t, live, recs...)
-		if err := l.EditDoc("news", recs, enc, binaryOf(next)); err != nil {
+		if err := l.EditDoc("news", enc, binaryOf(next)); err != nil {
 			t.Fatal(err)
 		}
 		live = next
@@ -221,16 +221,16 @@ func TestEditDocJournalsTheChange(t *testing.T) {
 	l2, _ := mustOpen(t, dir, Options{Sync: SyncNever})
 	base := testDoc(t, "news")
 	for i := 0; i < 2; i++ {
-		if err := l2.PutDoc("news", base, binaryOf(base)); err != nil {
+		if err := l2.PutDoc("news", binaryOf(base)); err != nil {
 			t.Fatal(err)
 		}
 		rec := setDuration(t, "/cap", 900)
 		next, enc := edited(t, base, rec)
-		if err := l2.EditDoc("news", []core.ChangeRecord{rec}, enc, binaryOf(next)); err != nil {
+		if err := l2.EditDoc("news", enc, binaryOf(next)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l2.PutDoc("news", base, binaryOf(base)); err != nil {
+	if err := l2.PutDoc("news", binaryOf(base)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -244,98 +244,204 @@ func TestEditDocJournalsTheChange(t *testing.T) {
 	}
 }
 
-// TestRefusedEditLeavesTheLogsCopy: a batch that does not apply to the
-// log's copy, or whose record cannot be appended, is refused and leaves
-// that copy as it was — the log edits its own copy in place, so it must
-// take the batch back.
+// TestRefusedEditLeavesTheLogsCopy: an edit whose record cannot be
+// appended, because the log is closed, is refused and leaves the bytes the
+// log keeps for the document as they were.
 func TestRefusedEditLeavesTheLogsCopy(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
 	base := testDoc(t, "news")
-	if err := l.PutDoc("news", base, binaryOf(base)); err != nil {
+	if err := l.PutDoc("news", binaryOf(base)); err != nil {
 		t.Fatal(err)
 	}
-	ok := setDuration(t, "/cap", 250)
-	live, enc := edited(t, base, ok)
-	if err := l.EditDoc("news", []core.ChangeRecord{ok}, enc, binaryOf(live)); err != nil {
+	live, enc := edited(t, base, setDuration(t, "/cap", 250))
+	if err := l.EditDoc("news", enc, binaryOf(live)); err != nil {
 		t.Fatal(err)
 	}
-	want, records := docBytes(t, l.Doc("news")), l.Stats().Records
-
-	conflict := []core.ChangeRecord{insertLeaf(t, "late"), edit.RecordDelete("/ghost")}
-	if err := l.EditDoc("news", conflict, core.EncodeChangeRecords(conflict), binaryOf(live)); err == nil {
-		t.Fatal("a batch that does not apply was journaled")
-	}
-	if !bytes.Equal(docBytes(t, l.Doc("news")), want) || l.Stats().Records != records {
-		t.Fatal("a batch that does not apply changed the log")
-	}
+	want := *l.st.docs["news"]
 
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	more := []core.ChangeRecord{insertLeaf(t, "late")}
-	if err := l.EditDoc("news", more, core.EncodeChangeRecords(more), binaryOf(live)); err == nil {
+	if err := l.EditDoc("news", core.EncodeChangeRecords(more), binaryOf(live)); err == nil {
 		t.Fatal("a closed log journaled an edit")
 	}
-	if !bytes.Equal(docBytes(t, l.Doc("news")), want) {
-		t.Fatal("an edit the log could not append changed its copy")
+	got := l.st.docs["news"]
+	if !bytes.Equal(got.base, want.base) || len(got.tail) != len(want.tail) {
+		t.Fatal("an edit the log could not append changed its bytes")
+	}
+	if data, err := fold("news", got.base, got.tail); err != nil || !bytes.Equal(data, docBytes(t, live)) {
+		t.Fatalf("the log's bytes no longer rebuild the live document (fold: %v)", err)
 	}
 }
 
-// TestLogEditsOnlyItsOwnCopy: the log edits a document in place only
-// while the copy is its own. A tree PutDoc hands over, or Doc hands out,
-// is copied before the next edit, so its holder's tree stays as it was.
-func TestLogEditsOnlyItsOwnCopy(t *testing.T) {
-	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
-	defer l.Close()
-	var mirror *core.Document // what the log's copy should be
-	editNews := func(ms int64) {
+// paddedDoc is testDoc with a 64 KiB leaf: a base no test's tail of
+// edits outweighs, so no background fold runs beside the test's own.
+func paddedDoc(t *testing.T, label string) *core.Document {
+	t.Helper()
+	d := testDoc(t, label)
+	d.Root.Add(core.NewImm(bytes.Repeat([]byte("p"), 64<<10)).SetName("pad").
+		SetAttr("channel", attr.ID("labels")))
+	return d
+}
+
+// TestSnapshotFoldsEdits: a snapshot folds a document's edits into one
+// recPutDoc byte-equal to the registry's encoding of the edited tree,
+// and the log keeps that encoding as the document's base. A fold runs
+// outside the log's lock: edits appended meanwhile stay in the tail and
+// recover in order, and a put made meanwhile is not overwritten.
+func TestSnapshotFoldsEdits(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Sync: SyncNever, SnapshotBytes: -1})
+	live := paddedDoc(t, "news")
+	if err := l.PutDoc("news", binaryOf(live)); err != nil {
+		t.Fatal(err)
+	}
+	editNews := func(i int) {
 		t.Helper()
-		rec := setDuration(t, "/cap", ms)
-		var enc []byte
-		mirror, enc = edited(t, mirror, rec)
-		if err := l.EditDoc("news", []core.ChangeRecord{rec}, enc, binaryOf(mirror)); err != nil {
+		next, enc := edited(t, live, insertLeaf(t, fmt.Sprintf("n-%d", i)))
+		if err := l.EditDoc("news", enc, binaryOf(next)); err != nil {
 			t.Fatal(err)
 		}
+		live = next
 	}
-	put := testDoc(t, "news")
-	mirror = put.Clone()
-	putBytes := docBytes(t, put)
-	if err := l.PutDoc("news", put, binaryOf(put)); err != nil {
+	for i := 0; i < 5; i++ {
+		editNews(i)
+	}
+	if err := l.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	editNews(100)
-	held := l.Doc("news")
-	heldBytes := docBytes(t, held)
-	editNews(200) // the log owned its copy until Doc handed it out
-	again := testDoc(t, "news")
-	if err := l.PutDoc("news", again, binaryOf(again)); err != nil {
+	listing, err := listDir(dir)
+	if err != nil || len(listing.snapSeqs) == 0 {
+		t.Fatalf("no snapshot written (%v)", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapName(listing.snapSeqs[len(listing.snapSeqs)-1])))
+	if err != nil {
 		t.Fatal(err)
 	}
-	mirror = again.Clone()
-	editNews(300) // the log owned its copy until PutDoc replaced it
-	if !bytes.Equal(docBytes(t, l.Doc("news")), docBytes(t, mirror)) {
-		t.Fatal("the log's copy missed an edit")
+	recs, err := DecodeFrames(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		what      string
-		d         *core.Document
-		wantBytes []byte
-	}{{"put", put, putBytes}, {"handed out", held, heldBytes}, {"put again", again, putBytes}} {
-		if !bytes.Equal(docBytes(t, c.d), c.wantBytes) {
-			t.Errorf("an edit changed a tree the log %s", c.what)
+	var puts [][]byte
+	for _, r := range recs {
+		switch r.Op {
+		case recEditDoc:
+			t.Fatal("the snapshot holds a recEditDoc")
+		case recPutDoc:
+			puts = append(puts, r.Fields[1])
 		}
+	}
+	if len(puts) != 1 || !bytes.Equal(puts[0], docBytes(t, live)) {
+		t.Fatalf("the snapshot holds %d recPutDoc, want one equal to the registry's encoding", len(puts))
+	}
+	if cur := l.st.docs["news"]; len(cur.tail) != 0 || !bytes.Equal(cur.base, puts[0]) {
+		t.Fatal("the log did not keep the folded encoding as its base")
+	}
+
+	// capture takes name's bytes as a snapshot or resync does, under the
+	// lock; the caller folds them with l.folded after racing it.
+	capture := func() (*docJournal, docJournal) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		cur := l.st.docs["news"]
+		return cur, *cur
+	}
+	editNews(5)
+	folds := docBytes(t, live)
+	cur, at := capture()
+	editNews(6)
+	editNews(7)
+	if data, err := l.folded("news", cur, at); err != nil || !bytes.Equal(data, folds) {
+		t.Fatalf("fold: %v, or not the document the captured edits produced", err)
+	}
+	got := l.st.docs["news"]
+	if !bytes.Equal(got.base, folds) || len(got.tail) != 2 {
+		t.Fatalf("after the fold the log holds a tail of %d batches, want the 2 appended during it", len(got.tail))
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	editNews(8)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(docBytes(t, loadDoc(t, dir, "news")), docBytes(t, live)) {
+		t.Fatal("edits appended during a fold did not recover in order")
+	}
+
+	l, _ = mustOpen(t, dir, Options{Sync: SyncNever, SnapshotBytes: -1})
+	editNews(9)
+	cur, at = capture()
+	reput := paddedDoc(t, "reput")
+	if err := l.PutDoc("news", binaryOf(reput)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.folded("news", cur, at); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.st.docs["news"]; !bytes.Equal(got.base, docBytes(t, reput)) || len(got.tail) != 0 {
+		t.Fatal("a fold overwrote a put made while it ran")
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(docBytes(t, loadDoc(t, dir, "news")), docBytes(t, reput)) {
+		t.Fatal("a put made during a fold did not recover")
 	}
 }
 
-// TestResyncRacesEdits: a resync frames a document outside the log's
-// lock, so the capture must stop the log from editing that copy in
-// place; under -race an edit racing the encode would be reported, and
-// every framed document must be one the edits produced.
+// TestLongTailFolds: once a document's tail of edits outweighs its base,
+// the log folds it in the background until it no longer does, so it does
+// not keep every batch until the next snapshot; the folded bytes still
+// rebuild the live document, and the directory recovers it.
+func TestLongTailFolds(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Sync: SyncNever, SnapshotBytes: -1})
+	live := testDoc(t, "news")
+	if err := l.PutDoc("news", binaryOf(live)); err != nil {
+		t.Fatal(err)
+	}
+	var appended int
+	for i := 0; i < 200; i++ {
+		recs := []core.ChangeRecord{insertLeaf(t, fmt.Sprintf("n-%d", i))}
+		if i > 0 {
+			recs = append(recs, edit.RecordDelete(fmt.Sprintf("/n-%d", i-1)))
+		}
+		next, enc := edited(t, live, recs...)
+		if err := l.EditDoc("news", enc, binaryOf(next)); err != nil {
+			t.Fatal(err)
+		}
+		live, appended = next, appended+len(enc)
+	}
+	if err := l.Close(); err != nil { // waits for background folds
+		t.Fatal(err)
+	}
+	cur := l.st.docs["news"]
+	if cur.tailBytes > len(cur.base) {
+		t.Fatalf("the log keeps a %d-byte tail over a %d-byte base after %d bytes of edits",
+			cur.tailBytes, len(cur.base), appended)
+	}
+	if data, err := fold("news", cur.base, cur.tail); err != nil || !bytes.Equal(data, docBytes(t, live)) {
+		t.Fatalf("the folded bytes do not rebuild the live document (%v)", err)
+	}
+	if !bytes.Equal(docBytes(t, loadDoc(t, dir, "news")), docBytes(t, live)) {
+		t.Fatal("recovered document differs from the live one")
+	}
+}
+
+// TestResyncRacesEdits: a resync folds a document outside the log's lock
+// while edits append to its tail; under -race an edit racing the fold
+// would be reported, and every framed document must be one the edits
+// produced.
 func TestResyncRacesEdits(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncNever, SnapshotBytes: -1})
 	defer l.Close()
 	prev := testDoc(t, "race")
-	if err := l.PutDoc("race", prev, binaryOf(prev)); err != nil {
+	if err := l.PutDoc("race", binaryOf(prev)); err != nil {
 		t.Fatal(err)
 	}
 	const edits = 300
@@ -357,7 +463,7 @@ func TestResyncRacesEdits(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i, recs := range batches {
-			if err := l.EditDoc("race", recs, core.EncodeChangeRecords(recs), binaryOf(chain[i])); err != nil {
+			if err := l.EditDoc("race", core.EncodeChangeRecords(recs), binaryOf(chain[i])); err != nil {
 				t.Errorf("EditDoc: %v", err)
 				return
 			}
@@ -391,7 +497,7 @@ func TestEditDocOfUnknownNameJournalsWhole(t *testing.T) {
 	l, _ := mustOpen(t, dir, Options{Sync: SyncNever})
 	rec := setDuration(t, "/cap", 300)
 	d, enc := edited(t, testDoc(t, "fresh"), rec)
-	if err := l.EditDoc("fresh", []core.ChangeRecord{rec}, enc, binaryOf(d)); err != nil {
+	if err := l.EditDoc("fresh", enc, binaryOf(d)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -439,7 +545,7 @@ func TestEditDocFormatCompat(t *testing.T) {
 		l, st := mustOpen(t, dir, Options{Sync: SyncNever})
 		rec := insertLeaf(t, "later")
 		next, enc := edited(t, st.Docs["news"], rec)
-		if err := l.EditDoc("news", []core.ChangeRecord{rec}, enc, binaryOf(next)); err != nil {
+		if err := l.EditDoc("news", enc, binaryOf(next)); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -455,7 +561,7 @@ func TestEditDocFormatCompat(t *testing.T) {
 		l, st := mustOpen(t, dir, Options{Sync: SyncNever})
 		populate(t, l, st) // blocks, names, descriptors and the base document
 		for i, d := range states {
-			if err := l.EditDoc("news", recs[i:i+1], encs[i], binaryOf(d)); err != nil {
+			if err := l.EditDoc("news", encs[i], binaryOf(d)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -473,7 +579,7 @@ func TestEditDocFormatCompat(t *testing.T) {
 				t.Fatalf("snapshotted directory still holds op %d", op)
 			}
 		}
-		checkEqual(t, st, mustLoad(t, dir))
+		checkEqual(t, liveState(t, l), mustLoad(t, dir))
 	})
 }
 
@@ -484,12 +590,12 @@ func TestResyncAndAppendFramesSeeEditedDocs(t *testing.T) {
 	l, _ := mustOpen(t, t.TempDir(), Options{Sync: SyncNever})
 	defer l.Close()
 	base := testDoc(t, "news")
-	if err := l.PutDoc("news", base, binaryOf(base)); err != nil {
+	if err := l.PutDoc("news", binaryOf(base)); err != nil {
 		t.Fatal(err)
 	}
 	rec := insertLeaf(t, "late")
 	live, enc := edited(t, base, rec)
-	if err := l.EditDoc("news", []core.ChangeRecord{rec}, enc, binaryOf(live)); err != nil {
+	if err := l.EditDoc("news", enc, binaryOf(live)); err != nil {
 		t.Fatal(err)
 	}
 	frames, next, err := l.ResyncChunk("", 1<<20)
@@ -504,11 +610,11 @@ func TestResyncAndAppendFramesSeeEditedDocs(t *testing.T) {
 		t.Fatal("resync did not ship the edited document whole")
 	}
 
-	putDocs, err := l.AppendFrames(FramePutDoc("news", docBytes(t, base)))
+	docs, err := l.AppendFrames(FramePutDoc("news", docBytes(t, base)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(putDocs) != 1 {
+	if len(docs) != 1 {
 		t.Fatal("a replicated put was deduped against a stale entry")
 	}
 }
@@ -526,7 +632,7 @@ func TestSnapshotRacesEdits(t *testing.T) {
 	l, _ := mustOpen(t, dir, Options{Sync: SyncNever, SegmentBytes: 1 << 10, SnapshotBytes: -1})
 	for i := 0; i < 500; i++ {
 		d := testDoc(t, "idle")
-		if err := l.PutDoc(fmt.Sprintf("idle-%d", i), d, binaryOf(d)); err != nil {
+		if err := l.PutDoc(fmt.Sprintf("idle-%d", i), binaryOf(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -536,7 +642,7 @@ func TestSnapshotRacesEdits(t *testing.T) {
 	encs := make([][][]byte, writers)
 	for w := range chains {
 		prev := testDoc(t, "race")
-		if err := l.PutDoc(fmt.Sprintf("race-%d", w), prev, binaryOf(prev)); err != nil {
+		if err := l.PutDoc(fmt.Sprintf("race-%d", w), binaryOf(prev)); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < edits; i++ {
@@ -575,7 +681,7 @@ func TestSnapshotRacesEdits(t *testing.T) {
 		go func(w int) {
 			defer editors.Done()
 			for i, d := range chains[w] {
-				if err := l.EditDoc(fmt.Sprintf("race-%d", w), batches[w][i], encs[w][i], binaryOf(d)); err != nil {
+				if err := l.EditDoc(fmt.Sprintf("race-%d", w), encs[w][i], binaryOf(d)); err != nil {
 					t.Errorf("EditDoc: %v", err)
 					return
 				}

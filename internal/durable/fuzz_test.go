@@ -111,12 +111,13 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// fingerprint lists what a state holds: each document by name and
-// pointer, each block by content address, and each name's target.
+// fingerprint lists what a log's state holds: each document's bytes by
+// name and pointer, each block by content address, and each name's
+// target.
 func fingerprint(st *State) string {
 	var b strings.Builder
-	for _, name := range slices.Sorted(maps.Keys(st.Docs)) {
-		fmt.Fprintf(&b, "doc %s %p\n", name, st.Docs[name])
+	for _, name := range slices.Sorted(maps.Keys(st.docs)) {
+		fmt.Fprintf(&b, "doc %s %p\n", name, st.docs[name])
 	}
 	var ids []string
 	st.Store.Each(func(blk *media.Block) bool {
@@ -169,7 +170,7 @@ func FuzzAppendFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		opts := Options{Sync: SyncNever, SnapshotBytes: -1}
-		l, st, err := Open(dir, opts)
+		l, _, err := Open(dir, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +179,7 @@ func FuzzAppendFrames(f *testing.F) {
 		if _, err := l.AppendFrames(base); err != nil {
 			t.Fatal(err)
 		}
-		records, held := l.Stats().Records, fingerprint(st)
+		records, held := l.Stats().Records, fingerprint(l.st)
 		if _, err := l.AppendFrames(data); err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("AppendFrames returned untyped error %T: %v", err, err)
@@ -186,7 +187,7 @@ func FuzzAppendFrames(f *testing.F) {
 			if got := l.Stats().Records; got != records {
 				t.Fatalf("rejected batch appended %d records", got-records)
 			}
-			if got := fingerprint(st); got != held {
+			if got := fingerprint(l.st); got != held {
 				t.Fatalf("rejected batch changed the state:\n%s\nwant:\n%s", got, held)
 			}
 			return
@@ -199,6 +200,6 @@ func FuzzAppendFrames(f *testing.F) {
 			t.Fatalf("accepted batch does not recover: %v", err)
 		}
 		defer re.Close()
-		compareStates(t, reSt, st)
+		compareStates(t, reSt, liveState(t, l))
 	})
 }

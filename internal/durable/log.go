@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"repro/internal/chunker"
-	"repro/internal/codec"
-	"repro/internal/core"
 	"repro/internal/fsio"
 	"repro/internal/media"
 	"repro/internal/metrics"
@@ -93,11 +91,13 @@ type Log struct {
 	err      error  // sticky first append failure
 	closed   bool
 
-	st *State // live state, snapshotted on demand; its documents under mu
+	// st is the live state, snapshotted on demand: the store and, under
+	// mu, each document's bytes. It holds no decoded document.
+	st *State
 
 	snapshotting atomic.Bool
-	snapErr      error // last background-snapshot failure
-	snapWG       sync.WaitGroup
+	snapErr      error          // last background-snapshot failure
+	bgWG         sync.WaitGroup // background snapshots and folds
 	// cuts is touched only by the in-flight snapshot; snapshotting
 	// admits one at a time.
 	cuts cutMemo
@@ -124,9 +124,10 @@ type Log struct {
 // Open recovers dir (creating it if needed) and returns the log plus the
 // recovered state. The caller wires the state into its server and then
 // attaches the log as the store's journal; mutations made before
-// attaching are not captured. A torn final record — the residue of a
-// crash mid-append — is truncated away; corrupt records fail recovery
-// with an error matching ErrCorrupt.
+// attaching are not captured. The returned Docs are the caller's: the
+// log keeps the store and the bytes that rebuild each document, no tree.
+// A torn final record — the residue of a crash mid-append — is truncated
+// away; corrupt records fail recovery with an error matching ErrCorrupt.
 func Open(dir string, opts Options) (*Log, *State, error) {
 	opts.fillDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -141,8 +142,9 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 		opts:     opts,
 		seq:      maxSeq, // rollLocked moves to maxSeq+1
 		walBytes: walBytes,
-		st:       st,
+		st:       &State{Store: st.Store, docs: st.docs},
 	}
+	st.docs = nil
 	l.mu.Lock()
 	err = l.rollLocked()
 	l.mu.Unlock()
@@ -256,8 +258,9 @@ func (l *Log) Sync() error {
 }
 
 // appendLocked frames and writes one record under l.mu, honouring the
-// sync policy, and reports whether the auto-snapshot threshold tripped.
-func (l *Log) appendLocked(op byte, fields ...[]byte) (snapDue bool, err error) {
+// sync policy, and starts a background snapshot once the auto-snapshot
+// threshold trips.
+func (l *Log) appendLocked(op byte, fields ...[]byte) (err error) {
 	if l.mAppendSec != nil {
 		start := time.Now()
 		defer func() {
@@ -272,10 +275,10 @@ func (l *Log) appendLocked(op byte, fields ...[]byte) (snapDue bool, err error) 
 		}()
 	}
 	if l.closed {
-		return false, ErrClosed
+		return ErrClosed
 	}
 	if l.err != nil {
-		return false, l.err
+		return l.err
 	}
 	frame := encodeFrame(op, fields...)
 	if len(frame)-frameHeaderSize > maxRecordBytes {
@@ -287,17 +290,17 @@ func (l *Log) appendLocked(op byte, fields ...[]byte) (snapDue bool, err error) 
 		err := fmt.Errorf("durable: record of %d bytes exceeds the %d-byte limit",
 			len(frame)-frameHeaderSize, maxRecordBytes)
 		l.fail(err)
-		return false, err
+		return err
 	}
 	if l.segBytes > 0 && l.segBytes+int64(len(frame)) > l.opts.SegmentBytes {
 		if err := l.rollLocked(); err != nil {
 			l.fail(err)
-			return false, err
+			return err
 		}
 	}
 	if _, err := l.bw.Write(frame); err != nil {
 		l.fail(err)
-		return false, err
+		return err
 	}
 	l.dirty = true
 	l.segBytes += int64(len(frame))
@@ -307,7 +310,7 @@ func (l *Log) appendLocked(op byte, fields ...[]byte) (snapDue bool, err error) 
 	if l.opts.Sync == SyncAlways {
 		if err := l.syncLocked(); err != nil {
 			l.fail(err)
-			return false, err
+			return err
 		}
 	} else {
 		// The record must reach the kernel before the mutation is
@@ -317,23 +320,21 @@ func (l *Log) appendLocked(op byte, fields ...[]byte) (snapDue bool, err error) 
 		// fsynced.
 		if err := l.bw.Flush(); err != nil {
 			l.fail(err)
-			return false, err
+			return err
 		}
 	}
-	return l.opts.SnapshotBytes > 0 &&
-		l.walBytes-l.snapDebt >= l.opts.SnapshotBytes, nil
+	if l.opts.SnapshotBytes > 0 && l.walBytes-l.snapDebt >= l.opts.SnapshotBytes {
+		l.snapshotAsyncLocked()
+	}
+	return nil
 }
 
 // append is the one-shot wrapper around appendLocked for callers that
 // hold no log state of their own.
 func (l *Log) append(op byte, fields ...[]byte) error {
 	l.mu.Lock()
-	snapDue, err := l.appendLocked(op, fields...)
-	l.mu.Unlock()
-	if snapDue {
-		l.snapshotAsync()
-	}
-	return err
+	defer l.mu.Unlock()
+	return l.appendLocked(op, fields...)
 }
 
 // syncLoop is the SyncInterval background flusher.
@@ -362,10 +363,10 @@ func (l *Log) syncLoop() {
 // flush, and any background snapshot failure.
 func (l *Log) Close() error {
 	l.closeOnce.Do(func() {
-		// Mark closed first: snapshotAsync's Add checks the flag under
-		// l.mu, so no Add can race the Wait below, and an in-flight
-		// snapshot finishes (and records its error) before closeErr is
-		// computed.
+		// Mark closed first: background snapshots and folds are added
+		// under l.mu with the log found open, so no Add can race the
+		// Wait below, and an in-flight snapshot or fold finishes (and
+		// records its error) before closeErr is computed.
 		l.mu.Lock()
 		l.closed = true
 		l.mu.Unlock()
@@ -373,7 +374,7 @@ func (l *Log) Close() error {
 			close(l.stopSync)
 			<-l.syncDone
 		}
-		l.snapWG.Wait()
+		l.bgWG.Wait()
 		l.mu.Lock()
 		ferr := l.syncLocked()
 		var cerr error
@@ -420,13 +421,13 @@ func (l *Log) JournalRegisterName(name, id string) {
 	_ = l.append(recName, []byte(name), []byte(id))
 }
 
-// PutDoc records a document registration (transport.Journal), deduping
-// unchanged re-puts (a preloaded corpus re-registered on every boot
-// appends nothing). binary returns d's encoding. The log keeps d and
-// that slice themselves as the live state, not copies — on a dedupe too,
-// so a re-registered document is held once — and the caller must not
-// mutate either afterwards.
-func (l *Log) PutDoc(name string, d *core.Document, binary func() ([]byte, error)) error {
+// PutDoc records a document registration (transport.Journal), deduping a
+// re-put of the bytes the log holds for an unedited document (a preloaded
+// corpus re-registered on every boot appends nothing). binary returns the
+// document's encoding; the log keeps that slice as the document's base,
+// on a dedupe too, so the registry's encoding is held once. The caller
+// must not mutate it afterwards.
+func (l *Log) PutDoc(name string, binary func() ([]byte, error)) error {
 	data, err := binary()
 	if err != nil {
 		// Sticky: the document is registered in memory but cannot reach
@@ -437,106 +438,102 @@ func (l *Log) PutDoc(name string, d *core.Document, binary func() ([]byte, error
 		return err
 	}
 	l.mu.Lock()
-	if prev := l.st.binary[name]; prev != nil && bytes.Equal(prev, data) {
-		l.st.setDoc(name, d, data)
-		l.mu.Unlock()
+	defer l.mu.Unlock()
+	if cur := l.st.docs[name]; cur != nil && len(cur.tail) == 0 && bytes.Equal(cur.base, data) {
+		cur.base = data
 		return nil
 	}
-	return l.appendDocAndUnlock(name, d, data, recPutDoc, []byte(name), data)
+	if err := l.appendLocked(recPutDoc, []byte(name), data); err != nil {
+		return err
+	}
+	l.st.docs[name] = &docJournal{base: data}
+	return nil
 }
 
-// EditDoc records an accepted edit batch (transport.Journal): recs is the
-// batch and enc its core.EncodeChangeRecords form. The log applies recs
-// to its own copy of the document, through the step recovery runs, so its
-// live state is what replay of its records rebuilds; a copy that was
-// shared since the log last edited it — handed over by PutDoc or Doc,
-// captured by a snapshot or a resync — is copied once first. A batch that
-// does not apply, or whose record cannot be appended, leaves the state as
-// it was and is refused. The document's binary goes stale; the next
-// snapshot encodes the copy and writes it whole. A name the log holds no
-// document for journals binary's document whole instead, so replay never
-// meets an edit without its base.
-func (l *Log) EditDoc(name string, recs []core.ChangeRecord, enc []byte, binary func() ([]byte, error)) error {
+// EditDoc records an edit batch the registry accepted (transport.Journal):
+// enc is its core.EncodeChangeRecords form, which the log appends and
+// keeps in the document's tail. The registry has checked the batch
+// against its document; the log applies nothing until a snapshot or a
+// resync folds the tail, or until the tail outweighs its base: then a
+// background fold keeps the log's bytes near the document's size. A name
+// the log holds no base for journals binary's encoding whole instead, so
+// replay never meets an edit without its base.
+func (l *Log) EditDoc(name string, enc []byte, binary func() ([]byte, error)) error {
 	l.mu.Lock()
-	if _, ok := l.st.Docs[name]; !ok {
+	cur := l.st.docs[name]
+	if cur == nil {
 		l.mu.Unlock()
-		return l.putEdited(name, binary)
+		return l.PutDoc(name, binary)
 	}
-	if !l.st.owned[name] {
-		l.st.Docs[name] = l.st.Docs[name].Clone()
-		l.st.owned[name] = true
-	}
-	undo, err := l.st.editDoc(name, recs)
-	if err != nil {
-		l.mu.Unlock()
+	defer l.mu.Unlock()
+	if err := l.appendLocked(recEditDoc, []byte(name), enc); err != nil {
 		return err
 	}
-	snapDue, err := l.appendLocked(recEditDoc, []byte(name), enc)
-	if err != nil {
-		undo()
-	} else {
-		l.st.Docs[name].TrimChanges()
+	cur.tail, cur.tailBytes = append(cur.tail, enc), cur.tailBytes+len(enc)
+	if !cur.folding && cur.tailBytes > len(cur.base) {
+		cur.folding = true
+		l.bgWG.Add(1) // the log is open in this hold: ordered before Close's Wait
+		go l.foldTail(name)
 	}
-	l.mu.Unlock()
-	if snapDue {
-		l.snapshotAsync()
-	}
-	return err
+	return nil
 }
 
-// putEdited journals an edited document the log holds no base for whole,
-// keeping a decoded copy of binary's encoding as the live state.
-func (l *Log) putEdited(name string, binary func() ([]byte, error)) error {
-	data, err := binary()
-	var d *core.Document
-	if err == nil {
-		d, err = codec.DecodeBinary(data)
-	}
-	if err != nil {
+// foldTail folds name's tail in the background until it no longer
+// outweighs its base.
+func (l *Log) foldTail(name string) {
+	defer l.bgWG.Done()
+	for {
 		l.mu.Lock()
-		l.fail(fmt.Errorf("durable: document %q: %w", name, err))
+		cur := l.st.docs[name]
+		if cur.tailBytes <= len(cur.base) {
+			cur.folding = false
+			l.mu.Unlock()
+			return
+		}
+		at := *cur
 		l.mu.Unlock()
-		return err
+		if _, err := l.folded(name, cur, at); err != nil {
+			return
+		}
 	}
-	return l.PutDoc(name, d, func() ([]byte, error) { return data, nil })
 }
 
-// Doc returns the live document registered under name, nil if none. A
-// cluster node's registry adopts the documents AppendRecords decoded
-// through it, so a replicated put is decoded once; the log treats the
-// returned document as shared.
-func (l *Log) Doc(name string) *core.Document {
+// folded returns the encoding of name's document, given cur, its bytes
+// as the caller found them under l.mu, and at, a copy of *cur taken in
+// the same hold. A non-empty tail folds outside the lock; the result then
+// becomes name's base, with the batches appended since as its tail,
+// unless a put or another fold replaced cur meanwhile. A failed fold is
+// sticky: the log can no longer write the document.
+func (l *Log) folded(name string, cur *docJournal, at docJournal) ([]byte, error) {
+	if len(at.tail) == 0 {
+		return at.base, nil
+	}
+	data, err := fold(name, at.base, at.tail)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	delete(l.st.owned, name)
-	return l.st.Docs[name]
-}
-
-// appendDocAndUnlock appends one document record under the caller's l.mu
-// hold and, once it is logged, makes d with its binary data (nil: stale)
-// name's live state. It releases l.mu.
-func (l *Log) appendDocAndUnlock(name string, d *core.Document, data []byte, op byte, fields ...[]byte) error {
-	snapDue, err := l.appendLocked(op, fields...)
-	if err == nil {
-		l.st.setDoc(name, d, data)
+	if err != nil {
+		err = fmt.Errorf("durable: folding document %q: %w", name, err)
+		l.fail(err)
+		return nil, err
 	}
-	l.mu.Unlock()
-	if snapDue {
-		l.snapshotAsync()
+	if l.st.docs[name] == cur {
+		l.st.docs[name] = &docJournal{base: data, tail: slices.Clone(cur.tail[len(at.tail):]),
+			tailBytes: cur.tailBytes - at.tailBytes, folding: cur.folding}
 	}
-	return err
+	return data, nil
 }
 
 // --- snapshots and compaction ----------------------------------------
 
 // Snapshot writes the live state to a new snapshot file and compacts the
-// WAL segments it covers. Concurrent with appends: documents are captured
-// in the l.mu hold that rolls the segment, so a recEditDoc — which is not
-// idempotent — lands in the snapshot or in the tail, never both, and
-// every document is written whole. Blocks and names are read after the
-// lock is released; a mutation racing that read may land in both, which
-// is harmless because their records state full values. If a snapshot is
-// already in flight, Snapshot returns nil without taking another.
+// WAL segments it covers. Concurrent with appends: each document's base
+// and tail are captured in the l.mu hold that rolls the segment, so a
+// recEditDoc — which is not idempotent — lands in the snapshot or in the
+// tail, never both, and every document is folded and written whole.
+// Blocks and names are read after the lock is released; a mutation racing
+// that read may land in both, which is harmless because their records
+// state full values. If a snapshot is already in flight, Snapshot
+// returns nil without taking another.
 func (l *Log) Snapshot() error {
 	if !l.snapshotting.CompareAndSwap(false, true) {
 		return nil
@@ -545,27 +542,18 @@ func (l *Log) Snapshot() error {
 	return l.snapshot()
 }
 
-// snapshotAsync runs Snapshot on a background goroutine, keeping the
-// append path fast; failures park in snapErr (surfaced on Close) and
+// snapshotAsyncLocked runs Snapshot on a background goroutine, keeping
+// the append path fast; failures park in snapErr (surfaced on Close) and
 // back the auto-trigger off by one threshold so a sick disk is not
-// hammered with a snapshot attempt per append.
-func (l *Log) snapshotAsync() {
+// hammered with a snapshot attempt per append. The caller holds l.mu and
+// has found the log open, so the Add precedes Close's Wait.
+func (l *Log) snapshotAsyncLocked() {
 	if !l.snapshotting.CompareAndSwap(false, true) {
 		return
 	}
-	// The Add must be ordered before Close's Wait: both run under l.mu,
-	// and Close marks closed before waiting, so an Add that sees the
-	// log open strictly precedes the Wait.
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		l.snapshotting.Store(false)
-		return
-	}
-	l.snapWG.Add(1)
-	l.mu.Unlock()
+	l.bgWG.Add(1)
 	go func() {
-		defer l.snapWG.Done()
+		defer l.bgWG.Done()
 		defer l.snapshotting.Store(false)
 		// A snapshot overtaken by Close is not a failure worth
 		// surfacing — the WAL it would have compacted is intact.
@@ -599,15 +587,23 @@ func (l *Log) snapshot() error {
 	// the counter is settled only once the snapshot lands, so a failed
 	// write leaves the live-WAL accounting (and the auto-trigger) intact.
 	covered := l.walBytes
-	// The captured documents are shared from here on — the log's next
-	// edit of each copies it — so the stale ones encode outside the lock
-	// and still hold the state the roll covers.
-	st := &State{Store: l.st.Store, Docs: maps.Clone(l.st.Docs), binary: maps.Clone(l.st.binary)}
-	clear(l.st.owned)
+	curs := maps.Clone(l.st.docs)
+	caps := make(map[string]docJournal, len(curs))
+	for name, cur := range curs {
+		caps[name] = *cur
+	}
 	l.mu.Unlock()
 
-	l.cuts.forget(st.Store)
-	size, err := writeSnapshot(l.dir, cover, st, &l.cuts)
+	docs := make(map[string][]byte, len(caps))
+	for name, at := range caps {
+		data, err := l.folded(name, curs[name], at)
+		if err != nil {
+			return err
+		}
+		docs[name] = data
+	}
+	l.cuts.forget(l.st.Store)
+	size, err := writeSnapshot(l.dir, cover, docs, l.st.Store, &l.cuts)
 	if err != nil {
 		return err
 	}
@@ -688,9 +684,9 @@ func (m *cutMemo) of(b *media.Block) []chunker.Cut {
 	return cuts
 }
 
-// writeSnapshot serializes the state into snap-<seq>.snap via a temp file
-// and an atomic rename, encoding its stale documents on the way.
-func writeSnapshot(dir string, seq uint64, st *State, memo *cutMemo) (int64, error) {
+// writeSnapshot serializes docs (name → encoding) and store into
+// snap-<seq>.snap via a temp file and an atomic rename.
+func writeSnapshot(dir string, seq uint64, docs map[string][]byte, store *media.Store, memo *cutMemo) (int64, error) {
 	final := filepath.Join(dir, snapName(seq))
 	tmp := final + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -707,12 +703,8 @@ func writeSnapshot(dir string, seq uint64, st *State, memo *cutMemo) (int64, err
 	}
 
 	var werr error
-	for _, name := range slices.Sorted(maps.Keys(st.Docs)) {
-		var data []byte
-		if data, werr = encodedDoc(name, st.Docs[name], st.binary[name]); werr != nil {
-			break
-		}
-		if werr = write(recPutDoc, []byte(name), data); werr != nil {
+	for _, name := range slices.Sorted(maps.Keys(docs)) {
+		if werr = write(recPutDoc, []byte(name), docs[name]); werr != nil {
 			break
 		}
 	}
@@ -730,7 +722,7 @@ func writeSnapshot(dir string, seq uint64, st *State, memo *cutMemo) (int64, err
 		// a block on its first snapshot — here, on the snapshot
 		// goroutine, outside l.mu. Smaller blocks stay recPutBlk.
 		chunksWritten := make(map[ChunkHash]bool)
-		st.Store.Each(func(b *media.Block) bool {
+		store.Each(func(b *media.Block) bool {
 			desc, err := b.DescriptorText()
 			if err != nil {
 				werr = fmt.Errorf("block %q descriptor: %w", b.Name, err)
@@ -760,8 +752,8 @@ func writeSnapshot(dir string, seq uint64, st *State, memo *cutMemo) (int64, err
 		})
 	}
 	if werr == nil {
-		for _, name := range st.Store.Names() {
-			id, ok := st.Store.Resolve(name)
+		for _, name := range store.Names() {
+			id, ok := store.Resolve(name)
 			if !ok {
 				continue
 			}

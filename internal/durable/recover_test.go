@@ -195,7 +195,7 @@ func benchCorpusDir(b *testing.B) (string, int64) {
 		}
 	}
 	live := testDoc(b, "news")
-	if err := l.PutDoc("news", live, binaryOf(live)); err != nil {
+	if err := l.PutDoc("news", binaryOf(live)); err != nil {
 		b.Fatal(err)
 	}
 	putMedia(0, 48)
@@ -206,7 +206,7 @@ func benchCorpusDir(b *testing.B) (string, int64) {
 	for i := 0; i < 32; i++ {
 		recs := []core.ChangeRecord{setDuration(b, "/cap", int64(100+i))}
 		next, enc := edited(b, live, recs...)
-		if err := l.EditDoc("news", recs, enc, binaryOf(next)); err != nil {
+		if err := l.EditDoc("news", enc, binaryOf(next)); err != nil {
 			b.Fatal(err)
 		}
 		live = next

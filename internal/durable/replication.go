@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/media"
 )
 
@@ -97,7 +98,7 @@ func FilterFrames(frames []byte, keep func(Record) bool) ([]byte, error) {
 // AppendFrames decodes a batch of framed records and appends it through
 // AppendRecords; a corrupt frame fails the batch before anything is
 // appended.
-func (l *Log) AppendFrames(frames []byte) (putDocs []string, err error) {
+func (l *Log) AppendFrames(frames []byte) (docs map[string]*core.Document, err error) {
 	recs, err := DecodeFrames(frames)
 	if err != nil {
 		return nil, err
@@ -125,9 +126,10 @@ func (l *Log) AppendFrames(frames []byte) (putDocs []string, err error) {
 // record every record twice. Cluster nodes replicate explicitly and leave
 // the journal detached.
 //
-// It returns the names of documents the batch registered (putDocs), so a
-// serving registry can be refreshed.
-func (l *Log) AppendRecords(recs []Record) (putDocs []string, err error) {
+// It returns the documents the batch registered, by name, as its verify
+// step decoded them, so a serving registry can be refreshed without a
+// second decode; the log keeps none of them.
+func (l *Log) AppendRecords(recs []Record) (docs map[string]*core.Document, err error) {
 	// Verification reads only the records, so it runs before the lock,
 	// and every block address check is done before anything appends. A
 	// failed check is an earlier record than any the loop stopped at.
@@ -148,38 +150,30 @@ func (l *Log) AppendRecords(recs []Record) (putDocs []string, err error) {
 	}
 
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil, ErrClosed
 	}
 	if l.err != nil {
-		err := l.err
-		l.mu.Unlock()
-		return nil, err
+		return nil, l.err
 	}
-	snapDue := false
+	docs = make(map[string]*core.Document)
 	for i, m := range muts {
 		if l.st.holds(m) {
 			continue
 		}
-		due, err := l.appendLocked(recs[i].Op, recs[i].Fields...)
+		err := l.appendLocked(recs[i].Op, recs[i].Fields...)
 		if err == nil {
 			err = l.st.apply(m)
 		}
 		if err != nil {
-			l.mu.Unlock()
 			return nil, err
 		}
-		snapDue = snapDue || due
 		if m.op == recPutDoc {
-			putDocs = append(putDocs, m.key)
+			docs[m.key] = m.doc
 		}
 	}
-	l.mu.Unlock()
-	if snapDue {
-		l.snapshotAsync()
-	}
-	return putDocs, nil
+	return docs, nil
 }
 
 // Resync cursor phases, walked in snapshot order.
@@ -243,7 +237,7 @@ func (l *Log) resyncKeys(phase string) []string {
 	case resyncDocs:
 		l.mu.Lock()
 		defer l.mu.Unlock()
-		return slices.Collect(maps.Keys(l.st.Docs))
+		return slices.Collect(maps.Keys(l.st.docs))
 	case resyncBlocks:
 		var ids []string
 		l.st.Store.Each(func(b *media.Block) bool {
@@ -263,16 +257,18 @@ func (l *Log) resyncFrame(phase, key string) ([]byte, error) {
 	switch phase {
 	case resyncDocs:
 		l.mu.Lock()
-		d, ok := l.st.Docs[key]
-		data := l.st.binary[key]
-		delete(l.st.owned, key) // d may encode outside the lock
+		cur := l.st.docs[key]
+		var at docJournal
+		if cur != nil {
+			at = *cur
+		}
 		l.mu.Unlock()
-		if !ok {
+		if cur == nil {
 			return nil, nil
 		}
-		data, err := encodedDoc(key, d, data)
+		data, err := l.folded(key, cur, at)
 		if err != nil {
-			return nil, fmt.Errorf("durable: resync: %w", err)
+			return nil, err
 		}
 		return FramePutDoc(key, data), nil
 	case resyncBlocks:

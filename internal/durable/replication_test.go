@@ -147,12 +147,12 @@ func TestAppendFramesAppliesAndSurvivesRecovery(t *testing.T) {
 	populate(t, src, srcSt)
 
 	// Replica log: journal NOT attached (AppendFrames applies directly).
-	dst, dstSt, err := Open(dstDir, Options{Sync: SyncNever})
+	dst, _, err := Open(dstDir, Options{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shipAll(t, src, dst, 256) // tiny chunks: many cursor resumptions
-	compareStates(t, dstSt, srcSt)
+	compareStates(t, liveState(t, dst), liveState(t, src))
 
 	// A doc put on the replica via frames must be visible and durable.
 	doc := testDoc(t, "repl")
@@ -160,12 +160,12 @@ func TestAppendFramesAppliesAndSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	putDocs, err := dst.AppendFrames(FramePutDoc("repl", data))
+	docs, err := dst.AppendFrames(FramePutDoc("repl", data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(putDocs) != 1 || putDocs[0] != "repl" {
-		t.Fatalf("putDocs=%v", putDocs)
+	if len(docs) != 1 || docs["repl"] == nil {
+		t.Fatalf("docs=%v", docs)
 	}
 
 	if err := dst.Close(); err != nil {
@@ -182,10 +182,10 @@ func TestAppendFramesAppliesAndSurvivesRecovery(t *testing.T) {
 		t.Fatal("replicated doc lost on recovery")
 	}
 	// Mirror the extra put on the source, then the two must match again.
-	if err := src.PutDoc("repl", doc, binaryOf(doc)); err != nil {
+	if err := src.PutDoc("repl", binaryOf(doc)); err != nil {
 		t.Fatal(err)
 	}
-	compareStates(t, reSt, srcSt)
+	compareStates(t, reSt, liveState(t, src))
 	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +219,12 @@ func TestAppendFramesDedupes(t *testing.T) {
 	if before != 3 {
 		t.Fatalf("first batch appended %d records, want 3", before)
 	}
-	putDocs, err := l.AppendFrames(stream)
+	docs, err := l.AppendFrames(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(putDocs) != 0 {
-		t.Fatalf("re-put reported changed docs: %v", putDocs)
+	if len(docs) != 0 {
+		t.Fatalf("re-put reported changed docs: %v", docs)
 	}
 	if after := l.Stats().Records; after != before {
 		t.Fatalf("idempotent re-send appended %d records", after-before)
@@ -270,7 +270,7 @@ func TestAppendFramesLeavesNoDescriptorMemo(t *testing.T) {
 
 func TestAppendFramesRejectsBadBatchAtomically(t *testing.T) {
 	dir := t.TempDir()
-	l, st, err := Open(dir, Options{Sync: SyncNever})
+	l, _, err := Open(dir, Options{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestAppendFramesRejectsBadBatchAtomically(t *testing.T) {
 		if n := l.Stats().Records; n != 0 {
 			t.Fatalf("%s: bad batch appended %d records", tc.name, n)
 		}
-		if len(st.Docs) != 0 || len(st.binary) != 0 {
+		if len(l.st.docs) != 0 {
 			t.Fatalf("%s: bad batch applied its valid prefix", tc.name)
 		}
 		if err := l.Err(); err != nil {
@@ -324,7 +324,7 @@ func TestResyncChunkCursorIsKeyed(t *testing.T) {
 	defer l.Close()
 	for i := 0; i < 6; i++ {
 		d := testDoc(t, fmt.Sprint(i))
-		if err := l.PutDoc(fmt.Sprintf("doc-%d", i), d, binaryOf(d)); err != nil {
+		if err := l.PutDoc(fmt.Sprintf("doc-%d", i), binaryOf(d)); err != nil {
 			t.Fatal(err)
 		}
 	}

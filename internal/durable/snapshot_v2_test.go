@@ -127,7 +127,7 @@ func TestSnapshotChunkDedupe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	checkEqual(t, st, got)
+	checkEqual(t, liveState(t, l), got)
 	if got.replayChunks != nil {
 		t.Fatal("replay chunk staging not released after recovery")
 	}
@@ -185,6 +185,7 @@ func TestSnapshotFormatUpgrade(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	src = liveState(t, l)
 
 	// Lay down an old-format directory: one legacy snapshot, no WAL.
 	oldDir := t.TempDir()
@@ -344,7 +345,7 @@ func TestSnapshotCutsOnDemand(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Load after the %s snapshot: %v", label, err)
 		}
-		checkEqual(t, st, got)
+		checkEqual(t, liveState(t, l), got)
 		return info.Size()
 	}
 	cold := snapshotSize(l, "cold")
@@ -446,7 +447,7 @@ func TestSnapshotSweepsDeletedBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Load: %v", err)
 		}
-		checkEqual(t, st, got)
+		checkEqual(t, liveState(t, l), got)
 		return written
 	}
 	checkChunks := func(label string, got, want map[ChunkHash]bool) {

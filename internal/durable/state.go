@@ -16,25 +16,18 @@ import (
 
 // State is the recovered corpus: the block store and the registered
 // documents. Open and Load rebuild one by replaying the newest snapshot
-// plus the WAL tail. Once the log is attached as the store's journal,
-// State stays the live corpus: the Log's document methods keep Docs in
-// step with what they journal.
+// plus the WAL tail, and hand its Docs to the caller. The live log keeps
+// a State of its own without Docs: the store, which stays the live
+// corpus once the log is attached as its journal, and the bytes that
+// rebuild each document.
 type State struct {
 	Store *media.Store
 	Docs  map[string]*core.Document
 
-	// binary holds each registered document's encoding, set beside Docs
-	// by apply: the bytes a re-put is deduped against and a snapshot or
-	// resync writes. nil is stale — the document was edited since it
-	// was encoded, and Docs holds the current version.
-	binary map[string][]byte
-
-	// owned marks the documents the live log copied for itself and has
-	// not shared since: Log.EditDoc edits those in place and copies any
-	// other first. Replay edits in place regardless — nobody holds its
-	// documents until recovery returns, with none of them owned. setDoc,
-	// a snapshot or resync capture and Log.Doc drop the mark.
-	owned map[string]bool
+	// docs holds, per registered document, the bytes that rebuild it, set
+	// beside Docs by apply: what a re-put is deduped against and a
+	// snapshot or resync folds and writes.
+	docs map[string]*docJournal
 
 	// descMemo caches descriptor parses by their text during one
 	// recovery: a corpus of same-shaped blocks repeats a handful of
@@ -52,6 +45,17 @@ type State struct {
 	replayChunks map[ChunkHash][]byte
 }
 
+// docJournal is what the log keeps of one document: base, the encoding of
+// its last recPutDoc, and tail, the encoded recEditDoc batches appended
+// since. An edit appends to the tail; a put or a fold replaces the whole
+// docJournal, so a fold that finds it replaced knows its base is gone.
+type docJournal struct {
+	base      []byte
+	tail      [][]byte
+	tailBytes int  // the tail's batch bytes
+	folding   bool // a background fold runs until the tail no longer outweighs base
+}
+
 // ChunkHash mirrors media.ChunkHash for the snapshot chunk records.
 type ChunkHash = media.ChunkHash
 
@@ -59,8 +63,7 @@ func newState() *State {
 	return &State{
 		Store:    media.NewStore(),
 		Docs:     make(map[string]*core.Document),
-		binary:   make(map[string][]byte),
-		owned:    make(map[string]bool),
+		docs:     make(map[string]*docJournal),
 		descMemo: make(map[string]attr.List),
 	}
 }
@@ -94,7 +97,7 @@ type mutation struct {
 	// id is the content address a recName points key at.
 	id    string
 	doc   *core.Document      // recPutDoc
-	data  []byte              // recPutDoc: doc's binary; recChunk: the chunk
+	data  []byte              // recPutDoc: doc's binary; recEditDoc: the batch; recChunk: the chunk
 	edits []core.ChangeRecord // recEditDoc
 	block *media.Block        // recPutBlk, recPutBlkC
 	chunk ChunkHash           // recChunk
@@ -148,9 +151,8 @@ func (st *State) verify(op byte, fields [][]byte, kept bool, chk *addrChecker, p
 			return m, err
 		}
 		m.key = string(fields[0])
-		// The binary outlives the record (the decoded tree and the state
-		// both retain it), so detach it from the buffer first.
-		m.data = append([]byte(nil), fields[1]...)
+		// The binary outlives the record as the document's base.
+		m.data = detach(fields[1], kept)
 		if m.doc, err = codec.DecodeBinary(m.data); err != nil {
 			return m, fmt.Errorf("putdoc %q: %w", fields[0], err)
 		}
@@ -162,6 +164,7 @@ func (st *State) verify(op byte, fields [][]byte, kept bool, chk *addrChecker, p
 		if m.edits, err = core.DecodeChangeRecords(fields[1]); err != nil {
 			return m, fmt.Errorf("editdoc %q: %w", fields[0], err)
 		}
+		m.data = detach(fields[1], kept)
 	case recDelBlk:
 		if err := wantFields(op, fields, 1); err != nil {
 			return m, err
@@ -217,19 +220,29 @@ func detach(field []byte, kept bool) []byte {
 }
 
 // apply makes a verified mutation part of the state — the one step
-// recovery and replication both run. Only an edit can fail: its document
-// must be registered, and the batch must apply to it.
+// recovery, replication and a fold run. Only an edit can fail: its
+// document must be registered, and the batch must apply to it. A state
+// without Docs (the live log's) keeps only a document's bytes.
 func (st *State) apply(m mutation) error {
 	switch m.op {
 	case recPutDoc:
-		st.setDoc(m.key, m.doc, m.data)
+		st.docs[m.key] = &docJournal{base: m.data}
+		if st.Docs != nil {
+			st.Docs[m.key] = m.doc
+		}
 	case recEditDoc:
-		if _, err := st.editDoc(m.key, m.edits); err != nil {
-			return err
+		d, ok := st.Docs[m.key]
+		if !ok {
+			return fmt.Errorf("editdoc %q: no such document", m.key)
+		}
+		if err := edit.Apply(d, m.edits); err != nil {
+			return fmt.Errorf("editdoc %q: %w", m.key, err)
 		}
 		// Nothing schedules the state's documents: the applied records'
 		// change log, and the removed subtrees it holds, can go.
-		st.Docs[m.key].TrimChanges()
+		d.TrimChanges()
+		db := st.docs[m.key]
+		db.tail, db.tailBytes = append(db.tail, m.data), db.tailBytes+len(m.data)
 	case recPutBlk, recPutBlkC:
 		st.Store.PutReplayed(m.block)
 	case recDelBlk:
@@ -257,8 +270,8 @@ func (st *State) apply(m mutation) error {
 func (st *State) holds(m mutation) bool {
 	switch m.op {
 	case recPutDoc:
-		prev := st.binary[m.key]
-		return prev != nil && bytes.Equal(prev, m.data)
+		cur := st.docs[m.key]
+		return cur != nil && len(cur.tail) == 0 && bytes.Equal(cur.base, m.data)
 	case recPutBlk:
 		_, ok := st.Store.Get(m.block.ID)
 		return ok
@@ -272,42 +285,25 @@ func (st *State) holds(m mutation) bool {
 	return false
 }
 
-// editDoc applies an edit batch to name's document in place, all or
-// nothing, and marks its binary stale. The returned undo takes the batch
-// back; the binary stays stale, which costs at most a re-encode.
-func (st *State) editDoc(name string, recs []core.ChangeRecord) (undo func(), err error) {
-	d, ok := st.Docs[name]
-	if !ok {
-		return nil, fmt.Errorf("editdoc %q: no such document", name)
+// fold returns the encoding of the document base and tail rebuild: the
+// base and each batch verified and applied as replay applies them, on a
+// scratch state, and the result encoded.
+func fold(name string, base []byte, tail [][]byte) ([]byte, error) {
+	st := &State{Docs: make(map[string]*core.Document), docs: make(map[string]*docJournal)}
+	for i, data := range append([][]byte{base}, tail...) {
+		op := byte(recEditDoc)
+		if i == 0 {
+			op = recPutDoc
+		}
+		m, err := st.verify(op, [][]byte{[]byte(name), data}, true, nil, 0)
+		if err == nil {
+			err = st.apply(m)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if undo, err = edit.ApplyUndo(d, recs); err != nil {
-		return nil, fmt.Errorf("editdoc %q: %w", name, err)
-	}
-	st.binary[name] = nil
-	return undo, nil
-}
-
-// setDoc registers d under name with its binary (nil: stale). d is shared
-// with whoever handed it over.
-func (st *State) setDoc(name string, d *core.Document, data []byte) {
-	st.Docs[name], st.binary[name] = d, data
-	delete(st.owned, name)
-}
-
-// encodedDoc returns the binary of name's document d: data while it is
-// current, d's fresh encoding once it is stale. A caller may read the pair
-// under the log's lock and encode after releasing it if it drops the
-// log's ownership of d there (see State.owned): the log never edits a
-// shared document in place.
-func encodedDoc(name string, d *core.Document, data []byte) ([]byte, error) {
-	if data != nil {
-		return data, nil
-	}
-	data, err := codec.EncodeBinary(d)
-	if err != nil {
-		return nil, fmt.Errorf("document %q: %w", name, err)
-	}
-	return data, nil
+	return codec.EncodeBinary(st.Docs[name])
 }
 
 // blockFromParts assembles a block from replayed parts under its

@@ -12,8 +12,8 @@ import (
 // wire form of one edit; this file is the single bridge between records
 // and the path-addressed edit operations: writers build records with the
 // Record* constructors, and every receiver — the authoritative server
-// copy, the durable log's copy and each subscriber replica — re-executes
-// them through Apply. Because every receiver runs the identical code, a
+// copy, the durable log's replay and fold, and each subscriber replica —
+// re-executes them through Apply. Because every receiver runs the identical code, a
 // replica that applies the pushed records of an edit stream is
 // structurally identical to the source document, and its own change log
 // advances by the same entries, which is what lets incremental

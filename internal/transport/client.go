@@ -253,9 +253,9 @@ func errNoBlock(name string) error {
 
 // fetchBatched sends keys under op, at most maxBatch per frame, so N keys
 // cost ceil(N/maxBatch) round trips. It checks each response carries one
-// entry per key and hands visit the key's index with its decoded entry
-// (nFields fields when found). The first error stops the fetch.
-func (c *Client) fetchBatched(ctx context.Context, op byte, keys [][]byte, nFields int, visit func(i int, fields [][]byte, flag byte) error) error {
+// entry per key and hands it whole to visit with the index of its first
+// key. The first error stops the fetch.
+func (c *Client) fetchBatched(ctx context.Context, op byte, keys [][]byte, visit func(start int, resp [][]byte) error) error {
 	for start := 0; start < len(keys); start += maxBatch {
 		end := min(start+maxBatch, len(keys))
 		resp, err := c.roundTrip(ctx, op, keys[start:end]...)
@@ -265,14 +265,8 @@ func (c *Client) fetchBatched(ctx context.Context, op byte, keys [][]byte, nFiel
 		if len(resp) != end-start {
 			return fmt.Errorf("transport: %s returned %d entries for %d keys", opNames[op], len(resp), end-start)
 		}
-		for i, entry := range resp {
-			fields, flag, err := decodeEntry(entry, nFields)
-			if err != nil {
-				return err
-			}
-			if err := visit(start+i, fields, flag); err != nil {
-				return err
-			}
+		if err := visit(start, resp); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -300,20 +294,12 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 	for i, name := range order {
 		keys[i] = []byte(name)
 	}
-	for start := 0; start < len(keys); start += maxBatch {
-		end := min(start+maxBatch, len(keys))
-		resp, err := c.roundTrip(ctx, opGetBlks, keys[start:end]...)
-		if err != nil {
-			return nil, err
-		}
-		if len(resp) != end-start {
-			return nil, fmt.Errorf("transport: getblks returned %d entries for %d keys", len(resp), end-start)
-		}
+	err := c.fetchBatched(ctx, opGetBlks, keys, func(start int, resp [][]byte) error {
 		blocks, flags, err := decodeBlocks(resp)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for i, name := range order[start:end] {
+		for i, name := range order[start : start+len(resp)] {
 			blk := blocks[i]
 			switch flags[i] {
 			case entryMissing:
@@ -329,17 +315,21 @@ func (c *Client) GetBlocks(ctx context.Context, names []string) ([]*media.Block,
 					continue
 				}
 				if err != nil {
-					return nil, err
+					return err
 				}
 			}
 			// Asked by address, the block is checked by the ID its bytes
 			// already hashed to, whatever name it came back under: an
 			// honest store puts no address-shaped name but a block's own.
 			if blk.ID != name && media.IsContentAddress(name) {
-				return nil, &AddressMismatchError{Key: name, ID: blk.ID}
+				return &AddressMismatchError{Key: name, ID: blk.ID}
 			}
 			got[name] = blk
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Fill results aligned with the request; duplicate names share one
@@ -443,15 +433,21 @@ func (c *Client) GetDescriptors(ctx context.Context, names []string) (map[string
 			keys = append(keys, []byte(name))
 		}
 	}
-	err := c.fetchBatched(ctx, opGetDescs, keys, 2, func(i int, fields [][]byte, flag byte) error {
-		if flag != entryFound {
-			return nil
+	err := c.fetchBatched(ctx, opGetDescs, keys, func(start int, resp [][]byte) error {
+		for i, entry := range resp {
+			fields, flag, err := decodeEntry(entry, 2)
+			if err != nil {
+				return err
+			}
+			if flag != entryFound {
+				continue
+			}
+			desc, err := media.ParseDescriptor(fields[1])
+			if err != nil {
+				return fmt.Errorf("transport: getdescs descriptor: %w", err)
+			}
+			out[order[start+i]] = desc
 		}
-		desc, err := media.ParseDescriptor(fields[1])
-		if err != nil {
-			return fmt.Errorf("transport: getdescs descriptor: %w", err)
-		}
-		out[order[i]] = desc
 		return nil
 	})
 	if err != nil {

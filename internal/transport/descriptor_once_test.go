@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -97,26 +98,27 @@ func TestBlockDescriptorEncodedOnce(t *testing.T) {
 	}
 	defer c.Close()
 	key := [][]byte{[]byte(blk.Name)}
-	for i := 0; i < 3; i++ {
-		if err := c.fetchBatched(ctx, opGetBlks, key, 4, func(_ int, fields [][]byte, flag byte) error {
-			if flag != entryFound {
-				t.Fatalf("getblks entry flag %d", flag)
+	// fetchOne fetches key under op and returns its one entry's fields.
+	fetchOne := func(op byte, nFields int) [][]byte {
+		t.Helper()
+		var fields [][]byte
+		err := c.fetchBatched(ctx, op, key, func(_ int, resp [][]byte) error {
+			var flag byte
+			var err error
+			if fields, flag, err = decodeEntry(resp[0], nFields); err == nil && flag != entryFound {
+				err = fmt.Errorf("%s entry flag %d", opNames[op], flag)
 			}
-			check("getblks", fields[2])
-			return nil
-		}); err != nil {
+			return err
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return fields
 	}
-	if err := c.fetchBatched(ctx, opGetDescs, key, 2, func(_ int, fields [][]byte, flag byte) error {
-		if flag != entryFound {
-			t.Fatalf("getdescs entry flag %d", flag)
-		}
-		check("getdescs", fields[1])
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		check("getblks", fetchOne(opGetBlks, 4)[2])
 	}
+	check("getdescs", fetchOne(opGetDescs, 2)[1])
 	streamed, err := c.getBlockStream(ctx, blk.Name)
 	if err != nil {
 		t.Fatal(err)

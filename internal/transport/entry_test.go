@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -76,8 +77,8 @@ func submitEditAllocs(t *testing.T, d *core.Document) float64 {
 	srv := NewServer(reg)
 	req := frame{op: opSubmitEdit, parts: [][]byte{[]byte("doc"),
 		core.EncodeChangeRecords(setDuration(t, "/issue-0/title", 2500))}}
-	// The first edit copies the registered tree, in the registry and in
-	// the log: PutDoc shared it with its caller and the journal.
+	// The first edit copies the registered tree: PutDoc shared it with
+	// its caller.
 	if resp := srv.handle(req); resp.op != opOK {
 		t.Fatalf("submitedit: %s", resp.parts[0])
 	}
@@ -89,9 +90,9 @@ func submitEditAllocs(t *testing.T, d *core.Document) float64 {
 }
 
 // TestSubmitEditCostsWhatItTouches: a one-attribute edit nobody read
-// between copies nothing of the document — not in the registry, not in
-// the journal's copy — so what it allocates does not grow with the
-// document.
+// between copies nothing of the document — not in the registry, and the
+// journal keeps only the batch's bytes — so what it allocates does not
+// grow with the document.
 func TestSubmitEditCostsWhatItTouches(t *testing.T) {
 	small, large := submitEditAllocs(t, archiveDoc(t, 20)), submitEditAllocs(t, archiveDoc(t, 200))
 	if small != large {
@@ -99,12 +100,70 @@ func TestSubmitEditCostsWhatItTouches(t *testing.T) {
 	}
 }
 
-// TestEditCopiesAPutTree: PutDoc shares its tree with the caller and the
-// journal, and GetDoc with its reader, so the first edit after either
-// copies it — in the registry and in the durable log alike. The caller's
-// tree stays as it was put, a reader's tree as it was read, the
-// registered document and the log's copy each take every batch once, and
-// recovery rebuilds the same document.
+// TestJournaledRegistryHoldsOneTree: a registry journaled to a durable
+// log that edits a document once holds it as one tree, the registry's.
+// What it holds beyond an unjournaled registry that made the same edit is
+// the log's bytes — the put's encoding and the batch — not a second tree.
+func TestJournaledRegistryHoldsOneTree(t *testing.T) {
+	d := archiveDoc(t, 200)
+	recs := setDuration(t, "/issue-0/title", 2500)
+	bin, err := codec.EncodeBinary(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := int64(len(bin) + len(core.EncodeChangeRecords(recs)))
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// held is what a registry holds after a put and one edit of a copy
+	// of d, beyond what it held before.
+	held := func(journaled bool) int64 {
+		reg := NewRegistry(nil)
+		var l *durable.Log
+		if journaled {
+			var st *durable.State
+			l, st, err = durable.Open(t.TempDir(), durable.Options{Sync: durable.SyncNever, SnapshotBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			reg = NewRegistry(st.Store)
+			reg.Journal = l
+		}
+		doc := d.Clone()
+		before := heap()
+		reg.PutDoc("doc", doc) // shared with this caller: the edit copies it
+		if _, err := reg.EditDoc("doc", recs); err != nil {
+			t.Fatal(err)
+		}
+		doc = nil
+		after := heap()
+		runtime.KeepAlive(reg)
+		runtime.KeepAlive(l)
+		return after - before
+	}
+	before := heap()
+	tree := d.Clone()
+	treeBytes := heap() - before
+	runtime.KeepAlive(tree)
+
+	extra := held(true) - held(false)
+	t.Logf("journaled extra %d B; put encoding + batch %d B; one tree %d B", extra, records, treeBytes)
+	if extra > records+treeBytes/4 {
+		t.Errorf("a journaled registry holds %d B beyond an unjournaled one, more than the log's %d B of records: a second tree (%d B)",
+			extra, records, treeBytes)
+	}
+}
+
+// TestEditCopiesAPutTree: PutDoc shares its tree with the caller, and
+// GetDoc with its reader, so the first edit after either copies it. The
+// caller's tree stays as it was put, a reader's tree as it was read, the
+// registered document takes every batch once, and the durable log's
+// records rebuild the same document — in a resync and in recovery.
 func TestEditCopiesAPutTree(t *testing.T) {
 	dir := t.TempDir()
 	l, st, err := durable.Open(dir, durable.Options{Sync: durable.SyncNever})
@@ -147,8 +206,16 @@ func TestEditCopiesAPutTree(t *testing.T) {
 		t.Fatal("an edit changed the tree a reader holds")
 	}
 	e, _ := reg.GetDoc("news")
-	if got := bin(e.Doc()); got != bin(l.Doc("news")) {
-		t.Fatal("the log's copy differs from the registered document")
+	frames, _, err := l.ResyncChunk("", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := durable.DecodeFrames(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[0].Op != durable.RecPutDoc || string(recs[0].Fields[1]) != bin(e.Doc()) {
+		t.Fatal("the log's records rebuild a document other than the registered one")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

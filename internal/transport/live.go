@@ -376,7 +376,7 @@ func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error
 	next := &Entry{doc: d, gen: cur.gen + uint64(len(recs)) + 1}
 	enc := core.EncodeChangeRecords(recs)
 	if r.Journal != nil {
-		if err := r.Journal.EditDoc(name, recs, enc, next.Binary); err != nil {
+		if err := r.Journal.EditDoc(name, enc, next.Binary); err != nil {
 			undo()
 			return 0, fmt.Errorf("durability: %w", err)
 		}
@@ -411,12 +411,12 @@ func (r *Registry) EditDoc(name string, recs []core.ChangeRecord) (uint64, error
 // the new document as a snapshot at gen.
 func (r *Registry) PutDocAt(name string, d *core.Document, gen uint64) {
 	e := &Entry{doc: d, gen: gen}
-	e.shared.Store(true) // the caller handed d over, and the journal may keep it
+	e.shared.Store(true) // the caller handed d over and may still read it
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.docs[name] = e
 	if r.Journal != nil {
-		_ = r.Journal.PutDoc(name, d, e.Binary)
+		_ = r.Journal.PutDoc(name, e.Binary)
 	}
 	if len(r.live.subs[name]) == 0 {
 		return

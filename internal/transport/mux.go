@@ -315,7 +315,9 @@ func (m *clientMux) abandon(id uint32, call *muxCall) {
 	}()
 }
 
-// recv waits for the call's next response frame.
+// recv waits for the call's next response frame. A frame that landed
+// before the connection died is still the answer, so death, which select
+// may pick first, is reported only once the call's channel is drained.
 func (m *clientMux) recv(ctx context.Context, call *muxCall) (frameV2, error) {
 	select {
 	case f := <-call.ch:
@@ -323,7 +325,12 @@ func (m *clientMux) recv(ctx context.Context, call *muxCall) (frameV2, error) {
 	case <-ctx.Done():
 		return frameV2{}, ctx.Err()
 	case <-m.dead:
-		return frameV2{}, m.deadErr()
+		select {
+		case f := <-call.ch:
+			return f, nil
+		default:
+			return frameV2{}, m.deadErr()
+		}
 	}
 }
 

@@ -270,6 +270,22 @@ func TestMuxUnknownRequestIDDropped(t *testing.T) {
 	}
 }
 
+// TestMuxRecvPrefersALandedAnswer: a response that reached the call
+// before the connection died is returned, not the connection's death —
+// a server may answer and then close.
+func TestMuxRecvPrefersALandedAnswer(t *testing.T) {
+	m := &clientMux{dead: make(chan struct{})}
+	close(m.dead)
+	for i := 0; i < 100; i++ {
+		call := &muxCall{ch: make(chan frameV2, 1)}
+		call.ch <- frameV2{op: opOK, id: uint32(i)}
+		f, err := m.recv(context.Background(), call)
+		if err != nil || f.id != uint32(i) {
+			t.Fatalf("recv %d = %+v, %v: the landed answer was dropped", i, f, err)
+		}
+	}
+}
+
 // TestMuxOutOfOrderCompletion pipelines two requests and answers the
 // second first: each caller must receive its own response.
 func TestMuxOutOfOrderCompletion(t *testing.T) {

@@ -49,9 +49,9 @@ type Entry struct {
 	doc *core.Document
 	gen uint64
 	// shared marks a tree someone outside the registry may hold: a
-	// reader that took the entry through GetDoc, or the caller and the
-	// journal of a PutDoc. EditDoc edits an unshared tree in place and
-	// copies a shared one once.
+	// reader that took the entry through GetDoc, or the caller of a
+	// PutDoc. EditDoc edits an unshared tree in place and copies a shared
+	// one once.
 	shared atomic.Bool
 	once   sync.Once
 	bin    []byte
@@ -73,23 +73,21 @@ func (e *Entry) Binary() ([]byte, error) {
 	return e.bin, e.err
 }
 
-// Journal records document mutations (*durable.Log implements it). The
-// registry calls it under its lock. PutDoc hands over the registered tree,
-// which the registry then treats as shared, so the journal may keep it;
-// EditDoc hands over only the batch, because the registry edits its tree
-// in place while no reader holds it — a journal that keeps documents
-// applies the batch to its own copy. A failed EditDoc refuses the batch
-// (the registry takes it back); a failed PutDoc must be sticky and
-// reported by DurabilityErr.
+// Journal records document mutations (*durable.Log implements it) as
+// bytes: the journal keeps records, the registry keeps the tree. The
+// registry calls it under its lock, in the order the mutations land, and
+// checks every edit batch against its document before journaling it. A
+// failed EditDoc refuses the batch (the registry takes it back); a failed
+// PutDoc must be sticky and reported by DurabilityErr.
 type Journal interface {
 	// PutDoc records a wholesale registration. binary returns the
-	// entry's one encoding of d; the journal may keep the slice.
-	PutDoc(name string, d *core.Document, binary func() ([]byte, error)) error
-	// EditDoc records an accepted edit batch: recs decoded, and enc in
+	// entry's one encoding; the journal may keep the slice.
+	PutDoc(name string, binary func() ([]byte, error)) error
+	// EditDoc records an accepted edit batch, enc in
 	// core.EncodeChangeRecords form. binary returns the encoding of the
-	// document the batch produced, for a journal that holds no copy of
-	// name to apply recs to.
-	EditDoc(name string, recs []core.ChangeRecord, enc []byte, binary func() ([]byte, error)) error
+	// document the batch produced, for a journal that holds no base for
+	// name to record the batch against.
+	EditDoc(name string, enc []byte, binary func() ([]byte, error)) error
 }
 
 // NewRegistry returns an empty registry backed by store (a fresh store when
