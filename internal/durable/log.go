@@ -96,8 +96,13 @@ type Log struct {
 	st *State
 
 	snapshotting atomic.Bool
-	snapErr      error          // last background-snapshot failure
-	bgWG         sync.WaitGroup // background snapshots and folds
+	snapErr      error // last background-snapshot failure
+	// tailPuts holds, from a snapshot's roll until its walk is done, the
+	// ids appended as recPutBlk since the roll: the tail has them, so the
+	// walk skips them. afterRoll, set by tests, runs right after the roll.
+	tailPuts  map[string]bool
+	afterRoll func()
+	bgWG      sync.WaitGroup // background snapshots and folds
 	// cuts is touched only by the in-flight snapshot; snapshotting
 	// admits one at a time.
 	cuts cutMemo
@@ -323,6 +328,9 @@ func (l *Log) appendLocked(op byte, fields ...[]byte) (err error) {
 			return err
 		}
 	}
+	if op == recPutBlk && l.tailPuts != nil {
+		l.tailPuts[string(fields[0])] = true
+	}
 	if l.opts.SnapshotBytes > 0 && l.walBytes-l.snapDebt >= l.opts.SnapshotBytes {
 		l.snapshotAsyncLocked()
 	}
@@ -530,10 +538,10 @@ func (l *Log) folded(name string, cur *docJournal, at docJournal) ([]byte, error
 // and tail are captured in the l.mu hold that rolls the segment, so a
 // recEditDoc — which is not idempotent — lands in the snapshot or in the
 // tail, never both, and every document is folded and written whole.
-// Blocks and names are read after the lock is released; a mutation racing
-// that read may land in both, which is harmless because their records
-// state full values. If a snapshot is already in flight, Snapshot
-// returns nil without taking another.
+// Blocks and names are read after the lock is released, less the blocks
+// put since the roll, which the tail holds; any other mutation racing the
+// read may land in both, harmless as its record states a full value. If a
+// snapshot is already in flight, Snapshot returns nil without another.
 func (l *Log) Snapshot() error {
 	if !l.snapshotting.CompareAndSwap(false, true) {
 		return nil
@@ -592,7 +600,12 @@ func (l *Log) snapshot() error {
 	for name, cur := range curs {
 		caps[name] = *cur
 	}
+	l.tailPuts = make(map[string]bool)
 	l.mu.Unlock()
+	defer func() { l.mu.Lock(); l.tailPuts = nil; l.mu.Unlock() }()
+	if l.afterRoll != nil {
+		l.afterRoll()
+	}
 
 	docs := make(map[string][]byte, len(caps))
 	for name, at := range caps {
@@ -603,7 +616,7 @@ func (l *Log) snapshot() error {
 		docs[name] = data
 	}
 	l.cuts.forget(l.st.Store)
-	size, err := writeSnapshot(l.dir, cover, docs, l.st.Store, &l.cuts)
+	size, err := l.writeSnapshot(cover, docs)
 	if err != nil {
 		return err
 	}
@@ -684,10 +697,11 @@ func (m *cutMemo) of(b *media.Block) []chunker.Cut {
 	return cuts
 }
 
-// writeSnapshot serializes docs (name → encoding) and store into
-// snap-<seq>.snap via a temp file and an atomic rename.
-func writeSnapshot(dir string, seq uint64, docs map[string][]byte, store *media.Store, memo *cutMemo) (int64, error) {
-	final := filepath.Join(dir, snapName(seq))
+// writeSnapshot serializes docs (name → encoding) and the store, less the
+// blocks the tail puts, into snap-<seq>.snap via a temp file and an
+// atomic rename.
+func (l *Log) writeSnapshot(seq uint64, docs map[string][]byte) (int64, error) {
+	final := filepath.Join(l.dir, snapName(seq))
 	tmp := final + tmpSuffix
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -695,71 +709,57 @@ func writeSnapshot(dir string, seq uint64, docs map[string][]byte, store *media.
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
 	var size int64
-	write := func(op byte, fields ...[]byte) error {
-		frame := encodeFrame(op, fields...)
-		size += int64(len(frame))
-		_, err := bw.Write(frame)
-		return err
-	}
-
-	var werr error
+	write := func(op byte, fields ...[]byte) { size += int64(writeFrame(bw, op, fields...)) }
 	for _, name := range slices.Sorted(maps.Keys(docs)) {
-		if werr = write(recPutDoc, []byte(name), docs[name]); werr != nil {
-			break
+		write(recPutDoc, []byte(name), docs[name])
+	}
+	// Blocks go in detached (no name registration): they iterate in
+	// arbitrary order, while the registry's name→id pointers depend on
+	// mutation order. The recName records that follow rebuild the
+	// registry exactly.
+	//
+	// Blocks at or above the chunk threshold snapshot as manifests: each
+	// unique chunk is written once (recChunk, first-containing-block
+	// order), its bytes taken from that block's payload, and the block
+	// itself as a recPutBlkC referencing the hashes, so a dup-heavy corpus
+	// snapshots near its unique size. The memo cuts a block on its first
+	// snapshot — here, on the snapshot goroutine, outside l.mu. Smaller
+	// blocks stay recPutBlk.
+	var werr error
+	chunksWritten := make(map[ChunkHash]bool)
+	l.st.Store.Each(func(b *media.Block) bool {
+		l.mu.Lock()
+		inTail := l.tailPuts[b.ID]
+		l.mu.Unlock()
+		if inTail {
+			return true
 		}
-	}
-	if werr == nil {
-		// Blocks go in detached (no name registration): they iterate in
-		// arbitrary order, while the registry's name→id pointers depend
-		// on mutation order. The recName records that follow rebuild the
-		// registry exactly.
-		//
-		// Blocks at or above the chunk threshold snapshot as manifests:
-		// each unique chunk is written once (recChunk, first-containing-
-		// block order), its bytes taken from that block's payload, and
-		// the block itself as a recPutBlkC referencing the hashes, so a
-		// dup-heavy corpus snapshots near its unique size. The memo cuts
-		// a block on its first snapshot — here, on the snapshot
-		// goroutine, outside l.mu. Smaller blocks stay recPutBlk.
-		chunksWritten := make(map[ChunkHash]bool)
-		store.Each(func(b *media.Block) bool {
-			desc, err := b.DescriptorText()
-			if err != nil {
-				werr = fmt.Errorf("block %q descriptor: %w", b.Name, err)
-				return false
+		desc, err := b.DescriptorText()
+		if err != nil {
+			werr = fmt.Errorf("block %q descriptor: %w", b.Name, err)
+			return false
+		}
+		if len(b.Payload) < media.ChunkThreshold {
+			write(recPutBlk, []byte(b.ID), []byte(b.Name), []byte(b.Medium.String()), desc, b.Payload, []byte{0})
+			return true
+		}
+		cuts := l.cuts.of(b)
+		manifest := make([]byte, 0, len(cuts)*chunker.HashSize)
+		off := 0
+		for _, c := range cuts {
+			if !chunksWritten[c.Hash] {
+				write(recChunk, c.Hash[:], b.Payload[off:off+c.Len])
+				chunksWritten[c.Hash] = true
 			}
-			if len(b.Payload) < media.ChunkThreshold {
-				werr = write(recPutBlk,
-					[]byte(b.ID), []byte(b.Name), []byte(b.Medium.String()), desc, b.Payload, []byte{0})
-				return werr == nil
-			}
-			cuts := memo.of(b)
-			manifest := make([]byte, 0, len(cuts)*chunker.HashSize)
-			off := 0
-			for _, c := range cuts {
-				if !chunksWritten[c.Hash] {
-					if werr = write(recChunk, c.Hash[:], b.Payload[off:off+c.Len]); werr != nil {
-						return false
-					}
-					chunksWritten[c.Hash] = true
-				}
-				manifest = append(manifest, c.Hash[:]...)
-				off += c.Len
-			}
-			werr = write(recPutBlkC,
-				[]byte(b.ID), []byte(b.Name), []byte(b.Medium.String()), desc, manifest, []byte{0})
-			return werr == nil
-		})
-	}
-	if werr == nil {
-		for _, name := range store.Names() {
-			id, ok := store.Resolve(name)
-			if !ok {
-				continue
-			}
-			if werr = write(recName, []byte(name), []byte(id)); werr != nil {
-				break
-			}
+			manifest = append(manifest, c.Hash[:]...)
+			off += c.Len
+		}
+		write(recPutBlkC, []byte(b.ID), []byte(b.Name), []byte(b.Medium.String()), desc, manifest, []byte{0})
+		return true
+	})
+	for _, name := range l.st.Store.Names() {
+		if id, ok := l.st.Store.Resolve(name); ok {
+			write(recName, []byte(name), []byte(id))
 		}
 	}
 	if werr == nil {
@@ -779,7 +779,7 @@ func writeSnapshot(dir string, seq uint64, docs map[string][]byte, store *media.
 		os.Remove(tmp)
 		return 0, fmt.Errorf("durable: snapshot: %w", err)
 	}
-	if err := fsio.SyncDir(dir); err != nil {
+	if err := fsio.SyncDir(l.dir); err != nil {
 		return 0, fmt.Errorf("durable: snapshot: %w", err)
 	}
 	return size, nil

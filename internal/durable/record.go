@@ -23,6 +23,7 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -158,6 +159,29 @@ func encodeFrame(op byte, fields ...[]byte) []byte {
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
 	return buf
+}
+
+// writeFrame writes the frame encodeFrame builds straight into w and
+// returns its length: the CRC-32C runs over the op, the length prefixes
+// and the fields where they stand, so a field is copied once, into w. A
+// failed write stays in w, which refuses the rest; its Flush reports it.
+func writeFrame(w *bufio.Writer, op byte, fields ...[]byte) int {
+	hdr := [frameHeaderSize + 1]byte{frameHeaderSize: op}
+	var prefix [binary.MaxVarintLen64]byte
+	n, crc := 1, crc32.Update(0, crcTable, hdr[frameHeaderSize:])
+	for _, f := range fields {
+		k := binary.PutUvarint(prefix[:], uint64(len(f)))
+		crc = crc32.Update(crc32.Update(crc, crcTable, prefix[:k]), crcTable, f)
+		n += k + len(f)
+	}
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc)
+	w.Write(hdr[:])
+	for _, f := range fields {
+		w.Write(prefix[:binary.PutUvarint(prefix[:], uint64(len(f)))])
+		w.Write(f)
+	}
+	return frameHeaderSize + n
 }
 
 // frameLength reads the payload length a frame header declares. Zero,

@@ -2,12 +2,15 @@ package durable
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -168,6 +171,62 @@ func TestAppendRecordsReportsFirstBadBlock(t *testing.T) {
 		if got := fingerprint(st); got != held {
 			t.Fatalf("rejected batch changed the state:\n%s\nwant:\n%s", got, held)
 		}
+	}
+}
+
+// TestRecoveryIndependentOfGOMAXPROCS: recovery hashes block addresses
+// on GOMAXPROCS workers and joins chunked payloads there, and neither the
+// state it rebuilds nor the corruption it reports depends on how many
+// there are. One directory — a chunked snapshot plus a WAL tail of puts,
+// names, a delete and edits — loads to the same state at 1, 2 and 8; a
+// bad address and a wrong chunk fail at the same record at each.
+func TestRecoveryIndependentOfGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	l, st := mustOpen(t, dir, Options{Sync: SyncNever, SnapshotBytes: -1})
+	dupHeavyCorpusBlocks(t, st, 12, 64<<10)
+	live := testDoc(t, "news")
+	if err := l.PutDoc("news", binaryOf(live)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	populate(t, l, st)
+	for i := 0; i < 8; i++ {
+		st.Store.Put(orderingBlock(i, i%3 == 0))
+		next, enc := edited(t, live, setDuration(t, "/cap", int64(100+i)))
+		if err := l.EditDoc("news", enc, binaryOf(next)); err != nil {
+			t.Fatal(err)
+		}
+		live = next
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			rec := mustLoad(t, dir)
+			if err := rec.Store.VerifyAll(); err != nil {
+				t.Fatal(err)
+			}
+			// Documents by their bytes: fingerprint names each by the
+			// address of its journal entry, which every load allocates anew.
+			got := fingerprint(&State{Store: rec.Store})
+			for _, name := range slices.Sorted(maps.Keys(rec.Docs)) {
+				got += fmt.Sprintf("doc %s %x\n", name, sha256.Sum256(docBytes(t, rec.Docs[name])))
+			}
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Fatalf("recovered state differs from GOMAXPROCS=1's:\n%s\nwant:\n%s", got, want)
+			}
+			TestBadBlockAddressFailsAtItsRecord(t)
+			TestSnapshotWrongChunkFailsItsFirstBlock(t)
+		})
 	}
 }
 

@@ -483,3 +483,117 @@ func TestSnapshotSweepsDeletedBlocks(t *testing.T) {
 		t.Fatalf("dedupe counter = %d after c's first snapshot, want %d: only b's chunks count", got, want)
 	}
 }
+
+// TestWriteFrameMatchesEncodeFrame: the snapshot writer's frames are the
+// bytes encodeFrame builds — for a record of no fields, empty and small
+// fields, and fields whose lengths take every uvarint prefix width up to
+// a payload larger than the writer's buffer, which bypasses it.
+func TestWriteFrameMatchesEncodeFrame(t *testing.T) {
+	big := make([]byte, 2<<20+1) // a 4-byte length prefix
+	rand.New(rand.NewSource(3)).Read(big)
+	cases := [][][]byte{
+		nil,
+		{{}},
+		{[]byte("news"), {}},
+		{[]byte("id"), []byte("name"), []byte("video"), []byte("<desc>"), big[:127], {0}},
+		{big[:128], big[:16383], big[:16384]},
+		{big[:2<<20-1], big},
+	}
+	for i, fields := range cases {
+		var buf bytes.Buffer
+		w := bufio.NewWriterSize(&buf, 4096)
+		n := writeFrame(w, recPutBlkC, fields...)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want := encodeFrame(recPutBlkC, fields...)
+		if n != len(want) || !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("case %d: writeFrame wrote %d bytes (returned %d), encodeFrame %d; equal %v",
+				i, buf.Len(), n, len(want), bytes.Equal(buf.Bytes(), want))
+		}
+	}
+}
+
+// blockRecords counts the block records (recPutBlk, recPutBlkC) in the
+// file at path by block id.
+func blockRecords(t *testing.T, path string) map[string]int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := DecodeFrames(data)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	ids := make(map[string]int)
+	for _, r := range recs {
+		if r.Op == recPutBlk || r.Op == recPutBlkC {
+			ids[string(r.Fields[0])]++
+		}
+	}
+	return ids
+}
+
+// TestSnapshotLeavesTailPutsToTheTail: a block put after a snapshot rolls
+// the segment, and before it walks the store, is journaled in the WAL
+// tail; the snapshot leaves it out, so recovery reads and hashes it once,
+// and still rebuilds it. The blocks stored before the roll are in the
+// snapshot only.
+func TestSnapshotLeavesTailPutsToTheTail(t *testing.T) {
+	dir := t.TempDir()
+	l, st := mustOpen(t, dir, Options{Sync: SyncNever, SnapshotBytes: -1})
+	dupHeavyCorpusBlocks(t, st, 4, 64<<10)
+	var before []string
+	st.Store.Each(func(b *media.Block) bool {
+		before = append(before, b.ID)
+		return true
+	})
+	late := []*media.Block{
+		media.CaptureText("late.txt", "put between the roll and the walk", "en"),
+		media.CaptureAudio("late.aud", 2000, 8000, 330, 5), // chunked when snapshotted
+	}
+	l.afterRoll = func() {
+		for _, b := range late {
+			st.Store.Put(b)
+		}
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	l.afterRoll = nil
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	inSnap := blockRecords(t, newestSnapshot(t, dir))
+	listing, err := listDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inTail := make(map[string]int)
+	for _, seq := range listing.walSeqs {
+		for id, n := range blockRecords(t, filepath.Join(dir, walName(seq))) {
+			inTail[id] += n
+		}
+	}
+	for _, id := range before {
+		if inSnap[id] != 1 || inTail[id] != 0 {
+			t.Errorf("block %.12s stored before the roll: %d snapshot and %d tail records, want 1 and 0",
+				id, inSnap[id], inTail[id])
+		}
+	}
+	rec := mustLoad(t, dir)
+	for _, b := range late {
+		if inSnap[b.ID] != 0 || inTail[b.ID] != 1 {
+			t.Errorf("%s put after the roll: %d snapshot and %d tail records, want 0 and 1",
+				b.Name, inSnap[b.ID], inTail[b.ID])
+		}
+		if got, ok := rec.Store.Get(b.ID); !ok || !bytes.Equal(got.Payload, b.Payload) {
+			t.Errorf("recovery did not rebuild %s", b.Name)
+		}
+	}
+	if err := rec.Store.VerifyAll(); err != nil {
+		t.Fatal(err)
+	}
+}

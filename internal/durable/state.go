@@ -86,9 +86,9 @@ func (st *State) parseDesc(data []byte) (attr.List, error) {
 }
 
 // mutation is one verified record: the change it makes, decoded and
-// checked but not yet applied. A block's address check may still be
-// running on the verifying caller's addrChecker. It owns its bytes —
-// nothing in it aliases the record it came from.
+// checked but not yet applied. A block's address check, and a chunked
+// block's payload join, may still run on the caller's addrChecker. It
+// owns its bytes — nothing in it aliases the record it came from.
 type mutation struct {
 	op byte
 	// key is the document name (document ops), the block's content
@@ -139,7 +139,7 @@ func wantFields(op byte, fields [][]byte, n int) error {
 // payload or chunk then stays in them instead of being copied out.
 // A block record's content address is compared on chk, beside the
 // caller's loop, as the check of the record at pos: the caller waits on
-// chk before it reports or commits anything. It reads only the record
+// chk before it reports, commits or reads a payload. It reads only the record
 // (and, for recPutBlkC, the chunks staged before it), so replication
 // verifies a batch without the log's lock. Arbitrary bytes must never
 // panic, only fail (the fuzzed guarantee).
@@ -178,15 +178,18 @@ func (st *State) verify(op byte, fields [][]byte, kept bool, chk *addrChecker, p
 			return m, fmt.Errorf("op %d: register flag %v, want 0", op, fields[5])
 		}
 		var payload []byte
+		var chunks [][]byte // recPutBlkC: the staged chunks chk joins into the payload
+		size := len(fields[4])
 		if op == recPutBlk {
 			payload = detach(fields[4], kept)
-		} else if payload, err = st.assembleChunks(fields[4]); err != nil {
+		} else if chunks, size, err = st.stagedChunks(fields[4]); err != nil {
 			return m, fmt.Errorf("putblkc %q: %w", fields[1], err)
 		}
-		if m.block, err = st.blockFromParts(fields[0], fields[1], fields[2], fields[3], payload); err != nil {
+		if m.block, err = st.blockFromParts(fields[0], fields[1], fields[2], fields[3], size); err != nil {
 			return m, fmt.Errorf("op %d %q: %w", op, fields[1], err)
 		}
-		chk.check(pos, op, m.block)
+		m.block.Payload = payload
+		chk.check(pos, op, m.block, chunks)
 	case recChunk:
 		if err := wantFields(op, fields, 2); err != nil {
 			return m, err
@@ -306,11 +309,11 @@ func fold(name string, base []byte, tail [][]byte) ([]byte, error) {
 	return codec.EncodeBinary(st.Docs[name])
 }
 
-// blockFromParts assembles a block from replayed parts under its
-// recorded content address id, taking ownership of payload (callers pass
-// a detached or freshly assembled slice). It does not hash: the caller
-// checks id on an addrChecker.
-func (st *State) blockFromParts(id, name, mediumText, descText, payload []byte) (*media.Block, error) {
+// blockFromParts builds a block from replayed parts under its recorded
+// content address id, with a size-byte payload it does not hold yet: the
+// caller sets it, or the checker assembles it. It does not hash: the
+// caller checks id on an addrChecker.
+func (st *State) blockFromParts(id, name, mediumText, descText []byte, size int) (*media.Block, error) {
 	medium, err := core.ParseMedium(string(mediumText))
 	if err != nil {
 		return nil, err
@@ -319,50 +322,44 @@ func (st *State) blockFromParts(id, name, mediumText, descText, payload []byte) 
 	if err != nil {
 		return nil, fmt.Errorf("descriptor: %w", err)
 	}
-	if n, ok := desc.GetInt(media.DescBytes); ok && n != int64(len(payload)) {
+	if n, ok := desc.GetInt(media.DescBytes); ok && n != int64(size) {
 		return nil, fmt.Errorf("descriptor bytes attribute %d disagrees with %d-byte payload",
-			n, len(payload))
+			n, size)
 	}
-	// Assembled by hand rather than through NewBlock: the journaled
-	// descriptor already carries the bytes and format attributes NewBlock
-	// would re-derive, the payload is not copied again, and the memoized
-	// descriptor is shared — immutably — across every block that repeats
-	// its text. Recovery cost per block is one hash, on the checker, and
-	// at most one copy (none when the scanner's record buffer was kept).
+	// Built by hand, not through NewBlock: the journaled descriptor
+	// already carries the attributes NewBlock would derive, and the
+	// memoized one is shared, immutably, by every repeat of its text.
 	return &media.Block{
 		ID:         string(id),
 		Name:       string(name),
 		Medium:     medium,
-		Payload:    payload,
 		Descriptor: desc,
 	}, nil
 }
 
-// assembleChunks rebuilds a recPutBlkC payload from its manifest — a
-// concatenation of fixed-size chunk hashes, each staged by an earlier
-// recChunk in the same snapshot. Staged chunks are not hashed: the
-// caller checks the assembled payload's content address, which covers
-// every chunk's bytes in manifest order, so assembly is one copy.
-func (st *State) assembleChunks(manifest []byte) ([]byte, error) {
+// stagedChunks resolves a recPutBlkC manifest — chunk hashes, each
+// staged by an earlier recChunk in the same snapshot — to the staged
+// chunks and the payload length they make. No chunk is hashed: the
+// checker joins them, and the payload's address covers every byte.
+func (st *State) stagedChunks(manifest []byte) (chunks [][]byte, total int, err error) {
 	if len(manifest) == 0 || len(manifest)%chunker.HashSize != 0 {
-		return nil, fmt.Errorf("manifest length %d not a multiple of hash size", len(manifest))
+		return nil, 0, fmt.Errorf("manifest length %d not a multiple of hash size", len(manifest))
 	}
-	chunks := make([][]byte, 0, len(manifest)/chunker.HashSize)
-	total := 0
+	chunks = make([][]byte, 0, len(manifest)/chunker.HashSize)
 	for off := 0; off < len(manifest); off += chunker.HashSize {
 		var h ChunkHash
 		copy(h[:], manifest[off:])
 		data, ok := st.replayChunks[h]
 		if !ok {
-			return nil, fmt.Errorf("manifest references unstaged chunk %.12x", h[:])
+			return nil, 0, fmt.Errorf("manifest references unstaged chunk %.12x", h[:])
 		}
 		total += len(data)
 		if total > maxRecordBytes {
-			return nil, fmt.Errorf("assembled payload exceeds %d bytes", maxRecordBytes)
+			return nil, 0, fmt.Errorf("assembled payload exceeds %d bytes", maxRecordBytes)
 		}
 		chunks = append(chunks, data)
 	}
-	return bytes.Join(chunks, nil), nil
+	return chunks, total, nil
 }
 
 // releaseReplay drops the replay-only tables once replay is done: the
@@ -375,13 +372,13 @@ func (st *State) releaseReplay() {
 }
 
 // addrChecker compares block payloads with the content addresses their
-// records carry on up to GOMAXPROCS goroutines, beside the loop that
-// queues them, so the hashing overlaps decoding and applying. Each
-// replayed stream and each replicated batch has its own. wait reports
-// the failure at the lowest position, whatever order checks finish in.
+// records carry on GOMAXPROCS workers fed by a queue, so the hashing
+// overlaps the loop's decoding and applying. Each replayed stream and
+// each replicated batch has its own. wait reports the failure at the
+// lowest position, whatever order checks finish in.
 type addrChecker struct {
-	slots chan struct{}
-	wg    sync.WaitGroup
+	jobs chan func() // nil until the first check starts the workers
+	wg   sync.WaitGroup
 
 	mu  sync.Mutex
 	pos int64          // position of the earliest failure so far
@@ -389,17 +386,33 @@ type addrChecker struct {
 	bad []*media.Block // every block that failed
 }
 
-func newAddrChecker() *addrChecker {
-	return &addrChecker{slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
-}
+// checkQueue is the job queue's depth: the loop blocks only once it is
+// full (any depth from 16 to 256 measured the same).
+const checkQueue = 64
+
+func newAddrChecker() *addrChecker { return &addrChecker{} }
 
 // check queues the comparison of b's payload with b.ID, the address the
-// record at pos carries, and blocks while every worker is busy.
-func (c *addrChecker) check(pos int64, op byte, b *media.Block) {
-	c.slots <- struct{}{}
-	c.wg.Add(1)
-	go func() {
-		defer func() { <-c.slots; c.wg.Done() }()
+// record at pos carries. Given chunks, the worker first joins them into
+// b.Payload, which nothing may read before wait returns.
+func (c *addrChecker) check(pos int64, op byte, b *media.Block, chunks [][]byte) {
+	if c.jobs == nil {
+		c.jobs = make(chan func(), checkQueue)
+		n := runtime.GOMAXPROCS(0)
+		c.wg.Add(n)
+		for range n {
+			go func() {
+				defer c.wg.Done()
+				for job := range c.jobs {
+					job()
+				}
+			}()
+		}
+	}
+	c.jobs <- func() {
+		if chunks != nil {
+			b.Payload = bytes.Join(chunks, nil)
+		}
 		got := media.ContentAddress(b.Medium, b.Payload)
 		if got == b.ID {
 			return
@@ -412,13 +425,16 @@ func (c *addrChecker) check(pos int64, op byte, b *media.Block) {
 				op, b.Name, b.ID, got)
 		}
 		c.bad = append(c.bad, b)
-	}()
+	}
 }
 
-// wait blocks until every queued check is done and returns the earliest
-// failure, or a nil error.
+// wait blocks until every queued check is done, stops the workers, and
+// returns the earliest failure, or a nil error. Call it once.
 func (c *addrChecker) wait() (pos int64, err error) {
-	c.wg.Wait()
+	if c.jobs != nil {
+		close(c.jobs)
+		c.wg.Wait()
+	}
 	return c.pos, c.err
 }
 
